@@ -20,10 +20,10 @@ from .bigqjacobi import (BigQJacobiParams, lambda_explicit, nonmonic_poly,
 from .bipoly import BiPoly
 from .equation import EquationCoeffs, admissibility, check_hypergeometric_form
 from .io import EquationParseError
-from .monic import generate_monic_oracle
+from .monic import OracleError, generate_monic_oracle
 from .pearson import verify_pearson_identities
 from .qcalc import QParam, verify_operator_relations
-from .rodrigues import RodriguesSpec, rodrigues_poly
+from .rodrigues import RodriguesError, RodriguesSpec, rodrigues_poly
 from .scalars import QQ
 from .suites import run_suite
 
@@ -232,6 +232,13 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     if suite == "orthogonality":
         if cfg.preset is None:
             raise ConfigError("the orthogonality suite runs on the big-q-jacobi preset")
+        c, q = cfg.preset.c, cfg.preset.qp.q
+        while c < 1:
+            c /= q
+        if c == 1:
+            # (x/(cy); q)_inf then vanishes on the weight's lattice
+            raise ConfigError(f"the orthogonality weight needs c != q^k (k >= 0), "
+                              f"got c={cfg.preset.c}, q={q}")
         kwargs = {"p": cfg.preset, "truncation": cfg.truncation, "prec": cfg.precision}
     elif suite in ("consistency", "recurrence"):
         if cfg.preset is None:
@@ -301,6 +308,9 @@ def main(argv=None) -> int:
     except (ConfigError, EquationParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OracleError, RodriguesError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

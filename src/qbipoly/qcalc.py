@@ -173,57 +173,56 @@ def dq2_ratfn(r, qp: QParam):
 # grid / callback forms (weights are not polynomials)
 # ---------------------------------------------------------------------------
 
+def _difference_table(fvals, x0, y0, p, n: int, m: int):
+    """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
+    then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0); returns the
+    table at (p^r x0, p^s y0), n rows and m columns smaller."""
+    if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
+        raise ValueError("sample table too small for the requested order")
+    work = [row[:] for row in fvals]
+    for _ in range(n):
+        work = [[(hi - lo) / ((p - 1) * x0 * p**r) for lo, hi in zip(work[r], work[r + 1])]
+                for r in range(len(work) - 1)]
+    for _ in range(m):
+        steps = [(p - 1) * y0 * p**s for s in range(len(work[0]) - 1)]
+        work = [[(row[s + 1] - row[s]) / h for s, h in enumerate(steps)] for row in work]
+    return work
+
+
 def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
     """Iterated forward differences on samples fvals[r][s] = f(q^r x0, q^s y0).
 
-    The table must cover 0 <= r <= n, 0 <= s <= m (extra rows/columns are
-    consumed from the top left).  Returns [Dq1]^n [Dq2]^m f at (x0, y0).
+    Returns the table t[r][s] = [Dq1]^n [Dq2]^m f at (q^r x0, q^s y0), with n
+    fewer rows and m fewer columns than fvals; the corner t[0][0] is the
+    value at (x0, y0).
     """
-    q = qp.q
-    work = [row[:] for row in fvals]
-    if len(work) < n + 1 or any(len(row) < m + 1 for row in work):
-        raise ValueError("sample table too small for the requested order")
-    for step in range(n):
-        nr = len(work) - 1
-        new = []
-        for r in range(nr):
-            xr = x0 * q**r
-            new.append([(work[r + 1][s] - work[r][s]) / ((q - 1) * xr) for s in range(len(work[0]))])
-        work = new
-    for step in range(m):
-        ns = len(work[0]) - 1
-        for r in range(len(work)):
-            row = work[r]
-            work[r] = [(row[s + 1] - row[s]) / ((q - 1) * y0 * q**s) for s in range(ns)]
-    return work[0][0]
+    return _difference_table(fvals, x0, y0, qp.q, n, m)
+
+
+def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
+    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
+
+    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
+    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
+    (q^-r x0, q^-s y0) comes from the same kernel; t[0][0] is the value at
+    (x0, y0).
+    """
+    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
 def dq_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
     """Callback form of dq_nm_table: f is evaluated on the forward stencil."""
     q = qp.q
     fvals = [[f(x0 * q**r, y0 * q**s) for s in range(m + 1)] for r in range(n + 1)]
-    return dq_nm_table(fvals, x0, y0, qp, n, m)
+    return dq_nm_table(fvals, x0, y0, qp, n, m)[0][0]
 
 
 def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
-    """Iterated backward differences [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at (x0,y0);
-    f is evaluated on the backward stencil (q^-r x0, q^-s y0)."""
+    """Callback form of dqm_nm_table: f is evaluated on the backward stencil
+    (q^-r x0, q^-s y0)."""
     q = qp.q
     fvals = [[f(x0 / q**r, y0 / q**s) for s in range(m + 1)] for r in range(n + 1)]
-    work = fvals
-    for step in range(n):
-        nr = len(work) - 1
-        new = []
-        for r in range(nr):
-            xr = x0 / q**r
-            new.append([q * (work[r][s] - work[r + 1][s]) / ((q - 1) * xr) for s in range(len(work[0]))])
-        work = new
-    for step in range(m):
-        ns = len(work[0]) - 1
-        for r in range(len(work)):
-            row = work[r]
-            work[r] = [q * (row[s] - row[s + 1]) / ((q - 1) * y0 / q**s) for s in range(ns)]
-    return work[0][0]
+    return dqm_nm_table(fvals, x0, y0, qp, n, m)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .equation import EquationCoeffs, admissibility, apply_operator
 from .linalg import Mat, interpolate_2d
-from .pearson import LatticePoleError, base_weight, build_pearson, rho_kl
-from .qcalc import dq_nm_table
+from .pearson import LatticePoleError, base_weight, rho_kl
+from .qcalc import dq_nm_table, dqm_nm_table
 
 #: Base points tried in order when a lattice path hits a Pearson pole.
 DEFAULT_BASES = (
@@ -53,54 +53,58 @@ class RodriguesSpec:
             raise ValueError("degrees must be nonnegative")
 
 
-def _omega_bracket(E: EquationCoeffs, n: int, m: int) -> BiPoly:
-    """The polynomial factor of the Rodrigues bracket."""
-    P = build_pearson(E)
-    q = E.qp.q
-    out = BiPoly.const(1, E.field)
-    for k in range(n):
-        out = out * P.omega1.scale_args(q**-k, 1)
-    for s in range(m):
-        out = out * P.omega2.scale_args(1, q**-s)
-    return out
-
-
 def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     """Sample u on the (n+m+1)^2 backward grid from `base`; exact rationals.
 
-    Every lattice point touched lives at nonnegative shifts from the far
-    anchor (q^-(G-1) base), so rho ratios are finite Pearson products; the
-    anchor constant cancels between the bracket and the outer division.
+    The forward stencil of every grid node lies on one backward lattice of
+    (G+n) x (G+m) points x_a = q^a X, y_b = q^b Y from the far anchor
+    (X, Y) = q^-(G-1) base (grid node i, stencil row r is lattice row
+    G-1-i+r).  There rho ratios are finite Pearson products, and the anchor
+    constant cancels between the bracket and the outer division.
+
+    f = rho * Omega is sampled once per lattice point, Omega taken as the
+    product of its factors: omega1(q^-k x_a, y_b) = omega1(x_{a-k}, y_b) and
+    omega2(x_a, q^-s y_b) = omega2(x_a, y_{b-s}), so each factor value is
+    computed once.  One lattice-wide difference table gives every node.
     """
     qp = E.qp
     q = qp.q
     G = n + m + 1
     xb, yb = base
-    anchor = (xb * q ** -(G - 1), yb * q ** -(G - 1))
-    rho = base_weight(E, anchor)
-    omega = _omega_bracket(E, n, m)
+    X, Y = xb * q ** -(G - 1), yb * q ** -(G - 1)
+    rho = base_weight(E, (X, Y))
+    P = rho.pearson
     pref = E.field.of(q) ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
-    nodes_x = [xb * q**-i for i in range(G)]
-    nodes_y = [yb * q**-j for j in range(G)]
+    # factor arguments reach dx (dy) steps below the lattice: xs[a + dx] = x_a
+    dx, dy = max(n - 1, 0), max(m - 1, 0)
+    xs = [X * q ** (a - dx) for a in range(G + n + dx)]
+    ys = [Y * q ** (b - dy) for b in range(G + m + dy)]
+    w1 = [[P.omega1.eval(xv, ys[b + dy]) for b in range(G + m)] for xv in xs] if n else None
+    w2 = [[P.omega2.eval(xs[a + dx], yv) for yv in ys] for a in range(G + n)] if m else None
+    fvals = []
+    for a in range(G + n):
+        row = []
+        for b in range(G + m):
+            val = rho.value(a, b)
+            for k in range(n):
+                val *= w1[a + dx - k][b]
+            for s in range(m):
+                val *= w2[a][b + dy - s]
+            row.append(val)
+        fvals.append(row)
+    table = dq_nm_table(fvals, X, Y, qp, n, m)
+
     values = []
     for i in range(G):
         row = []
-        s0 = G - 1 - i
         for j in range(G):
-            t0 = G - 1 - j
-            fvals = [
-                [rho.value(s0 + r, t0 + s) * omega.eval(nodes_x[i] * q**r, nodes_y[j] * q**s)
-                 for s in range(m + 1)]
-                for r in range(n + 1)
-            ]
-            dval = dq_nm_table(fvals, nodes_x[i], nodes_y[j], qp, n, m)
-            rho_here = rho.value(s0, t0)
+            rho_here = rho.value(G - 1 - i, G - 1 - j)
             if rho_here == 0:
-                raise LatticePoleError("rho", s0, (nodes_x[i], nodes_y[j]))
-            row.append(pref * dval / rho_here)
+                raise LatticePoleError("rho", G - 1 - i, (xb * q**-i, yb * q**-j))
+            row.append(pref * table[G - 1 - i][G - 1 - j] / rho_here)
         values.append(row)
-    return nodes_x, nodes_y, values
+    return [xb * q**-i for i in range(G)], [yb * q**-j for j in range(G)], values
 
 
 def rodrigues_poly(spec: RodriguesSpec, monic: bool = False, verify: bool = True) -> BiPoly:
@@ -158,38 +162,15 @@ def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     q = qp.q
     G = n + m + 1
     xb, yb = base
-    # backward stencil reaches n (resp. m) extra backward steps past the grid
-    anchor = (xb * q ** -(G - 1 + n), yb * q ** -(G - 1 + m))
+    # backward stencils reach n (resp. m) extra backward steps past the grid;
+    # S, T are the shifts of the base from the far anchor
+    S, T = G - 1 + n, G - 1 + m
+    anchor = (xb * q**-S, yb * q**-T)
     rho = base_weight(E, anchor)
     rkl = rho_kl(E, n, m, anchor, base=rho)
-
-    values = []
-    for i in range(G):
-        row = []
-        s0 = G - 1 + n - i  # shift of grid node from the far anchor
-        for j in range(G):
-            t0 = G - 1 + m - j
-            # backward differences on rho^{(n,m)} samples at (q^{-r} X, q^{-s} Y)
-            fvals = [[rkl.value(s0 - r, t0 - s) for s in range(m + 1)] for r in range(n + 1)]
-            X = xb * q ** -(i)
-            Y = yb * q ** -(j)
-            work = fvals
-            for _ in range(n):
-                nr = len(work) - 1
-                new = []
-                for r in range(nr):
-                    xr = X / q**r
-                    new.append([q * (work[r][s] - work[r + 1][s]) / ((q - 1) * xr)
-                                for s in range(len(work[0]))])
-                work = new
-            for _ in range(m):
-                ns = len(work[0]) - 1
-                for r in range(len(work)):
-                    rw = work[r]
-                    work[r] = [q * (rw[s] - rw[s + 1]) / ((q - 1) * Y / q**s) for s in range(ns)]
-            row.append(work[0][0] / rho.value(s0, t0))
-        values.append(row)
-    return values
+    fvals = [[rkl.value(S - r, T - s) for s in range(T + 1)] for r in range(S + 1)]
+    table = dqm_nm_table(fvals, xb, yb, qp, n, m)
+    return [[table[i][j] / rho.value(S - i, T - j) for j in range(G)] for i in range(G)]
 
 
 def rodrigues_orthogonality_check(spec: RodriguesSpec, functional, max_lower_degree: int | None = None) -> dict:

@@ -109,6 +109,36 @@ def test_cli_check_perturbed_cross_term_fails(tmp_path, capsys, equation):
     assert any("a3d" in msg for msg in doc["report"]["admissibility"]["failures"])
 
 
+@pytest.mark.parametrize("family, degrees, message", [
+    ("rodrigues", "1 0", "error: interpolant has coefficient at (1,1) beyond total degree 1"),
+    ("monic", "2", "error: equation not admissible"),
+])
+def test_cli_generate_nonadmissible_is_one_line_error(tmp_path, capsys, equation,
+                                                      family, degrees, message):
+    from qbipoly.equation import EquationCoeffs
+
+    bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
+                         equation.a12d + x * y * F(1, 7), equation.b1, equation.b2)
+    path = tmp_path / "bad.eq"
+    path.write_text(equation_to_text(bad))
+    assert main(["generate", "--equation", str(path), "--family", family,
+                 "--degrees", degrees]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", ["1/2", "1/4", "1"])
+def test_cli_orthogonality_rejects_c_power_of_q(capsys, c):
+    code = main(["verify", "--preset", "big-q-jacobi", "--suite", "orthogonality",
+                 "--param", f"c={c}", "--precision", "64", "--truncation", "20"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"c={c}" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.eq"
     path.write_text("q = not-a-number\n")

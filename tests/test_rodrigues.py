@@ -2,16 +2,114 @@ from fractions import Fraction
 
 import pytest
 
+import qbipoly.rodrigues as rodrigues
+from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
-from qbipoly.pearson import build_pearson
+from qbipoly.linalg import Mat, interpolate_2d
+from qbipoly.pearson import LatticePoleError, base_weight, build_pearson
+from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, RodriguesSpec,
-                               _grid_values, _omega_bracket, rodrigues_line1_values,
+                               _grid_values, rodrigues_line1_values,
                                rodrigues_orthogonality_check, rodrigues_poly)
 
 F = Fraction
 x = BiPoly.x()
 y = BiPoly.y()
+
+
+# slow reference: the bracket expanded into one BiPoly, differenced per node --
+
+def expanded_bracket(E, n, m):
+    """Omega = prod_k omega1(q^-k x, y) * prod_s omega2(x, q^-s y), multiplied out."""
+    P = build_pearson(E)
+    q = E.qp.q
+    out = BiPoly.const(1, E.field)
+    for k in range(n):
+        out = out * P.omega1.scale_args(q**-k, 1)
+    for s in range(m):
+        out = out * P.omega2.scale_args(1, q**-s)
+    return out
+
+
+def reference_grid_values(E, n, m, base):
+    """Each grid node's forward stencil sampled and differenced on its own."""
+    qp = E.qp
+    q = qp.q
+    G = n + m + 1
+    xb, yb = base
+    rho = base_weight(E, (xb * q ** -(G - 1), yb * q ** -(G - 1)))
+    omega = expanded_bracket(E, n, m)
+    pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+    nodes_x = [xb * q**-i for i in range(G)]
+    nodes_y = [yb * q**-j for j in range(G)]
+    values = []
+    for i in range(G):
+        row = []
+        for j in range(G):
+            s0, t0 = G - 1 - i, G - 1 - j
+            fvals = [[rho.value(s0 + r, t0 + s) * omega.eval(nodes_x[i] * q**r, nodes_y[j] * q**s)
+                      for s in range(m + 1)] for r in range(n + 1)]
+            rho_here = rho.value(s0, t0)
+            if rho_here == 0:
+                raise LatticePoleError("rho", s0, (nodes_x[i], nodes_y[j]))
+            row.append(pref * dq_nm_table(fvals, nodes_x[i], nodes_y[j], qp, n, m)[0][0] / rho_here)
+        values.append(row)
+    return nodes_x, nodes_y, values
+
+
+def reference_poly(E, n, m):
+    for base in DEFAULT_BASES:
+        try:
+            nodes_x, nodes_y, values = reference_grid_values(E, n, m, base)
+        except (LatticePoleError, ZeroDivisionError):
+            continue
+        return interpolate_2d(nodes_x, nodes_y, Mat(values, E.field))
+    raise AssertionError("no pole-free base point")
+
+
+Q23_PARAMS = BigQJacobiParams(F(1, 2), F(2, 3), F(3, 7), F(-1, 3), QParam(F(2, 3)))
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS], ids=["test-params", "q=2/3"])
+def test_factored_lattice_equals_expanded_reference(params):
+    E = preset_equation(params)
+    for d in range(5):
+        for n in range(d + 1):
+            assert rodrigues_poly(RodriguesSpec(E, n, d - n)) == reference_poly(E, n, d - n), (n, d - n)
+
+
+def diagonal_pole_base(params):
+    # omega1(qx, y) carries the factor (x - c y), so G1 = rho(qx,y)/rho(x,y)
+    # has a pole wherever x = c y; a base on that ray puts the anchor and
+    # every diagonal lattice point (a = b) on it.  y stays off omega2(x, qy)'s
+    # zeros y = a and qy = x, so G1 is the only ratio that fails.
+    return (params.c * F(5, 11), F(5, 11))
+
+
+def test_pole_retry_moves_to_next_base(equation, params, monkeypatch):
+    bad = diagonal_pole_base(params)
+    with pytest.raises(RodriguesError, match="G1 pole"):
+        rodrigues_poly(RodriguesSpec(equation, 1, 1, base=bad))
+    tried = []
+    original = rodrigues._grid_values
+
+    def spy(E, n, m, base):
+        tried.append(base)
+        return original(E, n, m, base)
+
+    monkeypatch.setattr(rodrigues, "_grid_values", spy)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1], DEFAULT_BASES[2]))
+    got = rodrigues_poly(RodriguesSpec(equation, 1, 1))
+    assert tried == [bad, DEFAULT_BASES[1]]
+    assert got == rodrigues_poly(RodriguesSpec(equation, 1, 1, base=DEFAULT_BASES[1]))
+
+
+def test_pole_retry_with_only_bad_bases(equation, params, monkeypatch):
+    xb, yb = diagonal_pole_base(params)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", ((xb, yb), (xb * 2, yb * 2)))
+    with pytest.raises(RodriguesError, match="no pole-free base point among 2"):
+        rodrigues_poly(RodriguesSpec(equation, 1, 1))
 
 
 def test_order_zero_is_the_normalization(equation):
@@ -67,7 +165,7 @@ def test_bracket_specialization(equation, params):
     q = params.qp.q
     a, c, d = params.a, params.c, params.d
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
-        omega = _omega_bracket(equation, n, m)
+        omega = expanded_bracket(equation, n, m)
         prod = BiPoly.const(1)
         for k in range(n):
             prod = prod * BiPoly({(1, 0): F(1), (0, 0): -d * q ** (1 + k)})       # x - d q^{k+1}
