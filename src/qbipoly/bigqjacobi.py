@@ -291,6 +291,32 @@ def closed_form_weight(p: BigQJacobiParams, xv, yv, field: FloatField,
         return num / den
 
 
+def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
+    """{k: (z q^k; q)_inf for lo <= k <= hi}, lo <= 0 <= hi, from one direct
+    evaluation at k = 0: a step up divides by the factor 1 - z q^k, a step
+    down multiplies by 1 - z q^(k-1)."""
+    out = {0: qpochhammer_inf(z, qp, field)}
+    val, zk = out[0], z
+    for k in range(hi):
+        val /= 1 - zk
+        zk *= q
+        out[k + 1] = val
+    val, zk = out[0], z
+    for k in range(0, lo, -1):
+        zk /= q
+        val *= 1 - zk
+        out[k - 1] = val
+    return out
+
+
+def _geometric(start, q, n: int) -> list:
+    """[start, start q, ..., start q^(n-1)] by repeated multiplication."""
+    out = [start]
+    for _ in range(n - 1):
+        out.append(out[-1] * q)
+    return out
+
+
 class MomentTable:
     """All Jackson moments of the orthogonality functional up to a total
     degree, in one pass over the lattice.
@@ -304,8 +330,14 @@ class MomentTable:
     vanishes at the inner nodes x = d q^{1+r}, r <= t; the weight's node
     values are the continuous limits, obtained by dropping the single
     vanishing factor from both (all other nodes of that branch carry no
-    mass).  Infinite q-Pochhammers start from direct evaluations and advance
-    along each branch by one-factor ladder updates; summation order is fixed.
+    mass).
+
+    On the lattice every factor of the weight is (z q^k; q)_inf for one of
+    eleven arguments z and an index k that is t, r, t + r or r - t.  Each of
+    these sequences is built once per table from one direct evaluation (see
+    `_poch_ladder`), so a node weight is a y-only factor yfac(t) times an
+    r-only factor A(r) times a factor B of the coupled index: two products.
+    Summation order is fixed.
     """
 
     def __init__(self, p: BigQJacobiParams, max_degree: int = 8,
@@ -318,46 +350,88 @@ class MomentTable:
         self._moments = self._build()
 
     def _build(self):
-        fld = self.field
+        p, fld = self.params, self.field
+        N, D = self.truncation, self.max_degree
         with fld.workprec():
-            M = [[fld.of(0)] * (self.max_degree + 1) for _ in range(self.max_degree + 1)]
-            self._positive_branch(M)
-            self._negative_branch(M)
+            q = fld.of(p.qp.q)
+            a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
+
+            def seq(z, lo, hi):
+                return _poch_ladder(z, lo, hi, q, p.qp, fld)
+
+            # each P[k] = (z q^k; q)_inf; the comments name the weight
+            # factors it supplies, at x = cqy q^r (x > 0), x = d q^{1+r}
+            # (x < 0), y = a q^{1+t} (y > 0) and y = d q^{1+t} (y < 0)
+            Q = seq(q, 0, N)                           # x/(cy) x>0, x/d x<0, y/a y>0, y/d y<0
+            Cq = seq(c * q, 0, N + 1)                  # x/y x>0; cqy/d y<0
+            Bq = seq(b * q, 0, N)                      # bx/d x<0
+            ACD = seq(a * c * q**2 / d, 0, 2 * N)      # x/d x>0; cqy/d y>0
+            ABCD = seq(a * b * c * q**2 / d, 0, 2 * N)  # bx/d x>0
+            DAC = seq(d / (a * c), -N - 1, N)          # x/(cy) x<0 y>0; d/(cy) y>0
+            DA = seq(d / a, -N, N + 1)                 # x/y x<0 y>0; dq/y y>0; y/a y<0
+            AD = seq(a * q / d, 0, N)                  # y/d y>0
+            AQ = seq(a * q, 0, N)                      # y y>0
+            C1 = seq(1 / c, -N - 1, 0)                 # x/(cy), d/(cy) y<0
+            DQ = seq(d * q, 0, N)                      # y y<0
+
+            # dropped-factor Pochhammer: drop(k) = prod_{j != k} (1 - q^{j-k})
+            drop = [Q[0]]
+            for k in range(1, N + 1):
+                drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
+
+            qr = _geometric(fld.one, q, N + 1)
+            ypos = _geometric(a * q, q, N + 1)
+            dlat = _geometric(d * q, q, N + 1)            # x < 0 and y < 0: d q^{1+k}
+            xcq = _geometric(a * c * q**2, q, 2 * N + 1)  # x > 0: c q y q^r = ac q^{2+t+r}
+            A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
+            B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
+            A_d = [Q[r] / Bq[r] for r in range(N + 1)]
+            B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]          # index k + N
+            B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]          # index k + N
+
+            M = [[fld.of(0)] * (D + 1) for _ in range(D + 1)]
+            for t in range(N + 1):
+                yv = ypos[t]
+                yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
+                inner = [fld.of(0)] * (D + 1)
+                for xstart, xsign, weights, xs in (
+                        (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
+                         xcq[t:t + N + 1]),
+                        (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)],
+                         dlat)):
+                    sums = self._jackson_sums(weights, xs, qr)
+                    scale = xsign * (1 - q) * xstart
+                    for i in range(D + 1):
+                        inner[i] += scale * sums[i]
+                self._add_outer_node(M, (1 - q) * yv, yv, inner)
+
+            for t in range(N + 1):
+                # mass only at x = d q^{1+r}, r <= t, with the vanishing
+                # (dq/y; q)_inf replaced by drop(t)
+                yv = dlat[t]
+                yfac = drop[t] * DA[1 + t] * Q[t] / (yv * C1[-1 - t] * Cq[1 + t] * DQ[t])
+                weights = [yfac * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
+                sums = self._jackson_sums(weights, dlat, qr)
+                # inner interval: the c q y branch carries no mass; only -int_0^{dq}
+                inner = [-(1 - q) * d * q * s for s in sums]
+                self._add_outer_node(M, -(1 - q) * yv, yv, inner)
             return M
 
-    def _poch(self, z):
-        return qpochhammer_inf(z, self.params.qp, self.field)
-
-    def _track_weight(self, w):
-        if w != 0 and (self.weight_min_positive is None or w < self.weight_min_positive):
-            self.weight_min_positive = w
-
-    def _positive_branch(self, M):
-        p = self.params
-        fld = self.field
-        N, D = self.truncation, self.max_degree
-        q = fld.of(p.qp.q)
-        a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
-
-        ystart = a * q
-        n1 = self._poch(d * q / ystart)    # (dq/ystart) q^{-t}: negative-power ladder
-        n4 = self._poch(ystart / a)        # (ystart/a) q^{t}
-        n5 = self._poch(ystart / d)
-        d1 = self._poch(d / (c * ystart))  # negative-power ladder
-        d2 = self._poch(c * q * ystart / d)
-        d5 = self._poch(ystart)
-        yv = ystart
-        for t in range(N + 1):
-            yfac = n1 * n4 * n5 / (yv * d1 * d2 * d5)
-            inner = self._inner_positive(fld, q, b, c, d, yv, N, D, yfac)
-            self._add_outer_node(M, (1 - q) * ystart * q**t, yv, inner)
-            n1 *= 1 - d * q / (ystart * q ** (t + 1))
-            n4 /= 1 - (ystart / a) * q**t
-            n5 /= 1 - (ystart / d) * q**t
-            d1 *= 1 - d / (c * ystart * q ** (t + 1))
-            d2 /= 1 - (c * q * ystart / d) * q**t
-            d5 /= 1 - ystart * q**t
-            yv *= q
+    def _jackson_sums(self, weights, xs, qr) -> list:
+        """[sum_r q^r w_r x_r^i for i = 0..max_degree]; the least nonzero
+        node weight seen so far is kept in weight_min_positive."""
+        nonzero = [w for w in weights if w != 0]
+        if nonzero:
+            low = min(nonzero)
+            if self.weight_min_positive is None or low < self.weight_min_positive:
+                self.weight_min_positive = low
+        sums = [self.field.zero] * (self.max_degree + 1)
+        for w, xv, qk in zip(weights, xs, qr):
+            base = qk * w
+            for i in range(self.max_degree + 1):
+                sums[i] += base
+                base *= xv
+        return sums
 
     def _add_outer_node(self, M, wt, yv, inner):
         """M[i][j] += wt * y^j * I_i for one outer Jackson node y."""
@@ -367,92 +441,6 @@ class MomentTable:
             for i in range(self.max_degree + 1):
                 M[i][j] += acc * inner[i]
             ypow *= yv
-
-    def _inner_positive(self, fld, q, b, c, d, yv, N, D, yfac):
-        """Inner Jackson interval at fixed positive-branch y: [I_0 .. I_D]."""
-        out = [fld.of(0)] * (D + 1)
-        for xstart, xsign in ((c * q * yv, 1), (d * q, -1)):
-            n2 = self._poch(xstart / (c * yv))
-            n3 = self._poch(xstart / d)
-            d3 = self._poch(xstart / yv)
-            d4 = self._poch(b * xstart / d)
-            xv = xstart
-            sums = [fld.of(0)] * (D + 1)
-            wq = fld.one
-            for r in range(N + 1):
-                w = yfac * n2 * n3 / (d3 * d4)
-                self._track_weight(w)
-                base = wq * w
-                for i in range(D + 1):
-                    sums[i] += base
-                    base *= xv
-                n2 /= 1 - (xstart / (c * yv)) * wq
-                n3 /= 1 - (xstart / d) * wq
-                d3 /= 1 - (xstart / yv) * wq
-                d4 /= 1 - (b * xstart / d) * wq
-                xv *= q
-                wq *= q
-            for i in range(D + 1):
-                out[i] += xsign * (1 - q) * xstart * sums[i]
-        return out
-
-    def _negative_branch(self, M):
-        """y = d q^{1+t} nodes: mass only at x = d q^{1+r}, r <= t, with the
-        regularized 0/0 weight values."""
-        p = self.params
-        fld = self.field
-        N, D = self.truncation, self.max_degree
-        q = fld.of(p.qp.q)
-        a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
-
-        qq_inf = self._poch(q)
-        # dropped-factor Pochhammer: drop(k) = prod_{j != k} (1 - q^{j-k})
-        # ladder: drop(k) = drop(k-1) * (-q^{-k}) * (1 - q^k)
-        drop = [qq_inf]
-        for k in range(1, N + 1):
-            drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
-
-        ystart = d * q
-        n4 = self._poch(ystart / a)        # y/a = (d/a) q^{1+t}
-        n5 = self._poch(ystart / d)        # y/d = q^{1+t}
-        d1 = self._poch(d / (c * ystart))  # (1/(cq)) q^{-t}: negative-power ladder
-        d2 = self._poch(c * q * ystart / d)
-        d5 = self._poch(ystart)
-        g_xcy0 = self._poch(1 / c)         # x/(cy) at r=0: (1/c) q^{-t} laddered in t
-        xd0 = self._poch(q)                # x/d = q^{1+r}
-        bxd0 = self._poch(b * q)           # bx/d = b q^{1+r}
-        yv = ystart
-        for t in range(N + 1):
-            # y-only part with the vanishing (dq/y; q)_inf replaced by drop(t)
-            yfac = drop[t] * n4 * n5 / (yv * d1 * d2 * d5)
-            sums = [fld.of(0)] * (D + 1)
-            n2 = g_xcy0    # x/(cy) = (1/c) q^{r-t}
-            n3 = xd0
-            d4 = bxd0
-            xv = d * q
-            wq = fld.one
-            for r in range(t + 1):
-                w = yfac * n2 * n3 / (drop[t - r] * d4)
-                self._track_weight(w)
-                base = wq * w
-                for i in range(D + 1):
-                    sums[i] += base
-                    base *= xv
-                n2 /= 1 - (1 / c) * q ** (r - t)
-                n3 /= 1 - q ** (1 + r)
-                d4 /= 1 - b * q ** (1 + r)
-                xv *= q
-                wq *= q
-            # inner interval: the c q y branch carries no mass; only -int_0^{dq}
-            inner = [-(1 - q) * d * q * s for s in sums]
-            self._add_outer_node(M, -(1 - q) * ystart * q**t, yv, inner)
-            n4 /= 1 - (ystart / a) * q**t
-            n5 /= 1 - (ystart / d) * q**t
-            d1 *= 1 - d / (c * ystart * q ** (t + 1))
-            d2 /= 1 - (c * q * ystart / d) * q**t
-            d5 /= 1 - ystart * q**t
-            g_xcy0 *= 1 - (1 / c) * q ** (-(t + 1))
-            yv *= q
 
     def moment(self, i: int, j: int):
         return self._moments[i][j]

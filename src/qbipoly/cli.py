@@ -1,8 +1,12 @@
 """Command-line front door: check / generate / verify.
 
-Exit codes: 0 all checks pass, 1 a check or tolerance failed, 2 bad
-configuration or parse error.  Outputs are deterministic for a fixed
-configuration (fixed summation orders, sorted keys) and written atomically.
+Exit codes: 0 all checks pass, 1 a check or tolerance failed (including an
+equation that is not admissible or not of hypergeometric type), 2 bad
+configuration or parse error (including parameters that put a pole of the
+weight, a vanishing series denominator or a singular system in the path of
+the request).  Every failure prints one `error:` line.  Outputs are
+deterministic for a fixed configuration (fixed summation orders, sorted keys)
+and written atomically.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from . import io as qio
 from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, lambda_explicit,
                          nonmonic_poly, preset_equation)
 from .bipoly import BiPoly
-from .equation import EquationCoeffs, admissibility, check_hypergeometric_form
+from .equation import (EquationCoeffs, ShapeViolation, admissibility,
+                       check_hypergeometric_form)
 from .io import EquationParseError
+from .linalg import SingularMatrixError
 from .monic import OracleError, generate_monic_oracle
-from .pearson import verify_pearson_identities
-from .qcalc import QParam, verify_operator_relations
+from .pearson import LatticePoleError, verify_pearson_identities
+from .qcalc import QParam, SeriesError, verify_operator_relations
 from .rodrigues import RodriguesError, RodriguesSpec, rodrigues_poly
 from .scalars import QQ
 from .suites import ORTH_TOL, run_suite
@@ -314,10 +320,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, EquationParseError, OSError) as exc:
+    except (ConfigError, EquationParseError, OSError, LatticePoleError, SeriesError,
+            SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleError, RodriguesError) as exc:
+    except (OracleError, RodriguesError, ShapeViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

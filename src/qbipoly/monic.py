@@ -17,10 +17,10 @@ and the recursive generator) is built on oracle blocks throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bipoly import BiPoly
-from .equation import EquationCoeffs, admissibility, apply_operator
+from .equation import Admissibility, EquationCoeffs, admissibility, apply_operator
 from .linalg import (Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec,
                      solve_exact)
 from .qcalc import QParam, qnum
@@ -147,31 +147,32 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
         + (s["K2"] @ s1["K1"]).scaled(d3d)
 
 
-def s_matrix_operator(E: EquationCoeffs, n: int) -> Mat:
-    """The true degree-drop-1 block of D on degree-n monomials (what the
-    closed-form S_n is meant to express)."""
-    return operator_blocks(E, n)[1]
-
-
-def ghat_closed_form(E: EquationCoeffs, n: int, gn1_override: Mat | None = None,
-               s_source: str = "closed-form") -> dict:
-    """G_{n,n-1} and (n >= 2) G_{n,n-2} from the resolvent formulas.
+def ghat_closed_form(family: MonicFamily, n: int, gn1_override: Mat | None = None,
+                     s_source: str = "closed-form") -> dict:
+    """G_{n,n-1} and (n >= 2) G_{n,n-2} from the resolvent formulas, with the
+    eigenvalues of the family's equation.
 
     gn1_override feeds a different G_{n,n-1} (e.g. the oracle's) into the
     G_{n,n-2} formula; s_source chooses between the closed-form S entries
-    and the operator-derived block, separating the resolvent check from the
-    subdiagonal-entry question.
+    and the true degree-drop-1 operator block (what the closed-form S_n is
+    meant to express, read from the family), separating the resolvent check
+    from the subdiagonal-entry question.
     """
+    E = family.equation
     field = E.field
-    adm = admissibility(E)
-    lam = adm.eigenvalue
-    smat = s_matrix_closed_form if s_source == "closed-form" else s_matrix_operator
+    lam = family.admissibility.eigenvalue
+
+    def smat(k):
+        if s_source == "closed-form":
+            return s_matrix_closed_form(E, k)
+        return family.operator_blocks[k][1]
+
     out = {}
-    gn1 = smat(E, n).scaled(field.of(1 / (lam(n - 1) - lam(n))))
+    gn1 = smat(n).scaled(field.of(1 / (lam(n - 1) - lam(n))))
     out["G_n_nm1"] = gn1
     if n >= 2:
         use = gn1 if gn1_override is None else gn1_override
-        inner = t_matrix_closed_form(E, n) + use @ smat(E, n - 1)
+        inner = t_matrix_closed_form(E, n) + use @ smat(n - 1)
         out["G_n_nm2"] = inner.scaled(field.of(1 / (lam(n - 2) - lam(n))))
     return out
 
@@ -180,20 +181,20 @@ def ghat_discrepancy_report(family: MonicFamily, n_max: int) -> dict:
     """Entry-by-entry comparison of the closed-form blocks against the
     blocks of an oracle family (degrees through n_max); agreement is
     measured, never presumed."""
-    E = family.equation
     report = {}
     for n in range(1, n_max + 1):
         oracle_gn1 = family.block(n, n - 1)
-        closed = ghat_closed_form(E, n)
+        closed = ghat_closed_form(family, n)
         diffs = mat_diff(closed["G_n_nm1"], oracle_gn1)
         entry = {"G_n_nm1_matches": not diffs, "G_n_nm1_diffs": diffs}
         entry["S_operator_matches"] = not mat_diff(
-            ghat_closed_form(E, n, s_source="operator")["G_n_nm1"], oracle_gn1)
+            ghat_closed_form(family, n, s_source="operator")["G_n_nm1"], oracle_gn1)
         if n >= 2:
             oracle_gn2 = family.block(n, n - 2)
             paper_fed = closed["G_n_nm2"]
-            oracle_fed = ghat_closed_form(E, n, gn1_override=oracle_gn1)["G_n_nm2"]
-            formula = ghat_closed_form(E, n, gn1_override=oracle_gn1, s_source="operator")["G_n_nm2"]
+            oracle_fed = ghat_closed_form(family, n, gn1_override=oracle_gn1)["G_n_nm2"]
+            formula = ghat_closed_form(family, n, gn1_override=oracle_gn1,
+                                       s_source="operator")["G_n_nm2"]
             entry["G_n_nm2_closedform_fed_matches"] = not mat_diff(paper_fed, oracle_gn2)
             entry["G_n_nm2_closedformS_oraclefed_matches"] = not mat_diff(oracle_fed, oracle_gn2)
             entry["G_n_nm2_formula_matches"] = not mat_diff(formula, oracle_gn2)
@@ -209,8 +210,10 @@ def ghat_discrepancy_report(family: MonicFamily, n_max: int) -> dict:
 @dataclass
 class MonicFamily:
     equation: EquationCoeffs
-    vectors: list  # PolyVec for degrees 0..N
-    ghat: dict     # (n, j) -> Mat
+    vectors: list          # PolyVec for degrees 0..N
+    ghat: dict             # (n, j) -> Mat
+    admissibility: Admissibility
+    operator_blocks: list  # operator_blocks(E, j) for every cached degree j
 
     @property
     def N(self):
@@ -261,7 +264,7 @@ def generate_monic_oracle(E: EquationCoeffs, N: int, extra_blocks: int = 0) -> M
             ghat[(n, j)] = G
         if n <= N:
             vectors.append(vec)
-    return MonicFamily(E, vectors, ghat)
+    return MonicFamily(E, vectors, ghat, adm, blocks)
 
 
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
@@ -305,12 +308,14 @@ class RecurrenceMismatch(AssertionError):
     pass
 
 
-def generate_monic_rf(E: EquationCoeffs, N: int) -> MonicFamily:
-    """Generate the family through the recursive formula driven by the joint
-    recurrence stacks; asserts D_n L_n = I and exact agreement with the
-    oracle construction."""
+def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
+    """Generate the oracle family's degrees again through the recursive
+    formula driven by the joint recurrence stacks; asserts D_n L_n = I and
+    exact agreement with the oracle.  Degree n + 1 reads the recurrence
+    matrices of degree n, so blocks through degree N = oracle.N suffice."""
+    E = oracle.equation
+    N = oracle.N
     field = E.field
-    oracle = generate_monic_oracle(E, N, extra_blocks=1)
     x = BiPoly.x(field)
     y = BiPoly.y(field)
     vectors = [PolyVec([BiPoly.const(1, field)])]
@@ -341,7 +346,7 @@ def generate_monic_rf(E: EquationCoeffs, N: int) -> MonicFamily:
                     f"recursive formula disagrees with oracle at degree {n}, entry {k}: "
                     f"first differing coefficient at {mono}: {coeff}"
                 )
-    return MonicFamily(E, vectors, oracle.ghat)
+    return replace(oracle, vectors=vectors)
 
 
 def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> Mat:

@@ -35,7 +35,8 @@ class DegenerateEquationError(ValueError):
 
 class LatticePoleError(ArithmeticError):
     def __init__(self, which: str, index: int, point):
-        super().__init__(f"{which} pole at product index {index}, lattice point {point}")
+        where = ", ".join(str(v) for v in point)
+        super().__init__(f"{which} pole at product index {index}, lattice point ({where})")
         self.which = which
         self.index = index
         self.point = point

@@ -73,7 +73,8 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 3,
     same-degree products form the (nonsingular, generally non-diagonal)
     Gram blocks H_n; those pairs are reported as Gram entries, not gated.
     """
-    moments = MomentTable(p, max_degree=2 * max_total + 2, truncation=truncation, prec=prec)
+    # a product of two polynomials of total degree <= max_total needs no more
+    moments = MomentTable(p, max_degree=2 * max_total, truncation=truncation, prec=prec)
     fam = generate_monic_oracle(preset_equation(p), max_total)
     inventory = _solution_inventory(p, fam, max_total)
     groups = {}
@@ -150,8 +151,8 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 4):
             ok = ok and exact
             rows.extend(found)
     try:
-        generate_monic_rf(E, min(max_total, 4))
-        rows.append(("recursive_formula_equals_oracle", f"N={min(max_total, 4)}", "", "", "True"))
+        generate_monic_rf(fam)
+        rows.append(("recursive_formula_equals_oracle", f"N={max_total}", "", "", "True"))
     except AssertionError as exc:
         ok = False
         rows.append(("recursive_formula_equals_oracle", "", "", str(exc), "False"))
@@ -187,7 +188,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS, max_n: int = 4):
 
     for n in range(2, min(max_n, 4) + 1):
         oracle_gn1 = fam.block(n, n - 1)
-        gn2 = ghat_closed_form(E, n, gn1_override=oracle_gn1, s_source="operator")["G_n_nm2"]
+        gn2 = ghat_closed_form(fam, n, gn1_override=oracle_gn1, s_source="operator")["G_n_nm2"]
         same = gn2 == fam.block(n, n - 2)
         ok = ok and same
         rows.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "", str(same)))

@@ -19,8 +19,8 @@ from qbipoly.bigqjacobi import (ClassicalParams, TEST_PARAMS, appell_monic,
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
-from qbipoly.monic import (generalized_inverse_L, generate_monic_rf, ghat_closed_form,
-                           joint_L, ttr_matrices)
+from qbipoly.monic import (generalized_inverse_L, generate_monic_oracle, generate_monic_rf,
+                           ghat_closed_form, joint_L, ttr_matrices)
 from qbipoly.pearson import base_weight, build_pearson, verify_pearson_identities
 from qbipoly.qcalc import verify_operator_relations
 from qbipoly.rodrigues import RodriguesSpec, rodrigues_poly
@@ -129,7 +129,7 @@ def test_criterion_6_consistency(equation, params, oracle5):
     for total in range(5):
         for m in range(total + 1):
             assert monic_hypergeometric(params, total - m, m) == oracle5.entry(total, m)
-    generate_monic_rf(equation, 4)  # raises on any disagreement with the oracle
+    generate_monic_rf(generate_monic_oracle(equation, 4))  # raises on any disagreement
     for n in range(7):
         assert generalized_inverse_L(n, QQ) @ joint_L(n, QQ) == Mat.identity(n + 2)
     report(6, "hypergeometric == oracle n+m<=4; recursive formula == oracle "
@@ -154,8 +154,8 @@ def test_criterion_6_rodrigues_proportionality(equation, oracle5):
 def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
     started = time.time()
     for n in range(2, 5):
-        got = ghat_closed_form(equation, n, gn1_override=oracle5.block(n, n - 1),
-                         s_source="operator")["G_n_nm2"]
+        got = ghat_closed_form(oracle5, n, gn1_override=oracle5.block(n, n - 1),
+                               s_source="operator")["G_n_nm2"]
         assert got == oracle5.block(n, n - 2)
 
     from qbipoly.monic import ghat_discrepancy_report

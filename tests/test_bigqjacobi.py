@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from qbipoly.bigqjacobi import (BigQJacobiParams, ClassicalParams, appell_monic,
+from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
+                                MomentTable, appell_monic,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_weight, error_ratios, explicit_BC, jnm,
                                 lambda_explicit, limit_check, limit_params,
@@ -12,7 +14,8 @@ from qbipoly.bigqjacobi import (BigQJacobiParams, ClassicalParams, appell_monic,
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.monic import ttr_matrices
-from qbipoly.qcalc import jacobi_poly, pochhammer_rising
+from qbipoly.qcalc import QParam, jacobi_poly, pochhammer_rising
+from qbipoly.scalars import FloatField
 
 F = Fraction
 x = BiPoly.x()
@@ -234,11 +237,12 @@ def test_weight_ratio_tends_to_one():
     assert abs(r2 - 1) < abs(r1 - 1)  # approaching 1 as eps shrinks
 
 
-def brute_moment(p, i, j, N, prec):
-    """Independent slow reference for the orthogonality moments: direct
-    infinite-product evaluation per node, with the same continuous-limit
-    values at the 0/0 nodes of the negative outer scale."""
-    fld = __import__("qbipoly.scalars", fromlist=["FloatField"]).FloatField(prec)
+def brute_nodes(p, N, prec):
+    """Independent slow reference for the orthogonality functional: every
+    lattice node as (x, y, Jackson factor, weight), each weight by direct
+    infinite-product evaluation, with the continuous-limit values at the 0/0
+    nodes of the negative outer scale (which carry mass only for r <= t)."""
+    fld = FloatField(prec)
     with fld.workprec():
         q = fld.of(p.qp.q)
         a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
@@ -257,44 +261,78 @@ def brute_moment(p, i, j, N, prec):
         for k in range(1, N + 1):
             drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q ** k))
 
-        total = fld.of(0)
+        nodes = []
         for t in range(N + 1):
             # positive scale: plain products over both inner branches
             yv = a * q ** (1 + t)
-            inner = fld.of(0)
             for xstart, sgn in ((c * q * yv, 1), (d * q, -1)):
-                s = fld.of(0)
                 for r in range(N + 1):
                     xv = xstart * q ** r
                     num = pochinf(d * q / yv) * pochinf(xv / (c * yv)) * pochinf(xv / d) \
                         * pochinf(yv / a) * pochinf(yv / d)
                     den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
                         * pochinf(xv / yv) * pochinf(b * xv / d) * pochinf(yv)
-                    s += q ** r * xv ** i * num / den
-                inner += sgn * (1 - q) * xstart * s
-            total += (1 - q) * (a * q) * q ** t * yv ** j * inner
+                    jw = (1 - q) * yv * sgn * (1 - q) * xstart * q ** r
+                    nodes.append((xv, yv, jw, num / den))
             # negative scale: only x = d q^{1+r}, r <= t carries (finite) mass
             yv = d * q ** (1 + t)
-            s = fld.of(0)
             for r in range(t + 1):
                 xv = d * q ** (1 + r)
                 num = drop[t] * pochinf(xv / (c * yv)) * pochinf(xv / d) \
                     * pochinf(yv / a) * pochinf(yv / d)
                 den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
                     * drop[t - r] * pochinf(b * xv / d) * pochinf(yv)
-                s += q ** r * xv ** i * num / den
-            inner = -(1 - q) * (d * q) * s
-            total += -(1 - q) * (d * q) * q ** t * yv ** j * inner
-        return total
+                jw = (1 - q) * yv * (1 - q) * d * q * q ** r
+                nodes.append((xv, yv, jw, num / den))
+        return nodes
 
 
-def test_moment_engine_against_slow_reference(params):
-    from qbipoly.bigqjacobi import MomentTable
-    import mpmath
+def brute_moment(nodes, i, j):
+    return mpmath.fsum(jw * xv ** i * yv ** j * w for xv, yv, jw, w in nodes)
 
-    mt = MomentTable(params, max_degree=2, truncation=16, prec=80)
-    with mt.field.workprec():
-        for (i, j) in ((0, 0), (1, 1), (2, 0)):
-            ref = brute_moment(params, i, j, 16, 80)
-            got = mt.moment(i, j)
-            assert abs(got - ref) <= mpmath.mpf(2) ** (-50) * max(1, abs(ref))
+
+#: a second parameter point, away from q = 1/2
+P23 = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(2, 3)))
+ENGINE_POINTS = {"test-params": (TEST_PARAMS, 16), "q=2/3": (P23, 12)}
+
+
+@functools.lru_cache(maxsize=None)
+def engine_and_brute(point):
+    """(moment table, brute-force nodes) at 80 bits on one parameter point."""
+    p, N = ENGINE_POINTS[point]
+    return MomentTable(p, max_degree=2, truncation=N, prec=80), brute_nodes(p, N, 80)
+
+
+def test_moment_engine_against_slow_reference():
+    for point in sorted(ENGINE_POINTS):
+        mt, nodes = engine_and_brute(point)
+        with mt.field.workprec():
+            for i in range(3):
+                for j in range(3):
+                    ref = brute_moment(nodes, i, j)
+                    assert abs(mt.moment(i, j) - ref) <= mpmath.mpf(2) ** (-50) * max(1, abs(ref))
+
+
+def test_weight_min_positive_is_least_brute_node_weight():
+    for point in sorted(ENGINE_POINTS):
+        mt, nodes = engine_and_brute(point)
+        with mt.field.workprec():
+            ref = min(w for _, _, _, w in nodes if w != 0)
+            assert abs(mt.weight_min_positive - ref) <= mpmath.mpf(2) ** (16 - 80) * abs(ref)
+
+
+@pytest.mark.parametrize("point", sorted(ENGINE_POINTS))
+def test_moment_table_error_follows_precision(point):
+    """The table at prec agrees with the same table at prec + 64 within
+    2^(16 - prec), relative to the larger of the moment and M_00 (the
+    measured error is about 2^(9 - prec))."""
+    p = ENGINE_POINTS[point][0]
+    prec = 120
+    got = MomentTable(p, max_degree=4, truncation=96, prec=prec)
+    ref = MomentTable(p, max_degree=4, truncation=96, prec=prec + 64)
+    with ref.field.workprec():
+        m00 = abs(ref.moment(0, 0))
+        for i in range(5):
+            for j in range(5):
+                bound = mpmath.mpf(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
+                assert abs(got.moment(i, j) - ref.moment(i, j)) <= bound

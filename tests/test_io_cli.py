@@ -11,6 +11,8 @@ from qbipoly.io import (EquationParseError, equation_to_text, frac_str,
                         parse_equation_text, parse_poly_terms, poly_from_json,
                         poly_terms_str, poly_to_json, write_csv_atomic,
                         write_json_atomic)
+from qbipoly.linalg import SingularMatrixError
+from qbipoly.qcalc import SeriesError
 
 F = Fraction
 x = BiPoly.x()
@@ -174,6 +176,44 @@ def test_cli_generate_nonadmissible_is_one_line_error(tmp_path, capsys, equation
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+
+
+def test_cli_weight_pole_is_one_line_error(capsys):
+    # c = 1 puts a pole of G1 on the weight table's lattice
+    code = main(["generate", "--preset", "big-q-jacobi", "--param", "c=1",
+                 "--family", "weight", "--degrees", "2 1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: G1 pole at product index 0, lattice point (-1/4, -1/4)\n"
+
+
+def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):
+    from qbipoly.equation import EquationCoeffs
+
+    bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
+                         equation.a12d, equation.b1, equation.b2 + x * F(1, 5))
+    path = tmp_path / "bad.eq"
+    path.write_text(equation_to_text(bad))
+    assert main(["generate", "--equation", str(path), "--family", "monic",
+                 "--degrees", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: B2 must not depend on x\n"
+
+
+@pytest.mark.parametrize("exc", [SeriesError("denominator vanished"), SingularMatrixError(2)])
+def test_cli_series_and_singular_errors_exit_2(monkeypatch, capsys, exc):
+    # no preset point reaches these today (validated parameters keep every
+    # series denominator nonzero, interpolation nodes are distinct); a
+    # future route that does gets a one-line exit 2, not a traceback
+    def boom(*args):
+        raise exc
+
+    monkeypatch.setattr("qbipoly.cli.nonmonic_poly", boom)
+    assert main(["generate", "--preset", "big-q-jacobi", "--family", "nonmonic",
+                 "--degrees", "1 0"]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("c", ["1/2", "1/4", "1"])

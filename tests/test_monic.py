@@ -9,8 +9,8 @@ from qbipoly.linalg import Mat, graded_coeff_block, monomial_vec
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            generate_monic_rf, ghat_discrepancy_report,
                            ghat_oracle, ghat_closed_form, gram_matrix, joint_L,
-                           difference_matrix, mat_L, operator_blocks,
-                           s_matrix_operator, s_matrix_closed_form,
+                           difference_matrix, generate_monic_oracle, mat_L,
+                           operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import QQ
@@ -133,7 +133,7 @@ def test_closed_form_S_diagonal_matches_but_subdiagonal_differs(equation):
     # annihilates the constant-term contribution already at i = 1)
     for n in range(1, 5):
         entries = s_matrix_closed_form(equation, n)
-        true = s_matrix_operator(equation, n)
+        true = operator_blocks(equation, n)[1]
         for i in range(n):
             assert entries[i, i] == true[i, i]
         assert any(entries[i + 1, i] != true[i + 1, i] for i in range(n))
@@ -167,11 +167,11 @@ def test_T2_assembly(equation, qp):
 
 def test_resolvent_formula_with_operator_S_matches_oracle(equation, oracle5):
     for n in range(1, 5):
-        got = ghat_closed_form(equation, n, s_source="operator")["G_n_nm1"]
+        got = ghat_closed_form(oracle5, n, s_source="operator")["G_n_nm1"]
         assert got == oracle5.block(n, n - 1)
     for n in range(2, 5):
-        got = ghat_closed_form(equation, n, gn1_override=oracle5.block(n, n - 1),
-                         s_source="operator")["G_n_nm2"]
+        got = ghat_closed_form(oracle5, n, gn1_override=oracle5.block(n, n - 1),
+                               s_source="operator")["G_n_nm2"]
         assert got == oracle5.block(n, n - 2)
 
 
@@ -221,7 +221,7 @@ def test_C_rank(equation, oracle5):
 
 
 def test_recursive_formula_reproduces_oracle(equation):
-    fam = generate_monic_rf(equation, 4)  # raises on any mismatch
+    fam = generate_monic_rf(generate_monic_oracle(equation, 4))  # raises on any mismatch
     assert fam.N == 4
     f1, g1 = equation.tau1()
     f2, g2 = equation.tau2()
@@ -269,7 +269,7 @@ def test_gn1_system_through_linear_solver(equation, adm, oracle5):
     # reproduces the oracle block G_{2,1}
     from qbipoly.linalg import solve_exact
 
-    S2 = s_matrix_operator(equation, 2)
+    S2 = operator_blocks(equation, 2)[1]
     lam1, lam2 = adm.eigenvalue(1), adm.eigenvalue(2)
     system = Mat.identity(2).scaled(lam1 - lam2)
     got = solve_exact(system.transpose(), S2.transpose()).transpose()
