@@ -101,9 +101,8 @@ class BiPoly:
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
-        zero = self.field.of(0)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, zero) + c
+            out[m] = out[m] + c if m in out else c
         return BiPoly(out, self.field)
 
     __radd__ = __add__
@@ -121,11 +120,10 @@ class BiPoly:
         if isinstance(other, BiPoly):
             self.field.check_same(other.field)
             out = {}
-            zero = self.field.of(0)
             for (i1, j1), c1 in self.coeffs.items():
                 for (i2, j2), c2 in other.coeffs.items():
                     m = (i1 + i2, j1 + j2)
-                    out[m] = out.get(m, zero) + c1 * c2
+                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
             return BiPoly(out, self.field)
         c = self.field.of(other)
         return BiPoly({m: v * c for m, v in self.coeffs.items()}, self.field)

@@ -147,7 +147,7 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
             raise ConfigError("monic generation takes a single degree bound N")
         from .monic import ttr_matrices
 
-        fam = generate_monic_oracle(E, parts[0], extra_blocks=1)
+        fam = generate_monic_oracle(E, parts[0])
         recurrence = {}
         for n in range(parts[0]):
             for j in (1, 2):

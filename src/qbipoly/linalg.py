@@ -1,9 +1,12 @@
-"""Dense scalar matrices, polynomial column vectors, exact solving,
-and tensor-product Vandermonde interpolation.
+"""Scalar matrices, polynomial column vectors, exact solving, and
+tensor-product Vandermonde interpolation.
 
-Sizes here are tiny (O(degree)), so everything is plain rational Gaussian
-elimination with partial pivoting on exact scalars; in the exact backend the
-results, ranks and singularity reports are exact.
+Sizes here are tiny (O(degree)).  Matrices are stored as lists of rows, and
+products skip the zero entries of the left factor, since the operator's
+difference blocks are bidiagonal and the multiplication embeddings are 0/1
+selections.  Solving is plain rational Gaussian elimination with partial
+pivoting on exact scalars; in the exact backend the results, ranks and
+singularity reports are exact.
 """
 
 from __future__ import annotations
@@ -75,8 +78,20 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            bt = other.transpose().rows
-            return Mat([[_dot(r, c) for c in bt] for r in self.rows], self.field)
+            # row i of the product is the sum of B's rows weighted by the
+            # nonzero entries of A's row i; taken in ascending index order,
+            # float sums round exactly as the entrywise dot products do
+            is_zero = self.field.is_zero
+            zeros = [self.field.of(0)] * other.ncols
+            out = []
+            for r in self.rows:
+                acc = None
+                for a, brow in zip(r, other.rows):
+                    if not is_zero(a):
+                        acc = ([a * b for b in brow] if acc is None
+                               else [s + a * b for s, b in zip(acc, brow)])
+                out.append(acc or zeros)
+            return Mat(out, self.field)
         if isinstance(other, PolyVec):
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch {self.shape} @ vec({len(other)})")
@@ -134,14 +149,6 @@ def mat_diff(A: Mat, B: Mat) -> list:
             if A[i, j] != B[i, j]:
                 out.append(((i + 1, j + 1), A[i, j], B[i, j]))
     return out
-
-
-def _dot(r, c):
-    acc = None
-    for a, b in zip(r, c):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def solve_exact(A: Mat, B: Mat) -> Mat:

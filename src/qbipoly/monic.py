@@ -3,9 +3,11 @@
 Two independent routes produce the monic coefficient blocks G_{n,j}:
 
 * ghat_oracle: expand D(x^{j-k} y^k) in the graded monomial basis, giving the
-  exact degree blocks of the operator, and solve the triangular chain of
-  linear systems that the eigen-equation imposes.  This is the authoritative
-  construction (its output is re-verified against the eigen-equation).
+  exact degree blocks of the operator, and run the triangular chain that the
+  eigen-equation imposes.  The degree-preserving block of an admissible
+  equation is -lambda_d I (checked exactly), so each chain step is a scalar
+  division by an eigenvalue gap.  This is the authoritative construction (its
+  output is re-verified against the eigen-equation).
 * ghat_closed_form: the explicit closed-form entries (bidiagonal S_n,
   matrix T_n, scalar resolvent F_n).  These are kept verbatim as a
   cross-check layer; the discrepancy report surfaces any disagreement
@@ -21,8 +23,7 @@ from dataclasses import dataclass, replace
 
 from .bipoly import BiPoly
 from .equation import Admissibility, EquationCoeffs, admissibility, apply_operator
-from .linalg import (Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec,
-                     solve_exact)
+from .linalg import Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec
 from .qcalc import QParam, qnum
 
 
@@ -227,43 +228,43 @@ class MonicFamily:
         return self.ghat[(n, j)]
 
 
-def generate_monic_oracle(E: EquationCoeffs, N: int, extra_blocks: int = 0) -> MonicFamily:
-    """Oracle family for degrees 0..N (blocks cached through N + extra).
+def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
+    """Oracle family for degrees 0..N.
 
     Admissibility and the operator blocks are computed once and shared by
-    every degree, whose blocks solve the triangular chain of linear systems
-    that the eigen-equation imposes; each degree's vector is then checked
-    against the eigen-equation."""
+    every degree.  Each degree-preserving block is checked to be exactly
+    -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
+    division G_{n,d} = -rhs / (lambda_n - lambda_d); each degree's vector is
+    then checked against the eigen-equation."""
     field = E.field
     adm = admissibility(E)
     if not adm.admissible:
         raise OracleError(f"equation not admissible: {adm.failures}")
-    top = N + extra_blocks
-    blocks = [operator_blocks(E, j) for j in range(top + 1)]
+    blocks = [operator_blocks(E, j) for j in range(N + 1)]
+    lam = [field.of(adm.eigenvalue(j)) for j in range(N + 1)]
+    for j in range(N + 1):
+        if blocks[j][0] != Mat.identity(j + 1, field).scaled(-lam[j]):
+            raise OracleError(f"degree-preserving operator block is not -lambda_j I at degree {j}")
     ghat = {}
     vectors = []
-    for n in range(top + 1):
-        lam_n = field.of(adm.eigenvalue(n))
+    for n in range(N + 1):
         chain = [None] * (n + 1)
         chain[n] = Mat.identity(n + 1, field)
         for d in range(n - 1, -1, -1):
             rhs = chain[d + 1] @ blocks[d + 1][1]
             if d + 2 <= n:
                 rhs = rhs + chain[d + 2] @ blocks[d + 2][2]
-            system = blocks[d][0] + Mat.identity(d + 1, field).scaled(lam_n)
-            try:
-                sol = solve_exact(system.transpose(), (-rhs).transpose())
-            except ValueError as exc:
-                raise OracleError(f"singular block at degree {d} (non-admissible equation?): {exc}")
-            chain[d] = sol.transpose()
+            gap = lam[n] - lam[d]
+            if field.is_zero(gap):
+                raise OracleError(f"eigenvalues of degrees {d} and {n} coincide")
+            chain[d] = rhs.scaled(-1 / gap)
         vec = assemble_vector(chain, field)
         for k, p in enumerate(vec.entries):
-            if not (apply_operator(E, p) + p * lam_n).is_zero():
+            if not (apply_operator(E, p) + p * lam[n]).is_zero():
                 raise OracleError(f"oracle vector entry {k} violates the eigen-equation at n={n}")
         for j, G in enumerate(chain):
             ghat[(n, j)] = G
-        if n <= N:
-            vectors.append(vec)
+        vectors.append(vec)
     return MonicFamily(E, vectors, ghat, adm, blocks)
 
 

@@ -103,13 +103,19 @@ def _difference(f: BiPoly, p, axis: int) -> BiPoly:
 
     Base p = q gives the forward operator; p = 1/q gives the backward one,
     since q(f(x) - f(x/q)) / ((q-1)x) is the forward quotient of base 1/q.
+
+    Lowering one exponent is injective on monomials, so each output term is
+    a single product; [e]_p is computed once per distinct exponent.
     """
+    qnums = {}
     out = {}
     for m, c in f.coeffs.items():
         e = m[axis - 1]
         if e:
-            low = (m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)
-            out[low] = out.get(low, 0) + c * ((p**e - 1) / (p - 1))
+            qn = qnums.get(e)
+            if qn is None:
+                qn = qnums[e] = (p**e - 1) / (p - 1)
+            out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = c * qn
     return BiPoly(out, f.field)
 
 

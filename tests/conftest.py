@@ -30,8 +30,8 @@ def adm(equation):
 
 @pytest.fixture(scope="session")
 def oracle5(equation):
-    """Monic family through total degree 5 (blocks cached one degree past)."""
-    return generate_monic_oracle(equation, 5, extra_blocks=1)
+    """Monic family through total degree 5."""
+    return generate_monic_oracle(equation, 5)
 
 
 @pytest.fixture(scope="session")

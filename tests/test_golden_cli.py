@@ -1,6 +1,8 @@
 """Golden CLI outputs: the sha256 of stdout for fixed preset runs of every
 command, recorded before the x<->y and forward<->backward folds and the
-shared monic blocks landed.  Any change to an exact output, a row of a
+shared monic blocks landed; the monic N = 12 case, the largest exact
+output, was recorded before the oracle's chain step became a scalar
+division and Mat products began skipping zero entries.  Any change to an exact output, a row of a
 suite report or the JSON layout shows here as a digest mismatch.
 
 The orthogonality report prints floats to more digits than its precision
@@ -22,6 +24,8 @@ CASES = {
               "4292cdae99884520d2701f1676326044c48eb3098d9cb45f70d190afe62cae9c"),
     "generate-monic-6": (("generate", *P, "--family", "monic", "--degrees", "6"),
                          "ac9e49b08960c5e02b61453c817906c6030e3a777f175511d277f70c054cbeb2"),
+    "generate-monic-12": (("generate", *P, "--family", "monic", "--degrees", "12"),
+                          "d993a41f823f8644c86e5806353c6eb2c88eb4ebcc4ba1866c903bc15c38b4b1"),
     "generate-rodrigues-2-2": (("generate", *P, "--family", "rodrigues", "--degrees", "2 2"),
                                "3d4e19bf00d7dd3fd3f94c8a489db5d6c2e3a4051e889e487d0fea3955f69683"),
     "generate-nonmonic-3-1": (("generate", *P, "--family", "nonmonic", "--degrees", "3 1"),

@@ -6,6 +6,7 @@ import pytest
 from qbipoly.bipoly import BiPoly
 from qbipoly.linalg import (Mat, SingularMatrixError, graded_coeff_block,
                             interpolate_2d, monomial_vec, solve_exact)
+from qbipoly.scalars import FloatField
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -41,6 +42,61 @@ def test_solve_roundtrip_random():
                 break
         X = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))] for _ in range(n)])
         assert solve_exact(A, A @ X) == X
+
+
+def reference_matmul(A, B):
+    """Triple-loop product, every term added in ascending index order."""
+    out = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = A.rows[i][0] * B.rows[0][j]
+            for k in range(1, A.ncols):
+                acc = acc + A.rows[i][k] * B.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _sparse_random(rng, n, m, zero_share, make):
+    return [[make() if rng.random() >= zero_share else 0 for _ in range(m)] for _ in range(n)]
+
+
+def test_matmul_matches_triple_loop_on_sparse_matrices():
+    rng = random.Random(11)
+
+    def frac():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+    shapes = [(1, 1, 1), (1, 3, 1), (3, 1, 2), (4, 5, 3), (6, 6, 6), (2, 7, 5)]
+    for n, k, m in shapes:
+        for zero_share in (0.0, 0.3, 0.6, 0.9):
+            A = Mat(_sparse_random(rng, n, k, zero_share, frac))
+            B = Mat(_sparse_random(rng, k, m, zero_share, frac))
+            assert (A @ B).rows == reference_matmul(A, B)
+    # an all-zero row and an all-zero column of A, and an all-zero row of B
+    A = Mat([[0, 0, 0], [1, 0, 2], [Fraction(1, 3), 0, 5]])
+    B = Mat([[1, 2], [3, 4], [0, 0]])
+    prod = A @ B
+    assert prod.rows == reference_matmul(A, B)
+    assert prod.rows[0] == [0, 0] and all(isinstance(v, Fraction) for v in prod.rows[0])
+    assert (Mat([[0]]) @ Mat([[5]])).rows == [[0]]
+    assert (Mat([[Fraction(2, 3)]]) @ Mat([[Fraction(3, 4)]])).rows == [[Fraction(1, 2)]]
+
+
+def test_matmul_floats_are_bit_identical_to_triple_loop():
+    fld = FloatField(128)
+    rng = random.Random(5)
+
+    def flt():
+        return fld.of(Fraction(rng.randint(-999, 999), rng.randint(1, 97)))
+
+    with fld.workprec():
+        for zero_share in (0.0, 0.5, 0.9):
+            A = Mat(_sparse_random(rng, 5, 6, zero_share, flt), fld)
+            B = Mat(_sparse_random(rng, 6, 4, zero_share, flt), fld)
+            A.rows[2] = [fld.of(0)] * 6
+            assert (A @ B).rows == reference_matmul(A, B)
 
 
 def test_rank_exact():

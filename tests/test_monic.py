@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from qbipoly import monic
+from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import apply_operator
-from qbipoly.linalg import Mat, graded_coeff_block, monomial_vec
+from qbipoly.equation import admissibility, apply_operator
+from qbipoly.linalg import Mat, graded_coeff_block, monomial_vec, solve_exact
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            generate_monic_rf, ghat_discrepancy_report,
                            ghat_oracle, ghat_closed_form, gram_matrix, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
-from qbipoly.qcalc import dq1, dq2, dqm1, dqm2
+from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import QQ
 
 F = Fraction
@@ -108,6 +110,55 @@ def test_single_coefficient_perturbation_breaks_eigen_equation(equation, adm, or
         j = rng.randint(0, 2 - i)
         bumped = u + BiPoly.monomial(i, j, F(1, 97))
         assert not (apply_operator(equation, bumped) + bumped * lam).is_zero()
+
+
+def reference_chain_blocks(E, N):
+    """Monic blocks {(n, j): G_{n,j}} for n <= N by solving each chain step
+    G_{n,d} (M_dd + lambda_n I) = -(G_{n,d+1} M_{d+1,d} + G_{n,d+2} M_{d+2,d})
+    as a general linear system, without assuming the shape of M_dd."""
+    adm = admissibility(E)
+    blocks = [operator_blocks(E, j) for j in range(N + 1)]
+    out = {}
+    for n in range(N + 1):
+        lam_n = adm.eigenvalue(n)
+        chain = {n: Mat.identity(n + 1)}
+        for d in range(n - 1, -1, -1):
+            rhs = chain[d + 1] @ blocks[d + 1][1]
+            if d + 2 <= n:
+                rhs = rhs + chain[d + 2] @ blocks[d + 2][2]
+            system = blocks[d][0] + Mat.identity(d + 1).scaled(lam_n)
+            chain[d] = solve_exact(system.transpose(), (-rhs).transpose()).transpose()
+        out.update({(n, j): G for j, G in chain.items()})
+    return out
+
+
+Q23_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(2, 3)))
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS], ids=["q=1/2", "q=2/3"])
+def test_oracle_blocks_match_solved_chain(params):
+    E = preset_equation(params)
+    N = 6
+    fam = generate_monic_oracle(E, N)
+    ref = reference_chain_blocks(E, N)
+    assert set(fam.ghat) == set(ref)
+    for key, G in ref.items():
+        assert fam.block(*key).rows == G.rows, key
+
+
+def test_oracle_rejects_leading_block_not_scalar(equation, monkeypatch):
+    real = monic.operator_blocks
+
+    def perturbed(E, j):
+        same, drop1, drop2 = real(E, j)
+        if j == 2:
+            same = Mat([r[:] for r in same.rows])
+            same.rows[0][1] += F(1, 7)
+        return same, drop1, drop2
+
+    monkeypatch.setattr(monic, "operator_blocks", perturbed)
+    with pytest.raises(OracleError, match="at degree 2$"):
+        generate_monic_oracle(equation, 3)
 
 
 def test_oracle_rejects_nonadmissible(equation):

@@ -70,6 +70,28 @@ def test_dq_on_monomials(qp):
     assert dqm2(y, qp) == BiPoly.const(1)
 
 
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3)], ids=["q=1/2", "q=2/3"])
+def test_dq_on_dense_polynomial_matches_per_term_formula(q):
+    # every operator maps c x^i y^j to c [e]_p x^(i-1) y^j (or y^(j-1)), where
+    # e is the exponent on its axis, p = q forward and p = 1/q backward and
+    # [e]_p = 1 + p + ... + p^(e-1)
+    qp = QParam(q)
+    rng = random.Random(12)
+    f = BiPoly({(i, j): F(rng.randint(-20, 20) or 1, rng.randint(1, 9))
+                for i in range(13) for j in range(13 - i)})
+
+    def bracket(e, p):
+        return sum((p**k for k in range(e)), F(0))
+
+    for op, p, axis in ((dq1, q, 0), (dq2, q, 1), (dqm1, 1 / q, 0), (dqm2, 1 / q, 1)):
+        expected = {}
+        for (i, j), c in f.coeffs.items():
+            e = (i, j)[axis]
+            if e:
+                expected[(i - 1, j) if axis == 0 else (i, j - 1)] = c * bracket(e, p)
+        assert op(f, qp).coeffs == expected
+
+
 def test_axis_and_direction_symmetries():
     # the y operators are the x operators conjugated by the variable swap;
     # the backward operator is the defining quotient q(f(x) - f(x/q))/((q-1)x)
