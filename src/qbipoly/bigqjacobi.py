@@ -264,31 +264,30 @@ def closed_form_weight(p: BigQJacobiParams, xv, yv, field: FloatField,
     """
     qp = p.qp
     a, b, c, d = p.a, p.b, p.c, p.d
-    with field.workprec():
-        xf = field.of(xv)
-        yf = field.of(yv)
-        if yf == 0:
-            raise ZeroDivisionError("weight undefined at y = 0")
-        q = field.of(qp.q)
+    xf = field.of(xv)
+    yf = field.of(yv)
+    if yf == 0:
+        raise ZeroDivisionError("weight undefined at y = 0")
+    q = field.of(qp.q)
 
-        def poch(z):
-            return qpochhammer_inf(z, qp, field, max_terms=truncation)
+    def poch(z):
+        return qpochhammer_inf(z, qp, field, max_terms=truncation)
 
-        if variant == "W":
-            num = poch(d * q / yf) * poch(xf / (c * yf)) * poch(xf / field.of(d)) \
-                * poch(yf / field.of(a)) * poch(yf / field.of(d))
-            den = yf * poch(field.of(d) / (c * yf)) * poch(c * q * yf / field.of(d)) \
-                * poch(xf / yf) * poch(b * xf / field.of(d)) * poch(yf)
-        elif variant == "rho":
-            num = poch(yf / field.of(a)) * poch(xf / field.of(d)) * poch(d * q / yf) \
-                * poch(xf / (c * yf)) * poch(yf / field.of(d))
-            den = poch(yf) * poch(xf / yf) * poch(b * xf / field.of(d)) \
-                * poch(d * q / (c * yf)) * poch(c * yf / field.of(d))
-        else:
-            raise ValueError(f"unknown weight variant {variant!r}")
-        if den == 0:
-            raise ZeroDivisionError("vanishing denominator factor in the closed-form weight")
-        return num / den
+    if variant == "W":
+        num = poch(d * q / yf) * poch(xf / (c * yf)) * poch(xf / field.of(d)) \
+            * poch(yf / field.of(a)) * poch(yf / field.of(d))
+        den = yf * poch(field.of(d) / (c * yf)) * poch(c * q * yf / field.of(d)) \
+            * poch(xf / yf) * poch(b * xf / field.of(d)) * poch(yf)
+    elif variant == "rho":
+        num = poch(yf / field.of(a)) * poch(xf / field.of(d)) * poch(d * q / yf) \
+            * poch(xf / (c * yf)) * poch(yf / field.of(d))
+        den = poch(yf) * poch(xf / yf) * poch(b * xf / field.of(d)) \
+            * poch(d * q / (c * yf)) * poch(c * yf / field.of(d))
+    else:
+        raise ValueError(f"unknown weight variant {variant!r}")
+    if den == 0:
+        raise ZeroDivisionError("vanishing denominator factor in the closed-form weight")
+    return num / den
 
 
 def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
@@ -352,70 +351,69 @@ class MomentTable:
     def _build(self):
         p, fld = self.params, self.field
         N, D = self.truncation, self.max_degree
-        with fld.workprec():
-            q = fld.of(p.qp.q)
-            a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
+        q = fld.of(p.qp.q)
+        a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
 
-            def seq(z, lo, hi):
-                return _poch_ladder(z, lo, hi, q, p.qp, fld)
+        def seq(z, lo, hi):
+            return _poch_ladder(z, lo, hi, q, p.qp, fld)
 
-            # each P[k] = (z q^k; q)_inf; the comments name the weight
-            # factors it supplies, at x = cqy q^r (x > 0), x = d q^{1+r}
-            # (x < 0), y = a q^{1+t} (y > 0) and y = d q^{1+t} (y < 0)
-            Q = seq(q, 0, N)                           # x/(cy) x>0, x/d x<0, y/a y>0, y/d y<0
-            Cq = seq(c * q, 0, N + 1)                  # x/y x>0; cqy/d y<0
-            Bq = seq(b * q, 0, N)                      # bx/d x<0
-            ACD = seq(a * c * q**2 / d, 0, 2 * N)      # x/d x>0; cqy/d y>0
-            ABCD = seq(a * b * c * q**2 / d, 0, 2 * N)  # bx/d x>0
-            DAC = seq(d / (a * c), -N - 1, N)          # x/(cy) x<0 y>0; d/(cy) y>0
-            DA = seq(d / a, -N, N + 1)                 # x/y x<0 y>0; dq/y y>0; y/a y<0
-            AD = seq(a * q / d, 0, N)                  # y/d y>0
-            AQ = seq(a * q, 0, N)                      # y y>0
-            C1 = seq(1 / c, -N - 1, 0)                 # x/(cy), d/(cy) y<0
-            DQ = seq(d * q, 0, N)                      # y y<0
+        # each P[k] = (z q^k; q)_inf; the comments name the weight
+        # factors it supplies, at x = cqy q^r (x > 0), x = d q^{1+r}
+        # (x < 0), y = a q^{1+t} (y > 0) and y = d q^{1+t} (y < 0)
+        Q = seq(q, 0, N)                           # x/(cy) x>0, x/d x<0, y/a y>0, y/d y<0
+        Cq = seq(c * q, 0, N + 1)                  # x/y x>0; cqy/d y<0
+        Bq = seq(b * q, 0, N)                      # bx/d x<0
+        ACD = seq(a * c * q**2 / d, 0, 2 * N)      # x/d x>0; cqy/d y>0
+        ABCD = seq(a * b * c * q**2 / d, 0, 2 * N)  # bx/d x>0
+        DAC = seq(d / (a * c), -N - 1, N)          # x/(cy) x<0 y>0; d/(cy) y>0
+        DA = seq(d / a, -N, N + 1)                 # x/y x<0 y>0; dq/y y>0; y/a y<0
+        AD = seq(a * q / d, 0, N)                  # y/d y>0
+        AQ = seq(a * q, 0, N)                      # y y>0
+        C1 = seq(1 / c, -N - 1, 0)                 # x/(cy), d/(cy) y<0
+        DQ = seq(d * q, 0, N)                      # y y<0
 
-            # dropped-factor Pochhammer: drop(k) = prod_{j != k} (1 - q^{j-k})
-            drop = [Q[0]]
-            for k in range(1, N + 1):
-                drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
+        # dropped-factor Pochhammer: drop(k) = prod_{j != k} (1 - q^{j-k})
+        drop = [Q[0]]
+        for k in range(1, N + 1):
+            drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
 
-            qr = _geometric(fld.one, q, N + 1)
-            ypos = _geometric(a * q, q, N + 1)
-            dlat = _geometric(d * q, q, N + 1)            # x < 0 and y < 0: d q^{1+k}
-            xcq = _geometric(a * c * q**2, q, 2 * N + 1)  # x > 0: c q y q^r = ac q^{2+t+r}
-            A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
-            B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
-            A_d = [Q[r] / Bq[r] for r in range(N + 1)]
-            B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]          # index k + N
-            B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]          # index k + N
+        qr = _geometric(fld.one, q, N + 1)
+        ypos = _geometric(a * q, q, N + 1)
+        dlat = _geometric(d * q, q, N + 1)            # x < 0 and y < 0: d q^{1+k}
+        xcq = _geometric(a * c * q**2, q, 2 * N + 1)  # x > 0: c q y q^r = ac q^{2+t+r}
+        A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
+        B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
+        A_d = [Q[r] / Bq[r] for r in range(N + 1)]
+        B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]          # index k + N
+        B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]          # index k + N
 
-            M = [[fld.of(0)] * (D + 1) for _ in range(D + 1)]
-            for t in range(N + 1):
-                yv = ypos[t]
-                yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
-                inner = [fld.of(0)] * (D + 1)
-                for xstart, xsign, weights, xs in (
-                        (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
-                         xcq[t:t + N + 1]),
-                        (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)],
-                         dlat)):
-                    sums = self._jackson_sums(weights, xs, qr)
-                    scale = xsign * (1 - q) * xstart
-                    for i in range(D + 1):
-                        inner[i] += scale * sums[i]
-                self._add_outer_node(M, (1 - q) * yv, yv, inner)
+        M = [[fld.of(0)] * (D + 1) for _ in range(D + 1)]
+        for t in range(N + 1):
+            yv = ypos[t]
+            yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
+            inner = [fld.of(0)] * (D + 1)
+            for xstart, xsign, weights, xs in (
+                    (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
+                     xcq[t:t + N + 1]),
+                    (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)],
+                     dlat)):
+                sums = self._jackson_sums(weights, xs, qr)
+                scale = xsign * (1 - q) * xstart
+                for i in range(D + 1):
+                    inner[i] += scale * sums[i]
+            self._add_outer_node(M, (1 - q) * yv, yv, inner)
 
-            for t in range(N + 1):
-                # mass only at x = d q^{1+r}, r <= t, with the vanishing
-                # (dq/y; q)_inf replaced by drop(t)
-                yv = dlat[t]
-                yfac = drop[t] * DA[1 + t] * Q[t] / (yv * C1[-1 - t] * Cq[1 + t] * DQ[t])
-                weights = [yfac * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
-                sums = self._jackson_sums(weights, dlat, qr)
-                # inner interval: the c q y branch carries no mass; only -int_0^{dq}
-                inner = [-(1 - q) * d * q * s for s in sums]
-                self._add_outer_node(M, -(1 - q) * yv, yv, inner)
-            return M
+        for t in range(N + 1):
+            # mass only at x = d q^{1+r}, r <= t, with the vanishing
+            # (dq/y; q)_inf replaced by drop(t)
+            yv = dlat[t]
+            yfac = drop[t] * DA[1 + t] * Q[t] / (yv * C1[-1 - t] * Cq[1 + t] * DQ[t])
+            weights = [yfac * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
+            sums = self._jackson_sums(weights, dlat, qr)
+            # inner interval: the c q y branch carries no mass; only -int_0^{dq}
+            inner = [-(1 - q) * d * q * s for s in sums]
+            self._add_outer_node(M, -(1 - q) * yv, yv, inner)
+        return M
 
     def _jackson_sums(self, weights, xs, qr) -> list:
         """[sum_r q^r w_r x_r^i for i = 0..max_degree]; the least nonzero
@@ -447,13 +445,12 @@ class MomentTable:
 
     def integrate(self, poly: BiPoly):
         """The moment functional applied to a polynomial (exact or float)."""
-        with self.field.workprec():
-            total = self.field.of(0)
-            for (i, j), cf in sorted(poly.coeffs.items()):
-                if i > self.max_degree or j > self.max_degree:
-                    raise ValueError(f"moment table only covers degrees <= {self.max_degree}")
-                total += self.field.of(cf) * self._moments[i][j]
-            return total
+        total = self.field.of(0)
+        for (i, j), cf in sorted(poly.coeffs.items()):
+            if i > self.max_degree or j > self.max_degree:
+                raise ValueError(f"moment table only covers degrees <= {self.max_degree}")
+            total += self.field.of(cf) * self._moments[i][j]
+        return total
 
     __call__ = integrate
 
@@ -616,13 +613,3 @@ def error_ratios(rows) -> list:
             out.append({"kind": key[0], "n": key[1], "m": key[2], "point": key[3],
                         "eps_from": prev["eps"], "eps_to": cur["eps"], "ratio": ratio})
     return out
-
-
-def weight_limit_ratio(cp: ClassicalParams, eps, point, prec: int = 64):
-    """W(x, y; q = 1-eps) / classical weight at an interior point (float)."""
-    p = limit_params(cp, Fraction(eps))
-    fld = FloatField(prec)
-    wq = closed_form_weight(p, point[0], point[1], fld, truncation=None, variant="W")
-    wc = classical_weight(cp).eval(*point)
-    with fld.workprec():
-        return wq / fld.of(wc)

@@ -142,12 +142,6 @@ def apply_adjoint(E, f: BiPoly) -> BiPoly:
             - (dqm1(E.b1 * f, qp) + dqm2(E.b2 * f, qp)) * (1 / q))
 
 
-def bilinear_selfadjoint_check(E, functional, f: BiPoly, g: BiPoly):
-    """Return (<Df, g>, <f, Dg>) under a weighted moment functional
-    (BiPoly -> scalar); potential self-adjointness makes these agree."""
-    return functional(apply_operator(E, f) * g), functional(f * apply_operator(E, g))
-
-
 # ---------------------------------------------------------------------------
 # admissibility and eigenvalues
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """q-arithmetic primitives, partial q-difference operators, Jackson
 q-integration, and the (q-)hypergeometric series evaluators.
 
-Operators act on BiPolys exactly (monomial-by-monomial), on callback-style
-lattice evaluators (for weights), and on precomputed sample tables.  All
+Operators act on BiPolys exactly (monomial-by-monomial) and on precomputed
+lattice sample tables (for weights, which are not polynomials).  All
 float-lane summations run in ascending index order at the field's working
 precision, so results are reproducible.
 """
@@ -67,21 +67,19 @@ def qpochhammer_inf(a, qp: QParam, field: FloatField, max_terms: int | None = No
     field's geometric-tail threshold (tail factor bounded by 1)."""
     if not isinstance(field, FloatField):
         raise BackendMismatch("infinite q-Pochhammer requires the float backend")
-    with field.workprec():
-        q = field.of(qp.q)
-        av = field.of(a) if isinstance(a, (int, Fraction, str)) else a
-        prod = field.one
-        term = av
-        j = 0
-        while abs(term) >= field.tail_eps:
-            prod *= 1 - term
-            if prod == 0:
-                break
-            term *= q
-            j += 1
-            if max_terms is not None and j >= max_terms:
-                break
-        return prod
+    q = field.of(qp.q)
+    prod = field.one
+    term = field.of(a)
+    j = 0
+    while abs(term) >= field.tail_eps:
+        prod *= 1 - term
+        if prod == 0:
+            break
+        term *= q
+        j += 1
+        if max_terms is not None and j >= max_terms:
+            break
+    return prod
 
 
 def qbinomial(n: int, k: int, qp: QParam) -> Fraction:
@@ -152,7 +150,7 @@ def dq_ratfn(r: RationalFn, qp: QParam, axis: int) -> RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# grid / callback forms (weights are not polynomials)
+# grid forms (weights are not polynomials)
 # ---------------------------------------------------------------------------
 
 def _difference_table(fvals, x0, y0, p, n: int, m: int):
@@ -192,21 +190,6 @@ def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
     return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
-def dq_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
-    """Callback form of dq_nm_table: f is evaluated on the forward stencil."""
-    q = qp.q
-    fvals = [[f(x0 * q**r, y0 * q**s) for s in range(m + 1)] for r in range(n + 1)]
-    return dq_nm_table(fvals, x0, y0, qp, n, m)[0][0]
-
-
-def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
-    """Callback form of dqm_nm_table: f is evaluated on the backward stencil
-    (q^-r x0, q^-s y0)."""
-    q = qp.q
-    fvals = [[f(x0 / q**r, y0 / q**s) for s in range(m + 1)] for r in range(n + 1)]
-    return dqm_nm_table(fvals, x0, y0, qp, n, m)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # operator relation report
 # ---------------------------------------------------------------------------
@@ -243,27 +226,25 @@ def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) ->
 def jackson_integral_1d(f, upper, qp: QParam, truncation: int, field: Field):
     """Truncated Jackson integral from 0 to `upper`:
     (1-q) * upper * sum_{j=0..N} q^j f(upper q^j), at the field's precision."""
-    with field.workprec():
-        q = field.of(qp.q)
-        a = field.of(upper) if isinstance(upper, (int, Fraction, str)) else upper
-        if field.is_zero(a):
-            return field.of(0)
-        total = field.of(0)
-        w = field.of(1)
-        for _ in range(truncation + 1):
-            v = f(a * w)
-            total += w * v
-            w *= q
-        return (1 - q) * a * total
+    q = field.of(qp.q)
+    a = field.of(upper)
+    if field.is_zero(a):
+        return field.of(0)
+    total = field.of(0)
+    w = field.of(1)
+    for _ in range(truncation + 1):
+        v = f(a * w)
+        total += w * v
+        w *= q
+    return (1 - q) * a * total
 
 
 def jackson_integral_interval(f, lo, hi, qp: QParam, truncation: int, field: Field):
     """Interval convention: int_lo^hi = int_0^hi - int_0^lo (endpoints of
     either sign)."""
-    with field.workprec():
-        return jackson_integral_1d(f, hi, qp, truncation, field) - jackson_integral_1d(
-            f, lo, qp, truncation, field
-        )
+    return jackson_integral_1d(f, hi, qp, truncation, field) - jackson_integral_1d(
+        f, lo, qp, truncation, field
+    )
 
 
 def jackson_integral_double(f, domain: QDomain, qp: QParam, truncation: int, field: Field):

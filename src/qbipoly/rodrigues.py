@@ -170,17 +170,3 @@ def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     fvals = [[rkl.value(S - r, T - s) for s in range(T + 1)] for r in range(S + 1)]
     table = dqm_nm_table(fvals, xb, yb, qp, n, m)
     return [[table[i][j] / rho.value(S - i, T - j) for j in range(G)] for i in range(G)]
-
-
-def rodrigues_orthogonality_check(spec: RodriguesSpec, functional, max_lower_degree: int | None = None) -> dict:
-    """Weighted moments of the Rodrigues polynomial against all monomials of
-    lower total degree; `functional` maps BiPoly -> scalar (float lane)."""
-    n, m = spec.n, spec.m
-    bound = n + m if max_lower_degree is None else max_lower_degree
-    poly = rodrigues_poly(spec)
-    out = {}
-    for d in range(bound):
-        for i in range(d + 1):
-            mono = BiPoly.monomial(d - i, i, 1, poly.field)
-            out[(d - i, i)] = functional(poly * mono)
-    return out

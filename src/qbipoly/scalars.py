@@ -6,14 +6,15 @@ arbitrary-precision binary float one built on mpmath.  All identity checking
 runs on the exact backend; the float backend exists for infinite sums
 (q-integrals, infinite q-Pochhammers) where exactness is impossible.
 
-Scalar values themselves are plain ``fractions.Fraction`` or ``mpmath.mpf``
-instances; the field object is responsible for construction, comparison and
-precision bookkeeping, so the algebra layers can use native arithmetic.
+Scalar values themselves are plain ``fractions.Fraction`` or mpmath ``mpf``
+instances, so the algebra layers can use native arithmetic.  A float field
+owns an mpmath context at its precision and builds its values there; every
+operation on them (a Fraction or int on either side, any mpf on the right)
+rounds at that precision, so float results never depend on mpmath.mp.prec.
 """
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 
 import mpmath
@@ -37,11 +38,6 @@ class Field:
 
     def eq(self, a, b) -> bool:
         raise NotImplementedError
-
-    def workprec(self):
-        """Context in which float arithmetic runs at this field's precision;
-        exact fields need none."""
-        return contextlib.nullcontext()
 
     def check_same(self, other: "Field"):
         if self is not other and self != other:
@@ -83,7 +79,9 @@ class ExactField(Field):
 
 
 class FloatField(Field):
-    """Binary floats at a fixed precision (>= 64 bits), backed by mpmath.
+    """Binary floats at a fixed precision (>= 64 bits) in a private mpmath
+    context ``ctx`` at ``prec``; values built here carry it, so arithmetic
+    on them ignores ``mpmath.mp.prec`` (use ``ctx.sqrt``, ``ctx.fsum``).
 
     Equality is tolerance based (never used in identity proofs).  ``tail_eps``
     is the truncation threshold 2**(8 - prec) used when cutting geometric
@@ -97,16 +95,16 @@ class FloatField(Field):
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
         self.prec = prec
-        with mpmath.workprec(prec):
-            self.zero = mpmath.mpf(0)
-            self.one = mpmath.mpf(1)
-            self.tail_eps = mpmath.mpf(2) ** (8 - prec)
+        self.ctx = mpmath.MPContext()
+        self.ctx.prec = prec
+        self.zero = self.ctx.mpf(0)
+        self.one = self.ctx.mpf(1)
+        self.tail_eps = self.ctx.mpf(2) ** (8 - prec)
 
     def of(self, value):
-        with mpmath.workprec(self.prec):
-            if isinstance(value, Fraction):
-                return mpmath.mpf(value.numerator) / value.denominator
-            return mpmath.mpf(value)
+        if isinstance(value, Fraction):
+            return self.ctx.mpf(value.numerator) / value.denominator
+        return self.ctx.mpf(value)
 
     def is_zero(self, value) -> bool:
         return value == 0
@@ -118,9 +116,6 @@ class FloatField(Field):
         tol = self.tail_eps if tol is None else tol
         scale = max(1, abs(a), abs(b))
         return abs(a - b) <= tol * scale
-
-    def workprec(self):
-        return mpmath.workprec(self.prec)
 
     def __eq__(self, other):
         return isinstance(other, FloatField) and other.prec == self.prec

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
                          TEST_PARAMS, appell_monic, classical_pde_residual,
                          classical_rodrigues, error_ratios, explicit_BC, jnm,
@@ -88,41 +86,40 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 3,
 
     rows = []
     ok = True
-    with moments.field.workprec():
-        tol = mpmath.mpf(ORTH_TOL.numerator) / ORTH_TOL.denominator
-        norms = {}
-        for label, poly in inventory:
-            norms[label] = moments.integrate(poly * poly)
-            positive = norms[label] > 0
-            ok = ok and positive
-            rows.append(("norm", label, "", mp_str(norms[label]), str(positive)))
-        for family, members in sorted(groups.items()):
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    la, pa = members[i]
-                    lb, pb = members[j]
-                    inner = moments.integrate(pa * pb)
-                    scale = mpmath.sqrt(norms[la] * norms[lb])
-                    val = abs(inner) / scale
-                    gated = (family == "nonmonic"
-                             or total_degree_of(la) != total_degree_of(lb))
-                    if gated:
-                        passed = val < tol
-                        ok = ok and passed
-                        rows.append(("pair", la, lb, mp_str(val), str(passed)))
-                    else:
-                        rows.append(("gram_entry", la, lb, mp_str(val), "info"))
+    tol = moments.field.of(ORTH_TOL)
+    norms = {}
+    for label, poly in inventory:
+        norms[label] = moments.integrate(poly * poly)
+        positive = norms[label] > 0
+        ok = ok and positive
+        rows.append(("norm", label, "", mp_str(norms[label]), str(positive)))
+    for family, members in sorted(groups.items()):
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                la, pa = members[i]
+                lb, pb = members[j]
+                inner = moments.integrate(pa * pb)
+                scale = moments.field.ctx.sqrt(norms[la] * norms[lb])
+                val = abs(inner) / scale
+                gated = (family == "nonmonic"
+                         or total_degree_of(la) != total_degree_of(lb))
+                if gated:
+                    passed = val < tol
+                    ok = ok and passed
+                    rows.append(("pair", la, lb, mp_str(val), str(passed)))
+                else:
+                    rows.append(("gram_entry", la, lb, mp_str(val), "info"))
 
-        h1 = gram_matrix(fam, 1, 1, moments)
-        det = h1[0, 0] * h1[1, 1] - h1[0, 1] * h1[1, 0]
-        h1_ok = abs(det) > tol
-        ok = ok and h1_ok
-        rows.append(("H1_nonsingular", "det", "", mp_str(det), str(h1_ok)))
-        if moments.weight_min_positive is not None:
-            wpos = moments.weight_min_positive > 0
-            ok = ok and wpos
-            rows.append(("weight_positive", "min node weight", "",
-                         mp_str(moments.weight_min_positive), str(wpos)))
+    h1 = gram_matrix(fam, 1, 1, moments)
+    det = h1[0, 0] * h1[1, 1] - h1[0, 1] * h1[1, 0]
+    h1_ok = abs(det) > tol
+    ok = ok and h1_ok
+    rows.append(("H1_nonsingular", "det", "", mp_str(det), str(h1_ok)))
+    if moments.weight_min_positive is not None:
+        wpos = moments.weight_min_positive > 0
+        ok = ok and wpos
+        rows.append(("weight_positive", "min node weight", "",
+                     mp_str(moments.weight_min_positive), str(wpos)))
     return ok, rows, {}
 
 

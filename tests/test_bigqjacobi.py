@@ -1,16 +1,16 @@
 import functools
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, appell_monic,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_weight, error_ratios, explicit_BC, jnm,
-                                lambda_explicit, limit_check, limit_params,
+                                closed_form_weight, lambda_explicit,
+                                limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly,
-                                nonmonic_value, weight_limit_ratio)
+                                nonmonic_value)
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.monic import ttr_matrices
@@ -230,6 +230,15 @@ def test_trivial_limit_pair_is_exact():
     assert all(r["error"] == 0 for r in rows)
 
 
+def weight_limit_ratio(cp: ClassicalParams, eps, point, prec: int = 64):
+    """W(x, y; q = 1-eps) / classical weight at an interior point (float)."""
+    p = limit_params(cp, Fraction(eps))
+    fld = FloatField(prec)
+    wq = closed_form_weight(p, point[0], point[1], fld, truncation=None, variant="W")
+    wc = classical_weight(cp).eval(*point)
+    return wq / fld.of(wc)
+
+
 def test_weight_ratio_tends_to_one():
     r1 = weight_limit_ratio(CP, F(1, 200), (F(1, 3), F(1, 2)), prec=64)
     r2 = weight_limit_ratio(CP, F(1, 1000), (F(1, 3), F(1, 2)), prec=64)
@@ -237,58 +246,57 @@ def test_weight_ratio_tends_to_one():
     assert abs(r2 - 1) < abs(r1 - 1)  # approaching 1 as eps shrinks
 
 
-def brute_nodes(p, N, prec):
+def brute_nodes(p, N, fld):
     """Independent slow reference for the orthogonality functional: every
-    lattice node as (x, y, Jackson factor, weight), each weight by direct
-    infinite-product evaluation, with the continuous-limit values at the 0/0
-    nodes of the negative outer scale (which carry mass only for r <= t)."""
-    fld = FloatField(prec)
-    with fld.workprec():
-        q = fld.of(p.qp.q)
-        a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
+    lattice node as (x, y, Jackson factor, weight) on the float field `fld`,
+    each weight by direct infinite-product evaluation, with the
+    continuous-limit values at the 0/0 nodes of the negative outer scale
+    (which carry mass only for r <= t)."""
+    q = fld.of(p.qp.q)
+    a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
 
-        def pochinf(z):
-            prod = fld.one
-            term = fld.of(z) if isinstance(z, Fraction) else z
-            while abs(term) >= fld.tail_eps:
-                prod *= 1 - term
-                if prod == 0:
-                    return prod
-                term *= q
-            return prod
+    def pochinf(z):
+        prod = fld.one
+        term = fld.of(z) if isinstance(z, Fraction) else z
+        while abs(term) >= fld.tail_eps:
+            prod *= 1 - term
+            if prod == 0:
+                return prod
+            term *= q
+        return prod
 
-        drop = [pochinf(q)]
-        for k in range(1, N + 1):
-            drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q ** k))
+    drop = [pochinf(q)]
+    for k in range(1, N + 1):
+        drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q ** k))
 
-        nodes = []
-        for t in range(N + 1):
-            # positive scale: plain products over both inner branches
-            yv = a * q ** (1 + t)
-            for xstart, sgn in ((c * q * yv, 1), (d * q, -1)):
-                for r in range(N + 1):
-                    xv = xstart * q ** r
-                    num = pochinf(d * q / yv) * pochinf(xv / (c * yv)) * pochinf(xv / d) \
-                        * pochinf(yv / a) * pochinf(yv / d)
-                    den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
-                        * pochinf(xv / yv) * pochinf(b * xv / d) * pochinf(yv)
-                    jw = (1 - q) * yv * sgn * (1 - q) * xstart * q ** r
-                    nodes.append((xv, yv, jw, num / den))
-            # negative scale: only x = d q^{1+r}, r <= t carries (finite) mass
-            yv = d * q ** (1 + t)
-            for r in range(t + 1):
-                xv = d * q ** (1 + r)
-                num = drop[t] * pochinf(xv / (c * yv)) * pochinf(xv / d) \
+    nodes = []
+    for t in range(N + 1):
+        # positive scale: plain products over both inner branches
+        yv = a * q ** (1 + t)
+        for xstart, sgn in ((c * q * yv, 1), (d * q, -1)):
+            for r in range(N + 1):
+                xv = xstart * q ** r
+                num = pochinf(d * q / yv) * pochinf(xv / (c * yv)) * pochinf(xv / d) \
                     * pochinf(yv / a) * pochinf(yv / d)
                 den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
-                    * drop[t - r] * pochinf(b * xv / d) * pochinf(yv)
-                jw = (1 - q) * yv * (1 - q) * d * q * q ** r
+                    * pochinf(xv / yv) * pochinf(b * xv / d) * pochinf(yv)
+                jw = (1 - q) * yv * sgn * (1 - q) * xstart * q ** r
                 nodes.append((xv, yv, jw, num / den))
-        return nodes
+        # negative scale: only x = d q^{1+r}, r <= t carries (finite) mass
+        yv = d * q ** (1 + t)
+        for r in range(t + 1):
+            xv = d * q ** (1 + r)
+            num = drop[t] * pochinf(xv / (c * yv)) * pochinf(xv / d) \
+                * pochinf(yv / a) * pochinf(yv / d)
+            den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
+                * drop[t - r] * pochinf(b * xv / d) * pochinf(yv)
+            jw = (1 - q) * yv * (1 - q) * d * q * q ** r
+            nodes.append((xv, yv, jw, num / den))
+    return nodes
 
 
-def brute_moment(nodes, i, j):
-    return mpmath.fsum(jw * xv ** i * yv ** j * w for xv, yv, jw, w in nodes)
+def brute_moment(fld, nodes, i, j):
+    return fld.ctx.fsum(jw * xv ** i * yv ** j * w for xv, yv, jw, w in nodes)
 
 
 #: a second parameter point, away from q = 1/2
@@ -298,27 +306,27 @@ ENGINE_POINTS = {"test-params": (TEST_PARAMS, 16), "q=2/3": (P23, 12)}
 
 @functools.lru_cache(maxsize=None)
 def engine_and_brute(point):
-    """(moment table, brute-force nodes) at 80 bits on one parameter point."""
+    """(moment table, brute-force field, its nodes) at 80 bits on one
+    parameter point."""
     p, N = ENGINE_POINTS[point]
-    return MomentTable(p, max_degree=2, truncation=N, prec=80), brute_nodes(p, N, 80)
+    fld = FloatField(80)
+    return MomentTable(p, max_degree=2, truncation=N, prec=80), fld, brute_nodes(p, N, fld)
 
 
 def test_moment_engine_against_slow_reference():
     for point in sorted(ENGINE_POINTS):
-        mt, nodes = engine_and_brute(point)
-        with mt.field.workprec():
-            for i in range(3):
-                for j in range(3):
-                    ref = brute_moment(nodes, i, j)
-                    assert abs(mt.moment(i, j) - ref) <= mpmath.mpf(2) ** (-50) * max(1, abs(ref))
+        mt, fld, nodes = engine_and_brute(point)
+        for i in range(3):
+            for j in range(3):
+                ref = brute_moment(fld, nodes, i, j)
+                assert abs(mt.moment(i, j) - ref) <= fld.of(2) ** (-50) * max(1, abs(ref))
 
 
 def test_weight_min_positive_is_least_brute_node_weight():
     for point in sorted(ENGINE_POINTS):
-        mt, nodes = engine_and_brute(point)
-        with mt.field.workprec():
-            ref = min(w for _, _, _, w in nodes if w != 0)
-            assert abs(mt.weight_min_positive - ref) <= mpmath.mpf(2) ** (16 - 80) * abs(ref)
+        mt, fld, nodes = engine_and_brute(point)
+        ref = min(w for _, _, _, w in nodes if w != 0)
+        assert abs(mt.weight_min_positive - ref) <= fld.of(2) ** (16 - 80) * abs(ref)
 
 
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS))
@@ -330,9 +338,9 @@ def test_moment_table_error_follows_precision(point):
     prec = 120
     got = MomentTable(p, max_degree=4, truncation=96, prec=prec)
     ref = MomentTable(p, max_degree=4, truncation=96, prec=prec + 64)
-    with ref.field.workprec():
-        m00 = abs(ref.moment(0, 0))
-        for i in range(5):
-            for j in range(5):
-                bound = mpmath.mpf(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
-                assert abs(got.moment(i, j) - ref.moment(i, j)) <= bound
+    # differences are taken in the reference's (wider) context
+    m00 = abs(ref.moment(0, 0))
+    for i in range(5):
+        for j in range(5):
+            bound = ref.field.of(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
+            assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound

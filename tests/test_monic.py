@@ -291,29 +291,26 @@ def test_B0_special_case(equation, oracle5):
 
 def test_gram_vanishes_below_degree(equation, oracle5, moments):
     tol = moments.field.of(F(1, 10 ** 25))
-    with moments.field.workprec():
-        mass = moments.integrate(BiPoly.const(1))
-        g01 = gram_matrix(oracle5, 1, 0, moments)
-        assert g01.shape == (1, 2)
-        assert all(abs(v) / mass < tol for v in g01.rows[0])
-        g12 = gram_matrix(oracle5, 2, 1, moments)
-        assert all(abs(v) / mass < tol for row in g12.rows for v in row)
+    mass = moments.integrate(BiPoly.const(1))
+    g01 = gram_matrix(oracle5, 1, 0, moments)
+    assert g01.shape == (1, 2)
+    assert all(abs(v) / mass < tol for v in g01.rows[0])
+    g12 = gram_matrix(oracle5, 2, 1, moments)
+    assert all(abs(v) / mass < tol for row in g12.rows for v in row)
 
 
 def test_gram_total_mass_positive(equation, oracle5, moments):
-    with moments.field.workprec():
-        g00 = gram_matrix(oracle5, 0, 0, moments)
-        assert g00[0, 0] > 0
+    g00 = gram_matrix(oracle5, 0, 0, moments)
+    assert g00[0, 0] > 0
 
 
 def test_H1_nonsingular(equation, oracle5, moments):
-    with moments.field.workprec():
-        h1 = gram_matrix(oracle5, 1, 1, moments)
-        det = h1[0, 0] * h1[1, 1] - h1[0, 1] * h1[1, 0]
-        assert abs(det) > moments.field.of(F(1, 10 ** 25))
-        # finite condition estimate: entries and determinant are balanced
-        norm = max(abs(v) for row in h1.rows for v in row)
-        assert norm ** 2 / abs(det) < moments.field.of(10 ** 12)
+    h1 = gram_matrix(oracle5, 1, 1, moments)
+    det = h1[0, 0] * h1[1, 1] - h1[0, 1] * h1[1, 0]
+    assert abs(det) > moments.field.of(F(1, 10 ** 25))
+    # finite condition estimate: entries and determinant are balanced
+    norm = max(abs(v) for row in h1.rows for v in row)
+    assert norm ** 2 / abs(det) < moments.field.of(10 ** 12)
 
 def test_gn1_system_through_linear_solver(equation, adm, oracle5):
     # solving the degree-2 resolvent system with the generic eliminator

@@ -4,9 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, closed_form_weight
 from qbipoly.bipoly import BiPoly
-from qbipoly.qcalc import (QDomain, QParam, SeriesError, dq1, dq2, dq_nm_at,
-                           dq_nm_table, dqm1, dqm2, dqm_nm_at,
+from qbipoly.linalg import Mat
+from qbipoly.qcalc import (QDomain, QParam, SeriesError, dq1, dq2,
+                           dq_nm_table, dqm1, dqm2, dqm_nm_table,
                            gauss_2f1_terminating, jackson_integral_1d,
                            jackson_integral_double, jackson_integral_interval,
                            jacobi_poly, kampe_de_feriet, phi_bivariate, phi_rs,
@@ -107,6 +109,21 @@ def test_axis_and_direction_symmetries():
             assert (f - f.scale_args(1 / q, 1)) * q == x * dqm1(f, qp) * (q - 1)
 
 
+def dq_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
+    """Callback form of dq_nm_table: f is evaluated on the forward stencil."""
+    q = qp.q
+    fvals = [[f(x0 * q**r, y0 * q**s) for s in range(m + 1)] for r in range(n + 1)]
+    return dq_nm_table(fvals, x0, y0, qp, n, m)[0][0]
+
+
+def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
+    """Callback form of dqm_nm_table: f is evaluated on the backward stencil
+    (q^-r x0, q^-s y0)."""
+    q = qp.q
+    fvals = [[f(x0 / q**r, y0 / q**s) for s in range(m + 1)] for r in range(n + 1)]
+    return dqm_nm_table(fvals, x0, y0, qp, n, m)[0][0]
+
+
 def test_grid_forms_match_polynomial_operators(qp):
     p = x * x * y + x * y * y * 3 + 7
     for n, m in [(1, 0), (0, 1), (2, 1), (1, 2)]:
@@ -202,10 +219,48 @@ def test_jackson_runs_at_field_precision(qp):
                                          qp, N, fld)
     finally:
         mpmath.mp.prec = saved
-    with fld.workprec():
-        for got, want in ((one_sided, exact), (interval, exact * (1 - F(1, 9))),
-                          (double, exact * (1 - qp.q ** (N + 1)))):
-            assert abs(got - fld.of(want)) / fld.of(want) < fld.of(F(1, 2 ** 180))
+    for got, want in ((one_sided, exact), (interval, exact * (1 - F(1, 9))),
+                      (double, exact * (1 - qp.q ** (N + 1)))):
+        assert abs(got - fld.of(want)) / fld.of(want) < fld.of(F(1, 2 ** 180))
+
+
+def _float_lane_values(qp):
+    """Float-lane results whose bits must not depend on mpmath.mp.prec."""
+    fld = FloatField(192)
+    mt = MomentTable(TEST_PARAMS, max_degree=2, truncation=24, prec=128)
+    poly = x * y * F(2, 3) + x * x - F(1, 7)
+    return ([qpochhammer_inf(F(1, 2), qp, fld),
+             closed_form_weight(TEST_PARAMS, F(2, 9), F(3, 7), fld)]
+            + [mt.moment(i, j) for i in range(3) for j in range(3)]
+            + [mt.integrate(poly)])
+
+
+def test_float_lane_ignores_global_precision(qp):
+    # every value of a FloatField rounds at the field's precision: mixed
+    # Fraction/int/mpf arithmetic, float Mat and BiPoly, the infinite
+    # products and the moment engine, under mpmath's global 53 bits
+    reference = _float_lane_values(qp)  # at the default global precision
+    saved = mpmath.mp.prec
+    mpmath.mp.prec = 53
+    try:
+        f = FloatField(192)
+        third, tenth, want = f.of(F(1, 3)), f.of(F(1, 10)), f.of(F(13, 30))
+        for got in (third + tenth, third + F(1, 10), F(1, 10) + third):
+            assert f.close(got, want) and f.eq(got, want)
+        assert f.close(1 + third, f.of(F(4, 3)))
+        row, col = Mat([[third, tenth]], f), Mat([[f.one], [f.one]], f)
+        assert row @ col == Mat([[want]], f)
+        p = BiPoly({(1, 0): third, (0, 1): tenth}, f)
+        assert f.close(p.eval(F(2, 7), F(3, 5)), f.of(F(163, 1050)))
+        assert f.close(qpochhammer_inf(F(1, 2), qp, f), f.of(qpochhammer(F(1, 2), qp, 200)))
+        narrow = mpmath.mpf(1) / 3  # an argument from the global context
+        assert qpochhammer_inf(narrow, qp, f) == qpochhammer_inf(f.of(narrow), qp, f)
+        assert _float_lane_values(qp) == reference
+        assert mpmath.mp.prec == 53
+        mpmath.mp.prec = 1024
+        assert _float_lane_values(qp) == reference
+    finally:
+        mpmath.mp.prec = saved
 
 
 def test_jackson_double_rectangle(qp):

@@ -1,0 +1,19 @@
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qbipoly"
+
+#: ways of setting or bypassing a float precision; only scalars.py may
+#: use them, so the precision policy lives in one module
+PRECISION_POLICY = re.compile(
+    r"workprec|workdps|MPContext|mpmath\.mpf\(|mpmath\.mp\.(prec|dps)\s*=(?!=)")
+
+
+def test_only_scalars_sets_float_precision():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "scalars.py" in modules
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in modules if path.name != "scalars.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if PRECISION_POLICY.search(line)]
+    assert offenders == []
