@@ -17,7 +17,7 @@ from .qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                     phi_bivariate, phi_rs, pochhammer_rising, qbinomial, qnum,
                     qpochhammer, qpochhammer_inf)
 from .rodrigues import RodriguesSpec, rodrigues_poly
-from .scalars import QQ, FloatField
+from .scalars import FloatField
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ def preset_equation(p: BigQJacobiParams) -> EquationCoeffs:
     absorbed into the pure second-order coefficients)."""
     q = p.qp.q
     a, b, c, d = p.a, p.b, p.c, p.d
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
 
     c11 = (one * (d * q) - x) * (one * (a * c * q**2) - x) * q
     c22 = (one * (a * q) - y) * (one * (d * q) - y) * q
@@ -98,7 +98,7 @@ def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
     """The same solution as an exact BiPoly, recovered by interpolation on a
     generic integer grid (total degree n)."""
     nodes = [Fraction(v) for v in range(1, n + 2)]
-    values = Mat([[nonmonic_value(p, n, k, xv, yv) for yv in nodes] for xv in nodes], QQ)
+    values = Mat([[nonmonic_value(p, n, k, xv, yv) for yv in nodes] for xv in nodes])
     return interpolate_2d(nodes, nodes, values)
 
 
@@ -122,10 +122,10 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
     den_c = ((a * b * c * q ** (2 * n) - 1) * (a * b * c * q ** (2 * n + 1) - 1) ** 2
              * (a * b * c * q ** (2 * n + 2) - 1))
 
-    B1 = Mat.zeros(n + 1, n + 1, QQ)
-    B2 = Mat.zeros(n + 1, n + 1, QQ)
-    C1 = Mat.zeros(n + 1, n, QQ)
-    C2 = Mat.zeros(n + 1, n, QQ)
+    B1 = Mat.zeros(n + 1, n + 1)
+    B2 = Mat.zeros(n + 1, n + 1)
+    C1 = Mat.zeros(n + 1, n)
+    C2 = Mat.zeros(n + 1, n)
 
     for i in range(1, n + 2):
         for j in range(1, n + 2):
@@ -216,14 +216,14 @@ def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
     qp = p.qp
     a, b, c, d = p.a, p.b, p.c, p.d
     abc = a * b * c
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
 
     pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
             * qpochhammer(d * q ** (n + 1), qp, m) * qpochhammer(abc * q ** (m + 2) / d, qp, n)
             / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
 
-    total = BiPoly.zero(QQ)
+    total = BiPoly.zero()
     for i in range(n + 1):
         for j in range(m + 1):
             expo = (i * (i - 2 * n + 1) + j * (j - 2 * m + 1)) // 2
@@ -444,7 +444,7 @@ class MomentTable:
         return self._moments[i][j]
 
     def integrate(self, poly: BiPoly):
-        """The moment functional applied to a polynomial (exact or float)."""
+        """The moment functional applied to an exact polynomial."""
         total = self.field.of(0)
         for (i, j), cf in sorted(poly.coeffs.items()):
             if i > self.max_degree or j > self.max_degree:
@@ -477,9 +477,9 @@ def appell_monic(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     Feriet double sum; exact rational coefficients."""
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
     s = al + be + ga + m + n + 2
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     half = Fraction(1, 2)
     series = kampe_de_feriet([s], [Fraction(-n)], [Fraction(-m)], [], [be + 1], [al + 1],
                              (x + one) * half, (one - y) * half)
@@ -494,12 +494,12 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     half = Fraction(1, 2)
 
-    first = BiPoly.zero(QQ)
+    first = BiPoly.zero()
     for r in range(m + 1):
         coef = (pochhammer_rising(Fraction(-m), r) * pochhammer_rising(be + ga + m + 1, r)
                 / (pochhammer_rising(ga + 1, r) * pochhammer_rising(Fraction(1), r)))
@@ -511,18 +511,18 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
 
 def classical_weight(cp: ClassicalParams) -> BiPoly:
     """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
 
 
 def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     """d^{n+m}/dx^n dy^m of (x+1)^{beta+n} (1-y)^{alpha+m} (y-x)^{gamma+n+m},
     divided exactly by the classical weight (zero remainder required)."""
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     bracket = ((x + one) ** (cp.beta + n)) * ((one - y) ** (cp.alpha + m)) \
         * ((y - x) ** (cp.gamma + n + m))
     for _ in range(n):
@@ -539,9 +539,9 @@ def classical_pde_residual(cp: ClassicalParams, u: BiPoly, total_degree: int) ->
     """Residual of u under the q -> 1 limit operator with eigenvalue
     -n (alpha+beta+gamma+n+2), n = total degree."""
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
-    x = BiPoly.x(QQ)
-    y = BiPoly.y(QQ)
-    one = BiPoly.const(1, QQ)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     s3 = al + be + ga + 3
     uxx = u.diff_x().diff_x()
     uyy = u.diff_y().diff_y()

@@ -1,9 +1,10 @@
-"""Sparse bivariate polynomials and rational functions over a scalar backend.
+"""Sparse bivariate polynomials and rational functions over the rationals.
 
 A ``BiPoly`` is a map from exponent pairs ``(i, j)`` (for ``x**i * y**j``) to
-nonzero scalar coefficients.  Construction strips zeros, so the zero
-polynomial is the empty map.  All operations are pure; instances are treated
-as immutable after construction.
+nonzero ``Fraction`` coefficients.  Construction strips zeros, so the zero
+polynomial is the empty map, and takes every scalar (coefficient, factor,
+evaluation point) through ``as_fraction``: a float is a ``TypeError``.  All
+operations are pure; instances are treated as immutable after construction.
 
 ``RationalFn`` is a quotient of two BiPolys with equality decided by cross
 multiplication; no gcd normalization is ever attempted.
@@ -13,46 +14,47 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QQ, BackendMismatch, Field
+from .scalars import as_fraction
+
+_ZERO = Fraction(0)
 
 
 class BiPoly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, field: Field = QQ):
-        self.field = field
+    def __init__(self, coeffs=None):
         clean = {}
         if coeffs:
             for (i, j), cval in coeffs.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent ({i},{j})")
-                if isinstance(cval, (int, str)) or (not field.exact and isinstance(cval, Fraction)):
-                    cval = field.of(cval)
-                if not field.is_zero(cval):
+                if not isinstance(cval, Fraction):
+                    cval = as_fraction(cval)
+                if cval:
                     clean[(int(i), int(j))] = cval
         self.coeffs = clean
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: Field = QQ):
-        return cls({}, field)
+    def zero(cls):
+        return cls({})
 
     @classmethod
-    def const(cls, value, field: Field = QQ):
-        return cls({(0, 0): field.of(value)}, field)
+    def const(cls, value):
+        return cls({(0, 0): value})
 
     @classmethod
-    def x(cls, field: Field = QQ):
-        return cls({(1, 0): field.of(1)}, field)
+    def x(cls):
+        return cls({(1, 0): 1})
 
     @classmethod
-    def y(cls, field: Field = QQ):
-        return cls({(0, 1): field.of(1)}, field)
+    def y(cls):
+        return cls({(0, 1): 1})
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff=1, field: Field = QQ):
-        return cls({(i, j): field.of(coeff)}, field)
+    def monomial(cls, i: int, j: int, coeff=1):
+        return cls({(i, j): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -72,7 +74,7 @@ class BiPoly:
         return max((j for _, j in self.coeffs), default=-1)
 
     def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), self.field.of(0))
+        return self.coeffs.get((i, j), _ZERO)
 
     def terms(self):
         """Terms sorted by graded lexicographic order (x-major), descending."""
@@ -86,29 +88,25 @@ class BiPoly:
         return mono, self.coeffs[mono]
 
     def homogeneous_part(self, degree: int) -> "BiPoly":
-        return BiPoly({m: c for m, c in self.coeffs.items() if m[0] + m[1] == degree}, self.field)
+        return BiPoly({m: c for m, c in self.coeffs.items() if m[0] + m[1] == degree})
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            self.field.check_same(other.field)
-            return other
-        if isinstance(other, (int, Fraction)) or not self.field.exact:
-            return BiPoly.const(self.field.of(other), self.field)
-        raise BackendMismatch(f"cannot combine BiPoly with {other!r}")
+    @staticmethod
+    def _coerce(other):
+        return other if isinstance(other, BiPoly) else BiPoly.const(other)
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out[m] + c if m in out else c
-        return BiPoly(out, self.field)
+        return BiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({m: -c for m, c in self.coeffs.items()}, self.field)
+        return BiPoly({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -118,28 +116,27 @@ class BiPoly:
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            self.field.check_same(other.field)
             out = {}
             for (i1, j1), c1 in self.coeffs.items():
                 for (i2, j2), c2 in other.coeffs.items():
                     m = (i1 + i2, j1 + j2)
                     out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-            return BiPoly(out, self.field)
-        c = self.field.of(other)
-        return BiPoly({m: v * c for m, v in self.coeffs.items()}, self.field)
+            return BiPoly(out)
+        c = as_fraction(other)
+        return BiPoly({m: v * c for m, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = self.field.of(scalar)
-        if self.field.is_zero(c):
+        c = as_fraction(scalar)
+        if not c:
             raise ZeroDivisionError("division of BiPoly by zero scalar")
-        return BiPoly({m: v / c for m, v in self.coeffs.items()}, self.field)
+        return BiPoly({m: v / c for m, v in self.coeffs.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a BiPoly")
-        out = BiPoly.const(1, self.field)
+        out = BiPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -150,35 +147,30 @@ class BiPoly:
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
-            if self.field.exact and other.field.exact:
-                return self.coeffs == other.coeffs
-            return (self - other).is_zero()
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == BiPoly.const(self.field.of(other), self.field)
+            return self == BiPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
     # -- substitution and evaluation ---------------------------------------
 
     def scale_args(self, alpha=1, beta=1) -> "BiPoly":
         """Substitute x -> alpha*x, y -> beta*y."""
-        alpha = self.field.of(alpha)
-        beta = self.field.of(beta)
-        return BiPoly(
-            {(i, j): c * alpha**i * beta**j for (i, j), c in self.coeffs.items()},
-            self.field,
-        )
+        alpha = as_fraction(alpha)
+        beta = as_fraction(beta)
+        return BiPoly({(i, j): c * alpha**i * beta**j for (i, j), c in self.coeffs.items()})
 
     def swap(self) -> "BiPoly":
         """Exchange the variables: f(x, y) -> f(y, x)."""
-        return BiPoly({(j, i): c for (i, j), c in self.coeffs.items()}, self.field)
+        return BiPoly({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def eval(self, xv, yv):
-        xv = self.field.of(xv) if isinstance(xv, (int, str)) else xv
-        yv = self.field.of(yv) if isinstance(yv, (int, str)) else yv
-        total = self.field.of(0)
+        xv = xv if isinstance(xv, Fraction) else as_fraction(xv)
+        yv = yv if isinstance(yv, Fraction) else as_fraction(yv)
+        total = _ZERO
         for (i, j), c in self.coeffs.items():
             total += c * xv**i * yv**j
         return total
@@ -191,7 +183,7 @@ class BiPoly:
         for (i, j), c in self.coeffs.items():
             if i:
                 out[(i - 1, j)] = c * i
-        return BiPoly(out, self.field)
+        return BiPoly(out)
 
     def diff_y(self) -> "BiPoly":
         """Classical partial derivative in y: diff_x conjugated by the swap."""
@@ -203,23 +195,21 @@ class BiPoly:
         Greedy grlex reduction by a single divisor: valid whenever the
         quotient exists in the ring, which is the only case callers rely on.
         """
-        self.field.check_same(divisor.field)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         lead = divisor.leading_term()
         (di, dj), dc = lead
         rem = self
         quot = {}
-        zero = self.field.of(0)
         while not rem.is_zero():
             (ri, rj), rc = rem.leading_term()
             if ri < di or rj < dj:
                 raise ValueError("nonzero remainder in exact polynomial division")
             qm = (ri - di, rj - dj)
             qc = rc / dc
-            quot[qm] = quot.get(qm, zero) + qc
-            rem = rem - divisor * BiPoly.monomial(qm[0], qm[1], qc, self.field)
-        return BiPoly(quot, self.field)
+            quot[qm] = quot.get(qm, _ZERO) + qc
+            rem = rem - divisor * BiPoly.monomial(qm[0], qm[1], qc)
+        return BiPoly(quot)
 
     def __repr__(self):
         if not self.coeffs:
@@ -237,7 +227,8 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: BiPoly, den: BiPoly):
-        num.field.check_same(den.field)
+        if not (isinstance(num, BiPoly) and isinstance(den, BiPoly)):
+            raise TypeError("RationalFn takes a BiPoly numerator and denominator")
         if den.is_zero():
             raise ZeroDivisionError("RationalFn with zero denominator")
         self.num = num
@@ -245,24 +236,18 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, p: BiPoly):
-        return cls(p, BiPoly.const(1, p.field))
-
-    @property
-    def field(self):
-        return self.num.field
+        return cls(p, BiPoly.const(1))
 
     def __mul__(self, other):
         if isinstance(other, RationalFn):
             return RationalFn(self.num * other.num, self.den * other.den)
-        if isinstance(other, BiPoly):
-            return RationalFn(self.num * other, self.den)
         return RationalFn(self.num * other, self.den)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, RationalFn):
-            other = RationalFn.from_poly(other if isinstance(other, BiPoly) else BiPoly.const(self.field.of(other), self.field))
+            other = RationalFn.from_poly(BiPoly._coerce(other))
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
@@ -276,14 +261,12 @@ class RationalFn:
 
     def eval(self, xv, yv):
         dv = self.den.eval(xv, yv)
-        if self.field.is_zero(dv):
+        if not dv:
             raise ZeroDivisionError(f"RationalFn denominator vanishes at ({xv},{yv})")
         return self.num.eval(xv, yv) / dv
 
     def ratfn_equal(self, other: "RationalFn") -> bool:
-        """True iff self == other as rational functions (exact backend)."""
-        if not self.field.exact:
-            raise BackendMismatch("rational-function identity checks need the exact backend")
+        """True iff self == other as rational functions."""
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __repr__(self):

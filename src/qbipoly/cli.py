@@ -29,7 +29,6 @@ from .monic import OracleError, generate_monic_oracle
 from .pearson import LatticePoleError, verify_pearson_identities
 from .qcalc import QParam, SeriesError, verify_operator_relations
 from .rodrigues import RodriguesError, RodriguesSpec, rodrigues_poly
-from .scalars import QQ
 from .suites import ORTH_TOL, run_suite
 
 MAX_DEGREE_GUARD = 12
@@ -116,7 +115,7 @@ def cmd_check(cfg: RunConfig) -> int:
     if ok:
         report["eigenvalues"] = {str(n): qio.frac_str(adm.eigenvalue(n))
                                  for n in range(cfg.max_degree + 1)}
-        fx = BiPoly({(2, 1): Fraction(1), (0, 0): Fraction(3)}, QQ)
+        fx = BiPoly({(2, 1): Fraction(1), (0, 0): Fraction(3)})
         report["operator_relations"] = verify_operator_relations(E.qp, fx)
         ok = ok and all(report["operator_relations"].values())
         pear = verify_pearson_identities(E, 2, 2)
@@ -264,7 +263,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
             raise ConfigError(f"the {suite} suite runs on the big-q-jacobi preset")
         kwargs = {"p": cfg.preset}
     try:
-        ok, rows, details = run_suite(suite, **kwargs)
+        ok, rows = run_suite(suite, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     header = ("case", "a", "b", "value", "pass")

@@ -38,10 +38,6 @@ class EquationCoeffs:
     b1: BiPoly
     b2: BiPoly
 
-    @property
-    def field(self):
-        return self.c11.field
-
     def polys(self):
         return (self.c11, self.c22, self.a12a, self.a12d, self.b1, self.b2)
 
@@ -134,7 +130,7 @@ def apply_adjoint(E, f: BiPoly) -> BiPoly:
     """The adjoint operator; multiplication by the coefficient happens inside
     the differences, with the same sqrt(q)-absorbed convention."""
     qp = E.qp
-    q = E.field.of(qp.q)
+    q = qp.q
     return (dq1(dqm1(E.c11 * f, qp), qp)
             + dq2(dqm2(E.c22 * f, qp), qp)
             + dq1(dq2(E.a12d * f, qp), qp) * q**2
@@ -225,7 +221,7 @@ def _xstep(qp: QParam, state):
     of order (k, l) -> (k + 1, l)."""
     c11, c22, a12a, a12d, b1, b2, mu = state
     q = qp.q
-    y = BiPoly.y(c11.field)
+    y = BiPoly.y()
     return (c11 / q,
             c22 + y * dq1(a12d, qp) * (1 - q),
             a12a.scale_args(q, 1),
@@ -250,7 +246,7 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
     if lam is None:
-        lam = E.field.of(0)
+        lam = Fraction(0)
     state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, lam)
     for _ in range(k):
         state = _xstep(E.qp, state)

@@ -1,8 +1,9 @@
 """Serialization (JSON/CSV with exact fractions), the equation file format,
 and atomic writes.
 
-Exact scalars travel as decimal-free numerator/denominator strings; float
-scalars as decimal strings.  Every JSON document carries schema_version.
+Scalars travel as decimal-free numerator/denominator strings; float-lane
+report values as 40-digit decimal strings.  Every JSON document carries
+schema_version.
 Files are written to a uniquely named temporary sibling and renamed, so
 failures leave neither partial outputs nor temp files.
 """
@@ -19,7 +20,6 @@ from .bipoly import BiPoly
 from .equation import EquationCoeffs
 from .linalg import Mat, PolyVec
 from .qcalc import QParam
-from .scalars import QQ
 
 SCHEMA_VERSION = 1
 
@@ -33,13 +33,6 @@ def frac_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def scalar_json(v, exact: bool):
-    if exact:
-        v = Fraction(v)
-        return {"num": str(v.numerator), "den": str(v.denominator)}
-    return {"value": mp_str(v)}
-
-
 def mp_str(v) -> str:
     import mpmath
 
@@ -47,28 +40,17 @@ def mp_str(v) -> str:
 
 
 def poly_to_json(p: BiPoly) -> list:
-    out = []
-    for (i, j), c in sorted(p.coeffs.items()):
-        rec = {"i": i, "j": j}
-        rec.update(scalar_json(c, p.field.exact))
-        out.append(rec)
-    return out
+    return [{"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
+            for (i, j), c in sorted(p.coeffs.items())]
 
 
-def poly_from_json(records, field=QQ) -> BiPoly:
-    coeffs = {}
-    for rec in records:
-        if "num" in rec:
-            coeffs[(rec["i"], rec["j"])] = Fraction(int(rec["num"]), int(rec["den"]))
-        else:
-            coeffs[(rec["i"], rec["j"])] = field.of(rec["value"])
-    return BiPoly(coeffs, field)
+def poly_from_json(records) -> BiPoly:
+    return BiPoly({(rec["i"], rec["j"]): Fraction(int(rec["num"]), int(rec["den"]))
+                   for rec in records})
 
 
 def mat_to_json(m: Mat) -> list:
-    if m.field.exact:
-        return [[frac_str(v) for v in row] for row in m.rows]
-    return [[mp_str(v) for v in row] for row in m.rows]
+    return [[frac_str(v) for v in row] for row in m.rows]
 
 
 def polyvec_to_json(v: PolyVec) -> list:
@@ -164,7 +146,7 @@ def parse_poly_terms(text: str) -> BiPoly:
             coeffs[key] = Fraction(val)
         except (ValueError, ZeroDivisionError):
             raise EquationParseError(f"bad coefficient in {item!r}") from None
-    return BiPoly(coeffs, QQ)
+    return BiPoly(coeffs)
 
 
 def poly_terms_str(p: BiPoly) -> str:

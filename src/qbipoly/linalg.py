@@ -1,18 +1,22 @@
 """Scalar matrices, polynomial column vectors, exact solving, and
 tensor-product Vandermonde interpolation.
 
-Sizes here are tiny (O(degree)).  Matrices are stored as lists of rows, and
-products skip the zero entries of the left factor, since the operator's
-difference blocks are bidiagonal and the multiplication embeddings are 0/1
-selections.  Solving is plain rational Gaussian elimination with partial
-pivoting on exact scalars; in the exact backend the results, ranks and
-singularity reports are exact.
+Sizes here are tiny (O(degree)).  Matrices are stored as lists of rows of
+Fractions (entries are taken through ``as_fraction``), and products skip
+the zero entries of the left factor, since the operator's difference blocks
+are bidiagonal and the multiplication embeddings are 0/1 selections.
+Solving is plain rational Gaussian elimination with partial pivoting, so
+results, ranks and singularity reports are exact.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .bipoly import BiPoly
-from .scalars import QQ, Field
+from .scalars import as_fraction
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class SingularMatrixError(ValueError):
@@ -22,27 +26,24 @@ class SingularMatrixError(ValueError):
 
 
 class Mat:
-    __slots__ = ("rows", "ncols", "field")
+    __slots__ = ("rows", "ncols")
 
-    def __init__(self, rows, field: Field = QQ):
-        rows = [list(r) for r in rows]
+    def __init__(self, rows):
+        rows = [[v if isinstance(v, Fraction) else as_fraction(v) for v in r] for r in rows]
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged matrix rows")
-        self.rows = [[field.of(v) if isinstance(v, (int, str)) else v for v in r] for r in rows]
+        self.rows = rows
         self.ncols = ncols
-        self.field = field
 
     @classmethod
-    def zeros(cls, n: int, m: int, field: Field = QQ):
-        z = field.of(0)
-        return cls([[z] * m for _ in range(n)], field)
+    def zeros(cls, n: int, m: int):
+        return cls([[_ZERO] * m for _ in range(n)])
 
     @classmethod
-    def identity(cls, n: int, field: Field = QQ):
-        z, o = field.of(0), field.of(1)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
+    def identity(cls, n: int):
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -57,49 +58,47 @@ class Mat:
         return self.rows[i][j]
 
     def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)], self.field)
+        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.field)
+        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-v for v in r] for r in self.rows], self.field)
+        return Mat([[-v for v in r] for r in self.rows])
 
     def scaled(self, c) -> "Mat":
-        c = self.field.of(c) if isinstance(c, (int, str)) else c
-        return Mat([[v * c for v in r] for r in self.rows], self.field)
+        c = as_fraction(c)
+        return Mat([[v * c for v in r] for r in self.rows])
 
     def __matmul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
             # row i of the product is the sum of B's rows weighted by the
-            # nonzero entries of A's row i; taken in ascending index order,
-            # float sums round exactly as the entrywise dot products do
-            is_zero = self.field.is_zero
-            zeros = [self.field.of(0)] * other.ncols
+            # nonzero entries of A's row i
+            zeros = [_ZERO] * other.ncols
             out = []
             for r in self.rows:
                 acc = None
                 for a, brow in zip(r, other.rows):
-                    if not is_zero(a):
+                    if a:
                         acc = ([a * b for b in brow] if acc is None
                                else [s + a * b for s, b in zip(acc, brow)])
                 out.append(acc or zeros)
-            return Mat(out, self.field)
+            return Mat(out)
         if isinstance(other, PolyVec):
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch {self.shape} @ vec({len(other)})")
             out = []
             for r in self.rows:
-                acc = BiPoly.zero(self.field)
+                acc = BiPoly.zero()
                 for coef, p in zip(r, other.entries):
-                    if not self.field.is_zero(coef):
+                    if coef:
                         acc = acc + p * coef
                 out.append(acc)
             return PolyVec(out)
@@ -108,30 +107,28 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and all(
-            self.field.eq(a, b) for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
-        )
+        return self.shape == other.shape and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
+        return hash(tuple(tuple(r) for r in self.rows))
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination (exact backend)."""
+        """Exact rank by Gaussian elimination."""
         work = [r[:] for r in self.rows]
         n, m = self.nrows, self.ncols
         rank = 0
         for col in range(m):
-            piv = next((i for i in range(rank, n) if not self.field.is_zero(work[i][col])), None)
+            piv = next((i for i in range(rank, n) if work[i][col]), None)
             if piv is None:
                 continue
             work[rank], work[piv] = work[piv], work[rank]
             pval = work[rank][col]
             for i in range(rank + 1, n):
                 f = work[i][col] / pval
-                if not self.field.is_zero(f):
+                if f:
                     work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
             rank += 1
             if rank == n:
@@ -152,21 +149,19 @@ def mat_diff(A: Mat, B: Mat) -> list:
 
 
 def solve_exact(A: Mat, B: Mat) -> Mat:
-    """Solve A @ X = B by rational Gaussian elimination; exact on the exact backend.
+    """Solve A @ X = B exactly by rational Gaussian elimination.
 
     Raises SingularMatrixError naming the pivot column where rank collapses.
     """
-    A.field.check_same(B.field)
     n = A.nrows
     if A.ncols != n:
         raise ValueError("solve_exact needs a square matrix")
     if B.nrows != n:
         raise ValueError("right-hand side row count mismatch")
-    field = A.field
     m = B.ncols
     work = [A.rows[i][:] + B.rows[i][:] for i in range(n)]
     for col in range(n):
-        piv = next((i for i in range(col, n) if not field.is_zero(work[i][col])), None)
+        piv = next((i for i in range(col, n) if work[i][col]), None)
         if piv is None:
             raise SingularMatrixError(col)
         work[col], work[piv] = work[piv], work[col]
@@ -175,9 +170,9 @@ def solve_exact(A: Mat, B: Mat) -> Mat:
         for i in range(n):
             if i != col:
                 f = work[i][col]
-                if not field.is_zero(f):
+                if f:
                     work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return Mat([row[n : n + m] for row in work], field)
+    return Mat([row[n : n + m] for row in work])
 
 
 class PolyVec:
@@ -189,14 +184,9 @@ class PolyVec:
         entries = list(entries)
         if not entries:
             raise ValueError("empty polynomial vector")
-        f = entries[0].field
-        for e in entries:
-            f.check_same(e.field)
+        if not all(isinstance(e, BiPoly) for e in entries):
+            raise TypeError("polynomial vector entries must be BiPolys")
         self.entries = entries
-
-    @property
-    def field(self):
-        return self.entries[0].field
 
     def __len__(self):
         return len(self.entries)
@@ -236,11 +226,11 @@ class PolyVec:
         return "PolyVec[" + "; ".join(repr(e) for e in self.entries) + "]"
 
 
-def monomial_vec(n: int, field: Field = QQ) -> PolyVec:
+def monomial_vec(n: int) -> PolyVec:
     """The graded-lex monomial column (x^n, x^{n-1}y, ..., y^n)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return PolyVec([BiPoly.monomial(n - k, k, 1, field) for k in range(n + 1)])
+    return PolyVec([BiPoly.monomial(n - k, k) for k in range(n + 1)])
 
 
 def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
@@ -249,20 +239,15 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
     Row k holds the coefficients of entry k against the monomials
     (x^degree, x^{degree-1}y, ..., y^degree).
     """
-    field = vec.field
-    rows = []
-    for p in vec.entries:
-        rows.append([p.coeff(degree - c, c) for c in range(degree + 1)])
-    return Mat(rows, field)
+    return Mat([[p.coeff(degree - c, c) for c in range(degree + 1)] for p in vec.entries])
 
 
 def interpolate_2d(nodes_x, nodes_y, values: Mat) -> BiPoly:
     """Recover the unique BiPoly with deg_x < len(nodes_x), deg_y < len(nodes_y)
     matching values[r][s] = p(nodes_x[r], nodes_y[s]), by exact tensor-product
     Vandermonde solves."""
-    field = values.field
-    nodes_x = [field.of(v) if isinstance(v, (int, str)) else v for v in nodes_x]
-    nodes_y = [field.of(v) if isinstance(v, (int, str)) else v for v in nodes_y]
+    nodes_x = [as_fraction(v) for v in nodes_x]
+    nodes_y = [as_fraction(v) for v in nodes_y]
     nx, ny = len(nodes_x), len(nodes_y)
     if values.shape != (nx, ny):
         raise ValueError(f"values shape {values.shape} does not match node counts ({nx},{ny})")
@@ -272,9 +257,9 @@ def interpolate_2d(nodes_x, nodes_y, values: Mat) -> BiPoly:
             if v in seen:
                 raise ValueError(f"repeated {label} interpolation node {v}")
             seen.add(v)
-    vx = Mat([[xv**i for i in range(nx)] for xv in nodes_x], field)
-    vy = Mat([[yv**j for j in range(ny)] for yv in nodes_y], field)
+    vx = Mat([[xv**i for i in range(nx)] for xv in nodes_x])
+    vy = Mat([[yv**j for j in range(ny)] for yv in nodes_y])
     # values = Vx @ C @ Vy^T; solve for C in two steps
     half = solve_exact(vx, values)                       # C @ Vy^T
     coeff = solve_exact(vy, half.transpose()).transpose()  # C
-    return BiPoly({(i, j): coeff[i, j] for i in range(nx) for j in range(ny)}, field)
+    return BiPoly({(i, j): coeff[i, j] for i in range(nx) for j in range(ny)})

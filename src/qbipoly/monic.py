@@ -20,43 +20,46 @@ and the recursive generator) is built on oracle blocks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import Admissibility, EquationCoeffs, admissibility, apply_operator
 from .linalg import Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec
 from .qcalc import QParam, qnum
 
+_ONE = Fraction(1)
 
-def difference_matrix(n: int, j: int, base, field) -> Mat:
+
+def difference_matrix(n: int, j: int, base) -> Mat:
     """Structure matrix of the axis-j difference quotient of the given base
     on the degree-n monomial vector, D x^n = M x^{n-1}, size (n+1) x n:
     base q gives the forward E_{n,j}, base 1/q the backward K_{n,j} (the
     backward quotient of base q is the forward quotient of base 1/q)."""
     if j not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    M = Mat.zeros(n + 1, n, field)
+    M = Mat.zeros(n + 1, n)
     for k in range(n + 1):
         e = n - k if j == 1 else k  # exponent of the axis variable in x^{n-k} y^k
         if e:
-            M.rows[k][k if j == 1 else k - 1] = field.of((base**e - 1) / (base - 1))
+            M.rows[k][k if j == 1 else k - 1] = (base**e - 1) / (base - 1)
     return M
 
 
-def mat_L(n: int, j: int, field) -> Mat:
+def mat_L(n: int, j: int) -> Mat:
     """Multiplication embedding: x_j x^n = L_{n,j} x^{n+1}; size (n+1)x(n+2)."""
-    M = Mat.zeros(n + 1, n + 2, field)
+    M = Mat.zeros(n + 1, n + 2)
     off = 0 if j == 1 else 1
     for k in range(n + 1):
-        M.rows[k][k + off] = field.of(1)
+        M.rows[k][k + off] = _ONE
     return M
 
 
-def structure_matrices(n: int, qp: QParam, field) -> dict:
+def structure_matrices(n: int, qp: QParam) -> dict:
     out = {}
     for j in (1, 2):
-        out[f"E{j}"] = difference_matrix(n, j, qp.q, field)
-        out[f"K{j}"] = difference_matrix(n, j, 1 / qp.q, field)
-        out[f"L{j}"] = mat_L(n, j, field)
+        out[f"E{j}"] = difference_matrix(n, j, qp.q)
+        out[f"K{j}"] = difference_matrix(n, j, 1 / qp.q)
+        out[f"L{j}"] = mat_L(n, j)
     return out
 
 
@@ -71,7 +74,7 @@ def operator_blocks(E: EquationCoeffs, j: int):
     monomial vector of the corresponding degree; the operator drops total
     degree by at most 2.
     """
-    images = monomial_vec(j, E.field).apply(lambda p: apply_operator(E, p))
+    images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
     for img in images.entries:
         for (i1, i2) in img.coeffs:
             if i1 + i2 > j or i1 + i2 < j - 2:
@@ -90,11 +93,11 @@ def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     return [family.block(n, j) for j in range(n + 1)]
 
 
-def assemble_vector(ghat: list, field) -> PolyVec:
+def assemble_vector(ghat: list) -> PolyVec:
     """P_n = sum_j G_{n,j} x^j from its coefficient blocks."""
     total = None
     for j, G in enumerate(ghat):
-        part = G @ monomial_vec(j, field)
+        part = G @ monomial_vec(j)
         total = part if total is None else total + part
     return total
 
@@ -108,7 +111,6 @@ def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     (1-based), size (n+1) x n; kept verbatim for the discrepancy report."""
     if n < 1:
         raise ValueError("S_n needs n >= 1")
-    field = E.field
     qp = E.qp
     q = qp.q
     _, b1s, _ = E.sigma1()
@@ -117,13 +119,13 @@ def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     _, b3d, c3d, _ = E.cross_d()
     _, g1 = E.tau1()
     _, g2 = E.tau2()
-    S = Mat.zeros(n + 1, n, field)
+    S = Mat.zeros(n + 1, n)
     for i in range(1, n + 1):
-        S.rows[i - 1][i - 1] = field.of(
+        S.rows[i - 1][i - 1] = (
             qnum(n - i + 1, qp) * (g1 + q ** (1 + i - n) * b1s * qnum(n - i, qp)
                                    + c3a * qnum(i - 1, qp) + q ** (2 - n) * c3d * qnum(i - 1, qp))
         )
-        S.rows[i][i - 1] = field.of(
+        S.rows[i][i - 1] = (
             qnum(i - 1, qp) * (b2s * q ** (3 - i) * qnum(i - 2, qp)
                                + qnum(n + 1 - i, qp) * (b3a + b3d * q ** (2 - n)) + g2)
         )
@@ -134,14 +136,13 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     """The closed-form T_n (degree-drop-2 block), size (n+1) x (n-1)."""
     if n < 2:
         raise ValueError("T_n needs n >= 2")
-    field = E.field
     qp = E.qp
     q = qp.q
     _, _, c1s = E.sigma1()
     _, _, c2s = E.sigma2()
     d3a = E.cross_a()[3]
     d3d = E.cross_d()[3]
-    s, s1 = structure_matrices(n, qp, field), structure_matrices(n - 1, qp, field)
+    s, s1 = structure_matrices(n, qp), structure_matrices(n - 1, qp)
     return (s["E2"] @ s1["E1"]).scaled(d3a) \
         + (s["K1"] @ s1["E1"]).scaled(c1s * q) \
         + (s["K2"] @ s1["E2"]).scaled(c2s * q) \
@@ -160,7 +161,6 @@ def ghat_closed_form(family: MonicFamily, n: int, gn1_override: Mat | None = Non
     from the subdiagonal-entry question.
     """
     E = family.equation
-    field = E.field
     lam = family.admissibility.eigenvalue
 
     def smat(k):
@@ -169,12 +169,12 @@ def ghat_closed_form(family: MonicFamily, n: int, gn1_override: Mat | None = Non
         return family.operator_blocks[k][1]
 
     out = {}
-    gn1 = smat(n).scaled(field.of(1 / (lam(n - 1) - lam(n))))
+    gn1 = smat(n).scaled(1 / (lam(n - 1) - lam(n)))
     out["G_n_nm1"] = gn1
     if n >= 2:
         use = gn1 if gn1_override is None else gn1_override
         inner = t_matrix_closed_form(E, n) + use @ smat(n - 1)
-        out["G_n_nm2"] = inner.scaled(field.of(1 / (lam(n - 2) - lam(n))))
+        out["G_n_nm2"] = inner.scaled(1 / (lam(n - 2) - lam(n)))
     return out
 
 
@@ -192,14 +192,11 @@ def ghat_discrepancy_report(family: MonicFamily, n_max: int) -> dict:
             ghat_closed_form(family, n, s_source="operator")["G_n_nm1"], oracle_gn1)
         if n >= 2:
             oracle_gn2 = family.block(n, n - 2)
-            paper_fed = closed["G_n_nm2"]
-            oracle_fed = ghat_closed_form(family, n, gn1_override=oracle_gn1)["G_n_nm2"]
             formula = ghat_closed_form(family, n, gn1_override=oracle_gn1,
                                        s_source="operator")["G_n_nm2"]
-            entry["G_n_nm2_closedform_fed_matches"] = not mat_diff(paper_fed, oracle_gn2)
-            entry["G_n_nm2_closedformS_oraclefed_matches"] = not mat_diff(oracle_fed, oracle_gn2)
-            entry["G_n_nm2_formula_matches"] = not mat_diff(formula, oracle_gn2)
+            entry["G_n_nm2_closedform_fed_matches"] = not mat_diff(closed["G_n_nm2"], oracle_gn2)
             entry["G_n_nm2_formula_diffs"] = mat_diff(formula, oracle_gn2)
+            entry["G_n_nm2_formula_matches"] = not entry["G_n_nm2_formula_diffs"]
         report[n] = entry
     return report
 
@@ -236,29 +233,28 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
     division G_{n,d} = -rhs / (lambda_n - lambda_d); each degree's vector is
     then checked against the eigen-equation."""
-    field = E.field
     adm = admissibility(E)
     if not adm.admissible:
         raise OracleError(f"equation not admissible: {adm.failures}")
     blocks = [operator_blocks(E, j) for j in range(N + 1)]
-    lam = [field.of(adm.eigenvalue(j)) for j in range(N + 1)]
+    lam = [adm.eigenvalue(j) for j in range(N + 1)]
     for j in range(N + 1):
-        if blocks[j][0] != Mat.identity(j + 1, field).scaled(-lam[j]):
+        if blocks[j][0] != Mat.identity(j + 1).scaled(-lam[j]):
             raise OracleError(f"degree-preserving operator block is not -lambda_j I at degree {j}")
     ghat = {}
     vectors = []
     for n in range(N + 1):
         chain = [None] * (n + 1)
-        chain[n] = Mat.identity(n + 1, field)
+        chain[n] = Mat.identity(n + 1)
         for d in range(n - 1, -1, -1):
             rhs = chain[d + 1] @ blocks[d + 1][1]
             if d + 2 <= n:
                 rhs = rhs + chain[d + 2] @ blocks[d + 2][2]
             gap = lam[n] - lam[d]
-            if field.is_zero(gap):
+            if not gap:
                 raise OracleError(f"eigenvalues of degrees {d} and {n} coincide")
             chain[d] = rhs.scaled(-1 / gap)
-        vec = assemble_vector(chain, field)
+        vec = assemble_vector(chain)
         for k, p in enumerate(vec.entries):
             if not (apply_operator(E, p) + p * lam[n]).is_zero():
                 raise OracleError(f"oracle vector entry {k} violates the eigen-equation at n={n}")
@@ -271,37 +267,35 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
     """Recurrence matrices A_{n,j}, B_{n,j}, C_{n,j} from the coefficient
     blocks (explicit closed formulas, including the n = 0, 1 special cases)."""
-    E = family.equation
-    field = E.field
-    A = mat_L(n, j, field)
+    A = mat_L(n, j)
     if n == 0:
-        B = -(mat_L(0, j, field) @ family.block(1, 0))
+        B = -(mat_L(0, j) @ family.block(1, 0))
         C = None
     else:
-        B = family.block(n, n - 1) @ mat_L(n - 1, j, field) - mat_L(n, j, field) @ family.block(n + 1, n)
+        B = family.block(n, n - 1) @ mat_L(n - 1, j) - mat_L(n, j) @ family.block(n + 1, n)
         if n == 1:
-            C = -(mat_L(1, j, field) @ family.block(2, 0) + B @ family.block(1, 0))
+            C = -(mat_L(1, j) @ family.block(2, 0) + B @ family.block(1, 0))
         else:
-            C = (family.block(n, n - 2) @ mat_L(n - 2, j, field)
-                 - mat_L(n, j, field) @ family.block(n + 1, n - 1)
+            C = (family.block(n, n - 2) @ mat_L(n - 2, j)
+                 - mat_L(n, j) @ family.block(n + 1, n - 1)
                  - B @ family.block(n, n - 1))
     return {"A": A, "B": B, "C": C}
 
 
-def joint_L(n: int, field) -> Mat:
-    return Mat(mat_L(n, 1, field).rows + mat_L(n, 2, field).rows, field)
+def joint_L(n: int) -> Mat:
+    return Mat(mat_L(n, 1).rows + mat_L(n, 2).rows)
 
 
-def generalized_inverse_L(n: int, field) -> Mat:
+def generalized_inverse_L(n: int) -> Mat:
     """The explicit left inverse D_n of the stacked L_n: first and last rows
     are unit, interior rows average the two blocks with halves."""
-    D = Mat.zeros(n + 2, 2 * n + 2, field)
-    half = field.of(1) / field.of(2)
-    D.rows[0][0] = field.of(1)
+    D = Mat.zeros(n + 2, 2 * n + 2)
+    half = Fraction(1, 2)
+    D.rows[0][0] = _ONE
     for i in range(1, n + 1):
         D.rows[i][i] = half
         D.rows[i][n + i] = half
-    D.rows[n + 1][2 * n + 1] = field.of(1)
+    D.rows[n + 1][2 * n + 1] = _ONE
     return D
 
 
@@ -316,25 +310,24 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
     matrices of degree n, so blocks through degree N = oracle.N suffice."""
     E = oracle.equation
     N = oracle.N
-    field = E.field
-    x = BiPoly.x(field)
-    y = BiPoly.y(field)
-    vectors = [PolyVec([BiPoly.const(1, field)])]
+    x = BiPoly.x()
+    y = BiPoly.y()
+    vectors = [PolyVec([BiPoly.const(1)])]
     prev = None
     for n in range(N):
-        D = generalized_inverse_L(n, field)
-        L = joint_L(n, field)
-        if not (D @ L) == Mat.identity(n + 2, field):
+        D = generalized_inverse_L(n)
+        L = joint_L(n)
+        if not (D @ L) == Mat.identity(n + 2):
             raise RecurrenceMismatch(f"generalized inverse fails D_n L_n = I at n={n}")
         tb = ttr_matrices(oracle, n, 1)
         tb2 = ttr_matrices(oracle, n, 2)
-        Bn = Mat(tb["B"].rows + tb2["B"].rows, field)
+        Bn = Mat(tb["B"].rows + tb2["B"].rows)
         cur = vectors[n]
         stacked = PolyVec([p * x for p in cur.entries] + [p * y for p in cur.entries])
         rhs = stacked - (Bn @ cur)
         nxt = D @ rhs
         if n >= 1:
-            Cn = Mat(tb["C"].rows + tb2["C"].rows, field)
+            Cn = Mat(tb["C"].rows + tb2["C"].rows)
             nxt = nxt - (D @ (Cn @ prev))
         prev = cur
         vectors.append(nxt)
@@ -350,14 +343,9 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
     return replace(oracle, vectors=vectors)
 
 
-def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> Mat:
-    """Moment matrix L(x^m P_n^T): entry (r, c) integrates monomial r of
-    degree m against entry c of the degree-n vector (float lane)."""
-    E = family.equation
-    vec = family.vectors[n]
-    rows = []
-    for r in range(m + 1):
-        mono = BiPoly.monomial(m - r, r, 1, E.field)
-        rows.append([functional(mono * p) for p in vec.entries])
-    out_field = getattr(functional, "field", E.field)
-    return Mat(rows, out_field)
+def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> list:
+    """Moment matrix L(x^m P_n^T) as a list of rows: entry [r][c] applies
+    `functional` (BiPoly -> scalar, e.g. a MomentTable on the float lane) to
+    monomial r of degree m times entry c of the degree-n vector."""
+    return [[functional(BiPoly.monomial(m - r, r) * p) for p in family.vectors[n].entries]
+            for r in range(m + 1)]

@@ -22,7 +22,8 @@ the lattice form of the Rodrigues bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .bipoly import BiPoly, RationalFn
 from .equation import DerivedCoeffs, EquationCoeffs, derived_coeffs
@@ -57,9 +58,9 @@ def build_pearson(E) -> PearsonData:
     """Pearson polynomials and ratio functions of an EquationCoeffs or
     DerivedCoeffs; exact."""
     qp = E.qp
-    q = E.field.of(qp.q)
-    x = BiPoly.x(E.field)
-    y = BiPoly.y(E.field)
+    q = qp.q
+    x = BiPoly.x()
+    y = BiPoly.y()
     omega1 = y * E.c11 - x * E.a12d * q
     omega2 = x * E.c22 - y * E.a12d * q
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
@@ -81,7 +82,7 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
     coupling condition linking omega's of neighbouring orders.
     """
     qp = E.qp
-    q = E.field.of(qp.q)
+    q = qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = {(k, l): derived_coeffs(E, k, l)
                for k in range(k_max + 2) for l in range(l_max + 2)}
@@ -98,8 +99,8 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
             report["ratio_left"][(k, l)] = lhs_l.ratfn_equal(a12a)
             report["ratio_right"][(k, l)] = lhs_r.ratfn_equal(a12a)
 
-            x = BiPoly.x(E.field)
-            y = BiPoly.y(E.field)
+            x = BiPoly.x()
+            y = BiPoly.y()
             key_lhs = P.g2 * y * dq_ratfn(P.g1, qp, 2)
             key_rhs = P.g1 * x * dq_ratfn(P.g2, qp, 1)
             report["key"][(k, l)] = key_lhs.ratfn_equal(key_rhs)
@@ -130,7 +131,9 @@ class WeightEvaluator:
     anchor: tuple
     qp: QParam
     scale: object = 1
-    _cache: dict = dc_field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self._cache = {}
 
     def _g(self, which: str, xv, yv, index: int):
         g = self.pearson.g1 if which == "G1" else self.pearson.g2
@@ -140,7 +143,7 @@ class WeightEvaluator:
             raise LatticePoleError(which, index, (xv, yv)) from None
 
     def value(self, s: int, t: int):
-        """rho at (q^s x0, q^t y0), s, t >= 0; exact on the exact backend."""
+        """rho at (q^s x0, q^t y0), s, t >= 0; exact."""
         if s < 0 or t < 0:
             raise ValueError("lattice exponents must be nonnegative")
         key = (s, t)
@@ -181,8 +184,8 @@ def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
 def omega_product_at(E: EquationCoeffs, k: int, l: int, xv, yv):
     """prod_{i=1..k} omega1(q^i x, q^l y) * prod_{s=1..l} omega2(q^k x, q^s y)."""
     P = build_pearson(E)
-    q = E.field.of(E.qp.q)
-    val = E.field.of(1)
+    q = E.qp.q
+    val = Fraction(1)
     for i in range(1, k + 1):
         val *= P.omega1.eval(xv * q**i, yv * q**l)
     for s in range(1, l + 1):
@@ -210,8 +213,6 @@ def rho_kl(E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator | No
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     """CSV-ready rows (s, t, x, y, numerator, denominator) of exact lattice
     weight values; rows are ordered by (s, t)."""
-    from fractions import Fraction
-
     rows = []
     for s in range(s_max + 1):
         for t in range(t_max + 1):

@@ -1,10 +1,11 @@
-"""q-arithmetic primitives, partial q-difference operators, Jackson
-q-integration, and the (q-)hypergeometric series evaluators.
+"""q-arithmetic primitives, partial q-difference operators, and the
+(q-)hypergeometric series evaluators.
 
 Operators act on BiPolys exactly (monomial-by-monomial) and on precomputed
-lattice sample tables (for weights, which are not polynomials).  All
-float-lane summations run in ascending index order at the field's working
-precision, so results are reproducible.
+lattice sample tables (for weights, which are not polynomials).  The one
+float-lane routine, the infinite q-Pochhammer, multiplies its factors in
+ascending index order at the field's working precision, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, RationalFn
-from .scalars import BackendMismatch, Field, FloatField, as_fraction
+from .scalars import FloatField, as_fraction
 
 
 @dataclass(frozen=True)
@@ -26,21 +27,6 @@ class QParam:
         object.__setattr__(self, "q", as_fraction(self.q))
         if not (0 < self.q < 1):
             raise ValueError(f"q must satisfy 0 < q < 1, got {self.q}")
-
-
-@dataclass(frozen=True)
-class QDomain:
-    """Iterated q-integration domain: outer y in (y_lo, y_hi), inner x between
-    affine limits alpha + beta*y per endpoint."""
-
-    y_lo: Fraction
-    y_hi: Fraction
-    x_lo: tuple  # (alpha, beta)
-    x_hi: tuple
-
-    def x_limits(self, yv):
-        (a0, b0), (a1, b1) = self.x_lo, self.x_hi
-        return a0 + b0 * yv, a1 + b1 * yv
 
 
 def qnum(z: int, qp: QParam) -> Fraction:
@@ -65,8 +51,6 @@ def qpochhammer(a, qp: QParam, k: int):
 def qpochhammer_inf(a, qp: QParam, field: FloatField, max_terms: int | None = None):
     """Infinite q-shifted factorial, truncated once |a| q^j drops below the
     field's geometric-tail threshold (tail factor bounded by 1)."""
-    if not isinstance(field, FloatField):
-        raise BackendMismatch("infinite q-Pochhammer requires the float backend")
     q = field.of(qp.q)
     prod = field.one
     term = field.of(a)
@@ -114,7 +98,7 @@ def _difference(f: BiPoly, p, axis: int) -> BiPoly:
             if qn is None:
                 qn = qnums[e] = (p**e - 1) / (p - 1)
             out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = c * qn
-    return BiPoly(out, f.field)
+    return BiPoly(out)
 
 
 def dq1(f: BiPoly, qp: QParam) -> BiPoly:
@@ -145,7 +129,7 @@ def dq_ratfn(r: RationalFn, qp: QParam, axis: int) -> RationalFn:
     or y (axis 2)."""
     q = qp.q
     diff = (r.scale_args(q, 1) if axis == 1 else r.scale_args(1, q)) - r
-    step = BiPoly.monomial(2 - axis, axis - 1, q - 1, diff.num.field)
+    step = BiPoly.monomial(2 - axis, axis - 1, q - 1)
     return RationalFn(diff.num, diff.den * step)
 
 
@@ -197,13 +181,11 @@ def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
 def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) -> dict:
     """Check the commutation/conversion identities and both product rules as
     exact polynomial identities; returns {identity name: bool}."""
-    if not f.field.exact:
-        raise BackendMismatch("operator identities are checked on the exact backend")
     if g is None:
-        g = BiPoly({(2, 1): 1, (1, 0): 1, (0, 0): 2}, f.field)
+        g = BiPoly({(2, 1): 1, (1, 0): 1, (0, 0): 2})
     q = qp.q
-    x = BiPoly.x(f.field)
-    y = BiPoly.y(f.field)
+    x = BiPoly.x()
+    y = BiPoly.y()
     g_qx = g.scale_args(q, 1)
     g_qy = g.scale_args(1, q)
     report = {
@@ -217,47 +199,6 @@ def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) ->
         "product_rule_axis2": dq2(f * g, qp) == f * dq2(g, qp) + g_qy * dq2(f, qp),
     }
     return report
-
-
-# ---------------------------------------------------------------------------
-# Jackson q-integration
-# ---------------------------------------------------------------------------
-
-def jackson_integral_1d(f, upper, qp: QParam, truncation: int, field: Field):
-    """Truncated Jackson integral from 0 to `upper`:
-    (1-q) * upper * sum_{j=0..N} q^j f(upper q^j), at the field's precision."""
-    q = field.of(qp.q)
-    a = field.of(upper)
-    if field.is_zero(a):
-        return field.of(0)
-    total = field.of(0)
-    w = field.of(1)
-    for _ in range(truncation + 1):
-        v = f(a * w)
-        total += w * v
-        w *= q
-    return (1 - q) * a * total
-
-
-def jackson_integral_interval(f, lo, hi, qp: QParam, truncation: int, field: Field):
-    """Interval convention: int_lo^hi = int_0^hi - int_0^lo (endpoints of
-    either sign)."""
-    return jackson_integral_1d(f, hi, qp, truncation, field) - jackson_integral_1d(
-        f, lo, qp, truncation, field
-    )
-
-
-def jackson_integral_double(f, domain: QDomain, qp: QParam, truncation: int, field: Field):
-    """Iterated Jackson integral of f(x, y) over a QDomain: outer y then inner
-    x with the inner limits re-evaluated at every outer node."""
-
-    def outer(yv):
-        xlo, xhi = domain.x_limits(yv)
-        return jackson_integral_interval(lambda xv: f(xv, yv), xlo, xhi, qp, truncation, field)
-
-    ylo = field.of(domain.y_lo)
-    yhi = field.of(domain.y_hi)
-    return jackson_integral_interval(outer, ylo, yhi, qp, truncation, field)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +341,7 @@ def jacobi_poly(n: int, a, b, x):
     a = Fraction(a) if isinstance(a, int) else a
     b = Fraction(b) if isinstance(b, int) else b
     half = Fraction(1, 2)
-    arg = (1 - x) * half if isinstance(x, (int, Fraction)) else (BiPoly.const(1, x.field) - x) * half
+    arg = (1 - x) * half if isinstance(x, (int, Fraction)) else (BiPoly.const(1) - x) * half
     lead = pochhammer_rising(a + 1, n) / pochhammer_rising(Fraction(1), n)
     return gauss_2f1_terminating(Fraction(-n), n + a + b + 1, a + 1, arg) * lead
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .equation import EquationCoeffs, admissibility, apply_operator
 from .linalg import Mat, interpolate_2d
-from .pearson import LatticePoleError, base_weight, rho_kl
-from .qcalc import dq_nm_table, dqm_nm_table
+from .pearson import LatticePoleError, base_weight
+from .qcalc import dq_nm_table
 
 #: Base points tried in order when a lattice path hits a Pearson pole.
 DEFAULT_BASES = (
@@ -74,7 +74,7 @@ def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     X, Y = xb * q ** -(G - 1), yb * q ** -(G - 1)
     rho = base_weight(E, (X, Y))
     P = rho.pearson
-    pref = E.field.of(q) ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+    pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
     # factor arguments reach dx (dy) steps below the lattice: xs[a + dx] = x_a
     dx, dy = max(n - 1, 0), max(m - 1, 0)
@@ -124,7 +124,7 @@ def rodrigues_poly(spec: RodriguesSpec, monic: bool = False) -> BiPoly:
         except (LatticePoleError, ZeroDivisionError) as exc:
             last_pole = exc
             continue
-        poly = interpolate_2d(nodes_x, nodes_y, Mat(values, E.field))
+        poly = interpolate_2d(nodes_x, nodes_y, Mat(values))
         poly = poly * spec.normalization
         break
     else:
@@ -147,26 +147,3 @@ def rodrigues_poly(spec: RodriguesSpec, monic: bool = False) -> BiPoly:
         lead = poly.homogeneous_part(poly.total_degree()).leading_term()
         poly = poly / lead[1]
     return poly
-
-
-def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
-    """First-line evaluation: backward differences of rho^{(n,m)} divided by
-    rho, on the same grid rodrigues_poly interpolates over.
-
-    Shares the far anchor with the forward construction so the two routes
-    are comparable; they differ by the constant q^{n^2 + m^2} (the forward
-    route carries the q^{n(1-n)/2+m(1-m)/2} prefactor).
-    """
-    qp = E.qp
-    q = qp.q
-    G = n + m + 1
-    xb, yb = base
-    # backward stencils reach n (resp. m) extra backward steps past the grid;
-    # S, T are the shifts of the base from the far anchor
-    S, T = G - 1 + n, G - 1 + m
-    anchor = (xb * q**-S, yb * q**-T)
-    rho = base_weight(E, anchor)
-    rkl = rho_kl(E, n, m, anchor, base=rho)
-    fvals = [[rkl.value(S - r, T - s) for s in range(T + 1)] for r in range(S + 1)]
-    table = dqm_nm_table(fvals, xb, yb, qp, n, m)
-    return [[table[i][j] / rho.value(S - i, T - j) for j in range(G)] for i in range(G)]

@@ -24,7 +24,7 @@ from qbipoly.monic import (generalized_inverse_L, generate_monic_oracle, generat
 from qbipoly.pearson import base_weight, build_pearson, verify_pearson_identities
 from qbipoly.qcalc import verify_operator_relations
 from qbipoly.rodrigues import RodriguesSpec, rodrigues_poly
-from qbipoly.scalars import FloatField, QQ
+from qbipoly.scalars import FloatField
 from qbipoly.suites import suite_orthogonality
 from test_equation import assert_routes_agree
 
@@ -130,7 +130,7 @@ def test_criterion_6_consistency(equation, params, oracle5):
             assert monic_hypergeometric(params, total - m, m) == oracle5.entry(total, m)
     generate_monic_rf(generate_monic_oracle(equation, 4))  # raises on any disagreement
     for n in range(7):
-        assert generalized_inverse_L(n, QQ) @ joint_L(n, QQ) == Mat.identity(n + 2)
+        assert generalized_inverse_L(n) @ joint_L(n) == Mat.identity(n + 2)
     report(6, "hypergeometric == oracle n+m<=4; recursive formula == oracle "
               "N<=4; left inverse n<=6", started)
 
@@ -185,7 +185,7 @@ def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
 
 def test_criterion_8_orthogonality():
     started = time.time()
-    ok, rows, _ = suite_orthogonality(TEST_PARAMS, max_total=3, truncation=200, prec=192)
+    ok, rows = suite_orthogonality(TEST_PARAMS, max_total=3, truncation=200, prec=192)
     assert ok, [r for r in rows if r[-1] == "False"]
     pair_rows = [r for r in rows if r[0] == "pair"]
     assert pair_rows and all(r[-1] == "True" for r in pair_rows)

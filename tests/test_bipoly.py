@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbipoly.bipoly import BiPoly, RationalFn, ratfn_equal
-from qbipoly.scalars import BackendMismatch, FloatField
+from qbipoly.linalg import Mat, PolyVec
+from qbipoly.scalars import FloatField
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -79,18 +81,26 @@ def test_classical_derivatives():
     assert p.diff_y() == x * x + 1
 
 
-def test_backend_mismatch_rejected():
-    f64 = FloatField(64)
-    pf = BiPoly({(1, 0): f64.of(1)}, f64)
-    with pytest.raises(BackendMismatch):
-        _ = pf + x
+#: non-rational scalars: a global-context mpf, a FloatField value, a float
+NOT_RATIONAL = [mpmath.mpf(1) / 3, FloatField(96).of(Fraction(1, 3)), 0.5]
 
 
-def test_float_backend_arithmetic():
-    f = FloatField(96)
-    p = BiPoly({(1, 0): f.of("0.5"), (0, 0): f.of(2)}, f)
-    q2 = p * p
-    assert f.close(q2.eval(f.of(2), f.of(0)), f.of(9))
+@pytest.mark.parametrize("v", NOT_RATIONAL, ids=["mpf", "field-mpf", "float"])
+def test_non_rational_scalars_rejected(v):
+    p = x * y + 1
+    for build in (lambda: BiPoly({(1, 0): v}), lambda: BiPoly.const(v),
+                  lambda: p * v, lambda: v * p, lambda: p + v, lambda: p - v,
+                  lambda: p / v, lambda: p.scale_args(v, 1),
+                  lambda: p.eval(v, 1), lambda: p.eval(1, v),
+                  lambda: RationalFn(x, v), lambda: RationalFn(x, y) * v, lambda: RationalFn(x, y) + v,
+                  lambda: RationalFn(x, y).eval(v, 1),
+                  lambda: Mat([[1, v]]), lambda: Mat([[1]]).scaled(v),
+                  lambda: PolyVec([x, v]), lambda: PolyVec([x, y]).scaled(v)):
+        with pytest.raises(TypeError):
+            build()
+    # exact inputs are accepted and stay exact
+    assert p.eval(2, Fraction(1, 2)) == 2 and isinstance(p.eval(2, 3), Fraction)
+    assert Mat([[1, "1/2"]]).rows == [[1, Fraction(1, 2)]]
 
 
 def test_leading_term_grlex():

@@ -23,10 +23,9 @@ def closed_forms(E: EquationCoeffs, k: int, l: int, lam):
     recurrence in derived_coeffs must reproduce exactly."""
     qp = E.qp
     q = qp.q
-    field = E.field
-    x = BiPoly.x(field)
-    y = BiPoly.y(field)
-    one = BiPoly.const(1, field)
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
     a1, b1s, _ = E.sigma1()
     a2, b2s, _ = E.sigma2()
     a3a, b3a, c3a, _ = E.cross_a()

@@ -328,13 +328,3 @@ def test_cli_generate_weight_table(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"] and first[4] == "1" and first[5] == "1"
 
-
-def test_float_poly_json():
-    from qbipoly.scalars import FloatField
-
-    fld = FloatField(96)
-    p = BiPoly({(1, 1): fld.of("0.25")}, fld)
-    rec = poly_to_json(p)
-    assert rec[0]["i"] == 1 and "value" in rec[0]
-    back = poly_from_json(rec, fld)
-    assert fld.close(back.coeff(1, 1), fld.of("0.25"))

@@ -6,7 +6,6 @@ import pytest
 from qbipoly.bipoly import BiPoly
 from qbipoly.linalg import (Mat, SingularMatrixError, graded_coeff_block,
                             interpolate_2d, monomial_vec, solve_exact)
-from qbipoly.scalars import FloatField
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -82,20 +81,6 @@ def test_matmul_matches_triple_loop_on_sparse_matrices():
     assert prod.rows[0] == [0, 0] and all(isinstance(v, Fraction) for v in prod.rows[0])
     assert (Mat([[0]]) @ Mat([[5]])).rows == [[0]]
     assert (Mat([[Fraction(2, 3)]]) @ Mat([[Fraction(3, 4)]])).rows == [[Fraction(1, 2)]]
-
-
-def test_matmul_floats_are_bit_identical_to_triple_loop():
-    fld = FloatField(128)
-    rng = random.Random(5)
-
-    def flt():
-        return fld.of(Fraction(rng.randint(-999, 999), rng.randint(1, 97)))
-
-    for zero_share in (0.0, 0.5, 0.9):
-        A = Mat(_sparse_random(rng, 5, 6, zero_share, flt), fld)
-        B = Mat(_sparse_random(rng, 6, 4, zero_share, flt), fld)
-        A.rows[2] = [fld.of(0)] * 6
-        assert (A @ B).rows == reference_matmul(A, B)
 
 
 def test_rank_exact():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -6,15 +7,12 @@ import pytest
 
 from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, closed_form_weight
 from qbipoly.bipoly import BiPoly
-from qbipoly.linalg import Mat
-from qbipoly.qcalc import (QDomain, QParam, SeriesError, dq1, dq2,
-                           dq_nm_table, dqm1, dqm2, dqm_nm_table,
-                           gauss_2f1_terminating, jackson_integral_1d,
-                           jackson_integral_double, jackson_integral_interval,
+from qbipoly.qcalc import (QParam, SeriesError, dq1, dq2, dq_nm_table, dqm1,
+                           dqm2, dqm_nm_table, gauss_2f1_terminating,
                            jacobi_poly, kampe_de_feriet, phi_bivariate, phi_rs,
                            pochhammer_rising, qbinomial, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
-from qbipoly.scalars import QQ, BackendMismatch, FloatField
+from qbipoly.scalars import FloatField
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -52,8 +50,6 @@ def test_qpochhammer_inf(qp):
     v = qpochhammer_inf(F(1, 2), qp, fld)
     ref = qpochhammer(F(1, 2), qp, 120)  # geometric tail below 2^-100
     assert fld.close(v, fld.of(ref))
-    with pytest.raises(BackendMismatch):
-        qpochhammer_inf(F(1, 2), qp, QQ)
 
 
 def test_qbinomial(qp):
@@ -175,22 +171,75 @@ def test_backward_forward_duality(qp):
 
 
 # Jackson integration ---------------------------------------------------------
+#
+# Generic truncated Jackson q-integrals, a reference independent of the
+# moment engine.  Each helper works on the scalars that `of` builds:
+# Fraction for exact sums, or a FloatField's `of` at the field's precision.
+
+@dataclass(frozen=True)
+class QDomain:
+    """Iterated q-integration domain: outer y in (y_lo, y_hi), inner x between
+    affine limits alpha + beta*y per endpoint."""
+
+    y_lo: Fraction
+    y_hi: Fraction
+    x_lo: tuple  # (alpha, beta)
+    x_hi: tuple
+
+    def x_limits(self, yv):
+        (a0, b0), (a1, b1) = self.x_lo, self.x_hi
+        return a0 + b0 * yv, a1 + b1 * yv
+
+
+def jackson_integral_1d(f, upper, qp, truncation, of):
+    """Truncated Jackson integral from 0 to `upper`:
+    (1-q) * upper * sum_{j=0..N} q^j f(upper q^j)."""
+    q = of(qp.q)
+    a = of(upper)
+    if a == 0:
+        return of(0)
+    total = of(0)
+    w = of(1)
+    for _ in range(truncation + 1):
+        v = f(a * w)
+        total += w * v
+        w *= q
+    return (1 - q) * a * total
+
+
+def jackson_integral_interval(f, lo, hi, qp, truncation, of):
+    """Interval convention: int_lo^hi = int_0^hi - int_0^lo (endpoints of
+    either sign)."""
+    return (jackson_integral_1d(f, hi, qp, truncation, of)
+            - jackson_integral_1d(f, lo, qp, truncation, of))
+
+
+def jackson_integral_double(f, domain, qp, truncation, of):
+    """Iterated Jackson integral of f(x, y) over a QDomain: outer y then inner
+    x with the inner limits re-evaluated at every outer node."""
+
+    def outer(yv):
+        xlo, xhi = domain.x_limits(yv)
+        return jackson_integral_interval(lambda xv: f(xv, yv), xlo, xhi, qp, truncation, of)
+
+    return jackson_integral_interval(outer, of(domain.y_lo), of(domain.y_hi), qp, truncation, of)
+
 
 def test_jackson_constant(qp):
     N = 40
-    v = jackson_integral_1d(lambda t: F(1), 1, qp, N, QQ)
+    v = jackson_integral_1d(lambda t: F(1), 1, qp, N, F)
     assert v == 1 - qp.q ** (N + 1)
 
 
 def test_jackson_linear(qp):
     # int_0^1 t d_q t = 1/(1+q) = 2/3 up to the geometric tail
     N = 80
-    v = jackson_integral_1d(lambda t: t, 1, qp, N, QQ)
+    v = jackson_integral_1d(lambda t: t, 1, qp, N, F)
     assert abs(v - F(2, 3)) < F(1, 10) ** 20
 
 
 def test_jackson_odd_symmetric(qp):
-    assert jackson_integral_interval(lambda t: t, -1, 1, qp, 30, QQ) == 0
+    assert jackson_integral_interval(lambda t: t, -1, 1, qp, 30, F) == 0
 
 
 def test_jackson_telescopes_q_derivative(qp):
@@ -199,7 +248,7 @@ def test_jackson_telescopes_q_derivative(qp):
     dF = dq1(Fpoly, qp)
     a = F(3, 4)
     N = 50
-    v = jackson_integral_1d(lambda t: dF.eval(t, F(0)), a, qp, N, QQ)
+    v = jackson_integral_1d(lambda t: dF.eval(t, F(0)), a, qp, N, F)
     assert v == Fpoly.eval(a, F(0)) - Fpoly.eval(a * qp.q ** (N + 1), F(0))
     assert abs(v - (Fpoly.eval(a, F(0)) - Fpoly.eval(F(0), F(0)))) < F(1, 10) ** 12
 
@@ -213,10 +262,10 @@ def test_jackson_runs_at_field_precision(qp):
     saved = mpmath.mp.prec
     mpmath.mp.prec = 53
     try:
-        one_sided = jackson_integral_1d(lambda t: t, 1, qp, N, fld)
-        interval = jackson_integral_interval(lambda t: t, F(-1, 3), 1, qp, N, fld)
+        one_sided = jackson_integral_1d(lambda t: t, 1, qp, N, fld.of)
+        interval = jackson_integral_interval(lambda t: t, F(-1, 3), 1, qp, N, fld.of)
         double = jackson_integral_double(lambda a, b: a, QDomain(F(0), F(1), (F(0), F(0)), (F(1), F(0))),
-                                         qp, N, fld)
+                                         qp, N, fld.of)
     finally:
         mpmath.mp.prec = saved
     for got, want in ((one_sided, exact), (interval, exact * (1 - F(1, 9))),
@@ -237,8 +286,8 @@ def _float_lane_values(qp):
 
 def test_float_lane_ignores_global_precision(qp):
     # every value of a FloatField rounds at the field's precision: mixed
-    # Fraction/int/mpf arithmetic, float Mat and BiPoly, the infinite
-    # products and the moment engine, under mpmath's global 53 bits
+    # Fraction/int/mpf arithmetic, the infinite products and the moment
+    # engine, under mpmath's global 53 bits
     reference = _float_lane_values(qp)  # at the default global precision
     saved = mpmath.mp.prec
     mpmath.mp.prec = 53
@@ -246,12 +295,8 @@ def test_float_lane_ignores_global_precision(qp):
         f = FloatField(192)
         third, tenth, want = f.of(F(1, 3)), f.of(F(1, 10)), f.of(F(13, 30))
         for got in (third + tenth, third + F(1, 10), F(1, 10) + third):
-            assert f.close(got, want) and f.eq(got, want)
+            assert f.close(got, want)
         assert f.close(1 + third, f.of(F(4, 3)))
-        row, col = Mat([[third, tenth]], f), Mat([[f.one], [f.one]], f)
-        assert row @ col == Mat([[want]], f)
-        p = BiPoly({(1, 0): third, (0, 1): tenth}, f)
-        assert f.close(p.eval(F(2, 7), F(3, 5)), f.of(F(163, 1050)))
         assert f.close(qpochhammer_inf(F(1, 2), qp, f), f.of(qpochhammer(F(1, 2), qp, 200)))
         narrow = mpmath.mpf(1) / 3  # an argument from the global context
         assert qpochhammer_inf(narrow, qp, f) == qpochhammer_inf(f.of(narrow), qp, f)
@@ -267,14 +312,14 @@ def test_jackson_double_rectangle(qp):
     # constant over ([0,1] x [0,1]) with affine-in-y inner limits turned off
     dom = QDomain(F(0), F(1), (F(0), F(0)), (F(1), F(0)))
     N = 60
-    v = jackson_integral_double(lambda a, b: F(1), dom, qp, N, QQ)
+    v = jackson_integral_double(lambda a, b: F(1), dom, qp, N, F)
     assert abs(v - 1) < F(1, 10) ** 15
 
 
 def test_jackson_double_affine_inner_limit(qp):
     # int_0^1 int_0^{2y} 1 d_qx d_qy = int_0^1 2y d_qy = 2/(1+q) = 4/3
     dom = QDomain(F(0), F(1), (F(0), F(0)), (F(0), F(2)))
-    v = jackson_integral_double(lambda a, b: F(1), dom, qp, 60, QQ)
+    v = jackson_integral_double(lambda a, b: F(1), dom, qp, 60, F)
     assert abs(v - F(4, 3)) < F(1, 10) ** 14
 
 

@@ -7,11 +7,10 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
-from qbipoly.pearson import LatticePoleError, base_weight, build_pearson
-from qbipoly.qcalc import QParam, dq_nm_table
+from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, rho_kl
+from qbipoly.qcalc import QParam, dq_nm_table, dqm_nm_table
 from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, RodriguesSpec,
-                               _grid_values, rodrigues_line1_values,
-                               rodrigues_poly)
+                               _grid_values, rodrigues_poly)
 
 F = Fraction
 x = BiPoly.x()
@@ -24,7 +23,7 @@ def expanded_bracket(E, n, m):
     """Omega = prod_k omega1(q^-k x, y) * prod_s omega2(x, q^-s y), multiplied out."""
     P = build_pearson(E)
     q = E.qp.q
-    out = BiPoly.const(1, E.field)
+    out = BiPoly.const(1)
     for k in range(n):
         out = out * P.omega1.scale_args(q**-k, 1)
     for s in range(m):
@@ -64,7 +63,7 @@ def reference_poly(E, n, m):
             nodes_x, nodes_y, values = reference_grid_values(E, n, m, base)
         except (LatticePoleError, ZeroDivisionError):
             continue
-        return interpolate_2d(nodes_x, nodes_y, Mat(values, E.field))
+        return interpolate_2d(nodes_x, nodes_y, Mat(values))
     raise AssertionError("no pole-free base point")
 
 
@@ -177,6 +176,29 @@ def test_bracket_specialization(equation, params):
         assert omega == prod * const
 
 
+def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
+    """First-line evaluation: backward differences of rho^{(n,m)} divided by
+    rho, on the same grid rodrigues_poly interpolates over.
+
+    Shares the far anchor with the forward construction so the two routes
+    are comparable; they differ by the constant q^{n^2 + m^2} (the forward
+    route carries the q^{n(1-n)/2+m(1-m)/2} prefactor).
+    """
+    qp = E.qp
+    q = qp.q
+    G = n + m + 1
+    xb, yb = base
+    # backward stencils reach n (resp. m) extra backward steps past the grid;
+    # S, T are the shifts of the base from the far anchor
+    S, T = G - 1 + n, G - 1 + m
+    anchor = (xb * q**-S, yb * q**-T)
+    rho = base_weight(E, anchor)
+    rkl = rho_kl(E, n, m, anchor, base=rho)
+    fvals = [[rkl.value(S - r, T - s) for s in range(T + 1)] for r in range(S + 1)]
+    table = dqm_nm_table(fvals, xb, yb, qp, n, m)
+    return [[table[i][j] / rho.value(S - i, T - j) for j in range(G)] for i in range(G)]
+
+
 def test_line1_equals_line3_up_to_q_square_power(equation):
     q = equation.qp.q
     base = DEFAULT_BASES[0]
@@ -215,7 +237,7 @@ def rodrigues_orthogonality_check(spec: RodriguesSpec, functional) -> dict:
     out = {}
     for d in range(spec.n + spec.m):
         for i in range(d + 1):
-            mono = BiPoly.monomial(d - i, i, 1, poly.field)
+            mono = BiPoly.monomial(d - i, i)
             out[(d - i, i)] = functional(poly * mono)
     return out
 

@@ -17,3 +17,17 @@ def test_only_scalars_sets_float_precision():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if PRECISION_POLICY.search(line)]
     assert offenders == []
+
+
+#: the exact layers hold Fractions only: no scalar-backend parameter and no
+#: float type reaches them
+EXACT_ONLY = ("bipoly.py", "linalg.py", "equation.py", "pearson.py", "rodrigues.py")
+NOT_EXACT = re.compile(r"\b(FloatField|mpmath|QQ|field)\b")
+
+
+def test_exact_layers_name_no_float_or_backend():
+    offenders = [f"{name}:{n}: {line.strip()}"
+                 for name in EXACT_ONLY
+                 for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
+                 if NOT_EXACT.search(line)]
+    assert offenders == []
