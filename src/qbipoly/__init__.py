@@ -6,8 +6,7 @@ Rodrigues representation, explicit hypergeometric series)."""
 
 from .bipoly import BiPoly, RationalFn, ratfn_equal
 from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
-                       apply_adjoint, apply_operator, check_hypergeometric_form,
-                       derived_coeffs)
+                       apply_operator, check_hypergeometric_form, derived_coeffs)
 from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec, solve_exact
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
                       rho_kl, verify_pearson_identities)

@@ -308,12 +308,43 @@ def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
     return out
 
 
-def _geometric(start, q, n: int) -> list:
-    """[start, start q, ..., start q^(n-1)] by repeated multiplication."""
-    out = [start]
-    for _ in range(n - 1):
-        out.append(out[-1] * q)
+def _power_sums(terms, bases, degree: int, prec: int) -> list:
+    """[sum_k t_k x_k^i for i = 1..degree] as exact pairs (S, E) meaning
+    S 2^E, from integer pairs (mantissa, exponent) t_k and x_k; zero terms
+    are skipped.  Terms are integers of at least prec + g bits, g =
+    bitlen(n (degree + 2)) + 1 for n terms; a power step is a product and a
+    shift.  Sum i has the binary point of its largest exponent, at least
+    prec + g - 1 bits below its largest term, so the truncations (under a
+    unit per step and per alignment) total under 2^-prec times that term."""
+    nodes = [(m, e, b, f) for (m, e), (b, f) in zip(terms, bases) if m]
+    if not nodes:
+        return [(0, 0)] * degree
+    ms, es, bs, fs = zip(*nodes)
+    width = prec + (len(nodes) * (degree + 2)).bit_length() + 1
+    es = [e + m.bit_length() - width for m, e in zip(ms, es)]
+    ms = [(m << width) >> m.bit_length() for m in ms]
+    shifts = [b.bit_length() - 1 for b in bs]
+    steps = [f + s for f, s in zip(fs, shifts)]
+    out = []
+    for _ in range(degree):
+        ms = [(m * b) >> s for m, b, s in zip(ms, bs, shifts)]
+        es = [e + k for e, k in zip(es, steps)]
+        top = max(es)
+        out.append((sum(m >> (top - e) for m, e in zip(ms, es)), top))
     return out
+
+
+def _products(us, vs) -> list:
+    """Exact products of paired (mantissa, exponent) integer pairs."""
+    return [(mu * mv, eu + ev) for (mu, eu), (mv, ev) in zip(us, vs)]
+
+
+def _least(pairs) -> tuple:
+    """The least nonzero m 2^e among integer pairs (m, e), compared exactly
+    on a common binary point; (0, 0) if there is none."""
+    pairs = [pe for pe in pairs if pe[0]]
+    low = min((e for _, e in pairs), default=0)
+    return min(pairs, key=lambda pe: pe[0] << (pe[1] - low), default=(0, 0))
 
 
 class MomentTable:
@@ -331,12 +362,12 @@ class MomentTable:
     vanishing factor from both (all other nodes of that branch carry no
     mass).
 
-    On the lattice every factor of the weight is (z q^k; q)_inf for one of
-    eleven arguments z and an index k that is t, r, t + r or r - t.  Each of
-    these sequences is built once per table from one direct evaluation (see
-    `_poch_ladder`), so a node weight is a y-only factor yfac(t) times an
-    r-only factor A(r) times a factor B of the coupled index: two products.
-    Summation order is fixed.
+    Every factor of the weight is (z q^k; q)_inf for one of eleven arguments
+    z and k = t, r, t + r or r - t, each sequence built once (`_poch_ladder`),
+    so a node weight is yfac(t) A(r) B(index).  A Jackson node x carries
+    (1 - q) x, so M_ij = (1 - q)^2 sum_t yfac(t) y_t^(j+1) sum_r (+-) A B
+    x_r^(i+1): two levels of `_power_sums` on the tabulated values'
+    mantissas, each moment rounded once.
     """
 
     def __init__(self, p: BigQJacobiParams, max_degree: int = 8,
@@ -345,7 +376,6 @@ class MomentTable:
         self.max_degree = max_degree
         self.truncation = truncation
         self.field = FloatField(prec)
-        self.weight_min_positive = None
         self._moments = self._build()
 
     def _build(self):
@@ -377,68 +407,38 @@ class MomentTable:
         for k in range(1, N + 1):
             drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
 
-        qr = _geometric(fld.one, q, N + 1)
-        ypos = _geometric(a * q, q, N + 1)
-        dlat = _geometric(d * q, q, N + 1)            # x < 0 and y < 0: d q^{1+k}
-        xcq = _geometric(a * c * q**2, q, 2 * N + 1)  # x > 0: c q y q^r = ac q^{2+t+r}
-        A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
-        B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
-        A_d = [Q[r] / Bq[r] for r in range(N + 1)]
-        B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]          # index k + N
-        B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]          # index k + N
+        ypos = [a * q ** (1 + k) for k in range(N + 1)]
+        dlat = [d * q ** (1 + k) for k in range(N + 1)]          # x < 0 and y < 0
+        xcq = [a * c * q ** (2 + k) for k in range(2 * N + 1)]   # x = c q y q^r > 0
+        me = fld.man_exp
+        A_cq = [me(Q[r] / Cq[r]) for r in range(N + 1)]
+        B_cq = [me(ACD[s] / ABCD[s]) for s in range(2 * N + 1)]
+        A_d = [me(Q[r] / Bq[r]) for r in range(N + 1)]
+        B_d = [me(DAC[k] / DA[k]) for k in range(-N, N + 1)]          # index k + N
+        B_neg = [me(C1[k] / drop[-k]) for k in range(-N, 1)]          # index k + N
+        X_cq, X_d = [me(v) for v in xcq], [me(v) for v in dlat]
 
-        M = [[fld.of(0)] * (D + 1) for _ in range(D + 1)]
+        yfacs, inner, least = [], [], []
         for t in range(N + 1):
-            yv = ypos[t]
-            yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
-            inner = [fld.of(0)] * (D + 1)
-            for xstart, xsign, weights, xs in (
-                    (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
-                     xcq[t:t + N + 1]),
-                    (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)],
-                     dlat)):
-                sums = self._jackson_sums(weights, xs, qr)
-                scale = xsign * (1 - q) * xstart
-                for i in range(D + 1):
-                    inner[i] += scale * sums[i]
-            self._add_outer_node(M, (1 - q) * yv, yv, inner)
+            # y = a q^{1+t} has both inner branches; y = d q^{1+t} has mass
+            # only at x = d q^{1+r}, r <= t, with (dq/y; q)_inf -> drop(t)
+            for yfac, pos, neg, xs in (
+                    (me(DA[-t] * Q[t] * AD[t] / (ypos[t] * DAC[-1 - t] * ACD[t] * AQ[t])),
+                     _products(A_cq, B_cq[t:]), _products(A_d, B_d[N - t:]),
+                     X_cq[t:t + N + 1] + X_d),
+                    (me(drop[t] * DA[1 + t] * Q[t] / (dlat[t] * C1[-1 - t] * Cq[1 + t] * DQ[t])),
+                     _products(A_d, B_neg[N - t:]), [], X_d)):
+                yfacs.append(yfac)
+                inner.append(_power_sums(pos + [(-m, e) for m, e in neg], xs, D + 1, fld.prec))
+                least.append(_least(_products([yfac] * len(pos + neg), pos + neg)))
 
-        for t in range(N + 1):
-            # mass only at x = d q^{1+r}, r <= t, with the vanishing
-            # (dq/y; q)_inf replaced by drop(t)
-            yv = dlat[t]
-            yfac = drop[t] * DA[1 + t] * Q[t] / (yv * C1[-1 - t] * Cq[1 + t] * DQ[t])
-            weights = [yfac * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
-            sums = self._jackson_sums(weights, dlat, qr)
-            # inner interval: the c q y branch carries no mass; only -int_0^{dq}
-            inner = [-(1 - q) * d * q * s for s in sums]
-            self._add_outer_node(M, -(1 - q) * yv, yv, inner)
-        return M
-
-    def _jackson_sums(self, weights, xs, qr) -> list:
-        """[sum_r q^r w_r x_r^i for i = 0..max_degree]; the least nonzero
-        node weight seen so far is kept in weight_min_positive."""
-        nonzero = [w for w in weights if w != 0]
-        if nonzero:
-            low = min(nonzero)
-            if self.weight_min_positive is None or low < self.weight_min_positive:
-                self.weight_min_positive = low
-        sums = [self.field.zero] * (self.max_degree + 1)
-        for w, xv, qk in zip(weights, xs, qr):
-            base = qk * w
-            for i in range(self.max_degree + 1):
-                sums[i] += base
-                base *= xv
-        return sums
-
-    def _add_outer_node(self, M, wt, yv, inner):
-        """M[i][j] += wt * y^j * I_i for one outer Jackson node y."""
-        ypow = self.field.one
-        for j in range(self.max_degree + 1):
-            acc = wt * ypow
-            for i in range(self.max_degree + 1):
-                M[i][j] += acc * inner[i]
-            ypow *= yv
+        low = _least(least)
+        self.weight_min_positive = fld.from_man_exp(*low) if low[0] else None
+        outer = _products(yfacs, [me((1 - q) ** 2)] * len(yfacs))
+        ys = [me(v) for pair in zip(ypos, dlat) for v in pair]
+        return [[fld.from_man_exp(*s) for s in _power_sums(
+                    _products(outer, [sums[i] for sums in inner]), ys, D + 1, fld.prec)]
+                for i in range(D + 1)]
 
     def moment(self, i: int, j: int):
         return self._moments[i][j]

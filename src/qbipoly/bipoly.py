@@ -3,8 +3,9 @@
 A ``BiPoly`` is a map from exponent pairs ``(i, j)`` (for ``x**i * y**j``) to
 nonzero ``Fraction`` coefficients.  Construction strips zeros, so the zero
 polynomial is the empty map, and takes every scalar (coefficient, factor,
-evaluation point) through ``as_fraction``: a float is a ``TypeError``.  All
-operations are pure; instances are treated as immutable after construction.
+evaluation point) through ``as_fraction``: a float is a ``TypeError``, and so
+is comparing with one.  All operations are pure; instances are treated as
+immutable after construction.
 
 ``RationalFn`` is a quotient of two BiPolys with equality decided by cross
 multiplication; no gcd normalization is ever attempted.
@@ -12,6 +13,7 @@ multiplication; no gcd normalization is ever attempted.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 from .scalars import as_fraction
@@ -150,6 +152,8 @@ class BiPoly:
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == BiPoly.const(other)
+        if isinstance(other, numbers.Number) and not isinstance(other, numbers.Rational):
+            raise TypeError(f"cannot compare an exact polynomial with {other!r}")
         return NotImplemented
 
     def __hash__(self):

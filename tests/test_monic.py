@@ -236,6 +236,37 @@ def test_discrepancy_report_structure(oracle5):
             assert not entry["G_n_nm2_closedform_fed_matches"]
 
 
+def test_discrepancy_report_builds_each_closed_form_once(oracle5, monkeypatch):
+    """Two closed forms per degree (closed-form S and operator S), so
+    n_max = 4 takes 6 T_n builds, and the report equals the one assembled
+    from a separate call per check."""
+    calls = []
+    real = monic.t_matrix_closed_form
+
+    def counted(E, n):
+        calls.append(n)
+        return real(E, n)
+
+    monkeypatch.setattr(monic, "t_matrix_closed_form", counted)
+    rep = ghat_discrepancy_report(oracle5, 4)
+    assert sorted(calls) == [2, 2, 3, 3, 4, 4]
+    for n, entry in rep.items():
+        gn1 = oracle5.block(n, n - 1)
+        closed = ghat_closed_form(oracle5, n)
+        diffs = monic.mat_diff(closed["G_n_nm1"], gn1)
+        want = {"G_n_nm1_matches": not diffs, "G_n_nm1_diffs": diffs,
+                "S_operator_matches": not monic.mat_diff(
+                    ghat_closed_form(oracle5, n, s_source="operator")["G_n_nm1"], gn1)}
+        if n >= 2:
+            gn2 = oracle5.block(n, n - 2)
+            formula = ghat_closed_form(oracle5, n, gn1_override=gn1,
+                                       s_source="operator")["G_n_nm2"]
+            want["G_n_nm2_closedform_fed_matches"] = not monic.mat_diff(closed["G_n_nm2"], gn2)
+            want["G_n_nm2_formula_diffs"] = monic.mat_diff(formula, gn2)
+            want["G_n_nm2_formula_matches"] = not want["G_n_nm2_formula_diffs"]
+        assert entry == want
+
+
 # recurrence matrices and the recursive formula -----------------------------------
 
 def test_A_is_L(equation, oracle5):
