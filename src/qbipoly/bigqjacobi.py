@@ -310,8 +310,8 @@ def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
 
 def _power_sums(terms, bases, degree: int, prec: int) -> list:
     """[sum_k t_k x_k^i for i = 1..degree] as exact pairs (S, E) meaning
-    S 2^E, from integer pairs (mantissa, exponent) t_k and x_k; zero terms
-    are skipped.  Terms are integers of at least prec + g bits, g =
+    S 2^E, from integer pairs (mantissa, exponent) t_k and x_k != 0; zero
+    terms are skipped.  Terms are integers of at least prec + g bits, g =
     bitlen(n (degree + 2)) + 1 for n terms; a power step is a product and a
     shift.  Sum i has the binary point of its largest exponent, at least
     prec + g - 1 bits below its largest term, so the truncations (under a

@@ -33,7 +33,6 @@ class FloatField:
         self.prec = prec
         self.ctx = mpmath.MPContext()
         self.ctx.prec = prec
-        self.zero = self.ctx.mpf(0)
         self.one = self.ctx.mpf(1)
         self.tail_eps = self.ctx.mpf(2) ** (8 - prec)
 

@@ -384,7 +384,7 @@ def reference_moments(p, max_degree, truncation, prec):
 
     def jackson_sums(weights, xs):
         least.extend(w for w in weights if w != 0)
-        sums = [fld.zero] * (D + 1)
+        sums = [fld.of(0)] * (D + 1)
         for w, xv, qk in zip(weights, xs, qr):
             base = qk * w
             for i in range(D + 1):
@@ -463,7 +463,7 @@ def test_power_sums_error_below_one_part_in_two_to_prec():
 def test_zero_weights_give_field_zeros():
     fld = FloatField(80)
     sums = _power_sums([(0, 0), (0, -7)], [(3, 0), (-5, 2)], 4, fld.prec)
-    assert [fld.from_man_exp(*s) for s in sums] == [fld.zero] * 4
+    assert [fld.from_man_exp(*s) for s in sums] == [fld.of(0)] * 4
     assert _least([(0, 3), (0, 0)]) == (0, 0)
     assert _least([(3, -2), (5, -3), (0, -9)]) == (5, -3)
     assert _least([(3, -2), (-1, 5)]) == (-1, 5)
