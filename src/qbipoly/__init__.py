@@ -10,9 +10,9 @@ from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
 from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec, solve_exact
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
                       rho_kl, verify_pearson_identities)
-from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, jacobi_poly, kampe_de_feriet,
-                    phi_bivariate, phi_rs, qbinomial, qnum, qpochhammer,
-                    qpochhammer_inf, verify_operator_relations)
+from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate,
+                    phi_rs, qnum, qpochhammer, qpochhammer_inf,
+                    verify_operator_relations)
 from .rodrigues import RodriguesSpec, rodrigues_poly
 from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
                     ghat_oracle, ghat_closed_form, gram_matrix, structure_matrices,

@@ -72,11 +72,12 @@ def _load_equation(args) -> tuple:
         for item in args.param or []:
             try:
                 key, val = item.split("=", 1)
-                if key not in params:
-                    raise ConfigError(f"unknown parameter {key!r}")
-                params[key] = Fraction(val)
+                val = Fraction(val)
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"bad --param {item!r}") from None
+            if key not in params:
+                raise ConfigError(f"unknown parameter {key!r}")
+            params[key] = val
         try:
             p = BigQJacobiParams(params["a"], params["b"], params["c"], params["d"],
                                  QParam(params["q"]))

@@ -164,9 +164,10 @@ def parse_equation_text(text: str) -> EquationCoeffs:
         if "=" not in line:
             raise EquationParseError(f"line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if key in fields:
             raise EquationParseError(f"line {lineno}: duplicate key {key!r}")
-        fields[key.lower()] = val
+        fields[key] = val
 
     if "q" not in fields:
         raise EquationParseError("missing q")

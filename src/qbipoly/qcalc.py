@@ -10,6 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,13 +40,7 @@ def qpochhammer(a, qp: QParam, k: int):
     """Finite q-shifted factorial (a; q)_k = prod_{j<k} (1 - a q^j)."""
     if k < 0:
         raise ValueError("qpochhammer needs k >= 0")
-    q = qp.q
-    prod = a * 0 + 1  # one in a's ring (Fraction or mpf)
-    pw = a * 0 + 1
-    for _ in range(k):
-        prod *= 1 - a * pw
-        pw *= q
-    return prod
+    return math.prod((1 - a * qp.q**j for j in range(k)), start=a * 0 + 1)  # one in a's ring
 
 
 def qpochhammer_inf(a, qp: QParam, field: FloatField, max_terms: int | None = None):
@@ -64,15 +59,6 @@ def qpochhammer_inf(a, qp: QParam, field: FloatField, max_terms: int | None = No
         if max_terms is not None and j >= max_terms:
             break
     return prod
-
-
-def qbinomial(n: int, k: int, qp: QParam) -> Fraction:
-    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
-    if not 0 <= k <= n:
-        raise ValueError(f"qbinomial needs 0 <= k <= n, got n={n}, k={k}")
-    q = qp.q
-    num = qpochhammer(q, qp, n)
-    return num / (qpochhammer(q, qp, k) * qpochhammer(q, qp, n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +188,90 @@ def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# basic hypergeometric series (terminating)
+# terminating (q-)hypergeometric series: one double-sum kernel
 # ---------------------------------------------------------------------------
 
 class SeriesError(ValueError):
     pass
+
+
+def _qfactor(q):
+    """The q-Pochhammer factor: (a; q)_k = prod_{j<k} (1 - a q^j)."""
+    return lambda a, j: 1 - a * q**j
+
+
+def _rising_factor(a, j):
+    """The rising-factorial factor: (a)_k = prod_{j<k} (a + j)."""
+    return a + j
+
+
+def _terms(factor, num, den, label, last=None, max_terms=0, v=None, q=1, t=0):
+    """[prod (a)_k / prod (b)_k * v^k q^(t C(k,2)) for k = 0..last], where
+    (a)_k = prod_{j<k} factor(a, j).  Without `last`, it is the first j below
+    max_terms at which a numerator factor vanishes, found from the factors
+    before any product is formed.  A denominator factor vanishing at
+    j <= last (a summed index, or the termination index, where the
+    numerator vanishes too) is an error."""
+    if last is None:
+        last = next((j for j in range(max_terms) if any(factor(a, j) == 0 for a in num)), None)
+        if last is None:
+            raise SeriesError(f"the {label} does not terminate within {max_terms} terms")
+    out = [Fraction(1)]
+    top = bottom = Fraction(1)
+    for j in range(last + 1):
+        dfs = [factor(b, j) for b in den]
+        if any(f == 0 for f in dfs):
+            raise SeriesError(f"a denominator Pochhammer of the {label} vanishes at index "
+                              f"{j + 1}, not after the termination index {last + 1}")
+        if j == last:
+            return out
+        for a in num:
+            top = top * factor(a, j)
+        if v is not None:
+            top = top * v
+        if t:
+            top = top * q ** (t * j)
+        for f in dfs:
+            bottom = bottom * f
+        out.append(top / bottom)
+
+
+def _terminating_sum(factor, unit, xnum, xden, xv, ynum=None, yden=(), yv=None,
+                     joint_num=(), joint_den=(), q=1, tags=(0, 0, 0),
+                     max_terms: int = 2000):
+    """The terminating double sum
+
+        sum_{m <= M, n <= N} [joint]_{m+n} [x]_m [y]_n xv^m yv^n
+                             q^(ti C(m,2) + tj C(n,2) + tk m n),
+
+    where [g]_k = prod (a)_k / prod (b)_k over the group's numerator and
+    denominator parameters, (a)_k = prod_{j<k} factor(a, j), and the x and
+    y groups also divide by (unit)_k: (q; q)_k for the factor 1 - a q^j,
+    k! for a + j.  M is the first j at which an x numerator factor
+    vanishes, N likewise for y; ``ynum=None`` is the single sum over m.
+
+    Numerator parameters and the arguments may be Fractions or BiPolys;
+    denominator parameters are scalars.  Empty groups and zero ti, tj cost
+    no multiplication; without a joint group and tk the sum is the product
+    of its two single sums.
+    """
+    ti, tj, tk = tags
+    ring = (*xnum, *(ynum or ()), *joint_num, xv, yv)
+    zero = BiPoly.zero() if any(isinstance(v, BiPoly) for v in ring) else Fraction(0)
+    label = "series" if ynum is None else "x direction"
+    xs = _terms(factor, xnum, (*xden, unit), label, max_terms=max_terms, v=xv, q=q, t=ti)
+    if ynum is None:
+        return sum(xs, zero)
+    ys = _terms(factor, ynum, (*yden, unit), "y direction", max_terms=max_terms, v=yv, q=q,
+                t=tj)
+    if not (joint_num or joint_den or tk):
+        return sum(xs, zero) * sum(ys, zero)
+    joint = _terms(factor, joint_num, joint_den, "joint sum", len(xs) + len(ys) - 2)
+    total = zero
+    for m, xm in enumerate(xs):
+        total = total + xm * sum((yn * (joint[m + n] * q ** (tk * m * n))
+                                  for n, yn in enumerate(ys)), zero)
+    return total
 
 
 def phi_rs(num_params, den_params, qp: QParam, z, max_terms: int = 2000):
@@ -215,41 +280,12 @@ def phi_rs(num_params, den_params, qp: QParam, z, max_terms: int = 2000):
     Term k carries prod (a;q)_k / ((q;q)_k prod (b;q)_k) * z^k and, for
     s+1 > r, the usual ((-1)^k q^C(k,2))^{1+s-r} factor.  Termination is by a
     numerator q-Pochhammer reaching exactly zero; a denominator Pochhammer
-    vanishing first is an error.
+    vanishing first, or at the same index, is an error.
     """
-    q = qp.q
-    r, s = len(num_params), len(den_params)
-    excess = 1 + s - r
-    num_p = [z * 0 + 1 for _ in num_params]
-    den_p = [z * 0 + 1 for _ in den_params]
-    qfac = z * 0 + 1
-    total = z * 0
-    zk = z * 0 + 1
-    qpow = Fraction(1)
-    qck = Fraction(1)
-    for k in range(max_terms + 1):
-        term = qck if excess else 1
-        for p in num_p:
-            term = term * p
-        dlow = qfac
-        for p in den_p:
-            dlow = dlow * p
-        if dlow == 0:
-            raise SeriesError(f"denominator q-Pochhammer vanished at term {k} before termination")
-        total = total + term * zk / dlow
-        if any(p == 0 for p in num_p):
-            return total
-        # advance Pochhammers and power factors to index k+1
-        for idx, a in enumerate(num_params):
-            num_p[idx] = num_p[idx] * (1 - a * qpow)
-        for idx, b in enumerate(den_params):
-            den_p[idx] = den_p[idx] * (1 - b * qpow)
-        qfac = qfac * (1 - q * qpow)
-        zk = zk * z
-        if excess:
-            qck = qck * ((-1) ** excess) * (qpow**excess)
-        qpow = qpow * q
-    raise SeriesError("series did not terminate within max_terms")
+    excess = 1 + len(den_params) - len(num_params)
+    return _terminating_sum(_qfactor(qp.q), qp.q, num_params, den_params,
+                            -z if excess % 2 else z, q=qp.q, tags=(excess, 0, 0),
+                            max_terms=max_terms)
 
 
 def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, yv,
@@ -261,45 +297,8 @@ def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, 
     Both directions must terminate (a vanishing numerator Pochhammer).
     """
     q = qp.q
-    ti, tj, tk = tags
-
-    def direction_bound(params, label):
-        prods = [Fraction(1) for _ in params]
-        qpow = Fraction(1)
-        for idx in range(max_terms + 1):
-            if any(p == 0 for p in prods):
-                return idx  # terms vanish from this index on? no: zero appears at idx -> last nonzero is idx-1
-            for t in range(len(params)):
-                prods[t] *= 1 - params[t] * qpow
-            qpow *= q
-        raise SeriesError(f"{label} direction does not terminate")
-
-    # bound = first index whose Pochhammer prefix is zero; sum runs below it
-    mbound = direction_bound(list(xnum), "x")
-    nbound = direction_bound(list(ynum), "y")
-
-    total = Fraction(0)
-    for mm in range(mbound):
-        for nn in range(nbound):
-            num = Fraction(1)
-            for a in joint_num:
-                num *= qpochhammer(a, qp, mm + nn)
-            for a in xnum:
-                num *= qpochhammer(a, qp, mm)
-            for a in ynum:
-                num *= qpochhammer(a, qp, nn)
-            den = qpochhammer(q, qp, mm) * qpochhammer(q, qp, nn)
-            for b in joint_den:
-                den *= qpochhammer(b, qp, mm + nn)
-            for b in xden:
-                den *= qpochhammer(b, qp, mm)
-            for b in yden:
-                den *= qpochhammer(b, qp, nn)
-            if den == 0:
-                raise SeriesError(f"denominator vanished at (m,n)=({mm},{nn})")
-            expo = ti * (mm * (mm - 1) // 2) + tj * (nn * (nn - 1) // 2) + tk * mm * nn
-            total += num * (xv**mm) * (yv**nn) * q**expo / den
-    return total
+    return _terminating_sum(_qfactor(q), q, xnum, xden, xv, ynum, yden, yv,
+                            joint_num, joint_den, q, tags, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -310,65 +309,17 @@ def pochhammer_rising(a, k: int):
     """(a)_k = a (a+1) ... (a+k-1)."""
     if k < 0:
         raise ValueError("rising factorial needs k >= 0")
-    prod = a * 0 + 1 if not isinstance(a, (int, Fraction)) else Fraction(1)
-    for j in range(k):
-        prod = prod * (a + j)
-    return prod
-
-
-def _termination_bound(params, max_terms=10000):
-    bounds = [-int(p) for p in params if (isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1)) and p <= 0]
-    if not bounds:
-        raise SeriesError("no negative-integer numerator parameter; series does not terminate")
-    return min(bounds)
+    return math.prod((a + j for j in range(k)), start=a * 0 + Fraction(1))
 
 
 def gauss_2f1_terminating(a, b, c, z):
     """2F1(a, b; c; z) with a or b a nonpositive integer; z may be a scalar or
     a BiPoly."""
-    nmax = _termination_bound([a, b])
-    total = z * 0
-    for k in range(nmax + 1):
-        coef = pochhammer_rising(a, k) * pochhammer_rising(b, k) / (
-            pochhammer_rising(c, k) * pochhammer_rising(Fraction(1), k)
-        )
-        total = total + (z**k) * coef
-    return total
-
-
-def jacobi_poly(n: int, a, b, x):
-    """Jacobi polynomial P_n^{(a,b)}(x) = ((a+1)_n / n!) 2F1(-n, n+a+b+1; a+1; (1-x)/2)."""
-    a = Fraction(a) if isinstance(a, int) else a
-    b = Fraction(b) if isinstance(b, int) else b
-    half = Fraction(1, 2)
-    arg = (1 - x) * half if isinstance(x, (int, Fraction)) else (BiPoly.const(1) - x) * half
-    lead = pochhammer_rising(a + 1, n) / pochhammer_rising(Fraction(1), n)
-    return gauss_2f1_terminating(Fraction(-n), n + a + b + 1, a + 1, arg) * lead
+    return _terminating_sum(_rising_factor, 1, (a, b), (c,), z)
 
 
 def kampe_de_feriet(joint_num, xnum, ynum, joint_den, xden, yden, xv, yv):
     """Generalized Kampe de Feriet double sum; both separate numerator groups
     must contain a nonpositive integer.  Arguments may be scalars or BiPolys."""
-    rbound = _termination_bound(list(xnum))
-    sbound = _termination_bound(list(ynum))
-    total = xv * 0
-    for r in range(rbound + 1):
-        for s in range(sbound + 1):
-            num = Fraction(1)
-            for p in joint_num:
-                num *= pochhammer_rising(p, r + s)
-            for p in xnum:
-                num *= pochhammer_rising(p, r)
-            for p in ynum:
-                num *= pochhammer_rising(p, s)
-            den = pochhammer_rising(Fraction(1), r) * pochhammer_rising(Fraction(1), s)
-            for p in joint_den:
-                den *= pochhammer_rising(p, r + s)
-            for p in xden:
-                den *= pochhammer_rising(p, r)
-            for p in yden:
-                den *= pochhammer_rising(p, s)
-            if den == 0:
-                raise SeriesError(f"denominator Pochhammer vanished at (r,s)=({r},{s})")
-            total = total + (xv**r) * (yv**s) * (num / den)
-    return total
+    return _terminating_sum(_rising_factor, 1, xnum, xden, xv, ynum, yden, yv,
+                            joint_num, joint_den)

@@ -16,7 +16,8 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.monic import ttr_matrices
-from qbipoly.qcalc import QParam, jacobi_poly, pochhammer_rising
+from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
+                           phi_bivariate, phi_rs, pochhammer_rising, qpochhammer)
 from qbipoly.scalars import FloatField
 
 F = Fraction
@@ -121,6 +122,73 @@ def test_explicit_BC_drives_recurrence(params, oracle5):
 
 # monic hypergeometric representation -------------------------------------------------
 
+def qbinomial(n: int, k: int, qp: QParam) -> F:
+    """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
+    if not 0 <= k <= n:
+        raise ValueError(f"qbinomial needs 0 <= k <= n, got n={n}, k={k}")
+    q = qp.q
+    num = qpochhammer(q, qp, n)
+    return num / (qpochhammer(q, qp, k) * qpochhammer(q, qp, n - k))
+
+
+def explicit_double_sum(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
+    """The monic solution with leading monomial x^n y^m as the hand-expanded
+    (n+1)(m+1) double sum of (bx/d; q)_i (y; q)_j products with Gaussian
+    binomials: a reference independent of the series kernel."""
+    q = p.qp.q
+    qp = p.qp
+    a, b, c, d = p.a, p.b, p.c, p.d
+    abc = a * b * c
+
+    pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
+            * qpochhammer(d * q ** (n + 1), qp, m) * qpochhammer(abc * q ** (m + 2) / d, qp, n)
+            / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
+
+    total = BiPoly.zero()
+    for i in range(n + 1):
+        for j in range(m + 1):
+            expo = (i * (i - 2 * n + 1) + j * (j - 2 * m + 1)) // 2
+            coef = ((-1) ** (i + j) * qbinomial(n, i, qp) * qbinomial(m, j, qp)
+                    * q**expo * qpochhammer(abc * q ** (m + n + 2), qp, i + j)
+                    / (qpochhammer(a * q, qp, j) * qpochhammer(b * q, qp, i)
+                       * qpochhammer(d * q ** (n + 1), qp, j)
+                       * qpochhammer(abc * q ** (m + 2) / d, qp, i)))
+            pochx = qpochhammer(x * (b / d), qp, i)
+            pochy = qpochhammer(y, qp, j)
+            total = total + pochx * pochy * coef
+    return total * pref
+
+
+@pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1"])
+def test_hypergeometric_equals_explicit_double_sum(point):
+    p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG}[point]
+    for total in range(6):
+        for m in range(total + 1):
+            assert monic_hypergeometric(p, total - m, m) == explicit_double_sum(p, total - m, m)
+
+
+def test_series_with_polynomial_arguments_match_scalar_calls(params):
+    # BiPoly parameters or arguments, evaluated afterwards, give the scalar sum
+    q, qp = params.qp.q, params.qp
+    rng = random.Random(11)
+    points = [(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)))
+              for _ in range(5)]
+    half = F(1, 2)
+    phi2 = phi_bivariate([F(1, 7)], [q**-2, x * F(2, 3)], [q**-3, y], [], [F(1, 3)],
+                         [F(1, 5)], qp, q, F(3, 5), tags=(1, 0, 2))
+    kdf = kampe_de_feriet([F(7, 2)], [F(-3)], [F(-2)], [], [F(2)], [F(3, 2)],
+                          (x + 1) * half, (1 - y) * half)
+    rs = phi_rs([q**-3, F(1, 9), x * y], [F(1, 3), F(-1, 5)], qp, q)
+    rs_arg = phi_rs([q**-2], [F(1, 3)], qp, x - y)  # s + 1 - r = 1: signed q^C(k,2)
+    for xv, yv in points:
+        assert phi2.eval(xv, yv) == phi_bivariate([F(1, 7)], [q**-2, xv * F(2, 3)], [q**-3, yv],
+                                                  [], [F(1, 3)], [F(1, 5)], qp, q, F(3, 5),
+                                                  tags=(1, 0, 2))
+        assert kdf.eval(xv, yv) == kampe_de_feriet([F(7, 2)], [F(-3)], [F(-2)], [], [F(2)],
+                                                   [F(3, 2)], (xv + 1) * half, (1 - yv) * half)
+        assert rs.eval(xv, yv) == phi_rs([q**-3, F(1, 9), xv * yv], [F(1, 3), F(-1, 5)], qp, q)
+        assert rs_arg.eval(xv, yv) == phi_rs([q**-2], [F(1, 3)], qp, xv - yv)
+
 def test_hypergeometric_trivial(params):
     assert monic_hypergeometric(params, 0, 0) == BiPoly.const(1)
 
@@ -168,6 +236,16 @@ def test_jnm_solves_limit_pde():
             p = jnm(CP, n, m)
             assert p.total_degree() == n
             assert classical_pde_residual(CP, p, n).is_zero()
+
+
+def jacobi_poly(n: int, a, b, x):
+    """Jacobi polynomial P_n^{(a,b)}(x) = ((a+1)_n / n!) 2F1(-n, n+a+b+1; a+1; (1-x)/2)."""
+    a = F(a) if isinstance(a, int) else a
+    b = F(b) if isinstance(b, int) else b
+    half = F(1, 2)
+    arg = (1 - x) * half if isinstance(x, (int, F)) else (BiPoly.const(1) - x) * half
+    lead = pochhammer_rising(a + 1, n) / pochhammer_rising(F(1), n)
+    return gauss_2f1_terminating(F(-n), n + a + b + 1, a + 1, arg) * lead
 
 
 def test_jnm_matches_jacobi_product_form():

@@ -75,6 +75,10 @@ def test_parse_errors():
         parse_equation_text("preset = unknown\nq = 1/2\n")
     with pytest.raises(EquationParseError):
         parse_equation_text("q = 3/2\npreset = big-q-jacobi\na=1/3\nb=1/4\nc=1/5\nd=-1/2\n")
+    # keys are case-insensitive, so a key repeated in another case is a duplicate
+    for text in ("q = 1/2\nQ = 1/3\n", "q = 1/2\nc11 = 1,0:1\nC11 = 2,0:1\n"):
+        with pytest.raises(EquationParseError, match="duplicate key"):
+            parse_equation_text(text)
 
 
 def test_frac_str():
@@ -186,6 +190,14 @@ def test_cli_weight_pole_is_one_line_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: G1 pole at product index 0, lattice point (-1/4, -1/4)\n"
+
+
+def test_cli_unknown_param_is_named(capsys):
+    code = main(["check", "--preset", "big-q-jacobi", "--param", "z=1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown parameter 'z'\n"
 
 
 def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):

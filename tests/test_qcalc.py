@@ -9,10 +9,11 @@ from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, closed_form_weight
 from qbipoly.bipoly import BiPoly
 from qbipoly.qcalc import (QParam, SeriesError, dq1, dq2, dq_nm_table, dqm1,
                            dqm2, dqm_nm_table, gauss_2f1_terminating,
-                           jacobi_poly, kampe_de_feriet, phi_bivariate, phi_rs,
-                           pochhammer_rising, qbinomial, qnum, qpochhammer,
+                           kampe_de_feriet, phi_bivariate, phi_rs,
+                           pochhammer_rising, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
 from qbipoly.scalars import FloatField
+from test_bigqjacobi import jacobi_poly, qbinomial
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -366,10 +367,41 @@ def test_phi_rs_matches_brute_force(qp):
         assert got == brute_phi_rs([q ** -m, a2, a3], [b1, b2], qp, q, m)
 
 
+def test_phi_rs_excess_factor_is_exact(qp):
+    # r = s + 2: each term carries ((-1)^k q^C(k,2))^-1, exactly
+    q = qp.q
+    a, z = F(1, 3), F(2, 7)
+    got = phi_rs([q ** -2, a], [], qp, z)
+    expect = sum(qpochhammer(q ** -2, qp, k) * qpochhammer(a, qp, k) / qpochhammer(q, qp, k)
+                 * z ** k * (-1) ** k / q ** (k * (k - 1) // 2) for k in range(3))
+    assert isinstance(got, F) and got == expect
+
+
 def test_phi_rs_denominator_pole(qp):
     q = qp.q
     with pytest.raises(SeriesError):
         phi_rs([q ** -3, F(1, 3), F(1, 7)], [1 / q, F(1, 5)], qp, q)
+
+
+def test_zero_over_zero_at_termination_is_rejected(qp):
+    # a denominator Pochhammer vanishing at the termination index, together
+    # with the numerator, is an error in every sum, not a dropped 0/0 term
+    q = qp.q
+    z, xv, yv = F(1, 3), F(1, 3), F(1, 5)
+    with pytest.raises(SeriesError):
+        phi_rs([q ** -2, F(1, 3), F(1, 7)], [q ** -2, F(1, 5)], qp, q)
+    with pytest.raises(SeriesError):
+        phi_bivariate([], [q ** -2], [q ** 0], [], [q ** -2], [], qp, q, q)
+    with pytest.raises(SeriesError):
+        gauss_2f1_terminating(-2, 1, -2, z)
+    with pytest.raises(SeriesError):
+        kampe_de_feriet([], [F(-2)], [F(0)], [], [F(-2)], [], xv, yv)
+    with pytest.raises(SeriesError):  # joint denominator at m + n = M + N + 1
+        kampe_de_feriet([], [F(-1)], [F(-1)], [F(-2)], [], [], xv, yv)
+    # one step later the denominator is harmless: the sums stay finite
+    assert phi_rs([q ** -2, F(1, 3)], [q ** -3], qp, q) == \
+        brute_phi_rs([q ** -2, F(1, 3)], [q ** -3], qp, q, 2)
+    assert gauss_2f1_terminating(-2, 1, -3, z) == 1 + 2 * z / 3 + z ** 2 / 3
 
 
 def test_phi_rs_nonterminating_rejected(qp):
