@@ -95,10 +95,11 @@ def nonmonic_value(p: BigQJacobiParams, n: int, k: int, xv, yv):
 
 
 def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
-    """The same solution as an exact BiPoly, recovered by interpolation on a
-    generic integer grid (total degree n)."""
+    """The same solution as an exact BiPoly, recovered by interpolation on
+    the lower set of a generic integer grid (total degree n)."""
     nodes = [Fraction(v) for v in range(1, n + 2)]
-    values = Mat([[nonmonic_value(p, n, k, xv, yv) for yv in nodes] for xv in nodes])
+    values = [[nonmonic_value(p, n, k, xv, yv) for yv in nodes[: n + 1 - i]]
+              for i, xv in enumerate(nodes)]
     return interpolate_2d(nodes, nodes, values)
 
 
@@ -488,14 +489,6 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     second = gauss_2f1_terminating(Fraction(m - n), al + be + ga + m + n + 2, al + 1,
                                    (one - y) * half)
     return first * second
-
-
-def classical_weight(cp: ClassicalParams) -> BiPoly:
-    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
-    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
 
 
 def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:

@@ -13,6 +13,7 @@ multiplication; no gcd normalization is ever attempted.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -178,6 +179,30 @@ class BiPoly:
         for (i, j), c in self.coeffs.items():
             total += c * xv**i * yv**j
         return total
+
+    def eval_grid(self, xs, ys) -> list:
+        """[[p(x, y) for y in ys] for x in xs], equal to ``eval`` at every
+        point, over the integers: with x = u/v, y = s/t and L the common
+        coefficient denominator, p = sum_i u^i v^(I-i) C_i / (L v^I t^J),
+        C_i = sum_j L c_ij s^j t^(J-j) formed once per (i, y); each point
+        costs one product per distinct x-exponent i and one division."""
+        xs = [as_fraction(v) for v in xs]
+        ys = [as_fraction(v) for v in ys]
+        L = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        I = max((i for i, _ in self.coeffs), default=0)
+        J = max((j for _, j in self.coeffs), default=0)
+        rows = {}
+        for (i, j), c in self.coeffs.items():
+            rows.setdefault(i, []).append((j, c.numerator * (L // c.denominator)))
+        cols = [[sum(c * yv.numerator**j * yv.denominator ** (J - j) for j, c in terms)
+                 for terms in rows.values()] for yv in ys]
+        out = []
+        for xv in xs:
+            u, v = xv.numerator, xv.denominator
+            xw = [u**i * v ** (I - i) for i in rows]
+            out.append([Fraction(sum(w * c for w, c in zip(xw, col)), L * v**I * yv.denominator**J)
+                        for col, yv in zip(cols, ys)])
+        return out
 
     # -- calculus on polynomials -------------------------------------------
 

@@ -21,8 +21,7 @@ from . import io as qio
 from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, lambda_explicit,
                          nonmonic_poly, preset_equation)
 from .bipoly import BiPoly
-from .equation import (EquationCoeffs, ShapeViolation, admissibility,
-                       check_hypergeometric_form)
+from .equation import EquationCoeffs, ShapeViolation, check_hypergeometric_form
 from .io import EquationParseError
 from .linalg import SingularMatrixError
 from .monic import OracleError, generate_monic_oracle
@@ -110,7 +109,7 @@ def cmd_check(cfg: RunConfig) -> int:
     ok = report["hypergeometric_form"]["ok"]
     adm = None
     if ok:
-        adm = admissibility(E)
+        adm = E.admissibility
         report["admissibility"] = {"admissible": adm.admissible, "failures": adm.failures}
         ok = ok and adm.admissible
     if ok:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bipoly import BiPoly
 from .qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
@@ -40,6 +41,11 @@ class EquationCoeffs:
 
     def polys(self):
         return (self.c11, self.c22, self.a12a, self.a12d, self.b1, self.b2)
+
+    @cached_property
+    def admissibility(self) -> "Admissibility":
+        """admissibility(self) at the default bounds, computed once."""
+        return admissibility(self)
 
     # -- named scalar extractors (sigma/tau coefficients) -------------------
 

@@ -1,5 +1,5 @@
 """Scalar matrices, polynomial column vectors, exact solving, and
-tensor-product Vandermonde interpolation.
+lower-set Newton interpolation.
 
 Sizes here are tiny (O(degree)).  Matrices are stored as lists of rows of
 Fractions (entries are taken through ``as_fraction``), and products skip
@@ -115,26 +115,6 @@ class Mat:
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
 
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination."""
-        work = [r[:] for r in self.rows]
-        n, m = self.nrows, self.ncols
-        rank = 0
-        for col in range(m):
-            piv = next((i for i in range(rank, n) if work[i][col]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            pval = work[rank][col]
-            for i in range(rank + 1, n):
-                f = work[i][col] / pval
-                if f:
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-            rank += 1
-            if rank == n:
-                break
-        return rank
-
 
 def mat_diff(A: Mat, B: Mat) -> list:
     """Entries where A and B differ, as ((row, col) 1-based, a, b)."""
@@ -242,24 +222,43 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
     return Mat([[p.coeff(degree - c, c) for c in range(degree + 1)] for p in vec.entries])
 
 
-def interpolate_2d(nodes_x, nodes_y, values: Mat) -> BiPoly:
-    """Recover the unique BiPoly with deg_x < len(nodes_x), deg_y < len(nodes_y)
-    matching values[r][s] = p(nodes_x[r], nodes_y[s]), by exact tensor-product
-    Vandermonde solves."""
+def _divided_differences(nodes, values) -> list:
+    """[t_0..t_k] f for k < len(values), from values[k] = f(nodes[k])."""
+    dd = list(values)
+    for order in range(1, len(dd)):
+        for k in range(len(dd) - 1, order - 1, -1):
+            dd[k] = (dd[k] - dd[k - 1]) / (nodes[k] - nodes[k - order])
+    return dd
+
+
+def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
+    """The unique BiPoly of total degree < G = len(nodes_x) = len(nodes_y)
+    with values[i][j] = p(nodes_x[i], nodes_y[j]) on the lower set i + j < G
+    (row i holds G - i values), for any distinct nodes, by Newton
+    interpolation: x-divided differences down each column give the x-Newton
+    coefficients g_i of p (degree < G - i in y) at y_0..y_{G-1-i}, their
+    y-divided differences give the Newton coefficients of each g_i, and
+    nested Horner steps, in y and then in x, give the monomial form."""
     nodes_x = [as_fraction(v) for v in nodes_x]
     nodes_y = [as_fraction(v) for v in nodes_y]
-    nx, ny = len(nodes_x), len(nodes_y)
-    if values.shape != (nx, ny):
-        raise ValueError(f"values shape {values.shape} does not match node counts ({nx},{ny})")
+    G = len(nodes_x)
+    if len(nodes_y) != G or [len(row) for row in values] != list(range(G, 0, -1)):
+        raise ValueError(f"values must fill the lower set of {G} x- and as many y-nodes")
     for nodes, label in ((nodes_x, "x"), (nodes_y, "y")):
-        seen = set()
-        for v in nodes:
-            if v in seen:
-                raise ValueError(f"repeated {label} interpolation node {v}")
-            seen.add(v)
-    vx = Mat([[xv**i for i in range(nx)] for xv in nodes_x])
-    vy = Mat([[yv**j for j in range(ny)] for yv in nodes_y])
-    # values = Vx @ C @ Vy^T; solve for C in two steps
-    half = solve_exact(vx, values)                       # C @ Vy^T
-    coeff = solve_exact(vy, half.transpose()).transpose()  # C
-    return BiPoly({(i, j): coeff[i, j] for i in range(nx) for j in range(ny)})
+        if len(set(nodes)) != G:
+            raise ValueError(f"repeated {label} interpolation node")
+    newton_x = [[] for _ in range(G)]  # newton_x[i][j] = [x_0..x_i] p(., y_j)
+    for j in range(G):
+        column = [as_fraction(values[i][j]) for i in range(G - j)]
+        for i, v in enumerate(_divided_differences(nodes_x, column)):
+            newton_x[i].append(v)
+    poly = []  # rows by x-exponent, each a list of coefficients by y-exponent
+    for i in range(G - 1, -1, -1):
+        d = _divided_differences(nodes_y, newton_x[i])
+        g = [d[-1]]
+        for j in range(len(d) - 2, -1, -1):  # g <- d_j + (y - y_j) g
+            g = [a - nodes_y[j] * h for a, h in zip([d[j], *g], g)] + [g[-1]]
+        # poly <- g + (x - x_i) poly
+        poly = [[a - nodes_x[i] * h for a, h in zip(above, here)] + above[len(here):]
+                for above, here in zip([g, *poly], [*poly, []])]
+    return BiPoly({(e, j): c for e, row in enumerate(poly) for j, c in enumerate(row)})

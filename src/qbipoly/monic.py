@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .equation import Admissibility, EquationCoeffs, admissibility, apply_operator
+from .equation import Admissibility, EquationCoeffs, apply_operator
 from .linalg import Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec
 from .qcalc import QParam, qnum
 
@@ -232,7 +232,7 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
     division G_{n,d} = -rhs / (lambda_n - lambda_d); each degree's vector is
     then checked against the eigen-equation."""
-    adm = admissibility(E)
+    adm = E.admissibility
     if not adm.admissible:
         raise OracleError(f"equation not admissible: {adm.failures}")
     blocks = [operator_blocks(E, j) for j in range(N + 1)]

@@ -126,16 +126,20 @@ def dq_ratfn(r: RationalFn, qp: QParam, axis: int) -> RationalFn:
 def _difference_table(fvals, x0, y0, p, n: int, m: int):
     """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
     then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0); returns the
-    table at (p^r x0, p^s y0), n rows and m columns smaller."""
+    table at (p^r x0, p^s y0), n rows and m columns smaller.  A sample may
+    be None where it is not needed; a table entry whose stencil reaches one
+    is None."""
     if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
         raise ValueError("sample table too small for the requested order")
     work = [row[:] for row in fvals]
     for _ in range(n):
-        work = [[(hi - lo) / ((p - 1) * x0 * p**r) for lo, hi in zip(work[r], work[r + 1])]
-                for r in range(len(work) - 1)]
+        steps = [(p - 1) * x0 * p**r for r in range(len(work) - 1)]
+        work = [[None if lo is None or hi is None else (hi - lo) / h
+                 for lo, hi in zip(work[r], work[r + 1])] for r, h in enumerate(steps)]
     for _ in range(m):
         steps = [(p - 1) * y0 * p**s for s in range(len(work[0]) - 1)]
-        work = [[(row[s + 1] - row[s]) / h for s, h in enumerate(steps)] for row in work]
+        work = [[None if lo is None or hi is None else (hi - lo) / h
+                 for lo, hi, h in zip(row, row[1:], steps)] for row in work]
     return work
 
 
@@ -144,20 +148,10 @@ def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
 
     Returns the table t[r][s] = [Dq1]^n [Dq2]^m f at (q^r x0, q^s y0), with n
     fewer rows and m fewer columns than fvals; the corner t[0][0] is the
-    value at (x0, y0).
+    value at (x0, y0).  Samples left None are not needed: the entries whose
+    stencils reach them are None.
     """
     return _difference_table(fvals, x0, y0, qp.q, n, m)
-
-
-def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
-    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
-
-    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
-    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
-    (q^-r x0, q^-s y0) comes from the same kernel; t[0][0] is the value at
-    (x0, y0).
-    """
-    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ The polynomial of index (n, m) is recovered from
 
     Omega(x,y) = prod_{k=0..n-1} omega1(q^-k x, y) * prod_{s=0..m-1} omega2(x, q^-s y),
 
-sampled on a backward lattice grid: all rho ratios entering the quotient are
-finite products of Pearson ratio values, hence exact rationals, and the
-samples interpolate to the unique polynomial of total degree n + m.
+sampled on the lower set i + j <= n + m of a backward lattice grid: all rho
+ratios entering the quotient are finite products of Pearson ratio values,
+hence exact rationals, and the samples interpolate to the unique polynomial
+of total degree n + m.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .equation import EquationCoeffs, admissibility, apply_operator
-from .linalg import Mat, interpolate_2d
+from .equation import EquationCoeffs, apply_operator
+from .linalg import interpolate_2d
 from .pearson import LatticePoleError, base_weight
 from .qcalc import dq_nm_table
 
@@ -54,39 +55,43 @@ class RodriguesSpec:
 
 
 def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
-    """Sample u on the (n+m+1)^2 backward grid from `base`; exact rationals.
+    """Sample u on the lower set i + j <= N = n + m of the backward grid
+    xb q^-i, yb q^-j from `base`; exact rationals, values[i][j] for
+    j <= N - i.
 
     The forward stencil of every grid node lies on one backward lattice of
-    (G+n) x (G+m) points x_a = q^a X, y_b = q^b Y from the far anchor
-    (X, Y) = q^-(G-1) base (grid node i, stencil row r is lattice row
-    G-1-i+r).  There rho ratios are finite Pearson products, and the anchor
-    constant cancels between the bracket and the outer division.
-
-    f = rho * Omega is sampled once per lattice point, Omega taken as the
-    product of its factors: omega1(q^-k x_a, y_b) = omega1(x_{a-k}, y_b) and
-    omega2(x_a, q^-s y_b) = omega2(x_a, y_{b-s}), so each factor value is
-    computed once.  One lattice-wide difference table gives every node.
+    (G+n) x (G+m) points x_a = q^a X, y_b = q^b Y, G = N + 1, from the far
+    anchor (X, Y) = q^-N base (grid node i, stencil row r is lattice row
+    N-i+r).  There rho ratios are finite Pearson products, and the anchor
+    constant cancels between the bracket and the outer division.  A node
+    of the lower set has its stencil in a + b >= N, so f = rho * Omega is
+    formed only there, Omega as the product of its factors:
+    omega1(q^-k x_a, y_b) = omega1(x_{a-k}, y_b) and omega2(x_a, q^-s y_b) =
+    omega2(x_a, y_{b-s}), each factor evaluated once on the lattice.  One
+    lattice-wide difference table gives every node.
     """
     qp = E.qp
     q = qp.q
-    G = n + m + 1
+    N = n + m
+    G = N + 1
     xb, yb = base
-    X, Y = xb * q ** -(G - 1), yb * q ** -(G - 1)
-    rho = base_weight(E, (X, Y))
-    P = rho.pearson
+    X, Y = xb * q**-N, yb * q**-N
+    weight = base_weight(E, (X, Y))
+    rho = weight.box(G + n, G + m)
+    P = weight.pearson
     pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
     # factor arguments reach dx (dy) steps below the lattice: xs[a + dx] = x_a
     dx, dy = max(n - 1, 0), max(m - 1, 0)
     xs = [X * q ** (a - dx) for a in range(G + n + dx)]
     ys = [Y * q ** (b - dy) for b in range(G + m + dy)]
-    w1 = [[P.omega1.eval(xv, ys[b + dy]) for b in range(G + m)] for xv in xs] if n else None
-    w2 = [[P.omega2.eval(xs[a + dx], yv) for yv in ys] for a in range(G + n)] if m else None
+    w1 = P.omega1.eval_grid(xs, ys[dy:]) if n else None
+    w2 = P.omega2.eval_grid(xs[dx:], ys) if m else None
     fvals = []
     for a in range(G + n):
-        row = []
-        for b in range(G + m):
-            val = rho.value(a, b)
+        row = [None] * max(N - a, 0)
+        for b in range(len(row), G + m):
+            val = rho[a][b]
             for k in range(n):
                 val *= w1[a + dx - k][b]
             for s in range(m):
@@ -98,11 +103,11 @@ def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     values = []
     for i in range(G):
         row = []
-        for j in range(G):
-            rho_here = rho.value(G - 1 - i, G - 1 - j)
+        for j in range(G - i):
+            rho_here = rho[N - i][N - j]
             if rho_here == 0:
-                raise LatticePoleError("rho", G - 1 - i, (xb * q**-i, yb * q**-j))
-            row.append(pref * table[G - 1 - i][G - 1 - j] / rho_here)
+                raise LatticePoleError("rho", N - i, (xb * q**-i, yb * q**-j))
+            row.append(pref * table[N - i][N - j] / rho_here)
         values.append(row)
     return [xb * q**-i for i in range(G)], [yb * q**-j for j in range(G)], values
 
@@ -110,12 +115,15 @@ def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
 def rodrigues_poly(spec: RodriguesSpec, monic: bool = False) -> BiPoly:
     """Construct the degree-(n+m) Rodrigues polynomial exactly.
 
-    Raises RodriguesError when the interpolant carries total degree above
-    n + m or fails the eigen-equation (non-admissible input or a bug), and
-    when no pole-free base point is found.
+    Raises RodriguesError, before any lattice work, when the equation is
+    not admissible; when no pole-free base point is found; and when the
+    interpolant fails the eigen-equation (a bug).
     """
     E = spec.equation
     n, m = spec.n, spec.m
+    adm = E.admissibility
+    if not adm.admissible:
+        raise RodriguesError(f"equation not admissible: {adm.failures}")
     bases = (spec.base,) if spec.base is not None else DEFAULT_BASES
     last_pole = None
     for base in bases:
@@ -124,20 +132,12 @@ def rodrigues_poly(spec: RodriguesSpec, monic: bool = False) -> BiPoly:
         except (LatticePoleError, ZeroDivisionError) as exc:
             last_pole = exc
             continue
-        poly = interpolate_2d(nodes_x, nodes_y, Mat(values))
+        poly = interpolate_2d(nodes_x, nodes_y, values)
         poly = poly * spec.normalization
         break
     else:
         raise RodriguesError(f"no pole-free base point among {len(bases)} candidates: {last_pole}")
 
-    for (i, j), c in poly.coeffs.items():
-        if i + j > n + m:
-            raise RodriguesError(
-                f"interpolant has coefficient at ({i},{j}) beyond total degree {n + m}: {c}"
-            )
-    adm = admissibility(E)
-    if not adm.admissible:
-        raise RodriguesError(f"equation not admissible: {adm.failures}")
     lam = adm.eigenvalue(n + m)
     residual = apply_operator(E, poly) + poly * lam
     if not residual.is_zero():

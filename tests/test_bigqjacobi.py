@@ -4,21 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _poch_ladder, _power_sums,
                                 appell_monic,
                                 classical_pde_residual, classical_rodrigues,
-                                classical_weight, error_ratios, explicit_BC, jnm,
+                                error_ratios, explicit_BC, jnm,
                                 closed_form_weight, lambda_explicit,
                                 limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly,
                                 nonmonic_value)
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
+from qbipoly.linalg import Mat
 from qbipoly.monic import ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            phi_bivariate, phi_rs, pochhammer_rising, qpochhammer)
 from qbipoly.scalars import FloatField
+from test_linalg import tensor_vandermonde_interpolate
 
 F = Fraction
 x = BiPoly.x()
@@ -49,6 +52,9 @@ def test_cross_coefficient_consistency(params, equation):
 
 # non-monic family ----------------------------------------------------------------
 
+Q23 = BigQJacobiParams(F(1, 2), F(2, 3), F(3, 7), F(-1, 3), QParam(F(2, 3)))
+
+
 def test_nonmonic_trivial(params):
     assert nonmonic_poly(params, 0, 0) == BiPoly.const(1)
 
@@ -73,6 +79,32 @@ def test_nonmonic_residuals(params, equation):
         for k in range(n + 1):
             p = nonmonic_poly(params, n, k)
             assert (apply_operator(equation, p) + p * lam).is_zero()
+
+
+@pytest.mark.parametrize("point", [TEST_PARAMS, Q23], ids=["test-params", "q=2/3"])
+def test_nonmonic_equals_tensor_reference(point):
+    # the lower set of the integer grid against the whole (n+1)^2 tensor
+    # grid and two Vandermonde solves
+    for n in range(7):
+        nodes = [F(v) for v in range(1, n + 2)]
+        for k in range(n + 1):
+            full = Mat([[nonmonic_value(point, n, k, xv, yv) for yv in nodes] for xv in nodes])
+            assert nonmonic_poly(point, n, k) == tensor_vandermonde_interpolate(nodes, nodes, full)
+
+
+def test_nonmonic_samples_only_the_lower_set(params, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return nonmonic_value(*args)
+
+    monkeypatch.setattr(bigqjacobi, "nonmonic_value", counting)
+    for n in range(6):
+        for k in range(n + 1):
+            calls.clear()
+            nonmonic_poly(params, n, k)
+            assert len(calls) == (n + 1) * (n + 2) // 2
 
 
 def test_nonmonic_index_bounds(params):
@@ -261,6 +293,12 @@ def test_jnm_matches_jacobi_product_form():
                 ref = lead * jacobi_poly(m, ga, be, t) \
                     * jacobi_poly(n - m, al, be + ga + 2 * m + 1, yv)
                 assert p.eval(xv, yv) == ref
+
+
+def classical_weight(cp: ClassicalParams) -> BiPoly:
+    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
+    one = BiPoly.const(1)
+    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
 
 
 def test_classical_weight_polynomial():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def test_scaling_substitution():
 def test_evaluation():
     p = x * x * y
     assert p.eval(2, 3) == 12
+
+
+def test_eval_grid_equals_eval():
+    rng = random.Random(5)
+    q = Fraction(2, 3)
+    for _ in range(30):
+        p = rand_poly(rng, max_deg=rng.randint(0, 6), max_terms=12)
+        if rng.random() < 0.5:
+            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 5))]
+            ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 5))]
+        else:  # a geometric lattice, as the Rodrigues sampler uses
+            X, Y = Fraction(rng.randint(1, 9), 11), -Fraction(rng.randint(1, 9), 13)
+            xs = [X * q**a for a in range(6)]
+            ys = [Y * q**b for b in range(5)]
+        assert p.eval_grid(xs, ys) == [[p.eval(a, b) for b in ys] for a in xs]
+    assert BiPoly.zero().eval_grid([1, 2], [3]) == [[0], [0]]
+    assert (x * y + 1).eval_grid([0, 2], [Fraction(1, 2)]) == [[1], [2]]
 
 
 def test_zero_polynomial_has_empty_support():

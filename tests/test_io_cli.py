@@ -163,7 +163,7 @@ def test_cli_check_perturbed_cross_term_fails(tmp_path, capsys, equation):
 
 
 @pytest.mark.parametrize("family, degrees, message", [
-    ("rodrigues", "1 0", "error: interpolant has coefficient at (1,1) beyond total degree 1"),
+    ("rodrigues", "1 0", "error: equation not admissible"),
     ("monic", "2", "error: equation not admissible"),
 ])
 def test_cli_generate_nonadmissible_is_one_line_error(tmp_path, capsys, equation,

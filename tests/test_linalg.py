@@ -11,6 +11,27 @@ x = BiPoly.x()
 y = BiPoly.y()
 
 
+def rank(M: Mat) -> int:
+    """Exact rank by Gaussian elimination."""
+    work = [r[:] for r in M.rows]
+    n, m = M.nrows, M.ncols
+    rank = 0
+    for col in range(m):
+        piv = next((i for i in range(rank, n) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pval = work[rank][col]
+        for i in range(rank + 1, n):
+            f = work[i][col] / pval
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+        if rank == n:
+            break
+    return rank
+
+
 def test_identity_solve():
     B = Mat([[1, 2], [3, 4]])
     assert solve_exact(Mat.identity(2), B) == B
@@ -37,7 +58,7 @@ def test_solve_roundtrip_random():
         while True:
             A = Mat([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
                      for _ in range(n)])
-            if A.rank() == n:
+            if rank(A) == n:
                 break
         X = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))] for _ in range(n)])
         assert solve_exact(A, A @ X) == X
@@ -84,46 +105,107 @@ def test_matmul_matches_triple_loop_on_sparse_matrices():
 
 
 def test_rank_exact():
-    assert Mat([[1, 2], [2, 4]]).rank() == 1
-    assert Mat.identity(4).rank() == 4
-    assert Mat.zeros(3, 2).rank() == 0
+    assert rank(Mat([[1, 2], [2, 4]])) == 1
+    assert rank(Mat.identity(4)) == 4
+    assert rank(Mat.zeros(3, 2)) == 0
+
+
+def tensor_vandermonde_interpolate(nodes_x, nodes_y, values: Mat) -> BiPoly:
+    """Reference: the unique BiPoly with deg_x < len(nodes_x), deg_y <
+    len(nodes_y) matching values[r][s] = p(nodes_x[r], nodes_y[s]) on the
+    whole tensor grid, by two exact Vandermonde solves."""
+    nx, ny = len(nodes_x), len(nodes_y)
+    vx = Mat([[Fraction(xv) ** i for i in range(nx)] for xv in nodes_x])
+    vy = Mat([[Fraction(yv) ** j for j in range(ny)] for yv in nodes_y])
+    # values = Vx @ C @ Vy^T; solve for C in two steps
+    half = solve_exact(vx, values)                       # C @ Vy^T
+    coeff = solve_exact(vy, half.transpose()).transpose()  # C
+    return BiPoly({(i, j): coeff[i, j] for i in range(nx) for j in range(ny)})
+
+
+def lower_set_values(p, nodes_x, nodes_y):
+    G = len(nodes_x)
+    return [[p.eval(nodes_x[i], nodes_y[j]) for j in range(G - i)] for i in range(G)]
+
+
+def random_total_degree_poly(rng, N):
+    return BiPoly({(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for i in range(N + 1) for j in range(N + 1 - i)})
 
 
 def test_interpolate_corner():
-    vals = Mat([[0, 0], [0, 1]])
-    p = interpolate_2d([0, 1], [0, 1], vals)
+    # the lower set of three nodes per axis: the one nonzero sample sits at
+    # (1, 1), and xy vanishes at every other node
+    vals = [[0, 0, 0], [0, 1], [0]]
+    p = interpolate_2d([0, 1, 2], [0, 1, 2], vals)
     assert p == x * y
 
 
 def test_interpolate_zero():
-    p = interpolate_2d([0, 1, 2], [0, 1], Mat.zeros(3, 2))
+    p = interpolate_2d([0, 1, 2], [0, 1, 5], [[0, 0, 0], [0, 0], [0]])
     assert p.is_zero()
+    assert interpolate_2d([], [], []).is_zero()
 
 
 def test_interpolate_q_grid(qp):
     q = qp.q
     target = x * x + y
     nodes_x = [Fraction(1), q, q * q]
-    nodes_y = [Fraction(1), q]
-    vals = Mat([[target.eval(a, b) for b in nodes_y] for a in nodes_x])
+    nodes_y = [Fraction(1), q, q * q]
+    vals = lower_set_values(target, nodes_x, nodes_y)
     assert interpolate_2d(nodes_x, nodes_y, vals) == target
 
 
 def test_interpolate_roundtrip_random():
     rng = random.Random(11)
     for _ in range(10):
-        nx, ny = rng.randint(1, 4), rng.randint(1, 4)
-        p = BiPoly({(i, j): Fraction(rng.randint(-5, 5))
-                    for i in range(nx) for j in range(ny)})
-        nodes_x = [Fraction(k + 1, 2) for k in range(nx)]
-        nodes_y = [Fraction(2 * k + 1, 3) for k in range(ny)]
-        vals = Mat([[p.eval(a, b) for b in nodes_y] for a in nodes_x])
-        assert interpolate_2d(nodes_x, nodes_y, vals) == p
+        N = rng.randint(0, 4)
+        p = random_total_degree_poly(rng, N)
+        nodes_x = [Fraction(k + 1, 2) for k in range(N + 1)]
+        nodes_y = [Fraction(2 * k + 1, 3) for k in range(N + 1)]
+        assert interpolate_2d(nodes_x, nodes_y, lower_set_values(p, nodes_x, nodes_y)) == p
+
+
+@pytest.mark.parametrize("kind", ["generic", "geometric"])
+def test_interpolate_random_total_degree_against_tensor_reference(kind):
+    # the lower set fixes a total-degree-N polynomial; the tensor reference
+    # samples the whole grid and must return the same polynomial
+    rng = random.Random(f"interpolate-{kind}")
+    for _ in range(12):
+        N = rng.randint(0, 6)
+        p = random_total_degree_poly(rng, N)
+        if kind == "generic":
+            pool = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(60)]
+            nodes_x = list(dict.fromkeys(pool))[: N + 1]
+            nodes_y = list(dict.fromkeys(reversed(pool)))[: N + 1]
+        else:
+            q = Fraction(rng.choice([1, 2, 3]), rng.choice([4, 5, 7]))
+            xb, yb = Fraction(rng.randint(1, 9), 11), -Fraction(rng.randint(1, 9), 13)
+            nodes_x = [xb * q**-i for i in range(N + 1)]
+            nodes_y = [yb * q**-j for j in range(N + 1)]
+        got = interpolate_2d(nodes_x, nodes_y, lower_set_values(p, nodes_x, nodes_y))
+        assert got == p
+        full = Mat([[p.eval(a, b) for b in nodes_y] for a in nodes_x])
+        assert tensor_vandermonde_interpolate(nodes_x, nodes_y, full) == got
 
 
 def test_interpolate_rejects_repeated_node():
-    with pytest.raises(ValueError):
-        interpolate_2d([0, 0], [0, 1], Mat.zeros(2, 2))
+    vals = [[0, 0], [0]]
+    with pytest.raises(ValueError, match="repeated x"):
+        interpolate_2d([0, 0], [0, 1], vals)
+    with pytest.raises(ValueError, match="repeated y"):
+        interpolate_2d([0, 1], [1, 1], vals)
+
+
+def test_interpolate_rejects_non_lower_set_values():
+    with pytest.raises(ValueError, match="lower set"):
+        interpolate_2d([0, 1], [0, 1], [[0, 0], [0, 0]])      # the full tensor grid
+    with pytest.raises(ValueError, match="lower set"):
+        interpolate_2d([0, 1], [0, 1], [[0], [0, 0]])         # rows swapped
+    with pytest.raises(ValueError, match="lower set"):
+        interpolate_2d([0, 1, 2], [0, 1, 2], [[0, 0, 0], [0]])  # a row missing
+    with pytest.raises(ValueError, match="lower set"):
+        interpolate_2d([0, 1], [0, 1, 2], [[0, 0], [0]])
 
 
 def test_monomial_vec_and_blocks():

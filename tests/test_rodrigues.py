@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
-from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, rho_kl
-from qbipoly.qcalc import QParam, dq_nm_table, dqm_nm_table
+from test_linalg import tensor_vandermonde_interpolate
+from test_pearson import rho_kl
+from test_qcalc import dqm_nm_table
+from qbipoly.pearson import LatticePoleError, base_weight, build_pearson
+from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, RodriguesSpec,
                                _grid_values, rodrigues_poly)
 
@@ -31,14 +35,37 @@ def expanded_bracket(E, n, m):
     return out
 
 
-def reference_grid_values(E, n, m, base):
-    """Each grid node's forward stencil sampled and differenced on its own."""
+def factored_bracket(E, n, m):
+    """Omega(x, y) as the product of its factors, evaluated pointwise; the
+    product and each factor are memoized by their point, since stencils
+    overlap."""
+    P = build_pearson(E)
+    q = E.qp.q
+    omega1 = functools.cache(P.omega1.eval)
+    omega2 = functools.cache(P.omega2.eval)
+
+    @functools.cache
+    def omega(xv, yv):
+        val = F(1)
+        for k in range(n):
+            val *= omega1(xv * q**-k, yv)
+        for s in range(m):
+            val *= omega2(xv, yv * q**-s)
+        return val
+    return omega
+
+
+def reference_grid_values(E, n, m, base, omega=None):
+    """Each node of the whole (n+m+1)^2 tensor grid: its forward stencil
+    sampled and differenced on its own; Omega is the expanded bracket
+    unless `omega` is given."""
     qp = E.qp
     q = qp.q
     G = n + m + 1
     xb, yb = base
     rho = base_weight(E, (xb * q ** -(G - 1), yb * q ** -(G - 1)))
-    omega = expanded_bracket(E, n, m)
+    if omega is None:
+        omega = expanded_bracket(E, n, m).eval
     pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
     nodes_x = [xb * q**-i for i in range(G)]
     nodes_y = [yb * q**-j for j in range(G)]
@@ -47,7 +74,7 @@ def reference_grid_values(E, n, m, base):
         row = []
         for j in range(G):
             s0, t0 = G - 1 - i, G - 1 - j
-            fvals = [[rho.value(s0 + r, t0 + s) * omega.eval(nodes_x[i] * q**r, nodes_y[j] * q**s)
+            fvals = [[rho.value(s0 + r, t0 + s) * omega(nodes_x[i] * q**r, nodes_y[j] * q**s)
                       for s in range(m + 1)] for r in range(n + 1)]
             rho_here = rho.value(s0, t0)
             if rho_here == 0:
@@ -57,17 +84,21 @@ def reference_grid_values(E, n, m, base):
     return nodes_x, nodes_y, values
 
 
-def reference_poly(E, n, m):
+def reference_poly(E, n, m, omega=None):
+    """The tensor-grid route: every node of the square grid sampled, then
+    two Vandermonde solves."""
     for base in DEFAULT_BASES:
         try:
-            nodes_x, nodes_y, values = reference_grid_values(E, n, m, base)
+            nodes_x, nodes_y, values = reference_grid_values(E, n, m, base, omega)
         except (LatticePoleError, ZeroDivisionError):
             continue
-        return interpolate_2d(nodes_x, nodes_y, Mat(values))
+        return tensor_vandermonde_interpolate(nodes_x, nodes_y, Mat(values))
     raise AssertionError("no pole-free base point")
 
 
 Q23_PARAMS = BigQJacobiParams(F(1, 2), F(2, 3), F(3, 7), F(-1, 3), QParam(F(2, 3)))
+# |d q| = 7/4 > 1
+WIDE_D_PARAMS = BigQJacobiParams(F(1, 3), F(1, 2), F(2, 5), F(-7, 2), QParam(F(1, 2)))
 
 
 @pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS], ids=["test-params", "q=2/3"])
@@ -76,6 +107,17 @@ def test_factored_lattice_equals_expanded_reference(params):
     for d in range(5):
         for n in range(d + 1):
             assert rodrigues_poly(RodriguesSpec(E, n, d - n)) == reference_poly(E, n, d - n), (n, d - n)
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, WIDE_D_PARAMS],
+                         ids=["test-params", "q=2/3", "wide-d"])
+def test_lower_set_equals_tensor_reference(params):
+    E = preset_equation(params)
+    for d in range(7):
+        for n in range(d + 1):
+            m = d - n
+            ref = reference_poly(E, n, m, factored_bracket(E, n, m))
+            assert rodrigues_poly(RodriguesSpec(E, n, m)) == ref, (n, m)
 
 
 def diagonal_pole_base(params):
@@ -200,27 +242,116 @@ def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
 
 
 def test_line1_equals_line3_up_to_q_square_power(equation):
+    # line 1 is sampled on the whole tensor grid, line 3 (the sampler of
+    # rodrigues_poly) on its lower set; at the nodes outside the lower set
+    # line 1 meets line 3's interpolant
     q = equation.qp.q
     base = DEFAULT_BASES[0]
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 2)]:
-        _, _, vals3 = _grid_values(equation, n, m, base)
+        nodes_x, nodes_y, vals3 = _grid_values(equation, n, m, base)
+        p = interpolate_2d(nodes_x, nodes_y, vals3)
         vals1 = rodrigues_line1_values(equation, n, m, base)
         factor = q ** (n * n + m * m)
-        for i in range(len(vals3)):
-            for j in range(len(vals3)):
-                assert vals1[i][j] == factor * vals3[i][j]
+        G = n + m + 1
+        for i in range(G):
+            for j in range(G):
+                line3 = vals3[i][j] if i + j < G else p.eval(nodes_x[i], nodes_y[j])
+                assert vals1[i][j] == factor * line3
 
 
 def test_samples_off_grid_match_interpolant(equation):
     # the quotient is a genuine polynomial: values at lattice points beyond
-    # the interpolation grid agree with the interpolant
-    n, m = 1, 1
-    p = rodrigues_poly(RodriguesSpec(equation, n, m))
-    base = (DEFAULT_BASES[0][0] * F(1, 4), DEFAULT_BASES[0][1] * F(1, 4))
-    nodes_x, nodes_y, values = _grid_values(equation, n, m, base)
-    for i in range(len(nodes_x)):
-        for j in range(len(nodes_y)):
-            assert values[i][j] == p.eval(nodes_x[i], nodes_y[j])
+    # the interpolation grid, on the lower set and on the rest of the
+    # tensor grid (the test-side sampler), agree with the interpolant
+    for n, m in [(1, 1), (2, 1)]:
+        p = rodrigues_poly(RodriguesSpec(equation, n, m))
+        base = (DEFAULT_BASES[0][0] * F(1, 4), DEFAULT_BASES[0][1] * F(1, 4))
+        nodes_x, nodes_y, lower = _grid_values(equation, n, m, base)
+        _, _, full = reference_grid_values(equation, n, m, base, factored_bracket(equation, n, m))
+        G = n + m + 1
+        assert [len(row) for row in lower] == list(range(G, 0, -1))
+        for i in range(G):
+            for j in range(G):
+                assert full[i][j] == p.eval(nodes_x[i], nodes_y[j])
+                if i + j < G:
+                    assert lower[i][j] == full[i][j]
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (8, 0), (2, 5)])
+def test_grid_values_forms_f_only_where_needed(equation, monkeypatch, n, m):
+    # f = rho * Omega is formed on the lattice points a + b >= N only, and
+    # u on the G(G+1)/2 nodes of the lower set
+    formed = []
+
+    def spy(fvals, *args):
+        formed.append(sum(v is not None for row in fvals for v in row))
+        return dq_nm_table(fvals, *args)
+
+    monkeypatch.setattr(rodrigues, "dq_nm_table", spy)
+    N = n + m
+    G = N + 1
+    _, _, values = _grid_values(equation, n, m, DEFAULT_BASES[0])
+    assert formed == [(G + n) * (G + m) - N * (N + 1) // 2]
+    assert sum(len(row) for row in values) == G * (G + 1) // 2
+
+
+def first_walk_pole(E, anchor, s_count, t_count):
+    """The pole value() meets first when walked row by row over the box, as
+    the tensor-grid sampler walked it; None when the box is pole-free."""
+    W = base_weight(E, anchor)
+    try:
+        for s in range(s_count):
+            for t in range(t_count):
+                W.value(s, t)
+    except LatticePoleError as exc:
+        return exc.which, exc.index, exc.point
+    return None
+
+
+def test_weight_box_equals_value(equation):
+    anchor = DEFAULT_BASES[0]
+    box = base_weight(equation, anchor).box(7, 5)
+    W = base_weight(equation, anchor)
+    assert box == [[W.value(s, t) for t in range(5)] for s in range(7)]
+
+
+def pole_anchor(params, kind, t=2):
+    """An anchor on the G1 pole ray x = c y; for kind "g2" its column
+    s = 0 also reaches omega2(x, qy)'s zero y = a at step t, a G2 pole
+    the walk meets before any G1 pole."""
+    q = params.qp.q
+    xb, yb = diagonal_pole_base(params)
+    if kind == "g1-shifted":
+        return xb * q**2, yb * q
+    if kind == "g2":
+        yb = params.a * q**-t
+        return params.c * yb, yb
+    return xb, yb
+
+
+@pytest.mark.parametrize("kind", ["g1", "g1-shifted", "g2"])
+def test_weight_box_raises_the_walk_pole(equation, params, kind):
+    anchor = pole_anchor(params, kind)
+    expected = first_walk_pole(equation, anchor, 6, 6)
+    assert expected[0] == kind[:2].upper()
+    with pytest.raises(LatticePoleError) as err:
+        base_weight(equation, anchor).box(6, 6)
+    assert (err.value.which, err.value.index, err.value.point) == expected
+
+
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 0), (0, 2), (2, 3)])
+def test_grid_values_raises_the_tensor_sampler_pole(equation, params, n, m, kind):
+    # the tensor-grid sampler walked rho over the same lattice box
+    q = params.qp.q
+    N = n + m
+    X, Y = pole_anchor(params, kind, t=1)
+    base = (X * q**N, Y * q**N)
+    expected = first_walk_pole(equation, (X, Y), N + 1 + n, N + 1 + m)
+    assert expected[0] == kind.upper()
+    with pytest.raises(LatticePoleError) as err:
+        _grid_values(equation, n, m, base)
+    assert (err.value.which, err.value.index, err.value.point) == expected
 
 
 def test_rejects_nonadmissible_equation(equation):
