@@ -9,7 +9,7 @@ from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
                        apply_operator, check_hypergeometric_form, derived_coeffs)
 from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec, solve_exact
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
-                      verify_pearson_identities)
+                      rho_kl, verify_pearson_identities)
 from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate,
                     phi_rs, qnum, qpochhammer, qpochhammer_inf,
                     verify_operator_relations)

@@ -491,6 +491,14 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     return first * second
 
 
+def classical_weight(cp: ClassicalParams) -> BiPoly:
+    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
+    x = BiPoly.x()
+    y = BiPoly.y()
+    one = BiPoly.const(1)
+    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
+
+
 def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     """d^{n+m}/dx^n dy^m of (x+1)^{beta+n} (1-y)^{alpha+m} (y-x)^{gamma+n+m},
     divided exactly by the classical weight (zero remainder required)."""

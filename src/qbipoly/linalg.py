@@ -115,6 +115,26 @@ class Mat:
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
 
+    def rank(self) -> int:
+        """Exact rank by Gaussian elimination."""
+        work = [r[:] for r in self.rows]
+        n, m = self.nrows, self.ncols
+        rank = 0
+        for col in range(m):
+            piv = next((i for i in range(rank, n) if work[i][col]), None)
+            if piv is None:
+                continue
+            work[rank], work[piv] = work[piv], work[rank]
+            pval = work[rank][col]
+            for i in range(rank + 1, n):
+                f = work[i][col] / pval
+                if f:
+                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+            rank += 1
+            if rank == n:
+                break
+        return rank
+
 
 def mat_diff(A: Mat, B: Mat) -> list:
     """Entries where A and B differ, as ((row, col) 1-based, a, b)."""

@@ -1,5 +1,5 @@
 """q-Pearson data, Pearson-equivalent rational identities, and lattice
-evaluation of the orthogonality weight.
+evaluation of the orthogonality weight and its derivative weights.
 
 With the sqrt(q)-absorbed coefficient convention the Pearson polynomials are
 
@@ -10,9 +10,14 @@ and G1 = phi1(x,y)/omega1(qx,y), G2 = phi2(x,y)/omega2(x,qy) are the one-step
 weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y).
 
 General-equation weights are defined per q-commensurate lattice component,
-relative to one anchor with rho(anchor) = 1.  (The derivative weights
-rho^{(k,l)} and their product identity, the lattice form of the Rodrigues
-bracket, live with the tests that use them, tests/test_pearson.py.)
+relative to one anchor with rho(anchor) = 1; the derivative weights
+rho^{(k,l)} carry the relative normalization fixed by the product identity
+
+    rho^{(k,l)}(x,y) = rho(q^k x, q^l y)
+                       * prod_{i=1..k} omega1(q^i x, q^l y)
+                       * prod_{s=1..l} omega2(q^k x, q^s y),
+
+the lattice form of the Rodrigues bracket.
 """
 
 from __future__ import annotations
@@ -119,8 +124,9 @@ class WeightEvaluator:
     values relative to rho(x0, y0) = scale.
 
     The canonical path steps y first (t applications of G2 at x0), then x at
-    the final y level.  Poles along a path raise LatticePoleError with the
-    offending index.
+    the final y level; value_xfirst walks the other way for path-independence
+    checks.  Poles along a path raise LatticePoleError with the offending
+    index.
     """
 
     pearson: PearsonData
@@ -156,6 +162,18 @@ class WeightEvaluator:
         self._cache[key] = val
         return val
 
+    def value_xfirst(self, s: int, t: int):
+        """Same weight walked x-first; equality with value() is the lattice
+        form of the mixed-ratio identity."""
+        q = self.qp.q
+        x0, y0 = self.anchor
+        val = self.scale * 1
+        for j in range(s):
+            val *= self._g("G1", x0 * q**j, y0, j)
+        for i in range(t):
+            val *= self._g("G2", x0 * q**s, y0 * q**i, i)
+        return val
+
     def box(self, s_count: int, t_count: int) -> list:
         """rows[s][t] = value(s, t) for s < s_count, t < t_count, from
         whole-lattice evaluations of the ratio numerators and denominators.
@@ -189,13 +207,43 @@ def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
     return WeightEvaluator(build_pearson(E), tuple(anchor), E.qp)
 
 
+def omega_product_at(E: EquationCoeffs, k: int, l: int, xv, yv):
+    """prod_{i=1..k} omega1(q^i x, q^l y) * prod_{s=1..l} omega2(q^k x, q^s y)."""
+    P = build_pearson(E)
+    q = E.qp.q
+    val = Fraction(1)
+    for i in range(1, k + 1):
+        val *= P.omega1.eval(xv * q**i, yv * q**l)
+    for s in range(1, l + 1):
+        val *= P.omega2.eval(xv * q**k, yv * q**s)
+    return val
+
+
+def rho_kl(E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator | None = None) -> WeightEvaluator:
+    """WeightEvaluator of the derivative weight rho^{(k,l)}, built from the
+    Pearson data of the (k,l) derived coefficients.
+
+    The scale is fixed by the product identity at the anchor, so the
+    evaluator agrees with rho(q^k x, q^l y) * omega-products at every lattice
+    point (not only up to a constant).
+    """
+    anchor = tuple(anchor)
+    if base is None:
+        base = base_weight(E, anchor)
+    D = derived_coeffs(E, k, l)
+    P = build_pearson(D)
+    scale = base.value(k, l) * omega_product_at(E, k, l, *anchor)
+    return WeightEvaluator(P, anchor, E.qp, scale=scale)
+
+
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     """CSV-ready rows (s, t, x, y, numerator, denominator) of exact lattice
     weight values; rows are ordered by (s, t)."""
+    box = W.box(s_max + 1, t_max + 1)
     rows = []
     for s in range(s_max + 1):
         for t in range(t_max + 1):
             xv, yv = W.point(s, t)
-            val = Fraction(W.value(s, t))
+            val = Fraction(box[s][t])
             rows.append((s, t, str(xv), str(yv), str(val.numerator), str(val.denominator)))
     return rows

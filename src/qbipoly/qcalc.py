@@ -154,6 +154,17 @@ def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
     return _difference_table(fvals, x0, y0, qp.q, n, m)
 
 
+def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
+    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
+
+    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
+    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
+    (q^-r x0, q^-s y0) comes from the same kernel; t[0][0] is the value at
+    (x0, y0).
+    """
+    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
+
+
 # ---------------------------------------------------------------------------
 # operator relation report
 # ---------------------------------------------------------------------------

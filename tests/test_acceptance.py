@@ -27,7 +27,6 @@ from qbipoly.rodrigues import RodriguesSpec, rodrigues_poly
 from qbipoly.scalars import FloatField
 from qbipoly.suites import suite_orthogonality
 from test_equation import assert_routes_agree
-from test_pearson import value_xfirst
 
 F = Fraction
 x = BiPoly.x()
@@ -85,7 +84,7 @@ def test_criterion_4_pearson(equation, params):
     W = base_weight(equation, PEARSON_ANCHOR)
     for s in range(13):
         for t in range(13 - s):
-            assert W.value(s, t) == value_xfirst(W, s, t)
+            assert W.value(s, t) == W.value_xfirst(s, t)
 
     from qbipoly.bigqjacobi import closed_form_weight
 

@@ -9,7 +9,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _poch_ladder, _power_sums,
                                 appell_monic,
                                 classical_pde_residual, classical_rodrigues,
-                                error_ratios, explicit_BC, jnm,
+                                classical_weight, error_ratios, explicit_BC, jnm,
                                 closed_form_weight, lambda_explicit,
                                 limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly,
@@ -293,12 +293,6 @@ def test_jnm_matches_jacobi_product_form():
                 ref = lead * jacobi_poly(m, ga, be, t) \
                     * jacobi_poly(n - m, al, be + ga + 2 * m + 1, yv)
                 assert p.eval(xv, yv) == ref
-
-
-def classical_weight(cp: ClassicalParams) -> BiPoly:
-    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
-    one = BiPoly.const(1)
-    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
 
 
 def test_classical_weight_polynomial():

@@ -11,27 +11,6 @@ x = BiPoly.x()
 y = BiPoly.y()
 
 
-def rank(M: Mat) -> int:
-    """Exact rank by Gaussian elimination."""
-    work = [r[:] for r in M.rows]
-    n, m = M.nrows, M.ncols
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, n) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pval = work[rank][col]
-        for i in range(rank + 1, n):
-            f = work[i][col] / pval
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
 def test_identity_solve():
     B = Mat([[1, 2], [3, 4]])
     assert solve_exact(Mat.identity(2), B) == B
@@ -58,7 +37,7 @@ def test_solve_roundtrip_random():
         while True:
             A = Mat([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
                      for _ in range(n)])
-            if rank(A) == n:
+            if A.rank() == n:
                 break
         X = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))] for _ in range(n)])
         assert solve_exact(A, A @ X) == X
@@ -105,9 +84,9 @@ def test_matmul_matches_triple_loop_on_sparse_matrices():
 
 
 def test_rank_exact():
-    assert rank(Mat([[1, 2], [2, 4]])) == 1
-    assert rank(Mat.identity(4)) == 4
-    assert rank(Mat.zeros(3, 2)) == 0
+    assert Mat([[1, 2], [2, 4]]).rank() == 1
+    assert Mat.identity(4).rank() == 4
+    assert Mat.zeros(3, 2).rank() == 0
 
 
 def tensor_vandermonde_interpolate(nodes_x, nodes_y, values: Mat) -> BiPoly:

@@ -15,7 +15,6 @@ from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
-from test_linalg import rank
 
 F = Fraction
 x = BiPoly.x()
@@ -42,7 +41,7 @@ def test_L_partial_isometry(qp):
         for j in (1, 2):
             L = mat_L(n, j)
             assert L @ L.transpose() == Mat.identity(n + 1)
-            assert rank(L) == n + 1
+            assert L.rank() == n + 1
 
 
 def test_E_and_K_sample_entries(qp):
@@ -58,7 +57,7 @@ def test_E_and_K_sample_entries(qp):
 def test_joint_L_rank_and_inverse(qp):
     for n in range(7):
         L = joint_L(n)
-        assert rank(L) == n + 2
+        assert L.rank() == n + 2
         D = generalized_inverse_L(n)
         assert D @ L == Mat.identity(n + 2)
 
@@ -293,13 +292,13 @@ def test_C_rank(equation, oracle5):
     for n in range(3):
         for j in (1, 2):
             C = ttr_matrices(oracle5, n + 1, j)["C"]
-            assert rank(C) == n + 1
+            assert C.rank() == n + 1
     # stacked C_n has rank n
     for n in range(1, 4):
         C1 = ttr_matrices(oracle5, n, 1)["C"]
         C2 = ttr_matrices(oracle5, n, 2)["C"]
         stacked = Mat(C1.rows + C2.rows)
-        assert rank(stacked) == n
+        assert stacked.rank() == n
 
 
 def test_recursive_formula_reproduces_oracle(equation):

@@ -5,8 +5,9 @@ import pytest
 from qbipoly.bipoly import BiPoly, RationalFn, ratfn_equal
 from qbipoly.bigqjacobi import closed_form_weight
 from qbipoly.equation import EquationCoeffs, derived_coeffs
-from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, WeightEvaluator,
-                             base_weight, build_pearson, verify_pearson_identities)
+from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
+                             base_weight, build_pearson, omega_product_at,
+                             rho_kl, verify_pearson_identities)
 from qbipoly.scalars import FloatField
 
 F = Fraction
@@ -16,48 +17,6 @@ y = BiPoly.y()
 #: pole-free anchor for the fixed test parameters (q = 1/2): no Pearson
 #: numerator or denominator zero crosses the lattice paths for s, t <= 14
 ANCHOR = (F(3, 7), F(5, 11))
-
-
-def value_xfirst(W: WeightEvaluator, s: int, t: int):
-    """W's weight walked x-first; equality with W.value is the lattice form
-    of the mixed-ratio identity."""
-    q = W.qp.q
-    x0, y0 = W.anchor
-    val = W.scale * 1
-    for j in range(s):
-        val *= W._g("G1", x0 * q**j, y0, j)
-    for i in range(t):
-        val *= W._g("G2", x0 * q**s, y0 * q**i, i)
-    return val
-
-
-def omega_product_at(E: EquationCoeffs, k: int, l: int, xv, yv):
-    """prod_{i=1..k} omega1(q^i x, q^l y) * prod_{s=1..l} omega2(q^k x, q^s y)."""
-    P = build_pearson(E)
-    q = E.qp.q
-    val = Fraction(1)
-    for i in range(1, k + 1):
-        val *= P.omega1.eval(xv * q**i, yv * q**l)
-    for s in range(1, l + 1):
-        val *= P.omega2.eval(xv * q**k, yv * q**s)
-    return val
-
-
-def rho_kl(E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator | None = None) -> WeightEvaluator:
-    """WeightEvaluator of the derivative weight rho^{(k,l)}, built from the
-    Pearson data of the (k,l) derived coefficients.
-
-    The scale is fixed by the product identity at the anchor, so the
-    evaluator agrees with rho(q^k x, q^l y) * omega-products at every lattice
-    point (not only up to a constant).
-    """
-    anchor = tuple(anchor)
-    if base is None:
-        base = base_weight(E, anchor)
-    D = derived_coeffs(E, k, l)
-    P = build_pearson(D)
-    scale = base.value(k, l) * omega_product_at(E, k, l, *anchor)
-    return WeightEvaluator(P, anchor, E.qp, scale=scale)
 
 
 def test_pearson_factorizations(equation, params):
@@ -136,7 +95,7 @@ def test_path_independence(equation):
     W = base_weight(equation, ANCHOR)
     for s in range(13):
         for t in range(13 - s):
-            assert W.value(s, t) == value_xfirst(W, s, t)
+            assert W.value(s, t) == W.value_xfirst(s, t)
 
 
 def test_pearson_ratios_on_lattice(equation):
@@ -155,7 +114,7 @@ def test_pole_reported_with_index(equation, params):
     W = base_weight(equation, (dq, dq))
     # walking x first crosses the omega2 zero x = q y on the equal-scale lattice
     with pytest.raises(LatticePoleError) as err:
-        value_xfirst(W, 1, 1)
+        W.value_xfirst(1, 1)
     assert err.value.which == "G2"
     assert err.value.index == 0
     # the y-first canonical path stays finite

@@ -7,8 +7,8 @@ import pytest
 
 from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, closed_form_weight
 from qbipoly.bipoly import BiPoly
-from qbipoly.qcalc import (QParam, SeriesError, _difference_table, dq1, dq2,
-                           dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
+from qbipoly.qcalc import (QParam, SeriesError, dq1, dq2, dq_nm_table, dqm1,
+                           dqm2, dqm_nm_table, gauss_2f1_terminating,
                            kampe_de_feriet, phi_bivariate, phi_rs,
                            pochhammer_rising, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
@@ -111,17 +111,6 @@ def dq_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
     q = qp.q
     fvals = [[f(x0 * q**r, y0 * q**s) for s in range(m + 1)] for r in range(n + 1)]
     return dq_nm_table(fvals, x0, y0, qp, n, m)[0][0]
-
-
-def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
-    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
-
-    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
-    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
-    (q^-r x0, q^-s y0) comes from the forward kernel; t[0][0] is the value
-    at (x0, y0).
-    """
-    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
 def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):

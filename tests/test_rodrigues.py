@@ -9,10 +9,9 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
 from test_linalg import tensor_vandermonde_interpolate
-from test_pearson import rho_kl
-from test_qcalc import dqm_nm_table
-from qbipoly.pearson import LatticePoleError, base_weight, build_pearson
-from qbipoly.qcalc import QParam, dq_nm_table
+from qbipoly.pearson import (LatticePoleError, base_weight, build_pearson, rho_kl,
+                             weight_table_rows)
+from qbipoly.qcalc import QParam, dq_nm_table, dqm_nm_table
 from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, RodriguesSpec,
                                _grid_values, rodrigues_poly)
 
@@ -336,6 +335,26 @@ def test_weight_box_raises_the_walk_pole(equation, params, kind):
     assert expected[0] == kind[:2].upper()
     with pytest.raises(LatticePoleError) as err:
         base_weight(equation, anchor).box(6, 6)
+    assert (err.value.which, err.value.index, err.value.point) == expected
+
+
+@pytest.mark.parametrize("kind", [None, "g1", "g1-shifted", "g2"])
+def test_weight_table_rows_follow_the_walk(equation, params, kind):
+    # the CSV weight table is read off one box; it must list value() at every
+    # point and fail at the pole the row-by-row walk over the table meets
+    anchor = DEFAULT_BASES[0] if kind is None else pole_anchor(params, kind)
+    expected = first_walk_pole(equation, anchor, 6, 5)
+    assert (expected is None) == (kind is None)
+    if expected is None:
+        W = base_weight(equation, anchor)
+        rows = weight_table_rows(W, 5, 4)
+        assert [(s, t) for s, t, *_ in rows] == [(s, t) for s in range(6) for t in range(5)]
+        for s, t, xv, yv, num, den in rows:
+            assert (xv, yv) == tuple(str(v) for v in W.point(s, t))
+            assert F(int(num), int(den)) == W.value(s, t)
+        return
+    with pytest.raises(LatticePoleError) as err:
+        weight_table_rows(base_weight(equation, anchor), 5, 4)
     assert (err.value.which, err.value.index, err.value.point) == expected
 
 
