@@ -15,7 +15,7 @@ from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate
                     verify_operator_relations)
 from .rodrigues import RodriguesSpec, rodrigues_poly
 from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
-                    ghat_oracle, ghat_closed_form, gram_matrix, structure_matrices,
+                    ghat_oracle, gram_matrix, structure_matrices,
                     ttr_matrices)
 from .scalars import FloatField
 

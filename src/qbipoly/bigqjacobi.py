@@ -13,9 +13,9 @@ from .bipoly import BiPoly
 from .equation import EquationCoeffs
 from .linalg import Mat, interpolate_2d
 from .monic import generate_monic_oracle
-from .qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
-                    phi_bivariate, phi_rs, pochhammer_rising, qnum, qpochhammer,
-                    qpochhammer_inf)
+from .qcalc import (QParam, _rising_factor, _terms, gauss_2f1_terminating,
+                    kampe_de_feriet, phi_bivariate, phi_rs, pochhammer_rising, qnum,
+                    qpochhammer, qpochhammer_inf)
 from .rodrigues import RodriguesSpec, rodrigues_poly
 from .scalars import FloatField
 
@@ -481,10 +481,12 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     one = BiPoly.const(1)
     half = Fraction(1, 2)
 
+    # the 2F1(-m, beta+gamma+m+1; gamma+1) coefficients, each term r times
+    # (y-x)^r (y+1)^(m-r)
+    coefs = _terms(_rising_factor, (Fraction(-m), be + ga + m + 1), (ga + 1, Fraction(1)),
+                   "series", max_terms=m + 1)
     first = BiPoly.zero()
-    for r in range(m + 1):
-        coef = (pochhammer_rising(Fraction(-m), r) * pochhammer_rising(be + ga + m + 1, r)
-                / (pochhammer_rising(ga + 1, r) * pochhammer_rising(Fraction(1), r)))
+    for r, coef in enumerate(coefs):
         first = first + ((y - x) ** r) * ((y + one) ** (m - r)) * coef
     second = gauss_2f1_terminating(Fraction(m - n), al + be + ga + m + n + 2, al + 1,
                                    (one - y) * half)

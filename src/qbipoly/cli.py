@@ -62,7 +62,7 @@ def _load_equation(args) -> tuple:
     if args.equation and args.preset:
         raise ConfigError("give either --equation or --preset, not both")
     if args.equation:
-        return qio.parse_equation_file(args.equation), None
+        return qio.parse_equation_file(args.equation)
     if args.preset:
         if args.preset != "big-q-jacobi":
             raise ConfigError(f"unknown preset {args.preset!r}")

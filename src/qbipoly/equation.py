@@ -149,13 +149,13 @@ class Admissibility:
         return -qnum(n, self.qp) * (self.f1 - self.a1 * self.qp.q * qnum(1 - n, self.qp))
 
 
-def admissibility(E: EquationCoeffs, spectral_bound: int = 64, distinct_bound: int = 20) -> Admissibility:
+def admissibility(E: EquationCoeffs, distinct_bound: int = 20) -> Admissibility:
     """Check the admissibility conditions and build the eigenvalue sequence.
 
     The universally quantified spectral condition f1 - a1 q [1-m] != 0 is
-    checked for m up to spectral_bound and, in addition, structurally: the
-    only way it can vanish is f1/(a1 q) = [1-m], i.e. 1 + (q-1) f1/(a1 q)
-    equal to an exact power q^{1-m}.
+    decided exactly for every m >= 0: with a1 = 0 it fails only when
+    f1 = 0 (at every m, reported at m = 0); otherwise it fails only when
+    1 + (q-1) f1/(a1 q) is an exact power q^{1-m}.
     """
     failures = []
     a1, _, _ = E.sigma1()
@@ -175,23 +175,18 @@ def admissibility(E: EquationCoeffs, spectral_bound: int = 64, distinct_bound: i
     if a3d != a1:
         failures.append(f"a3d != a1 ({a3d} vs {a1})")
 
-    for m in range(spectral_bound + 1):
-        if f1 - a1 * q * qnum(1 - m, E.qp) == 0:
-            failures.append(f"spectral condition fails at m={m}")
-            break
+    if a1 == 0:
+        if f1 == 0:
+            failures.append("spectral condition fails at m=0")
     else:
-        if a1 == 0:
-            if f1 == 0:
-                failures.append("degenerate: a1 = f1 = 0")
-        else:
-            val = 1 + (q - 1) * f1 / (a1 * q)  # must equal q^{1-m}, m >= 0, for failure
-            if val > 0:
-                j, p = 1, q
-                while p < val:
-                    j -= 1
-                    p /= q
-                if p == val:
-                    failures.append(f"spectral condition fails structurally at m={1 - j}")
+        val = 1 + (q - 1) * f1 / (a1 * q)
+        if val > 0:
+            m, p = 0, q  # p = q^{1-m} grows with m, since 0 < q < 1
+            while p < val:
+                m += 1
+                p /= q
+            if p == val:
+                failures.append(f"spectral condition fails at m={m}")
 
     adm = Admissibility(not failures, failures, f1, a1, E.qp)
     if adm.admissible:

@@ -2,8 +2,8 @@
 and atomic writes.
 
 Scalars travel as decimal-free numerator/denominator strings; float-lane
-report values as 40-digit decimal strings.  Every JSON document carries
-schema_version.
+report values as decimal strings with the digits their precision carries.
+Every JSON document carries schema_version.
 Files are written to a uniquely named temporary sibling and renamed, so
 failures leave neither partial outputs nor temp files.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -34,9 +35,10 @@ def frac_str(v: Fraction) -> str:
 
 
 def mp_str(v) -> str:
+    """v to the decimal digits its binary precision carries."""
     import mpmath
 
-    return mpmath.nstr(v, 40)
+    return mpmath.nstr(v, int(v.context.prec * math.log10(2)))
 
 
 def poly_to_json(p: BiPoly) -> list:
@@ -156,6 +158,13 @@ def poly_terms_str(p: BiPoly) -> str:
 def parse_equation_text(text: str) -> EquationCoeffs:
     """Parse the key-value equation format; either the six polynomials or a
     named preset with its parameters."""
+    return parse_equation_source(text)[0]
+
+
+def parse_equation_source(text: str) -> tuple:
+    """(equation, preset parameters) from the key-value equation format; the
+    parameters are the BigQJacobiParams of a big-q-jacobi preset, or None
+    for an equation given by its six polynomials."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -188,18 +197,19 @@ def parse_equation_text(text: str) -> EquationCoeffs:
             raise EquationParseError(f"preset needs parameter {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise EquationParseError(str(exc)) from None
-        return preset_equation(params)
+        return preset_equation(params), params
 
     missing = [k for k in _POLY_KEYS if k not in fields]
     if missing:
         raise EquationParseError(f"missing polynomial keys: {', '.join(missing)}")
     polys = {k: parse_poly_terms(fields[k]) for k in _POLY_KEYS}
-    return EquationCoeffs(qp, *(polys[k] for k in _POLY_KEYS))
+    return EquationCoeffs(qp, *(polys[k] for k in _POLY_KEYS)), None
 
 
-def parse_equation_file(path: str) -> EquationCoeffs:
+def parse_equation_file(path: str) -> tuple:
+    """parse_equation_source on the text of an equation file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_equation_text(fh.read())
+        return parse_equation_source(fh.read())
 
 
 def equation_to_text(E: EquationCoeffs) -> str:

@@ -1,17 +1,17 @@
 """Monic orthogonal polynomial vectors and three-term recurrence matrices.
 
-Two independent routes produce the monic coefficient blocks G_{n,j}:
+ghat_oracle builds the monic coefficient blocks G_{n,j}: expand
+D(x^{j-k} y^k) in the graded monomial basis, giving the exact degree blocks
+of the operator, and run the triangular chain that the eigen-equation
+imposes.  The degree-preserving block of an admissible equation is
+-lambda_d I (checked exactly), so each chain step is a scalar division by an
+eigenvalue gap; every output vector is re-verified against the
+eigen-equation.
 
-* ghat_oracle: expand D(x^{j-k} y^k) in the graded monomial basis, giving the
-  exact degree blocks of the operator, and run the triangular chain that the
-  eigen-equation imposes.  The degree-preserving block of an admissible
-  equation is -lambda_d I (checked exactly), so each chain step is a scalar
-  division by an eigenvalue gap.  This is the authoritative construction (its
-  output is re-verified against the eigen-equation).
-* ghat_closed_form: the explicit closed-form entries (bidiagonal S_n,
-  matrix T_n, scalar resolvent F_n).  These are kept verbatim as a
-  cross-check layer; the discrepancy report surfaces any disagreement
-  instead of patching it.
+The paper's closed-form blocks S_n (degree drop 1) and T_n (degree drop 2)
+are kept verbatim; the recurrence suite compares each once with the
+operator block it claims to equal, and reports any disagreement instead of
+patching it.
 
 The recurrence layer (structure matrices, the explicit generalized inverse,
 and the recursive generator) is built on oracle blocks throughout.
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import Admissibility, EquationCoeffs, apply_operator
-from .linalg import Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec
+from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec
 from .qcalc import QParam, qnum
 
 _ONE = Fraction(1)
@@ -103,12 +103,13 @@ def assemble_vector(ghat: list) -> PolyVec:
 
 
 # ---------------------------------------------------------------------------
-# explicit closed-form entries (cross-check layer)
+# the paper's closed-form operator blocks (cross-check layer)
 # ---------------------------------------------------------------------------
 
 def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
-    """The closed-form lower-bidiagonal S_n, entries s_{i,i} and s_{i+1,i}
-    (1-based), size (n+1) x n; kept verbatim for the discrepancy report."""
+    """The closed-form lower-bidiagonal S_n (degree-drop-1 block), entries
+    s_{i,i} and s_{i+1,i} (1-based), size (n+1) x n; kept verbatim, so its
+    subdiagonal erratum shows in the recurrence report."""
     if n < 1:
         raise ValueError("S_n needs n >= 1")
     qp = E.qp
@@ -147,57 +148,6 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
         + (s["K1"] @ s1["E1"]).scaled(c1s * q) \
         + (s["K2"] @ s1["E2"]).scaled(c2s * q) \
         + (s["K2"] @ s1["K1"]).scaled(d3d)
-
-
-def ghat_closed_form(family: MonicFamily, n: int, gn1_override: Mat | None = None,
-                     s_source: str = "closed-form") -> dict:
-    """G_{n,n-1} and (n >= 2) G_{n,n-2} from the resolvent formulas, with the
-    eigenvalues of the family's equation.
-
-    gn1_override feeds a different G_{n,n-1} (e.g. the oracle's) into the
-    G_{n,n-2} formula; s_source chooses between the closed-form S entries
-    and the true degree-drop-1 operator block (what the closed-form S_n is
-    meant to express, read from the family), separating the resolvent check
-    from the subdiagonal-entry question.
-    """
-    E = family.equation
-    lam = family.admissibility.eigenvalue
-
-    def smat(k):
-        if s_source == "closed-form":
-            return s_matrix_closed_form(E, k)
-        return family.operator_blocks[k][1]
-
-    out = {}
-    gn1 = smat(n).scaled(1 / (lam(n - 1) - lam(n)))
-    out["G_n_nm1"] = gn1
-    if n >= 2:
-        use = gn1 if gn1_override is None else gn1_override
-        inner = t_matrix_closed_form(E, n) + use @ smat(n - 1)
-        out["G_n_nm2"] = inner.scaled(1 / (lam(n - 2) - lam(n)))
-    return out
-
-
-def ghat_discrepancy_report(family: MonicFamily, n_max: int) -> dict:
-    """Entry-by-entry comparison of the closed-form blocks against the
-    blocks of an oracle family (degrees through n_max); agreement is
-    measured, never presumed."""
-    report = {}
-    for n in range(1, n_max + 1):
-        oracle_gn1 = family.block(n, n - 1)
-        closed = ghat_closed_form(family, n)
-        # the override feeds only G_{n,n-2}, so one call serves both checks
-        operator = ghat_closed_form(family, n, gn1_override=oracle_gn1, s_source="operator")
-        diffs = mat_diff(closed["G_n_nm1"], oracle_gn1)
-        entry = {"G_n_nm1_matches": not diffs, "G_n_nm1_diffs": diffs}
-        entry["S_operator_matches"] = not mat_diff(operator["G_n_nm1"], oracle_gn1)
-        if n >= 2:
-            oracle_gn2 = family.block(n, n - 2)
-            entry["G_n_nm2_closedform_fed_matches"] = not mat_diff(closed["G_n_nm2"], oracle_gn2)
-            entry["G_n_nm2_formula_diffs"] = mat_diff(operator["G_n_nm2"], oracle_gn2)
-            entry["G_n_nm2_formula_matches"] = not entry["G_n_nm2_formula_diffs"]
-        report[n] = entry
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, RationalFn
-from .equation import DerivedCoeffs, EquationCoeffs, derived_coeffs
+from .equation import EquationCoeffs, derived_coeffs
 from .qcalc import QParam, dq_ratfn
 
 
@@ -47,7 +47,6 @@ class LatticePoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PearsonData:
-    order: tuple
     phi1: BiPoly
     phi2: BiPoly
     omega1: BiPoly
@@ -69,10 +68,9 @@ def build_pearson(E) -> PearsonData:
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
     if omega1.is_zero() or omega2.is_zero():
         raise DegenerateEquationError("omega vanishes identically; no Pearson system")
-    order = E.order if isinstance(E, DerivedCoeffs) else (0, 0)
     g1 = RationalFn(phi1, omega1.scale_args(q, 1))
     g2 = RationalFn(phi2, omega2.scale_args(1, q))
-    return PearsonData(order, phi1, phi2, omega1, omega2, g1, g2)
+    return PearsonData(phi1, phi2, omega1, omega2, g1, g2)
 
 
 def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0) -> dict:

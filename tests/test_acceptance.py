@@ -20,12 +20,12 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generalized_inverse_L, generate_monic_oracle, generate_monic_rf,
-                           ghat_closed_form, joint_L, ttr_matrices)
+                           joint_L, t_matrix_closed_form, ttr_matrices)
 from qbipoly.pearson import base_weight, build_pearson, verify_pearson_identities
 from qbipoly.qcalc import verify_operator_relations
 from qbipoly.rodrigues import RodriguesSpec, rodrigues_poly
 from qbipoly.scalars import FloatField
-from qbipoly.suites import suite_orthogonality
+from qbipoly.suites import suite_orthogonality, suite_recurrence
 from test_equation import assert_routes_agree
 
 F = Fraction
@@ -152,18 +152,19 @@ def test_criterion_6_rodrigues_proportionality(equation, oracle5):
 
 def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
     started = time.time()
+    lam = oracle5.admissibility.eigenvalue
     for n in range(2, 5):
-        got = ghat_closed_form(oracle5, n, gn1_override=oracle5.block(n, n - 1),
-                               s_source="operator")["G_n_nm2"]
-        assert got == oracle5.block(n, n - 2)
+        T = t_matrix_closed_form(equation, n)
+        assert T == oracle5.operator_blocks[n][2]
+        # the resolvent formula for G_{n,n-2}, fed the oracle's G_{n,n-1}
+        inner = T + oracle5.block(n, n - 1) @ oracle5.operator_blocks[n - 1][1]
+        assert inner.scaled(1 / (lam(n - 2) - lam(n))) == oracle5.block(n, n - 2)
 
-    from qbipoly.monic import ghat_discrepancy_report
     from qbipoly.bigqjacobi import explicit_BC
 
-    rep = ghat_discrepancy_report(oracle5, 4)
-    assert set(rep) == {1, 2, 3, 4}
-    for entry in rep.values():
-        assert "G_n_nm1_matches" in entry and "G_n_nm1_diffs" in entry
+    _, rows = suite_recurrence(params)
+    for case in ("closed_form_S_agreement", "operator_S_agreement"):
+        assert [r[1] for r in rows if r[0] == case] == [f"n={n}" for n in range(1, 5)]
 
     for n in range(1, 5):
         explicit = explicit_BC(params, n)

@@ -116,23 +116,24 @@ def test_admissibility_fails_on_perturbed_cross_term(equation):
     assert any("a3d" in msg for msg in res.failures)
 
 
-def test_admissibility_structural_spectral_check(qp):
-    # a1 = 1, f1 = q [1-m] at m = 2 makes the spectral condition fail
+@pytest.mark.parametrize("a1, m", [(F(1), 2), (F(1), 70), (F(-3, 5), 65), (F(0), 0)])
+def test_admissibility_structural_spectral_check(qp, a1, m):
+    # f1 = a1 q [1-m] makes the spectral condition fail at m, however large;
+    # a1 = f1 = 0 fails it at every m, reported at m = 0
     q = qp.q
-    f1 = q * qnum(-1, qp)
-    a3a = q + f1 * (q - 1)
+    f1 = a1 * q * qnum(1 - m, qp)
     E = EquationCoeffs(
         qp,
-        BiPoly({(2, 0): q}),
-        BiPoly({(0, 2): q}),
-        BiPoly({(1, 1): a3a}),
-        BiPoly({(1, 1): F(1)}),
+        BiPoly({(2, 0): a1 * q}),
+        BiPoly({(0, 2): a1 * q}),
+        BiPoly({(1, 1): a1 * q + f1 * (q - 1)}),
+        BiPoly({(1, 1): a1}),
         BiPoly({(1, 0): f1}),
         BiPoly({(0, 1): f1}),
     )
-    res = admissibility(E, spectral_bound=0)  # bound too small to catch m=2
+    res = admissibility(E)
     assert not res.admissible
-    assert any("structurally at m=2" in msg for msg in res.failures)
+    assert res.failures == [f"spectral condition fails at m={m}"]
 
 
 # operator application ---------------------------------------------------------

@@ -295,6 +295,25 @@ def test_cli_generate_nonmonic_requires_preset(tmp_path, equation):
                  "--degrees", "1 0"]) == 2
 
 
+@pytest.mark.parametrize("values", [
+    {"a": "1/3", "b": "1/4", "c": "1/5", "d": "-1/2", "q": "1/2"},
+    {"a": "1/2", "b": "3/4", "c": "1/3", "d": "-2/3", "q": "2/3"},
+])
+@pytest.mark.parametrize("request_args", [
+    ("--family", "nonmonic", "--degrees", "3 1"),
+    ("--family", "weight", "--degrees", "3 3", "--format", "csv"),
+])
+def test_cli_preset_file_equals_preset_flags(tmp_path, capsys, values, request_args):
+    """A preset equation file carries its parameters as --preset/--param do."""
+    path = tmp_path / "preset.eq"
+    path.write_text("preset = big-q-jacobi\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert main(["generate", "--equation", str(path), *request_args]) == 0
+    from_file = capsys.readouterr().out
+    flags = [arg for k, v in values.items() for arg in ("--param", f"{k}={v}")]
+    assert main(["generate", "--preset", "big-q-jacobi", *flags, *request_args]) == 0
+    assert from_file == capsys.readouterr().out
+
+
 def test_cli_degree_guardrail():
     assert main(["generate", "--preset", "big-q-jacobi", "--family", "monic",
                  "--degrees", "40"]) == 2

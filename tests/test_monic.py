@@ -1,16 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from qbipoly import monic
+from qbipoly import monic, suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import admissibility, apply_operator
-from qbipoly.linalg import Mat, graded_coeff_block, monomial_vec, solve_exact
+from qbipoly.linalg import Mat, graded_coeff_block, mat_diff, monomial_vec, solve_exact
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
-                           generate_monic_rf, ghat_discrepancy_report,
-                           ghat_oracle, ghat_closed_form, gram_matrix, joint_L,
+                           generate_monic_rf, ghat_oracle, gram_matrix, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
@@ -215,56 +216,95 @@ def test_T2_assembly(equation, qp):
     assert t_matrix_closed_form(equation, 2) == expect
 
 
-def test_resolvent_formula_with_operator_S_matches_oracle(equation, oracle5):
+def resolvent_gn1(family, n, S):
+    """The paper's G_{n,n-1} = S_n / (lambda_{n-1} - lambda_n)."""
+    lam = family.admissibility.eigenvalue
+    return S.scaled(1 / (lam(n - 1) - lam(n)))
+
+
+def resolvent_gn2(family, n, gn1, S_prev):
+    """The paper's G_{n,n-2} = (T_n + G_{n,n-1} S_{n-1}) / (lambda_{n-2} - lambda_n),
+    with the closed-form T_n and the given G_{n,n-1} and S_{n-1}."""
+    lam = family.admissibility.eigenvalue
+    inner = t_matrix_closed_form(family.equation, n) + gn1 @ S_prev
+    return inner.scaled(1 / (lam(n - 2) - lam(n)))
+
+
+def test_resolvent_formula_with_operator_S_matches_oracle(oracle5):
     for n in range(1, 5):
-        got = ghat_closed_form(oracle5, n, s_source="operator")["G_n_nm1"]
+        got = resolvent_gn1(oracle5, n, oracle5.operator_blocks[n][1])
         assert got == oracle5.block(n, n - 1)
     for n in range(2, 5):
-        got = ghat_closed_form(oracle5, n, gn1_override=oracle5.block(n, n - 1),
-                               s_source="operator")["G_n_nm2"]
+        got = resolvent_gn2(oracle5, n, oracle5.block(n, n - 1), oracle5.operator_blocks[n - 1][1])
         assert got == oracle5.block(n, n - 2)
 
 
-def test_discrepancy_report_structure(oracle5):
-    rep = ghat_discrepancy_report(oracle5, 3)
-    for n, entry in rep.items():
-        assert entry["S_operator_matches"]
-        assert not entry["G_n_nm1_matches"]
-        assert len(entry["G_n_nm1_diffs"]) == n  # one bad subdiagonal entry per row
+def test_closed_form_S_erratum(equation, oracle5):
+    """The closed-form S_n differs from the operator block in exactly its n
+    subdiagonal entries, so the G_{n,n-1} it feeds differs from the oracle's
+    in n entries and the G_{n,n-2} it feeds differs too; the closed-form T_n
+    is right."""
+    closed = {n: s_matrix_closed_form(equation, n) for n in range(1, 4)}
+    for n in range(1, 4):
+        diffs = mat_diff(closed[n], oracle5.operator_blocks[n][1])
+        assert [d[0] for d in diffs] == [(i + 1, i) for i in range(1, n + 1)]
+        gn1 = resolvent_gn1(oracle5, n, closed[n])
+        assert len(mat_diff(gn1, oracle5.block(n, n - 1))) == n
         if n >= 2:
-            assert entry["G_n_nm2_formula_matches"]
-            assert not entry["G_n_nm2_closedform_fed_matches"]
+            assert t_matrix_closed_form(equation, n) == oracle5.operator_blocks[n][2]
+            assert resolvent_gn2(oracle5, n, gn1, closed[n - 1]) != oracle5.block(n, n - 2)
 
 
-def test_discrepancy_report_builds_each_closed_form_once(oracle5, monkeypatch):
-    """Two closed forms per degree (closed-form S and operator S), so
-    n_max = 4 takes 6 T_n builds, and the report equals the one assembled
-    from a separate call per check."""
-    calls = []
-    real = monic.t_matrix_closed_form
+def test_recurrence_suite_compares_each_closed_form_once(equation, oracle5, monkeypatch):
+    """One T_n build per degree 2..4 and one S_n per degree 1..4, and the
+    closed-form rows equal those of the paper's resolvent formulas checked
+    against the oracle blocks."""
+    calls = {"S": [], "T": []}
 
-    def counted(E, n):
-        calls.append(n)
-        return real(E, n)
+    def counted(name, real):
+        def build(E, n):
+            calls[name].append(n)
+            return real(E, n)
+        return build
 
-    monkeypatch.setattr(monic, "t_matrix_closed_form", counted)
-    rep = ghat_discrepancy_report(oracle5, 4)
-    assert sorted(calls) == [2, 2, 3, 3, 4, 4]
-    for n, entry in rep.items():
-        gn1 = oracle5.block(n, n - 1)
-        closed = ghat_closed_form(oracle5, n)
-        diffs = monic.mat_diff(closed["G_n_nm1"], gn1)
-        want = {"G_n_nm1_matches": not diffs, "G_n_nm1_diffs": diffs,
-                "S_operator_matches": not monic.mat_diff(
-                    ghat_closed_form(oracle5, n, s_source="operator")["G_n_nm1"], gn1)}
-        if n >= 2:
-            gn2 = oracle5.block(n, n - 2)
-            formula = ghat_closed_form(oracle5, n, gn1_override=gn1,
-                                       s_source="operator")["G_n_nm2"]
-            want["G_n_nm2_closedform_fed_matches"] = not monic.mat_diff(closed["G_n_nm2"], gn2)
-            want["G_n_nm2_formula_diffs"] = monic.mat_diff(formula, gn2)
-            want["G_n_nm2_formula_matches"] = not want["G_n_nm2_formula_diffs"]
-        assert entry == want
+    monkeypatch.setattr(suites, "s_matrix_closed_form", counted("S", s_matrix_closed_form))
+    monkeypatch.setattr(suites, "t_matrix_closed_form", counted("T", t_matrix_closed_form))
+    ok, rows = suites.suite_recurrence()
+    assert ok
+    assert sorted(calls["T"]) == [2, 3, 4]
+    assert sorted(calls["S"]) == [1, 2, 3, 4]
+
+    want = []
+    for n in range(2, 5):
+        formula = resolvent_gn2(oracle5, n, oracle5.block(n, n - 1),
+                                oracle5.operator_blocks[n - 1][1])
+        want.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "",
+                     str(formula == oracle5.block(n, n - 2))))
+    for n in range(1, 5):
+        diffs = mat_diff(resolvent_gn1(oracle5, n, s_matrix_closed_form(equation, n)),
+                         oracle5.block(n, n - 1))
+        want.append(("closed_form_S_agreement", f"n={n}", "",
+                     f"{len(diffs)} differing entries", str(not diffs)))
+        operator = resolvent_gn1(oracle5, n, oracle5.operator_blocks[n][1])
+        want.append(("operator_S_agreement", f"n={n}", "", "",
+                     str(operator == oracle5.block(n, n - 1))))
+    names = {row[0] for row in want}
+    assert [row for row in rows if row[0] in names] == want
+
+
+#: sha256 of the recurrence report at Q23_PARAMS (the benchmark and the
+#: golden digests only cover q = 1/2), recorded while the closed forms were
+#: still checked through the resolvent formulas.
+RECURRENCE_Q_2_3 = "fbc508c6a332e2cf6ab86c6c4caf2ddb34c2d18b02e4093af9f812f5b5fc3e34"
+
+
+def test_recurrence_rows_at_q_two_thirds():
+    ok, rows = suites.suite_recurrence(Q23_PARAMS)
+    assert ok
+    closed = [row[3] for row in rows if row[0] == "closed_form_S_agreement"]
+    assert closed == [f"{k} differing entries" for k in (0, 2, 3, 4)]
+    text = json.dumps([ok, [list(r) for r in rows]])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECURRENCE_Q_2_3
 
 
 # recurrence matrices and the recursive formula -----------------------------------
