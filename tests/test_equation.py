@@ -116,8 +116,27 @@ def test_admissibility_fails_on_perturbed_cross_term(equation):
     assert any("a3d" in msg for msg in res.failures)
 
 
-@pytest.mark.parametrize("a1, m", [(F(1), 2), (F(1), 70), (F(-3, 5), 65), (F(0), 0)])
-def test_admissibility_structural_spectral_check(qp, a1, m):
+def test_admissibility_structural_spectral_check(qp):
+    # a1 = 1, f1 = q [1-m] at m = 2 makes the spectral condition fail
+    q = qp.q
+    f1 = q * qnum(-1, qp)
+    a3a = q + f1 * (q - 1)
+    E = EquationCoeffs(
+        qp,
+        BiPoly({(2, 0): q}),
+        BiPoly({(0, 2): q}),
+        BiPoly({(1, 1): a3a}),
+        BiPoly({(1, 1): F(1)}),
+        BiPoly({(1, 0): f1}),
+        BiPoly({(0, 1): f1}),
+    )
+    res = admissibility(E)
+    assert not res.admissible
+    assert res.failures == ["spectral condition fails at m=2"]
+
+
+@pytest.mark.parametrize("a1, m", [(F(1), 70), (F(-3, 5), 65), (F(0), 0)])
+def test_admissibility_spectral_check_at_any_m(qp, a1, m):
     # f1 = a1 q [1-m] makes the spectral condition fail at m, however large;
     # a1 = f1 = 0 fails it at every m, reported at m = 0
     q = qp.q
