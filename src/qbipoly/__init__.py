@@ -4,16 +4,16 @@ type on q-linear lattices, with their bivariate orthogonal polynomial
 solutions produced by three independent routes (monic recurrence machinery,
 Rodrigues representation, explicit hypergeometric series)."""
 
-from .bipoly import BiPoly, RationalFn, ratfn_equal
+from .bipoly import BiPoly, RationalFn
 from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
                        apply_operator, check_hypergeometric_form, derived_coeffs)
-from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec, solve_exact
+from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
-                      rho_kl, verify_pearson_identities)
+                      verify_pearson_identities)
 from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate,
                     phi_rs, qnum, qpochhammer, qpochhammer_inf,
                     verify_operator_relations)
-from .rodrigues import RodriguesSpec, rodrigues_poly
+from .rodrigues import rodrigues_poly
 from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
                     ghat_oracle, gram_matrix, structure_matrices,
                     ttr_matrices)

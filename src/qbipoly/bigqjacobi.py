@@ -16,7 +16,7 @@ from .monic import generate_monic_oracle
 from .qcalc import (QParam, _rising_factor, _terms, gauss_2f1_terminating,
                     kampe_de_feriet, phi_bivariate, phi_rs, pochhammer_rising, qnum,
                     qpochhammer, qpochhammer_inf)
-from .rodrigues import RodriguesSpec, rodrigues_poly
+from .rodrigues import rodrigues_poly
 from .scalars import FloatField
 
 
@@ -236,41 +236,6 @@ def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 # weight function, orthogonality domain, Jackson moments
 # ---------------------------------------------------------------------------
-
-def closed_form_weight(p: BigQJacobiParams, xv, yv, field: FloatField,
-                       truncation=None, variant: str = "W"):
-    """Pointwise closed-form weight by infinite q-Pochhammers (float lane).
-
-    variant "W": the explicit weight; variant "rho": the lattice-product
-    normalization, equal to W times the constant -d/c.
-    """
-    qp = p.qp
-    a, b, c, d = p.a, p.b, p.c, p.d
-    xf = field.of(xv)
-    yf = field.of(yv)
-    if yf == 0:
-        raise ZeroDivisionError("weight undefined at y = 0")
-    q = field.of(qp.q)
-
-    def poch(z):
-        return qpochhammer_inf(z, qp, field, max_terms=truncation)
-
-    if variant == "W":
-        num = poch(d * q / yf) * poch(xf / (c * yf)) * poch(xf / field.of(d)) \
-            * poch(yf / field.of(a)) * poch(yf / field.of(d))
-        den = yf * poch(field.of(d) / (c * yf)) * poch(c * q * yf / field.of(d)) \
-            * poch(xf / yf) * poch(b * xf / field.of(d)) * poch(yf)
-    elif variant == "rho":
-        num = poch(yf / field.of(a)) * poch(xf / field.of(d)) * poch(d * q / yf) \
-            * poch(xf / (c * yf)) * poch(yf / field.of(d))
-        den = poch(yf) * poch(xf / yf) * poch(b * xf / field.of(d)) \
-            * poch(d * q / (c * yf)) * poch(c * yf / field.of(d))
-    else:
-        raise ValueError(f"unknown weight variant {variant!r}")
-    if den == 0:
-        raise ZeroDivisionError("vanishing denominator factor in the closed-form weight")
-    return num / den
-
 
 def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
     """{k: (z q^k; q)_inf for lo <= k <= hi}, lo <= 0 <= hi, from one direct
@@ -493,14 +458,6 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     return first * second
 
 
-def classical_weight(cp: ClassicalParams) -> BiPoly:
-    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
-    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
-
-
 def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     """d^{n+m}/dx^n dy^m of (x+1)^{beta+n} (1-y)^{alpha+m} (y-x)^{gamma+n+m},
     divided exactly by the classical weight (zero remainder required)."""
@@ -551,10 +508,9 @@ def limit_params(cp: ClassicalParams, eps: Fraction) -> BigQJacobiParams:
     return BigQJacobiParams(q**cp.alpha, q**cp.beta, q**cp.gamma, -(q**cp.delta), qp)
 
 
-def limit_check(cp: ClassicalParams, eps_list, nm_list, points,
-                include_rodrigues: bool = True) -> list:
-    """Convergence table rows for the monic pair (and optionally the
-    Rodrigues pair) at q = 1 - eps; everything on the q side is exact.
+def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:
+    """Convergence table rows for the monic and Rodrigues pairs at
+    q = 1 - eps; everything on the q side is exact.
 
     Each row: {kind, n, m, point, eps, error (Fraction), const}.  The
     reported constant is the coefficient ratio used to align the Rodrigues
@@ -563,7 +519,7 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points,
     rows = []
     for n, m in nm_list:
         target = appell_monic(cp, n, m)
-        rod_target = classical_rodrigues(cp, n, m) if include_rodrigues else None
+        rod_target = classical_rodrigues(cp, n, m)
         for eps in eps_list:
             eps = Fraction(eps)
             p = limit_params(cp, eps)
@@ -574,13 +530,12 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points,
                 err = abs(phat.eval(*pt) - target.eval(*pt))
                 rows.append({"kind": "monic", "n": n, "m": m, "point": pt,
                              "eps": eps, "error": err, "const": Fraction(1)})
-            if include_rodrigues:
-                ptil = rodrigues_poly(RodriguesSpec(E, n, m))
-                cstar = ptil.coeff(n, m) / rod_target.coeff(n, m)
-                for pt in points:
-                    err = abs(ptil.eval(*pt) - cstar * rod_target.eval(*pt))
-                    rows.append({"kind": "rodrigues", "n": n, "m": m, "point": pt,
-                                 "eps": eps, "error": err, "const": cstar})
+            ptil = rodrigues_poly(E, n, m)
+            cstar = ptil.coeff(n, m) / rod_target.coeff(n, m)
+            for pt in points:
+                err = abs(ptil.eval(*pt) - cstar * rod_target.eval(*pt))
+                rows.append({"kind": "rodrigues", "n": n, "m": m, "point": pt,
+                             "eps": eps, "error": err, "const": cstar})
     return rows
 
 

@@ -90,9 +90,6 @@ class BiPoly:
         mono = max(self.coeffs, key=lambda m: (m[0] + m[1], m[0]))
         return mono, self.coeffs[mono]
 
-    def homogeneous_part(self, degree: int) -> "BiPoly":
-        return BiPoly({m: c for m, c in self.coeffs.items() if m[0] + m[1] == degree})
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -300,7 +297,3 @@ class RationalFn:
 
     def __repr__(self):
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def ratfn_equal(f: RationalFn, g: RationalFn) -> bool:
-    return f.ratfn_equal(g)

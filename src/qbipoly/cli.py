@@ -27,7 +27,7 @@ from .linalg import SingularMatrixError
 from .monic import OracleError, generate_monic_oracle
 from .pearson import LatticePoleError, verify_pearson_identities
 from .qcalc import QParam, SeriesError, verify_operator_relations
-from .rodrigues import RodriguesError, RodriguesSpec, rodrigues_poly
+from .rodrigues import RodriguesError, rodrigues_poly
 from .suites import ORTH_TOL, run_suite
 
 MAX_DEGREE_GUARD = 12
@@ -61,6 +61,8 @@ class RunConfig:
 def _load_equation(args) -> tuple:
     if args.equation and args.preset:
         raise ConfigError("give either --equation or --preset, not both")
+    if args.param and not args.preset:
+        raise ConfigError("--param sets preset parameters; it needs --preset")
     if args.equation:
         return qio.parse_equation_file(args.equation)
     if args.preset:
@@ -165,7 +167,7 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
     if family == "rodrigues":
         if len(parts) != 2:
             raise ConfigError("rodrigues generation takes two degrees: n m")
-        poly = rodrigues_poly(RodriguesSpec(E, parts[0], parts[1]))
+        poly = rodrigues_poly(E, parts[0], parts[1])
         doc = qio.document("polynomials", {
             "family": "rodrigues", "n": parts[0], "m": parts[1],
             "polynomial": qio.poly_to_json(poly),

@@ -44,7 +44,7 @@ class EquationCoeffs:
 
     @cached_property
     def admissibility(self) -> "Admissibility":
-        """admissibility(self) at the default bounds, computed once."""
+        """admissibility(self), computed once."""
         return admissibility(self)
 
     # -- named scalar extractors (sigma/tau coefficients) -------------------
@@ -94,7 +94,6 @@ class DerivedCoeffs(EquationCoeffs):
     """Coefficients of the equation satisfied by the order-(k, l) generalized
     difference of a solution, with its shifted spectral value mu."""
 
-    order: tuple
     mu: Fraction
 
 
@@ -149,7 +148,11 @@ class Admissibility:
         return -qnum(n, self.qp) * (self.f1 - self.a1 * self.qp.q * qnum(1 - n, self.qp))
 
 
-def admissibility(E: EquationCoeffs, distinct_bound: int = 20) -> Admissibility:
+#: eigenvalues lambda_0..lambda_DISTINCT_BOUND must be pairwise distinct
+DISTINCT_BOUND = 20
+
+
+def admissibility(E: EquationCoeffs) -> Admissibility:
     """Check the admissibility conditions and build the eigenvalue sequence.
 
     The universally quantified spectral condition f1 - a1 q [1-m] != 0 is
@@ -191,7 +194,7 @@ def admissibility(E: EquationCoeffs, distinct_bound: int = 20) -> Admissibility:
     adm = Admissibility(not failures, failures, f1, a1, E.qp)
     if adm.admissible:
         seen = {}
-        for n in range(distinct_bound + 1):
+        for n in range(DISTINCT_BOUND + 1):
             lam = adm.eigenvalue(n)
             if lam in seen:
                 failures.append(f"eigenvalues collide: lambda_{seen[lam]} = lambda_{n}")
@@ -244,4 +247,4 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
         for _ in range(l):
             state = _xstep(E.qp, state)
         state = _swap(state)
-    return DerivedCoeffs(E.qp, *state[:6], order=(k, l), mu=state[6])
+    return DerivedCoeffs(E.qp, *state[:6], mu=state[6])

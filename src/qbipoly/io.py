@@ -155,12 +155,6 @@ def poly_terms_str(p: BiPoly) -> str:
     return " ".join(f"{i},{j}:{frac_str(c)}" for (i, j), c in sorted(p.coeffs.items()))
 
 
-def parse_equation_text(text: str) -> EquationCoeffs:
-    """Parse the key-value equation format; either the six polynomials or a
-    named preset with its parameters."""
-    return parse_equation_source(text)[0]
-
-
 def parse_equation_source(text: str) -> tuple:
     """(equation, preset parameters) from the key-value equation format; the
     parameters are the BigQJacobiParams of a big-q-jacobi preset, or None

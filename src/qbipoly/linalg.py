@@ -6,7 +6,8 @@ Fractions (entries are taken through ``as_fraction``), and products skip
 the zero entries of the left factor, since the operator's difference blocks
 are bidiagonal and the multiplication embeddings are 0/1 selections.
 Solving is plain rational Gaussian elimination with partial pivoting, so
-results, ranks and singularity reports are exact.
+results and singularity reports are exact; no route calls it, and it stays
+only because the benchmark's span list names it.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
@@ -114,27 +112,6 @@ class Mat:
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
-
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination."""
-        work = [r[:] for r in self.rows]
-        n, m = self.nrows, self.ncols
-        rank = 0
-        for col in range(m):
-            piv = next((i for i in range(rank, n) if work[i][col]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            pval = work[rank][col]
-            for i in range(rank + 1, n):
-                f = work[i][col] / pval
-                if f:
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-            rank += 1
-            if rank == n:
-                break
-        return rank
-
 
 def mat_diff(A: Mat, B: Mat) -> list:
     """Entries where A and B differ, as ((row, col) 1-based, a, b)."""

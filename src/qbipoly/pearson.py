@@ -1,5 +1,5 @@
 """q-Pearson data, Pearson-equivalent rational identities, and lattice
-evaluation of the orthogonality weight and its derivative weights.
+evaluation of the orthogonality weight.
 
 With the sqrt(q)-absorbed coefficient convention the Pearson polynomials are
 
@@ -10,14 +10,10 @@ and G1 = phi1(x,y)/omega1(qx,y), G2 = phi2(x,y)/omega2(x,qy) are the one-step
 weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y).
 
 General-equation weights are defined per q-commensurate lattice component,
-relative to one anchor with rho(anchor) = 1; the derivative weights
-rho^{(k,l)} carry the relative normalization fixed by the product identity
-
-    rho^{(k,l)}(x,y) = rho(q^k x, q^l y)
-                       * prod_{i=1..k} omega1(q^i x, q^l y)
-                       * prod_{s=1..l} omega2(q^k x, q^s y),
-
-the lattice form of the Rodrigues bracket.
+relative to one anchor with rho(anchor) = 1.  The Rodrigues route needs no
+derivative weight rho^{(k,l)}: it differences rho times the omega products
+directly.  The derivative-weight evaluator, with the product identity that
+fixes its normalization, is a reference in tests/test_pearson.py.
 """
 
 from __future__ import annotations
@@ -119,18 +115,16 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
 @dataclass
 class WeightEvaluator:
     """Exact lattice weight: rho(q^s x0, q^t y0) as a finite product of ratio
-    values relative to rho(x0, y0) = scale.
+    values relative to rho(x0, y0) = 1.
 
     The canonical path steps y first (t applications of G2 at x0), then x at
-    the final y level; value_xfirst walks the other way for path-independence
-    checks.  Poles along a path raise LatticePoleError with the offending
-    index.
+    the final y level.  Poles along a path raise LatticePoleError with the
+    offending index.
     """
 
     pearson: PearsonData
     anchor: tuple
     qp: QParam
-    scale: object = 1
 
     def __post_init__(self):
         self._cache = {}
@@ -152,24 +146,12 @@ class WeightEvaluator:
         q = self.qp.q
         x0, y0 = self.anchor
         if s == 0 and t == 0:
-            val = self.scale * 1
+            val = 1
         elif s == 0:
             val = self.value(0, t - 1) * self._g("G2", x0, y0 * q ** (t - 1), t - 1)
         else:
             val = self.value(s - 1, t) * self._g("G1", x0 * q ** (s - 1), y0 * q**t, s - 1)
         self._cache[key] = val
-        return val
-
-    def value_xfirst(self, s: int, t: int):
-        """Same weight walked x-first; equality with value() is the lattice
-        form of the mixed-ratio identity."""
-        q = self.qp.q
-        x0, y0 = self.anchor
-        val = self.scale * 1
-        for j in range(s):
-            val *= self._g("G1", x0 * q**j, y0, j)
-        for i in range(t):
-            val *= self._g("G2", x0 * q**s, y0 * q**i, i)
         return val
 
     def box(self, s_count: int, t_count: int) -> list:
@@ -191,7 +173,7 @@ class WeightEvaluator:
             return [[nv / dv for nv, dv in zip(*pair)] for pair in zip(g.num.eval_grid(gx, gy), dens)]
 
         col, = ratios("G2", self.pearson.g2, [x0], ys[:-1])
-        rows = [list(itertools.accumulate(col, operator.mul, initial=self.scale * 1))]
+        rows = [list(itertools.accumulate(col, operator.mul, initial=1))]
         for row in ratios("G1", self.pearson.g1, xs, ys):
             rows.append([r * g for r, g in zip(rows[-1], row)])
         return rows
@@ -203,35 +185,6 @@ class WeightEvaluator:
 
 def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
     return WeightEvaluator(build_pearson(E), tuple(anchor), E.qp)
-
-
-def omega_product_at(E: EquationCoeffs, k: int, l: int, xv, yv):
-    """prod_{i=1..k} omega1(q^i x, q^l y) * prod_{s=1..l} omega2(q^k x, q^s y)."""
-    P = build_pearson(E)
-    q = E.qp.q
-    val = Fraction(1)
-    for i in range(1, k + 1):
-        val *= P.omega1.eval(xv * q**i, yv * q**l)
-    for s in range(1, l + 1):
-        val *= P.omega2.eval(xv * q**k, yv * q**s)
-    return val
-
-
-def rho_kl(E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator | None = None) -> WeightEvaluator:
-    """WeightEvaluator of the derivative weight rho^{(k,l)}, built from the
-    Pearson data of the (k,l) derived coefficients.
-
-    The scale is fixed by the product identity at the anchor, so the
-    evaluator agrees with rho(q^k x, q^l y) * omega-products at every lattice
-    point (not only up to a constant).
-    """
-    anchor = tuple(anchor)
-    if base is None:
-        base = base_weight(E, anchor)
-    D = derived_coeffs(E, k, l)
-    P = build_pearson(D)
-    scale = base.value(k, l) * omega_product_at(E, k, l, *anchor)
-    return WeightEvaluator(P, anchor, E.qp, scale=scale)
 
 
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:

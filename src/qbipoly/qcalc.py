@@ -43,21 +43,17 @@ def qpochhammer(a, qp: QParam, k: int):
     return math.prod((1 - a * qp.q**j for j in range(k)), start=a * 0 + 1)  # one in a's ring
 
 
-def qpochhammer_inf(a, qp: QParam, field: FloatField, max_terms: int | None = None):
+def qpochhammer_inf(a, qp: QParam, field: FloatField):
     """Infinite q-shifted factorial, truncated once |a| q^j drops below the
     field's geometric-tail threshold (tail factor bounded by 1)."""
     q = field.of(qp.q)
     prod = field.one
     term = field.of(a)
-    j = 0
     while abs(term) >= field.tail_eps:
         prod *= 1 - term
         if prod == 0:
             break
         term *= q
-        j += 1
-        if max_terms is not None and j >= max_terms:
-            break
     return prod
 
 
@@ -152,17 +148,6 @@ def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
     stencils reach them are None.
     """
     return _difference_table(fvals, x0, y0, qp.q, n, m)
-
-
-def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
-    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
-
-    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
-    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
-    (q^-r x0, q^-s y0) comes from the same kernel; t[0][0] is the value at
-    (x0, y0).
-    """
-    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ of total degree n + m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -39,19 +38,6 @@ DEFAULT_BASES = (
 
 class RodriguesError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RodriguesSpec:
-    equation: EquationCoeffs
-    n: int
-    m: int
-    normalization: Fraction = Fraction(1)
-    base: tuple | None = None  # interpolation base point; scanned when None
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise ValueError("degrees must be nonnegative")
 
 
 def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
@@ -112,38 +98,33 @@ def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     return [xb * q**-i for i in range(G)], [yb * q**-j for j in range(G)], values
 
 
-def rodrigues_poly(spec: RodriguesSpec, monic: bool = False) -> BiPoly:
+def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:
     """Construct the degree-(n+m) Rodrigues polynomial exactly.
 
     Raises RodriguesError, before any lattice work, when the equation is
-    not admissible; when no pole-free base point is found; and when the
-    interpolant fails the eigen-equation (a bug).
+    not admissible; when no base point of DEFAULT_BASES is pole-free; and
+    when the interpolant fails the eigen-equation (a bug).
     """
-    E = spec.equation
-    n, m = spec.n, spec.m
+    if n < 0 or m < 0:
+        raise ValueError("degrees must be nonnegative")
     adm = E.admissibility
     if not adm.admissible:
         raise RodriguesError(f"equation not admissible: {adm.failures}")
-    bases = (spec.base,) if spec.base is not None else DEFAULT_BASES
     last_pole = None
-    for base in bases:
+    for base in DEFAULT_BASES:
         try:
             nodes_x, nodes_y, values = _grid_values(E, n, m, base)
         except (LatticePoleError, ZeroDivisionError) as exc:
             last_pole = exc
             continue
         poly = interpolate_2d(nodes_x, nodes_y, values)
-        poly = poly * spec.normalization
         break
     else:
-        raise RodriguesError(f"no pole-free base point among {len(bases)} candidates: {last_pole}")
+        raise RodriguesError(f"no pole-free base point among {len(DEFAULT_BASES)} candidates: "
+                             f"{last_pole}")
 
     lam = adm.eigenvalue(n + m)
     residual = apply_operator(E, poly) + poly * lam
     if not residual.is_zero():
         raise RodriguesError(f"Rodrigues output violates the eigen-equation at (n,m)=({n},{m})")
-
-    if monic and not poly.is_zero():
-        lead = poly.homogeneous_part(poly.total_degree()).leading_term()
-        poly = poly / lead[1]
     return poly

@@ -22,8 +22,7 @@ class FloatField:
     context ``ctx`` at ``prec``; values built here carry it, so arithmetic
     on them ignores ``mpmath.mp.prec`` (use ``ctx.sqrt``, ``ctx.fsum``).
 
-    Equality is tolerance based (never used in identity proofs).  ``tail_eps``
-    is the truncation threshold 2**(8 - prec) used when cutting geometric
+    No identity is decided here.  ``tail_eps`` is the truncation threshold 2**(8 - prec) used when cutting geometric
     tails of infinite products and sums.
     """
 
@@ -49,11 +48,6 @@ class FloatField:
     def from_man_exp(self, m: int, e: int):
         """m * 2**e rounded once to the field's precision."""
         return self.ctx.ldexp(self.ctx.mpf(m), e)
-
-    def close(self, a, b, tol=None) -> bool:
-        tol = self.tail_eps if tol is None else tol
-        scale = max(1, abs(a), abs(b))
-        return abs(a - b) <= tol * scale
 
 
 def as_fraction(value) -> Fraction:

@@ -20,7 +20,7 @@ from .linalg import Mat, mat_diff
 from .monic import (generalized_inverse_L, generate_monic_oracle,
                     generate_monic_rf, gram_matrix, joint_L,
                     s_matrix_closed_form, t_matrix_closed_form, ttr_matrices)
-from .rodrigues import RodriguesSpec, rodrigues_poly
+from .rodrigues import rodrigues_poly
 
 ORTH_TOL = Fraction(1, 10**25)
 LIMIT_RATIO_LO = Fraction(1, 20)
@@ -39,7 +39,7 @@ def _solution_inventory(p: BigQJacobiParams, fam, max_total: int) -> list:
     for n in range(max_total + 1):
         for m in range(n + 1):
             out.append(("rodrigues", n, f"rodrigues[{n - m},{m}]",
-                        rodrigues_poly(RodriguesSpec(E, n - m, m))))
+                        rodrigues_poly(E, n - m, m)))
     for n in range(max_total + 1):
         for k in range(n + 1):
             out.append(("nonmonic", n, f"nonmonic[{n},{k}]", nonmonic_poly(p, n, k)))
@@ -137,7 +137,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 4):
     for total in range(max_total + 1):
         for m in range(total + 1):
             n = total - m
-            rod = rodrigues_poly(RodriguesSpec(E, n, m))
+            rod = rodrigues_poly(E, n, m)
             exact, found = _eigenspace_rows(
                 ("rodrigues_in_eigenspace", "rodrigues_proportional_to_entry"), f"({n},{m})",
                 rod, fam.vectors[total].entries, m)
@@ -218,7 +218,7 @@ def suite_limits(eps_list=(Fraction(1, 1000), Fraction(1, 10000)),
     rows = []
     ok = True
 
-    table = limit_check(cp, eps_list, nm_list, points, include_rodrigues=True)
+    table = limit_check(cp, eps_list, nm_list, points)
     for row in table:
         rows.append(("error", row["kind"], f"({row['n']},{row['m']})",
                      f"{float(row['point'][0])},{float(row['point'][1])}",

@@ -23,10 +23,12 @@ from qbipoly.monic import (generalized_inverse_L, generate_monic_oracle, generat
                            joint_L, t_matrix_closed_form, ttr_matrices)
 from qbipoly.pearson import base_weight, build_pearson, verify_pearson_identities
 from qbipoly.qcalc import verify_operator_relations
-from qbipoly.rodrigues import RodriguesSpec, rodrigues_poly
+from qbipoly.rodrigues import rodrigues_poly
 from qbipoly.scalars import FloatField
 from qbipoly.suites import suite_orthogonality, suite_recurrence
+from test_bigqjacobi import closed_form_weight
 from test_equation import assert_routes_agree
+from test_pearson import value_xfirst
 
 F = Fraction
 x = BiPoly.x()
@@ -84,9 +86,7 @@ def test_criterion_4_pearson(equation, params):
     W = base_weight(equation, PEARSON_ANCHOR)
     for s in range(13):
         for t in range(13 - s):
-            assert W.value(s, t) == W.value_xfirst(s, t)
-
-    from qbipoly.bigqjacobi import closed_form_weight
+            assert W.value(s, t) == value_xfirst(W, s, t)
 
     fld = FloatField(192)
     P = build_pearson(equation)
@@ -110,7 +110,7 @@ def test_criterion_5_eigen_solutions(equation, params, adm, oracle5):
             assert (apply_operator(equation, entry) + entry * lam).is_zero()
     for n in range(3):
         for m in range(3):
-            p = rodrigues_poly(RodriguesSpec(equation, n, m))
+            p = rodrigues_poly(equation, n, m)
             lam = adm.eigenvalue(n + m)
             assert (apply_operator(equation, p) + p * lam).is_zero()
     for n in range(4):
@@ -145,7 +145,7 @@ def test_criterion_6_rodrigues_proportionality(equation, oracle5):
     for total in range(1, 5):
         for m in range(total + 1):
             n = total - m
-            rod = rodrigues_poly(RodriguesSpec(equation, n, m))
+            rod = rodrigues_poly(equation, n, m)
             const = rod.coeff(n, m)
             assert const != 0 and rod == oracle5.entry(total, m) * const
 
@@ -203,8 +203,8 @@ def test_criterion_9_limits():
     cp = ClassicalParams(1, 1, 1, 1)
     eps_list = [F(1, 1000), F(1, 10000)]
     points = [(F(1, 3), F(1, 2)), (F(-1, 2), F(1, 4)), (F(0), F(2, 3))]
-    rows = limit_check(cp, eps_list, [(1, 1), (2, 1)], points, include_rodrigues=False)
-    for rr in error_ratios(rows):
+    rows = limit_check(cp, eps_list, [(1, 1), (2, 1)], points)
+    for rr in error_ratios([r for r in rows if r["kind"] == "monic"]):
         assert rr["ratio"] is not None and F(1, 20) <= rr["ratio"] <= F(1, 5), rr
 
     for n in range(4):
@@ -226,9 +226,8 @@ def test_criterion_9_limits():
     "measured ratio ~0.01 sits below the stated first-order window"))
 def test_criterion_9_limit_window_includes_10_pair():
     cp = ClassicalParams(1, 1, 1, 1)
-    rows = limit_check(cp, [F(1, 1000), F(1, 10000)], [(1, 0)],
-                       [(F(1, 3), F(1, 2))], include_rodrigues=False)
-    for rr in error_ratios(rows):
+    rows = limit_check(cp, [F(1, 1000), F(1, 10000)], [(1, 0)], [(F(1, 3), F(1, 2))])
+    for rr in error_ratios([r for r in rows if r["kind"] == "monic"]):
         assert rr["ratio"] is not None and F(1, 20) <= rr["ratio"] <= F(1, 5), rr
 
 

@@ -9,8 +9,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _poch_ladder, _power_sums,
                                 appell_monic,
                                 classical_pde_residual, classical_rodrigues,
-                                classical_weight, error_ratios, explicit_BC, jnm,
-                                closed_form_weight, lambda_explicit,
+                                error_ratios, explicit_BC, jnm, lambda_explicit,
                                 limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly,
                                 nonmonic_value)
@@ -19,7 +18,8 @@ from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
 from qbipoly.monic import ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
-                           phi_bivariate, phi_rs, pochhammer_rising, qpochhammer)
+                           phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
+                           qpochhammer_inf)
 from qbipoly.scalars import FloatField
 from test_linalg import tensor_vandermonde_interpolate
 
@@ -295,6 +295,12 @@ def test_jnm_matches_jacobi_product_form():
                 assert p.eval(xv, yv) == ref
 
 
+def classical_weight(cp: ClassicalParams) -> BiPoly:
+    """(1-y)^alpha (x+1)^beta (y-x)^gamma for integer exponents."""
+    one = BiPoly.const(1)
+    return ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
+
+
 def test_classical_weight_polynomial():
     w = classical_weight(CP)
     assert w == (BiPoly.const(1) - y) * (x + 1) * (y - x)
@@ -329,24 +335,57 @@ def test_limit_parameters():
 
 
 def test_monic_limit_errors_shrink():
-    rows = limit_check(CP, [F(1, 100), F(1, 1000)], [(1, 1)],
-                       [(F(1, 3), F(1, 2))], include_rodrigues=False)
-    ratios = [r["ratio"] for r in error_ratios(rows)]
+    rows = limit_check(CP, [F(1, 100), F(1, 1000)], [(1, 1)], [(F(1, 3), F(1, 2))])
+    monic_rows = [r for r in rows if r["kind"] == "monic"]
+    ratios = [r["ratio"] for r in error_ratios(monic_rows)]
     assert len(ratios) == 1
     assert F(1, 20) <= ratios[0] <= F(1, 5)
 
 
 def test_trivial_limit_pair_is_exact():
-    rows = limit_check(CP, [F(1, 100)], [(0, 0)], [(F(1, 3), F(1, 2))],
-                       include_rodrigues=False)
-    assert all(r["error"] == 0 for r in rows)
+    rows = limit_check(CP, [F(1, 100)], [(0, 0)], [(F(1, 3), F(1, 2))])
+    assert all(r["error"] == 0 for r in rows if r["kind"] == "monic")
+
+
+def closed_form_weight(p: BigQJacobiParams, xv, yv, field: FloatField, variant: str = "W"):
+    """Pointwise closed-form weight by infinite q-Pochhammers (float lane).
+
+    variant "W": the explicit weight; variant "rho": the lattice-product
+    normalization, equal to W times the constant -d/c.
+    """
+    qp = p.qp
+    a, b, c, d = p.a, p.b, p.c, p.d
+    xf = field.of(xv)
+    yf = field.of(yv)
+    if yf == 0:
+        raise ZeroDivisionError("weight undefined at y = 0")
+    q = field.of(qp.q)
+
+    def poch(z):
+        return qpochhammer_inf(z, qp, field)
+
+    if variant == "W":
+        num = poch(d * q / yf) * poch(xf / (c * yf)) * poch(xf / field.of(d)) \
+            * poch(yf / field.of(a)) * poch(yf / field.of(d))
+        den = yf * poch(field.of(d) / (c * yf)) * poch(c * q * yf / field.of(d)) \
+            * poch(xf / yf) * poch(b * xf / field.of(d)) * poch(yf)
+    elif variant == "rho":
+        num = poch(yf / field.of(a)) * poch(xf / field.of(d)) * poch(d * q / yf) \
+            * poch(xf / (c * yf)) * poch(yf / field.of(d))
+        den = poch(yf) * poch(xf / yf) * poch(b * xf / field.of(d)) \
+            * poch(d * q / (c * yf)) * poch(c * yf / field.of(d))
+    else:
+        raise ValueError(f"unknown weight variant {variant!r}")
+    if den == 0:
+        raise ZeroDivisionError("vanishing denominator factor in the closed-form weight")
+    return num / den
 
 
 def weight_limit_ratio(cp: ClassicalParams, eps, point, prec: int = 64):
     """W(x, y; q = 1-eps) / classical weight at an interior point (float)."""
     p = limit_params(cp, Fraction(eps))
     fld = FloatField(prec)
-    wq = closed_form_weight(p, point[0], point[1], fld, truncation=None, variant="W")
+    wq = closed_form_weight(p, point[0], point[1], fld, variant="W")
     wc = classical_weight(cp).eval(*point)
     return wq / fld.of(wc)
 

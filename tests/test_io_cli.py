@@ -8,7 +8,7 @@ import pytest
 from qbipoly.bipoly import BiPoly
 from qbipoly.cli import _check_orthogonality_gate, main
 from qbipoly.io import (EquationParseError, equation_to_text, frac_str,
-                        parse_equation_text, parse_poly_terms, poly_from_json,
+                        parse_equation_source, parse_poly_terms, poly_from_json,
                         poly_terms_str, poly_to_json, write_csv_atomic,
                         write_json_atomic)
 from qbipoly.linalg import SingularMatrixError
@@ -55,30 +55,30 @@ def test_parse_poly_terms_errors():
 
 
 def test_parse_preset_equation(equation):
-    E = parse_equation_text(PRESET_TEXT)
+    E = parse_equation_source(PRESET_TEXT)[0]
     assert E.polys() == equation.polys()
     assert E.qp.q == F(1, 2)
 
 
 def test_equation_text_roundtrip(equation):
     text = equation_to_text(equation)
-    E = parse_equation_text(text)
+    E = parse_equation_source(text)[0]
     assert E.polys() == equation.polys()
 
 
 def test_parse_errors():
     with pytest.raises(EquationParseError):
-        parse_equation_text("q = 1/2\nc11 = 1,0:1\n")  # missing polynomials
+        parse_equation_source("q = 1/2\nc11 = 1,0:1\n")  # missing polynomials
     with pytest.raises(EquationParseError):
-        parse_equation_text("c11 = 1,0:1\n")  # missing q
+        parse_equation_source("c11 = 1,0:1\n")  # missing q
     with pytest.raises(EquationParseError):
-        parse_equation_text("preset = unknown\nq = 1/2\n")
+        parse_equation_source("preset = unknown\nq = 1/2\n")
     with pytest.raises(EquationParseError):
-        parse_equation_text("q = 3/2\npreset = big-q-jacobi\na=1/3\nb=1/4\nc=1/5\nd=-1/2\n")
+        parse_equation_source("q = 3/2\npreset = big-q-jacobi\na=1/3\nb=1/4\nc=1/5\nd=-1/2\n")
     # keys are case-insensitive, so a key repeated in another case is a duplicate
     for text in ("q = 1/2\nQ = 1/3\n", "q = 1/2\nc11 = 1,0:1\nC11 = 2,0:1\n"):
         with pytest.raises(EquationParseError, match="duplicate key"):
-            parse_equation_text(text)
+            parse_equation_source(text)
 
 
 def test_frac_str():
@@ -198,6 +198,19 @@ def test_cli_unknown_param_is_named(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown parameter 'z'\n"
+
+
+@pytest.mark.parametrize("param", ["zz=1", "a=1/2"])
+def test_cli_param_without_preset_is_refused(tmp_path, capsys, param):
+    # --param sets preset parameters, so with --equation it is refused, not ignored
+    path = tmp_path / "preset.eq"
+    path.write_text(PRESET_TEXT)
+    code = main(["generate", "--equation", str(path), "--param", param,
+                 "--family", "nonmonic", "--degrees", "1,0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --param sets preset parameters; it needs --preset\n"
 
 
 def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from qbipoly.bipoly import BiPoly, RationalFn, ratfn_equal
-from qbipoly.bigqjacobi import closed_form_weight
+from qbipoly.bipoly import BiPoly, RationalFn
 from qbipoly.equation import EquationCoeffs, derived_coeffs
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
-                             base_weight, build_pearson, omega_product_at,
-                             rho_kl, verify_pearson_identities)
+                             WeightEvaluator, base_weight, build_pearson,
+                             verify_pearson_identities)
 from qbipoly.scalars import FloatField
+from test_bigqjacobi import closed_form_weight
 
 F = Fraction
 x = BiPoly.x()
@@ -46,8 +46,8 @@ def test_constant_ratio_degenerate_case(qp):
     a12a = BiPoly.const(qp.q ** 2)
     E = EquationCoeffs(qp, z, z, a12a, a12d, z, z)
     P = build_pearson(E)
-    assert ratfn_equal(P.g1, RationalFn.from_poly(BiPoly.const(1)))
-    assert ratfn_equal(P.g2, RationalFn.from_poly(BiPoly.const(1)))
+    assert P.g1.ratfn_equal(RationalFn.from_poly(BiPoly.const(1)))
+    assert P.g2.ratfn_equal(RationalFn.from_poly(BiPoly.const(1)))
 
 
 def test_degenerate_omega_rejected(qp):
@@ -80,6 +80,20 @@ def test_cross_ratio_identity_direct_form(equation):
 
 # lattice weight ----------------------------------------------------------------
 
+def value_xfirst(W: WeightEvaluator, s: int, t: int):
+    """W.value(s, t) walked x first (G1 along y0, then G2 at the final x
+    level); equality with value() is the lattice form of the mixed-ratio
+    identity."""
+    q = W.qp.q
+    x0, y0 = W.anchor
+    val = 1
+    for j in range(s):
+        val *= W._g("G1", x0 * q**j, y0, j)
+    for i in range(t):
+        val *= W._g("G2", x0 * q**s, y0 * q**i, i)
+    return val
+
+
 def test_anchor_normalization(equation):
     W = base_weight(equation, ANCHOR)
     assert W.value(0, 0) == 1
@@ -95,7 +109,7 @@ def test_path_independence(equation):
     W = base_weight(equation, ANCHOR)
     for s in range(13):
         for t in range(13 - s):
-            assert W.value(s, t) == W.value_xfirst(s, t)
+            assert W.value(s, t) == value_xfirst(W, s, t)
 
 
 def test_pearson_ratios_on_lattice(equation):
@@ -114,7 +128,7 @@ def test_pole_reported_with_index(equation, params):
     W = base_weight(equation, (dq, dq))
     # walking x first crosses the omega2 zero x = q y on the equal-scale lattice
     with pytest.raises(LatticePoleError) as err:
-        W.value_xfirst(1, 1)
+        value_xfirst(W, 1, 1)
     assert err.value.which == "G2"
     assert err.value.index == 0
     # the y-first canonical path stays finite
@@ -122,6 +136,50 @@ def test_pole_reported_with_index(equation, params):
 
 
 # derivative weights -------------------------------------------------------------
+
+def omega_product_at(E: EquationCoeffs, k: int, l: int, xv, yv):
+    """prod_{i=1..k} omega1(q^i x, q^l y) * prod_{s=1..l} omega2(q^k x, q^s y)."""
+    P = build_pearson(E)
+    q = E.qp.q
+    val = F(1)
+    for i in range(1, k + 1):
+        val *= P.omega1.eval(xv * q**i, yv * q**l)
+    for s in range(1, l + 1):
+        val *= P.omega2.eval(xv * q**k, yv * q**s)
+    return val
+
+
+class DerivativeWeight:
+    """The derivative weight rho^{(k,l)} on the lattice of its anchor: the
+    weight of the (k,l) derived coefficients, times a scale fixed by the
+    product identity
+
+        rho^{(k,l)}(x,y) = rho(q^k x, q^l y)
+                           * prod_{i=1..k} omega1(q^i x, q^l y)
+                           * prod_{s=1..l} omega2(q^k x, q^s y)
+
+    at the anchor, so that the identity holds at every lattice point (not
+    only up to a constant)."""
+
+    def __init__(self, E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator):
+        self.weight = base_weight(derived_coeffs(E, k, l), anchor)
+        self.scale = base.value(k, l) * omega_product_at(E, k, l, *anchor)
+
+    def value(self, s: int, t: int):
+        return self.scale * self.weight.value(s, t)
+
+    def point(self, s: int, t: int):
+        return self.weight.point(s, t)
+
+
+def rho_kl(E: EquationCoeffs, k: int, l: int, anchor, base: WeightEvaluator | None = None):
+    """The derivative weight rho^{(k,l)}, relative to base (the weight of E
+    at the same anchor, built when None)."""
+    anchor = tuple(anchor)
+    if base is None:
+        base = base_weight(E, anchor)
+    return DerivativeWeight(E, k, l, anchor, base)
+
 
 def test_rho_kl_base_case(equation):
     R = rho_kl(equation, 0, 0, ANCHOR)

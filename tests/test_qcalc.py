@@ -5,15 +5,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, closed_form_weight
+from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable
 from qbipoly.bipoly import BiPoly
-from qbipoly.qcalc import (QParam, SeriesError, dq1, dq2, dq_nm_table, dqm1,
-                           dqm2, dqm_nm_table, gauss_2f1_terminating,
+from qbipoly.qcalc import (QParam, SeriesError, _difference_table, dq1, dq2,
+                           dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
                            kampe_de_feriet, phi_bivariate, phi_rs,
                            pochhammer_rising, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
 from qbipoly.scalars import FloatField
-from test_bigqjacobi import jacobi_poly, qbinomial
+from test_bigqjacobi import closed_form_weight, jacobi_poly, qbinomial
+from test_scalars import close
 
 x = BiPoly.x()
 y = BiPoly.y()
@@ -50,7 +51,7 @@ def test_qpochhammer_inf(qp):
     fld = FloatField(96)
     v = qpochhammer_inf(F(1, 2), qp, fld)
     ref = qpochhammer(F(1, 2), qp, 120)  # geometric tail below 2^-100
-    assert fld.close(v, fld.of(ref))
+    assert close(fld, v, fld.of(ref))
 
 
 def test_qbinomial(qp):
@@ -111,6 +112,17 @@ def dq_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
     q = qp.q
     fvals = [[f(x0 * q**r, y0 * q**s) for s in range(m + 1)] for r in range(n + 1)]
     return dq_nm_table(fvals, x0, y0, qp, n, m)[0][0]
+
+
+def dqm_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
+    """Iterated backward differences on samples fvals[r][s] = f(q^-r x0, q^-s y0).
+
+    The backward quotient q(f(x) - f(x/q))/((q-1)x) is the forward quotient
+    of base 1/q, so the table t[r][s] = [Dq^-1 axis1]^n [Dq^-1 axis2]^m f at
+    (q^-r x0, q^-s y0) comes from the same kernel; t[0][0] is the value at
+    (x0, y0).
+    """
+    return _difference_table(fvals, x0, y0, 1 / qp.q, n, m)
 
 
 def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
@@ -296,9 +308,9 @@ def test_float_lane_ignores_global_precision(qp):
         f = FloatField(192)
         third, tenth, want = f.of(F(1, 3)), f.of(F(1, 10)), f.of(F(13, 30))
         for got in (third + tenth, third + F(1, 10), F(1, 10) + third):
-            assert f.close(got, want)
-        assert f.close(1 + third, f.of(F(4, 3)))
-        assert f.close(qpochhammer_inf(F(1, 2), qp, f), f.of(qpochhammer(F(1, 2), qp, 200)))
+            assert close(f, got, want)
+        assert close(f, 1 + third, f.of(F(4, 3)))
+        assert close(f, qpochhammer_inf(F(1, 2), qp, f), f.of(qpochhammer(F(1, 2), qp, 200)))
         narrow = mpmath.mpf(1) / 3  # an argument from the global context
         assert qpochhammer_inf(narrow, qp, f) == qpochhammer_inf(f.of(narrow), qp, f)
         assert _float_lane_values(qp) == reference

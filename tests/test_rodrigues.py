@@ -9,11 +9,11 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
 from test_linalg import tensor_vandermonde_interpolate
-from qbipoly.pearson import (LatticePoleError, base_weight, build_pearson, rho_kl,
-                             weight_table_rows)
-from qbipoly.qcalc import QParam, dq_nm_table, dqm_nm_table
-from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, RodriguesSpec,
-                               _grid_values, rodrigues_poly)
+from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, weight_table_rows
+from qbipoly.qcalc import QParam, dq_nm_table
+from qbipoly.rodrigues import DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_poly
+from test_pearson import rho_kl
+from test_qcalc import dqm_nm_table
 
 F = Fraction
 x = BiPoly.x()
@@ -105,7 +105,7 @@ def test_factored_lattice_equals_expanded_reference(params):
     E = preset_equation(params)
     for d in range(5):
         for n in range(d + 1):
-            assert rodrigues_poly(RodriguesSpec(E, n, d - n)) == reference_poly(E, n, d - n), (n, d - n)
+            assert rodrigues_poly(E, n, d - n) == reference_poly(E, n, d - n), (n, d - n)
 
 
 @pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, WIDE_D_PARAMS],
@@ -116,7 +116,7 @@ def test_lower_set_equals_tensor_reference(params):
         for n in range(d + 1):
             m = d - n
             ref = reference_poly(E, n, m, factored_bracket(E, n, m))
-            assert rodrigues_poly(RodriguesSpec(E, n, m)) == ref, (n, m)
+            assert rodrigues_poly(E, n, m) == ref, (n, m)
 
 
 def diagonal_pole_base(params):
@@ -129,8 +129,11 @@ def diagonal_pole_base(params):
 
 def test_pole_retry_moves_to_next_base(equation, params, monkeypatch):
     bad = diagonal_pole_base(params)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad,))
     with pytest.raises(RodriguesError, match="G1 pole"):
-        rodrigues_poly(RodriguesSpec(equation, 1, 1, base=bad))
+        rodrigues_poly(equation, 1, 1)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (DEFAULT_BASES[1],))
+    next_base = rodrigues_poly(equation, 1, 1)
     tried = []
     original = rodrigues._grid_values
 
@@ -140,21 +143,20 @@ def test_pole_retry_moves_to_next_base(equation, params, monkeypatch):
 
     monkeypatch.setattr(rodrigues, "_grid_values", spy)
     monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1], DEFAULT_BASES[2]))
-    got = rodrigues_poly(RodriguesSpec(equation, 1, 1))
+    got = rodrigues_poly(equation, 1, 1)
     assert tried == [bad, DEFAULT_BASES[1]]
-    assert got == rodrigues_poly(RodriguesSpec(equation, 1, 1, base=DEFAULT_BASES[1]))
+    assert got == next_base
 
 
 def test_pole_retry_with_only_bad_bases(equation, params, monkeypatch):
     xb, yb = diagonal_pole_base(params)
     monkeypatch.setattr(rodrigues, "DEFAULT_BASES", ((xb, yb), (xb * 2, yb * 2)))
     with pytest.raises(RodriguesError, match="no pole-free base point among 2"):
-        rodrigues_poly(RodriguesSpec(equation, 1, 1))
+        rodrigues_poly(equation, 1, 1)
 
 
 def test_order_zero_is_the_normalization(equation):
-    assert rodrigues_poly(RodriguesSpec(equation, 0, 0)) == BiPoly.const(1)
-    assert rodrigues_poly(RodriguesSpec(equation, 0, 0, normalization=F(5, 3))) == BiPoly.const(F(5, 3))
+    assert rodrigues_poly(equation, 0, 0) == BiPoly.const(1)
 
 
 def test_first_order_closed_form(equation):
@@ -163,39 +165,28 @@ def test_first_order_closed_form(equation):
     P = build_pearson(equation)
     q = equation.qp.q
     target = (P.phi1 - P.omega1).div_exact(x * (q - 1))
-    assert rodrigues_poly(RodriguesSpec(equation, 1, 0)) == target
+    assert rodrigues_poly(equation, 1, 0) == target
 
 
 def test_total_degree_and_nondegenerate_leading_part(equation):
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2)]:
-        p = rodrigues_poly(RodriguesSpec(equation, n, m))
+        p = rodrigues_poly(equation, n, m)
         assert p.total_degree() == n + m
-        assert not p.homogeneous_part(n + m).is_zero()
+        assert any(p.coeff(n + m - j, j) for j in range(n + m + 1))
 
 
 def test_eigen_equation_residual_zero(equation, adm):
     for n, m in [(1, 0), (1, 1), (2, 1), (2, 2)]:
-        p = rodrigues_poly(RodriguesSpec(equation, n, m))
+        p = rodrigues_poly(equation, n, m)
         lam = adm.eigenvalue(n + m)
         assert (apply_operator(equation, p) + p * lam).is_zero()
 
 
-def test_base_point_independence(equation):
-    std = rodrigues_poly(RodriguesSpec(equation, 2, 1))
-    alt = rodrigues_poly(RodriguesSpec(equation, 2, 1, base=DEFAULT_BASES[4]))
+def test_base_point_independence(equation, monkeypatch):
+    std = rodrigues_poly(equation, 2, 1)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (DEFAULT_BASES[4],))
+    alt = rodrigues_poly(equation, 2, 1)
     assert std == alt
-
-
-def test_monic_option(equation):
-    p = rodrigues_poly(RodriguesSpec(equation, 1, 1), monic=True)
-    lead = p.homogeneous_part(2).leading_term()
-    assert lead[1] == 1
-
-
-def test_normalization_scales_linearly(equation):
-    base = rodrigues_poly(RodriguesSpec(equation, 1, 0))
-    scaled = rodrigues_poly(RodriguesSpec(equation, 1, 0, normalization=F(7, 2)))
-    assert scaled == base * F(7, 2)
 
 
 def test_bracket_specialization(equation, params):
@@ -263,7 +254,7 @@ def test_samples_off_grid_match_interpolant(equation):
     # the interpolation grid, on the lower set and on the rest of the
     # tensor grid (the test-side sampler), agree with the interpolant
     for n, m in [(1, 1), (2, 1)]:
-        p = rodrigues_poly(RodriguesSpec(equation, n, m))
+        p = rodrigues_poly(equation, n, m)
         base = (DEFAULT_BASES[0][0] * F(1, 4), DEFAULT_BASES[0][1] * F(1, 4))
         nodes_x, nodes_y, lower = _grid_values(equation, n, m, base)
         _, _, full = reference_grid_values(equation, n, m, base, factored_bracket(equation, n, m))
@@ -377,15 +368,21 @@ def test_rejects_nonadmissible_equation(equation):
     bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
                          equation.a12d + x * y * F(1, 7), equation.b1, equation.b2)
     with pytest.raises(RodriguesError):
-        rodrigues_poly(RodriguesSpec(bad, 1, 0))
+        rodrigues_poly(bad, 1, 0)
 
 
-def rodrigues_orthogonality_check(spec: RodriguesSpec, functional) -> dict:
+@pytest.mark.parametrize("n, m", [(-1, 0), (0, -1)])
+def test_rejects_negative_degrees(equation, n, m):
+    with pytest.raises(ValueError, match="nonnegative"):
+        rodrigues_poly(equation, n, m)
+
+
+def rodrigues_orthogonality_check(E, n: int, m: int, functional) -> dict:
     """Weighted moments of the Rodrigues polynomial against all monomials of
     lower total degree; `functional` maps BiPoly -> scalar (float lane)."""
-    poly = rodrigues_poly(spec)
+    poly = rodrigues_poly(E, n, m)
     out = {}
-    for d in range(spec.n + spec.m):
+    for d in range(n + m):
         for i in range(d + 1):
             mono = BiPoly.monomial(d - i, i)
             out[(d - i, i)] = functional(poly * mono)
@@ -395,10 +392,10 @@ def rodrigues_orthogonality_check(spec: RodriguesSpec, functional) -> dict:
 def test_orthogonality_against_lower_degrees(equation, moments):
     tol = moments.field.of(F(1, 10 ** 25))
     norm = moments.integrate(BiPoly.const(1))
-    rep = rodrigues_orthogonality_check(RodriguesSpec(equation, 1, 0), moments.integrate)
+    rep = rodrigues_orthogonality_check(equation, 1, 0, moments.integrate)
     assert abs(rep[(0, 0)]) / norm < tol
-    rep = rodrigues_orthogonality_check(RodriguesSpec(equation, 1, 1), moments.integrate)
+    rep = rodrigues_orthogonality_check(equation, 1, 1, moments.integrate)
     for key, val in rep.items():
         assert abs(val) / norm < tol
     # vacuous case
-    assert rodrigues_orthogonality_check(RodriguesSpec(equation, 0, 0), moments.integrate) == {}
+    assert rodrigues_orthogonality_check(equation, 0, 0, moments.integrate) == {}

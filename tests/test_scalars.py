@@ -3,6 +3,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qbipoly"
 
+
+def close(field, a, b, tol=None) -> bool:
+    """|a - b| <= tol * max(1, |a|, |b|), tol defaulting to the field's
+    tail threshold; for float-lane checks only, never identity proofs."""
+    tol = field.tail_eps if tol is None else tol
+    scale = max(1, abs(a), abs(b))
+    return abs(a - b) <= tol * scale
+
 #: ways of setting or bypassing a float precision; only scalars.py may
 #: use them, so the precision policy lives in one module
 PRECISION_POLICY = re.compile(
