@@ -123,10 +123,10 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
     den_c = ((a * b * c * q ** (2 * n) - 1) * (a * b * c * q ** (2 * n + 1) - 1) ** 2
              * (a * b * c * q ** (2 * n + 2) - 1))
 
-    B1 = Mat.zeros(n + 1, n + 1)
-    B2 = Mat.zeros(n + 1, n + 1)
-    C1 = Mat.zeros(n + 1, n)
-    C2 = Mat.zeros(n + 1, n)
+    B1 = [[0] * (n + 1) for _ in range(n + 1)]
+    B2 = [[0] * (n + 1) for _ in range(n + 1)]
+    C1 = [[0] * n for _ in range(n + 1)]
+    C2 = [[0] * n for _ in range(n + 1)]
 
     for i in range(1, n + 2):
         for j in range(1, n + 2):
@@ -140,20 +140,20 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
                 t2 = (a * c * q ** (n + 2)
                       * (-b * (q + 1) * q ** (n - i) * (a * c * q ** (2 * i) + q)
                          + a * b * (b + 1) * c * q ** (2 * n + 2) + b + 1)) / den_b
-                B1.rows[i - 1][j - 1] = t1 + t2
-                B2.rows[i - 1][j - 1] = q**-i * (
+                B1[i - 1][j - 1] = t1 + t2
+                B2[i - 1][j - 1] = q**-i * (
                     q * qnum(i, qp) * (a * q**i - 1) * (d * q ** (n + 1) - 1)
                     / (a * b * c * q ** (2 * n + 3) - 1)
                     + q * qnum(i - 1, qp) * (q - a * q**i) * (d * q**n - 1)
                     / (a * b * c * q ** (2 * n + 1) - 1)
                     + q)
             elif i == j + 1:
-                B1.rows[i - 1][j - 1] = -(
+                B1[i - 1][j - 1] = -(
                     (q ** (i - 1) - 1) * (a * q ** (i - 1) - 1) * q ** (-i + n + 2)
                     * (a * b * c * d * q ** (2 * n + 2) - a * b * c * (q + 1) * q ** (n + 1) + d)
                 ) / den_b
             elif i == j - 1:
-                B2.rows[i - 1][j - 1] = -(
+                B2[i - 1][j - 1] = -(
                     a * c * q ** (i + 1) * (q ** (-i + n + 1) - 1) * (b * q ** (-i + n + 1) - 1)
                     * (a * b * c * q ** (2 * (n + 1)) - d * (q + 1) * q**n + 1)
                 ) / den_b
@@ -161,13 +161,13 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
     for i in range(1, n + 2):
         for j in range(1, n + 1):
             if i == j:
-                C1.rows[i - 1][j - 1] = -(
+                C1[i - 1][j - 1] = -(
                     a * c * q ** (n + 2) * (d * q**n - 1)
                     * (q ** (-i + n + 1) - 1) * (b * q ** (-i + n + 1) - 1)
                     * (a * c * q ** (i + n) - 1) * (a * b * c * q ** (n + 1) - d)
                     * (a * b * c * q ** (i + n) - 1)
                 ) / den_c
-                C2.rows[i - 1][j - 1] = -(
+                C2[i - 1][j - 1] = -(
                     a * c * (q - 1) * (d * q**n - 1) * q ** (n - i)
                     * qnum(-i + n + 1, qp) * (b * q ** (n + 1) - q**i)
                     * (a * b * c * q ** (n + 1) - d)
@@ -175,31 +175,31 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
                        - a * b * c * (q + 1) * q ** (2 * n + 2) - a * (q + 1) * q ** (2 * i))
                 ) / den_c
             elif i == j + 1:
-                C1.rows[i - 1][j - 1] = -(
+                C1[i - 1][j - 1] = -(
                     a * c * (q ** (i - 1) - 1) * (a * q ** (i - 1) - 1) * (d * q**n - 1)
                     * q ** (-i + 2 * n + 3) * (a * b * c * q ** (n + 1) - d)
                     * (-b * (q + 1) * q ** (-i + n - 1) * (a * c * q ** (2 * i) + q**2)
                        + a * b * (b + 1) * c * q ** (2 * n + 1) + b + 1)
                 ) / den_c
-                C2.rows[i - 1][j - 1] = -(
+                C2[i - 1][j - 1] = -(
                     a * (q ** (i - 1) - 1) * q ** (n + 1) * (a * q ** (i - 1) - 1)
                     * (d * q**n - 1) * (b * c * q ** (-i + 2 * n + 2) - 1)
                     * (a * b * c * q ** (n + 1) - d) * (a * b * c * q ** (-i + 2 * n + 2) - 1)
                 ) / den_c
             elif i == j + 2:
-                C1.rows[i - 1][j - 1] = -(
+                C1[i - 1][j - 1] = -(
                     a * b * c * (a * q**i - q) * (a * q**i - q**2) * (d * q**n - 1)
                     * q ** (-2 * i + 3 * n + 2) * qpoch(i - 1)
                     * (a * b * c * q ** (n + 1) - d)
                 ) / (qpoch(i - 3) * den_c)
             elif i == j - 1:
-                C2.rows[i - 1][j - 1] = -(
+                C2[i - 1][j - 1] = -(
                     a**2 * c**2 * q ** (n + 2) * (d * q**n - 1)
                     * (q**i - b * q**n) * (q**i - b * q ** (n + 1))
                     * qpoch(n - i + 1) * (a * b * c * q ** (n + 1) - d)
                 ) / (qpoch(n - i - 1) * den_c)
 
-    return {"B1": B1, "B2": B2, "C1": C1, "C2": C2}
+    return {"B1": Mat(B1), "B2": Mat(B2), "C1": Mat(C1), "C2": Mat(C2)}
 
 
 # ---------------------------------------------------------------------------

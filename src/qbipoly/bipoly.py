@@ -1,11 +1,17 @@
 """Sparse bivariate polynomials and rational functions over the rationals.
 
-A ``BiPoly`` is a map from exponent pairs ``(i, j)`` (for ``x**i * y**j``) to
-nonzero ``Fraction`` coefficients.  Construction strips zeros, so the zero
-polynomial is the empty map, and takes every scalar (coefficient, factor,
-evaluation point) through ``as_fraction``: a float is a ``TypeError``, and so
-is comparing with one.  All operations are pure; instances are treated as
-immutable after construction.
+A ``BiPoly`` stores its rational coefficients as integer numerators over
+one common denominator: ``nums`` maps exponent pairs ``(i, j)`` (for
+``x**i * y**j``) to nonzero ints and ``den`` is a positive int with
+gcd(den, *nums) = 1, so the zero polynomial is ``({}, 1)`` and equal
+polynomials are stored alike.  Every result is brought to this form by one
+content gcd, not by a gcd per coefficient operation (the content/primitive
+part representation of von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 6).  ``coeffs`` is a read-only view of the coefficients as Fractions.
+
+Every scalar (coefficient, factor, evaluation point) is taken through
+``as_fraction``: a float is a ``TypeError``, and so is comparing with one.
+All operations are pure; instances are immutable after construction.
 
 ``RationalFn`` is a quotient of two BiPolys with equality decided by cross
 multiplication; no gcd normalization is ever attempted.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .scalars import as_fraction
@@ -22,20 +29,95 @@ from .scalars import as_fraction
 _ZERO = Fraction(0)
 
 
+class CoeffView(Mapping):
+    """The coefficients of a BiPoly as a read-only map (i, j) -> Fraction."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, mono) -> Fraction:
+        return Fraction(self._nums[mono], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, mono) -> bool:
+        return mono in self._nums
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _reduced(nums: dict, den: int) -> "BiPoly":
+    """The BiPoly sum nums[m] / den x^m for int numerators (zeros are
+    dropped) and a nonzero int den, reduced by one content gcd."""
+    if 0 in nums.values():
+        nums = {m: n for m, n in nums.items() if n}
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+            den //= g
+    return _canonical(nums, den)
+
+
+def _canonical(nums: dict, den: int) -> "BiPoly":
+    """The BiPoly of numerators and a denominator already in canonical form."""
+    p = object.__new__(BiPoly)
+    p.nums = nums
+    p.den = den
+    return p
+
+
+def _powers(c: Fraction, top: int) -> list:
+    """[a^k b^(top-k) for k = 0..top] for c = a/b: c^k over the common b^top."""
+    a, b = c.numerator, c.denominator
+    return [a**k * b ** (top - k) for k in range(top + 1)]
+
+
+def poly_sum(polys) -> "BiPoly":
+    """The sum of BiPolys over the lcm of their denominators, reduced once."""
+    polys = list(polys)
+    D = math.lcm(*(p.den for p in polys))
+    out = {}
+    for p in polys:
+        f = D // p.den
+        for m, n in p.nums.items():
+            out[m] = out[m] + n * f if m in out else n * f
+    return _reduced(out, D)
+
+
 class BiPoly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=None):
-        clean = {}
+        """From a map {(i, j): exact scalar}; zero coefficients are dropped."""
+        exact = {}
         if coeffs:
             for (i, j), cval in coeffs.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent ({i},{j})")
-                if not isinstance(cval, Fraction):
+                if not isinstance(cval, (int, Fraction)):
                     cval = as_fraction(cval)
                 if cval:
-                    clean[(int(i), int(j))] = cval
-        self.coeffs = clean
+                    exact[(int(i), int(j))] = cval
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is already canonical
+        den = math.lcm(*(c.denominator for c in exact.values()))
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in exact.items()}
+        self.den = den
+
+    @property
+    def coeffs(self) -> CoeffView:
+        return CoeffView(self.nums, self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -62,22 +144,23 @@ class BiPoly:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.coeffs:
+        if not self.nums:
             return -1
-        return max(i + j for i, j in self.coeffs)
+        return max(i + j for i, j in self.nums)
 
     def degree_x(self) -> int:
-        return max((i for i, _ in self.coeffs), default=-1)
+        return max((i for i, _ in self.nums), default=-1)
 
     def degree_y(self) -> int:
-        return max((j for _, j in self.coeffs), default=-1)
+        return max((j for _, j in self.nums), default=-1)
 
-    def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), _ZERO)
+    def coeff(self, i: int, j: int) -> Fraction:
+        n = self.nums.get((i, j))
+        return _ZERO if n is None else Fraction(n, self.den)
 
     def terms(self):
         """Terms sorted by graded lexicographic order (x-major), descending."""
@@ -85,10 +168,10 @@ class BiPoly:
 
     def leading_term(self):
         """(monomial, coeff) largest in grlex order; None for zero."""
-        if not self.coeffs:
+        if not self.nums:
             return None
-        mono = max(self.coeffs, key=lambda m: (m[0] + m[1], m[0]))
-        return mono, self.coeffs[mono]
+        mono = max(self.nums, key=lambda m: (m[0] + m[1], m[0]))
+        return mono, self.coeff(*mono)
 
     # -- ring operations ---------------------------------------------------
 
@@ -98,15 +181,18 @@ class BiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out[m] + c if m in out else c
-        return BiPoly(out)
+        a, b = self.den, other.den  # summed over lcm(a, b)
+        g = math.gcd(a, b)
+        fa, fb = b // g, a // g
+        out = {m: n * fa for m, n in self.nums.items()}
+        for m, n in other.nums.items():
+            out[m] = out[m] + n * fb if m in out else n * fb
+        return _reduced(out, a * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({m: -c for m, c in self.coeffs.items()})
+        return _canonical({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -117,21 +203,25 @@ class BiPoly:
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             out = {}
-            for (i1, j1), c1 in self.coeffs.items():
-                for (i2, j2), c2 in other.coeffs.items():
+            get = out.get
+            for (i1, j1), c1 in self.nums.items():
+                for (i2, j2), c2 in other.nums.items():
                     m = (i1 + i2, j1 + j2)
-                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-            return BiPoly(out)
-        c = as_fraction(other)
-        return BiPoly({m: v * c for m, v in self.coeffs.items()})
+                    out[m] = get(m, 0) + c1 * c2
+            return _reduced(out, self.den * other.den)
+        return self._scaled(as_fraction(other))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "BiPoly":
+        r = c.numerator
+        return _reduced({m: n * r for m, n in self.nums.items()}, self.den * c.denominator)
 
     def __truediv__(self, scalar):
         c = as_fraction(scalar)
         if not c:
             raise ZeroDivisionError("division of BiPoly by zero scalar")
-        return BiPoly({m: v / c for m, v in self.coeffs.items()})
+        return self._scaled(1 / c)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -147,7 +237,7 @@ class BiPoly:
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == BiPoly.const(other)
         if isinstance(other, numbers.Number) and not isinstance(other, numbers.Rational):
@@ -155,49 +245,50 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     # -- substitution and evaluation ---------------------------------------
 
     def scale_args(self, alpha=1, beta=1) -> "BiPoly":
-        """Substitute x -> alpha*x, y -> beta*y."""
+        """Substitute x -> alpha*x, y -> beta*y: with alpha = a/b and
+        beta = s/t, the coefficient of x^i y^j gains a^i b^(I-i) s^j t^(J-j)
+        over the common b^I t^J."""
         alpha = as_fraction(alpha)
         beta = as_fraction(beta)
-        return BiPoly({(i, j): c * alpha**i * beta**j for (i, j), c in self.coeffs.items()})
+        if not self.nums:
+            return self
+        xw = _powers(alpha, self.degree_x())
+        yw = _powers(beta, self.degree_y())
+        return _reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in self.nums.items()},
+                     self.den * xw[0] * yw[0])
 
     def swap(self) -> "BiPoly":
         """Exchange the variables: f(x, y) -> f(y, x)."""
-        return BiPoly({(j, i): c for (i, j), c in self.coeffs.items()})
+        return _canonical({(j, i): n for (i, j), n in self.nums.items()}, self.den)
 
-    def eval(self, xv, yv):
-        xv = xv if isinstance(xv, Fraction) else as_fraction(xv)
-        yv = yv if isinstance(yv, Fraction) else as_fraction(yv)
-        total = _ZERO
-        for (i, j), c in self.coeffs.items():
-            total += c * xv**i * yv**j
-        return total
+    def eval(self, xv, yv) -> Fraction:
+        return self.eval_grid([xv], [yv])[0][0]
 
     def eval_grid(self, xs, ys) -> list:
-        """[[p(x, y) for y in ys] for x in xs], equal to ``eval`` at every
-        point, over the integers: with x = u/v, y = s/t and L the common
-        coefficient denominator, p = sum_i u^i v^(I-i) C_i / (L v^I t^J),
-        C_i = sum_j L c_ij s^j t^(J-j) formed once per (i, y); each point
+        """[[p(x, y) for y in ys] for x in xs] over the integers: with
+        x = u/v and y = s/t, p = sum_i u^i v^(I-i) C_i / (den v^I t^J),
+        C_i = sum_j n_ij s^j t^(J-j) formed once per (i, y); each point
         costs one product per distinct x-exponent i and one division."""
         xs = [as_fraction(v) for v in xs]
         ys = [as_fraction(v) for v in ys]
-        L = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        I = max((i for i, _ in self.coeffs), default=0)
-        J = max((j for _, j in self.coeffs), default=0)
+        I = max((i for i, _ in self.nums), default=0)
+        J = max((j for _, j in self.nums), default=0)
         rows = {}
-        for (i, j), c in self.coeffs.items():
-            rows.setdefault(i, []).append((j, c.numerator * (L // c.denominator)))
-        cols = [[sum(c * yv.numerator**j * yv.denominator ** (J - j) for j, c in terms)
+        for (i, j), n in self.nums.items():
+            rows.setdefault(i, []).append((j, n))
+        cols = [[sum(n * yv.numerator**j * yv.denominator ** (J - j) for j, n in terms)
                  for terms in rows.values()] for yv in ys]
         out = []
         for xv in xs:
             u, v = xv.numerator, xv.denominator
             xw = [u**i * v ** (I - i) for i in rows]
-            out.append([Fraction(sum(w * c for w, c in zip(xw, col)), L * v**I * yv.denominator**J)
+            out.append([Fraction(sum(w * c for w, c in zip(xw, col)),
+                                 self.den * v**I * yv.denominator**J)
                         for col, yv in zip(cols, ys)])
         return out
 
@@ -205,11 +296,7 @@ class BiPoly:
 
     def diff_x(self) -> "BiPoly":
         """Classical partial derivative in x."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i:
-                out[(i - 1, j)] = c * i
-        return BiPoly(out)
+        return _reduced({(i - 1, j): n * i for (i, j), n in self.nums.items() if i}, self.den)
 
     def diff_y(self) -> "BiPoly":
         """Classical partial derivative in y: diff_x conjugated by the swap."""
@@ -238,7 +325,7 @@ class BiPoly:
         return BiPoly(quot)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for (i, j), c in self.terms():

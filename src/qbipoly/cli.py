@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify" and args.suite == "limits":
+            if args.equation or args.preset or args.param:
+                raise ConfigError("the limits suite takes no equation source "
+                                  "(--equation, --preset or --param)")
             equation, preset = None, None
         else:
             equation, preset = _load_equation(args)

@@ -1,23 +1,24 @@
 """Scalar matrices, polynomial column vectors, exact solving, and
 lower-set Newton interpolation.
 
-Sizes here are tiny (O(degree)).  Matrices are stored as lists of rows of
-Fractions (entries are taken through ``as_fraction``), and products skip
-the zero entries of the left factor, since the operator's difference blocks
-are bidiagonal and the multiplication embeddings are 0/1 selections.
-Solving is plain rational Gaussian elimination with partial pivoting, so
-results and singularity reports are exact; no route calls it, and it stays
-only because the benchmark's span list names it.
+Sizes here are tiny (O(degree)).  A matrix stores each row as integer
+numerators over one positive denominator, reduced by one gcd per row
+(entries are taken through ``as_fraction``; ``rows`` and indexing give
+Fractions).  Products skip the zero entries of the left factor, since the
+operator's difference blocks are bidiagonal and the multiplication
+embeddings are 0/1 selections.  Solving is plain rational Gaussian
+elimination with partial pivoting, so results and singularity reports are
+exact; no route calls it, and it stays only because the benchmark's span
+list names it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, poly_sum
 from .scalars import as_fraction
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class SingularMatrixError(ValueError):
@@ -26,92 +27,135 @@ class SingularMatrixError(ValueError):
         self.pivot_col = pivot_col
 
 
+def _reduced_row(nums: list, den: int) -> tuple:
+    """The row nums / den (den != 0) with gcd(den, *nums) = 1 and den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return nums, den
+
+
 class Mat:
-    __slots__ = ("rows", "ncols")
+    """Row i holds the entries nums[i][j] / dens[i]."""
+
+    __slots__ = ("nums", "dens", "ncols")
 
     def __init__(self, rows):
-        rows = [[v if isinstance(v, Fraction) else as_fraction(v) for v in r] for r in rows]
-        ncols = len(rows[0]) if rows else 0
+        nums, dens = [], []
         for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix rows")
-        self.rows = rows
-        self.ncols = ncols
+            r = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in r]
+            # over the lcm of reduced denominators the row is already reduced
+            L = math.lcm(*(v.denominator for v in r))
+            nums.append([v.numerator * (L // v.denominator) for v in r])
+            dens.append(L)
+        ncols = len(nums[0]) if nums else 0
+        if any(len(r) != ncols for r in nums):
+            raise ValueError("ragged matrix rows")
+        self.nums, self.dens, self.ncols = nums, dens, ncols
+
+    @classmethod
+    def _of(cls, rows: list, ncols: int) -> "Mat":
+        """A Mat on reduced (numerators, denominator) rows of length ncols."""
+        M = object.__new__(cls)
+        M.nums = [r for r, _ in rows]
+        M.dens = [d for _, d in rows]
+        M.ncols = ncols
+        return M
 
     @classmethod
     def zeros(cls, n: int, m: int):
-        return cls([[_ZERO] * m for _ in range(n)])
+        return cls._of([([0] * m, 1) for _ in range(n)], m)
 
     @classmethod
     def identity(cls, n: int):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of([([int(i == j) for j in range(n)], 1) for i in range(n)], n)
+
+    @property
+    def rows(self) -> list:
+        """The entries as a new list of rows of Fractions."""
+        return [[Fraction(v, d) for v in r] for r, d in zip(self.nums, self.dens)]
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.nums)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.nums[i][j], self.dens[i])
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        rows = []
+        for ra, da, rb, db in zip(self.nums, self.dens, other.nums, other.dens):
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            rows.append(_reduced_row([a * fa + b * fb for a, b in zip(ra, rb)], da * fa))
+        return Mat._of(rows, self.ncols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-v for v in r] for r in self.rows])
+        return Mat._of([([-v for v in r], d) for r, d in zip(self.nums, self.dens)], self.ncols)
 
     def scaled(self, c) -> "Mat":
         c = as_fraction(c)
-        return Mat([[v * c for v in r] for r in self.rows])
+        if not c:
+            return Mat.zeros(self.nrows, self.ncols)
+        a, b = c.numerator, c.denominator
+        rows = [_reduced_row([v * a for v in r], d * b) for r, d in zip(self.nums, self.dens)]
+        return Mat._of(rows, self.ncols)
 
     def __matmul__(self, other):
+        """Row i of the product is the sum of the right operand's rows (or
+        entries) weighted by the nonzero entries of row i; a matrix product
+        sums the rows over the integers on one common denominator."""
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            # row i of the product is the sum of B's rows weighted by the
-            # nonzero entries of A's row i
-            zeros = [_ZERO] * other.ncols
-            out = []
-            for r in self.rows:
-                acc = None
-                for a, brow in zip(r, other.rows):
-                    if a:
-                        acc = ([a * b for b in brow] if acc is None
-                               else [s + a * b for s, b in zip(acc, brow)])
-                out.append(acc or zeros)
-            return Mat(out)
+            rows = []
+            for r, d in zip(self.nums, self.dens):
+                terms = [(a, k) for k, a in enumerate(r) if a]
+                D = math.lcm(*(other.dens[k] for _, k in terms))
+                acc = [0] * other.ncols
+                for a, k in terms:
+                    f = a * (D // other.dens[k])
+                    acc = [s + f * v for s, v in zip(acc, other.nums[k])]
+                rows.append(_reduced_row(acc, d * D))
+            return Mat._of(rows, other.ncols)
         if isinstance(other, PolyVec):
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch {self.shape} @ vec({len(other)})")
-            out = []
-            for r in self.rows:
-                acc = BiPoly.zero()
-                for coef, p in zip(r, other.entries):
-                    if coef:
-                        acc = acc + p * coef
-                out.append(acc)
-            return PolyVec(out)
+            return PolyVec([poly_sum([p * Fraction(a, d) for a, p in zip(r, other.entries) if a])
+                            for r, d in zip(self.nums, self.dens)])
         return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.dens == other.dens and self.nums == other.nums
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash((tuple(map(tuple, self.nums)), tuple(self.dens)))
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
+
+
+def stack(*mats: Mat) -> Mat:
+    """The matrices' rows one under another (all of one width)."""
+    if len({M.ncols for M in mats}) != 1:
+        raise ValueError("stacked matrices differ in width")
+    return Mat._of([row for M in mats for row in zip(M.nums, M.dens)], mats[0].ncols)
+
 
 def mat_diff(A: Mat, B: Mat) -> list:
     """Entries where A and B differ, as ((row, col) 1-based, a, b)."""
@@ -136,7 +180,7 @@ def solve_exact(A: Mat, B: Mat) -> Mat:
     if B.nrows != n:
         raise ValueError("right-hand side row count mismatch")
     m = B.ncols
-    work = [A.rows[i][:] + B.rows[i][:] for i in range(n)]
+    work = [a + b for a, b in zip(A.rows, B.rows)]
     for col in range(n):
         piv = next((i for i in range(col, n) if work[i][col]), None)
         if piv is None:

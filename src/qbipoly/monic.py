@@ -24,10 +24,8 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import Admissibility, EquationCoeffs, apply_operator
-from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec
+from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec, stack
 from .qcalc import QParam, qnum
-
-_ONE = Fraction(1)
 
 
 def difference_matrix(n: int, j: int, base) -> Mat:
@@ -37,21 +35,18 @@ def difference_matrix(n: int, j: int, base) -> Mat:
     backward quotient of base q is the forward quotient of base 1/q)."""
     if j not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    M = Mat.zeros(n + 1, n)
+    rows = [[0] * n for _ in range(n + 1)]
     for k in range(n + 1):
         e = n - k if j == 1 else k  # exponent of the axis variable in x^{n-k} y^k
         if e:
-            M.rows[k][k if j == 1 else k - 1] = (base**e - 1) / (base - 1)
-    return M
+            rows[k][k if j == 1 else k - 1] = (base**e - 1) / (base - 1)
+    return Mat(rows)
 
 
 def mat_L(n: int, j: int) -> Mat:
     """Multiplication embedding: x_j x^n = L_{n,j} x^{n+1}; size (n+1)x(n+2)."""
-    M = Mat.zeros(n + 1, n + 2)
     off = 0 if j == 1 else 1
-    for k in range(n + 1):
-        M.rows[k][k + off] = _ONE
-    return M
+    return Mat([[int(c == k + off) for c in range(n + 2)] for k in range(n + 1)])
 
 
 def structure_matrices(n: int, qp: QParam) -> dict:
@@ -120,17 +115,17 @@ def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     _, b3d, c3d, _ = E.cross_d()
     _, g1 = E.tau1()
     _, g2 = E.tau2()
-    S = Mat.zeros(n + 1, n)
+    S = [[0] * n for _ in range(n + 1)]
     for i in range(1, n + 1):
-        S.rows[i - 1][i - 1] = (
+        S[i - 1][i - 1] = (
             qnum(n - i + 1, qp) * (g1 + q ** (1 + i - n) * b1s * qnum(n - i, qp)
                                    + c3a * qnum(i - 1, qp) + q ** (2 - n) * c3d * qnum(i - 1, qp))
         )
-        S.rows[i][i - 1] = (
+        S[i][i - 1] = (
             qnum(i - 1, qp) * (b2s * q ** (3 - i) * qnum(i - 2, qp)
                                + qnum(n + 1 - i, qp) * (b3a + b3d * q ** (2 - n)) + g2)
         )
-    return S
+    return Mat(S)
 
 
 def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
@@ -232,20 +227,20 @@ def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
 
 
 def joint_L(n: int) -> Mat:
-    return Mat(mat_L(n, 1).rows + mat_L(n, 2).rows)
+    return stack(mat_L(n, 1), mat_L(n, 2))
 
 
 def generalized_inverse_L(n: int) -> Mat:
     """The explicit left inverse D_n of the stacked L_n: first and last rows
     are unit, interior rows average the two blocks with halves."""
-    D = Mat.zeros(n + 2, 2 * n + 2)
+    D = [[0] * (2 * n + 2) for _ in range(n + 2)]
     half = Fraction(1, 2)
-    D.rows[0][0] = _ONE
+    D[0][0] = 1
     for i in range(1, n + 1):
-        D.rows[i][i] = half
-        D.rows[i][n + i] = half
-    D.rows[n + 1][2 * n + 1] = _ONE
-    return D
+        D[i][i] = half
+        D[i][n + i] = half
+    D[n + 1][2 * n + 1] = 1
+    return Mat(D)
 
 
 class RecurrenceMismatch(AssertionError):
@@ -270,13 +265,13 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
             raise RecurrenceMismatch(f"generalized inverse fails D_n L_n = I at n={n}")
         tb = ttr_matrices(oracle, n, 1)
         tb2 = ttr_matrices(oracle, n, 2)
-        Bn = Mat(tb["B"].rows + tb2["B"].rows)
+        Bn = stack(tb["B"], tb2["B"])
         cur = vectors[n]
         stacked = PolyVec([p * x for p in cur.entries] + [p * y for p in cur.entries])
         rhs = stacked - (Bn @ cur)
         nxt = D @ rhs
         if n >= 1:
-            Cn = Mat(tb["C"].rows + tb2["C"].rows)
+            Cn = stack(tb["C"], tb2["C"])
             nxt = nxt - (D @ (Cn @ prev))
         prev = cur
         vectors.append(nxt)

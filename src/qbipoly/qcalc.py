@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, RationalFn
+from .bipoly import BiPoly, RationalFn, _reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -69,18 +69,24 @@ def _difference(f: BiPoly, p, axis: int) -> BiPoly:
     since q(f(x) - f(x/q)) / ((q-1)x) is the forward quotient of base 1/q.
 
     Lowering one exponent is injective on monomials, so each output term is
-    a single product; [e]_p is computed once per distinct exponent.
+    a single product.  With p = u/v, [e]_p = (u^e - v^e) / ((u - v) v^(e-1)),
+    an integer over v^(e-1); over the common v^(E-1) (E the top exponent)
+    the numerator of term e gains h_e v^(E-e), h_e = (u^e - v^e) / (u - v),
+    computed once per distinct exponent.
     """
-    qnums = {}
+    u, v = p.numerator, p.denominator
+    k = axis - 1
+    top = max((m[k] for m in f.nums), default=0)
+    weights = {}
     out = {}
-    for m, c in f.coeffs.items():
-        e = m[axis - 1]
+    for m, n in f.nums.items():
+        e = m[k]
         if e:
-            qn = qnums.get(e)
-            if qn is None:
-                qn = qnums[e] = (p**e - 1) / (p - 1)
-            out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = c * qn
-    return BiPoly(out)
+            w = weights.get(e)
+            if w is None:
+                w = weights[e] = (u**e - v**e) // (u - v) * v ** (top - e)
+            out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = n * w
+    return _reduced(out, f.den * v ** (top - 1)) if out else BiPoly.zero()
 
 
 def dq1(f: BiPoly, qp: QParam) -> BiPoly:

@@ -1,13 +1,14 @@
 """Scalars: exact rationals everywhere, binary floats for infinite sums.
 
 Every algebraic object in the library (polynomials, rational functions,
-matrices) holds ``fractions.Fraction`` values only, coerced through
-``as_fraction``, so every identity is decided exactly.  The float lane
-exists only for infinite sums (Jackson moments, infinite q-Pochhammers),
-where exactness is impossible: a ``FloatField`` owns an mpmath context at
-its precision and builds its values there; every operation on them (a
-Fraction or int on either side, any mpf on the right) rounds at that
-precision, so float results never depend on mpmath.mp.prec.
+matrices) holds exact rationals only, taken in through ``as_fraction`` and
+stored as integer numerators over a common denominator, so every identity
+is decided exactly.  The float lane exists only for infinite sums (Jackson
+moments, infinite q-Pochhammers), where exactness is impossible: a
+``FloatField`` owns an mpmath context at its precision and builds its
+values there; every operation on them (a Fraction or int on either side,
+any mpf on the right) rounds at that precision, so float results never
+depend on mpmath.mp.prec.
 """
 
 from __future__ import annotations

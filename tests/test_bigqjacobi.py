@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _poch_ladder, _power_sums,
-                                appell_monic,
+                                appell_monic, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
                                 limit_check, limit_params,
@@ -16,10 +18,11 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
-from qbipoly.monic import ttr_matrices
+from qbipoly.monic import generate_monic_oracle, ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
                            qpochhammer_inf)
+from qbipoly.rodrigues import rodrigues_poly
 from qbipoly.scalars import FloatField
 from test_linalg import tensor_vandermonde_interpolate
 
@@ -240,6 +243,52 @@ def test_hypergeometric_equals_oracle_entries(params, oracle5):
 
 def test_hypergeometric_11_is_P2_middle_entry(params, oracle5):
     assert monic_hypergeometric(params, 1, 1) == oracle5.vectors[2][1]
+
+
+# validity across the big q-Jacobi domain ------------------------------------------
+
+SWEEP_Q = [F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(2, 5)]
+
+
+def is_power_of(v: F, q: F) -> bool:
+    """v = q^k for some integer k (0 < q < 1)."""
+    if v <= 0:
+        return False
+    while v < 1:
+        v /= q
+    while v > 1:
+        v *= q
+    return v == 1
+
+
+@st.composite
+def big_q_jacobi_points(draw):
+    """aq, bq, cq in (0, 1), d < 0 and c not a power of q, for q drawn from
+    SWEEP_Q."""
+    q = draw(st.sampled_from(SWEEP_Q))
+    inside = st.fractions(min_value=0, max_value=1, max_denominator=13).filter(lambda t: 0 < t < 1)
+    a, b, c = (draw(inside) / q for _ in range(3))
+    d = -draw(st.fractions(min_value=0, max_value=3, max_denominator=13).filter(lambda t: t > 0))
+    assume(not is_power_of(c, q))
+    return BigQJacobiParams(a, b, c, d, QParam(q))
+
+
+@seed(2013)
+@settings(max_examples=40, deadline=None, database=None)
+@given(big_q_jacobi_points(), st.integers(0, 3), st.data())
+def test_routes_agree_across_the_domain(p, total, data):
+    # oracle = hypergeometric route through N = 3; Rodrigues verifies its
+    # own eigen-equation; the non-monic solution has an exact zero residual
+    E = preset_equation(p)
+    oracle = generate_monic_oracle(E, 3)
+    for n in range(4):
+        for m in range(n + 1):
+            assert monic_hypergeometric(p, n - m, m) == oracle.entry(n, m)
+    m = data.draw(st.integers(0, total), label="m")
+    assert rodrigues_poly(E, total - m, m).total_degree() == total
+    k = data.draw(st.integers(0, total), label="k")
+    poly = nonmonic_poly(p, total, k)
+    assert (apply_operator(E, poly) + poly * lambda_explicit(p, total)).is_zero()
 
 
 # classical (q -> 1) targets ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qbipoly.bipoly import BiPoly, RationalFn
 from qbipoly.linalg import Mat, PolyVec
+from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import FloatField
 
 x = BiPoly.x()
@@ -170,3 +172,170 @@ def test_ratfn_difference_quotients(qp):
     dg = dq_ratfn(g, qp, 2)
     # Dq (1/y) = (1/(qy) - 1/y)/((q-1)y) = -1/(q y^2)
     assert dg.ratfn_equal(RationalFn(BiPoly.const(-2), y * y))
+
+
+# the integer representation against a Fraction-dict reference -----------------
+
+class FractionPoly:
+    """Reference: a map (i, j) -> nonzero Fraction, every operation
+    coefficient by coefficient in Fraction arithmetic."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if c}
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out[m] + c if m in out else c
+        return FractionPoly(out)
+
+    def __neg__(self):
+        return FractionPoly({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPoly):
+            out = {}
+            for (i1, j1), c1 in self.coeffs.items():
+                for (i2, j2), c2 in other.coeffs.items():
+                    m = (i1 + i2, j1 + j2)
+                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+            return FractionPoly(out)
+        return FractionPoly({m: v * other for m, v in self.coeffs.items()})
+
+    def __truediv__(self, c):
+        return FractionPoly({m: v / c for m, v in self.coeffs.items()})
+
+    def scale_args(self, alpha, beta):
+        return FractionPoly({(i, j): c * alpha**i * beta**j for (i, j), c in self.coeffs.items()})
+
+    def swap(self):
+        return FractionPoly({(j, i): c for (i, j), c in self.coeffs.items()})
+
+    def diff_x(self):
+        return FractionPoly({(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i})
+
+    def diff_y(self):
+        return FractionPoly({(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j})
+
+    def eval(self, xv, yv):
+        return sum((c * xv**i * yv**j for (i, j), c in self.coeffs.items()), Fraction(0))
+
+    def difference(self, p, axis):
+        """x_axis^e -> [e]_p x_axis^(e-1), [e]_p = (p^e - 1) / (p - 1)."""
+        out = {}
+        for (i, j), c in self.coeffs.items():
+            e = (i, j)[axis - 1]
+            if e:
+                out[(i - 1, j) if axis == 1 else (i, j - 1)] = c * (p**e - 1) / (p - 1)
+        return FractionPoly(out)
+
+
+def ref(p: BiPoly) -> FractionPoly:
+    return FractionPoly(dict(p.coeffs))
+
+
+def assert_canonical(p: BiPoly):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+#: denominators with shared and distinct prime factors, and one large one
+DENS = [1, 2, 3, 4, 6, 9, 10, 12, 25, 49, 360, 2**61 - 1]
+
+
+def rand_frac(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**6, 10**6) or 1, rng.choice(DENS))
+
+
+def rand_wide_poly(rng):
+    if rng.random() < 0.05:
+        return BiPoly.zero()
+    d = rng.randint(0, 5)
+    coeffs = {}
+    for _ in range(rng.randint(1, 10)):
+        i = rng.randint(0, d)
+        coeffs[(i, rng.randint(0, d - i))] = rand_frac(rng)
+    return BiPoly(coeffs)
+
+
+def test_ring_operations_match_fraction_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        p, r = rand_wide_poly(rng), rand_wide_poly(rng)
+        c = rand_frac(rng) or Fraction(3, 7)
+        alpha, beta = rand_frac(rng, zero_share=0.2), rand_frac(rng, zero_share=0.2)
+        P, R = ref(p), ref(r)
+        results = [
+            (p + r, P + R), (p - r, P - R), (-p, -P), (p * r, P * R), (p * p, P * P),
+            (p * c, P * c), (c * p, P * c), (p / c, P / c), (p + c, P + FractionPoly({(0, 0): c})),
+            (p.scale_args(alpha, beta), P.scale_args(alpha, beta)),
+            (p.swap(), P.swap()), (p.diff_x(), P.diff_x()), (p.diff_y(), P.diff_y()),
+        ]
+        for got, want in results:
+            assert_canonical(got)
+            assert ref(got) == want
+        xs = [rand_frac(rng, zero_share=0.2) for _ in range(3)]
+        ys = [rand_frac(rng, zero_share=0.2) for _ in range(2)]
+        grid = [[P.eval(a, b) for b in ys] for a in xs]
+        assert p.eval_grid(xs, ys) == grid
+        assert [[p.eval(a, b) for b in ys] for a in xs] == grid
+        assert all(type(v) is Fraction for row in grid for v in row)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2, 5), Fraction(3, 7),
+                               Fraction(2, 3), Fraction(3, 4)], ids=str)
+def test_difference_operators_match_fraction_reference(q):
+    # |u - v| > 1 for q = u/v (2/5, 3/7) exposes a slip in the
+    # denominator of [e]_p = (u^e - v^e) / ((u - v) v^(e-1))
+    rng = random.Random(17)
+    qp = QParam(q)
+    for _ in range(60):
+        p = rand_wide_poly(rng)
+        P = ref(p)
+        for op, base, axis in ((dq1, q, 1), (dq2, q, 2), (dqm1, 1 / q, 1), (dqm2, 1 / q, 2)):
+            got = op(p, qp)
+            assert_canonical(got)
+            assert ref(got) == P.difference(base, axis)
+
+
+def test_equal_polynomials_built_by_different_routes_are_equal_and_hash_equal():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    routes = [
+        [(x + 1) ** 2, x * x + x * 2 + 1, BiPoly({(2, 0): 1, (1, 0): 2, (0, 0): 1}),
+         ((x * 2 + 2) ** 2) / 4, (x * half + half) * (x * 2 + 2) + (x + 1) * 0 + 0],
+        [x * half, x / 2, BiPoly({(1, 0): Fraction(3, 6)}), (x * third) * Fraction(3, 2),
+         (x * y + x * half - x * y), x.scale_args(half, 7)],
+        [BiPoly.zero(), x - x, (x * third - x / 3) * y, BiPoly({(1, 1): 0}), x.diff_y()],
+    ]
+    for polys in routes:
+        for p in polys:
+            assert_canonical(p)
+            assert p == polys[0] and hash(p) == hash(polys[0])
+    assert BiPoly.zero().nums == {} and BiPoly.zero().den == 1
+
+
+def test_coeffs_is_a_read_only_fraction_view():
+    p = x * Fraction(2, 3) + y * Fraction(5, 6) + 1
+    view = p.coeffs
+    assert view == {(1, 0): Fraction(2, 3), (0, 1): Fraction(5, 6), (0, 0): Fraction(1)}
+    assert all(type(c) is Fraction for c in view.values())
+    assert len(view) == 3 and (1, 0) in view and (1, 1) not in view
+    assert p.nums == {(1, 0): 4, (0, 1): 5, (0, 0): 6} and p.den == 6
+    with pytest.raises(TypeError):
+        view[(0, 0)] = Fraction(2)
+    with pytest.raises(TypeError):
+        del view[(0, 0)]
+    for name in ("pop", "update", "setdefault", "clear"):
+        assert not hasattr(view, name)
+    with pytest.raises(AttributeError):
+        p.coeffs = {}
+    assert p == x * Fraction(2, 3) + y * Fraction(5, 6) + 1

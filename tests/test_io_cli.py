@@ -213,6 +213,20 @@ def test_cli_param_without_preset_is_refused(tmp_path, capsys, param):
     assert captured.err == "error: --param sets preset parameters; it needs --preset\n"
 
 
+@pytest.mark.parametrize("source", [["--equation", "/nonexistent"],
+                                    ["--preset", "big-q-jacobi"],
+                                    ["--param", "zz=1"],
+                                    ["--preset", "big-q-jacobi", "--param", "a=1/2"]],
+                         ids=["equation", "preset", "param", "preset-param"])
+def test_cli_limits_refuses_an_equation_source(capsys, source):
+    # the limits suite has no parameter point, so a source would be ignored
+    assert main(["verify", "--suite", "limits", *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the limits suite takes no equation source "
+                            "(--equation, --preset or --param)\n")
+
+
 def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):
     from qbipoly.equation import EquationCoeffs
 

@@ -1,18 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qbipoly.bipoly import BiPoly
-from qbipoly.linalg import (Mat, SingularMatrixError, graded_coeff_block,
-                            interpolate_2d, monomial_vec, solve_exact)
+from qbipoly.linalg import (Mat, PolyVec, SingularMatrixError, graded_coeff_block,
+                            interpolate_2d, monomial_vec, solve_exact, stack)
 
 x = BiPoly.x()
 y = BiPoly.y()
 
 
 def transpose(A: Mat) -> Mat:
-    return Mat([[A.rows[i][j] for i in range(A.nrows)] for j in range(A.ncols)])
+    rows = A.rows
+    return Mat([[r[j] for r in rows] for j in range(A.ncols)])
 
 
 def rank(A: Mat) -> int:
@@ -70,13 +72,14 @@ def test_solve_roundtrip_random():
 
 def reference_matmul(A, B):
     """Triple-loop product, every term added in ascending index order."""
+    A, B = A.rows, B.rows
     out = []
-    for i in range(A.nrows):
+    for i in range(len(A)):
         row = []
-        for j in range(B.ncols):
-            acc = A.rows[i][0] * B.rows[0][j]
-            for k in range(1, A.ncols):
-                acc = acc + A.rows[i][k] * B.rows[k][j]
+        for j in range(len(B[0])):
+            acc = A[i][0] * B[0][j]
+            for k in range(1, len(B)):
+                acc = acc + A[i][k] * B[k][j]
             row.append(acc)
         out.append(row)
     return out
@@ -106,6 +109,54 @@ def test_matmul_matches_triple_loop_on_sparse_matrices():
     assert prod.rows[0] == [0, 0] and all(isinstance(v, Fraction) for v in prod.rows[0])
     assert (Mat([[0]]) @ Mat([[5]])).rows == [[0]]
     assert (Mat([[Fraction(2, 3)]]) @ Mat([[Fraction(3, 4)]])).rows == [[Fraction(1, 2)]]
+
+
+def assert_reduced(M: Mat):
+    """Each row is int numerators over a positive denominator, in lowest terms."""
+    assert len(M.nums) == len(M.dens)
+    for r, d in zip(M.nums, M.dens):
+        assert type(d) is int and d > 0 and len(r) == M.ncols
+        assert all(type(v) is int for v in r) and math.gcd(d, *r) == 1
+
+
+def test_integer_rows_match_fraction_rows():
+    rng = random.Random(19)
+
+    def frac():
+        return Fraction(rng.randint(-10**4, 10**4), rng.choice([1, 2, 3, 4, 6, 9, 10, 49, 360]))
+
+    for _ in range(60):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        share = rng.choice([0.0, 0.5, 0.9])
+        A, B = _sparse_random(rng, n, k, share, frac), _sparse_random(rng, n, k, share, frac)
+        C = _sparse_random(rng, k, m, share, frac)
+        c = frac()
+        MA, MB, MC = Mat(A), Mat(B), Mat(C)
+        results = [
+            (MA, A),
+            (MA + MB, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]),
+            (MA - MB, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]),
+            (-MA, [[-a for a in r] for r in A]),
+            (MA.scaled(c), [[a * c for a in r] for r in A]),
+            (MA @ MC, reference_matmul(MA, MC)),
+            (stack(MA, MB), A + B),
+        ]
+        for got, want in results:
+            assert_reduced(got)
+            assert got.rows == want
+            assert all(type(v) is Fraction for r in got.rows for v in r)
+            assert got == Mat(want) and hash(got) == hash(Mat(want))
+        i, j = rng.randrange(n), rng.randrange(k)
+        assert MA[i, j] == A[i][j]
+        vec = PolyVec([BiPoly({(a, b): frac() for a in range(2) for b in range(2)})
+                       for _ in range(k)])
+        for r, got in zip(A, (MA @ vec).entries):
+            want = BiPoly.zero()
+            for a, p in zip(r, vec.entries):
+                want = want + p * a
+            assert got == want
+    with pytest.raises(ValueError):
+        stack(Mat([[1, 2]]), Mat([[1]]))
 
 
 def test_rank_exact():

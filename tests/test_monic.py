@@ -153,8 +153,9 @@ def test_oracle_rejects_leading_block_not_scalar(equation, monkeypatch):
     def perturbed(E, j):
         same, drop1, drop2 = real(E, j)
         if j == 2:
-            same = Mat([r[:] for r in same.rows])
-            same.rows[0][1] += F(1, 7)
+            rows = same.rows
+            rows[0][1] += F(1, 7)
+            same = Mat(rows)
         return same, drop1, drop2
 
     monkeypatch.setattr(monic, "operator_blocks", perturbed)
