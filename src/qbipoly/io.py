@@ -42,8 +42,13 @@ def mp_str(v) -> str:
 
 
 def poly_to_json(p: BiPoly) -> list:
-    return [{"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
-            for (i, j), c in sorted(p.coeffs.items())]
+    """Each coefficient in lowest terms, read off the integer numerators
+    without building a Fraction per term."""
+    out = []
+    for (i, j), n in sorted(p.nums.items()):
+        g = math.gcd(n, p.den)
+        out.append({"i": i, "j": j, "num": str(n // g), "den": str(p.den // g)})
+    return out
 
 
 def poly_from_json(records) -> BiPoly:
