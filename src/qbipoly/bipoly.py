@@ -7,7 +7,9 @@ gcd(den, *nums) = 1, so the zero polynomial is ``({}, 1)`` and equal
 polynomials are stored alike.  Every result is brought to this form by one
 content gcd, not by a gcd per coefficient operation (the content/primitive
 part representation of von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 6).  ``coeffs`` is a read-only view of the coefficients as Fractions.
+ch. 6).  ``coeffs`` is a read-only view of the coefficients as Fractions;
+the serializer and the coefficient blocks read ``nums`` and ``den``
+directly, and nothing writes them after construction.
 
 Every scalar (coefficient, factor, evaluation point) is taken through
 ``as_fraction``: a float is a ``TypeError``, and so is comparing with one.

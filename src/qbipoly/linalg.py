@@ -260,7 +260,9 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
     Row k holds the coefficients of entry k against the monomials
     (x^degree, x^{degree-1}y, ..., y^degree).
     """
-    return Mat([[p.coeff(degree - c, c) for c in range(degree + 1)] for p in vec.entries])
+    monos = [(degree - c, c) for c in range(degree + 1)]
+    return Mat._of([_reduced_row([p.nums.get(m, 0) for m in monos], p.den) for p in vec.entries],
+                   degree + 1)
 
 
 def _divided_differences(nodes, values) -> list:
