@@ -262,7 +262,7 @@ class BiPoly:
         xw = _powers(alpha, self.degree_x())
         yw = _powers(beta, self.degree_y())
         return _reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in self.nums.items()},
-                     self.den * xw[0] * yw[0])
+                        self.den * xw[0] * yw[0])
 
     def swap(self) -> "BiPoly":
         """Exchange the variables: f(x, y) -> f(y, x)."""

@@ -155,6 +155,10 @@ def test_integer_rows_match_fraction_rows():
             for a, p in zip(r, vec.entries):
                 want = want + p * a
             assert got == want
+        for d in range(3):
+            blk = graded_coeff_block(vec, d)
+            assert_reduced(blk)
+            assert blk.rows == [[p.coeff(d - c, c) for c in range(d + 1)] for p in vec.entries]
     with pytest.raises(ValueError):
         stack(Mat([[1, 2]]), Mat([[1]]))
 
