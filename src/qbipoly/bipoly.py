@@ -1,15 +1,16 @@
-"""Sparse bivariate polynomials and rational functions over the rationals.
+"""Sparse bivariate polynomials and rational functions over the rationals,
+and the one exact form they share with matrix rows.
 
-A ``BiPoly`` stores its rational coefficients as integer numerators over
-one common denominator: ``nums`` maps exponent pairs ``(i, j)`` (for
-``x**i * y**j``) to nonzero ints and ``den`` is a positive int with
-gcd(den, *nums) = 1, so the zero polynomial is ``({}, 1)`` and equal
-polynomials are stored alike.  Every result is brought to this form by one
-content gcd, not by a gcd per coefficient operation (the content/primitive
-part representation of von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 6).  ``coeffs`` is a read-only view of the coefficients as Fractions;
-the serializer and the coefficient blocks read ``nums`` and ``den``
-directly, and nothing writes them after construction.
+The form ``(nums, den)`` maps keys to nonzero int numerators over one
+positive ``den`` with gcd(den, *nums) = 1, so zero is ``({}, 1)`` and equal
+vectors are stored alike (the content/primitive part representation of von
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
+it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
+by column.  Only this module computes on it: ``exact_form`` builds it,
+``reduced`` brings a result to it by one content gcd, ``combine`` sums
+scaled forms over one common denominator, and ``lowest_terms`` reads
+entries back.  ``coeffs`` is a read-only Fraction view; nothing writes a
+form after construction.
 
 Every scalar (coefficient, factor, evaluation point) is taken through
 ``as_fraction``: a float is a ``TypeError``, and so is comparing with one.
@@ -56,23 +57,63 @@ class CoeffView(Mapping):
         return repr(dict(self.items()))
 
 
-def _reduced(nums: dict, den: int) -> "BiPoly":
-    """The BiPoly sum nums[m] / den x^m for int numerators (zeros are
-    dropped) and a nonzero int den, reduced by one content gcd."""
+def reduced(nums: dict, den: int) -> tuple:
+    """The form of nums[k] / den for int numerators (zeros are dropped) and
+    a nonzero int den, by one content gcd; the sign stays on the numerators."""
     if 0 in nums.values():
-        nums = {m: n for m, n in nums.items() if n}
+        nums = {k: n for k, n in nums.items() if n}
     if den != 1:
         g = math.gcd(den, *nums.values())
         if den < 0:
             g = -g
         if g != 1:
-            nums = {m: n // g for m, n in nums.items()}
+            nums = {k: n // g for k, n in nums.items()}
             den //= g
-    return _canonical(nums, den)
+    return nums, den
 
 
-def _canonical(nums: dict, den: int) -> "BiPoly":
-    """The BiPoly of numerators and a denominator already in canonical form."""
+def exact_form(items) -> tuple:
+    """The form of (key, exact scalar) pairs; zero scalars are dropped."""
+    exact = {}
+    for k, v in items:
+        if not isinstance(v, (int, Fraction)):
+            v = as_fraction(v)
+        if v:
+            exact[k] = v
+    # over the lcm of reduced denominators the numerators share no factor
+    # with it, so the form is already reduced
+    den = math.lcm(*(c.denominator for c in exact.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in exact.items()}, den
+
+
+def combine(terms, div: int = 1) -> tuple:
+    """The form of (sum of a * nums / den over the terms (a, nums, den)) / div
+    for int a and a nonzero int div: every term is brought to the lcm D of
+    the dens, summed over the integers on the one denominator D * div, and
+    reduced once."""
+    terms = list(terms)
+    D = math.lcm(*(d for _, _, d in terms))
+    out = {}
+    for a, nums, d in terms:
+        f = a * (D // d)
+        for k, n in nums.items():
+            out[k] = out[k] + f * n if k in out else f * n
+    return reduced(out, D * div)
+
+
+def lowest_terms(nums: dict, den: int, keys) -> list:
+    """[(key, numerator, denominator)] in lowest terms for the entries of the
+    form at keys, 0/1 at a key it lacks, without a Fraction per entry."""
+    out = []
+    for k in keys:
+        n = nums.get(k, 0)
+        g = math.gcd(n, den)
+        out.append((k, n // g, den // g))
+    return out
+
+
+def from_form(nums: dict, den: int) -> "BiPoly":
+    """The BiPoly of a form as ``reduced`` and ``combine`` return it."""
     p = object.__new__(BiPoly)
     p.nums = nums
     p.den = den
@@ -85,37 +126,16 @@ def _powers(c: Fraction, top: int) -> list:
     return [a**k * b ** (top - k) for k in range(top + 1)]
 
 
-def poly_sum(polys) -> "BiPoly":
-    """The sum of BiPolys over the lcm of their denominators, reduced once."""
-    polys = list(polys)
-    D = math.lcm(*(p.den for p in polys))
-    out = {}
-    for p in polys:
-        f = D // p.den
-        for m, n in p.nums.items():
-            out[m] = out[m] + n * f if m in out else n * f
-    return _reduced(out, D)
-
-
 class BiPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=None):
         """From a map {(i, j): exact scalar}; zero coefficients are dropped."""
-        exact = {}
-        if coeffs:
-            for (i, j), cval in coeffs.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent ({i},{j})")
-                if not isinstance(cval, (int, Fraction)):
-                    cval = as_fraction(cval)
-                if cval:
-                    exact[(int(i), int(j))] = cval
-        # over the lcm of reduced denominators the numerators share no
-        # factor with it, so the form is already canonical
-        den = math.lcm(*(c.denominator for c in exact.values()))
-        self.nums = {m: c.numerator * (den // c.denominator) for m, c in exact.items()}
-        self.den = den
+        coeffs = coeffs or {}
+        for i, j in coeffs:
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent ({i},{j})")
+        self.nums, self.den = exact_form(((int(i), int(j)), c) for (i, j), c in coeffs.items())
 
     @property
     def coeffs(self) -> CoeffView:
@@ -189,12 +209,12 @@ class BiPoly:
         out = {m: n * fa for m, n in self.nums.items()}
         for m, n in other.nums.items():
             out[m] = out[m] + n * fb if m in out else n * fb
-        return _reduced(out, a * fa)
+        return from_form(*reduced(out, a * fa))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical({m: -n for m, n in self.nums.items()}, self.den)
+        return from_form({m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -210,14 +230,14 @@ class BiPoly:
                 for (i2, j2), c2 in other.nums.items():
                     m = (i1 + i2, j1 + j2)
                     out[m] = get(m, 0) + c1 * c2
-            return _reduced(out, self.den * other.den)
+            return from_form(*reduced(out, self.den * other.den))
         return self._scaled(as_fraction(other))
 
     __rmul__ = __mul__
 
     def _scaled(self, c: Fraction) -> "BiPoly":
         r = c.numerator
-        return _reduced({m: n * r for m, n in self.nums.items()}, self.den * c.denominator)
+        return from_form(*reduced({m: n * r for m, n in self.nums.items()}, self.den * c.denominator))
 
     def __truediv__(self, scalar):
         c = as_fraction(scalar)
@@ -261,12 +281,12 @@ class BiPoly:
             return self
         xw = _powers(alpha, self.degree_x())
         yw = _powers(beta, self.degree_y())
-        return _reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in self.nums.items()},
-                        self.den * xw[0] * yw[0])
+        return from_form(*reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in self.nums.items()},
+                                  self.den * xw[0] * yw[0]))
 
     def swap(self) -> "BiPoly":
         """Exchange the variables: f(x, y) -> f(y, x)."""
-        return _canonical({(j, i): n for (i, j), n in self.nums.items()}, self.den)
+        return from_form({(j, i): n for (i, j), n in self.nums.items()}, self.den)
 
     def eval(self, xv, yv) -> Fraction:
         return self.eval_grid([xv], [yv])[0][0]
@@ -298,7 +318,7 @@ class BiPoly:
 
     def diff_x(self) -> "BiPoly":
         """Classical partial derivative in x."""
-        return _reduced({(i - 1, j): n * i for (i, j), n in self.nums.items() if i}, self.den)
+        return from_form(*reduced({(i - 1, j): n * i for (i, j), n in self.nums.items() if i}, self.den))
 
     def diff_y(self) -> "BiPoly":
         """Classical partial derivative in y: diff_x conjugated by the swap."""

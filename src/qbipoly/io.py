@@ -17,7 +17,7 @@ import math
 import os
 from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, lowest_terms
 from .equation import EquationCoeffs
 from .linalg import Mat, PolyVec
 from .qcalc import QParam
@@ -31,7 +31,11 @@ class EquationParseError(ValueError):
 
 def frac_str(v: Fraction) -> str:
     v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return _pair_str(v.numerator, v.denominator)
+
+
+def _pair_str(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def mp_str(v) -> str:
@@ -42,13 +46,8 @@ def mp_str(v) -> str:
 
 
 def poly_to_json(p: BiPoly) -> list:
-    """Each coefficient in lowest terms, read off the integer numerators
-    without building a Fraction per term."""
-    out = []
-    for (i, j), n in sorted(p.nums.items()):
-        g = math.gcd(n, p.den)
-        out.append({"i": i, "j": j, "num": str(n // g), "den": str(p.den // g)})
-    return out
+    return [{"i": i, "j": j, "num": str(n), "den": str(d)}
+            for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums))]
 
 
 def poly_from_json(records) -> BiPoly:
@@ -57,7 +56,8 @@ def poly_from_json(records) -> BiPoly:
 
 
 def mat_to_json(m: Mat) -> list:
-    return [[frac_str(v) for v in row] for row in m.rows]
+    return [[_pair_str(n, d) for _, n, d in lowest_terms(nums, den, range(m.ncols))]
+            for nums, den in m.forms]
 
 
 def polyvec_to_json(v: PolyVec) -> list:
@@ -157,7 +157,8 @@ def parse_poly_terms(text: str) -> BiPoly:
 
 
 def poly_terms_str(p: BiPoly) -> str:
-    return " ".join(f"{i},{j}:{frac_str(c)}" for (i, j), c in sorted(p.coeffs.items()))
+    return " ".join(f"{i},{j}:{_pair_str(n, d)}"
+                    for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums)))
 
 
 def parse_equation_source(text: str) -> tuple:

@@ -1,23 +1,22 @@
 """Scalar matrices, polynomial column vectors, exact solving, and
 lower-set Newton interpolation.
 
-Sizes here are tiny (O(degree)).  A matrix stores each row as integer
-numerators over one positive denominator, reduced by one gcd per row
-(entries are taken through ``as_fraction``; ``rows`` and indexing give
-Fractions).  Products skip the zero entries of the left factor, since the
-operator's difference blocks are bidiagonal and the multiplication
-embeddings are 0/1 selections.  Solving is plain rational Gaussian
-elimination with partial pivoting, so results and singularity reports are
-exact; no route calls it, and it stays only because the benchmark's span
-list names it.
+Sizes here are tiny (O(degree)).  A matrix row is the sparse form of
+``bipoly`` keyed by column (entries are taken through ``as_fraction``);
+``rows`` is a read-only tuple of tuples of Fractions.  Sums, scalings and
+products, ``Mat @ PolyVec`` included, are the kernel ``combine``, which
+never visits a zero entry: the operator's difference blocks are bidiagonal
+and the multiplication embeddings are 0/1 selections.
+Solving is plain rational Gaussian elimination with partial pivoting, so
+results and singularity reports are exact; no route calls it, and it stays
+only because the benchmark's span list names it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .bipoly import BiPoly, poly_sum
+from .bipoly import BiPoly, combine, exact_form, from_form, reduced
 from .scalars import as_fraction
 
 
@@ -27,60 +26,40 @@ class SingularMatrixError(ValueError):
         self.pivot_col = pivot_col
 
 
-def _reduced_row(nums: list, den: int) -> tuple:
-    """The row nums / den (den != 0) with gcd(den, *nums) = 1 and den > 0."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
-    return nums, den
-
-
 class Mat:
-    """Row i holds the entries nums[i][j] / dens[i]."""
+    """Row i is the form forms[i] = (nums, den): entry j is nums[j] / den,
+    zero where nums has no key j."""
 
-    __slots__ = ("nums", "dens", "ncols")
+    __slots__ = ("forms", "ncols")
 
     def __init__(self, rows):
-        nums, dens = [], []
-        for r in rows:
-            r = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in r]
-            # over the lcm of reduced denominators the row is already reduced
-            L = math.lcm(*(v.denominator for v in r))
-            nums.append([v.numerator * (L // v.denominator) for v in r])
-            dens.append(L)
-        ncols = len(nums[0]) if nums else 0
-        if any(len(r) != ncols for r in nums):
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix rows")
-        self.nums, self.dens, self.ncols = nums, dens, ncols
+        self.forms = [exact_form(enumerate(r)) for r in rows]
+        self.ncols = ncols
 
     @classmethod
-    def _of(cls, rows: list, ncols: int) -> "Mat":
-        """A Mat on reduced (numerators, denominator) rows of length ncols."""
+    def _of(cls, forms: list, ncols: int) -> "Mat":
         M = object.__new__(cls)
-        M.nums = [r for r, _ in rows]
-        M.dens = [d for _, d in rows]
+        M.forms = forms
         M.ncols = ncols
         return M
 
     @classmethod
-    def zeros(cls, n: int, m: int):
-        return cls._of([([0] * m, 1) for _ in range(n)], m)
-
-    @classmethod
     def identity(cls, n: int):
-        return cls._of([([int(i == j) for j in range(n)], 1) for i in range(n)], n)
+        return cls._of([({i: 1}, 1) for i in range(n)], n)
 
     @property
-    def rows(self) -> list:
-        """The entries as a new list of rows of Fractions."""
-        return [[Fraction(v, d) for v in r] for r, d in zip(self.nums, self.dens)]
+    def rows(self) -> tuple:
+        """The entries as a tuple of tuples of Fractions."""
+        return tuple(tuple(Fraction(nums.get(j, 0), den) for j in range(self.ncols))
+                     for nums, den in self.forms)
 
     @property
     def nrows(self) -> int:
-        return len(self.nums)
+        return len(self.forms)
 
     @property
     def shape(self):
@@ -88,63 +67,52 @@ class Mat:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return Fraction(self.nums[i][j], self.dens[i])
+        nums, den = self.forms[i]
+        return Fraction(nums.get(range(self.ncols)[j], 0), den)
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        rows = []
-        for ra, da, rb, db in zip(self.nums, self.dens, other.nums, other.dens):
-            g = math.gcd(da, db)
-            fa, fb = db // g, da // g
-            rows.append(_reduced_row([a * fa + b * fb for a, b in zip(ra, rb)], da * fa))
-        return Mat._of(rows, self.ncols)
+        return Mat._of([combine([(1, *a), (1, *b)]) for a, b in zip(self.forms, other.forms)],
+                       self.ncols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat._of([([-v for v in r], d) for r, d in zip(self.nums, self.dens)], self.ncols)
+        return Mat._of([({j: -n for j, n in nums.items()}, den) for nums, den in self.forms],
+                       self.ncols)
 
     def scaled(self, c) -> "Mat":
         c = as_fraction(c)
-        if not c:
-            return Mat.zeros(self.nrows, self.ncols)
-        a, b = c.numerator, c.denominator
-        rows = [_reduced_row([v * a for v in r], d * b) for r, d in zip(self.nums, self.dens)]
-        return Mat._of(rows, self.ncols)
+        return Mat._of([combine([(c.numerator, *f)], c.denominator) for f in self.forms],
+                       self.ncols)
 
     def __matmul__(self, other):
         """Row i of the product is the sum of the right operand's rows (or
-        entries) weighted by the nonzero entries of row i; a matrix product
-        sums the rows over the integers on one common denominator."""
+        entries) weighted by the nonzero entries of row i."""
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-            rows = []
-            for r, d in zip(self.nums, self.dens):
-                terms = [(a, k) for k, a in enumerate(r) if a]
-                D = math.lcm(*(other.dens[k] for _, k in terms))
-                acc = [0] * other.ncols
-                for a, k in terms:
-                    f = a * (D // other.dens[k])
-                    acc = [s + f * v for s, v in zip(acc, other.nums[k])]
-                rows.append(_reduced_row(acc, d * D))
-            return Mat._of(rows, other.ncols)
+            right = other.forms
+            return Mat._of([combine([(a, *right[k]) for k, a in nums.items()], den)
+                            for nums, den in self.forms], other.ncols)
         if isinstance(other, PolyVec):
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch {self.shape} @ vec({len(other)})")
-            return PolyVec([poly_sum([p * Fraction(a, d) for a, p in zip(r, other.entries) if a])
-                            for r, d in zip(self.nums, self.dens)])
+            right = other.entries
+            return PolyVec([from_form(*combine([(a, right[k].nums, right[k].den)
+                                                for k, a in nums.items()], den))
+                            for nums, den in self.forms])
         return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and self.dens == other.dens and self.nums == other.nums
+        return self.ncols == other.ncols and self.forms == other.forms
 
     def __hash__(self):
-        return hash((tuple(map(tuple, self.nums)), tuple(self.dens)))
+        return hash((self.ncols, tuple((frozenset(n.items()), d) for n, d in self.forms)))
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
@@ -154,7 +122,7 @@ def stack(*mats: Mat) -> Mat:
     """The matrices' rows one under another (all of one width)."""
     if len({M.ncols for M in mats}) != 1:
         raise ValueError("stacked matrices differ in width")
-    return Mat._of([row for M in mats for row in zip(M.nums, M.dens)], mats[0].ncols)
+    return Mat._of([f for M in mats for f in M.forms], mats[0].ncols)
 
 
 def mat_diff(A: Mat, B: Mat) -> list:
@@ -260,9 +228,8 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
     Row k holds the coefficients of entry k against the monomials
     (x^degree, x^{degree-1}y, ..., y^degree).
     """
-    monos = [(degree - c, c) for c in range(degree + 1)]
-    return Mat._of([_reduced_row([p.nums.get(m, 0) for m in monos], p.den) for p in vec.entries],
-                   degree + 1)
+    return Mat._of([reduced({c: p.nums.get((degree - c, c), 0) for c in range(degree + 1)}, p.den)
+                    for p in vec.entries], degree + 1)
 
 
 def _divided_differences(nodes, values) -> list:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, RationalFn, _reduced
+from .bipoly import BiPoly, RationalFn, from_form, reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -86,7 +86,7 @@ def _difference(f: BiPoly, p, axis: int) -> BiPoly:
             if w is None:
                 w = weights[e] = (u**e - v**e) // (u - v) * v ** (top - e)
             out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = n * w
-    return _reduced(out, f.den * v ** (top - 1)) if out else BiPoly.zero()
+    return from_form(*reduced(out, f.den * v ** (top - 1))) if out else BiPoly.zero()
 
 
 def dq1(f: BiPoly, qp: QParam) -> BiPoly:

@@ -126,7 +126,7 @@ def test_non_rational_scalars_rejected(v):
     assert p.eval(2, Fraction(1, 2)) == 2 and isinstance(p.eval(2, 3), Fraction)
     assert BiPoly.const(1) == 1 and BiPoly.const(1) != 2 and BiPoly.const(1) == Fraction(1)
     assert p != None and p != "1" and p != object() and not p == "1"  # noqa: E711
-    assert Mat([[1, "1/2"]]).rows == [[1, Fraction(1, 2)]]
+    assert Mat([[1, "1/2"]]).rows == ((1, Fraction(1, 2)),)
 
 
 def test_leading_term_grlex():

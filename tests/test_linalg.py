@@ -47,7 +47,7 @@ def test_diagonal_solve():
     A = Mat([[2, 0], [0, 4]])
     B = Mat([[1], [1]])
     X = solve_exact(A, B)
-    assert X.rows == [[Fraction(1, 2)], [Fraction(1, 4)]]
+    assert X.rows == ((Fraction(1, 2),), (Fraction(1, 4),))
 
 
 def test_singular_reports_pivot_column():
@@ -71,7 +71,8 @@ def test_solve_roundtrip_random():
 
 
 def reference_matmul(A, B):
-    """Triple-loop product, every term added in ascending index order."""
+    """Triple-loop product, every term added in ascending index order, as
+    a tuple of row tuples like ``Mat.rows``."""
     A, B = A.rows, B.rows
     out = []
     for i in range(len(A)):
@@ -81,8 +82,8 @@ def reference_matmul(A, B):
             for k in range(1, len(B)):
                 acc = acc + A[i][k] * B[k][j]
             row.append(acc)
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _sparse_random(rng, n, m, zero_share, make):
@@ -106,17 +107,28 @@ def test_matmul_matches_triple_loop_on_sparse_matrices():
     B = Mat([[1, 2], [3, 4], [0, 0]])
     prod = A @ B
     assert prod.rows == reference_matmul(A, B)
-    assert prod.rows[0] == [0, 0] and all(isinstance(v, Fraction) for v in prod.rows[0])
-    assert (Mat([[0]]) @ Mat([[5]])).rows == [[0]]
-    assert (Mat([[Fraction(2, 3)]]) @ Mat([[Fraction(3, 4)]])).rows == [[Fraction(1, 2)]]
+    assert prod.rows[0] == (0, 0) and all(isinstance(v, Fraction) for v in prod.rows[0])
+    assert (Mat([[0]]) @ Mat([[5]])).rows == ((0,),)
+    assert (Mat([[Fraction(2, 3)]]) @ Mat([[Fraction(3, 4)]])).rows == ((Fraction(1, 2),),)
+
+
+def test_rows_cannot_be_written():
+    M = Mat([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        M.rows[0][1] = 5
+    with pytest.raises(TypeError):
+        M.rows[0] = (5, 6)
+    assert M.rows == ((1, 2), (3, 4))
 
 
 def assert_reduced(M: Mat):
-    """Each row is int numerators over a positive denominator, in lowest terms."""
-    assert len(M.nums) == len(M.dens)
-    for r, d in zip(M.nums, M.dens):
-        assert type(d) is int and d > 0 and len(r) == M.ncols
-        assert all(type(v) is int for v in r) and math.gcd(d, *r) == 1
+    """Each row is nonzero int numerators keyed by column in range over a
+    positive denominator, in lowest terms."""
+    for nums, den in M.forms:
+        assert type(den) is int and den > 0
+        assert all(type(n) is int and n for n in nums.values())
+        assert all(type(j) is int and 0 <= j < M.ncols for j in nums)
+        assert math.gcd(den, *nums.values()) == 1
 
 
 def test_integer_rows_match_fraction_rows():
@@ -143,7 +155,7 @@ def test_integer_rows_match_fraction_rows():
         ]
         for got, want in results:
             assert_reduced(got)
-            assert got.rows == want
+            assert got.rows == tuple(map(tuple, want))
             assert all(type(v) is Fraction for r in got.rows for v in r)
             assert got == Mat(want) and hash(got) == hash(Mat(want))
         i, j = rng.randrange(n), rng.randrange(k)
@@ -158,7 +170,8 @@ def test_integer_rows_match_fraction_rows():
         for d in range(3):
             blk = graded_coeff_block(vec, d)
             assert_reduced(blk)
-            assert blk.rows == [[p.coeff(d - c, c) for c in range(d + 1)] for p in vec.entries]
+            assert blk.rows == tuple(tuple(p.coeff(d - c, c) for c in range(d + 1))
+                                     for p in vec.entries)
     with pytest.raises(ValueError):
         stack(Mat([[1, 2]]), Mat([[1]]))
 
@@ -166,7 +179,7 @@ def test_integer_rows_match_fraction_rows():
 def test_rank_exact():
     assert rank(Mat([[1, 2], [2, 4]])) == 1
     assert rank(Mat.identity(4)) == 4
-    assert rank(Mat.zeros(3, 2)) == 0
+    assert rank(Mat([[0, 0]] * 3)) == 0
 
 
 def tensor_vandermonde_interpolate(nodes_x, nodes_y, values: Mat) -> BiPoly:

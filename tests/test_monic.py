@@ -47,8 +47,8 @@ def test_L_partial_isometry(qp):
 
 
 def test_E_and_K_sample_entries(qp):
-    assert difference_matrix(2, 1, qp.q).rows == [[F(3, 2), 0], [0, 1], [0, 0]]
-    assert difference_matrix(2, 2, qp.q).rows == [[0, 0], [1, 0], [0, F(3, 2)]]
+    assert difference_matrix(2, 1, qp.q).rows == ((F(3, 2), 0), (0, 1), (0, 0))
+    assert difference_matrix(2, 2, qp.q).rows == ((0, 0), (1, 0), (0, F(3, 2)))
     assert difference_matrix(2, 1, 1 / qp.q)[0, 0] == 3  # q^{1-n} [n]_q at n = 2
     bundle = structure_matrices(2, qp)
     assert bundle["E1"] == difference_matrix(2, 1, qp.q)
@@ -66,11 +66,11 @@ def test_joint_L_rank_and_inverse(qp):
 
 def test_generalized_inverse_explicit_rows():
     D = generalized_inverse_L(1)
-    assert D.rows == [
-        [1, 0, 0, 0],
-        [0, F(1, 2), F(1, 2), 0],
-        [0, 0, 0, 1],
-    ]
+    assert D.rows == (
+        (1, 0, 0, 0),
+        (0, F(1, 2), F(1, 2), 0),
+        (0, 0, 0, 1),
+    )
 
 
 # operator blocks and the oracle ------------------------------------------------
@@ -85,7 +85,7 @@ def test_oracle_degree_one(equation):
     blocks = ghat_oracle(equation, 1)
     f1, g1 = equation.tau1()
     f2, g2 = equation.tau2()
-    assert blocks[0].rows == [[g1 / f1], [g2 / f1]]
+    assert blocks[0].rows == ((g1 / f1,), (g2 / f1,))
 
 
 def test_oracle_degree_zero(equation):
@@ -153,7 +153,7 @@ def test_oracle_rejects_leading_block_not_scalar(equation, monkeypatch):
     def perturbed(E, j):
         same, drop1, drop2 = real(E, j)
         if j == 2:
-            rows = same.rows
+            rows = [list(r) for r in same.rows]
             rows[0][1] += F(1, 7)
             same = Mat(rows)
         return same, drop1, drop2

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -38,4 +39,29 @@ def test_exact_layers_name_no_float_or_backend():
                  for name in EXACT_ONLY
                  for n, line in enumerate((SRC / name).read_text().splitlines(), 1)
                  if NOT_EXACT.search(line)]
+    assert offenders == []
+
+
+#: the sparse rational form (int numerators over one denominator) is
+#: computed on in bipoly.py alone: no other module takes a gcd or an lcm, or
+#: imports a private helper of bipoly
+FORM_ARITHMETIC = {"gcd", "lcm"}
+
+
+def test_only_bipoly_computes_on_the_rational_form():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "bipoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in FORM_ARITHMETIC
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                offenders.append(f"{path.name}:{node.lineno}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module == "math" and names & FORM_ARITHMETIC:
+                    offenders.append(f"{path.name}:{node.lineno}: from math import")
+                if node.level == 1 and node.module == "bipoly" and any(
+                        name.startswith("_") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}: private bipoly import")
     assert offenders == []
