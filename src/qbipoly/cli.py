@@ -136,6 +136,8 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
     E = cfg.equation
+    if cfg.fmt == "csv" and family != "weight":
+        raise ConfigError(f"the {family} family has no CSV form; use --format json")
     try:
         parts = [int(v) for v in degrees.replace(",", " ").split()]
     except ValueError:

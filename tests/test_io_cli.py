@@ -227,6 +227,20 @@ def test_cli_limits_refuses_an_equation_source(capsys, source):
                             "(--equation, --preset or --param)\n")
 
 
+@pytest.mark.parametrize("family, degrees", [("monic", "2"), ("rodrigues", "1 1"),
+                                             ("nonmonic", "1 0"), ("hypergeometric", "1 1")])
+def test_cli_generate_csv_without_table_is_refused(tmp_path, capsys, family, degrees):
+    # only the weight table has rows; a polynomial document has no CSV form
+    out = tmp_path / "out.csv"
+    code = main(["generate", "--preset", "big-q-jacobi", "--family", family,
+                 "--degrees", degrees, "--format", "csv", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {family} family has no CSV form; use --format json\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):
     from qbipoly.equation import EquationCoeffs
 
