@@ -2,8 +2,8 @@
 
 Every algebraic object in the library (polynomials, rational functions,
 matrices) holds exact rationals only, taken in through ``as_fraction`` and
-stored as integer numerators over a common denominator, so every identity
-is decided exactly.  The float lane exists only for infinite sums (Jackson
+stored in the one sparse form of ``bipoly`` (integer numerators over a
+common denominator), so every identity is decided exactly.  The float lane exists only for infinite sums (Jackson
 moments, infinite q-Pochhammers), where exactness is impossible: a
 ``FloatField`` owns an mpmath context at its precision and builds its
 values there; every operation on them (a Fraction or int on either side,
