@@ -68,6 +68,7 @@ class Mat:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         nums, den = self.forms[i]
+        # indexing the range keeps an IndexError for a column out of range
         return Fraction(nums.get(range(self.ncols)[j], 0), den)
 
     def __add__(self, other: "Mat") -> "Mat":
