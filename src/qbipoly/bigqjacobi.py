@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import EquationCoeffs
-from .linalg import Mat, interpolate_2d
+from .linalg import Mat
 from .monic import generate_monic_oracle
-from .qcalc import (QParam, _rising_factor, _terms, gauss_2f1_terminating,
+from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
                     kampe_de_feriet, phi_bivariate, phi_rs, pochhammer_rising, qnum,
                     qpochhammer, qpochhammer_inf)
 from .rodrigues import rodrigues_poly
@@ -74,33 +74,34 @@ def lambda_explicit(p: BigQJacobiParams, n: int) -> Fraction:
 # the explicit non-monic solution
 # ---------------------------------------------------------------------------
 
-def univariate_value(m: int, t, A, B, C, qp: QParam):
-    """Univariate big q-Jacobi value P_m(t; A, B; C; q) via 3-phi-2."""
-    q = qp.q
-    return phi_rs([q**-m, A * B * q ** (m + 1), t], [A * q, C * q], qp, q)
-
-
-def nonmonic_value(p: BigQJacobiParams, n: int, k: int, xv, yv):
-    """Value of the explicit bivariate big q-Jacobi product P_{n,k}(x, y)."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    q = p.qp.q
-    a, b, c, d = p.a, p.b, p.c, p.d
-    f1 = univariate_value(n - k, yv, a, b * c * q ** (2 * k + 1), d * q**k, p.qp)
-    bridge = Fraction(1)
-    for j in range(k):
-        bridge *= yv - d * q ** (1 + j)
-    f2 = univariate_value(k, xv / yv, c, b, d / yv, p.qp)
-    return f1 * bridge * f2
+def _fold(coefs, lower, upper) -> BiPoly:
+    """sum_r coefs[r] prod(lower[:r]) prod(upper[r:]), r = 0..len(lower), by
+    the step acc -> acc upper[r-1] + coefs[r] prod(lower[:r])."""
+    acc, head = BiPoly.zero(), BiPoly.const(1)
+    for r, coef in enumerate(coefs):
+        if r:
+            acc, head = acc * upper[r - 1], head * lower[r - 1]
+        acc = acc + head * coef
+    return acc
 
 
 def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
-    """The same solution as an exact BiPoly, recovered by interpolation on
-    the lower set of a generic integer grid (total degree n)."""
-    nodes = [Fraction(v) for v in range(1, n + 2)]
-    values = [[nonmonic_value(p, n, k, xv, yv) for yv in nodes[: n + 1 - i]]
-              for i, xv in enumerate(nodes)]
-    return interpolate_2d(nodes, nodes, values)
+    """The explicit product solution P_{n,k}(x, y) as one exact series:
+
+        3phi2(q^{k-n}, abc q^{n+k+2}, y; aq, d q^{k+1}; q, q)
+          * sum_r c_r prod_{i<r} (y - x q^i) prod_{r<=i<k} (y - d q^{1+i}),
+
+    c_r = (q^{-k}, bc q^{k+1}; q)_r q^r / (cq, q; q)_r: the 3phi2 in x/y with
+    the bridge prod_{j<k} (y - d q^{1+j}) folded into each term."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    x, y = BiPoly.x(), BiPoly.y()
+    first = phi_rs([q ** (k - n), a * b * c * q ** (n + k + 2), y], [a * q, d * q ** (k + 1)],
+                   p.qp, q)
+    coefs = _terms(_qfactor(q), (q**-k, b * c * q ** (k + 1)), (c * q, q), "series", last=k, v=q)
+    return first * _fold(coefs, [y - x * q**i for i in range(k)],
+                         [y - d * q ** (1 + i) for i in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +447,11 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     one = BiPoly.const(1)
     half = Fraction(1, 2)
 
-    # the 2F1(-m, beta+gamma+m+1; gamma+1) coefficients, each term r times
-    # (y-x)^r (y+1)^(m-r)
+    # the 2F1(-m, beta+gamma+m+1; gamma+1) coefficients, term r folded with
+    # (y-x)^r (y+1)^(m-r): the non-monic fold at q = 1, d = -1
     coefs = _terms(_rising_factor, (Fraction(-m), be + ga + m + 1), (ga + 1, Fraction(1)),
-                   "series", max_terms=m + 1)
-    first = BiPoly.zero()
-    for r, coef in enumerate(coefs):
-        first = first + ((y - x) ** r) * ((y + one) ** (m - r)) * coef
+                   "series", last=m)
+    first = _fold(coefs, [y - x] * m, [y + one] * m)
     second = gauss_2f1_terminating(Fraction(m - n), al + be + ga + m + n + 2, al + 1,
                                    (one - y) * half)
     return first * second

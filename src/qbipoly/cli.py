@@ -19,13 +19,15 @@ from fractions import Fraction
 
 from . import io as qio
 from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, lambda_explicit,
-                         nonmonic_poly, preset_equation)
+                         monic_hypergeometric, nonmonic_poly, preset_equation)
 from .bipoly import BiPoly
-from .equation import EquationCoeffs, ShapeViolation, check_hypergeometric_form
+from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
+                       check_hypergeometric_form)
 from .io import EquationParseError
 from .linalg import SingularMatrixError
-from .monic import OracleError, generate_monic_oracle
-from .pearson import LatticePoleError, verify_pearson_identities
+from .monic import OracleError, generate_monic_oracle, ttr_matrices
+from .pearson import (LatticePoleError, base_weight, verify_pearson_identities,
+                      weight_table_rows)
 from .qcalc import QParam, SeriesError, verify_operator_relations
 from .rodrigues import RodriguesError, rodrigues_poly
 from .suites import ORTH_TOL, run_suite
@@ -148,8 +150,6 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
     if family == "monic":
         if len(parts) != 1:
             raise ConfigError("monic generation takes a single degree bound N")
-        from .monic import ttr_matrices
-
         fam = generate_monic_oracle(E, parts[0])
         recurrence = {}
         for n in range(parts[0]):
@@ -180,8 +180,6 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
     if family == "weight":
         if len(parts) != 2:
             raise ConfigError("weight table generation takes two lattice bounds: s_max t_max")
-        from .pearson import base_weight, weight_table_rows
-
         if cfg.preset is not None:
             q = cfg.preset.qp.q
             anchor = (cfg.preset.d * q, cfg.preset.d * q)
@@ -200,10 +198,10 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
             raise ConfigError(f"{family} generation takes two indices")
         if family == "nonmonic":
             n, k = parts
+            if k > n:
+                raise ConfigError(f"nonmonic generation needs 0 <= k <= n, got n={n}, k={k}")
             poly = nonmonic_poly(cfg.preset, n, k)
             lam = lambda_explicit(cfg.preset, n)
-            from .equation import apply_operator
-
             residual = apply_operator(E, poly) + poly * lam
             doc = qio.document("polynomials", {
                 "family": "nonmonic", "n": n, "k": k,
@@ -212,8 +210,6 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
             })
             _emit(cfg, doc)
             return 0 if residual.is_zero() else 1
-        from .bigqjacobi import monic_hypergeometric
-
         n, m = parts
         poly = monic_hypergeometric(cfg.preset, n, m)
         doc = qio.document("polynomials", {

@@ -26,6 +26,10 @@ ORTH_TOL = Fraction(1, 10**25)
 LIMIT_RATIO_LO = Fraction(1, 20)
 LIMIT_RATIO_HI = Fraction(1, 5)
 
+#: the total degree of the orthogonality inventory and of the consistency
+#: families, and the top n of the recurrence identities
+ORTH_TOTAL, CONSISTENCY_TOTAL, RECURRENCE_N = 3, 4, 4
+
 
 def _solution_inventory(p: BigQJacobiParams, fam, max_total: int) -> list:
     """(family, total degree, label, polynomial) for the three families,
@@ -63,8 +67,8 @@ def _eigenspace_rows(names, label, sol, entries, m):
                     "measured", str(proportional))]
 
 
-def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 3,
-                        truncation: int = 200, prec: int = 192):
+def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = 200,
+                        prec: int = 192):
     """Pairwise normalized inner products, positivity of diagonal Gram
     entries, nonsingularity of H_1.
 
@@ -74,10 +78,10 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 3,
     same-degree products form the (nonsingular, generally non-diagonal)
     Gram blocks H_n; those pairs are reported as Gram entries, not gated.
     """
-    # a product of two polynomials of total degree <= max_total needs no more
-    moments = MomentTable(p, max_degree=2 * max_total, truncation=truncation, prec=prec)
-    fam = generate_monic_oracle(preset_equation(p), max_total)
-    inventory = _solution_inventory(p, fam, max_total)
+    # a product of two polynomials of total degree <= ORTH_TOTAL needs no more
+    moments = MomentTable(p, max_degree=2 * ORTH_TOTAL, truncation=truncation, prec=prec)
+    fam = generate_monic_oracle(preset_equation(p), ORTH_TOTAL)
+    inventory = _solution_inventory(p, fam, ORTH_TOTAL)
     groups = {}
     for family, total, label, poly in inventory:
         groups.setdefault(family, []).append((total, label, poly))
@@ -119,22 +123,22 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 3,
     return ok, rows
 
 
-def suite_consistency(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 4):
+def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
     """Hypergeometric-vs-oracle equality, exact eigenspace decomposition of
     the Rodrigues outputs (proportionality measured, not presumed),
     recursive-formula agreement, generalized inverse."""
     E = preset_equation(p)
-    fam = generate_monic_oracle(E, max_total)
+    fam = generate_monic_oracle(E, CONSISTENCY_TOTAL)
     rows = []
     ok = True
-    for total in range(max_total + 1):
+    for total in range(CONSISTENCY_TOTAL + 1):
         for m in range(total + 1):
             n = total - m
             hyp = monic_hypergeometric(p, n, m)
             same = hyp == fam.entry(total, m)
             ok = ok and same
             rows.append(("hypergeometric_equals_oracle", f"({n},{m})", "", "0" if same else "nonzero", str(same)))
-    for total in range(max_total + 1):
+    for total in range(CONSISTENCY_TOTAL + 1):
         for m in range(total + 1):
             n = total - m
             rod = rodrigues_poly(E, n, m)
@@ -145,7 +149,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 4):
             rows.extend(found)
     try:
         generate_monic_rf(fam)
-        rows.append(("recursive_formula_equals_oracle", f"N={max_total}", "", "", "True"))
+        rows.append(("recursive_formula_equals_oracle", f"N={CONSISTENCY_TOTAL}", "", "", "True"))
     except AssertionError as exc:
         ok = False
         rows.append(("recursive_formula_equals_oracle", "", "", str(exc), "False"))
@@ -156,16 +160,16 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS, max_total: int = 4):
     return ok, rows
 
 
-def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS, max_n: int = 4):
+def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     """Recurrence identity on oracle families, the closed-form block
     cross-checks, and the explicit preset matrices comparison."""
     E = preset_equation(p)
-    fam = generate_monic_oracle(E, max_n + 1)
+    fam = generate_monic_oracle(E, RECURRENCE_N + 1)
     rows = []
     ok = True
     x = BiPoly.x()
     y = BiPoly.y()
-    for n in range(max_n + 1):
+    for n in range(RECURRENCE_N + 1):
         for j, var in ((1, x), (2, y)):
             tb = ttr_matrices(fam, n, j)
             lhs = fam.vectors[n].mul_poly(var)
@@ -180,13 +184,12 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS, max_n: int = 4):
     # the paper's closed forms against the operator blocks they express:
     # G_{n,n-1} = S_n / (lambda_{n-1} - lambda_n), and G_{n,n-2} differs from
     # the oracle's chain step only in T_n
-    top = min(max_n, 4)
     lam = fam.admissibility.eigenvalue
-    for n in range(2, top + 1):
+    for n in range(2, RECURRENCE_N + 1):
         same = t_matrix_closed_form(E, n) == fam.operator_blocks[n][2]
         ok = ok and same
         rows.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "", str(same)))
-    for n in range(1, top + 1):
+    for n in range(1, RECURRENCE_N + 1):
         S = fam.operator_blocks[n][1]
         diffs = mat_diff(s_matrix_closed_form(E, n), S)
         rows.append(("closed_form_S_agreement", f"n={n}", "",
@@ -194,7 +197,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS, max_n: int = 4):
         same = S.scaled(1 / (lam(n - 1) - lam(n))) == fam.block(n, n - 1)
         rows.append(("operator_S_agreement", f"n={n}", "", "", str(same)))
 
-    for n in range(1, max_n + 1):
+    for n in range(1, RECURRENCE_N + 1):
         explicit = explicit_BC(p, n)
         for j in (1, 2):
             tb = ttr_matrices(fam, n, j)
@@ -206,19 +209,17 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS, max_n: int = 4):
     return ok, rows
 
 
-def suite_limits(eps_list=(Fraction(1, 1000), Fraction(1, 10000)),
-                 nm_list=((1, 0), (1, 1), (2, 1)),
-                 points=((Fraction(1, 3), Fraction(1, 2)),
-                         (Fraction(-1, 2), Fraction(1, 4)),
-                         (Fraction(0), Fraction(2, 3))),
-                 alpha=1, beta=1, gamma=1, delta=1):
+def suite_limits():
     """q -> 1 convergence of the monic and Rodrigues pairs, classical
     residuals, and the classical Rodrigues eigenspace decomposition."""
-    cp = ClassicalParams(alpha, beta, gamma, delta)
+    cp = ClassicalParams(1, 1, 1, 1)
     rows = []
     ok = True
 
-    table = limit_check(cp, eps_list, nm_list, points)
+    points = ((Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 4)),
+              (Fraction(0), Fraction(2, 3)))
+    table = limit_check(cp, (Fraction(1, 1000), Fraction(1, 10000)), ((1, 0), (1, 1), (2, 1)),
+                        points)
     for row in table:
         rows.append(("error", row["kind"], f"({row['n']},{row['m']})",
                      f"{float(row['point'][0])},{float(row['point'][1])}",

@@ -186,7 +186,7 @@ def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
 
 def test_criterion_8_orthogonality():
     started = time.time()
-    ok, rows = suite_orthogonality(TEST_PARAMS, max_total=3, truncation=200, prec=192)
+    ok, rows = suite_orthogonality(TEST_PARAMS, truncation=200, prec=192)
     assert ok, [r for r in rows if r[-1] == "False"]
     pair_rows = [r for r in rows if r[0] == "pair"]
     assert pair_rows and all(r[-1] == "True" for r in pair_rows)

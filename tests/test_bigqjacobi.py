@@ -6,15 +6,13 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _poch_ladder, _power_sums,
                                 appell_monic, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
                                 limit_check, limit_params,
-                                monic_hypergeometric, nonmonic_poly,
-                                nonmonic_value)
+                                monic_hypergeometric, nonmonic_poly)
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
@@ -58,6 +56,25 @@ def test_cross_coefficient_consistency(params, equation):
 Q23 = BigQJacobiParams(F(1, 2), F(2, 3), F(3, 7), F(-1, 3), QParam(F(2, 3)))
 
 
+def univariate_value(m: int, t, A, B, C, qp: QParam):
+    """Univariate big q-Jacobi value P_m(t; A, B; C; q) via 3-phi-2."""
+    q = qp.q
+    return phi_rs([q**-m, A * B * q ** (m + 1), t], [A * q, C * q], qp, q)
+
+
+def nonmonic_value(p: BigQJacobiParams, n: int, k: int, xv, yv):
+    """Pointwise reference for P_{n,k}(x, y): the product of two scalar
+    3-phi-2 values and the bridge, as written in the paper."""
+    q = p.qp.q
+    a, b, c, d = p.a, p.b, p.c, p.d
+    f1 = univariate_value(n - k, yv, a, b * c * q ** (2 * k + 1), d * q**k, p.qp)
+    bridge = F(1)
+    for j in range(k):
+        bridge *= yv - d * q ** (1 + j)
+    f2 = univariate_value(k, xv / yv, c, b, d / yv, p.qp)
+    return f1 * bridge * f2
+
+
 def test_nonmonic_trivial(params):
     assert nonmonic_poly(params, 0, 0) == BiPoly.const(1)
 
@@ -86,8 +103,8 @@ def test_nonmonic_residuals(params, equation):
 
 @pytest.mark.parametrize("point", [TEST_PARAMS, Q23], ids=["test-params", "q=2/3"])
 def test_nonmonic_equals_tensor_reference(point):
-    # the lower set of the integer grid against the whole (n+1)^2 tensor
-    # grid and two Vandermonde solves
+    # the series against the pointwise product on the whole (n+1)^2 tensor
+    # grid, interpolated by two Vandermonde solves
     for n in range(7):
         nodes = [F(v) for v in range(1, n + 2)]
         for k in range(n + 1):
@@ -95,24 +112,10 @@ def test_nonmonic_equals_tensor_reference(point):
             assert nonmonic_poly(point, n, k) == tensor_vandermonde_interpolate(nodes, nodes, full)
 
 
-def test_nonmonic_samples_only_the_lower_set(params, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return nonmonic_value(*args)
-
-    monkeypatch.setattr(bigqjacobi, "nonmonic_value", counting)
-    for n in range(6):
-        for k in range(n + 1):
-            calls.clear()
-            nonmonic_poly(params, n, k)
-            assert len(calls) == (n + 1) * (n + 2) // 2
-
-
 def test_nonmonic_index_bounds(params):
-    with pytest.raises(ValueError):
-        nonmonic_value(params, 1, 2, F(1), F(1))
+    for n, k in ((1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            nonmonic_poly(params, n, k)
 
 
 # explicit recurrence matrices ------------------------------------------------------
@@ -279,6 +282,7 @@ def big_q_jacobi_points(draw):
 def test_routes_agree_across_the_domain(p, total, data):
     # oracle = hypergeometric route through N = 3; Rodrigues verifies its
     # own eigen-equation; the non-monic solution has an exact zero residual
+    # and equals the pointwise product off the integer grid
     E = preset_equation(p)
     oracle = generate_monic_oracle(E, 3)
     for n in range(4):
@@ -289,6 +293,10 @@ def test_routes_agree_across_the_domain(p, total, data):
     k = data.draw(st.integers(0, total), label="k")
     poly = nonmonic_poly(p, total, k)
     assert (apply_operator(E, poly) + poly * lambda_explicit(p, total)).is_zero()
+    # no d q^(1+j) is -5/17 (d has denominator <= 13), so the reference's
+    # (dq/y; q)_j has no zero factor
+    for xv, yv in ((F(-2, 7), F(5, 11)), (F(3, 13), F(-5, 17))):
+        assert poly.eval(xv, yv) == nonmonic_value(p, total, k, xv, yv)
 
 
 # classical (q -> 1) targets ----------------------------------------------------------

@@ -336,6 +336,20 @@ def test_cli_generate_nonmonic_requires_preset(tmp_path, equation):
                  "--degrees", "1 0"]) == 2
 
 
+def test_cli_nonmonic_index_above_degree_is_one_line_error(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("refused before any computation")
+
+    monkeypatch.setattr("qbipoly.cli.nonmonic_poly", boom)
+    out = tmp_path / "p.json"
+    assert main(["generate", "--preset", "big-q-jacobi", "--family", "nonmonic",
+                 "--degrees", "1 2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nonmonic generation needs 0 <= k <= n, got n=1, k=2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("values", [
     {"a": "1/3", "b": "1/4", "c": "1/5", "d": "-1/2", "q": "1/2"},
     {"a": "1/2", "b": "3/4", "c": "1/3", "d": "-2/3", "q": "2/3"},

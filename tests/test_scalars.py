@@ -65,3 +65,18 @@ def test_only_bipoly_computes_on_the_rational_form():
                         name.startswith("_") for name in names):
                     offenders.append(f"{path.name}:{node.lineno}: private bipoly import")
     assert offenders == []
+
+
+#: the explicit families are built as series; the Rodrigues route alone
+#: samples and interpolates (the package namespace only re-exports the name)
+INTERPOLATING = {"rodrigues.py", "__init__.py"}
+
+
+def test_only_rodrigues_interpolates():
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.glob("*.py")) if path.name not in INTERPOLATING
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if (isinstance(node, ast.ImportFrom)
+                     and any(alias.name == "interpolate_2d" for alias in node.names))
+                 or (isinstance(node, ast.Attribute) and node.attr == "interpolate_2d")]
+    assert offenders == []
