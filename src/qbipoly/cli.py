@@ -26,8 +26,8 @@ from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
 from .io import EquationParseError
 from .linalg import SingularMatrixError
 from .monic import OracleError, generate_monic_oracle, ttr_matrices
-from .pearson import (LatticePoleError, base_weight, verify_pearson_identities,
-                      weight_table_rows)
+from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
+                      verify_pearson_identities, weight_table_rows)
 from .qcalc import QParam, SeriesError, verify_operator_relations
 from .rodrigues import RodriguesError, rodrigues_poly
 from .suites import ORTH_TOL, run_suite
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
             SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleError, RodriguesError, ShapeViolation) as exc:
+    except (OracleError, RodriguesError, ShapeViolation, DegenerateEquationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

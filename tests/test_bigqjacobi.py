@@ -7,12 +7,14 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _least, _poch_ladder, _power_sums,
+                                MomentTable, _correlate, _least, _poch_ladder,
+                                _power_sums,
                                 appell_monic, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
                                 limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly)
+import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
@@ -664,6 +666,82 @@ def test_power_sums_error_below_one_part_in_two_to_prec():
             exact = [m * F(2) ** e * (b * F(2) ** f) ** i
                      for (m, e), (b, f) in zip(terms, bases)]
             assert abs(S * F(2) ** E - sum(exact)) <= F(2) ** -prec * max(map(abs, exact))
+
+
+def test_correlation_error_below_stated_bound():
+    """Each lag l of the correlation kernel is within 2^-prec (|sum| + A
+    |b_(r+l)| 2^(hr)) of the exact sum, with A = max_r |a_r| 2^(-hr) and r
+    the lag's first term with b_(r+l) != 0, exactly checked: sequences of
+    each sign with zeros and a zero tail, levelling slopes of both signs,
+    lags past either end of b and lags with no overlap."""
+    rng = random.Random(16)
+    prec = 64
+
+    def sequence(n, sign, fall, zeros):
+        # exponents fall by `fall` bits per step, with a jitter of 3 bits
+        return [(0, 0) if rng.random() < zeros
+                else (sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                      -fall * k + rng.randint(-3, 3) - prec)
+                for k in range(n)]
+
+    for la, lb, sa, sb, fall_a, fall_b, h in ((1, 1, 1, 1, 0, 0, 0), (9, 30, -1, 1, 1, 4, 4),
+                                              (30, 9, 1, -1, 3, -2, -2), (25, 60, -1, -1, 2, 0, 0),
+                                              (40, 40, 1, 1, 0, -3, -3), (12, 50, 1, 1, 5, 4, 3),
+                                              (50, 40, 1, 1, -1, 2, 3), (20, 70, -1, 1, 2, -1, -2)):
+        a = sequence(la, sa, fall_a, 0.1) + [(0, 0)] * 3
+        b = sequence(lb, sb, fall_b, 0.1)
+        lags = list(range(-len(a) - 2, lb + 3))
+        for lag, (C, E) in zip(lags, _correlate(a, b, h, lags, prec)):
+            val = {r: F(m) * F(2) ** e for r, (m, e) in enumerate(a)}
+            bval = {k: F(m) * F(2) ** e for k, (m, e) in enumerate(b)}
+            rs = [r for r in val if r + lag in bval]
+            exact = sum((val[r] * bval[r + lag] for r in rs), F(0))
+            top = max(abs(v) * F(2) ** (-h * r) for r, v in val.items())
+            first = next((abs(bval[r + lag]) * F(2) ** (h * r) for r in rs if bval[r + lag]),
+                         F(0))
+            if not rs:
+                assert C == 0
+            assert abs(C * F(2) ** E - exact) <= F(2) ** -prec * (abs(exact) + top * first)
+    with pytest.raises(ValueError):
+        _correlate([(1, 0), (-1, 0)], [(1, 0)], 0, [0], prec)
+
+
+#: the edges of the benchmark domain at q = 1/2: c = 1/13, where B grows
+#: fastest toward k = -N, and c = 23/13 (c > 1) with d = -25/13, where it decays
+EDGE_POINTS = {"c=1/13": BigQJacobiParams(F(1, 3), F(1, 4), F(1, 13), F(-1, 2), QParam(F(1, 2))),
+               "c=23/13": BigQJacobiParams(F(1, 3), F(1, 4), F(23, 13), F(-25, 13),
+                                           QParam(F(1, 2)))}
+
+
+@pytest.mark.parametrize("point", sorted(EDGE_POINTS))
+def test_moment_table_at_the_benchmark_domain_edges(point):
+    """At 120 bits and truncation 96 the table agrees with itself at 64 more
+    bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its least node
+    weight is that of the earlier mpf loop."""
+    p, prec = EDGE_POINTS[point], 120
+    got = MomentTable(p, max_degree=4, truncation=96, prec=prec)
+    ref = MomentTable(p, max_degree=4, truncation=96, prec=prec + 64)
+    m00 = abs(ref.moment(0, 0))
+    for i in range(5):
+        for j in range(5):
+            bound = ref.field.of(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
+            assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
+    assert got.weight_min_positive == reference_moments(p, 4, 96, prec)[1]
+
+
+def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
+    """The inner Jackson sums come from correlations: a degree-6 table calls
+    `_power_sums` once per power of x, D + 1 = 7 times in all."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_sums(*args)
+
+    power_sums = bigqjacobi._power_sums
+    monkeypatch.setattr(bigqjacobi, "_power_sums", counted)
+    MomentTable(TEST_PARAMS, 6, 96, 128)
+    assert len(calls) <= 7
 
 
 def test_zero_weights_give_field_zeros():

@@ -47,7 +47,7 @@ CASES = {
                       "01af939a46be669083a2828b90a8d8e2b23e9a4fc448471edf11d078163ef1e6"),
     "verify-orthogonality-120-96": (
         ("verify", *P, "--suite", "orthogonality", "--precision", "120", "--truncation", "96"),
-        "df722b95857f210f24f8f13f71932851791fb48e0643f78f9e8c48b05370b4e4"),
+        "40c7342a20df1b8b4ef31beb301b807130fb8a23e1ffcee2a6443e69626e1f62"),
 }
 
 

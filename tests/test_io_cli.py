@@ -255,6 +255,32 @@ def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equ
     assert captured.err == "error: B2 must not depend on x\n"
 
 
+#: the preset's coefficients at a = 0: admissible, but omega vanishes
+#: identically, so there is no Pearson system
+DEGENERATE_PEARSON_TEXT = """\
+q = 1/2
+c11 = 1,0:1/8 2,0:1/2
+c22 = 0,1:1/8 0,2:1/2
+a12a =
+a12d = 0,1:1/4 1,1:1
+b1 = 0,0:1/4 1,0:1
+b2 = 0,0:1/4 0,1:1
+"""
+
+
+@pytest.mark.parametrize("request_args", [["check"],
+                                          ["generate", "--family", "rodrigues", "--degrees", "1 1"],
+                                          ["generate", "--family", "weight", "--degrees", "2 2"]],
+                         ids=["check", "rodrigues", "weight"])
+def test_cli_degenerate_pearson_system_is_one_line_error(tmp_path, capsys, request_args):
+    path = tmp_path / "degenerate.eq"
+    path.write_text(DEGENERATE_PEARSON_TEXT)
+    assert main([*request_args, "--equation", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: omega vanishes identically; no Pearson system\n"
+
+
 @pytest.mark.parametrize("exc", [SeriesError("denominator vanished"), SingularMatrixError(2)])
 def test_cli_series_and_singular_errors_exit_2(monkeypatch, capsys, exc):
     # no preset point reaches these today (validated parameters keep every
