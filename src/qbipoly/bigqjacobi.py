@@ -534,8 +534,9 @@ class MomentTable:
             return us[1] * vs[1], us[0], vs[0][lag:], us[2], [lv[lag:] for lv in vs[2]]
 
         least = []
-        for yfac, pieces in zip(yfacs, [(piece(Acq, Bcq, t), piece(Ad, Bd, N - t)) for t in ts]
-                                + [(piece(Ad, Bneg, N - t),) for t in ts]):
+        nodes = itertools.chain(((piece(Acq, Bcq, t), piece(Ad, Bd, N - t)) for t in ts),
+                                ((piece(Ad, Bneg, N - t),) for t in ts))
+        for yfac, pieces in zip(yfacs, nodes):
             s = 1 if yfac[0] > 0 else -1
             m, e = _least_product(s, pieces)
             least.append((s * m * yfac[0], e + yfac[1]))
