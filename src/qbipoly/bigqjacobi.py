@@ -7,13 +7,13 @@ family, classical Rodrigues, classical operator)."""
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import EquationCoeffs
+from .jackson import (_correlate, _exact_sum, _least, _least_product, _logs, _power_sums,
+                      _powers, _products, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
@@ -257,157 +257,6 @@ def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
         val *= 1 - zk
         out[k - 1] = val
     return out
-
-
-def _powers(terms, bases, degree: int, width: int):
-    """Yield [t_k x_k^i] for i = 1..degree as (mantissas, exponents) lists
-    from integer pairs (mantissa, exponent) t_k and x_k != 0.  Each term is
-    held at `width` bits; a power step is a product and a shift, so it
-    truncates by under a unit."""
-    ms = [(m << width) >> m.bit_length() for m, _ in terms]
-    es = [e + m.bit_length() - width for m, e in terms]
-    bs = [b for b, _ in bases]
-    shifts = [b.bit_length() - 1 for b in bs]
-    steps = [f + s for (_, f), s in zip(bases, shifts)]
-    for _ in range(degree):
-        ms = [(m * b) >> s for m, b, s in zip(ms, bs, shifts)]
-        es = [e + k for e, k in zip(es, steps)]
-        yield ms, es
-
-
-def _power_sums(terms, bases, degree: int, prec: int) -> list:
-    """[sum_k t_k x_k^i for i = 1..degree] as exact pairs (S, E) meaning
-    S 2^E, from integer pairs (mantissa, exponent) t_k and x_k != 0; zero
-    terms are skipped.  Terms are integers of at least prec + g bits, g =
-    bitlen(n (degree + 2)) + 1 for n terms (`_powers`).  Sum i has the
-    binary point of its largest exponent, at least prec + g - 1 bits below
-    its largest term, so the truncations (under a unit per step and per
-    alignment) total under 2^-prec times that term."""
-    nodes = [(t, x) for t, x in zip(terms, bases) if t[0]]
-    if not nodes:
-        return [(0, 0)] * degree
-    width = prec + (len(nodes) * (degree + 2)).bit_length() + 1
-    out = []
-    for ms, es in _powers(*zip(*nodes), degree, width):
-        top = max(es)
-        out.append((sum(m >> (top - e) for m, e in zip(ms, es)), top))
-    return out
-
-
-def _spread(mags) -> tuple:
-    """(span, rise) of a list of binades: max - min, and the most that one
-    exceeds an earlier one."""
-    rise = max(map(operator.sub, mags, itertools.accumulate(mags, min)), default=0)
-    return max(mags, default=0) - min(mags, default=0), rise
-
-
-def _slope(pairs) -> int:
-    """The slope h that best levels the nonzero pairs (m, e) for
-    `_correlate`: of the two integers nearest their mean fall in bits per
-    step, the one that gives v_k 2^(hk) the least span plus rise."""
-    mags = [(k, e + m.bit_length()) for k, (m, e) in enumerate(pairs) if m]
-    if len(mags) < 2:
-        return 0
-    fall = (mags[0][1] - mags[-1][1]) // (mags[-1][0] - mags[0][0])
-    return min((fall, fall + 1), key=lambda h: sum(_spread([e + h * k for k, e in mags])))
-
-
-def _fixed(values, point: int) -> list:
-    """|m| 2^e on the binary point 2^point, truncated to integers."""
-    return [m << (e - point) if e >= point else m >> (point - e) for m, e in values]
-
-
-def _sign(pairs) -> int:
-    """The one sign of the nonzero mantissas (0 if there are none)."""
-    signs = {m > 0 for m, _ in pairs if m}
-    if len(signs) > 1:
-        raise ValueError("a correlated sequence needs one sign")
-    return (1 if True in signs else -1) if signs else 0
-
-
-def _correlate(a, b, h: int, lags, prec: int) -> list:
-    """[sum_r a_r b_(r+l) for l in lags] as exact pairs (C, E), C 2^E, over
-    the r with r + l inside b, from one product of two packed integers
-    (Kronecker substitution).  a and b are integer pairs (m, e), each of
-    one sign, zeros allowed.
-
-    b_k 2^(hk), levelled by `_slope`, keeps prec + g + span bits at its
-    least binade and a_r 2^(-hr) prec + g + rise at its largest, A (the
-    `_spread` of b's binades; g = bitlen(min(len a, len b)) + 2), and a's
-    zero tail is trimmed.  Lag l then carries the exact 2^(-hl), so
-
-        |C 2^E - sum| < 2^-prec (|sum| + A |b_(r+l)| 2^(hr))
-
-    for the first r of lag l with b_(r+l) != 0: under 2^(1-prec) |sum|
-    when that r gives A."""
-    sign = _sign(a) * _sign(b)
-    lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + len(a), len(b))
-    a = [(abs(m), e - h * r) for r, (m, e) in enumerate(a)]
-    b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
-    mags = [e + m.bit_length() for m, e in b if m]
-    if not (sign and lags and mags):
-        return [(0, 0)] * len(lags)
-    span, rise = _spread(mags)
-    width = prec + min(len(a), len(b)).bit_length() + 2
-    wa, wb = width + rise, width + span
-    top = max(e + m.bit_length() for m, e in a if m)
-    alpha = _fixed(a, top - wa)
-    while not alpha[-1]:
-        alpha.pop()
-    beta = _fixed(b, max(mags) - wb)
-    nb = (wa + wb + len(alpha).bit_length() + 7) // 8
-    pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
-    pb = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)), "little")
-    n = len(alpha) + len(beta) - 1
-    buf = (pa * pb).to_bytes(nb * n, "little")
-    point = top - wa + max(mags) - wb
-    out = []
-    for lag in lags:
-        i = len(beta) - 1 - (lag - lo)
-        c = int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0
-        out.append((sign * c, point - h * lag))
-    return out
-
-
-def _products(us, vs) -> list:
-    """Exact products of paired (mantissa, exponent) integer pairs."""
-    return [(mu * mv, eu + ev) for (mu, eu), (mv, ev) in zip(us, vs)]
-
-
-def _exact_sum(pairs) -> tuple:
-    """The exact sum of integer pairs (mantissa, exponent)."""
-    low = min(e for _, e in pairs)
-    return (sum(m << (e - low) for m, e in pairs), low)
-
-
-def _logs(pairs) -> tuple:
-    """(log2 |m 2^e|, -log2 |m 2^e|) of each pair (m, e) as floats, both
-    +inf for zero."""
-    up = [math.log2(abs(m)) + e if m else math.inf for m, e in pairs]
-    return up, [-v if v < math.inf else v for v in up]
-
-
-def _least_product(s: int, pieces) -> tuple:
-    """The least nonzero s u_k v_k, as (s u v, e), over pieces (sign, us,
-    vs, lus, lvs) of paired integer pairs whose products have the sign
-    `sign`, with their `_logs`: the smallest product of a piece where
-    s sign > 0, else the largest.  A float log2 errs by under 2^-38 here,
-    so only products within 2^-20 of the extreme are compared exactly."""
-    cands = []
-    for sign, us, vs, lus, lvs in pieces:
-        d = s * sign < 0
-        keys = [x + y for x, y in zip(lus[d], lvs[d])]
-        cut = min(keys, default=0) + 2**-20
-        cands += [(s * u[0] * v[0], u[1] + v[1]) for k, u, v in zip(keys, us, vs) if k <= cut]
-    return _least(cands)
-
-
-def _least(pairs) -> tuple:
-    """The least nonzero m 2^e among integer pairs (m, e), compared exactly
-    on a common binary point; (0, 0) if there is none."""
-    pairs = [pe for pe in pairs if pe[0]]
-    low = min((e for _, e in pairs), default=0)
-    return min(pairs, key=lambda pe: pe[0] << (pe[1] - low), default=(0, 0))
 
 
 class MomentTable:
