@@ -354,10 +354,8 @@ class MomentTable:
         yfacs += [me(drop[t] * DA[1 + t] * Q[t] / (dlat[t] * C1[-1 - t] * Cq[1 + t] * DQ[t]))
                   for t in ts]
 
-        # the inner sums of every t per power, one correlation per piece:
-        # y > 0, x = cqy q^r:      x_t^p sum_r [A_cq(r) q^{pr}] B_cq(t + r)
-        # y > 0, x = d q^{1+r}:    sum_r [A_d(r) x_r^p] B_d(r - t), k < 0 and k >= 0
-        # y < 0, x = d q^{1+r}:    sum_{r <= t} [A_d(r) x_r^p] B_neg(r - t)
+        # per power, the inner sums of every t from one correlation per
+        # lattice piece (class docstring): b and the lags that give t
         pieces = [(B_cq, list(ts)), (B_d[:N], [N - t for t in ts]),
                   (B_d[N:], [-t for t in ts]), (B_neg, [N - t for t in ts])]
         pieces = [(bs, _slope(bs), lags) for bs, lags in pieces]
@@ -385,9 +383,9 @@ class MomentTable:
         least = []
         nodes = itertools.chain(((piece(Acq, Bcq, t), piece(Ad, Bd, N - t)) for t in ts),
                                 ((piece(Ad, Bneg, N - t),) for t in ts))
-        for yfac, pieces in zip(yfacs, nodes):
+        for yfac, node in zip(yfacs, nodes):
             s = 1 if yfac[0] > 0 else -1
-            m, e = _least_product(s, pieces)
+            m, e = _least_product(s, node)
             least.append((s * m * yfac[0], e + yfac[1]))
         low = _least(least)
         self.weight_min_positive = fld.from_man_exp(*low) if low[0] else None

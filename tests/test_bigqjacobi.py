@@ -7,8 +7,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _correlate, _least, _poch_ladder,
-                                _power_sums,
+                                MomentTable, _least, _poch_ladder, _power_sums,
                                 appell_monic, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
@@ -17,6 +16,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
+from qbipoly.jackson import _correlate
 from qbipoly.linalg import Mat
 from qbipoly.monic import generate_monic_oracle, ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,

@@ -9,9 +9,12 @@ The orthogonality report's digest was re-recorded when the moment engine
 began building each infinite product once per table, again when the Jackson
 power sums became exact integer sums rounded once per moment (it then
 printed 40 digits, more than its 120-bit precision carries, so its last
-digits moved with the order of operations), and again when the report began
-printing only the 36 digits that 120 bits carry.  Its verdicts and labels
-are pinned separately below."""
+digits moved with the order of operations), again when the report began
+printing only the 36 digits that 120 bits carry, and again when each
+power's inner Jackson sums of all outer nodes came from one packed-integer
+correlation (one fixed point per lattice piece instead of one per node
+moves a moment by an ulp or so, and 68 of the 167 rows then print other
+last digits).  Its verdicts and labels are pinned separately below."""
 
 import hashlib
 import json
