@@ -5,8 +5,10 @@ D(x^{j-k} y^k) in the graded monomial basis, giving the exact degree blocks
 of the operator, and run the triangular chain that the eigen-equation
 imposes.  The degree-preserving block of an admissible equation is
 -lambda_d I (checked exactly), so each chain step is a scalar division by an
-eigenvalue gap; every output vector is re-verified against the
-eigen-equation.
+eigenvalue gap.  With the blocks confined to degrees j-2..j, the chain is
+the eigen-equation degree by degree, so the vectors are not re-verified on
+every call: `suites.suite_consistency` and the tests apply the operator to
+them again.
 
 The paper's closed-form blocks S_n (degree drop 1) and T_n (degree drop 2)
 are kept verbatim; the recurrence suite compares each once with the
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, combine, from_form
 from .equation import Admissibility, EquationCoeffs, apply_operator
 from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec, stack
 from .qcalc import QParam, qnum
@@ -88,13 +91,20 @@ def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     return [family.block(n, j) for j in range(n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _monomial_keys(j: int) -> tuple:
+    """The exponent pairs of the degree-j monomial vector, by column; one
+    tuple per degree, shared by every vector."""
+    return tuple((j - c, c) for c in range(j + 1))
+
+
 def assemble_vector(ghat: list) -> PolyVec:
-    """P_n = sum_j G_{n,j} x^j from its coefficient blocks."""
-    total = None
-    for j, G in enumerate(ghat):
-        part = G @ monomial_vec(j)
-        total = part if total is None else total + part
-    return total
+    """P_n = sum_j G_{n,j} x^j from its coefficient blocks: entry k sums
+    row k of every G_{n,j}, column c read as the monomial (j-c, c)."""
+    keys = [_monomial_keys(j) for j in range(len(ghat))]
+    return PolyVec([from_form(*combine([(1, {kj[c]: v for c, v in nums.items()}, den)
+                                        for kj, (nums, den) in zip(keys, rows)]))
+                    for rows in zip(*(G.forms for G in ghat))])
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +185,10 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     Admissibility and the operator blocks are computed once and shared by
     every degree.  Each degree-preserving block is checked to be exactly
     -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
-    division G_{n,d} = -rhs / (lambda_n - lambda_d); each degree's vector is
-    then checked against the eigen-equation."""
+    division G_{n,d} = -rhs / (lambda_n - lambda_d).  The degree-d part of
+    D[P_n] is then -lambda_n G_{n,d} by construction, so the vectors are not
+    put through the operator here; `suites.suite_consistency` and the tests
+    do that."""
     adm = E.admissibility
     if not adm.admissible:
         raise OracleError(f"equation not admissible: {adm.failures}")
@@ -198,30 +210,39 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
             if not gap:
                 raise OracleError(f"eigenvalues of degrees {d} and {n} coincide")
             chain[d] = rhs.scaled(-1 / gap)
-        vec = assemble_vector(chain)
-        for k, p in enumerate(vec.entries):
-            if not (apply_operator(E, p) + p * lam[n]).is_zero():
-                raise OracleError(f"oracle vector entry {k} violates the eigen-equation at n={n}")
         for j, G in enumerate(chain):
             ghat[(n, j)] = G
-        vectors.append(vec)
+        vectors.append(assemble_vector(chain))
     return MonicFamily(E, vectors, ghat, adm, blocks)
+
+
+def _L_times(n: int, j: int, M: Mat) -> Mat:
+    """L_{n,j} @ M: the n + 1 rows of M from row j - 1 on."""
+    return Mat._of(M.forms[j - 1 : j + n], M.ncols)
+
+
+def _times_L(M: Mat, j: int) -> Mat:
+    """M @ L_{m,j} for M with m + 1 columns: every column moves by j - 1."""
+    off = j - 1
+    return Mat._of([({c + off: v for c, v in nums.items()}, den) for nums, den in M.forms],
+                   M.ncols + 1)
 
 
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
     """Recurrence matrices A_{n,j}, B_{n,j}, C_{n,j} from the coefficient
-    blocks (explicit closed formulas, including the n = 0, 1 special cases)."""
+    blocks (explicit closed formulas, including the n = 0, 1 special cases).
+    The products with the 0/1 embeddings L are row slices and column shifts."""
     A = mat_L(n, j)
     if n == 0:
-        B = -(mat_L(0, j) @ family.block(1, 0))
+        B = -_L_times(0, j, family.block(1, 0))
         C = None
     else:
-        B = family.block(n, n - 1) @ mat_L(n - 1, j) - mat_L(n, j) @ family.block(n + 1, n)
+        B = _times_L(family.block(n, n - 1), j) - _L_times(n, j, family.block(n + 1, n))
         if n == 1:
-            C = -(mat_L(1, j) @ family.block(2, 0) + B @ family.block(1, 0))
+            C = -(_L_times(1, j, family.block(2, 0)) + B @ family.block(1, 0))
         else:
-            C = (family.block(n, n - 2) @ mat_L(n - 2, j)
-                 - mat_L(n, j) @ family.block(n + 1, n - 1)
+            C = (_times_L(family.block(n, n - 2), j)
+                 - _L_times(n, j, family.block(n + 1, n - 1))
                  - B @ family.block(n, n - 1))
     return {"A": A, "B": B, "C": C}
 

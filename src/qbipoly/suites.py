@@ -15,6 +15,7 @@ from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
                          limit_check, monic_hypergeometric, nonmonic_poly,
                          preset_equation)
 from .bipoly import BiPoly
+from .equation import apply_operator
 from .io import frac_str, mp_str
 from .linalg import Mat, mat_diff
 from .monic import (generalized_inverse_L, generate_monic_oracle,
@@ -124,13 +125,20 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = 200
 
 
 def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
-    """Hypergeometric-vs-oracle equality, exact eigenspace decomposition of
-    the Rodrigues outputs (proportionality measured, not presumed),
-    recursive-formula agreement, generalized inverse."""
+    """Eigen-equation residuals of the oracle's vectors, which the oracle
+    does not check itself, hypergeometric-vs-oracle equality,
+    exact eigenspace decomposition of the Rodrigues outputs (proportionality
+    measured, not presumed), recursive-formula agreement, generalized
+    inverse."""
     E = preset_equation(p)
     fam = generate_monic_oracle(E, CONSISTENCY_TOTAL)
     rows = []
     ok = True
+    for n in range(CONSISTENCY_TOTAL + 1):
+        lam = fam.admissibility.eigenvalue(n)
+        zero = all((apply_operator(E, e) + e * lam).is_zero() for e in fam.vectors[n].entries)
+        ok = ok and zero
+        rows.append(("oracle_eigen_residual_zero", f"n={n}", "", "", str(zero)))
     for total in range(CONSISTENCY_TOTAL + 1):
         for m in range(total + 1):
             n = total - m
@@ -169,9 +177,10 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     ok = True
     x = BiPoly.x()
     y = BiPoly.y()
+    ttr = {(n, j): ttr_matrices(fam, n, j) for n in range(RECURRENCE_N + 1) for j in (1, 2)}
     for n in range(RECURRENCE_N + 1):
         for j, var in ((1, x), (2, y)):
-            tb = ttr_matrices(fam, n, j)
+            tb = ttr[(n, j)]
             lhs = fam.vectors[n].mul_poly(var)
             rhs = tb["A"] @ fam.vectors[n + 1]
             rhs = rhs + (tb["B"] @ fam.vectors[n])
@@ -200,7 +209,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     for n in range(1, RECURRENCE_N + 1):
         explicit = explicit_BC(p, n)
         for j in (1, 2):
-            tb = ttr_matrices(fam, n, j)
+            tb = ttr[(n, j)]
             for name, ours, theirs in ((f"B{j}", tb["B"], explicit[f"B{j}"]),
                                        (f"C{j}", tb["C"], explicit[f"C{j}"])):
                 diffs = mat_diff(theirs, ours)

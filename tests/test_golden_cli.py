@@ -14,7 +14,12 @@ printing only the 36 digits that 120 bits carry, and again when each
 power's inner Jackson sums of all outer nodes came from one packed-integer
 correlation (one fixed point per lattice piece instead of one per node
 moves a moment by an ulp or so, and 68 of the 167 rows then print other
-last digits).  Its verdicts and labels are pinned separately below."""
+last digits).  Its verdicts and labels are pinned separately below.
+
+The consistency report's digest was re-recorded when the monic oracle
+stopped applying the operator to its own vectors and the suite took over
+that check: five `oracle_eigen_residual_zero` rows (n = 0..4) now open the
+report, and every other row is unchanged."""
 
 import hashlib
 import json
@@ -43,7 +48,7 @@ CASES = {
         ("generate", *P, "--family", "weight", "--degrees", "3 3", "--format", "csv"),
         "9d373a5f34e40f5b1cc4994160789601acad6fe9d2ba914f55320c8998770927"),
     "verify-consistency": (("verify", *P, "--suite", "consistency"),
-                           "24189b36a7efaa6c2c55716748c1aa68541c5545bac4d817f4abe43dcf8d01cb"),
+                           "a02daadb4ed59c5654630e3c2df963b10d332f86d96d2d82f8d474b3e06412a9"),
     "verify-recurrence": (("verify", *P, "--suite", "recurrence"),
                           "fb18ee41d26ee423b316cf481ee1b58d03d9caa424997048f2d15836d129665d"),
     "verify-limits": (("verify", "--suite", "limits"),

@@ -147,6 +147,65 @@ def test_oracle_blocks_match_solved_chain(params):
         assert fam.block(*key).rows == G.rows, key
 
 
+#: the second point of the seeded 40-point sweep in
+#: test_bigqjacobi.test_routes_agree_across_the_domain (q = 2/5)
+SWEEP_PARAMS = BigQJacobiParams(F(5, 12), F(5, 26), F(5, 9), F(-1, 3), QParam(F(2, 5)))
+
+
+@pytest.fixture(scope="module", params=[Q23_PARAMS, SWEEP_PARAMS], ids=["q=2/3", "sweep-q=2/5"])
+def oracle7(request):
+    return generate_monic_oracle(preset_equation(request.param), 7)
+
+
+def test_oracle_vectors_solve_the_eigen_equation(oracle7):
+    """The oracle does not apply the operator to its vectors; this does,
+    independently of the chain that built them."""
+    E = oracle7.equation
+    for n in range(7):
+        lam = oracle7.admissibility.eigenvalue(n)
+        for k, entry in enumerate(oracle7.vectors[n].entries):
+            assert (apply_operator(E, entry) + entry * lam).is_zero(), (n, k)
+
+
+def reference_assembly(blocks):
+    """P_n = sum_j G_{n,j} @ monomial_vec(j), as full products and sums."""
+    total = None
+    for j, G in enumerate(blocks):
+        part = G @ monomial_vec(j)
+        total = part if total is None else total + part
+    return total
+
+
+def reference_ttr(family, n, j):
+    """A, B and C with every product with an embedding L formed as a
+    matrix product with mat_L."""
+    A = mat_L(n, j)
+    if n == 0:
+        return A, -(mat_L(0, j) @ family.block(1, 0)), None
+    B = family.block(n, n - 1) @ mat_L(n - 1, j) - mat_L(n, j) @ family.block(n + 1, n)
+    if n == 1:
+        C = -(mat_L(1, j) @ family.block(2, 0) + B @ family.block(1, 0))
+    else:
+        C = (family.block(n, n - 2) @ mat_L(n - 2, j)
+             - mat_L(n, j) @ family.block(n + 1, n - 1)
+             - B @ family.block(n, n - 1))
+    return A, B, C
+
+
+def test_vectors_equal_the_product_assembly(oracle7):
+    for n in range(7):
+        blocks = [oracle7.block(n, j) for j in range(n + 1)]
+        assert assemble_vector(blocks) == reference_assembly(blocks)
+        assert oracle7.vectors[n] == reference_assembly(blocks)
+
+
+def test_ttr_matrices_equal_the_L_products(oracle7):
+    for n in range(7):
+        for j in (1, 2):
+            tb = ttr_matrices(oracle7, n, j)
+            assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle7, n, j), (n, j)
+
+
 def test_oracle_rejects_leading_block_not_scalar(equation, monkeypatch):
     real = monic.operator_blocks
 
