@@ -8,7 +8,7 @@ imposes.  The degree-preserving block of an admissible equation is
 eigenvalue gap.  With the blocks confined to degrees j-2..j, the chain is
 the eigen-equation degree by degree, so the vectors are not re-verified on
 every call: `suites.suite_consistency` and the tests apply the operator to
-them again.
+them.
 
 The paper's closed-form blocks S_n (degree drop 1) and T_n (degree drop 2)
 are kept verbatim; the recurrence suite compares each once with the
@@ -86,7 +86,7 @@ class OracleError(ValueError):
 
 def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     """All monic coefficient blocks [G_{n,0}, ..., G_{n,n}] (G_{n,n} = I) by
-    coefficient matching in the eigen-equation; exact and verified."""
+    coefficient matching in the eigen-equation, exactly."""
     family = generate_monic_oracle(E, n)
     return [family.block(n, j) for j in range(n + 1)]
 
