@@ -522,15 +522,18 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:
     reported constant is the coefficient ratio used to align the Rodrigues
     pair; the monic pair needs none.
     """
+    # one oracle per eps, up to the largest total degree asked for
+    top = max((n + m for n, m in nm_list), default=0)
+    lanes = []
+    for eps in eps_list:
+        eps = Fraction(eps)
+        E = preset_equation(limit_params(cp, eps))
+        lanes.append((eps, E, generate_monic_oracle(E, top)))
     rows = []
     for n, m in nm_list:
         target = appell_monic(cp, n, m)
         rod_target = classical_rodrigues(cp, n, m)
-        for eps in eps_list:
-            eps = Fraction(eps)
-            p = limit_params(cp, eps)
-            E = preset_equation(p)
-            fam = generate_monic_oracle(E, n + m)
+        for eps, E, fam in lanes:
             phat = fam.entry(n + m, m)
             for pt in points:
                 err = abs(phat.eval(*pt) - target.eval(*pt))

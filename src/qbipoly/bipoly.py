@@ -292,10 +292,15 @@ class BiPoly:
         return self.eval_grid([xv], [yv])[0][0]
 
     def eval_grid(self, xs, ys) -> list:
-        """[[p(x, y) for y in ys] for x in xs] over the integers: with
-        x = u/v and y = s/t, p = sum_i u^i v^(I-i) C_i / (den v^I t^J),
-        C_i = sum_j n_ij s^j t^(J-j) formed once per (i, y); each point
-        costs one product per distinct x-exponent i and one division."""
+        """[[p(x, y) for y in ys] for x in xs], from ``eval_grid_pairs``."""
+        return [[Fraction(n, d) for n, d in row] for row in self.eval_grid_pairs(xs, ys)]
+
+    def eval_grid_pairs(self, xs, ys) -> list:
+        """The values of ``eval_grid`` as (numerator, denominator) int pairs,
+        not reduced, with denominator > 0: with x = u/v and y = s/t,
+        p = sum_i u^i v^(I-i) C_i / (den v^I t^J), C_i = sum_j n_ij s^j
+        t^(J-j) formed once per (i, y); each point costs one product per
+        distinct x-exponent i and no gcd."""
         xs = [as_fraction(v) for v in xs]
         ys = [as_fraction(v) for v in ys]
         I = max((i for i, _ in self.nums), default=0)
@@ -305,13 +310,14 @@ class BiPoly:
             rows.setdefault(i, []).append((j, n))
         cols = [[sum(n * yv.numerator**j * yv.denominator ** (J - j) for j, n in terms)
                  for terms in rows.values()] for yv in ys]
+        tden = [self.den * yv.denominator**J for yv in ys]
         out = []
         for xv in xs:
             u, v = xv.numerator, xv.denominator
             xw = [u**i * v ** (I - i) for i in rows]
-            out.append([Fraction(sum(w * c for w, c in zip(xw, col)),
-                                 self.den * v**I * yv.denominator**J)
-                        for col, yv in zip(cols, ys)])
+            vI = v**I
+            out.append([(sum(w * c for w, c in zip(xw, col)), d * vI)
+                        for col, d in zip(cols, tden)])
         return out
 
     # -- calculus on polynomials -------------------------------------------

@@ -169,14 +169,16 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
     if family == "rodrigues":
         if len(parts) != 2:
             raise ConfigError("rodrigues generation takes two degrees: n m")
-        poly = rodrigues_poly(E, parts[0], parts[1])
+        n, m = parts
+        poly = rodrigues_poly(E, n, m)
+        residual = apply_operator(E, poly) + poly * E.admissibility.eigenvalue(n + m)
         doc = qio.document("polynomials", {
-            "family": "rodrigues", "n": parts[0], "m": parts[1],
+            "family": "rodrigues", "n": n, "m": m,
             "polynomial": qio.poly_to_json(poly),
-            "residual_zero": True,  # rodrigues_poly verifies the eigen-equation
+            "residual_zero": residual.is_zero(),
         })
         _emit(cfg, doc)
-        return 0
+        return 0 if residual.is_zero() else 1
     if family == "weight":
         if len(parts) != 2:
             raise ConfigError("weight table generation takes two lattice bounds: s_max t_max")

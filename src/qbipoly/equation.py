@@ -248,3 +248,23 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
             state = _xstep(E.qp, state)
         state = _swap(state)
     return DerivedCoeffs(E.qp, *state[:6], mu=state[6])
+
+
+def derived_orders(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
+    """{(k, l): derived_coeffs(E, k, l)} for every order k <= k_max,
+    l <= l_max, each one propagation step from a neighbour: (k, 0) from
+    (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, the step
+    derived_coeffs takes last.  The coefficients are identical, from
+    k_max + (k_max + 1) l_max steps instead of one chain per order."""
+    out = {}
+    state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, Fraction(0))
+    for k in range(k_max + 1):
+        if k:
+            state = _xstep(E.qp, state)
+        out[(k, 0)] = DerivedCoeffs(E.qp, *state[:6], mu=state[6])
+        swapped = _swap(state)
+        for l in range(1, l_max + 1):
+            swapped = _xstep(E.qp, swapped)
+            back = _swap(swapped)
+            out[(k, l)] = DerivedCoeffs(E.qp, *back[:6], mu=back[6])
+    return out

@@ -89,20 +89,15 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-def _write_json(fh, obj) -> None:
-    # streamed: a large document is never held whole in memory
-    json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-    fh.write("\n")
-
-
 def json_text(obj) -> str:
-    buf = _io.StringIO()
-    _write_json(buf, obj)
-    return buf.getvalue()
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def write_json_atomic(path: str, obj) -> None:
-    _write_atomic(path, lambda fh: _write_json(fh, obj))
+    # the document is formed whole and written in one call: json.dump would
+    # issue a write per token, tens of thousands for a large family
+    text = json_text(obj)
+    _write_atomic(path, lambda fh: fh.write(text))
 
 
 def _json_default(v):

@@ -233,13 +233,35 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
                     for p in vec.entries], degree + 1)
 
 
-def _divided_differences(nodes, values) -> list:
-    """[t_0..t_k] f for k < len(values), from values[k] = f(nodes[k])."""
+def _newton_steps(nodes) -> tuple:
+    """(t, den, steps): nodes[k] = t[k] / den over one denominator, and for
+    each order o >= 1, steps[o - 1] = (mult, A) with
+    1 / (nodes[k] - nodes[k - o]) = mult[k] / A for o <= k < len(nodes)."""
+    nums, den = exact_form(enumerate(nodes))
+    t = [nums.get(k, 0) for k in range(len(nodes))]
+    return t, den, [exact_form((k, Fraction(den, t[k] - t[k - o])) for k in range(o, len(t)))
+                    for o in range(1, len(t))]
+
+
+def _divided_differences(values, steps) -> list:
+    """The numerators of [t_0..t_k] f for k < len(values), from the
+    numerators values[k] of f(t_k) over one denominator D: entry k is over
+    D * A_1 * ... * A_k, the A_o of ``_newton_steps``."""
     dd = list(values)
-    for order in range(1, len(dd)):
+    for order, (mult, _) in enumerate(steps[:len(dd) - 1], 1):
         for k in range(len(dd) - 1, order - 1, -1):
-            dd[k] = (dd[k] - dd[k - 1]) / (nodes[k] - nodes[k - order])
+            dd[k] = (dd[k] - dd[k - 1]) * mult[k]
     return dd
+
+
+def _lifts(den, steps) -> list:
+    """[A_(i+1) * ... * A_(G-1) * den^(G-1-i) for i < G]: what an order-i
+    Newton coefficient is multiplied by in the Horner steps of
+    ``interpolate_2d`` (den is the nodes' common denominator)."""
+    out = [1]
+    for _, A in reversed(steps):
+        out.append(out[-1] * A * den)
+    return out[::-1]
 
 
 def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
@@ -248,8 +270,16 @@ def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
     (row i holds G - i values), for any distinct nodes, by Newton
     interpolation: x-divided differences down each column give the x-Newton
     coefficients g_i of p (degree < G - i in y) at y_0..y_{G-1-i}, their
-    y-divided differences give the Newton coefficients of each g_i, and
-    nested Horner steps, in y and then in x, give the monomial form."""
+    y-divided differences give the Newton coefficients c_ij of each g_i,
+    and nested Horner steps, in y and then in x, give the monomial form.
+
+    All of it runs on integers.  The values are lifted to one denominator D
+    and the nodes to x_k = s_k / X, y_k = t_k / Y; order o of the divided
+    differences multiplies by 1/(x_k - x_{k-o}) = mult_k / A_o, so c_ij is
+    over D * A_1..A_i * B_1..B_j (the B_o of the y-nodes).  Lifted to the
+    common D * A_1..A_(G-1) * B_1..B_(G-1) * X^(G-1) * Y^(G-1), the Horner
+    steps g <- c + (Y y - t_j) g and p <- g + (X x - s_i) p need no
+    division, and one content gcd brings the result to lowest terms."""
     nodes_x = [as_fraction(v) for v in nodes_x]
     nodes_y = [as_fraction(v) for v in nodes_y]
     G = len(nodes_x)
@@ -258,18 +288,26 @@ def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
     for nodes, label in ((nodes_x, "x"), (nodes_y, "y")):
         if len(set(nodes)) != G:
             raise ValueError(f"repeated {label} interpolation node")
-    newton_x = [[] for _ in range(G)]  # newton_x[i][j] = [x_0..x_i] p(., y_j)
+    if not G:
+        return BiPoly.zero()
+    sx, X, xsteps = _newton_steps(nodes_x)
+    ty, Y, ysteps = _newton_steps(nodes_y)
+    vals, D = exact_form(((i, j), v) for i, row in enumerate(values) for j, v in enumerate(row))
+    newton_x = [[] for _ in range(G)]  # newton_x[i][j]: [x_0..x_i] p(., y_j)
     for j in range(G):
-        column = [as_fraction(values[i][j]) for i in range(G - j)]
-        for i, v in enumerate(_divided_differences(nodes_x, column)):
+        column = [vals.get((i, j), 0) for i in range(G - j)]
+        for i, v in enumerate(_divided_differences(column, xsteps)):
             newton_x[i].append(v)
+    xlift, ylift = _lifts(X, xsteps), _lifts(Y, ysteps)
     poly = []  # rows by x-exponent, each a list of coefficients by y-exponent
     for i in range(G - 1, -1, -1):
-        d = _divided_differences(nodes_y, newton_x[i])
-        g = [d[-1]]
-        for j in range(len(d) - 2, -1, -1):  # g <- d_j + (y - y_j) g
-            g = [a - nodes_y[j] * h for a, h in zip([d[j], *g], g)] + [g[-1]]
-        # poly <- g + (x - x_i) poly
-        poly = [[a - nodes_x[i] * h for a, h in zip(above, here)] + above[len(here):]
-                for above, here in zip([g, *poly], [*poly, []])]
-    return BiPoly({(e, j): c for e, row in enumerate(poly) for j, c in enumerate(row)})
+        c = [v * xlift[i] * k for v, k in zip(_divided_differences(newton_x[i], ysteps), ylift)]
+        g = [c[-1]]
+        for j in range(len(c) - 2, -1, -1):  # g <- c_j + (Y y - t_j) g
+            g = [a - ty[j] * h for a, h in zip([c[j], *(Y * h for h in g)], g)] + [Y * g[-1]]
+        # poly <- g + (X x - s_i) poly
+        poly = [[a - sx[i] * h for a, h in zip(above, here)] + above[len(here):]
+                for above, here in zip([g, *([X * h for h in row] for row in poly)],
+                                       [*poly, []])]
+    return from_form(*reduced({(e, j): v for e, row in enumerate(poly) for j, v in enumerate(row)},
+                              D * xlift[0] * ylift[0]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, RationalFn
-from .equation import EquationCoeffs, derived_coeffs
+from .equation import EquationCoeffs, derived_orders
 from .qcalc import QParam, dq_ratfn
 
 
@@ -80,8 +80,7 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
     qp = E.qp
     q = qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
-    derived = {(k, l): derived_coeffs(E, k, l)
-               for k in range(k_max + 2) for l in range(l_max + 2)}
+    derived = derived_orders(E, k_max + 1, l_max + 1)
     pearson = {kl: build_pearson(D) for kl, D in derived.items()}
 
     for k in range(k_max + 1):
@@ -165,12 +164,13 @@ class WeightEvaluator:
         ys = [y0 * q**t for t in range(t_count)]
 
         def ratios(which, g, gx, gy):
-            dens = g.den.eval_grid(gx, gy)
+            dens = g.den.eval_grid_pairs(gx, gy)
             for a, row in enumerate(dens):
-                for b, dv in enumerate(row):
+                for b, (dv, _) in enumerate(row):
                     if not dv:
                         raise LatticePoleError(which, b if which == "G2" else a, (gx[a], gy[b]))
-            return [[nv / dv for nv, dv in zip(*pair)] for pair in zip(g.num.eval_grid(gx, gy), dens)]
+            return [[Fraction(nn * dd, nd * dn) for (nn, nd), (dn, dd) in zip(*pair)]
+                    for pair in zip(g.num.eval_grid_pairs(gx, gy), dens)]
 
         col, = ratios("G2", self.pearson.g2, [x0], ys[:-1])
         rows = [list(itertools.accumulate(col, operator.mul, initial=1))]

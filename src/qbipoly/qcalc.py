@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, RationalFn, from_form, reduced
+from .bipoly import BiPoly, RationalFn, exact_form, from_form, reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -130,19 +130,44 @@ def _difference_table(fvals, x0, y0, p, n: int, m: int):
     then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0); returns the
     table at (p^r x0, p^s y0), n rows and m columns smaller.  A sample may
     be None where it is not needed; a table entry whose stencil reaches one
-    is None."""
+    is None.
+
+    The passes run on integers over one denominator D, to which the samples
+    are lifted once.  With p = u/w and x0 = a/b, the step of row r is
+    (p - 1) x0 p^r = (u - w) a u^r / (b w^(r+1)); over the common
+    (u - w) a u^R (R the last row of the new table) its reciprocal is
+    b w^(r+1) u^(R-r), so a pass multiplies each row's differences by that
+    factor and D by (u - w) a u^R.  The y passes do the same along the
+    columns, and only the returned entries become Fractions.
+    """
     if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
         raise ValueError("sample table too small for the requested order")
-    work = [row[:] for row in fvals]
+    p = as_fraction(p)
+    u, w = p.numerator, p.denominator
+    nums, den = exact_form(((r, s), v) for r, row in enumerate(fvals)
+                           for s, v in enumerate(row) if v is not None)
+    work = [[None if v is None else nums.get((r, s), 0) for s, v in enumerate(row)]
+            for r, row in enumerate(fvals)]
+
+    def factors(start, count):
+        """The reciprocals of count steps from start: (numerators, common
+        denominator)."""
+        c = as_fraction(start)
+        a, b = c.numerator, c.denominator
+        last = count - 1
+        return [b * w ** (r + 1) * u ** (last - r) for r in range(count)], (u - w) * a * u**last
+
     for _ in range(n):
-        steps = [(p - 1) * x0 * p**r for r in range(len(work) - 1)]
-        work = [[None if lo is None or hi is None else (hi - lo) / h
-                 for lo, hi in zip(work[r], work[r + 1])] for r, h in enumerate(steps)]
+        mults, step_den = factors(x0, len(work) - 1)
+        work = [[None if lo is None or hi is None else (hi - lo) * k
+                 for lo, hi in zip(work[r], work[r + 1])] for r, k in enumerate(mults)]
+        den *= step_den
     for _ in range(m):
-        steps = [(p - 1) * y0 * p**s for s in range(len(work[0]) - 1)]
-        work = [[None if lo is None or hi is None else (hi - lo) / h
-                 for lo, hi, h in zip(row, row[1:], steps)] for row in work]
-    return work
+        mults, step_den = factors(y0, len(work[0]) - 1)
+        work = [[None if lo is None or hi is None else (hi - lo) * k
+                 for lo, hi, k in zip(row, row[1:], mults)] for row in work]
+        den *= step_den
+    return [[None if v is None else Fraction(v, den) for v in row] for row in work]
 
 
 def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):

@@ -247,10 +247,12 @@ def suite_limits():
                      f"{rr['eps_from']}->{rr['eps_to']}",
                      float(rr["ratio"]) if rr["ratio"] is not None else "exact-zero"))
 
+    appell = {(total - m, m): appell_monic(cp, total - m, m)
+              for total in range(4) for m in range(total + 1)}
     for total in range(4):
         for m in range(total + 1):
             n = total - m
-            ares = classical_pde_residual(cp, appell_monic(cp, n, m), total).is_zero()
+            ares = classical_pde_residual(cp, appell[(n, m)], total).is_zero()
             ok = ok and ares
             rows.append(("appell_residual_zero", f"({n},{m})", "", "", str(ares)))
     for n in range(4):
@@ -268,7 +270,7 @@ def suite_limits():
             rows.append(("classical_rodrigues_solves_pde", f"({n},{m})", "", "", str(res_zero)))
             exact, found = _eigenspace_rows(
                 ("classical_rodrigues_in_eigenspace", "classical_rodrigues_proportional"),
-                f"({n},{m})", rod, [appell_monic(cp, total - k, k) for k in range(total + 1)], m)
+                f"({n},{m})", rod, [appell[(total - k, k)] for k in range(total + 1)], m)
             ok = ok and exact
             rows.extend(found)
     return ok, rows

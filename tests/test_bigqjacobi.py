@@ -282,16 +282,18 @@ def big_q_jacobi_points(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(big_q_jacobi_points(), st.integers(0, 3), st.data())
 def test_routes_agree_across_the_domain(p, total, data):
-    # oracle = hypergeometric route through N = 3; Rodrigues verifies its
-    # own eigen-equation; the non-monic solution has an exact zero residual
-    # and equals the pointwise product off the integer grid
+    # oracle = hypergeometric route through N = 3; the Rodrigues and the
+    # non-monic solutions have exact zero residuals, and the non-monic one
+    # equals the pointwise product off the integer grid
     E = preset_equation(p)
     oracle = generate_monic_oracle(E, 3)
     for n in range(4):
         for m in range(n + 1):
             assert monic_hypergeometric(p, n - m, m) == oracle.entry(n, m)
     m = data.draw(st.integers(0, total), label="m")
-    assert rodrigues_poly(E, total - m, m).total_degree() == total
+    rod = rodrigues_poly(E, total - m, m)
+    assert rod.total_degree() == total
+    assert (apply_operator(E, rod) + rod * lambda_explicit(p, total)).is_zero()
     k = data.draw(st.integers(0, total), label="k")
     poly = nonmonic_poly(p, total, k)
     assert (apply_operator(E, poly) + poly * lambda_explicit(p, total)).is_zero()
@@ -404,6 +406,33 @@ def test_monic_limit_errors_shrink():
 def test_trivial_limit_pair_is_exact():
     rows = limit_check(CP, [F(1, 100)], [(0, 0)], [(F(1, 3), F(1, 2))])
     assert all(r["error"] == 0 for r in rows if r["kind"] == "monic")
+
+
+def test_limits_suite_builds_one_oracle_per_eps_and_each_target_once(monkeypatch):
+    # limit_check builds its oracle at q = 1 - eps once, at the largest total
+    # degree, not once per (n, m); the suite builds each Appell target once
+    import qbipoly.suites as suites
+
+    built, targets = [], []
+    oracle, appell = bigqjacobi.generate_monic_oracle, suites.appell_monic
+    monkeypatch.setattr(bigqjacobi, "generate_monic_oracle",
+                        lambda E, N: built.append(N) or oracle(E, N))
+    monkeypatch.setattr(suites, "appell_monic",
+                        lambda cp, n, m: targets.append((n, m)) or appell(cp, n, m))
+    ok, _ = suites.suite_limits()
+    assert ok
+    assert built == [3, 3]
+    assert sorted(targets) == sorted(set(targets)) and len(targets) == 10
+
+
+def test_limit_check_rows_do_not_depend_on_the_oracle_degree():
+    # one oracle per eps at the largest n + m gives the rows that one
+    # oracle per (n, m, eps) at n + m gives
+    points = [(F(1, 3), F(1, 2)), (F(-1, 2), F(1, 4))]
+    both = limit_check(CP, [F(1, 100)], [(1, 0), (2, 1)], points)
+    apart = (limit_check(CP, [F(1, 100)], [(1, 0)], points)
+             + limit_check(CP, [F(1, 100)], [(2, 1)], points))
+    assert both == apart
 
 
 def closed_form_weight(p: BigQJacobiParams, xv, yv, field: FloatField, variant: str = "W"):

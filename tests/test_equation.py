@@ -4,9 +4,11 @@ import pytest
 
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
+import qbipoly.equation as equation_module
 from qbipoly.equation import (EquationCoeffs, ShapeViolation,
                               admissibility, apply_operator,
-                              check_hypergeometric_form, derived_coeffs)
+                              check_hypergeometric_form, derived_coeffs,
+                              derived_orders)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
 
 F = Fraction
@@ -267,3 +269,17 @@ def test_eigen_rayleigh_relation(equation, adm, moments, oracle5):
     du_u = moments.integrate(apply_operator(equation, u) * u)
     uu = moments.integrate(u * u)
     assert abs(du_u + moments.field.of(lam) * uu) / abs(uu) < moments.field.of(F(1, 10 ** 20))
+
+
+def test_derived_orders_equal_derived_coeffs_from_one_step_each(equation, monkeypatch):
+    # the 16 orders the check command's Pearson report needs: 15 one-step
+    # propagations from a neighbouring order instead of 48 from scratch
+    steps = []
+    real = equation_module._xstep
+    monkeypatch.setattr(equation_module, "_xstep",
+                        lambda qp, state: steps.append(1) or real(qp, state))
+    table = derived_orders(equation, 3, 3)
+    assert len(steps) == 15
+    monkeypatch.undo()
+    assert table == {(k, l): derived_coeffs(equation, k, l) for k in range(4) for l in range(4)}
+    assert derived_orders(equation, 0, 0) == {(0, 0): derived_coeffs(equation, 0, 0)}

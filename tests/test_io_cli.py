@@ -8,9 +8,9 @@ import pytest
 from qbipoly.bipoly import BiPoly
 from qbipoly.cli import _check_orthogonality_gate, main
 from qbipoly.io import (EquationParseError, equation_to_text, frac_str,
-                        parse_equation_source, parse_poly_terms, poly_from_json,
-                        poly_terms_str, poly_to_json, write_csv_atomic,
-                        write_json_atomic)
+                        json_text, parse_equation_source, parse_poly_terms,
+                        poly_from_json, poly_terms_str, poly_to_json,
+                        write_csv_atomic, write_json_atomic)
 from qbipoly.linalg import SingularMatrixError
 from qbipoly.qcalc import SeriesError
 
@@ -91,6 +91,29 @@ def test_write_json_atomic(tmp_path):
     write_json_atomic(str(path), {"a": F(1, 3)})
     assert json.loads(path.read_text())["a"] == "1/3"
     assert not path.with_suffix(".json.tmp").exists()
+
+
+def test_write_json_atomic_writes_the_bytes_of_json_text_at_once(tmp_path, monkeypatch):
+    import qbipoly.io as qio
+
+    writes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.fh.write(text)
+
+    real = qio._write_atomic
+    monkeypatch.setattr(qio, "_write_atomic",
+                        lambda path, write: real(path, lambda fh: write(Counting(fh))))
+    doc = {"b": [F(1, 3), {"c": (1, 2), "d": None}], "a": "\u00e9" * 40, "n": -7}
+    path = tmp_path / "out.json"
+    write_json_atomic(str(path), doc)
+    assert path.read_bytes() == json_text(doc).encode("utf-8")
+    assert len(writes) == 1
 
 
 def test_atomic_writes_keep_a_users_tmp_file(tmp_path):
@@ -353,6 +376,20 @@ def test_cli_generate_rodrigues(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["residual_zero"] is True
+
+
+def test_cli_generate_rodrigues_reports_a_nonzero_residual(tmp_path, monkeypatch, capsys):
+    # residual_zero is computed, not asserted: a polynomial off the
+    # eigenspace is reported and the command exits 1
+    import qbipoly.cli as cli
+
+    real = cli.rodrigues_poly
+    monkeypatch.setattr(cli, "rodrigues_poly", lambda E, n, m: real(E, n, m) + x)
+    out = tmp_path / "rod.json"
+    code = main(["generate", "--preset", "big-q-jacobi", "--family", "rodrigues",
+                 "--degrees", "1 1", "--out", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["residual_zero"] is False
 
 
 def test_cli_generate_nonmonic_requires_preset(tmp_path, equation):

@@ -261,6 +261,77 @@ def test_interpolate_random_total_degree_against_tensor_reference(kind):
         assert tensor_vandermonde_interpolate(nodes_x, nodes_y, full) == got
 
 
+def fraction_divided_differences(nodes, values) -> list:
+    """Reference: [t_0..t_k] f for k < len(values), from values[k] =
+    f(nodes[k]), in Fraction arithmetic."""
+    dd = list(values)
+    for order in range(1, len(dd)):
+        for k in range(len(dd) - 1, order - 1, -1):
+            dd[k] = (dd[k] - dd[k - 1]) / (nodes[k] - nodes[k - order])
+    return dd
+
+
+def fraction_interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
+    """Reference for interpolate_2d, every step in Fractions: x-divided
+    differences down each column, y-divided differences of each x-Newton
+    coefficient, and nested Horner steps in y and then in x."""
+    nodes_x = [Fraction(v) for v in nodes_x]
+    nodes_y = [Fraction(v) for v in nodes_y]
+    G = len(nodes_x)
+    newton_x = [[] for _ in range(G)]  # newton_x[i][j] = [x_0..x_i] p(., y_j)
+    for j in range(G):
+        column = [Fraction(values[i][j]) for i in range(G - j)]
+        for i, v in enumerate(fraction_divided_differences(nodes_x, column)):
+            newton_x[i].append(v)
+    poly = []  # rows by x-exponent, each a list of coefficients by y-exponent
+    for i in range(G - 1, -1, -1):
+        d = fraction_divided_differences(nodes_y, newton_x[i])
+        g = [d[-1]]
+        for j in range(len(d) - 2, -1, -1):  # g <- d_j + (y - y_j) g
+            g = [a - nodes_y[j] * h for a, h in zip([d[j], *g], g)] + [g[-1]]
+        # poly <- g + (x - x_i) poly
+        poly = [[a - nodes_x[i] * h for a, h in zip(above, here)] + above[len(here):]
+                for above, here in zip([g, *poly], [*poly, []])]
+    return BiPoly({(e, j): c for e, row in enumerate(poly) for j, c in enumerate(row)})
+
+
+def distinct_nodes(rng, G, kind):
+    """G distinct nodes: geometric (a base point times powers of a base),
+    or generic rationals of either sign, zero included when drawn."""
+    if kind == "geometric":
+        q = Fraction(rng.choice([1, 2, 3, 999]), rng.choice([4, 5, 7, 1000]))
+        q = q if q != 1 else Fraction(1, 2)
+        base = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 13))
+        return [base * q**-k for k in range(G)]
+    pool = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(6 * G + 6)]
+    return list(dict.fromkeys(pool))[:G]
+
+
+@pytest.mark.parametrize("kind", ["generic", "geometric"])
+def test_integer_interpolation_equals_fraction_reference(kind):
+    # arbitrary data on the lower set (not only samples of a polynomial):
+    # the interpolant is unique, so the integer kernel must return the
+    # reference's exact polynomial, for every size G = 0..8
+    rng = random.Random(f"integer-newton-{kind}")
+    for G in list(range(9)) * 3:
+        nodes_x, nodes_y = distinct_nodes(rng, G, kind), distinct_nodes(rng, G, kind)
+        values = [[Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(G - i)]
+                  for i in range(G)]
+        got = interpolate_2d(nodes_x, nodes_y, values)
+        assert got == fraction_interpolate_2d(nodes_x, nodes_y, values), (G, nodes_x, nodes_y)
+        assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+
+
+def test_integer_interpolation_with_zero_and_negative_nodes():
+    nodes_x = [Fraction(0), Fraction(-3, 2), Fraction(5), Fraction(-1, 7)]
+    nodes_y = [Fraction(2, 3), Fraction(0), Fraction(-4), Fraction(9, 5)]
+    rng = random.Random(5)
+    p = random_total_degree_poly(rng, 3)
+    values = lower_set_values(p, nodes_x, nodes_y)
+    assert interpolate_2d(nodes_x, nodes_y, values) == p
+    assert fraction_interpolate_2d(nodes_x, nodes_y, values) == p
+
+
 def test_interpolate_rejects_repeated_node():
     vals = [[0, 0], [0]]
     with pytest.raises(ValueError, match="repeated x"):

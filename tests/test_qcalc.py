@@ -133,6 +133,44 @@ def dqm_nm_at(f, x0, y0, qp: QParam, n: int, m: int):
     return dqm_nm_table(fvals, x0, y0, qp, n, m)[0][0]
 
 
+def fraction_difference_table(fvals, x0, y0, p, n: int, m: int):
+    """Reference for the integer kernel behind dq_nm_table: each pass
+    divides the differences by its steps (p - 1) x0 p^r in Fractions."""
+    work = [row[:] for row in fvals]
+    for _ in range(n):
+        steps = [(p - 1) * x0 * p**r for r in range(len(work) - 1)]
+        work = [[None if lo is None or hi is None else (hi - lo) / h
+                 for lo, hi in zip(work[r], work[r + 1])] for r, h in enumerate(steps)]
+    for _ in range(m):
+        steps = [(p - 1) * y0 * p**s for s in range(len(work[0]) - 1)]
+        work = [[None if lo is None or hi is None else (hi - lo) / h
+                 for lo, hi, h in zip(row, row[1:], steps)] for row in work]
+    return work
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(3, 2), F(2), F(999, 1000)],
+                         ids=["1/2", "2/3", "3/2", "2", "999/1000"])
+def test_integer_difference_table_equals_fraction_reference(p):
+    # holes as the Rodrigues lattice leaves them (the corner a + b < N) and
+    # scattered ones; base points of either sign; zero samples included
+    rng = random.Random(f"difference-table-{p}")
+    for trial in range(16):
+        n, m = rng.randint(0, 4), rng.randint(0, 4)
+        rows, cols = n + 1 + rng.randint(0, 4), m + 1 + rng.randint(0, 4)
+        corner = rng.randint(0, rows + cols - 2)
+
+        def sample(r, s):
+            if (r + s < corner) if trial % 2 else rng.random() < 0.15:
+                return None
+            return F(rng.randint(-99, 99), rng.randint(1, 30))
+        fvals = [[sample(r, s) for s in range(cols)] for r in range(rows)]
+        x0 = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 11))
+        y0 = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 11))
+        got = _difference_table(fvals, x0, y0, p, n, m)
+        assert got == fraction_difference_table(fvals, x0, y0, p, n, m), (n, m, fvals)
+        assert [len(row) for row in got] == [cols - m] * (rows - n)
+
+
 def test_grid_forms_match_polynomial_operators(qp):
     p = x * x * y + x * y * y * 3 + 7
     for n, m in [(1, 0), (0, 1), (2, 1), (1, 2)]:

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,13 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
-from test_linalg import tensor_vandermonde_interpolate
+from test_bigqjacobi import is_power_of
+from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, weight_table_rows
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_poly
 from test_pearson import rho_kl
-from test_qcalc import dqm_nm_table
+from test_qcalc import dqm_nm_table, fraction_difference_table
 
 F = Fraction
 x = BiPoly.x()
@@ -117,6 +119,69 @@ def test_lower_set_equals_tensor_reference(params):
             m = d - n
             ref = reference_poly(E, n, m, factored_bracket(E, n, m))
             assert rodrigues_poly(E, n, m) == ref, (n, m)
+
+
+# reference pipeline: the lattice route with every step in Fractions --------
+
+def fraction_grid_values(E, n, m, base):
+    """_grid_values with rho from the weight's walk, f = rho * Omega as
+    Fraction products, and the Fraction difference table."""
+    q = E.qp.q
+    N = n + m
+    G = N + 1
+    xb, yb = base
+    X, Y = xb * q**-N, yb * q**-N
+    W = base_weight(E, (X, Y))
+    P = W.pearson
+    pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+    fvals = []
+    for a in range(G + n):
+        row = [None] * max(N - a, 0)
+        for b in range(len(row), G + m):
+            xv, yv = X * q**a, Y * q**b
+            val = W.value(a, b)
+            for k in range(n):
+                val *= P.omega1.eval(xv * q**-k, yv)
+            for s in range(m):
+                val *= P.omega2.eval(xv, yv * q**-s)
+            row.append(val)
+        fvals.append(row)
+    table = fraction_difference_table(fvals, X, Y, q, n, m)
+    values = [[pref * table[N - i][N - j] / W.value(N - i, N - j) for j in range(G - i)]
+              for i in range(G)]
+    return [xb * q**-i for i in range(G)], [yb * q**-j for j in range(G)], values
+
+
+def fraction_pipeline_poly(E, n, m):
+    for base in DEFAULT_BASES:
+        try:
+            nodes_x, nodes_y, values = fraction_grid_values(E, n, m, base)
+        except (LatticePoleError, ZeroDivisionError):
+            continue
+        return fraction_interpolate_2d(nodes_x, nodes_y, values)
+    raise AssertionError("no pole-free base point")
+
+
+def sweep_points(count, seed=2013):
+    """Seeded points of the big q-Jacobi domain: aq, bq, cq in (0, 1),
+    d < 0 and c not a power of q, q among five bases."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice([F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(2, 5)])
+        a, b, c = (F(rng.randint(1, 12), 13) / q for _ in range(3))
+        d = -F(rng.randint(1, 39), 13)
+        if not is_power_of(c, q):
+            out.append(BigQJacobiParams(a, b, c, d, QParam(q)))
+    return out
+
+
+@pytest.mark.parametrize("params", [Q23_PARAMS, *sweep_points(5)],
+                         ids=["q=2/3", *(f"sweep-{k}" for k in range(5))])
+def test_integer_lattice_equals_fraction_pipeline(params):
+    E = preset_equation(params)
+    for n, m in [(4, 4), (8, 0), (3, 2), (2, 5), (0, 0)]:
+        assert rodrigues_poly(E, n, m) == fraction_pipeline_poly(E, n, m), (n, m)
 
 
 def diagonal_pole_base(params):
