@@ -93,7 +93,8 @@ def test_write_json_atomic(tmp_path):
     assert not path.with_suffix(".json.tmp").exists()
 
 
-def test_write_json_atomic_writes_the_bytes_of_json_text_at_once(tmp_path, monkeypatch):
+def test_write_json_atomic_writes_the_bytes_of_json_text_in_blocks(tmp_path, monkeypatch):
+    # the encoder's chunks are written in blocks, not one write per chunk
     import qbipoly.io as qio
 
     writes = []
@@ -109,11 +110,14 @@ def test_write_json_atomic_writes_the_bytes_of_json_text_at_once(tmp_path, monke
     real = qio._write_atomic
     monkeypatch.setattr(qio, "_write_atomic",
                         lambda path, write: real(path, lambda fh: write(Counting(fh))))
-    doc = {"b": [F(1, 3), {"c": (1, 2), "d": None}], "a": "\u00e9" * 40, "n": -7}
-    path = tmp_path / "out.json"
-    write_json_atomic(str(path), doc)
-    assert path.read_bytes() == json_text(doc).encode("utf-8")
-    assert len(writes) == 1
+    small = {"b": [F(1, 3), {"c": (1, 2), "d": None}], "a": "\u00e9" * 40, "n": -7}
+    large = {"rows": [[F(k, 7), str(k), {"k": k}] for k in range(1500)]}  # 21,008 chunks
+    for doc, most in ((small, 2), (large, 22)):
+        writes.clear()
+        path = tmp_path / "out.json"
+        write_json_atomic(str(path), doc)
+        assert path.read_bytes() == json_text(doc).encode("utf-8")
+        assert 1 <= len(writes) <= most
 
 
 def test_atomic_writes_keep_a_users_tmp_file(tmp_path):
