@@ -12,13 +12,13 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import EquationCoeffs
-from .jackson import (_correlate, _exact_sum, _least, _least_product, _logs, _power_sums,
-                      _powers, _products, _sign, _slope)
+from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _least, _least_product,
+                      _logs, _power_sums, _powers, _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
                     kampe_de_feriet, phi_bivariate, phi_rs, pochhammer_rising, qnum,
-                    qpochhammer, qpochhammer_inf)
+                    qpochhammer)
 from .rodrigues import rodrigues_poly
 from .scalars import FloatField
 
@@ -241,22 +241,42 @@ def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
 # weight function, orthogonality domain, Jackson moments
 # ---------------------------------------------------------------------------
 
-def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
-    """{k: (z q^k; q)_inf for lo <= k <= hi}, lo <= 0 <= hi, from one direct
-    evaluation at k = 0: a step up divides by the factor 1 - z q^k, a step
-    down multiplies by 1 - z q^(k-1)."""
-    out = {0: qpochhammer_inf(z, qp, field)}
-    val, zk = out[0], z
-    for k in range(hi):
-        val /= 1 - zk
-        zk *= q
-        out[k + 1] = val
-    val, zk = out[0], z
-    for k in range(0, lo, -1):
-        zk /= q
-        val *= 1 - zk
-        out[k - 1] = val
-    return out
+def _node_factors(p: BigQJacobiParams, N: int, wp: int) -> tuple:
+    """The weight's node factors at truncation N as integer pairs, each
+    within 2^(2 - wp) relative (`_ladder` values within 2^-wp, one
+    truncation to wp bits): (A_cq, B_cq, A_d, B_d, B_neg, yfacs), in the
+    layout of `MomentTable`.  A, B and B_neg are `_ladder` ratios; the
+    outer factors yfac reuse B_d and B_neg with one exact rational each,
+    since (z q^(k-1); q)_inf = (1 - z q^(k-1)) (z q^k; q)_inf."""
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+
+    def ladder(ups, downs, lo, hi):
+        return _ladder(ups, downs, q, lo, hi, wp)
+
+    # the comments name the weight factors of each ratio, at x = cqy q^r
+    # (x > 0), x = d q^{1+r} (x < 0), y = a q^{1+t} (y > 0) and
+    # y = d q^{1+t} (y < 0); the lists run over r, t + r and r - t (+ N)
+    A_cq = ladder([q], [c * q], 0, N)                               # x/(cy) / x/y
+    B_cq = ladder([a * c * q**2 / d], [a * b * c * q**2 / d], 0, 2 * N)  # x/d / bx/d
+    A_d = ladder([q], [b * q], 0, N)                                # x/d / bx/d
+    B_d = ladder([d / (a * c)], [d / a], -N, N)                     # x/(cy) / x/y
+    # x/(cy) over x/y less its vanishing factor (the continuous limit)
+    B_neg = ladder([1 / c], [Fraction(1)], -N, 0)
+    # the outer factors (y/a) (y/d) over (cqy/d) (y) at y = a q^{1+t}, then
+    # y = d q^{1+t}; the rest, (dq/y) over y (d/(cy)), with (dq/y) -> drop
+    # on y < 0, is 1 / (B(-t) (y_t - d/c)), B = B_d, then B_neg
+    Ypos = ladder([q, a * q / d], [a * c * q**2 / d, a * q], 0, N)
+    Yneg = ladder([d * q / a, q], [c * q**2, d * q], 0, N)
+    yfacs = []
+    dc = d / c
+    for ys, bs, y0 in ((Ypos, B_d, a), (Yneg, B_neg, d)):
+        yn, yd = (y0 * q).numerator, (y0 * q).denominator
+        for t in range(N + 1):
+            # y_t - d/c = u/v
+            u, v = yn * dc.denominator - dc.numerator * yd, yd * dc.denominator
+            yfacs.append(_quotient([ys[t], (v, 0)], [bs[N - t], (u, 0)], wp))
+            yn, yd = yn * q.numerator, yd * q.denominator
+    return A_cq, B_cq, A_d, B_d, B_neg, yfacs
 
 
 class MomentTable:
@@ -275,29 +295,37 @@ class MomentTable:
     mass).
 
     Every factor of the weight is (z q^k; q)_inf for one of eleven arguments
-    z and k = t, r, t + r or r - t, each sequence built once (`_poch_ladder`),
-    so a node weight is yfac(t) A(r) B(index).  A Jackson node x carries
-    (1 - q) x, so M_ij = (1 - q)^2 sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with
-    the inner sum I_p(t) = sum_r (+-) A B x_r^p.  On the q-linear lattice
-    each inner sum is a correlation in t, so for each power p one
-    `_correlate` per lattice piece gives every t at once:
+    z and k = t, r, t + r or r - t, so a node weight is yfac(t) A(r)
+    B(index), each list a ratio of such factors (`_node_factors`).  Each
+    comes from a `_ladder` of exact-rational steps on integer pairs, kept
+    at wp = prec + 8 bits; nothing is rounded to the field before the
+    moments.  A Jackson node x carries (1 - q) x, so M_ij = (1 - q)^2
+    sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t) = sum_r
+    (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
+    correlation in t, so for each power p one `_correlate` per lattice
+    piece gives every t at once:
 
         y > 0, x > 0:  x_t^p sum_r [A(r) q^(pr)] B(t + r)     (x_(t+r) = x_t q^r)
         y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
         y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
 
-    The outer sums are `_power_sums`, and each moment is rounded once.
+    The outer sums are `_power_sums`, kept as exact pairs: each moment is
+    rounded once, and `integrate` applies a polynomial to the exact pairs
+    before it rounds.
 
-    Error.  The inner sums of all t share one fixed point per piece, so the
-    error is bounded against the outer sum's largest term, not each inner
-    sum's.  `_correlate` keeps a piece within 2^(1-prec) of itself where
-    the largest levelled a value has the lag's first term.  Elsewhere (x < 0
-    with k >= 0, chiefly) its bound is a term of a nearby outer node, which
-    the outer factor yfac(t) y_t^(j+1) shrinks along t (like (cq)^t).  So
-    each moment is within a small multiple of 2^-prec of its outer sum's
-    largest term.  At the test points (q = 1/2 and 2/3) each bound so
-    scaled stays within 2 bits of that term, and the table agrees with
-    itself at prec + 64 to about 2^(8 - prec) of max(|M_ij|, |M_00|).
+    Error.  A node weight and each lattice point is within 2^(3 - wp) =
+    2^(-5 - prec) of itself.  The inner sums of all t share one fixed
+    point per piece, so the error is bounded against the outer sum's
+    largest term, not each inner sum's.  `_correlate` keeps a piece within
+    2^(1-prec) of itself where the largest levelled a value has the lag's
+    first term.  Elsewhere (x < 0 with k >= 0, chiefly) its bound is a
+    term of a nearby outer node, which the outer factor yfac(t) y_t^(j+1)
+    shrinks along t (like (cq)^t).  So each moment is within a small
+    multiple of 2^-prec of its outer sum's largest term.  At the test
+    points (q = 1/2 and 2/3) each bound so scaled stays within 2 bits of
+    that term, and the table agrees with itself at prec + 64 to within
+    2^-prec of max(|M_ij|, |M_00|) (degree 6 at 120-192 bits, at the
+    test, edge and |dq| > 1 points of the tests).
     """
 
     def __init__(self, p: BigQJacobiParams, max_degree: int = 8,
@@ -306,53 +334,22 @@ class MomentTable:
         self.max_degree = max_degree
         self.truncation = truncation
         self.field = FloatField(prec)
-        self._moments = self._build()
+        self._sums = self._build()
+        self._moments = [[self.field.from_man_exp(*s) for s in row] for row in self._sums]
 
-    def _build(self):
+    def _build(self) -> list:
+        """The exact pairs of every moment, [i][j]; sets weight_min_positive."""
         p, fld = self.params, self.field
         N, D = self.truncation, self.max_degree
-        q = fld.of(p.qp.q)
-        a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
-
-        def seq(z, lo, hi):
-            return _poch_ladder(z, lo, hi, q, p.qp, fld)
-
-        # each P[k] = (z q^k; q)_inf; the comments name the weight
-        # factors it supplies, at x = cqy q^r (x > 0), x = d q^{1+r}
-        # (x < 0), y = a q^{1+t} (y > 0) and y = d q^{1+t} (y < 0)
-        Q = seq(q, 0, N)                           # x/(cy) x>0, x/d x<0, y/a y>0, y/d y<0
-        Cq = seq(c * q, 0, N + 1)                  # x/y x>0; cqy/d y<0
-        Bq = seq(b * q, 0, N)                      # bx/d x<0
-        ACD = seq(a * c * q**2 / d, 0, 2 * N)      # x/d x>0; cqy/d y>0
-        ABCD = seq(a * b * c * q**2 / d, 0, 2 * N)  # bx/d x>0
-        DAC = seq(d / (a * c), -N - 1, N)          # x/(cy) x<0 y>0; d/(cy) y>0
-        DA = seq(d / a, -N, N + 1)                 # x/y x<0 y>0; dq/y y>0; y/a y<0
-        AD = seq(a * q / d, 0, N)                  # y/d y>0
-        AQ = seq(a * q, 0, N)                      # y y>0
-        C1 = seq(1 / c, -N - 1, 0)                 # x/(cy), d/(cy) y<0
-        DQ = seq(d * q, 0, N)                      # y y<0
-
-        # dropped-factor Pochhammer: drop(k) = prod_{j != k} (1 - q^{j-k})
-        drop = [Q[0]]
-        for k in range(1, N + 1):
-            drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
+        q, a, c, d = p.qp.q, p.a, p.c, p.d
+        # 8 guard bits: a node weight is a product and quotient of four
+        # ladder values, each within 2^-wp, and one truncation
+        wp = fld.prec + 8
+        A_cq, B_cq, A_d, B_d, B_neg, yfacs = _node_factors(p, N, wp)
 
         ts = range(N + 1)
-        ypos = [a * q ** (1 + t) for t in ts]
-        dlat = [d * q ** (1 + t) for t in ts]          # x < 0 and y < 0
-        me = fld.man_exp
-        A_cq = [me(Q[r] / Cq[r]) for r in ts]
-        B_cq = [me(ACD[s] / ABCD[s]) for s in range(2 * N + 1)]
-        A_d = [me(Q[r] / Bq[r]) for r in ts]
-        B_d = [me(DAC[k] / DA[k]) for k in range(-N, N + 1)]          # index k + N
-        B_neg = [me(C1[k] / drop[-k]) for k in range(-N, 1)]          # index k + N
-        X_d = [me(v) for v in dlat]
-        # outer nodes y = a q^{1+t}, then y = d q^{1+t}, with
-        # (dq/y; q)_inf -> drop(t) on the second
-        yfacs = [me(DA[-t] * Q[t] * AD[t] / (ypos[t] * DAC[-1 - t] * ACD[t] * AQ[t]))
-                 for t in ts]
-        yfacs += [me(drop[t] * DA[1 + t] * Q[t] / (dlat[t] * C1[-1 - t] * Cq[1 + t] * DQ[t]))
-                  for t in ts]
+        ypos = _geometric(a * q, q, N + 1, wp)
+        dlat = _geometric(d * q, q, N + 1, wp)      # x < 0 and y < 0
 
         # per power, the inner sums of every t from one correlation per
         # lattice piece (class docstring): b and the lags that give t
@@ -362,9 +359,9 @@ class MomentTable:
         width = fld.prec + ((N + 1) * (D + 3)).bit_length() + 1     # as in `_power_sums`
         inner = []
         for xt, a_cq, a_d in zip(
-                _powers([(1, 0)] * (N + 1), [me(a * c * q ** (2 + t)) for t in ts], D + 1, width),
-                _powers(A_cq, [me(q**r) for r in ts], D + 1, width),
-                _powers(A_d, X_d, D + 1, width)):
+                _powers([(1, 0)] * (N + 1), _geometric(a * c * q**2, q, N + 1, wp), D + 1, width),
+                _powers(A_cq, _geometric(Fraction(1), q, N + 1, wp), D + 1, width),
+                _powers(A_d, dlat, D + 1, width)):
             a_cq, a_d = list(zip(*a_cq)), list(zip(*a_d))
             c1, c2, c3, c4 = (_correlate(seq, bs, h, lags, fld.prec) for seq, (bs, h, lags)
                               in zip((a_cq, a_d, a_d, a_d), pieces))
@@ -389,23 +386,28 @@ class MomentTable:
             least.append((s * m * yfac[0], e + yfac[1]))
         low = _least(least)
         self.weight_min_positive = fld.from_man_exp(*low) if low[0] else None
-        outer = _products(yfacs, [me((1 - q) ** 2)] * len(yfacs))
-        ys = [me(v) for v in ypos + dlat]
-        return [[fld.from_man_exp(*s) for s in _power_sums(_products(outer, sums), ys, D + 1,
-                                                           fld.prec)]
+        outer = _products(yfacs, _geometric((1 - q) ** 2, q, 1, wp) * len(yfacs))
+        return [_power_sums(_products(outer, sums), ypos + dlat, D + 1, fld.prec)
                 for sums in inner]
 
     def moment(self, i: int, j: int):
         return self._moments[i][j]
 
     def integrate(self, poly: BiPoly):
-        """The moment functional applied to an exact polynomial."""
-        total = self.field.of(0)
-        for (i, j), cf in sorted(poly.coeffs.items()):
-            if i > self.max_degree or j > self.max_degree:
-                raise ValueError(f"moment table only covers degrees <= {self.max_degree}")
-            total += self.field.of(cf) * self._moments[i][j]
-        return total
+        """The moment functional applied to an exact polynomial: the exact
+        sum of its integer numerators times the moments' exact pairs,
+        rounded once and divided by its denominator in the field (within
+        2^(1 - prec) of the exact sum over the pairs)."""
+        D = self.max_degree
+        terms = []
+        for (i, j), n in poly.nums.items():
+            if i > D or j > D:
+                raise ValueError(f"moment table only covers degrees <= {D}")
+            S, E = self._sums[i][j]
+            terms.append((n * S, E))
+        if not terms:
+            return self.field.of(0)
+        return self.field.from_man_exp(*_exact_sum(terms)) / poly.den
 
     __call__ = integrate
 

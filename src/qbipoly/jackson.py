@@ -1,15 +1,119 @@
 """Exact integer kernels of the Jackson moment engine (`MomentTable` in
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
-m 2^e, as `FloatField.man_exp` gives it; nothing here rounds to a float
-field.  Power sums of node powers, correlations of two sequences from one
-product of packed integers, exact sums and exact least elements, each
-with its truncation bound stated and checked exactly in the tests."""
+m 2^e; nothing here rounds to a float field.  Ladders of infinite
+q-Pochhammer ratios from exact-rational steps, power sums of node powers,
+correlations of two sequences from one product of packed integers, exact
+sums and exact least elements, each with its truncation bound stated and
+checked exactly in the tests."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import operator
+from fractions import Fraction
+
+
+def _scaled(x: int, y: int, width: int) -> tuple:
+    """(floor(x 2^s / y), s) for integers x >= 0, y > 0, with s chosen so
+    that a nonzero quotient has width or width + 1 bits: one truncation,
+    under 2^(1 - width) of the quotient."""
+    s = width + y.bit_length() - x.bit_length()
+    return ((x << s) // y if s >= 0 else (x >> -s) // y), s
+
+
+def _quotient(ups, downs, width: int) -> tuple:
+    """prod(ups) / prod(downs) of integer pairs (m, e) as one pair of width
+    or width + 1 bits, truncated toward zero once: within 2^(1 - width) of
+    the exact quotient.  A zero in `downs` raises ZeroDivisionError."""
+    num, den = math.prod(m for m, _ in ups), math.prod(m for m, _ in downs)
+    if not den:
+        raise ZeroDivisionError("a quotient of integer pairs with a zero divisor")
+    m, s = _scaled(abs(num), abs(den), width)
+    return (-m if (num < 0) != (den < 0) else m,
+            sum(e for _, e in ups) - sum(e for _, e in downs) - s)
+
+
+def _geometric(v: Fraction, q: Fraction, n: int, width: int) -> list:
+    """[v q^k for k = 0..n-1], exact rationals, as `_quotient` pairs of
+    width or width + 1 bits (exact when a denominator is a power of two)."""
+    vn, vd, out = v.numerator, v.denominator, []
+    for _ in range(n):
+        out.append(_quotient([(vn, 0)], [(vd, 0)], width))
+        vn, vd = vn * q.numerator, vd * q.denominator
+    return out
+
+
+def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
+    """[V(k) for k = lo..hi] as integer pairs (m, e), m 2^e, where
+
+        V(k) = prod_(z in ups) (z q^k; q)_inf / prod_(z in downs) (z q^k; q)_inf
+
+    for exact rationals z and 0 < q < 1; a factor 1 - z q^j of `downs`
+    that is exactly zero is left out (the continuous limit of a 0/0
+    weight), and one of `ups` makes V zero from there down.
+
+    V(k) = V(k + 1) f(k), f(j) the exact rational
+    prod (1 - z q^j)^(+-1), so the values come from one running product
+    taken down from the cut J >= hi, the least with 2 S q^(J+1) <= (1 - q)
+    2^-W, S = sum |z|: each step multiplies by f(j) with one truncation
+    to W = prec + g bits, g = bitlen(J - lo + 1) + 2.  The J - lo + 1
+    truncations (each under 2^(1 - W)) stay under 2^(-prec-1) and the cut
+    tail prod_(j > J) f(j) moves V by under 2^(1 - W), so
+
+        |V(k) - exact| < 2^-prec |exact|   for every k."""
+    qn, qd = q.numerator, q.denominator
+    ups = [(z.numerator, z.denominator) for z in ups]
+    downs = [(z.numerator, z.denominator) for z in downs]
+    S = sum(abs(Fraction(n, d)) for n, d in ups + downs)
+    g = 3
+    while True:
+        W = prec + g
+        # least J >= hi with q^(J+1) <= (1 - q) 2^-W / (2 S)
+        bound = (1 - q) / (2 * S * 2**W)
+        J = max(hi, math.ceil((math.log2(bound.numerator) - math.log2(bound.denominator))
+                              / (math.log2(qn) - math.log2(qd))) - 1)
+        while q ** (J + 1) > bound:
+            J += 1
+        while J > hi and q ** J <= bound:
+            J -= 1
+        if (J - lo + 1).bit_length() + 2 <= g:
+            break
+        g = (J - lo + 1).bit_length() + 2
+    top = max(J, -lo)
+    pn, pd = [1], [1]
+    for _ in range(top):
+        pn.append(pn[-1] * qn)
+        pd.append(pd[-1] * qd)
+    out = []
+    m, e, sign = 1, 0, 1
+    for j in range(J, lo - 1, -1):
+        # z q^j = zn A / (zd B), so 1 - z q^j = (zd B - zn A) / (zd B); the
+        # B of each kept factor cancels down to B^(kept downs - ups)
+        A, B = (pn[j], pd[j]) if j >= 0 else (pd[-j], pn[-j])
+        num = den = 1
+        for zn, zd in ups:
+            num, den = num * (zd * B - zn * A), den * zd
+        kept = 0
+        for zn, zd in downs:
+            u = zd * B - zn * A
+            if u:
+                num, den, kept = num * zd, den * u, kept + 1
+        if kept > len(ups):
+            num *= B ** (kept - len(ups))
+        elif kept < len(ups):
+            den *= B ** (len(ups) - kept)
+        if not num:
+            break
+        if (num < 0) != (den < 0):
+            sign = -sign
+        m, s = _scaled(m * abs(num), abs(den), W)
+        e -= s
+        if j <= hi:
+            out.append((sign * m, e))
+    out += [(0, 0)] * (hi - lo + 1 - len(out))
+    out.reverse()
+    return out
 
 
 def _powers(terms, bases, degree: int, width: int):

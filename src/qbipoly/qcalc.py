@@ -3,9 +3,11 @@
 
 Operators act on BiPolys exactly (monomial-by-monomial) and on precomputed
 lattice sample tables (for weights, which are not polynomials).  The one
-float-lane routine, the infinite q-Pochhammer, multiplies its factors in
-ascending index order at the field's working precision, so results are
-reproducible.
+float-lane routine, the infinite q-Pochhammer of a field value, multiplies
+its factors in ascending index order at the field's working precision, so
+results are reproducible.  The moment engine does not call it: its
+Pochhammer ratios are integer ladders of exact-rational steps
+(`jackson._ladder`).
 """
 
 from __future__ import annotations

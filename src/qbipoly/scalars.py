@@ -41,11 +41,6 @@ class FloatField:
             return self.ctx.mpf(value.numerator) / value.denominator
         return self.ctx.mpf(value)
 
-    def man_exp(self, value) -> tuple:
-        """(m, e) with value == m * 2**e exactly and m signed; (0, 0) for zero."""
-        m, e = value.man_exp
-        return (-m if value < 0 else m, e)
-
     def from_man_exp(self, m: int, e: int):
         """m * 2**e rounded once to the field's precision."""
         return self.ctx.ldexp(self.ctx.mpf(m), e)

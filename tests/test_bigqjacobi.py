@@ -7,7 +7,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _least, _poch_ladder, _power_sums,
+                                MomentTable, _least, _node_factors, _power_sums,
                                 appell_monic, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
@@ -16,7 +16,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
-from qbipoly.jackson import _correlate
+from qbipoly.jackson import _correlate, _ladder
 from qbipoly.linalg import Mat
 from qbipoly.monic import generate_monic_oracle, ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
@@ -585,6 +585,24 @@ def test_moment_table_error_follows_precision(point):
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
 
 
+def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
+    """{k: (z q^k; q)_inf for lo <= k <= hi}, lo <= 0 <= hi, on mpf values
+    of `field`, from one direct evaluation at k = 0: a step up divides by
+    the factor 1 - z q^k, a step down multiplies by 1 - z q^(k-1)."""
+    out = {0: qpochhammer_inf(z, qp, field)}
+    val, zk = out[0], z
+    for k in range(hi):
+        val /= 1 - zk
+        zk *= q
+        out[k + 1] = val
+    val, zk = out[0], z
+    for k in range(0, lo, -1):
+        zk /= q
+        val *= 1 - zk
+        out[k - 1] = val
+    return out
+
+
 def reference_moments(p, max_degree, truncation, prec):
     """The moment table and least node weight by the earlier engine: every
     node operation an mpf operation at `prec` (a node weight yfac A B, then
@@ -742,20 +760,145 @@ EDGE_POINTS = {"c=1/13": BigQJacobiParams(F(1, 3), F(1, 4), F(1, 13), F(-1, 2), 
                                            QParam(F(1, 2)))}
 
 
+def pair_value(pair) -> Fraction:
+    """The exact rational m 2^e of an integer pair (m, e)."""
+    return F(pair[0]) * F(2) ** pair[1]
+
+
+def ladder_reference(ups, downs, q, lo, hi, slack_bits):
+    """([exact partial products to J for k = lo..hi], tau): the factors of
+    `_ladder` for j = k..J as Fractions (a zero factor of `downs` left
+    out), with J so far out that the cut tail moves each by a relative
+    tau <= 2^-slack_bits (tau = 2 s for s = 2 sum|z| q^(J+1) / (1 - q),
+    which bounds e^s - 1)."""
+    S = sum(abs(z) for z in ups + downs)
+    J = hi
+    while 4 * S * q ** (J + 1) / (1 - q) > F(1, 2**slack_bits):
+        J += 1
+    vals, v = [], F(1)
+    for j in range(J, lo - 1, -1):
+        for z in ups:
+            v *= 1 - z * q**j
+        for z in downs:
+            if 1 - z * q**j:
+                v /= 1 - z * q**j
+        if j <= hi:
+            vals.append(v)
+    return vals[::-1], 4 * S * q ** (J + 1) / (1 - q)
+
+
+#: (ups, downs, q, lo, hi, prec): single Pochhammers at q = 1/2 and 2/3,
+#: lo < 0 with |z q^k| > 1, negative z, a ratio, a vanishing factor of
+#: `downs` left out, and one of `ups` that zeroes the ladder from k = 2 down
+LADDER_CASES = [
+    ([F(1, 2)], [], F(1, 2), 0, 12, 64),
+    ([F(3, 4)], [], F(2, 3), 0, 20, 64),
+    ([F(5)], [], F(1, 2), -6, 3, 64),
+    ([F(-7, 3)], [], F(2, 3), -5, 5, 80),
+    ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), -3, 9, 72),
+    ([F(13)], [F(1)], F(1, 2), -8, 0, 64),
+    ([F(4)], [F(1, 5)], F(1, 2), -4, 4, 64),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LADDER_CASES)))
+def test_ladder_error_below_stated_bound(case):
+    """Each ladder value is within 2^-prec of the infinite product, tail cut
+    included: checked exactly against partial products taken so much
+    further that their own tail tau cannot hide a miss (|v - P_J| <=
+    2^-prec (1 + tau) |P_J| + tau |P_J|)."""
+    ups, downs, q, lo, hi, prec = LADDER_CASES[case]
+    got = _ladder(ups, downs, q, lo, hi, prec)
+    want, tau = ladder_reference(ups, downs, q, lo, hi, prec + 40)
+    assert len(got) == hi - lo + 1
+    for v, w in zip(got, want):
+        assert abs(pair_value(v) - w) <= (F(1, 2**prec) * (1 + tau) + tau) * abs(w)
+    if case == len(LADDER_CASES) - 1:
+        assert [k for k, (m, _) in zip(range(lo, hi + 1), got) if m == 0] == [-4, -3, -2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("point", sorted(EDGE_POINTS) + ["q=2/3"])
+def test_node_factors_against_the_infinite_product_formula(point):
+    """The engine's node factors at N = 6 are within 2^(2 - wp) of the
+    weight's infinite-product formula taken factor by factor (eleven
+    Pochhammer sequences as exact partial products, and the dropped-factor
+    (q^-t; q)_t (q; q)_inf on y < 0): the ratio ladders and the outer
+    factors' exact rationals reproduce the written weight."""
+    p = P23 if point == "q=2/3" else EDGE_POINTS[point]
+    N, wp = 6, 64
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    taus = []
+
+    def P(z, lo, hi):
+        vals, tau = ladder_reference([z], [], q, lo, hi, wp + 40)
+        taus.append(tau)
+        return dict(zip(range(lo, hi + 1), vals))
+
+    Q, Cq, Bq = P(q, 0, N), P(c * q, 0, N + 1), P(b * q, 0, N)
+    ACD, ABCD = P(a * c * q**2 / d, 0, 2 * N), P(a * b * c * q**2 / d, 0, 2 * N)
+    DAC, DA = P(d / (a * c), -N - 1, N), P(d / a, -N, N + 1)
+    AD, AQ, C1, DQ = P(a * q / d, 0, N), P(a * q, 0, N), P(1 / c, -N - 1, 0), P(d * q, 0, N)
+    drop = [Q[0] * qpochhammer(q**-t, p.qp, t) for t in range(N + 1)]
+    ts = range(N + 1)
+    want = ([Q[r] / Cq[r] for r in ts], [ACD[s] / ABCD[s] for s in range(2 * N + 1)],
+            [Q[r] / Bq[r] for r in ts], [DAC[k] / DA[k] for k in range(-N, N + 1)],
+            [C1[k] / drop[-k] for k in range(-N, 1)],
+            [DA[-t] * Q[t] * AD[t] / (a * q ** (1 + t) * DAC[-1 - t] * ACD[t] * AQ[t])
+             for t in ts]
+            + [drop[t] * DA[1 + t] * Q[t] / (d * q ** (1 + t) * C1[-1 - t] * Cq[1 + t] * DQ[t])
+               for t in ts])
+    # ten partial products per factor at most, each off by a relative tau
+    slack = 1 + 16 * max(taus) * 2**wp
+    for got_seq, want_seq in zip(_node_factors(p, N, wp), want):
+        assert len(got_seq) == len(want_seq)
+        for v, w in zip(got_seq, want_seq):
+            assert abs(pair_value(v) - w) <= F(4, 2**wp) * slack * abs(w)
+
+
+@pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
+def test_moment_table_refuses_c_a_power_of_q(c):
+    """At c = q^k, k >= 0, (x/(cy); q)_inf vanishes on the weight's lattice
+    and the outer factors of y < 0 divide by it."""
+    p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
+    with pytest.raises(ZeroDivisionError):
+        MomentTable(p, max_degree=2, truncation=24, prec=80)
+
+
+def brute_least_weight(factors, N) -> Fraction:
+    """The least nonzero node weight yfac A B over node factors laid out as
+    `_node_factors` returns them, every product an exact Fraction."""
+    A_cq, B_cq, A_d, B_d, B_neg, yfacs = [[pair_value(v) for v in seq] for seq in factors]
+    weights = []
+    for t in range(N + 1):
+        weights += [yfacs[t] * A_cq[r] * B_cq[t + r] for r in range(N + 1)]
+        weights += [yfacs[t] * A_d[r] * B_d[r - t + N] for r in range(N + 1)]
+        weights += [yfacs[N + 1 + t] * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
+    return min(w for w in weights if w)
+
+
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS))
-def test_moment_table_at_the_benchmark_domain_edges(point):
+def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
     """At 120 bits and truncation 96 the table agrees with itself at 64 more
     bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its least node
-    weight is that of the earlier mpf loop."""
+    weight is the least yfac A B over the engine's own node factors, found
+    by a brute Fraction loop and rounded once."""
     p, prec = EDGE_POINTS[point], 120
+    seen = []
+    factors = bigqjacobi._node_factors
+    monkeypatch.setattr(bigqjacobi, "_node_factors",
+                        lambda *args: seen.append(factors(*args)) or seen[-1])
     got = MomentTable(p, max_degree=4, truncation=96, prec=prec)
+    monkeypatch.undo()
     ref = MomentTable(p, max_degree=4, truncation=96, prec=prec + 64)
     m00 = abs(ref.moment(0, 0))
     for i in range(5):
         for j in range(5):
             bound = ref.field.of(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
-    assert got.weight_min_positive == reference_moments(p, 4, 96, prec)[1]
+    least = brute_least_weight(seen[0], 96)
+    exp = least.denominator.bit_length() - 1
+    assert least.denominator == 2**exp         # products of pairs are dyadic
+    assert got.weight_min_positive == got.field.from_man_exp(least.numerator, -exp)
 
 
 def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
@@ -771,6 +914,62 @@ def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
     monkeypatch.setattr(bigqjacobi, "_power_sums", counted)
     MomentTable(TEST_PARAMS, 6, 96, 128)
     assert len(calls) <= 7
+
+
+def test_moment_table_rounds_only_its_moments(monkeypatch):
+    """A degree-6 table rounds into the field once per moment and once for
+    the least node weight, 7 * 7 + 1 times, and makes no infinite product
+    of field values."""
+    import qbipoly.qcalc as qcalc
+
+    rounded, products = [], []
+    from_man_exp, pochhammer = FloatField.from_man_exp, qcalc.qpochhammer_inf
+    monkeypatch.setattr(FloatField, "from_man_exp",
+                        lambda self, m, e: rounded.append(m) or from_man_exp(self, m, e))
+    monkeypatch.setattr(qcalc, "qpochhammer_inf",
+                        lambda *args: products.append(args) or pochhammer(*args))
+    mt = MomentTable(TEST_PARAMS, 6, 96, 128)
+    assert mt.weight_min_positive is not None
+    assert len(rounded) == 7 * 7 + 1
+    assert products == []
+
+
+def exact_functional(mt, poly) -> Fraction:
+    """The functional on the table's exact moment pairs, as a Fraction."""
+    return sum((n * pair_value(mt._sums[i][j]) for (i, j), n in poly.nums.items()),
+               F(0)) / poly.den
+
+
+def test_integrate_rounds_the_exact_sum_once():
+    """integrate is within 2^(1 - prec) of the exact rational sum over the
+    kept moment pairs, and its value belongs to the field's context and
+    does not move with mpmath.mp.prec; the zero polynomial gives 0 and a
+    degree past the table raises."""
+    import mpmath
+
+    mt = MomentTable(TEST_PARAMS, max_degree=3, truncation=48, prec=96)
+    polys = [x * y * F(2, 3) + x * x - F(1, 7), (x - y * F(5, 11)) ** 3 * F(-9, 4),
+             BiPoly.const(F(1, 3)), x**3 * y**3 - x * F(10**40, 3) + F(10**40, 3)]
+    saved = mpmath.mp.prec
+    try:
+        for prec in (saved, 20, 1000):
+            mpmath.mp.prec = prec
+            for poly in polys:
+                got = mt.integrate(poly)
+                assert got.context is mt.field.ctx
+                sign, man, exp, _ = got._mpf_
+                value = (-1) ** sign * F(man) * F(2) ** exp
+                want = exact_functional(mt, poly)
+                assert abs(value - want) <= F(2, 2**96) * abs(want)
+                assert mt(poly) == got
+    finally:
+        mpmath.mp.prec = saved
+    assert mt.integrate(BiPoly.zero()) == 0
+    assert mt.integrate(BiPoly.zero()).context is mt.field.ctx
+    with pytest.raises(ValueError):
+        mt.integrate(x**4)
+    with pytest.raises(ValueError):
+        mt.integrate(y**4 + x)
 
 
 def test_zero_weights_give_field_zeros():
