@@ -241,6 +241,17 @@ def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
 # weight function, orthogonality domain, Jackson moments
 # ---------------------------------------------------------------------------
 
+def check_weight_params(p: BigQJacobiParams) -> None:
+    """Refuse c = q^k (k >= 0): (x/(cy); q)_inf then vanishes on the
+    weight's lattice, so the orthogonality weight is not defined there."""
+    c, q = p.c, p.qp.q
+    while c < 1:
+        c /= q
+    if c == 1:
+        raise ValueError(f"the orthogonality weight needs c != q^k (k >= 0), "
+                         f"got c={p.c}, q={q}")
+
+
 def _node_factors(p: BigQJacobiParams, N: int, wp: int) -> tuple:
     """The weight's node factors at truncation N as integer pairs, each
     within 2^(2 - wp) relative (`_ladder` values within 2^-wp, one
@@ -330,6 +341,7 @@ class MomentTable:
 
     def __init__(self, p: BigQJacobiParams, max_degree: int = 8,
                  truncation: int = 200, prec: int = 192):
+        check_weight_params(p)
         self.params = p
         self.max_degree = max_degree
         self.truncation = truncation

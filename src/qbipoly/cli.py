@@ -12,14 +12,16 @@ and written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import io as qio
-from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, lambda_explicit,
-                         monic_hypergeometric, nonmonic_poly, preset_equation)
+from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, check_weight_params,
+                         lambda_explicit, monic_hypergeometric, nonmonic_poly,
+                         preset_equation)
 from .bipoly import BiPoly
 from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
                        check_hypergeometric_form)
@@ -251,14 +253,11 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     if suite == "orthogonality":
         if cfg.preset is None:
             raise ConfigError("the orthogonality suite runs on the big-q-jacobi preset")
-        c, q = cfg.preset.c, cfg.preset.qp.q
-        while c < 1:
-            c /= q
-        if c == 1:
-            # (x/(cy); q)_inf then vanishes on the weight's lattice
-            raise ConfigError(f"the orthogonality weight needs c != q^k (k >= 0), "
-                              f"got c={cfg.preset.c}, q={q}")
-        _check_orthogonality_gate(q, cfg.precision, cfg.truncation)
+        try:
+            check_weight_params(cfg.preset)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        _check_orthogonality_gate(cfg.preset.qp.q, cfg.precision, cfg.truncation)
         kwargs = {"p": cfg.preset, "truncation": cfg.truncation, "prec": cfg.precision}
     elif suite in ("consistency", "recurrence"):
         if cfg.preset is None:
@@ -275,7 +274,10 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in
+    it, so every main() call of a process parses with the same one."""
     ap = argparse.ArgumentParser(prog="qbipoly",
                                  description="bivariate q-orthogonal polynomial toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

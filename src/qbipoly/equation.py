@@ -148,10 +148,6 @@ class Admissibility:
         return -qnum(n, self.qp) * (self.f1 - self.a1 * self.qp.q * qnum(1 - n, self.qp))
 
 
-#: eigenvalues lambda_0..lambda_DISTINCT_BOUND must be pairwise distinct
-DISTINCT_BOUND = 20
-
-
 def admissibility(E: EquationCoeffs) -> Admissibility:
     """Check the admissibility conditions and build the eigenvalue sequence.
 
@@ -159,6 +155,14 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
     decided exactly for every m >= 0: with a1 = 0 it fails only when
     f1 = 0 (at every m, reported at m = 0); otherwise it fails only when
     1 + (q-1) f1/(a1 q) is an exact power q^{1-m}.
+
+    The same condition makes the eigenvalues pairwise distinct, so they
+    need no scan of their own: exactly,
+
+        lambda_n - lambda_m = ([m] - [n]) (f1 - a1 q [1-n-m]),
+
+    and [m] != [n] for m != n, so lambda_n = lambda_m only where the
+    spectral condition fails at index n + m.
     """
     failures = []
     a1, _, _ = E.sigma1()
@@ -191,17 +195,7 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
             if p == val:
                 failures.append(f"spectral condition fails at m={m}")
 
-    adm = Admissibility(not failures, failures, f1, a1, E.qp)
-    if adm.admissible:
-        seen = {}
-        for n in range(DISTINCT_BOUND + 1):
-            lam = adm.eigenvalue(n)
-            if lam in seen:
-                failures.append(f"eigenvalues collide: lambda_{seen[lam]} = lambda_{n}")
-                adm.admissible = False
-                break
-            seen[lam] = n
-    return adm
+    return Admissibility(not failures, failures, f1, a1, E.qp)
 
 
 # ---------------------------------------------------------------------------

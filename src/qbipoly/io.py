@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import io as _io
-import itertools
-import json
 import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bipoly import BiPoly, lowest_terms
 from .equation import EquationCoeffs
@@ -49,11 +48,6 @@ def mp_str(v) -> str:
 def poly_to_json(p: BiPoly) -> list:
     return [{"i": i, "j": j, "num": str(n), "den": str(d)}
             for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums))]
-
-
-def poly_from_json(records) -> BiPoly:
-    return BiPoly({(rec["i"], rec["j"]): Fraction(int(rec["num"]), int(rec["den"]))
-                   for rec in records})
 
 
 def mat_to_json(m: Mat) -> list:
@@ -90,14 +84,95 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
+#: parts of the JSON text gathered before one write
+_BLOCK = 2048
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+#: the text of a value of exactly one of these types; subclasses and every
+#: other type take the checks of _encode, in the order json makes them
+_ATOMS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+          bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _scalar_text(k) -> str:
+    """json's text of a str, float, bool, None or int: a key before it is
+    quoted, or a value of a subclass of int or float."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float_text(k)
+    if k is True or k is False or k is None:
+        return _ATOMS[type(k)](k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode(v, nl: str, out: list, fh) -> None:
+    """Append the text of v, as json.dumps(indent=2, sort_keys=True) writes
+    it, to out; nl is the newline and indent of v's own line.  out goes to
+    fh whenever a container ends with more than _BLOCK parts gathered."""
+    atom = _ATOMS.get(type(v))
+    if atom is not None:
+        out.append(atom(v))
+        return
+    if isinstance(v, (dict, list, tuple)):
+        if not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        if isinstance(v, dict):
+            sep, closing = "{" + inner, nl + "}"
+            for k, x in sorted(v.items()):
+                key = encode_basestring_ascii(k if type(k) is str else _scalar_text(k))
+                atom = _ATOMS.get(type(x))
+                if atom is not None:
+                    out.append(f"{sep}{key}: {atom(x)}")
+                else:
+                    out.append(f"{sep}{key}: ")
+                    _encode(x, inner, out, fh)
+                sep = comma
+        else:
+            sep, closing = "[" + inner, nl + "]"
+            for x in v:
+                atom = _ATOMS.get(type(x))
+                if atom is not None:
+                    out.append(sep + atom(x))
+                else:
+                    out.append(sep)
+                    _encode(x, inner, out, fh)
+                sep = comma
+        out.append(closing)
+        if len(out) > _BLOCK:
+            fh.write("".join(out))
+            out.clear()
+    elif isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif isinstance(v, (int, float)):
+        out.append(_scalar_text(v))
+    else:
+        _encode(_json_default(v), nl, out, fh)
+
+
 def _write_json(fh, obj) -> None:
-    # the encoder's chunks go out in blocks of 1024: a write per chunk is
-    # about 42,500 writes for the monic family at N = 12, and the whole text
-    # at once holds every chunk string together (about 2 MB there)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_json_default).iterencode(obj)
-    while block := "".join(itertools.islice(chunks, 1024)):
-        fh.write(block)
-    fh.write("\n")
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True,
+    default=_json_default) and a newline, written in blocks: the stdlib
+    encoder with an indent is pure Python, one generator step per chunk."""
+    out = []
+    _encode(obj, "\n", out, fh)
+    out.append("\n")
+    fh.write("".join(out))
 
 
 def json_text(obj) -> str:
@@ -113,8 +188,6 @@ def write_json_atomic(path: str, obj) -> None:
 def _json_default(v):
     if isinstance(v, Fraction):
         return frac_str(v)
-    if isinstance(v, tuple):
-        return list(v)
     return str(v)
 
 
@@ -159,11 +232,6 @@ def parse_poly_terms(text: str) -> BiPoly:
         except (ValueError, ZeroDivisionError):
             raise EquationParseError(f"bad coefficient in {item!r}") from None
     return BiPoly(coeffs)
-
-
-def poly_terms_str(p: BiPoly) -> str:
-    return " ".join(f"{i},{j}:{_pair_str(n, d)}"
-                    for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums)))
 
 
 def parse_equation_source(text: str) -> tuple:
@@ -215,10 +283,3 @@ def parse_equation_file(path: str) -> tuple:
     """parse_equation_source on the text of an equation file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_equation_source(fh.read())
-
-
-def equation_to_text(E: EquationCoeffs) -> str:
-    lines = [f"q = {frac_str(E.qp.q)}"]
-    for key, p in zip(_POLY_KEYS, E.polys()):
-        lines.append(f"{key} = {poly_terms_str(p)}")
-    return "\n".join(lines) + "\n"

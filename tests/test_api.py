@@ -46,6 +46,9 @@ ABSENT = [
     ("bipoly", "ratfn_equal"),
     ("bipoly", "poly_sum"),
     ("io", "parse_equation_text"),
+    ("io", "poly_from_json"),
+    ("io", "poly_terms_str"),
+    ("io", "equation_to_text"),
 ]
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _least, _node_factors, _power_sums,
-                                appell_monic, preset_equation,
+                                appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
                                 limit_check, limit_params,
@@ -24,6 +25,7 @@ from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            qpochhammer_inf)
 from qbipoly.rodrigues import rodrigues_poly
 from qbipoly.scalars import FloatField
+from qbipoly.suites import run_suite
 from test_linalg import tensor_vandermonde_interpolate
 
 F = Fraction
@@ -858,10 +860,24 @@ def test_node_factors_against_the_infinite_product_formula(point):
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
 def test_moment_table_refuses_c_a_power_of_q(c):
     """At c = q^k, k >= 0, (x/(cy); q)_inf vanishes on the weight's lattice
-    and the outer factors of y < 0 divide by it."""
+    and the outer factors of y < 0 would divide by it: the table refuses the
+    point with the message the CLI prints, before any lattice work."""
     p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
-    with pytest.raises(ZeroDivisionError):
+    message = f"the orthogonality weight needs c != q^k (k >= 0), got c={c}, q=1/2"
+    with pytest.raises(ValueError, match=re.escape(message)):
         MomentTable(p, max_degree=2, truncation=24, prec=80)
+
+
+@pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
+def test_orthogonality_suite_refuses_c_a_power_of_q(c):
+    p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
+    with pytest.raises(ValueError, match=re.escape(f"got c={c}, q=1/2")):
+        run_suite("orthogonality", p=p, truncation=24, prec=80)
+
+
+@pytest.mark.parametrize("c", [F(3, 2), F(3, 4), F(1, 3)])
+def test_weight_accepts_c_off_the_powers_of_q(c):
+    check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2))))
 
 
 def brute_least_weight(factors, N) -> Fraction:

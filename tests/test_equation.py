@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
@@ -10,6 +12,7 @@ from qbipoly.equation import (EquationCoeffs, ShapeViolation,
                               check_hypergeometric_form, derived_coeffs,
                               derived_orders)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
+from test_bigqjacobi import big_q_jacobi_points
 
 F = Fraction
 x = BiPoly.x()
@@ -120,30 +123,16 @@ def test_admissibility_fails_on_perturbed_cross_term(equation):
 
 def test_admissibility_structural_spectral_check(qp):
     # a1 = 1, f1 = q [1-m] at m = 2 makes the spectral condition fail
-    q = qp.q
-    f1 = q * qnum(-1, qp)
-    a3a = q + f1 * (q - 1)
-    E = EquationCoeffs(
-        qp,
-        BiPoly({(2, 0): q}),
-        BiPoly({(0, 2): q}),
-        BiPoly({(1, 1): a3a}),
-        BiPoly({(1, 1): F(1)}),
-        BiPoly({(1, 0): f1}),
-        BiPoly({(0, 1): f1}),
-    )
-    res = admissibility(E)
+    res = admissibility(equation_from(qp, F(1), qp.q * qnum(-1, qp)))
     assert not res.admissible
     assert res.failures == ["spectral condition fails at m=2"]
 
 
-@pytest.mark.parametrize("a1, m", [(F(1), 70), (F(-3, 5), 65), (F(0), 0)])
-def test_admissibility_spectral_check_at_any_m(qp, a1, m):
-    # f1 = a1 q [1-m] makes the spectral condition fail at m, however large;
-    # a1 = f1 = 0 fails it at every m, reported at m = 0
+def equation_from(qp, a1, f1):
+    """The admissible-shaped equation with sigma leading coefficient a1 and
+    tau slope f1 (every other coefficient zero)."""
     q = qp.q
-    f1 = a1 * q * qnum(1 - m, qp)
-    E = EquationCoeffs(
+    return EquationCoeffs(
         qp,
         BiPoly({(2, 0): a1 * q}),
         BiPoly({(0, 2): a1 * q}),
@@ -152,9 +141,69 @@ def test_admissibility_spectral_check_at_any_m(qp, a1, m):
         BiPoly({(1, 0): f1}),
         BiPoly({(0, 1): f1}),
     )
-    res = admissibility(E)
+
+
+@pytest.mark.parametrize("a1, m", [(F(1), 70), (F(-3, 5), 65), (F(0), 0)])
+def test_admissibility_spectral_check_at_any_m(qp, a1, m):
+    # f1 = a1 q [1-m] makes the spectral condition fail at m, however large;
+    # a1 = f1 = 0 fails it at every m, reported at m = 0
+    f1 = a1 * qp.q * qnum(1 - m, qp)
+    res = admissibility(equation_from(qp, a1, f1))
     assert not res.admissible
     assert res.failures == [f"spectral condition fails at m={m}"]
+
+
+#: eigenvalue indices checked pairwise
+EIGEN_BOUND = 20
+
+
+def assert_eigenvalue_gaps(adm):
+    """lambda_n - lambda_m = ([m] - [n]) (f1 - a1 q [1-n-m]) exactly for
+    n, m <= EIGEN_BOUND, and a zero gap only where the spectral condition
+    fails at n + m, which admissibility refuses."""
+    qp, f1, a1 = adm.qp, adm.f1, adm.a1
+    lam = [adm.eigenvalue(n) for n in range(EIGEN_BOUND + 1)]
+    for n in range(EIGEN_BOUND + 1):
+        for m in range(n):
+            spectral = f1 - a1 * qp.q * qnum(1 - n - m, qp)
+            assert lam[n] - lam[m] == (qnum(m, qp) - qnum(n, qp)) * spectral, (n, m)
+            if lam[n] == lam[m]:
+                assert spectral == 0 and not adm.admissible, (n, m)
+    if adm.admissible:
+        assert len(set(lam)) == EIGEN_BOUND + 1
+
+
+@seed(2013)
+@settings(max_examples=40, deadline=None, database=None)
+@given(big_q_jacobi_points(), st.integers(0, 3), st.data())
+def test_eigenvalues_distinct_on_the_preset_sweep(p, total, data):
+    # the seeded 40-point sweep of test_bigqjacobi.test_routes_agree_across_the_domain:
+    # the same seed and strategies draw the same points
+    adm = admissibility(preset_equation(p))
+    assert adm.admissible
+    assert_eigenvalue_gaps(adm)
+
+
+@st.composite
+def spectral_points(draw):
+    """(q, a1, f1), with f1 = a1 q [1-k] (a collision of lambda_n and
+    lambda_(k-n)) in about a third of the draws."""
+    qp = QParam(draw(st.fractions(min_value=0, max_value=1, max_denominator=12)
+                     .filter(lambda t: 0 < t < 1)))
+    a1 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
+    if draw(st.integers(0, 2)) == 0:
+        f1 = a1 * qp.q * qnum(1 - draw(st.integers(0, 2 * EIGEN_BOUND)), qp)
+    else:
+        f1 = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
+    return qp, a1, f1
+
+
+@seed(20)
+@settings(max_examples=100, deadline=None, database=None)
+@given(spectral_points())
+def test_eigenvalues_collide_only_where_the_spectral_condition_fails(point):
+    qp, a1, f1 = point
+    assert_eigenvalue_gaps(admissibility(equation_from(qp, a1, f1)))
 
 
 # operator application ---------------------------------------------------------

@@ -1,18 +1,30 @@
+import argparse
+import enum
+import hashlib
 import json
+import math
 import os
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbipoly.bipoly import BiPoly
+import qbipoly
+import qbipoly.io as qio
+from qbipoly import cli
 from qbipoly.cli import _check_orthogonality_gate, main
-from qbipoly.io import (EquationParseError, equation_to_text, frac_str,
-                        json_text, parse_equation_source, parse_poly_terms,
-                        poly_from_json, poly_terms_str, poly_to_json,
+from qbipoly.equation import EquationCoeffs
+from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str, json_text,
+                        parse_equation_source, parse_poly_terms, poly_to_json,
                         write_csv_atomic, write_json_atomic)
 from qbipoly.linalg import SingularMatrixError
 from qbipoly.qcalc import SeriesError
+from test_golden_cli import CASES
 
 F = Fraction
 x = BiPoly.x()
@@ -27,6 +39,28 @@ b = 1/4
 c = 1/5
 d = -1/2
 """
+
+
+# writers of the program's input formats, for round trips and for equation
+# files that the tests write
+
+def poly_from_json(records) -> BiPoly:
+    """The polynomial of a poly_to_json record list."""
+    return BiPoly({(rec["i"], rec["j"]): F(int(rec["num"]), int(rec["den"]))
+                   for rec in records})
+
+
+def poly_terms_str(p: BiPoly) -> str:
+    """p in the 'i,j:coeff' term syntax that parse_poly_terms reads."""
+    return " ".join(f"{i},{j}:{frac_str(c)}" for (i, j), c in sorted(p.coeffs.items()))
+
+
+def equation_to_text(E: EquationCoeffs) -> str:
+    """E in the key = value equation file format."""
+    lines = [f"q = {frac_str(E.qp.q)}"]
+    for key, p in zip(_POLY_KEYS, E.polys()):
+        lines.append(f"{key} = {poly_terms_str(p)}")
+    return "\n".join(lines) + "\n"
 
 
 def test_poly_json_roundtrip():
@@ -118,6 +152,97 @@ def test_write_json_atomic_writes_the_bytes_of_json_text_in_blocks(tmp_path, mon
         write_json_atomic(str(path), doc)
         assert path.read_bytes() == json_text(doc).encode("utf-8")
         assert 1 <= len(writes) <= most
+
+
+def json_reference(doc) -> str:
+    """The text the JSON writer must reproduce byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=qio._json_default) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_writer_matches_json_on_every_golden_document(monkeypatch, capsys, name):
+    # the CSV case runs as JSON; every document is captured as main emits it
+    argv = ["json" if a == "csv" else a for a in CASES[name][0]]
+    docs = []
+    real = qio.json_text
+    monkeypatch.setattr(qio, "json_text", lambda obj: docs.append(obj) or real(obj))
+    assert main(argv) == 0
+    (doc,) = docs
+    want = json_reference(doc)
+    assert capsys.readouterr().out == want
+    writes = []
+
+    class Recording:
+        def write(self, text):
+            writes.append(text)
+
+    qio._write_json(Recording(), doc)
+    assert "".join(writes) == want
+    if len(want) > 100_000:  # the monic N = 12 family, about 389 KB
+        assert len(writes) > 4 and max(map(len, writes)) < len(want) / 4
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Shade(str, enum.Enum):  # str() of a mixed-in enum is "Shade.DARK", not its value
+    DARK = "dark"
+
+
+class Level(int, enum.Enum):
+    LOW = 1
+
+
+class Weight(float, enum.Enum):
+    HALF = 0.5
+
+
+json_atoms = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.text(st.characters(max_codepoint=0x7f)),
+    st.fractions(), st.builds(Tag, st.text()), st.builds(Count, st.integers()),
+    st.builds(Real, st.floats()), st.sampled_from([Shade.DARK, Level.LOW, Weight.HALF]),
+)
+#: one key type per dict: keys of different types do not sort together
+json_key_types = (st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    json_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        *(st.dictionaries(keys, inner, max_size=6) for keys in json_key_types),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(json_values)
+def test_json_writer_matches_json_on_nested_values(doc):
+    assert json_text(doc) == json_reference(doc)
+
+
+def test_json_writer_keys_and_empty_containers():
+    for encode in (json_text, json_reference):
+        with pytest.raises(TypeError):
+            encode({"z": [], 2: None})  # str and int keys do not sort together
+        with pytest.raises(TypeError):
+            encode({(1, 2): 0})
+    doc = {"z": [], "y": {}, "x": (), "w": [{}, [], ()],
+           "b": {1.5: "\u00e9", -0.0: "\x07"}, "a": {True: 1, False: 0}, "c": {None: ""},
+           "d": {-(10**40): [F(-2, 6), ()], 3: [[], {}]}}
+    assert json_text(doc) == json_reference(doc)
 
 
 def test_atomic_writes_keep_a_users_tmp_file(tmp_path):
@@ -481,3 +606,56 @@ def test_cli_generate_weight_table(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"] and first[4] == "1" and first[5] == "1"
 
+
+P = ("--preset", "big-q-jacobi")
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    # the parser and its three subcommand parsers are built on the first call only
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["generate", *P, "--family", "hypergeometric", "--degrees", "1 0", "--out", os.devnull]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert built == ["qbipoly", "qbipoly check", "qbipoly generate", "qbipoly verify"]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_param_list_does_not_leak_into_the_next_call(tmp_path, capsys):
+    path = tmp_path / "preset.eq"
+    path.write_text(PRESET_TEXT)
+    assert main(["check", *P, "--param", "a=1/5", "--out", os.devnull]) == 0
+    # a --param left over from the first call would be refused without --preset
+    assert main(["check", "--equation", str(path)]) == 0
+    assert cli.build_parser().parse_args(["check", *P]).param is None
+    want = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert want == CASES["check"][1]
+
+
+@pytest.mark.parametrize("bad", [["generate", *P, "--degrees", "2"],
+                                 ["check", *P, "--format", "xml"],
+                                 ["frobnicate"]])
+def test_parse_error_leaves_the_parser_usable(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert "usage: qbipoly" in capsys.readouterr().err
+    assert main(list(CASES["check"][0])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CASES["check"][1]
+
+
+def test_python_m_qbipoly_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbipoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qbipoly", *CASES["check"][0]], cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CASES["check"][1]
