@@ -84,8 +84,9 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-#: parts of the JSON text gathered before one write
-_BLOCK = 2048
+#: parts of the JSON text gathered before one write; for the monic family
+#: at N = 12 the writer then holds about 110 KB at a time in 16 writes
+_BLOCK = 1024
 
 
 def _float_text(v: float) -> str:
