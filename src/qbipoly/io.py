@@ -68,20 +68,26 @@ def _write_atomic(path: str, write) -> None:
     exclusively so that no existing file is overwritten, and rename it over
     path; the temp file is removed if anything fails.  A target that exists
     but is not a regular file (a device such as /dev/null, a pipe) cannot
-    be replaced by a rename and is written through."""
+    be replaced by a rename and is written through.  An error of the temp
+    file's creation or rename names path, the file the caller asked for."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         return
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 #: parts of the JSON text gathered before one write; for the monic family
@@ -281,6 +287,12 @@ def parse_equation_source(text: str) -> tuple:
 
 
 def parse_equation_file(path: str) -> tuple:
-    """parse_equation_source on the text of an equation file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_equation_source(fh.read())
+    """parse_equation_source on the text of an equation file, which must be
+    UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EquationParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return parse_equation_source(text)

@@ -8,14 +8,14 @@ moments, infinite q-Pochhammers), where exactness is impossible: a
 ``FloatField`` owns an mpmath context at its precision and builds its
 values there; every operation on them (a Fraction or int on either side,
 any mpf on the right) rounds at that precision, so float results never
-depend on mpmath.mp.prec.
+depend on mpmath.mp.prec.  mpmath is imported when the first ``FloatField``
+is built (``MomentTable``, the orthogonality suite), so ``check`` and
+``generate`` for the exact families never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath
 
 
 class FloatField:
@@ -30,6 +30,8 @@ class FloatField:
     def __init__(self, prec: int = 192):
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
+        import mpmath
+
         self.prec = prec
         self.ctx = mpmath.MPContext()
         self.ctx.prec = prec

@@ -284,9 +284,20 @@ def test_cli_out_to_directory_exit_2_without_temp_file(tmp_path, capsys):
                  "--degrees", "1 0", "--out", str(target)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".tmp" not in err
     assert list(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == []
+
+
+def test_cli_out_into_missing_directory_names_the_given_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "o.csv"
+    code = main(["generate", "--preset", "big-q-jacobi", "--family", "weight",
+                 "--degrees", "2 2", "--format", "csv", "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(target)) in err and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # CLI ------------------------------------------------------------------------------
@@ -483,6 +494,14 @@ def test_cli_malformed_file_exit_2(tmp_path, capsys):
     assert main(["check", "--equation", str(path)]) == 2
 
 
+def test_cli_non_utf8_equation_file_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "latin1.eq"
+    path.write_bytes(b"q = 1/2\n# caf\xe9\n")
+    assert main(["check", "--equation", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text at byte 13\n"
+
+
 def test_cli_requires_equation_source():
     assert main(["check"]) == 2
 
@@ -652,10 +671,40 @@ def test_parse_error_leaves_the_parser_usable(capsys, bad):
     assert hashlib.sha256(out.encode()).hexdigest() == CASES["check"][1]
 
 
-def test_python_m_qbipoly_runs_the_cli(tmp_path):
+def fresh_python(cwd, *args) -> subprocess.CompletedProcess:
+    """A new interpreter run with args, importing qbipoly from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbipoly.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "qbipoly", *CASES["check"][0]], cwd=tmp_path,
-                          env=env, capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+
+
+def test_python_m_qbipoly_runs_the_cli(tmp_path):
+    proc = fresh_python(tmp_path, "-m", "qbipoly", *CASES["check"][0])
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == CASES["check"][1]
+
+
+#: runs check and a Rodrigues generate in one process, then names on stderr
+#: the exit codes and every mpmath module loaded
+EXACT_COMMANDS_SCRIPT = """\
+import json, sys
+from qbipoly.cli import main
+codes = [main(list(argv)) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "mpmath" or m.startswith("mpmath."))
+print(json.dumps([codes, loaded]), file=sys.stderr)
+"""
+
+
+def test_exact_commands_never_load_mpmath(tmp_path):
+    argvs = [CASES["check"][0], CASES["generate-rodrigues-2-2"][0]]
+    proc = fresh_python(tmp_path, "-c", EXACT_COMMANDS_SCRIPT, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [[0, 0], []]
+
+
+def test_orthogonality_loads_mpmath_with_its_first_float_field(tmp_path):
+    argv, digest = CASES["verify-orthogonality-120-96"]
+    proc = fresh_python(tmp_path, "-m", "qbipoly", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
