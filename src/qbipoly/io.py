@@ -68,8 +68,9 @@ def _write_atomic(path: str, write) -> None:
     exclusively so that no existing file is overwritten, and rename it over
     path; the temp file is removed if anything fails.  A target that exists
     but is not a regular file (a device such as /dev/null, a pipe) cannot
-    be replaced by a rename and is written through.  An error of the temp
-    file's creation or rename names path, the file the caller asked for."""
+    be replaced by a rename and is written through.  A failure to create the
+    temp file (a missing directory, no write permission) names path, the
+    file the caller asked for."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
@@ -77,17 +78,15 @@ def _write_atomic(path: str, write) -> None:
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
     except OSError as exc:
-        if exc.filename != tmp:
-            raise
         raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 #: parts of the JSON text gathered before one write; for the monic family

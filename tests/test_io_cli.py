@@ -703,7 +703,8 @@ def test_exact_commands_never_load_mpmath(tmp_path):
     assert json.loads(proc.stderr.splitlines()[-1]) == [[0, 0], []]
 
 
-def test_orthogonality_loads_mpmath_with_its_first_float_field(tmp_path):
+def test_python_m_orthogonality_matches_its_golden_digest(tmp_path):
+    # the float lane's first FloatField imports mpmath in this run
     argv, digest = CASES["verify-orthogonality-120-96"]
     proc = fresh_python(tmp_path, "-m", "qbipoly", *argv)
     assert proc.returncode == 0, proc.stderr
