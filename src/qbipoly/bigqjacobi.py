@@ -6,14 +6,13 @@ family, classical Rodrigues, classical operator)."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, product_dens
 from .equation import EquationCoeffs
-from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _least, _least_product,
-                      _logs, _power_sums, _powers, _products, _quotient, _sign, _slope)
+from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _power_sums, _powers,
+                      _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
@@ -321,8 +320,16 @@ class MomentTable:
         y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
 
     The outer sums are `_power_sums`, kept as exact pairs: each moment is
-    rounded once, and `integrate` applies a polynomial to the exact pairs
-    before it rounds.
+    rounded once, `integrate` applies a polynomial to the exact pairs
+    before it rounds, and `gram` gives the integral of every pairwise
+    product without forming one.
+
+    `weight_positive` is exact: a ladder has one sign (`_sign`) and exact
+    zeros that lead it (`_ladder`), a nonzero ladder pair is within a
+    relative 2^-wp of its value, and yfac is one quotient.  So a piece and
+    outer node have weights of one exact sign or zero, and O(ladders + outer
+    nodes) decides that some node weight of the truncated lattice is
+    positive and none negative.
 
     Error.  A node weight and each lattice point is within 2^(3 - wp) =
     2^(-5 - prec) of itself.  The inner sums of all t share one fixed
@@ -348,9 +355,13 @@ class MomentTable:
         self.field = FloatField(prec)
         self._sums = self._build()
         self._moments = [[self.field.from_man_exp(*s) for s in row] for row in self._sums]
+        # the exact pairs as integers F(i, j) on one binary point 2^_low
+        self._low = min(e for row in self._sums for _, e in row)
+        self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(self._sums)
+                       for j, (S, E) in enumerate(row)}
 
     def _build(self) -> list:
-        """The exact pairs of every moment, [i][j]; sets weight_min_positive."""
+        """The exact pairs of every moment, [i][j]; sets weight_positive."""
         p, fld = self.params, self.field
         N, D = self.truncation, self.max_degree
         q, a, c, d = p.qp.q, p.a, p.c, p.d
@@ -381,23 +392,17 @@ class MomentTable:
                           for xm, xe, (m1, e1), (m2, e2), (m3, e3) in zip(*xt, c1, c2, c3)]
                          + c4)
 
-        # the least node weight yfac A B: per outer node the least of its
-        # pieces A B if yfac > 0, else the greatest, times yfac once
-        Acq, Bcq, Ad, Bd, Bneg = ((v, _sign(v), _logs(v)) for v in (A_cq, B_cq, A_d, B_d, B_neg))
-
-        def piece(us, vs, lag):
-            """The weights u_r v_(r + lag) of one outer node."""
-            return us[1] * vs[1], us[0], vs[0][lag:], us[2], [lv[lag:] for lv in vs[2]]
-
-        least = []
-        nodes = itertools.chain(((piece(Acq, Bcq, t), piece(Ad, Bd, N - t)) for t in ts),
-                                ((piece(Ad, Bneg, N - t),) for t in ts))
-        for yfac, node in zip(yfacs, nodes):
-            s = 1 if yfac[0] > 0 else -1
-            m, e = _least_product(s, node)
-            least.append((s * m * yfac[0], e + yfac[1]))
-        low = _least(least)
-        self.weight_min_positive = fld.from_man_exp(*low) if low[0] else None
+        # per piece and outer node the weights yfac(t) A(r) B(r + lag) are
+        # zero or of sign yfac A B (class docstring), nonzero where A(r) and
+        # B(r + lag) are past the leading zeros of A and B
+        signs = []
+        outer_y = (yfacs,) * 3 + (yfacs[N + 1:],)
+        for (bs, _, lags), us, ys in zip(pieces, (A_cq, A_d, A_d, A_d), outer_y):
+            sign = _sign(us) * _sign(bs)
+            za, zb = (next((k for k, (m, _) in enumerate(v) if m), len(v)) for v in (us, bs))
+            signs += [sign * y for lag, (y, _) in zip(lags, ys)
+                      if y and max(za, zb - lag) < min(len(us), len(bs) - lag)]
+        self.weight_positive = min(signs, default=0) > 0
         outer = _products(yfacs, _geometric((1 - q) ** 2, q, 1, wp) * len(yfacs))
         return [_power_sums(_products(outer, sums), ypos + dlat, D + 1, fld.prec)
                 for sums in inner]
@@ -405,23 +410,37 @@ class MomentTable:
     def moment(self, i: int, j: int):
         return self._moments[i][j]
 
+    def _dot(self, nums: dict, si: int = 0, sj: int = 0) -> int:
+        """sum_m nums[m] F(m + (si, sj)), exact."""
+        try:
+            return sum(n * self._fixed[i + si, j + sj] for (i, j), n in nums.items())
+        except KeyError:
+            raise ValueError(f"moment table only covers degrees <= {self.max_degree}") from None
+
     def integrate(self, poly: BiPoly):
         """The moment functional applied to an exact polynomial: the exact
         sum of its integer numerators times the moments' exact pairs,
         rounded once and divided by its denominator in the field (within
         2^(1 - prec) of the exact sum over the pairs)."""
-        D = self.max_degree
-        terms = []
-        for (i, j), n in poly.nums.items():
-            if i > D or j > D:
-                raise ValueError(f"moment table only covers degrees <= {D}")
-            S, E = self._sums[i][j]
-            terms.append((n * S, E))
-        if not terms:
-            return self.field.of(0)
-        return self.field.from_man_exp(*_exact_sum(terms)) / poly.den
+        return self.field.from_man_exp(self._dot(poly.nums), self._low) / poly.den
 
     __call__ = integrate
+
+    def gram(self, polys) -> list:
+        """G[a][b] = G[b][a] = integrate(polys[a] * polys[b]), bit for bit,
+        no product formed: w_a(s) = sum_m n_a(m) F(m + s) contracts each
+        polynomial once, and a pair's dot product, the exact sum over the
+        product's unreduced numerators, divided by their content
+        (`product_dens`) is the integer that `integrate` rounds."""
+        shifts = {s for poly in polys for s in poly.nums}
+        ws = [{s: self._dot(poly.nums, *s) for s in shifts} for poly in polys]
+        G = [[None] * len(polys) for _ in polys]
+        for a, (pa, w, dens) in enumerate(zip(polys, ws, product_dens(polys))):
+            for b, den in enumerate(dens, a):
+                pb = polys[b]
+                X = sum(n * w[s] for s, n in pb.nums.items()) // (pa.den * pb.den // den)
+                G[a][b] = G[b][a] = self.field.from_man_exp(X, self._low) / den
+        return G
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Only this module computes on it: ``exact_form`` builds it,
 ``reduced`` brings a result to it by one content gcd, ``combine`` sums
-scaled forms over one common denominator, and ``lowest_terms`` reads
-entries back.  ``coeffs`` is a read-only Fraction view; nothing writes a
-form after construction.
+scaled forms over one common denominator, ``lowest_terms`` reads entries
+back, and ``product_dens`` gives the denominators of unformed products.
+``coeffs`` is a read-only Fraction view; nothing writes a form after
+construction.
 
 Every scalar (coefficient, factor, evaluation point) is taken through
 ``as_fraction``: a float is a ``TypeError``, and so is comparing with one.
@@ -110,6 +111,16 @@ def lowest_terms(nums: dict, den: int, keys) -> list:
         g = math.gcd(n, den)
         out.append((k, n // g, den // g))
     return out
+
+
+def product_dens(polys) -> list:
+    """[[the den of the form of polys[a] * polys[b] for b >= a] for each a],
+    no product formed: by Gauss's lemma the content of a product of integer
+    polynomials is the product of their contents, so that form reduces by
+    gcd(den_a den_b, content_a content_b)."""
+    dc = [(p.den, math.gcd(*p.nums.values())) for p in polys]
+    return [[da * db // math.gcd(da * db, ca * cb) for db, cb in dc[a:]]
+            for a, (da, ca) in enumerate(dc)]
 
 
 def from_form(nums: dict, den: int) -> "BiPoly":

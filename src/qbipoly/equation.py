@@ -47,6 +47,12 @@ class EquationCoeffs:
         """admissibility(self), computed once."""
         return admissibility(self)
 
+    @cached_property
+    def pearson(self) -> "PearsonData":
+        """pearson.build_pearson(self), computed once."""
+        from .pearson import build_pearson
+        return build_pearson(self)
+
     # -- named scalar extractors (sigma/tau coefficients) -------------------
 
     @staticmethod

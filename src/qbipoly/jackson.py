@@ -2,9 +2,9 @@
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
 m 2^e; nothing here rounds to a float field.  Ladders of infinite
 q-Pochhammer ratios from exact-rational steps, power sums of node powers,
-correlations of two sequences from one product of packed integers, exact
-sums and exact least elements, each with its truncation bound stated and
-checked exactly in the tests."""
+correlations of two sequences from one product of packed integers and
+exact sums, each with its truncation bound stated and checked exactly in
+the tests."""
 
 from __future__ import annotations
 
@@ -235,33 +235,3 @@ def _exact_sum(pairs) -> tuple:
     """The exact sum of integer pairs (mantissa, exponent)."""
     low = min(e for _, e in pairs)
     return (sum(m << (e - low) for m, e in pairs), low)
-
-
-def _logs(pairs) -> tuple:
-    """(log2 |m 2^e|, -log2 |m 2^e|) of each pair (m, e) as floats, both
-    +inf for zero."""
-    up = [math.log2(abs(m)) + e if m else math.inf for m, e in pairs]
-    return up, [-v if v < math.inf else v for v in up]
-
-
-def _least_product(s: int, pieces) -> tuple:
-    """The least nonzero s u_k v_k, as (s u v, e), over pieces (sign, us,
-    vs, lus, lvs) of paired integer pairs whose products have the sign
-    `sign`, with their `_logs`: the smallest product of a piece where
-    s sign > 0, else the largest.  A float log2 errs by under 2^-38 here,
-    so only products within 2^-20 of the extreme are compared exactly."""
-    cands = []
-    for sign, us, vs, lus, lvs in pieces:
-        d = s * sign < 0
-        keys = [x + y for x, y in zip(lus[d], lvs[d])]
-        cut = min(keys, default=0) + 2**-20
-        cands += [(s * u[0] * v[0], u[1] + v[1]) for k, u, v in zip(keys, us, vs) if k <= cut]
-    return _least(cands)
-
-
-def _least(pairs) -> tuple:
-    """The least nonzero m 2^e among integer pairs (m, e), compared exactly
-    on a common binary point; (0, 0) if there is none."""
-    pairs = [pe for pe in pairs if pe[0]]
-    low = min((e for _, e in pairs), default=0)
-    return min(pairs, key=lambda pe: pe[0] << (pe[1] - low), default=(0, 0))

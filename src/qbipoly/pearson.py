@@ -184,7 +184,7 @@ class WeightEvaluator:
 
 
 def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
-    return WeightEvaluator(build_pearson(E), tuple(anchor), E.qp)
+    return WeightEvaluator(E.pearson, tuple(anchor), E.qp)
 
 
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:

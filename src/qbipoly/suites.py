@@ -7,6 +7,7 @@ assert on them.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
@@ -70,8 +71,8 @@ def _eigenspace_rows(names, label, sol, entries, m):
 
 def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = 200,
                         prec: int = 192):
-    """Pairwise normalized inner products, positivity of diagonal Gram
-    entries, nonsingularity of H_1.
+    """Pairwise normalized inner products (`MomentTable.gram`), positive
+    norms, a nonsingular H_1 and positive node weights (exact signs).
 
     For the scalar-indexed explicit family every distinct index pair must
     vanish.  The monic and Rodrigues solutions are vector families: the
@@ -82,45 +83,38 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = 200
     # a product of two polynomials of total degree <= ORTH_TOTAL needs no more
     moments = MomentTable(p, max_degree=2 * ORTH_TOTAL, truncation=truncation, prec=prec)
     fam = generate_monic_oracle(preset_equation(p), ORTH_TOTAL)
-    inventory = _solution_inventory(p, fam, ORTH_TOTAL)
     groups = {}
-    for family, total, label, poly in inventory:
+    for family, total, label, poly in _solution_inventory(p, fam, ORTH_TOTAL):
         groups.setdefault(family, []).append((total, label, poly))
 
     rows = []
     ok = True
     tol = moments.field.of(ORTH_TOL)
-    norms = {}
-    for _, _, label, poly in inventory:
-        norms[label] = moments.integrate(poly * poly)
-        positive = norms[label] > 0
-        ok = ok and positive
-        rows.append(("norm", label, "", mp_str(norms[label]), str(positive)))
+    grams = {}
+    for family, members in groups.items():
+        grams[family] = G = moments.gram([poly for _, _, poly in members])
+        for i, (_, label, _) in enumerate(members):
+            ok = ok and G[i][i] > 0
+            rows.append(("norm", label, "", mp_str(G[i][i]), str(G[i][i] > 0)))
     for family, members in sorted(groups.items()):
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                ta, la, pa = members[i]
-                tb, lb, pb = members[j]
-                inner = moments.integrate(pa * pb)
-                scale = moments.field.ctx.sqrt(norms[la] * norms[lb])
-                val = abs(inner) / scale
-                if family == "nonmonic" or ta != tb:
-                    passed = val < tol
-                    ok = ok and passed
-                    rows.append(("pair", la, lb, mp_str(val), str(passed)))
-                else:
-                    rows.append(("gram_entry", la, lb, mp_str(val), "info"))
+        G = grams[family]
+        for (i, (ta, la, _)), (j, (tb, lb, _)) in itertools.combinations(enumerate(members), 2):
+            val = abs(G[i][j]) / moments.field.ctx.sqrt(G[i][i] * G[j][j])
+            if family == "nonmonic" or ta != tb:
+                passed = val < tol
+                ok = ok and passed
+                rows.append(("pair", la, lb, mp_str(val), str(passed)))
+            else:
+                rows.append(("gram_entry", la, lb, mp_str(val), "info"))
 
     h1 = gram_matrix(fam, 1, 1, moments)
     det = h1[0][0] * h1[1][1] - h1[0][1] * h1[1][0]
     h1_ok = abs(det) > tol
     ok = ok and h1_ok
     rows.append(("H1_nonsingular", "det", "", mp_str(det), str(h1_ok)))
-    if moments.weight_min_positive is not None:
-        wpos = moments.weight_min_positive > 0
-        ok = ok and wpos
-        rows.append(("weight_positive", "min node weight", "",
-                     mp_str(moments.weight_min_positive), str(wpos)))
+    ok = ok and moments.weight_positive
+    rows.append(("weight_positive", "every node weight", f"truncation={truncation}",
+                 "exact sign", str(moments.weight_positive)))
     return ok, rows
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _least, _node_factors, _power_sums,
+                                MomentTable, _node_factors, _power_sums,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, jnm, lambda_explicit,
@@ -563,11 +564,13 @@ def test_moment_engine_against_slow_reference():
                 assert abs(mt.moment(i, j) - ref) <= fld.of(2) ** (-50) * max(1, abs(ref))
 
 
-def test_weight_min_positive_is_least_brute_node_weight():
+def test_weight_positive_is_the_sign_of_the_least_brute_node_weight():
+    """The exact verdict against the least nonzero node weight of the slow
+    reference, each weight a product of direct infinite products."""
     for point in sorted(ENGINE_POINTS):
         mt, fld, nodes = engine_and_brute(point)
         ref = min(w for _, _, _, w in nodes if w != 0)
-        assert abs(mt.weight_min_positive - ref) <= fld.of(2) ** (16 - 80) * abs(ref)
+        assert mt.weight_positive is (ref > 0)
 
 
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS))
@@ -685,14 +688,14 @@ PBIG = BigQJacobiParams(F(1, 3), F(2, 5), F(3, 7), F(-3), QParam(F(1, 2)))
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS) + ["|dq|>1"])
 def test_power_sum_engine_matches_reference_loop(point):
     """The integer engine against the earlier mpf loop on the same
-    sequences: within 2^(16 - prec) of max(|M_ij|, |M_00|), and the least
-    node weight within 2^(16 - prec) relative."""
+    sequences: within 2^(16 - prec) of max(|M_ij|, |M_00|), and the exact
+    verdict is the sign of the loop's least node weight."""
     p = PBIG if point == "|dq|>1" else ENGINE_POINTS[point][0]
     prec, D = 96, 4
     got = MomentTable(p, max_degree=D, truncation=40, prec=prec)
     ref, ref_least = reference_moments(p, D, 40, prec)
     tol = got.field.of(2) ** (16 - prec)
-    assert abs(got.weight_min_positive - ref_least) <= tol * abs(ref_least)
+    assert got.weight_positive is (ref_least > 0)
     for i in range(D + 1):
         for j in range(D + 1):
             scale = max(abs(ref[i][j]), abs(ref[0][0]))
@@ -880,8 +883,8 @@ def test_weight_accepts_c_off_the_powers_of_q(c):
     check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2))))
 
 
-def brute_least_weight(factors, N) -> Fraction:
-    """The least nonzero node weight yfac A B over node factors laid out as
+def brute_node_weights(factors, N) -> list:
+    """The nonzero node weights yfac A B over node factors laid out as
     `_node_factors` returns them, every product an exact Fraction."""
     A_cq, B_cq, A_d, B_d, B_neg, yfacs = [[pair_value(v) for v in seq] for seq in factors]
     weights = []
@@ -889,15 +892,71 @@ def brute_least_weight(factors, N) -> Fraction:
         weights += [yfacs[t] * A_cq[r] * B_cq[t + r] for r in range(N + 1)]
         weights += [yfacs[t] * A_d[r] * B_d[r - t + N] for r in range(N + 1)]
         weights += [yfacs[N + 1 + t] * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
-    return min(w for w in weights if w)
+    return [w for w in weights if w]
+
+
+def unchecked_params(a, b, c, d, q) -> BigQJacobiParams:
+    """BigQJacobiParams without the domain check of __post_init__."""
+    p = object.__new__(BigQJacobiParams)
+    for name, v in zip("abcd", (a, b, c, d)):
+        object.__setattr__(p, name, v)
+    object.__setattr__(p, "qp", QParam(q))
+    return p
+
+
+#: q = 9/10; two points off the domain, where some node weights are
+#: negative: aq > 1, and d > 0 with a c q^2 / d = q^-14, so that B_cq(k) is
+#: exactly zero for k <= 14 and so is every weight of the nodes t + r <= 14
+#: on x > 0, while B_d keeps no zero (it divides yfac)
+SIGN_POINTS = {
+    "q=9/10": (BigQJacobiParams(F(1, 2), F(1, 3), F(1, 4), F(-1, 2), QParam(F(9, 10))), 40),
+    "aq>1": (unchecked_params(F(3), F(1, 4), F(1, 5), F(-1, 2), F(1, 2)), 12),
+    "zero-weights": (unchecked_params(F(1, 3), F(1, 3), F(1, 5), F(1, 15) * F(1, 2) ** 16,
+                                      F(1, 2)), 12),
+}
+
+
+@pytest.mark.parametrize("point", sorted(SIGN_POINTS))
+def test_weight_positive_at_q_near_one_and_with_zero_node_weights(point, monkeypatch):
+    """The exact verdict is the sign of the least nonzero yfac A B over the
+    engine's own node factors, found by a brute Fraction loop."""
+    p, N = SIGN_POINTS[point]
+    seen = []
+    factors = bigqjacobi._node_factors
+    monkeypatch.setattr(bigqjacobi, "_node_factors",
+                        lambda *args: seen.append(factors(*args)) or seen[-1])
+    got = MomentTable(p, max_degree=2, truncation=N, prec=80)
+    weights = brute_node_weights(seen[0], N)
+    assert got.weight_positive is (min(weights) > 0) is (point == "q=9/10")
+    zeros = sum(pair_value(v) == 0 for v in seen[0][1])
+    assert zeros == (15 if point == "zero-weights" else 0)
+
+
+@pytest.mark.parametrize("flip, positive", [(0, True), (3, False)])
+def test_weight_positive_skips_outer_nodes_without_mass(flip, positive, monkeypatch):
+    """Node factors edited so that the outer nodes t <= 2 carry only zero
+    weights (B_cq zero for k <= 14 at N = 12, A_d zero): a negative yfac(t)
+    there decides nothing, while one at t = 3 makes a negative weight."""
+    N, real = 12, bigqjacobi._node_factors
+
+    def edited(p, n, wp):
+        A_cq, B_cq, A_d, B_d, B_neg, yfacs = real(p, n, wp)
+        yfacs = list(yfacs)
+        yfacs[flip] = (-yfacs[flip][0], yfacs[flip][1])
+        return A_cq, [(0, 0)] * 15 + B_cq[15:], [(0, 0)] * len(A_d), B_d, B_neg, yfacs
+
+    monkeypatch.setattr(bigqjacobi, "_node_factors", edited)
+    got = MomentTable(TEST_PARAMS, max_degree=2, truncation=N, prec=80)
+    weights = brute_node_weights(edited(TEST_PARAMS, N, 88), N)
+    assert got.weight_positive is positive is (min(weights) > 0)
 
 
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS))
 def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
     """At 120 bits and truncation 96 the table agrees with itself at 64 more
-    bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its least node
-    weight is the least yfac A B over the engine's own node factors, found
-    by a brute Fraction loop and rounded once."""
+    bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its exact verdict
+    is the sign of the least yfac A B over the engine's own node factors,
+    found by a brute Fraction loop."""
     p, prec = EDGE_POINTS[point], 120
     seen = []
     factors = bigqjacobi._node_factors
@@ -911,10 +970,7 @@ def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
         for j in range(5):
             bound = ref.field.of(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
-    least = brute_least_weight(seen[0], 96)
-    exp = least.denominator.bit_length() - 1
-    assert least.denominator == 2**exp         # products of pairs are dyadic
-    assert got.weight_min_positive == got.field.from_man_exp(least.numerator, -exp)
+    assert got.weight_positive is (min(brute_node_weights(seen[0], 96), default=0) > 0)
 
 
 def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
@@ -933,9 +989,9 @@ def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
 
 
 def test_moment_table_rounds_only_its_moments(monkeypatch):
-    """A degree-6 table rounds into the field once per moment and once for
-    the least node weight, 7 * 7 + 1 times, and makes no infinite product
-    of field values."""
+    """A degree-6 table rounds into the field once per moment, 7 * 7 times,
+    decides weight positivity exactly, and makes no infinite product of
+    field values."""
     import qbipoly.qcalc as qcalc
 
     rounded, products = [], []
@@ -945,9 +1001,63 @@ def test_moment_table_rounds_only_its_moments(monkeypatch):
     monkeypatch.setattr(qcalc, "qpochhammer_inf",
                         lambda *args: products.append(args) or pochhammer(*args))
     mt = MomentTable(TEST_PARAMS, 6, 96, 128)
-    assert mt.weight_min_positive is not None
-    assert len(rounded) == 7 * 7 + 1
+    assert mt.weight_positive is True
+    assert len(rounded) == 7 * 7
     assert products == []
+
+
+@pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1"])
+def test_gram_is_integrate_of_each_product_bit_for_bit(point):
+    """gram(polys)[a][b] == integrate(polys[a] * polys[b]) for every pair of
+    the orthogonality suite's inventory of all three families, with
+    polynomials of content > 1 whose products reduce by that content, and
+    the zero polynomial; a product past the table raises as integrate does."""
+    from qbipoly.suites import ORTH_TOTAL, _solution_inventory
+
+    p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG}[point]
+    mt = MomentTable(p, max_degree=2 * ORTH_TOTAL, truncation=48, prec=96)
+    fam = generate_monic_oracle(preset_equation(p), ORTH_TOTAL)
+    polys = [poly for *_, poly in _solution_inventory(p, fam, ORTH_TOTAL)]
+    polys += [x * 6 + y * 4 - 10, (x * 9 - 3) * F(1, 2), x * y * F(2, 3), (y * 2 + 1) * F(5, 3),
+              (x * y - 2) * F(3, 5), BiPoly.zero()]
+    assert [(poly.den, math.gcd(*poly.nums.values())) for poly in polys[-6:-1]] == \
+        [(1, 2), (2, 3), (3, 2), (3, 5), (5, 3)]
+    G = mt.gram(polys)
+    for a, pa in enumerate(polys):
+        for b, pb in enumerate(polys):
+            want = mt.integrate(pa * pb)
+            assert G[a][b] == want and G[a][b]._mpf_ == want._mpf_
+            assert G[a][b].context is mt.field.ctx
+    assert G[-1][0] == 0
+    with pytest.raises(ValueError):
+        mt.gram([x**4, y])
+
+
+def test_orthogonality_suite_integrates_only_through_gram_matrix(monkeypatch):
+    """The suite's norms and pairs come from `gram`: `integrate` runs only
+    inside `gram_matrix`, for the four entries of H_1."""
+    import qbipoly.suites as suites
+
+    inside, calls = [], []
+    integrate, gram_matrix = MomentTable.integrate, suites.gram_matrix
+
+    def counted(self, poly):
+        calls.append(bool(inside))
+        return integrate(self, poly)
+
+    def entered(*args):
+        inside.append(True)
+        try:
+            return gram_matrix(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MomentTable, "integrate", counted)
+    monkeypatch.setattr(MomentTable, "__call__", counted)
+    monkeypatch.setattr(suites, "gram_matrix", entered)
+    ok, rows = run_suite("orthogonality", p=TEST_PARAMS, truncation=96, prec=120)
+    assert ok and calls == [True] * 4
+    assert ("weight_positive", "every node weight", "truncation=96", "exact sign", "True") in rows
 
 
 def exact_functional(mt, poly) -> Fraction:
@@ -992,6 +1102,3 @@ def test_zero_weights_give_field_zeros():
     fld = FloatField(80)
     sums = _power_sums([(0, 0), (0, -7)], [(3, 0), (-5, 2)], 4, fld.prec)
     assert [fld.from_man_exp(*s) for s in sums] == [fld.of(0)] * 4
-    assert _least([(0, 3), (0, 0)]) == (0, 0)
-    assert _least([(3, -2), (5, -3), (0, -9)]) == (5, -3)
-    assert _least([(3, -2), (-1, 5)]) == (-1, 5)

@@ -18,8 +18,11 @@ last digits).  It was re-recorded once more when the weight's node factors
 became integer ladders of exact-rational steps and `integrate` began
 summing a polynomial over the moments' exact pairs before one rounding:
 every row prints other last digits, and the norms, now about 100 times
-closer to the same report at 248 bits, move in their last two.  Its
-verdicts and labels are pinned separately below.
+closer to the same report at 248 bits, move in their last two.  Both it
+and the structure digest below were re-recorded when `weight_positive`
+became an exact sign decision, which changed that row alone (the least node
+weight as a float became "every node weight", "truncation=96", "exact sign").
+Its verdicts and labels are pinned separately below.
 
 The consistency report's digest was re-recorded when the monic oracle
 stopped applying the operator to its own vectors and the suite took over
@@ -60,7 +63,7 @@ CASES = {
                       "01af939a46be669083a2828b90a8d8e2b23e9a4fc448471edf11d078163ef1e6"),
     "verify-orthogonality-120-96": (
         ("verify", *P, "--suite", "orthogonality", "--precision", "120", "--truncation", "96"),
-        "8669fc72a49472dcadfa7c74cb17916c36ecb83ac07a08fe64b1e5755f6f3b4f"),
+        "bee67421654d004beb5495cc84bf0a1d6e63e38f1b812d94a18c1c9959c78cd3"),
 }
 
 
@@ -76,7 +79,7 @@ def test_cli_output_matches_golden_digest(capsys, name):
 #: the case, a, b and pass columns of every row, without the float values.
 #: Their last digits move with any reordering of the moment sums; the
 #: verdicts and the row layout must not.
-ORTHOGONALITY_STRUCTURE = "a8a4ba46c05ddb178372b6cd69cfda2744aa3698e610cf61d826c656176e691b"
+ORTHOGONALITY_STRUCTURE = "0da15a36733b74b18bec303b21485729c423b631e19167fa72a0f6509b6bc16a"
 
 
 def test_orthogonality_report_structure_is_pinned(capsys):

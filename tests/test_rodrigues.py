@@ -464,3 +464,22 @@ def test_orthogonality_against_lower_degrees(equation, moments):
         assert abs(val) / norm < tol
     # vacuous case
     assert rodrigues_orthogonality_check(equation, 0, 0, moments.integrate) == {}
+
+
+def test_rodrigues_calls_share_the_equations_pearson_data(monkeypatch):
+    """The Pearson data is built once per equation object: Rodrigues
+    polynomials of one equation share it, and base_weight hands it on; an
+    equal but distinct object builds its own."""
+    import qbipoly.pearson as pearson
+
+    calls = []
+    build = pearson.build_pearson
+    monkeypatch.setattr(pearson, "build_pearson", lambda E: calls.append(E) or build(E))
+    E = preset_equation(TEST_PARAMS)
+    for n, m in ((1, 0), (0, 1), (2, 1)):
+        rodrigues_poly(E, n, m)
+    assert len(calls) == 1 and calls[0] is E
+    assert base_weight(E, (F(1, 3), F(1, 5))).pearson is E.pearson
+    other = preset_equation(TEST_PARAMS)
+    assert other.pearson is not E.pearson and other.pearson.omega1 == E.pearson.omega1
+    assert len(calls) == 2
