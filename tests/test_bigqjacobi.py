@@ -564,9 +564,10 @@ def test_moment_engine_against_slow_reference():
                 assert abs(mt.moment(i, j) - ref) <= fld.of(2) ** (-50) * max(1, abs(ref))
 
 
-def test_weight_positive_is_the_sign_of_the_least_brute_node_weight():
-    """The exact verdict against the least nonzero node weight of the slow
-    reference, each weight a product of direct infinite products."""
+def test_weight_min_positive_is_least_brute_node_weight():
+    """The exact verdict (is the least nonzero node weight positive?) against
+    the least nonzero node weight of the slow reference, each weight a
+    product of direct infinite products."""
     for point in sorted(ENGINE_POINTS):
         mt, fld, nodes = engine_and_brute(point)
         ref = min(w for _, _, _, w in nodes if w != 0)
