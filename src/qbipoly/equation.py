@@ -11,18 +11,27 @@ so every stored quantity is rational in q and the full operator reads
         + A12a Dq1 Dq2 f + A12d Dq^-1_1 Dq^-1_2 f + B1 Dq1 f + B2 Dq2 f.
 
 Same-axis compositions apply the backward operator first.
+
+``apply_operator`` makes one pass: each part takes one or two single-axis
+steps of each monomial, and all six add integers over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .bipoly import BiPoly
-from .qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
+from .bipoly import BiPoly, combine, from_form
+from .qcalc import QParam, dq1, qnum, step_weights
 
 _BILINEAR = {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+#: (coefficient, steps in the order applied); a step (axis, backward) lowers
+#: the exponent of x (0) or y (1) by one with base q (0) or 1/q (1)
+_PARTS = (("c11", ((0, 1), (0, 0))), ("c22", ((1, 1), (1, 0))), ("a12a", ((1, 0), (0, 0))),
+          ("a12d", ((1, 1), (0, 1))), ("b1", ((0, 0),)), ("b2", ((1, 0),)))
 
 
 class ShapeViolation(ValueError):
@@ -127,14 +136,30 @@ def check_hypergeometric_form(E: EquationCoeffs) -> dict:
 
 def apply_operator(E, f: BiPoly) -> BiPoly:
     """Apply the second-order partial q-difference operator of E (an
-    EquationCoeffs or DerivedCoeffs) to a polynomial; exact."""
-    qp = E.qp
-    return (E.c11 * dq1(dqm1(f, qp), qp)
-            + E.c22 * dq2(dqm2(f, qp), qp)
-            + E.a12a * dq1(dq2(f, qp), qp)
-            + E.a12d * dqm1(dqm2(f, qp), qp)
-            + E.b1 * dq1(f, qp)
-            + E.b2 * dq2(f, qp))
+    EquationCoeffs or DerivedCoeffs) to a polynomial; exact.  A step weight
+    (``qcalc.step_weights``) is over v^(T-1) forward and u^(T-1) backward,
+    for q = u/v and T the total degree of f."""
+    top = f.total_degree()
+    if top < 1:
+        return BiPoly.zero()
+    q = E.qp.q
+    weights = (step_weights(q, top), step_weights(1 / q, top))
+    dens = (q.denominator ** (top - 1), q.numerator ** (top - 1))
+    parts = []
+    for name, steps in _PARTS:
+        coeff = getattr(E, name)
+        out = {}
+        for m, n in f.nums.items():
+            e = list(m)
+            for axis, b in steps:
+                n *= weights[b][e[axis]]  # weight 0 at e = 0 ends the term
+                e[axis] -= 1
+            if n:
+                for (c0, c1), k in coeff.nums.items():
+                    key = (e[0] + c0, e[1] + c1)
+                    out[key] = out.get(key, 0) + n * k
+        parts.append((1, out, coeff.den * math.prod(dens[b] for _, b in steps)))
+    return from_form(*combine(parts, f.den))
 
 
 # ---------------------------------------------------------------------------

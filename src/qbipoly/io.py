@@ -231,6 +231,8 @@ def parse_poly_terms(text: str) -> BiPoly:
             key = (int(i_s), int(j_s))
         except ValueError:
             raise EquationParseError(f"bad polynomial term {item!r}") from None
+        if min(key) < 0:
+            raise EquationParseError(f"negative exponent in {item!r}")
         if key in coeffs:
             raise EquationParseError(f"duplicate exponent pair in {item!r}")
         try:

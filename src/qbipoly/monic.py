@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .bipoly import BiPoly, combine, from_form
+from .bipoly import BiPoly, combine, from_form, reduced
 from .equation import Admissibility, EquationCoeffs, apply_operator
 from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec, stack
 from .qcalc import QParam, qnum
@@ -69,14 +69,15 @@ def operator_blocks(E: EquationCoeffs, j: int):
     """(M_jj, M_{j,j-1}, M_{j,j-2}): graded blocks of D on degree-j monomials.
 
     Row k of each block holds the coefficients of D(x^{j-k} y^k) against the
-    monomial vector of the corresponding degree; the operator drops total
-    degree by at most 2.
+    monomial vector of the corresponding degree.  The operator raises no
+    exponent and drops total degree by at most 2: row k of the drop-s block
+    has entries only at columns k - s..k (its band).
     """
     images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
-    for img in images.entries:
-        for (i1, i2) in img.coeffs:
-            if i1 + i2 > j or i1 + i2 < j - 2:
-                raise AssertionError("operator moved a monomial outside the expected degrees")
+    for k, img in enumerate(images.entries):
+        for (i1, i2) in img.nums:
+            if i1 > j - k or i2 > k or i1 + i2 < j - 2:
+                raise AssertionError("operator moved a monomial off the expected band")
     return tuple(graded_coeff_block(images, j - d) if d <= j else None for d in range(3))
 
 
@@ -179,16 +180,31 @@ class MonicFamily:
         return self.ghat[(n, j)]
 
 
+def _chain_step(terms, gap: Fraction) -> tuple:
+    """-(sum of G M over the terms (G, M)) / gap, G one form keyed (row,
+    column), M a drop block read on its nonzero band only: ``combine`` adds
+    the parts, one per row of M, over one den and reduces by one gcd."""
+    parts = []
+    for (nums, den), M in terms:
+        cols = [{} for _ in M.forms]
+        for (r, k), v in nums.items():
+            for c, w in M.forms[k][0].items():
+                cols[k][(r, c)] = v * w
+        parts += [(-gap.denominator, col, den * d) for col, (_, d) in zip(cols, M.forms)]
+    return combine(parts, gap.numerator)
+
+
 def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     """Oracle family for degrees 0..N.
 
     Admissibility and the operator blocks are computed once and shared by
     every degree.  Each degree-preserving block is checked to be exactly
     -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
-    division G_{n,d} = -rhs / (lambda_n - lambda_d).  The degree-d part of
-    D[P_n] is then -lambda_n G_{n,d} by construction, so the vectors are not
-    put through the operator here; `suites.suite_consistency` and the tests
-    do that."""
+    division G_{n,d} = -rhs / (lambda_n - lambda_d), run fraction-free on
+    each block as one form (``_chain_step``); a block gets its canonical row
+    forms when it is stored.  The degree-d part of D[P_n] is then
+    -lambda_n G_{n,d} by construction, so the vectors are not put through
+    the operator here; `suites.suite_consistency` and the tests do that."""
     adm = E.admissibility
     if not adm.admissible:
         raise OracleError(f"equation not admissible: {adm.failures}")
@@ -197,22 +213,21 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     for j in range(N + 1):
         if blocks[j][0] != Mat.identity(j + 1).scaled(-lam[j]):
             raise OracleError(f"degree-preserving operator block is not -lambda_j I at degree {j}")
-    ghat = {}
-    vectors = []
+    ghat, vectors = {}, []
     for n in range(N + 1):
-        chain = [None] * (n + 1)
-        chain[n] = Mat.identity(n + 1)
+        chain = [None] * n + [({(r, r): 1 for r in range(n + 1)}, 1)]
         for d in range(n - 1, -1, -1):
-            rhs = chain[d + 1] @ blocks[d + 1][1]
-            if d + 2 <= n:
-                rhs = rhs + chain[d + 2] @ blocks[d + 2][2]
             gap = lam[n] - lam[d]
             if not gap:
                 raise OracleError(f"eigenvalues of degrees {d} and {n} coincide")
-            chain[d] = rhs.scaled(-1 / gap)
-        for j, G in enumerate(chain):
-            ghat[(n, j)] = G
-        vectors.append(assemble_vector(chain))
+            chain[d] = _chain_step([(chain[d + s], blocks[d + s][s]) for s in (1, 2) if d + s <= n],
+                                   gap)
+        for j, (nums, den) in enumerate(chain):
+            rows = [{} for _ in range(n + 1)]
+            for (r, c), v in nums.items():
+                rows[r][c] = v
+            ghat[(n, j)] = Mat._of([reduced(row, den) for row in rows], j + 1)
+        vectors.append(assemble_vector([ghat[(n, j)] for j in range(n + 1)]))
     return MonicFamily(E, vectors, ghat, adm, blocks)
 
 

@@ -63,32 +63,30 @@ def qpochhammer_inf(a, qp: QParam, field: FloatField):
 # partial q-difference operators on polynomials
 # ---------------------------------------------------------------------------
 
-def _difference(f: BiPoly, p, axis: int) -> BiPoly:
+def step_weights(p: Fraction, top: int) -> list:
+    """[e]_p = h_e / b^(e-1), h_e = (a^e - b^e) / (a - b), for p = a/b and
+    e = 0..top, as numerators h_e b^(top-e) over the common b^(top-1).  h_e
+    is symmetric in a and b: one rule for the forward (p = q) and backward
+    (p = 1/q) steps along either axis."""
+    a, b = p.numerator, p.denominator
+    return [(a**e - b**e) // (a - b) * b ** (top - e) for e in range(top + 1)]
+
+
+def _difference(f: BiPoly, p: Fraction, axis: int) -> BiPoly:
     """(f(p x_axis) - f) / ((p - 1) x_axis) monomial by monomial:
-    x_axis^e -> [e]_p x_axis^(e-1).
+    x_axis^e -> [e]_p x_axis^(e-1), by ``step_weights``.
 
     Base p = q gives the forward operator; p = 1/q gives the backward one,
     since q(f(x) - f(x/q)) / ((q-1)x) is the forward quotient of base 1/q.
-
     Lowering one exponent is injective on monomials, so each output term is
-    a single product.  With p = u/v, [e]_p = (u^e - v^e) / ((u - v) v^(e-1)),
-    an integer over v^(e-1); over the common v^(E-1) (E the top exponent)
-    the numerator of term e gains h_e v^(E-e), h_e = (u^e - v^e) / (u - v),
-    computed once per distinct exponent.
+    a single product.
     """
-    u, v = p.numerator, p.denominator
     k = axis - 1
     top = max((m[k] for m in f.nums), default=0)
-    weights = {}
-    out = {}
-    for m, n in f.nums.items():
-        e = m[k]
-        if e:
-            w = weights.get(e)
-            if w is None:
-                w = weights[e] = (u**e - v**e) // (u - v) * v ** (top - e)
-            out[(m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)] = n * w
-    return from_form(*reduced(out, f.den * v ** (top - 1))) if out else BiPoly.zero()
+    w = step_weights(p, top)
+    out = {((m[0] - 1, m[1]) if axis == 1 else (m[0], m[1] - 1)): n * w[m[k]]
+           for m, n in f.nums.items() if m[k]}
+    return from_form(*reduced(out, f.den * p.denominator ** (top - 1))) if out else BiPoly.zero()
 
 
 def dq1(f: BiPoly, qp: QParam) -> BiPoly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import mpmath
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bipoly import BiPoly, RationalFn, product_dens
@@ -72,7 +72,8 @@ def test_no_stored_zero_coefficients():
     assert (1, 0) not in p.coeffs
 
 
-@settings(max_examples=40, deadline=None)
+@seed(75)
+@settings(max_examples=40, deadline=None, database=None)
 @given(poly_st, poly_st, poly_st)
 def test_ring_axioms(p, r, s):
     assert (p + r) + s == p + (r + s)
@@ -81,7 +82,8 @@ def test_ring_axioms(p, r, s):
     assert p * r == r * p
 
 
-@settings(max_examples=60, deadline=None)
+@seed(84)
+@settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(poly_st, min_size=1, max_size=4), st.lists(st.integers(1, 12), min_size=4,
                                                           max_size=4))
 def test_product_dens_is_the_den_of_each_product(polys, scales):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, seed, settings
@@ -215,6 +216,58 @@ def test_operator_on_constant(equation):
 def test_operator_on_y(equation):
     f2, g2 = equation.tau2()
     assert apply_operator(equation, y) == y * f2 + BiPoly.const(g2)
+
+
+def reference_operator(E, f: BiPoly) -> BiPoly:
+    """The operator as six compositions of whole-polynomial difference
+    passes, each multiplied by its coefficient, and summed: the reference
+    for the one-pass apply_operator."""
+    qp = E.qp
+    return (E.c11 * dq1(dqm1(f, qp), qp)
+            + E.c22 * dq2(dqm2(f, qp), qp)
+            + E.a12a * dq1(dq2(f, qp), qp)
+            + E.a12d * dqm1(dqm2(f, qp), qp)
+            + E.b1 * dq1(f, qp)
+            + E.b2 * dq2(f, qp))
+
+
+OPERATOR_PARAMS = [TEST_PARAMS, Q23_PARAMS,
+                   BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(9, 10)))]
+
+
+@cache
+def operator_equations(index: int) -> dict:
+    """{(k, l): derived equation of order (k, l) <= (2, 2)} of a point of
+    OPERATOR_PARAMS (q = 1/2, 2/3, 9/10), with the EquationCoeffs itself
+    at (0, 0)."""
+    E = preset_equation(OPERATOR_PARAMS[index])
+    return {**derived_orders(E, 2, 2), (0, 0): E}
+
+
+@st.composite
+def polys_to_degree_8(draw):
+    d = draw(st.integers(0, 8))
+    monos = st.tuples(st.integers(0, d), st.integers(0, d)).filter(lambda m: sum(m) <= d)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    return BiPoly(draw(st.dictionaries(monos, coeffs, max_size=12)))
+
+
+@seed(149)
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), polys_to_degree_8())
+def test_operator_equals_the_six_part_composition(index, k, l, f):
+    E = operator_equations(index)[(k, l)]
+    assert apply_operator(E, f) == reference_operator(E, f)
+
+
+@pytest.mark.parametrize("index", range(3), ids=["q=1/2", "q=2/3", "q=9/10"])
+def test_operator_on_zero_constant_and_degree_one(index):
+    for E in operator_equations(index).values():
+        for f in (BiPoly.zero(), BiPoly.const(F(-3, 7))):
+            assert apply_operator(E, f) == reference_operator(E, f) == BiPoly.zero()
+        for f in (x, y, x * F(2, 3) - y * 5 + 1):
+            assert apply_operator(E, f) == reference_operator(E, f)
+            assert apply_operator(E, f).total_degree() <= 1
 
 
 def test_operator_degree_nonincrease(equation):

@@ -2,8 +2,11 @@
 command, recorded before the x<->y and forward<->backward folds and the
 shared monic blocks landed; the monic N = 12 case, the largest exact
 output, was recorded before the oracle's chain step became a scalar
-division and Mat products began skipping zero entries.  Any change to an exact output, a row of a
-suite report or the JSON layout shows here as a digest mismatch.
+division and Mat products began skipping zero entries.  The monic N = 12
+cases at q = 2/3 and q = 9/10, where the chain's coefficients are widest,
+were recorded before the operator became one pass and the chain ran
+fraction-free.  Any change to an exact output, a row of a suite report or
+the JSON layout shows here as a digest mismatch.
 
 The orthogonality report's digest was re-recorded when the moment engine
 began building each infinite product once per table, again when the Jackson
@@ -45,6 +48,12 @@ CASES = {
                          "ac9e49b08960c5e02b61453c817906c6030e3a777f175511d277f70c054cbeb2"),
     "generate-monic-12": (("generate", *P, "--family", "monic", "--degrees", "12"),
                           "d993a41f823f8644c86e5806353c6eb2c88eb4ebcc4ba1866c903bc15c38b4b1"),
+    "generate-monic-12-q=2/3": (
+        ("generate", *P, "--family", "monic", "--degrees", "12", "--param", "q=2/3"),
+        "952bee2afa6bc3235056097cc782e7767055dbb355560df763ac92a1ffd2a486"),
+    "generate-monic-12-q=9/10": (
+        ("generate", *P, "--family", "monic", "--degrees", "12", "--param", "q=9/10"),
+        "cb1db62d9b0e3d2e3cbcf29e55d366e30eee78068b45e4b4771378bdeb0c3afc"),
     "generate-rodrigues-2-2": (("generate", *P, "--family", "rodrigues", "--degrees", "2 2"),
                                "3d4e19bf00d7dd3fd3f94c8a489db5d6c2e3a4051e889e487d0fea3955f69683"),
     "generate-nonmonic-3-1": (("generate", *P, "--family", "nonmonic", "--degrees", "3 1"),

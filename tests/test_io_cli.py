@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bipoly import BiPoly
@@ -86,6 +86,8 @@ def test_parse_poly_terms_errors():
         parse_poly_terms("1,0:1/2 1,0:3")
     with pytest.raises(EquationParseError):
         parse_poly_terms("1,0:x")
+    with pytest.raises(EquationParseError, match="negative exponent in '-1,0:1'"):
+        parse_poly_terms("2,0:1 -1,0:1")
 
 
 def test_parse_preset_equation(equation):
@@ -227,6 +229,7 @@ json_values = st.recursive(
 )
 
 
+@seed(230)
 @settings(max_examples=200, deadline=None, database=None)
 @given(json_values)
 def test_json_writer_matches_json_on_nested_values(doc):
@@ -492,6 +495,16 @@ def test_cli_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.eq"
     path.write_text("q = not-a-number\n")
     assert main(["check", "--equation", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [("check",), ("generate", "--family", "monic", "--degrees", "2")])
+def test_cli_negative_exponent_is_one_line_error(tmp_path, capsys, equation, argv):
+    path = tmp_path / "negative.eq"
+    path.write_text(equation_to_text(equation).replace("c11 = ", "c11 = -1,0:1 "))
+    assert main([*argv, "--equation", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: negative exponent in '-1,0:1'\n"
+    assert captured.out == ""
 
 
 def test_cli_non_utf8_equation_file_is_one_line_error(tmp_path, capsys):

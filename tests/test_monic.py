@@ -136,7 +136,11 @@ def reference_chain_blocks(E, N):
 Q23_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(2, 3)))
 
 
-@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS], ids=["q=1/2", "q=2/3"])
+Q910_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(9, 10)))
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, Q910_PARAMS],
+                         ids=["q=1/2", "q=2/3", "q=9/10"])
 def test_oracle_blocks_match_solved_chain(params):
     E = preset_equation(params)
     N = 6
