@@ -237,11 +237,11 @@ OPERATOR_PARAMS = [TEST_PARAMS, Q23_PARAMS,
 
 @cache
 def operator_equations(index: int) -> dict:
-    """{(k, l): derived equation of order (k, l) <= (2, 2)} of a point of
+    """{(k, l): derived_coeffs of order (k, l) <= (2, 2)} at a point of
     OPERATOR_PARAMS (q = 1/2, 2/3, 9/10), with the EquationCoeffs itself
     at (0, 0)."""
     E = preset_equation(OPERATOR_PARAMS[index])
-    return {**derived_orders(E, 2, 2), (0, 0): E}
+    return {(k, l): derived_coeffs(E, k, l) if k or l else E for k in range(3) for l in range(3)}
 
 
 @st.composite

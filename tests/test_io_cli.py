@@ -497,7 +497,8 @@ def test_cli_malformed_file_exit_2(tmp_path, capsys):
     assert main(["check", "--equation", str(path)]) == 2
 
 
-@pytest.mark.parametrize("argv", [("check",), ("generate", "--family", "monic", "--degrees", "2")])
+@pytest.mark.parametrize("argv", [("check",), ("generate", "--family", "monic", "--degrees", "2")],
+                         ids=["check", "generate"])
 def test_cli_negative_exponent_is_one_line_error(tmp_path, capsys, equation, argv):
     path = tmp_path / "negative.eq"
     path.write_text(equation_to_text(equation).replace("c11 = ", "c11 = -1,0:1 "))
