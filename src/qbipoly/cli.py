@@ -45,11 +45,11 @@ class ConfigError(ValueError):
 class RunConfig:
     equation: EquationCoeffs
     preset: BigQJacobiParams | None
-    precision: int = 192
-    truncation: int = 200
-    max_degree: int = 6
-    out: str | None = None
-    fmt: str = "json"
+    precision: int
+    truncation: int
+    max_degree: int
+    out: str | None
+    fmt: str
 
     def __post_init__(self):
         if self.precision < 64:
@@ -58,8 +58,6 @@ class RunConfig:
             raise ConfigError("truncation must be at least 16")
         if not 0 <= self.max_degree <= MAX_DEGREE_GUARD:
             raise ConfigError(f"degree bound must lie in 0..{MAX_DEGREE_GUARD}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError("format must be 'json' or 'csv'")
 
 
 def _load_equation(args) -> tuple:
@@ -138,8 +136,19 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+#: generate's families: the number of --degrees values each takes, and the
+#: refusal of any other number
+_ARITY = {
+    "monic": (1, "monic generation takes a single degree bound N"),
+    "rodrigues": (2, "rodrigues generation takes two degrees: n m"),
+    "weight": (2, "weight table generation takes two lattice bounds: s_max t_max"),
+    "nonmonic": (2, "nonmonic generation takes two indices"),
+    "hypergeometric": (2, "hypergeometric generation takes two indices"),
+}
+
+
 def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
-    E = cfg.equation
+    E, p = cfg.equation, cfg.preset
     if cfg.fmt == "csv" and family != "weight":
         raise ConfigError(f"the {family} family has no CSV form; use --format json")
     try:
@@ -148,10 +157,13 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
         raise ConfigError(f"bad --degrees {degrees!r}") from None
     if any(d < 0 for d in parts) or sum(parts) > MAX_DEGREE_GUARD:
         raise ConfigError(f"degrees {parts} outside the guardrail 0..{MAX_DEGREE_GUARD}")
+    if family in ("nonmonic", "hypergeometric") and p is None:
+        raise ConfigError(f"{family} generation requires the big-q-jacobi preset")
+    arity, message = _ARITY[family]
+    if len(parts) != arity:
+        raise ConfigError(message)
 
     if family == "monic":
-        if len(parts) != 1:
-            raise ConfigError("monic generation takes a single degree bound N")
         fam = generate_monic_oracle(E, parts[0])
         recurrence = {}
         for n in range(parts[0]):
@@ -165,64 +177,33 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
         payload = {"family": "monic",
                    "vectors": [qio.polyvec_to_json(v) for v in fam.vectors],
                    "recurrence_matrices": recurrence}
-        doc = qio.document("polynomials", payload)
-        _emit(cfg, doc)
+        _emit(cfg, qio.document("polynomials", payload))
         return 0
-    if family == "rodrigues":
-        if len(parts) != 2:
-            raise ConfigError("rodrigues generation takes two degrees: n m")
-        n, m = parts
-        poly = rodrigues_poly(E, n, m)
-        residual = apply_operator(E, poly) + poly * E.admissibility.eigenvalue(n + m)
-        doc = qio.document("polynomials", {
-            "family": "rodrigues", "n": n, "m": m,
-            "polynomial": qio.poly_to_json(poly),
-            "residual_zero": residual.is_zero(),
-        })
-        _emit(cfg, doc)
-        return 0 if residual.is_zero() else 1
     if family == "weight":
-        if len(parts) != 2:
-            raise ConfigError("weight table generation takes two lattice bounds: s_max t_max")
-        if cfg.preset is not None:
-            q = cfg.preset.qp.q
-            anchor = (cfg.preset.d * q, cfg.preset.d * q)
-        else:
-            anchor = (Fraction(3, 7), Fraction(5, 11))
+        anchor = (p.d * p.qp.q,) * 2 if p is not None else (Fraction(3, 7), Fraction(5, 11))
         rows = weight_table_rows(base_weight(E, anchor), parts[0], parts[1])
         header = ("s", "t", "x", "y", "rho_num", "rho_den")
         doc = qio.document("weight-table", {"anchor": [str(a) for a in anchor],
                                             "rows": [list(r) for r in rows]})
         _emit(cfg, doc, header=header, rows=rows)
         return 0
-    if family in ("nonmonic", "hypergeometric"):
-        if cfg.preset is None:
-            raise ConfigError(f"{family} generation requires the big-q-jacobi preset")
-        if len(parts) != 2:
-            raise ConfigError(f"{family} generation takes two indices")
-        if family == "nonmonic":
-            n, k = parts
-            if k > n:
-                raise ConfigError(f"nonmonic generation needs 0 <= k <= n, got n={n}, k={k}")
-            poly = nonmonic_poly(cfg.preset, n, k)
-            lam = lambda_explicit(cfg.preset, n)
-            residual = apply_operator(E, poly) + poly * lam
-            doc = qio.document("polynomials", {
-                "family": "nonmonic", "n": n, "k": k,
-                "polynomial": qio.poly_to_json(poly),
-                "residual_zero": residual.is_zero(),
-            })
-            _emit(cfg, doc)
-            return 0 if residual.is_zero() else 1
-        n, m = parts
-        poly = monic_hypergeometric(cfg.preset, n, m)
-        doc = qio.document("polynomials", {
-            "family": "hypergeometric", "n": n, "m": m,
-            "polynomial": qio.poly_to_json(poly),
-        })
-        _emit(cfg, doc)
-        return 0
-    raise ConfigError(f"unknown family {family!r}")
+
+    # one polynomial and, where the family has one, its eigenvalue
+    n, m = parts
+    if family == "rodrigues":
+        poly, lam = rodrigues_poly(E, n, m), E.admissibility.eigenvalue(n + m)
+    elif family == "nonmonic":
+        if m > n:
+            raise ConfigError(f"nonmonic generation needs 0 <= k <= n, got n={n}, k={m}")
+        poly, lam = nonmonic_poly(p, n, m), lambda_explicit(p, n)
+    else:
+        poly, lam = monic_hypergeometric(p, n, m), None
+    payload = {"family": family, "n": n, "k" if family == "nonmonic" else "m": m,
+               "polynomial": qio.poly_to_json(poly)}
+    if lam is not None:
+        payload["residual_zero"] = (apply_operator(E, poly) + poly * lam).is_zero()
+    _emit(cfg, qio.document("polynomials", payload))
+    return 0 if payload.get("residual_zero", True) else 1
 
 
 def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
@@ -250,19 +231,17 @@ def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     kwargs = {}
-    if suite == "orthogonality":
+    if suite != "limits":
         if cfg.preset is None:
-            raise ConfigError("the orthogonality suite runs on the big-q-jacobi preset")
+            raise ConfigError(f"the {suite} suite runs on the big-q-jacobi preset")
+        kwargs = {"p": cfg.preset}
+    if suite == "orthogonality":
         try:
             check_weight_params(cfg.preset)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         _check_orthogonality_gate(cfg.preset.qp.q, cfg.precision, cfg.truncation)
-        kwargs = {"p": cfg.preset, "truncation": cfg.truncation, "prec": cfg.precision}
-    elif suite in ("consistency", "recurrence"):
-        if cfg.preset is None:
-            raise ConfigError(f"the {suite} suite runs on the big-q-jacobi preset")
-        kwargs = {"p": cfg.preset}
+        kwargs.update(truncation=cfg.truncation, prec=cfg.precision)
     try:
         ok, rows = run_suite(suite, **kwargs)
     except ValueError as exc:
@@ -323,9 +302,7 @@ def main(argv=None) -> int:
             return cmd_check(cfg)
         if args.command == "generate":
             return cmd_generate(cfg, args.family, args.degrees)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(cfg, args.suite)
     except (ConfigError, EquationParseError, OSError, LatticePoleError, SeriesError,
             SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,8 +285,9 @@ class RecurrenceMismatch(AssertionError):
 
 def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
     """Generate the oracle family's degrees again through the recursive
-    formula driven by the joint recurrence stacks; asserts D_n L_n = I and
-    exact agreement with the oracle.  Degree n + 1 reads the recurrence
+    formula driven by the joint recurrence stacks; asserts exact agreement
+    with the oracle (D_n L_n = I, which the formula rests on, is checked in
+    the tests and the consistency suite).  Degree n + 1 reads the recurrence
     matrices of degree n, so blocks through degree N = oracle.N suffice."""
     E = oracle.equation
     N = oracle.N
@@ -296,9 +297,6 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
     prev = None
     for n in range(N):
         D = generalized_inverse_L(n)
-        L = joint_L(n)
-        if not (D @ L) == Mat.identity(n + 2):
-            raise RecurrenceMismatch(f"generalized inverse fails D_n L_n = I at n={n}")
         tb = ttr_matrices(oracle, n, 1)
         tb2 = ttr_matrices(oracle, n, 2)
         Bn = stack(tb["B"], tb2["B"])

@@ -1,11 +1,24 @@
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable, preset_equation
 from qbipoly.equation import admissibility
 from qbipoly.monic import generate_monic_oracle
 from qbipoly.qcalc import QParam
+
+
+def pytest_configure(config):
+    """Hypothesis keeps its files (the constants it collects from changed
+    source files, its unicode tables) in a directory of the session, removed
+    at its end, not in the checkout.  Collecting the tests already writes
+    there, so it is set before they are collected."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    config.add_cleanup(lambda: set_hypothesis_home_dir(None))
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

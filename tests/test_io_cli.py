@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import enum
 import hashlib
 import json
@@ -39,6 +40,7 @@ b = 1/4
 c = 1/5
 d = -1/2
 """
+P = ("--preset", "big-q-jacobi")
 
 
 # writers of the program's input formats, for round trips and for equation
@@ -520,6 +522,84 @@ def test_cli_requires_equation_source():
     assert main(["check"]) == 2
 
 
+#: equation files for the refusals below; "general" is the preset's six
+#: polynomials, an equation without preset parameters
+REFUSAL_FILES = {
+    "no-equals": "q = 1/2\njunk\n",
+    "preset-without-a": "preset = big-q-jacobi\nq = 1/2\nb = 1/4\nc = 1/5\nd = -1/2\n",
+    "preset-a-too-large": PRESET_TEXT.replace("a = 1/3", "a = 3"),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", *P, "--truncation", "15"], "truncation must be at least 16"),
+    (["check", *P, "--max-degree", "13"], "degree bound must lie in 0..12"),
+    (["check", *P, "--max-degree", "-1"], "degree bound must lie in 0..12"),
+    (["check", "--equation", "@general", *P], "give either --equation or --preset, not both"),
+    (["check", "--preset", "other"], "unknown preset 'other'"),
+    (["check", *P, "--param", "a"], "bad --param 'a'"),
+    (["check", *P, "--param", "a=x"], "bad --param 'a=x'"),
+    (["check", *P, "--param", "a=1/0"], "bad --param 'a=1/0'"),
+    (["check", *P, "--param", "q=2"], "q must satisfy 0 < q < 1, got 2"),
+    (["check", *P, "--param", "a=3"], "need 0 < aq < 1, got a=3, q=1/2"),
+    (["check", *P, "--param", "d=1"], "need d < 0, got d=1"),
+    (["generate", *P, "--family", "monic", "--degrees", "x"], "bad --degrees 'x'"),
+    (["generate", *P, "--family", "monic", "--degrees", "1 1"],
+     "monic generation takes a single degree bound N"),
+    (["generate", *P, "--family", "rodrigues", "--degrees", "1"],
+     "rodrigues generation takes two degrees: n m"),
+    (["generate", *P, "--family", "weight", "--degrees", "1 2 3"],
+     "weight table generation takes two lattice bounds: s_max t_max"),
+    (["generate", *P, "--family", "nonmonic", "--degrees", "1"],
+     "nonmonic generation takes two indices"),
+    (["generate", *P, "--family", "hypergeometric", "--degrees", "1 0 0"],
+     "hypergeometric generation takes two indices"),
+    # the preset refusal comes before the arity and index checks
+    (["generate", "--equation", "@general", "--family", "nonmonic", "--degrees", "1"],
+     "nonmonic generation requires the big-q-jacobi preset"),
+    (["generate", "--equation", "@general", "--family", "nonmonic", "--degrees", "1 2"],
+     "nonmonic generation requires the big-q-jacobi preset"),
+    (["generate", "--equation", "@general", "--family", "hypergeometric", "--degrees", "1 0 0"],
+     "hypergeometric generation requires the big-q-jacobi preset"),
+    (["verify", "--suite", "orthogonality", "--equation", "@general"],
+     "the orthogonality suite runs on the big-q-jacobi preset"),
+    (["verify", "--suite", "consistency", "--equation", "@general"],
+     "the consistency suite runs on the big-q-jacobi preset"),
+    (["verify", "--suite", "recurrence", "--equation", "@general"],
+     "the recurrence suite runs on the big-q-jacobi preset"),
+    (["check", "--equation", "@no-equals"], "line 2: expected 'key = value'"),
+    (["check", "--equation", "@preset-without-a"], "preset needs parameter 'a'"),
+    (["check", "--equation", "@preset-a-too-large"], "need 0 < aq < 1, got a=3, q=1/2"),
+])
+def test_cli_refusal_is_one_line_exit_2(tmp_path, capsys, equation, argv, message):
+    files = dict(REFUSAL_FILES, general=equation_to_text(equation))
+    for name, text in files.items():
+        (tmp_path / f"{name}.eq").write_text(text)
+    argv = [str(tmp_path / f"{a[1:]}.eq") if a.startswith("@") else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key, mono, value, failure", [
+    ("b2", (0, 1), F(1), "f2 != f1 (1 vs 479/480)"),
+    ("c22", (0, 2), F(1), "a2 != a1 (2 vs 1)"),
+    ("a12a", (1, 1), F(1, 480), "a3a != a1*q + f1*(q-1) (1/480 vs 1/960)"),
+])
+def test_cli_check_names_each_admissibility_failure(tmp_path, capsys, equation,
+                                                     key, mono, value, failure):
+    # one coefficient of the preset's six polynomials edited breaks one condition
+    poly = getattr(equation, key)
+    edited = dataclasses.replace(equation, **{key: BiPoly({**poly.coeffs, mono: value})})
+    path = tmp_path / "edited.eq"
+    path.write_text(equation_to_text(edited))
+    assert main(["check", "--equation", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["report"]["admissibility"] == {"admissible": False, "failures": [failure]}
+
+
 def test_cli_generate_monic(tmp_path):
     out = tmp_path / "fam.json"
     code = main(["generate", "--preset", "big-q-jacobi", "--family", "monic",
@@ -638,9 +718,6 @@ def test_cli_generate_weight_table(tmp_path):
     assert len(lines) == 17  # header + 4x4 lattice rows
     first = lines[1].split(",")
     assert first[:2] == ["0", "0"] and first[4] == "1" and first[5] == "1"
-
-
-P = ("--preset", "big-q-jacobi")
 
 
 def test_main_builds_one_parser_per_process(monkeypatch):
