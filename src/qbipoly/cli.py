@@ -25,14 +25,12 @@ from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, check_weight_params,
 from .bipoly import BiPoly
 from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
                        check_hypergeometric_form)
-from .io import EquationParseError
-from .linalg import SingularMatrixError
 from .monic import OracleError, generate_monic_oracle, ttr_matrices
 from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
                       verify_pearson_identities, weight_table_rows)
-from .qcalc import QParam, SeriesError, verify_operator_relations
+from .qcalc import QParam, verify_operator_relations
 from .rodrigues import RodriguesError, rodrigues_poly
-from .suites import ORTH_TOL, run_suite
+from .suites import ORTH_TOL, SUITES, run_suite
 
 MAX_DEGREE_GUARD = 12
 
@@ -81,26 +79,23 @@ def _load_equation(args) -> tuple:
             if key not in params:
                 raise ConfigError(f"unknown parameter {key!r}")
             params[key] = val
-        try:
-            p = BigQJacobiParams(params["a"], params["b"], params["c"], params["d"],
-                                 QParam(params["q"]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        p = BigQJacobiParams(params["a"], params["b"], params["c"], params["d"],
+                             QParam(params["q"]))
         return preset_equation(p), p
     raise ConfigError("an equation source is required (--equation or --preset)")
 
 
-def _emit(cfg: RunConfig, obj_json, header=None, rows=None):
-    if cfg.out is None:
+def _emit(cfg: RunConfig, doc, header=None, rows=None):
+    """doc as JSON, or header and rows as CSV, to the --out file or stdout."""
+    if cfg.out is not None:
         if cfg.fmt == "json":
-            print(qio.json_text(obj_json), end="")
+            qio.write_json_atomic(cfg.out, doc)
         else:
-            print(qio.csv_text(header, rows), end="")
-        return
-    if cfg.fmt == "json":
-        qio.write_json_atomic(cfg.out, obj_json)
+            qio.write_csv_atomic(cfg.out, header, rows)
+    elif cfg.fmt == "json":
+        qio.write_json(sys.stdout, doc)
     else:
-        qio.write_csv_atomic(cfg.out, header, rows)
+        qio.write_csv(sys.stdout, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +131,14 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-#: generate's families: the number of --degrees values each takes, and the
-#: refusal of any other number
+#: generate's families, in the order --family lists them: the number of
+#: --degrees values each takes, and the refusal of any other number
 _ARITY = {
     "monic": (1, "monic generation takes a single degree bound N"),
     "rodrigues": (2, "rodrigues generation takes two degrees: n m"),
-    "weight": (2, "weight table generation takes two lattice bounds: s_max t_max"),
     "nonmonic": (2, "nonmonic generation takes two indices"),
     "hypergeometric": (2, "hypergeometric generation takes two indices"),
+    "weight": (2, "weight table generation takes two lattice bounds: s_max t_max"),
 }
 
 
@@ -236,16 +231,10 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
             raise ConfigError(f"the {suite} suite runs on the big-q-jacobi preset")
         kwargs = {"p": cfg.preset}
     if suite == "orthogonality":
-        try:
-            check_weight_params(cfg.preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_weight_params(cfg.preset)
         _check_orthogonality_gate(cfg.preset.qp.q, cfg.precision, cfg.truncation)
         kwargs.update(truncation=cfg.truncation, prec=cfg.precision)
-    try:
-        ok, rows = run_suite(suite, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ok, rows = run_suite(suite, **kwargs)
     header = ("case", "a", "b", "value", "pass")
     doc = qio.document("verify-report", {"suite": suite, "ok": ok,
                                          "rows": [list(r) for r in rows]})
@@ -275,14 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp = sub.add_parser("generate", help="emit a polynomial family as JSON")
     common(sp)
-    sp.add_argument("--family", required=True,
-                    choices=("monic", "rodrigues", "nonmonic", "hypergeometric", "weight"))
+    sp.add_argument("--family", required=True, choices=tuple(_ARITY))
     sp.add_argument("--degrees", required=True, help="N for monic; 'n m' otherwise")
     sp = sub.add_parser("verify", help="run a named verification suite")
     common(sp)
-    sp.add_argument("--suite", required=True,
-                    choices=("orthogonality", "consistency", "limits", "recurrence"))
+    sp.add_argument("--suite", required=True, choices=SUITES)
     return ap
+
+
+#: the exit code of each failure main reports in one line, the first match
+#: deciding: a failed check is 1, and every other ValueError (a ConfigError,
+#: a parse error, a vanishing series denominator, a singular system) is 2
+_EXIT_CODES = (((OracleError, RodriguesError, ShapeViolation, DegenerateEquationError), 1),
+               ((ValueError, LatticePoleError, OSError), 2))
+_FAILURES = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def main(argv=None) -> int:
@@ -303,13 +298,9 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(cfg, args.family, args.degrees)
         return cmd_verify(cfg, args.suite)
-    except (ConfigError, EquationParseError, OSError, LatticePoleError, SeriesError,
-            SingularMatrixError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OracleError, RodriguesError, ShapeViolation, DegenerateEquationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

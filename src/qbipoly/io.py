@@ -11,7 +11,6 @@ failures leave neither partial outputs nor temp files.
 from __future__ import annotations
 
 import csv
-import io as _io
 import math
 import os
 from fractions import Fraction
@@ -93,35 +92,11 @@ def _write_atomic(path: str, write) -> None:
 #: at N = 12 the writer then holds about 110 KB at a time in 16 writes
 _BLOCK = 1024
 
-
-def _float_text(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-#: the text of a value of exactly one of these types; subclasses and every
-#: other type take the checks of _encode, in the order json makes them
-_ATOMS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+#: the text of a leaf, by its exact type.  A float is written by its repr:
+#: documents hold no NaN or infinity, since float() of a Fraction too large
+#: for a float raises OverflowError instead of returning inf
+_ATOMS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
-
-
-def _scalar_text(k) -> str:
-    """json's text of a str, float, bool, None or int: a key before it is
-    quoted, or a value of a subclass of int or float."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float_text(k)
-    if k is True or k is False or k is None:
-        return _ATOMS[type(k)](k)
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _encode(v, nl: str, out: list, fh) -> None:
@@ -132,85 +107,64 @@ def _encode(v, nl: str, out: list, fh) -> None:
     if atom is not None:
         out.append(atom(v))
         return
-    if isinstance(v, (dict, list, tuple)):
-        if not v:
-            out.append("{}" if isinstance(v, dict) else "[]")
-            return
-        inner = nl + "  "
-        comma = "," + inner
-        if isinstance(v, dict):
-            sep, closing = "{" + inner, nl + "}"
-            for k, x in sorted(v.items()):
-                key = encode_basestring_ascii(k if type(k) is str else _scalar_text(k))
-                atom = _ATOMS.get(type(x))
-                if atom is not None:
-                    out.append(f"{sep}{key}: {atom(x)}")
-                else:
-                    out.append(f"{sep}{key}: ")
-                    _encode(x, inner, out, fh)
-                sep = comma
-        else:
-            sep, closing = "[" + inner, nl + "]"
-            for x in v:
-                atom = _ATOMS.get(type(x))
-                if atom is not None:
-                    out.append(sep + atom(x))
-                else:
-                    out.append(sep)
-                    _encode(x, inner, out, fh)
-                sep = comma
-        out.append(closing)
-        if len(out) > _BLOCK:
-            fh.write("".join(out))
-            out.clear()
-    elif isinstance(v, str):
-        out.append(encode_basestring_ascii(v))
-    elif isinstance(v, (int, float)):
-        out.append(_scalar_text(v))
+    if not isinstance(v, (dict, list, tuple)):
+        raise TypeError(f"a document holds no {type(v).__name__}")
+    if not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+        return
+    inner = nl + "  "
+    comma = "," + inner
+    if isinstance(v, dict):
+        sep, closing = "{" + inner, nl + "}"
+        for k, x in sorted(v.items()):
+            key = encode_basestring_ascii(k)
+            atom = _ATOMS.get(type(x))
+            if atom is not None:
+                out.append(f"{sep}{key}: {atom(x)}")
+            else:
+                out.append(f"{sep}{key}: ")
+                _encode(x, inner, out, fh)
+            sep = comma
     else:
-        _encode(_json_default(v), nl, out, fh)
+        sep, closing = "[" + inner, nl + "]"
+        for x in v:
+            atom = _ATOMS.get(type(x))
+            if atom is not None:
+                out.append(sep + atom(x))
+            else:
+                out.append(sep)
+                _encode(x, inner, out, fh)
+            sep = comma
+    out.append(closing)
+    if len(out) > _BLOCK:
+        fh.write("".join(out))
+        out.clear()
 
 
-def _write_json(fh, obj) -> None:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True,
-    default=_json_default) and a newline, written in blocks: the stdlib
-    encoder with an indent is pure Python, one generator step per chunk."""
+def write_json(fh, doc) -> None:
+    """Write the bytes of json.dumps(doc, indent=2, sort_keys=True) and a
+    newline to fh, in blocks: the stdlib encoder with an indent is pure
+    Python, one generator step per chunk.  doc is built of dicts with str
+    keys, lists and tuples, with leaves of exactly str, int, float, bool or
+    None; anything else is a TypeError."""
     out = []
-    _encode(obj, "\n", out, fh)
+    _encode(doc, "\n", out, fh)
     out.append("\n")
     fh.write("".join(out))
 
 
-def json_text(obj) -> str:
-    buf = _io.StringIO()
-    _write_json(buf, obj)
-    return buf.getvalue()
+def write_json_atomic(path: str, doc) -> None:
+    _write_atomic(path, lambda fh: write_json(fh, doc))
 
 
-def write_json_atomic(path: str, obj) -> None:
-    _write_atomic(path, lambda fh: _write_json(fh, obj))
-
-
-def _json_default(v):
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    return str(v)
-
-
-def _write_csv(fh, header, rows) -> None:
+def write_csv(fh, header, rows) -> None:
     w = csv.writer(fh)
     w.writerow(header)
     w.writerows(rows)
 
 
-def csv_text(header, rows) -> str:
-    buf = _io.StringIO()
-    _write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
 def write_csv_atomic(path: str, header, rows) -> None:
-    _write_atomic(path, lambda fh: _write_csv(fh, header, rows))
+    _write_atomic(path, lambda fh: write_csv(fh, header, rows))
 
 
 # ---------------------------------------------------------------------------

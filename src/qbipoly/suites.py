@@ -270,13 +270,13 @@ def suite_limits():
     return ok, rows
 
 
+#: the suites, in the order `verify --suite` lists them; suite NAME runs
+#: suite_NAME, looked up when it runs, so a wrapper bound on this module
+#: over a suite function is what runs
+SUITES = ("orthogonality", "consistency", "limits", "recurrence")
+
+
 def run_suite(name: str, **kwargs):
-    table = {
-        "orthogonality": suite_orthogonality,
-        "consistency": suite_consistency,
-        "recurrence": suite_recurrence,
-        "limits": suite_limits,
-    }
-    if name not in table:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)}")
-    return table[name](**kwargs)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    return globals()[f"suite_{name}"](**kwargs)

@@ -49,6 +49,11 @@ ABSENT = [
     ("io", "poly_from_json"),
     ("io", "poly_terms_str"),
     ("io", "equation_to_text"),
+    ("io", "json_text"),
+    ("io", "csv_text"),
+    ("io", "_json_default"),
+    ("io", "_scalar_text"),
+    ("io", "_float_text"),
 ]
 
 
