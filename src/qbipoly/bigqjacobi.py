@@ -9,16 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, product_dens
+from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
 from .equation import EquationCoeffs
 from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _power_sums, _powers,
                       _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
-                    kampe_de_feriet, phi_bivariate, phi_rs, pochhammer_rising, qnum,
-                    qpochhammer)
-from .rodrigues import rodrigues_poly
+                    kampe_de_feriet, phi_rs, pochhammer_rising, qnum, qpochhammer)
+from .rodrigues import rodrigues_polys
 from .scalars import FloatField
 
 
@@ -209,31 +208,54 @@ def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
 # monic hypergeometric representation
 # ---------------------------------------------------------------------------
 
-def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
-    """The monic solution with leading monomial x^n y^m: its prefactor times
-    the bivariate Phi series
+def hypergeometric_polys(p: BigQJacobiParams, pairs) -> dict:
+    """{(n, m): the monic solution with leading monomial x^n y^m}: its
+    prefactor times the bivariate Phi series
 
         Phi(abc q^{n+m+2} : q^-n, bx/d ; q^-m, y | - : bq, abc q^{m+2}/d ; aq, d q^{n+1} | q, q),
 
-    summed with the polynomial parameters bx/d and y, so each
-    (bx/d; q)_i (y; q)_j expands exactly.  Raises if the result is not monic.
+    summed with the polynomial parameters bx/d and y.  The polynomial
+    Pochhammers (bx/d; q)_i, (y; q)_j and their products are built once for
+    all pairs; a pair forms only its scalar terms, and its polynomial is one
+    `combine` of the products it needs.  Raises if a result is not monic.
     """
     q = p.qp.q
     qp = p.qp
     a, b, c, d = p.a, p.b, p.c, p.d
     abc = a * b * c
+    fac = _qfactor(q)
+    xpoch = _terms(fac, [BiPoly.x() * (b / d)], (), "x direction", last=max(n for n, _ in pairs))
+    ypoch = _terms(fac, [BiPoly.y()], (), "y direction", last=max(m for _, m in pairs))
+    products = {(i, j): BiPoly.const(1) * xpoch[i] * ypoch[j] for n, m in pairs
+                for i in range(n + 1) for j in range(m + 1)}
+    out = {}
+    for n, m in pairs:
+        pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
+                * qpochhammer(d * q ** (n + 1), qp, m)
+                * qpochhammer(abc * q ** (m + 2) / d, qp, n)
+                / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
+        xs = _terms(fac, [q**-n], (b * q, abc * q ** (m + 2) / d, q), "x direction", last=n, v=q)
+        ys = _terms(fac, [q**-m], (a * q, d * q ** (n + 1), q), "y direction", last=m, v=q)
+        joint = _terms(fac, [abc * q ** (n + m + 2)], (), "joint sum", n + m)
+        nums, den = exact_form(((i, j), pref * joint[i + j] * xi * yj)
+                               for i, xi in enumerate(xs) for j, yj in enumerate(ys))
+        poly = from_form(*combine(((k, products[ij].nums, products[ij].den)
+                                   for ij, k in nums.items()), den))
+        if poly.coeff(n, m) != 1:
+            raise AssertionError(f"hypergeometric monic form is not monic at ({n},{m})")
+        out[n, m] = poly
+    return out
 
-    pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
-            * qpochhammer(d * q ** (n + 1), qp, m) * qpochhammer(abc * q ** (m + 2) / d, qp, n)
-            / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
-    phi = phi_bivariate([abc * q ** (n + m + 2)],
-                        [q**-n, BiPoly.x() * (b / d)], [q**-m, BiPoly.y()],
-                        [], [b * q, abc * q ** (m + 2) / d], [a * q, d * q ** (n + 1)],
-                        qp, q, q)
-    poly = phi * pref
-    if poly.coeff(n, m) != 1:
-        raise AssertionError(f"hypergeometric monic form is not monic at ({n},{m})")
-    return poly
+
+def monic_hypergeometric(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
+    """The monic solution with leading monomial x^n y^m:
+    `hypergeometric_polys` of one pair."""
+    return hypergeometric_polys(p, [(n, m)])[n, m]
+
+
+def hypergeometric_family(p: BigQJacobiParams, N: int) -> dict:
+    """`hypergeometric_polys` of every pair n + m <= N."""
+    return hypergeometric_polys(p, [(t - m, m) for t in range(N + 1) for m in range(t + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +577,31 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:
     reported constant is the coefficient ratio used to align the Rodrigues
     pair; the monic pair needs none.
     """
-    # one oracle per eps, up to the largest total degree asked for
-    top = max((n + m for n, m in nm_list), default=0)
+    targets = [((n, m), appell_monic(cp, n, m), classical_rodrigues(cp, n, m))
+               for n, m in nm_list]
+    return limit_rows(cp, eps_list, targets, points)
+
+
+def limit_rows(cp: ClassicalParams, eps_list, targets, points) -> list:
+    """`limit_check` against given classical targets ((n, m), monic target,
+    classical Rodrigues target): per eps one oracle, up to the largest
+    total degree, and the Rodrigues pairs from one lattice."""
+    top = max((n + m for (n, m), _, _ in targets), default=0)
     lanes = []
     for eps in eps_list:
         eps = Fraction(eps)
         E = preset_equation(limit_params(cp, eps))
-        lanes.append((eps, E, generate_monic_oracle(E, top)))
+        lanes.append((eps, generate_monic_oracle(E, top),
+                      rodrigues_polys(E, [nm for nm, _, _ in targets]) if targets else {}))
     rows = []
-    for n, m in nm_list:
-        target = appell_monic(cp, n, m)
-        rod_target = classical_rodrigues(cp, n, m)
-        for eps, E, fam in lanes:
+    for (n, m), target, rod_target in targets:
+        for eps, fam, rods in lanes:
             phat = fam.entry(n + m, m)
             for pt in points:
                 err = abs(phat.eval(*pt) - target.eval(*pt))
                 rows.append({"kind": "monic", "n": n, "m": m, "point": pt,
                              "eps": eps, "error": err, "const": Fraction(1)})
-            ptil = rodrigues_poly(E, n, m)
+            ptil = rods[n, m]
             cstar = ptil.coeff(n, m) / rod_target.coeff(n, m)
             for pt in points:
                 err = abs(ptil.eval(*pt) - cstar * rod_target.eval(*pt))

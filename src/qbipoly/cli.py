@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -126,8 +127,10 @@ def cmd_check(cfg: RunConfig) -> int:
         }
         ok = ok and pear["ok"]
     doc = qio.document("check-report", {"ok": ok, "report": report})
-    rows = [(k, str(v)) for k, v in sorted(report.items())]
-    _emit(cfg, doc, header=("check", "result"), rows=rows)
+    # one CSV row per leaf of a report section, its value as JSON text
+    rows = [(section, key, json.dumps(v)) for section, entries in sorted(report.items())
+            for key, v in sorted(entries.items())]
+    _emit(cfg, doc, header=("section", "key", "value"), rows=rows)
     return 0 if ok else 1
 
 

@@ -51,19 +51,26 @@ class PearsonData:
     g2: RationalFn
 
 
+def _omegas(E) -> tuple:
+    """(omega1, omega2) of an EquationCoeffs or DerivedCoeffs; either one
+    vanishing identically is a degenerate equation."""
+    x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
+    omega1 = y * E.c11 - x * E.a12d * q
+    omega2 = x * E.c22 - y * E.a12d * q
+    if omega1.is_zero() or omega2.is_zero():
+        raise DegenerateEquationError("omega vanishes identically; no Pearson system")
+    return omega1, omega2
+
+
 def build_pearson(E) -> PearsonData:
     """Pearson polynomials and ratio functions of an EquationCoeffs or
     DerivedCoeffs; exact."""
-    qp = E.qp
-    q = qp.q
+    q = E.qp.q
     x = BiPoly.x()
     y = BiPoly.y()
-    omega1 = y * E.c11 - x * E.a12d * q
-    omega2 = x * E.c22 - y * E.a12d * q
+    omega1, omega2 = _omegas(E)
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
-    if omega1.is_zero() or omega2.is_zero():
-        raise DegenerateEquationError("omega vanishes identically; no Pearson system")
     g1 = RationalFn(phi1, omega1.scale_args(q, 1))
     g2 = RationalFn(phi2, omega2.scale_args(1, q))
     return PearsonData(phi1, phi2, omega1, omega2, g1, g2)
@@ -81,7 +88,12 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
     q = qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = derived_orders(E, k_max + 1, l_max + 1)
-    pearson = {kl: build_pearson(D) for kl, D in derived.items()}
+    pearson = {(k, l): build_pearson(derived[k, l])
+               for k in range(k_max + 1) for l in range(l_max + 1)}
+    # the orders past the bounds are checked for degeneracy too, and their
+    # coupling rows read only omega1 (at l_max + 1) or omega2 (at k_max + 1)
+    omegas = {kl: (P.omega1, P.omega2) for kl, P in pearson.items()}
+    omegas.update({kl: _omegas(D) for kl, D in derived.items() if kl not in omegas})
 
     for k in range(k_max + 1):
         for l in range(l_max + 1):
@@ -100,10 +112,10 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
             key_rhs = P.g1 * x * dq_ratfn(P.g2, qp, 1)
             report["key"][(k, l)] = key_lhs.ratfn_equal(key_rhs)
 
-            w1_up = pearson[(k, l + 1)].omega1.scale_args(q, 1)      # omega1^{(k,l+1)}(qx,y)
-            w2_kl = pearson[(k, l)].omega2.scale_args(q, q)          # omega2^{(k,l)}(qx,qy)
-            w2_up = pearson[(k + 1, l)].omega2.scale_args(1, q)      # omega2^{(k+1,l)}(x,qy)
-            w1_kl = pearson[(k, l)].omega1.scale_args(q, q)          # omega1^{(k,l)}(qx,qy)
+            w1_up = omegas[k, l + 1][0].scale_args(q, 1)      # omega1^{(k,l+1)}(qx,y)
+            w2_kl = omegas[k, l][1].scale_args(q, q)          # omega2^{(k,l)}(qx,qy)
+            w2_up = omegas[k + 1, l][1].scale_args(1, q)      # omega2^{(k+1,l)}(x,qy)
+            w1_kl = omegas[k, l][0].scale_args(q, q)          # omega1^{(k,l)}(qx,qy)
             report["coupling"][(k, l)] = (w1_up * w2_kl) == (w2_up * w1_kl)
 
     report["ok"] = all(v for sub in ("ratio_left", "ratio_right", "key", "coupling")

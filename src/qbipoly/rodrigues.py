@@ -10,7 +10,7 @@ The polynomial of index (n, m) is recovered from
 sampled on the lower set i + j <= n + m of a backward lattice grid: all rho
 ratios entering the quotient are finite products of Pearson ratio values,
 hence exact rationals, and the samples interpolate to the unique polynomial
-of total degree n + m.
+of total degree n + m.  The pairs of one call share one lattice.
 """
 
 from __future__ import annotations
@@ -40,75 +40,88 @@ class RodriguesError(ValueError):
     pass
 
 
-def _grid_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
-    """Sample u on the lower set i + j <= N = n + m of the backward grid
-    xb q^-i, yb q^-j from `base`; exact rationals, values[i][j] for
-    j <= N - i.
+def _grid_values(E: EquationCoeffs, pairs, base) -> dict:
+    """Sample u of each pair (n, m) on the lower set i + j <= N = n + m of
+    the backward grid xb q^-i, yb q^-j from `base`: {(n, m): (nodes_x,
+    nodes_y, values)}, exact rationals, values[i][j] for j <= N - i.
 
-    The forward stencil of every grid node lies on one backward lattice of
-    (G+n) x (G+m) points x_a = q^a X, y_b = q^b Y, G = N + 1, from the far
-    anchor (X, Y) = q^-N base (grid node i, stencil row r is lattice row
-    N-i+r).  There rho ratios are finite Pearson products, and the anchor
-    constant cancels between the bracket and the outer division.  A node
-    of the lower set has its stencil in a + b >= N, so f = rho * Omega is
-    formed only there, Omega as the product of its factors:
+    All pairs share one backward lattice of (M+1+n') x (M+1+m') points x_a
+    = q^a X, y_b = q^b Y, from the far anchor (X, Y) = q^-M base, where M,
+    n' and m' are the largest n + m, n and m.  A pair reads the sub-box from
+    offset o = M - N: its grid node i, stencil row r, is lattice row M-i+r.
+    There rho ratios are finite Pearson products, and the anchor constant
+    cancels between the bracket and the outer division.  A node of the
+    lower set has its stencil in a + b >= N (pair coordinates), so f = rho *
+    Omega is formed only there, Omega as the product of its factors:
     omega1(q^-k x_a, y_b) = omega1(x_{a-k}, y_b) and omega2(x_a, q^-s y_b) =
     omega2(x_a, y_{b-s}), each factor evaluated once on the lattice as an
     unreduced integer pair, so that f is a product of integers reduced once
-    per lattice point.  One lattice-wide difference table gives every node.
+    per lattice point.  One difference table per pair gives its nodes.  A
+    pole anywhere on the shared lattice fails every pair.
     """
     qp = E.qp
     q = qp.q
-    N = n + m
-    G = N + 1
+    M = max(n + m for n, m in pairs)
+    n_top, m_top = max(n for n, _ in pairs), max(m for _, m in pairs)
     xb, yb = base
-    X, Y = xb * q**-N, yb * q**-N
+    X, Y = xb * q**-M, yb * q**-M
     weight = base_weight(E, (X, Y))
-    rho = weight.box(G + n, G + m)
+    rho = weight.box(M + 1 + n_top, M + 1 + m_top)
     P = weight.pearson
-    pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
     # factor arguments reach dx (dy) steps below the lattice: xs[a + dx] = x_a
-    dx, dy = max(n - 1, 0), max(m - 1, 0)
-    xs = [X * q ** (a - dx) for a in range(G + n + dx)]
-    ys = [Y * q ** (b - dy) for b in range(G + m + dy)]
-    w1 = P.omega1.eval_grid_pairs(xs, ys[dy:]) if n else None
-    w2 = P.omega2.eval_grid_pairs(xs[dx:], ys) if m else None
-    fvals = []
-    for a in range(G + n):
-        row = [None] * max(N - a, 0)
-        for b in range(len(row), G + m):
-            val = rho[a][b]
-            num, den = val.numerator, val.denominator
-            for wn, wd in [w1[a + dx - k][b] for k in range(n)] + [w2[a][b + dy - s] for s in range(m)]:
-                num *= wn
-                den *= wd
-            row.append(Fraction(num, den))
-        fvals.append(row)
-    table = dq_nm_table(fvals, X, Y, qp, n, m)
+    dx, dy = max(n_top - 1, 0), max(m_top - 1, 0)
+    xs = [X * q ** (a - dx) for a in range(M + 1 + n_top + dx)]
+    ys = [Y * q ** (b - dy) for b in range(M + 1 + m_top + dy)]
+    w1 = P.omega1.eval_grid_pairs(xs, ys[dy:]) if n_top else None
+    w2 = P.omega2.eval_grid_pairs(xs[dx:], ys) if m_top else None
+    nodes_x = [xb * q**-i for i in range(M + 1)]
+    nodes_y = [yb * q**-j for j in range(M + 1)]
+    out = {}
+    for n, m in pairs:
+        N = n + m
+        G, o = N + 1, M - N
+        fvals = []
+        for a in range(o, o + G + n):
+            row = [None] * max(M - a, 0)
+            for b in range(o + len(row), o + G + m):
+                val = rho[a][b]
+                num, den = val.numerator, val.denominator
+                for wn, wd in ([w1[a + dx - k][b] for k in range(n)]
+                               + [w2[a][b + dy - s] for s in range(m)]):
+                    num *= wn
+                    den *= wd
+                row.append(Fraction(num, den))
+            fvals.append(row)
+        table = dq_nm_table(fvals, X * q**o, Y * q**o, qp, n, m)
 
-    values = []
-    for i in range(G):
-        row = []
-        for j in range(G - i):
-            rho_here = rho[N - i][N - j]
-            if rho_here == 0:
-                raise LatticePoleError("rho", N - i, (xb * q**-i, yb * q**-j))
-            row.append(pref * table[N - i][N - j] / rho_here)
-        values.append(row)
-    return [xb * q**-i for i in range(G)], [yb * q**-j for j in range(G)], values
+        pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+        values = []
+        for i in range(G):
+            row = []
+            for j in range(G - i):
+                rho_here = rho[M - i][M - j]
+                if rho_here == 0:
+                    raise LatticePoleError("rho", M - i, (nodes_x[i], nodes_y[j]))
+                row.append(pref * table[N - i][N - j] / rho_here)
+            values.append(row)
+        out[n, m] = nodes_x[:G], nodes_y[:G], values
+    return out
 
 
-def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:
-    """Construct the degree-(n+m) Rodrigues polynomial exactly.
+def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
+    """{(n, m): the degree-(n+m) Rodrigues polynomial} for every pair, exact,
+    from one lattice per base point tried.
 
     Raises RodriguesError, before any lattice work, when the equation is
-    not admissible, and when no base point of DEFAULT_BASES is pole-free.
-    The result is not re-checked against the eigen-equation here: the
-    consistency suite (its rodrigues_in_eigenspace rows), `generate
-    --family rodrigues` (its residual_zero entry) and the tests do that.
+    not admissible, and when no base point of DEFAULT_BASES is pole-free
+    for the whole lattice.  The results are not re-checked against the
+    eigen-equation here: the consistency suite (its rodrigues_in_eigenspace
+    rows), `generate --family rodrigues` (its residual_zero entry) and the
+    tests do that.
     """
-    if n < 0 or m < 0:
+    pairs = list(dict.fromkeys(pairs))
+    if any(n < 0 or m < 0 for n, m in pairs):
         raise ValueError("degrees must be nonnegative")
     adm = E.admissibility
     if not adm.admissible:
@@ -116,10 +129,20 @@ def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:
     last_pole = None
     for base in DEFAULT_BASES:
         try:
-            nodes_x, nodes_y, values = _grid_values(E, n, m, base)
+            grids = _grid_values(E, pairs, base)
         except (LatticePoleError, ZeroDivisionError) as exc:
             last_pole = exc
             continue
-        return interpolate_2d(nodes_x, nodes_y, values)
+        return {pair: interpolate_2d(*grid) for pair, grid in grids.items()}
     raise RodriguesError(f"no pole-free base point among {len(DEFAULT_BASES)} candidates: "
                          f"{last_pole}")
+
+
+def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:
+    """The degree-(n+m) Rodrigues polynomial: `rodrigues_polys` of one pair."""
+    return rodrigues_polys(E, [(n, m)])[n, m]
+
+
+def rodrigues_family(E: EquationCoeffs, N: int) -> dict:
+    """`rodrigues_polys` of every pair n + m <= N, from one lattice."""
+    return rodrigues_polys(E, [(t - m, m) for t in range(N + 1) for m in range(t + 1)])

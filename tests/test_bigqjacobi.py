@@ -12,8 +12,8 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _node_factors, _power_sums,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
-                                error_ratios, explicit_BC, jnm, lambda_explicit,
-                                limit_check, limit_params,
+                                error_ratios, explicit_BC, hypergeometric_family, jnm,
+                                lambda_explicit, limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly)
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
@@ -24,7 +24,7 @@ from qbipoly.monic import generate_monic_oracle, ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
                            qpochhammer_inf)
-from qbipoly.rodrigues import rodrigues_poly
+from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
 from qbipoly.scalars import FloatField
 from qbipoly.suites import run_suite
 from test_linalg import tensor_vandermonde_interpolate
@@ -210,6 +210,29 @@ def test_hypergeometric_equals_explicit_double_sum(point):
             assert monic_hypergeometric(p, total - m, m) == explicit_double_sum(p, total - m, m)
 
 
+def phi_bivariate_route(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
+    """The monic solution as the prefactor times one `phi_bivariate` call
+    with the polynomial parameters bx/d and y: the route's own series."""
+    q, qp = p.qp.q, p.qp
+    a, b, c, d = p.a, p.b, p.c, p.d
+    abc = a * b * c
+    pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
+            * qpochhammer(d * q ** (n + 1), qp, m) * qpochhammer(abc * q ** (m + 2) / d, qp, n)
+            / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
+    return pref * phi_bivariate([abc * q ** (n + m + 2)], [q**-n, x * (b / d)], [q**-m, y],
+                                [], [b * q, abc * q ** (m + 2) / d], [a * q, d * q ** (n + 1)],
+                                qp, q, q)
+
+
+@pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1"])
+def test_hypergeometric_family_equals_the_phi_bivariate_series(point):
+    p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG}[point]
+    family = hypergeometric_family(p, 4)
+    assert list(family) == [(t - m, m) for t in range(5) for m in range(t + 1)]
+    for (n, m), poly in family.items():
+        assert poly == phi_bivariate_route(p, n, m) == monic_hypergeometric(p, n, m), (n, m)
+
+
 def test_series_with_polynomial_arguments_match_scalar_calls(params):
     # BiPoly parameters or arguments, evaluated afterwards, give the scalar sum
     q, qp = params.qp.q, params.qp
@@ -304,6 +327,24 @@ def test_routes_agree_across_the_domain(p, total, data):
     # (dq/y; q)_j has no zero factor
     for xv, yv in ((F(-2, 7), F(5, 11)), (F(3, 13), F(-5, 17))):
         assert poly.eval(xv, yv) == nonmonic_value(p, total, k, xv, yv)
+
+
+@seed(2013)
+@settings(max_examples=40, deadline=None, database=None)
+@given(big_q_jacobi_points(), st.integers(0, 3), st.data())
+def test_families_equal_their_pairs_across_the_domain(p, total, data):
+    # the 40 points of test_routes_agree_across_the_domain (same seed,
+    # strategies and draws): each family, built once for n + m <= 4, is its
+    # one-pair calls polynomial for polynomial
+    data.draw(st.integers(0, total), label="m")
+    data.draw(st.integers(0, total), label="k")
+    E = preset_equation(p)
+    rod, hyp = rodrigues_family(E, 4), hypergeometric_family(p, 4)
+    pairs = [(t - m, m) for t in range(5) for m in range(t + 1)]
+    assert list(rod) == list(hyp) == pairs
+    for n, m in pairs:
+        assert rod[n, m] == rodrigues_poly(E, n, m), (n, m)
+        assert hyp[n, m] == monic_hypergeometric(p, n, m), (n, m)
 
 
 # classical (q -> 1) targets ----------------------------------------------------------
@@ -425,6 +466,25 @@ def test_limits_suite_builds_one_oracle_per_eps_and_each_target_once(monkeypatch
     ok, _ = suites.suite_limits()
     assert ok
     assert built == [3, 3]
+    assert sorted(targets) == sorted(set(targets)) and len(targets) == 10
+
+
+def test_limits_suite_builds_each_lane_from_one_lattice_and_each_target_once(monkeypatch):
+    # per eps one Rodrigues lattice for the three pairs, and each classical
+    # Rodrigues target built once, by the suite
+    import qbipoly.suites as suites
+
+    lattices, targets = [], []
+    polys, classical = bigqjacobi.rodrigues_polys, suites.classical_rodrigues
+    monkeypatch.setattr(bigqjacobi, "rodrigues_polys",
+                        lambda E, pairs: lattices.append(list(pairs)) or polys(E, pairs))
+    monkeypatch.setattr(bigqjacobi, "classical_rodrigues",
+                        lambda cp, n, m: pytest.fail("limit rows rebuilt a classical target"))
+    monkeypatch.setattr(suites, "classical_rodrigues",
+                        lambda cp, n, m: targets.append((n, m)) or classical(cp, n, m))
+    ok, _ = suites.suite_limits()
+    assert ok
+    assert lattices == [[(1, 0), (1, 1), (2, 1)]] * 2
     assert sorted(targets) == sorted(set(targets)) and len(targets) == 10
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import enum
 import hashlib
@@ -320,6 +321,49 @@ def test_cli_check_preset_passes(capsys):
     assert doc["ok"] is True
     assert doc["schema_version"] == 1
     assert doc["report"]["eigenvalues"]["1"] == "-479/480"
+
+
+CHECK_CSV = (
+    "section,key,value\r\n"
+    "admissibility,admissible,true\r\n"
+    "admissibility,failures,[]\r\n"
+    'eigenvalues,0,"""0"""\r\n'
+    'eigenvalues,1,"""-479/480"""\r\n'
+    'eigenvalues,2,"""-959/320"""\r\n'
+    + "".join(f"hypergeometric_form,{k},true\r\n" for k in (
+        "a12a_bilinear", "a12d_bilinear", "b1_affine_in_x", "b2_affine_in_y",
+        "c11_quadratic_in_x", "c22_quadratic_in_y", "ok"))
+    + "".join(f"operator_relations,{k},true\r\n" for k in (
+        "commute_dq1_dq2", "commute_dq1_dqm2", "commute_dq2_dqm1", "commute_dqm1_dqm2",
+        "convert_axis1", "convert_axis2", "product_rule_axis1", "product_rule_axis2"))
+    + "".join(f"pearson,{k},true\r\n" for k in ("coupling", "key", "ratio_left", "ratio_right"))
+)
+
+
+def test_cli_check_csv_is_one_json_leaf_per_row(capsys):
+    argv = ["check", "--preset", "big-q-jacobi", "--max-degree", "2"]
+    assert main([*argv, "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text == CHECK_CSV
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["section", "key", "value"]
+    assert {(s, k): json.loads(v) for s, k, v in rows[1:]} == {
+        (s, k): v for s, leaves in report.items() for k, v in leaves.items()}
+
+
+def test_cli_check_csv_of_a_failed_check(tmp_path, capsys, equation):
+    bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
+                         equation.a12d + x * y * F(1, 7), equation.b1, equation.b2)
+    path = tmp_path / "bad.eq"
+    path.write_text(equation_to_text(bad))
+    assert main(["check", "--equation", str(path), "--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    (failures,) = [json.loads(v) for s, k, v in rows if (s, k) == ("admissibility", "failures")]
+    assert any("a3d" in msg for msg in failures)
+    assert ["admissibility", "admissible", "false"] in rows
+    assert {s for s, _, _ in rows[1:]} == {"admissibility", "hypergeometric_form"}
 
 
 def test_cli_check_perturbed_cross_term_fails(tmp_path, capsys, equation):

@@ -13,7 +13,8 @@ from test_bigqjacobi import is_power_of
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, weight_table_rows
 from qbipoly.qcalc import QParam, dq_nm_table
-from qbipoly.rodrigues import DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_poly
+from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_family,
+                               rodrigues_poly)
 from test_pearson import rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
@@ -202,15 +203,68 @@ def test_pole_retry_moves_to_next_base(equation, params, monkeypatch):
     tried = []
     original = rodrigues._grid_values
 
-    def spy(E, n, m, base):
-        tried.append(base)
-        return original(E, n, m, base)
+    def spy(E, pairs, base):
+        tried.append((list(pairs), base))
+        return original(E, pairs, base)
 
     monkeypatch.setattr(rodrigues, "_grid_values", spy)
     monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1], DEFAULT_BASES[2]))
     got = rodrigues_poly(equation, 1, 1)
-    assert tried == [bad, DEFAULT_BASES[1]]
+    assert tried == [([(1, 1)], bad), ([(1, 1)], DEFAULT_BASES[1])]
     assert got == next_base
+
+
+def test_pole_on_the_shared_lattice_moves_every_pair(equation, params, monkeypatch):
+    # a base with G1 poles only where a = b + 3 on the lattice from q^-2 base:
+    # inside the box of (2, 0), outside those of (0, 0) and (1, 1) alone.  The
+    # family lattice holds the pole, so every pair moves to the next base
+    q = params.qp.q
+    bad = (params.c * F(5, 11) * q**-3, F(5, 11))
+    pairs = [(0, 0), (1, 1), (2, 0)]
+    alone = {pair: _grid_values(equation, [pair], bad)[pair] for pair in pairs[:2]}
+    for request in ([(2, 0)], pairs):
+        with pytest.raises(LatticePoleError, match="G1 pole"):
+            _grid_values(equation, request, bad)
+    want = {pair: rodrigues_poly(equation, *pair) for pair in pairs}
+    tried = []
+    original = rodrigues._grid_values
+
+    def spy(E, pairs, base):
+        tried.append(base)
+        return original(E, pairs, base)
+
+    monkeypatch.setattr(rodrigues, "_grid_values", spy)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1]))
+    assert rodrigues.rodrigues_polys(equation, pairs) == want
+    assert tried == [bad, DEFAULT_BASES[1]]
+    for pair, (nodes_x, nodes_y, values) in alone.items():
+        assert interpolate_2d(nodes_x, nodes_y, values) == want[pair]
+
+
+Q910_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(1, 5), F(-1, 2), QParam(F(9, 10)))
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, Q910_PARAMS, WIDE_D_PARAMS],
+                         ids=["test-params", "q=2/3", "q=9/10", "wide-d"])
+def test_family_lattice_gives_each_pair_its_own_samples(params, monkeypatch):
+    # every pair reads from the shared lattice the samples (and forms the f
+    # values) of its own one-pair lattice, so the family is the pairs
+    E = preset_equation(params)
+    formed = []
+
+    def spy(fvals, *args):
+        formed.append(sum(v is not None for row in fvals for v in row))
+        return dq_nm_table(fvals, *args)
+
+    monkeypatch.setattr(rodrigues, "dq_nm_table", spy)
+    pairs = [(t - m, m) for t in range(6) for m in range(t + 1)]
+    shared = _grid_values(E, pairs, DEFAULT_BASES[0])
+    assert list(shared) == pairs
+    counts = formed[:]
+    for pair in pairs:
+        assert _grid_values(E, [pair], DEFAULT_BASES[0])[pair] == shared[pair], pair
+    assert formed[len(pairs):] == counts
+    assert rodrigues_family(E, 5) == {pair: rodrigues_poly(E, *pair) for pair in pairs}
 
 
 def test_pole_retry_with_only_bad_bases(equation, params, monkeypatch):
@@ -303,7 +357,7 @@ def test_line1_equals_line3_up_to_q_square_power(equation):
     q = equation.qp.q
     base = DEFAULT_BASES[0]
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 2)]:
-        nodes_x, nodes_y, vals3 = _grid_values(equation, n, m, base)
+        nodes_x, nodes_y, vals3 = _grid_values(equation, [(n, m)], base)[n, m]
         p = interpolate_2d(nodes_x, nodes_y, vals3)
         vals1 = rodrigues_line1_values(equation, n, m, base)
         factor = q ** (n * n + m * m)
@@ -321,7 +375,7 @@ def test_samples_off_grid_match_interpolant(equation):
     for n, m in [(1, 1), (2, 1)]:
         p = rodrigues_poly(equation, n, m)
         base = (DEFAULT_BASES[0][0] * F(1, 4), DEFAULT_BASES[0][1] * F(1, 4))
-        nodes_x, nodes_y, lower = _grid_values(equation, n, m, base)
+        nodes_x, nodes_y, lower = _grid_values(equation, [(n, m)], base)[n, m]
         _, _, full = reference_grid_values(equation, n, m, base, factored_bracket(equation, n, m))
         G = n + m + 1
         assert [len(row) for row in lower] == list(range(G, 0, -1))
@@ -345,7 +399,7 @@ def test_grid_values_forms_f_only_where_needed(equation, monkeypatch, n, m):
     monkeypatch.setattr(rodrigues, "dq_nm_table", spy)
     N = n + m
     G = N + 1
-    _, _, values = _grid_values(equation, n, m, DEFAULT_BASES[0])
+    _, _, values = _grid_values(equation, [(n, m)], DEFAULT_BASES[0])[n, m]
     assert formed == [(G + n) * (G + m) - N * (N + 1) // 2]
     assert sum(len(row) for row in values) == G * (G + 1) // 2
 
@@ -425,7 +479,7 @@ def test_grid_values_raises_the_tensor_sampler_pole(equation, params, n, m, kind
     expected = first_walk_pole(equation, (X, Y), N + 1 + n, N + 1 + m)
     assert expected[0] == kind.upper()
     with pytest.raises(LatticePoleError) as err:
-        _grid_values(equation, n, m, base)
+        _grid_values(equation, [(n, m)], base)
     assert (err.value.which, err.value.index, err.value.point) == expected
 
 
