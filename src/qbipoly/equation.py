@@ -19,7 +19,7 @@ steps of each monomial, and all six add integers over one denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -256,30 +256,21 @@ def _swap(state):
 
 
 def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = None) -> DerivedCoeffs:
-    """Coefficients of the equation for the order-(k, l) generalized difference,
-    by iterating the one-step recurrence k times along x, then l times along
-    y.  The closed-form coefficients are an independent route to the same
-    result; the tests compare the two."""
+    """Coefficients of the equation for the order-(k, l) generalized
+    difference: order (k, l) of `derived_orders`, with mu shifted by lam
+    (exact, since each propagation step adds to mu and reads nothing of it).
+    The closed forms in the tests are an independent route to them."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
-    if lam is None:
-        lam = Fraction(0)
-    state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, lam)
-    for _ in range(k):
-        state = _xstep(E.qp, state)
-    if l:
-        state = _swap(state)
-        for _ in range(l):
-            state = _xstep(E.qp, state)
-        state = _swap(state)
-    return DerivedCoeffs(E.qp, *state[:6], mu=state[6])
+    D = derived_orders(E, k, l)[(k, l)]
+    return replace(D, mu=D.mu + (lam or 0))
 
 
 def derived_orders(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
-    """{(k, l): derived_coeffs(E, k, l)} for every order k <= k_max,
-    l <= l_max, each one propagation step from a neighbour: (k, 0) from
-    (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, the step
-    derived_coeffs takes last.  The coefficients are identical, from
+    """{(k, l): the derived coefficients of order (k, l)} for every order
+    k <= k_max, l <= l_max, each one propagation step from a neighbour:
+    (k, 0) from (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, so
+    order (k, l) is k steps along x, then l along y.  The whole box takes
     k_max + (k_max + 1) l_max steps instead of one chain per order."""
     out = {}
     state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, Fraction(0))

@@ -199,8 +199,9 @@ def parse_poly_terms(text: str) -> BiPoly:
 def parse_equation_source(text: str) -> tuple:
     """(equation, preset parameters) from the key-value equation format; the
     parameters are the BigQJacobiParams of a big-q-jacobi preset, or None
-    for an equation given by its six polynomials."""
-    fields = {}
+    for an equation given by its six polynomials.  A key that neither form
+    reads is refused, not ignored."""
+    fields, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,7 +212,7 @@ def parse_equation_source(text: str) -> tuple:
         key = key.lower()
         if key in fields:
             raise EquationParseError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = val
+        fields[key], lines[key] = val, lineno
 
     if "q" not in fields:
         raise EquationParseError("missing q")
@@ -221,9 +222,13 @@ def parse_equation_source(text: str) -> tuple:
         raise EquationParseError(f"bad q: {exc}") from None
 
     preset = fields.get("preset")
+    if preset is not None and preset != "big-q-jacobi":
+        raise EquationParseError(f"unknown preset {preset!r}")
+    kind, keys = ("preset", "abcd") if preset else ("six-polynomial", _POLY_KEYS)
+    for key in fields:
+        if key not in ("q", "preset", *keys):
+            raise EquationParseError(f"line {lines[key]}: {key!r} is not a key of a {kind} file")
     if preset is not None:
-        if preset != "big-q-jacobi":
-            raise EquationParseError(f"unknown preset {preset!r}")
         from .bigqjacobi import BigQJacobiParams, preset_equation
 
         try:

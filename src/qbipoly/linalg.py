@@ -8,8 +8,9 @@ products, ``Mat @ PolyVec`` included, are the kernel ``combine``, which
 never visits a zero entry: the operator's difference blocks are bidiagonal
 and the multiplication embeddings are 0/1 selections.
 Solving is plain rational Gaussian elimination with partial pivoting, so
-results and singularity reports are exact; no route calls it, and it stays
-only because the benchmark's span list names it.
+results and singularity reports are exact; no route calls it.  It stays
+because the benchmark's span list names it, and the tests solve with it
+for their references to `interpolate_2d` and to the oracle's chain steps.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ ABSENT = [
     ("io", "_json_default"),
     ("io", "_scalar_text"),
     ("io", "_float_text"),
+    ("monic", "RecurrenceMismatch"),
 ]
 
 

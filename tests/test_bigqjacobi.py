@@ -345,6 +345,10 @@ def test_families_equal_their_pairs_across_the_domain(p, total, data):
     for n, m in pairs:
         assert rod[n, m] == rodrigues_poly(E, n, m), (n, m)
         assert hyp[n, m] == monic_hypergeometric(p, n, m), (n, m)
+        # monic: the top-degree part is x^n y^m
+        assert hyp[n, m].total_degree() == n + m, (n, m)
+        assert {mono: c for mono, c in hyp[n, m].coeffs.items() if sum(mono) == n + m} \
+            == {(n, m): 1}, (n, m)
 
 
 # classical (q -> 1) targets ----------------------------------------------------------

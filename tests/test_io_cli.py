@@ -615,6 +615,7 @@ REFUSAL_FILES = {
     "no-equals": "q = 1/2\njunk\n",
     "preset-without-a": "preset = big-q-jacobi\nq = 1/2\nb = 1/4\nc = 1/5\nd = -1/2\n",
     "preset-a-too-large": PRESET_TEXT.replace("a = 1/3", "a = 3"),
+    "preset-with-c11": PRESET_TEXT + "c11 = 0,0:1\n",
 }
 
 
@@ -657,9 +658,16 @@ REFUSAL_FILES = {
     (["check", "--equation", "@no-equals"], "line 2: expected 'key = value'"),
     (["check", "--equation", "@preset-without-a"], "preset needs parameter 'a'"),
     (["check", "--equation", "@preset-a-too-large"], "need 0 < aq < 1, got a=3, q=1/2"),
+    # a key that the file's form does not read is refused, not ignored
+    (["check", "--equation", "@general-foo"], "line 2: 'foo' is not a key of a six-polynomial file"),
+    (["check", "--equation", "@preset-with-c11"], "line 8: 'c11' is not a key of a preset file"),
+    (["check", "--equation", "@general-a"], "line 8: 'a' is not a key of a six-polynomial file"),
 ])
 def test_cli_refusal_is_one_line_exit_2(tmp_path, capsys, equation, argv, message):
-    files = dict(REFUSAL_FILES, general=equation_to_text(equation))
+    general = equation_to_text(equation)
+    files = dict(REFUSAL_FILES, general=general, **{
+        "general-foo": general.replace("\nc11", "\nfoo = 3\nc11", 1),
+        "general-a": general + "a = 7\n"})
     for name, text in files.items():
         (tmp_path / f"{name}.eq").write_text(text)
     argv = [str(tmp_path / f"{a[1:]}.eq") if a.startswith("@") else a for a in argv]

@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from qbipoly import monic, suites
+from qbipoly import suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import admissibility, apply_operator
-from qbipoly.linalg import Mat, graded_coeff_block, mat_diff, monomial_vec, solve_exact
+from qbipoly.equation import EquationCoeffs, admissibility, apply_operator
+from qbipoly.linalg import (Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec,
+                            solve_exact)
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            generate_monic_rf, ghat_oracle, gram_matrix, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
@@ -210,25 +214,42 @@ def test_ttr_matrices_equal_the_L_products(oracle7):
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle7, n, j), (n, j)
 
 
-def test_oracle_rejects_leading_block_not_scalar(equation, monkeypatch):
-    real = monic.operator_blocks
+@st.composite
+def admissible_equations(draw):
+    """Equations with every coefficient drawn at random and the four
+    admissibility conditions imposed: a2 = a1, f2 = f1, a3d = a1 and
+    a3a = a1 q + f1 (q - 1)."""
+    q = draw(st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    a1, f1, *r = (draw(coeff) for _ in range(14))
+    E = EquationCoeffs(
+        QParam(q),
+        BiPoly({(2, 0): q * a1, (1, 0): q * r[0], (0, 0): q * r[1]}),
+        BiPoly({(0, 2): q * a1, (0, 1): q * r[2], (0, 0): q * r[3]}),
+        BiPoly({(1, 1): a1 * q + f1 * (q - 1), (1, 0): r[4], (0, 1): r[5], (0, 0): r[6]}),
+        BiPoly({(1, 1): a1, (1, 0): r[7], (0, 1): r[8], (0, 0): r[9]}),
+        BiPoly({(1, 0): f1, (0, 0): r[10]}),
+        BiPoly({(0, 1): f1, (0, 0): r[11]}))
+    assume(E.admissibility.admissible)
+    return E
 
-    def perturbed(E, j):
-        same, drop1, drop2 = real(E, j)
-        if j == 2:
-            rows = [list(r) for r in same.rows]
-            rows[0][1] += F(1, 7)
-            same = Mat(rows)
-        return same, drop1, drop2
 
-    monkeypatch.setattr(monic, "operator_blocks", perturbed)
-    with pytest.raises(OracleError, match="at degree 2$"):
-        generate_monic_oracle(equation, 3)
+@seed(27)
+@settings(max_examples=60, deadline=None, database=None)
+@given(admissible_equations())
+def test_admissible_operator_blocks_are_scalar_and_banded(E):
+    # the oracle reads neither the degree-preserving block nor anything off
+    # the band, and checks neither: admissibility decides both
+    lam = E.admissibility.eigenvalue
+    for j in range(7):
+        images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
+        for k, img in enumerate(images.entries):
+            for i1, i2 in img.nums:
+                assert i1 <= j - k and i2 <= k and i1 + i2 >= j - 2, (j, k, (i1, i2))
+        assert operator_blocks(E, j)[0] == Mat.identity(j + 1).scaled(-lam(j)), j
 
 
 def test_oracle_rejects_nonadmissible(equation):
-    from qbipoly.equation import EquationCoeffs
-
     bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
                          equation.a12d + x * y * F(1, 9), equation.b1, equation.b2)
     with pytest.raises(OracleError):
@@ -407,12 +428,35 @@ def test_C_rank(equation, oracle5):
 
 
 def test_recursive_formula_reproduces_oracle(equation):
-    fam = generate_monic_rf(generate_monic_oracle(equation, 4))  # raises on any mismatch
+    oracle = generate_monic_oracle(equation, 4)
+    fam = generate_monic_rf(oracle)
+    assert fam.vectors == oracle.vectors
     assert fam.N == 4
     f1, g1 = equation.tau1()
     f2, g2 = equation.tau2()
     assert fam.entry(1, 0) == x + BiPoly.const(g1 / f1)
     assert fam.entry(1, 1) == y + BiPoly.const(g2 / f1)
+
+
+def test_consistency_row_names_the_first_differing_entry(monkeypatch):
+    # the suite compares the recursive family with the oracle itself; a
+    # recursive family off at (2, 1) and (3, 0) fails the row at (2, 1)
+    real = suites.generate_monic_rf
+
+    def bumped(fam):
+        rf = real(fam)
+        vectors = list(rf.vectors)
+        for n, k in ((2, 1), (3, 0)):
+            entries = list(vectors[n].entries)
+            entries[k] = entries[k] + BiPoly.const(F(1, 7))
+            vectors[n] = PolyVec(entries)
+        return dataclasses.replace(rf, vectors=vectors)
+
+    monkeypatch.setattr(suites, "generate_monic_rf", bumped)
+    ok, rows = suites.suite_consistency()
+    assert not ok
+    assert [r for r in rows if r[0] == "recursive_formula_equals_oracle"] == [
+        ("recursive_formula_equals_oracle", "N=4", "", "degree 2, entry 1", "False")]
 
 
 def test_B0_special_case(equation, oracle5):
