@@ -30,7 +30,18 @@ Its verdicts and labels are pinned separately below.
 The consistency report's digest was re-recorded when the monic oracle
 stopped applying the operator to its own vectors and the suite took over
 that check: five `oracle_eigen_residual_zero` rows (n = 0..4) now open the
-report, and every other row is unchanged."""
+report, and every other row is unchanged.
+
+The consistency, recurrence and limits digests were re-recorded when a
+report's verdict became its rows (a suite is ok when no row's pass column
+reads False).  Rows that only report now read `info`: the Rodrigues and
+classical Rodrigues proportionality rows (their `measured` became
+`proportional` or `not proportional`), the closed-form S_n erratum rows and
+every q -> 1 error row and Rodrigues ratio row.  The limits `error` and
+`ratio` rows, which had 6 fields, became 5-field `monic_error`,
+`rodrigues_error`, `monic_ratio` and `rodrigues_ratio` rows, and the monic
+ratio rows carry the verdict that gates the suite.  No suite's ok moved,
+and the orthogonality and check digests are unchanged."""
 
 import hashlib
 import json
@@ -65,11 +76,11 @@ CASES = {
         ("generate", *P, "--family", "weight", "--degrees", "3 3", "--format", "csv"),
         "9d373a5f34e40f5b1cc4994160789601acad6fe9d2ba914f55320c8998770927"),
     "verify-consistency": (("verify", *P, "--suite", "consistency"),
-                           "a02daadb4ed59c5654630e3c2df963b10d332f86d96d2d82f8d474b3e06412a9"),
+                           "3d6643cd06da81ba052095f6b7602fb3a5a5938e78e90c969af7f91abd707e48"),
     "verify-recurrence": (("verify", *P, "--suite", "recurrence"),
-                          "fb18ee41d26ee423b316cf481ee1b58d03d9caa424997048f2d15836d129665d"),
+                          "1fd06721e5623da9c67d1d47bc1367e3308b8a929c42d0515178edb35d4c54a5"),
     "verify-limits": (("verify", "--suite", "limits"),
-                      "01af939a46be669083a2828b90a8d8e2b23e9a4fc448471edf11d078163ef1e6"),
+                      "070f779088c59dc2999389da1d353ce47afee39778046c8bfb0c240c6e84abeb"),
     "verify-orthogonality-120-96": (
         ("verify", *P, "--suite", "orthogonality", "--precision", "120", "--truncation", "96"),
         "bee67421654d004beb5495cc84bf0a1d6e63e38f1b812d94a18c1c9959c78cd3"),
@@ -97,3 +108,28 @@ def test_orthogonality_report_structure_is_pinned(capsys):
     struct = {"ok": doc["ok"], "rows": [[r[0], r[1], r[2], r[4]] for r in doc["rows"]]}
     text = json.dumps(struct, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ORTHOGONALITY_STRUCTURE
+
+
+def _bool_leaves(obj):
+    if isinstance(obj, bool):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _bool_leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _bool_leaves(v)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n == "check" or n.startswith("verify")))
+def test_document_shows_its_own_verdict(capsys, name):
+    """From stdout alone: every verify row has the header's five fields and
+    a pass column of True, False or info, and ok is that no row reads
+    False; check's ok is that no boolean in its report is False."""
+    assert main(list(CASES[name][0])) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if name == "check":
+        assert doc["ok"] is all(leaf is not False for leaf in _bool_leaves(doc["report"]))
+        return
+    assert all(len(row) == 5 and row[4] in ("True", "False", "info") for row in doc["rows"])
+    assert doc["ok"] is all(row[4] != "False" for row in doc["rows"])

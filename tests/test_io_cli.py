@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from qbipoly.bipoly import BiPoly
 import qbipoly
 import qbipoly.io as qio
-from qbipoly import cli
+from qbipoly import cli, suites
 from qbipoly.cli import _check_orthogonality_gate, main
 from qbipoly.equation import EquationCoeffs
 from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
                         parse_equation_source, parse_poly_terms, poly_to_json,
                         write_csv_atomic, write_json_atomic)
-from qbipoly.linalg import SingularMatrixError
+from qbipoly.linalg import Mat, SingularMatrixError
 from qbipoly.qcalc import SeriesError
 from test_golden_cli import CASES
 
@@ -379,6 +379,51 @@ def test_cli_check_perturbed_cross_term_fails(tmp_path, capsys, equation):
     doc = json.loads(capsys.readouterr().out)
     assert not doc["ok"]
     assert any("a3d" in msg for msg in doc["report"]["admissibility"]["failures"])
+
+
+def test_cli_check_failing_pearson_identity_exits_1(monkeypatch, capsys):
+    real = cli.verify_pearson_identities
+
+    def failing(E, k_max, l_max):
+        report = real(E, k_max, l_max)
+        report["coupling"][(0, 0)] = False
+        return report
+
+    monkeypatch.setattr(cli, "verify_pearson_identities", failing)
+    assert main(["check", *P]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["report"]["pearson"] == {"ratio_left": True, "ratio_right": True,
+                                        "key": True, "coupling": False}
+
+
+def test_cli_limits_monic_ratio_rows_gate(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "LIMIT_RATIO_HI", F(0))
+    assert main(["verify", "--suite", "limits"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    verdicts = {case: {row[4] for row in doc["rows"] if row[0] == case}
+                for case in ("monic_ratio", "rodrigues_ratio")}
+    assert verdicts == {"monic_ratio": {"False"}, "rodrigues_ratio": {"info"}}
+
+
+def test_cli_recurrence_explicit_matrix_rows_gate(monkeypatch, capsys):
+    real = suites.explicit_BC
+
+    def perturbed(p, n):
+        out = real(p, n)
+        if n != 2:
+            return out
+        rows = [list(r) for r in out["C1"].rows]
+        rows[0][0] += 1
+        return {**out, "C1": Mat(rows)}
+
+    monkeypatch.setattr(suites, "explicit_BC", perturbed)
+    assert main(["verify", *P, "--suite", "recurrence"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert [row[:4] for row in doc["rows"] if row[4] == "False"] == [
+        ["explicit_matrix_agreement", "n=2", "C1", "1 differing entries"]]
 
 
 @pytest.mark.parametrize("family, degrees, message", [
