@@ -339,8 +339,8 @@ class MomentTable:
         y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
         y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
 
-    The outer sums are `_power_sums`, kept as exact pairs: each moment is
-    rounded once, `integrate` applies a polynomial to the exact pairs
+    The outer sums are `_power_sums`, kept as exact pairs: `moment` rounds
+    one pair when asked, `integrate` applies a polynomial to the exact pairs
     before it rounds, and `gram` gives the integral of every pairwise
     product without forming one.
 
@@ -374,7 +374,6 @@ class MomentTable:
         self.truncation = truncation
         self.field = FloatField(prec)
         self._sums = self._build()
-        self._moments = [[self.field.from_man_exp(*s) for s in row] for row in self._sums]
         # the exact pairs as integers F(i, j) on one binary point 2^_low
         self._low = min(e for row in self._sums for _, e in row)
         self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(self._sums)
@@ -428,7 +427,7 @@ class MomentTable:
                 for sums in inner]
 
     def moment(self, i: int, j: int):
-        return self._moments[i][j]
+        return self.field.from_man_exp(*self._sums[i][j])
 
     def _dot(self, nums: dict, si: int = 0, sj: int = 0) -> int:
         """sum_m nums[m] F(m + (si, sj)), exact."""

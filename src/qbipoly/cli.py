@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import io as qio
@@ -40,25 +39,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    equation: EquationCoeffs
-    preset: BigQJacobiParams | None
-    precision: int
-    truncation: int
-    max_degree: int
-    out: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.precision < 64:
-            raise ConfigError("precision must be at least 64 bits")
-        if self.truncation < 16:
-            raise ConfigError("truncation must be at least 16")
-        if not 0 <= self.max_degree <= MAX_DEGREE_GUARD:
-            raise ConfigError(f"degree bound must lie in 0..{MAX_DEGREE_GUARD}")
-
-
 def _load_equation(args) -> tuple:
     if args.equation and args.preset:
         raise ConfigError("give either --equation or --preset, not both")
@@ -71,6 +51,7 @@ def _load_equation(args) -> tuple:
             raise ConfigError(f"unknown preset {args.preset!r}")
         params = {"a": TEST_PARAMS.a, "b": TEST_PARAMS.b, "c": TEST_PARAMS.c,
                   "d": TEST_PARAMS.d, "q": TEST_PARAMS.qp.q}
+        given = set()
         for item in args.param or []:
             try:
                 key, val = item.split("=", 1)
@@ -79,6 +60,9 @@ def _load_equation(args) -> tuple:
                 raise ConfigError(f"bad --param {item!r}") from None
             if key not in params:
                 raise ConfigError(f"unknown parameter {key!r}")
+            if key in given:
+                raise ConfigError(f"--param {key!r} given twice")
+            given.add(key)
             params[key] = val
         p = BigQJacobiParams(params["a"], params["b"], params["c"], params["d"],
                              QParam(params["q"]))
@@ -86,14 +70,14 @@ def _load_equation(args) -> tuple:
     raise ConfigError("an equation source is required (--equation or --preset)")
 
 
-def _emit(cfg: RunConfig, doc, header=None, rows=None):
+def _emit(args, doc, header=None, rows=None):
     """doc as JSON, or header and rows as CSV, to the --out file or stdout."""
-    if cfg.out is not None:
-        if cfg.fmt == "json":
-            qio.write_json_atomic(cfg.out, doc)
+    if args.out is not None:
+        if args.format == "json":
+            qio.write_json_atomic(args.out, doc)
         else:
-            qio.write_csv_atomic(cfg.out, header, rows)
-    elif cfg.fmt == "json":
+            qio.write_csv_atomic(args.out, header, rows)
+    elif args.format == "json":
         qio.write_json(sys.stdout, doc)
     else:
         qio.write_csv(sys.stdout, header, rows)
@@ -103,15 +87,16 @@ def _emit(cfg: RunConfig, doc, header=None, rows=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check(cfg: RunConfig) -> int:
-    E = cfg.equation
+def cmd_check(args, E: EquationCoeffs) -> int:
+    if not 0 <= args.max_degree <= MAX_DEGREE_GUARD:
+        raise ConfigError(f"degree bound must lie in 0..{MAX_DEGREE_GUARD}")
     report = {"hypergeometric_form": check_hypergeometric_form(E)}
     if report["hypergeometric_form"]["ok"]:
         adm = E.admissibility
         report["admissibility"] = {"admissible": adm.admissible, "failures": adm.failures}
         if adm.admissible:
             report["eigenvalues"] = {str(n): qio.frac_str(adm.eigenvalue(n))
-                                     for n in range(cfg.max_degree + 1)}
+                                     for n in range(args.max_degree + 1)}
             fx = BiPoly({(2, 1): Fraction(1), (0, 0): Fraction(3)})
             report["operator_relations"] = verify_operator_relations(E.qp, fx)
             pear = verify_pearson_identities(E, 2, 2)
@@ -123,7 +108,7 @@ def cmd_check(cfg: RunConfig) -> int:
     # one CSV row per leaf of a report section, its value as JSON text
     rows = [(section, key, json.dumps(v)) for section, entries in sorted(report.items())
             for key, v in sorted(entries.items())]
-    _emit(cfg, doc, header=("section", "key", "value"), rows=rows)
+    _emit(args, doc, header=("section", "key", "value"), rows=rows)
     return 0 if ok else 1
 
 
@@ -138,9 +123,9 @@ _ARITY = {
 }
 
 
-def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
-    E, p = cfg.equation, cfg.preset
-    if cfg.fmt == "csv" and family != "weight":
+def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
+    family, degrees = args.family, args.degrees
+    if args.format == "csv" and family != "weight":
         raise ConfigError(f"the {family} family has no CSV form; use --format json")
     try:
         parts = [int(v) for v in degrees.replace(",", " ").split()]
@@ -168,7 +153,7 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
         payload = {"family": "monic",
                    "vectors": [qio.polyvec_to_json(v) for v in fam.vectors],
                    "recurrence_matrices": recurrence}
-        _emit(cfg, qio.document("polynomials", payload))
+        _emit(args, qio.document("polynomials", payload))
         return 0
     if family == "weight":
         anchor = (p.d * p.qp.q,) * 2 if p is not None else (Fraction(3, 7), Fraction(5, 11))
@@ -176,7 +161,7 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
         header = ("s", "t", "x", "y", "rho_num", "rho_den")
         doc = qio.document("weight-table", {"anchor": [str(a) for a in anchor],
                                             "rows": [list(r) for r in rows]})
-        _emit(cfg, doc, header=header, rows=rows)
+        _emit(args, doc, header=header, rows=rows)
         return 0
 
     # one polynomial and, where the family has one, its eigenvalue
@@ -193,7 +178,7 @@ def cmd_generate(cfg: RunConfig, family: str, degrees: str) -> int:
                "polynomial": qio.poly_to_json(poly)}
     if lam is not None:
         payload["residual_zero"] = (apply_operator(E, poly) + poly * lam).is_zero()
-    _emit(cfg, qio.document("polynomials", payload))
+    _emit(args, qio.document("polynomials", payload))
     return 0 if payload.get("residual_zero", True) else 1
 
 
@@ -220,21 +205,25 @@ def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
                       f"{trunc_min} or more")
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    kwargs = {}
+def cmd_verify(args, p: BigQJacobiParams | None) -> int:
+    if args.precision < 64:
+        raise ConfigError("precision must be at least 64 bits")
+    if args.truncation < 16:
+        raise ConfigError("truncation must be at least 16")
+    suite, kwargs = args.suite, {}
     if suite != "limits":
-        if cfg.preset is None:
+        if p is None:
             raise ConfigError(f"the {suite} suite runs on the big-q-jacobi preset")
-        kwargs = {"p": cfg.preset}
+        kwargs = {"p": p}
     if suite == "orthogonality":
-        check_weight_params(cfg.preset)
-        _check_orthogonality_gate(cfg.preset.qp.q, cfg.precision, cfg.truncation)
-        kwargs.update(truncation=cfg.truncation, prec=cfg.precision)
+        check_weight_params(p)
+        _check_orthogonality_gate(p.qp.q, args.precision, args.truncation)
+        kwargs.update(truncation=args.truncation, prec=args.precision)
     ok, rows = run_suite(suite, **kwargs)
     header = ("case", "a", "b", "value", "pass")
     doc = qio.document("verify-report", {"suite": suite, "ok": ok,
                                          "rows": [list(r) for r in rows]})
-    _emit(cfg, doc, header=header, rows=rows)
+    _emit(args, doc, header=header, rows=rows)
     return 0 if ok else 1
 
 
@@ -250,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--equation", help="equation file (key = value format)")
         sp.add_argument("--preset", help="named preset, e.g. big-q-jacobi")
         sp.add_argument("--param", action="append", help="preset parameter, e.g. a=1/3")
-        sp.add_argument("--precision", type=int, default=192)
-        sp.add_argument("--truncation", type=int, default=200)
-        sp.add_argument("--max-degree", type=int, default=6)
         sp.add_argument("--out")
         sp.add_argument("--format", default="json", choices=("json", "csv"))
 
     sp = sub.add_parser("check", help="form, admissibility, eigenvalues, Pearson identities")
     common(sp)
+    sp.add_argument("--max-degree", type=int, default=6)
     sp = sub.add_parser("generate", help="emit a polynomial family as JSON")
     common(sp)
     sp.add_argument("--family", required=True, choices=tuple(_ARITY))
@@ -265,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     common(sp)
     sp.add_argument("--suite", required=True, choices=SUITES)
+    # read by the orthogonality suite only, checked for every suite
+    sp.add_argument("--precision", type=int, default=192)
+    sp.add_argument("--truncation", type=int, default=200)
     return ap
 
 
@@ -283,17 +273,14 @@ def main(argv=None) -> int:
             if args.equation or args.preset or args.param:
                 raise ConfigError("the limits suite takes no equation source "
                                   "(--equation, --preset or --param)")
-            equation, preset = None, None
+            E, p = None, None
         else:
-            equation, preset = _load_equation(args)
-        cfg = RunConfig(equation=equation, preset=preset, precision=args.precision,
-                        truncation=args.truncation, max_degree=args.max_degree,
-                        out=args.out, fmt=args.format)
+            E, p = _load_equation(args)
         if args.command == "check":
-            return cmd_check(cfg)
+            return cmd_check(args, E)
         if args.command == "generate":
-            return cmd_generate(cfg, args.family, args.degrees)
-        return cmd_verify(cfg, args.suite)
+            return cmd_generate(args, E, p)
+        return cmd_verify(args, p)
     except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

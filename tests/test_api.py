@@ -55,6 +55,7 @@ ABSENT = [
     ("io", "_scalar_text"),
     ("io", "_float_text"),
     ("monic", "RecurrenceMismatch"),
+    ("cli", "RunConfig"),
 ]
 
 

@@ -1054,9 +1054,9 @@ def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
 
 
 def test_moment_table_rounds_only_its_moments(monkeypatch):
-    """A degree-6 table rounds into the field once per moment, 7 * 7 times,
-    decides weight positivity exactly, and makes no infinite product of
-    field values."""
+    """A degree-6 table rounds nothing into the field when built, then one
+    value per `moment` call, 7 * 7 times for every moment; it decides weight
+    positivity exactly and makes no infinite product of field values."""
     import qbipoly.qcalc as qcalc
 
     rounded, products = [], []
@@ -1067,7 +1067,9 @@ def test_moment_table_rounds_only_its_moments(monkeypatch):
                         lambda *args: products.append(args) or pochhammer(*args))
     mt = MomentTable(TEST_PARAMS, 6, 96, 128)
     assert mt.weight_positive is True
-    assert len(rounded) == 7 * 7
+    assert rounded == []
+    moments = [mt.moment(i, j) for i in range(7) for j in range(7)]
+    assert len(rounded) == 7 * 7 and moments[0] > 0
     assert products == []
 
 

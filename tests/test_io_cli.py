@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -654,6 +655,33 @@ def test_cli_choices_keep_their_order(monkeypatch, capsys, command, option, choi
         f"(choose from {quoted})\n")
 
 
+#: each command's own options; every command also reads the equation source
+#: and the output options
+READS = {
+    "check": ("--max-degree",),
+    "generate": ("--family", "--degrees"),
+    "verify": ("--suite", "--precision", "--truncation"),
+}
+#: each command's required options, so that only the option tried is wrong
+REQUIRED = {"check": [], "generate": ["--family", "monic", "--degrees", "1"],
+            "verify": ["--suite", "limits"]}
+
+
+@pytest.mark.parametrize("command", READS)
+def test_cli_command_takes_only_the_options_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    common = {"--help", "--equation", "--preset", "--param", "--out", "--format"}
+    assert shown == common | set(READS[command])
+    for option in {o for opts in READS.values() for o in opts} - shown:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *REQUIRED[command], option, "100"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 100" in capsys.readouterr().err
+
+
 #: equation files for the refusals below; "general" is the preset's six
 #: polynomials, an equation without preset parameters
 REFUSAL_FILES = {
@@ -665,7 +693,8 @@ REFUSAL_FILES = {
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["check", *P, "--truncation", "15"], "truncation must be at least 16"),
+    (["verify", "--suite", "orthogonality", *P, "--truncation", "15"],
+     "truncation must be at least 16"),
     (["check", *P, "--max-degree", "13"], "degree bound must lie in 0..12"),
     (["check", *P, "--max-degree", "-1"], "degree bound must lie in 0..12"),
     (["check", "--equation", "@general", *P], "give either --equation or --preset, not both"),
@@ -707,6 +736,8 @@ REFUSAL_FILES = {
     (["check", "--equation", "@general-foo"], "line 2: 'foo' is not a key of a six-polynomial file"),
     (["check", "--equation", "@preset-with-c11"], "line 8: 'c11' is not a key of a preset file"),
     (["check", "--equation", "@general-a"], "line 8: 'a' is not a key of a six-polynomial file"),
+    # a repeated --param key is refused, as a repeated key of a file is
+    (["check", *P, "--param", "a=1/3", "--param", "a=1/2"], "--param 'a' given twice"),
 ])
 def test_cli_refusal_is_one_line_exit_2(tmp_path, capsys, equation, argv, message):
     general = equation_to_text(equation)
@@ -845,7 +876,8 @@ def test_cli_verify_recurrence():
 
 
 def test_cli_bad_precision():
-    assert main(["check", "--preset", "big-q-jacobi", "--precision", "32"]) == 2
+    assert main(["verify", "--suite", "orthogonality", "--preset", "big-q-jacobi",
+                 "--precision", "32"]) == 2
 
 
 def test_cli_generate_weight_table(tmp_path):
