@@ -41,7 +41,11 @@ every q -> 1 error row and Rodrigues ratio row.  The limits `error` and
 `ratio` rows, which had 6 fields, became 5-field `monic_error`,
 `rodrigues_error`, `monic_ratio` and `rodrigues_ratio` rows, and the monic
 ratio rows carry the verdict that gates the suite.  No suite's ok moved,
-and the orthogonality and check digests are unchanged."""
+and the orthogonality and check digests are unchanged.
+
+The `check` CSV document at the preset and the `check` JSON document at
+q = 9/10 were recorded before the q-Pearson rows became polynomial
+identities on four shared products per order."""
 
 import hashlib
 import json
@@ -55,6 +59,10 @@ P = ("--preset", "big-q-jacobi")
 CASES = {
     "check": (("check", *P),
               "4292cdae99884520d2701f1676326044c48eb3098d9cb45f70d190afe62cae9c"),
+    "check-csv": (("check", *P, "--format", "csv"),
+                  "28e805fe7b54809e9b27af3506bf759eb777a7cb16ea59d8403a41af796392f0"),
+    "check-q=9/10": (("check", *P, "--param", "q=9/10"),
+                     "469733af6bd474200bca0b5d5283a0a9436f4b9f98f92db542fbfe2ee769c3cc"),
     "generate-monic-6": (("generate", *P, "--family", "monic", "--degrees", "6"),
                          "ac9e49b08960c5e02b61453c817906c6030e3a777f175511d277f70c054cbeb2"),
     "generate-monic-12": (("generate", *P, "--family", "monic", "--degrees", "12"),
