@@ -516,22 +516,23 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     return first * second
 
 
-def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
-    """d^{n+m}/dx^n dy^m of (x+1)^{beta+n} (1-y)^{alpha+m} (y-x)^{gamma+n+m},
-    divided exactly by the classical weight (zero remainder required)."""
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
+def classical_rodrigues_fraction(cp: ClassicalParams, n: int, m: int) -> tuple:
+    """(d^{n+m}/dx^n dy^m of (x+1)^{beta+n} (1-y)^{alpha+m} (y-x)^{gamma+n+m},
+    the classical weight (1-y)^alpha (x+1)^beta (y-x)^gamma): the classical
+    Rodrigues polynomial is their quotient when the weight divides."""
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
     bracket = ((x + one) ** (cp.beta + n)) * ((one - y) ** (cp.alpha + m)) \
         * ((y - x) ** (cp.gamma + n + m))
     for _ in range(n):
         bracket = bracket.diff_x()
     for _ in range(m):
         bracket = bracket.diff_y()
-    for divisor, power in (((one - y), cp.alpha), ((x + one), cp.beta), ((y - x), cp.gamma)):
-        for _ in range(power):
-            bracket = bracket.div_exact(divisor)
-    return bracket
+    return bracket, ((one - y) ** cp.alpha) * ((x + one) ** cp.beta) * ((y - x) ** cp.gamma)
+
+
+def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
+    """The classical Rodrigues polynomial; a nonzero remainder raises ValueError."""
+    return BiPoly.div_exact(*classical_rodrigues_fraction(cp, n, m))
 
 
 def classical_pde_residual(cp: ClassicalParams, u: BiPoly, total_degree: int) -> BiPoly:

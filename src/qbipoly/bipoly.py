@@ -341,27 +341,32 @@ class BiPoly:
         """Classical partial derivative in y: diff_x conjugated by the swap."""
         return self.swap().diff_x().swap()
 
-    def div_exact(self, divisor: "BiPoly") -> "BiPoly":
-        """Exact division; raises ValueError when the remainder is nonzero.
-
-        Greedy grlex reduction by a single divisor: valid whenever the
-        quotient exists in the ring, which is the only case callers rely on.
-        """
+    def div_rem(self, divisor: "BiPoly") -> tuple:
+        """(quotient, remainder) of greedy grlex division by a single
+        divisor: a leading term that the divisor's leading monomial does not
+        divide moves to the remainder.  One polynomial is a Groebner basis of
+        its ideal, so the remainder is zero exactly when the divisor divides."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = divisor.leading_term()
-        (di, dj), dc = lead
-        rem = self
-        quot = {}
+        (di, dj), dc = divisor.leading_term()
+        rem, quot, rest = self, {}, {}
         while not rem.is_zero():
             (ri, rj), rc = rem.leading_term()
             if ri < di or rj < dj:
-                raise ValueError("nonzero remainder in exact polynomial division")
-            qm = (ri - di, rj - dj)
-            qc = rc / dc
-            quot[qm] = quot.get(qm, _ZERO) + qc
-            rem = rem - divisor * BiPoly.monomial(qm[0], qm[1], qc)
-        return BiPoly(quot)
+                rest[ri, rj] = rc
+                rem = rem - BiPoly.monomial(ri, rj, rc)
+                continue
+            # leading terms only fall, so each quotient monomial comes once
+            qc = quot[ri - di, rj - dj] = rc / dc
+            rem = rem - divisor * BiPoly.monomial(ri - di, rj - dj, qc)
+        return BiPoly(quot), BiPoly(rest)
+
+    def div_exact(self, divisor: "BiPoly") -> "BiPoly":
+        """Exact division; raises ValueError when the remainder is nonzero."""
+        quot, rem = self.div_rem(divisor)
+        if not rem.is_zero():
+            raise ValueError("nonzero remainder in exact polynomial division")
+        return quot
 
     def __repr__(self):
         if not self.nums:

@@ -238,13 +238,13 @@ def _xstep(qp: QParam, state):
     of order (k, l) -> (k + 1, l)."""
     c11, c22, a12a, a12d, b1, b2, mu = state
     q = qp.q
-    y = BiPoly.y()
+    d_a12d = dq1(a12d, qp)
     return (c11 / q,
-            c22 + y * dq1(a12d, qp) * (1 - q),
+            c22 + BiPoly.y() * d_a12d * (1 - q),
             a12a.scale_args(q, 1),
             a12d / q,
             b1.scale_args(q, 1) + dq1(c11, qp) / q,
-            b2 + dq1(a12a, qp) + dq1(a12d, qp),
+            b2 + dq1(a12a, qp) + d_a12d,
             mu + dq1(b1, qp).coeff(0, 0))
 
 

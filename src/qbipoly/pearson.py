@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, RationalFn
 from .equation import EquationCoeffs, derived_orders
-from .qcalc import QParam, dq_ratfn
+from .qcalc import QParam
 
 
 class DegenerateEquationError(ValueError):
@@ -79,44 +79,44 @@ def build_pearson(E) -> PearsonData:
 def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0) -> dict:
     """Exact verification report.
 
-    For every order (k,l) up to the bounds: both equalities of the
-    a12a/a12d ratio identity and the mixed-ratio (key) identity, as exact
-    rational-function identities on the derived coefficients; plus the
-    coupling condition linking omega's of neighbouring orders.
+    For every order (k,l) up to the bounds, the ratios of the derived
+    coefficients are formed in their two shift orders once:
+
+        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
+        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy).
+
+    Each row is a polynomial identity with its denominators cleared:
+    ratio_left is N_L q^2 a12d(qx,qy) = a12a D_L, ratio_right the same with
+    N_R and D_R, and key is N_L D_R = N_R D_L, the shift commutation
+    G2 G1(x,qy) = G1 G2(qx,y) that g2 y Dq2 g1 = g1 x Dq1 g2 becomes with
+    q - 1, x and y cancelled.  coupling links omega's of neighbouring
+    orders.  build_pearson refuses a vanishing omega, so no cancelled factor
+    is zero and each row decides its rational-function identity exactly.
     """
-    qp = E.qp
-    q = qp.q
+    q = E.qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = derived_orders(E, k_max + 1, l_max + 1)
-    pearson = {(k, l): build_pearson(derived[k, l])
-               for k in range(k_max + 1) for l in range(l_max + 1)}
-    # the orders past the bounds are checked for degeneracy too, and their
-    # coupling rows read only omega1 (at l_max + 1) or omega2 (at k_max + 1)
-    omegas = {kl: (P.omega1, P.omega2) for kl, P in pearson.items()}
-    omegas.update({kl: _omegas(D) for kl, D in derived.items() if kl not in omegas})
+    pearson = {kl: build_pearson(D) for kl, D in derived.items()
+               if kl[0] <= k_max and kl[1] <= l_max}
+    # (omega1(qx,y), omega2(x,qy)) of every order; the orders past the
+    # bounds are checked for degeneracy too, and their coupling rows read
+    # only omega1 (at l_max + 1) or omega2 (at k_max + 1)
+    dens = {kl: (P.g1.den, P.g2.den) for kl, P in pearson.items()}
+    for kl, D in derived.items():
+        if kl not in dens:
+            omega1, omega2 = _omegas(D)
+            dens[kl] = (omega1.scale_args(q, 1), omega2.scale_args(1, q))
 
-    for k in range(k_max + 1):
-        for l in range(l_max + 1):
-            P = pearson[(k, l)]
-            D = derived[(k, l)]
-            a12a = RationalFn.from_poly(D.a12a)
-            a12d_qq = D.a12d.scale_args(q, q)
-            lhs_l = P.g1 * P.g2.scale_args(q, 1) * a12d_qq * q**2
-            lhs_r = P.g1.scale_args(1, q) * P.g2 * a12d_qq * q**2
-            report["ratio_left"][(k, l)] = lhs_l.ratfn_equal(a12a)
-            report["ratio_right"][(k, l)] = lhs_r.ratfn_equal(a12a)
-
-            x = BiPoly.x()
-            y = BiPoly.y()
-            key_lhs = P.g2 * y * dq_ratfn(P.g1, qp, 2)
-            key_rhs = P.g1 * x * dq_ratfn(P.g2, qp, 1)
-            report["key"][(k, l)] = key_lhs.ratfn_equal(key_rhs)
-
-            w1_up = omegas[k, l + 1][0].scale_args(q, 1)      # omega1^{(k,l+1)}(qx,y)
-            w2_kl = omegas[k, l][1].scale_args(q, q)          # omega2^{(k,l)}(qx,qy)
-            w2_up = omegas[k + 1, l][1].scale_args(1, q)      # omega2^{(k+1,l)}(x,qy)
-            w1_kl = omegas[k, l][0].scale_args(q, q)          # omega1^{(k,l)}(qx,qy)
-            report["coupling"][(k, l)] = (w1_up * w2_kl) == (w2_up * w1_kl)
+    for (k, l), P in pearson.items():
+        D, (w1, w2) = derived[k, l], dens[k, l]
+        w1_qq, w2_qq = w1.scale_args(1, q), w2.scale_args(q, 1)   # omega1, omega2 at (qx,qy)
+        n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq
+        n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2
+        a12d_qq = D.a12d.scale_args(q, q) * q**2
+        report["ratio_left"][(k, l)] = n_l * a12d_qq == D.a12a * d_l
+        report["ratio_right"][(k, l)] = n_r * a12d_qq == D.a12a * d_r
+        report["key"][(k, l)] = n_l * d_r == n_r * d_l
+        report["coupling"][(k, l)] = dens[k, l + 1][0] * w2_qq == dens[k + 1, l][1] * w1_qq
 
     report["ok"] = all(v for sub in ("ratio_left", "ratio_right", "key", "coupling")
                        for v in report[sub].values())

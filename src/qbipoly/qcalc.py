@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, RationalFn, exact_form, from_form, reduced
+from .bipoly import BiPoly, exact_form, from_form, reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -110,15 +110,6 @@ def dqm1(f: BiPoly, qp: QParam) -> BiPoly:
 def dqm2(f: BiPoly, qp: QParam) -> BiPoly:
     """Backward operator along y."""
     return _difference(f, 1 / qp.q, 2)
-
-
-def dq_ratfn(r: RationalFn, qp: QParam, axis: int) -> RationalFn:
-    """Exact forward difference quotient of a RationalFn along x (axis 1)
-    or y (axis 2)."""
-    q = qp.q
-    diff = (r.scale_args(q, 1) if axis == 1 else r.scale_args(1, q)) - r
-    step = BiPoly.monomial(2 - axis, axis - 1, q - 1)
-    return RationalFn(diff.num, diff.den * step)
 
 
 # ---------------------------------------------------------------------------

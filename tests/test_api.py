@@ -38,6 +38,7 @@ ABSENT = [
     ("pearson", "omega_product_at"),
     ("pearson", "rho_kl"),
     ("qcalc", "dqm_nm_table"),
+    ("qcalc", "dq_ratfn"),
     ("linalg", "Mat.rank"),
     ("linalg", "Mat.transpose"),
     ("scalars", "FloatField.close"),

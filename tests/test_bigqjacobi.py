@@ -479,13 +479,14 @@ def test_limits_suite_builds_each_lane_from_one_lattice_and_each_target_once(mon
     import qbipoly.suites as suites
 
     lattices, targets = [], []
-    polys, classical = bigqjacobi.rodrigues_polys, suites.classical_rodrigues
+    polys, fraction = bigqjacobi.rodrigues_polys, suites.classical_rodrigues_fraction
     monkeypatch.setattr(bigqjacobi, "rodrigues_polys",
                         lambda E, pairs: lattices.append(list(pairs)) or polys(E, pairs))
-    monkeypatch.setattr(bigqjacobi, "classical_rodrigues",
-                        lambda cp, n, m: pytest.fail("limit rows rebuilt a classical target"))
-    monkeypatch.setattr(suites, "classical_rodrigues",
-                        lambda cp, n, m: targets.append((n, m)) or classical(cp, n, m))
+    for name in ("classical_rodrigues", "classical_rodrigues_fraction"):
+        monkeypatch.setattr(bigqjacobi, name,
+                            lambda cp, n, m: pytest.fail("limit rows rebuilt a classical target"))
+    monkeypatch.setattr(suites, "classical_rodrigues_fraction",
+                        lambda cp, n, m: targets.append((n, m)) or fraction(cp, n, m))
     ok, _ = suites.suite_limits()
     assert ok
     assert lattices == [[(1, 0), (1, 1), (2, 1)]] * 2

@@ -113,6 +113,19 @@ def test_div_exact():
         (x * x + 1).div_exact(x + 1)
 
 
+def test_div_rem():
+    quot, rem = (x * x * y + y * y + 3).div_rem(x * y + 1)
+    assert (quot, rem) == (x, y * y - x + 3)
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if not b.is_zero():
+            assert (a * b).div_rem(b) == (a, BiPoly.zero())
+            quot, rem = (a * b + 1).div_rem(b)
+            assert quot * b + rem == a * b + 1
+            assert rem.is_zero() == (b.total_degree() == 0)
+
+
 def test_classical_derivatives():
     p = x * x * y + y
     assert p.diff_x() == x * y * 2
@@ -180,9 +193,17 @@ def test_ratfn_eval_and_arith():
     assert h.num.is_zero()
 
 
-def test_ratfn_difference_quotients(qp):
-    from qbipoly.qcalc import dq_ratfn
+def dq_ratfn(r: RationalFn, qp, axis: int) -> RationalFn:
+    """Exact forward difference quotient of a RationalFn along x (axis 1)
+    or y (axis 2); the reference form of the q-Pearson key identity in
+    tests/test_pearson.py."""
+    q = qp.q
+    diff = (r.scale_args(q, 1) if axis == 1 else r.scale_args(1, q)) - r
+    step = BiPoly.monomial(2 - axis, axis - 1, q - 1)
+    return RationalFn(diff.num, diff.den * step)
 
+
+def test_ratfn_difference_quotients(qp):
     f = RationalFn.from_poly(x * x)
     d = dq_ratfn(f, qp, 1)
     assert d.ratfn_equal(RationalFn.from_poly(x * Fraction(3, 2)))

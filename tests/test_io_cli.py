@@ -408,6 +408,23 @@ def test_cli_limits_monic_ratio_rows_gate(monkeypatch, capsys):
     assert verdicts == {"monic_ratio": {"False"}, "rodrigues_ratio": {"info"}}
 
 
+def test_cli_limits_classical_remainder_rows_gate(monkeypatch, capsys):
+    # dividing one more than each classical Rodrigues derivative leaves the
+    # remainder 1 and the same quotient, so only the remainder rows move
+    assert main(["verify", "--suite", "limits"]) == 0
+    clean = json.loads(capsys.readouterr().out)["rows"]
+    real = BiPoly.div_rem
+    monkeypatch.setattr(BiPoly, "div_rem", lambda self, divisor: real(self + 1, divisor))
+    assert main(["verify", "--suite", "limits"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and len(doc["rows"]) == len(clean)
+    moved = [(old, new) for old, new in zip(clean, doc["rows"]) if old != new]
+    assert len(moved) == 10
+    for old, new in moved:
+        assert old[0] == "classical_rodrigues_zero_remainder" and old[4] == "True"
+        assert new == old[:4] + ["False"]
+
+
 def test_cli_recurrence_explicit_matrix_rows_gate(monkeypatch, capsys):
     real = suites.explicit_BC
 

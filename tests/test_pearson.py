@@ -1,14 +1,19 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qbipoly.bigqjacobi import BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly, RationalFn
-from qbipoly.equation import EquationCoeffs, derived_coeffs
+from qbipoly.equation import EquationCoeffs, derived_coeffs, derived_orders
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
                              WeightEvaluator, base_weight, build_pearson,
                              verify_pearson_identities)
+from qbipoly.qcalc import QParam
 from qbipoly.scalars import FloatField
 from test_bigqjacobi import closed_form_weight
+from test_bipoly import dq_ratfn
 
 F = Fraction
 x = BiPoly.x()
@@ -76,6 +81,100 @@ def test_cross_ratio_identity_direct_form(equation):
     q = equation.qp.q
     lhs = P.g1 * P.g2.scale_args(q, 1) * equation.a12d.scale_args(q, q) * q ** 2
     assert lhs.ratfn_equal(RationalFn.from_poly(equation.a12a))
+
+
+# the report against its rational-function form ----------------------------------
+
+ROWS = ("ratio_left", "ratio_right", "key", "coupling")
+
+
+def rational_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
+    """Reference for verify_pearson_identities: each identity formed from
+    RationalFn products and compared by cross multiplication.  The ratio
+    identities read G1 G2(qx,y) q^2 a12d(qx,qy) = a12a and G1(x,qy) G2
+    q^2 a12d(qx,qy) = a12a, and the key identity keeps its difference
+    form g2 y Dq2 g1 = g1 x Dq1 g2."""
+    qp, q = E.qp, E.qp.q
+    report = {row: {} for row in ROWS}
+    derived = derived_orders(E, k_max + 1, l_max + 1)
+    pearson = {kl: build_pearson(D) for kl, D in derived.items()}
+    for k in range(k_max + 1):
+        for l in range(l_max + 1):
+            P, D = pearson[k, l], derived[k, l]
+            a12a = RationalFn.from_poly(D.a12a)
+            a12d_qq = D.a12d.scale_args(q, q)
+            lhs_l = P.g1 * P.g2.scale_args(q, 1) * a12d_qq * q**2
+            lhs_r = P.g1.scale_args(1, q) * P.g2 * a12d_qq * q**2
+            report["ratio_left"][(k, l)] = lhs_l.ratfn_equal(a12a)
+            report["ratio_right"][(k, l)] = lhs_r.ratfn_equal(a12a)
+            key_lhs = P.g2 * y * dq_ratfn(P.g1, qp, 2)
+            key_rhs = P.g1 * x * dq_ratfn(P.g2, qp, 1)
+            report["key"][(k, l)] = key_lhs.ratfn_equal(key_rhs)
+            w1_up = pearson[k, l + 1].omega1.scale_args(q, 1)
+            w2_kl = P.omega2.scale_args(q, q)
+            w2_up = pearson[k + 1, l].omega2.scale_args(1, q)
+            w1_kl = P.omega1.scale_args(q, q)
+            report["coupling"][(k, l)] = (w1_up * w2_kl) == (w2_up * w1_kl)
+    report["ok"] = all(v for row in ROWS for v in report[row].values())
+    return report
+
+
+def _in_order(report: dict) -> list:
+    """The report's keys and values, each row's orders in report order."""
+    return [(name, list(v.items()) if isinstance(v, dict) else v) for name, v in report.items()]
+
+
+def _seeded_preset(q, seed):
+    """The preset equation at a seeded point: 0 < a, b, c < 1 and d < 0,
+    each k/den with den in {3, 5, ..., 13}."""
+    rng = random.Random(seed)
+    a, b, c = (F(rng.randrange(1, den), den) for den in rng.sample((3, 5, 7, 9, 11, 13), 3))
+    d = -F(rng.randrange(1, 20), rng.choice((3, 5, 7, 9, 11, 13)))
+    return preset_equation(BigQJacobiParams(a, b, c, d, QParam(q)))
+
+
+@pytest.mark.parametrize("bounds", [(0, 0), (2, 2), (3, 1)], ids=str)
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(9, 10)], ids=str)
+def test_report_matches_rational_form_at_seeded_points(q, bounds):
+    for i in range(3):
+        E = _seeded_preset(q, f"pearson-parity-{q}-{i}")
+        rep = verify_pearson_identities(E, *bounds)
+        assert rep["ok"]
+        assert _in_order(rep) == _in_order(rational_pearson_identities(E, *bounds))
+
+
+def test_report_matches_rational_form_on_perturbed_equations(equation):
+    # between them the perturbations make every row read False somewhere;
+    # the xy parts alone give ratios of one variable each, so key and
+    # coupling hold while both ratio rows fail
+    def xy_part(p):
+        return BiPoly.monomial(1, 1, p.coeff(1, 1))
+
+    E = equation
+    perturbed = {
+        "a12d + xy/7": replace(E, a12d=E.a12d + x * y * F(1, 7)),
+        "a12d + 3x^2/4": replace(E, a12d=E.a12d + x * x * F(3, 4)),
+        "c11 + y/2": replace(E, c11=E.c11 + y * F(1, 2)),
+        "a12a = 0": replace(E, a12a=BiPoly.zero()),
+        "xy parts of a12a and a12d": replace(E, a12a=xy_part(E.a12a), a12d=xy_part(E.a12d)),
+    }
+    failed = set()
+    for name, bad in perturbed.items():
+        rep = verify_pearson_identities(bad, 2, 1)
+        assert _in_order(rep) == _in_order(rational_pearson_identities(bad, 2, 1)), name
+        failed |= {row for row in ROWS if not all(rep[row].values())}
+    assert failed == set(ROWS)
+    rep = verify_pearson_identities(perturbed["xy parts of a12a and a12d"], 2, 1)
+    assert [all(rep[row].values()) for row in ROWS] == [False, False, True, True]
+
+
+def test_report_forms_no_rational_function_arithmetic(equation, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("RationalFn arithmetic in the Pearson report")
+
+    for name in ("__mul__", "__rmul__", "__add__", "ratfn_equal"):
+        monkeypatch.setattr(RationalFn, name, refuse)
+    assert verify_pearson_identities(equation, 2, 2)["ok"]
 
 
 # lattice weight ----------------------------------------------------------------
