@@ -4,7 +4,7 @@ type on q-linear lattices, with their bivariate orthogonal polynomial
 solutions produced by three independent routes (monic recurrence machinery,
 Rodrigues representation, explicit hypergeometric series)."""
 
-from .bipoly import BiPoly, RationalFn
+from .bipoly import BiPoly
 from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
                        apply_operator, check_hypergeometric_form, derived_coeffs)
 from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec

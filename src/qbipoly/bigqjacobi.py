@@ -6,6 +6,7 @@ family, classical Rodrigues, classical operator)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,11 +263,11 @@ def hypergeometric_family(p: BigQJacobiParams, N: int) -> dict:
 
 def check_weight_params(p: BigQJacobiParams) -> None:
     """Refuse c = q^k (k >= 0): (x/(cy); q)_inf then vanishes on the
-    weight's lattice, so the orthogonality weight is not defined there."""
+    weight's lattice, so the orthogonality weight is not defined there.
+    In lowest terms q = u/v and c = s/t: c = q^k iff s = u^k and t = v^k."""
     c, q = p.c, p.qp.q
-    while c < 1:
-        c /= q
-    if c == 1:
+    k = round(math.log(c.denominator) / math.log(q.denominator))
+    if c.numerator == q.numerator**k and c.denominator == q.denominator**k:
         raise ValueError(f"the orthogonality weight needs c != q^k (k >= 0), "
                          f"got c={p.c}, q={q}")
 

@@ -1,5 +1,5 @@
-"""Sparse bivariate polynomials and rational functions over the rationals,
-and the one exact form they share with matrix rows.
+"""Sparse bivariate polynomials over the rationals, and the one exact form
+they share with matrix rows.
 
 The form ``(nums, den)`` maps keys to nonzero int numerators over one
 positive ``den`` with gcd(den, *nums) = 1, so zero is ``({}, 1)`` and equal
@@ -16,9 +16,6 @@ construction.
 Every scalar (coefficient, factor, evaluation point) is taken through
 ``as_fraction``: a float is a ``TypeError``, and so is comparing with one.
 All operations are pure; instances are immutable after construction.
-
-``RationalFn`` is a quotient of two BiPolys with equality decided by cross
-multiplication; no gcd normalization is ever attempted.
 """
 
 from __future__ import annotations
@@ -377,54 +374,3 @@ class BiPoly:
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
-
-class RationalFn:
-    """Quotient num/den of BiPolys, compared by cross multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BiPoly, den: BiPoly):
-        if not (isinstance(num, BiPoly) and isinstance(den, BiPoly)):
-            raise TypeError("RationalFn takes a BiPoly numerator and denominator")
-        if den.is_zero():
-            raise ZeroDivisionError("RationalFn with zero denominator")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: BiPoly):
-        return cls(p, BiPoly.const(1))
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFn):
-            return RationalFn(self.num * other.num, self.den * other.den)
-        return RationalFn(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFn):
-            other = RationalFn.from_poly(BiPoly._coerce(other))
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def scale_args(self, alpha=1, beta=1) -> "RationalFn":
-        return RationalFn(self.num.scale_args(alpha, beta), self.den.scale_args(alpha, beta))
-
-    def eval(self, xv, yv):
-        dv = self.den.eval(xv, yv)
-        if not dv:
-            raise ZeroDivisionError(f"RationalFn denominator vanishes at ({xv},{yv})")
-        return self.num.eval(xv, yv) / dv
-
-    def ratfn_equal(self, other: "RationalFn") -> bool:
-        """True iff self == other as rational functions."""
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __repr__(self):
-        return f"({self.num!r}) / ({self.den!r})"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -182,6 +181,26 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
     return 0 if payload.get("residual_zero", True) else 1
 
 
+def _least_truncation(q: Fraction, half: Fraction) -> int:
+    """The least T with 4 q^T < half, no large power of q formed: the least
+    integer above r = ln(4/half)/ln(1/q), from an interval enclosure of r at
+    doubling precision.  r = k means q^k = half/4, a small power, so an
+    enclosure straddling k is settled exactly where q^k is small."""
+    from mpmath import MPIntervalContext, libmp
+
+    ctx = MPIntervalContext()
+    while True:
+        ctx.prec *= 2
+        slope = ctx.log(ctx.mpf(q.denominator) / q.numerator)
+        if slope > 0:
+            r = ctx.log(ctx.mpf(4 * half.denominator) / half.numerator) / slope
+            lo, hi = (libmp.to_int(end, "f") for end in r._mpi_)
+            if lo == hi:
+                return lo + 1
+            if lo + 1 == hi and hi * (q.denominator.bit_length() - 1) < half.denominator.bit_length() + 2:
+                return hi + (4 * q**hi >= half)
+
+
 def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
     """Refuse a precision and truncation at which correct polynomials can
     miss the ORTH_TOL gate: a gated inner product of orthogonal polynomials
@@ -195,14 +214,10 @@ def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
     prec_min = 64
     while Fraction(2) ** (24 - prec_min) >= half:
         prec_min += 1
-    # start just below the float estimate, then settle it exactly
-    trunc_min = max(16, math.ceil(math.log(half / 4) / math.log(q)) - 1)
-    while 4 * q**trunc_min >= half:
-        trunc_min += 1
     raise ConfigError(f"--precision {precision} --truncation {truncation} cannot gate "
                       f"orthogonality at {float(ORTH_TOL):g} for q={q} (error bound "
                       f"{float(bound):.2g}); use --precision {prec_min} --truncation "
-                      f"{trunc_min} or more")
+                      f"{max(16, _least_truncation(q, half))} or more")
 
 
 def cmd_verify(args, p: BigQJacobiParams | None) -> int:
@@ -267,6 +282,9 @@ _FAILURES = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def main(argv=None) -> int:
+    # read and write exact values of any size: no 4300-digit int <-> str cap
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify" and args.suite == "limits":

@@ -7,7 +7,8 @@ With the sqrt(q)-absorbed coefficient convention the Pearson polynomials are
     omega2(x,y) = x C22(y) - q y A12d(x,y)      phi2 = x C22 - y A12a + (q-1) x y B2
 
 and G1 = phi1(x,y)/omega1(qx,y), G2 = phi2(x,y)/omega2(x,qy) are the one-step
-weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y).
+weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y); PearsonData keeps
+only the four polynomials, and its readers evaluate omega at the shift.
 
 General-equation weights are defined per q-commensurate lattice component,
 relative to one anchor with rho(anchor) = 1.  The Rodrigues route needs no
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, RationalFn
+from .bipoly import BiPoly
 from .equation import EquationCoeffs, derived_orders
 from .qcalc import QParam
 
@@ -47,8 +48,6 @@ class PearsonData:
     phi2: BiPoly
     omega1: BiPoly
     omega2: BiPoly
-    g1: RationalFn
-    g2: RationalFn
 
 
 def _omegas(E) -> tuple:
@@ -63,17 +62,14 @@ def _omegas(E) -> tuple:
 
 
 def build_pearson(E) -> PearsonData:
-    """Pearson polynomials and ratio functions of an EquationCoeffs or
-    DerivedCoeffs; exact."""
+    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact."""
     q = E.qp.q
     x = BiPoly.x()
     y = BiPoly.y()
     omega1, omega2 = _omegas(E)
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
-    g1 = RationalFn(phi1, omega1.scale_args(q, 1))
-    g2 = RationalFn(phi2, omega2.scale_args(1, q))
-    return PearsonData(phi1, phi2, omega1, omega2, g1, g2)
+    return PearsonData(phi1, phi2, omega1, omega2)
 
 
 def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0) -> dict:
@@ -92,20 +88,23 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
     q - 1, x and y cancelled.  coupling links omega's of neighbouring
     orders.  build_pearson refuses a vanishing omega, so no cancelled factor
     is zero and each row decides its rational-function identity exactly.
+
+    Every order but the corner (k_max + 1, l_max + 1), which no row reads,
+    is checked for degeneracy: an x step divides omega1 by q and a y step
+    omega2, so the corner's omegas are those of (k_max, l_max + 1) and
+    (k_max + 1, l_max) over q, and a degenerate one is refused there.
     """
     q = E.qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = derived_orders(E, k_max + 1, l_max + 1)
     pearson = {kl: build_pearson(D) for kl, D in derived.items()
                if kl[0] <= k_max and kl[1] <= l_max}
-    # (omega1(qx,y), omega2(x,qy)) of every order; the orders past the
-    # bounds are checked for degeneracy too, and their coupling rows read
-    # only omega1 (at l_max + 1) or omega2 (at k_max + 1)
-    dens = {kl: (P.g1.den, P.g2.den) for kl, P in pearson.items()}
+    # (omega1(qx,y), omega2(x,qy)) of every order but the corner
+    dens = {}
     for kl, D in derived.items():
-        if kl not in dens:
-            omega1, omega2 = _omegas(D)
-            dens[kl] = (omega1.scale_args(q, 1), omega2.scale_args(1, q))
+        if kl != (k_max + 1, l_max + 1):
+            w1, w2 = (pearson[kl].omega1, pearson[kl].omega2) if kl in pearson else _omegas(D)
+            dens[kl] = (w1.scale_args(q, 1), w2.scale_args(1, q))
 
     for (k, l), P in pearson.items():
         D, (w1, w2) = derived[k, l], dens[k, l]
@@ -141,11 +140,12 @@ class WeightEvaluator:
         self._cache = {}
 
     def _g(self, which: str, xv, yv, index: int):
-        g = self.pearson.g1 if which == "G1" else self.pearson.g2
-        try:
-            return g.eval(xv, yv)
-        except ZeroDivisionError:
-            raise LatticePoleError(which, index, (xv, yv)) from None
+        P, q = self.pearson, self.qp.q
+        num, den = ((P.phi1.eval(xv, yv), P.omega1.eval(q * xv, yv)) if which == "G1"
+                    else (P.phi2.eval(xv, yv), P.omega2.eval(xv, q * yv)))
+        if not den:
+            raise LatticePoleError(which, index, (xv, yv))
+        return num / den
 
     def value(self, s: int, t: int):
         """rho at (q^s x0, q^t y0), s, t >= 0; exact."""
@@ -167,26 +167,26 @@ class WeightEvaluator:
 
     def box(self, s_count: int, t_count: int) -> list:
         """rows[s][t] = value(s, t) for s < s_count, t < t_count, from
-        whole-lattice evaluations of the ratio numerators and denominators.
+        whole-lattice evaluations of phi, and of omega at the shifted nodes.
         A pole raises the error value() meets first when walked row by row
         over the box: G2 up the column s = 0, then G1 along each x row."""
-        q = self.qp.q
+        q, P = self.qp.q, self.pearson
         x0, y0 = self.anchor
-        xs = [x0 * q**s for s in range(s_count - 1)]
+        xs = [x0 * q**s for s in range(s_count)]
         ys = [y0 * q**t for t in range(t_count)]
 
-        def ratios(which, g, gx, gy):
-            dens = g.den.eval_grid_pairs(gx, gy)
+        def ratios(which, phi, omega, gx, gy, wx, wy):
+            dens = omega.eval_grid_pairs(wx, wy)
             for a, row in enumerate(dens):
                 for b, (dv, _) in enumerate(row):
                     if not dv:
                         raise LatticePoleError(which, b if which == "G2" else a, (gx[a], gy[b]))
             return [[Fraction(nn * dd, nd * dn) for (nn, nd), (dn, dd) in zip(*pair)]
-                    for pair in zip(g.num.eval_grid_pairs(gx, gy), dens)]
+                    for pair in zip(phi.eval_grid_pairs(gx, gy), dens)]
 
-        col, = ratios("G2", self.pearson.g2, [x0], ys[:-1])
+        col, = ratios("G2", P.phi2, P.omega2, [x0], ys[:-1], [x0], ys[1:])
         rows = [list(itertools.accumulate(col, operator.mul, initial=1))]
-        for row in ratios("G1", self.pearson.g1, xs, ys):
+        for row in ratios("G1", P.phi1, P.omega1, xs[:-1], ys, xs[1:], ys):
             rows.append([r * g for r, g in zip(rows[-1], row)])
         return rows
 

@@ -1,6 +1,6 @@
 """Scalars: exact rationals everywhere, binary floats for infinite sums.
 
-Every algebraic object in the library (polynomials, rational functions,
+Every algebraic object in the library (polynomials, polynomial vectors,
 matrices) holds exact rationals only, taken in through ``as_fraction`` and
 stored in the one sparse form of ``bipoly`` (integer numerators over a
 common denominator), so every identity is decided exactly.  The float lane exists only for infinite sums (Jackson

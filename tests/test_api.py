@@ -11,7 +11,7 @@ import qbipoly
 
 PUBLIC = [
     "BiPoly", "DerivedCoeffs", "EquationCoeffs", "FloatField", "Mat", "MonicFamily",
-    "PearsonData", "PolyVec", "QParam", "RationalFn", "WeightEvaluator",
+    "PearsonData", "PolyVec", "QParam", "WeightEvaluator",
     "admissibility", "apply_operator", "base_weight", "bipoly", "build_pearson",
     "check_hypergeometric_form", "derived_coeffs", "dq1", "dq2", "dqm1", "dqm2",
     "equation", "generate_monic_oracle", "generate_monic_rf", "ghat_oracle",
@@ -45,6 +45,7 @@ ABSENT = [
     ("rodrigues", "RodriguesSpec"),
     ("bipoly", "BiPoly.homogeneous_part"),
     ("bipoly", "ratfn_equal"),
+    ("bipoly", "RationalFn"),
     ("bipoly", "poly_sum"),
     ("io", "parse_equation_text"),
     ("io", "poly_from_json"),
@@ -72,7 +73,7 @@ def test_name_is_not_in_src(module, path):
 def test_one_signature_per_route():
     from qbipoly.bigqjacobi import limit_check
     from qbipoly.equation import DerivedCoeffs, admissibility
-    from qbipoly.pearson import WeightEvaluator
+    from qbipoly.pearson import PearsonData, WeightEvaluator
     from qbipoly.qcalc import qpochhammer_inf
     from qbipoly.rodrigues import rodrigues_poly
 
@@ -84,4 +85,5 @@ def test_one_signature_per_route():
     assert params(admissibility) == ["E"]
     assert params(qpochhammer_inf) == ["a", "qp", "field"]
     assert [f.name for f in dataclasses.fields(WeightEvaluator)] == ["pearson", "anchor", "qp"]
+    assert [f.name for f in dataclasses.fields(PearsonData)] == ["phi1", "phi2", "omega1", "omega2"]
     assert "order" not in [f.name for f in dataclasses.fields(DerivedCoeffs)]

@@ -949,6 +949,17 @@ def test_weight_accepts_c_off_the_powers_of_q(c):
     check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2))))
 
 
+def test_weight_params_near_q_one_decided_from_lowest_terms():
+    # a walk over the powers of q would take about ln(1/c)/(1 - q) steps
+    q = F("0." + "9" * 30)
+    for k in (0, 1, 7, 100):
+        c = q**k
+        with pytest.raises(ValueError, match=re.escape("the orthogonality weight needs c != q^k")):
+            check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(q)))
+    for c in (F(1, 5), q**7 * F(999, 1000), F(1, 10**30)):
+        check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(q)))
+
+
 def brute_node_weights(factors, N) -> list:
     """The nonzero node weights yfac A B over node factors laid out as
     `_node_factors` returns them, every product an exact Fraction."""

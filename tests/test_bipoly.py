@@ -7,7 +7,7 @@ import mpmath
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qbipoly.bipoly import BiPoly, RationalFn, product_dens
+from qbipoly.bipoly import BiPoly, product_dens
 from qbipoly.linalg import Mat, PolyVec
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import FloatField
@@ -167,6 +167,61 @@ def test_leading_term_grlex():
 
 
 # rational functions ---------------------------------------------------------
+
+class RationalFn:
+    """Quotient num/den of BiPolys, compared by cross multiplication; no gcd
+    normalization is ever attempted.  The reference form of the q-Pearson
+    ratios G1 and G2 in tests/test_pearson.py, which src keeps as their four
+    polynomials."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: BiPoly, den: BiPoly):
+        if not (isinstance(num, BiPoly) and isinstance(den, BiPoly)):
+            raise TypeError("RationalFn takes a BiPoly numerator and denominator")
+        if den.is_zero():
+            raise ZeroDivisionError("RationalFn with zero denominator")
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_poly(cls, p: BiPoly):
+        return cls(p, BiPoly.const(1))
+
+    def __mul__(self, other):
+        if isinstance(other, RationalFn):
+            return RationalFn(self.num * other.num, self.den * other.den)
+        return RationalFn(self.num * other, self.den)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, RationalFn):
+            other = RationalFn.from_poly(BiPoly._coerce(other))
+        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return RationalFn(-self.num, self.den)
+
+    def scale_args(self, alpha=1, beta=1) -> "RationalFn":
+        return RationalFn(self.num.scale_args(alpha, beta), self.den.scale_args(alpha, beta))
+
+    def eval(self, xv, yv):
+        dv = self.den.eval(xv, yv)
+        if not dv:
+            raise ZeroDivisionError(f"RationalFn denominator vanishes at ({xv},{yv})")
+        return self.num.eval(xv, yv) / dv
+
+    def ratfn_equal(self, other: "RationalFn") -> bool:
+        """True iff self == other as rational functions."""
+        return (self.num * other.den - other.num * self.den).is_zero()
+
+    def __repr__(self):
+        return f"({self.num!r}) / ({self.den!r})"
+
 
 def test_ratfn_common_factor():
     z = x + 1

@@ -951,12 +951,13 @@ def test_parse_error_leaves_the_parser_usable(capsys, bad):
     assert hashlib.sha256(out.encode()).hexdigest() == CASES["check"][1]
 
 
-def fresh_python(cwd, *args) -> subprocess.CompletedProcess:
-    """A new interpreter run with args, importing qbipoly from this source tree."""
+def fresh_python(cwd, *args, timeout=120) -> subprocess.CompletedProcess:
+    """A new interpreter run with args, importing qbipoly from this source
+    tree; a run past timeout seconds fails the test instead of hanging it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbipoly.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          timeout=120)
+                          timeout=timeout)
 
 
 def test_python_m_qbipoly_runs_the_cli(tmp_path):
@@ -989,3 +990,54 @@ def test_python_m_orthogonality_matches_its_golden_digest(tmp_path):
     proc = fresh_python(tmp_path, "-m", "qbipoly", *argv)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+NINES_30 = "0." + "9" * 30
+
+
+@pytest.mark.parametrize("q, floor", [
+    ("0.9999999", "--precision 109 --truncation 596440659"),
+    (NINES_30, "--precision 109 --truncation 59644068866530978028701482731454"),
+], ids=["7-nines", "30-nines"])
+def test_cli_orthogonality_near_q_one_refuses_in_time(tmp_path, q, floor):
+    # neither the c = q^k check nor the named truncation walks over powers
+    # of q, which near q = 1 took minutes (7 nines) or divided by zero
+    proc = fresh_python(tmp_path, "-m", "qbipoly", "verify", "--preset", "big-q-jacobi",
+                        "--suite", "orthogonality", "--param", f"q={q}", "--precision", "64",
+                        timeout=20)
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: --precision 64 --truncation 200 cannot gate")
+    assert f"use {floor} or more" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(17, 20), F(2, 3), F(9, 10), F(99, 100), F(1, 3),
+                               F(1, 8 * 10**25)], ids=str)
+def test_least_truncation_is_the_least(q):
+    half = suites.ORTH_TOL / 2
+    T = cli._least_truncation(q, half)
+    assert 4 * q**T < half <= 4 * q ** (T - 1)
+
+
+def test_least_truncation_settles_an_exact_power():
+    # 4 q^83 equals this limit at q = 1/2: T = 83 does not pass, 84 does
+    assert cli._least_truncation(F(1, 2), F(1, 2**81)) == 84
+
+
+def test_cli_writes_integers_over_4300_digits(tmp_path):
+    # the monic N = 12 family at a 30-digit q has coefficients past CPython's
+    # default int-to-string cap, which the CLI lifts for its own process
+    out = tmp_path / "monic.json"
+    proc = fresh_python(tmp_path, "-m", "qbipoly", "generate", "--preset", "big-q-jacobi",
+                        "--family", "monic", "--degrees", "12", "--param", f"q={NINES_30}",
+                        "--out", str(out), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert max(map(len, re.findall(rb"\d+", out.read_bytes()))) > 4300
+
+
+def test_cli_reads_a_param_over_4300_digits(tmp_path):
+    a = "1/" + "3" * 5000
+    proc = fresh_python(tmp_path, "-m", "qbipoly", "check", "--preset", "big-q-jacobi",
+                        "--param", f"a={a}", timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True

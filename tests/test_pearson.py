@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qbipoly.bigqjacobi import BigQJacobiParams, preset_equation
-from qbipoly.bipoly import BiPoly, RationalFn
+from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, derived_coeffs, derived_orders
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
                              WeightEvaluator, base_weight, build_pearson,
@@ -13,7 +13,7 @@ from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
 from qbipoly.qcalc import QParam
 from qbipoly.scalars import FloatField
 from test_bigqjacobi import closed_form_weight
-from test_bipoly import dq_ratfn
+from test_bipoly import RationalFn, dq_ratfn
 
 F = Fraction
 x = BiPoly.x()
@@ -22,6 +22,14 @@ y = BiPoly.y()
 #: pole-free anchor for the fixed test parameters (q = 1/2): no Pearson
 #: numerator or denominator zero crosses the lattice paths for s, t <= 14
 ANCHOR = (F(3, 7), F(5, 11))
+
+
+def pearson_ratios(P, q) -> tuple:
+    """(G1, G2) = (phi1(x,y)/omega1(qx,y), phi2(x,y)/omega2(x,qy)) as
+    RationalFns: the reference form of the ratios whose four polynomials
+    PearsonData holds."""
+    return (RationalFn(P.phi1, P.omega1.scale_args(q, 1)),
+            RationalFn(P.phi2, P.omega2.scale_args(1, q)))
 
 
 def test_pearson_factorizations(equation, params):
@@ -40,7 +48,8 @@ def test_g_ratio_is_pointwise_quotient(equation):
     P = build_pearson(equation)
     xv, yv = F(2, 9), F(4, 7)
     q = equation.qp.q
-    assert P.g1.eval(xv, yv) == P.phi1.eval(xv, yv) / P.omega1.eval(q * xv, yv)
+    g1, _ = pearson_ratios(P, q)
+    assert g1.eval(xv, yv) == P.phi1.eval(xv, yv) / P.omega1.eval(q * xv, yv)
 
 
 def test_constant_ratio_degenerate_case(qp):
@@ -50,9 +59,8 @@ def test_constant_ratio_degenerate_case(qp):
     a12d = BiPoly.const(1)
     a12a = BiPoly.const(qp.q ** 2)
     E = EquationCoeffs(qp, z, z, a12a, a12d, z, z)
-    P = build_pearson(E)
-    assert P.g1.ratfn_equal(RationalFn.from_poly(BiPoly.const(1)))
-    assert P.g2.ratfn_equal(RationalFn.from_poly(BiPoly.const(1)))
+    for g in pearson_ratios(build_pearson(E), qp.q):
+        assert g.ratfn_equal(RationalFn.from_poly(BiPoly.const(1)))
 
 
 def test_degenerate_omega_rejected(qp):
@@ -79,7 +87,8 @@ def test_ratio_identity_fails_on_perturbed_equation(equation):
 def test_cross_ratio_identity_direct_form(equation):
     P = build_pearson(equation)
     q = equation.qp.q
-    lhs = P.g1 * P.g2.scale_args(q, 1) * equation.a12d.scale_args(q, q) * q ** 2
+    g1, g2 = pearson_ratios(P, q)
+    lhs = g1 * g2.scale_args(q, 1) * equation.a12d.scale_args(q, q) * q ** 2
     assert lhs.ratfn_equal(RationalFn.from_poly(equation.a12a))
 
 
@@ -101,14 +110,15 @@ def rational_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> di
     for k in range(k_max + 1):
         for l in range(l_max + 1):
             P, D = pearson[k, l], derived[k, l]
+            g1, g2 = pearson_ratios(P, q)
             a12a = RationalFn.from_poly(D.a12a)
             a12d_qq = D.a12d.scale_args(q, q)
-            lhs_l = P.g1 * P.g2.scale_args(q, 1) * a12d_qq * q**2
-            lhs_r = P.g1.scale_args(1, q) * P.g2 * a12d_qq * q**2
+            lhs_l = g1 * g2.scale_args(q, 1) * a12d_qq * q**2
+            lhs_r = g1.scale_args(1, q) * g2 * a12d_qq * q**2
             report["ratio_left"][(k, l)] = lhs_l.ratfn_equal(a12a)
             report["ratio_right"][(k, l)] = lhs_r.ratfn_equal(a12a)
-            key_lhs = P.g2 * y * dq_ratfn(P.g1, qp, 2)
-            key_rhs = P.g1 * x * dq_ratfn(P.g2, qp, 1)
+            key_lhs = g2 * y * dq_ratfn(g1, qp, 2)
+            key_rhs = g1 * x * dq_ratfn(g2, qp, 1)
             report["key"][(k, l)] = key_lhs.ratfn_equal(key_rhs)
             w1_up = pearson[k, l + 1].omega1.scale_args(q, 1)
             w2_kl = P.omega2.scale_args(q, q)
@@ -169,12 +179,68 @@ def test_report_matches_rational_form_on_perturbed_equations(equation):
 
 
 def test_report_forms_no_rational_function_arithmetic(equation, monkeypatch):
+    # src has no rational-function type (tests/test_api.py), and the report
+    # divides no polynomial by another: every row is a product identity
     def refuse(*args):
-        raise AssertionError("RationalFn arithmetic in the Pearson report")
+        raise AssertionError("polynomial division in the Pearson report")
 
-    for name in ("__mul__", "__rmul__", "__add__", "ratfn_equal"):
-        monkeypatch.setattr(RationalFn, name, refuse)
+    monkeypatch.setattr(BiPoly, "div_rem", refuse)
     assert verify_pearson_identities(equation, 2, 2)["ok"]
+
+
+# the corner order (k_max + 1, l_max + 1) ---------------------------------------
+
+def _random_shaped_equation(q, seed):
+    """A seeded equation of the paper's shape: c11 quadratic in x, c22 in y,
+    a12a and a12d bilinear, b1 affine in x, b2 in y; small rational
+    coefficients, omega1 and omega2 not identically zero."""
+    rng = random.Random(seed)
+
+    def poly(monos):
+        return BiPoly({m: F(rng.randint(-6, 6), rng.randint(1, 5)) for m in monos})
+
+    while True:
+        E = EquationCoeffs(QParam(q), poly([(0, 0), (1, 0), (2, 0)]), poly([(0, 0), (0, 1), (0, 2)]),
+                           poly([(0, 0), (1, 0), (0, 1), (1, 1)]),
+                           poly([(0, 0), (1, 0), (0, 1), (1, 1)]),
+                           poly([(0, 0), (1, 0)]), poly([(0, 0), (0, 1)]))
+        try:
+            build_pearson(E)
+        except DegenerateEquationError:
+            continue
+        return E
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(9, 10)], ids=str)
+def test_omega_steps_divide_by_q(q):
+    # one x step divides omega1 by q and one y step divides omega2 by q, so
+    # the corner's omega pair is its neighbours' over q: the report never
+    # reads the corner, and a degenerate corner has a degenerate neighbour
+    equations = [_seeded_preset(q, f"corner-{q}-{i}") for i in range(3)]
+    equations += [_random_shaped_equation(q, f"corner-random-{q}-{i}") for i in range(10)]
+    for E in equations:
+        derived = derived_orders(E, 3, 3)
+        P = {kl: build_pearson(D) for kl, D in derived.items()}
+        for k in range(3):
+            for l in range(4):
+                assert P[k + 1, l].omega1 == P[k, l].omega1 / q
+                assert P[l, k + 1].omega2 == P[l, k].omega2 / q
+
+
+def test_degenerate_order_past_the_bounds_is_refused():
+    # omega2 of order (1, 0) is omega2 + (q - 1) y (a12d - x Dq1 a12d) of
+    # order (0, 0); with a12d = x^2 and c22 = q^2 x y it vanishes at (1, 0),
+    # one past the bound, but not at (0, 0).  Across the swap the same holds
+    # for omega1 at (0, 1)
+    q = F(1, 2)
+    z, one = BiPoly.zero(), BiPoly.const(1)
+    E = EquationCoeffs(QParam(q), one, x * y * q**2, z, x * x, z, z)
+    swapped = EquationCoeffs(E.qp, E.c22.swap(), E.c11.swap(), z, E.a12d.swap(), z, z)
+    for bad in (E, swapped):
+        build_pearson(bad)
+        with pytest.raises(DegenerateEquationError,
+                           match="^omega vanishes identically; no Pearson system$"):
+            verify_pearson_identities(bad, 0, 0)
 
 
 # lattice weight ----------------------------------------------------------------
@@ -200,8 +266,8 @@ def test_anchor_normalization(equation):
 
 def test_single_step_is_g1(equation):
     W = base_weight(equation, ANCHOR)
-    P = build_pearson(equation)
-    assert W.value(1, 0) == P.g1.eval(*ANCHOR)
+    g1, _ = pearson_ratios(build_pearson(equation), equation.qp.q)
+    assert W.value(1, 0) == g1.eval(*ANCHOR)
 
 
 def test_path_independence(equation):
@@ -213,13 +279,12 @@ def test_path_independence(equation):
 
 def test_pearson_ratios_on_lattice(equation):
     W = base_weight(equation, ANCHOR)
-    P = build_pearson(equation)
-    q = equation.qp.q
+    g1, g2 = pearson_ratios(build_pearson(equation), equation.qp.q)
     for s in range(5):
         for t in range(5):
             xv, yv = W.point(s, t)
-            assert W.value(s + 1, t) == P.g1.eval(xv, yv) * W.value(s, t)
-            assert W.value(s, t + 1) == P.g2.eval(xv, yv) * W.value(s, t)
+            assert W.value(s + 1, t) == g1.eval(xv, yv) * W.value(s, t)
+            assert W.value(s, t + 1) == g2.eval(xv, yv) * W.value(s, t)
 
 
 def test_pole_reported_with_index(equation, params):
@@ -303,12 +368,12 @@ def test_rho_kl_order_independence(equation):
     # relative normalization consistent whichever axis is derived first:
     # ratios of the (1,1) weight along both axes match its Pearson data
     R = rho_kl(equation, 1, 1, ANCHOR)
-    P11 = build_pearson(derived_coeffs(equation, 1, 1))
+    g1, g2 = pearson_ratios(build_pearson(derived_coeffs(equation, 1, 1)), equation.qp.q)
     for s in range(4):
         for t in range(4):
             xv, yv = R.point(s, t)
-            assert R.value(s + 1, t) == P11.g1.eval(xv, yv) * R.value(s, t)
-            assert R.value(s, t + 1) == P11.g2.eval(xv, yv) * R.value(s, t)
+            assert R.value(s + 1, t) == g1.eval(xv, yv) * R.value(s, t)
+            assert R.value(s, t + 1) == g2.eval(xv, yv) * R.value(s, t)
 
 
 def test_rho_10_ratio_is_omega1(equation):
@@ -333,7 +398,7 @@ def test_closed_form_ratio_matches_g1(params, equation):
     pt = (F(2, 9), F(3, 7))
     w_here = closed_form_weight(params, pt[0], pt[1], fld)
     w_shift = closed_form_weight(params, q * pt[0], pt[1], fld)
-    target = fld.of(P.g1.eval(*pt))
+    target = fld.of(pearson_ratios(P, q)[0].eval(*pt))
     assert abs(w_shift / w_here - target) < fld.of(F(1, 10 ** 30))
 
 
@@ -344,7 +409,7 @@ def test_closed_form_ratio_matches_g2(params, equation):
     pt = (F(1, 7), F(3, 7))
     w_here = closed_form_weight(params, pt[0], pt[1], fld)
     w_shift = closed_form_weight(params, pt[0], q * pt[1], fld)
-    target = fld.of(P.g2.eval(*pt))
+    target = fld.of(pearson_ratios(P, q)[1].eval(*pt))
     assert abs(w_shift / w_here - target) < fld.of(F(1, 10 ** 30))
 
 
@@ -355,7 +420,7 @@ def test_closed_form_ratio_on_diagonal(params, equation):
     fld = FloatField(96)
     P = build_pearson(equation)
     q, a = params.qp.q, params.a
-    assert P.g1.eval(a * q, a * q) == 0
+    assert pearson_ratios(P, q)[0].eval(a * q, a * q) == 0
     w_shift = closed_form_weight(params, q * a * q, a * q, fld)
     assert w_shift != 0
     with pytest.raises(ZeroDivisionError):
