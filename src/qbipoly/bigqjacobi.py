@@ -16,8 +16,8 @@ from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _power_sums, 
                       _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
-from .qcalc import (QParam, _qfactor, _rising_factor, _terms, gauss_2f1_terminating,
-                    kampe_de_feriet, phi_rs, pochhammer_rising, qnum, qpochhammer)
+from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
+                    kampe_de_feriet, phi_rs, pochhammer_rising, qnum)
 from .rodrigues import rodrigues_polys
 from .scalars import FloatField
 
@@ -101,7 +101,7 @@ def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
     x, y = BiPoly.x(), BiPoly.y()
     first = phi_rs([q ** (k - n), a * b * c * q ** (n + k + 2), y], [a * q, d * q ** (k + 1)],
                    p.qp, q)
-    coefs = _terms(_qfactor(q), (q**-k, b * c * q ** (k + 1)), (c * q, q), "series", last=k, v=q)
+    coefs = _terms(QTables(q), (q**-k, b * c * q ** (k + 1)), (c * q, q), "series", last=k, v=q)
     return first * _fold(coefs, [y - x * q**i for i in range(k)],
                          [y - d * q ** (1 + i) for i in range(k)])
 
@@ -112,95 +112,66 @@ def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
 
 def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
     """The closed-form entries of B_{n,1}, B_{n,2} ((n+1)x(n+1)) and
-    C_{n,1}, C_{n,2} ((n+1)xn); 1-based case labels."""
+    C_{n,1}, C_{n,2} ((n+1)xn) on their band i - j in {-1, 0, 1, 2} (1-based).
+
+    Formed once per n: both denominators, (d q^n - 1)(abc q^(n+1) - d) of
+    every C entry, the long brackets L1 = d h - abc (q+1) q^(n+1) and L2 =
+    h - d (q+1) q^n (h = abc q^(2n+2) + 1), and each (q; q) ratio as its two
+    factors.  Each B diagonal is gathered by powers of q^i: t1 + t2 is
+
+        B1[i,i] den_b = L1 (ac q^(n+1+i) + q^(n+2-i)) + ac (b+1) q^(n+2) L2,
+
+    and q^-i ([i] (a q^i - 1) u + [i-1] (q - a q^i) v + q), with u = q (d
+    q^(n+1) - 1) / (abc q^(2n+3) - 1) and v that at n - 1, is B2[i,i] =
+    alpha q^i + beta + gamma q^-i.  Powers are read from one `QTables`."""
     if n < 1:
         raise ValueError("explicit matrices start at n = 1")
-    q = p.qp.q
-    a, b, c, d = p.a, p.b, p.c, p.d
-    qp = p.qp
-
-    def qpoch(k):
-        return qpochhammer(q, qp, k)
-
-    den_b = (a * b * c * q ** (2 * n + 1) - 1) * (a * b * c * q ** (2 * n + 3) - 1)
-    den_c = ((a * b * c * q ** (2 * n) - 1) * (a * b * c * q ** (2 * n + 1) - 1) ** 2
-             * (a * b * c * q ** (2 * n + 2) - 1))
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    pw = QTables(q).pow
+    ac, bc, q1 = a * c, b * c, q + 1
+    abc, aq1, bq1, bn, bn1 = ac * b, a * q1, b * q1, b * pw(n), b * pw(n + 1)
+    z0, z1, z2, z3 = (abc * pw(2 * n + k) for k in range(4))     # abc q^(2n+k)
+    den_b = (z1 - 1) * (z3 - 1)
+    den_c = (z0 - 1) * (z1 - 1) ** 2 * (z2 - 1)
+    h = z2 + 1
+    l1 = (d * h - abc * q1 * pw(n + 1)) / den_b
+    l2 = (h - d * q1 * pw(n)) / den_b
+    r1, kb2 = ac * (b + 1) * pw(n + 2) * l2, -ac * l2
+    u, v = q * (d * pw(n + 1) - 1) / (z3 - 1), q * (d * pw(n) - 1) / (z1 - 1)
+    alpha, beta, gamma = (a * (u - v / q) / (q - 1), (a + 1) * (v - u) / (q - 1),
+                          (u - q * v) / (q - 1) + q)
+    kc = -(d * pw(n) - 1) * (abc * pw(n + 1) - d) / den_c
+    kc1, kc2, kc3, kc4 = kc * ac * pw(n + 2), kc * ac, kc * a * pw(n + 1), kc * abc
+    kc5, e1, g1, g2 = kc1 * ac, (b + 1) * (z1 + 1), (a + 1) * (z1 + 1), q1 * z2
 
     B1 = [[0] * (n + 1) for _ in range(n + 1)]
     B2 = [[0] * (n + 1) for _ in range(n + 1)]
     C1 = [[0] * n for _ in range(n + 1)]
     C2 = [[0] * n for _ in range(n + 1)]
-
     for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == j:
-                t1 = (d * q ** (-i + n + 2)
-                      * (a * c * q ** (2 * i - 1)
-                         * (q ** (-i + n + 1)
-                            * (b * (a * c * q ** (i + n + 1) + q ** (-i + n + 2) - q - 1) - q - 1)
-                            + 1)
-                         + 1)) / den_b
-                t2 = (a * c * q ** (n + 2)
-                      * (-b * (q + 1) * q ** (n - i) * (a * c * q ** (2 * i) + q)
-                         + a * b * (b + 1) * c * q ** (2 * n + 2) + b + 1)) / den_b
-                B1[i - 1][j - 1] = t1 + t2
-                B2[i - 1][j - 1] = q**-i * (
-                    q * qnum(i, qp) * (a * q**i - 1) * (d * q ** (n + 1) - 1)
-                    / (a * b * c * q ** (2 * n + 3) - 1)
-                    + q * qnum(i - 1, qp) * (q - a * q**i) * (d * q**n - 1)
-                    / (a * b * c * q ** (2 * n + 1) - 1)
-                    + q)
-            elif i == j + 1:
-                B1[i - 1][j - 1] = -(
-                    (q ** (i - 1) - 1) * (a * q ** (i - 1) - 1) * q ** (-i + n + 2)
-                    * (a * b * c * d * q ** (2 * n + 2) - a * b * c * (q + 1) * q ** (n + 1) + d)
-                ) / den_b
-            elif i == j - 1:
-                B2[i - 1][j - 1] = -(
-                    a * c * q ** (i + 1) * (q ** (-i + n + 1) - 1) * (b * q ** (-i + n + 1) - 1)
-                    * (a * b * c * q ** (2 * (n + 1)) - d * (q + 1) * q**n + 1)
-                ) / den_b
-
-    for i in range(1, n + 2):
-        for j in range(1, n + 1):
-            if i == j:
-                C1[i - 1][j - 1] = -(
-                    a * c * q ** (n + 2) * (d * q**n - 1)
-                    * (q ** (-i + n + 1) - 1) * (b * q ** (-i + n + 1) - 1)
-                    * (a * c * q ** (i + n) - 1) * (a * b * c * q ** (n + 1) - d)
-                    * (a * b * c * q ** (i + n) - 1)
-                ) / den_c
-                C2[i - 1][j - 1] = -(
-                    a * c * (q - 1) * (d * q**n - 1) * q ** (n - i)
-                    * qnum(-i + n + 1, qp) * (b * q ** (n + 1) - q**i)
-                    * (a * b * c * q ** (n + 1) - d)
-                    * ((a + 1) * q ** (i + 1) * (a * b * c * q ** (2 * n + 1) + 1)
-                       - a * b * c * (q + 1) * q ** (2 * n + 2) - a * (q + 1) * q ** (2 * i))
-                ) / den_c
-            elif i == j + 1:
-                C1[i - 1][j - 1] = -(
-                    a * c * (q ** (i - 1) - 1) * (a * q ** (i - 1) - 1) * (d * q**n - 1)
-                    * q ** (-i + 2 * n + 3) * (a * b * c * q ** (n + 1) - d)
-                    * (-b * (q + 1) * q ** (-i + n - 1) * (a * c * q ** (2 * i) + q**2)
-                       + a * b * (b + 1) * c * q ** (2 * n + 1) + b + 1)
-                ) / den_c
-                C2[i - 1][j - 1] = -(
-                    a * (q ** (i - 1) - 1) * q ** (n + 1) * (a * q ** (i - 1) - 1)
-                    * (d * q**n - 1) * (b * c * q ** (-i + 2 * n + 2) - 1)
-                    * (a * b * c * q ** (n + 1) - d) * (a * b * c * q ** (-i + 2 * n + 2) - 1)
-                ) / den_c
-            elif i == j + 2:
-                C1[i - 1][j - 1] = -(
-                    a * b * c * (a * q**i - q) * (a * q**i - q**2) * (d * q**n - 1)
-                    * q ** (-2 * i + 3 * n + 2) * qpoch(i - 1)
-                    * (a * b * c * q ** (n + 1) - d)
-                ) / (qpoch(i - 3) * den_c)
-            elif i == j - 1:
-                C2[i - 1][j - 1] = -(
-                    a**2 * c**2 * q ** (n + 2) * (d * q**n - 1)
-                    * (q**i - b * q**n) * (q**i - b * q ** (n + 1))
-                    * qpoch(n - i + 1) * (a * b * c * q ** (n + 1) - d)
-                ) / (qpoch(n - i - 1) * den_c)
+        r, s = i - 1, n + 1 - i      # the 0-based row; the exponent n + 1 - i
+        aqi = a * pw(i)
+        B1[r][r] = l1 * (ac * pw(n + 1 + i) + pw(s + 1)) + r1
+        B2[r][r] = alpha * pw(i) + beta + gamma * pw(-i)
+        if i > 1:                    # i = j + 1
+            low = (pw(i - 1) - 1) * (a * pw(i - 1) - 1)
+            B1[r][r - 1] = -(l1 * low * pw(s + 1))
+            C1[r][r - 1] = (kc2 * low * pw(2 * n + 3 - i)
+                            * (e1 - bq1 * pw(n - 1 - i) * (ac * pw(2 * i) + pw(2))))
+            C2[r][r - 1] = (kc3 * low * (bc * pw(2 * n + 2 - i) - 1)
+                            * (abc * pw(2 * n + 2 - i) - 1))
+        if i > 2:                    # i = j + 2
+            C1[r][r - 2] = (kc4 * (aqi - q) * (aqi - pw(2)) * pw(3 * n + 2 - 2 * i)
+                            * (1 - pw(i - 2)) * (1 - pw(i - 1)))
+        if i <= n:                   # i = j - 1, and the C diagonal
+            top = pw(s) - 1
+            tops = top * (b * pw(s) - 1)
+            B2[r][r + 1] = kb2 * pw(i + 1) * tops
+            C1[r][r] = kc1 * tops * (ac * pw(i + n) - 1) * (abc * pw(i + n) - 1)
+            C2[r][r] = (kc2 * pw(n - i) * top * (bn1 - pw(i))
+                        * (g1 * pw(i + 1) - g2 - aq1 * pw(2 * i)))
+        if i < n:
+            C2[r][r + 1] = kc5 * (pw(i) - bn) * (pw(i) - bn1) * (1 - pw(s - 1)) * (1 - pw(s))
 
     return {"B1": Mat(B1), "B2": Mat(B2), "C1": Mat(C1), "C2": Mat(C2)}
 
@@ -215,31 +186,31 @@ def hypergeometric_polys(p: BigQJacobiParams, pairs) -> dict:
 
         Phi(abc q^{n+m+2} : q^-n, bx/d ; q^-m, y | - : bq, abc q^{m+2}/d ; aq, d q^{n+1} | q, q),
 
-    summed with the polynomial parameters bx/d and y.  The polynomial
-    Pochhammers (bx/d; q)_i, (y; q)_j and their products are built once for
-    all pairs; a pair forms only its scalar terms, and its polynomial is one
-    `combine` of the products it needs.  Monicity is not re-checked: the
+    summed with the polynomial parameters bx/d and y.  One `QTables` serves
+    the call, so the factors and rows the pairs share (the five prefactor
+    Pochhammers, the series denominators, (bx/d; q)_i and (y; q)_j) are
+    formed once; a pair's polynomial is one `combine` of the products
+    (bx/d; q)_i (y; q)_j it needs.  Monicity is not re-checked: the
     consistency suite and the tests compare the results with the oracle's.
     """
-    q = p.qp.q
-    qp = p.qp
-    a, b, c, d = p.a, p.b, p.c, p.d
-    abc = a * b * c
-    fac = _qfactor(q)
-    xpoch = _terms(fac, [BiPoly.x() * (b / d)], (), "x direction", last=max(n for n, _ in pairs))
-    ypoch = _terms(fac, [BiPoly.y()], (), "y direction", last=max(m for _, m in pairs))
-    products = {(i, j): BiPoly.const(1) * xpoch[i] * ypoch[j] for n, m in pairs
-                for i in range(n + 1) for j in range(m + 1)}
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    abc, aq, bq, db = a * b * c, a * q, b * q, d / b
+    tab = QTables(q)
+    pw, row = tab.pow, tab.row
+    xpoch = row(BiPoly.x() * (b / d), max(n for n, _ in pairs))
+    ypoch = row(BiPoly.y(), max(m for _, m in pairs))
+    products = {(i, j): xpoch[i] * ypoch[j] for i, j in
+                {(i, j) for n, m in pairs for i in range(n + 1) for j in range(m + 1)}}
     out = {}
     for n, m in pairs:
-        pref = ((d / b) ** n * qpochhammer(a * q, qp, m) * qpochhammer(b * q, qp, n)
-                * qpochhammer(d * q ** (n + 1), qp, m)
-                * qpochhammer(abc * q ** (m + 2) / d, qp, n)
-                / qpochhammer(abc * q ** (m + n + 2), qp, n + m))
-        xs = _terms(fac, [q**-n], (b * q, abc * q ** (m + 2) / d, q), "x direction", last=n, v=q)
-        ys = _terms(fac, [q**-m], (a * q, d * q ** (n + 1), q), "y direction", last=m, v=q)
-        joint = _terms(fac, [abc * q ** (n + m + 2)], (), "joint sum", n + m)
-        nums, den = exact_form(((i, j), pref * joint[i + j] * xi * yj)
+        zx, zy, zj = abc * pw(m + 2) / d, d * pw(n + 1), abc * pw(n + m + 2)
+        xs = _terms(tab, [pw(-n)], (bq, zx, q), "x direction", last=n, v=q)
+        ys = _terms(tab, [pw(-m)], (aq, zy, q), "y direction", last=m, v=q)
+        joint = row(zj, n + m)
+        pref = (db**n * row(aq, m)[m] * row(bq, n)[n] * row(zy, m)[m] * row(zx, n)[n]
+                / joint[n + m])
+        xs = [pref * xi for xi in xs]
+        nums, den = exact_form(((i, j), joint[i + j] * xi * yj)
                                for i, xi in enumerate(xs) for j, yj in enumerate(ys))
         out[n, m] = from_form(*combine(((k, products[ij].nums, products[ij].den)
                                         for ij, k in nums.items()), den))
@@ -509,7 +480,7 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
 
     # the 2F1(-m, beta+gamma+m+1; gamma+1) coefficients, term r folded with
     # (y-x)^r (y+1)^(m-r): the non-monic fold at q = 1, d = -1
-    coefs = _terms(_rising_factor, (Fraction(-m), be + ga + m + 1), (ga + 1, Fraction(1)),
+    coefs = _terms(Rows(), (Fraction(-m), be + ga + m + 1), (ga + 1, Fraction(1)),
                    "series", last=m)
     first = _fold(coefs, [y - x] * m, [y + one] * m)
     second = gauss_2f1_terminating(Fraction(m - n), al + be + ga + m + n + 2, al + 1,

@@ -282,11 +282,12 @@ _FAILURES = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def main(argv=None) -> int:
-    # read and write exact values of any size: no 4300-digit int <-> str cap
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact values of any size: no int <-> str digit cap until main returns
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify" and args.suite == "limits":
             if args.equation or args.preset or args.param:
                 raise ConfigError("the limits suite takes no equation source "
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
     except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from functools import lru_cache
 from .bipoly import BiPoly, combine, from_form, reduced
 from .equation import Admissibility, EquationCoeffs, apply_operator
 from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec, stack
-from .qcalc import QParam, qnum
+from .qcalc import QParam, QTables
 
 
 def difference_matrix(n: int, j: int, base) -> Mat:
@@ -114,24 +114,19 @@ def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     subdiagonal erratum shows in the recurrence report."""
     if n < 1:
         raise ValueError("S_n needs n >= 1")
-    qp = E.qp
-    q = qp.q
+    tab = QTables(E.qp.q)
+    pw, qn = tab.pow, tab.num
     _, b1s, _ = E.sigma1()
     _, b2s, _ = E.sigma2()
     _, b3a, c3a, _ = E.cross_a()
     _, b3d, c3d, _ = E.cross_d()
     _, g1 = E.tau1()
     _, g2 = E.tau2()
+    c3, b3 = c3a + c3d * pw(2 - n), b3a + b3d * pw(2 - n)
     S = [[0] * n for _ in range(n + 1)]
     for i in range(1, n + 1):
-        S[i - 1][i - 1] = (
-            qnum(n - i + 1, qp) * (g1 + q ** (1 + i - n) * b1s * qnum(n - i, qp)
-                                   + c3a * qnum(i - 1, qp) + q ** (2 - n) * c3d * qnum(i - 1, qp))
-        )
-        S[i][i - 1] = (
-            qnum(i - 1, qp) * (b2s * q ** (3 - i) * qnum(i - 2, qp)
-                               + qnum(n + 1 - i, qp) * (b3a + b3d * q ** (2 - n)) + g2)
-        )
+        S[i - 1][i - 1] = qn(n - i + 1) * (g1 + pw(1 + i - n) * b1s * qn(n - i) + c3 * qn(i - 1))
+        S[i][i - 1] = qn(i - 1) * (b2s * pw(3 - i) * qn(i - 2) + qn(n + 1 - i) * b3 + g2)
     return Mat(S)
 
 

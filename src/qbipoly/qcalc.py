@@ -12,6 +12,7 @@ Pochhammer ratios are integer ladders of exact-rational steps
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,46 @@ def qpochhammer(a, qp: QParam, k: int):
     if k < 0:
         raise ValueError("qpochhammer needs k >= 0")
     return math.prod((1 - a * qp.q**j for j in range(k)), start=a * 0 + 1)  # one in a's ring
+
+
+def _key(a):
+    """A table key: a Fraction's own hash takes a modular inverse."""
+    return (a.numerator, a.denominator) if isinstance(a, Fraction) else a
+
+
+class Rows:
+    """One call's Pochhammer tables, formed on first read: per parameter a,
+    its factors and its row (a)_0, ..., (a)_k of their running products (no
+    division: a zero factor zeroes the row from its index on).  By default
+    the factors are a + j (the rising (a)_k) and the series unit is 1."""
+
+    def __init__(self, factor=lambda a, j: a + j, unit=1):
+        self.factor, self.unit, self._factors, self._rows = factor, unit, {}, {}
+
+    def factors(self, a, k: int) -> list:
+        """factor(a, 0), ..., factor(a, k - 1) (the list may run longer)."""
+        fs = self._factors.setdefault(_key(a), [])
+        fs += [self.factor(a, j) for j in range(len(fs), k)]
+        return fs
+
+    def row(self, a, k: int) -> list:
+        """(a)_0, ..., (a)_k (the list may run longer)."""
+        key = _key(a)
+        row = self._rows.get(key) or self._rows.setdefault(key, [a * 0 + 1])  # one in a's ring
+        for f in self.factors(a, k)[len(row) - 1:k]:
+            row.append(row[-1] * f)
+        return row
+
+
+class QTables(Rows):
+    """The tables of base q an evaluator builds once per call and drops with
+    it: pow(k) = q^k (any integer k), num(k) = [k]_q and the rows (a; q)_k
+    of factors 1 - a q^j, unit q; (z q^s; q)_k is the row of z q^s."""
+
+    def __init__(self, q):
+        self.pow = pw = functools.cache(lambda k: q**k)  # no cycle through self
+        self.num = functools.cache(lambda k: (pw(k) - 1) / (q - 1))
+        super().__init__(lambda a, j: 1 - a * pw(j), q)
 
 
 def qpochhammer_inf(a, qp: QParam, field: FloatField):
@@ -207,59 +248,50 @@ class SeriesError(ValueError):
     pass
 
 
-def _qfactor(q):
-    """The q-Pochhammer factor: (a; q)_k = prod_{j<k} (1 - a q^j)."""
-    return lambda a, j: 1 - a * q**j
-
-
-def _rising_factor(a, j):
-    """The rising-factorial factor: (a)_k = prod_{j<k} (a + j)."""
-    return a + j
-
-
-def _terms(factor, num, den, label, last=None, max_terms=0, v=None, q=1, t=0):
-    """[prod (a)_k / prod (b)_k * v^k q^(t C(k,2)) for k = 0..last], where
-    (a)_k = prod_{j<k} factor(a, j).  Without `last`, it is the first j below
-    max_terms at which a numerator factor vanishes, found from the factors
-    before any product is formed.  A denominator factor vanishing at
-    j <= last (a summed index, or the termination index, where the
-    numerator vanishes too) is an error."""
+def _terms(tables, num, den, label, last=None, max_terms=0, v=None, t=0):
+    """[prod (a)_k / prod (b)_k * v^k q^(t C(k,2)) for k = 0..last], over
+    the factors of `tables` (`QTables` or `Rows()`).  Without `last`, it is
+    the first j below max_terms at which a numerator factor vanishes, found
+    from the factors before any product is formed.  A denominator factor
+    vanishing at j <= last (a summed index, or the termination index, where
+    the numerator vanishes too) is an error."""
     if last is None:
-        last = next((j for j in range(max_terms) if any(factor(a, j) == 0 for a in num)), None)
+        last = next((j for j in range(max_terms)
+                     if any(tables.factor(a, j) == 0 for a in num)), None)
         if last is None:
             raise SeriesError(f"the {label} does not terminate within {max_terms} terms")
+    nums = [tables.factors(a, last) for a in num]
+    dens = [tables.factors(b, last + 1) for b in den]
     out = [Fraction(1)]
     top = bottom = Fraction(1)
     for j in range(last + 1):
-        dfs = [factor(b, j) for b in den]
-        if any(f == 0 for f in dfs):
+        if any(fs[j] == 0 for fs in dens):
             raise SeriesError(f"a denominator Pochhammer of the {label} vanishes at index "
                               f"{j + 1}, not after the termination index {last + 1}")
         if j == last:
             return out
-        for a in num:
-            top = top * factor(a, j)
+        for fs in nums:
+            top = top * fs[j]
         if v is not None:
             top = top * v
         if t:
-            top = top * q ** (t * j)
-        for f in dfs:
-            bottom = bottom * f
+            top = top * tables.pow(t * j)
+        for fs in dens:
+            bottom = bottom * fs[j]
         out.append(top / bottom)
 
 
-def _terminating_sum(factor, unit, xnum, xden, xv, ynum=None, yden=(), yv=None,
-                     joint_num=(), joint_den=(), q=1, tags=(0, 0, 0),
-                     max_terms: int = 2000):
+def _terminating_sum(tables, xnum, xden, xv, ynum=None, yden=(), yv=None,
+                     joint_num=(), joint_den=(), tags=(0, 0, 0), max_terms: int = 2000):
     """The terminating double sum
 
         sum_{m <= M, n <= N} [joint]_{m+n} [x]_m [y]_n xv^m yv^n
                              q^(ti C(m,2) + tj C(n,2) + tk m n),
 
     where [g]_k = prod (a)_k / prod (b)_k over the group's numerator and
-    denominator parameters, (a)_k = prod_{j<k} factor(a, j), and the x and
-    y groups also divide by (unit)_k: (q; q)_k for the factor 1 - a q^j,
-    k! for a + j.  M is the first j at which an x numerator factor
+    denominator parameters, (a)_k the product of a's factors in `tables`,
+    and the x and y groups also divide by (unit)_k: (q; q)_k for (a; q)_k,
+    k! for the rising (a)_k.  M is the first j at which an x numerator factor
     vanishes, N likewise for y; ``ynum=None`` is the single sum over m.
 
     Numerator parameters and the arguments may be Fractions or BiPolys;
@@ -271,17 +303,17 @@ def _terminating_sum(factor, unit, xnum, xden, xv, ynum=None, yden=(), yv=None,
     ring = (*xnum, *(ynum or ()), *joint_num, xv, yv)
     zero = BiPoly.zero() if any(isinstance(v, BiPoly) for v in ring) else Fraction(0)
     label = "series" if ynum is None else "x direction"
-    xs = _terms(factor, xnum, (*xden, unit), label, max_terms=max_terms, v=xv, q=q, t=ti)
+    xs = _terms(tables, xnum, (*xden, tables.unit), label, max_terms=max_terms, v=xv, t=ti)
     if ynum is None:
         return sum(xs, zero)
-    ys = _terms(factor, ynum, (*yden, unit), "y direction", max_terms=max_terms, v=yv, q=q,
+    ys = _terms(tables, ynum, (*yden, tables.unit), "y direction", max_terms=max_terms, v=yv,
                 t=tj)
     if not (joint_num or joint_den or tk):
         return sum(xs, zero) * sum(ys, zero)
-    joint = _terms(factor, joint_num, joint_den, "joint sum", len(xs) + len(ys) - 2)
+    joint = _terms(tables, joint_num, joint_den, "joint sum", len(xs) + len(ys) - 2)
     total = zero
     for m, xm in enumerate(xs):
-        total = total + xm * sum((yn * (joint[m + n] * q ** (tk * m * n))
+        total = total + xm * sum((yn * (joint[m + n] * (tables.pow(tk * m * n) if tk else 1))
                                   for n, yn in enumerate(ys)), zero)
     return total
 
@@ -295,9 +327,8 @@ def phi_rs(num_params, den_params, qp: QParam, z, max_terms: int = 2000):
     vanishing first, or at the same index, is an error.
     """
     excess = 1 + len(den_params) - len(num_params)
-    return _terminating_sum(_qfactor(qp.q), qp.q, num_params, den_params,
-                            -z if excess % 2 else z, q=qp.q, tags=(excess, 0, 0),
-                            max_terms=max_terms)
+    return _terminating_sum(QTables(qp.q), num_params, den_params, -z if excess % 2 else z,
+                            tags=(excess, 0, 0), max_terms=max_terms)
 
 
 def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, yv,
@@ -308,9 +339,8 @@ def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, 
 
     Both directions must terminate (a vanishing numerator Pochhammer).
     """
-    q = qp.q
-    return _terminating_sum(_qfactor(q), q, xnum, xden, xv, ynum, yden, yv,
-                            joint_num, joint_den, q, tags, max_terms)
+    return _terminating_sum(QTables(qp.q), xnum, xden, xv, ynum, yden, yv,
+                            joint_num, joint_den, tags, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +357,11 @@ def pochhammer_rising(a, k: int):
 def gauss_2f1_terminating(a, b, c, z):
     """2F1(a, b; c; z) with a or b a nonpositive integer; z may be a scalar or
     a BiPoly."""
-    return _terminating_sum(_rising_factor, 1, (a, b), (c,), z)
+    return _terminating_sum(Rows(), (a, b), (c,), z)
 
 
 def kampe_de_feriet(joint_num, xnum, ynum, joint_den, xden, yden, xv, yv):
     """Generalized Kampe de Feriet double sum; both separate numerator groups
     must contain a nonpositive integer.  Arguments may be scalars or BiPolys."""
-    return _terminating_sum(_rising_factor, 1, xnum, xden, xv, ynum, yden, yv,
-                            joint_num, joint_den)
+    return _terminating_sum(Rows(), xnum, xden, xv, ynum, yden, yv, joint_num,
+                            joint_den)

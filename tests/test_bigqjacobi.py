@@ -20,7 +20,7 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.jackson import _correlate, _ladder
 from qbipoly.linalg import Mat
-from qbipoly.monic import generate_monic_oracle, ttr_matrices
+from qbipoly.monic import generate_monic_oracle, s_matrix_closed_form, ttr_matrices
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
                            qpochhammer_inf)
@@ -134,6 +134,25 @@ def test_explicit_BC_matches_oracle_recurrence(params, equation, oracle5):
             assert explicit[f"C{j}"] == tb["C"]
 
 
+def test_explicit_BC_divides_by_zero_where_abc_q2_is_one():
+    # den_c of n = 1 has the factor abc q^2 - 1
+    with pytest.raises(ZeroDivisionError):
+        explicit_BC(PZERO, 1)
+
+
+def test_closed_forms_keep_no_state_between_calls():
+    # each call builds its own tables: a call at q = 2/3 between two calls
+    # at q = 1/2 leaves the second equal to the first
+    def closed_forms(p):
+        E = preset_equation(p)
+        return ([explicit_BC(p, n) for n in (1, 2, 3)], hypergeometric_family(p, 3),
+                [s_matrix_closed_form(E, n) for n in (1, 2, 3)])
+
+    first = closed_forms(TEST_PARAMS)
+    other = closed_forms(P23)
+    assert closed_forms(TEST_PARAMS) == first != other
+
+
 def test_explicit_BC_sparsity(params):
     mats = explicit_BC(params, 3)
     B1, B2 = mats["B1"], mats["B2"]
@@ -224,9 +243,11 @@ def phi_bivariate_route(p: BigQJacobiParams, n: int, m: int) -> BiPoly:
                                 qp, q, q)
 
 
-@pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1"])
+@pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1", "abcq^2=1"])
 def test_hypergeometric_family_equals_the_phi_bivariate_series(point):
-    p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG}[point]
+    # at abc q^2 = 1 every (abc q^2; q)_k past k = 0 vanishes: a row divided
+    # by another row there would be 0/0
+    p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG, "abcq^2=1": PZERO}[point]
     family = hypergeometric_family(p, 4)
     assert list(family) == [(t - m, m) for t in range(5) for m in range(t + 1)]
     for (n, m), poly in family.items():
@@ -349,6 +370,18 @@ def test_families_equal_their_pairs_across_the_domain(p, total, data):
         assert hyp[n, m].total_degree() == n + m, (n, m)
         assert {mono: c for mono, c in hyp[n, m].coeffs.items() if sum(mono) == n + m} \
             == {(n, m): 1}, (n, m)
+
+
+@seed(2013)
+@settings(max_examples=40, deadline=None, database=None)
+@given(big_q_jacobi_points())
+def test_explicit_BC_matches_oracle_recurrence_across_the_domain(p):
+    oracle = generate_monic_oracle(preset_equation(p), 5)
+    for n in range(1, 5):
+        explicit = explicit_BC(p, n)
+        for j in (1, 2):
+            tb = ttr_matrices(oracle, n, j)
+            assert (explicit[f"B{j}"], explicit[f"C{j}"]) == (tb["B"], tb["C"]), (n, j)
 
 
 # classical (q -> 1) targets ----------------------------------------------------------
@@ -749,6 +782,8 @@ def reference_moments(p, max_degree, truncation, prec):
 
 #: a point with |dq| > 1, so that powers of the x < 0 lattice grow past 1
 PBIG = BigQJacobiParams(F(1, 3), F(2, 5), F(3, 7), F(-3), QParam(F(1, 2)))
+#: abc q^2 = 1: the first factor of (abc q^2; q)_k vanishes
+PZERO = BigQJacobiParams(F(3, 2), F(3, 2), F(16, 9), F(-1), QParam(F(1, 2)))
 
 
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS) + ["|dq|>1"])

@@ -1041,3 +1041,32 @@ def test_cli_reads_a_param_over_4300_digits(tmp_path):
                         "--param", f"a={a}", timeout=60)
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_cli_restores_the_callers_int_digit_limit(monkeypatch, capsys):
+    # main lifts the int-to-str cap while it runs (the two tests above) and
+    # gives the caller's limit back on every exit: 0, 1, a refusal, a usage error
+    real, seen = cli.verify_pearson_identities, []
+
+    def failing(E, k_max, l_max):
+        seen.append(sys.get_int_max_str_digits())
+        report = real(E, k_max, l_max)
+        report["coupling"][(0, 0)] = False
+        return report
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["check", *P]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        monkeypatch.setattr(cli, "verify_pearson_identities", failing)
+        assert main(["check", *P]) == 1
+        assert seen == [0] and sys.get_int_max_str_digits() == 4300
+        assert main(["check", *P, "--param", "z=1"]) == 2
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(SystemExit):
+            main(["check", *P, "--truncation", "15"])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert capsys.readouterr().err.startswith("error: unknown parameter 'z'\nusage: ")

@@ -7,7 +7,7 @@ import pytest
 
 from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable
 from qbipoly.bipoly import BiPoly
-from qbipoly.qcalc import (QParam, SeriesError, _difference_table, dq1, dq2,
+from qbipoly.qcalc import (QParam, QTables, SeriesError, _difference_table, dq1, dq2,
                            dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
                            kampe_de_feriet, phi_bivariate, phi_rs,
                            pochhammer_rising, qnum, qpochhammer,
@@ -40,6 +40,16 @@ def test_qpochhammer(qp):
     assert qpochhammer(F(2), qp, 2) == 0  # second factor (1 - 2q) vanishes
     with pytest.raises(ValueError):
         qpochhammer(F(1), qp, -1)
+
+
+def test_qtables_read_powers_q_numbers_and_running_product_rows(qp):
+    tab = QTables(qp.q)
+    assert [tab.pow(k) for k in (-2, 0, 3)] == [4, 1, F(1, 8)]
+    assert [tab.num(k) for k in (-1, 0, 3)] == [qnum(k, qp) for k in (-1, 0, 3)]
+    # 1 - 4 q^2 = 0: the row is zero from index 3 on, as the product form is
+    assert tab.row(F(4), 4) == [qpochhammer(F(4), qp, k) for k in range(5)]
+    assert tab.row(F(4), 4)[3:] == [0, 0]
+    assert tab.row(x, 3)[:4] == [qpochhammer(x, qp, k) for k in range(4)]
 
 
 def test_qpochhammer_polynomial_argument(qp):
