@@ -6,10 +6,11 @@ positive ``den`` with gcd(den, *nums) = 1, so zero is ``({}, 1)`` and equal
 vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
-by column.  Only this module computes on it: ``exact_form`` builds it,
-``reduced`` brings a result to it by one content gcd, ``combine`` sums
-scaled forms over one common denominator, ``lowest_terms`` reads entries
-back, and ``product_dens`` gives the denominators of unformed products.
+by column.  Only this module computes on it: ``exact_form`` builds it
+(``lift_pairs`` rows of int pairs over one lcm), ``reduced`` brings a result
+to it by one content gcd, ``combine`` sums scaled forms over one common
+denominator, ``lowest_terms`` reads entries back, and ``product_dens`` gives
+the denominators of unformed products.
 ``coeffs`` is a read-only Fraction view; nothing writes a form after
 construction.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -82,6 +84,20 @@ def exact_form(items) -> tuple:
     # with it, so the form is already reduced
     den = math.lcm(*(c.denominator for c in exact.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in exact.items()}, den
+
+
+def lowest_pair(num: int, den: int) -> tuple:
+    """num / den for a nonzero int den as an int pair in lowest terms, den > 0."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def lift_pairs(rows) -> tuple:
+    """(lifted, D) for rows of int pairs (num, den != 0) or None: D the lcm
+    of the dens as given (least when each pair is ``lowest_pair``), and
+    lifted[r][s] the numerator of pair rows[r][s] over D (None stays None)."""
+    D = math.lcm(*(v[1] for row in rows for v in row if v is not None))
+    return [[None if v is None else v[0] * (D // v[1]) for v in row] for row in rows], D
 
 
 def combine(terms, div: int = 1) -> tuple:
@@ -308,7 +324,7 @@ class BiPoly:
         not reduced, with denominator > 0: with x = u/v and y = s/t,
         p = sum_i u^i v^(I-i) C_i / (den v^I t^J), C_i = sum_j n_ij s^j
         t^(J-j) formed once per (i, y); each point costs one product per
-        distinct x-exponent i and no gcd."""
+        distinct x-exponent i, summed by one ``map``, and no gcd."""
         xs = [as_fraction(v) for v in xs]
         ys = [as_fraction(v) for v in ys]
         I = max((i for i, _ in self.nums), default=0)
@@ -324,8 +340,7 @@ class BiPoly:
             u, v = xv.numerator, xv.denominator
             xw = [u**i * v ** (I - i) for i in rows]
             vI = v**I
-            out.append([(sum(w * c for w, c in zip(xw, col)), d * vI)
-                        for col, d in zip(cols, tden)])
+            out.append([(sum(map(operator.mul, xw, col)), d * vI) for col, d in zip(cols, tden)])
         return out
 
     # -- calculus on polynomials -------------------------------------------

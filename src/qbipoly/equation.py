@@ -267,20 +267,24 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
 
 
 def derived_orders(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
-    """{(k, l): the derived coefficients of order (k, l)} for every order
-    k <= k_max, l <= l_max, each one propagation step from a neighbour:
-    (k, 0) from (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, so
-    order (k, l) is k steps along x, then l along y.  The whole box takes
-    k_max + (k_max + 1) l_max steps instead of one chain per order."""
-    out = {}
+    """``propagated_orders`` as a dict {(k, l): derived coefficients}."""
+    return dict(propagated_orders(E, k_max, l_max))
+
+
+def propagated_orders(E: EquationCoeffs, k_max: int, l_max: int):
+    """Yield ((k, l), the derived coefficients of order (k, l)) for k <=
+    k_max, l <= l_max, each one propagation step from a neighbour: (k, 0)
+    from (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, so order
+    (k, l) is k steps along x, then l along y.  They come lazily, (k, 0..l_max)
+    for k = 0..k_max, so a reader that stops early takes no further step; the
+    box takes k_max + (k_max + 1) l_max steps, not one chain per order."""
     state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, Fraction(0))
     for k in range(k_max + 1):
         if k:
             state = _xstep(E.qp, state)
-        out[(k, 0)] = DerivedCoeffs(E.qp, *state[:6], mu=state[6])
+        yield (k, 0), DerivedCoeffs(E.qp, *state[:6], mu=state[6])
         swapped = _swap(state)
         for l in range(1, l_max + 1):
             swapped = _xstep(E.qp, swapped)
             back = _swap(swapped)
-            out[(k, l)] = DerivedCoeffs(E.qp, *back[:6], mu=back[6])
-    return out
+            yield (k, l), DerivedCoeffs(E.qp, *back[:6], mu=back[6])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, exact_form, from_form, reduced
+from .bipoly import BiPoly, combine, exact_form, from_form, lift_pairs, lowest_pair, reduced
 from .scalars import as_fraction
 
 
@@ -234,14 +234,18 @@ def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
                     for p in vec.entries], degree + 1)
 
 
-def _newton_steps(nodes) -> tuple:
+def _newton_steps(nodes, label: str) -> tuple:
     """(t, den, steps): nodes[k] = t[k] / den over one denominator, and for
     each order o >= 1, steps[o - 1] = (mult, A) with
-    1 / (nodes[k] - nodes[k - o]) = mult[k] / A for o <= k < len(nodes)."""
+    1 / (nodes[k] - nodes[k - o]) = mult[k] / A for o <= k < len(nodes).
+    Repeated nodes, told apart on the lifted integers, raise ValueError."""
     nums, den = exact_form(enumerate(nodes))
     t = [nums.get(k, 0) for k in range(len(nodes))]
-    return t, den, [exact_form((k, Fraction(den, t[k] - t[k - o])) for k in range(o, len(t)))
-                    for o in range(1, len(t))]
+    if len(set(t)) != len(t):
+        raise ValueError(f"repeated {label} interpolation node")
+    steps = [lift_pairs([[None] * o + [lowest_pair(den, t[k] - t[k - o])
+                                       for k in range(o, len(t))]]) for o in range(1, len(t))]
+    return t, den, [(rows[0], A) for rows, A in steps]
 
 
 def _divided_differences(values, steps) -> list:
@@ -286,13 +290,10 @@ def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
     G = len(nodes_x)
     if len(nodes_y) != G or [len(row) for row in values] != list(range(G, 0, -1)):
         raise ValueError(f"values must fill the lower set of {G} x- and as many y-nodes")
-    for nodes, label in ((nodes_x, "x"), (nodes_y, "y")):
-        if len(set(nodes)) != G:
-            raise ValueError(f"repeated {label} interpolation node")
     if not G:
         return BiPoly.zero()
-    sx, X, xsteps = _newton_steps(nodes_x)
-    ty, Y, ysteps = _newton_steps(nodes_y)
+    sx, X, xsteps = _newton_steps(nodes_x, "x")
+    ty, Y, ysteps = _newton_steps(nodes_y, "y")
     vals, D = exact_form(((i, j), v) for i, row in enumerate(values) for j, v in enumerate(row))
     newton_x = [[] for _ in range(G)]  # newton_x[i][j]: [x_0..x_i] p(., y_j)
     for j in range(G):

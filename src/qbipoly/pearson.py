@@ -20,12 +20,11 @@ fixes its normalization, is a reference in tests/test_pearson.py.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly
-from .equation import EquationCoeffs, derived_orders
+from .bipoly import BiPoly, lowest_pair
+from .equation import EquationCoeffs, propagated_orders
 from .qcalc import QParam
 
 
@@ -89,22 +88,21 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0)
     orders.  build_pearson refuses a vanishing omega, so no cancelled factor
     is zero and each row decides its rational-function identity exactly.
 
-    Every order but the corner (k_max + 1, l_max + 1), which no row reads,
-    is checked for degeneracy: an x step divides omega1 by q and a y step
-    omega2, so the corner's omegas are those of (k_max, l_max + 1) and
-    (k_max + 1, l_max) over q, and a degenerate one is refused there.
+    The propagation stops before the corner (k_max + 1, l_max + 1), which
+    no row reads.  Every other order is checked for degeneracy: an x step
+    divides omega1 by q and a y step omega2, so the corner's omegas are those
+    of (k_max, l_max + 1) and (k_max + 1, l_max) over q, refused there.
     """
     q = E.qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
-    derived = derived_orders(E, k_max + 1, l_max + 1)
+    derived = dict(itertools.islice(propagated_orders(E, k_max + 1, l_max + 1),
+                                    (k_max + 2) * (l_max + 2) - 1))
     pearson = {kl: build_pearson(D) for kl, D in derived.items()
                if kl[0] <= k_max and kl[1] <= l_max}
-    # (omega1(qx,y), omega2(x,qy)) of every order but the corner
-    dens = {}
+    dens = {}  # (omega1(qx,y), omega2(x,qy)) of every order read
     for kl, D in derived.items():
-        if kl != (k_max + 1, l_max + 1):
-            w1, w2 = (pearson[kl].omega1, pearson[kl].omega2) if kl in pearson else _omegas(D)
-            dens[kl] = (w1.scale_args(q, 1), w2.scale_args(1, q))
+        w1, w2 = (pearson[kl].omega1, pearson[kl].omega2) if kl in pearson else _omegas(D)
+        dens[kl] = (w1.scale_args(q, 1), w2.scale_args(1, q))
 
     for (k, l), P in pearson.items():
         D, (w1, w2) = derived[k, l], dens[k, l]
@@ -166,29 +164,37 @@ class WeightEvaluator:
         return val
 
     def box(self, s_count: int, t_count: int) -> list:
-        """rows[s][t] = value(s, t) for s < s_count, t < t_count, from
-        whole-lattice evaluations of phi, and of omega at the shifted nodes.
+        """rows[s][t] = value(s, t), s < s_count, t < t_count, from ``box_pairs``."""
+        return [[Fraction(*v) for v in row] for row in self.box_pairs(s_count, t_count)[0]]
+
+    def box_pairs(self, s_count: int, t_count: int, reach=(0, 0)) -> tuple:
+        """(rho, p1, w1, w2) on x_s = q^s x0, y_t = q^t y0: rho[s][t] = value(s,
+        t), s < s_count, t < t_count, as ``lowest_pair`` of a neighbour times a
+        ratio, and grids (``eval_grid_pairs``) p1[s][t] = phi1(x_s, y_t) and of
+        the omegas the ratios divide by, reaching (rx, ry) = reach steps lower:
+        w1[s][t] = omega1(x_(s+1-rx), y_t), w2[s][t] = omega2(x_s, y_(t+1-ry)),
+        w2 on the column s = 0 alone if ry = 0; each Pearson polynomial once.
         A pole raises the error value() meets first when walked row by row
         over the box: G2 up the column s = 0, then G1 along each x row."""
         q, P = self.qp.q, self.pearson
-        x0, y0 = self.anchor
-        xs = [x0 * q**s for s in range(s_count)]
-        ys = [y0 * q**t for t in range(t_count)]
-
-        def ratios(which, phi, omega, gx, gy, wx, wy):
-            dens = omega.eval_grid_pairs(wx, wy)
-            for a, row in enumerate(dens):
-                for b, (dv, _) in enumerate(row):
-                    if not dv:
-                        raise LatticePoleError(which, b if which == "G2" else a, (gx[a], gy[b]))
-            return [[Fraction(nn * dd, nd * dn) for (nn, nd), (dn, dd) in zip(*pair)]
-                    for pair in zip(phi.eval_grid_pairs(gx, gy), dens)]
-
-        col, = ratios("G2", P.phi2, P.omega2, [x0], ys[:-1], [x0], ys[1:])
-        rows = [list(itertools.accumulate(col, operator.mul, initial=1))]
-        for row in ratios("G1", P.phi1, P.omega1, xs[:-1], ys, xs[1:], ys):
-            rows.append([r * g for r, g in zip(rows[-1], row)])
-        return rows
+        rx, ry = reach
+        xs = [self.anchor[0] * q**s for s in range(-rx, s_count)]  # xs[rx + s] = x_s
+        ys = [self.anchor[1] * q**t for t in range(-ry, t_count)]
+        w1 = P.omega1.eval_grid_pairs(xs[1:], ys[ry:])
+        w2 = P.omega2.eval_grid_pairs(xs[rx:] if ry else xs[rx:rx + 1], ys[1:])
+        for which, grid, lo in (("G2", w2[:1], ry), ("G1", w1[rx:], 0)):
+            for s, t in ((s, t) for s, row in enumerate(grid)
+                         for t, w in enumerate(row[lo:]) if not w[0]):
+                raise LatticePoleError(which, s if which == "G1" else t, (xs[rx + s], ys[ry + t]))
+        p2, = P.phi2.eval_grid_pairs(xs[rx:rx + 1], ys[ry:-1])
+        rows = [[(1, 1)]]
+        for (pn, pd), (wn, wd) in zip(p2, w2[0][ry:]):
+            rows[0].append(lowest_pair(rows[0][-1][0] * pn * wd, rows[0][-1][1] * pd * wn))
+        p1 = P.phi1.eval_grid_pairs(xs[rx:-1], ys[ry:])
+        for prow, wrow in zip(p1, w1[rx:]):
+            rows.append([lowest_pair(rn * pn * wd, rd * pd * wn)
+                         for (rn, rd), (pn, pd), (wn, wd) in zip(rows[-1], prow, wrow)])
+        return rows, p1, w1, w2
 
     def point(self, s: int, t: int):
         q = self.qp.q
@@ -202,11 +208,5 @@ def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     """CSV-ready rows (s, t, x, y, numerator, denominator) of exact lattice
     weight values; rows are ordered by (s, t)."""
-    box = W.box(s_max + 1, t_max + 1)
-    rows = []
-    for s in range(s_max + 1):
-        for t in range(t_max + 1):
-            xv, yv = W.point(s, t)
-            val = Fraction(box[s][t])
-            rows.append((s, t, str(xv), str(yv), str(val.numerator), str(val.denominator)))
-    return rows
+    return [(s, t, *map(str, W.point(s, t)), str(v.numerator), str(v.denominator))
+            for s, row in enumerate(W.box(s_max + 1, t_max + 1)) for t, v in enumerate(row)]

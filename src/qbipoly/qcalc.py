@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, exact_form, from_form, reduced
+from .bipoly import BiPoly, from_form, lift_pairs, reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -158,28 +158,28 @@ def dqm2(f: BiPoly, qp: QParam) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 def _difference_table(fvals, x0, y0, p, n: int, m: int):
-    """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
-    then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0); returns the
-    table at (p^r x0, p^s y0), n rows and m columns smaller.  A sample may
-    be None where it is not needed; a table entry whose stencil reaches one
-    is None.
+    """``difference_passes`` on exact samples; the table as Fractions."""
+    work, den = difference_passes([[None if v is None else (v.numerator, v.denominator)
+                                    for v in row] for row in fvals], x0, y0, p, n, m)
+    return [[None if v is None else Fraction(v, den) for v in row] for row in work]
 
-    The passes run on integers over one denominator D, to which the samples
-    are lifted once.  With p = u/w and x0 = a/b, the step of row r is
-    (p - 1) x0 p^r = (u - w) a u^r / (b w^(r+1)); over the common
-    (u - w) a u^R (R the last row of the new table) its reciprocal is
-    b w^(r+1) u^(R-r), so a pass multiplies each row's differences by that
-    factor and D by (u - w) a u^R.  The y passes do the same along the
-    columns, and only the returned entries become Fractions.
-    """
+
+def difference_passes(fvals, x0, y0, p, n: int, m: int) -> tuple:
+    """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
+    then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0) as int pairs
+    (num, den), None where not needed: (numerators, denominator) of the table
+    at (p^r x0, p^s y0), n rows and m columns smaller, None where a stencil
+    reaches a None sample.  ``lift_pairs`` lifts the samples to one denominator
+    D, and the passes run on integers: with p = u/w and x0 = a/b, the step of
+    row r is (p - 1) x0 p^r = (u - w) a u^r / (b w^(r+1)); over the common
+    (u - w) a u^R (R the last row of the new table) its reciprocal is b
+    w^(r+1) u^(R-r), so a pass multiplies row r's differences by it and D by
+    (u - w) a u^R."""
     if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
         raise ValueError("sample table too small for the requested order")
+    work, den = lift_pairs(fvals)
     p = as_fraction(p)
     u, w = p.numerator, p.denominator
-    nums, den = exact_form(((r, s), v) for r, row in enumerate(fvals)
-                           for s, v in enumerate(row) if v is not None)
-    work = [[None if v is None else nums.get((r, s), 0) for s, v in enumerate(row)]
-            for r, row in enumerate(fvals)]
 
     def factors(start, count):
         """The reciprocals of count steps from start: (numerators, common
@@ -199,17 +199,12 @@ def _difference_table(fvals, x0, y0, p, n: int, m: int):
         work = [[None if lo is None or hi is None else (hi - lo) * k
                  for lo, hi, k in zip(row, row[1:], mults)] for row in work]
         den *= step_den
-    return [[None if v is None else Fraction(v, den) for v in row] for row in work]
+    return work, den
 
 
 def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):
-    """Iterated forward differences on samples fvals[r][s] = f(q^r x0, q^s y0).
-
-    Returns the table t[r][s] = [Dq1]^n [Dq2]^m f at (q^r x0, q^s y0), with n
-    fewer rows and m fewer columns than fvals; the corner t[0][0] is the
-    value at (x0, y0).  Samples left None are not needed: the entries whose
-    stencils reach them are None.
-    """
+    """t[r][s] = [Dq1]^n [Dq2]^m f at (q^r x0, q^s y0) from exact samples
+    fvals[r][s] = f(q^r x0, q^s y0): ``_difference_table`` of base q."""
     return _difference_table(fvals, x0, y0, qp.q, n, m)
 
 

@@ -10,7 +10,9 @@ The polynomial of index (n, m) is recovered from
 sampled on the lower set i + j <= n + m of a backward lattice grid: all rho
 ratios entering the quotient are finite products of Pearson ratio values,
 hence exact rationals, and the samples interpolate to the unique polynomial
-of total degree n + m.  The pairs of one call share one lattice.
+of total degree n + m.  The pairs of one call share one lattice, on which
+each Pearson polynomial is evaluated once; rho, the bracket's factors, f and
+the difference tables are integers, and only node values are Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .bipoly import BiPoly
 from .equation import EquationCoeffs
 from .linalg import interpolate_2d
 from .pearson import LatticePoleError, base_weight
-from .qcalc import dq_nm_table
+from .qcalc import difference_passes
 
 #: Base points tried in order when a lattice path hits a Pearson pole.
 DEFAULT_BASES = (
@@ -52,59 +54,42 @@ def _grid_values(E: EquationCoeffs, pairs, base) -> dict:
     There rho ratios are finite Pearson products, and the anchor constant
     cancels between the bracket and the outer division.  A node of the
     lower set has its stencil in a + b >= N (pair coordinates), so f = rho *
-    Omega is formed only there, Omega as the product of its factors:
-    omega1(q^-k x_a, y_b) = omega1(x_{a-k}, y_b) and omega2(x_a, q^-s y_b) =
-    omega2(x_a, y_{b-s}), each factor evaluated once on the lattice as an
-    unreduced integer pair, so that f is a product of integers reduced once
-    per lattice point.  One difference table per pair gives its nodes.  A
-    pole anywhere on the shared lattice fails every pair.
+    Omega is formed only there, from omega1(q^-k x_a, y_b) = omega1(x_(a-k),
+    y_b) and omega2(x_a, q^-s y_b) = omega2(x_a, y_(b-s)) off one
+    ``box_pairs``.  Those at x_1..x_a divide rho's last x steps, so f is rho
+    a0 = max(a - n, 0) rows lower times those steps' phi1 values: unreduced
+    integers, lifted by the integer difference table with no gcd (rho is
+    reduced once per lattice point).  Each node value pref * T / rho is
+    reduced once.  A pole anywhere on the shared lattice fails every pair.
     """
-    qp = E.qp
-    q = qp.q
+    q = E.qp.q
     M = max(n + m for n, m in pairs)
     n_top, m_top = max(n for n, _ in pairs), max(m for _, m in pairs)
-    xb, yb = base
-    X, Y = xb * q**-M, yb * q**-M
-    weight = base_weight(E, (X, Y))
-    rho = weight.box(M + 1 + n_top, M + 1 + m_top)
-    P = weight.pearson
-
-    # factor arguments reach dx (dy) steps below the lattice: xs[a + dx] = x_a
-    dx, dy = max(n_top - 1, 0), max(m_top - 1, 0)
-    xs = [X * q ** (a - dx) for a in range(M + 1 + n_top + dx)]
-    ys = [Y * q ** (b - dy) for b in range(M + 1 + m_top + dy)]
-    w1 = P.omega1.eval_grid_pairs(xs, ys[dy:]) if n_top else None
-    w2 = P.omega2.eval_grid_pairs(xs[dx:], ys) if m_top else None
-    nodes_x = [xb * q**-i for i in range(M + 1)]
-    nodes_y = [yb * q**-j for j in range(M + 1)]
+    X, Y = (v * q**-M for v in base)
+    rho, p1, w1, w2 = base_weight(E, (X, Y)).box_pairs(M + 1 + n_top, M + 1 + m_top, (n_top, m_top))
+    nodes_x, nodes_y = ([v * q**-i for i in range(M + 1)] for v in base)
     out = {}
     for n, m in pairs:
         N = n + m
         G, o = N + 1, M - N
         fvals = []
         for a in range(o, o + G + n):
-            row = [None] * max(M - a, 0)
-            for b in range(o + len(row), o + G + m):
-                val = rho[a][b]
-                num, den = val.numerator, val.denominator
-                for wn, wd in ([w1[a + dx - k][b] for k in range(n)]
-                               + [w2[a][b + dy - s] for s in range(m)]):
-                    num *= wn
-                    den *= wd
-                row.append(Fraction(num, den))
-            fvals.append(row)
-        table = dq_nm_table(fvals, X * q**o, Y * q**o, qp, n, m)
-
+            lo, hi = o + max(M - a, 0), o + G + m  # row a's columns with a + b >= N
+            a0 = max(a - n, 0)  # and the omega1 factors at x_(a-n+1)..x_0
+            row = rho[a0][lo:hi]
+            for factors in ([p1[s][lo:hi] for s in range(a0, a)]
+                            + [w1[s][lo:hi] for s in range(a - n + n_top, n_top)]
+                            + [w2[a][lo + m_top - 1 - s:hi + m_top - 1 - s] for s in range(m)]):
+                row = [(x * u, y * v) for (x, y), (u, v) in zip(row, factors)]
+            fvals.append([None] * (lo - o) + row)
+        table, T_den = difference_passes(fvals, X * q**o, Y * q**o, q, n, m)
         pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
-        values = []
-        for i in range(G):
-            row = []
-            for j in range(G - i):
-                rho_here = rho[M - i][M - j]
-                if rho_here == 0:
-                    raise LatticePoleError("rho", M - i, (nodes_x[i], nodes_y[j]))
-                row.append(pref * table[N - i][N - j] / rho_here)
-            values.append(row)
+        pn, pd = pref.numerator, pref.denominator * T_den
+        for i, j in ((i, j) for i in range(G) for j in range(G - i)):
+            if not rho[M - i][M - j][0]:
+                raise LatticePoleError("rho", M - i, (nodes_x[i], nodes_y[j]))
+        values = [[Fraction(pn * table[N - i][N - j] * rho[M - i][M - j][1],
+                            pd * rho[M - i][M - j][0]) for j in range(G - i)] for i in range(G)]
         out[n, m] = nodes_x[:G], nodes_y[:G], values
     return out
 
@@ -130,7 +115,7 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     for base in DEFAULT_BASES:
         try:
             grids = _grid_values(E, pairs, base)
-        except (LatticePoleError, ZeroDivisionError) as exc:
+        except LatticePoleError as exc:
             last_pole = exc
             continue
         return {pair: interpolate_2d(*grid) for pair, grid in grids.items()}

@@ -45,7 +45,9 @@ and the orthogonality and check digests are unchanged.
 
 The `check` CSV document at the preset and the `check` JSON document at
 q = 9/10 were recorded before the q-Pearson rows became polynomial
-identities on four shared products per order."""
+identities on four shared products per order.  The Rodrigues documents at
+q = 9/10 and q = 2/3 and the weight CSV at q = 9/10 were recorded before the
+Rodrigues lattice began running on integer pairs."""
 
 import hashlib
 import json
@@ -83,6 +85,16 @@ CASES = {
     "generate-weight-3-3-csv": (
         ("generate", *P, "--family", "weight", "--degrees", "3 3", "--format", "csv"),
         "9d373a5f34e40f5b1cc4994160789601acad6fe9d2ba914f55320c8998770927"),
+    "generate-rodrigues-4-4-q=9/10": (
+        ("generate", *P, "--family", "rodrigues", "--degrees", "4 4", "--param", "q=9/10"),
+        "3b7e6428d0e9c70e5d9e3fba5c90a4cbd5020c991e886ab03989a9fa9b436bb7"),
+    "generate-rodrigues-8-0-q=2/3": (
+        ("generate", *P, "--family", "rodrigues", "--degrees", "8 0", "--param", "q=2/3"),
+        "edd418a363ae3b037448b258b860f8ff203917083a9346cfa4f9b87961e98b83"),
+    "generate-weight-5-5-csv-q=9/10": (
+        ("generate", *P, "--family", "weight", "--degrees", "5 5", "--format", "csv",
+         "--param", "q=9/10"),
+        "ed55c1b94ec6b93fb87fa68488493f8ee24c1f186e6e740b21c6591a4dc866b2"),
     "verify-consistency": (("verify", *P, "--suite", "consistency"),
                            "3d6643cd06da81ba052095f6b7602fb3a5a5938e78e90c969af7f91abd707e48"),
     "verify-recurrence": (("verify", *P, "--suite", "recurrence"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qbipoly.equation as equation_module
 from qbipoly.bigqjacobi import BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, derived_coeffs, derived_orders
@@ -189,6 +190,20 @@ def test_report_forms_no_rational_function_arithmetic(equation, monkeypatch):
 
 
 # the corner order (k_max + 1, l_max + 1) ---------------------------------------
+
+def test_report_stops_before_the_corner(equation, monkeypatch):
+    # the (2, 2) report reads every order k <= 3, l <= 3 but the corner (3,
+    # 3): 14 propagation steps, one fewer than the whole box takes
+    steps = []
+    real = equation_module._xstep
+    monkeypatch.setattr(equation_module, "_xstep",
+                        lambda qp, state: steps.append(1) or real(qp, state))
+    report = verify_pearson_identities(equation, 2, 2)
+    assert len(steps) == 14
+    monkeypatch.undo()
+    assert report["ok"]
+    assert _in_order(report) == _in_order(rational_pearson_identities(equation, 2, 2))
+
 
 def _random_shaped_equation(q, seed):
     """A seeded equation of the paper's shape: c11 quadratic in x, c22 in y,

@@ -3,16 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
-from test_bigqjacobi import is_power_of
+from test_bigqjacobi import big_q_jacobi_points, is_power_of
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, weight_table_rows
-from qbipoly.qcalc import QParam, dq_nm_table
+from qbipoly.qcalc import QParam, difference_passes, dq_nm_table
 from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_family,
                                rodrigues_poly)
 from test_pearson import rho_kl
@@ -254,9 +256,9 @@ def test_family_lattice_gives_each_pair_its_own_samples(params, monkeypatch):
 
     def spy(fvals, *args):
         formed.append(sum(v is not None for row in fvals for v in row))
-        return dq_nm_table(fvals, *args)
+        return difference_passes(fvals, *args)
 
-    monkeypatch.setattr(rodrigues, "dq_nm_table", spy)
+    monkeypatch.setattr(rodrigues, "difference_passes", spy)
     pairs = [(t - m, m) for t in range(6) for m in range(t + 1)]
     shared = _grid_values(E, pairs, DEFAULT_BASES[0])
     assert list(shared) == pairs
@@ -265,6 +267,22 @@ def test_family_lattice_gives_each_pair_its_own_samples(params, monkeypatch):
         assert _grid_values(E, [pair], DEFAULT_BASES[0])[pair] == shared[pair], pair
     assert formed[len(pairs):] == counts
     assert rodrigues_family(E, 5) == {pair: rodrigues_poly(E, *pair) for pair in pairs}
+
+
+def test_zero_weight_at_a_node_is_a_rho_pole(equation, monkeypatch):
+    # phi1 carries the factor y - x, so on a base with xb = yb the weight
+    # vanishes wherever s > t on the lattice.  No ratio has a pole there, but
+    # u divides by rho at the nodes j > i: the first of them raises with its
+    # lattice point, and the call moves to the next base
+    base = (F(3, 7), F(3, 7))
+    q = equation.qp.q
+    assert first_walk_pole(equation, (base[0] * q**-2, base[1] * q**-2), 4, 4) is None
+    with pytest.raises(LatticePoleError) as err:
+        _grid_values(equation, [(1, 1)], base)
+    assert (err.value.which, err.value.index, err.value.point) == ("rho", 2, (base[0], base[1] / q))
+    want = rodrigues_poly(equation, 1, 1)
+    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (base, DEFAULT_BASES[0]))
+    assert rodrigues_poly(equation, 1, 1) == want
 
 
 def test_pole_retry_with_only_bad_bases(equation, params, monkeypatch):
@@ -394,9 +412,9 @@ def test_grid_values_forms_f_only_where_needed(equation, monkeypatch, n, m):
 
     def spy(fvals, *args):
         formed.append(sum(v is not None for row in fvals for v in row))
-        return dq_nm_table(fvals, *args)
+        return difference_passes(fvals, *args)
 
-    monkeypatch.setattr(rodrigues, "dq_nm_table", spy)
+    monkeypatch.setattr(rodrigues, "difference_passes", spy)
     N = n + m
     G = N + 1
     _, _, values = _grid_values(equation, [(n, m)], DEFAULT_BASES[0])[n, m]
@@ -415,6 +433,53 @@ def first_walk_pole(E, anchor, s_count, t_count):
     except LatticePoleError as exc:
         return exc.which, exc.index, exc.point
     return None
+
+
+def assert_lattice_matches_the_fraction_reference(E, n, m):
+    """At every base of DEFAULT_BASES, _grid_values raises the pole that the
+    walk over its lattice meets first; at the first pole-free base it gives
+    the Fraction pipeline's grid."""
+    q = E.qp.q
+    N = n + m
+    compared = False
+    for base in DEFAULT_BASES:
+        pole = first_walk_pole(E, (base[0] * q**-N, base[1] * q**-N), N + 1 + n, N + 1 + m)
+        if pole is None:
+            if not compared:
+                assert _grid_values(E, [(n, m)], base)[n, m] == fraction_grid_values(E, n, m, base)
+                compared = True
+            continue
+        with pytest.raises(LatticePoleError) as err:
+            _grid_values(E, [(n, m)], base)
+        assert (err.value.which, err.value.index, err.value.point) == pole
+    assert compared
+
+
+@seed(2013)
+@settings(max_examples=40, deadline=None, database=None)
+@given(big_q_jacobi_points(), st.sampled_from([(2, 1), (1, 2), (3, 1), (2, 2), (0, 4), (4, 0)]))
+def test_integer_lattice_equals_fraction_reference_across_the_domain(params, pair):
+    assert_lattice_matches_the_fraction_reference(preset_equation(params), *pair)
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (4, 0)], ids=str)
+def test_integer_lattice_equals_fraction_reference_at_q_nine_tenths(pair):
+    assert_lattice_matches_the_fraction_reference(preset_equation(Q910_PARAMS), *pair)
+
+
+@pytest.mark.parametrize("pairs", [[(2, 2)], [(t - m, m) for t in range(5) for m in range(t + 1)]],
+                         ids=["pair", "family-4"])
+def test_each_pearson_polynomial_is_evaluated_once_per_lattice(equation, monkeypatch, pairs):
+    # the omega grids that rho's ratios divide by also give Omega's factors
+    evaluated = []
+    real = BiPoly.eval_grid_pairs
+    monkeypatch.setattr(BiPoly, "eval_grid_pairs",
+                        lambda p, xs, ys: evaluated.append(p) or real(p, xs, ys))
+    _grid_values(equation, pairs, DEFAULT_BASES[0])
+    P = equation.pearson
+    assert [sum(p is poly for p in evaluated) for poly in (P.phi1, P.phi2, P.omega1, P.omega2)] \
+        == [1, 1, 1, 1]
+    assert len(evaluated) == 4
 
 
 def test_weight_box_equals_value(equation):
