@@ -140,18 +140,9 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
 
     if family == "monic":
         fam = generate_monic_oracle(E, parts[0])
-        recurrence = {}
-        for n in range(parts[0]):
-            for j in (1, 2):
-                tb = ttr_matrices(fam, n, j)
-                recurrence[f"n={n},axis={j}"] = {
-                    "A": qio.mat_to_json(tb["A"]),
-                    "B": qio.mat_to_json(tb["B"]),
-                    "C": qio.mat_to_json(tb["C"]) if tb["C"] is not None else None,
-                }
-        payload = {"family": "monic",
-                   "vectors": [qio.polyvec_to_json(v) for v in fam.vectors],
-                   "recurrence_matrices": recurrence}
+        payload = {"family": "monic", "vectors": [v.entries for v in fam.vectors],
+                   "recurrence_matrices": {f"n={n},axis={j}": ttr_matrices(fam, n, j)
+                                           for n in range(parts[0]) for j in (1, 2)}}
         _emit(args, qio.document("polynomials", payload))
         return 0
     if family == "weight":
@@ -174,7 +165,7 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
     else:
         poly, lam = monic_hypergeometric(p, n, m), None
     payload = {"family": family, "n": n, "k" if family == "nonmonic" else "m": m,
-               "polynomial": qio.poly_to_json(poly)}
+               "polynomial": poly}
     if lam is not None:
         payload["residual_zero"] = (apply_operator(E, poly) + poly * lam).is_zero()
     _emit(args, qio.document("polynomials", payload))

@@ -12,8 +12,8 @@ so every stored quantity is rational in q and the full operator reads
 
 Same-axis compositions apply the backward operator first.
 
-``apply_operator`` makes one pass: each part takes one or two single-axis
-steps of each monomial, and all six add integers over one denominator.
+``add_image`` is the one pass of ``apply_operator`` and the operator blocks:
+each part steps a monomial once or twice; all six add over one denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .bipoly import BiPoly, combine, from_form
+from .bipoly import BiPoly, from_form, lift_pairs, reduced
 from .qcalc import QParam, dq1, qnum, step_weights
 
 _BILINEAR = {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -134,32 +134,46 @@ def check_hypergeometric_form(E: EquationCoeffs) -> dict:
 # operator application
 # ---------------------------------------------------------------------------
 
+def operator_parts(E, top: int) -> tuple:
+    """(parts, D) for monomials of total degree <= top (>= 1): per part of
+    ``_PARTS``, its steps with their ``qcalc.step_weights`` tables (over
+    v^(top-1) forward, u^(top-1) backward, q = u/v), its coefficient's
+    numerators and D over its denominator, D the lcm of the six."""
+    tables = [(step_weights(p, top), p.denominator ** (top - 1)) for p in (E.qp.q, 1 / E.qp.q)]
+    coeffs = [getattr(E, name) for name, _ in _PARTS]
+    (lifts,), D = lift_pairs([[(1, c.den * math.prod(tables[b][1] for _, b in steps))
+                               for c, (_, steps) in zip(coeffs, _PARTS)]])
+    return [(tuple((axis, tables[b][0]) for axis, b in steps), c.nums, lift)
+            for c, (_, steps), lift in zip(coeffs, _PARTS, lifts)], D
+
+
+def add_image(out: dict, m: tuple, n: int, parts) -> None:
+    """Add n times the image of the monomial m, over the D of
+    ``operator_parts``, into out (keyed by exponent pair)."""
+    for steps, coeff, lift in parts:
+        e = list(m)
+        v = n * lift
+        for axis, w in steps:
+            v *= w[e[axis]]  # weight 0 at e = 0 ends the term
+            e[axis] -= 1
+        if v:
+            for (c0, c1), k in coeff.items():
+                key = (e[0] + c0, e[1] + c1)
+                out[key] = out.get(key, 0) + v * k
+
+
 def apply_operator(E, f: BiPoly) -> BiPoly:
     """Apply the second-order partial q-difference operator of E (an
-    EquationCoeffs or DerivedCoeffs) to a polynomial; exact.  A step weight
-    (``qcalc.step_weights``) is over v^(T-1) forward and u^(T-1) backward,
-    for q = u/v and T the total degree of f."""
+    EquationCoeffs or DerivedCoeffs) to a polynomial; exact: the images of
+    its monomials (``add_image``) add over one denominator."""
     top = f.total_degree()
     if top < 1:
         return BiPoly.zero()
-    q = E.qp.q
-    weights = (step_weights(q, top), step_weights(1 / q, top))
-    dens = (q.denominator ** (top - 1), q.numerator ** (top - 1))
-    parts = []
-    for name, steps in _PARTS:
-        coeff = getattr(E, name)
-        out = {}
-        for m, n in f.nums.items():
-            e = list(m)
-            for axis, b in steps:
-                n *= weights[b][e[axis]]  # weight 0 at e = 0 ends the term
-                e[axis] -= 1
-            if n:
-                for (c0, c1), k in coeff.nums.items():
-                    key = (e[0] + c0, e[1] + c1)
-                    out[key] = out.get(key, 0) + n * k
-        parts.append((1, out, coeff.den * math.prod(dens[b] for _, b in steps)))
-    return from_form(*combine(parts, f.den))
+    parts, D = operator_parts(E, top)
+    out = {}
+    for m, n in f.nums.items():
+        add_image(out, m, n, parts)
+    return from_form(*reduced(out, D * f.den))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import csv
 import math
 import os
 from fractions import Fraction
+from io import StringIO
 from json.encoder import encode_basestring_ascii
 
 from .bipoly import BiPoly, lowest_terms
 from .equation import EquationCoeffs
-from .linalg import Mat, PolyVec
+from .linalg import Mat
 from .qcalc import QParam
 
 SCHEMA_VERSION = 1
@@ -45,17 +46,40 @@ def mp_str(v) -> str:
 
 
 def poly_to_json(p: BiPoly) -> list:
+    """The view of p that its JSON text shows: one record per term."""
     return [{"i": i, "j": j, "num": str(n), "den": str(d)}
             for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums))]
 
 
 def mat_to_json(m: Mat) -> list:
+    """The view of m that its JSON text shows: rows of entry strings."""
     return [[_pair_str(n, d) for _, n, d in lowest_terms(nums, den, range(m.ncols))]
             for nums, den in m.forms]
 
 
-def polyvec_to_json(v: PolyVec) -> list:
-    return [poly_to_json(p) for p in v.entries]
+def _list_text(items: list, nl: str) -> str:
+    """The JSON text of a list of the given item texts at indent nl."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
+def _poly_text(p: BiPoly, nl: str) -> str:
+    """The JSON text of poly_to_json(p) at indent nl, one f-string per term."""
+    inner, key = nl + "  ", nl + "    "
+    return _list_text([f'{{{key}"den": "{d}",{key}"i": {i},{key}"j": {j},{key}"num": "{n}"{inner}}}'
+                       for (i, j), n, d in lowest_terms(p.nums, p.den, sorted(p.nums))], nl)
+
+
+def _mat_text(m: Mat, nl: str) -> str:
+    """The JSON text of mat_to_json(m) at indent nl, one gcd per nonzero entry."""
+    inner, key = nl + "  ", nl + "    "
+    rows = []
+    for nums, den in m.forms:
+        cells = ["0"] * m.ncols
+        for c, n, d in lowest_terms(nums, den, nums):
+            cells[c] = _pair_str(n, d)
+        rows.append(f'[{key}"' + f'",{key}"'.join(cells) + f'"{inner}]' if cells else "[]")
+    return _list_text(rows, nl)
 
 
 def document(kind: str, payload: dict) -> dict:
@@ -88,9 +112,8 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-#: parts of the JSON text gathered before one write; for the monic family
-#: at N = 12 the writer then holds about 110 KB at a time in 16 writes
-_BLOCK = 1024
+#: characters of JSON text gathered before a write (monic N = 12: 12 writes)
+_BLOCK = 1 << 15
 
 #: the text of a leaf, by its exact type.  A float is written by its repr:
 #: documents hold no NaN or infinity, since float() of a Fraction too large
@@ -98,19 +121,30 @@ _BLOCK = 1024
 _ATOMS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
+#: the text of an exact leaf at its indent by its exact type, no view formed
+_FORMS = {BiPoly: _poly_text, Mat: _mat_text}
 
-def _encode(v, nl: str, out: list, fh) -> None:
-    """Append the text of v, as json.dumps(indent=2, sort_keys=True) writes
-    it, to out; nl is the newline and indent of v's own line.  out goes to
-    fh whenever a container ends with more than _BLOCK parts gathered."""
+
+def _encode(v, nl: str, out, fh) -> None:
+    """Write the text json.dumps(indent=2, sort_keys=True) gives v (or its
+    view) to the StringIO out, nl the newline and indent of v's line; out
+    goes to fh when a container or exact leaf starts with _BLOCK chars in it."""
     atom = _ATOMS.get(type(v))
     if atom is not None:
-        out.append(atom(v))
+        out.write(atom(v))
+        return
+    if out.tell() >= _BLOCK:
+        fh.write(out.getvalue())
+        out.seek(0)
+        out.truncate()
+    form = _FORMS.get(type(v))
+    if form is not None:
+        out.write(form(v, nl))
         return
     if not isinstance(v, (dict, list, tuple)):
         raise TypeError(f"a document holds no {type(v).__name__}")
     if not v:
-        out.append("{}" if isinstance(v, dict) else "[]")
+        out.write("{}" if isinstance(v, dict) else "[]")
         return
     inner = nl + "  "
     comma = "," + inner
@@ -120,9 +154,9 @@ def _encode(v, nl: str, out: list, fh) -> None:
             key = encode_basestring_ascii(k)
             atom = _ATOMS.get(type(x))
             if atom is not None:
-                out.append(f"{sep}{key}: {atom(x)}")
+                out.write(f"{sep}{key}: {atom(x)}")
             else:
-                out.append(f"{sep}{key}: ")
+                out.write(f"{sep}{key}: ")
                 _encode(x, inner, out, fh)
             sep = comma
     else:
@@ -130,27 +164,24 @@ def _encode(v, nl: str, out: list, fh) -> None:
         for x in v:
             atom = _ATOMS.get(type(x))
             if atom is not None:
-                out.append(sep + atom(x))
+                out.write(sep + atom(x))
             else:
-                out.append(sep)
+                out.write(sep)
                 _encode(x, inner, out, fh)
             sep = comma
-    out.append(closing)
-    if len(out) > _BLOCK:
-        fh.write("".join(out))
-        out.clear()
+    out.write(closing)
 
 
 def write_json(fh, doc) -> None:
-    """Write the bytes of json.dumps(doc, indent=2, sort_keys=True) and a
-    newline to fh, in blocks: the stdlib encoder with an indent is pure
-    Python, one generator step per chunk.  doc is built of dicts with str
-    keys, lists and tuples, with leaves of exactly str, int, float, bool or
-    None; anything else is a TypeError."""
-    out = []
+    """Write json.dumps(view, indent=2, sort_keys=True) and a newline to fh in
+    blocks of about _BLOCK characters, without the stdlib's pure-Python encoder;
+    view is doc with poly_to_json(p) for each BiPoly leaf p and mat_to_json(m)
+    for each Mat leaf m.  doc is dicts with str keys, lists and tuples; a leaf not
+    exactly a str, int, float, bool, None, BiPoly or Mat is a TypeError."""
+    out = StringIO()
     _encode(doc, "\n", out, fh)
-    out.append("\n")
-    fh.write("".join(out))
+    out.write("\n")
+    fh.write(out.getvalue())
 
 
 def write_json_atomic(path: str, doc) -> None:

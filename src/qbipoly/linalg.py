@@ -128,14 +128,17 @@ def stack(*mats: Mat) -> Mat:
 
 
 def mat_diff(A: Mat, B: Mat) -> list:
-    """Entries where A and B differ, as ((row, col) 1-based, a, b)."""
+    """Entries where A and B differ, as ((row, col) 1-based, a, b); a row is
+    read entry by entry only where its forms differ."""
     if A.shape != B.shape:
         return [("shape", A.shape, B.shape)]
     out = []
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            if A[i, j] != B[i, j]:
-                out.append(((i + 1, j + 1), A[i, j], B[i, j]))
+    for i, (fa, fb) in enumerate(zip(A.forms, B.forms), 1):
+        if fa != fb:
+            for j in range(A.ncols):
+                a, b = (Fraction(nums.get(j, 0), den) for nums, den in (fa, fb))
+                if a != b:
+                    out.append(((i, j + 1), a, b))
     return out
 
 
@@ -222,16 +225,6 @@ def monomial_vec(n: int) -> PolyVec:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return PolyVec([BiPoly.monomial(n - k, k) for k in range(n + 1)])
-
-
-def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
-    """Matrix of total-degree-`degree` coefficients of a PolyVec.
-
-    Row k holds the coefficients of entry k against the monomials
-    (x^degree, x^{degree-1}y, ..., y^degree).
-    """
-    return Mat._of([reduced({c: p.nums.get((degree - c, c), 0) for c in range(degree + 1)}, p.den)
-                    for p in vec.entries], degree + 1)
 
 
 def _newton_steps(nodes, label: str) -> tuple:

@@ -1,8 +1,8 @@
 """Monic orthogonal polynomial vectors and three-term recurrence matrices.
 
-generate_monic_oracle builds the monic coefficient blocks G_{n,j}: expand
-D(x^{j-k} y^k) in the graded monomial basis, giving the exact degree blocks
-of the operator, and run the triangular chain that the eigen-equation
+generate_monic_oracle builds the monic coefficient blocks G_{n,j}: read the
+image of each x^{j-k} y^k (``equation.add_image``) into the exact degree
+blocks of the operator, and run the triangular chain that the eigen-equation
 imposes.  Admissibility makes the degree-preserving block -lambda_d I and
 confines the blocks to degrees j-2..j, so each chain step is a scalar
 division by an eigenvalue gap and the chain is the eigen-equation degree by
@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import BiPoly, combine, from_form, reduced
-from .equation import Admissibility, EquationCoeffs, apply_operator
-from .linalg import Mat, PolyVec, graded_coeff_block, monomial_vec, stack
+from .equation import Admissibility, EquationCoeffs, add_image, operator_parts
+from .linalg import Mat, PolyVec, stack
 from .qcalc import QParam, QTables
 
 
@@ -47,9 +47,8 @@ def difference_matrix(n: int, j: int, base) -> Mat:
 
 
 def mat_L(n: int, j: int) -> Mat:
-    """Multiplication embedding: x_j x^n = L_{n,j} x^{n+1}; size (n+1)x(n+2)."""
-    off = 0 if j == 1 else 1
-    return Mat([[int(c == k + off) for c in range(n + 2)] for k in range(n + 1)])
+    """Multiplication embedding x_j x^n = L_{n,j} x^{n+1}, size (n+1)x(n+2): row k selects k + j - 1."""
+    return Mat._of([({k + j - 1: 1}, 1) for k in range(n + 1)], n + 2)
 
 
 def structure_matrices(n: int, qp: QParam) -> dict:
@@ -72,9 +71,18 @@ def operator_blocks(E: EquationCoeffs, j: int):
     monomial vector of the corresponding degree.  The operator of an equation
     of hypergeometric shape raises no exponent and drops total degree by at
     most 2: row k of the drop-s block has entries only at columns k - s..k.
-    """
-    images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
-    return tuple(graded_coeff_block(images, j - d) if d <= j else None for d in range(3))
+    Each image (``equation.add_image``) is read straight into the rows."""
+    parts, D = operator_parts(E, max(j, 1))
+    blocks = [[] for _ in range(min(j, 2) + 1)]
+    for k in range(j + 1):
+        image, rows = {}, [{} for _ in blocks]
+        add_image(image, (j - k, k), 1, parts)
+        for (i1, i2), v in image.items():
+            if 0 <= (d := j - i1 - i2) < len(rows):  # column i2 of the drop-d block
+                rows[d][i2] = v
+        for block, row in zip(blocks, rows):
+            block.append(reduced(row, D))
+    return tuple(Mat._of(b, j + 1 - d) for d, b in enumerate(blocks)) + (None,) * (2 - min(j, 2))
 
 
 class OracleError(ValueError):
@@ -219,35 +227,28 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     return MonicFamily(E, vectors, ghat, adm, blocks)
 
 
-def _L_times(n: int, j: int, M: Mat) -> Mat:
-    """L_{n,j} @ M: the n + 1 rows of M from row j - 1 on."""
-    return Mat._of(M.forms[j - 1 : j + n], M.ncols)
-
-
-def _times_L(M: Mat, j: int) -> Mat:
-    """M @ L_{m,j} for M with m + 1 columns: every column moves by j - 1."""
-    off = j - 1
-    return Mat._of([({c + off: v for c, v in nums.items()}, den) for nums, den in M.forms],
-                   M.ncols + 1)
-
-
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
-    """Recurrence matrices A_{n,j}, B_{n,j}, C_{n,j} from the coefficient
-    blocks (explicit closed formulas, including the n = 0, 1 special cases).
-    The products with the 0/1 embeddings L are row slices and column shifts."""
-    A = mat_L(n, j)
-    if n == 0:
-        B = -_L_times(0, j, family.block(1, 0))
-        C = None
-    else:
-        B = _times_L(family.block(n, n - 1), j) - _L_times(n, j, family.block(n + 1, n))
-        if n == 1:
-            C = -(_L_times(1, j, family.block(2, 0)) + B @ family.block(1, 0))
-        else:
-            C = (_times_L(family.block(n, n - 2), j)
-                 - _L_times(n, j, family.block(n + 1, n - 1))
-                 - B @ family.block(n, n - 1))
-    return {"A": A, "B": B, "C": C}
+    """Recurrence matrices A_{n,j} = L_{n,j}, B_{n,j} = G_{n,n-1} L_{n-1,j} -
+    L_{n,j} G_{n+1,n} and C_{n,j} = G_{n,n-2} L_{n-2,j} - L_{n,j} G_{n+1,n-1}
+    - B G_{n,n-1} (no C at n = 0; a block of negative index is left out).
+    L on the left takes rows from j - 1 on, on the right it shifts columns
+    by j - 1, so each row of B and C is one ``combine`` of block rows."""
+    off, G = j - 1, family.ghat
+
+    def l_terms(r: int, below: int, ahead: int) -> list:
+        # row r of G_{n,below} L_{below,j} - L_{n,j} G_{n+1,ahead}
+        terms = [(-1, *G[(n + 1, ahead)].forms[r + off])]
+        if below >= 0:
+            nums, den = G[(n, below)].forms[r]
+            terms.append((1, {c + off: v for c, v in nums.items()} if off else nums, den))
+        return terms
+
+    B = Mat._of([combine(l_terms(r, n - 1, n)) for r in range(n + 1)], n + 1)
+    right = G[(n, n - 1)].forms if n else ()
+    C = Mat._of([combine(l_terms(r, n - 2, n - 1)
+                         + [(-a, right[k][0], right[k][1] * bden) for k, a in bnums.items()])
+                 for r, (bnums, bden) in enumerate(B.forms)], n) if n else None
+    return {"A": mat_L(n, j), "B": B, "C": C}
 
 
 def joint_L(n: int) -> Mat:

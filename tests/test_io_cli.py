@@ -23,9 +23,9 @@ from qbipoly import cli, suites
 from qbipoly.cli import _check_orthogonality_gate, main
 from qbipoly.equation import EquationCoeffs
 from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
-                        parse_equation_source, parse_poly_terms, poly_to_json,
+                        mat_to_json, parse_equation_source, parse_poly_terms, poly_to_json,
                         write_csv_atomic, write_json_atomic)
-from qbipoly.linalg import Mat, SingularMatrixError
+from qbipoly.linalg import Mat, PolyVec, SingularMatrixError
 from qbipoly.qcalc import SeriesError
 from test_golden_cli import CASES
 
@@ -172,6 +172,21 @@ def json_reference(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def view(doc):
+    """doc with every exact leaf replaced by the dict view whose JSON text
+    the writer writes for it: poly_to_json for a BiPoly, mat_to_json for a
+    Mat (tuples become lists, as json.dumps writes them anyway)."""
+    if type(doc) is BiPoly:
+        return poly_to_json(doc)
+    if type(doc) is Mat:
+        return mat_to_json(doc)
+    if isinstance(doc, dict):
+        return {k: view(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [view(v) for v in doc]
+    return doc
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_writer_matches_json_on_every_golden_document(monkeypatch, capsys, name):
     # the CSV case runs as JSON; every document is captured as main emits it
@@ -181,7 +196,7 @@ def test_json_writer_matches_json_on_every_golden_document(monkeypatch, capsys, 
     monkeypatch.setattr(qio, "write_json", lambda fh, doc: docs.append(doc) or real(fh, doc))
     assert main(argv) == 0
     (doc,) = docs
-    want = json_reference(doc)
+    want = json_reference(view(doc))
     assert capsys.readouterr().out == want
     writes = []
 
@@ -257,6 +272,69 @@ def test_json_writer_keys_and_empty_containers():
            "b": {"\u00e9": 1.5, "\x07": -0.0}, "a": {"t": True, "f": False}, "c": {"": None},
            "d": {"-1": [-(10**40), "-1/3", ()], "3": [[], {}]}}
     assert json_text(doc) == json_reference(doc)
+
+
+#: exact coefficients: small fractions, integers (denominator 1) and
+#: numerators and denominators of up to 300 digits, of either sign
+exact_coeffs = st.one_of(
+    st.fractions(max_denominator=60),
+    st.integers(min_value=-10**300, max_value=10**300).map(F),
+    st.builds(F, st.integers(min_value=-10**300, max_value=10**300),
+              st.integers(min_value=1, max_value=10**300)))
+#: polynomials from zero terms (the zero polynomial) up to eight
+exact_polys = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), exact_coeffs,
+                              max_size=8).map(BiPoly)
+
+
+@st.composite
+def exact_mats(draw):
+    """Dense matrices with zero rows and entries, 0/1 selections, and the
+    shapes with no rows or no columns."""
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        picks = [draw(st.integers(-1, k - 1)) for _ in range(n)]
+        return Mat([[int(c == pick) for c in range(k)] for pick in picks])
+    entries = st.one_of(st.just(F(0)), exact_coeffs)
+    return Mat([[draw(entries) for _ in range(k)] if draw(st.booleans()) else [0] * k
+                for _ in range(n)])
+
+
+exact_documents = st.recursive(
+    st.one_of(exact_polys, exact_mats(), st.none(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    ),
+    max_leaves=16,
+)
+
+
+@seed(34)
+@settings(max_examples=100, deadline=None, database=None)
+@given(exact_documents)
+def test_json_writer_writes_exact_leaves_as_their_views(doc):
+    assert json_text(doc) == json_reference(view(doc))
+
+
+class Poly(BiPoly):
+    __slots__ = ()
+
+
+class Matrix(Mat):
+    __slots__ = ()
+
+
+def test_json_writer_refuses_other_exact_leaves():
+    # an exact leaf is exactly a BiPoly or a Mat: a subclass, a vector of
+    # polynomials, a Fraction or an enum is refused, not converted
+    p = BiPoly({(1, 0): F(1, 3), (0, 0): 2})
+    assert json_text({"p": [p], "m": Mat([[F(1, 2), 0]])}) == json_reference(
+        {"p": [poly_to_json(p)], "m": [["1/2", "0"]]})
+    for bad in ([Poly({(1, 0): F(1, 3)})], {"m": Matrix([[1]])}, {"v": PolyVec([p])},
+                {"c": F(1, 3)}, [Level.LOW], {"s": [Shade.DARK]}, (p, [F(2)])):
+        with pytest.raises(TypeError):
+            json_text(bad)
 
 
 def test_atomic_writes_keep_a_users_tmp_file(tmp_path):

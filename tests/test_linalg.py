@@ -4,12 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from qbipoly.bipoly import BiPoly
-from qbipoly.linalg import (Mat, PolyVec, SingularMatrixError, graded_coeff_block,
-                            interpolate_2d, monomial_vec, solve_exact, stack)
+from qbipoly.bipoly import BiPoly, reduced
+from qbipoly.linalg import (Mat, PolyVec, SingularMatrixError, interpolate_2d, mat_diff,
+                            monomial_vec, solve_exact, stack)
 
 x = BiPoly.x()
 y = BiPoly.y()
+
+
+def graded_coeff_block(vec: PolyVec, degree: int) -> Mat:
+    """Matrix of total-degree-`degree` coefficients of a PolyVec.
+
+    Row k holds the coefficients of entry k against the monomials
+    (x^degree, x^{degree-1}y, ..., y^degree).
+    """
+    return Mat._of([reduced({c: p.nums.get((degree - c, c), 0) for c in range(degree + 1)}, p.den)
+                    for p in vec.entries], degree + 1)
 
 
 def transpose(A: Mat) -> Mat:
@@ -174,6 +184,22 @@ def test_integer_rows_match_fraction_rows():
                                      for p in vec.entries)
     with pytest.raises(ValueError):
         stack(Mat([[1, 2]]), Mat([[1]]))
+
+
+def test_mat_diff_lists_every_differing_entry():
+    # the differing entries, row by row, as an entrywise scan reads them
+    rng = random.Random(34)
+    pick = [0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 6)]
+    for _ in range(200):
+        n, k = rng.randint(0, 4), rng.randint(1, 4)
+        A = [[rng.choice(pick) for _ in range(k)] for _ in range(n)]
+        B = [[v if rng.random() < 0.8 else rng.choice(pick) for v in row] for row in A]
+        want = [((i + 1, j + 1), Fraction(A[i][j]), Fraction(B[i][j]))
+                for i in range(n) for j in range(k) if A[i][j] != B[i][j]]
+        got = mat_diff(Mat(A), Mat(B))
+        assert got == want
+        assert all(type(a) is Fraction and type(b) is Fraction for _, a, b in got)
+    assert mat_diff(Mat([[1, 2]]), Mat([[1], [2]])) == [("shape", (1, 2), (2, 1))]
 
 
 def test_rank_exact():

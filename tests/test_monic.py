@@ -12,15 +12,14 @@ from qbipoly import suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, admissibility, apply_operator
-from qbipoly.linalg import (Mat, PolyVec, graded_coeff_block, mat_diff, monomial_vec,
-                            solve_exact)
+from qbipoly.linalg import Mat, PolyVec, mat_diff, monomial_vec, solve_exact
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            generate_monic_rf, ghat_oracle, gram_matrix, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
-from test_linalg import rank, transpose
+from test_linalg import graded_coeff_block, rank, transpose
 
 F = Fraction
 x = BiPoly.x()
@@ -85,6 +84,14 @@ def test_leading_block_is_minus_eigenvalue(equation, adm):
         assert same == Mat.identity(j + 1).scaled(-adm.eigenvalue(j))
 
 
+def reference_operator_blocks(E, j):
+    """The degree blocks as operator_blocks first built them: the image of
+    every degree-j monomial through apply_operator, read off degree by
+    degree by graded_coeff_block."""
+    images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
+    return tuple(graded_coeff_block(images, j - d) if d <= j else None for d in range(3))
+
+
 def test_oracle_degree_one(equation):
     blocks = ghat_oracle(equation, 1)
     f1, g1 = equation.tau1()
@@ -141,6 +148,13 @@ Q23_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(2, 3
 
 
 Q910_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(9, 10)))
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(9, 10)], ids=["q=1/2", "q=2/3", "q=9/10"])
+def test_operator_blocks_equal_the_image_reference(q):
+    E = preset_equation(dataclasses.replace(TEST_PARAMS, qp=QParam(q)))
+    for j in range(13):
+        assert operator_blocks(E, j) == reference_operator_blocks(E, j), j
 
 
 @pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, Q910_PARAMS],
@@ -200,6 +214,12 @@ def reference_ttr(family, n, j):
     return A, B, C
 
 
+@pytest.fixture(scope="module", ids=["q=1/2", "q=9/10"],
+                params=[TEST_PARAMS, dataclasses.replace(TEST_PARAMS, qp=QParam(F(9, 10)))])
+def oracle12(request):
+    return generate_monic_oracle(preset_equation(request.param), 12)
+
+
 def test_vectors_equal_the_product_assembly(oracle7):
     for n in range(7):
         blocks = [oracle7.block(n, j) for j in range(n + 1)]
@@ -212,6 +232,13 @@ def test_ttr_matrices_equal_the_L_products(oracle7):
         for j in (1, 2):
             tb = ttr_matrices(oracle7, n, j)
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle7, n, j), (n, j)
+
+
+def test_ttr_matrices_equal_the_L_products_through_degree_12(oracle12):
+    for n in range(12):
+        for j in (1, 2):
+            tb = ttr_matrices(oracle12, n, j)
+            assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle12, n, j), (n, j)
 
 
 @st.composite
@@ -247,6 +274,14 @@ def test_admissible_operator_blocks_are_scalar_and_banded(E):
             for i1, i2 in img.nums:
                 assert i1 <= j - k and i2 <= k and i1 + i2 >= j - 2, (j, k, (i1, i2))
         assert operator_blocks(E, j)[0] == Mat.identity(j + 1).scaled(-lam(j)), j
+
+
+@seed(34)
+@settings(max_examples=60, deadline=None, database=None)
+@given(admissible_equations())
+def test_operator_blocks_equal_the_image_reference_on_admissible_equations(E):
+    for j in range(13):
+        assert operator_blocks(E, j) == reference_operator_blocks(E, j), j
 
 
 def test_oracle_rejects_nonadmissible(equation):
