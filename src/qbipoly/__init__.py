@@ -7,7 +7,7 @@ Rodrigues representation, explicit hypergeometric series)."""
 from .bipoly import BiPoly
 from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
                        apply_operator, check_hypergeometric_form, derived_coeffs)
-from .linalg import Mat, PolyVec, interpolate_2d, monomial_vec
+from .linalg import Mat, interpolate_2d
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
                       verify_pearson_identities)
 from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate,

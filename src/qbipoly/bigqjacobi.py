@@ -6,7 +6,6 @@ family, classical Rodrigues, classical operator)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _power_sums, 
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
-                    kampe_de_feriet, phi_rs, pochhammer_rising, qnum)
+                    kampe_de_feriet, phi_rs, pochhammer_rising, power_exponent, qnum)
 from .rodrigues import rodrigues_polys
 from .scalars import FloatField
 
@@ -235,10 +234,9 @@ def hypergeometric_family(p: BigQJacobiParams, N: int) -> dict:
 def check_weight_params(p: BigQJacobiParams) -> None:
     """Refuse c = q^k (k >= 0): (x/(cy); q)_inf then vanishes on the
     weight's lattice, so the orthogonality weight is not defined there.
-    In lowest terms q = u/v and c = s/t: c = q^k iff s = u^k and t = v^k."""
+    Decided exactly by ``qcalc.power_exponent``."""
     c, q = p.c, p.qp.q
-    k = round(math.log(c.denominator) / math.log(q.denominator))
-    if c.numerator == q.numerator**k and c.denominator == q.denominator**k:
+    if (k := power_exponent(c, q)) is not None and k >= 0:
         raise ValueError(f"the orthogonality weight needs c != q^k (k >= 0), "
                          f"got c={p.c}, q={q}")
 

@@ -27,7 +27,7 @@ from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
 from .monic import OracleError, generate_monic_oracle, ttr_matrices
 from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
                       verify_pearson_identities, weight_table_rows)
-from .qcalc import QParam, verify_operator_relations
+from .qcalc import QParam, power_exponent, verify_operator_relations
 from .rodrigues import RodriguesError, rodrigues_poly
 from .suites import ORTH_TOL, SUITES, run_suite
 
@@ -140,7 +140,7 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
 
     if family == "monic":
         fam = generate_monic_oracle(E, parts[0])
-        payload = {"family": "monic", "vectors": [v.entries for v in fam.vectors],
+        payload = {"family": "monic", "vectors": fam.vectors,
                    "recurrence_matrices": {f"n={n},axis={j}": ttr_matrices(fam, n, j)
                                            for n in range(parts[0]) for j in (1, 2)}}
         _emit(args, qio.document("polynomials", payload))
@@ -173,12 +173,14 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
 
 
 def _least_truncation(q: Fraction, half: Fraction) -> int:
-    """The least T with 4 q^T < half, no large power of q formed: the least
-    integer above r = ln(4/half)/ln(1/q), from an interval enclosure of r at
-    doubling precision.  r = k means q^k = half/4, a small power, so an
-    enclosure straddling k is settled exactly where q^k is small."""
+    """The least T with 4 q^T < half, no large power of q formed: k + 1
+    where half/4 is exactly q^k, else the least integer above the
+    non-integer r = ln(4/half)/ln(1/q), from an interval enclosure of r at
+    doubling precision."""
     from mpmath import MPIntervalContext, libmp
 
+    if (k := power_exponent(half / 4, q)) is not None:
+        return k + 1
     ctx = MPIntervalContext()
     while True:
         ctx.prec *= 2
@@ -188,8 +190,6 @@ def _least_truncation(q: Fraction, half: Fraction) -> int:
             lo, hi = (libmp.to_int(end, "f") for end in r._mpi_)
             if lo == hi:
                 return lo + 1
-            if lo + 1 == hi and hi * (q.denominator.bit_length() - 1) < half.denominator.bit_length() + 2:
-                return hi + (4 * q**hi >= half)
 
 
 def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bipoly import BiPoly, from_form, lift_pairs, reduced
-from .qcalc import QParam, dq1, qnum, step_weights
+from .qcalc import QParam, dq1, power_exponent, qnum, step_weights
 
 _BILINEAR = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -199,7 +199,8 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
     The universally quantified spectral condition f1 - a1 q [1-m] != 0 is
     decided exactly for every m >= 0: with a1 = 0 it fails only when
     f1 = 0 (at every m, reported at m = 0); otherwise it fails only when
-    1 + (q-1) f1/(a1 q) is an exact power q^{1-m}.
+    1 + (q-1) f1/(a1 q) is an exact power q^{1-m}, which
+    ``qcalc.power_exponent`` decides once, whatever the size of m.
 
     The same condition makes the eigenvalues pairwise distinct, so they
     need no scan of their own: exactly,
@@ -231,14 +232,9 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
         if f1 == 0:
             failures.append("spectral condition fails at m=0")
     else:
-        val = 1 + (q - 1) * f1 / (a1 * q)
-        if val > 0:
-            m, p = 0, q  # p = q^{1-m} grows with m, since 0 < q < 1
-            while p < val:
-                m += 1
-                p /= q
-            if p == val:
-                failures.append(f"spectral condition fails at m={m}")
+        k = power_exponent(1 + (q - 1) * f1 / (a1 * q), q)
+        if k is not None and k <= 1:
+            failures.append(f"spectral condition fails at m={1 - k}")
 
     return Admissibility(not failures, failures, f1, a1, E.qp)
 

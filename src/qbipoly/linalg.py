@@ -1,12 +1,12 @@
-"""Scalar matrices, polynomial column vectors, exact solving, and
-lower-set Newton interpolation.
+"""Scalar matrices, exact solving, and lower-set Newton interpolation.
 
 Sizes here are tiny (O(degree)).  A matrix row is the sparse form of
 ``bipoly`` keyed by column (entries are taken through ``as_fraction``);
-``rows`` is a read-only tuple of tuples of Fractions.  Sums, scalings and
-products, ``Mat @ PolyVec`` included, are the kernel ``combine``, which
-never visits a zero entry: the operator's difference blocks are bidiagonal
-and the multiplication embeddings are 0/1 selections.
+``rows`` is a read-only tuple of tuples of Fractions.  A polynomial column
+vector is a plain list of BiPolys.  Sums, scalings and products, ``Mat @``
+such a list included, are the kernel ``combine``, which never visits a zero
+entry: the operator's difference blocks are bidiagonal and the
+multiplication embeddings are 0/1 selections.
 Solving is plain rational Gaussian elimination with partial pivoting, so
 results and singularity reports are exact; no route calls it.  It stays
 because the benchmark's span list names it, and the tests solve with it
@@ -66,23 +66,10 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        nums, den = self.forms[i]
-        # indexing the range keeps an IndexError for a column out of range
-        return Fraction(nums.get(range(self.ncols)[j], 0), den)
-
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return Mat._of([combine([(1, *a), (1, *b)]) for a, b in zip(self.forms, other.forms)],
-                       self.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat._of([({j: -n for j, n in nums.items()}, den) for nums, den in self.forms],
                        self.ncols)
 
     def scaled(self, c) -> "Mat":
@@ -92,20 +79,20 @@ class Mat:
 
     def __matmul__(self, other):
         """Row i of the product is the sum of the right operand's rows (or
-        entries) weighted by the nonzero entries of row i."""
+        entries, for a list of BiPolys) weighted by the nonzero entries of
+        row i; a list in gives a list out."""
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
             right = other.forms
             return Mat._of([combine([(a, *right[k]) for k, a in nums.items()], den)
                             for nums, den in self.forms], other.ncols)
-        if isinstance(other, PolyVec):
+        if isinstance(other, list):
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch {self.shape} @ vec({len(other)})")
-            right = other.entries
-            return PolyVec([from_form(*combine([(a, right[k].nums, right[k].den)
-                                                for k, a in nums.items()], den))
-                            for nums, den in self.forms])
+            return [from_form(*combine([(a, other[k].nums, other[k].den)
+                                        for k, a in nums.items()], den))
+                    for nums, den in self.forms]
         return NotImplemented
 
     def __eq__(self, other):
@@ -167,64 +154,6 @@ def solve_exact(A: Mat, B: Mat) -> Mat:
                 if f:
                     work[i] = [a - f * b for a, b in zip(work[i], work[col])]
     return Mat([row[n : n + m] for row in work])
-
-
-class PolyVec:
-    """Column vector of BiPolys (degree-n vectors have n+1 entries, grlex order)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = list(entries)
-        if not entries:
-            raise ValueError("empty polynomial vector")
-        if not all(isinstance(e, BiPoly) for e in entries):
-            raise TypeError("polynomial vector entries must be BiPolys")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k) -> BiPoly:
-        return self.entries[k]
-
-    def __add__(self, other: "PolyVec") -> "PolyVec":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return PolyVec([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyVec") -> "PolyVec":
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyVec([-a for a in self.entries])
-
-    def scaled(self, c) -> "PolyVec":
-        return PolyVec([p * c for p in self.entries])
-
-    def mul_poly(self, p: BiPoly) -> "PolyVec":
-        return PolyVec([e * p for e in self.entries])
-
-    def apply(self, fn) -> "PolyVec":
-        return PolyVec([fn(e) for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVec):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self.entries, other.entries))
-
-    def __repr__(self):
-        return "PolyVec[" + "; ".join(repr(e) for e in self.entries) + "]"
-
-
-def monomial_vec(n: int) -> PolyVec:
-    """The graded-lex monomial column (x^n, x^{n-1}y, ..., y^n)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return PolyVec([BiPoly.monomial(n - k, k) for k in range(n + 1)])
 
 
 def _newton_steps(nodes, label: str) -> tuple:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .bipoly import BiPoly, combine, from_form, reduced
 from .equation import Admissibility, EquationCoeffs, add_image, operator_parts
-from .linalg import Mat, PolyVec, stack
+from .linalg import Mat, stack
 from .qcalc import QParam, QTables
 
 
@@ -103,13 +103,14 @@ def _monomial_keys(j: int) -> tuple:
     return tuple((j - c, c) for c in range(j + 1))
 
 
-def assemble_vector(ghat: list) -> PolyVec:
-    """P_n = sum_j G_{n,j} x^j from its coefficient blocks: entry k sums
-    row k of every G_{n,j}, column c read as the monomial (j-c, c)."""
+def assemble_vector(ghat: list) -> list:
+    """P_n = sum_j G_{n,j} x^j from its coefficient blocks, as a list of
+    BiPolys: entry k sums row k of every G_{n,j}, column c read as the
+    monomial (j-c, c)."""
     keys = [_monomial_keys(j) for j in range(len(ghat))]
-    return PolyVec([from_form(*combine([(1, {kj[c]: v for c, v in nums.items()}, den)
-                                        for kj, (nums, den) in zip(keys, rows)]))
-                    for rows in zip(*(G.forms for G in ghat))])
+    return [from_form(*combine([(1, {kj[c]: v for c, v in nums.items()}, den)
+                                for kj, (nums, den) in zip(keys, rows)]))
+            for rows in zip(*(G.forms for G in ghat))]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
 @dataclass
 class MonicFamily:
     equation: EquationCoeffs
-    vectors: list          # PolyVec for degrees 0..N
+    vectors: list          # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
     ghat: dict             # (n, j) -> Mat
     admissibility: Admissibility
     operator_blocks: list  # operator_blocks(E, j) for every cached degree j
@@ -278,7 +279,7 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
     N = oracle.N
     x = BiPoly.x()
     y = BiPoly.y()
-    vectors = [PolyVec([BiPoly.const(1)])]
+    vectors = [[BiPoly.const(1)]]
     prev = None
     for n in range(N):
         D = generalized_inverse_L(n)
@@ -286,12 +287,11 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
         tb2 = ttr_matrices(oracle, n, 2)
         Bn = stack(tb["B"], tb2["B"])
         cur = vectors[n]
-        stacked = PolyVec([p * x for p in cur.entries] + [p * y for p in cur.entries])
-        rhs = stacked - (Bn @ cur)
-        nxt = D @ rhs
+        stacked = [p * x for p in cur] + [p * y for p in cur]
+        nxt = D @ [a - b for a, b in zip(stacked, Bn @ cur, strict=True)]
         if n >= 1:
             Cn = stack(tb["C"], tb2["C"])
-            nxt = nxt - (D @ (Cn @ prev))
+            nxt = [a - b for a, b in zip(nxt, D @ (Cn @ prev), strict=True)]
         prev = cur
         vectors.append(nxt)
     return replace(oracle, vectors=vectors)
@@ -301,5 +301,5 @@ def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> list:
     """Moment matrix L(x^m P_n^T) as a list of rows: entry [r][c] applies
     `functional` (BiPoly -> scalar, e.g. a MomentTable on the float lane) to
     monomial r of degree m times entry c of the degree-n vector."""
-    return [[functional(BiPoly.monomial(m - r, r) * p) for p in family.vectors[n].entries]
+    return [[functional(BiPoly.monomial(m - r, r) * p) for p in family.vectors[n]]
             for r in range(m + 1)]

@@ -39,6 +39,19 @@ def qnum(z: int, qp: QParam) -> Fraction:
     return (q**z - 1) / (q - 1)
 
 
+def power_exponent(v: Fraction, q: Fraction) -> int | None:
+    """The integer k with q^k = v, or None (0 < q < 1).  In lowest terms
+    q = u/w, so q^k is u^k/w^k in lowest terms, and w^-k/u^-k for k < 0:
+    the size of v's denominator (of its numerator when v > 1) against w
+    names the one candidate k, which one exact power then settles."""
+    if v <= 0:
+        return None
+    logw = math.log(q.denominator)
+    k = (round(math.log(v.denominator) / logw) if v < 1
+         else -round(math.log(v.numerator) / logw))
+    return k if q**k == v else None
+
+
 def qpochhammer(a, qp: QParam, k: int):
     """Finite q-shifted factorial (a; q)_k = prod_{j<k} (1 - a q^j)."""
     if k < 0:

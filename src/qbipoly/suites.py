@@ -128,7 +128,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
     rows = []
     for n in range(CONSISTENCY_TOTAL + 1):
         lam = fam.admissibility.eigenvalue(n)
-        zero = all((apply_operator(E, e) + e * lam).is_zero() for e in fam.vectors[n].entries)
+        zero = all((apply_operator(E, e) + e * lam).is_zero() for e in fam.vectors[n])
         rows.append(("oracle_eigen_residual_zero", f"n={n}", "", "", str(zero)))
     for (n, m), hyp in hypergeometric_family(p, CONSISTENCY_TOTAL).items():
         same = hyp == fam.entry(n + m, m)
@@ -136,7 +136,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
     for (n, m), rod in rodrigues_family(E, CONSISTENCY_TOTAL).items():
         rows.extend(_eigenspace_rows(
             ("rodrigues_in_eigenspace", "rodrigues_proportional_to_entry"), f"({n},{m})",
-            rod, fam.vectors[n + m].entries, m))
+            rod, fam.vectors[n + m], m))
     rf = generate_monic_rf(fam).vectors
     differ = next(((n, k) for n, vec in enumerate(fam.vectors) for k in range(n + 1)
                    if rf[n][k] != vec[k]), None)
@@ -163,11 +163,11 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     for n in range(RECURRENCE_N + 1):
         for j, var in ((1, x), (2, y)):
             tb = ttr[(n, j)]
-            lhs = fam.vectors[n].mul_poly(var)
-            rhs = tb["A"] @ fam.vectors[n + 1]
-            rhs = rhs + (tb["B"] @ fam.vectors[n])
+            lhs = [e * var for e in fam.vectors[n]]
+            rhs = [a + b for a, b in zip(tb["A"] @ fam.vectors[n + 1], tb["B"] @ fam.vectors[n],
+                                         strict=True)]
             if n >= 1:
-                rhs = rhs + (tb["C"] @ fam.vectors[n - 1])
+                rhs = [a + b for a, b in zip(rhs, tb["C"] @ fam.vectors[n - 1], strict=True)]
             rows.append(("ttr_identity", f"n={n}", f"axis={j}", "", str(lhs == rhs)))
 
     # the paper's closed forms against the operator blocks they express:

@@ -107,7 +107,7 @@ def test_criterion_5_eigen_solutions(equation, params, adm, oracle5):
     started = time.time()
     for n in range(6):
         lam = adm.eigenvalue(n)
-        for entry in oracle5.vectors[n].entries:
+        for entry in oracle5.vectors[n]:
             assert (apply_operator(equation, entry) + entry * lam).is_zero()
     for n in range(3):
         for m in range(3):
@@ -177,10 +177,11 @@ def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
     for n in range(5):
         for j, var in ((1, x), (2, y)):
             tb = ttr_matrices(oracle5, n, j)
-            lhs = oracle5.vectors[n].mul_poly(var)
-            rhs = (tb["A"] @ oracle5.vectors[n + 1]) + (tb["B"] @ oracle5.vectors[n])
+            lhs = [e * var for e in oracle5.vectors[n]]
+            rhs = [a + b for a, b in zip(tb["A"] @ oracle5.vectors[n + 1],
+                                         tb["B"] @ oracle5.vectors[n], strict=True)]
             if n >= 1:
-                rhs = rhs + (tb["C"] @ oracle5.vectors[n - 1])
+                rhs = [a + b for a, b in zip(rhs, tb["C"] @ oracle5.vectors[n - 1], strict=True)]
             assert lhs == rhs
     report(7, "resolvent formula vs oracle n<=4; agreement reports emitted; "
               "recurrence identity n<=4, j=1,2", started)

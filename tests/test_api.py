@@ -1,9 +1,13 @@
-"""The public surface of the package: what `qbipoly` exports, and the
-test-only references and single-caller options that stay out of `src`."""
+"""The public surface of the package: what `qbipoly` exports, the
+test-only references and single-caller options that stay out of `src`, and
+that `src` holds no uncalled function or unused import."""
 
+import ast
+import collections
 import dataclasses
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -11,12 +15,12 @@ import qbipoly
 
 PUBLIC = [
     "BiPoly", "DerivedCoeffs", "EquationCoeffs", "FloatField", "Mat", "MonicFamily",
-    "PearsonData", "PolyVec", "QParam", "WeightEvaluator",
+    "PearsonData", "QParam", "WeightEvaluator",
     "admissibility", "apply_operator", "base_weight", "bipoly", "build_pearson",
     "check_hypergeometric_form", "derived_coeffs", "dq1", "dq2", "dqm1", "dqm2",
     "equation", "generate_monic_oracle", "generate_monic_rf", "ghat_oracle",
     "gram_matrix", "interpolate_2d", "kampe_de_feriet", "linalg", "monic",
-    "monomial_vec", "pearson", "phi_bivariate", "phi_rs", "qcalc", "qnum",
+    "pearson", "phi_bivariate", "phi_rs", "qcalc", "qnum",
     "qpochhammer", "qpochhammer_inf", "rodrigues", "rodrigues_poly", "scalars",
     "structure_matrices", "ttr_matrices", "verify_operator_relations",
     "verify_pearson_identities",
@@ -41,6 +45,11 @@ ABSENT = [
     ("qcalc", "dq_ratfn"),
     ("linalg", "Mat.rank"),
     ("linalg", "Mat.transpose"),
+    ("linalg", "Mat.__getitem__"),
+    ("linalg", "Mat.__sub__"),
+    ("linalg", "Mat.__neg__"),
+    ("linalg", "PolyVec"),
+    ("linalg", "monomial_vec"),
     ("scalars", "FloatField.close"),
     ("rodrigues", "RodriguesSpec"),
     ("bipoly", "BiPoly.homogeneous_part"),
@@ -87,3 +96,77 @@ def test_one_signature_per_route():
     assert [f.name for f in dataclasses.fields(WeightEvaluator)] == ["pearson", "anchor", "qp"]
     assert [f.name for f in dataclasses.fields(PearsonData)] == ["phi1", "phi2", "omega1", "omega2"]
     assert "order" not in [f.name for f in dataclasses.fields(DerivedCoeffs)]
+
+
+#: names in src with no caller there that the tests use as their references,
+#: each with the reason it stays
+TEST_REFERENCES = {
+    "mat_to_json": "io: the documented view of a Mat leaf, the JSON writer's reference",
+    "moment": "MomentTable: one moment as a field value, the engine's reference moments",
+}
+
+#: an import no src module reads, kept so the benchmark's tracer can rebind it
+REBOUND_IMPORTS = {("suites", "rodrigues_poly")}
+
+
+def _src_trees() -> dict:
+    src = pathlib.Path(qbipoly.__file__).parent
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+
+
+def _span_names() -> set:
+    """The last names of the benchmark's span targets, read from
+    perfbench/spans.py without importing it."""
+    spans = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return {path.rpartition(".")[2] for _, _, path in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/spans.py has no TARGETS")
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) of every function and method under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _references(node) -> list:
+    """Every name read under node: a bare name or an attribute's name."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_src_has_no_uncalled_function_or_unused_import():
+    """Every non-dunder function and method in src is referenced in src
+    outside its own definition, and every import of a src module other than
+    `__init__` is read there.  Both match by name: a method that shares its
+    name with a called one, of another class or a module function, is not
+    seen, and neither is an import read only by a string annotation."""
+    trees = _src_trees()
+    refs = collections.Counter(name for tree in trees.values() for name in _references(tree))
+    exempt = _span_names() | set(TEST_REFERENCES)
+    uncalled = [name for module, tree in trees.items() for name, node in _functions(tree, module)
+                if not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in exempt
+                and refs[node.name] == _references(node).count(node.name)]
+    assert uncalled == []
+
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read and (module, name) not in REBOUND_IMPORTS:
+                        unused.append(f"{module}: {name}")
+    assert unused == []

@@ -20,7 +20,8 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.jackson import _correlate, _ladder
 from qbipoly.linalg import Mat
-from qbipoly.monic import generate_monic_oracle, s_matrix_closed_form, ttr_matrices
+from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
+                           ttr_matrices)
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
                            phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
                            qpochhammer_inf)
@@ -155,20 +156,20 @@ def test_closed_forms_keep_no_state_between_calls():
 
 def test_explicit_BC_sparsity(params):
     mats = explicit_BC(params, 3)
-    B1, B2 = mats["B1"], mats["B2"]
+    B1, B2 = mats["B1"].rows, mats["B2"].rows
     for i in range(4):
         for j in range(4):
             if i != j and i != j + 1:
-                assert B1[i, j] == 0
+                assert B1[i][j] == 0
             if i != j and i != j - 1:
-                assert B2[i, j] == 0
-    C1, C2 = mats["C1"], mats["C2"]
+                assert B2[i][j] == 0
+    C1, C2 = mats["C1"].rows, mats["C2"].rows
     for i in range(4):
         for j in range(3):
             if i not in (j, j + 1, j + 2):
-                assert C1[i, j] == 0
+                assert C1[i][j] == 0
             if i not in (j, j + 1, j - 1):
-                assert C2[i, j] == 0
+                assert C2[i][j] == 0
 
 
 def test_explicit_BC_drives_recurrence(params, oracle5):
@@ -176,9 +177,11 @@ def test_explicit_BC_drives_recurrence(params, oracle5):
         explicit = explicit_BC(params, n)
         for j, var in ((1, x), (2, y)):
             A = ttr_matrices(oracle5, n, j)["A"]
-            lhs = oracle5.vectors[n].mul_poly(var)
-            rhs = (A @ oracle5.vectors[n + 1]) + (explicit[f"B{j}"] @ oracle5.vectors[n]) \
-                + (explicit[f"C{j}"] @ oracle5.vectors[n - 1])
+            lhs = [e * var for e in oracle5.vectors[n]]
+            rhs = [a + b + c for a, b, c in zip(A @ oracle5.vectors[n + 1],
+                                                explicit[f"B{j}"] @ oracle5.vectors[n],
+                                                explicit[f"C{j}"] @ oracle5.vectors[n - 1],
+                                                strict=True)]
             assert lhs == rhs
 
 
@@ -329,14 +332,24 @@ def big_q_jacobi_points(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(big_q_jacobi_points(), st.integers(0, 3), st.data())
 def test_routes_agree_across_the_domain(p, total, data):
-    # oracle = hypergeometric route through N = 3; the Rodrigues and the
-    # non-monic solutions have exact zero residuals, and the non-monic one
-    # equals the pointwise product off the integer grid
+    # oracle = hypergeometric route = recursive formula through N = 3, and
+    # x_j P_n = A P_{n+1} + B P_n + C P_{n-1} for n <= 2; the Rodrigues and
+    # the non-monic solutions have exact zero residuals, and the non-monic
+    # one equals the pointwise product off the integer grid
     E = preset_equation(p)
     oracle = generate_monic_oracle(E, 3)
     for n in range(4):
         for m in range(n + 1):
             assert monic_hypergeometric(p, n - m, m) == oracle.entry(n, m)
+    P = oracle.vectors
+    assert generate_monic_rf(oracle).vectors == P
+    for n in range(3):
+        for j, var in ((1, x), (2, y)):
+            tb = ttr_matrices(oracle, n, j)
+            rhs = [a + b for a, b in zip(tb["A"] @ P[n + 1], tb["B"] @ P[n], strict=True)]
+            if n >= 1:
+                rhs = [a + b for a, b in zip(rhs, tb["C"] @ P[n - 1], strict=True)]
+            assert [e * var for e in P[n]] == rhs, (n, j)
     m = data.draw(st.integers(0, total), label="m")
     rod = rodrigues_poly(E, total - m, m)
     assert rod.total_degree() == total

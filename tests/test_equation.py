@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -12,6 +13,7 @@ from qbipoly.equation import (EquationCoeffs, ShapeViolation,
                               admissibility, apply_operator,
                               check_hypergeometric_form, derived_coeffs,
                               derived_orders)
+from qbipoly.io import parse_equation_source
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
 from test_bigqjacobi import big_q_jacobi_points
 
@@ -152,6 +154,24 @@ def test_admissibility_spectral_check_at_any_m(qp, a1, m):
     res = admissibility(equation_from(qp, a1, f1))
     assert not res.admissible
     assert res.failures == [f"spectral condition fails at m={m}"]
+
+
+def test_admissibility_near_q_one_is_decided_at_once():
+    # the spectral value 1 + (q-1) f1/(a1 q) = 2 (a1 = 1, f1 = q/(q-1)) is
+    # no power of q; walking the powers q^(1-m) up to 2 would take about
+    # ln 2 / (1 - q) steps on ever longer fractions
+    q = F(999999, 1000000)
+    E = parse_equation_source(
+        f"q = {q}\nc11 = 2,0:{q} 0,0:{q}\nc22 = 0,2:{q} 0,0:{q}\na12a = 1,1:{2 * q}\n"
+        f"a12d = 1,1:1 0,0:1\nb1 = 1,0:-999999\nb2 = 0,1:-999999\n")[0]
+    started = time.perf_counter()
+    res = admissibility(E)
+    assert time.perf_counter() - started < 1
+    assert res.admissible and res.failures == []
+    # f1 = a1 q [1-m] at m = 5000 fails the condition at exactly that m
+    qp = QParam(q)
+    res = admissibility(equation_from(qp, F(1), qp.q * qnum(1 - 5000, qp)))
+    assert res.failures == ["spectral condition fails at m=5000"]
 
 
 #: eigenvalue indices checked pairwise

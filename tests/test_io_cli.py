@@ -25,7 +25,7 @@ from qbipoly.equation import EquationCoeffs
 from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
                         mat_to_json, parse_equation_source, parse_poly_terms, poly_to_json,
                         write_csv_atomic, write_json_atomic)
-from qbipoly.linalg import Mat, PolyVec, SingularMatrixError
+from qbipoly.linalg import Mat, SingularMatrixError
 from qbipoly.qcalc import SeriesError
 from test_golden_cli import CASES
 
@@ -326,12 +326,12 @@ class Matrix(Mat):
 
 
 def test_json_writer_refuses_other_exact_leaves():
-    # an exact leaf is exactly a BiPoly or a Mat: a subclass, a vector of
-    # polynomials, a Fraction or an enum is refused, not converted
+    # an exact leaf is exactly a BiPoly or a Mat: a subclass, a Fraction or
+    # an enum is refused, not converted; a polynomial vector is a plain list
     p = BiPoly({(1, 0): F(1, 3), (0, 0): 2})
     assert json_text({"p": [p], "m": Mat([[F(1, 2), 0]])}) == json_reference(
         {"p": [poly_to_json(p)], "m": [["1/2", "0"]]})
-    for bad in ([Poly({(1, 0): F(1, 3)})], {"m": Matrix([[1]])}, {"v": PolyVec([p])},
+    for bad in ([Poly({(1, 0): F(1, 3)})], {"m": Matrix([[1]])},
                 {"c": F(1, 3)}, [Level.LOW], {"s": [Shade.DARK]}, (p, [F(2)])):
         with pytest.raises(TypeError):
             json_text(bad)

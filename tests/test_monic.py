@@ -12,14 +12,14 @@ from qbipoly import suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, admissibility, apply_operator
-from qbipoly.linalg import Mat, PolyVec, mat_diff, monomial_vec, solve_exact
+from qbipoly.linalg import Mat, mat_diff, solve_exact
 from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
                            generate_monic_rf, ghat_oracle, gram_matrix, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
-from test_linalg import graded_coeff_block, rank, transpose
+from test_linalg import graded_coeff_block, monomials, rank, transpose
 
 F = Fraction
 x = BiPoly.x()
@@ -31,14 +31,14 @@ y = BiPoly.y()
 def test_structure_identities(qp):
     ops = {1: (dq1, dqm1), 2: (dq2, dqm2)}
     for n in range(1, 6):
-        vec = monomial_vec(n)
+        vec = monomials(n)
         for j in (1, 2):
             fwd, bwd = ops[j]
             E_nj = difference_matrix(n, j, qp.q)
             K_nj = difference_matrix(n, j, 1 / qp.q)
-            assert vec.apply(lambda p: fwd(p, qp)) == E_nj @ monomial_vec(n - 1)
-            assert vec.apply(lambda p: bwd(p, qp)) == K_nj @ monomial_vec(n - 1)
-            assert vec.mul_poly(x if j == 1 else y) == mat_L(n, j) @ monomial_vec(n + 1)
+            assert [fwd(p, qp) for p in vec] == E_nj @ monomials(n - 1)
+            assert [bwd(p, qp) for p in vec] == K_nj @ monomials(n - 1)
+            assert [p * (x if j == 1 else y) for p in vec] == mat_L(n, j) @ monomials(n + 1)
 
 
 def test_L_partial_isometry(qp):
@@ -52,7 +52,7 @@ def test_L_partial_isometry(qp):
 def test_E_and_K_sample_entries(qp):
     assert difference_matrix(2, 1, qp.q).rows == ((F(3, 2), 0), (0, 1), (0, 0))
     assert difference_matrix(2, 2, qp.q).rows == ((0, 0), (1, 0), (0, F(3, 2)))
-    assert difference_matrix(2, 1, 1 / qp.q)[0, 0] == 3  # q^{1-n} [n]_q at n = 2
+    assert difference_matrix(2, 1, 1 / qp.q).rows[0][0] == 3  # q^{1-n} [n]_q at n = 2
     bundle = structure_matrices(2, qp)
     assert bundle["E1"] == difference_matrix(2, 1, qp.q)
     assert bundle["K2"] == difference_matrix(2, 2, 1 / qp.q)
@@ -88,7 +88,7 @@ def reference_operator_blocks(E, j):
     """The degree blocks as operator_blocks first built them: the image of
     every degree-j monomial through apply_operator, read off degree by
     degree by graded_coeff_block."""
-    images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
+    images = [apply_operator(E, p) for p in monomials(j)]
     return tuple(graded_coeff_block(images, j - d) if d <= j else None for d in range(3))
 
 
@@ -109,7 +109,7 @@ def test_oracle_monicity_and_residuals(equation, adm, oracle5):
         vec = oracle5.vectors[n]
         assert graded_coeff_block(vec, n) == Mat.identity(n + 1)
         lam = adm.eigenvalue(n)
-        for entry in vec.entries:
+        for entry in vec:
             assert (apply_operator(equation, entry) + entry * lam).is_zero()
 
 
@@ -139,7 +139,7 @@ def reference_chain_blocks(E, N):
             if d + 2 <= n:
                 rhs = rhs + chain[d + 2] @ blocks[d + 2][2]
             system = blocks[d][0] + Mat.identity(d + 1).scaled(lam_n)
-            chain[d] = transpose(solve_exact(transpose(system), transpose(-rhs)))
+            chain[d] = transpose(solve_exact(transpose(system), transpose(rhs.scaled(-1))))
         out.update({(n, j): G for j, G in chain.items()})
     return out
 
@@ -185,16 +185,16 @@ def test_oracle_vectors_solve_the_eigen_equation(oracle7):
     E = oracle7.equation
     for n in range(7):
         lam = oracle7.admissibility.eigenvalue(n)
-        for k, entry in enumerate(oracle7.vectors[n].entries):
+        for k, entry in enumerate(oracle7.vectors[n]):
             assert (apply_operator(E, entry) + entry * lam).is_zero(), (n, k)
 
 
 def reference_assembly(blocks):
-    """P_n = sum_j G_{n,j} @ monomial_vec(j), as full products and sums."""
+    """P_n = sum_j G_{n,j} @ x^j, as full products and sums."""
     total = None
     for j, G in enumerate(blocks):
-        part = G @ monomial_vec(j)
-        total = part if total is None else total + part
+        part = G @ monomials(j)
+        total = part if total is None else [a + b for a, b in zip(total, part, strict=True)]
     return total
 
 
@@ -203,14 +203,13 @@ def reference_ttr(family, n, j):
     matrix product with mat_L."""
     A = mat_L(n, j)
     if n == 0:
-        return A, -(mat_L(0, j) @ family.block(1, 0)), None
-    B = family.block(n, n - 1) @ mat_L(n - 1, j) - mat_L(n, j) @ family.block(n + 1, n)
+        return A, (mat_L(0, j) @ family.block(1, 0)).scaled(-1), None
+    B = family.block(n, n - 1) @ mat_L(n - 1, j) + (mat_L(n, j) @ family.block(n + 1, n)).scaled(-1)
     if n == 1:
-        C = -(mat_L(1, j) @ family.block(2, 0) + B @ family.block(1, 0))
+        C = (mat_L(1, j) @ family.block(2, 0) + B @ family.block(1, 0)).scaled(-1)
     else:
         C = (family.block(n, n - 2) @ mat_L(n - 2, j)
-             - mat_L(n, j) @ family.block(n + 1, n - 1)
-             - B @ family.block(n, n - 1))
+             + (mat_L(n, j) @ family.block(n + 1, n - 1) + B @ family.block(n, n - 1)).scaled(-1))
     return A, B, C
 
 
@@ -269,8 +268,8 @@ def test_admissible_operator_blocks_are_scalar_and_banded(E):
     # the band, and checks neither: admissibility decides both
     lam = E.admissibility.eigenvalue
     for j in range(7):
-        images = monomial_vec(j).apply(lambda p: apply_operator(E, p))
-        for k, img in enumerate(images.entries):
+        images = [apply_operator(E, p) for p in monomials(j)]
+        for k, img in enumerate(images):
             for i1, i2 in img.nums:
                 assert i1 <= j - k and i2 <= k and i1 + i2 >= j - 2, (j, k, (i1, i2))
         assert operator_blocks(E, j)[0] == Mat.identity(j + 1).scaled(-lam(j)), j
@@ -304,18 +303,18 @@ def test_closed_form_S_diagonal_matches_but_subdiagonal_differs(equation):
     # operator block; the subdiagonal entries do not (its [i-1]_q prefactor
     # annihilates the constant-term contribution already at i = 1)
     for n in range(1, 5):
-        entries = s_matrix_closed_form(equation, n)
-        true = operator_blocks(equation, n)[1]
+        entries = s_matrix_closed_form(equation, n).rows
+        true = operator_blocks(equation, n)[1].rows
         for i in range(n):
-            assert entries[i, i] == true[i, i]
-        assert any(entries[i + 1, i] != true[i + 1, i] for i in range(n))
+            assert entries[i][i] == true[i][i]
+        assert any(entries[i + 1][i] != true[i + 1][i] for i in range(n))
 
 
 def test_closed_form_S_n1_subdiagonal_zero(equation):
-    S = s_matrix_closed_form(equation, 1)
+    S = s_matrix_closed_form(equation, 1).rows
     g1 = equation.tau1()[1]
-    assert S[0, 0] == g1
-    assert S[1, 0] == 0  # the [0]_q factor kills the closed-form entry
+    assert S[0][0] == g1
+    assert S[1][0] == 0  # the [0]_q factor kills the closed-form entry
 
 
 def test_closed_form_T_matches_operator_block(equation):
@@ -441,11 +440,11 @@ def test_recurrence_identity(equation, oracle5):
     for n in range(5):
         for j, var in ((1, x), (2, y)):
             tb = ttr_matrices(oracle5, n, j)
-            lhs = oracle5.vectors[n].mul_poly(var)
-            rhs = tb["A"] @ oracle5.vectors[n + 1] if n + 1 <= oracle5.N else None
-            rhs = (tb["A"] @ oracle5.vectors[n + 1]) + (tb["B"] @ oracle5.vectors[n])
+            lhs = [e * var for e in oracle5.vectors[n]]
+            rhs = [a + b for a, b in zip(tb["A"] @ oracle5.vectors[n + 1],
+                                         tb["B"] @ oracle5.vectors[n], strict=True)]
             if n >= 1:
-                rhs = rhs + (tb["C"] @ oracle5.vectors[n - 1])
+                rhs = [a + b for a, b in zip(rhs, tb["C"] @ oracle5.vectors[n - 1], strict=True)]
             assert lhs == rhs
 
 
@@ -481,11 +480,9 @@ def test_consistency_row_names_the_first_differing_entry(monkeypatch):
 
     def bumped(fam):
         rf = real(fam)
-        vectors = list(rf.vectors)
+        vectors = [list(v) for v in rf.vectors]
         for n, k in ((2, 1), (3, 0)):
-            entries = list(vectors[n].entries)
-            entries[k] = entries[k] + BiPoly.const(F(1, 7))
-            vectors[n] = PolyVec(entries)
+            vectors[n][k] = vectors[n][k] + BiPoly.const(F(1, 7))
         return dataclasses.replace(rf, vectors=vectors)
 
     monkeypatch.setattr(suites, "generate_monic_rf", bumped)
@@ -498,7 +495,7 @@ def test_consistency_row_names_the_first_differing_entry(monkeypatch):
 def test_B0_special_case(equation, oracle5):
     tb = ttr_matrices(oracle5, 0, 1)
     g10 = oracle5.block(1, 0)
-    assert tb["B"] == -(mat_L(0, 1) @ g10)
+    assert tb["B"] == (mat_L(0, 1) @ g10).scaled(-1)
     assert tb["C"] is None
 
 

@@ -10,7 +10,7 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.qcalc import (QParam, QTables, SeriesError, _difference_table, dq1, dq2,
                            dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
                            kampe_de_feriet, phi_bivariate, phi_rs,
-                           pochhammer_rising, qnum, qpochhammer,
+                           pochhammer_rising, power_exponent, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
 from qbipoly.scalars import FloatField
 from test_bigqjacobi import closed_form_weight, jacobi_poly, qbinomial
@@ -26,6 +26,22 @@ def test_qparam_validation():
         QParam(F(3, 2))
     with pytest.raises(ValueError):
         QParam(F(0))
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(1, 10), F(99, 100), F(999999, 1000000)],
+                         ids=str)
+def test_power_exponent_names_the_exact_power(q):
+    for k in (-300, -7, -1, 0, 1, 2, 7, 300):
+        v = q**k
+        assert power_exponent(v, q) == k
+        # a factor prime to q, and (for u != 1 in q = u/w) the denominator
+        # of q^(k+1) over the numerator of q^k, make no power of q
+        assert power_exponent(v * F(1000003, 1000033), q) is None
+        if q.numerator != 1:
+            assert power_exponent(v / q.denominator, q) is None
+    for v in (F(0), F(-1), -q, F(-1, 2)):
+        assert power_exponent(v, q) is None
+    assert power_exponent(q**4000, q) == 4000
 
 
 def test_qnum(qp):
