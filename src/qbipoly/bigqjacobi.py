@@ -541,9 +541,9 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:
     """Convergence table rows for the monic and Rodrigues pairs at
     q = 1 - eps; everything on the q side is exact.
 
-    Each row: {kind, n, m, point, eps, error (Fraction), const}.  The
-    reported constant is the coefficient ratio used to align the Rodrigues
-    pair; the monic pair needs none.
+    Each row: {kind, n, m, point, eps, error (Fraction)}.  The Rodrigues
+    pair is aligned by the ratio of its (n, m) coefficients; the monic pair
+    needs none.
     """
     targets = [((n, m), appell_monic(cp, n, m), classical_rodrigues(cp, n, m))
                for n, m in nm_list]
@@ -564,17 +564,12 @@ def limit_rows(cp: ClassicalParams, eps_list, targets, points) -> list:
     rows = []
     for (n, m), target, rod_target in targets:
         for eps, fam, rods in lanes:
-            phat = fam.entry(n + m, m)
-            for pt in points:
-                err = abs(phat.eval(*pt) - target.eval(*pt))
-                rows.append({"kind": "monic", "n": n, "m": m, "point": pt,
-                             "eps": eps, "error": err, "const": Fraction(1)})
             ptil = rods[n, m]
             cstar = ptil.coeff(n, m) / rod_target.coeff(n, m)
-            for pt in points:
-                err = abs(ptil.eval(*pt) - cstar * rod_target.eval(*pt))
-                rows.append({"kind": "rodrigues", "n": n, "m": m, "point": pt,
-                             "eps": eps, "error": err, "const": cstar})
+            for kind, got, want, c in (("monic", fam.entry(n + m, m), target, 1),
+                                       ("rodrigues", ptil, rod_target, cstar)):
+                rows.extend({"kind": kind, "n": n, "m": m, "point": pt, "eps": eps,
+                             "error": abs(got.eval(*pt) - c * want.eval(*pt))} for pt in points)
     return rows
 
 

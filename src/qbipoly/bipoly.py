@@ -11,8 +11,8 @@ by column.  Only this module computes on it: ``exact_form`` builds it
 to it by one content gcd, ``combine`` sums scaled forms over one common
 denominator, ``lowest_terms`` reads entries back, and ``product_dens`` gives
 the denominators of unformed products.
-``coeffs`` is a read-only Fraction view; nothing writes a form after
-construction.
+``coeffs`` is a read-only snapshot of the coefficients as Fractions;
+nothing writes a form after construction.
 
 Every scalar (coefficient, factor, evaluation point) is taken through
 ``as_fraction``: a float is a ``TypeError``, and so is comparing with one.
@@ -24,37 +24,12 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Mapping
+import types
 from fractions import Fraction
 
 from .scalars import as_fraction
 
 _ZERO = Fraction(0)
-
-
-class CoeffView(Mapping):
-    """The coefficients of a BiPoly as a read-only map (i, j) -> Fraction."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: dict, den: int):
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, mono) -> Fraction:
-        return Fraction(self._nums[mono], self._den)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-    def __contains__(self, mono) -> bool:
-        return mono in self._nums
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 def reduced(nums: dict, den: int) -> tuple:
@@ -162,8 +137,9 @@ class BiPoly:
         self.nums, self.den = exact_form(((int(i), int(j)), c) for (i, j), c in coeffs.items())
 
     @property
-    def coeffs(self) -> CoeffView:
-        return CoeffView(self.nums, self.den)
+    def coeffs(self) -> types.MappingProxyType:
+        """The coefficients as a read-only map (i, j) -> Fraction."""
+        return types.MappingProxyType({m: Fraction(n, self.den) for m, n in self.nums.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -207,10 +183,6 @@ class BiPoly:
     def coeff(self, i: int, j: int) -> Fraction:
         n = self.nums.get((i, j))
         return _ZERO if n is None else Fraction(n, self.den)
-
-    def terms(self):
-        """Terms sorted by graded lexicographic order (x-major), descending."""
-        return sorted(self.coeffs.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)
 
     def leading_term(self):
         """(monomial, coeff) largest in grlex order; None for zero."""
@@ -313,15 +285,11 @@ class BiPoly:
         return from_form({(j, i): n for (i, j), n in self.nums.items()}, self.den)
 
     def eval(self, xv, yv) -> Fraction:
-        return self.eval_grid([xv], [yv])[0][0]
-
-    def eval_grid(self, xs, ys) -> list:
-        """[[p(x, y) for y in ys] for x in xs], from ``eval_grid_pairs``."""
-        return [[Fraction(n, d) for n, d in row] for row in self.eval_grid_pairs(xs, ys)]
+        return Fraction(*self.eval_grid_pairs([xv], [yv])[0][0])
 
     def eval_grid_pairs(self, xs, ys) -> list:
-        """The values of ``eval_grid`` as (numerator, denominator) int pairs,
-        not reduced, with denominator > 0: with x = u/v and y = s/t,
+        """[[p(x, y) for y in ys] for x in xs] as (numerator, denominator) int
+        pairs, not reduced, with denominator > 0: with x = u/v and y = s/t,
         p = sum_i u^i v^(I-i) C_i / (den v^I t^J), C_i = sum_j n_ij s^j
         t^(J-j) formed once per (i, y); each point costs one product per
         distinct x-exponent i, summed by one ``map``, and no gcd."""
@@ -384,7 +352,7 @@ class BiPoly:
         if not self.nums:
             return "0"
         parts = []
-        for (i, j), c in self.terms():
+        for (i, j), c in sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0][0]), reverse=True):
             mono = "".join(s for s in (f"x^{i}" if i else "", f"y^{j}" if j else "") if s)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)

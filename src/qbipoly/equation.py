@@ -48,9 +48,6 @@ class EquationCoeffs:
     b1: BiPoly
     b2: BiPoly
 
-    def polys(self):
-        return (self.c11, self.c22, self.a12a, self.a12d, self.b1, self.b2)
-
     @cached_property
     def admissibility(self) -> "Admissibility":
         """admissibility(self), computed once."""
@@ -68,7 +65,7 @@ class EquationCoeffs:
     def _univariate(p: BiPoly, axis: int, max_deg: int, name: str) -> tuple:
         """Coefficients of p in the axis variable (1 = x, 2 = y), highest
         degree first; p must not depend on the other variable."""
-        for m in p.coeffs:
+        for m in p.nums:
             if m[2 - axis]:
                 raise ShapeViolation(f"{name} must not depend on {'yx'[axis - 1]}")
             if m[axis - 1] > max_deg:
@@ -77,7 +74,7 @@ class EquationCoeffs:
 
     @staticmethod
     def _bilinear(p: BiPoly, name: str) -> tuple:
-        for m in p.coeffs:
+        for m in p.nums:
             if m not in _BILINEAR:
                 raise ShapeViolation(f"{name} carries a non-bilinear monomial {m}")
         return p.coeff(1, 1), p.coeff(1, 0), p.coeff(0, 1), p.coeff(0, 0)
@@ -267,18 +264,13 @@ def _swap(state):
 
 def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = None) -> DerivedCoeffs:
     """Coefficients of the equation for the order-(k, l) generalized
-    difference: order (k, l) of `derived_orders`, with mu shifted by lam
+    difference: order (k, l) of `propagated_orders`, with mu shifted by lam
     (exact, since each propagation step adds to mu and reads nothing of it).
     The closed forms in the tests are an independent route to them."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
-    D = derived_orders(E, k, l)[(k, l)]
+    D = dict(propagated_orders(E, k, l))[k, l]
     return replace(D, mu=D.mu + (lam or 0))
-
-
-def derived_orders(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
-    """``propagated_orders`` as a dict {(k, l): derived coefficients}."""
-    return dict(propagated_orders(E, k_max, l_max))
 
 
 def propagated_orders(E: EquationCoeffs, k_max: int, l_max: int):

@@ -279,11 +279,12 @@ def parse_equation_source(text: str) -> tuple:
 
 def parse_equation_file(path: str) -> tuple:
     """parse_equation_source on the text of an equation file, which must be
-    UTF-8."""
+    UTF-8; a leading byte-order mark is dropped after decoding, so a bad
+    byte's offset counts it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EquationParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
-    return parse_equation_source(text)
+    return parse_equation_source(text.removeprefix("\ufeff"))

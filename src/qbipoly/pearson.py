@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bipoly import BiPoly, lowest_pair
 from .equation import EquationCoeffs, propagated_orders
@@ -163,10 +162,6 @@ class WeightEvaluator:
         self._cache[key] = val
         return val
 
-    def box(self, s_count: int, t_count: int) -> list:
-        """rows[s][t] = value(s, t), s < s_count, t < t_count, from ``box_pairs``."""
-        return [[Fraction(*v) for v in row] for row in self.box_pairs(s_count, t_count)[0]]
-
     def box_pairs(self, s_count: int, t_count: int, reach=(0, 0)) -> tuple:
         """(rho, p1, w1, w2) on x_s = q^s x0, y_t = q^t y0: rho[s][t] = value(s,
         t), s < s_count, t < t_count, as ``lowest_pair`` of a neighbour times a
@@ -207,6 +202,8 @@ def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
 
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     """CSV-ready rows (s, t, x, y, numerator, denominator) of exact lattice
-    weight values; rows are ordered by (s, t)."""
-    return [(s, t, *map(str, W.point(s, t)), str(v.numerator), str(v.denominator))
-            for s, row in enumerate(W.box(s_max + 1, t_max + 1)) for t, v in enumerate(row)]
+    weight values, the lowest-terms pairs of ``box_pairs``; rows are ordered
+    by (s, t)."""
+    return [(s, t, *map(str, W.point(s, t)), str(num), str(den))
+            for s, row in enumerate(W.box_pairs(s_max + 1, t_max + 1)[0])
+            for t, (num, den) in enumerate(row)]

@@ -179,39 +179,33 @@ def _difference_table(fvals, x0, y0, p, n: int, m: int):
 
 def difference_passes(fvals, x0, y0, p, n: int, m: int) -> tuple:
     """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
-    then m along y, on samples fvals[r][s] = f(p^r x0, p^s y0) as int pairs
-    (num, den), None where not needed: (numerators, denominator) of the table
-    at (p^r x0, p^s y0), n rows and m columns smaller, None where a stencil
-    reaches a None sample.  ``lift_pairs`` lifts the samples to one denominator
-    D, and the passes run on integers: with p = u/w and x0 = a/b, the step of
-    row r is (p - 1) x0 p^r = (u - w) a u^r / (b w^(r+1)); over the common
-    (u - w) a u^R (R the last row of the new table) its reciprocal is b
-    w^(r+1) u^(R-r), so a pass multiplies row r's differences by it and D by
-    (u - w) a u^R."""
+    then m along y, on a rectangular table of samples fvals[r][s] = f(p^r x0,
+    p^s y0) as int pairs (num, den), None where not needed: (numerators,
+    denominator) of the table at (p^r x0, p^s y0), n rows and m columns
+    smaller, None where a stencil reaches a None sample.  ``lift_pairs`` lifts
+    the samples to one denominator D, and the passes run on integers, along
+    the rows of the table for x and of its transpose for y: with p = u/w and
+    start a/b (x0 or y0), the step of row r is (p - 1) a/b p^r = (u - w) a u^r
+    / (b w^(r+1)); over the common (u - w) a u^R (R the last row of the new
+    table) its reciprocal is b w^(r+1) u^(R-r), so a pass multiplies row r's
+    differences by it and D by (u - w) a u^R."""
     if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
         raise ValueError("sample table too small for the requested order")
     work, den = lift_pairs(fvals)
     p = as_fraction(p)
     u, w = p.numerator, p.denominator
 
-    def factors(start, count):
-        """The reciprocals of count steps from start: (numerators, common
-        denominator)."""
+    for start, count in ((x0, n), (y0, m)):
         c = as_fraction(start)
         a, b = c.numerator, c.denominator
-        last = count - 1
-        return [b * w ** (r + 1) * u ** (last - r) for r in range(count)], (u - w) * a * u**last
-
-    for _ in range(n):
-        mults, step_den = factors(x0, len(work) - 1)
-        work = [[None if lo is None or hi is None else (hi - lo) * k
-                 for lo, hi in zip(work[r], work[r + 1])] for r, k in enumerate(mults)]
-        den *= step_den
-    for _ in range(m):
-        mults, step_den = factors(y0, len(work[0]) - 1)
-        work = [[None if lo is None or hi is None else (hi - lo) * k
-                 for lo, hi, k in zip(row, row[1:], mults)] for row in work]
-        den *= step_den
+        for _ in range(count):
+            last = len(work) - 2
+            mults = [b * w ** (r + 1) * u ** (last - r) for r in range(last + 1)]
+            work = [[None if lo is None or hi is None else (hi - lo) * k
+                     for lo, hi in zip(work[r], work[r + 1])] for r, k in enumerate(mults)]
+            den *= (u - w) * a * u**last
+        # the y passes run on the transpose, and the second one restores the table
+        work = [list(col) for col in zip(*work)]
     return work, den
 
 

@@ -65,10 +65,7 @@ def _eigenspace_rows(names, label, sol, entries, m):
     solution is proportional to entry m."""
     total = len(entries) - 1
     coords = [sol.coeff(total - k, k) for k in range(total + 1)]
-    recon = None
-    for entry, ck in zip(entries, coords):
-        part = entry * ck
-        recon = part if recon is None else recon + part
+    recon = sum((entry * ck for entry, ck in zip(entries, coords)), BiPoly.zero())
     proportional = [k for k, ck in enumerate(coords) if ck != 0] == [m]
     return [(names[0], label, " ".join(frac_str(c) for c in coords), "", str(sol == recon)),
             (names[1], label, frac_str(coords[m]) if coords[m] != 0 else "0",

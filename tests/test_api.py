@@ -1,6 +1,7 @@
 """The public surface of the package: what `qbipoly` exports, the
 test-only references and single-caller options that stay out of `src`, and
-that `src` holds no uncalled function or unused import."""
+that `src` holds no uncalled function (tests/test_imports.py guards its
+imports)."""
 
 import ast
 import collections
@@ -56,6 +57,12 @@ ABSENT = [
     ("bipoly", "ratfn_equal"),
     ("bipoly", "RationalFn"),
     ("bipoly", "poly_sum"),
+    ("bipoly", "CoeffView"),
+    ("bipoly", "BiPoly.eval_grid"),
+    ("bipoly", "BiPoly.terms"),
+    ("pearson", "WeightEvaluator.box"),
+    ("equation", "derived_orders"),
+    ("equation", "EquationCoeffs.polys"),
     ("io", "parse_equation_text"),
     ("io", "poly_from_json"),
     ("io", "poly_terms_str"),
@@ -105,9 +112,6 @@ TEST_REFERENCES = {
     "moment": "MomentTable: one moment as a field value, the engine's reference moments",
 }
 
-#: an import no src module reads, kept so the benchmark's tracer can rebind it
-REBOUND_IMPORTS = {("suites", "rodrigues_poly")}
-
 
 def _src_trees() -> dict:
     src = pathlib.Path(qbipoly.__file__).parent
@@ -124,16 +128,19 @@ def _span_names() -> set:
     raise AssertionError("perfbench/spans.py has no TARGETS")
 
 
-def _functions(node, prefix: str):
-    """(qualified name, node) of every function and method under node."""
+def _functions(node, prefix: str, cls=None):
+    """(qualified name, node, class) of every function and method under
+    node; class is the ClassDef that a method is defined in, None for a
+    function."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}.{child.name}", child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef):
-                yield name, child
+            yield name, child, cls
             yield from _functions(child, name)
         else:
-            yield from _functions(child, prefix)
+            yield from _functions(child, prefix, cls)
 
 
 def _references(node) -> list:
@@ -142,31 +149,41 @@ def _references(node) -> list:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
-def test_src_has_no_uncalled_function_or_unused_import():
-    """Every non-dunder function and method in src is referenced in src
-    outside its own definition, and every import of a src module other than
-    `__init__` is read there.  Both match by name: a method that shares its
-    name with a called one, of another class or a module function, is not
-    seen, and neither is an import read only by a string annotation."""
+def _attributes(node) -> list:
+    """Every attribute name read under node."""
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+
+def _class_body_names(cls) -> set:
+    """The bare names read in a class body outside its function and class
+    definitions, as an alias such as `__call__ = integrate` reads them."""
+    return {n.id for stmt in cls.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+
+
+def _is_called(node, cls, refs, attrs) -> bool:
+    """A function is read by any name outside its own definition; a method
+    only as an attribute (`obj.name`) outside it, or by a bare name in its
+    own class body, so a local variable that shares its name does not hide
+    it."""
+    if cls is None:
+        return refs[node.name] > _references(node).count(node.name)
+    return (attrs[node.name] > _attributes(node).count(node.name)
+            or node.name in _class_body_names(cls))
+
+
+def test_src_has_no_uncalled_function():
+    """Every non-dunder function and method in src is read in src outside
+    its own definition (`_is_called`).  It matches by name: a method that
+    shares its name with a called method of another class is not seen."""
     trees = _src_trees()
     refs = collections.Counter(name for tree in trees.values() for name in _references(tree))
+    attrs = collections.Counter(name for tree in trees.values() for name in _attributes(tree))
     exempt = _span_names() | set(TEST_REFERENCES)
-    uncalled = [name for module, tree in trees.items() for name, node in _functions(tree, module)
+    uncalled = [name for module, tree in trees.items()
+                for name, node, cls in _functions(tree, module)
                 if not (node.name.startswith("__") and node.name.endswith("__"))
                 and node.name not in exempt
-                and refs[node.name] == _references(node).count(node.name)]
+                and not _is_called(node, cls, refs, attrs)]
     assert uncalled == []
-
-    unused = []
-    for module, tree in trees.items():
-        if module == "__init__":
-            continue
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.Import, ast.ImportFrom))
-                    and getattr(node, "module", None) != "__future__"):
-                for alias in node.names:
-                    name = alias.asname or alias.name.partition(".")[0]
-                    if name not in read and (module, name) not in REBOUND_IMPORTS:
-                        unused.append(f"{module}: {name}")
-    assert unused == []

@@ -45,6 +45,13 @@ def test_evaluation():
     assert p.eval(2, 3) == 12
 
 
+def grid_values(p: BiPoly, xs, ys) -> list:
+    """``eval_grid_pairs`` as Fractions, each of its denominators positive."""
+    pairs = p.eval_grid_pairs(xs, ys)
+    assert all(d > 0 for row in pairs for _, d in row)
+    return [[Fraction(n, d) for n, d in row] for row in pairs]
+
+
 def test_eval_grid_equals_eval():
     rng = random.Random(5)
     q = Fraction(2, 3)
@@ -57,9 +64,9 @@ def test_eval_grid_equals_eval():
             X, Y = Fraction(rng.randint(1, 9), 11), -Fraction(rng.randint(1, 9), 13)
             xs = [X * q**a for a in range(6)]
             ys = [Y * q**b for b in range(5)]
-        assert p.eval_grid(xs, ys) == [[p.eval(a, b) for b in ys] for a in xs]
-    assert BiPoly.zero().eval_grid([1, 2], [3]) == [[0], [0]]
-    assert (x * y + 1).eval_grid([0, 2], [Fraction(1, 2)]) == [[1], [2]]
+        assert grid_values(p, xs, ys) == [[p.eval(a, b) for b in ys] for a in xs]
+    assert grid_values(BiPoly.zero(), [1, 2], [3]) == [[0], [0]]
+    assert grid_values(x * y + 1, [0, 2], [Fraction(1, 2)]) == [[1], [2]]
 
 
 def test_zero_polynomial_has_empty_support():
@@ -379,7 +386,7 @@ def test_ring_operations_match_fraction_reference():
         xs = [rand_frac(rng, zero_share=0.2) for _ in range(3)]
         ys = [rand_frac(rng, zero_share=0.2) for _ in range(2)]
         grid = [[P.eval(a, b) for b in ys] for a in xs]
-        assert p.eval_grid(xs, ys) == grid
+        assert grid_values(p, xs, ys) == grid
         assert [[p.eval(a, b) for b in ys] for a in xs] == grid
         assert all(type(v) is Fraction for row in grid for v in row)
 

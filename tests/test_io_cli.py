@@ -69,8 +69,8 @@ def poly_terms_str(p: BiPoly) -> str:
 def equation_to_text(E: EquationCoeffs) -> str:
     """E in the key = value equation file format."""
     lines = [f"q = {frac_str(E.qp.q)}"]
-    for key, p in zip(_POLY_KEYS, E.polys()):
-        lines.append(f"{key} = {poly_terms_str(p)}")
+    for key in _POLY_KEYS:
+        lines.append(f"{key} = {poly_terms_str(getattr(E, key))}")
     return "\n".join(lines) + "\n"
 
 
@@ -103,14 +103,14 @@ def test_parse_poly_terms_errors():
 
 def test_parse_preset_equation(equation):
     E = parse_equation_source(PRESET_TEXT)[0]
-    assert E.polys() == equation.polys()
+    assert all(getattr(E, key) == getattr(equation, key) for key in _POLY_KEYS)
     assert E.qp.q == F(1, 2)
 
 
 def test_equation_text_roundtrip(equation):
     text = equation_to_text(equation)
     E = parse_equation_source(text)[0]
-    assert E.polys() == equation.polys()
+    assert all(getattr(E, key) == getattr(equation, key) for key in _POLY_KEYS)
 
 
 def test_parse_errors():
@@ -721,6 +721,21 @@ def test_cli_non_utf8_equation_file_is_one_line_error(tmp_path, capsys):
     assert main(["check", "--equation", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: not UTF-8 text at byte 13\n"
+
+
+def test_cli_equation_file_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # editors on Windows save UTF-8 with a leading BOM; it is not part of the
+    # first key, and a bad byte's offset still counts the file's bytes
+    path = tmp_path / "bom.eq"
+    path.write_bytes(b"\xef\xbb\xbf" + PRESET_TEXT.encode("utf-8"))
+    assert main(["check", "--equation", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert main(["check", *P]) == 0
+    assert out == capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CASES["check"][1]
+    path.write_bytes(b"\xef\xbb\xbfq = 1/2\n# caf\xe9\n")
+    assert main(["check", "--equation", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text at byte 16\n"
 
 
 def test_cli_requires_equation_source():

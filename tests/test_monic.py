@@ -301,13 +301,19 @@ def test_resolvent_scalar_at_degree_zero(equation, adm):
 def test_closed_form_S_diagonal_matches_but_subdiagonal_differs(equation):
     # closed-form bidiagonal entries: the diagonal agrees with the
     # operator block; the subdiagonal entries do not (its [i-1]_q prefactor
-    # annihilates the constant-term contribution already at i = 1)
-    for n in range(1, 5):
-        entries = s_matrix_closed_form(equation, n).rows
-        true = operator_blocks(equation, n)[1].rows
-        for i in range(n):
-            assert entries[i][i] == true[i][i]
-        assert any(entries[i + 1][i] != true[i + 1][i] for i in range(n))
+    # annihilates the constant-term contribution already at i = 1).  The
+    # verbatim subdiagonal is the operator block's one index late: its entry
+    # (i+1, i) is the block's (i, i-1), and its entry (1, 0) is 0
+    other = preset_equation(BigQJacobiParams(Fraction(2, 7), Fraction(3, 5), Fraction(1, 9),
+                                             Fraction(-3, 4), QParam(Fraction(9, 10))))
+    for E in (equation, other):
+        for n in range(1, 8):
+            entries = s_matrix_closed_form(E, n).rows
+            true = operator_blocks(E, n)[1].rows
+            for i in range(n):
+                assert entries[i][i] == true[i][i]
+            assert any(entries[i + 1][i] != true[i + 1][i] for i in range(n))
+            assert [entries[i + 1][i] for i in range(n)] == [0] + [true[i][i - 1] for i in range(1, n)]
 
 
 def test_closed_form_S_n1_subdiagonal_zero(equation):

@@ -7,7 +7,7 @@ import pytest
 import qbipoly.equation as equation_module
 from qbipoly.bigqjacobi import BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import EquationCoeffs, derived_coeffs, derived_orders
+from qbipoly.equation import EquationCoeffs, derived_coeffs, propagated_orders
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
                              WeightEvaluator, base_weight, build_pearson,
                              verify_pearson_identities)
@@ -106,7 +106,7 @@ def rational_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> di
     form g2 y Dq2 g1 = g1 x Dq1 g2."""
     qp, q = E.qp, E.qp.q
     report = {row: {} for row in ROWS}
-    derived = derived_orders(E, k_max + 1, l_max + 1)
+    derived = dict(propagated_orders(E, k_max + 1, l_max + 1))
     pearson = {kl: build_pearson(D) for kl, D in derived.items()}
     for k in range(k_max + 1):
         for l in range(l_max + 1):
@@ -234,7 +234,7 @@ def test_omega_steps_divide_by_q(q):
     equations = [_seeded_preset(q, f"corner-{q}-{i}") for i in range(3)]
     equations += [_random_shaped_equation(q, f"corner-random-{q}-{i}") for i in range(10)]
     for E in equations:
-        derived = derived_orders(E, 3, 3)
+        derived = dict(propagated_orders(E, 3, 3))
         P = {kl: build_pearson(D) for kl, D in derived.items()}
         for k in range(3):
             for l in range(4):

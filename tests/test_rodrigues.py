@@ -483,10 +483,12 @@ def test_each_pearson_polynomial_is_evaluated_once_per_lattice(equation, monkeyp
 
 
 def test_weight_box_equals_value(equation):
+    # the pairs are in lowest terms, as the weight CSV writes them
     anchor = DEFAULT_BASES[0]
-    box = base_weight(equation, anchor).box(7, 5)
+    box = base_weight(equation, anchor).box_pairs(7, 5)[0]
     W = base_weight(equation, anchor)
-    assert box == [[W.value(s, t) for t in range(5)] for s in range(7)]
+    values = [[W.value(s, t) for t in range(5)] for s in range(7)]
+    assert box == [[(v.numerator, v.denominator) for v in row] for row in values]
 
 
 def pole_anchor(params, kind, t=2):
@@ -509,7 +511,7 @@ def test_weight_box_raises_the_walk_pole(equation, params, kind):
     expected = first_walk_pole(equation, anchor, 6, 6)
     assert expected[0] == kind[:2].upper()
     with pytest.raises(LatticePoleError) as err:
-        base_weight(equation, anchor).box(6, 6)
+        base_weight(equation, anchor).box_pairs(6, 6)
     assert (err.value.which, err.value.index, err.value.point) == expected
 
 
