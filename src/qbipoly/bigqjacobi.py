@@ -50,9 +50,7 @@ def preset_equation(p: BigQJacobiParams) -> EquationCoeffs:
     absorbed into the pure second-order coefficients)."""
     q = p.qp.q
     a, b, c, d = p.a, p.b, p.c, p.d
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
 
     c11 = (one * (d * q) - x) * (one * (a * c * q**2) - x) * q
     c22 = (one * (a * q) - y) * (one * (d * q) - y) * q
@@ -336,8 +334,7 @@ class MomentTable:
     test, edge and |dq| > 1 points of the tests).
     """
 
-    def __init__(self, p: BigQJacobiParams, max_degree: int = 8,
-                 truncation: int = 200, prec: int = 192):
+    def __init__(self, p: BigQJacobiParams, max_degree: int, truncation: int, prec: int):
         check_weight_params(p)
         self.params = p
         self.max_degree = max_degree
@@ -441,7 +438,6 @@ class ClassicalParams:
     alpha: int
     beta: int
     gamma: int
-    delta: int = 1
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -454,9 +450,7 @@ def appell_monic(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     Feriet double sum; exact rational coefficients."""
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
     s = al + be + ga + m + n + 2
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
     half = Fraction(1, 2)
     series = kampe_de_feriet([s], [Fraction(-n)], [Fraction(-m)], [], [be + 1], [al + 1],
                              (x + one) * half, (one - y) * half)
@@ -471,9 +465,7 @@ def jnm(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
     half = Fraction(1, 2)
 
     # the 2F1(-m, beta+gamma+m+1; gamma+1) coefficients, term r folded with
@@ -509,9 +501,7 @@ def classical_pde_residual(cp: ClassicalParams, u: BiPoly, total_degree: int) ->
     """Residual of u under the q -> 1 limit operator with eigenvalue
     -n (alpha+beta+gamma+n+2), n = total degree."""
     al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
-    x = BiPoly.x()
-    y = BiPoly.y()
-    one = BiPoly.const(1)
+    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
     s3 = al + be + ga + 3
     uxx = u.diff_x().diff_x()
     uyy = u.diff_y().diff_y()
@@ -531,10 +521,10 @@ def classical_pde_residual(cp: ClassicalParams, u: BiPoly, total_degree: int) ->
 # ---------------------------------------------------------------------------
 
 def limit_params(cp: ClassicalParams, eps: Fraction) -> BigQJacobiParams:
-    """a = q^alpha, b = q^beta, c = q^gamma, d = -q^delta at q = 1 - eps."""
+    """a = q^alpha, b = q^beta, c = q^gamma, d = -q at q = 1 - eps."""
     q = 1 - Fraction(eps)
     qp = QParam(q)
-    return BigQJacobiParams(q**cp.alpha, q**cp.beta, q**cp.gamma, -(q**cp.delta), qp)
+    return BigQJacobiParams(q**cp.alpha, q**cp.beta, q**cp.gamma, -q, qp)
 
 
 def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:

@@ -6,11 +6,12 @@ positive ``den`` with gcd(den, *nums) = 1, so zero is ``({}, 1)`` and equal
 vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
-by column.  Only this module computes on it: ``exact_form`` builds it
-(``lift_pairs`` rows of int pairs over one lcm), ``reduced`` brings a result
-to it by one content gcd, ``combine`` sums scaled forms over one common
-denominator, ``lowest_terms`` reads entries back, and ``product_dens`` gives
-the denominators of unformed products.
+by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
+``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``), but
+only ``exact_form`` (``lift_pairs`` rows of int pairs over one lcm),
+``reduced`` (one content gcd) and ``combine`` (scaled forms over one common
+denominator) bring a result to the reduced form; ``lowest_terms`` reads
+entries back, and ``product_dens`` gives the denominators of unformed products.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
 nothing writes a form after construction.
 

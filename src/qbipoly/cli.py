@@ -6,7 +6,8 @@ configuration or parse error (including parameters that put a pole of the
 weight, a vanishing series denominator or a singular system in the path of
 the request).  Every failure prints one `error:` line.  Outputs are
 deterministic for a fixed configuration (fixed summation orders, sorted keys)
-and written atomically.
+and written atomically.  Each command declares only the options it reads
+and checks them itself once the equation source has loaded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
                       verify_pearson_identities, weight_table_rows)
 from .qcalc import QParam, power_exponent, verify_operator_relations
 from .rodrigues import RodriguesError, rodrigues_poly
-from .suites import ORTH_TOL, SUITES, run_suite
+from .suites import ORTH_PRECISION, ORTH_TOL, ORTH_TRUNCATION, SUITES, run_suite
 
 MAX_DEGREE_GUARD = 12
 
@@ -259,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--suite", required=True, choices=SUITES)
     # read by the orthogonality suite only, checked for every suite
-    sp.add_argument("--precision", type=int, default=192)
-    sp.add_argument("--truncation", type=int, default=200)
+    sp.add_argument("--precision", type=int, default=ORTH_PRECISION)
+    sp.add_argument("--truncation", type=int, default=ORTH_TRUNCATION)
     return ap
 
 

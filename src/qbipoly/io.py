@@ -91,22 +91,27 @@ def _write_atomic(path: str, write) -> None:
     exclusively so that no existing file is overwritten, and rename it over
     path; the temp file is removed if anything fails.  A target that exists
     but is not a regular file (a device such as /dev/null, a pipe) cannot
-    be replaced by a rename and is written through.  A failure to create the
+    be replaced by a rename and is written through.  A symbolic link is
+    followed: the file it names is replaced and the link stays, and a file
+    that is replaced keeps its permission bits.  A failure to create the
     temp file (a missing directory, no write permission) names path, the
     file the caller asked for."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         return
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if os.path.exists(real):
+                os.fchmod(fd, os.stat(real).st_mode & 0o7777)
             write(fh)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -150,25 +155,18 @@ def _encode(v, nl: str, out, fh) -> None:
     comma = "," + inner
     if isinstance(v, dict):
         sep, closing = "{" + inner, nl + "}"
-        for k, x in sorted(v.items()):
-            key = encode_basestring_ascii(k)
-            atom = _ATOMS.get(type(x))
-            if atom is not None:
-                out.write(f"{sep}{key}: {atom(x)}")
-            else:
-                out.write(f"{sep}{key}: ")
-                _encode(x, inner, out, fh)
-            sep = comma
+        items = ((encode_basestring_ascii(k) + ": ", x) for k, x in sorted(v.items()))
     else:
         sep, closing = "[" + inner, nl + "]"
-        for x in v:
-            atom = _ATOMS.get(type(x))
-            if atom is not None:
-                out.write(sep + atom(x))
-            else:
-                out.write(sep)
-                _encode(x, inner, out, fh)
-            sep = comma
+        items = (("", x) for x in v)
+    for head, x in items:
+        atom = _ATOMS.get(type(x))
+        if atom is not None:
+            out.write(sep + head + atom(x))
+        else:
+            out.write(sep + head)
+            _encode(x, inner, out, fh)
+        sep = comma
     out.write(closing)
 
 

@@ -21,12 +21,12 @@ and the recursive generator) is built on oracle blocks throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import BiPoly, combine, from_form, reduced
-from .equation import Admissibility, EquationCoeffs, add_image, operator_parts
+from .equation import EquationCoeffs, add_image, operator_parts
 from .linalg import Mat, stack
 from .qcalc import QParam, QTables
 
@@ -165,7 +165,6 @@ class MonicFamily:
     equation: EquationCoeffs
     vectors: list          # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
     ghat: dict             # (n, j) -> Mat
-    admissibility: Admissibility
     operator_blocks: list  # operator_blocks(E, j) for every cached degree j
 
     @property
@@ -199,8 +198,9 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
 
     Admissibility and the operator blocks are computed once and shared by
     every degree.  Admissibility makes each degree-preserving block
-    -lambda_j I, so the chain step G_{n,d} (M_dd + lambda_n I) = -rhs is the
-    division G_{n,d} = -rhs / (lambda_n - lambda_d), run fraction-free on
+    -lambda_j I and the eigenvalues pairwise distinct, so the chain step
+    G_{n,d} (M_dd + lambda_n I) = -rhs is the division by a nonzero gap
+    G_{n,d} = -rhs / (lambda_n - lambda_d), run fraction-free on
     each block as one form (``_chain_step``); a block gets its canonical row
     forms when it is stored.  Neither the blocks nor the vectors are
     re-checked here: `suites.suite_consistency` and the tests put the
@@ -214,18 +214,15 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     for n in range(N + 1):
         chain = [None] * n + [({(r, r): 1 for r in range(n + 1)}, 1)]
         for d in range(n - 1, -1, -1):
-            gap = lam[n] - lam[d]
-            if not gap:
-                raise OracleError(f"eigenvalues of degrees {d} and {n} coincide")
             chain[d] = _chain_step([(chain[d + s], blocks[d + s][s]) for s in (1, 2) if d + s <= n],
-                                   gap)
+                                   lam[n] - lam[d])
         for j, (nums, den) in enumerate(chain):
             rows = [{} for _ in range(n + 1)]
             for (r, c), v in nums.items():
                 rows[r][c] = v
             ghat[(n, j)] = Mat._of([reduced(row, den) for row in rows], j + 1)
         vectors.append(assemble_vector([ghat[(n, j)] for j in range(n + 1)]))
-    return MonicFamily(E, vectors, ghat, adm, blocks)
+    return MonicFamily(E, vectors, ghat, blocks)
 
 
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
@@ -269,16 +266,15 @@ def generalized_inverse_L(n: int) -> Mat:
     return Mat(D)
 
 
-def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
-    """The oracle family with its vectors generated again through the
+def generate_monic_rf(oracle: MonicFamily) -> list:
+    """The vectors of degrees 0..oracle.N generated again through the
     recursive formula driven by the joint recurrence stacks, compared with
     nothing: the consistency suite and the tests compare them with the
     oracle's and check D_n L_n = I, which the formula rests on.  Degree
     n + 1 reads the recurrence matrices of degree n, so blocks through
     degree N = oracle.N suffice."""
     N = oracle.N
-    x = BiPoly.x()
-    y = BiPoly.y()
+    x, y = BiPoly.x(), BiPoly.y()
     vectors = [[BiPoly.const(1)]]
     prev = None
     for n in range(N):
@@ -294,7 +290,7 @@ def generate_monic_rf(oracle: MonicFamily) -> MonicFamily:
             nxt = [a - b for a, b in zip(nxt, D @ (Cn @ prev), strict=True)]
         prev = cur
         vectors.append(nxt)
-    return replace(oracle, vectors=vectors)
+    return vectors
 
 
 def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> list:

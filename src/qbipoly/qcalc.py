@@ -68,10 +68,14 @@ class Rows:
     """One call's Pochhammer tables, formed on first read: per parameter a,
     its factors and its row (a)_0, ..., (a)_k of their running products (no
     division: a zero factor zeroes the row from its index on).  By default
-    the factors are a + j (the rising (a)_k) and the series unit is 1."""
+    the factors are a + j (the rising (a)_k) and the series unit is 1.
+    exponent(a) is the k for which factor(a, -k) vanishes, or None: a for
+    an integer a here, so a <= 0 ends a series at index -a."""
 
-    def __init__(self, factor=lambda a, j: a + j, unit=1):
-        self.factor, self.unit, self._factors, self._rows = factor, unit, {}, {}
+    def __init__(self, factor=lambda a, j: a + j, unit=1,
+                 exponent=lambda a: a.numerator if a.denominator == 1 else None):
+        self.factor, self.unit, self.exponent = factor, unit, exponent
+        self._factors, self._rows = {}, {}
 
     def factors(self, a, k: int) -> list:
         """factor(a, 0), ..., factor(a, k - 1) (the list may run longer)."""
@@ -91,12 +95,13 @@ class Rows:
 class QTables(Rows):
     """The tables of base q an evaluator builds once per call and drops with
     it: pow(k) = q^k (any integer k), num(k) = [k]_q and the rows (a; q)_k
-    of factors 1 - a q^j, unit q; (z q^s; q)_k is the row of z q^s."""
+    of factors 1 - a q^j, unit q, exponent k where a = q^k (``power_exponent``);
+    (z q^s; q)_k is the row of z q^s."""
 
     def __init__(self, q):
         self.pow = pw = functools.cache(lambda k: q**k)  # no cycle through self
         self.num = functools.cache(lambda k: (pw(k) - 1) / (q - 1))
-        super().__init__(lambda a, j: 1 - a * pw(j), q)
+        super().__init__(lambda a, j: 1 - a * pw(j), q, lambda a: power_exponent(a, q))
 
 
 def qpochhammer_inf(a, qp: QParam, field: FloatField):
@@ -225,11 +230,10 @@ def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) ->
     if g is None:
         g = BiPoly({(2, 1): 1, (1, 0): 1, (0, 0): 2})
     q = qp.q
-    x = BiPoly.x()
-    y = BiPoly.y()
+    x, y = BiPoly.x(), BiPoly.y()
     g_qx = g.scale_args(q, 1)
     g_qy = g.scale_args(1, q)
-    report = {
+    return {
         "commute_dq1_dqm2": dq1(dqm2(f, qp), qp) == dqm2(dq1(f, qp), qp),
         "commute_dq2_dqm1": dq2(dqm1(f, qp), qp) == dqm1(dq2(f, qp), qp),
         "commute_dq1_dq2": dq1(dq2(f, qp), qp) == dq2(dq1(f, qp), qp),
@@ -239,7 +243,6 @@ def verify_operator_relations(qp: QParam, f: BiPoly, g: BiPoly | None = None) ->
         "product_rule_axis1": dq1(f * g, qp) == f * dq1(g, qp) + g_qx * dq1(f, qp),
         "product_rule_axis2": dq2(f * g, qp) == f * dq2(g, qp) + g_qy * dq2(f, qp),
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +253,21 @@ class SeriesError(ValueError):
     pass
 
 
-def _terms(tables, num, den, label, last=None, max_terms=0, v=None, t=0):
+def _terms(tables, num, den, label, last=None, v=None, t=0):
     """[prod (a)_k / prod (b)_k * v^k q^(t C(k,2)) for k = 0..last], over
     the factors of `tables` (`QTables` or `Rows()`).  Without `last`, it is
-    the first j below max_terms at which a numerator factor vanishes, found
-    from the factors before any product is formed.  A denominator factor
-    vanishing at j <= last (a summed index, or the termination index, where
-    the numerator vanishes too) is an error."""
+    the least index -k at which a numerator factor vanishes, k <= 0 the
+    `exponent` of a scalar or constant BiPoly parameter, decided before any
+    factor is formed; a series with none does not terminate.  A denominator
+    factor vanishing at j <= last (a summed index, or the termination index,
+    where the numerator vanishes too) is an error."""
     if last is None:
-        last = next((j for j in range(max_terms)
-                     if any(tables.factor(a, j) == 0 for a in num)), None)
-        if last is None:
-            raise SeriesError(f"the {label} does not terminate within {max_terms} terms")
+        consts = [a.coeff(0, 0) if isinstance(a, BiPoly) else as_fraction(a) for a in num
+                  if not isinstance(a, BiPoly) or a.nums.keys() <= {(0, 0)}]
+        ends = [-k for k in map(tables.exponent, consts) if k is not None and k <= 0]
+        if not ends:
+            raise SeriesError(f"the {label} does not terminate")
+        last = min(ends)
     nums = [tables.factors(a, last) for a in num]
     dens = [tables.factors(b, last + 1) for b in den]
     out = [Fraction(1)]
@@ -284,7 +290,7 @@ def _terms(tables, num, den, label, last=None, max_terms=0, v=None, t=0):
 
 
 def _terminating_sum(tables, xnum, xden, xv, ynum=None, yden=(), yv=None,
-                     joint_num=(), joint_den=(), tags=(0, 0, 0), max_terms: int = 2000):
+                     joint_num=(), joint_den=(), tags=(0, 0, 0)):
     """The terminating double sum
 
         sum_{m <= M, n <= N} [joint]_{m+n} [x]_m [y]_n xv^m yv^n
@@ -298,20 +304,16 @@ def _terminating_sum(tables, xnum, xden, xv, ynum=None, yden=(), yv=None,
 
     Numerator parameters and the arguments may be Fractions or BiPolys;
     denominator parameters are scalars.  Empty groups and zero ti, tj cost
-    no multiplication; without a joint group and tk the sum is the product
-    of its two single sums.
+    no multiplication.
     """
     ti, tj, tk = tags
     ring = (*xnum, *(ynum or ()), *joint_num, xv, yv)
     zero = BiPoly.zero() if any(isinstance(v, BiPoly) for v in ring) else Fraction(0)
     label = "series" if ynum is None else "x direction"
-    xs = _terms(tables, xnum, (*xden, tables.unit), label, max_terms=max_terms, v=xv, t=ti)
+    xs = _terms(tables, xnum, (*xden, tables.unit), label, v=xv, t=ti)
     if ynum is None:
         return sum(xs, zero)
-    ys = _terms(tables, ynum, (*yden, tables.unit), "y direction", max_terms=max_terms, v=yv,
-                t=tj)
-    if not (joint_num or joint_den or tk):
-        return sum(xs, zero) * sum(ys, zero)
+    ys = _terms(tables, ynum, (*yden, tables.unit), "y direction", v=yv, t=tj)
     joint = _terms(tables, joint_num, joint_den, "joint sum", len(xs) + len(ys) - 2)
     total = zero
     for m, xm in enumerate(xs):
@@ -320,7 +322,7 @@ def _terminating_sum(tables, xnum, xden, xv, ynum=None, yden=(), yv=None,
     return total
 
 
-def phi_rs(num_params, den_params, qp: QParam, z, max_terms: int = 2000):
+def phi_rs(num_params, den_params, qp: QParam, z):
     """Terminating r-phi-s basic hypergeometric sum.
 
     Term k carries prod (a;q)_k / ((q;q)_k prod (b;q)_k) * z^k and, for
@@ -330,11 +332,11 @@ def phi_rs(num_params, den_params, qp: QParam, z, max_terms: int = 2000):
     """
     excess = 1 + len(den_params) - len(num_params)
     return _terminating_sum(QTables(qp.q), num_params, den_params, -z if excess % 2 else z,
-                            tags=(excess, 0, 0), max_terms=max_terms)
+                            tags=(excess, 0, 0))
 
 
 def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, yv,
-                  tags=(0, 0, 0), max_terms: int = 300):
+                  tags=(0, 0, 0)):
     """Generalized bivariate basic hypergeometric double sum with joint (m+n)
     Pochhammers, separate per-direction Pochhammers, and the
     q^{i C(m,2) + j C(n,2) + k m n} factor given by `tags`.
@@ -342,7 +344,7 @@ def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, 
     Both directions must terminate (a vanishing numerator Pochhammer).
     """
     return _terminating_sum(QTables(qp.q), xnum, xden, xv, ynum, yden, yv,
-                            joint_num, joint_den, tags, max_terms)
+                            joint_num, joint_den, tags)
 
 
 # ---------------------------------------------------------------------------

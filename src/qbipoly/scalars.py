@@ -27,7 +27,7 @@ class FloatField:
     tails of infinite products and sums.
     """
 
-    def __init__(self, prec: int = 192):
+    def __init__(self, prec: int):
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
         import mpmath

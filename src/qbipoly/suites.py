@@ -4,7 +4,10 @@ Each suite returns (ok, rows): rows are (case, a, b, value, pass) records
 for CSV emission (deterministically ordered).  A row gates when its pass
 column reads "True" or "False"; a row that reads "info" only reports.  A
 suite's ok is that no row reads "False", so a report carries its own
-verdict.  The CLI renders them; the acceptance tests assert on them.
+verdict.  The CLI renders them; the acceptance tests assert on them.  A
+suite takes only what the CLI varies (the preset point; for orthogonality
+the truncation and precision): the degrees, steps and points it covers are
+module constants.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .monic import (generalized_inverse_L, generate_monic_oracle,
 from .rodrigues import rodrigues_family, rodrigues_poly  # noqa: F401
 
 ORTH_TOL = Fraction(1, 10**25)
+#: the float lane's default working precision (bits) and Jackson truncation
+ORTH_PRECISION, ORTH_TRUNCATION = 192, 200
 LIMIT_RATIO_LO = Fraction(1, 20)
 LIMIT_RATIO_HI = Fraction(1, 5)
 
@@ -72,8 +77,8 @@ def _eigenspace_rows(names, label, sol, entries, m):
              "proportional" if proportional else "not proportional", "info")]
 
 
-def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = 200,
-                        prec: int = 192):
+def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = ORTH_TRUNCATION,
+                        prec: int = ORTH_PRECISION):
     """Pairwise normalized inner products (`MomentTable.gram`), positive
     norms, a nonsingular H_1 and positive node weights (exact signs).
 
@@ -124,7 +129,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
     fam = generate_monic_oracle(E, CONSISTENCY_TOTAL)
     rows = []
     for n in range(CONSISTENCY_TOTAL + 1):
-        lam = fam.admissibility.eigenvalue(n)
+        lam = E.admissibility.eigenvalue(n)
         zero = all((apply_operator(E, e) + e * lam).is_zero() for e in fam.vectors[n])
         rows.append(("oracle_eigen_residual_zero", f"n={n}", "", "", str(zero)))
     for (n, m), hyp in hypergeometric_family(p, CONSISTENCY_TOTAL).items():
@@ -134,7 +139,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
         rows.extend(_eigenspace_rows(
             ("rodrigues_in_eigenspace", "rodrigues_proportional_to_entry"), f"({n},{m})",
             rod, fam.vectors[n + m], m))
-    rf = generate_monic_rf(fam).vectors
+    rf = generate_monic_rf(fam)
     differ = next(((n, k) for n, vec in enumerate(fam.vectors) for k in range(n + 1)
                    if rf[n][k] != vec[k]), None)
     rows.append(("recursive_formula_equals_oracle", f"N={CONSISTENCY_TOTAL}", "",
@@ -154,8 +159,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     E = preset_equation(p)
     fam = generate_monic_oracle(E, RECURRENCE_N + 1)
     rows = []
-    x = BiPoly.x()
-    y = BiPoly.y()
+    x, y = BiPoly.x(), BiPoly.y()
     ttr = {(n, j): ttr_matrices(fam, n, j) for n in range(RECURRENCE_N + 1) for j in (1, 2)}
     for n in range(RECURRENCE_N + 1):
         for j, var in ((1, x), (2, y)):
@@ -170,7 +174,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
     # the paper's closed forms against the operator blocks they express:
     # G_{n,n-1} = S_n / (lambda_{n-1} - lambda_n), and G_{n,n-2} differs from
     # the oracle's chain step only in T_n
-    lam = fam.admissibility.eigenvalue
+    lam = E.admissibility.eigenvalue
     for n in range(2, RECURRENCE_N + 1):
         same = t_matrix_closed_form(E, n) == fam.operator_blocks[n][2]
         rows.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "", str(same)))
@@ -197,7 +201,7 @@ def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
 def suite_limits():
     """q -> 1 convergence of the monic and Rodrigues pairs, classical
     residuals, and the classical Rodrigues eigenspace decomposition."""
-    cp = ClassicalParams(1, 1, 1, 1)
+    cp = ClassicalParams(1, 1, 1)
     rows = []
 
     # each classical target once, as (quotient, remainder), for the q -> 1

@@ -87,11 +87,15 @@ def test_name_is_not_in_src(module, path):
 
 
 def test_one_signature_per_route():
-    from qbipoly.bigqjacobi import limit_check
+    from qbipoly import suites
+    from qbipoly.bigqjacobi import ClassicalParams, MomentTable, limit_check
+    from qbipoly.cli import build_parser
     from qbipoly.equation import DerivedCoeffs, admissibility
+    from qbipoly.monic import MonicFamily
     from qbipoly.pearson import PearsonData, WeightEvaluator
-    from qbipoly.qcalc import qpochhammer_inf
+    from qbipoly.qcalc import phi_bivariate, phi_rs, qpochhammer_inf
     from qbipoly.rodrigues import rodrigues_poly
+    from qbipoly.scalars import FloatField
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
@@ -103,6 +107,19 @@ def test_one_signature_per_route():
     assert [f.name for f in dataclasses.fields(WeightEvaluator)] == ["pearson", "anchor", "qp"]
     assert [f.name for f in dataclasses.fields(PearsonData)] == ["phi1", "phi2", "omega1", "omega2"]
     assert "order" not in [f.name for f in dataclasses.fields(DerivedCoeffs)]
+    # a series ends where its parameters say, and the float lane's defaults
+    # live in suites alone
+    assert params(phi_rs) == ["num_params", "den_params", "qp", "z"]
+    assert params(phi_bivariate) == ["joint_num", "xnum", "ynum", "joint_den", "xden", "yden",
+                                     "qp", "xv", "yv", "tags"]
+    for init in (MomentTable.__init__, FloatField.__init__):
+        assert all(v.default is inspect.Parameter.empty
+                   for v in inspect.signature(init).parameters.values())
+    assert [f.name for f in dataclasses.fields(ClassicalParams)] == ["alpha", "beta", "gamma"]
+    assert [f.name for f in dataclasses.fields(MonicFamily)] == [
+        "equation", "vectors", "ghat", "operator_blocks"]
+    verify = build_parser().parse_args(["verify", "--suite", "orthogonality"])
+    assert (verify.precision, verify.truncation) == (suites.ORTH_PRECISION, suites.ORTH_TRUNCATION)
 
 
 #: names in src with no caller there that the tests use as their references,

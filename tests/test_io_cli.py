@@ -369,6 +369,25 @@ def test_atomic_write_goes_through_a_fifo(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
+def test_cli_out_through_a_link_replaces_the_file_it_names(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target.name)
+    assert main(["check", "--preset", "big-q-jacobi", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["kind"] == "check-report"
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_cli_out_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    target.chmod(0o600)
+    assert main(["check", "--preset", "big-q-jacobi", "--out", str(target)]) == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+    assert json.loads(target.read_text())["kind"] == "check-report"
+
+
 def test_cli_out_to_directory_exit_2_without_temp_file(tmp_path, capsys):
     target = tmp_path / "dir"
     target.mkdir()

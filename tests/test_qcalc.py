@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable
 from qbipoly.bipoly import BiPoly
-from qbipoly.qcalc import (QParam, QTables, SeriesError, _difference_table, dq1, dq2,
-                           dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
+from qbipoly.qcalc import (QParam, QTables, Rows, SeriesError, _difference_table, _terms,
+                           dq1, dq2, dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
                            kampe_de_feriet, phi_bivariate, phi_rs,
                            pochhammer_rising, power_exponent, qnum, qpochhammer,
                            qpochhammer_inf, verify_operator_relations)
@@ -482,7 +483,44 @@ def test_zero_over_zero_at_termination_is_rejected(qp):
 
 def test_phi_rs_nonterminating_rejected(qp):
     with pytest.raises(SeriesError):
-        phi_rs([F(1, 3)], [F(1, 5)], qp, qp.q, max_terms=50)
+        phi_rs([F(1, 3)], [F(1, 5)], qp, qp.q)
+
+
+def test_nonterminating_series_is_refused_at_once(qp):
+    # no numerator parameter has a termination index, so no term is formed
+    def seconds():
+        start = time.perf_counter()
+        with pytest.raises(SeriesError, match="does not terminate"):
+            phi_rs([F(1, 3)], [F(1, 5)], qp, qp.q)
+        return time.perf_counter() - start
+
+    assert min(seconds() for _ in range(3)) < 0.01
+
+
+def test_termination_index_is_decided_from_the_parameters(qp):
+    # a parameter of exponent k <= 0 ends a series at index -k
+    q = qp.q
+    assert QTables(q).exponent(q ** -2500) == -2500
+    assert Rows().exponent(F(-2500)) == -2500
+    assert QTables(q).exponent(F(1, 3)) is None
+    assert Rows().exponent(F(-5, 2)) is None
+    # a polynomial parameter counts only when it is constant
+    assert len(_terms(QTables(q), [BiPoly.const(q ** -3)], [q], "series")) == 4
+    assert len(_terms(Rows(), [BiPoly.const(-3)], [1], "series")) == 4
+    for tables, a in ((QTables(q), x), (Rows(), y - 3)):
+        with pytest.raises(SeriesError, match="does not terminate"):
+            _terms(tables, [a], [tables.unit], "series")
+
+
+def test_long_terminating_series_are_summed_exactly(qp):
+    q, z = qp.q, F(1, 3)
+    # q-binomial theorem: 1phi0(q^-n; -; q, z) = (z q^-n; q)_n, here at n = 301
+    assert phi_bivariate([], [q ** -301], [q ** 0], [], [], [], qp, z, F(1, 5)) == \
+        qpochhammer(z * q ** -301, qp, 301)
+    # Chu-Vandermonde: 2F1(-n, 1; c; 1) = (c - 1)_n / (c)_n, here at n = 2001
+    c = F(1, 3)
+    assert gauss_2f1_terminating(-2001, 1, c, 1) == \
+        pochhammer_rising(c - 1, 2001) / pochhammer_rising(c, 2001)
 
 
 def test_phi_bivariate_trivial(qp):
