@@ -15,8 +15,7 @@ from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate
                     verify_operator_relations)
 from .rodrigues import rodrigues_poly
 from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
-                    ghat_oracle, gram_matrix, structure_matrices,
-                    ttr_matrices)
+                    ghat_oracle, structure_matrices, ttr_matrices)
 from .scalars import FloatField
 
 __all__ = [name for name in dir() if not name.startswith("_")]

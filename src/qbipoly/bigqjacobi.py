@@ -39,7 +39,7 @@ class BigQJacobiParams:
             raise ValueError(f"need d < 0, got d={self.d}")
 
 
-#: The fixed rational test instance used throughout the suites.
+#: The point of `--preset big-q-jacobi` without `--param`.
 TEST_PARAMS = BigQJacobiParams(
     Fraction(1, 3), Fraction(1, 4), Fraction(1, 5), Fraction(-1, 2), QParam(Fraction(1, 2))
 )
@@ -307,10 +307,10 @@ class MomentTable:
         y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
         y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
 
-    The outer sums are `_power_sums`, kept as exact pairs: `moment` rounds
-    one pair when asked, `integrate` applies a polynomial to the exact pairs
-    before it rounds, and `gram` gives the integral of every pairwise
-    product without forming one.
+    The outer sums are `_power_sums`, kept exact as integers on one binary
+    point: `moment` rounds one when asked, `integrate` applies a polynomial
+    to them before it rounds, and `gram` gives the integral of every
+    pairwise product without forming one.
 
     `weight_positive` is exact: a ladder has one sign (`_sign`) and exact
     zeros that lead it (`_ladder`), a nonzero ladder pair is within a
@@ -340,10 +340,10 @@ class MomentTable:
         self.max_degree = max_degree
         self.truncation = truncation
         self.field = FloatField(prec)
-        self._sums = self._build()
+        sums = self._build()
         # the exact pairs as integers F(i, j) on one binary point 2^_low
-        self._low = min(e for row in self._sums for _, e in row)
-        self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(self._sums)
+        self._low = min(e for row in sums for _, e in row)
+        self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(sums)
                        for j, (S, E) in enumerate(row)}
 
     def _build(self) -> list:
@@ -394,7 +394,7 @@ class MomentTable:
                 for sums in inner]
 
     def moment(self, i: int, j: int):
-        return self.field.from_man_exp(*self._sums[i][j])
+        return self.field.from_man_exp(self._fixed[i, j], self._low)
 
     def _dot(self, nums: dict, si: int = 0, sj: int = 0) -> int:
         """sum_m nums[m] F(m + (si, sj)), exact."""
@@ -409,8 +409,6 @@ class MomentTable:
         rounded once and divided by its denominator in the field (within
         2^(1 - prec) of the exact sum over the pairs)."""
         return self.field.from_man_exp(self._dot(poly.nums), self._low) / poly.den
-
-    __call__ = integrate
 
     def gram(self, polys) -> list:
         """G[a][b] = G[b][a] = integrate(polys[a] * polys[b]), bit for bit,

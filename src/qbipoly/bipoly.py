@@ -129,9 +129,8 @@ def _powers(c: Fraction, top: int) -> list:
 class BiPoly:
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs):
         """From a map {(i, j): exact scalar}; zero coefficients are dropped."""
-        coeffs = coeffs or {}
         for i, j in coeffs:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i},{j})")
@@ -161,7 +160,7 @@ class BiPoly:
         return cls({(0, 1): 1})
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff=1):
+    def monomial(cls, i: int, j: int, coeff):
         return cls({(i, j): coeff})
 
     # -- inspection --------------------------------------------------------
@@ -268,7 +267,7 @@ class BiPoly:
 
     # -- substitution and evaluation ---------------------------------------
 
-    def scale_args(self, alpha=1, beta=1) -> "BiPoly":
+    def scale_args(self, alpha, beta) -> "BiPoly":
         """Substitute x -> alpha*x, y -> beta*y: with alpha = a/b and
         beta = s/t, the coefficient of x^i y^j gains a^i b^(I-i) s^j t^(J-j)
         over the common b^I t^J."""

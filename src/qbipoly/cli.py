@@ -3,11 +3,11 @@
 Exit codes: 0 all checks pass, 1 a check or tolerance failed (including an
 equation that is not admissible or not of hypergeometric type), 2 bad
 configuration or parse error (including parameters that put a pole of the
-weight, a vanishing series denominator or a singular system in the path of
-the request).  Every failure prints one `error:` line.  Outputs are
-deterministic for a fixed configuration (fixed summation orders, sorted keys)
-and written atomically.  Each command declares only the options it reads
-and checks them itself once the equation source has loaded.
+weight in the path of the request).  Every failure prints one `error:`
+line.  Outputs are deterministic for a fixed configuration (fixed summation
+orders, sorted keys) and written atomically.  Each command declares only
+the options it reads and checks them itself once the equation source has
+loaded.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .bigqjacobi import (TEST_PARAMS, BigQJacobiParams, check_weight_params,
                          lambda_explicit, monic_hypergeometric, nonmonic_poly,
                          preset_equation)
 from .bipoly import BiPoly
-from .equation import (EquationCoeffs, ShapeViolation, apply_operator,
-                       check_hypergeometric_form)
-from .monic import OracleError, generate_monic_oracle, ttr_matrices
+from .equation import (EquationCoeffs, NotAdmissibleError, ShapeViolation,
+                       apply_operator, check_hypergeometric_form)
+from .monic import generate_monic_oracle, ttr_matrices
 from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
                       verify_pearson_identities, weight_table_rows)
 from .qcalc import QParam, power_exponent, verify_operator_relations
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: the exit code of each failure main reports in one line, the first match
 #: deciding: a failed check is 1, and every other ValueError (a ConfigError,
-#: a parse error, a vanishing series denominator, a singular system) is 2
-_EXIT_CODES = (((OracleError, RodriguesError, ShapeViolation, DegenerateEquationError), 1),
+#: a parse error) is 2
+_EXIT_CODES = (((NotAdmissibleError, RodriguesError, ShapeViolation, DegenerateEquationError), 1),
                ((ValueError, LatticePoleError, OSError), 2))
 _FAILURES = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 

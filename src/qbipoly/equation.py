@@ -38,6 +38,10 @@ class ShapeViolation(ValueError):
     pass
 
 
+class NotAdmissibleError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class EquationCoeffs:
     qp: QParam
@@ -179,11 +183,21 @@ def apply_operator(E, f: BiPoly) -> BiPoly:
 
 @dataclass
 class Admissibility:
-    admissible: bool
     failures: list
     f1: Fraction
     a1: Fraction
     qp: QParam
+
+    @property
+    def admissible(self) -> bool:
+        return not self.failures
+
+    def require(self) -> "Admissibility":
+        """self, or NotAdmissibleError naming the failures: the one refusal
+        of every route that needs an admissible equation."""
+        if self.failures:
+            raise NotAdmissibleError(f"equation not admissible: {self.failures}")
+        return self
 
     def eigenvalue(self, n: int) -> Fraction:
         """lambda_n = -[n]_q (f1 - a1 q [1-n]_q)."""
@@ -233,7 +247,7 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
         if k is not None and k <= 1:
             failures.append(f"spectral condition fails at m={1 - k}")
 
-    return Admissibility(not failures, failures, f1, a1, E.qp)
+    return Admissibility(failures, f1, a1, E.qp)
 
 
 # ---------------------------------------------------------------------------

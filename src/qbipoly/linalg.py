@@ -100,9 +100,6 @@ class Mat:
             return NotImplemented
         return self.ncols == other.ncols and self.forms == other.forms
 
-    def __hash__(self):
-        return hash((self.ncols, tuple((frozenset(n.items()), d) for n, d in self.forms)))
-
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
 

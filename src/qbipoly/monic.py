@@ -85,10 +85,6 @@ def operator_blocks(E: EquationCoeffs, j: int):
     return tuple(Mat._of(b, j + 1 - d) for d, b in enumerate(blocks)) + (None,) * (2 - min(j, 2))
 
 
-class OracleError(ValueError):
-    pass
-
-
 def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     """All monic coefficient blocks [G_{n,0}, ..., G_{n,n}] (G_{n,n} = I) by
     coefficient matching in the eigen-equation, exactly."""
@@ -205,9 +201,7 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     forms when it is stored.  Neither the blocks nor the vectors are
     re-checked here: `suites.suite_consistency` and the tests put the
     vectors through the operator, and the tests check the blocks."""
-    adm = E.admissibility
-    if not adm.admissible:
-        raise OracleError(f"equation not admissible: {adm.failures}")
+    adm = E.admissibility.require()
     blocks = [operator_blocks(E, j) for j in range(N + 1)]
     lam = [adm.eigenvalue(j) for j in range(N + 1)]
     ghat, vectors = {}, []
@@ -292,10 +286,3 @@ def generate_monic_rf(oracle: MonicFamily) -> list:
         vectors.append(nxt)
     return vectors
 
-
-def gram_matrix(family: MonicFamily, n: int, m: int, functional) -> list:
-    """Moment matrix L(x^m P_n^T) as a list of rows: entry [r][c] applies
-    `functional` (BiPoly -> scalar, e.g. a MomentTable on the float lane) to
-    monomial r of degree m times entry c of the degree-n vector."""
-    return [[functional(BiPoly.monomial(m - r, r) * p) for p in family.vectors[n]]
-            for r in range(m + 1)]

@@ -70,7 +70,7 @@ def build_pearson(E) -> PearsonData:
     return PearsonData(phi1, phi2, omega1, omega2)
 
 
-def verify_pearson_identities(E: EquationCoeffs, k_max: int = 0, l_max: int = 0) -> dict:
+def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
     """Exact verification report.
 
     For every order (k,l) up to the bounds, the ratios of the derived

@@ -98,19 +98,17 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     """{(n, m): the degree-(n+m) Rodrigues polynomial} for every pair, exact,
     from one lattice per base point tried.
 
-    Raises RodriguesError, before any lattice work, when the equation is
-    not admissible, and when no base point of DEFAULT_BASES is pole-free
-    for the whole lattice.  The results are not re-checked against the
-    eigen-equation here: the consistency suite (its rodrigues_in_eigenspace
-    rows), `generate --family rodrigues` (its residual_zero entry) and the
-    tests do that.
+    Raises NotAdmissibleError (``Admissibility.require``) before any
+    lattice work when the equation is not admissible, and RodriguesError
+    when no base point of DEFAULT_BASES is pole-free for the whole lattice.
+    The results are not re-checked against the eigen-equation here: the
+    consistency suite (its rodrigues_in_eigenspace rows), `generate --family
+    rodrigues` (its residual_zero entry) and the tests do that.
     """
     pairs = list(dict.fromkeys(pairs))
     if any(n < 0 or m < 0 for n, m in pairs):
         raise ValueError("degrees must be nonnegative")
-    adm = E.admissibility
-    if not adm.admissible:
-        raise RodriguesError(f"equation not admissible: {adm.failures}")
+    E.admissibility.require()
     last_pole = None
     for base in DEFAULT_BASES:
         try:

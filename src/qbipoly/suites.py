@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
-                         TEST_PARAMS, appell_monic, classical_pde_residual,
+                         appell_monic, classical_pde_residual,
                          classical_rodrigues_fraction, error_ratios, explicit_BC,
                          hypergeometric_family, jnm, limit_rows, nonmonic_poly,
                          preset_equation)
@@ -25,13 +25,14 @@ from .equation import apply_operator
 from .io import frac_str, mp_str
 from .linalg import Mat, mat_diff
 from .monic import (generalized_inverse_L, generate_monic_oracle,
-                    generate_monic_rf, gram_matrix, joint_L,
+                    generate_monic_rf, joint_L,
                     s_matrix_closed_form, t_matrix_closed_form, ttr_matrices)
 # rodrigues_poly: perfbench/test_perfbench.py checks the tracer rebinds this name
 from .rodrigues import rodrigues_family, rodrigues_poly  # noqa: F401
 
 ORTH_TOL = Fraction(1, 10**25)
-#: the float lane's default working precision (bits) and Jackson truncation
+#: the float lane's working precision (bits) and Jackson truncation when
+#: `verify` is given no --precision or --truncation
 ORTH_PRECISION, ORTH_TRUNCATION = 192, 200
 LIMIT_RATIO_LO = Fraction(1, 20)
 LIMIT_RATIO_HI = Fraction(1, 5)
@@ -77,10 +78,10 @@ def _eigenspace_rows(names, label, sol, entries, m):
              "proportional" if proportional else "not proportional", "info")]
 
 
-def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = ORTH_TRUNCATION,
-                        prec: int = ORTH_PRECISION):
-    """Pairwise normalized inner products (`MomentTable.gram`), positive
-    norms, a nonsingular H_1 and positive node weights (exact signs).
+def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
+    """Pairwise normalized inner products, positive norms, a nonsingular
+    H_1 = L(x P_1^T) and positive node weights (exact signs); every value
+    of L comes from `MomentTable.gram`.
 
     For the scalar-indexed explicit family every distinct index pair must
     vanish.  The monic and Rodrigues solutions are vector families: the
@@ -111,7 +112,8 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = ORT
             else:
                 rows.append(("gram_entry", la, lb, mp_str(val), "info"))
 
-    h1 = gram_matrix(fam, 1, 1, moments)
+    # H_1[r][c] = L(x^(1-r) y^r P_1[c]): rows 0-1, columns 2-3
+    h1 = [row[2:] for row in moments.gram([BiPoly.x(), BiPoly.y(), *fam.vectors[1]])[:2]]
     det = h1[0][0] * h1[1][1] - h1[0][1] * h1[1][0]
     rows.append(("H1_nonsingular", "det", "", mp_str(det), str(abs(det) > tol)))
     rows.append(("weight_positive", "every node weight", f"truncation={truncation}",
@@ -119,7 +121,7 @@ def suite_orthogonality(p: BigQJacobiParams = TEST_PARAMS, truncation: int = ORT
     return _report(rows)
 
 
-def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
+def suite_consistency(p: BigQJacobiParams):
     """Eigen-equation residuals of the oracle's vectors, which the oracle
     does not check itself, hypergeometric-vs-oracle equality,
     exact eigenspace decomposition of the Rodrigues outputs (proportionality
@@ -151,7 +153,7 @@ def suite_consistency(p: BigQJacobiParams = TEST_PARAMS):
     return _report(rows)
 
 
-def suite_recurrence(p: BigQJacobiParams = TEST_PARAMS):
+def suite_recurrence(p: BigQJacobiParams):
     """Recurrence identity on oracle families, the closed-form block
     cross-checks, and the explicit preset matrices comparison.  The paper's
     closed-form S_n is off by one index in its subdiagonal (an erratum), so

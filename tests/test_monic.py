@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from qbipoly import suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import EquationCoeffs, admissibility, apply_operator
+from qbipoly.equation import EquationCoeffs, NotAdmissibleError, admissibility, apply_operator
 from qbipoly.linalg import Mat, mat_diff, solve_exact
-from qbipoly.monic import (OracleError, assemble_vector, generalized_inverse_L,
-                           generate_monic_rf, ghat_oracle, gram_matrix, joint_L,
+from qbipoly.monic import (assemble_vector, generalized_inverse_L,
+                           generate_monic_rf, ghat_oracle, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
@@ -286,7 +286,7 @@ def test_operator_blocks_equal_the_image_reference_on_admissible_equations(E):
 def test_oracle_rejects_nonadmissible(equation):
     bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
                          equation.a12d + x * y * F(1, 9), equation.b1, equation.b2)
-    with pytest.raises(OracleError):
+    with pytest.raises(NotAdmissibleError):
         ghat_oracle(bad, 1)
 
 
@@ -395,7 +395,7 @@ def test_recurrence_suite_compares_each_closed_form_once(equation, oracle5, monk
 
     monkeypatch.setattr(suites, "s_matrix_closed_form", counted("S", s_matrix_closed_form))
     monkeypatch.setattr(suites, "t_matrix_closed_form", counted("T", t_matrix_closed_form))
-    ok, rows = suites.suite_recurrence()
+    ok, rows = suites.suite_recurrence(TEST_PARAMS)
     assert ok
     assert sorted(calls["T"]) == [2, 3, 4]
     assert sorted(calls["S"]) == [1, 2, 3, 4]
@@ -491,10 +491,19 @@ def test_consistency_row_names_the_first_differing_entry(monkeypatch):
         return vectors
 
     monkeypatch.setattr(suites, "generate_monic_rf", bumped)
-    ok, rows = suites.suite_consistency()
+    ok, rows = suites.suite_consistency(TEST_PARAMS)
     assert not ok
     assert [r for r in rows if r[0] == "recursive_formula_equals_oracle"] == [
         ("recursive_formula_equals_oracle", "N=4", "", "degree 2, entry 1", "False")]
+
+
+@pytest.mark.parametrize("params", [Q910_PARAMS, Q23_PARAMS], ids=["q=9/10", "q=2/3"])
+def test_consistency_suite_passes_off_the_preset_point(params):
+    """The consistency suite at a second point and at two q: no row fails,
+    and the cases are the preset point's."""
+    ok, rows = suites.suite_consistency(params)
+    assert ok and all(r[4] != "False" for r in rows)
+    assert [r[:2] for r in rows] == [r[:2] for r in suites.suite_consistency(TEST_PARAMS)[1]]
 
 
 def test_B0_special_case(equation, oracle5):
@@ -506,23 +515,31 @@ def test_B0_special_case(equation, oracle5):
 
 # weighted Gram matrices ------------------------------------------------------------
 
+def moment_matrix(family, n: int, m: int, moments) -> list:
+    """L(x^m P_n^T) as a list of rows, from one `MomentTable.gram` call:
+    row r pairs monomial r of degree m with each entry of the degree-n
+    vector."""
+    G = moments.gram(monomials(m) + family.vectors[n])
+    return [row[m + 1:] for row in G[:m + 1]]
+
+
 def test_gram_vanishes_below_degree(equation, oracle5, moments):
     tol = moments.field.of(F(1, 10 ** 25))
     mass = moments.integrate(BiPoly.const(1))
-    g01 = gram_matrix(oracle5, 1, 0, moments)
+    g01 = moment_matrix(oracle5, 1, 0, moments)
     assert len(g01) == 1 and len(g01[0]) == 2
     assert all(abs(v) / mass < tol for v in g01[0])
-    g12 = gram_matrix(oracle5, 2, 1, moments)
+    g12 = moment_matrix(oracle5, 2, 1, moments)
     assert all(abs(v) / mass < tol for row in g12 for v in row)
 
 
 def test_gram_total_mass_positive(equation, oracle5, moments):
-    g00 = gram_matrix(oracle5, 0, 0, moments)
+    g00 = moment_matrix(oracle5, 0, 0, moments)
     assert g00[0][0] > 0
 
 
 def test_H1_nonsingular(equation, oracle5, moments):
-    h1 = gram_matrix(oracle5, 1, 1, moments)
+    h1 = moment_matrix(oracle5, 1, 1, moments)
     det = h1[0][0] * h1[1][1] - h1[0][1] * h1[1][0]
     assert abs(det) > moments.field.of(F(1, 10 ** 25))
     # finite condition estimate: entries and determinant are balanced

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import EquationCoeffs, apply_operator
+from qbipoly.equation import EquationCoeffs, NotAdmissibleError, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
 from test_bigqjacobi import big_q_jacobi_points, is_power_of
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
@@ -553,7 +553,7 @@ def test_grid_values_raises_the_tensor_sampler_pole(equation, params, n, m, kind
 def test_rejects_nonadmissible_equation(equation):
     bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
                          equation.a12d + x * y * F(1, 7), equation.b1, equation.b2)
-    with pytest.raises(RodriguesError):
+    with pytest.raises(NotAdmissibleError):
         rodrigues_poly(bad, 1, 0)
 
 
@@ -570,7 +570,7 @@ def rodrigues_orthogonality_check(E, n: int, m: int, functional) -> dict:
     out = {}
     for d in range(n + m):
         for i in range(d + 1):
-            mono = BiPoly.monomial(d - i, i)
+            mono = BiPoly.monomial(d - i, i, 1)
             out[(d - i, i)] = functional(poly * mono)
     return out
 
