@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
 from .equation import EquationCoeffs
-from .jackson import (_correlate, _exact_sum, _geometric, _ladder, _power_sums, _powers,
+from .jackson import (_Piece, _exact_sum, _geometric, _ladder, _power_sums, _powers,
                       _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
@@ -278,8 +278,8 @@ def _node_factors(p: BigQJacobiParams, N: int, wp: int) -> tuple:
 
 
 class MomentTable:
-    """All Jackson moments of the orthogonality functional up to a total
-    degree, in one pass over the lattice.
+    """The Jackson moments M_ij = L(x^i y^j) of the orthogonality functional
+    on the box 0 <= i, j <= max_degree, in one pass over the lattice.
 
     The double q-integral runs y over (dq -> aq) and x over (dq -> c q y),
     both as differences of one-sided Jackson sums truncated at `truncation`.
@@ -300,8 +300,9 @@ class MomentTable:
     moments.  A Jackson node x carries (1 - q) x, so M_ij = (1 - q)^2
     sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t) = sum_r
     (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
-    correlation in t, so for each power p one `_correlate` per lattice
-    piece gives every t at once:
+    correlation in t, so for each power p one product per lattice piece
+    gives every t at once (`_Piece`, which prepares each piece's B once per
+    table):
 
         y > 0, x > 0:  x_t^p sum_r [A(r) q^(pr)] B(t + r)     (x_(t+r) = x_t q^r)
         y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
@@ -322,7 +323,7 @@ class MomentTable:
     Error.  A node weight and each lattice point is within 2^(3 - wp) =
     2^(-5 - prec) of itself.  The inner sums of all t share one fixed
     point per piece, so the error is bounded against the outer sum's
-    largest term, not each inner sum's.  `_correlate` keeps a piece within
+    largest term, not each inner sum's.  `_Piece` keeps a piece within
     2^(1-prec) of itself where the largest levelled a value has the lag's
     first term.  Elsewhere (x < 0 with k >= 0, chiefly) its bound is a
     term of a nearby outer node, which the outer factor yfac(t) y_t^(j+1)
@@ -362,29 +363,28 @@ class MomentTable:
 
         # per power, the inner sums of every t from one correlation per
         # lattice piece (class docstring): b and the lags that give t
-        pieces = [(B_cq, list(ts)), (B_d[:N], [N - t for t in ts]),
-                  (B_d[N:], [-t for t in ts]), (B_neg, [N - t for t in ts])]
-        pieces = [(bs, _slope(bs), lags) for bs, lags in pieces]
+        specs = [(B_cq, list(ts)), (B_d[:N], [N - t for t in ts]),
+                 (B_d[N:], [-t for t in ts]), (B_neg, [N - t for t in ts])]
+        pieces = [_Piece(bs, _slope(bs), lags, N + 1, fld.prec) for bs, lags in specs]
+        c1, c2, c3, c4 = (piece.correlate for piece in pieces)
         width = fld.prec + ((N + 1) * (D + 3)).bit_length() + 1     # as in `_power_sums`
         inner = []
-        for xt, a_cq, a_d in zip(
+        for (xms, xes), a_cq, a_d in zip(
                 _powers([(1, 0)] * (N + 1), _geometric(a * c * q**2, q, N + 1, wp), D + 1, width),
                 _powers(A_cq, _geometric(Fraction(1), q, N + 1, wp), D + 1, width),
                 _powers(A_d, dlat, D + 1, width)):
-            a_cq, a_d = list(zip(*a_cq)), list(zip(*a_d))
-            c1, c2, c3, c4 = (_correlate(seq, bs, h, lags, fld.prec) for seq, (bs, h, lags)
-                              in zip((a_cq, a_d, a_d, a_d), pieces))
             inner.append([_exact_sum([(xm * m1, xe + e1), (-m2, e2), (-m3, e3)])
-                          for xm, xe, (m1, e1), (m2, e2), (m3, e3) in zip(*xt, c1, c2, c3)]
-                         + c4)
+                          for xm, xe, (m1, e1), (m2, e2), (m3, e3)
+                          in zip(xms, xes, c1(*a_cq), c2(*a_d), c3(*a_d))]
+                         + c4(*a_d))
 
         # per piece and outer node the weights yfac(t) A(r) B(r + lag) are
         # zero or of sign yfac A B (class docstring), nonzero where A(r) and
         # B(r + lag) are past the leading zeros of A and B
         signs = []
         outer_y = (yfacs,) * 3 + (yfacs[N + 1:],)
-        for (bs, _, lags), us, ys in zip(pieces, (A_cq, A_d, A_d, A_d), outer_y):
-            sign = _sign(us) * _sign(bs)
+        for (bs, lags), us, ys in zip(specs, (A_cq, A_d, A_d, A_d), outer_y):
+            sign = _sign(m for m, _ in us) * _sign(m for m, _ in bs)
             za, zb = (next((k for k, (m, _) in enumerate(v) if m), len(v)) for v in (us, bs))
             signs += [sign * y for lag, (y, _) in zip(lags, ys)
                       if y and max(za, zb - lag) < min(len(us), len(bs) - lag)]
@@ -400,8 +400,10 @@ class MomentTable:
         """sum_m nums[m] F(m + (si, sj)), exact."""
         try:
             return sum(n * self._fixed[i + si, j + sj] for (i, j), n in nums.items())
-        except KeyError:
-            raise ValueError(f"moment table only covers degrees <= {self.max_degree}") from None
+        except KeyError as err:
+            i, j = err.args[0]
+            raise ValueError(f"the moment table covers x^i y^j for i, j <= {self.max_degree}; "
+                             f"x^{i} y^{j} is outside it") from None
 
     def integrate(self, poly: BiPoly):
         """The moment functional applied to an exact polynomial: the exact

@@ -153,18 +153,20 @@ def _encode(v, nl: str, out, fh) -> None:
         return
     inner = nl + "  "
     comma = "," + inner
-    if isinstance(v, dict):
-        sep, closing = "{" + inner, nl + "}"
-        items = ((encode_basestring_ascii(k) + ": ", x) for k, x in sorted(v.items()))
+    keyed = isinstance(v, dict)
+    if keyed:
+        sep, closing, seq = "{" + inner, nl + "}", sorted(v)
     else:
-        sep, closing = "[" + inner, nl + "]"
-        items = (("", x) for x in v)
-    for head, x in items:
+        sep, closing, seq = "[" + inner, nl + "]", v
+    for x in seq:
+        if keyed:
+            sep += encode_basestring_ascii(x) + ": "
+            x = v[x]
         atom = _ATOMS.get(type(x))
         if atom is not None:
-            out.write(sep + head + atom(x))
+            out.write(sep + atom(x))
         else:
-            out.write(sep + head)
+            out.write(sep)
             _encode(x, inner, out, fh)
         sep = comma
     out.write(closing)

@@ -35,11 +35,12 @@ def _quotient(ups, downs, width: int) -> tuple:
 
 
 def _geometric(v: Fraction, q: Fraction, n: int, width: int) -> list:
-    """[v q^k for k = 0..n-1], exact rationals, as `_quotient` pairs of
+    """[v q^k for k = 0..n-1], exact rationals, as `_scaled` pairs of
     width or width + 1 bits (exact when a denominator is a power of two)."""
     vn, vd, out = v.numerator, v.denominator, []
     for _ in range(n):
-        out.append(_quotient([(vn, 0)], [(vd, 0)], width))
+        m, s = _scaled(abs(vn), vd, width)
+        out.append((-m if vn < 0 else m, -s))
         vn, vd = vn * q.numerator, vd * q.denominator
     return out
 
@@ -160,7 +161,7 @@ def _spread(mags) -> tuple:
 
 def _slope(pairs) -> int:
     """The slope h that best levels the nonzero pairs (m, e) for
-    `_correlate`: of the two integers nearest their mean fall in bits per
+    `_Piece`: of the two integers nearest their mean fall in bits per
     step, the one that gives v_k 2^(hk) the least span plus rise."""
     mags = [(k, e + m.bit_length()) for k, (m, e) in enumerate(pairs) if m]
     if len(mags) < 2:
@@ -174,56 +175,76 @@ def _fixed(values, point: int) -> list:
     return [m << (e - point) if e >= point else m >> (point - e) for m, e in values]
 
 
-def _sign(pairs) -> int:
-    """The one sign of the nonzero mantissas (0 if there are none)."""
-    signs = {m > 0 for m, _ in pairs if m}
+def _sign(ms) -> int:
+    """The one sign of the nonzero integers ms (0 if there are none)."""
+    signs = {m > 0 for m in ms if m}
     if len(signs) > 1:
         raise ValueError("a correlated sequence needs one sign")
     return (1 if True in signs else -1) if signs else 0
 
 
-def _correlate(a, b, h: int, lags, prec: int) -> list:
-    """[sum_r a_r b_(r+l) for l in lags] as exact pairs (C, E), C 2^E, over
-    the r with r + l inside b, from one product of two packed integers
-    (Kronecker substitution).  a and b are integer pairs (m, e), each of
-    one sign, zeros allowed.
+class _Piece:
+    """One lattice piece of a correlation, prepared once for many a:
+    `correlate` gives [sum_r a_r b_(r+l) for l in lags] as exact pairs (C,
+    E), C 2^E, over the r with r + l inside b, from one product of two
+    packed integers (Kronecker substitution).  b is a list of integer
+    pairs (m, e), and each a comes as its n_a mantissas and n_a
+    exponents; b and each a have one sign, zeros allowed.
 
     b_k 2^(hk), levelled by `_slope`, keeps prec + g + span bits at its
     least binade and a_r 2^(-hr) prec + g + rise at its largest, A (the
-    `_spread` of b's binades; g = bitlen(min(len a, len b)) + 2), and a's
-    zero tail is trimmed.  Lag l then carries the exact 2^(-hl), so
+    `_spread` of the binades of the b that the lags reach; g =
+    bitlen(min(n_a, len b)) + 2), and a's zero tail is trimmed.  Lag l
+    then carries the exact 2^(-hl), so
 
         |C 2^E - sum| < 2^-prec (|sum| + A |b_(r+l)| 2^(hr))
 
     for the first r of lag l with b_(r+l) != 0: under 2^(1-prec) |sum|
-    when that r gives A."""
-    sign = _sign(a) * _sign(b)
-    lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + len(a), len(b))
-    a = [(abs(m), e - h * r) for r, (m, e) in enumerate(a)]
-    b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
-    mags = [e + m.bit_length() for m, e in b if m]
-    if not (sign and lags and mags):
-        return [(0, 0)] * len(lags)
-    span, rise = _spread(mags)
-    width = prec + min(len(a), len(b)).bit_length() + 2
-    wa, wb = width + rise, width + span
-    top = max(e + m.bit_length() for m, e in a if m)
-    alpha = _fixed(a, top - wa)
-    while not alpha[-1]:
-        alpha.pop()
-    beta = _fixed(b, max(mags) - wb)
-    nb = (wa + wb + len(alpha).bit_length() + 7) // 8
-    pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
-    pb = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)), "little")
-    n = len(alpha) + len(beta) - 1
-    buf = (pa * pb).to_bytes(nb * n, "little")
-    point = top - wa + max(mags) - wb
-    out = []
-    for lag in lags:
-        i = len(beta) - 1 - (lag - lo)
-        c = int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0
-        out.append((sign * c, point - h * lag))
-    return out
+    when that r gives A.
+
+    b is levelled, fixed and packed here, once; `correlate` packs only a,
+    and drops the b slots past max(lags) + len(a), which no lag reaches,
+    before it multiplies."""
+
+    def __init__(self, b, h: int, lags, n_a: int, prec: int):
+        self.h, self.lags, self.sign = h, lags, _sign(m for m, _ in b)
+        lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + n_a, len(b))
+        b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
+        mags = [e + m.bit_length() for m, e in b if m]
+        if not (lags and mags):
+            self.sign = 0
+            return
+        span, rise = _spread(mags)
+        width = prec + min(n_a, len(b)).bit_length() + 2
+        self.wa, wb = width + rise, width + span
+        # a slot holds under min(n_a, len b) products, each under 2^(wa + wb)
+        self.nb = nb = (self.wa + wb + n_a.bit_length() + 7) // 8
+        beta = _fixed(b, max(mags) - wb)
+        self.packed = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)),
+                                     "little")
+        self.n_b, self.reach = len(beta), max(lags) - lo
+        self.slots = [len(beta) - 1 - (lag - lo) for lag in lags]
+        self.exps = [max(mags) - wb - h * lag for lag in lags]
+
+    def correlate(self, ms, es) -> list:
+        """[sum_r a_r b_(r+l) for l in lags] for a_r = ms[r] 2^es[r]."""
+        sign = _sign(ms) * self.sign
+        if not sign:
+            return [(0, 0)] * len(self.lags)
+        h, nb = self.h, self.nb
+        es = [e - h * r for r, e in enumerate(es)]
+        point = max(e + m.bit_length() for m, e in zip(ms, es) if m) - self.wa
+        alpha = _fixed(zip(map(abs, ms), es), point)
+        while not alpha[-1]:
+            alpha.pop()
+        # b slots at or past reach + len(alpha) meet no lag's a: shift them out
+        skip = max(self.n_b - self.reach - len(alpha), 0)
+        pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
+        n = len(alpha) + self.n_b - skip - 1
+        buf = memoryview((pa * (self.packed >> 8 * nb * skip)).to_bytes(nb * n, "little"))
+        return [(sign * int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0,
+                 point + e)
+                for i, e in zip((slot - skip for slot in self.slots), self.exps)]
 
 
 def _products(us, vs) -> list:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
-from qbipoly.jackson import _correlate, _ladder
+from qbipoly.jackson import _Piece, _ladder
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
                            ttr_matrices)
@@ -834,42 +835,79 @@ def test_power_sums_error_below_one_part_in_two_to_prec():
             assert abs(S * F(2) ** E - sum(exact)) <= F(2) ** -prec * max(map(abs, exact))
 
 
+def correlation_sequence(rng, n, sign, fall, zeros, prec):
+    """n integer pairs of one sign whose exponents fall by `fall` bits per
+    step, with a jitter of 3 bits, each zero with probability `zeros`."""
+    return [(0, 0) if rng.random() < zeros
+            else (sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                  -fall * k + rng.randint(-3, 3) - prec)
+            for k in range(n)]
+
+
+def mantissas_exponents(pairs) -> tuple:
+    """([m], [e]) of integer pairs (m, e), the form `_Piece.correlate` takes."""
+    return [m for m, _ in pairs], [e for _, e in pairs]
+
+
 def test_correlation_error_below_stated_bound():
-    """Each lag l of the correlation kernel is within 2^-prec (|sum| + A
-    |b_(r+l)| 2^(hr)) of the exact sum, with A = max_r |a_r| 2^(-hr) and r
-    the lag's first term with b_(r+l) != 0, exactly checked: sequences of
+    """Each lag l of a prepared correlation piece is within 2^-prec (|sum| +
+    A |b_(r+l)| 2^(hr)) of the exact sum, with A = max_r |a_r| 2^(-hr) and
+    r the lag's first term with b_(r+l) != 0, exactly checked: sequences of
     each sign with zeros and a zero tail, levelling slopes of both signs,
-    lags past either end of b and lags with no overlap."""
+    lags past either end of b and lags with no overlap, and the lags of the
+    table's pieces (0..len a - 1 and 0..-(len a - 1)), which leave b slots
+    that no lag reaches."""
     rng = random.Random(16)
     prec = 64
-
-    def sequence(n, sign, fall, zeros):
-        # exponents fall by `fall` bits per step, with a jitter of 3 bits
-        return [(0, 0) if rng.random() < zeros
-                else (sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
-                      -fall * k + rng.randint(-3, 3) - prec)
-                for k in range(n)]
 
     for la, lb, sa, sb, fall_a, fall_b, h in ((1, 1, 1, 1, 0, 0, 0), (9, 30, -1, 1, 1, 4, 4),
                                               (30, 9, 1, -1, 3, -2, -2), (25, 60, -1, -1, 2, 0, 0),
                                               (40, 40, 1, 1, 0, -3, -3), (12, 50, 1, 1, 5, 4, 3),
                                               (50, 40, 1, 1, -1, 2, 3), (20, 70, -1, 1, 2, -1, -2)):
-        a = sequence(la, sa, fall_a, 0.1) + [(0, 0)] * 3
-        b = sequence(lb, sb, fall_b, 0.1)
-        lags = list(range(-len(a) - 2, lb + 3))
-        for lag, (C, E) in zip(lags, _correlate(a, b, h, lags, prec)):
-            val = {r: F(m) * F(2) ** e for r, (m, e) in enumerate(a)}
-            bval = {k: F(m) * F(2) ** e for k, (m, e) in enumerate(b)}
-            rs = [r for r in val if r + lag in bval]
-            exact = sum((val[r] * bval[r + lag] for r in rs), F(0))
-            top = max(abs(v) * F(2) ** (-h * r) for r, v in val.items())
-            first = next((abs(bval[r + lag]) * F(2) ** (h * r) for r in rs if bval[r + lag]),
-                         F(0))
-            if not rs:
-                assert C == 0
-            assert abs(C * F(2) ** E - exact) <= F(2) ** -prec * (abs(exact) + top * first)
+        a = correlation_sequence(rng, la, sa, fall_a, 0.1, prec) + [(0, 0)] * 3
+        b = correlation_sequence(rng, lb, sb, fall_b, 0.1, prec)
+        val = {r: F(m) * F(2) ** e for r, (m, e) in enumerate(a)}
+        bval = {k: F(m) * F(2) ** e for k, (m, e) in enumerate(b)}
+        top = max(abs(v) * F(2) ** (-h * r) for r, v in val.items())
+        for lags in (list(range(-len(a) - 2, lb + 3)), list(range(len(a))),
+                     list(range(0, -len(a), -1))):
+            got = _Piece(b, h, lags, len(a), prec).correlate(*mantissas_exponents(a))
+            for lag, (C, E) in zip(lags, got, strict=True):
+                rs = [r for r in val if r + lag in bval]
+                exact = sum((val[r] * bval[r + lag] for r in rs), F(0))
+                first = next((abs(bval[r + lag]) * F(2) ** (h * r) for r in rs if bval[r + lag]),
+                             F(0))
+                if not rs:
+                    assert C == 0
+                assert abs(C * F(2) ** E - exact) <= F(2) ** -prec * (abs(exact) + top * first)
     with pytest.raises(ValueError):
-        _correlate([(1, 0), (-1, 0)], [(1, 0)], 0, [0], prec)
+        _Piece([(1, 0)], 0, [0], 2, prec).correlate([1, -1], [0, 0])
+    with pytest.raises(ValueError):
+        _Piece([(1, 0), (-1, 0)], 0, [0], 1, prec)
+
+
+def test_one_piece_serves_many_sequences_bit_for_bit():
+    """A piece prepared once gives each a sequence the pairs that a piece
+    prepared for that sequence alone gives: a of both signs, with zero
+    tails of every length (so each call shifts out its own count of b
+    slots), a whose alpha trims to one entry, and an all-zero a."""
+    rng = random.Random(39)
+    prec, n = 64, 24
+    seqs = [correlation_sequence(rng, n, sign, fall, 0.2, prec) for sign, fall in
+            ((1, 2), (-1, 0), (1, -3), (-1, 5))]
+    seqs += [correlation_sequence(rng, k, (-1) ** k, 1, 0, prec) + [(0, 0)] * (n - k)
+             for k in (1, 2, 7, 19)]
+    seqs += [[(rng.getrandbits(prec) | 1 << (prec - 1), 0)] + [(1, -4 * prec)] * (n - 1),
+             [(0, 0)] * n]
+    for lb, fall_b, h, lags in ((2 * n + 1, 2, 2, list(range(n))),
+                                (n, -3, -3, list(range(n, 0, -1))),
+                                (n, 1, 0, list(range(0, -n, -1))),
+                                (3 * n, 0, 1, list(range(-2, n + 2)))):
+        b = correlation_sequence(rng, lb, -1, fall_b, 0.1, prec)
+        piece = _Piece(b, h, lags, n, prec)
+        for a in seqs + seqs[::-1]:
+            ms, es = mantissas_exponents(a)
+            assert piece.correlate(ms, es) == _Piece(b, h, lags, n, prec).correlate(ms, es)
 
 
 #: the edges of the benchmark domain at q = 1/2: c = 1/13, where B grows
@@ -1131,6 +1169,43 @@ def test_moment_table_rounds_only_its_moments(monkeypatch):
     moments = [mt.moment(i, j) for i in range(7) for j in range(7)]
     assert len(rounded) == 7 * 7 and moments[0] > 0
     assert products == []
+
+
+#: the sha256 of repr((_low, sorted(_fixed.items()), weight_positive)) of
+#: the degree-6 table at (point, precision, truncation): the preset at
+#: 128/96, a benchmark candidate at 136/96 and q = 2/3 at the CLI default
+#: 192/200, recorded before each lattice piece was prepared once per table
+TABLE_DIGESTS = {
+    ("test-params", 128, 96): "2dced8c6ec4131ea4b2d48b655c624ed974ca76f9db65f95815f4c84d6b11303",
+    ("benchmark", 136, 96): "660883881e084d1812f0cf8cda0abd6d293f1ea688ed927cc50bd73dae747147",
+    ("q=2/3", 192, 200): "34eb455d04e0803c947e3d2c7ee95acf685de84b915e25d723b09211640590ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_DIGESTS), ids=lambda c: "%s-%d-%d" % c)
+def test_moment_table_exact_pairs_are_pinned(case):
+    """Every exact moment pair, the binary point and the weight verdict of
+    a degree-6 table, bit for bit."""
+    point, prec, N = case
+    p = {"test-params": TEST_PARAMS, "q=2/3": P23,
+         "benchmark": BigQJacobiParams(F(10, 11), F(2, 5), F(23, 13), F(-20, 13),
+                                       QParam(F(1, 2)))}[point]
+    mt = MomentTable(p, max_degree=6, truncation=N, prec=prec)
+    state = repr((mt._low, sorted(mt._fixed.items()), mt.weight_positive))
+    assert hashlib.sha256(state.encode()).hexdigest() == TABLE_DIGESTS[case]
+
+
+def test_moment_table_refusal_names_the_monomial():
+    """The table holds the box i, j <= max_degree, not a total-degree
+    triangle: x^3 y^3 integrates at max_degree 3, and a monomial past the
+    box is named in the refusal, for `integrate` and for a `gram` product."""
+    mt = MomentTable(TEST_PARAMS, max_degree=3, truncation=24, prec=80)
+    assert mt.integrate(x**3 * y**3) != 0
+    box = "the moment table covers x^i y^j for i, j <= 3; "
+    with pytest.raises(ValueError, match=re.escape(box + "x^4 y^0 is outside it")):
+        mt.integrate(x**4 + y)
+    with pytest.raises(ValueError, match=re.escape(box + "x^1 y^4 is outside it")):
+        mt.gram([x, y**4])
 
 
 @pytest.mark.parametrize("point", ["test-params", "q=2/3", "|dq|>1"])
