@@ -73,11 +73,8 @@ def build_pearson(E) -> PearsonData:
 def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
     """Exact verification report.
 
-    For every order (k,l) up to the bounds, the ratios of the derived
-    coefficients are formed in their two shift orders once:
-
-        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
-        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy).
+    For every order (k,l) up to the bounds, ``shift_products`` forms the
+    ratios of the derived coefficients in their two shift orders once.
 
     Each row is a polynomial identity with its denominators cleared:
     ratio_left is N_L q^2 a12d(qx,qy) = a12a D_L, ratio_right the same with
@@ -104,10 +101,8 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
         dens[kl] = (w1.scale_args(q, 1), w2.scale_args(1, q))
 
     for (k, l), P in pearson.items():
-        D, (w1, w2) = derived[k, l], dens[k, l]
-        w1_qq, w2_qq = w1.scale_args(1, q), w2.scale_args(q, 1)   # omega1, omega2 at (qx,qy)
-        n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq
-        n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2
+        D = derived[k, l]
+        n_l, d_l, n_r, d_r, w1_qq, w2_qq = shift_products(P, q, *dens[k, l])
         a12d_qq = D.a12d.scale_args(q, q) * q**2
         report["ratio_left"][(k, l)] = n_l * a12d_qq == D.a12a * d_l
         report["ratio_right"][(k, l)] = n_r * a12d_qq == D.a12a * d_r
@@ -117,6 +112,17 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     report["ok"] = all(v for sub in ("ratio_left", "ratio_right", "key", "coupling")
                        for v in report[sub].values())
     return report
+
+
+def shift_products(P: PearsonData, q, w1: BiPoly, w2: BiPoly) -> tuple:
+    """(N_L, D_L, N_R, D_R, omega1(qx,qy), omega2(qx,qy)) of P, from its
+    shifted omegas w1 = omega1(qx,y), w2 = omega2(x,qy), each product once:
+
+        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
+        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy)."""
+    w1_qq, w2_qq = w1.scale_args(1, q), w2.scale_args(q, 1)
+    return (P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq,
+            P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2, w1_qq, w2_qq)
 
 
 @dataclass

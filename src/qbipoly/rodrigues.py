@@ -10,36 +10,42 @@ The polynomial of index (n, m) is recovered from
 sampled on the lower set i + j <= n + m of a backward lattice grid: all rho
 ratios entering the quotient are finite products of Pearson ratio values,
 hence exact rationals, and the samples interpolate to the unique polynomial
-of total degree n + m.  The pairs of one call share one lattice, on which
-each Pearson polynomial is evaluated once; rho, the bracket's factors, f and
-the difference tables are integers, and only node values are Fractions.
+of total degree n + m.  The pairs of one call share one lattice, pole-free
+by construction, on which each Pearson polynomial is evaluated once; rho,
+the bracket's factors, f and the difference tables are integers, and only
+node values are Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from .bipoly import BiPoly
 from .equation import EquationCoeffs
 from .linalg import interpolate_2d
-from .pearson import LatticePoleError, base_weight
+from .pearson import base_weight, shift_products
 from .qcalc import difference_passes
-
-#: Base points tried in order when a lattice path hits a Pearson pole.
-DEFAULT_BASES = (
-    (Fraction(3, 7), Fraction(5, 11)),
-    (Fraction(2, 5), Fraction(3, 7)),
-    (Fraction(5, 9), Fraction(4, 7)),
-    (Fraction(4, 11), Fraction(6, 13)),
-    (Fraction(7, 13), Fraction(3, 11)),
-    (Fraction(5, 13), Fraction(7, 9)),
-    (Fraction(8, 15), Fraction(5, 7)),
-    (Fraction(9, 17), Fraction(4, 13)),
-)
 
 
 class RodriguesError(ValueError):
     pass
+
+
+def _pole_free_base(P, q: Fraction) -> tuple:
+    """(p, 1/p) for the least prime p dividing neither term of q nor any
+    numerator of the Pearson polynomials.  Admissibility leaves phi1 and
+    omega1 the terms x^2, xy, x, y and phi2 and omega2 y^2, xy, y, x, so at
+    every lattice point (p q^a, q^b / p) their terms c x^i y^j have distinct
+    p-adic valuations i - j - v_p(den), and the least cannot cancel (Koblitz,
+    *p-adic Numbers, p-adic Analysis, and Zeta-Functions*, ch. I): no ratio
+    has a pole and no weight is zero."""
+    nums = [q.numerator, q.denominator,
+            *(c for f in (P.phi1, P.phi2, P.omega1, P.omega2) for c in f.nums.values())]
+    for p in itertools.count(2):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)) and all(n % p for n in nums):
+            return Fraction(p), Fraction(1, p)
 
 
 def _grid_values(E: EquationCoeffs, pairs, base) -> dict:
@@ -85,9 +91,6 @@ def _grid_values(E: EquationCoeffs, pairs, base) -> dict:
         table, T_den = difference_passes(fvals, X * q**o, Y * q**o, q, n, m)
         pref = q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
         pn, pd = pref.numerator, pref.denominator * T_den
-        for i, j in ((i, j) for i in range(G) for j in range(G - i)):
-            if not rho[M - i][M - j][0]:
-                raise LatticePoleError("rho", M - i, (nodes_x[i], nodes_y[j]))
         values = [[Fraction(pn * table[N - i][N - j] * rho[M - i][M - j][1],
                             pd * rho[M - i][M - j][0]) for j in range(G - i)] for i in range(G)]
         out[n, m] = nodes_x[:G], nodes_y[:G], values
@@ -96,12 +99,12 @@ def _grid_values(E: EquationCoeffs, pairs, base) -> dict:
 
 def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     """{(n, m): the degree-(n+m) Rodrigues polynomial} for every pair, exact,
-    from one lattice per base point tried.
+    from one lattice on the ``_pole_free_base``.
 
-    Raises NotAdmissibleError (``Admissibility.require``) before any
-    lattice work when the equation is not admissible, and RodriguesError
-    when no base point of DEFAULT_BASES is pole-free for the whole lattice.
-    The results are not re-checked against the eigen-equation here: the
+    Before any lattice work it raises NotAdmissibleError
+    (``Admissibility.require``), and RodriguesError when phi1 or phi2
+    vanishes identically or rho would depend on the lattice path.  The
+    results are not re-checked against the eigen-equation here: the
     consistency suite (its rodrigues_in_eigenspace rows), `generate --family
     rodrigues` (its residual_zero entry) and the tests do that.
     """
@@ -109,16 +112,15 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     if any(n < 0 or m < 0 for n, m in pairs):
         raise ValueError("degrees must be nonnegative")
     E.admissibility.require()
-    last_pole = None
-    for base in DEFAULT_BASES:
-        try:
-            grids = _grid_values(E, pairs, base)
-        except LatticePoleError as exc:
-            last_pole = exc
-            continue
-        return {pair: interpolate_2d(*grid) for pair, grid in grids.items()}
-    raise RodriguesError(f"no pole-free base point among {len(DEFAULT_BASES)} candidates: "
-                         f"{last_pole}")
+    P, q = E.pearson, E.qp.q
+    if P.phi1.is_zero() or P.phi2.is_zero():
+        raise RodriguesError("phi1 or phi2 vanishes identically; no Rodrigues weight")
+    n_l, d_l, n_r, d_r, _, _ = shift_products(P, q, P.omega1.scale_args(q, 1),
+                                              P.omega2.scale_args(1, q))
+    if n_l * d_r != n_r * d_l:  # the key identity of verify_pearson_identities
+        raise RodriguesError("incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)")
+    grids = _grid_values(E, pairs, _pole_free_base(P, q))
+    return {pair: interpolate_2d(*grid) for pair, grid in grids.items()}
 
 
 def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:

@@ -1,7 +1,7 @@
 """The public surface of the package: what `qbipoly` exports, the
 test-only references and single-caller options that stay out of `src`, and
-that `src` holds no uncalled function (tests/test_imports.py guards its
-imports)."""
+that `src` holds no uncalled function and no unread module-level name
+(tests/test_imports.py guards its imports)."""
 
 import ast
 import collections
@@ -216,6 +216,37 @@ def test_src_has_no_uncalled_function():
                 and node.name not in exempt
                 and not _is_called(node, cls, refs, attrs)]
     assert uncalled == []
+
+
+def _module_names(tree) -> list:
+    """The names a module binds at its top level by assignment or class
+    definition; functions are `test_src_has_no_uncalled_function`'s."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            out.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def test_src_reads_every_module_name():
+    """Every non-dunder module-level constant and class in src is read
+    somewhere in src: as a bare name, an attribute or an imported name."""
+    trees = _src_trees()
+    reads = collections.Counter()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                reads[n.attr] += 1
+            elif isinstance(n, ast.ImportFrom):
+                reads.update(alias.name for alias in n.names)
+    unread = [f"{module}.{name}" for module, tree in trees.items() for name in _module_names(tree)
+              if not (name.startswith("__") and name.endswith("__")) and not reads[name]]
+    assert unread == []
 
 
 def _called_as(trees):

@@ -671,6 +671,45 @@ def test_cli_degenerate_pearson_system_is_one_line_error(tmp_path, capsys, reque
     assert captured.err == "error: omega vanishes identically; no Pearson system\n"
 
 
+#: admissible, but G1 G2(qx,y) != G2 G1(x,qy), so rho on a lattice depends
+#: on the path: the preset's coefficients with 1/5 for the constant of b1
+INCOMPATIBLE_PEARSON_TEXT = """\
+q = 1/2
+c11 = 0,0:-1/480 1,0:7/60 2,0:1/2
+c22 = 0,0:-1/48 0,1:1/24 0,2:1/2
+a12a = 0,0:-1/480 0,1:1/480 1,0:-1/960 1,1:1/960
+a12d = 0,0:-1/24 0,1:1/4 1,0:-1/6 1,1:1
+b1 = 0,0:1/5 1,0:479/480
+b2 = 0,0:7/160 0,1:479/480
+"""
+
+#: admissible and compatible, but phi1 vanishes identically: c1 = d3a = b3a
+#: = 0 and c3a = q b1 + (q-1) g1 (here a1 = b1 = 1, f1 = 2, g1 = 3)
+PHI1_ZERO_TEXT = """\
+q = 1/2
+c11 = 1,0:1/2 2,0:1/2
+c22 = 0,0:1/10 0,1:1/6 0,2:1/2
+a12a = 0,1:-1 1,1:-1/2
+a12d = 0,0:-1/2 0,1:1/3 1,0:-1/4 1,1:1
+b1 = 0,0:3 1,0:2
+b2 = 0,0:1/7 0,1:2
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (INCOMPATIBLE_PEARSON_TEXT, "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)"),
+    (PHI1_ZERO_TEXT, "phi1 or phi2 vanishes identically; no Rodrigues weight"),
+], ids=["incompatible", "phi1-zero"])
+def test_cli_rodrigues_refusal_is_one_line_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "eq.eq"
+    path.write_text(text)
+    assert main(["generate", "--equation", str(path), "--family", "rodrigues",
+                 "--degrees", "1 1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("exc", [SeriesError("denominator vanished"), SingularMatrixError(2),
                                  ValueError("math domain error")])
 def test_cli_series_and_singular_errors_exit_2(monkeypatch, capsys, exc):

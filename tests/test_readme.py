@@ -1,7 +1,10 @@
 """The README's examples run as written: every command of "Quick start
 (CLI)" exits 0 through `cli.main`, the "Quick start (API)" block runs and
-its own assert holds, and the equation-file example is the preset point."""
+its own assert holds, the equation-file example is the preset point, and
+each exit-code example stated in prose exits with the code stated, printing
+one `error:` line."""
 
+import json
 import pathlib
 import re
 import shlex
@@ -59,3 +62,39 @@ def test_readme_equation_file_is_the_preset_point(tmp_path, capsys):
     path = tmp_path / "preset.eq"
     path.write_text(text)
     assert cli.main(["check", "--equation", str(path)]) == 0, capsys.readouterr().err
+
+
+PROSE = " ".join(README.split())
+P = ["--preset", "big-q-jacobi"]
+NOT_ADMISSIBLE = ["--param", "a=8/5", "--param", "b=8/5", "--param", "c=25/16"]
+
+
+def exit_code_examples() -> list:
+    """(a phrase of the README's prose, the exit code it states, a command
+    it names) for every exit-code example stated there in prose."""
+    cases = [("(`generate --family weight --param c=1`)", 2,
+              ["generate", *P, "--family", "weight", "--param", "c=1", "--degrees", "2 1"]),
+             ("`k > n` exits 2 with one `error:` line", 2,
+              ["generate", *P, "--family", "nonmonic", "--degrees", "1 2"])]
+    for request in (["check"], ["generate", "--family", "monic", "--degrees", "2"],
+                    ["generate", "--family", "rodrigues", "--degrees", "1 1"],
+                    *(["verify", "--suite", suite]
+                      for suite in ("orthogonality", "consistency", "recurrence"))):
+        cases.append(("(`--param a=8/5 --param b=8/5 --param c=25/16`", 1,
+                      [*request, *P, *NOT_ADMISSIBLE]))
+    return [pytest.param(*case, id=" ".join(case[2])) for case in cases]
+
+
+@pytest.mark.parametrize("phrase, code, argv", exit_code_examples())
+def test_readme_exit_code_example(phrase, code, argv, tmp_path, monkeypatch, capsys):
+    # a refusal is one error line; check runs and prints its failed report
+    assert phrase in PROSE
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if argv[0] == "check":
+        assert "check` at that point" in PROSE
+        assert captured.err == "" and json.loads(captured.out)["ok"] is False
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

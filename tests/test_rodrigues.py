@@ -1,9 +1,10 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import qbipoly.rodrigues as rodrigues
@@ -12,17 +13,34 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, apply_operator
 from qbipoly.linalg import Mat, interpolate_2d
 from test_bigqjacobi import big_q_jacobi_points, is_power_of
+from test_monic import admissible_equations
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
-from qbipoly.pearson import LatticePoleError, base_weight, build_pearson, weight_table_rows
+from qbipoly.io import parse_equation_source
+from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
+                             verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, difference_passes, dq_nm_table
-from qbipoly.rodrigues import (DEFAULT_BASES, RodriguesError, _grid_values, rodrigues_family,
+from qbipoly.rodrigues import (RodriguesError, _grid_values, _pole_free_base, rodrigues_family,
                                rodrigues_poly)
+from test_io_cli import INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT
 from test_pearson import rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
 F = Fraction
 x = BiPoly.x()
 y = BiPoly.y()
+
+#: hand-picked base points for the test-side samplers; at a given point any
+#: of them may put a Pearson pole on the lattice
+BASES = (
+    (F(3, 7), F(5, 11)),
+    (F(2, 5), F(3, 7)),
+    (F(5, 9), F(4, 7)),
+    (F(4, 11), F(6, 13)),
+    (F(7, 13), F(3, 11)),
+    (F(5, 13), F(7, 9)),
+    (F(8, 15), F(5, 7)),
+    (F(9, 17), F(4, 13)),
+)
 
 
 # slow reference: the bracket expanded into one BiPoly, differenced per node --
@@ -91,7 +109,7 @@ def reference_grid_values(E, n, m, base, omega=None):
 def reference_poly(E, n, m, omega=None):
     """The tensor-grid route: every node of the square grid sampled, then
     two Vandermonde solves."""
-    for base in DEFAULT_BASES:
+    for base in BASES:
         try:
             nodes_x, nodes_y, values = reference_grid_values(E, n, m, base, omega)
         except (LatticePoleError, ZeroDivisionError):
@@ -156,7 +174,7 @@ def fraction_grid_values(E, n, m, base):
 
 
 def fraction_pipeline_poly(E, n, m):
-    for base in DEFAULT_BASES:
+    for base in BASES:
         try:
             nodes_x, nodes_y, values = fraction_grid_values(E, n, m, base)
         except (LatticePoleError, ZeroDivisionError):
@@ -195,54 +213,6 @@ def diagonal_pole_base(params):
     return (params.c * F(5, 11), F(5, 11))
 
 
-def test_pole_retry_moves_to_next_base(equation, params, monkeypatch):
-    bad = diagonal_pole_base(params)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad,))
-    with pytest.raises(RodriguesError, match="G1 pole"):
-        rodrigues_poly(equation, 1, 1)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (DEFAULT_BASES[1],))
-    next_base = rodrigues_poly(equation, 1, 1)
-    tried = []
-    original = rodrigues._grid_values
-
-    def spy(E, pairs, base):
-        tried.append((list(pairs), base))
-        return original(E, pairs, base)
-
-    monkeypatch.setattr(rodrigues, "_grid_values", spy)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1], DEFAULT_BASES[2]))
-    got = rodrigues_poly(equation, 1, 1)
-    assert tried == [([(1, 1)], bad), ([(1, 1)], DEFAULT_BASES[1])]
-    assert got == next_base
-
-
-def test_pole_on_the_shared_lattice_moves_every_pair(equation, params, monkeypatch):
-    # a base with G1 poles only where a = b + 3 on the lattice from q^-2 base:
-    # inside the box of (2, 0), outside those of (0, 0) and (1, 1) alone.  The
-    # family lattice holds the pole, so every pair moves to the next base
-    q = params.qp.q
-    bad = (params.c * F(5, 11) * q**-3, F(5, 11))
-    pairs = [(0, 0), (1, 1), (2, 0)]
-    alone = {pair: _grid_values(equation, [pair], bad)[pair] for pair in pairs[:2]}
-    for request in ([(2, 0)], pairs):
-        with pytest.raises(LatticePoleError, match="G1 pole"):
-            _grid_values(equation, request, bad)
-    want = {pair: rodrigues_poly(equation, *pair) for pair in pairs}
-    tried = []
-    original = rodrigues._grid_values
-
-    def spy(E, pairs, base):
-        tried.append(base)
-        return original(E, pairs, base)
-
-    monkeypatch.setattr(rodrigues, "_grid_values", spy)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (bad, DEFAULT_BASES[1]))
-    assert rodrigues.rodrigues_polys(equation, pairs) == want
-    assert tried == [bad, DEFAULT_BASES[1]]
-    for pair, (nodes_x, nodes_y, values) in alone.items():
-        assert interpolate_2d(nodes_x, nodes_y, values) == want[pair]
-
-
 Q910_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(1, 5), F(-1, 2), QParam(F(9, 10)))
 
 
@@ -260,36 +230,34 @@ def test_family_lattice_gives_each_pair_its_own_samples(params, monkeypatch):
 
     monkeypatch.setattr(rodrigues, "difference_passes", spy)
     pairs = [(t - m, m) for t in range(6) for m in range(t + 1)]
-    shared = _grid_values(E, pairs, DEFAULT_BASES[0])
+    shared = _grid_values(E, pairs, BASES[0])
     assert list(shared) == pairs
     counts = formed[:]
     for pair in pairs:
-        assert _grid_values(E, [pair], DEFAULT_BASES[0])[pair] == shared[pair], pair
+        assert _grid_values(E, [pair], BASES[0])[pair] == shared[pair], pair
     assert formed[len(pairs):] == counts
     assert rodrigues_family(E, 5) == {pair: rodrigues_poly(E, *pair) for pair in pairs}
 
 
-def test_zero_weight_at_a_node_is_a_rho_pole(equation, monkeypatch):
+def test_zero_weight_at_a_node_is_a_rho_pole(equation):
     # phi1 carries the factor y - x, so on a base with xb = yb the weight
     # vanishes wherever s > t on the lattice.  No ratio has a pole there, but
-    # u divides by rho at the nodes j > i: the first of them raises with its
-    # lattice point, and the call moves to the next base
+    # u divides by rho at the nodes j > i.  At the computed base y - x never
+    # vanishes, and neither does rho
     base = (F(3, 7), F(3, 7))
     q = equation.qp.q
-    assert first_walk_pole(equation, (base[0] * q**-2, base[1] * q**-2), 4, 4) is None
-    with pytest.raises(LatticePoleError) as err:
+    anchor = (base[0] * q**-2, base[1] * q**-2)
+    assert first_walk_pole(equation, anchor, 4, 4) is None
+    rho = base_weight(equation, anchor).box_pairs(4, 4)[0]
+    assert [[num == 0 for num, _ in row] for row in rho] == [[s > t for t in range(4)]
+                                                              for s in range(4)]
+    with pytest.raises(ZeroDivisionError):
         _grid_values(equation, [(1, 1)], base)
-    assert (err.value.which, err.value.index, err.value.point) == ("rho", 2, (base[0], base[1] / q))
-    want = rodrigues_poly(equation, 1, 1)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (base, DEFAULT_BASES[0]))
-    assert rodrigues_poly(equation, 1, 1) == want
-
-
-def test_pole_retry_with_only_bad_bases(equation, params, monkeypatch):
-    xb, yb = diagonal_pole_base(params)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", ((xb, yb), (xb * 2, yb * 2)))
-    with pytest.raises(RodriguesError, match="no pole-free base point among 2"):
-        rodrigues_poly(equation, 1, 1)
+    xb, yb = _pole_free_base(equation.pearson, q)
+    rho = base_weight(equation, (xb * q**-2, yb * q**-2)).box_pairs(4, 4)[0]
+    assert all(num for row in rho for num, _ in row)
+    nodes_x, nodes_y, values = _grid_values(equation, [(1, 1)], BASES[0])[1, 1]
+    assert rodrigues_poly(equation, 1, 1) == interpolate_2d(nodes_x, nodes_y, values)
 
 
 def test_order_zero_is_the_normalization(equation):
@@ -319,11 +287,12 @@ def test_eigen_equation_residual_zero(equation, adm):
         assert (apply_operator(equation, p) + p * lam).is_zero()
 
 
-def test_base_point_independence(equation, monkeypatch):
+def test_base_point_independence(equation):
+    # the polynomial does not depend on the lattice's base: a hand-picked
+    # pole-free base gives the computed base's result
     std = rodrigues_poly(equation, 2, 1)
-    monkeypatch.setattr(rodrigues, "DEFAULT_BASES", (DEFAULT_BASES[4],))
-    alt = rodrigues_poly(equation, 2, 1)
-    assert std == alt
+    nodes_x, nodes_y, values = _grid_values(equation, [(2, 1)], BASES[4])[2, 1]
+    assert interpolate_2d(nodes_x, nodes_y, values) == std
 
 
 def test_bracket_specialization(equation, params):
@@ -373,7 +342,7 @@ def test_line1_equals_line3_up_to_q_square_power(equation):
     # rodrigues_poly) on its lower set; at the nodes outside the lower set
     # line 1 meets line 3's interpolant
     q = equation.qp.q
-    base = DEFAULT_BASES[0]
+    base = BASES[0]
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 2)]:
         nodes_x, nodes_y, vals3 = _grid_values(equation, [(n, m)], base)[n, m]
         p = interpolate_2d(nodes_x, nodes_y, vals3)
@@ -392,7 +361,7 @@ def test_samples_off_grid_match_interpolant(equation):
     # tensor grid (the test-side sampler), agree with the interpolant
     for n, m in [(1, 1), (2, 1)]:
         p = rodrigues_poly(equation, n, m)
-        base = (DEFAULT_BASES[0][0] * F(1, 4), DEFAULT_BASES[0][1] * F(1, 4))
+        base = (BASES[0][0] * F(1, 4), BASES[0][1] * F(1, 4))
         nodes_x, nodes_y, lower = _grid_values(equation, [(n, m)], base)[n, m]
         _, _, full = reference_grid_values(equation, n, m, base, factored_bracket(equation, n, m))
         G = n + m + 1
@@ -417,7 +386,7 @@ def test_grid_values_forms_f_only_where_needed(equation, monkeypatch, n, m):
     monkeypatch.setattr(rodrigues, "difference_passes", spy)
     N = n + m
     G = N + 1
-    _, _, values = _grid_values(equation, [(n, m)], DEFAULT_BASES[0])[n, m]
+    _, _, values = _grid_values(equation, [(n, m)], BASES[0])[n, m]
     assert formed == [(G + n) * (G + m) - N * (N + 1) // 2]
     assert sum(len(row) for row in values) == G * (G + 1) // 2
 
@@ -436,13 +405,13 @@ def first_walk_pole(E, anchor, s_count, t_count):
 
 
 def assert_lattice_matches_the_fraction_reference(E, n, m):
-    """At every base of DEFAULT_BASES, _grid_values raises the pole that the
+    """At every base of BASES, _grid_values raises the pole that the
     walk over its lattice meets first; at the first pole-free base it gives
     the Fraction pipeline's grid."""
     q = E.qp.q
     N = n + m
     compared = False
-    for base in DEFAULT_BASES:
+    for base in BASES:
         pole = first_walk_pole(E, (base[0] * q**-N, base[1] * q**-N), N + 1 + n, N + 1 + m)
         if pole is None:
             if not compared:
@@ -475,7 +444,7 @@ def test_each_pearson_polynomial_is_evaluated_once_per_lattice(equation, monkeyp
     real = BiPoly.eval_grid_pairs
     monkeypatch.setattr(BiPoly, "eval_grid_pairs",
                         lambda p, xs, ys: evaluated.append(p) or real(p, xs, ys))
-    _grid_values(equation, pairs, DEFAULT_BASES[0])
+    _grid_values(equation, pairs, BASES[0])
     P = equation.pearson
     assert [sum(p is poly for p in evaluated) for poly in (P.phi1, P.phi2, P.omega1, P.omega2)] \
         == [1, 1, 1, 1]
@@ -484,7 +453,7 @@ def test_each_pearson_polynomial_is_evaluated_once_per_lattice(equation, monkeyp
 
 def test_weight_box_equals_value(equation):
     # the pairs are in lowest terms, as the weight CSV writes them
-    anchor = DEFAULT_BASES[0]
+    anchor = BASES[0]
     box = base_weight(equation, anchor).box_pairs(7, 5)[0]
     W = base_weight(equation, anchor)
     values = [[W.value(s, t) for t in range(5)] for s in range(7)]
@@ -519,7 +488,7 @@ def test_weight_box_raises_the_walk_pole(equation, params, kind):
 def test_weight_table_rows_follow_the_walk(equation, params, kind):
     # the CSV weight table is read off one box; it must list value() at every
     # point and fail at the pole the row-by-row walk over the table meets
-    anchor = DEFAULT_BASES[0] if kind is None else pole_anchor(params, kind)
+    anchor = BASES[0] if kind is None else pole_anchor(params, kind)
     expected = first_walk_pole(equation, anchor, 6, 5)
     assert (expected is None) == (kind is None)
     if expected is None:
@@ -548,6 +517,81 @@ def test_grid_values_raises_the_tensor_sampler_pole(equation, params, n, m, kind
     with pytest.raises(LatticePoleError) as err:
         _grid_values(equation, [(n, m)], base)
     assert (err.value.which, err.value.index, err.value.point) == expected
+
+
+C_33_70_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(33, 70), F(-1, 2), QParam(F(1, 2)))
+
+
+@pytest.mark.parametrize("params", [*sweep_points(40), Q910_PARAMS, WIDE_D_PARAMS, C_33_70_PARAMS],
+                         ids=[*(f"sweep-{k}" for k in range(40)), "q=9/10", "wide-d", "c=33/70"])
+def test_computed_base_is_pole_free(params):
+    # the walk over the N = 8 family lattice meets no pole, and no Pearson
+    # polynomial vanishes on the 25 x 25 window of lattice exponents -16..8
+    # from the base, which holds every point the N <= 8 lattices touch
+    E = preset_equation(params)
+    q = params.qp.q
+    xb, yb = _pole_free_base(E.pearson, q)
+    assert first_walk_pole(E, (xb * q**-8, yb * q**-8), 17, 17) is None
+    xs, ys = ([v * q**a for a in range(-16, 9)] for v in (xb, yb))
+    for poly in (E.pearson.phi1, E.pearson.phi2, E.pearson.omega1, E.pearson.omega2):
+        assert all(num for row in poly.eval_grid_pairs(xs, ys) for num, _ in row)
+
+
+@seed(40)
+@settings(max_examples=60, deadline=None, database=None)
+@given(admissible_equations())
+def test_admissible_pearson_terms_keep_the_computed_base_pole_free(E):
+    # admissibility leaves the terms whose i - j differ, so at the computed
+    # base no nonzero Pearson polynomial vanishes, compatible system or not
+    try:
+        P = E.pearson
+    except DegenerateEquationError:
+        assume(False)
+    polys = (P.phi1, P.phi2, P.omega1, P.omega2)
+    x_terms, y_terms = {(2, 0), (1, 1), (1, 0), (0, 1)}, {(0, 2), (1, 1), (0, 1), (1, 0)}
+    for poly, terms in zip(polys, (x_terms, y_terms, x_terms, y_terms)):
+        assert set(poly.nums) <= terms
+    q = E.qp.q
+    xb, yb = _pole_free_base(P, q)
+    xs, ys = ([v * q**a for a in range(-8, 9)] for v in (xb, yb))
+    for poly in polys:
+        if not poly.is_zero():
+            assert all(num for row in poly.eval_grid_pairs(xs, ys) for num, _ in row)
+
+
+def test_one_lattice_where_a_hand_picked_base_hits_a_pole(monkeypatch):
+    # at c = 33/70 the first hand-picked base puts a G1 pole on the N = 6
+    # family lattice; the computed base serves at once, and the family is the
+    # one recorded before the base was computed (two bases tried then)
+    E = preset_equation(C_33_70_PARAMS)
+    q = C_33_70_PARAMS.qp.q
+    assert first_walk_pole(E, (BASES[0][0] * q**-6, BASES[0][1] * q**-6), 13, 13)[0] == "G1"
+    calls = []
+    real = rodrigues._grid_values
+    monkeypatch.setattr(rodrigues, "_grid_values",
+                        lambda E, pairs, base: calls.append(base) or real(E, pairs, base))
+    family = rodrigues_family(E, 6)
+    assert calls == [_pole_free_base(E.pearson, q)]
+    text = repr(sorted((nm, sorted(p.nums.items()), p.den) for nm, p in family.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d614b0558d2a649a983dcbb08ddb4e2269263315a87beabb29de4af0fb15ff05"
+
+
+@pytest.mark.parametrize("text, refusal", [(INCOMPATIBLE_PEARSON_TEXT, "incompatible Pearson"),
+                                           (PHI1_ZERO_TEXT, "phi1 or phi2 vanishes")],
+                         ids=["incompatible", "phi1-zero"])
+def test_refusals_come_before_any_lattice_work(monkeypatch, text, refusal):
+    # the compatibility the route decides is the order-(0, 0) key row of the
+    # Pearson report: false for the incompatible file alone
+    E, _ = parse_equation_source(text)
+    assert verify_pearson_identities(E, 0, 0)["key"][0, 0] is (text == PHI1_ZERO_TEXT)
+
+    def boom(*args):
+        raise AssertionError("refused before any lattice work")
+
+    monkeypatch.setattr(rodrigues, "_grid_values", boom)
+    with pytest.raises(RodriguesError, match=refusal):
+        rodrigues_poly(E, 1, 1)
 
 
 def test_rejects_nonadmissible_equation(equation):
