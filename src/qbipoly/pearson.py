@@ -11,7 +11,10 @@ weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y); PearsonData keeps
 only the four polynomials, and its readers evaluate omega at the shift.
 
 General-equation weights are defined per q-commensurate lattice component,
-relative to one anchor with rho(anchor) = 1.  The Rodrigues route needs no
+relative to one anchor with rho(anchor) = 1.  Such a weight exists only
+where the key row of ``pearson_rows`` holds (G1 and G2 commute as shifts);
+elsewhere a product of ratios depends on the path it walks, and
+``require_weight`` refuses the equation.  The Rodrigues route needs no
 derivative weight rho^{(k,l)}: it differences rho times the omega products
 directly.  The derivative-weight evaluator, with the product identity that
 fixes its normalization, is a reference in tests/test_pearson.py.
@@ -28,7 +31,7 @@ from .qcalc import QParam
 
 
 class DegenerateEquationError(ValueError):
-    pass
+    """No usable Pearson system: a vanishing omega, or a refusal of ``require_weight``."""
 
 
 class LatticePoleError(ArithmeticError):
@@ -48,41 +51,62 @@ class PearsonData:
     omega2: BiPoly
 
 
-def _omegas(E) -> tuple:
-    """(omega1, omega2) of an EquationCoeffs or DerivedCoeffs; either one
-    vanishing identically is a degenerate equation."""
+def build_pearson(E) -> PearsonData:
+    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact.
+    Either omega vanishing identically is a degenerate equation."""
     x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
     omega1 = y * E.c11 - x * E.a12d * q
     omega2 = x * E.c22 - y * E.a12d * q
     if omega1.is_zero() or omega2.is_zero():
         raise DegenerateEquationError("omega vanishes identically; no Pearson system")
-    return omega1, omega2
-
-
-def build_pearson(E) -> PearsonData:
-    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact."""
-    q = E.qp.q
-    x = BiPoly.x()
-    y = BiPoly.y()
-    omega1, omega2 = _omegas(E)
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
     return PearsonData(phi1, phi2, omega1, omega2)
 
 
+def pearson_rows(E) -> dict:
+    """The key, ratio_left and ratio_right rows of an EquationCoeffs or
+    DerivedCoeffs, from the four shift products of its Pearson data:
+
+        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
+        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy).
+
+    Each row is a polynomial identity with its denominators cleared: key is
+    N_L D_R = N_R D_L, the shift commutation G2 G1(x,qy) = G1 G2(qx,y) that
+    g2 y Dq2 g1 = g1 x Dq1 g2 becomes with q - 1, x and y cancelled;
+    ratio_left is N_L q^2 a12d(qx,qy) = a12a D_L, and ratio_right the same
+    with N_R and D_R.  build_pearson refuses a vanishing omega, so no
+    cancelled factor is zero and each row decides its rational-function
+    identity exactly."""
+    P, q = E.pearson, E.qp.q
+    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
+    n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2.scale_args(q, 1)
+    n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1.scale_args(1, q) * w2
+    a12d_qq = E.a12d.scale_args(q, q) * q**2
+    return {"key": n_l * d_r == n_r * d_l,
+            "ratio_left": n_l * a12d_qq == E.a12a * d_l,
+            "ratio_right": n_r * a12d_qq == E.a12a * d_r}
+
+
+def require_weight(E: EquationCoeffs, rows) -> None:
+    """Refuse with DegenerateEquationError an equation whose phi1 or phi2
+    vanishes identically, or whose order-(0,0) ``pearson_rows`` named in
+    `rows` do not all hold, naming the first failure in the order phi, key,
+    ratio_left, ratio_right.  key alone says that a lattice weight rho
+    exists; the Rodrigues route also needs the ratio rows."""
+    P = E.pearson
+    if P.phi1.is_zero() or P.phi2.is_zero():
+        raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
+    for row, held in pearson_rows(E).items():
+        if row in rows and not held:
+            raise DegenerateEquationError(
+                "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)" if row == "key"
+                else f"equation not potentially self-adjoint: {row} fails")
+
+
 def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
-    """Exact verification report.
-
-    For every order (k,l) up to the bounds, ``shift_products`` forms the
-    ratios of the derived coefficients in their two shift orders once.
-
-    Each row is a polynomial identity with its denominators cleared:
-    ratio_left is N_L q^2 a12d(qx,qy) = a12a D_L, ratio_right the same with
-    N_R and D_R, and key is N_L D_R = N_R D_L, the shift commutation
-    G2 G1(x,qy) = G1 G2(qx,y) that g2 y Dq2 g1 = g1 x Dq1 g2 becomes with
-    q - 1, x and y cancelled.  coupling links omega's of neighbouring
-    orders.  build_pearson refuses a vanishing omega, so no cancelled factor
-    is zero and each row decides its rational-function identity exactly.
+    """Exact verification report: the ``pearson_rows`` of every order (k,l)
+    up to the bounds, and coupling, which links omega's of neighbouring orders.
 
     The propagation stops before the corner (k_max + 1, l_max + 1), which
     no row reads.  Every other order is checked for degeneracy: an x step
@@ -93,36 +117,15 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = dict(itertools.islice(propagated_orders(E, k_max + 1, l_max + 1),
                                     (k_max + 2) * (l_max + 2) - 1))
-    pearson = {kl: build_pearson(D) for kl, D in derived.items()
-               if kl[0] <= k_max and kl[1] <= l_max}
-    dens = {}  # (omega1(qx,y), omega2(x,qy)) of every order read
-    for kl, D in derived.items():
-        w1, w2 = (pearson[kl].omega1, pearson[kl].omega2) if kl in pearson else _omegas(D)
-        dens[kl] = (w1.scale_args(q, 1), w2.scale_args(1, q))
-
-    for (k, l), P in pearson.items():
-        D = derived[k, l]
-        n_l, d_l, n_r, d_r, w1_qq, w2_qq = shift_products(P, q, *dens[k, l])
-        a12d_qq = D.a12d.scale_args(q, q) * q**2
-        report["ratio_left"][(k, l)] = n_l * a12d_qq == D.a12a * d_l
-        report["ratio_right"][(k, l)] = n_r * a12d_qq == D.a12a * d_r
-        report["key"][(k, l)] = n_l * d_r == n_r * d_l
-        report["coupling"][(k, l)] = dens[k, l + 1][0] * w2_qq == dens[k + 1, l][1] * w1_qq
-
-    report["ok"] = all(v for sub in ("ratio_left", "ratio_right", "key", "coupling")
-                       for v in report[sub].values())
+    pearson = {kl: D.pearson for kl, D in derived.items()}
+    for k, l in itertools.product(range(k_max + 1), range(l_max + 1)):
+        for row, held in pearson_rows(derived[k, l]).items():
+            report[row][k, l] = held
+        w1_qq, w2_qq = (w.scale_args(q, q) for w in (pearson[k, l].omega1, pearson[k, l].omega2))
+        report["coupling"][k, l] = (pearson[k, l + 1].omega1.scale_args(q, 1) * w2_qq
+                                    == pearson[k + 1, l].omega2.scale_args(1, q) * w1_qq)
+    report["ok"] = all(v for rows in report.values() for v in rows.values())
     return report
-
-
-def shift_products(P: PearsonData, q, w1: BiPoly, w2: BiPoly) -> tuple:
-    """(N_L, D_L, N_R, D_R, omega1(qx,qy), omega2(qx,qy)) of P, from its
-    shifted omegas w1 = omega1(qx,y), w2 = omega2(x,qy), each product once:
-
-        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
-        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy)."""
-    w1_qq, w2_qq = w1.scale_args(1, q), w2.scale_args(q, 1)
-    return (P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq,
-            P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2, w1_qq, w2_qq)
 
 
 @dataclass

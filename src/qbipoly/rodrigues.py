@@ -25,12 +25,8 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .equation import EquationCoeffs
 from .linalg import interpolate_2d
-from .pearson import base_weight, shift_products
+from .pearson import base_weight, require_weight
 from .qcalc import difference_passes
-
-
-class RodriguesError(ValueError):
-    pass
 
 
 def _pole_free_base(P, q: Fraction) -> tuple:
@@ -102,24 +98,20 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     from one lattice on the ``_pole_free_base``.
 
     Before any lattice work it raises NotAdmissibleError
-    (``Admissibility.require``), and RodriguesError when phi1 or phi2
-    vanishes identically or rho would depend on the lattice path.  The
-    results are not re-checked against the eigen-equation here: the
-    consistency suite (its rodrigues_in_eigenspace rows), `generate --family
-    rodrigues` (its residual_zero entry) and the tests do that.
+    (``Admissibility.require``), and DegenerateEquationError
+    (``require_weight``) unless the equation is potentially self-adjoint:
+    phi1 and phi2 nonzero and the order-(0,0) key, ratio_left and
+    ratio_right rows holding.  The results are not re-checked against the
+    eigen-equation here: the consistency suite (its rodrigues_in_eigenspace
+    rows), `generate --family rodrigues` (its residual_zero entry) and the
+    tests do that.
     """
     pairs = list(dict.fromkeys(pairs))
     if any(n < 0 or m < 0 for n, m in pairs):
         raise ValueError("degrees must be nonnegative")
     E.admissibility.require()
-    P, q = E.pearson, E.qp.q
-    if P.phi1.is_zero() or P.phi2.is_zero():
-        raise RodriguesError("phi1 or phi2 vanishes identically; no Rodrigues weight")
-    n_l, d_l, n_r, d_r, _, _ = shift_products(P, q, P.omega1.scale_args(q, 1),
-                                              P.omega2.scale_args(1, q))
-    if n_l * d_r != n_r * d_l:  # the key identity of verify_pearson_identities
-        raise RodriguesError("incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)")
-    grids = _grid_values(E, pairs, _pole_free_base(P, q))
+    require_weight(E, ("key", "ratio_left", "ratio_right"))
+    grids = _grid_values(E, pairs, _pole_free_base(E.pearson, E.qp.q))
     return {pair: interpolate_2d(*grid) for pair, grid in grids.items()}
 
 

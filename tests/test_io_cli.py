@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qbipoly.bigqjacobi import TEST_PARAMS, preset_equation
 from qbipoly.bipoly import BiPoly
 import qbipoly
 import qbipoly.io as qio
@@ -672,7 +673,9 @@ def test_cli_degenerate_pearson_system_is_one_line_error(tmp_path, capsys, reque
 
 
 #: admissible, but G1 G2(qx,y) != G2 G1(x,qy), so rho on a lattice depends
-#: on the path: the preset's coefficients with 1/5 for the constant of b1
+#: on the path: the preset's coefficients with 1/5 for the constant of b1.
+#: From the anchor (3/7, 5/11), rho one step along each axis is -3153/4030
+#: walking y first and 4623/520 walking x first
 INCOMPATIBLE_PEARSON_TEXT = """\
 q = 1/2
 c11 = 0,0:-1/480 1,0:7/60 2,0:1/2
@@ -695,19 +698,60 @@ b1 = 0,0:3 1,0:2
 b2 = 0,0:1/7 0,1:2
 """
 
+KEY_REFUSAL = "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)"
 
-@pytest.mark.parametrize("text, message", [
-    (INCOMPATIBLE_PEARSON_TEXT, "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)"),
-    (PHI1_ZERO_TEXT, "phi1 or phi2 vanishes identically; no Rodrigues weight"),
-], ids=["incompatible", "phi1-zero"])
-def test_cli_rodrigues_refusal_is_one_line_exit_1(tmp_path, capsys, text, message):
+
+def pearson_line(name: str, t) -> EquationCoeffs:
+    """The preset at TEST_PARAMS moved by t along one of three lines that
+    keep its form, its admissibility conditions and its key row: f1 moved
+    by t ("f1"), a1 moved by t ("a1"), or b1 and b2 moved by t with b3a by
+    t/2 and c3d by t ("b"); on the first two, the coefficients that
+    admissibility ties to f1 or a1 move with them.  At t = 1/7 on each,
+    key and coupling hold and ratio_left and ratio_right fail at all nine
+    orders up to (2, 2): an admissible equation with a weight for which the
+    operator is not symmetric."""
+    E, q = preset_equation(TEST_PARAMS), TEST_PARAMS.qp.q
+    if name == "f1":
+        return dataclasses.replace(E, b1=E.b1 + x * t, b2=E.b2 + y * t,
+                                   a12a=E.a12a + x * y * (t * (q - 1)))
+    if name == "a1":
+        return dataclasses.replace(E, c11=E.c11 + x * x * (q * t), c22=E.c22 + y * y * (q * t),
+                                   a12a=E.a12a + x * y * (q * t), a12d=E.a12d + x * y * t)
+    return dataclasses.replace(E, c11=E.c11 + x * (q * t), c22=E.c22 + y * (q * t),
+                               a12a=E.a12a + x * (t / 2), a12d=E.a12d + y * t)
+
+
+#: the sha256 of `check --equation` on each line file at t = 1/7: check
+#: reports the failing ratio rows in its document where generate refuses
+LINE_CHECK_SHA256 = {
+    "f1": "5ef4b883f42a97354fa502145c33c1150280807b94ffc658179c4ec8da8e9f94",
+    "a1": "f39af5edabeda3f77888edfe235f6e92efd1333c6fd72d526a3b3cb15435a2cc",
+    "b": "1d42e19bfc7a03c010f5af8d28f4b2f2688d66e9b51b3bd9175541445725cd2d",
+}
+
+
+@pytest.mark.parametrize("text, family, message, check_sha256", [
+    (INCOMPATIBLE_PEARSON_TEXT, "rodrigues", KEY_REFUSAL, None),
+    (PHI1_ZERO_TEXT, "rodrigues", "phi1 or phi2 vanishes identically; no Rodrigues weight", None),
+    # without key the weight table would depend on the walk
+    (INCOMPATIBLE_PEARSON_TEXT, "weight", KEY_REFUSAL, None),
+    *((equation_to_text(pearson_line(name, F(1, 7))), "rodrigues",
+       "equation not potentially self-adjoint: ratio_left fails", digest)
+      for name, digest in LINE_CHECK_SHA256.items()),
+], ids=["incompatible", "phi1-zero", "incompatible-weight", "f1-line", "a1-line", "b-line"])
+def test_cli_rodrigues_refusal_is_one_line_exit_1(tmp_path, capsys, text, family, message,
+                                                  check_sha256):
     path = tmp_path / "eq.eq"
     path.write_text(text)
-    assert main(["generate", "--equation", str(path), "--family", "rodrigues",
+    assert main(["generate", "--equation", str(path), "--family", family,
                  "--degrees", "1 1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    if check_sha256 is not None:
+        assert main(["check", "--equation", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == check_sha256
 
 
 @pytest.mark.parametrize("exc", [SeriesError("denominator vanished"), SingularMatrixError(2),

@@ -8,12 +8,14 @@ import json
 import pathlib
 import re
 import shlex
+from fractions import Fraction
 
 import pytest
 
 from qbipoly import cli
 from qbipoly.bigqjacobi import TEST_PARAMS, preset_equation
 from qbipoly.io import parse_equation_source
+from test_io_cli import INCOMPATIBLE_PEARSON_TEXT, equation_to_text, pearson_line
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
 
@@ -71,25 +73,37 @@ NOT_ADMISSIBLE = ["--param", "a=8/5", "--param", "b=8/5", "--param", "c=25/16"]
 
 def exit_code_examples() -> list:
     """(a phrase of the README's prose, the exit code it states, a command
-    it names) for every exit-code example stated there in prose."""
+    it names, the equation files it reads by name and text) for every
+    exit-code example stated there in prose."""
+    f1_line = {"f1-line.eq": equation_to_text(pearson_line("f1", Fraction(1, 7)))}
     cases = [("(`generate --family weight --param c=1`)", 2,
-              ["generate", *P, "--family", "weight", "--param", "c=1", "--degrees", "2 1"]),
+              ["generate", *P, "--family", "weight", "--param", "c=1", "--degrees", "2 1"], {}),
              ("`k > n` exits 2 with one `error:` line", 2,
-              ["generate", *P, "--family", "nonmonic", "--degrees", "1 2"])]
+              ["generate", *P, "--family", "nonmonic", "--degrees", "1 2"], {}),
+             ("`error: equation not potentially self-adjoint: ratio_left fails`", 1,
+              ["generate", "--equation", "f1-line.eq", "--family", "rodrigues", "--degrees", "1 1"],
+              f1_line),
+             ("`error: incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)`", 1,
+              ["generate", "--equation", "incompatible.eq", "--family", "weight",
+               "--degrees", "2 2"],
+              {"incompatible.eq": INCOMPATIBLE_PEARSON_TEXT})]
     for request in (["check"], ["generate", "--family", "monic", "--degrees", "2"],
                     ["generate", "--family", "rodrigues", "--degrees", "1 1"],
                     *(["verify", "--suite", suite]
                       for suite in ("orthogonality", "consistency", "recurrence"))):
         cases.append(("(`--param a=8/5 --param b=8/5 --param c=25/16`", 1,
-                      [*request, *P, *NOT_ADMISSIBLE]))
+                      [*request, *P, *NOT_ADMISSIBLE], {}))
     return [pytest.param(*case, id=" ".join(case[2])) for case in cases]
 
 
-@pytest.mark.parametrize("phrase, code, argv", exit_code_examples())
-def test_readme_exit_code_example(phrase, code, argv, tmp_path, monkeypatch, capsys):
-    # a refusal is one error line; check runs and prints its failed report
+@pytest.mark.parametrize("phrase, code, argv, files", exit_code_examples())
+def test_readme_exit_code_example(phrase, code, argv, files, tmp_path, monkeypatch, capsys):
+    # a refusal is one error line, the one quoted where the prose quotes it;
+    # check runs and prints its failed report
     assert phrase in PROSE
     monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     if argv[0] == "check":
@@ -98,3 +112,5 @@ def test_readme_exit_code_example(phrase, code, argv, tmp_path, monkeypatch, cap
     else:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if phrase.startswith("`error: "):
+            assert captured.err == phrase.strip("`") + "\n"

@@ -17,11 +17,11 @@ from test_monic import admissible_equations
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
-                             verify_pearson_identities, weight_table_rows)
+                             pearson_rows, verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, difference_passes, dq_nm_table
-from qbipoly.rodrigues import (RodriguesError, _grid_values, _pole_free_base, rodrigues_family,
-                               rodrigues_poly)
-from test_io_cli import INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT
+from qbipoly.rodrigues import _grid_values, _pole_free_base, rodrigues_family, rodrigues_poly
+from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT, equation_to_text,
+                         pearson_line)
 from test_pearson import rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
@@ -577,21 +577,98 @@ def test_one_lattice_where_a_hand_picked_base_hits_a_pole(monkeypatch):
         "d614b0558d2a649a983dcbb08ddb4e2269263315a87beabb29de4af0fb15ff05"
 
 
-@pytest.mark.parametrize("text, refusal", [(INCOMPATIBLE_PEARSON_TEXT, "incompatible Pearson"),
-                                           (PHI1_ZERO_TEXT, "phi1 or phi2 vanishes")],
-                         ids=["incompatible", "phi1-zero"])
-def test_refusals_come_before_any_lattice_work(monkeypatch, text, refusal):
-    # the compatibility the route decides is the order-(0, 0) key row of the
-    # Pearson report: false for the incompatible file alone
+@pytest.mark.parametrize("text, failing, refusal", [
+    (INCOMPATIBLE_PEARSON_TEXT, ["key", "ratio_left", "ratio_right"], "incompatible Pearson"),
+    (PHI1_ZERO_TEXT, ["ratio_left", "ratio_right"], "phi1 or phi2 vanishes"),
+    *((equation_to_text(pearson_line(name, F(1, 7))), ["ratio_left", "ratio_right"],
+       "not potentially self-adjoint: ratio_left fails") for name in ("f1", "a1", "b")),
+], ids=["incompatible", "phi1-zero", "f1-line", "a1-line", "b-line"])
+def test_refusals_come_before_any_lattice_work(monkeypatch, text, failing, refusal):
+    # the rows the route decides are the order-(0, 0) rows of the Pearson
+    # report, and a vanishing phi1 or phi2 is refused before any of them
     E, _ = parse_equation_source(text)
-    assert verify_pearson_identities(E, 0, 0)["key"][0, 0] is (text == PHI1_ZERO_TEXT)
+    report = verify_pearson_identities(E, 0, 0)
+    assert [row for row in ("key", "ratio_left", "ratio_right") if not report[row][0, 0]] == failing
 
     def boom(*args):
         raise AssertionError("refused before any lattice work")
 
     monkeypatch.setattr(rodrigues, "_grid_values", boom)
-    with pytest.raises(RodriguesError, match=refusal):
+    with pytest.raises(DegenerateEquationError, match=refusal):
         rodrigues_poly(E, 1, 1)
+
+
+def scaled_preset(params, kappa, alpha, beta) -> EquationCoeffs:
+    """kappa times the preset at params in the variables (alpha x, beta y):
+    u solves it with eigenvalue kappa lambda iff u(x/alpha, y/beta) solves
+    the preset with lambda, since Dq1 of u(alpha x, y) is alpha (Dq1 u)(alpha x, y)."""
+    E = preset_equation(params)
+    return EquationCoeffs(E.qp, E.c11.scale_args(alpha, 1) * (kappa / alpha**2),
+                          E.c22.scale_args(1, beta) * (kappa / beta**2),
+                          E.a12a.scale_args(alpha, beta) * (kappa / (alpha * beta)),
+                          E.a12d.scale_args(alpha, beta) * (kappa / (alpha * beta)),
+                          E.b1.scale_args(alpha, 1) * (kappa / alpha),
+                          E.b2.scale_args(1, beta) * (kappa / beta))
+
+
+SCALINGS = [(F(3), F(2), F(-3, 5)), (F(-2, 7), F(5, 3), F(7, 2))]
+
+#: admissible, with a constant weight: phi1 = omega1(qx,y), phi2 =
+#: omega2(x,qy) (G1 = G2 = 1) and a12a = q^2 a12d(qx,qy).  Every order-(0,0)
+#: row holds, and ratio_left and ratio_right fail at every other order up
+#: to (2, 2); the route's (1, 0) polynomial is the constant -1/2
+CONSTANT_WEIGHT_TEXT = """\
+q = 1/2
+c11 = 2,0:4
+c22 = 0,2:4
+a12a = 0,0:1/4 1,1:1/2
+a12d = 0,0:1 1,1:8
+b1 = 1,0:7
+b2 = 0,1:7
+"""
+
+
+@pytest.mark.parametrize("E, implied",
+                         [*((preset_equation(p), True) for p in sweep_points(40)),
+                          *((scaled_preset(TEST_PARAMS, *kab), True) for kab in SCALINGS),
+                          (parse_equation_source(CONSTANT_WEIGHT_TEXT)[0], False)],
+                         ids=[*(f"sweep-{k}" for k in range(40)), "scaled-0", "scaled-1",
+                              "constant-weight"])
+def test_order_zero_rows_and_the_checked_rows(E, implied):
+    # the route decides the order-(0, 0) rows alone.  On scaled presets every
+    # row that check reports up to order (2, 2) holds with them; the
+    # constant-weight equation shows that the (0, 0) rows do not imply them
+    assert all(pearson_rows(E).values())
+    assert verify_pearson_identities(E, 2, 2)["ok"] is implied
+
+
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool)
+ROUTE_EQUATIONS = st.one_of(
+    admissible_equations(),
+    st.builds(pearson_line, st.sampled_from(["f1", "a1", "b"]), NONZERO),
+    st.builds(scaled_preset, st.sampled_from([TEST_PARAMS, Q23_PARAMS]),
+              NONZERO, NONZERO, NONZERO),
+).filter(lambda E: E.admissibility.admissible)
+
+
+@seed(41)
+@settings(max_examples=60, deadline=None, database=None)
+@given(ROUTE_EQUATIONS)
+def test_route_solves_or_refuses_the_sampled_equations(E):
+    # at random, on the lines through the preset with a weight but no
+    # symmetry, and on scaled presets (potentially self-adjoint away from
+    # the preset point): every polynomial the route returns solves the
+    # eigen-equation, and where it serves every row check reports holds.
+    # The constant-weight equation above passes the route's rows and gets
+    # non-solutions; no source here reaches such an equation
+    try:
+        family = rodrigues_family(E, 2)
+    except DegenerateEquationError:
+        return
+    lam = E.admissibility.eigenvalue
+    for (n, m), poly in family.items():
+        assert (apply_operator(E, poly) + poly * lam(n + m)).is_zero(), (n, m)
+    assert verify_pearson_identities(E, 2, 2)["ok"]
 
 
 def test_rejects_nonadmissible_equation(equation):
