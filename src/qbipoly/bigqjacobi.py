@@ -543,7 +543,7 @@ def limit_check(cp: ClassicalParams, eps_list, nm_list, points) -> list:
 def limit_rows(cp: ClassicalParams, eps_list, targets, points) -> list:
     """`limit_check` against given classical targets ((n, m), monic target,
     classical Rodrigues target): per eps one oracle, up to the largest
-    total degree, and the Rodrigues pairs from one lattice."""
+    total degree, and the Rodrigues pairs from one ``rodrigues_polys`` call."""
     top = max((n + m for (n, m), _, _ in targets), default=0)
     lanes = []
     for eps in eps_list:

@@ -7,11 +7,13 @@ vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
-``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``), but
-only ``exact_form`` (``lift_pairs`` rows of int pairs over one lcm),
-``reduced`` (one content gcd) and ``combine`` (scaled forms over one common
-denominator) bring a result to the reduced form; ``lowest_terms`` reads
-entries back, and ``product_dens`` gives the denominators of unformed products.
+``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``,
+``rodrigues._x_step``), but only ``exact_form`` (``lift_pairs`` rows of int
+pairs over one lcm), ``reduced`` (one content gcd) and ``combine`` (scaled
+forms over one common denominator) bring a result to the reduced form;
+``lowest_terms`` reads entries back, ``product`` gives the unreduced
+numerators of a product, and ``product_dens`` the denominators of unformed
+products.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
 nothing writes a form after construction.
 
@@ -22,6 +24,7 @@ All operations are pure; instances are immutable after construction.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import operator
@@ -110,6 +113,17 @@ def product_dens(polys) -> list:
     dc = [(p.den, math.gcd(*p.nums.values())) for p in polys]
     return [[da * db // math.gcd(da * db, ca * cb) for db, cb in dc[a:]]
             for a, (da, ca) in enumerate(dc)]
+
+
+def product(a: dict, b: dict) -> dict:
+    """The unreduced numerators of the product of two forms' numerator maps."""
+    out = {}
+    get = out.get
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 def from_form(nums: dict, den: int) -> "BiPoly":
@@ -220,13 +234,7 @@ class BiPoly:
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            out = {}
-            get = out.get
-            for (i1, j1), c1 in self.nums.items():
-                for (i2, j2), c2 in other.nums.items():
-                    m = (i1 + i2, j1 + j2)
-                    out[m] = get(m, 0) + c1 * c2
-            return from_form(*reduced(out, self.den * other.den))
+            return from_form(*reduced(product(self.nums, other.nums), self.den * other.den))
         return self._scaled(as_fraction(other))
 
     __rmul__ = __mul__
@@ -342,11 +350,33 @@ class BiPoly:
         return BiPoly(quot), BiPoly(rest)
 
     def div_exact(self, divisor: "BiPoly") -> "BiPoly":
-        """Exact division; raises ValueError when the remainder is nonzero."""
-        quot, rem = self.div_rem(divisor)
-        if not rem.is_zero():
-            raise ValueError("nonzero remainder in exact polynomial division")
-        return quot
+        """The quotient of an exact division; ValueError for a remainder.
+        Lex-order long division of the numerators by the divisor's primitive
+        part, leading terms off a heap: by Gauss's lemma an exact quotient is
+        integral, so a term or coefficient that does not divide is a remainder."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        content = math.gcd(*divisor.nums.values())
+        rest = {k: n // content for k, n in divisor.nums.items()}
+        (di, dj), lc = max(rest.items())
+        del rest[di, dj]
+        rem, quot, heap = dict(self.nums), {}, [(-i, -j) for i, j in self.nums]
+        heapq.heapify(heap)
+        while heap:
+            i, j = heapq.heappop(heap)
+            c, r = divmod(rem.pop((-i, -j), 0), lc)
+            i, j = -i - di, -j - dj
+            if r or (c and (i < 0 or j < 0)):
+                raise ValueError("nonzero remainder in exact polynomial division")
+            if c:
+                quot[i, j] = c
+                for (ri, rj), n in rest.items():
+                    k = (ri + i, rj + j)
+                    if k not in rem:
+                        heapq.heappush(heap, (-k[0], -k[1]))
+                    rem[k] = rem.get(k, 0) - c * n
+        return from_form(*reduced({k: n * divisor.den for k, n in quot.items()},
+                                  self.den * content))
 
     def __repr__(self):
         if not self.nums:

@@ -8,9 +8,10 @@ such a list included, are the kernel ``combine``, which never visits a zero
 entry: the operator's difference blocks are bidiagonal and the
 multiplication embeddings are 0/1 selections.
 Solving is plain rational Gaussian elimination with partial pivoting, so
-results and singularity reports are exact; no route calls it.  It stays
-because the benchmark's span list names it, and the tests solve with it
-for their references to `interpolate_2d` and to the oracle's chain steps.
+results and singularity reports are exact.  No route calls it or the
+lower-set interpolation `interpolate_2d`; both stay because the
+benchmark's span list names them, and the tests solve with the first for
+their references to the second and to the oracle's chain steps.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ General-equation weights are defined per q-commensurate lattice component,
 relative to one anchor with rho(anchor) = 1.  Such a weight exists only
 where the key row of ``pearson_rows`` holds (G1 and G2 commute as shifts);
 elsewhere a product of ratios depends on the path it walks, and
-``require_weight`` refuses the equation.  The Rodrigues route needs no
-derivative weight rho^{(k,l)}: it differences rho times the omega products
-directly.  The derivative-weight evaluator, with the product identity that
+``require_weight`` refuses the equation.  The Rodrigues route reads the
+Pearson polynomials alone; the lattice weight serves the weight table.  The
+derivative-weight evaluator rho^{(k,l)}, with the product identity that
 fixes its normalization, is a reference in tests/test_pearson.py.
 """
 
@@ -93,7 +93,8 @@ def require_weight(E: EquationCoeffs, rows) -> None:
     vanishes identically, or whose order-(0,0) ``pearson_rows`` named in
     `rows` do not all hold, naming the first failure in the order phi, key,
     ratio_left, ratio_right.  key alone says that a lattice weight rho
-    exists; the Rodrigues route also needs the ratio rows."""
+    exists; the Rodrigues route also needs ratio_left, which with key
+    implies ratio_right."""
     P = E.pearson
     if P.phi1.is_zero() or P.phi2.is_zero():
         raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
@@ -171,34 +172,29 @@ class WeightEvaluator:
         self._cache[key] = val
         return val
 
-    def box_pairs(self, s_count: int, t_count: int, reach=(0, 0)) -> tuple:
-        """(rho, p1, w1, w2) on x_s = q^s x0, y_t = q^t y0: rho[s][t] = value(s,
-        t), s < s_count, t < t_count, as ``lowest_pair`` of a neighbour times a
-        ratio, and grids (``eval_grid_pairs``) p1[s][t] = phi1(x_s, y_t) and of
-        the omegas the ratios divide by, reaching (rx, ry) = reach steps lower:
-        w1[s][t] = omega1(x_(s+1-rx), y_t), w2[s][t] = omega2(x_s, y_(t+1-ry)),
-        w2 on the column s = 0 alone if ry = 0; each Pearson polynomial once.
-        A pole raises the error value() meets first when walked row by row
-        over the box: G2 up the column s = 0, then G1 along each x row."""
+    def box_pairs(self, s_count: int, t_count: int) -> list:
+        """rho[s][t] = value(s, t) on x_s = q^s x0, y_t = q^t y0, s < s_count,
+        t < t_count, as ``lowest_pair`` of a neighbour times a ratio, each
+        Pearson polynomial evaluated once (``eval_grid_pairs``).  A pole
+        raises the error value() meets first when walked row by row over the
+        box: G2 up the column s = 0, then G1 along each x row."""
         q, P = self.qp.q, self.pearson
-        rx, ry = reach
-        xs = [self.anchor[0] * q**s for s in range(-rx, s_count)]  # xs[rx + s] = x_s
-        ys = [self.anchor[1] * q**t for t in range(-ry, t_count)]
-        w1 = P.omega1.eval_grid_pairs(xs[1:], ys[ry:])
-        w2 = P.omega2.eval_grid_pairs(xs[rx:] if ry else xs[rx:rx + 1], ys[1:])
-        for which, grid, lo in (("G2", w2[:1], ry), ("G1", w1[rx:], 0)):
+        xs = [self.anchor[0] * q**s for s in range(s_count)]
+        ys = [self.anchor[1] * q**t for t in range(t_count)]
+        w1 = P.omega1.eval_grid_pairs(xs[1:], ys)  # w1[s][t] = omega1(x_(s+1), y_t)
+        w2 = P.omega2.eval_grid_pairs(xs[:1], ys[1:])  # w2[0][t] = omega2(x_0, y_(t+1))
+        for which, grid in (("G2", w2), ("G1", w1)):
             for s, t in ((s, t) for s, row in enumerate(grid)
-                         for t, w in enumerate(row[lo:]) if not w[0]):
-                raise LatticePoleError(which, s if which == "G1" else t, (xs[rx + s], ys[ry + t]))
-        p2, = P.phi2.eval_grid_pairs(xs[rx:rx + 1], ys[ry:-1])
+                         for t, w in enumerate(row) if not w[0]):
+                raise LatticePoleError(which, s if which == "G1" else t, (xs[s], ys[t]))
+        p2, = P.phi2.eval_grid_pairs(xs[:1], ys[:-1])
         rows = [[(1, 1)]]
-        for (pn, pd), (wn, wd) in zip(p2, w2[0][ry:]):
+        for (pn, pd), (wn, wd) in zip(p2, w2[0]):
             rows[0].append(lowest_pair(rows[0][-1][0] * pn * wd, rows[0][-1][1] * pd * wn))
-        p1 = P.phi1.eval_grid_pairs(xs[rx:-1], ys[ry:])
-        for prow, wrow in zip(p1, w1[rx:]):
+        for prow, wrow in zip(P.phi1.eval_grid_pairs(xs[:-1], ys), w1):
             rows.append([lowest_pair(rn * pn * wd, rd * pd * wn)
                          for (rn, rd), (pn, pd), (wn, wd) in zip(rows[-1], prow, wrow)])
-        return rows, p1, w1, w2
+        return rows
 
     def point(self, s: int, t: int):
         q = self.qp.q
@@ -214,5 +210,5 @@ def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     weight values, the lowest-terms pairs of ``box_pairs``; rows are ordered
     by (s, t)."""
     return [(s, t, *map(str, W.point(s, t)), str(num), str(den))
-            for s, row in enumerate(W.box_pairs(s_max + 1, t_max + 1)[0])
+            for s, row in enumerate(W.box_pairs(s_max + 1, t_max + 1))
             for t, (num, den) in enumerate(row)]

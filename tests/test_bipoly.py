@@ -118,6 +118,26 @@ def test_div_exact():
     assert q1 == (x + 1) * (y - x)
     with pytest.raises(ValueError):
         (x * x + 1).div_exact(x + 1)
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if b.is_zero():
+            continue
+        assert (a * b).div_exact(b) == a
+        if b.total_degree() == 0:
+            assert (a * b + 1).div_exact(b) == a + 1 / b.coeff(0, 0)
+        else:
+            with pytest.raises(ValueError, match="nonzero remainder"):
+                (a * b + 1).div_exact(b)
+    a = x * x * Fraction(3, 4) - x * y + Fraction(5, 7)
+    for b in (x * 6 + y * 4 - 10,             # not primitive: content 2
+              -(x * 3) + y * y,               # negative leading coefficient
+              x * Fraction(2, 9) - Fraction(1, 3),  # a denominator
+              BiPoly.const(Fraction(-5, 3))):  # constant
+        assert (a * b).div_exact(b) == a
+    assert BiPoly.zero().div_exact(x - y) == BiPoly.zero()
+    with pytest.raises(ZeroDivisionError):
+        a.div_exact(BiPoly.zero())
 
 
 def test_div_rem():

@@ -700,6 +700,18 @@ b2 = 0,0:1/7 0,1:2
 
 KEY_REFUSAL = "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)"
 
+#: admissible, with a constant weight (G1 = G2 = 1, a12a = q^2 a12d(qx,qy)):
+#: every order-(0,0) row holds, but a mixed pair's division leaves a remainder
+CONSTANT_WEIGHT_FAMILY_TEXT = """\
+q = 1/2
+c11 = 0,0:2 1,0:7/4 2,0:-36/49
+c22 = 0,0:1/5 0,1:41/10 0,2:-36/49
+a12a = 0,0:9/4 0,1:1/8 1,0:-1/20 1,1:-9/98
+a12d = 0,0:9 0,1:1 1,0:-2/5 1,1:-72/49
+b1 = 0,0:2 1,0:-9/7
+b2 = 0,0:4 0,1:-9/7
+"""
+
 
 def pearson_line(name: str, t) -> EquationCoeffs:
     """The preset at TEST_PARAMS moved by t along one of three lines that
@@ -738,7 +750,11 @@ LINE_CHECK_SHA256 = {
     *((equation_to_text(pearson_line(name, F(1, 7))), "rodrigues",
        "equation not potentially self-adjoint: ratio_left fails", digest)
       for name, digest in LINE_CHECK_SHA256.items()),
-], ids=["incompatible", "phi1-zero", "incompatible-weight", "f1-line", "a1-line", "b-line"])
+    (CONSTANT_WEIGHT_FAMILY_TEXT, "rodrigues",
+     "equation not potentially self-adjoint: a Rodrigues division leaves a remainder",
+     "f5fd0097bbc8b7680e558bd6944405f9fc198f285e777b02334f20e4a694928c"),
+], ids=["incompatible", "phi1-zero", "incompatible-weight", "f1-line", "a1-line", "b-line",
+        "constant-weight"])
 def test_cli_rodrigues_refusal_is_one_line_exit_1(tmp_path, capsys, text, family, message,
                                                   check_sha256):
     path = tmp_path / "eq.eq"

@@ -11,15 +11,15 @@ import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, apply_operator
-from qbipoly.linalg import Mat, interpolate_2d
+from qbipoly.linalg import Mat
 from test_bigqjacobi import big_q_jacobi_points, is_power_of
 from test_monic import admissible_equations
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
                              pearson_rows, verify_pearson_identities, weight_table_rows)
-from qbipoly.qcalc import QParam, difference_passes, dq_nm_table
-from qbipoly.rodrigues import _grid_values, _pole_free_base, rodrigues_family, rodrigues_poly
+from qbipoly.qcalc import QParam, dq_nm_table
+from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
 from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT, equation_to_text,
                          pearson_line)
 from test_pearson import rho_kl
@@ -145,8 +145,9 @@ def test_lower_set_equals_tensor_reference(params):
 # reference pipeline: the lattice route with every step in Fractions --------
 
 def fraction_grid_values(E, n, m, base):
-    """_grid_values with rho from the weight's walk, f = rho * Omega as
-    Fraction products, and the Fraction difference table."""
+    """u on the lower set i + j <= n + m of the backward grid xb q^-i,
+    yb q^-j: rho from the weight's walk, f = rho * Omega as Fraction
+    products, and the Fraction difference table."""
     q = E.qp.q
     N = n + m
     G = N + 1
@@ -218,46 +219,30 @@ Q910_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(1, 5), F(-1, 2), QParam(F(9, 
 
 @pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, Q910_PARAMS, WIDE_D_PARAMS],
                          ids=["test-params", "q=2/3", "q=9/10", "wide-d"])
-def test_family_lattice_gives_each_pair_its_own_samples(params, monkeypatch):
-    # every pair reads from the shared lattice the samples (and forms the f
-    # values) of its own one-pair lattice, so the family is the pairs
+def test_family_lattice_gives_each_pair_its_own_samples(params):
+    # the family is its pairs, in order, each computed as on its own
     E = preset_equation(params)
-    formed = []
-
-    def spy(fvals, *args):
-        formed.append(sum(v is not None for row in fvals for v in row))
-        return difference_passes(fvals, *args)
-
-    monkeypatch.setattr(rodrigues, "difference_passes", spy)
     pairs = [(t - m, m) for t in range(6) for m in range(t + 1)]
-    shared = _grid_values(E, pairs, BASES[0])
-    assert list(shared) == pairs
-    counts = formed[:]
-    for pair in pairs:
-        assert _grid_values(E, [pair], BASES[0])[pair] == shared[pair], pair
-    assert formed[len(pairs):] == counts
-    assert rodrigues_family(E, 5) == {pair: rodrigues_poly(E, *pair) for pair in pairs}
+    family = rodrigues_family(E, 5)
+    assert list(family) == pairs
+    assert family == {pair: rodrigues_poly(E, *pair) for pair in pairs}
 
 
 def test_zero_weight_at_a_node_is_a_rho_pole(equation):
     # phi1 carries the factor y - x, so on a base with xb = yb the weight
     # vanishes wherever s > t on the lattice.  No ratio has a pole there, but
-    # u divides by rho at the nodes j > i.  At the computed base y - x never
-    # vanishes, and neither does rho
+    # a lattice sampler divides by rho at the nodes j > i.  The recursion
+    # evaluates no weight
     base = (F(3, 7), F(3, 7))
     q = equation.qp.q
     anchor = (base[0] * q**-2, base[1] * q**-2)
     assert first_walk_pole(equation, anchor, 4, 4) is None
-    rho = base_weight(equation, anchor).box_pairs(4, 4)[0]
+    rho = base_weight(equation, anchor).box_pairs(4, 4)
     assert [[num == 0 for num, _ in row] for row in rho] == [[s > t for t in range(4)]
                                                               for s in range(4)]
-    with pytest.raises(ZeroDivisionError):
-        _grid_values(equation, [(1, 1)], base)
-    xb, yb = _pole_free_base(equation.pearson, q)
-    rho = base_weight(equation, (xb * q**-2, yb * q**-2)).box_pairs(4, 4)[0]
-    assert all(num for row in rho for num, _ in row)
-    nodes_x, nodes_y, values = _grid_values(equation, [(1, 1)], BASES[0])[1, 1]
-    assert rodrigues_poly(equation, 1, 1) == interpolate_2d(nodes_x, nodes_y, values)
+    with pytest.raises(LatticePoleError, match="rho"):
+        reference_grid_values(equation, 1, 1, base)
+    assert rodrigues_poly(equation, 1, 1) == fraction_pipeline_poly(equation, 1, 1)
 
 
 def test_order_zero_is_the_normalization(equation):
@@ -287,14 +272,6 @@ def test_eigen_equation_residual_zero(equation, adm):
         assert (apply_operator(equation, p) + p * lam).is_zero()
 
 
-def test_base_point_independence(equation):
-    # the polynomial does not depend on the lattice's base: a hand-picked
-    # pole-free base gives the computed base's result
-    std = rodrigues_poly(equation, 2, 1)
-    nodes_x, nodes_y, values = _grid_values(equation, [(2, 1)], BASES[4])[2, 1]
-    assert interpolate_2d(nodes_x, nodes_y, values) == std
-
-
 def test_bracket_specialization(equation, params):
     # the omega product equals a^n d^m q^{2n - n(n-1) + 2m - m(m-1)} times
     # x^{2n} y^{2m} (dq/x; q)_n (aq/y; q)_m (x/y; q)_m (cqy/x; q)_n, cleared
@@ -316,7 +293,7 @@ def test_bracket_specialization(equation, params):
 
 def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
     """First-line evaluation: backward differences of rho^{(n,m)} divided by
-    rho, on the same grid rodrigues_poly interpolates over.
+    rho, on the tensor grid xb q^-i, yb q^-j, i, j <= n + m.
 
     Shares the far anchor with the forward construction so the two routes
     are comparable; they differ by the constant q^{n^2 + m^2} (the forward
@@ -338,57 +315,33 @@ def rodrigues_line1_values(E: EquationCoeffs, n: int, m: int, base) -> tuple:
 
 
 def test_line1_equals_line3_up_to_q_square_power(equation):
-    # line 1 is sampled on the whole tensor grid, line 3 (the sampler of
-    # rodrigues_poly) on its lower set; at the nodes outside the lower set
-    # line 1 meets line 3's interpolant
+    # line 1 is sampled on the whole tensor grid; line 3, the polynomial
+    # rodrigues_poly returns, is evaluated at its nodes
     q = equation.qp.q
-    base = BASES[0]
+    xb, yb = BASES[0]
     for n, m in [(1, 0), (0, 1), (1, 1), (2, 2)]:
-        nodes_x, nodes_y, vals3 = _grid_values(equation, [(n, m)], base)[n, m]
-        p = interpolate_2d(nodes_x, nodes_y, vals3)
-        vals1 = rodrigues_line1_values(equation, n, m, base)
+        p = rodrigues_poly(equation, n, m)
+        vals1 = rodrigues_line1_values(equation, n, m, BASES[0])
         factor = q ** (n * n + m * m)
         G = n + m + 1
         for i in range(G):
             for j in range(G):
-                line3 = vals3[i][j] if i + j < G else p.eval(nodes_x[i], nodes_y[j])
-                assert vals1[i][j] == factor * line3
+                assert vals1[i][j] == factor * p.eval(xb * q**-i, yb * q**-j)
 
 
 def test_samples_off_grid_match_interpolant(equation):
-    # the quotient is a genuine polynomial: values at lattice points beyond
-    # the interpolation grid, on the lower set and on the rest of the
-    # tensor grid (the test-side sampler), agree with the interpolant
+    # the quotient is a genuine polynomial: its samples on the whole tensor
+    # grid of a base of its own (the test-side sampler) are the values of
+    # the polynomial rodrigues_poly returns
     for n, m in [(1, 1), (2, 1)]:
         p = rodrigues_poly(equation, n, m)
         base = (BASES[0][0] * F(1, 4), BASES[0][1] * F(1, 4))
-        nodes_x, nodes_y, lower = _grid_values(equation, [(n, m)], base)[n, m]
-        _, _, full = reference_grid_values(equation, n, m, base, factored_bracket(equation, n, m))
+        nodes_x, nodes_y, full = reference_grid_values(equation, n, m, base,
+                                                       factored_bracket(equation, n, m))
         G = n + m + 1
-        assert [len(row) for row in lower] == list(range(G, 0, -1))
         for i in range(G):
             for j in range(G):
                 assert full[i][j] == p.eval(nodes_x[i], nodes_y[j])
-                if i + j < G:
-                    assert lower[i][j] == full[i][j]
-
-
-@pytest.mark.parametrize("n, m", [(4, 4), (8, 0), (2, 5)])
-def test_grid_values_forms_f_only_where_needed(equation, monkeypatch, n, m):
-    # f = rho * Omega is formed on the lattice points a + b >= N only, and
-    # u on the G(G+1)/2 nodes of the lower set
-    formed = []
-
-    def spy(fvals, *args):
-        formed.append(sum(v is not None for row in fvals for v in row))
-        return difference_passes(fvals, *args)
-
-    monkeypatch.setattr(rodrigues, "difference_passes", spy)
-    N = n + m
-    G = N + 1
-    _, _, values = _grid_values(equation, [(n, m)], BASES[0])[n, m]
-    assert formed == [(G + n) * (G + m) - N * (N + 1) // 2]
-    assert sum(len(row) for row in values) == G * (G + 1) // 2
 
 
 def first_walk_pole(E, anchor, s_count, t_count):
@@ -404,72 +357,39 @@ def first_walk_pole(E, anchor, s_count, t_count):
     return None
 
 
-def assert_lattice_matches_the_fraction_reference(E, n, m):
-    """At every base of BASES, _grid_values raises the pole that the
-    walk over its lattice meets first; at the first pole-free base it gives
-    the Fraction pipeline's grid."""
-    q = E.qp.q
-    N = n + m
-    compared = False
-    for base in BASES:
-        pole = first_walk_pole(E, (base[0] * q**-N, base[1] * q**-N), N + 1 + n, N + 1 + m)
-        if pole is None:
-            if not compared:
-                assert _grid_values(E, [(n, m)], base)[n, m] == fraction_grid_values(E, n, m, base)
-                compared = True
-            continue
-        with pytest.raises(LatticePoleError) as err:
-            _grid_values(E, [(n, m)], base)
-        assert (err.value.which, err.value.index, err.value.point) == pole
-    assert compared
-
-
 @seed(2013)
 @settings(max_examples=40, deadline=None, database=None)
 @given(big_q_jacobi_points(), st.sampled_from([(2, 1), (1, 2), (3, 1), (2, 2), (0, 4), (4, 0)]))
 def test_integer_lattice_equals_fraction_reference_across_the_domain(params, pair):
-    assert_lattice_matches_the_fraction_reference(preset_equation(params), *pair)
+    E = preset_equation(params)
+    assert rodrigues_poly(E, *pair) == fraction_pipeline_poly(E, *pair)
 
 
 @pytest.mark.parametrize("pair", [(2, 2), (4, 0)], ids=str)
 def test_integer_lattice_equals_fraction_reference_at_q_nine_tenths(pair):
-    assert_lattice_matches_the_fraction_reference(preset_equation(Q910_PARAMS), *pair)
-
-
-@pytest.mark.parametrize("pairs", [[(2, 2)], [(t - m, m) for t in range(5) for m in range(t + 1)]],
-                         ids=["pair", "family-4"])
-def test_each_pearson_polynomial_is_evaluated_once_per_lattice(equation, monkeypatch, pairs):
-    # the omega grids that rho's ratios divide by also give Omega's factors
-    evaluated = []
-    real = BiPoly.eval_grid_pairs
-    monkeypatch.setattr(BiPoly, "eval_grid_pairs",
-                        lambda p, xs, ys: evaluated.append(p) or real(p, xs, ys))
-    _grid_values(equation, pairs, BASES[0])
-    P = equation.pearson
-    assert [sum(p is poly for p in evaluated) for poly in (P.phi1, P.phi2, P.omega1, P.omega2)] \
-        == [1, 1, 1, 1]
-    assert len(evaluated) == 4
+    E = preset_equation(Q910_PARAMS)
+    assert rodrigues_poly(E, *pair) == fraction_pipeline_poly(E, *pair)
 
 
 def test_weight_box_equals_value(equation):
     # the pairs are in lowest terms, as the weight CSV writes them
     anchor = BASES[0]
-    box = base_weight(equation, anchor).box_pairs(7, 5)[0]
+    box = base_weight(equation, anchor).box_pairs(7, 5)
     W = base_weight(equation, anchor)
     values = [[W.value(s, t) for t in range(5)] for s in range(7)]
     assert box == [[(v.numerator, v.denominator) for v in row] for row in values]
 
 
-def pole_anchor(params, kind, t=2):
+def pole_anchor(params, kind):
     """An anchor on the G1 pole ray x = c y; for kind "g2" its column
-    s = 0 also reaches omega2(x, qy)'s zero y = a at step t, a G2 pole
+    s = 0 also reaches omega2(x, qy)'s zero y = a at step 2, a G2 pole
     the walk meets before any G1 pole."""
     q = params.qp.q
     xb, yb = diagonal_pole_base(params)
     if kind == "g1-shifted":
         return xb * q**2, yb * q
     if kind == "g2":
-        yb = params.a * q**-t
+        yb = params.a * q**-2
         return params.c * yb, yb
     return xb, yb
 
@@ -504,74 +424,17 @@ def test_weight_table_rows_follow_the_walk(equation, params, kind):
     assert (err.value.which, err.value.index, err.value.point) == expected
 
 
-@pytest.mark.parametrize("kind", ["g1", "g2"])
-@pytest.mark.parametrize("n, m", [(1, 1), (2, 0), (0, 2), (2, 3)])
-def test_grid_values_raises_the_tensor_sampler_pole(equation, params, n, m, kind):
-    # the tensor-grid sampler walked rho over the same lattice box
-    q = params.qp.q
-    N = n + m
-    X, Y = pole_anchor(params, kind, t=1)
-    base = (X * q**N, Y * q**N)
-    expected = first_walk_pole(equation, (X, Y), N + 1 + n, N + 1 + m)
-    assert expected[0] == kind.upper()
-    with pytest.raises(LatticePoleError) as err:
-        _grid_values(equation, [(n, m)], base)
-    assert (err.value.which, err.value.index, err.value.point) == expected
-
-
 C_33_70_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(33, 70), F(-1, 2), QParam(F(1, 2)))
 
 
-@pytest.mark.parametrize("params", [*sweep_points(40), Q910_PARAMS, WIDE_D_PARAMS, C_33_70_PARAMS],
-                         ids=[*(f"sweep-{k}" for k in range(40)), "q=9/10", "wide-d", "c=33/70"])
-def test_computed_base_is_pole_free(params):
-    # the walk over the N = 8 family lattice meets no pole, and no Pearson
-    # polynomial vanishes on the 25 x 25 window of lattice exponents -16..8
-    # from the base, which holds every point the N <= 8 lattices touch
-    E = preset_equation(params)
-    q = params.qp.q
-    xb, yb = _pole_free_base(E.pearson, q)
-    assert first_walk_pole(E, (xb * q**-8, yb * q**-8), 17, 17) is None
-    xs, ys = ([v * q**a for a in range(-16, 9)] for v in (xb, yb))
-    for poly in (E.pearson.phi1, E.pearson.phi2, E.pearson.omega1, E.pearson.omega2):
-        assert all(num for row in poly.eval_grid_pairs(xs, ys) for num, _ in row)
-
-
-@seed(40)
-@settings(max_examples=60, deadline=None, database=None)
-@given(admissible_equations())
-def test_admissible_pearson_terms_keep_the_computed_base_pole_free(E):
-    # admissibility leaves the terms whose i - j differ, so at the computed
-    # base no nonzero Pearson polynomial vanishes, compatible system or not
-    try:
-        P = E.pearson
-    except DegenerateEquationError:
-        assume(False)
-    polys = (P.phi1, P.phi2, P.omega1, P.omega2)
-    x_terms, y_terms = {(2, 0), (1, 1), (1, 0), (0, 1)}, {(0, 2), (1, 1), (0, 1), (1, 0)}
-    for poly, terms in zip(polys, (x_terms, y_terms, x_terms, y_terms)):
-        assert set(poly.nums) <= terms
-    q = E.qp.q
-    xb, yb = _pole_free_base(P, q)
-    xs, ys = ([v * q**a for a in range(-8, 9)] for v in (xb, yb))
-    for poly in polys:
-        if not poly.is_zero():
-            assert all(num for row in poly.eval_grid_pairs(xs, ys) for num, _ in row)
-
-
-def test_one_lattice_where_a_hand_picked_base_hits_a_pole(monkeypatch):
+def test_one_lattice_where_a_hand_picked_base_hits_a_pole():
     # at c = 33/70 the first hand-picked base puts a G1 pole on the N = 6
-    # family lattice; the computed base serves at once, and the family is the
-    # one recorded before the base was computed (two bases tried then)
+    # family lattice; the recursion needs no lattice, and gives the family
+    # whose digest was recorded from a lattice at another base
     E = preset_equation(C_33_70_PARAMS)
     q = C_33_70_PARAMS.qp.q
     assert first_walk_pole(E, (BASES[0][0] * q**-6, BASES[0][1] * q**-6), 13, 13)[0] == "G1"
-    calls = []
-    real = rodrigues._grid_values
-    monkeypatch.setattr(rodrigues, "_grid_values",
-                        lambda E, pairs, base: calls.append(base) or real(E, pairs, base))
     family = rodrigues_family(E, 6)
-    assert calls == [_pole_free_base(E.pearson, q)]
     text = repr(sorted((nm, sorted(p.nums.items()), p.den) for nm, p in family.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "d614b0558d2a649a983dcbb08ddb4e2269263315a87beabb29de4af0fb15ff05"
@@ -591,9 +454,9 @@ def test_refusals_come_before_any_lattice_work(monkeypatch, text, failing, refus
     assert [row for row in ("key", "ratio_left", "ratio_right") if not report[row][0, 0]] == failing
 
     def boom(*args):
-        raise AssertionError("refused before any lattice work")
+        raise AssertionError("refused before any polynomial work")
 
-    monkeypatch.setattr(rodrigues, "_grid_values", boom)
+    monkeypatch.setattr(rodrigues, "_recursion", boom)
     with pytest.raises(DegenerateEquationError, match=refusal):
         rodrigues_poly(E, 1, 1)
 
@@ -659,8 +522,9 @@ def test_route_solves_or_refuses_the_sampled_equations(E):
     # symmetry, and on scaled presets (potentially self-adjoint away from
     # the preset point): every polynomial the route returns solves the
     # eigen-equation, and where it serves every row check reports holds.
-    # The constant-weight equation above passes the route's rows and gets
-    # non-solutions; no source here reaches such an equation
+    # The constant-weight equation above passes the route's rows, divides
+    # exactly and gets non-solutions; no source here reaches such an
+    # equation
     try:
         family = rodrigues_family(E, 2)
     except DegenerateEquationError:
@@ -669,6 +533,49 @@ def test_route_solves_or_refuses_the_sampled_equations(E):
     for (n, m), poly in family.items():
         assert (apply_operator(E, poly) + poly * lam(n + m)).is_zero(), (n, m)
     assert verify_pearson_identities(E, 2, 2)["ok"]
+
+
+@st.composite
+def constant_weight_equations(draw):
+    """Admissible equations of the family CONSTANT_WEIGHT_TEXT lies on:
+    G1 = G2 = 1 fixes b1 and b2, a12a = q^2 a12d(qx,qy), and admissibility
+    ties the quadratic terms of c11, c22 and a12d to a1, so eight
+    coefficients are free; here each is nonzero."""
+    q = draw(st.sampled_from([F(1, 2), F(2, 3), F(9, 10)]))
+    a1, c0, c1, g0, g1, d00, d10, d01 = (draw(NONZERO) for _ in range(8))
+    a12d = BiPoly({(0, 0): d00, (1, 0): d10, (0, 1): d01, (1, 1): a1})
+    f1 = a1 * q * (1 + q + q * q)
+    E = EquationCoeffs(QParam(q), BiPoly({(0, 0): c0, (1, 0): c1, (2, 0): q * a1}),
+                       BiPoly({(0, 0): g0, (0, 1): g1, (0, 2): q * a1}),
+                       a12d.scale_args(q, q) * q**2, a12d,
+                       BiPoly({(0, 0): c1 + q * q * d01, (1, 0): f1}),
+                       BiPoly({(0, 0): g1 + q * q * d10, (0, 1): f1}))
+    assume(E.admissibility.admissible)
+    return E
+
+
+@seed(7)
+@settings(max_examples=10, deadline=None, database=None)
+@given(constant_weight_equations())
+def test_route_refuses_the_constant_weight_family(E):
+    # the weight is constant and every order-(0, 0) row holds, but a mixed
+    # pair's division leaves a remainder, so the N = 3 family is refused
+    assert all(pearson_rows(E).values())
+    with pytest.raises(DegenerateEquationError, match="a Rodrigues division leaves a remainder"):
+        rodrigues_family(E, 3)
+
+
+@seed(7)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(ROUTE_EQUATIONS, constant_weight_equations()))
+def test_key_and_ratio_left_imply_ratio_right(E):
+    # why the route asks require_weight for key and ratio_left alone
+    try:
+        report = verify_pearson_identities(E, 2, 2)
+    except DegenerateEquationError:
+        return
+    for kl, held in report["ratio_right"].items():
+        assert held or not (report["key"][kl] and report["ratio_left"][kl]), kl
 
 
 def test_rejects_nonadmissible_equation(equation):

@@ -67,9 +67,10 @@ def test_only_bipoly_computes_on_the_rational_form():
     assert offenders == []
 
 
-#: the explicit families are built as series; the Rodrigues route alone
-#: samples and interpolates (the package namespace only re-exports the name)
-INTERPOLATING = {"rodrigues.py", "__init__.py"}
+#: the explicit families are built as series and the Rodrigues route by
+#: its recursion, so no module interpolates (the package namespace only
+#: re-exports the name)
+INTERPOLATING = {"__init__.py"}
 
 
 def test_only_rodrigues_interpolates():
