@@ -7,13 +7,13 @@ vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
-``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``,
-``rodrigues._x_step``), but only ``exact_form`` (``lift_pairs`` rows of int
-pairs over one lcm), ``reduced`` (one content gcd) and ``combine`` (scaled
-forms over one common denominator) bring a result to the reduced form;
-``lowest_terms`` reads entries back, ``product`` gives the unreduced
-numerators of a product, and ``product_dens`` the denominators of unformed
-products.
+``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``), but
+only ``exact_form`` (``lift_pairs`` rows of int pairs over one lcm),
+``reduced`` (one content gcd), ``combine`` (scaled forms over one common
+denominator) and ``pearson_step`` (the Rodrigues difference step) bring a
+result to the reduced form; ``lowest_terms`` reads entries back, ``product``
+gives the unreduced numerators of a product, and ``product_dens`` the
+denominators of unformed products.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
 nothing writes a form after construction.
 
@@ -24,7 +24,6 @@ All operations are pure; instances are immutable after construction.
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 import operator
@@ -124,6 +123,26 @@ def product(a: dict, b: dict) -> dict:
             m = (i1 + i2, j1 + j2)
             out[m] = get(m, 0) + c1 * c2
     return out
+
+
+def pearson_step(phi: "BiPoly", omega: "BiPoly", c, K: "BiPoly", q: Fraction) -> "BiPoly":
+    """[phi K(qx,y) - omega(cx,y) K] / ((q-1) x) in one pass over K's terms,
+    for a bracket that x divides (phi = omega at x = 0).  A Pearson monomial
+    (a, b) and an x-degree i of K share one integer factor, phi_ab q^i -
+    omega_ab c^a over one common denominator, and the sum is reduced once."""
+    qw, cw = _powers(q, max(K.degree_x(), 0)), _powers(c, omega.degree_x())
+    v = q.denominator  # 1 / (q - 1) = v / (q.numerator - v)
+    sp, sw = omega.den * cw[0] * v, phi.den * qw[0] * v
+    factors = [((a, b), [phi.nums.get((a, b), 0) * sp * t - omega.nums.get((a, b), 0) * sw * cw[a]
+                         for t in qw]) for a, b in {**phi.nums, **omega.nums}]
+    out = {}
+    get = out.get
+    for (i, j), n in K.nums.items():
+        for (a, b), f in factors:
+            if f[i]:
+                m = (a + i - 1, b + j)
+                out[m] = get(m, 0) + f[i] * n
+    return from_form(*reduced(out, phi.den * omega.den * qw[0] * cw[0] * K.den * (q.numerator - v)))
 
 
 def from_form(nums: dict, den: int) -> "BiPoly":
@@ -352,29 +371,31 @@ class BiPoly:
     def div_exact(self, divisor: "BiPoly") -> "BiPoly":
         """The quotient of an exact division; ValueError for a remainder.
         Lex-order long division of the numerators by the divisor's primitive
-        part, leading terms off a heap: by Gauss's lemma an exact quotient is
-        integral, so a term or coefficient that does not divide is a remainder."""
+        part, row by row (x-degree, then y-degree, descending): by Gauss's
+        lemma an exact quotient is integral, so a term below the divisor's
+        leading row or column, or a coefficient that does not divide, is a
+        remainder."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         content = math.gcd(*divisor.nums.values())
         rest = {k: n // content for k, n in divisor.nums.items()}
         (di, dj), lc = max(rest.items())
         del rest[di, dj]
-        rem, quot, heap = dict(self.nums), {}, [(-i, -j) for i, j in self.nums]
-        heapq.heapify(heap)
-        while heap:
-            i, j = heapq.heappop(heap)
-            c, r = divmod(rem.pop((-i, -j), 0), lc)
-            i, j = -i - di, -j - dj
-            if r or (c and (i < 0 or j < 0)):
-                raise ValueError("nonzero remainder in exact polynomial division")
-            if c:
-                quot[i, j] = c
-                for (ri, rj), n in rest.items():
-                    k = (ri + i, rj + j)
-                    if k not in rem:
-                        heapq.heappush(heap, (-k[0], -k[1]))
-                    rem[k] = rem.get(k, 0) - c * n
+        rows, quot = {}, {}
+        for (i, j), n in self.nums.items():
+            rows.setdefault(i, {})[j] = n
+        for i in range(max(rows, default=-1), -1, -1):
+            row = rows.pop(i, {})
+            for j in range(max(row, default=-1), -1, -1):
+                c, r = divmod(row.pop(j, 0), lc)
+                if r or (c and (i < di or j < dj)):
+                    raise ValueError("nonzero remainder in exact polynomial division")
+                if c:
+                    quot[i - di, j - dj] = c
+                    for (ri, rj), n in rest.items():
+                        k, t = ri + i - di, rj + j - dj
+                        target = row if k == i else rows.setdefault(k, {})
+                        target[t] = target.get(t, 0) - c * n
         return from_form(*reduced({k: n * divisor.den for k, n in quot.items()},
                                   self.den * content))
 

@@ -51,37 +51,43 @@ class PearsonData:
     omega2: BiPoly
 
 
-def build_pearson(E) -> PearsonData:
-    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact.
-    Either omega vanishing identically is a degenerate equation."""
+def _omegas(E) -> tuple:
+    """(omega1, omega2) of E, exact; either vanishing is a degenerate equation."""
     x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
     omega1 = y * E.c11 - x * E.a12d * q
     omega2 = x * E.c22 - y * E.a12d * q
     if omega1.is_zero() or omega2.is_zero():
         raise DegenerateEquationError("omega vanishes identically; no Pearson system")
+    return omega1, omega2
+
+
+def build_pearson(E) -> PearsonData:
+    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact."""
+    omega1, omega2 = _omegas(E)
+    x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
     return PearsonData(phi1, phi2, omega1, omega2)
 
 
-def pearson_rows(E) -> dict:
+def pearson_rows(E, w1: BiPoly, w2: BiPoly, w1_qq: BiPoly, w2_qq: BiPoly) -> dict:
     """The key, ratio_left and ratio_right rows of an EquationCoeffs or
     DerivedCoeffs, from the four shift products of its Pearson data:
 
         G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
-        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy).
+        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy),
 
-    Each row is a polynomial identity with its denominators cleared: key is
-    N_L D_R = N_R D_L, the shift commutation G2 G1(x,qy) = G1 G2(qx,y) that
-    g2 y Dq2 g1 = g1 x Dq1 g2 becomes with q - 1, x and y cancelled;
-    ratio_left is N_L q^2 a12d(qx,qy) = a12a D_L, and ratio_right the same
-    with N_R and D_R.  build_pearson refuses a vanishing omega, so no
-    cancelled factor is zero and each row decides its rational-function
-    identity exactly."""
+    given its omegas' shifts w1 = omega1(qx,y), w2 = omega2(x,qy), w1_qq =
+    omega1(qx,qy) and w2_qq = omega2(qx,qy).  Each row is a polynomial
+    identity with its denominators cleared: key is N_L D_R = N_R D_L, the
+    shift commutation G2 G1(x,qy) = G1 G2(qx,y) that g2 y Dq2 g1 = g1 x Dq1
+    g2 becomes with q - 1, x and y cancelled; ratio_left is N_L q^2
+    a12d(qx,qy) = a12a D_L, and ratio_right the same with N_R and D_R.
+    build_pearson refuses a vanishing omega, so no cancelled factor is zero
+    and each row decides its rational-function identity exactly."""
     P, q = E.pearson, E.qp.q
-    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
-    n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2.scale_args(q, 1)
-    n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1.scale_args(1, q) * w2
+    n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq
+    n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2
     a12d_qq = E.a12d.scale_args(q, q) * q**2
     return {"key": n_l * d_r == n_r * d_l,
             "ratio_left": n_l * a12d_qq == E.a12a * d_l,
@@ -95,10 +101,11 @@ def require_weight(E: EquationCoeffs, rows) -> None:
     ratio_left, ratio_right.  key alone says that a lattice weight rho
     exists; the Rodrigues route also needs ratio_left, which with key
     implies ratio_right."""
-    P = E.pearson
+    P, q = E.pearson, E.qp.q
     if P.phi1.is_zero() or P.phi2.is_zero():
         raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
-    for row, held in pearson_rows(E).items():
+    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
+    for row, held in pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1)).items():
         if row in rows and not held:
             raise DegenerateEquationError(
                 "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)" if row == "key"
@@ -118,13 +125,16 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     derived = dict(itertools.islice(propagated_orders(E, k_max + 1, l_max + 1),
                                     (k_max + 2) * (l_max + 2) - 1))
-    pearson = {kl: D.pearson for kl, D in derived.items()}
+    # coupling alone reads the orders k = k_max + 1 or l = l_max + 1: no phi
+    omegas = {kl: (D.pearson.omega1, D.pearson.omega2) if kl[0] <= k_max and kl[1] <= l_max
+              else _omegas(D) for kl, D in derived.items()}
+    w1 = {kl: w[0].scale_args(q, 1) for kl, w in omegas.items() if kl[0] <= k_max}
+    w2 = {kl: w[1].scale_args(1, q) for kl, w in omegas.items() if kl[1] <= l_max}
     for k, l in itertools.product(range(k_max + 1), range(l_max + 1)):
-        for row, held in pearson_rows(derived[k, l]).items():
+        w1_qq, w2_qq = w1[k, l].scale_args(1, q), w2[k, l].scale_args(q, 1)
+        for row, held in pearson_rows(derived[k, l], w1[k, l], w2[k, l], w1_qq, w2_qq).items():
             report[row][k, l] = held
-        w1_qq, w2_qq = (w.scale_args(q, q) for w in (pearson[k, l].omega1, pearson[k, l].omega2))
-        report["coupling"][k, l] = (pearson[k, l + 1].omega1.scale_args(q, 1) * w2_qq
-                                    == pearson[k + 1, l].omega2.scale_args(1, q) * w1_qq)
+        report["coupling"][k, l] = w1[k, l + 1] * w2_qq == w2[k + 1, l] * w1_qq
     report["ok"] = all(v for rows in report.values() for v in rows.values())
     return report
 

@@ -14,27 +14,17 @@ rho(x,y) phi1(x,y) / omega1(qx,y) gives
 the step of the univariate formula (Nikiforov, Suslov & Uvarov, *Classical
 Orthogonal Polynomials of a Discrete Variable*, Springer 1991), and the same
 along y with phi2 and omega2, so u needs no lattice, weight value or
-interpolation.
+interpolation.  Each step is one pass over K's terms and one content gcd
+(``bipoly.pearson_step``); a y step first divides S = omega2 K by omega2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, from_form, product
+from .bipoly import BiPoly, pearson_step
 from .equation import EquationCoeffs
 from .pearson import DegenerateEquationError, require_weight
-
-
-def _x_step(phi: BiPoly, K: BiPoly, rest: tuple, q: Fraction) -> BiPoly:
-    """[phi K(qx,y) - rest] / ((q-1) x) by one ``combine``, rest = omega K a
-    form (nums, den).  x divides exactly: the bracket at x = 0 is (phi -
-    omega)(0, y) K(0, y), and each phi_i - omega_i has the factor x_i."""
-    Kq = K.scale_args(q, 1)
-    a = q.denominator  # 1 / (q - 1) = a / (q.numerator - a)
-    nums, den = combine(((a, product(phi.nums, Kq.nums), phi.den * Kq.den), (-a, *rest)),
-                        q.numerator - a)
-    return from_form({(i - 1, j): c for (i, j), c in nums.items()}, den)
 
 
 def _recursion(first: tuple, second: tuple, q: Fraction, n: int, m: int) -> BiPoly:
@@ -48,8 +38,7 @@ def _recursion(first: tuple, second: tuple, q: Fraction, n: int, m: int) -> BiPo
         S = S * omega2.scale_args(q**-s, 1)
     S = S.swap()
     for j in range(n):
-        w = omega1.scale_args(q ** (j + 1 - n), 1)
-        S = _x_step(phi1, S, (product(w.nums, S.nums), w.den * S.den), q)
+        S = pearson_step(phi1, omega1, q ** (j + 1 - n), S, q)
     S = S.swap()
     for _ in range(m):
         try:
@@ -57,7 +46,7 @@ def _recursion(first: tuple, second: tuple, q: Fraction, n: int, m: int) -> BiPo
         except ValueError:
             raise DegenerateEquationError("equation not potentially self-adjoint: "
                                           "a Rodrigues division leaves a remainder") from None
-        S = _x_step(phi2, K, (S.nums, S.den), q)  # omega2 K = S
+        S = pearson_step(phi2, omega2, 1, K, q)
     return S.swap() * q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
 

@@ -7,7 +7,7 @@ import mpmath
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qbipoly.bipoly import BiPoly, product_dens
+from qbipoly.bipoly import BiPoly, pearson_step, product_dens
 from qbipoly.linalg import Mat
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import FloatField
@@ -116,6 +116,8 @@ def test_div_exact():
     p = (x + 1) * (y - x) * (y - x)
     q1 = p.div_exact(y - x)
     assert q1 == (x + 1) * (y - x)
+    # the dividend has no x^1 row; the division makes one and must walk it
+    assert (x * x - 1).div_exact(x + 1) == x - 1
     with pytest.raises(ValueError):
         (x * x + 1).div_exact(x + 1)
     rng = random.Random(11)
@@ -138,6 +140,36 @@ def test_div_exact():
     assert BiPoly.zero().div_exact(x - y) == BiPoly.zero()
     with pytest.raises(ZeroDivisionError):
         a.div_exact(BiPoly.zero())
+
+
+@pytest.mark.parametrize("dividend, divisor", [
+    (x * y + 1, x + y),                   # -y^2 + 1 is left in a row below x^1
+    (x * x * 5, x * y + 1),               # x^2 sits in a column below y^1
+    (x * y * y * 2, x * y * 2 + x * 3),   # -3xy, made in the current row, is odd
+    (x * x, x + 1),                       # 1 is left in rows that x^2 lacks
+], ids=["row-below-lead", "column-below-lead", "remainder-made-in-the-row",
+        "remainder-in-rows-the-dividend-lacks"])
+def test_div_exact_refuses_each_remainder(dividend, divisor):
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        dividend.div_exact(divisor)
+    with pytest.raises(ValueError, match="nonzero remainder"):
+        (dividend + divisor * (x - y * 3)).div_exact(divisor)
+    assert not dividend.div_rem(divisor)[1].is_zero()
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10), Fraction(-3, 2)], ids=str)
+def test_pearson_step_equals_the_ring_operations(q):
+    # omega = phi + x R agrees with phi at x = 0, so x divides the bracket;
+    # K = 0 and a constant K are among the draws
+    rng = random.Random(f"pearson-step-{q}")
+    for _ in range(30):
+        phi, K = rand_poly(rng), rand_poly(rng) * rng.randint(0, 1)
+        omega = phi + x * rand_poly(rng)
+        if omega.is_zero():
+            continue
+        c = q ** rng.randint(-3, 1)
+        bracket = phi * K.scale_args(q, 1) - omega.scale_args(c, 1) * K
+        assert pearson_step(phi, omega, c, K, q) == bracket.div_exact(x * (q - 1))
 
 
 def test_div_rem():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qbipoly.equation as equation_module
+import qbipoly.pearson as pearson_module
 from qbipoly.bigqjacobi import BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, derived_coeffs, propagated_orders
@@ -202,6 +203,18 @@ def test_report_stops_before_the_corner(equation, monkeypatch):
     assert len(steps) == 14
     monkeypatch.undo()
     assert report["ok"]
+    assert _in_order(report) == _in_order(rational_pearson_identities(equation, 2, 2))
+
+
+def test_report_builds_phi_only_for_the_orders_of_its_rows(equation, monkeypatch):
+    # coupling alone reads the border orders k = 3 or l = 3 of the (2, 2)
+    # report, through their omegas, so phi is built for the 9 orders k, l <= 2
+    built = []
+    real = pearson_module.build_pearson
+    monkeypatch.setattr(pearson_module, "build_pearson", lambda D: built.append(D) or real(D))
+    report = verify_pearson_identities(equation, 2, 2)
+    monkeypatch.undo()
+    assert len(built) == 9
     assert _in_order(report) == _in_order(rational_pearson_identities(equation, 2, 2))
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from test_monic import admissible_equations
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
-                             pearson_rows, verify_pearson_identities, weight_table_rows)
+                             require_weight, verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
 from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT, equation_to_text,
@@ -360,13 +361,13 @@ def first_walk_pole(E, anchor, s_count, t_count):
 @seed(2013)
 @settings(max_examples=40, deadline=None, database=None)
 @given(big_q_jacobi_points(), st.sampled_from([(2, 1), (1, 2), (3, 1), (2, 2), (0, 4), (4, 0)]))
-def test_integer_lattice_equals_fraction_reference_across_the_domain(params, pair):
+def test_recursion_equals_fraction_reference_across_the_domain(params, pair):
     E = preset_equation(params)
     assert rodrigues_poly(E, *pair) == fraction_pipeline_poly(E, *pair)
 
 
 @pytest.mark.parametrize("pair", [(2, 2), (4, 0)], ids=str)
-def test_integer_lattice_equals_fraction_reference_at_q_nine_tenths(pair):
+def test_recursion_equals_fraction_reference_at_q_nine_tenths(pair):
     E = preset_equation(Q910_PARAMS)
     assert rodrigues_poly(E, *pair) == fraction_pipeline_poly(E, *pair)
 
@@ -427,7 +428,7 @@ def test_weight_table_rows_follow_the_walk(equation, params, kind):
 C_33_70_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(33, 70), F(-1, 2), QParam(F(1, 2)))
 
 
-def test_one_lattice_where_a_hand_picked_base_hits_a_pole():
+def test_family_digest_where_a_hand_picked_base_meets_a_pole():
     # at c = 33/70 the first hand-picked base puts a G1 pole on the N = 6
     # family lattice; the recursion needs no lattice, and gives the family
     # whose digest was recorded from a lattice at another base
@@ -438,6 +439,17 @@ def test_one_lattice_where_a_hand_picked_base_hits_a_pole():
     text = repr(sorted((nm, sorted(p.nums.items()), p.den) for nm, p in family.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "d614b0558d2a649a983dcbb08ddb4e2269263315a87beabb29de4af0fb15ff05"
+
+
+def test_route_forms_are_pinned_on_the_preset_ladder():
+    # every pair n + m <= 8 of the preset at three q, as exact forms (den and
+    # sorted numerators); the digest was recorded from the unfused recursion
+    # (a scale_args and two products per step, a heap-ordered division)
+    text = repr([(q, sorted((nm, p.den, sorted(p.nums.items())) for nm, p in rodrigues_family(
+                     preset_equation(replace(TEST_PARAMS, qp=QParam(q))), 8).items()))
+                 for q in (F(1, 2), F(2, 3), F(9, 10))])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "275de17f11f2b08101eb175b690260ce7b26b39d0177d98f51fe899b79c4ae55"
 
 
 @pytest.mark.parametrize("text, failing, refusal", [
@@ -501,7 +513,7 @@ def test_order_zero_rows_and_the_checked_rows(E, implied):
     # the route decides the order-(0, 0) rows alone.  On scaled presets every
     # row that check reports up to order (2, 2) holds with them; the
     # constant-weight equation shows that the (0, 0) rows do not imply them
-    assert all(pearson_rows(E).values())
+    require_weight(E, ("key", "ratio_left", "ratio_right"))
     assert verify_pearson_identities(E, 2, 2)["ok"] is implied
 
 
@@ -560,7 +572,7 @@ def constant_weight_equations(draw):
 def test_route_refuses_the_constant_weight_family(E):
     # the weight is constant and every order-(0, 0) row holds, but a mixed
     # pair's division leaves a remainder, so the N = 3 family is refused
-    assert all(pearson_rows(E).values())
+    require_weight(E, ("key", "ratio_left", "ratio_right"))
     with pytest.raises(DegenerateEquationError, match="a Rodrigues division leaves a remainder"):
         rodrigues_family(E, 3)
 

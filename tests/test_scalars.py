@@ -73,7 +73,7 @@ def test_only_bipoly_computes_on_the_rational_form():
 INTERPOLATING = {"__init__.py"}
 
 
-def test_only_rodrigues_interpolates():
+def test_no_module_interpolates():
     offenders = [f"{path.name}:{node.lineno}"
                  for path in sorted(SRC.glob("*.py")) if path.name not in INTERPOLATING
                  for node in ast.walk(ast.parse(path.read_text()))
