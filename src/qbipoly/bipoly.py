@@ -130,7 +130,7 @@ def pearson_step(phi: "BiPoly", omega: "BiPoly", c, K: "BiPoly", q: Fraction) ->
     for a bracket that x divides (phi = omega at x = 0).  A Pearson monomial
     (a, b) and an x-degree i of K share one integer factor, phi_ab q^i -
     omega_ab c^a over one common denominator, and the sum is reduced once."""
-    qw, cw = _powers(q, max(K.degree_x(), 0)), _powers(c, omega.degree_x())
+    qw, cw = _powers(q, max(K.degree_x(), 0)), _powers(c, max(phi.degree_x(), omega.degree_x(), 0))
     v = q.denominator  # 1 / (q - 1) = v / (q.numerator - v)
     sp, sw = omega.den * cw[0] * v, phi.den * qw[0] * v
     factors = [((a, b), [phi.nums.get((a, b), 0) * sp * t - omega.nums.get((a, b), 0) * sw * cw[a]

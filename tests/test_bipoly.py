@@ -159,15 +159,28 @@ def test_div_exact_refuses_each_remainder(dividend, divisor):
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10), Fraction(-3, 2)], ids=str)
 def test_pearson_step_equals_the_ring_operations(q):
-    # omega = phi + x R agrees with phi at x = 0, so x divides the bracket;
-    # K = 0 and a constant K are among the draws
+    # phi and omega differ by x R, so x divides the bracket; either one may
+    # have the higher x-degree, and K = 0 and a constant K are among the draws
     rng = random.Random(f"pearson-step-{q}")
     for _ in range(30):
         phi, K = rand_poly(rng), rand_poly(rng) * rng.randint(0, 1)
         omega = phi + x * rand_poly(rng)
+        if rng.randint(0, 1):
+            phi, omega = omega, phi
         if omega.is_zero():
             continue
         c = q ** rng.randint(-3, 1)
+        bracket = phi * K.scale_args(q, 1) - omega.scale_args(c, 1) * K
+        assert pearson_step(phi, omega, c, K, q) == bracket.div_exact(x * (q - 1))
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 2), Fraction(4)], ids=str)
+def test_pearson_step_where_phi_outranks_omega_in_x(c):
+    # phi's x^2 term has no omega term beside it (a Pearson pair that an
+    # admissible equation yields)
+    q = Fraction(1, 2)
+    phi, omega = y - x * Fraction(1, 4) - x * x * Fraction(1, 4) + x * y, y - x * Fraction(1, 2)
+    for K in [BiPoly.const(3), x * x * y - y + 2, BiPoly.zero()]:
         bracket = phi * K.scale_args(q, 1) - omega.scale_args(c, 1) * K
         assert pearson_step(phi, omega, c, K, q) == bracket.div_exact(x * (q - 1))
 

@@ -712,6 +712,20 @@ b1 = 0,0:2 1,0:-9/7
 b2 = 0,0:4 0,1:-9/7
 """
 
+#: admissible, with every order-(0,0) Pearson row holding: phi1 = y - x/4
+#: - x^2/4 + xy has a higher x-degree than omega1 = y - x/2 (G1 = 1 + x,
+#: G2 = 1), so the x steps of the Rodrigues recursion meet phi1's x^2 term
+#: with no omega1 term beside it
+PHI1_ABOVE_OMEGA1_TEXT = """\
+q = 1/2
+c11 = 0,0:1 1,0:1/2
+c22 = 0,0:1
+a12a = 0,0:1/4 0,1:1/8 1,0:1/4 1,1:1/8
+a12d = 0,0:1 0,1:1
+b1 = 0,0:-5/4 1,0:-1/4
+b2 = 0,0:-1/2 0,1:-1/4
+"""
+
 
 def pearson_line(name: str, t) -> EquationCoeffs:
     """The preset at TEST_PARAMS moved by t along one of three lines that
@@ -768,6 +782,21 @@ def test_cli_rodrigues_refusal_is_one_line_exit_1(tmp_path, capsys, text, family
         assert main(["check", "--equation", str(path)]) == 1
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == check_sha256
+
+
+def test_cli_rodrigues_where_phi1_outranks_omega1_in_x(tmp_path, capsys):
+    # the document is the one the route wrote before its one-pass step; its
+    # eigen-equation residual is nonzero (the Pearson rows fail from order
+    # (0, 1) on, which the route does not check), hence exit 1
+    path = tmp_path / "eq.eq"
+    path.write_text(PHI1_ABOVE_OMEGA1_TEXT)
+    assert main(["generate", "--equation", str(path), "--family", "rodrigues",
+                 "--degrees", "3 0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["residual_zero"] is False
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "98ed7a65d98cbb4bc7ccbc5142c6e63ae4d43d1e2afccc702de9399fd829f79e")
 
 
 @pytest.mark.parametrize("exc", [SeriesError("denominator vanished"), SingularMatrixError(2),

@@ -21,8 +21,8 @@ from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_wei
                              require_weight, verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
-from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT, equation_to_text,
-                         pearson_line)
+from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT,
+                         equation_to_text, pearson_line)
 from test_pearson import rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
@@ -257,6 +257,21 @@ def test_first_order_closed_form(equation):
     q = equation.qp.q
     target = (P.phi1 - P.omega1).div_exact(x * (q - 1))
     assert rodrigues_poly(equation, 1, 0) == target
+
+
+def test_recursion_where_phi1_outranks_omega1_in_x():
+    # phi1 has an x^2 term and omega1 none; the pure pairs equal the
+    # fraction reference and the one-step closed form, and a mixed pair
+    # refuses as it did before the one-pass step: no Pearson row past order
+    # (0, 0) holds, so a y step's division leaves a remainder
+    E = parse_equation_source(PHI1_ABOVE_OMEGA1_TEXT)[0]
+    P, q = E.pearson, E.qp.q
+    assert P.phi1.degree_x() > P.omega1.degree_x()
+    assert rodrigues_poly(E, 1, 0) == (P.phi1 - P.omega1).div_exact(x * (q - 1))
+    for pair in [(1, 0), (3, 0), (0, 1), (0, 2)]:
+        assert rodrigues_poly(E, *pair) == fraction_pipeline_poly(E, *pair), pair
+    with pytest.raises(DegenerateEquationError, match="division leaves a remainder"):
+        rodrigues_poly(E, 1, 1)
 
 
 def test_total_degree_and_nondegenerate_leading_part(equation):
