@@ -126,15 +126,18 @@ def product(a: dict, b: dict) -> dict:
 
 
 def pearson_step(phi: "BiPoly", omega: "BiPoly", c, K: "BiPoly", q: Fraction) -> "BiPoly":
-    """[phi K(qx,y) - omega(cx,y) K] / ((q-1) x) in one pass over K's terms,
-    for a bracket that x divides (phi = omega at x = 0).  A Pearson monomial
-    (a, b) and an x-degree i of K share one integer factor, phi_ab q^i -
-    omega_ab c^a over one common denominator, and the sum is reduced once."""
+    """[phi K(qx,y) - omega(cx,y) K] / ((q-1) x) in one pass over K's terms.
+    A Pearson monomial (a, b) and an x-degree i of K share one integer
+    factor, phi_ab q^i - omega_ab c^a over one common denominator, and the
+    sum is reduced once.  At x = 0 the bracket is (phi - omega)(0,y) K(0,y),
+    so x divides it iff phi(0,y) = omega(0,y) or K(0,y) = 0; else ValueError."""
     qw, cw = _powers(q, max(K.degree_x(), 0)), _powers(c, max(phi.degree_x(), omega.degree_x(), 0))
     v = q.denominator  # 1 / (q - 1) = v / (q.numerator - v)
     sp, sw = omega.den * cw[0] * v, phi.den * qw[0] * v
     factors = [((a, b), [phi.nums.get((a, b), 0) * sp * t - omega.nums.get((a, b), 0) * sw * cw[a]
                          for t in qw]) for a, b in {**phi.nums, **omega.nums}]
+    if any(f[0] for (a, _), f in factors if not a) and any(i == 0 for i, _ in K.nums):
+        raise ValueError("x does not divide the bracket: phi(0,y) != omega(0,y)")
     out = {}
     get = out.get
     for (i, j), n in K.nums.items():

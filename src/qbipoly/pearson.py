@@ -84,14 +84,14 @@ def pearson_rows(E, w1: BiPoly, w2: BiPoly, w1_qq: BiPoly, w2_qq: BiPoly) -> dic
     g2 becomes with q - 1, x and y cancelled; ratio_left is N_L q^2
     a12d(qx,qy) = a12a D_L, and ratio_right the same with N_R and D_R.
     build_pearson refuses a vanishing omega, so no cancelled factor is zero
-    and each row decides its rational-function identity exactly."""
+    and each row's callable decides its rational-function identity exactly."""
     P, q = E.pearson, E.qp.q
     n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq
     n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2
     a12d_qq = E.a12d.scale_args(q, q) * q**2
-    return {"key": n_l * d_r == n_r * d_l,
-            "ratio_left": n_l * a12d_qq == E.a12a * d_l,
-            "ratio_right": n_r * a12d_qq == E.a12a * d_r}
+    return {"key": lambda: n_l * d_r == n_r * d_l,
+            "ratio_left": lambda: n_l * a12d_qq == E.a12a * d_l,
+            "ratio_right": lambda: n_r * a12d_qq == E.a12a * d_r}
 
 
 def require_weight(E: EquationCoeffs, rows) -> None:
@@ -100,13 +100,17 @@ def require_weight(E: EquationCoeffs, rows) -> None:
     `rows` do not all hold, naming the first failure in the order phi, key,
     ratio_left, ratio_right.  key alone says that a lattice weight rho
     exists; the Rodrigues route also needs ratio_left, which with key
-    implies ratio_right."""
+    implies ratio_right.  The ratio rows, if asked for, come first: with a12d
+    nonzero they imply key, whose products are then not formed."""
     P, q = E.pearson, E.qp.q
     if P.phi1.is_zero() or P.phi2.is_zero():
         raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
     w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
-    for row, held in pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1)).items():
-        if row in rows and not held:
+    decide = pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1))
+    held = {row: decide[row]() for row in ("ratio_left", "ratio_right") if set(rows) - {"key"}}
+    held["key"] = len(held) == 2 and all(held.values()) and not E.a12d.is_zero() or decide["key"]()
+    for row in ("key", "ratio_left", "ratio_right"):
+        if row in rows and not held[row]:
             raise DegenerateEquationError(
                 "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)" if row == "key"
                 else f"equation not potentially self-adjoint: {row} fails")
@@ -132,8 +136,8 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     w2 = {kl: w[1].scale_args(1, q) for kl, w in omegas.items() if kl[1] <= l_max}
     for k, l in itertools.product(range(k_max + 1), range(l_max + 1)):
         w1_qq, w2_qq = w1[k, l].scale_args(1, q), w2[k, l].scale_args(q, 1)
-        for row, held in pearson_rows(derived[k, l], w1[k, l], w2[k, l], w1_qq, w2_qq).items():
-            report[row][k, l] = held
+        for row, decide in pearson_rows(derived[k, l], w1[k, l], w2[k, l], w1_qq, w2_qq).items():
+            report[row][k, l] = decide()
         report["coupling"][k, l] = w1[k, l + 1] * w2_qq == w2[k + 1, l] * w1_qq
     report["ok"] = all(v for rows in report.values() for v in rows.values())
     return report

@@ -14,8 +14,8 @@ rho(x,y) phi1(x,y) / omega1(qx,y) gives
 the step of the univariate formula (Nikiforov, Suslov & Uvarov, *Classical
 Orthogonal Polynomials of a Discrete Variable*, Springer 1991), and the same
 along y with phi2 and omega2, so u needs no lattice, weight value or
-interpolation.  Each step is one pass over K's terms and one content gcd
-(``bipoly.pearson_step``); a y step first divides S = omega2 K by omega2.
+interpolation.  The x steps run on W = rho prod_{s<m} omega2(x, q^-s y) and the
+y steps peel its omega2 factors, so no step divides (``bipoly.pearson_step``).
 """
 
 from __future__ import annotations
@@ -27,43 +27,45 @@ from .equation import EquationCoeffs
 from .pearson import DegenerateEquationError, require_weight
 
 
+def _weight_phis(first: tuple, second: tuple, q: Fraction, top: int) -> list:
+    """[phi_0, ..., phi_top] for ``_recursion``'s first and second: phi_0 = phi1,
+    phi_{s+1} = phi_s omega2(qx, q^-s y) / omega2(x, q^-s y), so that W = rho
+    prod_{s<m} omega2(x, q^-s y) has x ratio W(qx,y) / W = phi_m / omega1(qx,y)."""
+    phis = [first[0]]
+    for s in range(top):
+        w = second[1].swap().scale_args(1, q**-s) if s else second[1].swap()
+        phis.append((phis[-1] * w.scale_args(q, 1)).div_exact(w))
+    return phis
+
+
 def _recursion(first: tuple, second: tuple, q: Fraction, n: int, m: int) -> BiPoly:
-    """u of (n, m): n x steps with first = (phi1, omega1), then m y steps,
-    each an x step conjugated by the swap, with second = (phi2, omega2)
-    swapped.  The x steps start from Omega without the omega1 factors that
-    they peel off, and leave Dq1^n [rho Omega] / rho; each y step divides."""
-    (phi1, omega1), (phi2, omega2) = first, second
-    S = BiPoly.const(1)
-    for s in range(m):
-        S = S * omega2.scale_args(q**-s, 1)
-    S = S.swap()
+    """u of (n, m): n x steps from K = 1 with first = (phi_m, omega1) leave
+    Dq1^n [rho Omega] / W; then m y steps, x steps conjugated by the swap
+    with second = (phi2, omega2) swapped, peel W's omega2 factors."""
+    (phi, omega1), (phi2, omega2) = first, second
+    K = BiPoly.const(1)
     for j in range(n):
-        S = pearson_step(phi1, omega1, q ** (j + 1 - n), S, q)
-    S = S.swap()
-    for _ in range(m):
-        try:
-            K = S.div_exact(omega2)
-        except ValueError:
-            raise DegenerateEquationError("equation not potentially self-adjoint: "
-                                          "a Rodrigues division leaves a remainder") from None
-        S = pearson_step(phi2, omega2, 1, K, q)
-    return S.swap() * q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+        K = pearson_step(phi, omega1, q ** (j + 1 - n), K, q)
+    K = K.swap()
+    for j in range(m):
+        K = pearson_step(phi2, omega2, q ** (j + 1 - m), K, q)
+    return K.swap() * q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
 
 
 def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     """{(n, m): the degree-(n+m) Rodrigues polynomial} for every pair, exact.
     A pair with m > n runs as (m, n) on the swapped Pearson data, so it
-    takes min(n, m) divisions.
+    takes min(n, m) y steps; each orientation forms its phi_m once.
 
     Before any polynomial work it raises NotAdmissibleError
     (``Admissibility.require``), and DegenerateEquationError
     (``require_weight``) unless phi1 and phi2 are nonzero and the
     order-(0,0) key and ratio_left rows hold.  ratio_right follows, since
     N_L (N_R a - a12a D_R) = N_R (N_L a - a12a D_L) + a12a (N_R D_L - N_L D_R)
-    in the terms of ``pearson_rows`` and N_L is nonzero.  A division that
-    leaves a remainder is the same refusal.  The eigen-equation is checked
-    by the consistency suite, `generate --family rodrigues` (its
-    residual_zero entry) and the tests, not here.
+    in the terms of ``pearson_rows`` and N_L is nonzero.  A phi_m that is not
+    a polynomial, or a bracket that x does not divide, is the same refusal.
+    The eigen-equation is checked by the consistency suite, `generate
+    --family rodrigues` (its residual_zero entry) and the tests, not here.
     """
     pairs = list(dict.fromkeys(pairs))
     if any(n < 0 or m < 0 for n, m in pairs):
@@ -72,8 +74,14 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     require_weight(E, ("key", "ratio_left"))
     P, q = E.pearson, E.qp.q
     along_x, along_y = (P.phi1, P.omega1), (P.phi2.swap(), P.omega2.swap())
-    return {(n, m): _recursion(along_x, along_y, q, n, m) if n >= m
-            else _recursion(along_y, along_x, q, m, n).swap() for n, m in pairs}
+    try:
+        phis_x = _weight_phis(along_x, along_y, q, max([m for n, m in pairs if n >= m], default=0))
+        phis_y = _weight_phis(along_y, along_x, q, max([n for n, m in pairs if n < m], default=0))
+        return {(n, m): _recursion((phis_x[m], P.omega1), along_y, q, n, m) if n >= m
+                else _recursion((phis_y[n], along_y[1]), along_x, q, m, n).swap() for n, m in pairs}
+    except ValueError:
+        raise DegenerateEquationError("equation not potentially self-adjoint: "
+                                      "a Rodrigues division leaves a remainder") from None
 
 
 def rodrigues_poly(E: EquationCoeffs, n: int, m: int) -> BiPoly:

@@ -185,6 +185,27 @@ def test_pearson_step_where_phi_outranks_omega_in_x(c):
         assert pearson_step(phi, omega, c, K, q) == bracket.div_exact(x * (q - 1))
 
 
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10)], ids=str)
+def test_pearson_step_refuses_a_bracket_that_x_does_not_divide(q):
+    # at x = 0 the bracket is (phi - omega)(0,y) K(0,y): with phi(0,y) !=
+    # omega(0,y), x divides it exactly where K(0,y) vanishes, and the step
+    # never returns a term of x-degree -1
+    rng = random.Random(f"pearson-step-guard-{q}")
+    for _ in range(30):
+        phi, omega, K = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        if rng.randint(0, 1):
+            K = K * x
+        if omega.is_zero():
+            continue
+        c = q ** rng.randint(-3, 1)
+        bracket = phi * K.scale_args(q, 1) - omega.scale_args(c, 1) * K
+        if (phi - omega).scale_args(0, 1).is_zero() or K.scale_args(0, 1).is_zero():
+            assert pearson_step(phi, omega, c, K, q) == bracket.div_exact(x * (q - 1))
+        else:
+            with pytest.raises(ValueError, match="x does not divide"):
+                pearson_step(phi, omega, c, K, q)
+
+
 def test_div_rem():
     quot, rem = (x * x * y + y * y + 3).div_rem(x * y + 1)
     assert (quot, rem) == (x, y * y - x + 3)

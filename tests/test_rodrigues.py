@@ -20,7 +20,7 @@ from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
                              require_weight, verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
-from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
+from qbipoly.rodrigues import rodrigues_family, rodrigues_poly, rodrigues_polys
 from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT,
                          equation_to_text, pearson_line)
 from test_pearson import rho_kl
@@ -467,6 +467,19 @@ def test_route_forms_are_pinned_on_the_preset_ladder():
         "275de17f11f2b08101eb175b690260ce7b26b39d0177d98f51fe899b79c4ae55"
 
 
+def test_route_forms_are_pinned_on_the_high_mixed_pairs():
+    # every pair with 9 <= n + m <= 12 and min(n, m) >= 2 of the preset at
+    # q = 1/2 and 9/10, as exact forms; the digest was recorded from the
+    # recursion that carried Omega's omega2 factors in K and divided by
+    # omega2 before every y step
+    pairs = [(t - m, m) for t in range(9, 13) for m in range(2, t - 1)]
+    text = repr([(q, sorted((nm, p.den, sorted(p.nums.items())) for nm, p in rodrigues_polys(
+                     preset_equation(replace(TEST_PARAMS, qp=QParam(q))), pairs).items()))
+                 for q in (F(1, 2), F(9, 10))])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e206a6e6074c2e6872a1b19cfd7817ce560b299a0042717135db05e1917a3f6d"
+
+
 @pytest.mark.parametrize("text, failing, refusal", [
     (INCOMPATIBLE_PEARSON_TEXT, ["key", "ratio_left", "ratio_right"], "incompatible Pearson"),
     (PHI1_ZERO_TEXT, ["ratio_left", "ratio_right"], "phi1 or phi2 vanishes"),
@@ -563,13 +576,16 @@ def test_route_solves_or_refuses_the_sampled_equations(E):
 
 
 @st.composite
-def constant_weight_equations(draw):
+def constant_weight_equations(draw, x_divides_a12d=False):
     """Admissible equations of the family CONSTANT_WEIGHT_TEXT lies on:
     G1 = G2 = 1 fixes b1 and b2, a12a = q^2 a12d(qx,qy), and admissibility
     ties the quadratic terms of c11, c22 and a12d to a1, so eight
-    coefficients are free; here each is nonzero."""
+    coefficients are free; here each is nonzero, except that
+    x_divides_a12d zeroes a12d(0, y), so that x divides omega2."""
     q = draw(st.sampled_from([F(1, 2), F(2, 3), F(9, 10)]))
     a1, c0, c1, g0, g1, d00, d10, d01 = (draw(NONZERO) for _ in range(8))
+    if x_divides_a12d:
+        d00 = d01 = 0
     a12d = BiPoly({(0, 0): d00, (1, 0): d10, (0, 1): d01, (1, 1): a1})
     f1 = a1 * q * (1 + q + q * q)
     E = EquationCoeffs(QParam(q), BiPoly({(0, 0): c0, (1, 0): c1, (2, 0): q * a1}),
@@ -590,6 +606,92 @@ def test_route_refuses_the_constant_weight_family(E):
     require_weight(E, ("key", "ratio_left", "ratio_right"))
     with pytest.raises(DegenerateEquationError, match="a Rodrigues division leaves a remainder"):
         rodrigues_family(E, 3)
+
+
+@seed(45)
+@settings(max_examples=40, deadline=None, database=None)
+@given(constant_weight_equations(x_divides_a12d=True))
+def test_route_where_x_divides_omega2_refuses_or_solves(E):
+    # phi_m(0,y) = omega1(0,y) needs omega2(0,y) != 0; where x divides
+    # omega2 an x step's bracket may leave a remainder, which is refused,
+    # so no exponent is negative.  A mixed pair that is served solves the
+    # eigen-equation; the pure pairs are this constant-weight family's
+    # non-solutions, whose rows fail past order (0, 0), as for
+    # CONSTANT_WEIGHT_TEXT in test_order_zero_rows_and_the_checked_rows
+    lam = E.admissibility.eigenvalue
+    for t in range(4):
+        for n, m in ((t - m, m) for m in range(t + 1)):
+            try:
+                poly = rodrigues_poly(E, n, m)
+            except DegenerateEquationError as err:
+                assert "a Rodrigues division leaves a remainder" in str(err)
+                continue
+            assert all(i >= 0 and j >= 0 for i, j in poly.nums), (n, m)
+            assert (apply_operator(E, poly) + poly * lam(n + m)).is_zero() or (
+                min(n, m) == 0 and not verify_pearson_identities(E, 2, 2)["ok"]), (n, m)
+
+
+#: constant weight with omega2 = x (a12d(0, y) = 0 and C22 - q y a12d/x
+#: constant): phi2 = omega2 = x
+OMEGA2_X_TEXT = """\
+q = 1/2
+c11 = 0,0:-29/9 1,0:1 2,0:-29/18
+c22 = 0,0:1 0,1:1/2 0,2:-29/18
+a12a = 1,0:1/8 1,1:-29/144
+a12d = 1,0:1 1,1:-29/9
+b1 = 0,0:1 1,0:-203/72
+b2 = 0,0:3/4 0,1:-203/72
+"""
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3)], ids=str)
+def test_route_refuses_the_zero_mixed_pairs_where_omega2_is_x(n, m):
+    # the pair runs as (m, n) on the swapped data, where the weight's x
+    # ratio phi2 omega1(qy,x) / omega1(y,x) is not a polynomial; the route
+    # that divided by omega2 before each y step returned the zero polynomial
+    E, _ = parse_equation_source(OMEGA2_X_TEXT)
+    assert E.pearson.omega2 == x and E.pearson.phi2 == x
+    with pytest.raises(DegenerateEquationError, match="a Rodrigues division leaves a remainder"):
+        rodrigues_poly(E, n, m)
+    assert rodrigues_poly(E, 0, m).is_zero()
+
+
+ROWS = ("key", "ratio_left", "ratio_right")
+
+
+@seed(45)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(ROUTE_EQUATIONS, constant_weight_equations(),
+                 constant_weight_equations(x_divides_a12d=True)),
+       st.sampled_from([ROWS[:1], ROWS[:2], ROWS]))
+def test_require_weight_names_the_first_failing_row(E, rows):
+    # require_weight decides the ratio rows first and forms key only where
+    # they do not imply it; its verdict is the Pearson report's
+    try:
+        report = verify_pearson_identities(E, 0, 0)
+    except DegenerateEquationError:
+        return
+    if E.pearson.phi1.is_zero() or E.pearson.phi2.is_zero():
+        return
+    failing = [row for row in rows if not report[row][0, 0]]
+    if not failing:
+        require_weight(E, rows)
+        return
+    message = "incompatible Pearson" if failing[0] == "key" else f"{failing[0]} fails"
+    with pytest.raises(DegenerateEquationError, match=message):
+        require_weight(E, rows)
+
+
+def test_require_weight_decides_key_where_a12d_vanishes():
+    # with a12d = a12a = 0 both ratio rows hold as 0 = 0 and imply nothing;
+    # G1 = 1 + x - x^2 + x y / 2 depends on y and G2 = 1, so key fails
+    q = F(1, 2)
+    E = EquationCoeffs(QParam(q), BiPoly.const(1), BiPoly.const(1), BiPoly.zero(), BiPoly.zero(),
+                       (BiPoly.const(1) - x + y * F(1, 2)) / (q - 1), BiPoly.const(0))
+    report = verify_pearson_identities(E, 0, 0)
+    assert [row for row in ROWS if not report[row][0, 0]] == ["key"]
+    with pytest.raises(DegenerateEquationError, match="incompatible Pearson"):
+        require_weight(E, ("key", "ratio_left"))
 
 
 @seed(7)
