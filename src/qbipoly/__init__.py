@@ -6,16 +6,15 @@ Rodrigues representation, explicit hypergeometric series)."""
 
 from .bipoly import BiPoly
 from .equation import (EquationCoeffs, DerivedCoeffs, admissibility,
-                       apply_operator, check_hypergeometric_form, derived_coeffs)
-from .linalg import Mat, interpolate_2d
+                       apply_operator, check_hypergeometric_form)
+from .linalg import Mat
 from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
                       verify_pearson_identities)
-from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_bivariate,
-                    phi_rs, qnum, qpochhammer, qpochhammer_inf,
+from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_rs, qnum,
                     verify_operator_relations)
 from .rodrigues import rodrigues_poly
 from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
-                    ghat_oracle, structure_matrices, ttr_matrices)
+                    structure_matrices, ttr_matrices)
 from .scalars import FloatField
 
 __all__ = [name for name in dir() if not name.startswith("_")]

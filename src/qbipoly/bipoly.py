@@ -8,12 +8,13 @@ zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
 ``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``), but
-only ``exact_form`` (``lift_pairs`` rows of int pairs over one lcm),
+only ``exact_form`` (numerators over the lcm of the denominators),
 ``reduced`` (one content gcd), ``combine`` (scaled forms over one common
 denominator) and ``pearson_step`` (the Rodrigues difference step) bring a
-result to the reduced form; ``lowest_terms`` reads entries back, ``product``
-gives the unreduced numerators of a product, and ``product_dens`` the
-denominators of unformed products.
+result to the reduced form; ``lift_pairs`` brings int pairs to their lcm
+(the operator's six part coefficients), ``lowest_terms`` reads entries
+back, ``product`` gives the unreduced numerators of a product, and
+``product_dens`` the denominators of unformed products.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
 nothing writes a form after construction.
 
@@ -70,12 +71,11 @@ def lowest_pair(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
-def lift_pairs(rows) -> tuple:
-    """(lifted, D) for rows of int pairs (num, den != 0) or None: D the lcm
-    of the dens as given (least when each pair is ``lowest_pair``), and
-    lifted[r][s] the numerator of pair rows[r][s] over D (None stays None)."""
-    D = math.lcm(*(v[1] for row in rows for v in row if v is not None))
-    return [[None if v is None else v[0] * (D // v[1]) for v in row] for row in rows], D
+def lift_pairs(pairs) -> tuple:
+    """(lifted, D) for int pairs (num, den != 0): D the lcm of the dens and
+    lifted[k] the numerator of pairs[k] over D."""
+    D = math.lcm(*(d for _, d in pairs))
+    return [n * (D // d) for n, d in pairs], D
 
 
 def combine(terms, div: int = 1) -> tuple:

@@ -142,8 +142,8 @@ def operator_parts(E, top: int) -> tuple:
     numerators and D over its denominator, D the lcm of the six."""
     tables = [(step_weights(p, top), p.denominator ** (top - 1)) for p in (E.qp.q, 1 / E.qp.q)]
     coeffs = [getattr(E, name) for name, _ in _PARTS]
-    (lifts,), D = lift_pairs([[(1, c.den * math.prod(tables[b][1] for _, b in steps))
-                               for c, (_, steps) in zip(coeffs, _PARTS)]])
+    lifts, D = lift_pairs([(1, c.den * math.prod(tables[b][1] for _, b in steps))
+                           for c, (_, steps) in zip(coeffs, _PARTS)])
     return [(tuple((axis, tables[b][0]) for axis, b in steps), c.nums, lift)
             for c, (_, steps), lift in zip(coeffs, _PARTS, lifts)], D
 

@@ -7,18 +7,18 @@ vector is a plain list of BiPolys.  Sums, scalings and products, ``Mat @``
 such a list included, are the kernel ``combine``, which never visits a zero
 entry: the operator's difference blocks are bidiagonal and the
 multiplication embeddings are 0/1 selections.
-Solving is plain rational Gaussian elimination with partial pivoting, so
-results and singularity reports are exact.  No route calls it or the
-lower-set interpolation `interpolate_2d`; both stay because the
-benchmark's span list names them, and the tests solve with the first for
-their references to the second and to the oracle's chain steps.
+Solving (Gaussian elimination with partial pivoting) and the lower-set
+Newton interpolation `interpolate_2d` run in Fractions, so results and
+singularity reports are exact.  No route calls either; both stay because
+the benchmark's span list names them, and the tests solve with the first
+for their references to the second and to the oracle's chain steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, exact_form, from_form, lift_pairs, lowest_pair, reduced
+from .bipoly import BiPoly, combine, exact_form, from_form
 from .scalars import as_fraction
 
 
@@ -154,82 +154,44 @@ def solve_exact(A: Mat, B: Mat) -> Mat:
     return Mat([row[n : n + m] for row in work])
 
 
-def _newton_steps(nodes, label: str) -> tuple:
-    """(t, den, steps): nodes[k] = t[k] / den over one denominator, and for
-    each order o >= 1, steps[o - 1] = (mult, A) with
-    1 / (nodes[k] - nodes[k - o]) = mult[k] / A for o <= k < len(nodes).
-    Repeated nodes, told apart on the lifted integers, raise ValueError."""
-    nums, den = exact_form(enumerate(nodes))
-    t = [nums.get(k, 0) for k in range(len(nodes))]
-    if len(set(t)) != len(t):
-        raise ValueError(f"repeated {label} interpolation node")
-    steps = [lift_pairs([[None] * o + [lowest_pair(den, t[k] - t[k - o])
-                                       for k in range(o, len(t))]]) for o in range(1, len(t))]
-    return t, den, [(rows[0], A) for rows, A in steps]
-
-
-def _divided_differences(values, steps) -> list:
-    """The numerators of [t_0..t_k] f for k < len(values), from the
-    numerators values[k] of f(t_k) over one denominator D: entry k is over
-    D * A_1 * ... * A_k, the A_o of ``_newton_steps``."""
+def _divided_differences(nodes, values) -> list:
+    """[t_0..t_k] f for k < len(values), from values[k] = f(nodes[k])."""
     dd = list(values)
-    for order, (mult, _) in enumerate(steps[:len(dd) - 1], 1):
+    for order in range(1, len(dd)):
         for k in range(len(dd) - 1, order - 1, -1):
-            dd[k] = (dd[k] - dd[k - 1]) * mult[k]
+            dd[k] = (dd[k] - dd[k - 1]) / (nodes[k] - nodes[k - order])
     return dd
-
-
-def _lifts(den, steps) -> list:
-    """[A_(i+1) * ... * A_(G-1) * den^(G-1-i) for i < G]: what an order-i
-    Newton coefficient is multiplied by in the Horner steps of
-    ``interpolate_2d`` (den is the nodes' common denominator)."""
-    out = [1]
-    for _, A in reversed(steps):
-        out.append(out[-1] * A * den)
-    return out[::-1]
 
 
 def interpolate_2d(nodes_x, nodes_y, values) -> BiPoly:
     """The unique BiPoly of total degree < G = len(nodes_x) = len(nodes_y)
     with values[i][j] = p(nodes_x[i], nodes_y[j]) on the lower set i + j < G
     (row i holds G - i values), for any distinct nodes, by Newton
-    interpolation: x-divided differences down each column give the x-Newton
-    coefficients g_i of p (degree < G - i in y) at y_0..y_{G-1-i}, their
-    y-divided differences give the Newton coefficients c_ij of each g_i,
-    and nested Horner steps, in y and then in x, give the monomial form.
-
-    All of it runs on integers.  The values are lifted to one denominator D
-    and the nodes to x_k = s_k / X, y_k = t_k / Y; order o of the divided
-    differences multiplies by 1/(x_k - x_{k-o}) = mult_k / A_o, so c_ij is
-    over D * A_1..A_i * B_1..B_j (the B_o of the y-nodes).  Lifted to the
-    common D * A_1..A_(G-1) * B_1..B_(G-1) * X^(G-1) * Y^(G-1), the Horner
-    steps g <- c + (Y y - t_j) g and p <- g + (X x - s_i) p need no
-    division, and one content gcd brings the result to lowest terms."""
+    interpolation in Fractions: x-divided differences down each column give
+    the x-Newton coefficients g_i of p (degree < G - i in y) at
+    y_0..y_{G-1-i}, their y-divided differences give the Newton coefficients
+    of each g_i, and nested Horner steps, in y and then in x, give the
+    monomial form."""
     nodes_x = [as_fraction(v) for v in nodes_x]
     nodes_y = [as_fraction(v) for v in nodes_y]
     G = len(nodes_x)
     if len(nodes_y) != G or [len(row) for row in values] != list(range(G, 0, -1)):
         raise ValueError(f"values must fill the lower set of {G} x- and as many y-nodes")
-    if not G:
-        return BiPoly.zero()
-    sx, X, xsteps = _newton_steps(nodes_x, "x")
-    ty, Y, ysteps = _newton_steps(nodes_y, "y")
-    vals, D = exact_form(((i, j), v) for i, row in enumerate(values) for j, v in enumerate(row))
+    for label, nodes in (("x", nodes_x), ("y", nodes_y)):
+        if len(set(nodes)) != G:
+            raise ValueError(f"repeated {label} interpolation node")
     newton_x = [[] for _ in range(G)]  # newton_x[i][j]: [x_0..x_i] p(., y_j)
     for j in range(G):
-        column = [vals.get((i, j), 0) for i in range(G - j)]
-        for i, v in enumerate(_divided_differences(column, xsteps)):
+        column = [as_fraction(values[i][j]) for i in range(G - j)]
+        for i, v in enumerate(_divided_differences(nodes_x, column)):
             newton_x[i].append(v)
-    xlift, ylift = _lifts(X, xsteps), _lifts(Y, ysteps)
     poly = []  # rows by x-exponent, each a list of coefficients by y-exponent
     for i in range(G - 1, -1, -1):
-        c = [v * xlift[i] * k for v, k in zip(_divided_differences(newton_x[i], ysteps), ylift)]
+        c = _divided_differences(nodes_y, newton_x[i])
         g = [c[-1]]
-        for j in range(len(c) - 2, -1, -1):  # g <- c_j + (Y y - t_j) g
-            g = [a - ty[j] * h for a, h in zip([c[j], *(Y * h for h in g)], g)] + [Y * g[-1]]
-        # poly <- g + (X x - s_i) poly
-        poly = [[a - sx[i] * h for a, h in zip(above, here)] + above[len(here):]
-                for above, here in zip([g, *([X * h for h in row] for row in poly)],
-                                       [*poly, []])]
-    return from_form(*reduced({(e, j): v for e, row in enumerate(poly) for j, v in enumerate(row)},
-                              D * xlift[0] * ylift[0]))
+        for j in range(len(c) - 2, -1, -1):  # g <- c_j + (y - y_j) g
+            g = [a - nodes_y[j] * h for a, h in zip([c[j], *g], g)] + [g[-1]]
+        # poly <- g + (x - x_i) poly
+        poly = [[a - nodes_x[i] * h for a, h in zip(above, here)] + above[len(here):]
+                for above, here in zip([g, *poly], [*poly, []])]
+    return BiPoly({(e, j): v for e, row in enumerate(poly) for j, v in enumerate(row)})

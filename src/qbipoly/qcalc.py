@@ -1,8 +1,9 @@
 """q-arithmetic primitives, partial q-difference operators, and the
 (q-)hypergeometric series evaluators.
 
-Operators act on BiPolys exactly (monomial-by-monomial) and on precomputed
-lattice sample tables (for weights, which are not polynomials).  The one
+Operators act on BiPolys exactly (monomial-by-monomial).  `dq_nm_table`
+takes their difference quotients of lattice samples in Fractions; no route
+calls it, and it stays because the benchmark's span list names it.  The one
 float-lane routine, the infinite q-Pochhammer of a field value, multiplies
 its factors in ascending index order at the field's working precision, so
 results are reproducible.  The moment engine does not call it: its
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly, from_form, lift_pairs, reduced
+from .bipoly import BiPoly, from_form, reduced
 from .scalars import FloatField, as_fraction
 
 
@@ -172,46 +173,28 @@ def dqm2(f: BiPoly, qp: QParam) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# grid forms (weights are not polynomials)
+# sample-table forms
 # ---------------------------------------------------------------------------
 
 def _difference_table(fvals, x0, y0, p, n: int, m: int):
-    """``difference_passes`` on exact samples; the table as Fractions."""
-    work, den = difference_passes([[None if v is None else (v.numerator, v.denominator)
-                                    for v in row] for row in fvals], x0, y0, p, n, m)
-    return [[None if v is None else Fraction(v, den) for v in row] for row in work]
-
-
-def difference_passes(fvals, x0, y0, p, n: int, m: int) -> tuple:
     """Iterated difference quotients (f(p x) - f(x)) / ((p - 1) x), n along x
-    then m along y, on a rectangular table of samples fvals[r][s] = f(p^r x0,
-    p^s y0) as int pairs (num, den), None where not needed: (numerators,
-    denominator) of the table at (p^r x0, p^s y0), n rows and m columns
-    smaller, None where a stencil reaches a None sample.  ``lift_pairs`` lifts
-    the samples to one denominator D, and the passes run on integers, along
-    the rows of the table for x and of its transpose for y: with p = u/w and
-    start a/b (x0 or y0), the step of row r is (p - 1) a/b p^r = (u - w) a u^r
-    / (b w^(r+1)); over the common (u - w) a u^R (R the last row of the new
-    table) its reciprocal is b w^(r+1) u^(R-r), so a pass multiplies row r's
-    differences by it and D by (u - w) a u^R."""
+    then m along y, on a rectangular table of exact samples fvals[r][s] =
+    f(p^r x0, p^s y0), None where not needed: the table at (p^r x0, p^s y0),
+    n rows and m columns smaller, None where a stencil reaches a None sample.
+    The passes run along the rows of the table for x and of its transpose
+    for y, dividing row r's differences by its step (p - 1) x0 p^r."""
     if len(fvals) < n + 1 or any(len(row) < m + 1 for row in fvals):
         raise ValueError("sample table too small for the requested order")
-    work, den = lift_pairs(fvals)
     p = as_fraction(p)
-    u, w = p.numerator, p.denominator
-
-    for start, count in ((x0, n), (y0, m)):
-        c = as_fraction(start)
-        a, b = c.numerator, c.denominator
+    work = fvals
+    for start, count in ((as_fraction(x0), n), (as_fraction(y0), m)):
         for _ in range(count):
-            last = len(work) - 2
-            mults = [b * w ** (r + 1) * u ** (last - r) for r in range(last + 1)]
-            work = [[None if lo is None or hi is None else (hi - lo) * k
-                     for lo, hi in zip(work[r], work[r + 1])] for r, k in enumerate(mults)]
-            den *= (u - w) * a * u**last
+            steps = [(p - 1) * start * p**r for r in range(len(work) - 1)]
+            work = [[None if lo is None or hi is None else (hi - lo) / h
+                     for lo, hi in zip(work[r], work[r + 1])] for r, h in enumerate(steps)]
         # the y passes run on the transpose, and the second one restores the table
         work = [list(col) for col in zip(*work)]
-    return work, den
+    return work
 
 
 def dq_nm_table(fvals, x0, y0, qp: QParam, n: int, m: int):

@@ -39,17 +39,18 @@ def _weight_phis(first: tuple, second: tuple, q: Fraction, top: int) -> list:
 
 
 def _recursion(first: tuple, second: tuple, q: Fraction, n: int, m: int) -> BiPoly:
-    """u of (n, m): n x steps from K = 1 with first = (phi_m, omega1) leave
-    Dq1^n [rho Omega] / W; then m y steps, x steps conjugated by the swap
-    with second = (phi2, omega2) swapped, peel W's omega2 factors."""
+    """u of (n, m): n x steps from the constant K = q^{n(1-n)/2 + m(1-m)/2}
+    with first = (phi_m, omega1) leave that multiple of Dq1^n [rho Omega] / W;
+    then m y steps, x steps conjugated by the swap with second = (phi2,
+    omega2) swapped, peel W's omega2 factors.  Each step is linear in K."""
     (phi, omega1), (phi2, omega2) = first, second
-    K = BiPoly.const(1)
+    K = BiPoly.const(q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2))
     for j in range(n):
         K = pearson_step(phi, omega1, q ** (j + 1 - n), K, q)
     K = K.swap()
     for j in range(m):
         K = pearson_step(phi2, omega2, q ** (j + 1 - m), K, q)
-    return K.swap() * q ** ((n * (1 - n)) // 2 + (m * (1 - m)) // 2)
+    return K.swap()
 
 
 def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:

@@ -18,11 +18,9 @@ PUBLIC = [
     "BiPoly", "DerivedCoeffs", "EquationCoeffs", "FloatField", "Mat", "MonicFamily",
     "PearsonData", "QParam", "WeightEvaluator",
     "admissibility", "apply_operator", "base_weight", "bipoly", "build_pearson",
-    "check_hypergeometric_form", "derived_coeffs", "dq1", "dq2", "dqm1", "dqm2",
-    "equation", "generate_monic_oracle", "generate_monic_rf", "ghat_oracle",
-    "interpolate_2d", "kampe_de_feriet", "linalg", "monic",
-    "pearson", "phi_bivariate", "phi_rs", "qcalc", "qnum",
-    "qpochhammer", "qpochhammer_inf", "rodrigues", "rodrigues_poly", "scalars",
+    "check_hypergeometric_form", "dq1", "dq2", "dqm1", "dqm2", "equation",
+    "generate_monic_oracle", "generate_monic_rf", "kampe_de_feriet", "linalg", "monic",
+    "pearson", "phi_rs", "qcalc", "qnum", "rodrigues", "rodrigues_poly", "scalars",
     "structure_matrices", "ttr_matrices", "verify_operator_relations",
     "verify_pearson_identities",
 ]
@@ -216,6 +214,33 @@ def test_src_has_no_uncalled_function():
                 and node.name not in exempt
                 and not _is_called(node, cls, refs, attrs)]
     assert uncalled == []
+
+
+#: the functions that src does not call and that the benchmark's span list
+#: alone exempts from `test_src_has_no_uncalled_function`: the suites,
+#: which `run_suite` reaches by lookup, and the rest, which no route, suite
+#: or command runs, to be deleted when the span list drops them
+SPAN_ONLY = {
+    "bigqjacobi.MomentTable.integrate", "bigqjacobi.limit_check", "equation.derived_coeffs",
+    "io.poly_to_json", "linalg.interpolate_2d", "linalg.solve_exact", "monic.ghat_oracle",
+    "pearson.WeightEvaluator.value", "qcalc.dq_nm_table", "qcalc.phi_bivariate",
+    "qcalc.qpochhammer", "qcalc.qpochhammer_inf",
+    "suites.suite_consistency", "suites.suite_limits", "suites.suite_orthogonality",
+    "suites.suite_recurrence",
+}
+
+
+def test_span_list_alone_keeps_these_functions():
+    trees = _src_trees()
+    refs = collections.Counter(name for tree in trees.values() for name in _references(tree))
+    attrs = collections.Counter(name for tree in trees.values() for name in _attributes(tree))
+    spans = _span_names()
+    kept = {name for module, tree in trees.items()
+            for name, node, cls in _functions(tree, module)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name in spans and node.name not in TEST_REFERENCES
+            and not _is_called(node, cls, refs, attrs)}
+    assert kept == SPAN_ONLY
 
 
 def _module_names(tree) -> list:

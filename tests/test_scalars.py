@@ -68,9 +68,8 @@ def test_only_bipoly_computes_on_the_rational_form():
 
 
 #: the explicit families are built as series and the Rodrigues route by
-#: its recursion, so no module interpolates (the package namespace only
-#: re-exports the name)
-INTERPOLATING = {"__init__.py"}
+#: its recursion, so no module interpolates
+INTERPOLATING = set()
 
 
 def test_no_module_interpolates():
