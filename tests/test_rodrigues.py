@@ -201,7 +201,7 @@ def sweep_points(count, seed=2013):
 
 @pytest.mark.parametrize("params", [Q23_PARAMS, *sweep_points(5)],
                          ids=["q=2/3", *(f"sweep-{k}" for k in range(5))])
-def test_integer_lattice_equals_fraction_pipeline(params):
+def test_recursion_equals_fraction_pipeline(params):
     E = preset_equation(params)
     for n, m in [(4, 4), (8, 0), (3, 2), (2, 5), (0, 0)]:
         assert rodrigues_poly(E, n, m) == fraction_pipeline_poly(E, n, m), (n, m)
@@ -220,7 +220,7 @@ Q910_PARAMS = BigQJacobiParams(F(1, 3), F(1, 4), F(1, 5), F(-1, 2), QParam(F(9, 
 
 @pytest.mark.parametrize("params", [TEST_PARAMS, Q23_PARAMS, Q910_PARAMS, WIDE_D_PARAMS],
                          ids=["test-params", "q=2/3", "q=9/10", "wide-d"])
-def test_family_lattice_gives_each_pair_its_own_samples(params):
+def test_family_gives_each_pair_as_computed_on_its_own(params):
     # the family is its pairs, in order, each computed as on its own
     E = preset_equation(params)
     pairs = [(t - m, m) for t in range(6) for m in range(t + 1)]
@@ -486,7 +486,7 @@ def test_route_forms_are_pinned_on_the_high_mixed_pairs():
     *((equation_to_text(pearson_line(name, F(1, 7))), ["ratio_left", "ratio_right"],
        "not potentially self-adjoint: ratio_left fails") for name in ("f1", "a1", "b")),
 ], ids=["incompatible", "phi1-zero", "f1-line", "a1-line", "b-line"])
-def test_refusals_come_before_any_lattice_work(monkeypatch, text, failing, refusal):
+def test_refusals_come_before_any_polynomial_work(monkeypatch, text, failing, refusal):
     # the rows the route decides are the order-(0, 0) rows of the Pearson
     # report, and a vanishing phi1 or phi2 is refused before any of them
     E, _ = parse_equation_source(text)
