@@ -1,9 +1,8 @@
 """Command-line front door: check / generate / verify.
 
 Exit codes: 0 all checks pass, 1 a check or tolerance failed (including an
-equation that is not admissible or not of hypergeometric type, or whose
-Pearson system is degenerate, has no weight, or, for `generate --family
-rodrigues`, is not potentially self-adjoint), 2 bad
+equation that fails a hypothesis its request needs: ``pearson.NEEDS`` maps
+each request to them, and the first that fails is the refusal), 2 bad
 configuration or parse error (including parameters that put a pole of the
 weight in the path of the request).  Every failure prints one `error:`
 line.  Outputs are deterministic for a fixed configuration (fixed summation
@@ -28,8 +27,8 @@ from .bipoly import BiPoly
 from .equation import (EquationCoeffs, NotAdmissibleError, ShapeViolation,
                        apply_operator, check_hypergeometric_form)
 from .monic import generate_monic_oracle, ttr_matrices
-from .pearson import (DegenerateEquationError, LatticePoleError, base_weight,
-                      require_weight, verify_pearson_identities, weight_table_rows)
+from .pearson import (DegenerateEquationError, LatticePoleError, base_weight, require,
+                      verify_pearson_identities, weight_table_rows)
 from .qcalc import QParam, power_exponent, verify_operator_relations
 from .rodrigues import rodrigues_poly
 from .suites import ORTH_PRECISION, ORTH_TOL, ORTH_TRUNCATION, SUITES, run_suite
@@ -149,7 +148,7 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
         _emit(args, qio.document("polynomials", payload))
         return 0
     if family == "weight":
-        require_weight(E, ("key",))
+        require(E, "weight")
         anchor = (p.d * p.qp.q,) * 2 if p is not None else (Fraction(3, 7), Fraction(5, 11))
         rows = weight_table_rows(base_weight(E, anchor), parts[0], parts[1])
         header = ("s", "t", "x", "y", "rho_num", "rho_den")

@@ -53,6 +53,21 @@ class EquationCoeffs:
     b2: BiPoly
 
     @cached_property
+    def form(self) -> dict:
+        """{shape check of the hypergeometric form, in the order `check`
+        reports them: its extractor's scalars, or the message of the
+        ShapeViolation it raised}, computed once."""
+        out = {}
+        for name, extract in (("c11_quadratic_in_x", self.sigma1), ("c22_quadratic_in_y", self.sigma2),
+                              ("a12a_bilinear", self.cross_a), ("a12d_bilinear", self.cross_d),
+                              ("b1_affine_in_x", self.tau1), ("b2_affine_in_y", self.tau2)):
+            try:
+                out[name] = extract()
+            except ShapeViolation as exc:
+                out[name] = str(exc)
+        return out
+
+    @cached_property
     def admissibility(self) -> "Admissibility":
         """admissibility(self), computed once."""
         return admissibility(self)
@@ -63,18 +78,26 @@ class EquationCoeffs:
         from .pearson import build_pearson
         return build_pearson(self)
 
+    @cached_property
+    def order_zero_rows(self) -> dict:
+        """pearson.order_zero_rows(self), computed once."""
+        from .pearson import order_zero_rows
+        return order_zero_rows(self)
+
     # -- named scalar extractors (sigma/tau coefficients) -------------------
 
     @staticmethod
-    def _univariate(p: BiPoly, axis: int, max_deg: int, name: str) -> tuple:
-        """Coefficients of p in the axis variable (1 = x, 2 = y), highest
-        degree first; p must not depend on the other variable."""
+    def _univariate(p: BiPoly, axis: int, max_deg: int, name: str, over=1) -> tuple:
+        """Coefficients of p / over in the axis variable (1 = x, 2 = y),
+        highest degree first, one Fraction each; p must not depend on the
+        other variable."""
         for m in p.nums:
             if m[2 - axis]:
                 raise ShapeViolation(f"{name} must not depend on {'yx'[axis - 1]}")
             if m[axis - 1] > max_deg:
                 raise ShapeViolation(f"{name} has degree above {max_deg}")
-        return tuple(p.coeff(d, 0) if axis == 1 else p.coeff(0, d) for d in range(max_deg, -1, -1))
+        return tuple(Fraction(p.nums.get((d, 0) if axis == 1 else (0, d), 0) * over.denominator,
+                              p.den * over.numerator) for d in range(max_deg, -1, -1))
 
     @staticmethod
     def _bilinear(p: BiPoly, name: str) -> tuple:
@@ -85,10 +108,10 @@ class EquationCoeffs:
 
     def sigma1(self):
         """(a1, b1, c1) with C11 = q (a1 x^2 + b1 x + c1)."""
-        return tuple(c / self.qp.q for c in self._univariate(self.c11, 1, 2, "C11"))
+        return self._univariate(self.c11, 1, 2, "C11", self.qp.q)
 
     def sigma2(self):
-        return tuple(c / self.qp.q for c in self._univariate(self.c22, 2, 2, "C22"))
+        return self._univariate(self.c22, 2, 2, "C22", self.qp.q)
 
     def cross_a(self):
         """(a3a, b3a, c3a, d3a) from A12a = a3a xy + b3a x + c3a y + d3a."""
@@ -113,21 +136,22 @@ class DerivedCoeffs(EquationCoeffs):
     mu: Fraction
 
 
+def form_scalars(E: EquationCoeffs) -> tuple:
+    """The six scalar tuples of ``EquationCoeffs.form`` in its order, or
+    ShapeViolation naming the first violation that `check` lists: the one
+    decision of the hypergeometric form."""
+    if violations := [v for v in E.form.values() if isinstance(v, str)]:
+        raise ShapeViolation(violations[0])
+    return tuple(E.form.values())
+
+
 def check_hypergeometric_form(E: EquationCoeffs) -> dict:
-    """Degree/shape report; every entry True means the equation is of the
-    propagating (hypergeometric) class."""
-    report = {}
-    checks = {"c11_quadratic_in_x": E.sigma1, "c22_quadratic_in_y": E.sigma2,
-              "a12a_bilinear": E.cross_a, "a12d_bilinear": E.cross_d,
-              "b1_affine_in_x": E.tau1, "b2_affine_in_y": E.tau2}
-    for name, extract in checks.items():
-        try:
-            extract()
-            report[name] = True
-        except ShapeViolation as exc:
-            report[name] = False
-            report.setdefault("violations", []).append(str(exc))
-    report["ok"] = all(report[name] for name in checks)
+    """Degree/shape report of ``EquationCoeffs.form``; every entry True
+    means the equation is of the propagating (hypergeometric) class."""
+    report = {name: not isinstance(v, str) for name, v in E.form.items()}
+    if violations := [v for v in E.form.values() if isinstance(v, str)]:
+        report["violations"] = violations
+    report["ok"] = not violations
     return report
 
 
@@ -192,20 +216,15 @@ class Admissibility:
     def admissible(self) -> bool:
         return not self.failures
 
-    def require(self) -> "Admissibility":
-        """self, or NotAdmissibleError naming the failures: the one refusal
-        of every route that needs an admissible equation."""
-        if self.failures:
-            raise NotAdmissibleError(f"equation not admissible: {self.failures}")
-        return self
-
     def eigenvalue(self, n: int) -> Fraction:
         """lambda_n = -[n]_q (f1 - a1 q [1-n]_q)."""
         return -qnum(n, self.qp) * (self.f1 - self.a1 * self.qp.q * qnum(1 - n, self.qp))
 
 
 def admissibility(E: EquationCoeffs) -> Admissibility:
-    """Check the admissibility conditions and build the eigenvalue sequence.
+    """Check the admissibility conditions on the scalars of the form
+    (``form_scalars``, whose ShapeViolation it raises) and build the
+    eigenvalue sequence.
 
     The universally quantified spectral condition f1 - a1 q [1-m] != 0 is
     decided exactly for every m >= 0: with a1 = 0 it fails only when
@@ -221,32 +240,16 @@ def admissibility(E: EquationCoeffs) -> Admissibility:
     and [m] != [n] for m != n, so lambda_n = lambda_m only where the
     spectral condition fails at index n + m.
     """
-    failures = []
-    a1, _, _ = E.sigma1()
-    a2, _, _ = E.sigma2()
-    f1, _ = E.tau1()
-    f2, _ = E.tau2()
-    a3a = E.cross_a()[0]
-    a3d = E.cross_d()[0]
+    (a1, _, _), (a2, _, _), (a3a, *_), (a3d, *_), (f1, _), (f2, _) = form_scalars(E)
     q = E.qp.q
-
-    if f2 != f1:
-        failures.append(f"f2 != f1 ({f2} vs {f1})")
-    if a2 != a1:
-        failures.append(f"a2 != a1 ({a2} vs {a1})")
-    if a3a != a1 * q + f1 * (q - 1):
-        failures.append(f"a3a != a1*q + f1*(q-1) ({a3a} vs {a1 * q + f1 * (q - 1)})")
-    if a3d != a1:
-        failures.append(f"a3d != a1 ({a3d} vs {a1})")
-
-    if a1 == 0:
-        if f1 == 0:
-            failures.append("spectral condition fails at m=0")
-    else:
-        k = power_exponent(1 + (q - 1) * f1 / (a1 * q), q)
-        if k is not None and k <= 1:
-            failures.append(f"spectral condition fails at m={1 - k}")
-
+    failures = [f"{name} ({got} vs {want})" for name, got, want in (
+        ("f2 != f1", f2, f1), ("a2 != a1", a2, a1),
+        ("a3a != a1*q + f1*(q-1)", a3a, a1 * q + f1 * (q - 1)), ("a3d != a1", a3d, a1))
+        if got != want]
+    # the condition fails at m = 1 - k; with a1 = 0 and f1 = 0 at every m, named at m = 0
+    k = (None if f1 else 1) if a1 == 0 else power_exponent(1 + (q - 1) * f1 / (a1 * q), q)
+    if k is not None and k <= 1:
+        failures.append(f"spectral condition fails at m={1 - k}")
     return Admissibility(failures, f1, a1, E.qp)
 
 

@@ -26,8 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bipoly import BiPoly, combine, from_form, reduced
-from .equation import EquationCoeffs, add_image, operator_parts
+from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
+from .pearson import require
 from .qcalc import QParam, QTables
 
 
@@ -121,12 +122,7 @@ def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
         raise ValueError("S_n needs n >= 1")
     tab = QTables(E.qp.q)
     pw, qn = tab.pow, tab.num
-    _, b1s, _ = E.sigma1()
-    _, b2s, _ = E.sigma2()
-    _, b3a, c3a, _ = E.cross_a()
-    _, b3d, c3d, _ = E.cross_d()
-    _, g1 = E.tau1()
-    _, g2 = E.tau2()
+    (_, b1s, _), (_, b2s, _), (_, b3a, c3a, _), (_, b3d, c3d, _), (_, g1), (_, g2) = form_scalars(E)
     c3, b3 = c3a + c3d * pw(2 - n), b3a + b3d * pw(2 - n)
     S = [[0] * n for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -141,10 +137,7 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
         raise ValueError("T_n needs n >= 2")
     qp = E.qp
     q = qp.q
-    _, _, c1s = E.sigma1()
-    _, _, c2s = E.sigma2()
-    d3a = E.cross_a()[3]
-    d3d = E.cross_d()[3]
+    (_, _, c1s), (_, _, c2s), (*_, d3a), (*_, d3d), _, _ = form_scalars(E)
     s, s1 = structure_matrices(n, qp), structure_matrices(n - 1, qp)
     return (s["E2"] @ s1["E1"]).scaled(d3a) \
         + (s["K1"] @ s1["E1"]).scaled(c1s * q) \
@@ -192,6 +185,8 @@ def _chain_step(terms, gap: Fraction) -> tuple:
 def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     """Oracle family for degrees 0..N.
 
+    It refuses an equation that fails a hypothesis the oracle needs
+    (``pearson.require`` of "monic": the form and admissibility).
     Admissibility and the operator blocks are computed once and shared by
     every degree.  Admissibility makes each degree-preserving block
     -lambda_j I and the eigenvalues pairwise distinct, so the chain step
@@ -201,9 +196,9 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     forms when it is stored.  Neither the blocks nor the vectors are
     re-checked here: `suites.suite_consistency` and the tests put the
     vectors through the operator, and the tests check the blocks."""
-    adm = E.admissibility.require()
+    require(E, "monic")
     blocks = [operator_blocks(E, j) for j in range(N + 1)]
-    lam = [adm.eigenvalue(j) for j in range(N + 1)]
+    lam = [E.admissibility.eigenvalue(j) for j in range(N + 1)]
     ghat, vectors = {}, []
     for n in range(N + 1):
         chain = [None] * n + [({(r, r): 1 for r in range(n + 1)}, 1)]

@@ -13,11 +13,15 @@ only the four polynomials, and its readers evaluate omega at the shift.
 General-equation weights are defined per q-commensurate lattice component,
 relative to one anchor with rho(anchor) = 1.  Such a weight exists only
 where the key row of ``pearson_rows`` holds (G1 and G2 commute as shifts);
-elsewhere a product of ratios depends on the path it walks, and
-``require_weight`` refuses the equation.  The Rodrigues route reads the
-Pearson polynomials alone; the lattice weight serves the weight table.  The
-derivative-weight evaluator rho^{(k,l)}, with the product identity that
-fixes its normalization, is a reference in tests/test_pearson.py.
+elsewhere a product of ratios depends on the path it walks.  The Rodrigues
+route reads the Pearson polynomials alone; the lattice weight serves the
+weight table.  The derivative-weight evaluator rho^{(k,l)}, with the product
+identity that fixes its normalization, is a reference in
+tests/test_pearson.py.
+
+The paper's hypotheses are decided here, each by one function of
+``HYPOTHESES``, and ``NEEDS`` says which of them each request needs:
+``require`` raises the refusal of the first that fails.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ import itertools
 from dataclasses import dataclass
 
 from .bipoly import BiPoly, lowest_pair
-from .equation import EquationCoeffs, propagated_orders
+from .equation import EquationCoeffs, NotAdmissibleError, form_scalars, propagated_orders
 from .qcalc import QParam
 
 
 class DegenerateEquationError(ValueError):
-    """No usable Pearson system: a vanishing omega, or a refusal of ``require_weight``."""
+    """No usable Pearson system, weight or symmetry: the refusal of the
+    pearson, weight and self_adjoint hypotheses."""
 
 
 class LatticePoleError(ArithmeticError):
@@ -94,26 +99,63 @@ def pearson_rows(E, w1: BiPoly, w2: BiPoly, w1_qq: BiPoly, w2_qq: BiPoly) -> dic
             "ratio_right": lambda: n_r * a12d_qq == E.a12a * d_r}
 
 
-def require_weight(E: EquationCoeffs, rows) -> None:
-    """Refuse with DegenerateEquationError an equation whose phi1 or phi2
-    vanishes identically, or whose order-(0,0) ``pearson_rows`` named in
-    `rows` do not all hold, naming the first failure in the order phi, key,
-    ratio_left, ratio_right.  key alone says that a lattice weight rho
-    exists; the Rodrigues route also needs ratio_left, which with key
-    implies ratio_right.  The ratio rows, if asked for, come first: with a12d
-    nonzero they imply key, whose products are then not formed."""
+def order_zero_rows(E: EquationCoeffs) -> dict:
+    """{row: held} of E's order-(0,0) ``pearson_rows``.  The ratio rows are
+    decided first: with a12d nonzero they imply key, whose products are then
+    not formed."""
     P, q = E.pearson, E.qp.q
-    if P.phi1.is_zero() or P.phi2.is_zero():
-        raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
     w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
     decide = pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1))
-    held = {row: decide[row]() for row in ("ratio_left", "ratio_right") if set(rows) - {"key"}}
-    held["key"] = len(held) == 2 and all(held.values()) and not E.a12d.is_zero() or decide["key"]()
-    for row in ("key", "ratio_left", "ratio_right"):
-        if row in rows and not held[row]:
-            raise DegenerateEquationError(
-                "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)" if row == "key"
-                else f"equation not potentially self-adjoint: {row} fails")
+    held = {row: decide[row]() for row in ("ratio_left", "ratio_right")}
+    return {**held, "key": all(held.values()) and not E.a12d.is_zero() or decide["key"]()}
+
+
+def _admissible(E: EquationCoeffs) -> None:
+    """The four conditions on the form's scalars and the spectral condition
+    (``equation.admissibility``)."""
+    if failures := E.admissibility.failures:
+        raise NotAdmissibleError(f"equation not admissible: {failures}")
+
+
+def _weight(E: EquationCoeffs) -> None:
+    """phi1 and phi2 nonzero, and the key row: a lattice weight rho exists."""
+    if E.pearson.phi1.is_zero() or E.pearson.phi2.is_zero():
+        raise DegenerateEquationError("phi1 or phi2 vanishes identically; no Rodrigues weight")
+    if not E.order_zero_rows["key"]:
+        raise DegenerateEquationError("incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)")
+
+
+def _self_adjoint(E: EquationCoeffs) -> None:
+    """The ratio_left row, which with key implies ratio_right: in the terms
+    of ``pearson_rows``, with a = q^2 a12d(qx,qy), N_L (N_R a - a12a D_R) =
+    N_R (N_L a - a12a D_L) + a12a (N_R D_L - N_L D_R), and N_L is nonzero
+    where phi1 and phi2 are."""
+    if not E.order_zero_rows["ratio_left"]:
+        raise DegenerateEquationError("equation not potentially self-adjoint: ratio_left fails")
+
+
+#: the paper's hypotheses in the order every request decides them, each with
+#: the one function that decides it and raises its refusal: the
+#: hypergeometric form, admissibility (the spectral condition), a Pearson
+#: system (both omegas nonzero), a lattice weight, and potential
+#: self-adjointness at order (0,0)
+HYPOTHESES = {"form": form_scalars, "admissible": _admissible, "pearson": lambda E: E.pearson,
+              "weight": _weight, "self_adjoint": _self_adjoint}
+
+#: the hypotheses each request needs: the monic oracle (and so `generate
+#: --family monic` and every preset suite), the Rodrigues route, and the
+#: weight table of `generate --family weight`
+NEEDS = {"monic": ("form", "admissible"),
+         "rodrigues": ("form", "admissible", "pearson", "weight", "self_adjoint"),
+         "weight": ("form", "pearson", "weight")}
+
+
+def require(E: EquationCoeffs, request: str) -> None:
+    """Refuse E for `request` with the refusal of the first hypothesis, in
+    ``HYPOTHESES``' order, that the request ``NEEDS`` and E fails."""
+    for name, decide in HYPOTHESES.items():
+        if name in NEEDS[request]:
+            decide(E)
 
 
 def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
@@ -222,7 +264,8 @@ def base_weight(E: EquationCoeffs, anchor) -> WeightEvaluator:
 def weight_table_rows(W: WeightEvaluator, s_max: int, t_max: int) -> list:
     """CSV-ready rows (s, t, x, y, numerator, denominator) of exact lattice
     weight values, the lowest-terms pairs of ``box_pairs``; rows are ordered
-    by (s, t)."""
-    return [(s, t, *map(str, W.point(s, t)), str(num), str(den))
+    by (s, t).  Each coordinate is formed once: point(k, k) = (x_k, y_k)."""
+    xs, ys = zip(*(map(str, W.point(k, k)) for k in range(max(s_max, t_max) + 1)))
+    return [(s, t, xs[s], ys[t], str(num), str(den))
             for s, row in enumerate(W.box_pairs(s_max + 1, t_max + 1))
             for t, (num, den) in enumerate(row)]

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, pearson_step
 from .equation import EquationCoeffs
-from .pearson import DegenerateEquationError, require_weight
+from .pearson import DegenerateEquationError, require
 
 
 def _weight_phis(first: tuple, second: tuple, q: Fraction, top: int) -> list:
@@ -58,21 +58,18 @@ def rodrigues_polys(E: EquationCoeffs, pairs) -> dict:
     A pair with m > n runs as (m, n) on the swapped Pearson data, so it
     takes min(n, m) y steps; each orientation forms its phi_m once.
 
-    Before any polynomial work it raises NotAdmissibleError
-    (``Admissibility.require``), and DegenerateEquationError
-    (``require_weight``) unless phi1 and phi2 are nonzero and the
-    order-(0,0) key and ratio_left rows hold.  ratio_right follows, since
-    N_L (N_R a - a12a D_R) = N_R (N_L a - a12a D_L) + a12a (N_R D_L - N_L D_R)
-    in the terms of ``pearson_rows`` and N_L is nonzero.  A phi_m that is not
-    a polynomial, or a bracket that x does not divide, is the same refusal.
+    Before any polynomial work it refuses an equation that fails a
+    hypothesis the route needs (``pearson.require`` of "rodrigues": all five
+    of ``pearson.HYPOTHESES``).  A phi_m that is not a polynomial, or a
+    bracket that x does not divide, is refused as not potentially
+    self-adjoint: a Rodrigues division leaves a remainder.
     The eigen-equation is checked by the consistency suite, `generate
     --family rodrigues` (its residual_zero entry) and the tests, not here.
     """
     pairs = list(dict.fromkeys(pairs))
     if any(n < 0 or m < 0 for n, m in pairs):
         raise ValueError("degrees must be nonnegative")
-    E.admissibility.require()
-    require_weight(E, ("key", "ratio_left"))
+    require(E, "rodrigues")
     P, q = E.pearson, E.qp.q
     along_x, along_y = (P.phi1, P.omega1), (P.phi2.swap(), P.omega2.swap())
     try:

@@ -74,6 +74,8 @@ ABSENT = [
     ("monic", "gram_matrix"),
     ("monic", "OracleError"),
     ("cli", "RunConfig"),
+    ("pearson", "require_weight"),
+    ("equation", "Admissibility.require"),
 ]
 
 

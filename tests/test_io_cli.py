@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import TEST_PARAMS, preset_equation
@@ -27,6 +27,7 @@ from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
                         mat_to_json, parse_equation_source, parse_poly_terms, poly_to_json,
                         write_csv_atomic, write_json_atomic)
 from qbipoly.linalg import Mat, SingularMatrixError
+from qbipoly.pearson import require
 from qbipoly.qcalc import SeriesError
 from test_golden_cli import CASES
 
@@ -632,18 +633,49 @@ def test_cli_generate_csv_without_table_is_refused(tmp_path, capsys, family, deg
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation):
-    from qbipoly.equation import EquationCoeffs
+#: equations that are not of hypergeometric form: B2 depending on x, the
+#: preset's six coefficients times y (all six violate the form), and an
+#: x^2 term in A12a with a y term in B1, which check lists A12a first
+NON_HYPERGEOMETRIC = {
+    "b2-x": lambda E: dataclasses.replace(E, b2=E.b2 + x * F(1, 5)),
+    "times-y": lambda E: dataclasses.replace(E, **{k: getattr(E, k) * y for k in _POLY_KEYS}),
+    "a12a-and-b1": lambda E: dataclasses.replace(E, a12a=E.a12a + x * x, b1=E.b1 + y),
+}
 
-    bad = EquationCoeffs(equation.qp, equation.c11, equation.c22, equation.a12a,
-                         equation.a12d, equation.b1, equation.b2 + x * F(1, 5))
+#: the sha256 of `check --equation` on each, recorded before the form was
+#: decided once: the check document does not move
+NON_HYPERGEOMETRIC_CHECK_SHA256 = {
+    "b2-x": "55d8f00a8e2d2e3e9b33cc608eacfab29439bb9a77589ec5828252c238c005db",
+    "times-y": "e3d758621ceda0bb30299b615d17167e4cc5c801197df5f628a581bc7fd88dff",
+    "a12a-and-b1": "c30d801a01abcf378d5d9aae369d492a2e3c6f68d4b2f276a9c2a7f03f743b5a",
+}
+
+REQUESTS = {"check": ["check"], "monic": ["generate", "--family", "monic", "--degrees", "3"],
+            "rodrigues": ["generate", "--family", "rodrigues", "--degrees", "1 1"],
+            "weight": ["generate", "--family", "weight", "--degrees", "2 2"]}
+
+
+@pytest.mark.parametrize("request_name", REQUESTS)
+@pytest.mark.parametrize("name", NON_HYPERGEOMETRIC)
+def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equation, name,
+                                                           request_name):
+    # check reports every violation; each request that needs the form
+    # refuses with the first of them
     path = tmp_path / "bad.eq"
-    path.write_text(equation_to_text(bad))
-    assert main(["generate", "--equation", str(path), "--family", "monic",
-                 "--degrees", "3"]) == 1
+    path.write_text(equation_to_text(NON_HYPERGEOMETRIC[name](equation)))
+    assert main(["check", "--equation", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == NON_HYPERGEOMETRIC_CHECK_SHA256[name]
+    report = json.loads(out)["report"]
+    first = report["hypergeometric_form"]["violations"][0]
+    assert name != "b2-x" or first == "B2 must not depend on x"
+    assert main([*REQUESTS[request_name], "--equation", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: B2 must not depend on x\n"
+    if request_name == "check":
+        assert captured.err == "" and json.loads(captured.out)["report"] == report
+    else:
+        assert captured.out == ""
+        assert captured.err == f"error: {first}\n"
 
 
 #: the preset's coefficients at a = 0: admissible, but omega vanishes
@@ -1310,3 +1342,82 @@ def test_cli_restores_the_callers_int_digit_limit(monkeypatch, capsys):
     finally:
         sys.set_int_max_str_digits(before)
     assert capsys.readouterr().err.startswith("error: unknown parameter 'z'\nusage: ")
+
+
+def _equation_sources():
+    """Equation file texts from every structured source that reaches deep
+    code, plus equations that are not admissible, the preset times a
+    polynomial g (not of hypergeometric form unless g is constant), and
+    malformed text.  Built on first draw: test_rodrigues imports this
+    module."""
+    from test_monic import admissible_equations
+    from test_rodrigues import (OMEGA2_X_TEXT, Q23_PARAMS, constant_weight_equations,
+                                scaled_preset)
+
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool)
+    preset = preset_equation(TEST_PARAMS)
+    g = st.builds(lambda c, gx, gy: x * gx + y * gy + c, nonzero, st.sampled_from([0, 1, F(-1, 3)]),
+                  st.sampled_from([0, 2, F(1, 5)]))
+    equations = st.one_of(
+        constant_weight_equations(), constant_weight_equations(x_divides_a12d=True),
+        st.builds(pearson_line, st.sampled_from(["f1", "a1", "b"]), nonzero),
+        st.builds(scaled_preset, st.sampled_from([TEST_PARAMS, Q23_PARAMS]),
+                  nonzero, nonzero, nonzero),
+        admissible_equations(),
+        st.builds(lambda E, t: dataclasses.replace(E, a12d=E.a12d + x * y * t),
+                  admissible_equations(), nonzero),
+        g.map(lambda g: dataclasses.replace(
+            preset, **{key: getattr(preset, key) * g for key in _POLY_KEYS})))
+    malformed = st.sampled_from(["q = 1/2\nc11 = 2:1\n", "q = 0\n", "c11 = 1,0:1\n",
+                                 PRESET_TEXT.replace("d = -1/2", "d = 1/2"),
+                                 INCOMPATIBLE_PEARSON_TEXT.replace("b2 = ", "b2 = 0,0:x ")])
+    return st.one_of(equations.map(equation_to_text), malformed,
+                     st.sampled_from([INCOMPATIBLE_PEARSON_TEXT, PHI1_ZERO_TEXT, OMEGA2_X_TEXT,
+                                      DEGENERATE_PEARSON_TEXT]))
+
+
+PROPERTY_REQUESTS = [
+    ("check", ["check"]), ("monic", ["generate", "--family", "monic", "--degrees", "2"]),
+    *(("rodrigues", ["generate", "--family", "rodrigues", "--degrees", f"{t - m} {m}"])
+      for t in range(3) for m in range(t + 1)),
+    ("weight", REQUESTS["weight"])]
+DIVISION_REFUSAL = ("error: equation not potentially self-adjoint: "
+                    "a Rodrigues division leaves a remainder\n")
+OMEGA_REFUSAL = "error: omega vanishes identically; no Pearson system\n"
+
+
+@seed(47)
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.deferred(_equation_sources))
+def test_cli_refuses_each_request_as_require_does(tmp_path, capsys, text):
+    # every command and family on an equation from each source, in
+    # process: exit 0, 1 or 2; a refusal is one error line with nothing on
+    # stdout; an exit-0 document parses; and an exit-1 refusal is the one
+    # that pearson.require gives for the request (check refuses only a
+    # vanishing omega, and the route also a division with a remainder)
+    path = tmp_path / "eq.eq"
+    path.write_text(text)
+    try:
+        E = parse_equation_source(text)[0]
+    except ValueError:
+        E = None
+    for request, argv in PROPERTY_REQUESTS:
+        code = main([*argv, "--equation", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        if err:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert code != 2 and json.loads(out), argv
+        expected = None
+        if E is not None and request != "check":
+            try:
+                require(E, request)
+            except ValueError as exc:
+                expected = f"error: {exc}\n"
+        if expected is not None:
+            assert (code, err) == (1, expected), (argv, code, err)
+        elif code == 1 and err:
+            assert err == {"check": OMEGA_REFUSAL, "rodrigues": DIVISION_REFUSAL}.get(request), (
+                argv, err)

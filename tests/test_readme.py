@@ -15,6 +15,7 @@ import pytest
 from qbipoly import cli
 from qbipoly.bigqjacobi import TEST_PARAMS, preset_equation
 from qbipoly.io import parse_equation_source
+from qbipoly.pearson import HYPOTHESES, NEEDS
 from test_io_cli import INCOMPATIBLE_PEARSON_TEXT, equation_to_text, pearson_line
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -114,3 +115,20 @@ def test_readme_exit_code_example(phrase, code, argv, files, tmp_path, monkeypat
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if phrase.startswith("`error: "):
             assert captured.err == phrase.strip("`") + "\n"
+
+
+def hypothesis_table() -> list:
+    """(hypothesis, the requests that need it) of each row of the README's
+    refusal table, in its order: the backquoted names of its first and last
+    cells."""
+    header = "\n| hypothesis | what fails | `error:` line | needed by |\n|---|---|---|---|\n"
+    body = README.split(header, 1)[1].split("\n\n", 1)[0]
+    cells = [row.strip("|").split(" | ") for row in body.splitlines()]
+    return [(row[0].strip("` "), set(re.findall(r"`(\w+)`", row[-1]))) for row in cells]
+
+
+def test_readme_hypothesis_table_is_the_code_map():
+    # one row per hypothesis in the order requests decide them, each naming
+    # the requests whose NEEDS hold it
+    assert hypothesis_table() == [(name, {r for r, needs in NEEDS.items() if name in needs})
+                                  for name in HYPOTHESES]

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import EquationCoeffs, NotAdmissibleError, apply_operator
+from qbipoly.equation import EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator
 from qbipoly.linalg import Mat
 from test_bigqjacobi import big_q_jacobi_points, is_power_of
 from test_monic import admissible_equations
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
-from qbipoly.pearson import (DegenerateEquationError, LatticePoleError, base_weight, build_pearson,
-                             require_weight, verify_pearson_identities, weight_table_rows)
+from qbipoly.pearson import (HYPOTHESES, DegenerateEquationError, LatticePoleError, base_weight,
+                             build_pearson, require, verify_pearson_identities,
+                             weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly, rodrigues_polys
 from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT,
@@ -540,8 +541,10 @@ b2 = 0,1:7
 def test_order_zero_rows_and_the_checked_rows(E, implied):
     # the route decides the order-(0, 0) rows alone.  On scaled presets every
     # row that check reports up to order (2, 2) holds with them; the
-    # constant-weight equation shows that the (0, 0) rows do not imply them
-    require_weight(E, ("key", "ratio_left", "ratio_right"))
+    # constant-weight equation shows that the (0, 0) rows do not imply them.
+    # require asks for key and ratio_left, which imply ratio_right
+    # (test_key_and_ratio_left_imply_ratio_right)
+    require(E, "rodrigues")
     assert verify_pearson_identities(E, 2, 2)["ok"] is implied
 
 
@@ -603,7 +606,7 @@ def constant_weight_equations(draw, x_divides_a12d=False):
 def test_route_refuses_the_constant_weight_family(E):
     # the weight is constant and every order-(0, 0) row holds, but a mixed
     # pair's division leaves a remainder, so the N = 3 family is refused
-    require_weight(E, ("key", "ratio_left", "ratio_right"))
+    require(E, "rodrigues")
     with pytest.raises(DegenerateEquationError, match="a Rodrigues division leaves a remainder"):
         rodrigues_family(E, 3)
 
@@ -663,10 +666,12 @@ ROWS = ("key", "ratio_left", "ratio_right")
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.one_of(ROUTE_EQUATIONS, constant_weight_equations(),
                  constant_weight_equations(x_divides_a12d=True)),
-       st.sampled_from([ROWS[:1], ROWS[:2], ROWS]))
-def test_require_weight_names_the_first_failing_row(E, rows):
-    # require_weight decides the ratio rows first and forms key only where
-    # they do not imply it; its verdict is the Pearson report's
+       st.sampled_from([("weight", ROWS[:1]), ("rodrigues", ROWS[:2])]))
+def test_require_names_the_first_failing_row(E, request_rows):
+    # require decides the ratio rows first and forms key only where they do
+    # not imply it; its verdict is the Pearson report's, at the rows that
+    # the request needs: key for the weight, key and ratio_left for the route
+    request, rows = request_rows
     try:
         report = verify_pearson_identities(E, 0, 0)
     except DegenerateEquationError:
@@ -675,30 +680,34 @@ def test_require_weight_names_the_first_failing_row(E, rows):
         return
     failing = [row for row in rows if not report[row][0, 0]]
     if not failing:
-        require_weight(E, rows)
+        require(E, request)
         return
     message = "incompatible Pearson" if failing[0] == "key" else f"{failing[0]} fails"
     with pytest.raises(DegenerateEquationError, match=message):
-        require_weight(E, rows)
+        require(E, request)
 
 
-def test_require_weight_decides_key_where_a12d_vanishes():
+def test_require_decides_key_where_a12d_vanishes():
     # with a12d = a12a = 0 both ratio rows hold as 0 = 0 and imply nothing;
-    # G1 = 1 + x - x^2 + x y / 2 depends on y and G2 = 1, so key fails
+    # G1 = 1 + x - x^2 + x y / 2 depends on y and G2 = 1, so key fails.
+    # require refuses this equation for its form first: where B1 is affine
+    # in x, G1 depends on x alone and G2 on y alone, and key holds
     q = F(1, 2)
     E = EquationCoeffs(QParam(q), BiPoly.const(1), BiPoly.const(1), BiPoly.zero(), BiPoly.zero(),
                        (BiPoly.const(1) - x + y * F(1, 2)) / (q - 1), BiPoly.const(0))
     report = verify_pearson_identities(E, 0, 0)
     assert [row for row in ROWS if not report[row][0, 0]] == ["key"]
     with pytest.raises(DegenerateEquationError, match="incompatible Pearson"):
-        require_weight(E, ("key", "ratio_left"))
+        HYPOTHESES["weight"](E)
+    with pytest.raises(ShapeViolation, match="B1 must not depend on y"):
+        require(E, "weight")
 
 
 @seed(7)
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.one_of(ROUTE_EQUATIONS, constant_weight_equations()))
 def test_key_and_ratio_left_imply_ratio_right(E):
-    # why the route asks require_weight for key and ratio_left alone
+    # why the self_adjoint hypothesis asks for ratio_left alone, given key
     try:
         report = verify_pearson_identities(E, 2, 2)
     except DegenerateEquationError:
