@@ -6,7 +6,6 @@ family, classical Rodrigues, classical operator)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
@@ -18,11 +17,10 @@ from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
                     kampe_de_feriet, phi_rs, pochhammer_rising, power_exponent, qnum)
 from .rodrigues import rodrigues_polys
-from .scalars import FloatField
+from .scalars import FloatField, FrozenRecord
 
 
-@dataclass(frozen=True)
-class BigQJacobiParams:
+class BigQJacobiParams(FrozenRecord):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -47,20 +45,30 @@ TEST_PARAMS = BigQJacobiParams(
 
 def preset_equation(p: BigQJacobiParams) -> EquationCoeffs:
     """Equation coefficients of the bivariate big q-Jacobi family (sqrt(q)
-    absorbed into the pure second-order coefficients)."""
+    absorbed into the pure second-order coefficients), each expanded from
+    its factored form:
+
+        C11 = q (dq - x)(acq^2 - x),  C22 = q (aq - y)(dq - y),
+        A12a = k (d - bx)(1 - y),  A12d = (dq - x)(aq - y),
+        B1 = r (q s1 + e x),  B2 = r (s2 + e y),
+
+    k = acq^4, e = abcq^3 - 1, r = q/(q - 1), s1 = d - acdq^2 + acq - abcq^2
+    and s2 = dq + aq(1 - dq) - abcq^3."""
     q = p.qp.q
     a, b, c, d = p.a, p.b, p.c, p.d
-    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
-
-    c11 = (one * (d * q) - x) * (one * (a * c * q**2) - x) * q
-    c22 = (one * (a * q) - y) * (one * (d * q) - y) * q
-    a12a = (one * d - x * b) * (one - y) * (a * c * q**4)
-    a12d = (one * (d * q) - x) * (one * (a * q) - y)
-    inner1 = one * (d - a * c * d * q**2 + a * c * q - a * b * c * q**2) + x * (a * b * c * q**2)
-    b1 = (inner1 * q - x) * (q / (q - 1))
-    inner2 = one * (d * q + a * q * (1 - d * q) - a * b * c * q**3) + y * (a * b * c * q**3 - 1)
-    b2 = inner2 * (q / (q - 1))
-    return EquationCoeffs(p.qp, c11, c22, a12a, a12d, b1, b2)
+    q2, ac = q * q, a * c
+    abcq2, k, r = ac * b * q2, ac * q2 * q2, q / (q - 1)
+    e, dk, bk = abcq2 * q - 1, d * k, b * k
+    s1 = d - ac * d * q2 + ac * q - abcq2
+    s2 = d * q + a * q * (1 - d * q) - abcq2 * q
+    return EquationCoeffs(
+        p.qp,
+        BiPoly({(0, 0): dk, (1, 0): -(d + ac * q) * q2, (2, 0): q}),
+        BiPoly({(0, 0): a * d * q2 * q, (0, 1): -(a + d) * q2, (0, 2): q}),
+        BiPoly({(0, 0): dk, (0, 1): -dk, (1, 0): -bk, (1, 1): bk}),
+        BiPoly({(0, 0): a * d * q2, (0, 1): -d * q, (1, 0): -a * q, (1, 1): 1}),
+        BiPoly({(0, 0): r * q * s1, (1, 0): r * e}),
+        BiPoly({(0, 0): r * s2, (0, 1): r * e}))
 
 
 def lambda_explicit(p: BigQJacobiParams, n: int) -> Fraction:
@@ -433,8 +441,7 @@ class MomentTable:
 # classical (q -> 1) targets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassicalParams:
+class ClassicalParams(FrozenRecord):
     alpha: int
     beta: int
     gamma: int

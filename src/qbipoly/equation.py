@@ -19,12 +19,12 @@ each part steps a monomial once or twice; all six add over one denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .bipoly import BiPoly, from_form, lift_pairs, reduced
 from .qcalc import QParam, dq1, power_exponent, qnum, step_weights
+from .scalars import FrozenRecord, Record
 
 _BILINEAR = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -42,8 +42,7 @@ class NotAdmissibleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EquationCoeffs:
+class EquationCoeffs(FrozenRecord):
     qp: QParam
     c11: BiPoly
     c22: BiPoly
@@ -128,7 +127,6 @@ class EquationCoeffs:
         return self._univariate(self.b2, 2, 1, "B2")
 
 
-@dataclass(frozen=True)
 class DerivedCoeffs(EquationCoeffs):
     """Coefficients of the equation satisfied by the order-(k, l) generalized
     difference of a solution, with its shifted spectral value mu."""
@@ -205,8 +203,7 @@ def apply_operator(E, f: BiPoly) -> BiPoly:
 # admissibility and eigenvalues
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Admissibility:
+class Admissibility(Record):
     failures: list
     f1: Fraction
     a1: Fraction
@@ -287,7 +284,7 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
     D = dict(propagated_orders(E, k, l))[k, l]
-    return replace(D, mu=D.mu + (lam or 0))
+    return DerivedCoeffs(D.qp, D.c11, D.c22, D.a12a, D.a12d, D.b1, D.b2, D.mu + (lam or 0))
 
 
 def propagated_orders(E: EquationCoeffs, k_max: int, l_max: int):

@@ -21,7 +21,6 @@ and the recursive generator) is built on oracle blocks throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +29,7 @@ from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
 from .pearson import require
 from .qcalc import QParam, QTables
+from .scalars import Record
 
 
 def difference_matrix(n: int, j: int, base) -> Mat:
@@ -149,8 +149,7 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
 # family container, recurrence matrices, recursive generation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MonicFamily:
+class MonicFamily(Record):
     equation: EquationCoeffs
     vectors: list          # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
     ghat: dict             # (n, j) -> Mat

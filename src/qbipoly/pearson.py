@@ -27,11 +27,11 @@ The paper's hypotheses are decided here, each by one function of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .bipoly import BiPoly, lowest_pair
 from .equation import EquationCoeffs, NotAdmissibleError, form_scalars, propagated_orders
 from .qcalc import QParam
+from .scalars import FrozenRecord, Record
 
 
 class DegenerateEquationError(ValueError):
@@ -48,8 +48,7 @@ class LatticePoleError(ArithmeticError):
         self.point = point
 
 
-@dataclass(frozen=True)
-class PearsonData:
+class PearsonData(FrozenRecord):
     phi1: BiPoly
     phi2: BiPoly
     omega1: BiPoly
@@ -185,8 +184,7 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     return report
 
 
-@dataclass
-class WeightEvaluator:
+class WeightEvaluator(Record):
     """Exact lattice weight: rho(q^s x0, q^t y0) as a finite product of ratio
     values relative to rho(x0, y0) = 1.
 

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly, from_form, reduced
-from .scalars import FloatField, as_fraction
+from .scalars import FloatField, FrozenRecord, as_fraction
 
 
-@dataclass(frozen=True)
-class QParam:
+class QParam(FrozenRecord):
     """The lattice base q, 0 < q < 1."""
 
     q: Fraction

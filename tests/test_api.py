@@ -5,7 +5,6 @@ that `src` holds no uncalled function and no unread module-level name
 
 import ast
 import collections
-import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -107,9 +106,9 @@ def test_one_signature_per_route():
     assert params(limit_check) == ["cp", "eps_list", "nm_list", "points"]
     assert params(admissibility) == ["E"]
     assert params(qpochhammer_inf) == ["a", "qp", "field"]
-    assert [f.name for f in dataclasses.fields(WeightEvaluator)] == ["pearson", "anchor", "qp"]
-    assert [f.name for f in dataclasses.fields(PearsonData)] == ["phi1", "phi2", "omega1", "omega2"]
-    assert "order" not in [f.name for f in dataclasses.fields(DerivedCoeffs)]
+    assert list(WeightEvaluator.__match_args__) == ["pearson", "anchor", "qp"]
+    assert list(PearsonData.__match_args__) == ["phi1", "phi2", "omega1", "omega2"]
+    assert "order" not in DerivedCoeffs.__match_args__
     # a series ends where its parameters say, and the float lane's defaults
     # live in suites alone
     assert params(phi_rs) == ["num_params", "den_params", "qp", "z"]
@@ -125,10 +124,10 @@ def test_one_signature_per_route():
     # its failures
     assert "__call__" not in vars(MomentTable)
     assert Mat.__hash__ is None
-    assert [f.name for f in dataclasses.fields(Admissibility)] == ["failures", "f1", "a1", "qp"]
+    assert list(Admissibility.__match_args__) == ["failures", "f1", "a1", "qp"]
     assert isinstance(vars(Admissibility)["admissible"], property)
-    assert [f.name for f in dataclasses.fields(ClassicalParams)] == ["alpha", "beta", "gamma"]
-    assert [f.name for f in dataclasses.fields(MonicFamily)] == [
+    assert list(ClassicalParams.__match_args__) == ["alpha", "beta", "gamma"]
+    assert list(MonicFamily.__match_args__) == [
         "equation", "vectors", "ghat", "operator_blocks"]
     verify = build_parser().parse_args(["verify", "--suite", "orthogonality"])
     assert (verify.precision, verify.truncation) == (suites.ORTH_PRECISION, suites.ORTH_TRUNCATION)

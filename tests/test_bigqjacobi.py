@@ -18,7 +18,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 monic_hypergeometric, nonmonic_poly)
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import apply_operator
+from qbipoly.equation import EquationCoeffs, apply_operator
 from qbipoly.jackson import _Piece, _ladder
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
@@ -315,6 +315,20 @@ def is_power_of(v: F, q: F) -> bool:
     while v > 1:
         v *= q
     return v == 1
+
+
+def sweep_points(count, seed=2013):
+    """Seeded points of the big q-Jacobi domain: aq, bq, cq in (0, 1),
+    d < 0 and c not a power of q, q among five bases."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = rng.choice([F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(2, 5)])
+        a, b, c = (F(rng.randint(1, 12), 13) / q for _ in range(3))
+        d = -F(rng.randint(1, 39), 13)
+        if not is_power_of(c, q):
+            out.append(BigQJacobiParams(a, b, c, d, QParam(q)))
+    return out
 
 
 @st.composite
@@ -798,6 +812,29 @@ def reference_moments(p, max_degree, truncation, prec):
 PBIG = BigQJacobiParams(F(1, 3), F(2, 5), F(3, 7), F(-3), QParam(F(1, 2)))
 #: abc q^2 = 1: the first factor of (abc q^2; q)_k vanishes
 PZERO = BigQJacobiParams(F(3, 2), F(3, 2), F(16, 9), F(-1), QParam(F(1, 2)))
+
+
+def product_preset_equation(p: BigQJacobiParams) -> EquationCoeffs:
+    """The preset's coefficients as products of their factors, the form
+    that preset_equation writes out expanded: its reference."""
+    q = p.qp.q
+    a, b, c, d = p.a, p.b, p.c, p.d
+    one = BiPoly.const(1)
+    c11 = (one * (d * q) - x) * (one * (a * c * q**2) - x) * q
+    c22 = (one * (a * q) - y) * (one * (d * q) - y) * q
+    a12a = (one * d - x * b) * (one - y) * (a * c * q**4)
+    a12d = (one * (d * q) - x) * (one * (a * q) - y)
+    inner1 = one * (d - a * c * d * q**2 + a * c * q - a * b * c * q**2) + x * (a * b * c * q**2)
+    b1 = (inner1 * q - x) * (q / (q - 1))
+    inner2 = one * (d * q + a * q * (1 - d * q) - a * b * c * q**3) + y * (a * b * c * q**3 - 1)
+    b2 = inner2 * (q / (q - 1))
+    return EquationCoeffs(p.qp, c11, c22, a12a, a12d, b1, b2)
+
+
+@pytest.mark.parametrize("params", [TEST_PARAMS, P23, PBIG, *sweep_points(40)],
+                         ids=["test-params", "q=2/3", "|dq|>1", *(f"sweep-{k}" for k in range(40))])
+def test_preset_equation_equals_its_product_form(params):
+    assert preset_equation(params) == product_preset_equation(params)
 
 
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS) + ["|dq|>1"])

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import enum
 import hashlib
 import io
@@ -29,6 +28,10 @@ from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
 from qbipoly.linalg import Mat, SingularMatrixError
 from qbipoly.pearson import require
 from qbipoly.qcalc import SeriesError
+from strategies import (CONSTANT_WEIGHT_FAMILY_TEXT, DEGENERATE_PEARSON_TEXT,
+                        INCOMPATIBLE_PEARSON_TEXT, NONZERO, OMEGA2_X_TEXT, PHI1_ABOVE_OMEGA1_TEXT,
+                        PHI1_ZERO_TEXT, Q23_PARAMS, admissible_equations, constant_weight_equations,
+                        equation_to_text, pearson_line, poly_terms_str, replace, scaled_preset)
 from test_golden_cli import CASES
 
 F = Fraction
@@ -61,19 +64,6 @@ def poly_from_json(records) -> BiPoly:
     """The polynomial of a poly_to_json record list."""
     return BiPoly({(rec["i"], rec["j"]): F(int(rec["num"]), int(rec["den"]))
                    for rec in records})
-
-
-def poly_terms_str(p: BiPoly) -> str:
-    """p in the 'i,j:coeff' term syntax that parse_poly_terms reads."""
-    return " ".join(f"{i},{j}:{frac_str(c)}" for (i, j), c in sorted(p.coeffs.items()))
-
-
-def equation_to_text(E: EquationCoeffs) -> str:
-    """E in the key = value equation file format."""
-    lines = [f"q = {frac_str(E.qp.q)}"]
-    for key in _POLY_KEYS:
-        lines.append(f"{key} = {poly_terms_str(getattr(E, key))}")
-    return "\n".join(lines) + "\n"
 
 
 def test_poly_json_roundtrip():
@@ -637,9 +627,9 @@ def test_cli_generate_csv_without_table_is_refused(tmp_path, capsys, family, deg
 #: preset's six coefficients times y (all six violate the form), and an
 #: x^2 term in A12a with a y term in B1, which check lists A12a first
 NON_HYPERGEOMETRIC = {
-    "b2-x": lambda E: dataclasses.replace(E, b2=E.b2 + x * F(1, 5)),
-    "times-y": lambda E: dataclasses.replace(E, **{k: getattr(E, k) * y for k in _POLY_KEYS}),
-    "a12a-and-b1": lambda E: dataclasses.replace(E, a12a=E.a12a + x * x, b1=E.b1 + y),
+    "b2-x": lambda E: replace(E, b2=E.b2 + x * F(1, 5)),
+    "times-y": lambda E: replace(E, **{k: getattr(E, k) * y for k in _POLY_KEYS}),
+    "a12a-and-b1": lambda E: replace(E, a12a=E.a12a + x * x, b1=E.b1 + y),
 }
 
 #: the sha256 of `check --equation` on each, recorded before the form was
@@ -678,19 +668,6 @@ def test_cli_non_hypergeometric_equation_is_one_line_error(tmp_path, capsys, equ
         assert captured.err == f"error: {first}\n"
 
 
-#: the preset's coefficients at a = 0: admissible, but omega vanishes
-#: identically, so there is no Pearson system
-DEGENERATE_PEARSON_TEXT = """\
-q = 1/2
-c11 = 1,0:1/8 2,0:1/2
-c22 = 0,1:1/8 0,2:1/2
-a12a =
-a12d = 0,1:1/4 1,1:1
-b1 = 0,0:1/4 1,0:1
-b2 = 0,0:1/4 0,1:1
-"""
-
-
 @pytest.mark.parametrize("request_args", [["check"],
                                           ["generate", "--family", "rodrigues", "--degrees", "1 1"],
                                           ["generate", "--family", "weight", "--degrees", "2 2"]],
@@ -704,80 +681,7 @@ def test_cli_degenerate_pearson_system_is_one_line_error(tmp_path, capsys, reque
     assert captured.err == "error: omega vanishes identically; no Pearson system\n"
 
 
-#: admissible, but G1 G2(qx,y) != G2 G1(x,qy), so rho on a lattice depends
-#: on the path: the preset's coefficients with 1/5 for the constant of b1.
-#: From the anchor (3/7, 5/11), rho one step along each axis is -3153/4030
-#: walking y first and 4623/520 walking x first
-INCOMPATIBLE_PEARSON_TEXT = """\
-q = 1/2
-c11 = 0,0:-1/480 1,0:7/60 2,0:1/2
-c22 = 0,0:-1/48 0,1:1/24 0,2:1/2
-a12a = 0,0:-1/480 0,1:1/480 1,0:-1/960 1,1:1/960
-a12d = 0,0:-1/24 0,1:1/4 1,0:-1/6 1,1:1
-b1 = 0,0:1/5 1,0:479/480
-b2 = 0,0:7/160 0,1:479/480
-"""
-
-#: admissible and compatible, but phi1 vanishes identically: c1 = d3a = b3a
-#: = 0 and c3a = q b1 + (q-1) g1 (here a1 = b1 = 1, f1 = 2, g1 = 3)
-PHI1_ZERO_TEXT = """\
-q = 1/2
-c11 = 1,0:1/2 2,0:1/2
-c22 = 0,0:1/10 0,1:1/6 0,2:1/2
-a12a = 0,1:-1 1,1:-1/2
-a12d = 0,0:-1/2 0,1:1/3 1,0:-1/4 1,1:1
-b1 = 0,0:3 1,0:2
-b2 = 0,0:1/7 0,1:2
-"""
-
 KEY_REFUSAL = "incompatible Pearson system: G1 G2(qx,y) != G2 G1(x,qy)"
-
-#: admissible, with a constant weight (G1 = G2 = 1, a12a = q^2 a12d(qx,qy)):
-#: every order-(0,0) row holds, but a mixed pair's division leaves a remainder
-CONSTANT_WEIGHT_FAMILY_TEXT = """\
-q = 1/2
-c11 = 0,0:2 1,0:7/4 2,0:-36/49
-c22 = 0,0:1/5 0,1:41/10 0,2:-36/49
-a12a = 0,0:9/4 0,1:1/8 1,0:-1/20 1,1:-9/98
-a12d = 0,0:9 0,1:1 1,0:-2/5 1,1:-72/49
-b1 = 0,0:2 1,0:-9/7
-b2 = 0,0:4 0,1:-9/7
-"""
-
-#: admissible, with every order-(0,0) Pearson row holding: phi1 = y - x/4
-#: - x^2/4 + xy has a higher x-degree than omega1 = y - x/2 (G1 = 1 + x,
-#: G2 = 1), so the x steps of the Rodrigues recursion meet phi1's x^2 term
-#: with no omega1 term beside it
-PHI1_ABOVE_OMEGA1_TEXT = """\
-q = 1/2
-c11 = 0,0:1 1,0:1/2
-c22 = 0,0:1
-a12a = 0,0:1/4 0,1:1/8 1,0:1/4 1,1:1/8
-a12d = 0,0:1 0,1:1
-b1 = 0,0:-5/4 1,0:-1/4
-b2 = 0,0:-1/2 0,1:-1/4
-"""
-
-
-def pearson_line(name: str, t) -> EquationCoeffs:
-    """The preset at TEST_PARAMS moved by t along one of three lines that
-    keep its form, its admissibility conditions and its key row: f1 moved
-    by t ("f1"), a1 moved by t ("a1"), or b1 and b2 moved by t with b3a by
-    t/2 and c3d by t ("b"); on the first two, the coefficients that
-    admissibility ties to f1 or a1 move with them.  At t = 1/7 on each,
-    key and coupling hold and ratio_left and ratio_right fail at all nine
-    orders up to (2, 2): an admissible equation with a weight for which the
-    operator is not symmetric."""
-    E, q = preset_equation(TEST_PARAMS), TEST_PARAMS.qp.q
-    if name == "f1":
-        return dataclasses.replace(E, b1=E.b1 + x * t, b2=E.b2 + y * t,
-                                   a12a=E.a12a + x * y * (t * (q - 1)))
-    if name == "a1":
-        return dataclasses.replace(E, c11=E.c11 + x * x * (q * t), c22=E.c22 + y * y * (q * t),
-                                   a12a=E.a12a + x * y * (q * t), a12d=E.a12d + x * y * t)
-    return dataclasses.replace(E, c11=E.c11 + x * (q * t), c22=E.c22 + y * (q * t),
-                               a12a=E.a12a + x * (t / 2), a12d=E.a12d + y * t)
-
 
 #: the sha256 of `check --equation` on each line file at t = 1/7: check
 #: reports the failing ratio rows in its document where generate refuses
@@ -1051,7 +955,7 @@ def test_cli_check_names_each_admissibility_failure(tmp_path, capsys, equation,
                                                      key, mono, value, failure):
     # one coefficient of the preset's six polynomials edited breaks one condition
     poly = getattr(equation, key)
-    edited = dataclasses.replace(equation, **{key: BiPoly({**poly.coeffs, mono: value})})
+    edited = replace(equation, **{key: BiPoly({**poly.coeffs, mono: value})})
     path = tmp_path / "edited.eq"
     path.write_text(equation_to_text(edited))
     assert main(["check", "--equation", str(path)]) == 1
@@ -1239,17 +1143,19 @@ def test_python_m_qbipoly_runs_the_cli(tmp_path):
 
 
 #: runs check and a Rodrigues generate in one process, then names on stderr
-#: the exit codes and every mpmath module loaded
+#: the exit codes and every module loaded of mpmath, dataclasses and inspect
+#: (the import that dataclasses brings)
 EXACT_COMMANDS_SCRIPT = """\
 import json, sys
 from qbipoly.cli import main
 codes = [main(list(argv)) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in sys.modules if m == "mpmath" or m.startswith("mpmath."))
+loaded = sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect")
+                or m.startswith("mpmath."))
 print(json.dumps([codes, loaded]), file=sys.stderr)
 """
 
 
-def test_exact_commands_never_load_mpmath(tmp_path):
+def test_exact_commands_load_neither_mpmath_nor_dataclasses(tmp_path):
     argvs = [CASES["check"][0], CASES["generate-rodrigues-2-2"][0]]
     proc = fresh_python(tmp_path, "-c", EXACT_COMMANDS_SCRIPT, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
@@ -1348,25 +1254,19 @@ def _equation_sources():
     """Equation file texts from every structured source that reaches deep
     code, plus equations that are not admissible, the preset times a
     polynomial g (not of hypergeometric form unless g is constant), and
-    malformed text.  Built on first draw: test_rodrigues imports this
-    module."""
-    from test_monic import admissible_equations
-    from test_rodrigues import (OMEGA2_X_TEXT, Q23_PARAMS, constant_weight_equations,
-                                scaled_preset)
-
-    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool)
+    malformed text."""
     preset = preset_equation(TEST_PARAMS)
-    g = st.builds(lambda c, gx, gy: x * gx + y * gy + c, nonzero, st.sampled_from([0, 1, F(-1, 3)]),
+    g = st.builds(lambda c, gx, gy: x * gx + y * gy + c, NONZERO, st.sampled_from([0, 1, F(-1, 3)]),
                   st.sampled_from([0, 2, F(1, 5)]))
     equations = st.one_of(
         constant_weight_equations(), constant_weight_equations(x_divides_a12d=True),
-        st.builds(pearson_line, st.sampled_from(["f1", "a1", "b"]), nonzero),
+        st.builds(pearson_line, st.sampled_from(["f1", "a1", "b"]), NONZERO),
         st.builds(scaled_preset, st.sampled_from([TEST_PARAMS, Q23_PARAMS]),
-                  nonzero, nonzero, nonzero),
+                  NONZERO, NONZERO, NONZERO),
         admissible_equations(),
-        st.builds(lambda E, t: dataclasses.replace(E, a12d=E.a12d + x * y * t),
-                  admissible_equations(), nonzero),
-        g.map(lambda g: dataclasses.replace(
+        st.builds(lambda E, t: replace(E, a12d=E.a12d + x * y * t),
+                  admissible_equations(), NONZERO),
+        g.map(lambda g: replace(
             preset, **{key: getattr(preset, key) * g for key in _POLY_KEYS})))
     malformed = st.sampled_from(["q = 1/2\nc11 = 2:1\n", "q = 0\n", "c11 = 1,0:1\n",
                                  PRESET_TEXT.replace("d = -1/2", "d = 1/2"),
@@ -1389,7 +1289,7 @@ OMEGA_REFUSAL = "error: omega vanishes identically; no Pearson system\n"
 @seed(47)
 @settings(max_examples=80, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.deferred(_equation_sources))
+@given(_equation_sources())
 def test_cli_refuses_each_request_as_require_does(tmp_path, capsys, text):
     # every command and family on an equation from each source, in
     # process: exit 0, 1 or 2; a refusal is one error line with nothing on

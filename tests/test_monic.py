@@ -1,12 +1,10 @@
-import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, seed, settings
-from hypothesis import strategies as st
+from hypothesis import given, seed, settings
 
 from qbipoly import suites
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
@@ -19,6 +17,7 @@ from qbipoly.monic import (assemble_vector, generalized_inverse_L,
                            operator_blocks, s_matrix_closed_form,
                            structure_matrices, t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
+from strategies import admissible_equations, replace
 from test_linalg import graded_coeff_block, monomials, rank, transpose
 
 F = Fraction
@@ -152,7 +151,7 @@ Q910_PARAMS = BigQJacobiParams(F(1, 2), F(3, 4), F(1, 3), F(-2, 3), QParam(F(9, 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(9, 10)], ids=["q=1/2", "q=2/3", "q=9/10"])
 def test_operator_blocks_equal_the_image_reference(q):
-    E = preset_equation(dataclasses.replace(TEST_PARAMS, qp=QParam(q)))
+    E = preset_equation(replace(TEST_PARAMS, qp=QParam(q)))
     for j in range(13):
         assert operator_blocks(E, j) == reference_operator_blocks(E, j), j
 
@@ -214,7 +213,7 @@ def reference_ttr(family, n, j):
 
 
 @pytest.fixture(scope="module", ids=["q=1/2", "q=9/10"],
-                params=[TEST_PARAMS, dataclasses.replace(TEST_PARAMS, qp=QParam(F(9, 10)))])
+                params=[TEST_PARAMS, replace(TEST_PARAMS, qp=QParam(F(9, 10)))])
 def oracle12(request):
     return generate_monic_oracle(preset_equation(request.param), 12)
 
@@ -238,26 +237,6 @@ def test_ttr_matrices_equal_the_L_products_through_degree_12(oracle12):
         for j in (1, 2):
             tb = ttr_matrices(oracle12, n, j)
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle12, n, j), (n, j)
-
-
-@st.composite
-def admissible_equations(draw):
-    """Equations with every coefficient drawn at random and the four
-    admissibility conditions imposed: a2 = a1, f2 = f1, a3d = a1 and
-    a3a = a1 q + f1 (q - 1)."""
-    q = draw(st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=9)
-    a1, f1, *r = (draw(coeff) for _ in range(14))
-    E = EquationCoeffs(
-        QParam(q),
-        BiPoly({(2, 0): q * a1, (1, 0): q * r[0], (0, 0): q * r[1]}),
-        BiPoly({(0, 2): q * a1, (0, 1): q * r[2], (0, 0): q * r[3]}),
-        BiPoly({(1, 1): a1 * q + f1 * (q - 1), (1, 0): r[4], (0, 1): r[5], (0, 0): r[6]}),
-        BiPoly({(1, 1): a1, (1, 0): r[7], (0, 1): r[8], (0, 0): r[9]}),
-        BiPoly({(1, 0): f1, (0, 0): r[10]}),
-        BiPoly({(0, 1): f1, (0, 0): r[11]}))
-    assume(E.admissibility.admissible)
-    return E
 
 
 @seed(27)

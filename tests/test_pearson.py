@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
                              verify_pearson_identities)
 from qbipoly.qcalc import QParam
 from qbipoly.scalars import FloatField
+from strategies import replace
 from test_bigqjacobi import closed_form_weight
 from test_bipoly import RationalFn, dq_ratfn
 

@@ -16,7 +16,7 @@ from qbipoly import cli
 from qbipoly.bigqjacobi import TEST_PARAMS, preset_equation
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import HYPOTHESES, NEEDS
-from test_io_cli import INCOMPATIBLE_PEARSON_TEXT, equation_to_text, pearson_line
+from strategies import INCOMPATIBLE_PEARSON_TEXT, equation_to_text, pearson_line
 
 README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
 

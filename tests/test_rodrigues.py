@@ -1,11 +1,9 @@
 import functools
 import hashlib
-import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import qbipoly.rodrigues as rodrigues
@@ -13,8 +11,7 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator
 from qbipoly.linalg import Mat
-from test_bigqjacobi import big_q_jacobi_points, is_power_of
-from test_monic import admissible_equations
+from test_bigqjacobi import big_q_jacobi_points, sweep_points
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (HYPOTHESES, DegenerateEquationError, LatticePoleError, base_weight,
@@ -22,8 +19,10 @@ from qbipoly.pearson import (HYPOTHESES, DegenerateEquationError, LatticePoleErr
                              weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly, rodrigues_polys
-from test_io_cli import (INCOMPATIBLE_PEARSON_TEXT, PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT,
-                         equation_to_text, pearson_line)
+from strategies import (CONSTANT_WEIGHT_TEXT, INCOMPATIBLE_PEARSON_TEXT, NONZERO, OMEGA2_X_TEXT,
+                        PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT, Q23_PARAMS, admissible_equations,
+                        constant_weight_equations, equation_to_text, pearson_line, replace,
+                        scaled_preset)
 from test_pearson import rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
@@ -120,7 +119,6 @@ def reference_poly(E, n, m, omega=None):
     raise AssertionError("no pole-free base point")
 
 
-Q23_PARAMS = BigQJacobiParams(F(1, 2), F(2, 3), F(3, 7), F(-1, 3), QParam(F(2, 3)))
 # |d q| = 7/4 > 1
 WIDE_D_PARAMS = BigQJacobiParams(F(1, 3), F(1, 2), F(2, 5), F(-7, 2), QParam(F(1, 2)))
 
@@ -184,20 +182,6 @@ def fraction_pipeline_poly(E, n, m):
             continue
         return fraction_interpolate_2d(nodes_x, nodes_y, values)
     raise AssertionError("no pole-free base point")
-
-
-def sweep_points(count, seed=2013):
-    """Seeded points of the big q-Jacobi domain: aq, bq, cq in (0, 1),
-    d < 0 and c not a power of q, q among five bases."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        q = rng.choice([F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(2, 5)])
-        a, b, c = (F(rng.randint(1, 12), 13) / q for _ in range(3))
-        d = -F(rng.randint(1, 39), 13)
-        if not is_power_of(c, q):
-            out.append(BigQJacobiParams(a, b, c, d, QParam(q)))
-    return out
 
 
 @pytest.mark.parametrize("params", [Q23_PARAMS, *sweep_points(5)],
@@ -502,35 +486,7 @@ def test_refusals_come_before_any_polynomial_work(monkeypatch, text, failing, re
         rodrigues_poly(E, 1, 1)
 
 
-def scaled_preset(params, kappa, alpha, beta) -> EquationCoeffs:
-    """kappa times the preset at params in the variables (alpha x, beta y):
-    u solves it with eigenvalue kappa lambda iff u(x/alpha, y/beta) solves
-    the preset with lambda, since Dq1 of u(alpha x, y) is alpha (Dq1 u)(alpha x, y)."""
-    E = preset_equation(params)
-    return EquationCoeffs(E.qp, E.c11.scale_args(alpha, 1) * (kappa / alpha**2),
-                          E.c22.scale_args(1, beta) * (kappa / beta**2),
-                          E.a12a.scale_args(alpha, beta) * (kappa / (alpha * beta)),
-                          E.a12d.scale_args(alpha, beta) * (kappa / (alpha * beta)),
-                          E.b1.scale_args(alpha, 1) * (kappa / alpha),
-                          E.b2.scale_args(1, beta) * (kappa / beta))
-
-
 SCALINGS = [(F(3), F(2), F(-3, 5)), (F(-2, 7), F(5, 3), F(7, 2))]
-
-#: admissible, with a constant weight: phi1 = omega1(qx,y), phi2 =
-#: omega2(x,qy) (G1 = G2 = 1) and a12a = q^2 a12d(qx,qy).  Every order-(0,0)
-#: row holds, and ratio_left and ratio_right fail at every other order up
-#: to (2, 2); the route's (1, 0) polynomial is the constant -1/2
-CONSTANT_WEIGHT_TEXT = """\
-q = 1/2
-c11 = 2,0:4
-c22 = 0,2:4
-a12a = 0,0:1/4 1,1:1/2
-a12d = 0,0:1 1,1:8
-b1 = 1,0:7
-b2 = 0,1:7
-"""
-
 
 @pytest.mark.parametrize("E, implied",
                          [*((preset_equation(p), True) for p in sweep_points(40)),
@@ -548,7 +504,6 @@ def test_order_zero_rows_and_the_checked_rows(E, implied):
     assert verify_pearson_identities(E, 2, 2)["ok"] is implied
 
 
-NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool)
 ROUTE_EQUATIONS = st.one_of(
     admissible_equations(),
     st.builds(pearson_line, st.sampled_from(["f1", "a1", "b"]), NONZERO),
@@ -576,28 +531,6 @@ def test_route_solves_or_refuses_the_sampled_equations(E):
     for (n, m), poly in family.items():
         assert (apply_operator(E, poly) + poly * lam(n + m)).is_zero(), (n, m)
     assert verify_pearson_identities(E, 2, 2)["ok"]
-
-
-@st.composite
-def constant_weight_equations(draw, x_divides_a12d=False):
-    """Admissible equations of the family CONSTANT_WEIGHT_TEXT lies on:
-    G1 = G2 = 1 fixes b1 and b2, a12a = q^2 a12d(qx,qy), and admissibility
-    ties the quadratic terms of c11, c22 and a12d to a1, so eight
-    coefficients are free; here each is nonzero, except that
-    x_divides_a12d zeroes a12d(0, y), so that x divides omega2."""
-    q = draw(st.sampled_from([F(1, 2), F(2, 3), F(9, 10)]))
-    a1, c0, c1, g0, g1, d00, d10, d01 = (draw(NONZERO) for _ in range(8))
-    if x_divides_a12d:
-        d00 = d01 = 0
-    a12d = BiPoly({(0, 0): d00, (1, 0): d10, (0, 1): d01, (1, 1): a1})
-    f1 = a1 * q * (1 + q + q * q)
-    E = EquationCoeffs(QParam(q), BiPoly({(0, 0): c0, (1, 0): c1, (2, 0): q * a1}),
-                       BiPoly({(0, 0): g0, (0, 1): g1, (0, 2): q * a1}),
-                       a12d.scale_args(q, q) * q**2, a12d,
-                       BiPoly({(0, 0): c1 + q * q * d01, (1, 0): f1}),
-                       BiPoly({(0, 0): g1 + q * q * d10, (0, 1): f1}))
-    assume(E.admissibility.admissible)
-    return E
 
 
 @seed(7)
@@ -632,19 +565,6 @@ def test_route_where_x_divides_omega2_refuses_or_solves(E):
             assert all(i >= 0 and j >= 0 for i, j in poly.nums), (n, m)
             assert (apply_operator(E, poly) + poly * lam(n + m)).is_zero() or (
                 min(n, m) == 0 and not verify_pearson_identities(E, 2, 2)["ok"]), (n, m)
-
-
-#: constant weight with omega2 = x (a12d(0, y) = 0 and C22 - q y a12d/x
-#: constant): phi2 = omega2 = x
-OMEGA2_X_TEXT = """\
-q = 1/2
-c11 = 0,0:-29/9 1,0:1 2,0:-29/18
-c22 = 0,0:1 0,1:1/2 0,2:-29/18
-a12a = 1,0:1/8 1,1:-29/144
-a12d = 1,0:1 1,1:-29/9
-b1 = 0,0:1 1,0:-203/72
-b2 = 0,0:3/4 0,1:-203/72
-"""
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3)], ids=str)
