@@ -4,8 +4,6 @@ representation, the orthogonality weight with its Jackson moment engine, and
 the q -> 1 classical targets (Appell-type monic family, Jacobi-product
 family, classical Rodrigues, classical operator)."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
@@ -15,7 +13,7 @@ from .jackson import (_Piece, _exact_sum, _geometric, _ladder, _power_sums, _pow
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
-                    kampe_de_feriet, phi_rs, pochhammer_rising, power_exponent, qnum)
+                    kampe_de_feriet, phi_rs, power_exponent, qnum)
 from .rodrigues import rodrigues_polys
 from .scalars import FloatField, FrozenRecord
 
@@ -461,8 +459,9 @@ def appell_monic(cp: ClassicalParams, n: int, m: int) -> BiPoly:
     half = Fraction(1, 2)
     series = kampe_de_feriet([s], [Fraction(-n)], [Fraction(-m)], [], [be + 1], [al + 1],
                              (x + one) * half, (one - y) * half)
-    lead = (Fraction(-1) ** n * Fraction(2) ** (n + m) * pochhammer_rising(al + 1, m)
-            * pochhammer_rising(be + 1, n) / pochhammer_rising(s, n + m))
+    rising = Rows()
+    lead = (Fraction(-1) ** n * Fraction(2) ** (n + m) * rising.row(al + 1, m)[m]
+            * rising.row(be + 1, n)[n] / rising.row(s, n + m)[n + m])
     return series * lead
 
 

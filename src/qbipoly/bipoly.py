@@ -23,8 +23,6 @@ Every scalar (coefficient, factor, evaluation point) is taken through
 All operations are pure; instances are immutable after construction.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 import operator

@@ -11,8 +11,6 @@ the options it reads and checks them itself once the equation source has
 loaded.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

@@ -16,8 +16,6 @@ Same-axis compositions apply the backward operator first.
 each part steps a monomial once or twice; all six add over one denominator.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from functools import cached_property

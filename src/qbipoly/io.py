@@ -8,8 +8,6 @@ Files are written to a uniquely named temporary sibling and renamed, so
 failures leave neither partial outputs nor temp files.
 """
 
-from __future__ import annotations
-
 import csv
 import math
 import os

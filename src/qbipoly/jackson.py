@@ -6,8 +6,6 @@ correlations of two sequences from one product of packed integers and
 exact sums, each with its truncation bound stated and checked exactly in
 the tests."""
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

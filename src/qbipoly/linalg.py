@@ -14,8 +14,6 @@ the benchmark's span list names them, and the tests solve with the first
 for their references to the second and to the oracle's chain steps.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form

@@ -19,8 +19,6 @@ The recurrence layer (structure matrices, the explicit generalized inverse,
 and the recursive generator) is built on oracle blocks throughout.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

@@ -24,8 +24,6 @@ The paper's hypotheses are decided here, each by one function of
 ``require`` raises the refusal of the first that fails.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .bipoly import BiPoly, lowest_pair

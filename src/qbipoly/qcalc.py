@@ -11,8 +11,6 @@ Pochhammer ratios are integer ladders of exact-rational steps
 (`jackson._ladder`).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from fractions import Fraction
@@ -331,13 +329,6 @@ def phi_bivariate(joint_num, xnum, ynum, joint_den, xden, yden, qp: QParam, xv, 
 # ---------------------------------------------------------------------------
 # classical terminating series (q -> 1 targets)
 # ---------------------------------------------------------------------------
-
-def pochhammer_rising(a, k: int):
-    """(a)_k = a (a+1) ... (a+k-1)."""
-    if k < 0:
-        raise ValueError("rising factorial needs k >= 0")
-    return math.prod((a + j for j in range(k)), start=a * 0 + Fraction(1))
-
 
 def gauss_2f1_terminating(a, b, c, z):
     """2F1(a, b; c; z) with a or b a nonpositive integer; z may be a scalar or

@@ -18,8 +18,6 @@ interpolation.  The x steps run on W = rho prod_{s<m} omega2(x, q^-s y) and the
 y steps peel its omega2 factors, so no step divides (``bipoly.pearson_step``).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .bipoly import BiPoly, pearson_step

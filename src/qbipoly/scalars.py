@@ -17,8 +17,6 @@ place of ``dataclasses``, whose import (it brings ``inspect``) and generated
 methods every command would pay for at start.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -10,8 +10,6 @@ the truncation and precision): the degrees, steps and points it covers are
 module constants.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

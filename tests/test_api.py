@@ -1,17 +1,24 @@
 """The public surface of the package: what `qbipoly` exports, the
-test-only references and single-caller options that stay out of `src`, and
-that `src` holds no uncalled function and no unread module-level name
-(tests/test_imports.py guards its imports)."""
+test-only references and single-caller options that stay out of `src`, what
+its records promise, and that `src` holds no uncalled function and no unread
+module-level name (tests/test_imports.py guards its imports)."""
 
 import ast
 import collections
 import importlib
 import inspect
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 import qbipoly
+from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, ClassicalParams, preset_equation
+from qbipoly.equation import derived_coeffs
+from qbipoly.monic import generate_monic_oracle
+from qbipoly.pearson import base_weight
+from qbipoly.qcalc import QParam
+from qbipoly.scalars import FrozenRecord
 
 PUBLIC = [
     "BiPoly", "DerivedCoeffs", "EquationCoeffs", "FloatField", "Mat", "MonicFamily",
@@ -41,6 +48,7 @@ ABSENT = [
     ("pearson", "rho_kl"),
     ("qcalc", "dqm_nm_table"),
     ("qcalc", "dq_ratfn"),
+    ("qcalc", "pochhammer_rising"),
     ("linalg", "Mat.rank"),
     ("linalg", "Mat.transpose"),
     ("linalg", "Mat.__getitem__"),
@@ -131,6 +139,50 @@ def test_one_signature_per_route():
         "equation", "vectors", "ghat", "operator_blocks"]
     verify = build_parser().parse_args(["verify", "--suite", "orthogonality"])
     assert (verify.precision, verify.truncation) == (suites.ORTH_PRECISION, suites.ORTH_TRUNCATION)
+
+
+def _preset():
+    return preset_equation(TEST_PARAMS)
+
+
+#: each record type with a builder that makes a new, equal record at each call
+#: from what the tests already build
+RECORDS = {
+    "QParam": lambda: QParam(Fraction(1, 2)),
+    "BigQJacobiParams": lambda: BigQJacobiParams(*TEST_PARAMS._values()),
+    "ClassicalParams": lambda: ClassicalParams(1, 1, 1),
+    "EquationCoeffs": _preset,
+    "DerivedCoeffs": lambda: derived_coeffs(_preset(), 1, 0),
+    "PearsonData": lambda: _preset().pearson,
+    "Admissibility": lambda: _preset().admissibility,
+    "WeightEvaluator": lambda: base_weight(_preset(), (Fraction(3, 7), Fraction(5, 11))),
+    "MonicFamily": lambda: generate_monic_oracle(_preset(), 2),
+}
+FROZEN = {"QParam", "BigQJacobiParams", "ClassicalParams", "EquationCoeffs", "DerivedCoeffs",
+          "PearsonData"}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_frozen_records_hash_and_plain_records_do_not(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name and record == twin and record is not twin
+    if name not in FROZEN:
+        assert not isinstance(record, FrozenRecord) and type(record).__hash__ is None
+        return
+    assert isinstance(record, FrozenRecord) and hash(record) == hash(twin)
+    field = record.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == getattr(twin, field)
+
+
+def test_equation_caches_on_its_frozen_instance():
+    E = _preset()
+    adm = E.admissibility
+    assert E.admissibility is adm and vars(E)["admissibility"] is adm
+    assert E == _preset() and hash(E) == hash(_preset())
 
 
 #: names in src with no caller there that the tests use as their references,

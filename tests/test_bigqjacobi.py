@@ -24,8 +24,7 @@ from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
                            ttr_matrices)
 from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
-                           phi_bivariate, phi_rs, pochhammer_rising, qpochhammer,
-                           qpochhammer_inf)
+                           phi_bivariate, phi_rs, qpochhammer, qpochhammer_inf)
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
 from qbipoly.scalars import FloatField
 from qbipoly.suites import run_suite
@@ -438,6 +437,13 @@ def test_jnm_solves_limit_pde():
             p = jnm(CP, n, m)
             assert p.total_degree() == n
             assert classical_pde_residual(CP, p, n).is_zero()
+
+
+def pochhammer_rising(a, k: int):
+    """(a)_k = a (a+1) ... (a+k-1), the tests' reference rising factorial."""
+    if k < 0:
+        raise ValueError("rising factorial needs k >= 0")
+    return math.prod((a + j for j in range(k)), start=a * 0 + F(1))
 
 
 def jacobi_poly(n: int, a, b, x):

@@ -1143,19 +1143,21 @@ def test_python_m_qbipoly_runs_the_cli(tmp_path):
 
 
 #: runs check and a Rodrigues generate in one process, then names on stderr
-#: the exit codes and every module loaded of mpmath, dataclasses and inspect
-#: (the import that dataclasses brings)
+#: the exit codes and every module loaded of mpmath, dataclasses, inspect
+#: (the import that dataclasses brings) and __future__ (which any module
+#: importing qbipoly.cli would load with a future statement)
 EXACT_COMMANDS_SCRIPT = """\
 import json, sys
 from qbipoly.cli import main
 codes = [main(list(argv)) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in sys.modules if m in ("mpmath", "dataclasses", "inspect")
+loaded = sorted(m for m in sys.modules
+                if m in ("mpmath", "dataclasses", "inspect", "__future__")
                 or m.startswith("mpmath."))
 print(json.dumps([codes, loaded]), file=sys.stderr)
 """
 
 
-def test_exact_commands_load_neither_mpmath_nor_dataclasses(tmp_path):
+def test_exact_commands_load_no_mpmath_dataclasses_or_future(tmp_path):
     argvs = [CASES["check"][0], CASES["generate-rodrigues-2-2"][0]]
     proc = fresh_python(tmp_path, "-c", EXACT_COMMANDS_SCRIPT, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr

@@ -10,11 +10,10 @@ from qbipoly.bigqjacobi import TEST_PARAMS, MomentTable
 from qbipoly.bipoly import BiPoly
 from qbipoly.qcalc import (QParam, QTables, Rows, SeriesError, _difference_table, _terms,
                            dq1, dq2, dq_nm_table, dqm1, dqm2, gauss_2f1_terminating,
-                           kampe_de_feriet, phi_bivariate, phi_rs,
-                           pochhammer_rising, power_exponent, qnum, qpochhammer,
-                           qpochhammer_inf, verify_operator_relations)
+                           kampe_de_feriet, phi_bivariate, phi_rs, power_exponent, qnum,
+                           qpochhammer, qpochhammer_inf, verify_operator_relations)
 from qbipoly.scalars import FloatField
-from test_bigqjacobi import closed_form_weight, jacobi_poly, qbinomial
+from test_bigqjacobi import closed_form_weight, jacobi_poly, pochhammer_rising, qbinomial
 from test_scalars import close
 
 x = BiPoly.x()
@@ -566,9 +565,10 @@ def test_phi_bivariate_brute_force(qp):
 # classical terminating series -------------------------------------------------
 
 def test_pochhammer_rising():
-    assert pochhammer_rising(F(3), 0) == 1
-    assert pochhammer_rising(F(2), 3) == 24
-    assert pochhammer_rising(F(-2), 3) == 0
+    rising = Rows()
+    assert rising.row(F(3), 0)[0] == 1
+    assert rising.row(F(2), 3)[3] == 24
+    assert rising.row(F(-2), 3)[3] == 0
 
 
 def test_gauss_2f1_terminating():
