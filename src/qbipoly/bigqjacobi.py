@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
 from .equation import EquationCoeffs
-from .jackson import (_Piece, _exact_sum, _geometric, _ladder, _power_sums, _powers,
+from .jackson import (_Piece, _geometric, _ladder, _power_sums, _powers,
                       _products, _quotient, _sign, _slope)
 from .linalg import Mat
 from .monic import generate_monic_oracle
@@ -80,8 +80,9 @@ def lambda_explicit(p: BigQJacobiParams, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _fold(coefs, lower, upper) -> BiPoly:
-    """sum_r coefs[r] prod(lower[:r]) prod(upper[r:]), r = 0..len(lower), by
-    the step acc -> acc upper[r-1] + coefs[r] prod(lower[:r])."""
+    """sum_r coefs[r] prod(lower[:r]) prod(upper[r:K]), r = 0..K = len(coefs)
+    - 1 (the lists may run longer), by the step acc -> acc upper[r-1] +
+    coefs[r] prod(lower[:r])."""
     acc, head = BiPoly.zero(), BiPoly.const(1)
     for r, coef in enumerate(coefs):
         if r:
@@ -90,23 +91,37 @@ def _fold(coefs, lower, upper) -> BiPoly:
     return acc
 
 
-def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
-    """The explicit product solution P_{n,k}(x, y) as one exact series:
+def nonmonic_polys(p: BigQJacobiParams, pairs) -> dict:
+    """{(n, k): the explicit product solution P_{n,k}(x, y)}, each one exact
+    series:
 
         3phi2(q^{k-n}, abc q^{n+k+2}, y; aq, d q^{k+1}; q, q)
           * sum_r c_r prod_{i<r} (y - x q^i) prod_{r<=i<k} (y - d q^{1+i}),
 
     c_r = (q^{-k}, bc q^{k+1}; q)_r q^r / (cq, q; q)_r: the 3phi2 in x/y with
-    the bridge prod_{j<k} (y - d q^{1+j}) folded into each term."""
-    if not 0 <= k <= n:
+    the bridge prod_{j<k} (y - d q^{1+j}) folded into each term.  One
+    `QTables` serves the c_r series of every pair, and the fold factors
+    y - x q^i and y - d q^(1+i) are formed once, up to the largest k."""
+    if not all(0 <= k <= n for n, k in pairs):
         raise ValueError("need 0 <= k <= n")
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
     x, y = BiPoly.x(), BiPoly.y()
-    first = phi_rs([q ** (k - n), a * b * c * q ** (n + k + 2), y], [a * q, d * q ** (k + 1)],
-                   p.qp, q)
-    coefs = _terms(QTables(q), (q**-k, b * c * q ** (k + 1)), (c * q, q), "series", last=k, v=q)
-    return first * _fold(coefs, [y - x * q**i for i in range(k)],
-                         [y - d * q ** (1 + i) for i in range(k)])
+    tab = QTables(q)
+    pw = tab.pow
+    top = max((k for _, k in pairs), default=0)
+    lower = [y - x * pw(i) for i in range(top)]
+    upper = [y - d * pw(1 + i) for i in range(top)]
+    out = {}
+    for n, k in pairs:
+        first = phi_rs([pw(k - n), a * b * c * pw(n + k + 2), y], [a * q, d * pw(k + 1)], p.qp, q)
+        coefs = _terms(tab, (pw(-k), b * c * pw(k + 1)), (c * q, q), "series", last=k, v=q)
+        out[n, k] = first * _fold(coefs, lower, upper)
+    return out
+
+
+def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
+    """The explicit product solution P_{n,k}: `nonmonic_polys` of one pair."""
+    return nonmonic_polys(p, [(n, k)])[n, k]
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +321,21 @@ class MomentTable:
     moments.  A Jackson node x carries (1 - q) x, so M_ij = (1 - q)^2
     sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t) = sum_r
     (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
-    correlation in t, so for each power p one product per lattice piece
-    gives every t at once (`_Piece`, which prepares each piece's B once per
-    table):
+    correlation in t, so for each power p one Kronecker product per
+    lattice piece gives every t at once (`_Piece`, which packs each piece's
+    B once per table as its even and odd slots, at half width, and reads
+    the full-width product's integers from two half-width products):
 
         y > 0, x > 0:  x_t^p sum_r [A(r) q^(pr)] B(t + r)     (x_(t+r) = x_t q^r)
         y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
         y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
 
-    The outer sums are `_power_sums`, kept exact as integers on one binary
-    point: `moment` rounds one when asked, `integrate` applies a polynomial
-    to them before it rounds, and `gram` gives the integral of every
-    pairwise product without forming one.
+    On y > 0 a node's inner sum is x_t^p c1 - c2 - c3 of the three pieces,
+    one exact integer on the least of their exponents.  The outer sums are
+    `_power_sums`, kept exact as integers on one binary point: `moment`
+    rounds one when asked, `integrate` applies a polynomial to them before
+    it rounds, and `gram` gives the integral of every pairwise product
+    without forming one.
 
     `weight_positive` is exact: a ladder has one sign (`_sign`) and exact
     zeros that lead it (`_ladder`), a nonzero ladder pair is within a
@@ -379,10 +397,13 @@ class MomentTable:
                 _powers([(1, 0)] * (N + 1), _geometric(a * c * q**2, q, N + 1, wp), D + 1, width),
                 _powers(A_cq, _geometric(Fraction(1), q, N + 1, wp), D + 1, width),
                 _powers(A_d, dlat, D + 1, width)):
-            inner.append([_exact_sum([(xm * m1, xe + e1), (-m2, e2), (-m3, e3)])
-                          for xm, xe, (m1, e1), (m2, e2), (m3, e3)
-                          in zip(xms, xes, c1(*a_cq), c2(*a_d), c3(*a_d))]
-                         + c4(*a_d))
+            sums = []       # y > 0: x_t^p c1 - c2 - c3 (class docstring)
+            for xm, xe, (m1, e1), (m2, e2), (m3, e3) in zip(xms, xes, c1(*a_cq), c2(*a_d),
+                                                             c3(*a_d)):
+                low = min(xe + e1, e2, e3)
+                sums.append((((xm * m1) << (xe + e1 - low)) - (m2 << (e2 - low))
+                             - (m3 << (e3 - low)), low))
+            inner.append(sums + c4(*a_d))
 
         # per piece and outer node the weights yfac(t) A(r) B(r + lag) are
         # zero or of sign yfac A B (class docstring), nonzero where A(r) and

@@ -2,9 +2,9 @@
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
 m 2^e; nothing here rounds to a float field.  Ladders of infinite
 q-Pochhammer ratios from exact-rational steps, power sums of node powers,
-correlations of two sequences from one product of packed integers and
-exact sums, each with its truncation bound stated and checked exactly in
-the tests."""
+and correlations of two sequences as the slots of one Kronecker product,
+read from two products of half-width packings, each with its truncation
+bound stated and checked exactly in the tests."""
 
 import itertools
 import math
@@ -181,12 +181,18 @@ def _sign(ms) -> int:
     return (1 if True in signs else -1) if signs else 0
 
 
+def _pack(values, size: int) -> int:
+    """Nonnegative integers, each under 2^(8 size), as one integer with
+    value k at bit 8 size k."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
 class _Piece:
     """One lattice piece of a correlation, prepared once for many a:
     `correlate` gives [sum_r a_r b_(r+l) for l in lags] as exact pairs (C,
-    E), C 2^E, over the r with r + l inside b, from one product of two
-    packed integers (Kronecker substitution).  b is a list of integer
-    pairs (m, e), and each a comes as its n_a mantissas and n_a
+    E), C 2^E, over the r with r + l inside b, as the slots of the product
+    of two packed polynomials (Kronecker substitution).  b is a list of
+    integer pairs (m, e), and each a comes as its n_a mantissas and n_a
     exponents; b and each a have one sign, zeros allowed.
 
     b_k 2^(hk), levelled by `_slope`, keeps prec + g + span bits at its
@@ -200,9 +206,19 @@ class _Piece:
     for the first r of lag l with b_(r+l) != 0: under 2^(1-prec) |sum|
     when that r gives A.
 
+    A product slot holds under 2^(8 nb).  Its polynomials are evaluated at
+    +-Y, Y = 2^(8w), w = ceil(nb/2), from half-width packings: the even
+    slots and the odd slots, each at a stride of 2w bytes (Y^2), so that
+    A(+-Y) = A_even(Y^2) +- Y A_odd(Y^2).  Of h+- = A(+-Y) B(+-Y), (h+ +
+    h-)/2 holds the even slots of the product and (h+ - h-)/(2Y) its odd
+    ones, each at stride Y^2 = 2^(16w) >= 2^(8 nb): the integers of the
+    one full-width product, from two products of half its width (Harvey's
+    multipoint Kronecker substitution).
+
     b is levelled, fixed and packed here, once; `correlate` packs only a,
     and drops the b slots past max(lags) + len(a), which no lag reaches,
-    before it multiplies."""
+    by shifting the two packings of b, each by half the slots, before it
+    multiplies."""
 
     def __init__(self, b, h: int, lags, n_a: int, prec: int):
         self.h, self.lags, self.sign = h, lags, _sign(m for m, _ in b)
@@ -216,10 +232,10 @@ class _Piece:
         width = prec + min(n_a, len(b)).bit_length() + 2
         self.wa, wb = width + rise, width + span
         # a slot holds under min(n_a, len b) products, each under 2^(wa + wb)
-        self.nb = nb = (self.wa + wb + n_a.bit_length() + 7) // 8
-        beta = _fixed(b, max(mags) - wb)
-        self.packed = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)),
-                                     "little")
+        nb = (self.wa + wb + n_a.bit_length() + 7) // 8
+        self.w = w = (nb + 1) // 2
+        beta = _fixed(b, max(mags) - wb)[::-1]
+        self.halves = _pack(beta[0::2], 2 * w), _pack(beta[1::2], 2 * w)
         self.n_b, self.reach = len(beta), max(lags) - lo
         self.slots = [len(beta) - 1 - (lag - lo) for lag in lags]
         self.exps = [max(mags) - wb - h * lag for lag in lags]
@@ -229,28 +245,29 @@ class _Piece:
         sign = _sign(ms) * self.sign
         if not sign:
             return [(0, 0)] * len(self.lags)
-        h, nb = self.h, self.nb
+        h, w = self.h, self.w
         es = [e - h * r for r, e in enumerate(es)]
         point = max(e + m.bit_length() for m, e in zip(ms, es) if m) - self.wa
         alpha = _fixed(zip(map(abs, ms), es), point)
         while not alpha[-1]:
             alpha.pop()
-        # b slots at or past reach + len(alpha) meet no lag's a: shift them out
+        # b slots at or past reach + len(alpha) meet no lag's a: shift them
+        # out, and an odd count swaps the parities of the slots left
         skip = max(self.n_b - self.reach - len(alpha), 0)
-        pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
+        stride, odd = 2 * w, skip % 2
+        be = self.halves[odd] >> 8 * stride * (skip // 2)
+        bo = self.halves[1 - odd] >> 8 * stride * ((skip + 1) // 2) << 8 * w
+        ae, ao = _pack(alpha[0::2], stride), _pack(alpha[1::2], stride) << 8 * w
+        plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
         n = len(alpha) + self.n_b - skip - 1
-        buf = memoryview((pa * (self.packed >> 8 * nb * skip)).to_bytes(nb * n, "little"))
-        return [(sign * int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0,
-                 point + e)
+        size = stride * ((n + 1) // 2)
+        bufs = (memoryview(((plus + minus) >> 1).to_bytes(size, "little")),
+                memoryview(((plus - minus) >> (8 * w + 1)).to_bytes(size, "little")))
+        return [(sign * int.from_bytes(bufs[i % 2][stride * (i // 2):stride * (i // 2 + 1)],
+                                       "little") if 0 <= i < n else 0, point + e)
                 for i, e in zip((slot - skip for slot in self.slots), self.exps)]
 
 
 def _products(us, vs) -> list:
     """Exact products of paired (mantissa, exponent) integer pairs."""
     return [(mu * mv, eu + ev) for (mu, eu), (mv, ev) in zip(us, vs)]
-
-
-def _exact_sum(pairs) -> tuple:
-    """The exact sum of integer pairs (mantissa, exponent)."""
-    low = min(e for _, e in pairs)
-    return (sum(m << (e - low) for m, e in pairs), low)

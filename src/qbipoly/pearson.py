@@ -96,15 +96,21 @@ def pearson_rows(E, w1: BiPoly, w2: BiPoly, w1_qq: BiPoly, w2_qq: BiPoly) -> dic
             "ratio_right": lambda: n_r * a12d_qq == E.a12a * d_r}
 
 
-def order_zero_rows(E: EquationCoeffs) -> dict:
-    """{row: held} of E's order-(0,0) ``pearson_rows``.  The ratio rows are
-    decided first: with a12d nonzero they imply key, whose products are then
-    not formed."""
-    P, q = E.pearson, E.qp.q
-    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
-    decide = pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1))
+def _decide_rows(E, decide: dict) -> dict:
+    """{row: held} of the ``pearson_rows`` callables `decide` of E.  The
+    ratio rows are decided first: with a12d nonzero they imply key, since
+    (N_L D_R - N_R D_L) A = D_R (N_L A - a12a D_L) - D_L (N_R A - a12a D_R)
+    for A = q^2 a12d(qx,qy), so key's products are formed only where a
+    ratio row fails or a12d vanishes."""
     held = {row: decide[row]() for row in ("ratio_left", "ratio_right")}
     return {**held, "key": all(held.values()) and not E.a12d.is_zero() or decide["key"]()}
+
+
+def order_zero_rows(E: EquationCoeffs) -> dict:
+    """{row: held} of E's order-(0,0) ``pearson_rows`` (`_decide_rows`)."""
+    P, q = E.pearson, E.qp.q
+    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
+    return _decide_rows(E, pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1)))
 
 
 def _admissible(E: EquationCoeffs) -> None:
@@ -157,7 +163,8 @@ def require(E: EquationCoeffs, request: str) -> None:
 
 def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
     """Exact verification report: the ``pearson_rows`` of every order (k,l)
-    up to the bounds, and coupling, which links omega's of neighbouring orders.
+    up to the bounds, each order's key decided as in ``order_zero_rows``,
+    and coupling, which links omega's of neighbouring orders.
 
     The propagation stops before the corner (k_max + 1, l_max + 1), which
     no row reads.  Every other order is checked for degeneracy: an x step
@@ -175,8 +182,10 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     w2 = {kl: w[1].scale_args(1, q) for kl, w in omegas.items() if kl[1] <= l_max}
     for k, l in itertools.product(range(k_max + 1), range(l_max + 1)):
         w1_qq, w2_qq = w1[k, l].scale_args(1, q), w2[k, l].scale_args(q, 1)
-        for row, decide in pearson_rows(derived[k, l], w1[k, l], w2[k, l], w1_qq, w2_qq).items():
-            report[row][k, l] = decide()
+        D = derived[k, l]
+        decide = pearson_rows(D, w1[k, l], w2[k, l], w1_qq, w2_qq)
+        for row, held in _decide_rows(D, decide).items():
+            report[row][k, l] = held
         report["coupling"][k, l] = w1[k, l + 1] * w2_qq == w2[k + 1, l] * w1_qq
     report["ok"] = all(v for rows in report.values() for v in rows.values())
     return report

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
                          appell_monic, classical_pde_residual,
                          classical_rodrigues_fraction, error_ratios, explicit_BC,
-                         hypergeometric_family, jnm, limit_rows, nonmonic_poly,
+                         hypergeometric_family, jnm, limit_rows, nonmonic_polys,
                          preset_equation)
 from .bipoly import BiPoly
 from .equation import apply_operator
@@ -51,9 +51,9 @@ def _solution_inventory(p: BigQJacobiParams, fam, max_total: int) -> list:
             out.append(("monic", n, f"monic[{n - k},{k}]", fam.entry(n, k)))
     for (n, m), poly in rodrigues_family(E, max_total).items():
         out.append(("rodrigues", n + m, f"rodrigues[{n},{m}]", poly))
-    for n in range(max_total + 1):
-        for k in range(n + 1):
-            out.append(("nonmonic", n, f"nonmonic[{n},{k}]", nonmonic_poly(p, n, k)))
+    pairs = [(n, k) for n in range(max_total + 1) for k in range(n + 1)]
+    for (n, k), poly in nonmonic_polys(p, pairs).items():
+        out.append(("nonmonic", n, f"nonmonic[{n},{k}]", poly))
     return out
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,12 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 classical_pde_residual, classical_rodrigues,
                                 error_ratios, explicit_BC, hypergeometric_family, jnm,
                                 lambda_explicit, limit_check, limit_params,
-                                monic_hypergeometric, nonmonic_poly)
+                                monic_hypergeometric, nonmonic_poly, nonmonic_polys)
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
-from qbipoly.jackson import _Piece, _ladder
+from qbipoly.jackson import (_Piece, _fixed, _geometric, _ladder, _powers, _sign, _slope,
+                             _spread)
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
                            ttr_matrices)
@@ -116,6 +118,24 @@ def test_nonmonic_equals_tensor_reference(point):
         for k in range(n + 1):
             full = Mat([[nonmonic_value(point, n, k, xv, yv) for yv in nodes] for xv in nodes])
             assert nonmonic_poly(point, n, k) == tensor_vandermonde_interpolate(nodes, nodes, full)
+
+
+#: the first candidate point of the families benchmark's first nonmonic slot
+BENCH_NONMONIC = BigQJacobiParams(F(1, 3), F(5, 11), F(2, 3), F(-5, 3), QParam(F(1, 2)))
+
+
+@pytest.mark.parametrize("point", [TEST_PARAMS, Q23, BENCH_NONMONIC],
+                         ids=["test-params", "q=2/3", "benchmark"])
+def test_nonmonic_polys_equal_their_one_pair_calls(point):
+    # one QTables and one list of fold factors serve every pair, in the
+    # order asked
+    pairs = [(n, k) for n in range(6) for k in range(n + 1)]
+    got = nonmonic_polys(point, pairs[::-1])
+    assert list(got) == pairs[::-1]
+    for n, k in pairs:
+        assert got[n, k] == nonmonic_poly(point, n, k), (n, k)
+    with pytest.raises(ValueError):
+        nonmonic_polys(point, [(1, 1), (1, 2)])
 
 
 def test_nonmonic_index_bounds(params):
@@ -951,6 +971,124 @@ def test_one_piece_serves_many_sequences_bit_for_bit():
         for a in seqs + seqs[::-1]:
             ms, es = mantissas_exponents(a)
             assert piece.correlate(ms, es) == _Piece(b, h, lags, n, prec).correlate(ms, es)
+
+
+class FullWidthPiece:
+    """The reference for `_Piece`: the same levelling and fixed point, and
+    every lag's pair from one product of two full-width packings (slot
+    stride nb bytes), the integers that `_Piece.correlate` reads from its
+    two half-width products.  It keeps nb, and the trimmed length of a and
+    the count of b slots shifted out at its last call, so that a test can
+    name the case it covers."""
+
+    def __init__(self, b, h: int, lags, n_a: int, prec: int):
+        self.h, self.lags, self.sign = h, lags, _sign(m for m, _ in b)
+        lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + n_a, len(b))
+        b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
+        mags = [e + m.bit_length() for m, e in b if m]
+        if not (lags and mags):
+            self.sign = 0
+            return
+        span, rise = _spread(mags)
+        width = prec + min(n_a, len(b)).bit_length() + 2
+        self.wa, wb = width + rise, width + span
+        self.nb = nb = (self.wa + wb + n_a.bit_length() + 7) // 8
+        beta = _fixed(b, max(mags) - wb)
+        self.packed = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)),
+                                     "little")
+        self.n_b, self.reach = len(beta), max(lags) - lo
+        self.slots = [len(beta) - 1 - (lag - lo) for lag in lags]
+        self.exps = [max(mags) - wb - h * lag for lag in lags]
+
+    def correlate(self, ms, es) -> list:
+        sign = _sign(ms) * self.sign
+        if not sign:
+            return [(0, 0)] * len(self.lags)
+        h, nb = self.h, self.nb
+        es = [e - h * r for r, e in enumerate(es)]
+        point = max(e + m.bit_length() for m, e in zip(ms, es) if m) - self.wa
+        alpha = _fixed(zip(map(abs, ms), es), point)
+        while not alpha[-1]:
+            alpha.pop()
+        skip = max(self.n_b - self.reach - len(alpha), 0)
+        self.n_a, self.skip = len(alpha), skip
+        pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
+        n = len(alpha) + self.n_b - skip - 1
+        buf = memoryview((pa * (self.packed >> 8 * nb * skip)).to_bytes(nb * n, "little"))
+        return [(sign * int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0,
+                 point + e)
+                for i, e in zip((slot - skip for slot in self.slots), self.exps)]
+
+
+def test_half_width_products_equal_the_full_width_product(monkeypatch):
+    """Every pair of every lag, over the sequences of the bound and
+    one-piece tests: each piece they build checks its correlations against
+    the reference's."""
+    checked = []
+
+    class Checked(_Piece):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.reference = FullWidthPiece(*args)
+
+        def correlate(self, ms, es):
+            got = super().correlate(ms, es)
+            assert got == self.reference.correlate(ms, es)
+            checked.append(len(got))
+            return got
+
+    monkeypatch.setattr(sys.modules[__name__], "_Piece", Checked)
+    test_correlation_error_below_stated_bound()
+    test_one_piece_serves_many_sequences_bit_for_bit()
+    # 8 sequence pairs at 3 lag lists; 4 pieces, 20 sequences, two pieces each
+    assert len(checked) == 8 * 3 + 4 * 20 * 2 and sum(checked) > 4000
+
+
+def correlation_cases():
+    """(b, h, lags, n_a, prec, [a sequences], what): pieces that name the
+    cases of the half-width products; what(reference) holds for each."""
+    rng = random.Random(50)
+    prec, n = 64, 12
+
+    def seq(k, sign=1, fall=1):
+        return correlation_sequence(rng, k, sign, fall, 0, prec)
+
+    tails = [seq(k) + [(0, 0)] * (n - k) for k in range(1, n + 1)]
+    b = seq(3 * n, -1, 2)
+    lags = list(range(n))
+    one = [(rng.getrandbits(prec) | 1 << (prec - 1), 0)] + [(1, -4 * prec)] * (n - 1)
+    N, wp = 24, prec + 8
+    A_cq, B_cq, *_ = _node_factors(TEST_PARAMS, N, wp)
+    q = TEST_PARAMS.qp.q
+    powers = [list(zip(*pair)) for pair in
+              _powers(A_cq, _geometric(F(1), q, N + 1, wp), 6, prec + 12)]
+    return {
+        "even skip": (b, 2, lags, n, prec, tails, lambda ref: ref.skip % 2 == 0 < ref.skip),
+        "odd skip": (b, 2, lags, n, prec, tails, lambda ref: ref.skip % 2 == 1),
+        "a trims to one slot": (b, 0, lags, n, prec, [one], lambda ref: ref.n_a == 1),
+        "one-slot b": (seq(1, -1), 0, list(range(-2, 3)), n, prec, tails,
+                       lambda ref: ref.n_b == 1),
+        "odd nb": (b, 1, lags, n, prec + 4, tails, lambda ref: ref.nb % 2 == 1),
+        "even nb": (b, 1, lags, n, prec, tails, lambda ref: ref.nb % 2 == 0),
+        "B_cq piece": (B_cq, _slope(B_cq), list(range(N + 1)), N + 1, prec, powers,
+                       lambda ref: ref.n_b == 2 * N + 1),
+    }
+
+
+@pytest.mark.parametrize("case", list(correlation_cases()))
+def test_half_width_product_named_cases(case):
+    """Odd and even counts of skipped b slots, an a that trims to one slot,
+    a one-slot b, odd and even slot widths nb, and the lopsided 2N+1-slot
+    B_cq piece of a moment table: each correlation is the reference's, and
+    at least one call of each case is the case it names."""
+    b, h, lags, n_a, prec, seqs, what = correlation_cases()[case]
+    piece, ref = _Piece(b, h, lags, n_a, prec), FullWidthPiece(b, h, lags, n_a, prec)
+    named = 0
+    for a in seqs:
+        ms, es = mantissas_exponents(a)
+        assert piece.correlate(ms, es) == ref.correlate(ms, es)
+        named += what(ref)
+    assert named
 
 
 #: the edges of the benchmark domain at q = 1/2: c = 1/13, where B grows

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator
+from qbipoly.equation import (EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator,
+                              propagated_orders)
 from qbipoly.linalg import Mat
 from test_bigqjacobi import big_q_jacobi_points, sweep_points
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (HYPOTHESES, DegenerateEquationError, LatticePoleError, base_weight,
-                             build_pearson, require, verify_pearson_identities,
-                             weight_table_rows)
+                             build_pearson, pearson_rows, require,
+                             verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly, rodrigues_polys
 from strategies import (CONSTANT_WEIGHT_TEXT, INCOMPATIBLE_PEARSON_TEXT, NONZERO, OMEGA2_X_TEXT,
@@ -634,6 +635,47 @@ def test_key_and_ratio_left_imply_ratio_right(E):
         return
     for kl, held in report["ratio_right"].items():
         assert held or not (report["key"][kl] and report["ratio_left"][kl]), kl
+
+
+def formed_keys(E, k_max: int, l_max: int) -> dict:
+    """{(k, l): key} of every order up to the bounds, each from its two
+    degree-8 products, whatever the ratio rows read."""
+    q, out = E.qp.q, {}
+    for kl, D in propagated_orders(E, k_max, l_max):
+        w1, w2 = D.pearson.omega1.scale_args(q, 1), D.pearson.omega2.scale_args(1, q)
+        out[kl] = pearson_rows(D, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1))["key"]()
+    return out
+
+
+@seed(50)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.one_of(ROUTE_EQUATIONS, constant_weight_equations()))
+def test_report_key_is_the_formed_key(E):
+    # check forms key only where a ratio row fails or a12d vanishes; at
+    # every order its report reads what the products give
+    try:
+        report = verify_pearson_identities(E, 2, 2)
+    except DegenerateEquationError:
+        return
+    assert report["key"] == formed_keys(E, 2, 2)
+
+
+def test_report_forms_key_where_one_ratio_row_holds():
+    # G2 = 1 and G1 = y, with a12a = q^2 a12d(qx,qy) y: ratio_left holds,
+    # ratio_right would need q y = y and fails, and so does key; neither ratio
+    # row alone implies key.  x divides a12d and c11 has no constant term,
+    # so that B1 and B2 are polynomials
+    q = F(1, 2)
+    c11, c22, a12d, a12a = x * x, y * y, x, x * y * q**3
+    omega1, omega2 = y * c11 - x * a12d * q, x * c22 - y * a12d * q
+    b1 = BiPoly.div_exact(y * omega1.scale_args(q, 1) - y * c11 + x * a12a, x * y * (q - 1))
+    b2 = BiPoly.div_exact(omega2.scale_args(1, q) - x * c22 + y * a12a, x * y * (q - 1))
+    E = EquationCoeffs(QParam(q), c11, c22, a12a, a12d, b1, b2)
+    report = verify_pearson_identities(E, 2, 2)
+    assert [kl for kl, held in report["ratio_left"].items() if held] == [(0, 0), (1, 0), (2, 0)]
+    assert not any(report["ratio_right"].values())
+    assert report["key"] == formed_keys(E, 2, 2)
+    assert not any(report["key"].values())
 
 
 def test_rejects_nonadmissible_equation(equation):
