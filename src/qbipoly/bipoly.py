@@ -7,11 +7,11 @@ vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
-``_difference``, ``_chain_step``, ``MomentTable``, ``io._poly_text``), but
-only ``exact_form`` (numerators over the lcm of the denominators),
-``reduced`` (one content gcd), ``combine`` (scaled forms over one common
-denominator) and ``pearson_step`` (the Rodrigues difference step) bring a
-result to the reduced form; ``lift_pairs`` brings int pairs to their lcm
+``_difference``, ``_chain_step``, ``pearson._same``, ``MomentTable``,
+``io._poly_text``), but only ``exact_form`` (numerators over the lcm of the
+denominators), ``reduced`` (one content gcd), ``combine`` (scaled forms over
+one common denominator) and ``pearson_step`` (the Rodrigues difference step)
+bring a result to the reduced form; ``lift_pairs`` brings int pairs to their lcm
 (the operator's six part coefficients), ``lowest_terms`` reads entries
 back, ``product`` gives the unreduced numerators of a product, and
 ``product_dens`` the denominators of unformed products.
@@ -157,7 +157,10 @@ def from_form(nums: dict, den: int) -> "BiPoly":
 def _powers(c: Fraction, top: int) -> list:
     """[a^k b^(top-k) for k = 0..top] for c = a/b: c^k over the common b^top."""
     a, b = c.numerator, c.denominator
-    return [a**k * b ** (top - k) for k in range(top + 1)]
+    out = [b**top]
+    for _ in range(top):
+        out.append(out[-1] // b * a)
+    return out
 
 
 class BiPoly:
@@ -210,9 +213,6 @@ class BiPoly:
 
     def degree_x(self) -> int:
         return max((i for i, _ in self.nums), default=-1)
-
-    def degree_y(self) -> int:
-        return max((j for _, j in self.nums), default=-1)
 
     def coeff(self, i: int, j: int) -> Fraction:
         n = self.nums.get((i, j))
@@ -299,13 +299,21 @@ class BiPoly:
         """Substitute x -> alpha*x, y -> beta*y: with alpha = a/b and
         beta = s/t, the coefficient of x^i y^j gains a^i b^(I-i) s^j t^(J-j)
         over the common b^I t^J."""
-        alpha = as_fraction(alpha)
-        beta = as_fraction(beta)
-        if not self.nums:
+        if not isinstance(alpha, (int, Fraction)):
+            alpha = as_fraction(alpha)
+        if not isinstance(beta, (int, Fraction)):
+            beta = as_fraction(beta)
+        nums = self.nums
+        if not nums or alpha == 1 and beta == 1:
             return self
-        xw = _powers(alpha, self.degree_x())
-        yw = _powers(beta, self.degree_y())
-        return from_form(*reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in self.nums.items()},
+        I = J = 0
+        for i, j in nums:
+            if i > I:
+                I = i
+            if j > J:
+                J = j
+        xw, yw = _powers(alpha, I), _powers(beta, J)
+        return from_form(*reduced({(i, j): n * xw[i] * yw[j] for (i, j), n in nums.items()},
                                   self.den * xw[0] * yw[0]))
 
     def swap(self) -> "BiPoly":

@@ -287,11 +287,10 @@ def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = Non
 
 def propagated_orders(E: EquationCoeffs, k_max: int, l_max: int):
     """Yield ((k, l), the derived coefficients of order (k, l)) for k <=
-    k_max, l <= l_max, each one propagation step from a neighbour: (k, 0)
-    from (k - 1, 0) along x, and (k, l) from (k, l - 1) along y, so order
-    (k, l) is k steps along x, then l along y.  They come lazily, (k, 0..l_max)
-    for k = 0..k_max, so a reader that stops early takes no further step; the
-    box takes k_max + (k_max + 1) l_max steps, not one chain per order."""
+    k_max, l <= l_max, lazily, (k, 0..l_max) for k = 0..k_max, each one step
+    from (k - 1, 0) along x or (k, l - 1) along y.  It serves
+    ``derived_coeffs`` and is the tests' reference; the Pearson report reads
+    every order in closed form."""
     state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, Fraction(0))
     for k in range(k_max + 1):
         if k:

@@ -10,24 +10,35 @@ and G1 = phi1(x,y)/omega1(qx,y), G2 = phi2(x,y)/omega2(x,qy) are the one-step
 weight ratios rho(qx,y)/rho(x,y) and rho(x,qy)/rho(x,y); PearsonData keeps
 only the four polynomials, and its readers evaluate omega at the shift.
 
+For any coefficients, order (k, l) of the derived equations has shifted
+data: with g_n = sum_(s<n) q^-s,
+
+    phi1_kl = q^-k phi1(q^k x, y),  a12a_kl = a12a(q^k x, q^l y),  a12d_kl = q^(-k-l) a12d,
+    omega1_kl = q^-k W1_l,  W1_l = y C11 + g_l x (a12d - a12d(x,qy)) - q^(1-l) x a12d,
+
+and phi2_kl, omega2_kl = q^-l W2_k likewise across the swap.  The scalar
+factors split off the report's rows, so order (k, l) reads phi1(q^k x, y)
+and W2_k, which vary with k alone, and their swapped pair, with l alone;
+each row a b = c d is decided with the denominators crossed.
+
 General-equation weights are defined per q-commensurate lattice component,
 relative to one anchor with rho(anchor) = 1.  Such a weight exists only
-where the key row of ``pearson_rows`` holds (G1 and G2 commute as shifts);
+where the key row of ``order_zero_rows`` holds (G1 and G2 commute as shifts);
 elsewhere a product of ratios depends on the path it walks.  The Rodrigues
 route reads the Pearson polynomials alone; the lattice weight serves the
-weight table.  The derivative-weight evaluator rho^{(k,l)}, with the product
-identity that fixes its normalization, is a reference in
-tests/test_pearson.py.
+weight table.
 
 The paper's hypotheses are decided here, each by one function of
 ``HYPOTHESES``, and ``NEEDS`` says which of them each request needs:
 ``require`` raises the refusal of the first that fails.
 """
 
+import functools
 import itertools
+import math
 
-from .bipoly import BiPoly, lowest_pair
-from .equation import EquationCoeffs, NotAdmissibleError, form_scalars, propagated_orders
+from .bipoly import BiPoly, lowest_pair, product
+from .equation import EquationCoeffs, NotAdmissibleError, form_scalars
 from .qcalc import QParam
 from .scalars import FrozenRecord, Record
 
@@ -46,6 +57,9 @@ class LatticePoleError(ArithmeticError):
         self.point = point
 
 
+_NO_SYSTEM = "omega vanishes identically; no Pearson system"
+
+
 class PearsonData(FrozenRecord):
     phi1: BiPoly
     phi2: BiPoly
@@ -53,64 +67,70 @@ class PearsonData(FrozenRecord):
     omega2: BiPoly
 
 
-def _omegas(E) -> tuple:
-    """(omega1, omega2) of E, exact; either vanishing is a degenerate equation."""
+def build_pearson(E) -> PearsonData:
+    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact."""
     x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
     omega1 = y * E.c11 - x * E.a12d * q
     omega2 = x * E.c22 - y * E.a12d * q
     if omega1.is_zero() or omega2.is_zero():
-        raise DegenerateEquationError("omega vanishes identically; no Pearson system")
-    return omega1, omega2
-
-
-def build_pearson(E) -> PearsonData:
-    """The Pearson polynomials of an EquationCoeffs or DerivedCoeffs; exact."""
-    omega1, omega2 = _omegas(E)
-    x, y, q = BiPoly.x(), BiPoly.y(), E.qp.q
+        raise DegenerateEquationError(_NO_SYSTEM)
     phi1 = y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1)
     phi2 = x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1)
     return PearsonData(phi1, phi2, omega1, omega2)
 
 
-def pearson_rows(E, w1: BiPoly, w2: BiPoly, w1_qq: BiPoly, w2_qq: BiPoly) -> dict:
-    """The key, ratio_left and ratio_right rows of an EquationCoeffs or
-    DerivedCoeffs, from the four shift products of its Pearson data:
-
-        G1 G2(qx,y) = N_L/D_L,  N_L = phi1 phi2(qx,y),  D_L = omega1(qx,y) omega2(qx,qy),
-        G1(x,qy) G2 = N_R/D_R,  N_R = phi1(x,qy) phi2,  D_R = omega1(qx,qy) omega2(x,qy),
-
-    given its omegas' shifts w1 = omega1(qx,y), w2 = omega2(x,qy), w1_qq =
-    omega1(qx,qy) and w2_qq = omega2(qx,qy).  Each row is a polynomial
-    identity with its denominators cleared: key is N_L D_R = N_R D_L, the
-    shift commutation G2 G1(x,qy) = G1 G2(qx,y) that g2 y Dq2 g1 = g1 x Dq1
-    g2 becomes with q - 1, x and y cancelled; ratio_left is N_L q^2
-    a12d(qx,qy) = a12a D_L, and ratio_right the same with N_R and D_R.
-    build_pearson refuses a vanishing omega, so no cancelled factor is zero
-    and each row's callable decides its rational-function identity exactly."""
+def _along(E, n: int, axis: int) -> list:
+    """For k <= n, the factors of order (k, l) that vary with k: Phi1_k =
+    phi1(q^k x, y), Phi1_k(x,qy), W2_k(x,qy) and W2_k(qx,qy), with W2_0 =
+    omega2 and W2_(k+1) = W2_k + q^-k y (q a12d - a12d(qx,y)); axis 1 gives
+    those in l across the swap.  A vanishing W is a degenerate system."""
     P, q = E.pearson, E.qp.q
-    n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2_qq
-    n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1_qq * w2
-    a12d_qq = E.a12d.scale_args(q, q) * q**2
-    return {"key": lambda: n_l * d_r == n_r * d_l,
-            "ratio_left": lambda: n_l * a12d_qq == E.a12a * d_l,
-            "ratio_right": lambda: n_r * a12d_qq == E.a12a * d_r}
+    phi, omega, a12d = (P.phi2.swap(), P.omega1.swap(), E.a12d.swap()) if axis else (P.phi1, P.omega2, E.a12d)
+    wy, out = omega.scale_args(1, q), []
+    if n:
+        step = (BiPoly.y() * (a12d * q - a12d.scale_args(q, 1))).scale_args(1, q)
+    for k in range(n + 1):
+        if k:
+            wy = wy + step * q ** (1 - k)
+        if wy.is_zero():
+            raise DegenerateEquationError(_NO_SYSTEM)
+        row = (phi.scale_args(q**k, 1), phi.scale_args(q**k, q), wy, wy.scale_args(q, 1))
+        out.append(tuple(p.swap() for p in row) if axis else row)
+    return out
 
 
-def _decide_rows(E, decide: dict) -> dict:
-    """{row: held} of the ``pearson_rows`` callables `decide` of E.  The
-    ratio rows are decided first: with a12d nonzero they imply key, since
-    (N_L D_R - N_R D_L) A = D_R (N_L A - a12a D_L) - D_L (N_R A - a12a D_R)
-    for A = q^2 a12d(qx,qy), so key's products are formed only where a
-    ratio row fails or a12d vanishes."""
-    held = {row: decide[row]() for row in ("ratio_left", "ratio_right")}
-    return {**held, "key": all(held.values()) and not E.a12d.is_zero() or decide["key"]()}
+def _same(left: tuple, right: tuple) -> bool:
+    """prod(left) == prod(right) for tuples of BiPolys, on their unreduced
+    products with the denominators crossed."""
+    (ln, ld), (rn, rd) = ((functools.reduce(product, [p.nums for p in side]), math.prod(p.den for p in side))
+                          for side in (left, right))
+    return {m: n * rd for m, n in ln.items() if n} == {m: n * ld for m, n in rn.items() if n}
+
+
+def _order_rows(xk: tuple, yl: tuple, a12a: BiPoly, a: BiPoly) -> dict:
+    """{row: held} of one order's key, ratio_left and ratio_right, from its
+    ``_along`` rows, a12a and a = q^(2-k-l) a12d(qx,qy).  With the scalars
+    split off, G1 G2(qx,y) = N_L/D_L and G1(x,qy) G2 = N_R/D_R:
+
+        N_L = Phi1 Phi2(qx,y),  D_L = W1(qx,y) W2(qx,qy),
+        N_R = Phi1(x,qy) Phi2,  D_R = W1(qx,qy) W2(x,qy).
+
+    key is N_L D_R = N_R D_L, ratio_left N_L a = a12a D_L, ratio_right the
+    same with N_R and D_R.  With a12d nonzero the ratio rows imply key, as
+    (N_L D_R - N_R D_L) a = D_R (N_L a - a12a D_L) - D_L (N_R a - a12a D_R),
+    so key is formed only where one fails or a12d vanishes."""
+    (p1, p1y, w2y, w2xy), (p2, p2x, w1x, w1xy) = xk, yl
+    held = {"ratio_left": _same((p1, p2x, a), (a12a, w1x, w2xy)),
+            "ratio_right": _same((p1y, p2, a), (a12a, w1xy, w2y))}
+    return {**held, "key": all(held.values()) and not a.is_zero()
+            or _same((p1, p2x, w1xy, w2y), (p1y, p2, w1x, w2xy))}
 
 
 def order_zero_rows(E: EquationCoeffs) -> dict:
-    """{row: held} of E's order-(0,0) ``pearson_rows`` (`_decide_rows`)."""
-    P, q = E.pearson, E.qp.q
-    w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
-    return _decide_rows(E, pearson_rows(E, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1)))
+    """E's order-(0,0) ``_order_rows``."""
+    q = E.qp.q
+    (xk,), (yl,) = _along(E, 0, 0), _along(E, 0, 1)
+    return _order_rows(xk, yl, E.a12a, E.a12d.scale_args(q, q) * q**2)
 
 
 def _admissible(E: EquationCoeffs) -> None:
@@ -130,15 +150,14 @@ def _weight(E: EquationCoeffs) -> None:
 
 def _self_adjoint(E: EquationCoeffs) -> None:
     """The ratio_left row, which with key implies ratio_right: in the terms
-    of ``pearson_rows``, with a = q^2 a12d(qx,qy), N_L (N_R a - a12a D_R) =
+    of ``_order_rows`` at order (0,0), N_L (N_R a - a12a D_R) =
     N_R (N_L a - a12a D_L) + a12a (N_R D_L - N_L D_R), and N_L is nonzero
     where phi1 and phi2 are."""
     if not E.order_zero_rows["ratio_left"]:
         raise DegenerateEquationError("equation not potentially self-adjoint: ratio_left fails")
 
 
-#: the paper's hypotheses in the order every request decides them, each with
-#: the one function that decides it and raises its refusal: the
+#: the paper's hypotheses in the order every request decides them: the
 #: hypergeometric form, admissibility (the spectral condition), a Pearson
 #: system (both omegas nonzero), a lattice weight, and potential
 #: self-adjointness at order (0,0)
@@ -162,31 +181,21 @@ def require(E: EquationCoeffs, request: str) -> None:
 
 
 def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict:
-    """Exact verification report: the ``pearson_rows`` of every order (k,l)
-    up to the bounds, each order's key decided as in ``order_zero_rows``,
-    and coupling, which links omega's of neighbouring orders.
-
-    The propagation stops before the corner (k_max + 1, l_max + 1), which
-    no row reads.  Every other order is checked for degeneracy: an x step
-    divides omega1 by q and a y step omega2, so the corner's omegas are those
-    of (k_max, l_max + 1) and (k_max + 1, l_max) over q, refused there.
-    """
+    """Exact report: ``_order_rows`` of every order (k, l) up to the
+    bounds, read from the closed forms of the module docstring (nothing
+    propagated, scalar factors split off, rows decided with the denominators
+    crossed), and coupling, omega1_(k,l+1)(qx,y) omega2_kl(qx,qy) =
+    omega2_(k+1,l)(x,qy) omega1_kl(qx,qy).  A vanishing W at any order read
+    (to k_max + 1 and l_max + 1) is refused."""
     q = E.qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
-    derived = dict(itertools.islice(propagated_orders(E, k_max + 1, l_max + 1),
-                                    (k_max + 2) * (l_max + 2) - 1))
-    # coupling alone reads the orders k = k_max + 1 or l = l_max + 1: no phi
-    omegas = {kl: (D.pearson.omega1, D.pearson.omega2) if kl[0] <= k_max and kl[1] <= l_max
-              else _omegas(D) for kl, D in derived.items()}
-    w1 = {kl: w[0].scale_args(q, 1) for kl, w in omegas.items() if kl[0] <= k_max}
-    w2 = {kl: w[1].scale_args(1, q) for kl, w in omegas.items() if kl[1] <= l_max}
-    for k, l in itertools.product(range(k_max + 1), range(l_max + 1)):
-        w1_qq, w2_qq = w1[k, l].scale_args(1, q), w2[k, l].scale_args(q, 1)
-        D = derived[k, l]
-        decide = pearson_rows(D, w1[k, l], w2[k, l], w1_qq, w2_qq)
-        for row, held in _decide_rows(D, decide).items():
+    xs, ys = _along(E, k_max + 1, 0), _along(E, l_max + 1, 1)
+    a12d_qq = E.a12d.scale_args(q, q)
+    for (k, xk), (l, yl) in itertools.product(enumerate(xs[:-1]), enumerate(ys[:-1])):
+        a = a12d_qq * q ** (2 - k - l)
+        for row, held in _order_rows(xk, yl, E.a12a.scale_args(q**k, q**l), a).items():
             report[row][k, l] = held
-        report["coupling"][k, l] = w1[k, l + 1] * w2_qq == w2[k + 1, l] * w1_qq
+        report["coupling"][k, l] = _same((ys[l + 1][2], xk[3]), (xs[k + 1][2], yl[3]))
     report["ok"] = all(v for rows in report.values() for v in rows.values())
     return report
 

@@ -31,7 +31,7 @@ def _weight_phis(first: tuple, second: tuple, q: Fraction, top: int) -> list:
     prod_{s<m} omega2(x, q^-s y) has x ratio W(qx,y) / W = phi_m / omega1(qx,y)."""
     phis = [first[0]]
     for s in range(top):
-        w = second[1].swap().scale_args(1, q**-s) if s else second[1].swap()
+        w = second[1].swap().scale_args(1, q**-s)
         phis.append((phis[-1] * w.scale_args(q, 1)).div_exact(w))
     return phis
 

@@ -83,6 +83,8 @@ ABSENT = [
     ("cli", "RunConfig"),
     ("pearson", "require_weight"),
     ("equation", "Admissibility.require"),
+    ("pearson", "pearson_rows"),
+    ("bipoly", "BiPoly.degree_y"),
 ]
 
 

@@ -464,6 +464,9 @@ def test_ring_operations_match_fraction_reference():
             (p + r, P + R), (p - r, P - R), (-p, -P), (p * r, P * R), (p * p, P * P),
             (p * c, P * c), (c * p, P * c), (p / c, P / c), (p + c, P + FractionPoly({(0, 0): c})),
             (p.scale_args(alpha, beta), P.scale_args(alpha, beta)),
+            (p.scale_args(alpha, 1), P.scale_args(alpha, 1)),
+            (p.scale_args(1, beta), P.scale_args(1, beta)), (p.scale_args(-2, 1), P.scale_args(-2, 1)),
+            (p.scale_args(1, Fraction(1)), P),
             (p.swap(), P.swap()), (p.diff_x(), P.diff_x()), (p.diff_y(), P.diff_y()),
         ]
         for got, want in results:

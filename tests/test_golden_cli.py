@@ -47,7 +47,11 @@ The `check` CSV document at the preset and the `check` JSON document at
 q = 9/10 were recorded before the q-Pearson rows became polynomial
 identities on four shared products per order.  The Rodrigues documents at
 q = 9/10 and q = 2/3 and the weight CSV at q = 9/10 were recorded before the
-Rodrigues lattice began running on integer pairs."""
+Rodrigues lattice began running on integer pairs.
+
+The `check` documents of the structured sources in tests/strategies.py,
+where a key or ratio row reads false, were recorded before every order's
+Pearson data became closed-form shifts of the order-(0,0) data."""
 
 import hashlib
 import json
@@ -55,6 +59,7 @@ import json
 import pytest
 
 from qbipoly.cli import main
+import strategies
 
 P = ("--preset", "big-q-jacobi")
 
@@ -153,3 +158,39 @@ def test_document_shows_its_own_verdict(capsys, name):
         return
     assert all(len(row) == 5 and row[4] in ("True", "False", "info") for row in doc["rows"])
     assert doc["ok"] is all(row[4] != "False" for row in doc["rows"])
+
+
+#: {source in tests/strategies.py: (exit code, sha256 of the check JSON
+#: stdout, sha256 of the check CSV stdout)}; on each a key or ratio row of
+#: the Pearson report reads false
+FAILING_CHECKS = {
+    "CONSTANT_WEIGHT_TEXT": (
+        1, "a55018d2491198174295ca2eb73c57c6201e69d03356aab5f6c799b4037fd488",
+        "15f57a9296d5a080b7a66fe032643ce4bd96e455d4f19259bcae3d4821de7ed7"),
+    "CONSTANT_WEIGHT_FAMILY_TEXT": (
+        1, "f5fd0097bbc8b7680e558bd6944405f9fc198f285e777b02334f20e4a694928c",
+        "5b7f969f3daf9f94d798aa1ccd6530f3312a9499c7043bff589822832e5eee6a"),
+    "INCOMPATIBLE_PEARSON_TEXT": (
+        1, "f352c03b29fab3287c146e72505db331e700862d2ee351f4336226a82c313b54",
+        "5e8b551e0d431ef1a9406592ac24ed4bc93dee8aef209ae7b805c29e5ce770ea"),
+    "OMEGA2_X_TEXT": (
+        1, "e76609b5bf8712e5aae05f74d994a2c4facd7bf97ccc6c4e29488c6e0fa18526",
+        "23bf6b44b9f5615c4cf2b606ba9015780e312dde64cb2ecca6718ec04474b971"),
+    "PHI1_ABOVE_OMEGA1_TEXT": (
+        1, "1658fc2b6b3241b15e8414e397702cdca675084933955e65545a57966a6e268a",
+        "2b38465ba5818eb32506facb95bbd95074fc0816f7bc516e899400c611305a3a"),
+    "PHI1_ZERO_TEXT": (
+        1, "4774b386b132e42a542ae75e7a968cd1437658874c892aaf1056c21a8afc89a6",
+        "c49b7e718e0de9aa91059e2784681b3c74484be0cda4471331acb64d5628279a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CHECKS))
+def test_check_output_with_failing_rows_matches_golden_digest(capsys, tmp_path, name):
+    path = tmp_path / "equation.txt"
+    path.write_text(getattr(strategies, name))
+    code, *digests = FAILING_CHECKS[name]
+    for fmt, digest in zip(("json", "csv"), digests):
+        assert main(["check", "--equation", str(path), "--format", fmt]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import qbipoly.equation as equation_module
 import qbipoly.pearson as pearson_module
@@ -13,7 +15,7 @@ from qbipoly.pearson import (DegenerateEquationError, LatticePoleError,
                              verify_pearson_identities)
 from qbipoly.qcalc import QParam
 from qbipoly.scalars import FloatField
-from strategies import replace
+from strategies import admissible_equations, constant_weight_equations, replace
 from test_bigqjacobi import closed_form_weight
 from test_bipoly import RationalFn, dq_ratfn
 
@@ -190,32 +192,86 @@ def test_report_forms_no_rational_function_arithmetic(equation, monkeypatch):
     assert verify_pearson_identities(equation, 2, 2)["ok"]
 
 
-# the corner order (k_max + 1, l_max + 1) ---------------------------------------
+# every order's data from the order-(0,0) data ----------------------------------
 
-def test_report_stops_before_the_corner(equation, monkeypatch):
-    # the (2, 2) report reads every order k <= 3, l <= 3 but the corner (3,
-    # 3): 14 propagation steps, one fewer than the whole box takes
+def test_report_takes_no_propagation_step(equation, monkeypatch):
+    # every order's Pearson data are closed-form shifts of the order-(0, 0)
+    # data, so the (2, 2) report propagates no coefficient
     steps = []
     real = equation_module._xstep
     monkeypatch.setattr(equation_module, "_xstep",
                         lambda qp, state: steps.append(1) or real(qp, state))
     report = verify_pearson_identities(equation, 2, 2)
-    assert len(steps) == 14
+    assert steps == []
     monkeypatch.undo()
     assert report["ok"]
     assert _in_order(report) == _in_order(rational_pearson_identities(equation, 2, 2))
 
 
-def test_report_builds_phi_only_for_the_orders_of_its_rows(equation, monkeypatch):
-    # coupling alone reads the border orders k = 3 or l = 3 of the (2, 2)
-    # report, through their omegas, so phi is built for the 9 orders k, l <= 2
+def test_report_builds_pearson_data_once_at_order_zero(equation, monkeypatch):
+    # the (2, 2) report reads the orders k <= 3, l <= 3 but the corner, and
+    # builds Pearson data once: E.pearson, at order (0, 0)
+    E = replace(equation)
     built = []
     real = pearson_module.build_pearson
     monkeypatch.setattr(pearson_module, "build_pearson", lambda D: built.append(D) or real(D))
-    report = verify_pearson_identities(equation, 2, 2)
+    report = verify_pearson_identities(E, 2, 2)
     monkeypatch.undo()
-    assert len(built) == 9
+    assert built == [E]
     assert _in_order(report) == _in_order(rational_pearson_identities(equation, 2, 2))
+
+
+def closed_form_order(E, k: int, l: int) -> tuple:
+    """(phi1, phi2, omega1, omega2, a12a, a12d) of order (k, l) by the
+    closed forms in the ``pearson`` module docstring, from E's coefficients
+    alone, with g_n = sum_(s<n) q^-s."""
+    q, a12d = E.qp.q, E.a12d
+    phi1, phi2 = (y * E.c11 - x * E.a12a + x * y * E.b1 * (q - 1),
+                  x * E.c22 - y * E.a12a + x * y * E.b2 * (q - 1))
+    g = [sum(q**-s for s in range(n)) for n in range(max(k, l) + 1)]
+    omega1 = (y * E.c11 + x * (a12d - a12d.scale_args(1, q)) * g[l] - x * a12d * q ** (1 - l)) / q**k
+    omega2 = (x * E.c22 + y * (a12d - a12d.scale_args(q, 1)) * g[k] - y * a12d * q ** (1 - k)) / q**l
+    return (phi1.scale_args(q**k, 1) / q**k, phi2.scale_args(1, q**l) / q**l, omega1, omega2,
+            E.a12a.scale_args(q**k, q**l), a12d / q ** (k + l))
+
+
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=4)
+#: six coefficients of at most four terms each, of degree at most 2 in
+#: each variable: no shape, admissibility or nondegeneracy asked for
+UNCONSTRAINED = st.builds(lambda q, *terms: EquationCoeffs(QParam(q), *map(BiPoly, terms)),
+                          st.sampled_from([F(1, 2), F(2, 3), F(9, 10)]), *[_TERMS] * 6)
+
+
+@seed(51)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.one_of(admissible_equations(), constant_weight_equations(), UNCONSTRAINED))
+def test_closed_forms_are_the_propagated_orders(E):
+    # for any coefficients, every order's Pearson data, a12a and a12d are
+    # the closed forms of the order-(0, 0) data; the report built on them
+    # reads what the rational-function form of each identity gives
+    q = E.qp.q
+    closed = {}
+    for (k, l), D in propagated_orders(E, 3, 3):
+        closed[k, l] = phi1, phi2, omega1, omega2, a12a, a12d = closed_form_order(E, k, l)
+        assert (a12a, a12d) == (D.a12a, D.a12d), (k, l)
+        try:
+            assert build_pearson(D) == pearson_module.PearsonData(phi1, phi2, omega1, omega2), (k, l)
+        except DegenerateEquationError:
+            assert omega1.is_zero() or omega2.is_zero(), (k, l)
+    try:
+        reference = rational_pearson_identities(E, 3, 3)
+    except DegenerateEquationError:
+        with pytest.raises(DegenerateEquationError):
+            verify_pearson_identities(E, 3, 3)
+        return
+    assert _in_order(verify_pearson_identities(E, 3, 3)) == _in_order(reference)
+    # the factors that the report's rows read, with the scalars split off
+    xs, ys = pearson_module._along(E, 3, 0), pearson_module._along(E, 3, 1)
+    for (k, l), (phi1, phi2, omega1, omega2, _, _) in closed.items():
+        p1, p2, w1, w2 = phi1 * q**k, phi2 * q**l, omega1 * q**k, omega2 * q**l
+        assert xs[k] == (p1, p1.scale_args(1, q), w2.scale_args(1, q), w2.scale_args(q, q))
+        assert ys[l] == (p2, p2.scale_args(q, 1), w1.scale_args(q, 1), w1.scale_args(q, q))
 
 
 def _random_shaped_equation(q, seed):

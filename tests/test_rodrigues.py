@@ -16,7 +16,7 @@ from test_bigqjacobi import big_q_jacobi_points, sweep_points
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
 from qbipoly.io import parse_equation_source
 from qbipoly.pearson import (HYPOTHESES, DegenerateEquationError, LatticePoleError, base_weight,
-                             build_pearson, pearson_rows, require,
+                             build_pearson, require,
                              verify_pearson_identities, weight_table_rows)
 from qbipoly.qcalc import QParam, dq_nm_table
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly, rodrigues_polys
@@ -642,8 +642,11 @@ def formed_keys(E, k_max: int, l_max: int) -> dict:
     degree-8 products, whatever the ratio rows read."""
     q, out = E.qp.q, {}
     for kl, D in propagated_orders(E, k_max, l_max):
-        w1, w2 = D.pearson.omega1.scale_args(q, 1), D.pearson.omega2.scale_args(1, q)
-        out[kl] = pearson_rows(D, w1, w2, w1.scale_args(1, q), w2.scale_args(q, 1))["key"]()
+        P = build_pearson(D)
+        w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
+        n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2.scale_args(q, 1)
+        n_r, d_r = P.phi1.scale_args(1, q) * P.phi2, w1.scale_args(1, q) * w2
+        out[kl] = n_l * d_r == n_r * d_l
     return out
 
 
