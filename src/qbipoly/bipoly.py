@@ -167,11 +167,14 @@ class BiPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
-        """From a map {(i, j): exact scalar}; zero coefficients are dropped."""
-        for i, j in coeffs:
+        """From a map {(i, j): exact scalar}; zero coefficients are dropped.
+        An exponent is taken through ``operator.index``: a float, Fraction
+        or str exponent is a TypeError, not truncated."""
+        terms = [((operator.index(i), operator.index(j)), c) for (i, j), c in coeffs.items()]
+        for (i, j), _ in terms:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent ({i},{j})")
-        self.nums, self.den = exact_form(((int(i), int(j)), c) for (i, j), c in coeffs.items())
+        self.nums, self.den = exact_form(terms)
 
     @property
     def coeffs(self) -> types.MappingProxyType:
@@ -196,10 +199,6 @@ class BiPoly:
     def y(cls):
         return cls({(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff):
-        return cls({(i, j): coeff})
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -217,13 +216,6 @@ class BiPoly:
     def coeff(self, i: int, j: int) -> Fraction:
         n = self.nums.get((i, j))
         return _ZERO if n is None else Fraction(n, self.den)
-
-    def leading_term(self):
-        """(monomial, coeff) largest in grlex order; None for zero."""
-        if not self.nums:
-            return None
-        mono = max(self.nums, key=lambda m: (m[0] + m[1], m[0]))
-        return mono, self.coeff(*mono)
 
     # -- ring operations ---------------------------------------------------
 
@@ -356,26 +348,6 @@ class BiPoly:
     def diff_y(self) -> "BiPoly":
         """Classical partial derivative in y: diff_x conjugated by the swap."""
         return self.swap().diff_x().swap()
-
-    def div_rem(self, divisor: "BiPoly") -> tuple:
-        """(quotient, remainder) of greedy grlex division by a single
-        divisor: a leading term that the divisor's leading monomial does not
-        divide moves to the remainder.  One polynomial is a Groebner basis of
-        its ideal, so the remainder is zero exactly when the divisor divides."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        (di, dj), dc = divisor.leading_term()
-        rem, quot, rest = self, {}, {}
-        while not rem.is_zero():
-            (ri, rj), rc = rem.leading_term()
-            if ri < di or rj < dj:
-                rest[ri, rj] = rc
-                rem = rem - BiPoly.monomial(ri, rj, rc)
-                continue
-            # leading terms only fall, so each quotient monomial comes once
-            qc = quot[ri - di, rj - dj] = rc / dc
-            rem = rem - divisor * BiPoly.monomial(ri - di, rj - dj, qc)
-        return BiPoly(quot), BiPoly(rest)
 
     def div_exact(self, divisor: "BiPoly") -> "BiPoly":
         """The quotient of an exact division; ValueError for a remainder.

@@ -276,28 +276,18 @@ def _swap(state):
 
 def derived_coeffs(E: EquationCoeffs, k: int, l: int, lam: Fraction | None = None) -> DerivedCoeffs:
     """Coefficients of the equation for the order-(k, l) generalized
-    difference: order (k, l) of `propagated_orders`, with mu shifted by lam
-    (exact, since each propagation step adds to mu and reads nothing of it).
-    The closed forms in the tests are an independent route to them."""
+    difference, by one chain of k + l steps: k Dq1 steps (`_xstep`), then l
+    Dq2 steps (`_xstep` conjugated by `_swap`), with mu shifted by lam
+    (exact, since each step adds to mu and reads nothing of it).  Nothing
+    in src calls it: the Pearson report reads every order in closed form,
+    and the tests' closed forms are an independent route to these."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
-    D = dict(propagated_orders(E, k, l))[k, l]
-    return DerivedCoeffs(D.qp, D.c11, D.c22, D.a12a, D.a12d, D.b1, D.b2, D.mu + (lam or 0))
-
-
-def propagated_orders(E: EquationCoeffs, k_max: int, l_max: int):
-    """Yield ((k, l), the derived coefficients of order (k, l)) for k <=
-    k_max, l <= l_max, lazily, (k, 0..l_max) for k = 0..k_max, each one step
-    from (k - 1, 0) along x or (k, l - 1) along y.  It serves
-    ``derived_coeffs`` and is the tests' reference; the Pearson report reads
-    every order in closed form."""
     state = (E.c11, E.c22, E.a12a, E.a12d, E.b1, E.b2, Fraction(0))
-    for k in range(k_max + 1):
-        if k:
-            state = _xstep(E.qp, state)
-        yield (k, 0), DerivedCoeffs(E.qp, *state[:6], mu=state[6])
-        swapped = _swap(state)
-        for l in range(1, l_max + 1):
-            swapped = _xstep(E.qp, swapped)
-            back = _swap(swapped)
-            yield (k, l), DerivedCoeffs(E.qp, *back[:6], mu=back[6])
+    for _ in range(k):
+        state = _xstep(E.qp, state)
+    state = _swap(state)
+    for _ in range(l):
+        state = _xstep(E.qp, state)
+    c11, c22, a12a, a12d, b1, b2, mu = _swap(state)
+    return DerivedCoeffs(E.qp, c11, c22, a12a, a12d, b1, b2, mu + (lam or 0))

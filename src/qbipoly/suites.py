@@ -200,15 +200,22 @@ def suite_recurrence(p: BigQJacobiParams):
 
 def suite_limits():
     """q -> 1 convergence of the monic and Rodrigues pairs, classical
-    residuals, and the classical Rodrigues eigenspace decomposition."""
+    residuals, and the classical Rodrigues eigenspace decomposition.  Each
+    classical Rodrigues polynomial is the exact quotient (`div_exact`) of
+    its bracket by the weight, and its zero-remainder row decides
+    quotient * weight == bracket."""
     cp = ClassicalParams(1, 1, 1)
     rows = []
 
-    # each classical target once, as (quotient, remainder), for the q -> 1
-    # table and the rows below
+    # each classical target once, as (quotient, whether quotient * weight is
+    # the bracket), for the q -> 1 table and the rows below
     pairs = [(total - m, m) for total in range(4) for m in range(total + 1)]
     appell = {nm: appell_monic(cp, *nm) for nm in pairs}
-    division = {nm: BiPoly.div_rem(*classical_rodrigues_fraction(cp, *nm)) for nm in pairs}
+    division = {}
+    for nm in pairs:
+        bracket, weight = classical_rodrigues_fraction(cp, *nm)
+        quot = bracket.div_exact(weight)
+        division[nm] = quot, quot * weight == bracket
     points = ((Fraction(1, 3), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 4)),
               (Fraction(0), Fraction(2, 3)))
     table = limit_rows(cp, (Fraction(1, 1000), Fraction(1, 10000)),
@@ -239,8 +246,8 @@ def suite_limits():
             jres = classical_pde_residual(cp, jnm(cp, n, m), n).is_zero()
             rows.append(("jnm_residual_zero", f"({n},{m})", "", "", str(jres)))
     for n, m in pairs:
-        (rod, rem), total = division[n, m], n + m
-        rows.append(("classical_rodrigues_zero_remainder", f"({n},{m})", "", "", str(rem.is_zero())))
+        (rod, exact), total = division[n, m], n + m
+        rows.append(("classical_rodrigues_zero_remainder", f"({n},{m})", "", "", str(exact)))
         res_zero = classical_pde_residual(cp, rod, total).is_zero()
         rows.append(("classical_rodrigues_solves_pde", f"({n},{m})", "", "", str(res_zero)))
         rows.extend(_eigenspace_rows(

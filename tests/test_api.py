@@ -85,6 +85,10 @@ ABSENT = [
     ("equation", "Admissibility.require"),
     ("pearson", "pearson_rows"),
     ("bipoly", "BiPoly.degree_y"),
+    ("bipoly", "BiPoly.div_rem"),
+    ("bipoly", "BiPoly.leading_term"),
+    ("bipoly", "BiPoly.monomial"),
+    ("equation", "propagated_orders"),
 ]
 
 

@@ -14,6 +14,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _node_factors, _power_sums,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
+                                classical_rodrigues_fraction,
                                 error_ratios, explicit_BC, hypergeometric_family, jnm,
                                 lambda_explicit, limit_check, limit_params,
                                 monic_hypergeometric, nonmonic_poly, nonmonic_polys)
@@ -515,6 +516,20 @@ def test_classical_rodrigues_solves_pde():
         for m in range(total + 1):
             p = classical_rodrigues(CP, total - m, m)
             assert classical_pde_residual(CP, p, total).is_zero()
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [(a, b, g) for a in range(3) for b in range(3)
+                                                  for g in range(3)], ids=str)
+def test_classical_rodrigues_is_an_exact_quotient_at_each_parameter_point(alpha, beta, gamma):
+    # the weight divides the bracket at integer parameters, so the limits
+    # suite's division cannot refuse; the quotient solves the limit PDE
+    cp = ClassicalParams(alpha, beta, gamma)
+    for total in range(4):
+        for m in range(total + 1):
+            bracket, weight = classical_rodrigues_fraction(cp, total - m, m)
+            quot = bracket.div_exact(weight)
+            assert quot * weight == bracket, (total - m, m)
+            assert classical_pde_residual(cp, quot, total).is_zero(), (total - m, m)
 
 
 def test_classical_rodrigues_first_order_closed_form():

@@ -11,8 +11,7 @@ from qbipoly.bipoly import BiPoly
 import qbipoly.equation as equation_module
 from qbipoly.equation import (EquationCoeffs, ShapeViolation,
                               admissibility, apply_operator,
-                              check_hypergeometric_form, derived_coeffs,
-                              propagated_orders)
+                              check_hypergeometric_form, derived_coeffs)
 from qbipoly.io import parse_equation_source
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2, qnum
 from test_bigqjacobi import big_q_jacobi_points
@@ -398,15 +397,15 @@ def test_eigen_rayleigh_relation(equation, adm, moments, oracle5):
     assert abs(du_u + moments.field.of(lam) * uu) / abs(uu) < moments.field.of(F(1, 10 ** 20))
 
 
-def test_derived_orders_equal_derived_coeffs_from_one_step_each(equation, monkeypatch):
-    # the 16 orders the check command's Pearson report needs: 15 one-step
-    # propagations from a neighbouring order instead of 48 from scratch
+def test_derived_coeffs_takes_one_chain_of_k_plus_l_steps(equation, monkeypatch):
+    # order (k, l) is k Dq1 steps, then l Dq2 steps (the Dq1 step across
+    # the swap), from order (0, 0): no other order is formed on the way
     steps = []
     real = equation_module._xstep
     monkeypatch.setattr(equation_module, "_xstep",
                         lambda qp, state: steps.append(1) or real(qp, state))
-    table = dict(propagated_orders(equation, 3, 3))
-    assert len(steps) == 15
-    monkeypatch.undo()
-    assert table == {(k, l): derived_coeffs(equation, k, l) for k in range(4) for l in range(4)}
-    assert dict(propagated_orders(equation, 0, 0)) == {(0, 0): derived_coeffs(equation, 0, 0)}
+    for k in range(4):
+        for l in range(4):
+            steps.clear()
+            derived_coeffs(equation, k, l)
+            assert len(steps) == k + l, (k, l)

@@ -498,20 +498,24 @@ def test_cli_limits_monic_ratio_rows_gate(monkeypatch, capsys):
 
 
 def test_cli_limits_classical_remainder_rows_gate(monkeypatch, capsys):
-    # dividing one more than each classical Rodrigues derivative leaves the
-    # remainder 1 and the same quotient, so only the remainder rows move
-    assert main(["verify", "--suite", "limits"]) == 0
-    clean = json.loads(capsys.readouterr().out)["rows"]
-    real = BiPoly.div_rem
-    monkeypatch.setattr(BiPoly, "div_rem", lambda self, divisor: real(self + 1, divisor))
+    # a quotient one more than each classical weight's exact quotient:
+    # quotient * weight is then not the bracket, at every order
+    weights = []
+    real_fraction, real_div = suites.classical_rodrigues_fraction, BiPoly.div_exact
+
+    def fraction(cp, n, m):
+        bracket, weight = real_fraction(cp, n, m)
+        weights.append(weight)
+        return bracket, weight
+
+    monkeypatch.setattr(suites, "classical_rodrigues_fraction", fraction)
+    monkeypatch.setattr(BiPoly, "div_exact",
+                        lambda self, divisor: real_div(self, divisor) + (1 if divisor in weights else 0))
     assert main(["verify", "--suite", "limits"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["ok"] is False and len(doc["rows"]) == len(clean)
-    moved = [(old, new) for old, new in zip(clean, doc["rows"]) if old != new]
-    assert len(moved) == 10
-    for old, new in moved:
-        assert old[0] == "classical_rodrigues_zero_remainder" and old[4] == "True"
-        assert new == old[:4] + ["False"]
+    assert doc["ok"] is False and len(weights) == 10
+    verdicts = [row[4] for row in doc["rows"] if row[0] == "classical_rodrigues_zero_remainder"]
+    assert verdicts == ["False"] * 10
 
 
 def test_cli_recurrence_explicit_matrix_rows_gate(monkeypatch, capsys):

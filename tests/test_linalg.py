@@ -13,7 +13,7 @@ y = BiPoly.y()
 
 def monomials(n: int) -> list:
     """The graded-lex monomial column (x^n, x^{n-1}y, ..., y^n)."""
-    return [BiPoly.monomial(n - k, k, 1) for k in range(n + 1)]
+    return [BiPoly({(n - k, k): 1}) for k in range(n + 1)]
 
 
 def graded_coeff_block(vec: list, degree: int) -> Mat:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import qbipoly.rodrigues as rodrigues
 from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
-from qbipoly.equation import (EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator,
-                              propagated_orders)
+from qbipoly.equation import EquationCoeffs, NotAdmissibleError, ShapeViolation, apply_operator
 from qbipoly.linalg import Mat
 from test_bigqjacobi import big_q_jacobi_points, sweep_points
 from test_linalg import fraction_interpolate_2d, tensor_vandermonde_interpolate
@@ -24,7 +23,7 @@ from strategies import (CONSTANT_WEIGHT_TEXT, INCOMPATIBLE_PEARSON_TEXT, NONZERO
                         PHI1_ABOVE_OMEGA1_TEXT, PHI1_ZERO_TEXT, Q23_PARAMS, admissible_equations,
                         constant_weight_equations, equation_to_text, pearson_line, replace,
                         scaled_preset)
-from test_pearson import rho_kl
+from test_pearson import derived_box, rho_kl
 from test_qcalc import dqm_nm_table, fraction_difference_table
 
 F = Fraction
@@ -641,7 +640,7 @@ def formed_keys(E, k_max: int, l_max: int) -> dict:
     """{(k, l): key} of every order up to the bounds, each from its two
     degree-8 products, whatever the ratio rows read."""
     q, out = E.qp.q, {}
-    for kl, D in propagated_orders(E, k_max, l_max):
+    for kl, D in derived_box(E, k_max, l_max).items():
         P = build_pearson(D)
         w1, w2 = P.omega1.scale_args(q, 1), P.omega2.scale_args(1, q)
         n_l, d_l = P.phi1 * P.phi2.scale_args(q, 1), w1 * w2.scale_args(q, 1)
@@ -701,7 +700,7 @@ def rodrigues_orthogonality_check(E, n: int, m: int, functional) -> dict:
     out = {}
     for d in range(n + m):
         for i in range(d + 1):
-            mono = BiPoly.monomial(d - i, i, 1)
+            mono = BiPoly({(d - i, i): 1})
             out[(d - i, i)] = functional(poly * mono)
     return out
 
