@@ -13,8 +13,7 @@ from .pearson import (PearsonData, WeightEvaluator, base_weight, build_pearson,
 from .qcalc import (QParam, dq1, dq2, dqm1, dqm2, kampe_de_feriet, phi_rs, qnum,
                     verify_operator_relations)
 from .rodrigues import rodrigues_poly
-from .monic import (MonicFamily, generate_monic_oracle, generate_monic_rf,
-                    structure_matrices, ttr_matrices)
+from .monic import MonicFamily, generate_monic_oracle, generate_monic_rf, ttr_matrices
 from .scalars import FloatField
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -260,11 +260,17 @@ def parse_equation_source(text: str) -> tuple:
     if preset is not None:
         from .bigqjacobi import BigQJacobiParams, preset_equation
 
+        values = []
+        for k in "abcd":
+            if k not in fields:
+                raise EquationParseError(f"preset needs parameter {k!r}")
+            try:
+                values.append(Fraction(fields[k]))
+            except (ValueError, ZeroDivisionError):
+                raise EquationParseError(f"line {lines[k]}: bad value {fields[k]!r} for {k!r}") from None
         try:
-            params = BigQJacobiParams(*(Fraction(fields[k]) for k in "abcd"), qp)
-        except KeyError as exc:
-            raise EquationParseError(f"preset needs parameter {exc}") from None
-        except (ValueError, ZeroDivisionError) as exc:
+            params = BigQJacobiParams(*values, qp)
+        except ValueError as exc:
             raise EquationParseError(str(exc)) from None
         return preset_equation(params), params
 

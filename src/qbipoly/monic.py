@@ -15,18 +15,18 @@ are kept verbatim; the recurrence suite compares each once with the
 operator block it claims to equal, and reports any disagreement instead of
 patching it.
 
-The recurrence layer (structure matrices, the explicit generalized inverse,
-and the recursive generator) is built on oracle blocks throughout.
+The recurrence layer (the recurrence matrices A, B and C, the explicit
+generalized inverse of the stacked embeddings, and the recursive generator)
+is built on oracle blocks throughout.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .bipoly import BiPoly, combine, from_form, reduced
 from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
 from .pearson import require
-from .qcalc import QParam, QTables
+from .qcalc import QTables
 from .scalars import Record
 
 
@@ -48,15 +48,6 @@ def difference_matrix(n: int, j: int, base) -> Mat:
 def mat_L(n: int, j: int) -> Mat:
     """Multiplication embedding x_j x^n = L_{n,j} x^{n+1}, size (n+1)x(n+2): row k selects k + j - 1."""
     return Mat._of([({k + j - 1: 1}, 1) for k in range(n + 1)], n + 2)
-
-
-def structure_matrices(n: int, qp: QParam) -> dict:
-    out = {}
-    for j in (1, 2):
-        out[f"E{j}"] = difference_matrix(n, j, qp.q)
-        out[f"K{j}"] = difference_matrix(n, j, 1 / qp.q)
-        out[f"L{j}"] = mat_L(n, j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +82,6 @@ def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     return [family.block(n, j) for j in range(n + 1)]
 
 
-@lru_cache(maxsize=None)
-def _monomial_keys(j: int) -> tuple:
-    """The exponent pairs of the degree-j monomial vector, by column; one
-    tuple per degree, shared by every vector."""
-    return tuple((j - c, c) for c in range(j + 1))
-
-
-def assemble_vector(ghat: list) -> list:
-    """P_n = sum_j G_{n,j} x^j from its coefficient blocks, as a list of
-    BiPolys: entry k sums row k of every G_{n,j}, column c read as the
-    monomial (j-c, c)."""
-    keys = [_monomial_keys(j) for j in range(len(ghat))]
-    return [from_form(*combine([(1, {kj[c]: v for c, v in nums.items()}, den)
-                                for kj, (nums, den) in zip(keys, rows)]))
-            for rows in zip(*(G.forms for G in ghat))]
-
-
 # ---------------------------------------------------------------------------
 # the paper's closed-form operator blocks (cross-check layer)
 # ---------------------------------------------------------------------------
@@ -133,14 +107,13 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
     """The closed-form T_n (degree-drop-2 block), size (n+1) x (n-1)."""
     if n < 2:
         raise ValueError("T_n needs n >= 2")
-    qp = E.qp
-    q = qp.q
+    q = E.qp.q
     (_, _, c1s), (_, _, c2s), (*_, d3a), (*_, d3d), _, _ = form_scalars(E)
-    s, s1 = structure_matrices(n, qp), structure_matrices(n - 1, qp)
-    return (s["E2"] @ s1["E1"]).scaled(d3a) \
-        + (s["K1"] @ s1["E1"]).scaled(c1s * q) \
-        + (s["K2"] @ s1["E2"]).scaled(c2s * q) \
-        + (s["K2"] @ s1["K1"]).scaled(d3d)
+    E1, K2 = difference_matrix(n - 1, 1, q), difference_matrix(n, 2, 1 / q)
+    return (difference_matrix(n, 2, q) @ E1).scaled(d3a) \
+        + (difference_matrix(n, 1, 1 / q) @ E1).scaled(c1s * q) \
+        + (K2 @ difference_matrix(n - 1, 2, q)).scaled(c2s * q) \
+        + (K2 @ difference_matrix(n - 1, 1, 1 / q)).scaled(d3d)
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +163,31 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     G_{n,d} (M_dd + lambda_n I) = -rhs is the division by a nonzero gap
     G_{n,d} = -rhs / (lambda_n - lambda_d), run fraction-free on
     each block as one form (``_chain_step``); a block gets its canonical row
-    forms when it is stored.  Neither the blocks nor the vectors are
+    forms when it is stored, and entry k of P_n = sum_j G_{n,j} x^j adds row
+    k of every block, column c of degree j read as the monomial x^{j-c} y^c,
+    by one ``combine``.  Neither the blocks nor the vectors are
     re-checked here: `suites.suite_consistency` and the tests put the
     vectors through the operator, and the tests check the blocks."""
     require(E, "monic")
     blocks = [operator_blocks(E, j) for j in range(N + 1)]
     lam = [E.admissibility.eigenvalue(j) for j in range(N + 1)]
+    keys = [[(j - c, c) for c in range(j + 1)] for j in range(N + 1)]  # column c of degree j
     ghat, vectors = {}, []
     for n in range(N + 1):
         chain = [None] * n + [({(r, r): 1 for r in range(n + 1)}, 1)]
         for d in range(n - 1, -1, -1):
             chain[d] = _chain_step([(chain[d + s], blocks[d + s][s]) for s in (1, 2) if d + s <= n],
                                    lam[n] - lam[d])
+        entries = [[] for _ in range(n + 1)]
         for j, (nums, den) in enumerate(chain):
             rows = [{} for _ in range(n + 1)]
             for (r, c), v in nums.items():
                 rows[r][c] = v
-            ghat[(n, j)] = Mat._of([reduced(row, den) for row in rows], j + 1)
-        vectors.append(assemble_vector([ghat[(n, j)] for j in range(n + 1)]))
+            forms = [reduced(row, den) for row in rows]
+            ghat[(n, j)] = Mat._of(forms, j + 1)
+            for terms, (rnums, rden) in zip(entries, forms):
+                terms.append((1, {keys[j][c]: v for c, v in rnums.items()}, rden))
+        vectors.append([from_form(*combine(terms)) for terms in entries])
     return MonicFamily(E, vectors, ghat, blocks)
 
 

@@ -886,6 +886,9 @@ REFUSAL_FILES = {
     "preset-without-a": "preset = big-q-jacobi\nq = 1/2\nb = 1/4\nc = 1/5\nd = -1/2\n",
     "preset-a-too-large": PRESET_TEXT.replace("a = 1/3", "a = 3"),
     "preset-with-c11": PRESET_TEXT + "c11 = 0,0:1\n",
+    "preset-a-over-zero": PRESET_TEXT.replace("a = 1/3", "a = 1/0"),
+    "preset-b-not-a-number": PRESET_TEXT.replace("b = 1/4", "b = x"),
+    "preset-a-empty": PRESET_TEXT.replace("a = 1/3", "a = "),
 }
 
 
@@ -934,7 +937,10 @@ REFUSAL_FILES = {
     (["check", "--equation", "@preset-with-c11"], "line 8: 'c11' is not a key of a preset file"),
     (["check", "--equation", "@general-a"], "line 8: 'a' is not a key of a six-polynomial file"),
     # a repeated --param key is refused, as a repeated key of a file is
-    (["check", *P, "--param", "a=1/3", "--param", "a=1/2"], "--param 'a' given twice"),
+    (["check", *P, "--param", "a=1/3", "--param", "a=1/2"], "--param 'a' given twice"),    # a preset value that is not a fraction names its key and line
+    (["check", "--equation", "@preset-a-over-zero"], "line 4: bad value '1/0' for 'a'"),
+    (["check", "--equation", "@preset-b-not-a-number"], "line 5: bad value 'x' for 'b'"),
+    (["check", "--equation", "@preset-a-empty"], "line 4: bad value '' for 'a'"),
 ])
 def test_cli_refusal_is_one_line_exit_2(tmp_path, capsys, equation, argv, message):
     general = equation_to_text(equation)

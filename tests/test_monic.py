@@ -11,11 +11,10 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, admissibility, apply_operator
 from qbipoly.linalg import Mat, mat_diff, solve_exact
-from qbipoly.monic import (assemble_vector, generalized_inverse_L,
-                           generate_monic_rf, ghat_oracle, joint_L,
+from qbipoly.monic import (generalized_inverse_L, generate_monic_rf, ghat_oracle, joint_L,
                            difference_matrix, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
-                           structure_matrices, t_matrix_closed_form, ttr_matrices)
+                           t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from strategies import admissible_equations, replace
 from test_linalg import graded_coeff_block, monomials, rank, transpose
@@ -52,10 +51,6 @@ def test_E_and_K_sample_entries(qp):
     assert difference_matrix(2, 1, qp.q).rows == ((F(3, 2), 0), (0, 1), (0, 0))
     assert difference_matrix(2, 2, qp.q).rows == ((0, 0), (1, 0), (0, F(3, 2)))
     assert difference_matrix(2, 1, 1 / qp.q).rows[0][0] == 3  # q^{1-n} [n]_q at n = 2
-    bundle = structure_matrices(2, qp)
-    assert bundle["E1"] == difference_matrix(2, 1, qp.q)
-    assert bundle["K2"] == difference_matrix(2, 2, 1 / qp.q)
-    assert bundle["L2"].shape == (3, 4)
 
 
 def test_joint_L_rank_and_inverse(qp):
@@ -99,8 +94,7 @@ def test_oracle_degree_one(equation):
 
 
 def test_oracle_degree_zero(equation):
-    blocks = ghat_oracle(equation, 0)
-    assert assemble_vector(blocks)[0] == BiPoly.const(1)
+    assert generate_monic_oracle(equation, 0).vectors == [[BiPoly.const(1)]]
 
 
 def test_oracle_monicity_and_residuals(equation, adm, oracle5):
@@ -221,8 +215,20 @@ def oracle12(request):
 def test_vectors_equal_the_product_assembly(oracle7):
     for n in range(7):
         blocks = [oracle7.block(n, j) for j in range(n + 1)]
-        assert assemble_vector(blocks) == reference_assembly(blocks)
         assert oracle7.vectors[n] == reference_assembly(blocks)
+
+
+@seed(53)
+@settings(max_examples=40, deadline=None, database=None)
+@given(admissible_equations())
+def test_closed_form_T_and_vectors_on_admissible_equations(E):
+    """Off the preset: the closed-form T_n is the operator's degree-drop-2
+    block, and each oracle vector is the product assembly of its blocks."""
+    family = generate_monic_oracle(E, 6)
+    for n in range(2, 7):
+        assert t_matrix_closed_form(E, n) == operator_blocks(E, n)[2], n
+        blocks = [family.block(n, j) for j in range(n + 1)]
+        assert family.vectors[n] == reference_assembly(blocks), n
 
 
 def test_ttr_matrices_equal_the_L_products(oracle7):
