@@ -225,6 +225,14 @@ def parse_poly_terms(text: str) -> BiPoly:
     return BiPoly(coeffs)
 
 
+def _value(fields: dict, lines: dict, k: str) -> Fraction:
+    """The value of key k as a fraction; refused with its line and key."""
+    try:
+        return Fraction(fields[k])
+    except (ValueError, ZeroDivisionError):
+        raise EquationParseError(f"line {lines[k]}: bad value {fields[k]!r} for {k!r}") from None
+
+
 def parse_equation_source(text: str) -> tuple:
     """(equation, preset parameters) from the key-value equation format; the
     parameters are the BigQJacobiParams of a big-q-jacobi preset, or None
@@ -245,9 +253,10 @@ def parse_equation_source(text: str) -> tuple:
 
     if "q" not in fields:
         raise EquationParseError("missing q")
+    q = _value(fields, lines, "q")
     try:
-        qp = QParam(Fraction(fields["q"]))
-    except (ValueError, ZeroDivisionError) as exc:
+        qp = QParam(q)
+    except ValueError as exc:
         raise EquationParseError(f"bad q: {exc}") from None
 
     preset = fields.get("preset")
@@ -264,10 +273,7 @@ def parse_equation_source(text: str) -> tuple:
         for k in "abcd":
             if k not in fields:
                 raise EquationParseError(f"preset needs parameter {k!r}")
-            try:
-                values.append(Fraction(fields[k]))
-            except (ValueError, ZeroDivisionError):
-                raise EquationParseError(f"line {lines[k]}: bad value {fields[k]!r} for {k!r}") from None
+            values.append(_value(fields, lines, k))
         try:
             params = BigQJacobiParams(*values, qp)
         except ValueError as exc:
@@ -277,8 +283,13 @@ def parse_equation_source(text: str) -> tuple:
     missing = [k for k in _POLY_KEYS if k not in fields]
     if missing:
         raise EquationParseError(f"missing polynomial keys: {', '.join(missing)}")
-    polys = {k: parse_poly_terms(fields[k]) for k in _POLY_KEYS}
-    return EquationCoeffs(qp, *(polys[k] for k in _POLY_KEYS)), None
+    polys = []
+    for k in _POLY_KEYS:
+        try:
+            polys.append(parse_poly_terms(fields[k]))
+        except EquationParseError as exc:
+            raise EquationParseError(f"line {lines[k]}: {exc} for {k!r}") from None
+    return EquationCoeffs(qp, *polys), None
 
 
 def parse_equation_file(path: str) -> tuple:

@@ -26,7 +26,7 @@ from .bipoly import BiPoly, combine, from_form, reduced
 from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
 from .pearson import require
-from .qcalc import QTables
+from .qcalc import QTables, step_weights
 from .scalars import Record
 
 
@@ -34,15 +34,14 @@ def difference_matrix(n: int, j: int, base) -> Mat:
     """Structure matrix of the axis-j difference quotient of the given base
     on the degree-n monomial vector, D x^n = M x^{n-1}, size (n+1) x n:
     base q gives the forward E_{n,j}, base 1/q the backward K_{n,j} (the
-    backward quotient of base q is the forward quotient of base 1/q)."""
+    backward quotient of base q is the forward quotient of base 1/q).  Row k
+    is the sparse form of [e]_base at column k + 1 - j, e the axis-j exponent
+    of x^{n-k} y^k; the operators' table ``qcalc.step_weights`` gives [e]_base."""
     if j not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    rows = [[0] * n for _ in range(n + 1)]
-    for k in range(n + 1):
-        e = n - k if j == 1 else k  # exponent of the axis variable in x^{n-k} y^k
-        if e:
-            rows[k][k if j == 1 else k - 1] = (base**e - 1) / (base - 1)
-    return Mat(rows)
+    w, den = step_weights(base, n), base.denominator ** max(n - 1, 0)
+    return Mat._of([reduced({k + 1 - j: w[e]}, den) if (e := (n - k, k)[j - 1]) else ({}, 1)
+                    for k in range(n + 1)], n)
 
 
 def mat_L(n: int, j: int) -> Mat:
@@ -220,41 +219,29 @@ def joint_L(n: int) -> Mat:
 
 
 def generalized_inverse_L(n: int) -> Mat:
-    """The explicit left inverse D_n of the stacked L_n: first and last rows
-    are unit, interior rows average the two blocks with halves."""
-    D = [[0] * (2 * n + 2) for _ in range(n + 2)]
-    half = Fraction(1, 2)
-    D[0][0] = 1
-    for i in range(1, n + 1):
-        D[i][i] = half
-        D[i][n + i] = half
-    D[n + 1][2 * n + 1] = 1
-    return Mat(D)
+    """The explicit left inverse D_n of the stacked L_n as sparse row forms:
+    unit first and last rows; interior row i averages columns i and n + i."""
+    halves = [({i: 1, n + i: 1}, 2) for i in range(1, n + 1)]
+    return Mat._of([({0: 1}, 1), *halves, ({2 * n + 1: 1}, 1)], 2 * n + 2)
 
 
 def generate_monic_rf(oracle: MonicFamily) -> list:
-    """The vectors of degrees 0..oracle.N generated again through the
-    recursive formula driven by the joint recurrence stacks, compared with
-    nothing: the consistency suite and the tests compare them with the
-    oracle's and check D_n L_n = I, which the formula rests on.  Degree
-    n + 1 reads the recurrence matrices of degree n, so blocks through
-    degree N = oracle.N suffice."""
-    N = oracle.N
+    """The vectors of degrees 0..oracle.N generated again by the recursive
+    formula P_{n+1} = D_n (x P_n, y P_n stacked - B_n P_n - C_n P_{n-1}), from
+    the joint recurrence stacks of degree n, with D_n applied once per degree.
+    Nothing is compared here: the consistency suite and the tests compare the
+    vectors with the oracle's and check D_n L_n = I.  The formula holds where
+    the three-term relation does, as for an orthogonal family (the big
+    q-Jacobi preset); a generic admissible equation breaks it."""
     x, y = BiPoly.x(), BiPoly.y()
     vectors = [[BiPoly.const(1)]]
-    prev = None
-    for n in range(N):
-        D = generalized_inverse_L(n)
-        tb = ttr_matrices(oracle, n, 1)
-        tb2 = ttr_matrices(oracle, n, 2)
-        Bn = stack(tb["B"], tb2["B"])
+    for n in range(oracle.N):
+        tb, tb2 = ttr_matrices(oracle, n, 1), ttr_matrices(oracle, n, 2)
         cur = vectors[n]
-        stacked = [p * x for p in cur] + [p * y for p in cur]
-        nxt = D @ [a - b for a, b in zip(stacked, Bn @ cur, strict=True)]
-        if n >= 1:
-            Cn = stack(tb["C"], tb2["C"])
-            nxt = [a - b for a, b in zip(nxt, D @ (Cn @ prev), strict=True)]
-        prev = cur
-        vectors.append(nxt)
+        rhs = [a - b for a, b in zip([p * x for p in cur] + [p * y for p in cur],
+                                     stack(tb["B"], tb2["B"]) @ cur, strict=True)]
+        if n:
+            rhs = [a - c for a, c in zip(rhs, stack(tb["C"], tb2["C"]) @ vectors[n - 1],
+                                         strict=True)]
+        vectors.append(generalized_inverse_L(n) @ rhs)
     return vectors
-

@@ -363,6 +363,14 @@ def big_q_jacobi_points(draw):
     return BigQJacobiParams(a, b, c, d, QParam(q))
 
 
+@seed(54)
+@settings(max_examples=20, deadline=None, database=None)
+@given(big_q_jacobi_points())
+def test_recursive_formula_reproduces_oracle_through_degree_5(p):
+    oracle = generate_monic_oracle(preset_equation(p), 5)
+    assert generate_monic_rf(oracle) == oracle.vectors
+
+
 @seed(2013)
 @settings(max_examples=40, deadline=None, database=None)
 @given(big_q_jacobi_points(), st.integers(0, 3), st.data())

@@ -798,7 +798,7 @@ def test_cli_negative_exponent_is_one_line_error(tmp_path, capsys, equation, arg
     path.write_text(equation_to_text(equation).replace("c11 = ", "c11 = -1,0:1 "))
     assert main([*argv, "--equation", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: negative exponent in '-1,0:1'\n"
+    assert captured.err == "error: line 2: negative exponent in '-1,0:1' for 'c11'\n"
     assert captured.out == ""
 
 
@@ -889,6 +889,10 @@ REFUSAL_FILES = {
     "preset-a-over-zero": PRESET_TEXT.replace("a = 1/3", "a = 1/0"),
     "preset-b-not-a-number": PRESET_TEXT.replace("b = 1/4", "b = x"),
     "preset-a-empty": PRESET_TEXT.replace("a = 1/3", "a = "),
+    "q-over-zero": PRESET_TEXT.replace("q = 1/2", "q = 1/0"),
+    "q-not-a-number": PRESET_TEXT.replace("q = 1/2", "q = x"),
+    "q-empty": PRESET_TEXT.replace("q = 1/2", "q = "),
+    "q-too-large": PRESET_TEXT.replace("q = 1/2", "q = 2"),
 }
 
 
@@ -937,16 +941,31 @@ REFUSAL_FILES = {
     (["check", "--equation", "@preset-with-c11"], "line 8: 'c11' is not a key of a preset file"),
     (["check", "--equation", "@general-a"], "line 8: 'a' is not a key of a six-polynomial file"),
     # a repeated --param key is refused, as a repeated key of a file is
-    (["check", *P, "--param", "a=1/3", "--param", "a=1/2"], "--param 'a' given twice"),    # a preset value that is not a fraction names its key and line
+    (["check", *P, "--param", "a=1/3", "--param", "a=1/2"], "--param 'a' given twice"),
+    # a preset value that is not a fraction names its key and line
     (["check", "--equation", "@preset-a-over-zero"], "line 4: bad value '1/0' for 'a'"),
     (["check", "--equation", "@preset-b-not-a-number"], "line 5: bad value 'x' for 'b'"),
     (["check", "--equation", "@preset-a-empty"], "line 4: bad value '' for 'a'"),
+    # so does a q that is not a fraction; a fraction outside 0 < q < 1 is a bad q
+    (["check", "--equation", "@q-over-zero"], "line 3: bad value '1/0' for 'q'"),
+    (["check", "--equation", "@q-not-a-number"], "line 3: bad value 'x' for 'q'"),
+    (["check", "--equation", "@q-empty"], "line 3: bad value '' for 'q'"),
+    (["check", "--equation", "@q-too-large"], "bad q: q must satisfy 0 < q < 1, got 2"),
+    # a bad term of a six-polynomial file names its key and line
+    (["check", "--equation", "@general-c11-over-zero"],
+     "line 2: bad coefficient in '0,0:1/0' for 'c11'"),
+    (["check", "--equation", "@general-c11-bad-term"], "line 2: bad polynomial term '0;0:1' for 'c11'"),
+    (["check", "--equation", "@general-b2-duplicate"],
+     "line 7: duplicate exponent pair in '9,0:2' for 'b2'"),
 ])
 def test_cli_refusal_is_one_line_exit_2(tmp_path, capsys, equation, argv, message):
     general = equation_to_text(equation)
     files = dict(REFUSAL_FILES, general=general, **{
         "general-foo": general.replace("\nc11", "\nfoo = 3\nc11", 1),
-        "general-a": general + "a = 7\n"})
+        "general-a": general + "a = 7\n",
+        "general-c11-over-zero": general.replace("\nc11 = ", "\nc11 = 0,0:1/0 ", 1),
+        "general-c11-bad-term": general.replace("\nc11 = ", "\nc11 = 0;0:1 ", 1),
+        "general-b2-duplicate": general.replace("\nb2 = ", "\nb2 = 9,0:1 9,0:2 ", 1)})
     for name, text in files.items():
         (tmp_path / f"{name}.eq").write_text(text)
     argv = [str(tmp_path / f"{a[1:]}.eq") if a.startswith("@") else a for a in argv]

@@ -53,8 +53,27 @@ def test_E_and_K_sample_entries(qp):
     assert difference_matrix(2, 1, 1 / qp.q).rows[0][0] == 3  # q^{1-n} [n]_q at n = 2
 
 
+def q_integer(e: int, p: Fraction) -> Fraction:
+    """[e]_p = 1 + p + ... + p^(e-1), summed term by term."""
+    return sum((p**i for i in range(e)), F(0))
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(9, 10), F(1, 7)], ids=str)
+def test_E_and_K_are_the_q_integers(q):
+    # row k of the axis-j matrix holds [e]_p at column k + 1 - j, e the
+    # axis-j exponent of x^(n-k) y^k; p = q gives E_{n,j}, p = 1/q gives K_{n,j}
+    for p in (q, 1 / q):
+        for n in range(11):
+            for j in (1, 2):
+                rows = [[F(0)] * n for _ in range(n + 1)]
+                for k in range(n + 1):
+                    if e := (n - k if j == 1 else k):
+                        rows[k][k + 1 - j] = q_integer(e, p)
+                assert difference_matrix(n, j, p) == Mat(rows), (p, n, j)
+
+
 def test_joint_L_rank_and_inverse(qp):
-    for n in range(7):
+    for n in range(13):
         L = joint_L(n)
         assert rank(L) == n + 2
         D = generalized_inverse_L(n)
@@ -462,6 +481,17 @@ def test_recursive_formula_reproduces_oracle(equation):
     f2, g2 = equation.tau2()
     assert vectors[1][0] == x + BiPoly.const(g1 / f1)
     assert vectors[1][1] == y + BiPoly.const(g2 / f1)
+
+
+def test_recursive_formula_needs_the_three_term_relation():
+    # an admissible equation off the big q-Jacobi family: x P_3 is not
+    # A P_4 + B P_3 + C P_2, so the formula agrees with the oracle through
+    # degree 3 and leaves it at degree 4 (big q-Jacobi draws: test_bigqjacobi)
+    E = EquationCoeffs(QParam(F(1, 2)), BiPoly.zero(), BiPoly.zero(), x * y * F(-1, 2),
+                       BiPoly.const(1), x, y)
+    oracle = generate_monic_oracle(E, 4)
+    vectors = generate_monic_rf(oracle)
+    assert vectors[:4] == oracle.vectors[:4] and vectors[4] != oracle.vectors[4]
 
 
 def test_consistency_row_names_the_first_differing_entry(monkeypatch):

@@ -2,7 +2,8 @@
 (CLI)" exits 0 through `cli.main`, the "Quick start (API)" block runs and
 its own assert holds, the equation-file example is the preset point, and
 each exit-code example stated in prose exits with the code stated, printing
-one `error:` line."""
+one `error:` line.  The README and the CI workflow pin one set of test
+dependencies, and CI's oldest Python is the one pyproject.toml admits."""
 
 import json
 import pathlib
@@ -18,7 +19,8 @@ from qbipoly.io import parse_equation_source
 from qbipoly.pearson import HYPOTHESES, NEEDS
 from strategies import INCOMPATIBLE_PEARSON_TEXT, equation_to_text, pearson_line
 
-README = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def fenced(heading: str, lang: str) -> str:
@@ -132,3 +134,19 @@ def test_readme_hypothesis_table_is_the_code_map():
     # the requests whose NEEDS hold it
     assert hypothesis_table() == [(name, {r for r, needs in NEEDS.items() if name in needs})
                                   for name in HYPOTHESES]
+
+
+def pins(text: str) -> dict:
+    """name -> version of each `name==version` in text."""
+    return dict(re.findall(r"([A-Za-z][\w-]*)==([\w.]+)", text))
+
+
+def test_ci_and_readme_pin_one_set_of_versions():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    ci = pins(re.search(r"pip install (.*)", workflow).group(1))
+    assert set(ci) == {"mpmath", "pytest", "hypothesis"}
+    assert pins(fenced("## Install and test", "sh")) == ci
+    matrix = re.search(r"python-version: \[(.*)\]", workflow).group(1)
+    lowest = min(tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(","))
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert lowest == tuple(map(int, floor.groups())) == (3, 10)
