@@ -6,7 +6,7 @@ family, classical Rodrigues, classical operator)."""
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, exact_form, from_form, product_dens
+from .bipoly import BiPoly, combine, exact_form, from_form
 from .equation import EquationCoeffs
 from .jackson import (_Piece, _geometric, _ladder, _power_sums, _powers,
                       _products, _quotient, _sign, _slope)
@@ -15,7 +15,7 @@ from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
                     kampe_de_feriet, phi_rs, power_exponent, qnum)
 from .rodrigues import rodrigues_polys
-from .scalars import FloatField, FrozenRecord
+from .scalars import FrozenRecord
 
 
 class BigQJacobiParams(FrozenRecord):
@@ -300,7 +300,8 @@ def _node_factors(p: BigQJacobiParams, N: int, wp: int) -> tuple:
 
 class MomentTable:
     """The Jackson moments M_ij = L(x^i y^j) of the orthogonality functional
-    on the box 0 <= i, j <= max_degree, in one pass over the lattice.
+    on the triangle i + j <= max_degree, as exact rationals, in one pass
+    over the lattice.
 
     The double q-integral runs y over (dq -> aq) and x over (dq -> c q y),
     both as differences of one-sided Jackson sums truncated at `truncation`.
@@ -317,10 +318,9 @@ class MomentTable:
     z and k = t, r, t + r or r - t, so a node weight is yfac(t) A(r)
     B(index), each list a ratio of such factors (`_node_factors`).  Each
     comes from a `_ladder` of exact-rational steps on integer pairs, kept
-    at wp = prec + 8 bits; nothing is rounded to the field before the
-    moments.  A Jackson node x carries (1 - q) x, so M_ij = (1 - q)^2
-    sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t) = sum_r
-    (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
+    at wp = prec + 8 bits.  A Jackson node x carries (1 - q) x, so M_ij =
+    (1 - q)^2 sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t)
+    = sum_r (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
     correlation in t, so for each power p one Kronecker product per
     lattice piece gives every t at once (`_Piece`, which packs each piece's
     B once per table as its even and odd slots, at half width, and reads
@@ -332,10 +332,9 @@ class MomentTable:
 
     On y > 0 a node's inner sum is x_t^p c1 - c2 - c3 of the three pieces,
     one exact integer on the least of their exponents.  The outer sums are
-    `_power_sums`, kept exact as integers on one binary point: `moment`
-    rounds one when asked, `integrate` applies a polynomial to them before
-    it rounds, and `gram` gives the integral of every pairwise product
-    without forming one.
+    `_power_sums` at the width of the box i, j <= max_degree, so each
+    moment is the box table's pair (S, E); `moment`, `integrate` and `gram`
+    (each pair's `integrate`, none formed) return exact rationals.
 
     `weight_positive` is exact: a ladder has one sign (`_sign`) and exact
     zeros that lead it (`_ladder`), a nonzero ladder pair is within a
@@ -361,24 +360,23 @@ class MomentTable:
 
     def __init__(self, p: BigQJacobiParams, max_degree: int, truncation: int, prec: int):
         check_weight_params(p)
-        self.params = p
-        self.max_degree = max_degree
-        self.truncation = truncation
-        self.field = FloatField(prec)
+        if prec < 64:
+            raise ValueError("float precision must be at least 64 bits")
+        self.params, self.max_degree, self.truncation, self.prec = p, max_degree, truncation, prec
         sums = self._build()
-        # the exact pairs as integers F(i, j) on one binary point 2^_low
-        self._low = min(e for row in sums for _, e in row)
+        # the exact pairs as integers F(i, j) on one binary point 2^_low <= 1
+        self._low = min(0, *(e for row in sums for _, e in row))
         self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(sums)
                        for j, (S, E) in enumerate(row)}
 
     def _build(self) -> list:
-        """The exact pairs of every moment, [i][j]; sets weight_positive."""
-        p, fld = self.params, self.field
+        """The exact pairs [i][j], i + j <= max_degree; sets weight_positive."""
+        p, prec = self.params, self.prec
         N, D = self.truncation, self.max_degree
         q, a, c, d = p.qp.q, p.a, p.c, p.d
         # 8 guard bits: a node weight is a product and quotient of four
         # ladder values, each within 2^-wp, and one truncation
-        wp = fld.prec + 8
+        wp = prec + 8
         A_cq, B_cq, A_d, B_d, B_neg, yfacs = _node_factors(p, N, wp)
 
         ts = range(N + 1)
@@ -389,9 +387,9 @@ class MomentTable:
         # lattice piece (class docstring): b and the lags that give t
         specs = [(B_cq, list(ts)), (B_d[:N], [N - t for t in ts]),
                  (B_d[N:], [-t for t in ts]), (B_neg, [N - t for t in ts])]
-        pieces = [_Piece(bs, _slope(bs), lags, N + 1, fld.prec) for bs, lags in specs]
+        pieces = [_Piece(bs, _slope(bs), lags, N + 1, prec) for bs, lags in specs]
         c1, c2, c3, c4 = (piece.correlate for piece in pieces)
-        width = fld.prec + ((N + 1) * (D + 3)).bit_length() + 1     # as in `_power_sums`
+        width = prec + ((N + 1) * (D + 3)).bit_length() + 1     # as in `_power_sums`
         inner = []
         for (xms, xes), a_cq, a_d in zip(
                 _powers([(1, 0)] * (N + 1), _geometric(a * c * q**2, q, N + 1, wp), D + 1, width),
@@ -417,11 +415,11 @@ class MomentTable:
                       if y and max(za, zb - lag) < min(len(us), len(bs) - lag)]
         self.weight_positive = min(signs, default=0) > 0
         outer = _products(yfacs, _geometric((1 - q) ** 2, q, 1, wp) * len(yfacs))
-        return [_power_sums(_products(outer, sums), ypos + dlat, D + 1, fld.prec)
-                for sums in inner]
+        return [_power_sums(_products(outer, sums), ypos + dlat, D + 1, prec, D + 1 - i)
+                for i, sums in enumerate(inner)]
 
     def moment(self, i: int, j: int):
-        return self.field.from_man_exp(self._fixed[i, j], self._low)
+        return Fraction(self._fixed[i, j], 1 << -self._low)
 
     def _dot(self, nums: dict, si: int = 0, sj: int = 0) -> int:
         """sum_m nums[m] F(m + (si, sj)), exact."""
@@ -429,30 +427,25 @@ class MomentTable:
             return sum(n * self._fixed[i + si, j + sj] for (i, j), n in nums.items())
         except KeyError as err:
             i, j = err.args[0]
-            raise ValueError(f"the moment table covers x^i y^j for i, j <= {self.max_degree}; "
+            raise ValueError(f"the moment table covers x^i y^j for i + j <= {self.max_degree}; "
                              f"x^{i} y^{j} is outside it") from None
 
     def integrate(self, poly: BiPoly):
-        """The moment functional applied to an exact polynomial: the exact
-        sum of its integer numerators times the moments' exact pairs,
-        rounded once and divided by its denominator in the field (within
-        2^(1 - prec) of the exact sum over the pairs)."""
-        return self.field.from_man_exp(self._dot(poly.nums), self._low) / poly.den
+        """The moment functional of an exact polynomial: its integer
+        numerators times the moments' exact pairs, over its denominator."""
+        return Fraction(self._dot(poly.nums), poly.den << -self._low)
 
     def gram(self, polys) -> list:
-        """G[a][b] = G[b][a] = integrate(polys[a] * polys[b]), bit for bit,
-        no product formed: w_a(s) = sum_m n_a(m) F(m + s) contracts each
-        polynomial once, and a pair's dot product, the exact sum over the
-        product's unreduced numerators, divided by their content
-        (`product_dens`) is the integer that `integrate` rounds."""
+        """G[a][b] = G[b][a] = integrate(polys[a] * polys[b]), no product
+        formed: w_a(s) = sum_m n_a(m) F(m + s) contracts each polynomial
+        once, and a pair is one dot product over den_a den_b."""
         shifts = {s for poly in polys for s in poly.nums}
         ws = [{s: self._dot(poly.nums, *s) for s in shifts} for poly in polys]
         G = [[None] * len(polys) for _ in polys]
-        for a, (pa, w, dens) in enumerate(zip(polys, ws, product_dens(polys))):
-            for b, den in enumerate(dens, a):
-                pb = polys[b]
-                X = sum(n * w[s] for s, n in pb.nums.items()) // (pa.den * pb.den // den)
-                G[a][b] = G[b][a] = self.field.from_man_exp(X, self._low) / den
+        for a, (pa, w) in enumerate(zip(polys, ws)):
+            for b, pb in enumerate(polys[a:], a):
+                X = sum(n * w[s] for s, n in pb.nums.items())
+                G[a][b] = G[b][a] = Fraction(X, pa.den * pb.den << -self._low)
         return G
 
 

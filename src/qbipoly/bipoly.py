@@ -13,8 +13,7 @@ denominators), ``reduced`` (one content gcd), ``combine`` (scaled forms over
 one common denominator) and ``pearson_step`` (the Rodrigues difference step)
 bring a result to the reduced form; ``lift_pairs`` brings int pairs to their lcm
 (the operator's six part coefficients), ``lowest_terms`` reads entries
-back, ``product`` gives the unreduced numerators of a product, and
-``product_dens`` the denominators of unformed products.
+back, and ``product`` gives the unreduced numerators of a product.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
 nothing writes a form after construction.
 
@@ -100,16 +99,6 @@ def lowest_terms(nums: dict, den: int, keys) -> list:
         g = math.gcd(n, den)
         out.append((k, n // g, den // g))
     return out
-
-
-def product_dens(polys) -> list:
-    """[[the den of the form of polys[a] * polys[b] for b >= a] for each a],
-    no product formed: by Gauss's lemma the content of a product of integer
-    polynomials is the product of their contents, so that form reduces by
-    gcd(den_a den_b, content_a content_b)."""
-    dc = [(p.den, math.gcd(*p.nums.values())) for p in polys]
-    return [[da * db // math.gcd(da * db, ca * cb) for db, cb in dc[a:]]
-            for a, (da, ca) in enumerate(dc)]
 
 
 def product(a: dict, b: dict) -> dict:

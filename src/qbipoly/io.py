@@ -1,15 +1,13 @@
 """Serialization (JSON/CSV with exact fractions), the equation file format,
 and atomic writes.
 
-Scalars travel as decimal-free numerator/denominator strings; float-lane
-report values as decimal strings with the digits their precision carries.
-Every JSON document carries schema_version.
+Scalars travel as decimal-free numerator/denominator strings.  Every JSON
+document carries schema_version.
 Files are written to a uniquely named temporary sibling and renamed, so
 failures leave neither partial outputs nor temp files.
 """
 
 import csv
-import math
 import os
 from fractions import Fraction
 from io import StringIO
@@ -34,13 +32,6 @@ def frac_str(v: Fraction) -> str:
 
 def _pair_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def mp_str(v) -> str:
-    """v to the decimal digits its binary precision carries."""
-    import mpmath
-
-    return mpmath.nstr(v, int(v.context.prec * math.log10(2)))
 
 
 def poly_to_json(p: BiPoly) -> list:

@@ -131,20 +131,20 @@ def _powers(terms, bases, degree: int, width: int):
         yield ms, es
 
 
-def _power_sums(terms, bases, degree: int, prec: int) -> list:
-    """[sum_k t_k x_k^i for i = 1..degree] as exact pairs (S, E) meaning
+def _power_sums(terms, bases, degree: int, prec: int, count: int) -> list:
+    """[sum_k t_k x_k^i for i = 1..count <= degree] as exact pairs (S, E),
     S 2^E, from integer pairs (mantissa, exponent) t_k and x_k != 0; zero
     terms are skipped.  Terms are integers of at least prec + g bits, g =
-    bitlen(n (degree + 2)) + 1 for n terms (`_powers`).  Sum i has the
-    binary point of its largest exponent, at least prec + g - 1 bits below
-    its largest term, so the truncations (under a unit per step and per
-    alignment) total under 2^-prec times that term."""
+    bitlen(n (degree + 2)) + 1 for n terms (`_powers`), whatever the count.
+    Sum i has the binary point of its largest exponent, at least prec + g
+    - 1 bits below its largest term, so the truncations (under a unit per
+    step and per alignment) total under 2^-prec times that term."""
     nodes = [(t, x) for t, x in zip(terms, bases) if t[0]]
     if not nodes:
-        return [(0, 0)] * degree
+        return [(0, 0)] * count
     width = prec + (len(nodes) * (degree + 2)).bit_length() + 1
     out = []
-    for ms, es in _powers(*zip(*nodes), degree, width):
+    for ms, es in _powers(*zip(*nodes), count, width):
         top = max(es)
         out.append((sum(m >> (top - e) for m, e in zip(ms, es)), top))
     return out

@@ -99,18 +99,25 @@ def _along(E, n: int, axis: int) -> list:
     return out
 
 
-def _same(left: tuple, right: tuple) -> bool:
-    """prod(left) == prod(right) for tuples of BiPolys, on their unreduced
-    products with the denominators crossed."""
-    (ln, ld), (rn, rd) = ((functools.reduce(product, [p.nums for p in side]), math.prod(p.den for p in side))
-                          for side in (left, right))
-    return {m: n * rd for m, n in ln.items() if n} == {m: n * ld for m, n in rn.items() if n}
+def _form(*factors) -> tuple:
+    """(unreduced numerators, den) of a product of BiPolys and such pairs."""
+    pairs = [(f.nums, f.den) if isinstance(f, BiPoly) else f for f in factors]
+    return functools.reduce(product, [n for n, _ in pairs]), math.prod(d for _, d in pairs)
 
 
-def _order_rows(xk: tuple, yl: tuple, a12a: BiPoly, a: BiPoly) -> dict:
+def _same(left: tuple, right: tuple, scale=1) -> bool:
+    """scale prod(left) == prod(right) for tuples of ``_form`` factors, on
+    their unreduced products with the denominators crossed."""
+    (ln, ld), (rn, rd) = _form(*left), _form(*right)
+    ls, rs = rd * scale.numerator, ld * scale.denominator
+    return {m: n * ls for m, n in ln.items() if n} == {m: n * rs for m, n in rn.items() if n}
+
+
+def _order_rows(xk: tuple, yl: tuple, a12a: BiPoly, pa: tuple, scale) -> dict:
     """{row: held} of one order's key, ratio_left and ratio_right, from its
-    ``_along`` rows, a12a and a = q^(2-k-l) a12d(qx,qy).  With the scalars
-    split off, G1 G2(qx,y) = N_L/D_L and G1(x,qy) G2 = N_R/D_R:
+    ``_along`` rows, a12a, the k-only ``_form``s pa of Phi1 A and Phi1(x,qy)
+    A, A = a12d(qx,qy), and scale = q^(2-k-l), a = scale A.  With the
+    scalars split off, G1 G2(qx,y) = N_L/D_L and G1(x,qy) G2 = N_R/D_R:
 
         N_L = Phi1 Phi2(qx,y),  D_L = W1(qx,y) W2(qx,qy),
         N_R = Phi1(x,qy) Phi2,  D_R = W1(qx,qy) W2(x,qy).
@@ -118,11 +125,11 @@ def _order_rows(xk: tuple, yl: tuple, a12a: BiPoly, a: BiPoly) -> dict:
     key is N_L D_R = N_R D_L, ratio_left N_L a = a12a D_L, ratio_right the
     same with N_R and D_R.  With a12d nonzero the ratio rows imply key, as
     (N_L D_R - N_R D_L) a = D_R (N_L a - a12a D_L) - D_L (N_R a - a12a D_R),
-    so key is formed only where one fails or a12d vanishes."""
+    so key is formed only where one fails or Phi1 A vanishes."""
     (p1, p1y, w2y, w2xy), (p2, p2x, w1x, w1xy) = xk, yl
-    held = {"ratio_left": _same((p1, p2x, a), (a12a, w1x, w2xy)),
-            "ratio_right": _same((p1y, p2, a), (a12a, w1xy, w2y))}
-    return {**held, "key": all(held.values()) and not a.is_zero()
+    held = {"ratio_left": _same((pa[0], p2x), (a12a, w1x, w2xy), scale),
+            "ratio_right": _same((pa[1], p2), (a12a, w1xy, w2y), scale)}
+    return {**held, "key": all(held.values()) and bool(pa[0][0])
             or _same((p1, p2x, w1xy, w2y), (p1y, p2, w1x, w2xy))}
 
 
@@ -130,7 +137,8 @@ def order_zero_rows(E: EquationCoeffs) -> dict:
     """E's order-(0,0) ``_order_rows``."""
     q = E.qp.q
     (xk,), (yl,) = _along(E, 0, 0), _along(E, 0, 1)
-    return _order_rows(xk, yl, E.a12a, E.a12d.scale_args(q, q) * q**2)
+    a = E.a12d.scale_args(q, q)
+    return _order_rows(xk, yl, E.a12a, (_form(xk[0], a), _form(xk[1], a)), q**2)
 
 
 def _admissible(E: EquationCoeffs) -> None:
@@ -190,10 +198,11 @@ def verify_pearson_identities(E: EquationCoeffs, k_max: int, l_max: int) -> dict
     q = E.qp.q
     report = {"ratio_left": {}, "ratio_right": {}, "key": {}, "coupling": {}}
     xs, ys = _along(E, k_max + 1, 0), _along(E, l_max + 1, 1)
-    a12d_qq = E.a12d.scale_args(q, q)
+    a = E.a12d.scale_args(q, q)
+    pas = [(_form(p1, a), _form(p1y, a)) for p1, p1y, *_ in xs[:-1]]
     for (k, xk), (l, yl) in itertools.product(enumerate(xs[:-1]), enumerate(ys[:-1])):
-        a = a12d_qq * q ** (2 - k - l)
-        for row, held in _order_rows(xk, yl, E.a12a.scale_args(q**k, q**l), a).items():
+        rows = _order_rows(xk, yl, E.a12a.scale_args(q**k, q**l), pas[k], q ** (2 - k - l))
+        for row, held in rows.items():
             report[row][k, l] = held
         report["coupling"][k, l] = _same((ys[l + 1][2], xk[3]), (xs[k + 1][2], yl[3]))
     report["ok"] = all(v for rows in report.values() for v in rows.values())

@@ -1,40 +1,33 @@
-"""Scalars: exact rationals everywhere, binary floats for infinite sums.
+"""Scalars and the precision policy.
 
-Every algebraic object in the library (polynomials, polynomial vectors,
-matrices) holds exact rationals only, taken in through ``as_fraction`` and
-stored in the one sparse form of ``bipoly`` (integer numerators over a
-common denominator), so every identity is decided exactly.  The float lane exists only for infinite sums (Jackson
-moments, infinite q-Pochhammers), where exactness is impossible: a
-``FloatField`` owns an mpmath context at its precision and builds its
-values there; every operation on them (a Fraction or int on either side,
-any mpf on the right) rounds at that precision, so float results never
-depend on mpmath.mp.prec.  mpmath is imported when the first ``FloatField``
-is built (``MomentTable``, the orthogonality suite), so ``check`` and
-``generate`` for the exact families never load it.
+Algebraic objects hold exact rationals only (``as_fraction``), so
+identities are decided exactly.  The Jackson moments (``MomentTable``) are
+fixed-point integer sums, returned exactly, so the orthogonality gates are
+exact too; ``float_str`` rounds a reported value once, when printed.
+``FloatField`` keeps mpf numbers in a private mpmath context at its
+precision (``qcalc.qpochhammer_inf``).  No float depends on mpmath.mp.prec,
+and mpmath loads with the first printed float or ``FloatField``: ``check``
+and ``generate`` never load it.
 
 ``Record`` and ``FrozenRecord`` are the library's plain record classes, in
 place of ``dataclasses``, whose import (it brings ``inspect``) and generated
 methods every command would pay for at start.
 """
 
+import math
 from fractions import Fraction
 
 
 class FloatField:
-    """Binary floats at a fixed precision (>= 64 bits) in a private mpmath
-    context ``ctx`` at ``prec``; values built here carry it, so arithmetic
-    on them ignores ``mpmath.mp.prec`` (use ``ctx.sqrt``, ``ctx.fsum``).
-
-    No identity is decided here.  ``tail_eps`` is the truncation threshold 2**(8 - prec) used when cutting geometric
-    tails of infinite products and sums.
-    """
+    """mpf numbers at a fixed precision (>= 64 bits) in a private mpmath
+    context ``ctx``, so arithmetic on them ignores ``mpmath.mp.prec``;
+    ``tail_eps`` = 2**(8 - prec) cuts geometric tails."""
 
     def __init__(self, prec: int):
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
         import mpmath
 
-        self.prec = prec
         self.ctx = mpmath.MPContext()
         self.ctx.prec = prec
         self.one = self.ctx.mpf(1)
@@ -45,9 +38,24 @@ class FloatField:
             return self.ctx.mpf(value.numerator) / value.denominator
         return self.ctx.mpf(value)
 
-    def from_man_exp(self, m: int, e: int):
-        """m * 2**e rounded once to the field's precision."""
-        return self.ctx.ldexp(self.ctx.mpf(m), e)
+
+def float_str(value, prec: int, root: bool = False) -> str:
+    """v (a Fraction or int pair num, den > 0), or its root if root, rounded
+    once to nearest at prec bits, as ``mpmath.nstr`` prints it to
+    int(prec log10 2) digits.  m = floor(v 2^s) has prec + 2 bits or more;
+    a v that is not m 2^-s lies strictly between m and m + 1: it rounds as
+    m + 1/2 does."""
+    from mpmath import libmp
+
+    num, den = value if type(value) is tuple else (value.numerator, value.denominator)
+    sign, num, k = -1 if num < 0 else 1, abs(num), 2 if root else 1
+    s = prec + 3 - (num.bit_length() - den.bit_length()) // k
+    m, rest = divmod(num << max(k * s, 0), den << max(-k * s, 0))
+    if root:
+        r, m = m, math.isqrt(m)
+        rest = rest or m * m != r
+    man = libmp.from_man_exp(sign * (2 * m + bool(rest)), -s - 1, prec, libmp.round_nearest)
+    return libmp.to_str(man, int(prec * math.log10(2)))
 
 
 class Record:

@@ -20,13 +20,14 @@ from .bigqjacobi import (BigQJacobiParams, ClassicalParams, MomentTable,
                          preset_equation)
 from .bipoly import BiPoly
 from .equation import apply_operator
-from .io import frac_str, mp_str
+from .io import frac_str
 from .linalg import Mat, mat_diff
 from .monic import (generalized_inverse_L, generate_monic_oracle,
                     generate_monic_rf, joint_L,
                     s_matrix_closed_form, t_matrix_closed_form, ttr_matrices)
 # rodrigues_poly: perfbench/test_perfbench.py checks the tracer rebinds this name
 from .rodrigues import rodrigues_family, rodrigues_poly  # noqa: F401
+from .scalars import float_str
 
 ORTH_TOL = Fraction(1, 10**25)
 #: the float lane's working precision (bits) and Jackson truncation when
@@ -78,8 +79,10 @@ def _eigenspace_rows(names, label, sol, entries, m):
 
 def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
     """Pairwise normalized inner products, positive norms, a nonsingular
-    H_1 = L(x P_1^T) and positive node weights (exact signs); every value
-    of L comes from `MomentTable.gram`.
+    H_1 = L(x P_1^T) and positive node weights (exact signs), each gate
+    decided on the exact rationals of `MomentTable.gram` (a pair: both
+    norms pass and G_ij^2 < tol^2 G_ii G_jj).  A value is rounded once,
+    when printed (`float_str`; nan where G_ii G_jj <= 0).
 
     For the scalar-indexed explicit family every distinct index pair must
     vanish.  The monic and Rodrigues solutions are vector families: the
@@ -94,26 +97,27 @@ def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
     for family, total, label, poly in _solution_inventory(p, fam, ORTH_TOTAL):
         groups.setdefault(family, []).append((total, label, poly))
 
-    rows = []
-    tol = moments.field.of(ORTH_TOL)
-    grams = {}
+    rows, grams = [], {}
     for family, members in groups.items():
         grams[family] = G = moments.gram([poly for _, _, poly in members])
         for i, (_, label, _) in enumerate(members):
-            rows.append(("norm", label, "", mp_str(G[i][i]), str(G[i][i] > 0)))
+            rows.append(("norm", label, "", float_str(G[i][i], prec), str(G[i][i] > 0)))
+    tol = ORTH_TOL ** 2
     for family, members in sorted(groups.items()):
         G = grams[family]
         for (i, (ta, la, _)), (j, (tb, lb, _)) in itertools.combinations(enumerate(members), 2):
-            val = abs(G[i][j]) / moments.field.ctx.sqrt(G[i][i] * G[j][j])
-            if family == "nonmonic" or ta != tb:
-                rows.append(("pair", la, lb, mp_str(val), str(val < tol)))
-            else:
-                rows.append(("gram_entry", la, lb, mp_str(val), "info"))
+            gij, gii, gjj = G[i][j], G[i][i], G[j][j]  # num/den = G_ij^2/(G_ii G_jj)
+            num = gij.numerator ** 2 * gii.denominator * gjj.denominator
+            den = gij.denominator ** 2 * gii.numerator * gjj.numerator
+            val = float_str((num, den), prec, root=True) if den > 0 else "nan"
+            held = str(gii > 0 < gjj and num * tol.denominator < tol.numerator * den)
+            rows.append(("pair", la, lb, val, held) if family == "nonmonic" or ta != tb
+                        else ("gram_entry", la, lb, val, "info"))
 
     # H_1[r][c] = L(x^(1-r) y^r P_1[c]): rows 0-1, columns 2-3
     h1 = [row[2:] for row in moments.gram([BiPoly.x(), BiPoly.y(), *fam.vectors[1]])[:2]]
     det = h1[0][0] * h1[1][1] - h1[0][1] * h1[1][0]
-    rows.append(("H1_nonsingular", "det", "", mp_str(det), str(abs(det) > tol)))
+    rows.append(("H1_nonsingular", "det", "", float_str(det, prec), str(abs(det) > ORTH_TOL)))
     rows.append(("weight_positive", "every node weight", f"truncation={truncation}",
                  "exact sign", str(moments.weight_positive)))
     return _report(rows)

@@ -198,7 +198,7 @@ def test_equation_caches_on_its_frozen_instance():
 #: each with the reason it stays
 TEST_REFERENCES = {
     "mat_to_json": "io: the documented view of a Mat leaf, the JSON writer's reference",
-    "moment": "MomentTable: one moment as a field value, the engine's reference moments",
+    "moment": "MomentTable: one moment as an exact rational, the engine's reference moments",
 }
 
 

@@ -7,7 +7,7 @@ import mpmath
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qbipoly.bipoly import BiPoly, pearson_step, product_dens
+from qbipoly.bipoly import BiPoly, pearson_step
 from qbipoly.linalg import Mat
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
 from qbipoly.scalars import FloatField
@@ -96,23 +96,6 @@ def test_ring_axioms(p, r, s):
     assert p * (r + s) == p * r + p * s
     assert (p * r) * s == p * (r * s)
     assert p * r == r * p
-
-
-@seed(84)
-@settings(max_examples=60, deadline=None, database=None)
-@given(st.lists(poly_st, min_size=1, max_size=4), st.lists(st.integers(1, 12), min_size=4,
-                                                          max_size=4))
-def test_product_dens_is_the_den_of_each_product(polys, scales):
-    """product_dens gives the den of the form of every pairwise product
-    without forming it, also where integer contents cancel a denominator
-    (each polynomial scaled by an integer) and for the zero polynomial."""
-    polys = [poly * k for poly, k in zip(polys, scales)] + [BiPoly.zero()]
-    dens = product_dens(polys)
-    assert [len(row) for row in dens] == list(range(len(polys), 0, -1))
-    for a, row in enumerate(dens):
-        for b, den in enumerate(row, a):
-            assert den == (polys[a] * polys[b]).den
-    assert product_dens([(x * 9 - 3) * Fraction(1, 2), x * y * Fraction(2, 3)])[0] == [4, 1]
 
 
 def test_power_and_division():

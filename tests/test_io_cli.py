@@ -785,6 +785,49 @@ def test_orthogonality_gate_accepts_sufficient_settings():
     _check_orthogonality_gate(F(17, 20), 109, 367)  # and for q = 17/20
 
 
+#: two points where the gate accepts a precision at which the report of
+#: orthogonal polynomials fails: at d = -1000 the moments reach 1e41 and 23
+#: pair rows read 1.3e-25 to 9e-22 at 128/96 (160/96 passes); at point 23 of
+#: tests/test_bigqjacobi.py's sweep_points(40) (aq = cq = 12/13, q = 2/3)
+#: every pair fails at the 109/147 that the gate accepts (192/147 passes and
+#: 192/300 fails again)
+GATE_MISSES = {
+    "d=-1000": (("a=1/1000", "b=1/1000", "c=1/1000", "d=-1000", "q=1/2"), 128, 96),
+    "sweep-23": (("a=18/13", "b=12/13", "c=18/13", "d=-16/13", "q=2/3"), 109, 147),
+}
+
+
+def _verify_argv(params, precision, truncation) -> list:
+    return ["verify", *P, "--suite", "orthogonality", *(f"--param={v}" for v in params),
+            "--precision", str(precision), "--truncation", str(truncation)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the gate's rounding term 2^(24 - precision) ignores how large the moments and the "
+    "terms of their sums are"))
+@pytest.mark.parametrize("point", sorted(GATE_MISSES))
+def test_orthogonality_passes_where_the_gate_accepts(capsys, point):
+    params, precision, truncation = GATE_MISSES[point]
+    _check_orthogonality_gate(Fraction(params[-1][2:]), precision, truncation)
+    assert main(_verify_argv(params, precision, truncation)) == 0
+
+
+def test_orthogonality_passes_at_d_minus_1000_with_more_precision(capsys):
+    assert main(_verify_argv(GATE_MISSES["d=-1000"][0], 160, 96)) == 0
+
+
+def test_orthogonality_request_builds_no_mpmath_context(monkeypatch, capsys):
+    # the report's values are exact rationals, each rounded once when printed
+    import mpmath
+
+    built = []
+    init = mpmath.MPContext.__init__
+    monkeypatch.setattr(mpmath.MPContext, "__init__", lambda self: built.append(self) or init(self))
+    assert main(["verify", *P, "--suite", "orthogonality", "--precision", "120",
+                 "--truncation", "96"]) == 0
+    assert built == []
+
+
 def test_cli_malformed_file_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.eq"
     path.write_text("q = not-a-number\n")
@@ -1194,7 +1237,7 @@ def test_exact_commands_load_no_mpmath_dataclasses_or_future(tmp_path):
 
 
 def test_python_m_orthogonality_matches_its_golden_digest(tmp_path):
-    # the float lane's first FloatField imports mpmath in this run
+    # printing the report's first float value imports mpmath in this run
     argv, digest = CASES["verify-orthogonality-120-96"]
     proc = fresh_python(tmp_path, "-m", "qbipoly", *argv)
     assert proc.returncode == 0, proc.stderr

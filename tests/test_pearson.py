@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -195,6 +196,20 @@ def test_report_forms_no_rational_function_arithmetic(equation, monkeypatch):
 
     monkeypatch.setattr(BiPoly, "div_exact", refuse)
     assert verify_pearson_identities(equation, 2, 2)["ok"]
+
+
+def test_check_forms_each_k_only_product_once(monkeypatch, capsys):
+    # phi1(q^k x, y) a12d(qx,qy) and phi1(q^k x, qy) a12d(qx,qy) vary with k
+    # alone: formed once per k, with q^(2-k-l) carried as a scalar, `check`
+    # at q = 9/10 makes 78 products (90 when each order formed its own)
+    from qbipoly.cli import main
+
+    calls = []
+    real = pearson_module.product
+    monkeypatch.setattr(pearson_module, "product", lambda a, b: calls.append(1) or real(a, b))
+    assert main(["check", "--preset", "big-q-jacobi", "--param", "q=9/10"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(calls) <= 78
 
 
 # every order's data from the order-(0,0) data ----------------------------------

@@ -57,7 +57,13 @@ def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
 
 
 def test_readme_api_example_runs():
-    exec(compile(fenced("### Quick start (API)", "python"), "README.md", "exec"), {})
+    """The example runs, and its last line's comment opens with the value
+    of the line's expression, a float of the exact integral."""
+    code = fenced("### Quick start (API)", "python")
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    expression, comment = code.strip().splitlines()[-1].split("#")
+    assert repr(eval(expression, names)) == comment.split()[0].rstrip(":")
 
 
 def test_readme_equation_file_is_the_preset_point(tmp_path, capsys):

@@ -706,7 +706,7 @@ def rodrigues_orthogonality_check(E, n: int, m: int, functional) -> dict:
 
 
 def test_orthogonality_against_lower_degrees(equation, moments):
-    tol = moments.field.of(F(1, 10 ** 25))
+    tol = F(1, 10 ** 25)
     norm = moments.integrate(BiPoly.const(1))
     rep = rodrigues_orthogonality_check(equation, 1, 0, moments.integrate)
     assert abs(rep[(0, 0)]) / norm < tol
