@@ -4,12 +4,12 @@ representation, the orthogonality weight with its Jackson moment engine, and
 the q -> 1 classical targets (Appell-type monic family, Jacobi-product
 family, classical Rodrigues, classical operator)."""
 
+import math
 from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form
 from .equation import EquationCoeffs
-from .jackson import (_Piece, _geometric, _ladder, _power_sums, _powers,
-                      _products, _quotient, _sign, _slope)
+from .jackson import _geometric, _ladder, _power_sums, _products, _signs
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
@@ -260,102 +260,141 @@ def check_weight_params(p: BigQJacobiParams) -> None:
                          f"got c={p.c}, q={q}")
 
 
-def _node_factors(p: BigQJacobiParams, N: int, wp: int) -> tuple:
-    """The weight's node factors at truncation N as integer pairs, each
-    within 2^(2 - wp) relative (`_ladder` values within 2^-wp, one
-    truncation to wp bits): (A_cq, B_cq, A_d, B_d, B_neg, yfacs), in the
-    layout of `MomentTable`.  A, B and B_neg are `_ladder` ratios; the
-    outer factors yfac reuse B_d and B_neg with one exact rational each,
-    since (z q^(k-1); q)_inf = (1 - z q^(k-1)) (z q^k; q)_inf."""
+def _node_signs(p: BigQJacobiParams, N: int) -> tuple:
+    """The signs (-1, 0 or 1) of the weight's node factors at truncation N,
+    exactly (`_signs`): (A_cq, B_cq, A_d, B_d, B_neg, yfacs).  The node
+    weight at x = cqy q^r (x > 0), x = d q^{1+r} (x < 0), y = a q^{1+t} (y >
+    0) and y = d q^{1+t} (y < 0) is yfac(t) A(r) B(index), each a ratio of
+    factors (z q^k; q)_inf; the lists run over r, t + r and r - t (+ N),
+    and yfacs over y > 0, then y < 0."""
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
 
-    def ladder(ups, downs, lo, hi):
-        return _ladder(ups, downs, q, lo, hi, wp)
+    def signs(ups, downs, lo, hi):
+        return _signs(ups, downs, q, lo, hi)
 
-    # the comments name the weight factors of each ratio, at x = cqy q^r
-    # (x > 0), x = d q^{1+r} (x < 0), y = a q^{1+t} (y > 0) and
-    # y = d q^{1+t} (y < 0); the lists run over r, t + r and r - t (+ N)
-    A_cq = ladder([q], [c * q], 0, N)                               # x/(cy) / x/y
-    B_cq = ladder([a * c * q**2 / d], [a * b * c * q**2 / d], 0, 2 * N)  # x/d / bx/d
-    A_d = ladder([q], [b * q], 0, N)                                # x/d / bx/d
-    B_d = ladder([d / (a * c)], [d / a], -N, N)                     # x/(cy) / x/y
+    # the comments name the weight factors of each ratio
+    B_d = signs([d / (a * c)], [d / a], -N, N)                      # x/(cy) / x/y
     # x/(cy) over x/y less its vanishing factor (the continuous limit)
-    B_neg = ladder([1 / c], [Fraction(1)], -N, 0)
-    # the outer factors (y/a) (y/d) over (cqy/d) (y) at y = a q^{1+t}, then
-    # y = d q^{1+t}; the rest, (dq/y) over y (d/(cy)), with (dq/y) -> drop
-    # on y < 0, is 1 / (B(-t) (y_t - d/c)), B = B_d, then B_neg
-    Ypos = ladder([q, a * q / d], [a * c * q**2 / d, a * q], 0, N)
-    Yneg = ladder([d * q / a, q], [c * q**2, d * q], 0, N)
+    B_neg = signs([1 / c], [Fraction(1)], -N, 0)
+    # yfac: (y/a) (y/d) over (cqy/d) (y), then (dq/y) over y (d/(cy)), with
+    # (dq/y) -> drop on y < 0 (as a divisor, so that its factor is dropped)
     yfacs = []
-    dc = d / c
-    for ys, bs, y0 in ((Ypos, B_d, a), (Yneg, B_neg, d)):
-        yn, yd = (y0 * q).numerator, (y0 * q).denominator
-        for t in range(N + 1):
-            # y_t - d/c = u/v
-            u, v = yn * dc.denominator - dc.numerator * yd, yd * dc.denominator
-            yfacs.append(_quotient([ys[t], (v, 0)], [bs[N - t], (u, 0)], wp))
-            yn, yd = yn * q.numerator, yd * q.denominator
-    return A_cq, B_cq, A_d, B_d, B_neg, yfacs
+    for y0, ys, rest in ((a, signs([q, a * q / d], [a * c * q**2 / d, a * q], 0, N),
+                          signs([d / (a * c * q)], [d / a], -N, 0)),
+                         (d, signs([d * q / a, q], [c * q**2, d * q], 0, N),
+                          signs([1 / (c * q)], [Fraction(1)], -N, 0))):
+        yfacs += [((y0 > 0) - (y0 < 0)) * u * v for u, v in zip(ys, rest[::-1])]
+    return (signs([q], [c * q], 0, N),                                # x/(cy) / x/y
+            signs([a * c * q**2 / d], [a * b * c * q**2 / d], 0, 2 * N),  # x/d / bx/d
+            signs([q], [b * q], 0, N), B_d, B_neg, yfacs)             # x/d / bx/d
+
+
+def _weight_positive(signs, N: int) -> bool:
+    """Some node weight yfac(t) A(r) B(index) of the truncated lattice is
+    positive and none is negative, from the signs of `_node_signs`: per
+    lattice piece and outer node t, bit r of two masks marks a negative
+    and a nonzero product A(r) B(index)."""
+    def masks(s):
+        return (sum(1 << k for k, v in enumerate(s) if v < 0),
+                sum(1 << k for k, v in enumerate(s) if v))
+
+    A_cq, B_cq, A_d, B_d, B_neg = map(masks, signs[:5])
+    yfacs = signs[5]
+    negative = nonzero = False
+    for t in range(N + 1):
+        # per lattice piece: A, B, B's index at r = 0, the count of r, yfac(t)
+        for (an, az), (bn, bz), start, count, y in (
+                (A_cq, B_cq, t, N + 1, yfacs[t]), (A_d, B_d, N - t, N + 1, yfacs[t]),
+                (A_d, B_neg, N - t, t + 1, yfacs[N + 1 + t])):
+            if y:
+                z = az & (bz >> start) & ((1 << count) - 1)
+                n = (an ^ (bn >> start)) & z
+                nonzero |= z != 0
+                negative |= (n ^ z if y < 0 else n) != 0
+    return nonzero and not negative
+
+
+def _outer_weights(p: BigQJacobiParams, N: int, wp: int) -> list:
+    """[(1 - q) G(y_t)] at y_t = a q^{1+t}, then -(1 - q) G(y_t) at y_t = d
+    q^{1+t}, t = 0..N, as integer pairs within 2^(3 - wp) relative, where
+
+        G(y) = cq (1 - q) (q, bcq^2; q)_inf / (cq, bq; q)_inf
+               * (y/a, y/d; q)_inf / (y, bcqy/d; q)_inf
+
+    is the weight's y part times its inner x-integral (`MomentTable`): one
+    `_ladder` per outer branch and one for the constant."""
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    bcq2 = b * c * q * q
+    const = _products(_ladder([q, bcq2], [c * q, b * q], q, 0, 0, wp),
+                      _geometric(c * q * (1 - q) ** 2, q, 1, wp))
+    pos = _ladder([q, a * q / d], [a * q, a * bcq2 / d], q, 0, N, wp)
+    neg = _ladder([d * q / a, q], [d * q, bcq2], q, 0, N, wp)
+    return _products(pos + [(-m, e) for m, e in neg], const * (2 * N + 2))
+
+
+def _conditional_moments(p: BigQJacobiParams, D: int) -> list:
+    """[(nums, den)] for i = 0..D, the `exact_form` of Q_i(y) = sum_m
+    nums[m] y^m / den: the inner x-integral of x^i at y over that of 1
+    (`MomentTable`).  With z = bx/d, z (z; q)_k = q^-k ((z; q)_k - (z;
+    q)_(k+1)) gives z^i = sum_k C_ik (z; q)_k, and the inner integral of
+    (z; q)_k is that of 1 times (bq, bcqy/d; q)_k / (bcq^2; q)_k (the
+    closed form at b q^k), so
+
+        Q_i(y) = (d/b)^i sum_k C_ik (bq; q)_k / (bcq^2; q)_k (bcqy/d; q)_k."""
+    q, b, c, d = p.qp.q, p.b, p.c, p.d
+    C, P, w = [[Fraction(1)]], [[Fraction(1)]], [Fraction(1)]
+    for k in range(D):
+        C.append([(u - q * v) / q**j for j, (u, v) in enumerate(zip(C[-1] + [0], [0] + C[-1]))])
+        P.append([u - b * c * q ** (k + 1) / d * v for u, v in zip(P[-1] + [0], [0] + P[-1])])
+        w.append(w[-1] * (1 - b * q ** (k + 1)) / (1 - b * c * q ** (k + 2)))
+    return [exact_form((m, (d / b) ** i * sum(row[k] * w[k] * P[k][m] for k in range(m, i + 1)))
+                       for m in range(i + 1)) for i, row in enumerate(C)]
 
 
 class MomentTable:
     """The Jackson moments M_ij = L(x^i y^j) of the orthogonality functional
-    on the triangle i + j <= max_degree, as exact rationals, in one pass
-    over the lattice.
+    on the triangle i + j <= max_degree, as exact rationals.
 
-    The double q-integral runs y over (dq -> aq) and x over (dq -> c q y),
-    both as differences of one-sided Jackson sums truncated at `truncation`.
-    On the positive outer branch (y = a q^{1+t}) the weight is the plain
-    infinite-product formula.  On the negative outer branch (y = d q^{1+t})
-    the infinite products sit at 0/0: the numerator factor (dq/y; q)_inf
-    vanishes at every node while the denominator factor (x/y; q)_inf
-    vanishes at the inner nodes x = d q^{1+r}, r <= t; the weight's node
-    values are the continuous limits, obtained by dropping the single
-    vanishing factor from both (all other nodes of that branch carry no
-    mass).
+    The double q-integral runs y over (dq -> aq) and x over (dq -> c q y).
+    At fixed y the weight's x part, (x/(cy), x/d; q)_inf / (x/y, bx/d;
+    q)_inf, is the big q-Jacobi weight in x/y with parameters (c, b, d/y),
+    and its Jackson integral over (dq -> cqy) has a closed form: the
+    orthogonality relation at m = n = 0 (Koekoek, Lesky & Swarttouw, 2010,
+    14.5.2).  Times the y part of the weight, the factors (dq/y; q)_inf,
+    (d/(cy); q)_inf and (cqy/d; q)_inf cancel, so the inner integral of x^i
+    is G(y) Q_i(y) (`_outer_weights`, `_conditional_moments`), with no inner
+    lattice and no tail.  On y = d q^{1+t} the written weight sits at 0/0
+    (the numerator's (dq/y; q)_inf and the denominator's (x/y; q)_inf
+    vanish at x = d q^{1+r}, r <= t); G Q_i is its continuous limit there,
+    dropping the single vanishing factor from both.
 
-    Every factor of the weight is (z q^k; q)_inf for one of eleven arguments
-    z and k = t, r, t + r or r - t, so a node weight is yfac(t) A(r)
-    B(index), each list a ratio of such factors (`_node_factors`).  Each
-    comes from a `_ladder` of exact-rational steps on integer pairs, kept
-    at wp = prec + 8 bits.  A Jackson node x carries (1 - q) x, so M_ij =
-    (1 - q)^2 sum_t yfac(t) y_t^(j+1) I_(i+1)(t), with the inner sum I_p(t)
-    = sum_r (+-) A B x_r^p.  On the q-linear lattice each inner sum is a
-    correlation in t, so for each power p one Kronecker product per
-    lattice piece gives every t at once (`_Piece`, which packs each piece's
-    B once per table as its even and odd slots, at half width, and reads
-    the full-width product's integers from two half-width products):
+    Only the outer Jackson sum is truncated, at `truncation` nodes past
+    each end: with mu_p = (1 - q) sum_t (+-) y_t^p G(y_t) (y = a q^{1+t}
+    taken with +, d q^{1+t} with -), M_ij = sum_m R_im mu_(j+1+m) for Q_i(y)
+    = sum_m R_im y^m.  The mu_p are one `_power_sums` call; each moment is
+    one integer sum over R_i's denominator, truncated once onto the table's
+    binary point 2^_low (at or below mu_1's, so M_00 = mu_1 exactly).
+    `moment`, `integrate` and `gram` (each pair's `integrate`, none formed)
+    return exact rationals.
 
-        y > 0, x > 0:  x_t^p sum_r [A(r) q^(pr)] B(t + r)     (x_(t+r) = x_t q^r)
-        y > 0, x < 0:  sum_r [A(r) x_r^p] B(r - t), apart at k = r - t < 0, >= 0
-        y < 0:         sum_(r <= t) [A(r) x_r^p] B(r - t)
+    Error.  Each term of mu_p is within (9 + 2p) 2^-W relative (G(y_t)
+    within 2^(3 - W), y_t within 2^(1 - W), the power sum's truncations
+    within 2^-W of its largest term), and |mu_p| <= Y^(p-1) mu_1, Y =
+    max(aq, |dq|), when each outer node's mass (1 - q) (+-) y_t G(y_t) is
+    positive (as where `weight_positive` holds).  With the last truncation
+    (under 2^-W mu_1) each moment is within (2D + 12) B 2^-W mu_1, so with
 
-    On y > 0 a node's inner sum is x_t^p c1 - c2 - c3 of the three pieces,
-    one exact integer on the least of their exponents.  The outer sums are
-    `_power_sums` at the width of the box i, j <= max_degree, so each
-    moment is the box table's pair (S, E); `moment`, `integrate` and `gram`
-    (each pair's `integrate`, none formed) return exact rationals.
+        B = max over i + j <= D of sum_m |R_im| Y^(j+m),  W = prec + g,
+        g = bitlen(ceil((2D + 12) B)),
 
-    `weight_positive` is exact: a ladder has one sign (`_sign`) and exact
-    zeros that lead it (`_ladder`), a nonzero ladder pair is within a
-    relative 2^-wp of its value, and yfac is one quotient.  So a piece and
-    outer node have weights of one exact sign or zero, and O(ladders + outer
-    nodes) decides that some node weight of the truncated lattice is
-    positive and none negative.
+    every moment is within 2^-prec M_00 of the outer sum it truncates.
+    The guard g is 5-12 bits at the tests' points (59 at d = -1000, where Y
+    = 500).
 
-    Error.  A node weight and each lattice point is within 2^(3 - wp) =
-    2^(-5 - prec) of itself.  The inner sums of all t share one fixed
-    point per piece, so the error is bounded against the outer sum's
-    largest term, not each inner sum's.  `_Piece` keeps a piece within
-    2^(1-prec) of itself where the largest levelled a value has the lag's
-    first term.  Elsewhere (x < 0 with k >= 0, chiefly) its bound is a
-    term of a nearby outer node, which the outer factor yfac(t) y_t^(j+1)
-    shrinks along t (like (cq)^t).  So each moment is within a small
-    multiple of 2^-prec of its outer sum's largest term.  At the test
-    points (q = 1/2 and 2/3) each bound so scaled stays within 2 bits of
-    that term, and the table agrees with itself at prec + 64 to within
-    2^-prec of max(|M_ij|, |M_00|) (degree 6 at 120-192 bits, at the
-    test, edge and |dq| > 1 points of the tests).
+    `weight_positive` is exact: the signs of the factors 1 - z q^j give the
+    sign of every node weight of the truncated lattice (x = cqy q^r and d
+    q^{1+r}, r <= truncation; r <= t on y < 0), with no product formed
+    (`_node_signs`, `_weight_positive`): some is positive and none negative.
     """
 
     def __init__(self, p: BigQJacobiParams, max_degree: int, truncation: int, prec: int):
@@ -363,60 +402,22 @@ class MomentTable:
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
         self.params, self.max_degree, self.truncation, self.prec = p, max_degree, truncation, prec
-        sums = self._build()
-        # the exact pairs as integers F(i, j) on one binary point 2^_low <= 1
-        self._low = min(0, *(e for row in sums for _, e in row))
-        self._fixed = {(i, j): S << (E - self._low) for i, row in enumerate(sums)
-                       for j, (S, E) in enumerate(row)}
-
-    def _build(self) -> list:
-        """The exact pairs [i][j], i + j <= max_degree; sets weight_positive."""
-        p, prec = self.params, self.prec
-        N, D = self.truncation, self.max_degree
-        q, a, c, d = p.qp.q, p.a, p.c, p.d
-        # 8 guard bits: a node weight is a product and quotient of four
-        # ladder values, each within 2^-wp, and one truncation
-        wp = prec + 8
-        A_cq, B_cq, A_d, B_d, B_neg, yfacs = _node_factors(p, N, wp)
-
-        ts = range(N + 1)
-        ypos = _geometric(a * q, q, N + 1, wp)
-        dlat = _geometric(d * q, q, N + 1, wp)      # x < 0 and y < 0
-
-        # per power, the inner sums of every t from one correlation per
-        # lattice piece (class docstring): b and the lags that give t
-        specs = [(B_cq, list(ts)), (B_d[:N], [N - t for t in ts]),
-                 (B_d[N:], [-t for t in ts]), (B_neg, [N - t for t in ts])]
-        pieces = [_Piece(bs, _slope(bs), lags, N + 1, prec) for bs, lags in specs]
-        c1, c2, c3, c4 = (piece.correlate for piece in pieces)
-        width = prec + ((N + 1) * (D + 3)).bit_length() + 1     # as in `_power_sums`
-        inner = []
-        for (xms, xes), a_cq, a_d in zip(
-                _powers([(1, 0)] * (N + 1), _geometric(a * c * q**2, q, N + 1, wp), D + 1, width),
-                _powers(A_cq, _geometric(Fraction(1), q, N + 1, wp), D + 1, width),
-                _powers(A_d, dlat, D + 1, width)):
-            sums = []       # y > 0: x_t^p c1 - c2 - c3 (class docstring)
-            for xm, xe, (m1, e1), (m2, e2), (m3, e3) in zip(xms, xes, c1(*a_cq), c2(*a_d),
-                                                             c3(*a_d)):
-                low = min(xe + e1, e2, e3)
-                sums.append((((xm * m1) << (xe + e1 - low)) - (m2 << (e2 - low))
-                             - (m3 << (e3 - low)), low))
-            inner.append(sums + c4(*a_d))
-
-        # per piece and outer node the weights yfac(t) A(r) B(r + lag) are
-        # zero or of sign yfac A B (class docstring), nonzero where A(r) and
-        # B(r + lag) are past the leading zeros of A and B
-        signs = []
-        outer_y = (yfacs,) * 3 + (yfacs[N + 1:],)
-        for (bs, lags), us, ys in zip(specs, (A_cq, A_d, A_d, A_d), outer_y):
-            sign = _sign(m for m, _ in us) * _sign(m for m, _ in bs)
-            za, zb = (next((k for k, (m, _) in enumerate(v) if m), len(v)) for v in (us, bs))
-            signs += [sign * y for lag, (y, _) in zip(lags, ys)
-                      if y and max(za, zb - lag) < min(len(us), len(bs) - lag)]
-        self.weight_positive = min(signs, default=0) > 0
-        outer = _products(yfacs, _geometric((1 - q) ** 2, q, 1, wp) * len(yfacs))
-        return [_power_sums(_products(outer, sums), ypos + dlat, D + 1, prec, D + 1 - i)
-                for i, sums in enumerate(inner)]
+        N, D = truncation, max_degree
+        q, a, d = p.qp.q, p.a, p.d
+        self.weight_positive = _weight_positive(_node_signs(p, N), N)
+        R = _conditional_moments(p, D)
+        Y = max(a * q, -d * q)
+        B = max(max(1, Y) ** (D - i) * sum(abs(n) * Y**m for m, n in nums.items()) / den
+                for i, (nums, den) in enumerate(R))
+        wp = prec + math.ceil((2 * D + 12) * B).bit_length()
+        sums = _power_sums(_outer_weights(p, N, wp),
+                           _geometric(a * q, q, N + 1, wp) + _geometric(d * q, q, N + 1, wp),
+                           D + 1, wp, D + 1)
+        # mu_p as integers on one binary point 2^_low <= 1
+        self._low = min(0, *(e for _, e in sums))
+        mu = [S << (e - self._low) for S, e in sums]
+        self._fixed = {(i, j): sum(n * mu[j + m] for m, n in nums.items()) // den
+                       for i, (nums, den) in enumerate(R) for j in range(D + 1 - i)}
 
     def moment(self, i: int, j: int):
         return Fraction(self._fixed[i, j], 1 << -self._low)

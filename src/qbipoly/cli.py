@@ -197,8 +197,9 @@ def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
     """Refuse a precision and truncation at which correct polynomials can
     miss the ORTH_TOL gate: a gated inner product of orthogonal polynomials
     is bounded by 2^(24 - precision) for rounding plus 4 q^truncation for
-    the Jackson tails.  Name the smallest values that keep each term under
-    half the gate."""
+    the outer Jackson tail (the inner integrals are closed forms, with no
+    tail).  Name the smallest values that keep each term under half the
+    gate."""
     bound = Fraction(2) ** (24 - precision) + 4 * q**truncation
     if bound < ORTH_TOL:
         return
@@ -261,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=SUITES)
     # read by the orthogonality suite only, checked for every suite
     sp.add_argument("--precision", type=int, default=ORTH_PRECISION)
-    sp.add_argument("--truncation", type=int, default=ORTH_TRUNCATION)
+    sp.add_argument("--truncation", type=int, default=ORTH_TRUNCATION,
+                    help="outer Jackson nodes past each end of the y-interval")
     return ap
 
 

@@ -1,14 +1,11 @@
 """Exact integer kernels of the Jackson moment engine (`MomentTable` in
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
 m 2^e; nothing here rounds to a float field.  Ladders of infinite
-q-Pochhammer ratios from exact-rational steps, power sums of node powers,
-and correlations of two sequences as the slots of one Kronecker product,
-read from two products of half-width packings, each with its truncation
-bound stated and checked exactly in the tests."""
+q-Pochhammer ratios from exact-rational steps and power sums of node
+powers, each with its truncation bound stated and checked exactly in the
+tests, and the exact signs of those ratios."""
 
-import itertools
 import math
-import operator
 from fractions import Fraction
 
 
@@ -18,18 +15,6 @@ def _scaled(x: int, y: int, width: int) -> tuple:
     under 2^(1 - width) of the quotient."""
     s = width + y.bit_length() - x.bit_length()
     return ((x << s) // y if s >= 0 else (x >> -s) // y), s
-
-
-def _quotient(ups, downs, width: int) -> tuple:
-    """prod(ups) / prod(downs) of integer pairs (m, e) as one pair of width
-    or width + 1 bits, truncated toward zero once: within 2^(1 - width) of
-    the exact quotient.  A zero in `downs` raises ZeroDivisionError."""
-    num, den = math.prod(m for m, _ in ups), math.prod(m for m, _ in downs)
-    if not den:
-        raise ZeroDivisionError("a quotient of integer pairs with a zero divisor")
-    m, s = _scaled(abs(num), abs(den), width)
-    return (-m if (num < 0) != (den < 0) else m,
-            sum(e for _, e in ups) - sum(e for _, e in downs) - s)
 
 
 def _geometric(v: Fraction, q: Fraction, n: int, width: int) -> list:
@@ -115,6 +100,27 @@ def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
     return out
 
 
+def _signs(ups, downs, q: Fraction, lo: int, hi: int) -> list:
+    """[the sign (-1, 0 or 1) of V(k) for k = lo..hi], V as in `_ladder`,
+    exactly and with no product: for z > 0 the factors 1 - z q^j are
+    negative for j < T, T the least integer with z q^T <= 1, and zero at j
+    = T if z q^T = 1; for z <= 0 none is negative or zero."""
+    out = [1] * (hi - lo + 1)
+    for z, up in [(z, True) for z in ups] + [(z, False) for z in downs]:
+        if z <= 0:
+            continue
+        T = math.ceil((math.log(z.numerator) - math.log(z.denominator))
+                      / (math.log(q.denominator) - math.log(q.numerator)))
+        while z * q**T > 1:
+            T += 1
+        while z * q ** (T - 1) <= 1:
+            T -= 1
+        zero = up and z * q**T == 1
+        for k in range(lo, min(hi, T) + 1):
+            out[k - lo] = 0 if zero else out[k - lo] * (-1) ** (T - k)
+    return out
+
+
 def _powers(terms, bases, degree: int, width: int):
     """Yield [t_k x_k^i] for i = 1..degree as (mantissas, exponents) lists
     from integer pairs (mantissa, exponent) t_k and x_k != 0.  Each term is
@@ -148,124 +154,6 @@ def _power_sums(terms, bases, degree: int, prec: int, count: int) -> list:
         top = max(es)
         out.append((sum(m >> (top - e) for m, e in zip(ms, es)), top))
     return out
-
-
-def _spread(mags) -> tuple:
-    """(span, rise) of a list of binades: max - min, and the most that one
-    exceeds an earlier one."""
-    rise = max(map(operator.sub, mags, itertools.accumulate(mags, min)), default=0)
-    return max(mags, default=0) - min(mags, default=0), rise
-
-
-def _slope(pairs) -> int:
-    """The slope h that best levels the nonzero pairs (m, e) for
-    `_Piece`: of the two integers nearest their mean fall in bits per
-    step, the one that gives v_k 2^(hk) the least span plus rise."""
-    mags = [(k, e + m.bit_length()) for k, (m, e) in enumerate(pairs) if m]
-    if len(mags) < 2:
-        return 0
-    fall = (mags[0][1] - mags[-1][1]) // (mags[-1][0] - mags[0][0])
-    return min((fall, fall + 1), key=lambda h: sum(_spread([e + h * k for k, e in mags])))
-
-
-def _fixed(values, point: int) -> list:
-    """|m| 2^e on the binary point 2^point, truncated to integers."""
-    return [m << (e - point) if e >= point else m >> (point - e) for m, e in values]
-
-
-def _sign(ms) -> int:
-    """The one sign of the nonzero integers ms (0 if there are none)."""
-    signs = {m > 0 for m in ms if m}
-    if len(signs) > 1:
-        raise ValueError("a correlated sequence needs one sign")
-    return (1 if True in signs else -1) if signs else 0
-
-
-def _pack(values, size: int) -> int:
-    """Nonnegative integers, each under 2^(8 size), as one integer with
-    value k at bit 8 size k."""
-    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
-
-
-class _Piece:
-    """One lattice piece of a correlation, prepared once for many a:
-    `correlate` gives [sum_r a_r b_(r+l) for l in lags] as exact pairs (C,
-    E), C 2^E, over the r with r + l inside b, as the slots of the product
-    of two packed polynomials (Kronecker substitution).  b is a list of
-    integer pairs (m, e), and each a comes as its n_a mantissas and n_a
-    exponents; b and each a have one sign, zeros allowed.
-
-    b_k 2^(hk), levelled by `_slope`, keeps prec + g + span bits at its
-    least binade and a_r 2^(-hr) prec + g + rise at its largest, A (the
-    `_spread` of the binades of the b that the lags reach; g =
-    bitlen(min(n_a, len b)) + 2), and a's zero tail is trimmed.  Lag l
-    then carries the exact 2^(-hl), so
-
-        |C 2^E - sum| < 2^-prec (|sum| + A |b_(r+l)| 2^(hr))
-
-    for the first r of lag l with b_(r+l) != 0: under 2^(1-prec) |sum|
-    when that r gives A.
-
-    A product slot holds under 2^(8 nb).  Its polynomials are evaluated at
-    +-Y, Y = 2^(8w), w = ceil(nb/2), from half-width packings: the even
-    slots and the odd slots, each at a stride of 2w bytes (Y^2), so that
-    A(+-Y) = A_even(Y^2) +- Y A_odd(Y^2).  Of h+- = A(+-Y) B(+-Y), (h+ +
-    h-)/2 holds the even slots of the product and (h+ - h-)/(2Y) its odd
-    ones, each at stride Y^2 = 2^(16w) >= 2^(8 nb): the integers of the
-    one full-width product, from two products of half its width (Harvey's
-    multipoint Kronecker substitution).
-
-    b is levelled, fixed and packed here, once; `correlate` packs only a,
-    and drops the b slots past max(lags) + len(a), which no lag reaches,
-    by shifting the two packings of b, each by half the slots, before it
-    multiplies."""
-
-    def __init__(self, b, h: int, lags, n_a: int, prec: int):
-        self.h, self.lags, self.sign = h, lags, _sign(m for m, _ in b)
-        lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + n_a, len(b))
-        b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
-        mags = [e + m.bit_length() for m, e in b if m]
-        if not (lags and mags):
-            self.sign = 0
-            return
-        span, rise = _spread(mags)
-        width = prec + min(n_a, len(b)).bit_length() + 2
-        self.wa, wb = width + rise, width + span
-        # a slot holds under min(n_a, len b) products, each under 2^(wa + wb)
-        nb = (self.wa + wb + n_a.bit_length() + 7) // 8
-        self.w = w = (nb + 1) // 2
-        beta = _fixed(b, max(mags) - wb)[::-1]
-        self.halves = _pack(beta[0::2], 2 * w), _pack(beta[1::2], 2 * w)
-        self.n_b, self.reach = len(beta), max(lags) - lo
-        self.slots = [len(beta) - 1 - (lag - lo) for lag in lags]
-        self.exps = [max(mags) - wb - h * lag for lag in lags]
-
-    def correlate(self, ms, es) -> list:
-        """[sum_r a_r b_(r+l) for l in lags] for a_r = ms[r] 2^es[r]."""
-        sign = _sign(ms) * self.sign
-        if not sign:
-            return [(0, 0)] * len(self.lags)
-        h, w = self.h, self.w
-        es = [e - h * r for r, e in enumerate(es)]
-        point = max(e + m.bit_length() for m, e in zip(ms, es) if m) - self.wa
-        alpha = _fixed(zip(map(abs, ms), es), point)
-        while not alpha[-1]:
-            alpha.pop()
-        # b slots at or past reach + len(alpha) meet no lag's a: shift them
-        # out, and an odd count swaps the parities of the slots left
-        skip = max(self.n_b - self.reach - len(alpha), 0)
-        stride, odd = 2 * w, skip % 2
-        be = self.halves[odd] >> 8 * stride * (skip // 2)
-        bo = self.halves[1 - odd] >> 8 * stride * ((skip + 1) // 2) << 8 * w
-        ae, ao = _pack(alpha[0::2], stride), _pack(alpha[1::2], stride) << 8 * w
-        plus, minus = (ae + ao) * (be + bo), (ae - ao) * (be - bo)
-        n = len(alpha) + self.n_b - skip - 1
-        size = stride * ((n + 1) // 2)
-        bufs = (memoryview(((plus + minus) >> 1).to_bytes(size, "little")),
-                memoryview(((plus - minus) >> (8 * w + 1)).to_bytes(size, "little")))
-        return [(sign * int.from_bytes(bufs[i % 2][stride * (i // 2):stride * (i // 2 + 1)],
-                                       "little") if 0 <= i < n else 0, point + e)
-                for i, e in zip((slot - skip for slot in self.slots), self.exps)]
 
 
 def _products(us, vs) -> list:

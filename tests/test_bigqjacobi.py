@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -12,7 +13,8 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _node_factors, _power_sums,
+                                MomentTable, _conditional_moments, _node_signs,
+                                _outer_weights, _power_sums, _weight_positive,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_rodrigues_fraction,
@@ -22,8 +24,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
-from qbipoly.jackson import (_Piece, _fixed, _geometric, _ladder, _powers, _sign, _slope,
-                             _spread)
+from qbipoly.jackson import _ladder
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
                            ttr_matrices)
@@ -664,53 +665,55 @@ def test_weight_ratio_tends_to_one():
     assert abs(r2 - 1) < abs(r1 - 1)  # approaching 1 as eps shrinks
 
 
-def brute_nodes(p, N, fld):
-    """Independent slow reference for the orthogonality functional: every
-    lattice node as (x, y, Jackson factor, weight) on the float field `fld`,
-    each weight by direct infinite-product evaluation, with the
-    continuous-limit values at the 0/0 nodes of the negative outer scale
-    (which carry mass only for r <= t)."""
+def brute_column(p, t, sigma, fld, bits, D=0):
+    """Independent slow reference for the orthogonality functional at one
+    outer node: (y, [(x, Jackson factor of x, weight)]) on the float field
+    `fld`, at y = a q^{1+t} (sigma = 1) or y = d q^{1+t} (sigma = -1).  Each
+    x branch starts from direct infinite products at its first node, and
+    each later weight divides out the factors that its step moves past.  On
+    y > 0 a branch runs until a term, over 1 - q, is under 2^-bits of its
+    least sum of |x|^i w (i <= D), so its tail is below that.  On y < 0 only
+    x = d q^{1+r}, r <= t, carries mass: the continuous limits, with the
+    vanishing factor of (dq/y; q)_inf and of (x/y; q)_inf dropped."""
     q = fld.of(p.qp.q)
     a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
 
     def pochinf(z):
-        prod = fld.one
-        term = fld.of(z) if isinstance(z, Fraction) else z
+        prod, term = fld.one, z
         while abs(term) >= fld.tail_eps:
             prod *= 1 - term
-            if prod == 0:
-                return prod
             term *= q
         return prod
 
-    drop = [pochinf(q)]
-    for k in range(1, N + 1):
-        drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q ** k))
-
+    # (q^-t; q)_inf less its vanishing factor: (dq/y) on y < 0, and (x/y) at r = 0
+    drop = pochinf(q) * fld.ctx.fprod(1 - q ** -m for m in range(1, t + 1))
+    yv = (a if sigma > 0 else d) * q ** (1 + t)
+    outer = (pochinf(d * q / yv) if sigma > 0 else drop) * pochinf(yv / a) * pochinf(yv / d) / (
+        yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) * pochinf(yv))
     nodes = []
-    for t in range(N + 1):
-        # positive scale: plain products over both inner branches
-        yv = a * q ** (1 + t)
-        for xstart, sgn in ((c * q * yv, 1), (d * q, -1)):
-            for r in range(N + 1):
-                xv = xstart * q ** r
-                num = pochinf(d * q / yv) * pochinf(xv / (c * yv)) * pochinf(xv / d) \
-                    * pochinf(yv / a) * pochinf(yv / d)
-                den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
-                    * pochinf(xv / yv) * pochinf(b * xv / d) * pochinf(yv)
-                jw = (1 - q) * yv * sgn * (1 - q) * xstart * q ** r
-                nodes.append((xv, yv, jw, num / den))
-        # negative scale: only x = d q^{1+r}, r <= t carries (finite) mass
-        yv = d * q ** (1 + t)
-        for r in range(t + 1):
-            xv = d * q ** (1 + r)
-            num = drop[t] * pochinf(xv / (c * yv)) * pochinf(xv / d) \
-                * pochinf(yv / a) * pochinf(yv / d)
-            den = yv * pochinf(d / (c * yv)) * pochinf(c * q * yv / d) \
-                * drop[t - r] * pochinf(b * xv / d) * pochinf(yv)
-            jw = (1 - q) * yv * (1 - q) * d * q * q ** r
-            nodes.append((xv, yv, jw, num / den))
-    return nodes
+    for xv, sgn in ((c * q * yv, 1), (d * q, -1))[sigma < 0:]:
+        ups, downs = [xv / (c * yv), xv / d], [xv / yv, b * xv / d]
+        w = outer * pochinf(ups[0]) * pochinf(ups[1]) / (
+            (pochinf(downs[0]) if sigma > 0 else drop) * pochinf(downs[1]))
+        least = 0
+        for r in itertools.count():
+            jx = sgn * (1 - q) * xv
+            nodes.append((xv, jx, w))
+            least += abs(jx * w) * min(1, abs(xv) ** D)
+            if r == t if sigma < 0 else abs(xv) <= 1 and abs(jx * w) / (1 - q) < 2**-bits * least:
+                break
+            # (z q^(r+1); q)_inf = (z q^r; q)_inf / (1 - z q^r)
+            w = w * (1 - downs[0]) * (1 - downs[1]) / ((1 - ups[0]) * (1 - ups[1]))
+            ups, downs, xv = [u * q for u in ups], [v * q for v in downs], xv * q
+    return yv, nodes
+
+
+def brute_nodes(p, N, fld, bits=64, D=2):
+    """Every node of `brute_column` for t <= N on both outer branches as (x,
+    y, Jackson factor, weight)."""
+    q = fld.of(p.qp.q)
+    return [(xv, yv, sigma * (1 - q) * yv * jx, w) for t in range(N + 1) for sigma in (1, -1)
+            for yv, column in [brute_column(p, t, sigma, fld, bits, D)] for xv, jx, w in column]
 
 
 def brute_moment(fld, nodes, i, j):
@@ -787,9 +790,12 @@ def _poch_ladder(z, lo: int, hi: int, q, qp: QParam, field: FloatField) -> dict:
 def reference_moments(p, max_degree, truncation, prec):
     """The moment table and least node weight by the earlier engine: every
     node operation an mpf operation at `prec` (a node weight yfac A B, then
-    q^r w x^i term by term), on the same `_poch_ladder` sequences."""
+    q^r w x^i term by term), on `_poch_ladder` sequences.  The outer sum
+    stops at `truncation`; on y > 0 the inner sums run to r = R, where q^R
+    is under 2^-(prec + 16), so their tails are below the tests' bounds."""
     fld = FloatField(prec)
     N, D = truncation, max_degree
+    R = max(N, math.ceil((prec + 16) / -math.log2(p.qp.q)))
     q = fld.of(p.qp.q)
     a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
 
@@ -802,19 +808,19 @@ def reference_moments(p, max_degree, truncation, prec):
             out.append(out[-1] * q)
         return out
 
-    Q, Cq, Bq = seq(q, 0, N), seq(c * q, 0, N + 1), seq(b * q, 0, N)
-    ACD, ABCD = seq(a * c * q**2 / d, 0, 2 * N), seq(a * b * c * q**2 / d, 0, 2 * N)
-    DAC, DA = seq(d / (a * c), -N - 1, N), seq(d / a, -N, N + 1)
+    Q, Cq, Bq = seq(q, 0, R), seq(c * q, 0, R + 1), seq(b * q, 0, R)
+    ACD, ABCD = seq(a * c * q**2 / d, 0, N + R), seq(a * b * c * q**2 / d, 0, N + R)
+    DAC, DA = seq(d / (a * c), -N - 1, R), seq(d / a, -N, R + 1)
     AD, AQ, C1, DQ = seq(a * q / d, 0, N), seq(a * q, 0, N), seq(1 / c, -N - 1, 0), seq(d * q, 0, N)
     drop = [Q[0]]
     for k in range(1, N + 1):
         drop.append(drop[k - 1] * (-(q ** -k)) * (1 - q**k))
-    qr, ypos = geometric(fld.one, N + 1), geometric(a * q, N + 1)
-    dlat, xcq = geometric(d * q, N + 1), geometric(a * c * q**2, 2 * N + 1)
-    A_cq = [Q[r] / Cq[r] for r in range(N + 1)]
-    B_cq = [ACD[s] / ABCD[s] for s in range(2 * N + 1)]
-    A_d = [Q[r] / Bq[r] for r in range(N + 1)]
-    B_d = [DAC[k] / DA[k] for k in range(-N, N + 1)]
+    qr, ypos = geometric(fld.one, R + 1), geometric(a * q, N + 1)
+    dlat, xcq = geometric(d * q, R + 1), geometric(a * c * q**2, N + R + 1)
+    A_cq = [Q[r] / Cq[r] for r in range(R + 1)]
+    B_cq = [ACD[s] / ABCD[s] for s in range(N + R + 1)]
+    A_d = [Q[r] / Bq[r] for r in range(R + 1)]
+    B_d = [DAC[k] / DA[k] for k in range(-N, R + 1)]
     B_neg = [C1[k] / drop[-k] for k in range(-N, 1)]
     least = []
 
@@ -842,9 +848,9 @@ def reference_moments(p, max_degree, truncation, prec):
         yfac = DA[-t] * Q[t] * AD[t] / (yv * DAC[-1 - t] * ACD[t] * AQ[t])
         inner = [fld.of(0)] * (D + 1)
         for xstart, xsign, weights, xs in (
-                (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(N + 1)],
-                 xcq[t:t + N + 1]),
-                (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(N + 1)], dlat)):
+                (c * q * yv, 1, [yfac * A_cq[r] * B_cq[t + r] for r in range(R + 1)],
+                 xcq[t:t + R + 1]),
+                (d * q, -1, [yfac * A_d[r] * B_d[r - t + N] for r in range(R + 1)], dlat)):
             sums = jackson_sums(weights, xs)
             for i in range(D + 1):
                 inner[i] += xsign * (1 - q) * xstart * sums[i]
@@ -927,199 +933,6 @@ def test_power_sums_error_below_one_part_in_two_to_prec():
             assert _power_sums(terms, bases, degree, prec, count) == sums[:count]
 
 
-def correlation_sequence(rng, n, sign, fall, zeros, prec):
-    """n integer pairs of one sign whose exponents fall by `fall` bits per
-    step, with a jitter of 3 bits, each zero with probability `zeros`."""
-    return [(0, 0) if rng.random() < zeros
-            else (sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
-                  -fall * k + rng.randint(-3, 3) - prec)
-            for k in range(n)]
-
-
-def mantissas_exponents(pairs) -> tuple:
-    """([m], [e]) of integer pairs (m, e), the form `_Piece.correlate` takes."""
-    return [m for m, _ in pairs], [e for _, e in pairs]
-
-
-def test_correlation_error_below_stated_bound():
-    """Each lag l of a prepared correlation piece is within 2^-prec (|sum| +
-    A |b_(r+l)| 2^(hr)) of the exact sum, with A = max_r |a_r| 2^(-hr) and
-    r the lag's first term with b_(r+l) != 0, exactly checked: sequences of
-    each sign with zeros and a zero tail, levelling slopes of both signs,
-    lags past either end of b and lags with no overlap, and the lags of the
-    table's pieces (0..len a - 1 and 0..-(len a - 1)), which leave b slots
-    that no lag reaches."""
-    rng = random.Random(16)
-    prec = 64
-
-    for la, lb, sa, sb, fall_a, fall_b, h in ((1, 1, 1, 1, 0, 0, 0), (9, 30, -1, 1, 1, 4, 4),
-                                              (30, 9, 1, -1, 3, -2, -2), (25, 60, -1, -1, 2, 0, 0),
-                                              (40, 40, 1, 1, 0, -3, -3), (12, 50, 1, 1, 5, 4, 3),
-                                              (50, 40, 1, 1, -1, 2, 3), (20, 70, -1, 1, 2, -1, -2)):
-        a = correlation_sequence(rng, la, sa, fall_a, 0.1, prec) + [(0, 0)] * 3
-        b = correlation_sequence(rng, lb, sb, fall_b, 0.1, prec)
-        val = {r: F(m) * F(2) ** e for r, (m, e) in enumerate(a)}
-        bval = {k: F(m) * F(2) ** e for k, (m, e) in enumerate(b)}
-        top = max(abs(v) * F(2) ** (-h * r) for r, v in val.items())
-        for lags in (list(range(-len(a) - 2, lb + 3)), list(range(len(a))),
-                     list(range(0, -len(a), -1))):
-            got = _Piece(b, h, lags, len(a), prec).correlate(*mantissas_exponents(a))
-            for lag, (C, E) in zip(lags, got, strict=True):
-                rs = [r for r in val if r + lag in bval]
-                exact = sum((val[r] * bval[r + lag] for r in rs), F(0))
-                first = next((abs(bval[r + lag]) * F(2) ** (h * r) for r in rs if bval[r + lag]),
-                             F(0))
-                if not rs:
-                    assert C == 0
-                assert abs(C * F(2) ** E - exact) <= F(2) ** -prec * (abs(exact) + top * first)
-    with pytest.raises(ValueError):
-        _Piece([(1, 0)], 0, [0], 2, prec).correlate([1, -1], [0, 0])
-    with pytest.raises(ValueError):
-        _Piece([(1, 0), (-1, 0)], 0, [0], 1, prec)
-
-
-def test_one_piece_serves_many_sequences_bit_for_bit():
-    """A piece prepared once gives each a sequence the pairs that a piece
-    prepared for that sequence alone gives: a of both signs, with zero
-    tails of every length (so each call shifts out its own count of b
-    slots), a whose alpha trims to one entry, and an all-zero a."""
-    rng = random.Random(39)
-    prec, n = 64, 24
-    seqs = [correlation_sequence(rng, n, sign, fall, 0.2, prec) for sign, fall in
-            ((1, 2), (-1, 0), (1, -3), (-1, 5))]
-    seqs += [correlation_sequence(rng, k, (-1) ** k, 1, 0, prec) + [(0, 0)] * (n - k)
-             for k in (1, 2, 7, 19)]
-    seqs += [[(rng.getrandbits(prec) | 1 << (prec - 1), 0)] + [(1, -4 * prec)] * (n - 1),
-             [(0, 0)] * n]
-    for lb, fall_b, h, lags in ((2 * n + 1, 2, 2, list(range(n))),
-                                (n, -3, -3, list(range(n, 0, -1))),
-                                (n, 1, 0, list(range(0, -n, -1))),
-                                (3 * n, 0, 1, list(range(-2, n + 2)))):
-        b = correlation_sequence(rng, lb, -1, fall_b, 0.1, prec)
-        piece = _Piece(b, h, lags, n, prec)
-        for a in seqs + seqs[::-1]:
-            ms, es = mantissas_exponents(a)
-            assert piece.correlate(ms, es) == _Piece(b, h, lags, n, prec).correlate(ms, es)
-
-
-class FullWidthPiece:
-    """The reference for `_Piece`: the same levelling and fixed point, and
-    every lag's pair from one product of two full-width packings (slot
-    stride nb bytes), the integers that `_Piece.correlate` reads from its
-    two half-width products.  It keeps nb, and the trimmed length of a and
-    the count of b slots shifted out at its last call, so that a test can
-    name the case it covers."""
-
-    def __init__(self, b, h: int, lags, n_a: int, prec: int):
-        self.h, self.lags, self.sign = h, lags, _sign(m for m, _ in b)
-        lo, hi = max(min(lags, default=0), 0), min(max(lags, default=0) + n_a, len(b))
-        b = [(abs(m), e + h * k) for k, (m, e) in enumerate(b)][lo:hi]
-        mags = [e + m.bit_length() for m, e in b if m]
-        if not (lags and mags):
-            self.sign = 0
-            return
-        span, rise = _spread(mags)
-        width = prec + min(n_a, len(b)).bit_length() + 2
-        self.wa, wb = width + rise, width + span
-        self.nb = nb = (self.wa + wb + n_a.bit_length() + 7) // 8
-        beta = _fixed(b, max(mags) - wb)
-        self.packed = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in reversed(beta)),
-                                     "little")
-        self.n_b, self.reach = len(beta), max(lags) - lo
-        self.slots = [len(beta) - 1 - (lag - lo) for lag in lags]
-        self.exps = [max(mags) - wb - h * lag for lag in lags]
-
-    def correlate(self, ms, es) -> list:
-        sign = _sign(ms) * self.sign
-        if not sign:
-            return [(0, 0)] * len(self.lags)
-        h, nb = self.h, self.nb
-        es = [e - h * r for r, e in enumerate(es)]
-        point = max(e + m.bit_length() for m, e in zip(ms, es) if m) - self.wa
-        alpha = _fixed(zip(map(abs, ms), es), point)
-        while not alpha[-1]:
-            alpha.pop()
-        skip = max(self.n_b - self.reach - len(alpha), 0)
-        self.n_a, self.skip = len(alpha), skip
-        pa = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in alpha), "little")
-        n = len(alpha) + self.n_b - skip - 1
-        buf = memoryview((pa * (self.packed >> 8 * nb * skip)).to_bytes(nb * n, "little"))
-        return [(sign * int.from_bytes(buf[i * nb:(i + 1) * nb], "little") if 0 <= i < n else 0,
-                 point + e)
-                for i, e in zip((slot - skip for slot in self.slots), self.exps)]
-
-
-def test_half_width_products_equal_the_full_width_product(monkeypatch):
-    """Every pair of every lag, over the sequences of the bound and
-    one-piece tests: each piece they build checks its correlations against
-    the reference's."""
-    checked = []
-
-    class Checked(_Piece):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.reference = FullWidthPiece(*args)
-
-        def correlate(self, ms, es):
-            got = super().correlate(ms, es)
-            assert got == self.reference.correlate(ms, es)
-            checked.append(len(got))
-            return got
-
-    monkeypatch.setattr(sys.modules[__name__], "_Piece", Checked)
-    test_correlation_error_below_stated_bound()
-    test_one_piece_serves_many_sequences_bit_for_bit()
-    # 8 sequence pairs at 3 lag lists; 4 pieces, 20 sequences, two pieces each
-    assert len(checked) == 8 * 3 + 4 * 20 * 2 and sum(checked) > 4000
-
-
-def correlation_cases():
-    """(b, h, lags, n_a, prec, [a sequences], what): pieces that name the
-    cases of the half-width products; what(reference) holds for each."""
-    rng = random.Random(50)
-    prec, n = 64, 12
-
-    def seq(k, sign=1, fall=1):
-        return correlation_sequence(rng, k, sign, fall, 0, prec)
-
-    tails = [seq(k) + [(0, 0)] * (n - k) for k in range(1, n + 1)]
-    b = seq(3 * n, -1, 2)
-    lags = list(range(n))
-    one = [(rng.getrandbits(prec) | 1 << (prec - 1), 0)] + [(1, -4 * prec)] * (n - 1)
-    N, wp = 24, prec + 8
-    A_cq, B_cq, *_ = _node_factors(TEST_PARAMS, N, wp)
-    q = TEST_PARAMS.qp.q
-    powers = [list(zip(*pair)) for pair in
-              _powers(A_cq, _geometric(F(1), q, N + 1, wp), 6, prec + 12)]
-    return {
-        "even skip": (b, 2, lags, n, prec, tails, lambda ref: ref.skip % 2 == 0 < ref.skip),
-        "odd skip": (b, 2, lags, n, prec, tails, lambda ref: ref.skip % 2 == 1),
-        "a trims to one slot": (b, 0, lags, n, prec, [one], lambda ref: ref.n_a == 1),
-        "one-slot b": (seq(1, -1), 0, list(range(-2, 3)), n, prec, tails,
-                       lambda ref: ref.n_b == 1),
-        "odd nb": (b, 1, lags, n, prec + 4, tails, lambda ref: ref.nb % 2 == 1),
-        "even nb": (b, 1, lags, n, prec, tails, lambda ref: ref.nb % 2 == 0),
-        "B_cq piece": (B_cq, _slope(B_cq), list(range(N + 1)), N + 1, prec, powers,
-                       lambda ref: ref.n_b == 2 * N + 1),
-    }
-
-
-@pytest.mark.parametrize("case", list(correlation_cases()))
-def test_half_width_product_named_cases(case):
-    """Odd and even counts of skipped b slots, an a that trims to one slot,
-    a one-slot b, odd and even slot widths nb, and the lopsided 2N+1-slot
-    B_cq piece of a moment table: each correlation is the reference's, and
-    at least one call of each case is the case it names."""
-    b, h, lags, n_a, prec, seqs, what = correlation_cases()[case]
-    piece, ref = _Piece(b, h, lags, n_a, prec), FullWidthPiece(b, h, lags, n_a, prec)
-    named = 0
-    for a in seqs:
-        ms, es = mantissas_exponents(a)
-        assert piece.correlate(ms, es) == ref.correlate(ms, es)
-        named += what(ref)
-    assert named
-
-
 #: the edges of the benchmark domain at q = 1/2: c = 1/13, where B grows
 #: fastest toward k = -N, and c = 23/13 (c > 1) with d = -25/13, where it decays
 EDGE_POINTS = {"c=1/13": BigQJacobiParams(F(1, 3), F(1, 4), F(1, 13), F(-1, 2), QParam(F(1, 2))),
@@ -1192,40 +1005,31 @@ def test_ladder_error_below_stated_bound(case):
 
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS) + ["q=2/3"])
 def test_node_factors_against_the_infinite_product_formula(point):
-    """The engine's node factors at N = 6 are within 2^(2 - wp) of the
-    weight's infinite-product formula taken factor by factor (eleven
-    Pochhammer sequences as exact partial products, and the dropped-factor
-    (q^-t; q)_t (q; q)_inf on y < 0): the ratio ladders and the outer
-    factors' exact rationals reproduce the written weight."""
+    """The engine's outer node factors (1 - q) (+-) G(y_t) at N = 6 are
+    within 2^(3 - wp) of G's infinite-product formula taken factor by
+    factor (eight Pochhammer sequences as exact partial products): the
+    ladders reproduce the written closed form."""
     p = P23 if point == "q=2/3" else EDGE_POINTS[point]
     N, wp = 6, 64
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
     taus = []
 
-    def P(z, lo, hi):
-        vals, tau = ladder_reference([z], [], q, lo, hi, wp + 40)
+    def P(z):
+        vals, tau = ladder_reference([z], [], q, 0, N, wp + 40)
         taus.append(tau)
-        return dict(zip(range(lo, hi + 1), vals))
+        return vals
 
-    Q, Cq, Bq = P(q, 0, N), P(c * q, 0, N + 1), P(b * q, 0, N)
-    ACD, ABCD = P(a * c * q**2 / d, 0, 2 * N), P(a * b * c * q**2 / d, 0, 2 * N)
-    DAC, DA = P(d / (a * c), -N - 1, N), P(d / a, -N, N + 1)
-    AD, AQ, C1, DQ = P(a * q / d, 0, N), P(a * q, 0, N), P(1 / c, -N - 1, 0), P(d * q, 0, N)
-    drop = [Q[0] * qpochhammer(q**-t, p.qp, t) for t in range(N + 1)]
-    ts = range(N + 1)
-    want = ([Q[r] / Cq[r] for r in ts], [ACD[s] / ABCD[s] for s in range(2 * N + 1)],
-            [Q[r] / Bq[r] for r in ts], [DAC[k] / DA[k] for k in range(-N, N + 1)],
-            [C1[k] / drop[-k] for k in range(-N, 1)],
-            [DA[-t] * Q[t] * AD[t] / (a * q ** (1 + t) * DAC[-1 - t] * ACD[t] * AQ[t])
-             for t in ts]
-            + [drop[t] * DA[1 + t] * Q[t] / (d * q ** (1 + t) * C1[-1 - t] * Cq[1 + t] * DQ[t])
-               for t in ts])
-    # ten partial products per factor at most, each off by a relative tau
+    Q, Bcq, Cq, Bq = P(q), P(b * c * q**2), P(c * q), P(b * q)
+    const = c * q * (1 - q) ** 2 * Q[0] * Bcq[0] / (Cq[0] * Bq[0])
+    want = ([const * u * v / (w * z) for u, v, w, z in
+             zip(Q, P(a * q / d), P(a * q), P(a * b * c * q**2 / d))]
+            + [-const * u * v / (w * z) for u, v, w, z in zip(P(d * q / a), Q, P(d * q), Bcq)])
+    # eight partial products per value at most, each off by a relative tau
     slack = 1 + 16 * max(taus) * 2**wp
-    for got_seq, want_seq in zip(_node_factors(p, N, wp), want):
-        assert len(got_seq) == len(want_seq)
-        for v, w in zip(got_seq, want_seq):
-            assert abs(pair_value(v) - w) <= F(4, 2**wp) * slack * abs(w)
+    got = _outer_weights(p, N, wp)
+    assert len(got) == len(want) == 2 * N + 2
+    for v, w in zip(got, want):
+        assert abs(pair_value(v) - w) <= F(8, 2**wp) * slack * abs(w)
 
 
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
@@ -1262,16 +1066,36 @@ def test_weight_params_near_q_one_decided_from_lowest_terms():
         check_weight_params(BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(q)))
 
 
-def brute_node_weights(factors, N) -> list:
-    """The nonzero node weights yfac A B over node factors laid out as
-    `_node_factors` returns them, every product an exact Fraction."""
-    A_cq, B_cq, A_d, B_d, B_neg, yfacs = [[pair_value(v) for v in seq] for seq in factors]
-    weights = []
+def brute_node_signs(signs, N) -> list:
+    """The nonzero node weights' signs yfac A B over node signs laid out as
+    `_node_signs` returns them, one product per node."""
+    A_cq, B_cq, A_d, B_d, B_neg, yfacs = signs
+    out = []
     for t in range(N + 1):
-        weights += [yfacs[t] * A_cq[r] * B_cq[t + r] for r in range(N + 1)]
-        weights += [yfacs[t] * A_d[r] * B_d[r - t + N] for r in range(N + 1)]
-        weights += [yfacs[N + 1 + t] * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
-    return [w for w in weights if w]
+        out += [yfacs[t] * A_cq[r] * B_cq[t + r] for r in range(N + 1)]
+        out += [yfacs[t] * A_d[r] * B_d[r - t + N] for r in range(N + 1)]
+        out += [yfacs[N + 1 + t] * A_d[r] * B_neg[r - t + N] for r in range(t + 1)]
+    return [v for v in out if v]
+
+
+def exact_node_signs(p, N) -> tuple:
+    """The node factors in `_node_signs`' layout, each the sign of exact
+    partial products taken so far out that every later factor is positive
+    (`ladder_reference`), and yfac = Y(t) / (B(-t) (y_t - d/c)) from those
+    and one exact rational."""
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+
+    def S(ups, downs, lo, hi):
+        return [(v > 0) - (v < 0) for v in ladder_reference(ups, downs, q, lo, hi, 4)[0]]
+
+    B_d, B_neg = S([d / (a * c)], [d / a], -N, N), S([1 / c], [F(1)], -N, 0)
+    yfacs = []
+    for y0, ys, bs in ((a, S([q, a * q / d], [a * c * q**2 / d, a * q], 0, N), B_d),
+                       (d, S([d * q / a, q], [c * q**2, d * q], 0, N), B_neg)):
+        yfacs += [u * v * ((y0 * q ** (1 + t) > d / c) - (y0 * q ** (1 + t) < d / c))
+                  for t, (u, v) in enumerate(zip(ys, bs[N::-1]))]
+    return (S([q], [c * q], 0, N), S([a * c * q**2 / d], [a * b * c * q**2 / d], 0, 2 * N),
+            S([q], [b * q], 0, N), B_d, B_neg, yfacs)
 
 
 def unchecked_params(a, b, c, d, q) -> BigQJacobiParams:
@@ -1296,51 +1120,59 @@ SIGN_POINTS = {
 
 
 @pytest.mark.parametrize("point", sorted(SIGN_POINTS))
-def test_weight_positive_at_q_near_one_and_with_zero_node_weights(point, monkeypatch):
-    """The exact verdict is the sign of the least nonzero yfac A B over the
-    engine's own node factors, found by a brute Fraction loop."""
+def test_weight_positive_at_q_near_one_and_with_zero_node_weights(point):
+    """The engine's node signs are those of exact partial products, and its
+    verdict is the sign of the least nonzero yfac A B over them, found by a
+    brute loop over the nodes."""
     p, N = SIGN_POINTS[point]
-    seen = []
-    factors = bigqjacobi._node_factors
-    monkeypatch.setattr(bigqjacobi, "_node_factors",
-                        lambda *args: seen.append(factors(*args)) or seen[-1])
+    signs = exact_node_signs(p, N)
+    assert _node_signs(p, N) == signs
     got = MomentTable(p, max_degree=2, truncation=N, prec=80)
-    weights = brute_node_weights(seen[0], N)
-    assert got.weight_positive is (min(weights) > 0) is (point == "q=9/10")
-    zeros = sum(pair_value(v) == 0 for v in seen[0][1])
-    assert zeros == (15 if point == "zero-weights" else 0)
+    assert got.weight_positive is (min(brute_node_signs(signs, N)) > 0) is (point == "q=9/10")
+    assert signs[1].count(0) == (15 if point == "zero-weights" else 0)
 
 
 @pytest.mark.parametrize("flip, positive", [(0, True), (3, False)])
 def test_weight_positive_skips_outer_nodes_without_mass(flip, positive, monkeypatch):
-    """Node factors edited so that the outer nodes t <= 2 carry only zero
+    """Node signs edited so that the outer nodes t <= 2 carry only zero
     weights (B_cq zero for k <= 14 at N = 12, A_d zero): a negative yfac(t)
     there decides nothing, while one at t = 3 makes a negative weight."""
-    N, real = 12, bigqjacobi._node_factors
+    N, real = 12, bigqjacobi._node_signs
 
-    def edited(p, n, wp):
-        A_cq, B_cq, A_d, B_d, B_neg, yfacs = real(p, n, wp)
+    def edited(p, n):
+        A_cq, B_cq, A_d, B_d, B_neg, yfacs = real(p, n)
         yfacs = list(yfacs)
-        yfacs[flip] = (-yfacs[flip][0], yfacs[flip][1])
-        return A_cq, [(0, 0)] * 15 + B_cq[15:], [(0, 0)] * len(A_d), B_d, B_neg, yfacs
+        yfacs[flip] = -yfacs[flip]
+        return A_cq, [0] * 15 + B_cq[15:], [0] * len(A_d), B_d, B_neg, yfacs
 
-    monkeypatch.setattr(bigqjacobi, "_node_factors", edited)
+    monkeypatch.setattr(bigqjacobi, "_node_signs", edited)
     got = MomentTable(TEST_PARAMS, max_degree=2, truncation=N, prec=80)
-    weights = brute_node_weights(edited(TEST_PARAMS, N, 88), N)
-    assert got.weight_positive is positive is (min(weights) > 0)
+    assert got.weight_positive is positive is (min(brute_node_signs(edited(TEST_PARAMS, N), N)) > 0)
+
+
+def test_weight_positive_at_the_sweep_points():
+    """At every point of sweep_points(40), truncations 16 and 96: the node
+    signs are those of exact partial products (at 16), and the verdict,
+    True everywhere, is the brute loop's over them."""
+    for p in sweep_points(40):
+        for N in (16, 96):
+            signs = _node_signs(p, N)
+            if N == 16:
+                assert signs == exact_node_signs(p, N)
+            assert _weight_positive(signs, N) is (min(brute_node_signs(signs, N)) > 0) is True
 
 
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS))
 def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
     """At 120 bits and truncation 96 the table agrees with itself at 64 more
     bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its exact verdict
-    is the sign of the least yfac A B over the engine's own node factors,
-    found by a brute Fraction loop."""
+    is the sign of the least yfac A B over the engine's own node signs,
+    found by a brute loop."""
     p, prec = EDGE_POINTS[point], 120
     seen = []
-    factors = bigqjacobi._node_factors
-    monkeypatch.setattr(bigqjacobi, "_node_factors",
-                        lambda *args: seen.append(factors(*args)) or seen[-1])
+    signs = bigqjacobi._node_signs
+    monkeypatch.setattr(bigqjacobi, "_node_signs",
+                        lambda *args: seen.append(signs(*args)) or seen[-1])
     got = MomentTable(p, max_degree=8, truncation=96, prec=prec)
     monkeypatch.undo()
     ref = MomentTable(p, max_degree=8, truncation=96, prec=prec + 64)
@@ -1349,12 +1181,64 @@ def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
         for j in range(5):
             bound = F(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
-    assert got.weight_positive is (min(brute_node_weights(seen[0], 96), default=0) > 0)
+    assert got.weight_positive is (min(brute_node_signs(seen[0], 96), default=0) > 0)
+
+
+def test_moment_table_keeps_its_precision_at_every_truncation():
+    """At 192 bits every M_ij of a degree-6 table is within 2^(8 - 192) of
+    the same table at 512 more bits, relative to max(|M_ij|, |M_00|): at
+    sweep points 6 and 23 (cq = 12/13) at truncations 100, 200 and 400, and
+    at every fifth sweep point at truncation 200.  There is no inner
+    lattice whose tail grows with the truncation."""
+    points = sweep_points(40)
+    cases = [(points[k], N) for k in (6, 23) for N in (100, 200, 400)]
+    for p, N in cases + [(p, 200) for p in points[::5]]:
+        got, ref = MomentTable(p, 6, N, 192), MomentTable(p, 6, N, 704)
+        m00 = abs(ref.moment(0, 0))
+        for i, j in ref._fixed:
+            bound = F(2) ** (8 - 192) * max(abs(ref.moment(i, j)), m00)
+            assert abs(got.moment(i, j) - ref.moment(i, j)) <= bound
+
+
+#: (point, truncation): the inner integrals' closed form is checked at
+#: these, at the outer nodes t = 0, N/2 and N of both branches
+CLOSED_FORM_POINTS = {
+    "test-params": (TEST_PARAMS, 96), "q=2/3": (P23, 96), "|dq|>1": (PBIG, 96),
+    "d=-1000": (BigQJacobiParams(F(1, 1000), F(1, 1000), F(1, 1000), F(-1000), QParam(F(1, 2))),
+                96),
+    "q=9/10": (SIGN_POINTS["q=9/10"][0], 40),
+}
+
+
+@pytest.mark.parametrize("point", sorted(CLOSED_FORM_POINTS))
+def test_inner_integrals_have_their_closed_form(point):
+    """(1 - q) (+-) G(y_t) Q_i(y_t), the engine's inner integral of x^i (i
+    <= 6) times the weight's y part and the outer Jackson factor over y_t,
+    against a brute inner Jackson sum of the written weight on mpmath at
+    prec + 64, carried until its tail is under 2^-(prec + 8): within
+    2^-prec of the brute sum of the terms' absolute values, at 96 bits."""
+    p, N = CLOSED_FORM_POINTS[point]
+    prec, D = 96, 6
+    fld = FloatField(prec + 64)
+    q = fld.of(p.qp.q)
+    weights = _outer_weights(p, N, prec + 8)
+    polys = _conditional_moments(p, D)
+    for t in (0, N // 2, N):
+        for sigma in (1, -1):
+            g = pair_value(weights[t if sigma > 0 else N + 1 + t])
+            yv, column = brute_column(p, t, sigma, fld, prec + 8, D)
+            y_exact = (p.a if sigma > 0 else p.d) * p.qp.q ** (1 + t)
+            terms = [sigma * (1 - q) * jx * w for _, jx, w in column]
+            for nums, den in polys:
+                got = g * sum(n * y_exact**m for m, n in nums.items()) / den
+                want, scale = fld.ctx.fsum(terms), fld.ctx.fsum(map(abs, terms))
+                assert abs(got - mpf_value(want)) <= F(2) ** -prec * mpf_value(scale)
+                terms = [v * xv for v, (xv, _, _) in zip(terms, column)]
 
 
 def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
-    """The inner Jackson sums come from correlations: a degree-6 table calls
-    `_power_sums` once per power of x, D + 1 = 7 times in all."""
+    """The inner integrals are closed forms: a degree-6 table calls
+    `_power_sums` once, for the outer sums of y^p, p = 1..7."""
     calls = []
 
     def counted(*args):
@@ -1364,7 +1248,7 @@ def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
     power_sums = bigqjacobi._power_sums
     monkeypatch.setattr(bigqjacobi, "_power_sums", counted)
     MomentTable(TEST_PARAMS, 6, 96, 128)
-    assert len(calls) <= 7
+    assert [args[2:] for args in calls] == [(7, 128 + calls[0][3] - 128, 7)]
 
 
 def test_moment_table_rounds_nothing(monkeypatch):
@@ -1391,21 +1275,11 @@ def test_moment_table_rounds_nothing(monkeypatch):
 #: the sha256 of repr((_low, sorted(_fixed.items()), weight_positive)) of
 #: the degree-6 table at (point, precision, truncation): the preset at
 #: 128/96, a benchmark candidate at 136/96 and q = 2/3 at the CLI default
-#: 192/200, recorded when the table began keeping only the triangle
-#: i + j <= 6
+#: 192/200, recorded when each inner integral became a closed form
 TABLE_DIGESTS = {
-    ("test-params", 128, 96): "1bb958e4a90a30b63d9273ef7091efa39cc0c5038debbf5fe1c4c021c4475c63",
-    ("benchmark", 136, 96): "5adaf8bea749cea611f2d9b5a3b133bc97e5f9ca87c5ff17beb9510f8a3006f1",
-    ("q=2/3", 192, 200): "19604ad0ab0fee50d635b6b36a237df208f77649b70dbb79fd7ea16b871c7146",
-}
-
-#: the same digests of the box table i, j <= 6 that the table held before
-#: it kept only the triangle, recorded before each lattice piece was
-#: prepared once per table
-BOX_DIGESTS = {
-    ("test-params", 128, 96): "2dced8c6ec4131ea4b2d48b655c624ed974ca76f9db65f95815f4c84d6b11303",
-    ("benchmark", 136, 96): "660883881e084d1812f0cf8cda0abd6d293f1ea688ed927cc50bd73dae747147",
-    ("q=2/3", 192, 200): "34eb455d04e0803c947e3d2c7ee95acf685de84b915e25d723b09211640590ef",
+    ("test-params", 128, 96): "b768fdaab68f09314fba7597ebe5ba90b397dce21a59a4463661703a1a7e3d06",
+    ("benchmark", 136, 96): "2973fd9c20797097154d9850f121b0273a16d5cc9cbe80677fe954a9c09b912c",
+    ("q=2/3", 192, 200): "96fbd05b19d5dae5142080441b66866ab7e5c731160d9436835617ca0224c112",
 }
 
 
@@ -1425,25 +1299,10 @@ def table_digest(mt) -> str:
 @pytest.mark.parametrize("case", sorted(TABLE_DIGESTS), ids=lambda c: "%s-%d-%d" % c)
 def test_moment_table_exact_pairs_are_pinned(case):
     """Every exact moment pair, the binary point and the weight verdict of
-    a degree-6 table, bit for bit."""
-    assert table_digest(pinned_table(case)) == TABLE_DIGESTS[case]
-
-
-@pytest.mark.parametrize("case", sorted(BOX_DIGESTS), ids=lambda c: "%s-%d-%d" % c)
-def test_triangle_moments_are_the_box_tables(case, monkeypatch):
-    """The box reference is the same table with every row's power sums
-    taken to j = max_degree, which reproduces the box table's digest; the
-    triangle keeps i + j <= 6, and each of its moments is the box's
-    exactly."""
+    a degree-6 table, bit for bit; the table keeps the triangle i + j <= 6."""
     mt = pinned_table(case)
-    power_sums = bigqjacobi._power_sums
-    monkeypatch.setattr(bigqjacobi, "_power_sums",
-                        lambda terms, bases, degree, prec, count:
-                        power_sums(terms, bases, degree, prec, degree))
-    box = pinned_table(case)
-    assert table_digest(box) == BOX_DIGESTS[case]
     assert sorted(mt._fixed) == [(i, j) for i in range(7) for j in range(7 - i)]
-    assert all(mt.moment(i, j) == box.moment(i, j) for i, j in mt._fixed)
+    assert table_digest(mt) == TABLE_DIGESTS[case]
 
 
 def test_moment_table_refusal_names_the_monomial():

@@ -786,11 +786,14 @@ def test_orthogonality_gate_accepts_sufficient_settings():
 
 
 #: two points where the gate accepts a precision at which the report of
-#: orthogonal polynomials fails: at d = -1000 the moments reach 1e41 and 23
-#: pair rows read 1.3e-25 to 9e-22 at 128/96 (160/96 passes); at point 23 of
-#: tests/test_bigqjacobi.py's sweep_points(40) (aq = cq = 12/13, q = 2/3)
-#: every pair fails at the 109/147 that the gate accepts (192/147 passes and
-#: 192/300 fails again)
+#: orthogonal polynomials failed while each moment was only within
+#: 2^-precision of max(|M_ij|, |M_00|) and the inner Jackson sums lost bits
+#: with the truncation: at d = -1000 the moments reach 1e41 and 23 pair rows
+#: read 1.3e-25 to 9e-22 at 128/96; at point 23 of tests/test_bigqjacobi.py's
+#: sweep_points(40) (aq = cq = 12/13, q = 2/3) every pair failed at the
+#: 109/147 that the gate accepts.  With closed-form inner integrals and a
+#: guard that keeps every moment within 2^-precision M_00, both pass (pairs
+#: at most 8e-45 and 8e-27)
 GATE_MISSES = {
     "d=-1000": (("a=1/1000", "b=1/1000", "c=1/1000", "d=-1000", "q=1/2"), 128, 96),
     "sweep-23": (("a=18/13", "b=12/13", "c=18/13", "d=-16/13", "q=2/3"), 109, 147),
@@ -802,9 +805,6 @@ def _verify_argv(params, precision, truncation) -> list:
             "--precision", str(precision), "--truncation", str(truncation)]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the gate's rounding term 2^(24 - precision) ignores how large the moments and the "
-    "terms of their sums are"))
 @pytest.mark.parametrize("point", sorted(GATE_MISSES))
 def test_orthogonality_passes_where_the_gate_accepts(capsys, point):
     params, precision, truncation = GATE_MISSES[point]
