@@ -276,8 +276,9 @@ def _node_signs(p: BigQJacobiParams, N: int) -> tuple:
     B_d = signs([d / (a * c)], [d / a], -N, N)                      # x/(cy) / x/y
     # x/(cy) over x/y less its vanishing factor (the continuous limit)
     B_neg = signs([1 / c], [Fraction(1)], -N, 0)
-    # yfac: (y/a) (y/d) over (cqy/d) (y), then (dq/y) over y (d/(cy)), with
-    # (dq/y) -> drop on y < 0 (as a divisor, so that its factor is dropped)
+    # yfac: (y/a) (y/d) over (cqy/d) (y), times (dq/y) over y (d/(cy)); on
+    # y < 0 the limit drops the vanishing factor of (dq/y), which `_signs`
+    # does for a divisor, so the reciprocal (d/(cy)) over (dq/y) is taken
     yfacs = []
     for y0, ys, rest in ((a, signs([q, a * q / d], [a * c * q**2 / d, a * q], 0, N),
                           signs([d / (a * c * q)], [d / a], -N, 0)),

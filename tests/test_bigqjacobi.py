@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import re
-import sys
 import time
 from fractions import Fraction
 
