@@ -13,7 +13,7 @@ from .jackson import _geometric, _ladder, _power_sums, _products, _signs
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
-                    kampe_de_feriet, phi_rs, power_exponent, qnum)
+                    kampe_de_feriet, power_exponent, qnum)
 from .rodrigues import rodrigues_polys
 from .scalars import FrozenRecord
 
@@ -100,8 +100,10 @@ def nonmonic_polys(p: BigQJacobiParams, pairs) -> dict:
 
     c_r = (q^{-k}, bc q^{k+1}; q)_r q^r / (cq, q; q)_r: the 3phi2 in x/y with
     the bridge prod_{j<k} (y - d q^{1+j}) folded into each term.  One
-    `QTables` serves the c_r series of every pair, and the fold factors
-    y - x q^i and y - d q^(1+i) are formed once, up to the largest k."""
+    `QTables` serves the call: the 3phi2 is one `combine` of its scalar
+    coefficients over the shared rows (y; q)_j (as `hypergeometric_polys`
+    sums its series), and the fold factors y - x q^i and y - d q^(1+i) are
+    formed once, up to the largest k."""
     if not all(0 <= k <= n for n, k in pairs):
         raise ValueError("need 0 <= k <= n")
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
@@ -113,7 +115,12 @@ def nonmonic_polys(p: BigQJacobiParams, pairs) -> dict:
     upper = [y - d * pw(1 + i) for i in range(top)]
     out = {}
     for n, k in pairs:
-        first = phi_rs([pw(k - n), a * b * c * pw(n + k + 2), y], [a * q, d * pw(k + 1)], p.qp, q)
+        ys = _terms(tab, (pw(k - n), a * b * c * pw(n + k + 2)), (a * q, d * pw(k + 1), q),
+                    "series", v=q)
+        ypoch = tab.row(y, len(ys) - 1)
+        nums, den = exact_form(enumerate(ys))
+        first = from_form(*combine(((f, ypoch[j].nums, ypoch[j].den) for j, f in nums.items()),
+                                   den))
         coefs = _terms(tab, (pw(-k), b * c * pw(k + 1)), (c * q, q), "series", last=k, v=q)
         out[n, k] = first * _fold(coefs, lower, upper)
     return out
@@ -334,22 +341,39 @@ def _outer_weights(p: BigQJacobiParams, N: int, wp: int) -> list:
 
 
 def _conditional_moments(p: BigQJacobiParams, D: int) -> list:
-    """[(nums, den)] for i = 0..D, the `exact_form` of Q_i(y) = sum_m
+    """[(nums, den)] for i = 0..D, the reduced form of Q_i(y) = sum_m
     nums[m] y^m / den: the inner x-integral of x^i at y over that of 1
     (`MomentTable`).  With z = bx/d, z (z; q)_k = q^-k ((z; q)_k - (z;
     q)_(k+1)) gives z^i = sum_k C_ik (z; q)_k, and the inner integral of
     (z; q)_k is that of 1 times (bq, bcqy/d; q)_k / (bcq^2; q)_k (the
     closed form at b q^k), so
 
-        Q_i(y) = (d/b)^i sum_k C_ik (bq; q)_k / (bcq^2; q)_k (bcqy/d; q)_k."""
-    q, b, c, d = p.qp.q, p.b, p.c, p.d
-    C, P, w = [[Fraction(1)]], [[Fraction(1)]], [Fraction(1)]
+        Q_i(y) = (d/b)^i sum_k C_ik w_k (bcqy/d; q)_k,  w_k = (bq; q)_k / (bcq^2; q)_k.
+
+    Everything is integers over powers and products (q = u/v): row i of
+    C over u^(i(i+1)/2), C_(i+1,j) = (C_ij - q C_(i,j-1)) q^-j; w_k as a
+    numerator and a denominator; the coefficients of (bcqy/d; q)_k over
+    its denominator; and one `combine` per row."""
+    u, v = p.qp.q.numerator, p.qp.q.denominator
+    bn, bd, cn, cd = p.b.numerator, p.b.denominator, p.c.numerator, p.c.denominator
+    e = p.b * p.c * p.qp.q / p.d
+    en, ed = e.numerator, e.denominator
+    C, wn, wd, P = [[1]], [1], [1], [({0: 1}, 1)]
     for k in range(D):
-        C.append([(u - q * v) / q**j for j, (u, v) in enumerate(zip(C[-1] + [0], [0] + C[-1]))])
-        P.append([u - b * c * q ** (k + 1) / d * v for u, v in zip(P[-1] + [0], [0] + P[-1])])
-        w.append(w[-1] * (1 - b * q ** (k + 1)) / (1 - b * c * q ** (k + 2)))
-    return [exact_form((m, (d / b) ** i * sum(row[k] * w[k] * P[k][m] for k in range(m, i + 1)))
-                       for m in range(i + 1)) for i, row in enumerate(C)]
+        C.append([C[-1][0] * u ** (k + 1)]
+                 + [(v * n - u * m) * v ** (j - 1) * u ** (k + 1 - j)
+                    for j, (n, m) in enumerate(zip(C[-1][1:] + [0], C[-1]), 1)])
+        wn.append(wn[-1] * (bd * v ** (k + 1) - bn * u ** (k + 1)) * cd * v)
+        wd.append(wd[-1] * (bd * cd * v ** (k + 2) - bn * cn * u ** (k + 2)))
+        # times (ed v^k - en u^k y) / (ed v^k)
+        nums, den = P[-1]
+        c0, c1 = ed * v**k, -en * u**k
+        P.append(({m: nums.get(m, 0) * c0 + nums.get(m - 1, 0) * c1 for m in range(k + 2)},
+                  den * c0))
+    dn, dd = p.d.numerator, p.d.denominator
+    return [combine(((n * wn[k] * (dn * bd) ** i, P[k][0], wd[k] * P[k][1])
+                     for k, n in enumerate(row)), u ** (i * (i + 1) // 2) * (dd * bn) ** i)
+            for i, row in enumerate(C)]
 
 
 class MomentTable:

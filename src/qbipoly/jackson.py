@@ -1,9 +1,10 @@
 """Exact integer kernels of the Jackson moment engine (`MomentTable` in
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
 m 2^e; nothing here rounds to a float field.  Ladders of infinite
-q-Pochhammer ratios from exact-rational steps and power sums of node
-powers, each with its truncation bound stated and checked exactly in the
-tests, and the exact signs of those ratios."""
+q-Pochhammer ratios (Euler's series at a switch index past the top index,
+exact-rational steps below it) and power sums of node powers, each with
+its truncation bound stated and checked exactly in the tests, and the
+exact signs of those ratios."""
 
 import math
 from fractions import Fraction
@@ -28,6 +29,28 @@ def _geometric(v: Fraction, q: Fraction, n: int, width: int) -> list:
     return out
 
 
+def _euler(zn: int, zd: int, q: Fraction, F: int) -> int:
+    """(x; q)_inf 2^F, x = zn / zd (zd > 0) with |x| <= (1 - q) / 4, by
+    Euler's series sum_n (-1)^n q^C(n,2) x^n / (q; q)_n (Gasper & Rahman,
+    2004, (1.3.16)).  Term n + 1 is term n times -x q^n / (1 - q^(n+1)),
+    at most a quarter of it, each truncated toward zero (under a unit; so
+    a term is off by under 4/3 units), and the sum stops before the first
+    term of at most 2 units (its tail is then under 9/2).  At most F/2 +
+    2 terms are summed, and the value lies in [2/3, 4/3], so the result is
+    within (F + 8) 2^-F of it, relative."""
+    qn, qd = q.numerator, q.denominator
+    total = t = 1 << F
+    a, b = 1, qd           # qn^n and qd^(n+1)
+    while True:
+        v = t * zn * a * qd
+        den = zd * (b - a * qn)
+        t = -(v // den) if v > 0 else -v // den
+        if abs(t) <= 2:
+            return total
+        total += t
+        a, b = a * qn, b * qd
+
+
 def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
     """[V(k) for k = lo..hi] as integer pairs (m, e), m 2^e, where
 
@@ -37,44 +60,48 @@ def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
     that is exactly zero is left out (the continuous limit of a 0/0
     weight), and one of `ups` makes V zero from there down.
 
-    V(k) = V(k + 1) f(k), f(j) the exact rational
-    prod (1 - z q^j)^(+-1), so the values come from one running product
-    taken down from the cut J >= hi, the least with 2 S q^(J+1) <= (1 - q)
-    2^-W, S = sum |z|: each step multiplies by f(j) with one truncation
-    to W = prec + g bits, g = bitlen(J - lo + 1) + 2.  The J - lo + 1
-    truncations (each under 2^(1 - W)) stay under 2^(-prec-1) and the cut
-    tail prod_(j > J) f(j) moves V by under 2^(1 - W), so
+    Past the switch index K, the least index >= max(hi + 1, lo) with S q^K
+    <= (1 - q)/4, S = sum |z|, every |z q^K| is that small, so no factor
+    vanishes there and V(K) is the quotient of each factor's Euler series
+    (`_euler`, F = W + bitlen(n (W + 64)) + 2 bits for n factors, each
+    within 2^-(W + 2) / n), truncated once to W bits: within 2^(2 - W).
+    Below K, V(k) = V(k + 1) f(k), f(j) the exact rational
+    prod (1 - z q^j)^(+-1), one running product taken down to lo: each
+    step multiplies by f(j) with one truncation to W = prec + g bits, g =
+    bitlen(K - lo + 2) + 2, under 2^(1 - W).  V(K) counts as two of those,
+    and the K - lo + 2 of them stay under 2^(-prec-1), so
 
         |V(k) - exact| < 2^-prec |exact|   for every k."""
     qn, qd = q.numerator, q.denominator
     ups = [(z.numerator, z.denominator) for z in ups]
     downs = [(z.numerator, z.denominator) for z in downs]
     S = sum(abs(Fraction(n, d)) for n, d in ups + downs)
-    g = 3
-    while True:
-        W = prec + g
-        # least J >= hi with q^(J+1) <= (1 - q) 2^-W / (2 S)
-        bound = (1 - q) / (2 * S * 2**W)
-        J = max(hi, math.ceil((math.log2(bound.numerator) - math.log2(bound.denominator))
-                              / (math.log2(qn) - math.log2(qd))) - 1)
-        while q ** (J + 1) > bound:
-            J += 1
-        while J > hi and q ** J <= bound:
-            J -= 1
-        if (J - lo + 1).bit_length() + 2 <= g:
-            break
-        g = (J - lo + 1).bit_length() + 2
-    top = max(J, -lo)
-    pn, pd = [1], [1]
-    for _ in range(top):
-        pn.append(pn[-1] * qn)
-        pd.append(pd[-1] * qd)
-    out = []
-    m, e, sign = 1, 0, 1
-    for j in range(J, lo - 1, -1):
+    K = first = max(hi + 1, lo)
+    bound = (1 - q) / 4
+    if S and S * q**K > bound:
+        # least K with q^K <= bound / S, from a logarithmic estimate
+        r = bound / S
+        K = max(first, math.ceil((math.log2(r.numerator) - math.log2(r.denominator))
+                                 / (math.log2(qn) - math.log2(qd))))
+        while S * q**K > bound:
+            K += 1
+        while K > first and S * q ** (K - 1) <= bound:
+            K -= 1
+    W = prec + (K - lo + 2).bit_length() + 2
+    F = W + (len(ups + downs) * (W + 64)).bit_length() + 2
+    # q^j = A / B at j = K, stepped down with j
+    A, B = (qn**K, qd**K) if K >= 0 else (qd**-K, qn**-K)
+    num = den = 1
+    for zn, zd in ups:
+        num *= _euler(zn * A, zd * B, q, F)
+    for zn, zd in downs:
+        den *= _euler(zn * A, zd * B, q, F)
+    m, s = _scaled(num, den, W)
+    e, sign, out = F * (len(downs) - len(ups)) - s, 1, []
+    for j in range(K - 1, lo - 1, -1):
+        A, B = (A // qn, B // qd) if j >= 0 else (A * qd, B * qn)
         # z q^j = zn A / (zd B), so 1 - z q^j = (zd B - zn A) / (zd B); the
         # B of each kept factor cancels down to B^(kept downs - ups)
-        A, B = (pn[j], pd[j]) if j >= 0 else (pd[-j], pn[-j])
         num = den = 1
         for zn, zd in ups:
             num, den = num * (zd * B - zn * A), den * zd

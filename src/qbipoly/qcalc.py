@@ -7,8 +7,8 @@ calls it, and it stays because the benchmark's span list names it.  The one
 float-lane routine, the infinite q-Pochhammer of a field value, multiplies
 its factors in ascending index order at the field's working precision, so
 results are reproducible.  The moment engine does not call it: its
-Pochhammer ratios are integer ladders of exact-rational steps
-(`jackson._ladder`).
+Pochhammer ratios are integer ladders of exact-rational steps that start
+from Euler's series (`jackson._ladder`).
 """
 
 import functools

@@ -81,7 +81,9 @@ def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
     """Pairwise normalized inner products, positive norms, a nonsingular
     H_1 = L(x P_1^T) and positive node weights (exact signs), each gate
     decided on the exact rationals of `MomentTable.gram` (a pair: both
-    norms pass and G_ij^2 < tol^2 G_ii G_jj).  A value is rounded once,
+    norms pass and G_ij^2 < tol^2 G_ii G_jj; H_1: |det| > tol (|h00 h11|
+    + |h01 h10|), which does not scale with the weight's mass, while the
+    printed value is det itself).  A value is rounded once,
     when printed (`float_str`; nan where G_ii G_jj <= 0).
 
     For the scalar-indexed explicit family every distinct index pair must
@@ -116,8 +118,10 @@ def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
 
     # H_1[r][c] = L(x^(1-r) y^r P_1[c]): rows 0-1, columns 2-3
     h1 = [row[2:] for row in moments.gram([BiPoly.x(), BiPoly.y(), *fam.vectors[1]])[:2]]
-    det = h1[0][0] * h1[1][1] - h1[0][1] * h1[1][0]
-    rows.append(("H1_nonsingular", "det", "", float_str(det, prec), str(abs(det) > ORTH_TOL)))
+    diag, anti = h1[0][0] * h1[1][1], h1[0][1] * h1[1][0]
+    det = diag - anti
+    rows.append(("H1_nonsingular", "det", "", float_str(det, prec),
+                 str(abs(det) > ORTH_TOL * (abs(diag) + abs(anti)))))
     rows.append(("weight_positive", "every node weight", f"truncation={truncation}",
                  "exact sign", str(moments.weight_positive)))
     return _report(rows)

@@ -199,6 +199,7 @@ def test_equation_caches_on_its_frozen_instance():
 TEST_REFERENCES = {
     "mat_to_json": "io: the documented view of a Mat leaf, the JSON writer's reference",
     "moment": "MomentTable: one moment as an exact rational, the engine's reference moments",
+    "phi_rs": "qcalc: the public r-phi-s sum, the pointwise nonmonic reference (univariate_value)",
 }
 
 

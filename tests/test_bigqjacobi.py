@@ -950,31 +950,60 @@ def mpf_value(v) -> Fraction:
     return (-1) ** sign * pair_value((man, exp))
 
 
+def truncated(num: int, den: int, bits: int) -> Fraction:
+    """num / den (den != 0) truncated toward zero to a dyadic rational of
+    bits or bits + 1 significant bits: a relative change under 2^(1 -
+    bits), with no gcd of the long integers."""
+    n, d = abs(num), abs(den)
+    s = bits + d.bit_length() - n.bit_length()
+    m = (n << s) // d if s >= 0 else (n >> -s) // d
+    m = m if (num < 0) == (den < 0) else -m
+    return F(m, 1 << s) if s >= 0 else F(m << -s)
+
+
 def ladder_reference(ups, downs, q, lo, hi, slack_bits):
-    """([exact partial products to J for k = lo..hi], tau): the factors of
-    `_ladder` for j = k..J as Fractions (a zero factor of `downs` left
-    out), with J so far out that the cut tail moves each by a relative
-    tau <= 2^-slack_bits (tau = 2 s for s = 2 sum|z| q^(J+1) / (1 - q),
-    which bounds e^s - 1)."""
+    """([partial products to J for k = lo..hi], tau), hi >= 0: the factors of
+    `_ladder` for j = k..J, exact rationals (a zero factor of `downs` left
+    out), multiplied in one at a time with each product truncated toward
+    zero to R bits, with J and R so far out that the cut tail and the
+    truncations move each value by a relative tau <= 2^-slack_bits (tau =
+    2 s + n 2^(2 - R) for n truncations and s = 2 sum|z| q^(J+1) / (1 -
+    q): 2 s bounds e^s - 1 and n 2^(1 - R) the truncations).  A truncation
+    keeps the sign and never reaches zero, so the signs are those of the
+    exact partial products."""
     S = sum(abs(z) for z in ups + downs)
-    J = hi
-    while 4 * S * q ** (J + 1) / (1 - q) > F(1, 2**slack_bits):
-        J += 1
-    vals, v = [], F(1)
+    qn, qd = q.numerator, q.denominator
+    # the least J >= hi with 4 S q^(J+1) / (1 - q) <= 2^-(slack_bits + 1),
+    # on the integers a / b = q^(J+1)
+    J, a, b = hi, qn ** (hi + 1), qd ** (hi + 1)
+    while 4 * S.numerator * a * qd << (slack_bits + 1) > S.denominator * (qd - qn) * b:
+        J, a, b = J + 1, a * qn, b * qd
+    n = (J - lo + 1) * len(ups + downs)
+    R = slack_bits + n.bit_length() + 3
+    # q^j = A / B, so 1 - z q^j = (zd B - zn A) / (zd B)
+    vals, v, A, B = [], F(1), a // qn, b // qd
     for j in range(J, lo - 1, -1):
+        if j < J:
+            A, B = (A // qn, B // qd) if j >= 0 else (A * qd, B * qn)
         for z in ups:
-            v *= 1 - z * q**j
+            if v:
+                v = truncated(v.numerator * (z.denominator * B - z.numerator * A),
+                              v.denominator * z.denominator * B, R)
         for z in downs:
-            if 1 - z * q**j:
-                v /= 1 - z * q**j
+            if v and (u := z.denominator * B - z.numerator * A):
+                v = truncated(v.numerator * z.denominator * B, v.denominator * u, R)
         if j <= hi:
             vals.append(v)
-    return vals[::-1], 4 * S * q ** (J + 1) / (1 - q)
+    return vals[::-1], 4 * S * q ** (J + 1) / (1 - q) + F(n, 2 ** (R - 2))
 
 
 #: (ups, downs, q, lo, hi, prec): single Pochhammers at q = 1/2 and 2/3,
 #: lo < 0 with |z q^k| > 1, negative z, a ratio, a vanishing factor of
-#: `downs` left out, and one of `ups` that zeroes the ladder from k = 2 down
+#: `downs` left out, and one of `ups` that zeroes the ladder from k = 2
+#: down; then ratios at q = 9/10 and 99/100, where Euler's series starts
+#: far below the old cut, a vanishing factor of `downs` at j = 3 between
+#: hi = 1 and the switch index K = 7, and z = -1000 (a weight factor at d
+#: = -1000), whose K = 13 lies far past hi + 1
 LADDER_CASES = [
     ([F(1, 2)], [], F(1, 2), 0, 12, 64),
     ([F(3, 4)], [], F(2, 3), 0, 20, 64),
@@ -982,6 +1011,10 @@ LADDER_CASES = [
     ([F(-7, 3)], [], F(2, 3), -5, 5, 80),
     ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), -3, 9, 72),
     ([F(13)], [F(1)], F(1, 2), -8, 0, 64),
+    ([F(9, 10), F(-3, 5)], [F(1, 4), F(-9, 40)], F(9, 10), -4, 30, 64),
+    ([F(99, 100), F(-1, 2)], [F(1, 3)], F(99, 100), -2, 6, 24),
+    ([F(-1000)], [F(1, 2000)], F(1, 2), 0, 2, 64),
+    ([F(1, 3)], [F(8)], F(1, 2), -2, 1, 64),
     ([F(4)], [F(1, 5)], F(1, 2), -4, 4, 64),
 ]
 
@@ -1002,13 +1035,22 @@ def test_ladder_error_below_stated_bound(case):
         assert [k for k, (m, _) in zip(range(lo, hi + 1), got) if m == 0] == [-4, -3, -2, -1, 0, 1, 2]
 
 
-@pytest.mark.parametrize("point", sorted(EDGE_POINTS) + ["q=2/3"])
+#: beside the benchmark's domain edges: q = 2/3, q = 9/10 (where Euler's
+#: series starts far below the old cut) and d = -1000 (where the constant's
+#: and the y < 0 branch's switch index lies far past the top index)
+FACTOR_POINTS = {**EDGE_POINTS, "q=2/3": P23,
+                 "q=9/10": BigQJacobiParams(F(1, 2), F(1, 3), F(1, 4), F(-1, 2), QParam(F(9, 10))),
+                 "d=-1000": BigQJacobiParams(F(1, 1000), F(1, 1000), F(1, 1000), F(-1000),
+                                             QParam(F(1, 2)))}
+
+
+@pytest.mark.parametrize("point", sorted(FACTOR_POINTS))
 def test_node_factors_against_the_infinite_product_formula(point):
     """The engine's outer node factors (1 - q) (+-) G(y_t) at N = 6 are
     within 2^(3 - wp) of G's infinite-product formula taken factor by
-    factor (eight Pochhammer sequences as exact partial products): the
-    ladders reproduce the written closed form."""
-    p = P23 if point == "q=2/3" else EDGE_POINTS[point]
+    factor (eight Pochhammer sequences as partial products,
+    `ladder_reference`): the ladders reproduce the written closed form."""
+    p = FACTOR_POINTS[point]
     N, wp = 6, 64
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
     taus = []
@@ -1274,11 +1316,12 @@ def test_moment_table_rounds_nothing(monkeypatch):
 #: the sha256 of repr((_low, sorted(_fixed.items()), weight_positive)) of
 #: the degree-6 table at (point, precision, truncation): the preset at
 #: 128/96, a benchmark candidate at 136/96 and q = 2/3 at the CLI default
-#: 192/200, recorded when each inner integral became a closed form
+#: 192/200, recorded when the Pochhammer ladders began at Euler's series
+#: (every moment within 2^-(prec+10) M_00 of the tables before)
 TABLE_DIGESTS = {
-    ("test-params", 128, 96): "b768fdaab68f09314fba7597ebe5ba90b397dce21a59a4463661703a1a7e3d06",
-    ("benchmark", 136, 96): "2973fd9c20797097154d9850f121b0273a16d5cc9cbe80677fe954a9c09b912c",
-    ("q=2/3", 192, 200): "96fbd05b19d5dae5142080441b66866ab7e5c731160d9436835617ca0224c112",
+    ("test-params", 128, 96): "68f79f65ed4de91bec85965a44d0aedbe04fcf27d9450784a8958071e2135388",
+    ("benchmark", 136, 96): "04c7546ec562f5b56431a1b95cc1d41503aa63df7fee4d458655aa3e138938b1",
+    ("q=2/3", 192, 200): "e327f0124fe4ea0c8ecc79c1f270db4fdc2d8f20fefbed637b9cc2c76ed2acf3",
 }
 
 

@@ -816,6 +816,43 @@ def test_orthogonality_passes_at_d_minus_1000_with_more_precision(capsys):
     assert main(_verify_argv(GATE_MISSES["d=-1000"][0], 160, 96)) == 0
 
 
+#: points where det H_1 is tiny only because the weight's mass is (1.5e-31
+#: and 2.8e-32 at the default 192/200): H_1 is gated at 1e-25 of |h00 h11|
+#: + |h01 h10|, which does not scale with the mass
+SMALL_MASS = {
+    "q=1/1000": ("q=1/1000",),
+    "abc=1/1000,d=-1/1000": ("a=1/1000", "b=1/1000", "c=1/1000", "d=-1/1000"),
+}
+
+
+def _h1_row(rows) -> list:
+    return [row for row in rows if row[0] == "H1_nonsingular"]
+
+
+@pytest.mark.parametrize("point", sorted(SMALL_MASS))
+def test_h1_gate_does_not_scale_with_the_weights_mass(capsys, point):
+    argv = ["verify", *P, "--suite", "orthogonality", *(f"--param={v}" for v in SMALL_MASS[point])]
+    assert main(argv) == 0
+    [row] = _h1_row(json.loads(capsys.readouterr().out)["rows"])
+    assert row[4] == "True" and abs(float(row[3])) < 1e-30
+
+
+def test_h1_gate_reads_false_on_a_rank_one_block(monkeypatch):
+    """H_1 with its second row three times its first (det exactly 0) reads
+    False, and the suite's ok with it."""
+    gram = suites.MomentTable.gram
+
+    def rank_one(self, polys):
+        G = gram(self, polys)
+        if len(polys) == 4 and polys[0] == BiPoly.x():
+            G[1][2], G[1][3] = 3 * G[0][2], 3 * G[0][3]
+        return G
+
+    monkeypatch.setattr(suites.MomentTable, "gram", rank_one)
+    ok, rows = suites.run_suite("orthogonality", p=TEST_PARAMS, truncation=96, prec=120)
+    assert _h1_row(rows) == [("H1_nonsingular", "det", "", "0.0", "False")] and not ok
+
+
 def test_orthogonality_request_builds_no_mpmath_context(monkeypatch, capsys):
     # the report's values are exact rationals, each rounded once when printed
     import mpmath
