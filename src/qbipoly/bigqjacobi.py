@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly, combine, exact_form, from_form
 from .equation import EquationCoeffs
-from .jackson import _geometric, _ladder, _power_sums, _products, _signs
+from .jackson import _geometric, _ladder, _power_sums, _products
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
@@ -267,61 +267,6 @@ def check_weight_params(p: BigQJacobiParams) -> None:
                          f"got c={p.c}, q={q}")
 
 
-def _node_signs(p: BigQJacobiParams, N: int) -> tuple:
-    """The signs (-1, 0 or 1) of the weight's node factors at truncation N,
-    exactly (`_signs`): (A_cq, B_cq, A_d, B_d, B_neg, yfacs).  The node
-    weight at x = cqy q^r (x > 0), x = d q^{1+r} (x < 0), y = a q^{1+t} (y >
-    0) and y = d q^{1+t} (y < 0) is yfac(t) A(r) B(index), each a ratio of
-    factors (z q^k; q)_inf; the lists run over r, t + r and r - t (+ N),
-    and yfacs over y > 0, then y < 0."""
-    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
-
-    def signs(ups, downs, lo, hi):
-        return _signs(ups, downs, q, lo, hi)
-
-    # the comments name the weight factors of each ratio
-    B_d = signs([d / (a * c)], [d / a], -N, N)                      # x/(cy) / x/y
-    # x/(cy) over x/y less its vanishing factor (the continuous limit)
-    B_neg = signs([1 / c], [Fraction(1)], -N, 0)
-    # yfac: (y/a) (y/d) over (cqy/d) (y), times (dq/y) over y (d/(cy)); on
-    # y < 0 the limit drops the vanishing factor of (dq/y), which `_signs`
-    # does for a divisor, so the reciprocal (d/(cy)) over (dq/y) is taken
-    yfacs = []
-    for y0, ys, rest in ((a, signs([q, a * q / d], [a * c * q**2 / d, a * q], 0, N),
-                          signs([d / (a * c * q)], [d / a], -N, 0)),
-                         (d, signs([d * q / a, q], [c * q**2, d * q], 0, N),
-                          signs([1 / (c * q)], [Fraction(1)], -N, 0))):
-        yfacs += [((y0 > 0) - (y0 < 0)) * u * v for u, v in zip(ys, rest[::-1])]
-    return (signs([q], [c * q], 0, N),                                # x/(cy) / x/y
-            signs([a * c * q**2 / d], [a * b * c * q**2 / d], 0, 2 * N),  # x/d / bx/d
-            signs([q], [b * q], 0, N), B_d, B_neg, yfacs)             # x/d / bx/d
-
-
-def _weight_positive(signs, N: int) -> bool:
-    """Some node weight yfac(t) A(r) B(index) of the truncated lattice is
-    positive and none is negative, from the signs of `_node_signs`: per
-    lattice piece and outer node t, bit r of two masks marks a negative
-    and a nonzero product A(r) B(index)."""
-    def masks(s):
-        return (sum(1 << k for k, v in enumerate(s) if v < 0),
-                sum(1 << k for k, v in enumerate(s) if v))
-
-    A_cq, B_cq, A_d, B_d, B_neg = map(masks, signs[:5])
-    yfacs = signs[5]
-    negative = nonzero = False
-    for t in range(N + 1):
-        # per lattice piece: A, B, B's index at r = 0, the count of r, yfac(t)
-        for (an, az), (bn, bz), start, count, y in (
-                (A_cq, B_cq, t, N + 1, yfacs[t]), (A_d, B_d, N - t, N + 1, yfacs[t]),
-                (A_d, B_neg, N - t, t + 1, yfacs[N + 1 + t])):
-            if y:
-                z = az & (bz >> start) & ((1 << count) - 1)
-                n = (an ^ (bn >> start)) & z
-                nonzero |= z != 0
-                negative |= (n ^ z if y < 0 else n) != 0
-    return nonzero and not negative
-
-
 def _outer_weights(p: BigQJacobiParams, N: int, wp: int) -> list:
     """[(1 - q) G(y_t)] at y_t = a q^{1+t}, then -(1 - q) G(y_t) at y_t = d
     q^{1+t}, t = 0..N, as integer pairs within 2^(3 - wp) relative, where
@@ -405,8 +350,8 @@ class MomentTable:
     Error.  Each term of mu_p is within (9 + 2p) 2^-W relative (G(y_t)
     within 2^(3 - W), y_t within 2^(1 - W), the power sum's truncations
     within 2^-W of its largest term), and |mu_p| <= Y^(p-1) mu_1, Y =
-    max(aq, |dq|), when each outer node's mass (1 - q) (+-) y_t G(y_t) is
-    positive (as where `weight_positive` holds).  With the last truncation
+    max(aq, |dq|), since each outer node's mass (1 - q) (+-) y_t G(y_t) is
+    positive on the whole parameter domain (below).  With the last truncation
     (under 2^-W mu_1) each moment is within (2D + 12) B 2^-W mu_1, so with
 
         B = max over i + j <= D of sum_m |R_im| Y^(j+m),  W = prec + g,
@@ -416,20 +361,42 @@ class MomentTable:
     The guard g is 5-12 bits at the tests' points (59 at d = -1000, where Y
     = 500).
 
-    `weight_positive` is exact: the signs of the factors 1 - z q^j give the
-    sign of every node weight of the truncated lattice (x = cqy q^r and d
-    q^{1+r}, r <= truncation; r <= t on y < 0), with no product formed
-    (`_node_signs`, `_weight_positive`): some is positive and none negative.
+    Positivity.  On the parameter domain (0 < aq, bq, cq < 1, d < 0, c !=
+    q^k) every node weight is positive or zero and some is positive, so
+    `weight_positive` is the constant True; the tests check it against
+    exact node signs.  A node weight is 1/y times factors (z q^j;
+    q)_inf^(+-1), j >= 0: (x/(cy), x/d, y/a, y/d, dq/y) over (x/y, bx/d, y,
+    cqy/d, d/(cy)).  On y = a q^{1+t}, at x = cqy q^r and at x = d q^{1+r}
+    alike, each z is <= 0 or in (0, 1), so every factor is positive, and so
+    is y.  On y = d q^{1+t} the weight vanishes (dq/y = q^-t) except on x =
+    d q^{1+r}, r <= t, where every factor is positive but two ratios, each
+    taken less its one vanishing factor.  Let T be the least integer >= 0
+    with q^T <= c; as c < 1/q, q^m > c exactly for the integers m < T.  So
+    (q^(r-t)/c; q)_inf / (q^(r-t); q)_inf (x/(cy) over x/y) has t - r + T
+    negative factors over t - r, sign (-1)^T, and (q^-t/(cq); q)_inf /
+    (q^-t; q)_inf (d/(cy) over dq/y, a divisor of the weight) has t + 1 + T
+    over t, sign (-1)^(T+1); with 1/y < 0 the weight is positive.  At c =
+    q^k (k >= 0), refused by `check_weight_params`, the first ratio vanishes
+    on y < 0 and no weight is negative either.  So the masses are positive:
+    the Jackson measure's (1 - q) x, or -(1 - q) x at the lower end, is
+    positive at every node of nonzero weight, and so is each of G's factors
+    (each z <= 0 or in (0, 1), as `_ladder` requires).
     """
+
+    #: every node weight is positive or zero on the parameter domain
+    #: (Positivity above)
+    weight_positive = True
 
     def __init__(self, p: BigQJacobiParams, max_degree: int, truncation: int, prec: int):
         check_weight_params(p)
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
+        for name, v in (("max_degree", max_degree), ("truncation", truncation)):
+            if v < 0:
+                raise ValueError(f"{name} must be at least 0, got {v}")
         self.params, self.max_degree, self.truncation, self.prec = p, max_degree, truncation, prec
         N, D = truncation, max_degree
         q, a, d = p.qp.q, p.a, p.d
-        self.weight_positive = _weight_positive(_node_signs(p, N), N)
         R = _conditional_moments(p, D)
         Y = max(a * q, -d * q)
         B = max(max(1, Y) ** (D - i) * sum(abs(n) * Y**m for m, n in nums.items()) / den

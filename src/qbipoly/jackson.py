@@ -1,10 +1,10 @@
 """Exact integer kernels of the Jackson moment engine (`MomentTable` in
 `bigqjacobi`).  Every value is an integer pair (mantissa, exponent) meaning
 m 2^e; nothing here rounds to a float field.  Ladders of infinite
-q-Pochhammer ratios (Euler's series at a switch index past the top index,
-exact-rational steps below it) and power sums of node powers, each with
-its truncation bound stated and checked exactly in the tests, and the
-exact signs of those ratios."""
+q-Pochhammer ratios whose factors are all positive (Euler's series at a
+switch index past the top index, exact-rational steps below it) and power
+sums of node powers, each with its truncation bound stated and checked
+exactly in the tests."""
 
 import math
 from fractions import Fraction
@@ -56,13 +56,11 @@ def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
 
         V(k) = prod_(z in ups) (z q^k; q)_inf / prod_(z in downs) (z q^k; q)_inf
 
-    for exact rationals z and 0 < q < 1; a factor 1 - z q^j of `downs`
-    that is exactly zero is left out (the continuous limit of a 0/0
-    weight), and one of `ups` makes V zero from there down.
+    for exact rationals z, 0 < q < 1 and 0 <= lo, with every z q^lo < 1
+    (refused otherwise): each factor 1 - z q^j, j >= lo, is then positive.
 
-    Past the switch index K, the least index >= max(hi + 1, lo) with S q^K
-    <= (1 - q)/4, S = sum |z|, every |z q^K| is that small, so no factor
-    vanishes there and V(K) is the quotient of each factor's Euler series
+    Past the switch index K, the least index >= hi + 1 with S q^K <= (1 -
+    q)/4, S = sum |z|, V(K) is the quotient of each factor's Euler series
     (`_euler`, F = W + bitlen(n (W + 64)) + 2 bits for n factors, each
     within 2^-(W + 2) / n), truncated once to W bits: within 2^(2 - W).
     Below K, V(k) = V(k + 1) f(k), f(j) the exact rational
@@ -72,11 +70,14 @@ def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
     and the K - lo + 2 of them stay under 2^(-prec-1), so
 
         |V(k) - exact| < 2^-prec |exact|   for every k."""
+    if lo < 0 or any(z * q**lo >= 1 for z in ups + downs):
+        raise ValueError(f"the ladder needs lo >= 0 and z q^lo < 1 for every z, got lo={lo}, "
+                         f"z = {', '.join(map(str, ups + downs))}")
     qn, qd = q.numerator, q.denominator
     ups = [(z.numerator, z.denominator) for z in ups]
     downs = [(z.numerator, z.denominator) for z in downs]
     S = sum(abs(Fraction(n, d)) for n, d in ups + downs)
-    K = first = max(hi + 1, lo)
+    K = first = hi + 1
     bound = (1 - q) / 4
     if S and S * q**K > bound:
         # least K with q^K <= bound / S, from a logarithmic estimate
@@ -90,61 +91,29 @@ def _ladder(ups, downs, q: Fraction, lo: int, hi: int, prec: int) -> list:
     W = prec + (K - lo + 2).bit_length() + 2
     F = W + (len(ups + downs) * (W + 64)).bit_length() + 2
     # q^j = A / B at j = K, stepped down with j
-    A, B = (qn**K, qd**K) if K >= 0 else (qd**-K, qn**-K)
+    A, B = qn**K, qd**K
     num = den = 1
     for zn, zd in ups:
         num *= _euler(zn * A, zd * B, q, F)
     for zn, zd in downs:
         den *= _euler(zn * A, zd * B, q, F)
+    extra = len(downs) - len(ups)
     m, s = _scaled(num, den, W)
-    e, sign, out = F * (len(downs) - len(ups)) - s, 1, []
+    e, out = F * extra - s, []
     for j in range(K - 1, lo - 1, -1):
-        A, B = (A // qn, B // qd) if j >= 0 else (A * qd, B * qn)
+        A, B = A // qn, B // qd
         # z q^j = zn A / (zd B), so 1 - z q^j = (zd B - zn A) / (zd B); the
-        # B of each kept factor cancels down to B^(kept downs - ups)
-        num = den = 1
+        # B of the factors cancels down to B^(len(downs) - len(ups))
+        num, den = B ** max(extra, 0), B ** max(-extra, 0)
         for zn, zd in ups:
             num, den = num * (zd * B - zn * A), den * zd
-        kept = 0
         for zn, zd in downs:
-            u = zd * B - zn * A
-            if u:
-                num, den, kept = num * zd, den * u, kept + 1
-        if kept > len(ups):
-            num *= B ** (kept - len(ups))
-        elif kept < len(ups):
-            den *= B ** (len(ups) - kept)
-        if not num:
-            break
-        if (num < 0) != (den < 0):
-            sign = -sign
-        m, s = _scaled(m * abs(num), abs(den), W)
+            num, den = num * zd, den * (zd * B - zn * A)
+        m, s = _scaled(m * num, den, W)
         e -= s
         if j <= hi:
-            out.append((sign * m, e))
-    out += [(0, 0)] * (hi - lo + 1 - len(out))
+            out.append((m, e))
     out.reverse()
-    return out
-
-
-def _signs(ups, downs, q: Fraction, lo: int, hi: int) -> list:
-    """[the sign (-1, 0 or 1) of V(k) for k = lo..hi], V as in `_ladder`,
-    exactly and with no product: for z > 0 the factors 1 - z q^j are
-    negative for j < T, T the least integer with z q^T <= 1, and zero at j
-    = T if z q^T = 1; for z <= 0 none is negative or zero."""
-    out = [1] * (hi - lo + 1)
-    for z, up in [(z, True) for z in ups] + [(z, False) for z in downs]:
-        if z <= 0:
-            continue
-        T = math.ceil((math.log(z.numerator) - math.log(z.denominator))
-                      / (math.log(q.denominator) - math.log(q.numerator)))
-        while z * q**T > 1:
-            T += 1
-        while z * q ** (T - 1) <= 1:
-            T -= 1
-        zero = up and z * q**T == 1
-        for k in range(lo, min(hi, T) + 1):
-            out[k - lo] = 0 if zero else out[k - lo] * (-1) ** (T - k)
     return out
 
 

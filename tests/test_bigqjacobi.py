@@ -12,8 +12,8 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _conditional_moments, _node_signs,
-                                _outer_weights, _power_sums, _weight_positive,
+                                MomentTable, _conditional_moments,
+                                _outer_weights, _power_sums,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_rodrigues_fraction,
@@ -997,25 +997,24 @@ def ladder_reference(ups, downs, q, lo, hi, slack_bits):
     return vals[::-1], 4 * S * q ** (J + 1) / (1 - q) + F(n, 2 ** (R - 2))
 
 
-#: (ups, downs, q, lo, hi, prec): single Pochhammers at q = 1/2 and 2/3,
-#: lo < 0 with |z q^k| > 1, negative z, a ratio, a vanishing factor of
-#: `downs` left out, and one of `ups` that zeroes the ladder from k = 2
-#: down; then ratios at q = 9/10 and 99/100, where Euler's series starts
-#: far below the old cut, a vanishing factor of `downs` at j = 3 between
-#: hi = 1 and the switch index K = 7, and z = -1000 (a weight factor at d
-#: = -1000), whose K = 13 lies far past hi + 1
+#: (ups, downs, q, lo, hi, prec), every factor 1 - z q^j positive (lo = 0,
+#: z < 1): single Pochhammers at q = 1/2 and 2/3, negative z, a ratio, z
+#: near 1 in `ups` and in `downs` (factors near zero); then ratios at q =
+#: 9/10 and 99/100, where Euler's series starts far below the old cut, and
+#: z = -1000 (a weight factor at d = -1000) and -8, whose switch index K
+#: lies far past hi + 1
 LADDER_CASES = [
     ([F(1, 2)], [], F(1, 2), 0, 12, 64),
     ([F(3, 4)], [], F(2, 3), 0, 20, 64),
-    ([F(5)], [], F(1, 2), -6, 3, 64),
-    ([F(-7, 3)], [], F(2, 3), -5, 5, 80),
-    ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), -3, 9, 72),
-    ([F(13)], [F(1)], F(1, 2), -8, 0, 64),
-    ([F(9, 10), F(-3, 5)], [F(1, 4), F(-9, 40)], F(9, 10), -4, 30, 64),
-    ([F(99, 100), F(-1, 2)], [F(1, 3)], F(99, 100), -2, 6, 24),
+    ([F(-5)], [], F(1, 2), 0, 9, 64),
+    ([F(-7, 3)], [], F(2, 3), 0, 10, 80),
+    ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), 0, 12, 72),
+    ([F(12, 13)], [F(1, 13)], F(1, 2), 0, 8, 64),
+    ([F(9, 10), F(-3, 5)], [F(1, 4), F(-9, 40)], F(9, 10), 0, 34, 64),
+    ([F(99, 100), F(-1, 2)], [F(1, 3)], F(99, 100), 0, 8, 24),
     ([F(-1000)], [F(1, 2000)], F(1, 2), 0, 2, 64),
-    ([F(1, 3)], [F(8)], F(1, 2), -2, 1, 64),
-    ([F(4)], [F(1, 5)], F(1, 2), -4, 4, 64),
+    ([F(1, 3)], [F(-8)], F(1, 2), 0, 1, 64),
+    ([F(-4)], [F(999, 1000)], F(1, 2), 0, 8, 64),
 ]
 
 
@@ -1031,8 +1030,17 @@ def test_ladder_error_below_stated_bound(case):
     assert len(got) == hi - lo + 1
     for v, w in zip(got, want):
         assert abs(pair_value(v) - w) <= (F(1, 2**prec) * (1 + tau) + tau) * abs(w)
-    if case == len(LADDER_CASES) - 1:
-        assert [k for k, (m, _) in zip(range(lo, hi + 1), got) if m == 0] == [-4, -3, -2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("ups, downs, lo", [([F(1, 4)], [F(-3)], -1), ([F(1, 3)], [F(1)], 0),
+                                            ([F(4)], [F(1, 5)], 2), ([F(1, 5)], [F(3)], 1)],
+                         ids=["lo<0", "zq^0=1", "zq^2=1", "zq^1>1"])
+def test_ladder_refuses_a_factor_that_is_not_positive(ups, downs, lo):
+    """A ladder whose range starts below 0, or has a factor 1 - z q^j (j >=
+    lo) that is zero or negative, is refused, not computed."""
+    with pytest.raises(ValueError, match=re.escape(f"the ladder needs lo >= 0 and z q^lo < 1 "
+                                                   f"for every z, got lo={lo}")):
+        _ladder(ups, downs, F(1, 2), lo, 4, 64)
 
 
 #: beside the benchmark's domain edges: q = 2/3, q = 9/10 (where Euler's
@@ -1084,6 +1092,15 @@ def test_moment_table_refuses_c_a_power_of_q(c):
         MomentTable(p, max_degree=2, truncation=24, prec=80)
 
 
+@pytest.mark.parametrize("name, args", [("max_degree", (-1, 96)), ("truncation", (6, -3))],
+                         ids=["max_degree=-1", "truncation=-3"])
+def test_moment_table_refuses_a_negative_degree_or_truncation(name, args):
+    """A negative truncation once gave all-zero moments, and a negative
+    degree a TypeError from inside the engine: both are refused by name."""
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be at least 0, got {min(args)}")):
+        MomentTable(TEST_PARAMS, *args, 128)
+
+
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
 def test_orthogonality_suite_refuses_c_a_power_of_q(c):
     p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
@@ -1109,7 +1126,7 @@ def test_weight_params_near_q_one_decided_from_lowest_terms():
 
 def brute_node_signs(signs, N) -> list:
     """The nonzero node weights' signs yfac A B over node signs laid out as
-    `_node_signs` returns them, one product per node."""
+    `exact_node_signs` returns them, one product per node."""
     A_cq, B_cq, A_d, B_d, B_neg, yfacs = signs
     out = []
     for t in range(N + 1):
@@ -1120,10 +1137,14 @@ def brute_node_signs(signs, N) -> list:
 
 
 def exact_node_signs(p, N) -> tuple:
-    """The node factors in `_node_signs`' layout, each the sign of exact
-    partial products taken so far out that every later factor is positive
-    (`ladder_reference`), and yfac = Y(t) / (B(-t) (y_t - d/c)) from those
-    and one exact rational."""
+    """The signs (-1, 0 or 1) of the weight's node factors at truncation N,
+    (A_cq, B_cq, A_d, B_d, B_neg, yfacs): the node weight at x = cqy q^r (x
+    > 0), x = d q^{1+r} (x < 0), y = a q^{1+t} (y > 0) and y = d q^{1+t} (y <
+    0) is yfac(t) A(r) B(index), each a ratio of factors (z q^k; q)_inf; the
+    lists run over r, t + r and r - t (+ N), and yfacs over y > 0, then y <
+    0.  Each is the sign of exact partial products taken so far out that
+    every later factor is positive (`ladder_reference`), and yfac = Y(t) /
+    (B(-t) (y_t - d/c)) from those and one exact rational."""
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
 
     def S(ups, downs, lo, hi):
@@ -1162,67 +1183,80 @@ SIGN_POINTS = {
 
 @pytest.mark.parametrize("point", sorted(SIGN_POINTS))
 def test_weight_positive_at_q_near_one_and_with_zero_node_weights(point):
-    """The engine's node signs are those of exact partial products, and its
-    verdict is the sign of the least nonzero yfac A B over them, found by a
-    brute loop over the nodes."""
+    """The least nonzero node sign yfac A B over exact partial products,
+    found by a brute loop over the nodes, is positive at q = 9/10, where the
+    table reads True; off the domain some node weight is negative, and the
+    table refuses the point instead of computing it."""
     p, N = SIGN_POINTS[point]
     signs = exact_node_signs(p, N)
-    assert _node_signs(p, N) == signs
-    got = MomentTable(p, max_degree=2, truncation=N, prec=80)
-    assert got.weight_positive is (min(brute_node_signs(signs, N)) > 0) is (point == "q=9/10")
+    assert (min(brute_node_signs(signs, N)) > 0) is (point == "q=9/10")
     assert signs[1].count(0) == (15 if point == "zero-weights" else 0)
+    if point == "q=9/10":
+        assert MomentTable(p, max_degree=2, truncation=N, prec=80).weight_positive is True
+    else:
+        with pytest.raises(ValueError, match=re.escape("the ladder needs lo >= 0")):
+            MomentTable(p, max_degree=2, truncation=N, prec=80)
 
 
-@pytest.mark.parametrize("flip, positive", [(0, True), (3, False)])
-def test_weight_positive_skips_outer_nodes_without_mass(flip, positive, monkeypatch):
-    """Node signs edited so that the outer nodes t <= 2 carry only zero
-    weights (B_cq zero for k <= 14 at N = 12, A_d zero): a negative yfac(t)
-    there decides nothing, while one at t = 3 makes a negative weight."""
-    N, real = 12, bigqjacobi._node_signs
-
-    def edited(p, n):
-        A_cq, B_cq, A_d, B_d, B_neg, yfacs = real(p, n)
-        yfacs = list(yfacs)
-        yfacs[flip] = -yfacs[flip]
-        return A_cq, [0] * 15 + B_cq[15:], [0] * len(A_d), B_d, B_neg, yfacs
-
-    monkeypatch.setattr(bigqjacobi, "_node_signs", edited)
-    got = MomentTable(TEST_PARAMS, max_degree=2, truncation=N, prec=80)
-    assert got.weight_positive is positive is (min(brute_node_signs(edited(TEST_PARAMS, N), N)) > 0)
+def assert_node_weights_positive(p, N=16):
+    """The domain theorem (`MomentTable`'s Positivity) at one point: every
+    node weight of the truncated lattice, signed from exact partial
+    products (`exact_node_signs`, `brute_node_signs`), is positive or zero,
+    and some is positive."""
+    nonzero = brute_node_signs(exact_node_signs(p, N), N)
+    assert nonzero and min(nonzero) > 0, p
 
 
 def test_weight_positive_at_the_sweep_points():
-    """At every point of sweep_points(40), truncations 16 and 96: the node
-    signs are those of exact partial products (at 16), and the verdict,
-    True everywhere, is the brute loop's over them."""
+    """The domain theorem at every point of sweep_points(40), where every
+    table reads True."""
     for p in sweep_points(40):
-        for N in (16, 96):
-            signs = _node_signs(p, N)
-            if N == 16:
-                assert signs == exact_node_signs(p, N)
-            assert _weight_positive(signs, N) is (min(brute_node_signs(signs, N)) > 0) is True
+        assert_node_weights_positive(p)
+        assert MomentTable(p, max_degree=1, truncation=16, prec=64).weight_positive is True
+
+
+def domain_draws(q, count, seed):
+    """Seeded points at base q with c in (1, 1/q), cq near 1, and c just
+    above and below q and q^3: the edges of the count T that fixes the
+    signs of the y < 0 ratios."""
+    rng = random.Random(seed)
+    cs = [1 + (1 / q - 1) * F(rng.randint(1, 99), 100) for _ in range(count)]
+    cs += [(1 - F(1, 1000)) / q, (1 - F(1, 10**9)) / q]
+    cs += [q**k * (1 + s * F(1, 1000)) for k in (1, 3) for s in (-1, 1)]
+    return [BigQJacobiParams(F(rng.randint(1, 12), 13) / q, F(rng.randint(1, 12), 13) / q, c,
+                             -F(rng.randint(1, 39), 13), QParam(q)) for c in cs]
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(1, 2), F(2, 3), F(9, 10)], ids=str)
+def test_node_weights_are_positive_on_the_domain(q):
+    """The domain theorem at seeded draws off the sweep's grid of c."""
+    for p in domain_draws(q, 4, seed=59):
+        assert_node_weights_positive(p)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_node_weights_at_c_a_power_of_q_are_never_negative(k):
+    """At c = q^k, which the table refuses, every y < 0 node weight vanishes
+    (a factor of (x/(cy); q)_inf) and none of the others is negative."""
+    N, q = 16, F(1, 2)
+    p = BigQJacobiParams(F(1, 3), F(1, 4), q**k, F(-1, 2), QParam(q))
+    signs = exact_node_signs(p, N)
+    assert signs[5][N + 1:] == [0] * (N + 1)
+    assert_node_weights_positive(p, N)
 
 
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS))
-def test_moment_table_at_the_benchmark_domain_edges(point, monkeypatch):
+def test_moment_table_at_the_benchmark_domain_edges(point):
     """At 120 bits and truncation 96 the table agrees with itself at 64 more
-    bits within 2^(16 - prec) of max(|M_ij|, |M_00|), and its exact verdict
-    is the sign of the least yfac A B over the engine's own node signs,
-    found by a brute loop."""
+    bits within 2^(16 - prec) of max(|M_ij|, |M_00|)."""
     p, prec = EDGE_POINTS[point], 120
-    seen = []
-    signs = bigqjacobi._node_signs
-    monkeypatch.setattr(bigqjacobi, "_node_signs",
-                        lambda *args: seen.append(signs(*args)) or seen[-1])
     got = MomentTable(p, max_degree=8, truncation=96, prec=prec)
-    monkeypatch.undo()
     ref = MomentTable(p, max_degree=8, truncation=96, prec=prec + 64)
     m00 = abs(ref.moment(0, 0))
     for i in range(5):
         for j in range(5):
             bound = F(2) ** (16 - prec) * max(abs(ref.moment(i, j)), m00)
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
-    assert got.weight_positive is (min(brute_node_signs(seen[0], 96), default=0) > 0)
 
 
 def test_moment_table_keeps_its_precision_at_every_truncation():

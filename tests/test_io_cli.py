@@ -1240,9 +1240,43 @@ def fresh_python(cwd, *args, timeout=120) -> subprocess.CompletedProcess:
     """A new interpreter run with args, importing qbipoly from this source
     tree; a run past timeout seconds fails the test instead of hanging it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbipoly.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           timeout=timeout)
+
+
+#: runs each argv list through main in one process and prints the exit
+#: codes and the sha256 of each stdout
+HASHED_OUTPUTS_SCRIPT = """\
+import contextlib, hashlib, io, json, sys
+from qbipoly.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    out.append([code, hashlib.sha256(buf.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Byte-identical output for a fixed configuration, whatever the order
+    in which the interpreter iterates sets and dicts of strings: five
+    commands under PYTHONHASHSEED 0 and 1."""
+    argvs = [("check", *P), ("generate", *P, "--family", "monic", "--degrees", "8"),
+             ("generate", *P, "--family", "hypergeometric", "--degrees", "3,2"),
+             ("verify", "--suite", "limits"),
+             ("verify", *P, "--suite", "orthogonality", "--precision", "128", "--truncation", "96")]
+    runs = []
+    for hash_seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        proc = fresh_python(tmp_path, "-c", HASHED_OUTPUTS_SCRIPT, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert [code for code, _ in runs[0]] == [0] * len(argvs)
+    assert runs[0] == runs[1]
 
 
 def test_python_m_qbipoly_runs_the_cli(tmp_path):
