@@ -7,7 +7,7 @@ family, classical Rodrigues, classical operator)."""
 import math
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, exact_form, from_form
+from .bipoly import BiPoly, combine, exact_form, from_form, reduced
 from .equation import EquationCoeffs
 from .jackson import _geometric, _ladder, _power_sums, _products
 from .linalg import Mat
@@ -136,69 +136,59 @@ def nonmonic_poly(p: BigQJacobiParams, n: int, k: int) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 def explicit_BC(p: BigQJacobiParams, n: int) -> dict:
-    """The closed-form entries of B_{n,1}, B_{n,2} ((n+1)x(n+1)) and
-    C_{n,1}, C_{n,2} ((n+1)xn) on their band i - j in {-1, 0, 1, 2} (1-based).
-
-    Formed once per n: both denominators, (d q^n - 1)(abc q^(n+1) - d) of
-    every C entry, the long brackets L1 = d h - abc (q+1) q^(n+1) and L2 =
-    h - d (q+1) q^n (h = abc q^(2n+2) + 1), and each (q; q) ratio as its two
-    factors.  Each B diagonal is gathered by powers of q^i: t1 + t2 is
-
-        B1[i,i] den_b = L1 (ac q^(n+1+i) + q^(n+2-i)) + ac (b+1) q^(n+2) L2,
-
-    and q^-i ([i] (a q^i - 1) u + [i-1] (q - a q^i) v + q), with u = q (d
-    q^(n+1) - 1) / (abc q^(2n+3) - 1) and v that at n - 1, is B2[i,i] =
-    alpha q^i + beta + gamma q^-i.  Powers are read from one `QTables`."""
+    """The closed-form entries of B_{n,1}, B_{n,2} ((n+1)x(n+1)) and C_{n,1}, C_{n,2}
+    ((n+1)xn) on their band i - j in {-1, 0, 1, 2} (1-based), each an integer numerator over
+    an integer denominator, one reduction per row.  With q = u/v, a = a0/a1, ..., d = d0/d1,
+    abc = m0/m1 and z(x0, x1, e) = x0 u^e - x1 v^e, a B entry is over W = d1 Z1 Z3 (a B2
+    diagonal one over (u - v) u^(i-1) W) and a C entry over d1^2 Z0 Z1^2 Z2, Z_k = z(m0, m1,
+    2n+k) the numerator of abc q^(2n+k) - 1.  Formed once per n: L1 = d h - abc (q+1) q^(n+1)
+    and L2 = h - d (q+1) q^n (h = abc q^(2n+2) + 1), K = -(d q^n - 1)(abc q^(n+1) - d) of
+    every C entry and the coefficients K1, K2, K3 of B2[i,i] in q^i, 1 and q^-i; lo(e) and
+    tops(e) are (q^e - 1)(a q^e - 1) and (q^e - 1)(b q^e - 1).  The C denominator vanishes
+    where abc q^2 = 1 at n = 1, a ZeroDivisionError."""
     if n < 1:
         raise ValueError("explicit matrices start at n = 1")
-    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
-    pw = QTables(q).pow
-    ac, bc, q1 = a * c, b * c, q + 1
-    abc, aq1, bq1, bn, bn1 = ac * b, a * q1, b * q1, b * pw(n), b * pw(n + 1)
-    z0, z1, z2, z3 = (abc * pw(2 * n + k) for k in range(4))     # abc q^(2n+k)
-    den_b = (z1 - 1) * (z3 - 1)
-    den_c = (z0 - 1) * (z1 - 1) ** 2 * (z2 - 1)
-    h = z2 + 1
-    l1 = (d * h - abc * q1 * pw(n + 1)) / den_b
-    l2 = (h - d * q1 * pw(n)) / den_b
-    r1, kb2 = ac * (b + 1) * pw(n + 2) * l2, -ac * l2
-    u, v = q * (d * pw(n + 1) - 1) / (z3 - 1), q * (d * pw(n) - 1) / (z1 - 1)
-    alpha, beta, gamma = (a * (u - v / q) / (q - 1), (a + 1) * (v - u) / (q - 1),
-                          (u - q * v) / (q - 1) + q)
-    kc = -(d * pw(n) - 1) * (abc * pw(n + 1) - d) / den_c
-    kc1, kc2, kc3, kc4 = kc * ac * pw(n + 2), kc * ac, kc * a * pw(n + 1), kc * abc
-    kc5, e1, g1, g2 = kc1 * ac, (b + 1) * (z1 + 1), (a + 1) * (z1 + 1), q1 * z2
-
-    B1 = [[0] * (n + 1) for _ in range(n + 1)]
-    B2 = [[0] * (n + 1) for _ in range(n + 1)]
-    C1 = [[0] * n for _ in range(n + 1)]
-    C2 = [[0] * n for _ in range(n + 1)]
+    u, v = p.qp.q.numerator, p.qp.q.denominator
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = ((t.numerator, t.denominator) for t in (p.a, p.b, p.c, p.d))
+    U, V = [u**k for k in range(3 * n + 6)], [v**k for k in range(3 * n + 6)]
+    z = lambda x0, x1, e: x0 * U[e] - x1 * V[e]
+    lo, tops = (lambda e: z(1, 1, e) * z(a0, a1, e)), (lambda e: z(1, 1, e) * z(b0, b1, e))
+    m0, m1, ac0, ac1, s = a0 * b0 * c0, a1 * b1 * c1, a0 * c0, a1 * c1, u + v
+    Z0, Z1, Z2, Z3 = (z(m0, m1, 2 * n + k) for k in range(4))
+    H1, W, WC = z(m0, -m1, 2 * n + 1), d1 * Z1 * Z3, d1 * d1 * Z0 * Z1 * Z1 * Z2
+    L1 = d0 * z(m0, -m1, 2 * n + 2) - d1 * m0 * s * U[n + 1] * V[n]  # over d1 m1 v^(2n+2)
+    L2 = d1 * z(m0, -m1, 2 * n + 2) - d0 * m1 * s * U[n] * V[n + 1]
+    if not WC:
+        raise ZeroDivisionError(f"abc q^{2 * n} = 1: the C denominator vanishes")
+    Y1, Pu = z(d0, d1, n), v * z(d0, d1, n + 1) * Z1
+    K, Pv = -Y1 * z(d1 * m0, d0 * m1, n + 1), Y1 * Z3
+    K1, K2, K3, kb = u * Pu - v * Pv, Pv - Pu, v * Pu - u * Pv, K * a0 * b1
+    G0, G1, G2, kc = (a0 + a1) * H1 * U[n], s * a1 * m0 * U[3 * n + 2], s * a0 * m1 * U[n], kb * c0 * c1
+    out = [], [], [], []
     for i in range(1, n + 2):
-        r, s = i - 1, n + 1 - i      # the 0-based row; the exponent n + 1 - i
-        aqi = a * pw(i)
-        B1[r][r] = l1 * (ac * pw(n + 1 + i) + pw(s + 1)) + r1
-        B2[r][r] = alpha * pw(i) + beta + gamma * pw(-i)
+        r, t, lw, tp = i - 1, n + 1 - i, lo(i - 1), tops(n + 1 - i)  # the 0-based row, n + 1 - i
+        rb1 = {r: b1 * L1 * V[t] * (ac0 * U[n + 1 + i] + ac1 * U[t + 1] * V[2 * i - 1])
+               + ac0 * (b0 + b1) * L2 * U[n + 2] * V[n]}
+        rb2 = {r: b1 * c1 * V[t] * (a0 * K1 * U[2 * i - 1] + (a0 + a1) * K2 * U[i] * V[i]
+                                    + a1 * K3 * V[2 * i - 1]) + (u - v) * V[i - 1] * W}
+        rc1, rc2 = {}, {}
         if i > 1:                    # i = j + 1
-            low = (pw(i - 1) - 1) * (a * pw(i - 1) - 1)
-            B1[r][r - 1] = -(l1 * low * pw(s + 1))
-            C1[r][r - 1] = (kc2 * low * pw(2 * n + 3 - i)
-                            * (e1 - bq1 * pw(n - 1 - i) * (ac * pw(2 * i) + pw(2))))
-            C2[r][r - 1] = (kc3 * low * (bc * pw(2 * n + 2 - i) - 1)
-                            * (abc * pw(2 * n + 2 - i) - 1))
+            rb1[r - 1] = -b1 * c1 * L1 * lw * U[t + 1] * V[t + 1]
+            rc1[r - 1] = kc * lw * U[2 * n + 3 - i] * V[2 * n + 1 - i] * (
+                (b0 + b1) * H1 - b0 * b1 * s * V[t] * (ac0 * U[n - 1 + i] + ac1 * U[t] * V[2 * i - 2]))
+            rc2[r - 1] = kb * c1 * U[n + 1] * V[n] * lw * z(b0 * c0, b1 * c1, 2 * n + 2 - i) \
+                * z(m0, m1, 2 * n + 2 - i)
         if i > 2:                    # i = j + 2
-            C1[r][r - 2] = (kc4 * (aqi - q) * (aqi - pw(2)) * pw(3 * n + 2 - 2 * i)
-                            * (1 - pw(i - 2)) * (1 - pw(i - 1)))
+            rc1[r - 2] = K * m0 * (b1 * c1) ** 2 * U[n + 3 + 2 * t] * V[n + 2 + 2 * t] * lw * lo(i - 2)
         if i <= n:                   # i = j - 1, and the C diagonal
-            top = pw(s) - 1
-            tops = top * (b * pw(s) - 1)
-            B2[r][r + 1] = kb2 * pw(i + 1) * tops
-            C1[r][r] = kc1 * tops * (ac * pw(i + n) - 1) * (abc * pw(i + n) - 1)
-            C2[r][r] = (kc2 * pw(n - i) * top * (bn1 - pw(i))
-                        * (g1 * pw(i + 1) - g2 - aq1 * pw(2 * i)))
+            rb2[r + 1] = -ac0 * L2 * (u - v) * U[2 * i] * V[i - 1] * tp
+            rc1[r] = kb * c0 * U[n + 2] * V[n - 1] * tp * z(ac0, ac1, i + n) * z(m0, m1, i + n)
+            rc2[r] = kc * V[n + i - 1] * tp * (G0 * U[i + 1] - G1 * V[i - 1] - G2 * U[2 * i] * V[n + t])
         if i < n:
-            C2[r][r + 1] = kc5 * (pw(i) - bn) * (pw(i) - bn1) * (1 - pw(s - 1)) * (1 - pw(s))
-
-    return {"B1": Mat(B1), "B2": Mat(B2), "C1": Mat(C1), "C2": Mat(C2)}
+            rc2[r + 1] = K * m1 * ac0 ** 2 * U[n + 2 + 2 * i] * V[n + 2 * i - 1] * tp * tops(t - 1)
+        for forms, row, den in zip(out, (rb1, rb2, rc1, rc2), (W, (u - v) * U[i - 1] * W, WC, WC)):
+            forms.append(reduced(row, den))
+    return {name: Mat._of(forms, n + (name[0] == "B")) for name, forms in zip(("B1", "B2", "C1", "C2"), out)}
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +501,18 @@ def classical_rodrigues(cp: ClassicalParams, n: int, m: int) -> BiPoly:
 
 
 def classical_pde_residual(cp: ClassicalParams, u: BiPoly, total_degree: int) -> BiPoly:
-    """Residual of u under the q -> 1 limit operator with eigenvalue
-    -n (alpha+beta+gamma+n+2), n = total degree."""
-    al, be, ga = Fraction(cp.alpha), Fraction(cp.beta), Fraction(cp.gamma)
-    x, y, one = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
-    s3 = al + be + ga + 3
-    uxx = u.diff_x().diff_x()
-    uyy = u.diff_y().diff_y()
-    uxy = u.diff_x().diff_y()
-    ux = u.diff_x()
-    uy = u.diff_y()
-    nn = Fraction(total_degree)
-    return ((x * x - one) * uxx + (y * y - one) * uyy
-            + (x + one) * (y - one) * uxy * 2
-            + (x * s3 + one * (al - be + ga + 1)) * ux
-            + (y * s3 + one * (al - be - ga - 1)) * uy
-            - u * (nn * (al + be + ga + nn + 2)))
+    """Residual of u under the q -> 1 limit operator, (x^2-1) u_xx + (y^2-1) u_yy
+    + 2 (x+1)(y-1) u_xy + (s x + alpha-beta+gamma+1) u_x + (s y + alpha-beta-gamma-1) u_y
+    - n (alpha+beta+gamma+n+2) u, s = alpha+beta+gamma+3, n = total degree: its integer
+    stencil (x^i y^j to six monomials) over u's numerators, reduced once."""
+    al, be, ga, n = cp.alpha, cp.beta, cp.gamma, total_degree
+    s, ex, ey, lam, out = al + be + ga + 3, al - be + ga + 1, al - be - ga - 1, n * (al + be + ga + n + 2), {}
+    for (i, j), c in u.nums.items():
+        for key, w in (((i, j), (i + j) * (i + j - 1 + s) - lam), ((i - 2, j), -i * (i - 1)),
+                       ((i, j - 2), -j * (j - 1)), ((i - 1, j), i * (2 * j + ex)),
+                       ((i, j - 1), j * (ey - 2 * i)), ((i - 1, j - 1), -2 * i * j)):
+            out[key] = out.get(key, 0) + w * c  # a key off the lattice only ever gets 0
+    return from_form(*reduced(out, u.den))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ vectors are stored alike (the content/primitive part representation of von
 zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  A ``BiPoly`` keys
 it by exponent pairs ``(i, j)`` (for ``x**i * y**j``), a ``linalg.Mat`` row
 by column.  Other modules compute on ``nums`` and ``den`` too (``add_image``,
-``_difference``, ``_chain_step``, ``pearson._same``, ``MomentTable``,
+the monic oracle, ``_difference``, ``pearson._same``, ``MomentTable``,
 ``io._poly_text``), but only ``exact_form`` (numerators over the lcm of the
-denominators), ``reduced`` (one content gcd), ``combine`` (scaled forms over
-one common denominator) and ``pearson_step`` (the Rodrigues difference step)
-bring a result to the reduced form; ``lift_pairs`` brings int pairs to their lcm
+denominators), ``reduced`` (one content gcd; ``reduced_rows`` for dense rows),
+``combine`` (scaled forms over one common denominator) and ``pearson_step`` (the
+Rodrigues difference step) reduce; ``lift_pairs`` brings int pairs to their lcm
 (the operator's six part coefficients), ``lowest_terms`` reads entries
 back, and ``product`` gives the unreduced numerators of a product.
 ``coeffs`` is a read-only snapshot of the coefficients as Fractions;
@@ -66,6 +66,15 @@ def lowest_pair(num: int, den: int) -> tuple:
     """num / den for a nonzero int den as an int pair in lowest terms, den > 0."""
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return num // g, den // g
+
+
+def reduced_rows(rows: list, den: int) -> tuple:
+    """``reduced`` for dense int rows over a nonzero int den: one content gcd, zeros kept."""
+    g = den
+    for row in rows:  # the running gcd keeps each next one small
+        g = math.gcd(g, *row)
+    g = -g if den < 0 else g
+    return (rows, den) if g == 1 else ([[n // g for n in row] for row in rows], den // g)
 
 
 def lift_pairs(pairs) -> tuple:

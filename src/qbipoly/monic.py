@@ -1,77 +1,63 @@
 """Monic orthogonal polynomial vectors and three-term recurrence matrices.
 
-generate_monic_oracle builds the monic coefficient blocks G_{n,j}: read the
-image of each x^{j-k} y^k (``equation.add_image``) into the exact degree
-blocks of the operator, and run the triangular chain that the eigen-equation
-imposes.  Admissibility makes the degree-preserving block -lambda_d I and
-confines the blocks to degrees j-2..j, so each chain step is a scalar
-division by an eigenvalue gap and the chain is the eigen-equation degree by
-degree.  Neither the blocks nor the vectors are re-checked on every call:
-`suites.suite_consistency` applies the operator to the vectors, and the
-tests check the blocks of random admissible equations.
+generate_monic_oracle builds the monic coefficient blocks G_{n,j}.  An operator of
+hypergeometric shape takes x^{j-k} y^k (``equation.add_image``) to six monomials, read
+once per degree into integer stencil rows (``_stencils``).  Admissibility makes the
+degree-preserving block -lambda_d I, so the chain of the eigen-equation divides by a gap:
 
-The paper's closed-form blocks S_n (degree drop 1) and T_n (degree drop 2)
-are kept verbatim; the recurrence suite compares each once with the
-operator block it claims to equal, and reports any disagreement instead of
-patching it.
+    G_{n,d}[r][c] = -(X[c] G_{n,d+1}[r][c] + Y[c+1] G_{n,d+1}[r][c+1] + XX[c] G_{n,d+2}[r][c]
+                      + XY[c+1] G_{n,d+2}[r][c+1] + YY[c+2] G_{n,d+2}[r][c+2]) / (lambda_n - lambda_d),
 
-The recurrence layer (the recurrence matrices A, B and C, the explicit
-generalized inverse of the stacked embeddings, and the recursive generator)
-is built on oracle blocks throughout.
+X, Y the x- and y-drops of degree d + 1 and XX, XY, YY the drops of degree d + 2.  Nothing
+is re-checked on every call: `suites.suite_consistency` applies the operator to the
+vectors, and the tests check the blocks.  The paper's closed-form S_n (degree drop 1) and
+T_n (degree drop 2) have q-integer entries, one integer form per row; S_n is kept verbatim,
+so the recurrence suite reports its subdiagonal erratum instead of patching it.  The
+recurrence layer (A, B, C, the generalized inverse of the stacked embeddings, the
+recursive generator) is built on oracle blocks throughout.
 """
 
-from fractions import Fraction
+import functools
+from collections.abc import Mapping
 
-from .bipoly import BiPoly, combine, from_form, reduced
+from .bipoly import BiPoly, combine, from_form, lift_pairs, reduced, reduced_rows
 from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
 from .pearson import require
-from .qcalc import QTables, step_weights
 from .scalars import Record
-
-
-def difference_matrix(n: int, j: int, base) -> Mat:
-    """Structure matrix of the axis-j difference quotient of the given base
-    on the degree-n monomial vector, D x^n = M x^{n-1}, size (n+1) x n:
-    base q gives the forward E_{n,j}, base 1/q the backward K_{n,j} (the
-    backward quotient of base q is the forward quotient of base 1/q).  Row k
-    is the sparse form of [e]_base at column k + 1 - j, e the axis-j exponent
-    of x^{n-k} y^k; the operators' table ``qcalc.step_weights`` gives [e]_base."""
-    if j not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    w, den = step_weights(base, n), base.denominator ** max(n - 1, 0)
-    return Mat._of([reduced({k + 1 - j: w[e]}, den) if (e := (n - k, k)[j - 1]) else ({}, 1)
-                    for k in range(n + 1)], n)
 
 
 def mat_L(n: int, j: int) -> Mat:
     """Multiplication embedding x_j x^n = L_{n,j} x^{n+1}, size (n+1)x(n+2): row k selects k + j - 1."""
+    if j not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
     return Mat._of([({k + j - 1: 1}, 1) for k in range(n + 1)], n + 2)
 
 
 # ---------------------------------------------------------------------------
-# operator degree blocks and the coefficient-matching oracle
+# operator stencils and blocks, and the coefficient-matching oracle
 # ---------------------------------------------------------------------------
 
-def operator_blocks(E: EquationCoeffs, j: int):
-    """(M_jj, M_{j,j-1}, M_{j,j-2}): graded blocks of D on degree-j monomials.
-
-    Row k of each block holds the coefficients of D(x^{j-k} y^k) against the
-    monomial vector of the corresponding degree.  The operator of an equation
-    of hypergeometric shape raises no exponent and drops total degree by at
-    most 2: row k of the drop-s block has entries only at columns k - s..k.
-    Each image (``equation.add_image``) is read straight into the rows."""
-    parts, D = operator_parts(E, max(j, 1))
-    blocks = [[] for _ in range(min(j, 2) + 1)]
+def _stencils(parts, j: int) -> list:
+    """Stencil rows of degree j over the D of ``operator_parts``: row s (s + 1) / 2 + dy holds at k
+    the coefficient of x^(j-k-s+dy) y^(k-dy) in the image of x^(j-k) y^k (drop s, y-drop dy)."""
+    rows = [[0] * (j + 1) for _ in range(6)]
     for k in range(j + 1):
-        image, rows = {}, [{} for _ in blocks]
+        image = {}
         add_image(image, (j - k, k), 1, parts)
         for (i1, i2), v in image.items():
-            if 0 <= (d := j - i1 - i2) < len(rows):  # column i2 of the drop-d block
-                rows[d][i2] = v
-        for block, row in zip(blocks, rows):
-            block.append(reduced(row, D))
-    return tuple(Mat._of(b, j + 1 - d) for d, b in enumerate(blocks)) + (None,) * (2 - min(j, 2))
+            rows[(s := j - i1 - i2) * (s + 1) // 2 + k - i2][k] = v
+    return rows
+
+
+def operator_blocks(E: EquationCoeffs, j: int):
+    """(M_jj, M_{j,j-1}, M_{j,j-2}): graded blocks of D on degree-j monomials;
+    row k of the drop-s block holds the stencil entries of the drops (s - t, t)
+    at columns k - t."""
+    parts, D = operator_parts(E, max(j, 1))
+    st = _stencils(parts, j)
+    return tuple(Mat._of([reduced({k - t: st[s * (s + 1) // 2 + t][k] for t in range(s + 1)}, D)
+                          for k in range(j + 1)], j + 1 - s) if s <= j else None for s in range(3))
 
 
 def ghat_oracle(E: EquationCoeffs, n: int) -> list:
@@ -81,38 +67,71 @@ def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     return [family.block(n, j) for j in range(n + 1)]
 
 
+class _OnRead(Mapping):
+    """A read-only mapping over the given keys whose value at a key is make(key), made on its first read."""
+
+    def __init__(self, keys, make):
+        self._keys, self._make = keys, functools.cache(make)
+
+    def __getitem__(self, key):
+        if key in self._keys:
+            return self._make(key)
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 # ---------------------------------------------------------------------------
 # the paper's closed-form operator blocks (cross-check layer)
 # ---------------------------------------------------------------------------
 
+def _lifted(E: EquationCoeffs, n: int, *scalars) -> tuple:
+    """(u, v, h, lifted, D), q = u/v: h_e = (v^e - u^e)/(v - u) (e <= n + 1), so [e]_q = h_e /
+    v^(e-1) and [e]_(1/q) = h_e / u^(e-1), and the scalars as numerators over their lcm D."""
+    u, v = E.qp.q.numerator, E.qp.q.denominator
+    lifted, D = lift_pairs([(s.numerator, s.denominator) for s in scalars])
+    return u, v, [(v**e - u**e) // (v - u) for e in range(n + 2)], lifted, D
+
+
 def s_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
-    """The closed-form lower-bidiagonal S_n (degree-drop-1 block), entries
-    s_{i,i} and s_{i+1,i} (1-based), size (n+1) x n; kept verbatim, so its
-    subdiagonal erratum shows in the recurrence report."""
+    """The closed-form lower-bidiagonal S_n (degree-drop-1 block), (n+1) x n,
+    kept verbatim, so its subdiagonal erratum shows in the recurrence report:
+    s_{i,i} = [n-i+1] (g1 + q^(1+i-n) b1 [n-i] + c3 [i-1]) and s_{i+1,i} =
+    [i-1] (b2 q^(3-i) [i-2] + [n+1-i] b3 + g2) (1-based), c3 = c3a + c3d
+    q^(2-n), b3 = b3a + b3d q^(2-n).  Row k is one form over D (uv)^(n-1)
+    (``_lifted``); an entry off the band has a factor h_0 = 0, or k = 0."""
     if n < 1:
         raise ValueError("S_n needs n >= 1")
-    tab = QTables(E.qp.q)
-    pw, qn = tab.pow, tab.num
-    (_, b1s, _), (_, b2s, _), (_, b3a, c3a, _), (_, b3d, c3d, _), (_, g1), (_, g2) = form_scalars(E)
-    c3, b3 = c3a + c3d * pw(2 - n), b3a + b3d * pw(2 - n)
-    S = [[0] * n for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        S[i - 1][i - 1] = qn(n - i + 1) * (g1 + pw(1 + i - n) * b1s * qn(n - i) + c3 * qn(i - 1))
-        S[i][i - 1] = qn(i - 1) * (b2s * pw(3 - i) * qn(i - 2) + qn(n + 1 - i) * b3 + g2)
-    return Mat(S)
+    (_, b1, _), (_, b2, _), (_, b3a, c3a, _), (_, b3d, c3d, _), (_, g1), (_, g2) = form_scalars(E)
+    u, v, h, (g1, b1, c3a, c3d, b2, b3a, b3d, g2), D = _lifted(E, n, g1, b1, c3a, c3d, b2, b3a, b3d, g2)
+    uv, up, vp = u * v, u ** max(n - 2, 0), v ** max(n - 2, 0)
+    c3, b3 = c3a * up + c3d * vp, b3a * up + b3d * vp  # times u^(n-2); they enter only where n > 1
+    return Mat._of([reduced({k: h[n - k] * (g1 * u ** (n - 1) * v**k + b1 * u * uv**k * h[n - 1 - k]
+                                            + uv * h[k] * c3),
+                             k - 1: k and uv * h[k - 1] * (b2 * h[k - 2] * u ** (n + 1 - k) * v ** (n - k)
+                                                           + h[n + 1 - k] * b3 + g2 * up * v ** (n - k))},
+                            D * uv ** (n - 1)) for k in range(n + 1)], n)
 
 
 def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
-    """The closed-form T_n (degree-drop-2 block), size (n+1) x (n-1)."""
+    """The closed-form T_n (degree-drop-2 block), (n+1) x (n-1): the paper's
+    E_{n,2} E_{n-1,1} d3a + K_{n,1} E_{n-1,1} c1 q + K_{n,2} E_{n-1,2} c2 q +
+    K_{n,2} K_{n-1,1} d3d entry by entry (0-based): t_{k,k} = c1 q
+    [n-k]_(1/q) [n-1-k]_q, t_{k,k-2} = c2 q [k]_(1/q) [k-1]_q and t_{k,k-1} =
+    d3a [k]_q [n-k]_q + d3d [k]_(1/q) [n-k]_(1/q).  Row k is one form over D
+    u^(n-2) v^(n-1); the entries off the band carry a factor h_0 = 0."""
     if n < 2:
         raise ValueError("T_n needs n >= 2")
-    q = E.qp.q
-    (_, _, c1s), (_, _, c2s), (*_, d3a), (*_, d3d), _, _ = form_scalars(E)
-    E1, K2 = difference_matrix(n - 1, 1, q), difference_matrix(n, 2, 1 / q)
-    return (difference_matrix(n, 2, q) @ E1).scaled(d3a) \
-        + (difference_matrix(n, 1, 1 / q) @ E1).scaled(c1s * q) \
-        + (K2 @ difference_matrix(n - 1, 2, q)).scaled(c2s * q) \
-        + (K2 @ difference_matrix(n - 1, 1, 1 / q)).scaled(d3d)
+    (_, _, c1), (_, _, c2), (*_, d3a), (*_, d3d), _, _ = form_scalars(E)
+    u, v, h, (c1, c2, d3a, d3d), D = _lifted(E, n, c1, c2, d3a, d3d)
+    uv, mid = u * v, (d3a * u ** (n - 2) + d3d * v ** (n - 2)) * v
+    return Mat._of([reduced({k: c1 * h[n - k] * h[n - 1 - k] * uv**k, k - 1: h[k] * h[n - k] * mid,
+                             k - 2: c2 * h[k] * h[k - 1] * uv ** (n - k)}, D * u ** (n - 2) * v ** (n - 1))
+                    for k in range(n + 1)], n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +140,9 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
 
 class MonicFamily(Record):
     equation: EquationCoeffs
-    vectors: list          # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
-    ghat: dict             # (n, j) -> Mat
-    operator_blocks: list  # operator_blocks(E, j) for every cached degree j
+    vectors: list              # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
+    ghat: Mapping              # (n, j) -> Mat, each formed on its first read
+    operator_blocks: Mapping   # j -> operator_blocks(E, j), each formed on its first read
 
     @property
     def N(self):
@@ -137,81 +156,67 @@ class MonicFamily(Record):
         return self.ghat[(n, j)]
 
 
-def _chain_step(terms, gap: Fraction) -> tuple:
-    """-(sum of G M over the terms (G, M)) / gap, G one form keyed (row,
-    column), M a drop block read on its nonzero band only: ``combine`` adds
-    the parts, one per row of M, over one den and reduces by one gcd."""
-    parts = []
-    for (nums, den), M in terms:
-        cols = [{} for _ in M.forms]
-        for (r, k), v in nums.items():
-            for c, w in M.forms[k][0].items():
-                cols[k][(r, c)] = v * w
-        parts += [(-gap.denominator, col, den * d) for col, (_, d) in zip(cols, M.forms)]
-    return combine(parts, gap.numerator)
-
-
 def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
-    """Oracle family for degrees 0..N.
-
-    It refuses an equation that fails a hypothesis the oracle needs
-    (``pearson.require`` of "monic": the form and admissibility).
-    Admissibility and the operator blocks are computed once and shared by
-    every degree.  Admissibility makes each degree-preserving block
-    -lambda_j I and the eigenvalues pairwise distinct, so the chain step
-    G_{n,d} (M_dd + lambda_n I) = -rhs is the division by a nonzero gap
-    G_{n,d} = -rhs / (lambda_n - lambda_d), run fraction-free on
-    each block as one form (``_chain_step``); a block gets its canonical row
-    forms when it is stored, and entry k of P_n = sum_j G_{n,j} x^j adds row
-    k of every block, column c of degree j read as the monomial x^{j-c} y^c,
-    by one ``combine``.  Neither the blocks nor the vectors are
-    re-checked here: `suites.suite_consistency` and the tests put the
-    vectors through the operator, and the tests check the blocks."""
+    """Oracle family for degrees 0..N; it refuses an equation that fails a hypothesis the oracle
+    needs (``pearson.require`` of "monic": the form and admissibility).  Level d of the chain of
+    degree n is the module docstring's sum on dense integer rows over one den, one gcd per level;
+    row r is zero off the band r - (n - d) <= c <= r, and a zero level G_{n,n+1} (with zero
+    stencils of degree N + 1) stands in for the second term of G_{n,n-1}.  Entry r of P_n =
+    sum_j G_{n,j} x^j (column c of degree j is x^{j-c} y^c) is row r of every level over their
+    lcm, reduced once.  Blocks and the operator's Mat blocks are formed on first read."""
     require(E, "monic")
-    blocks = [operator_blocks(E, j) for j in range(N + 1)]
-    lam = [E.admissibility.eigenvalue(j) for j in range(N + 1)]
-    keys = [[(j - c, c) for c in range(j + 1)] for j in range(N + 1)]  # column c of degree j
-    ghat, vectors = {}, []
+    parts, D = operator_parts(E, max(N, 1))
+    st = [_stencils(parts, j) for j in range(N + 1)] + [[[0] * (N + 2)] * 6]
+    lam, levels, vectors = [E.admissibility.eigenvalue(j) for j in range(N + 1)], {}, []
     for n in range(N + 1):
-        chain = [None] * n + [({(r, r): 1 for r in range(n + 1)}, 1)]
+        chain = [None] * n + [([[int(r == c) for c in range(n + 1)] for r in range(n + 1)], 1),
+                              ([[0] * (n + 2)] * (n + 1), 1)]
         for d in range(n - 1, -1, -1):
-            chain[d] = _chain_step([(chain[d + s], blocks[d + s][s]) for s in (1, 2) if d + s <= n],
-                                   lam[n] - lam[d])
-        entries = [[] for _ in range(n + 1)]
-        for j, (nums, den) in enumerate(chain):
-            rows = [{} for _ in range(n + 1)]
-            for (r, c), v in nums.items():
-                rows[r][c] = v
-            forms = [reduced(row, den) for row in rows]
-            ghat[(n, j)] = Mat._of(forms, j + 1)
-            for terms, (rnums, rden) in zip(entries, forms):
-                terms.append((1, {keys[j][c]: v for c, v in rnums.items()}, rden))
-        vectors.append([from_form(*combine(terms)) for terms in entries])
-    return MonicFamily(E, vectors, ghat, blocks)
+            (one, e1), (two, e2), gap = chain[d + 1], chain[d + 2], lam[n] - lam[d]
+            (_, X, Y, *_), (*_, XX, XY, YY) = st[d + 1], st[d + 2]
+            (f1, f2), lcm = lift_pairs([(-gap.denominator, e1), (-gap.denominator, e2)])
+            rows = [[0] * (d + 1) for _ in range(n + 1)]
+            for r, (row, a, b) in enumerate(zip(rows, one, two)):
+                for c in range(max(0, r - n + d), min(r, d) + 1):
+                    row[c] = (f1 * (X[c] * a[c] + Y[c + 1] * a[c + 1])
+                              + f2 * (XX[c] * b[c] + XY[c + 1] * b[c + 1] + YY[c + 2] * b[c + 2]))
+            chain[d] = reduced_rows(rows, lcm * D * gap.numerator)
+        del chain[-1]
+        levels.update(((n, j), level) for j, level in enumerate(chain))
+        fs, L = lift_pairs([(1, e) for _, e in chain])
+        vectors.append([from_form(*reduced({(j - c, c): f * w for j, f in enumerate(fs)
+                                            for c, w in enumerate(chain[j][0][r]) if w}, L))
+                        for r in range(n + 1)])
+    return MonicFamily(E, vectors, _OnRead(levels, lambda key: Mat._of(
+        [reduced(dict(enumerate(row)), levels[key][1]) for row in levels[key][0]], key[1] + 1)),
+        _OnRead(range(N + 1), lambda j: operator_blocks(E, j)))
 
 
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
-    """Recurrence matrices A_{n,j} = L_{n,j}, B_{n,j} = G_{n,n-1} L_{n-1,j} -
-    L_{n,j} G_{n+1,n} and C_{n,j} = G_{n,n-2} L_{n-2,j} - L_{n,j} G_{n+1,n-1}
-    - B G_{n,n-1} (no C at n = 0; a block of negative index is left out).
-    L on the left takes rows from j - 1 on, on the right it shifts columns
-    by j - 1, so each row of B and C is one ``combine`` of block rows."""
+    """Recurrence matrices A_{n,j} = L_{n,j}, B_{n,j} = G_{n,n-1} L_{n-1,j} - L_{n,j} G_{n+1,n}
+    and C_{n,j} = G_{n,n-2} L_{n-2,j} - L_{n,j} G_{n+1,n-1} - B G_{n,n-1} (no C at n = 0; a
+    block of negative index is left out), for 0 <= n < N and axis j = 1 or 2.  L on the left
+    takes rows from j - 1 on, on the right it shifts columns by j - 1, so each row of B and C
+    is one ``combine`` of block rows."""
+    A = mat_L(n, j)
+    if not 0 <= n < family.N:
+        raise ValueError(f"recurrence matrices need 0 <= n < N = {family.N}, got n = {n}")
     off, G = j - 1, family.ghat
+    g1, g2 = (G[(n, n - s)].forms if n >= s else None for s in (1, 2))
+    h1, h2 = G[(n + 1, n)].forms, G[(n + 1, n - 1)].forms if n else None
 
-    def l_terms(r: int, below: int, ahead: int) -> list:
-        # row r of G_{n,below} L_{below,j} - L_{n,j} G_{n+1,ahead}
-        terms = [(-1, *G[(n + 1, ahead)].forms[r + off])]
-        if below >= 0:
-            nums, den = G[(n, below)].forms[r]
+    def l_terms(r: int, below, ahead) -> list:
+        # row r of G_{n,n-s} L_{n-s,j} - L_{n,j} G_{n+1,n+1-s}, from their row forms
+        terms = [(-1, *ahead[r + off])]
+        if below:
+            nums, den = below[r]
             terms.append((1, {c + off: v for c, v in nums.items()} if off else nums, den))
         return terms
 
-    B = Mat._of([combine(l_terms(r, n - 1, n)) for r in range(n + 1)], n + 1)
-    right = G[(n, n - 1)].forms if n else ()
-    C = Mat._of([combine(l_terms(r, n - 2, n - 1)
-                         + [(-a, right[k][0], right[k][1] * bden) for k, a in bnums.items()])
+    B = Mat._of([combine(l_terms(r, g1, h1)) for r in range(n + 1)], n + 1)
+    C = Mat._of([combine(l_terms(r, g2, h2) + [(-a, g1[k][0], g1[k][1] * bden) for k, a in bnums.items()])
                  for r, (bnums, bden) in enumerate(B.forms)], n) if n else None
-    return {"A": mat_L(n, j), "B": B, "C": C}
+    return {"A": A, "B": B, "C": C}
 
 
 def joint_L(n: int) -> Mat:

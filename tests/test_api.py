@@ -95,6 +95,8 @@ ABSENT = [
     ("monic", "structure_matrices"),
     ("monic", "assemble_vector"),
     ("monic", "_monomial_keys"),
+    ("monic", "_chain_step"),
+    ("monic", "difference_matrix"),
 ]
 
 

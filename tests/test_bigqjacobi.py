@@ -32,6 +32,8 @@ from qbipoly.qcalc import (QParam, gauss_2f1_terminating, kampe_de_feriet,
 from qbipoly.rodrigues import rodrigues_family, rodrigues_poly
 from qbipoly.scalars import FloatField
 from qbipoly.suites import run_suite
+from monic_references import reference_classical_residual, reference_explicit_BC
+from strategies import replace
 from test_linalg import tensor_vandermonde_interpolate
 
 F = Fraction
@@ -441,6 +443,23 @@ def test_explicit_BC_matches_oracle_recurrence_across_the_domain(p):
             assert (explicit[f"B{j}"], explicit[f"C{j}"]) == (tb["B"], tb["C"]), (n, j)
 
 
+#: the points where the integer kernels of the monic layer and explicit_BC
+#: are compared with their Fraction references: the 40 sweep points,
+#: q = 9/10, q = 99/100 and d = -1000 (the last three at TEST_PARAMS)
+REFERENCE_POINTS = sweep_points(40) + [replace(TEST_PARAMS, qp=QParam(F(9, 10))),
+                                       replace(TEST_PARAMS, qp=QParam(F(99, 100))),
+                                       replace(TEST_PARAMS, d=F(-1000))]
+REFERENCE_IDS = [f"sweep-{k}" for k in range(40)] + ["q=9/10", "q=99/100", "d=-1000"]
+
+
+@pytest.mark.parametrize("p", REFERENCE_POINTS + [TEST_PARAMS], ids=REFERENCE_IDS + ["preset"])
+def test_explicit_BC_equals_the_fraction_reference(p):
+    """Equal forms (Mat equality compares each row's numerators and
+    denominator), n = 1..6."""
+    for n in range(1, 7):
+        assert explicit_BC(p, n) == reference_explicit_BC(p, n), n
+
+
 # classical (q -> 1) targets ----------------------------------------------------------
 
 CP = ClassicalParams(1, 1, 1)
@@ -539,6 +558,24 @@ def test_classical_rodrigues_is_an_exact_quotient_at_each_parameter_point(alpha,
             quot = bracket.div_exact(weight)
             assert quot * weight == bracket, (total - m, m)
             assert classical_pde_residual(cp, quot, total).is_zero(), (total - m, m)
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [(0, 0, 0), (1, 1, 1), (2, 0, 1), (0, 2, 2)],
+                         ids=str)
+def test_classical_residual_equals_the_product_reference(alpha, beta, gamma):
+    """The stencil pass gives the form of the BiPoly products, on solutions
+    (zero residual) and on seeded polynomials and wrong degrees (nonzero)."""
+    cp = ClassicalParams(alpha, beta, gamma)
+    rng = random.Random(61)
+    polys = [(appell_monic(cp, t - m, m), t + s) for t in range(4) for m in range(t + 1)
+             for s in (0, 1)]
+    polys += [(jnm(cp, n, m), n) for n in range(4) for m in range(n + 1)]
+    polys += [(BiPoly({(rng.randint(0, 5), rng.randint(0, 5)): F(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(7)}), rng.randint(0, 8)) for _ in range(20)]
+    polys += [(BiPoly.zero(), 2), (BiPoly.const(F(3, 4)), 0), (BiPoly.const(F(3, 4)), 1)]
+    for u, total in polys:
+        got, want = classical_pde_residual(cp, u, total), reference_classical_residual(cp, u, total)
+        assert (got.nums, got.den) == (want.nums, want.den), (u, total)
 
 
 def test_classical_rodrigues_first_order_closed_form():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, admissibility, apply_operator
 from qbipoly.linalg import Mat, mat_diff, solve_exact
 from qbipoly.monic import (generalized_inverse_L, generate_monic_rf, ghat_oracle, joint_L,
-                           difference_matrix, generate_monic_oracle, mat_L,
+                           generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
+from monic_references import (difference_matrix, reference_operator_blocks, reference_oracle,
+                              reference_s_matrix, reference_t_matrix)
 from strategies import admissible_equations, replace
+from test_bigqjacobi import REFERENCE_IDS, REFERENCE_POINTS
 from test_linalg import graded_coeff_block, monomials, rank, transpose
 
 F = Fraction
@@ -95,14 +99,6 @@ def test_leading_block_is_minus_eigenvalue(equation, adm):
     for j in range(5):
         same, _, _ = operator_blocks(equation, j)
         assert same == Mat.identity(j + 1).scaled(-adm.eigenvalue(j))
-
-
-def reference_operator_blocks(E, j):
-    """The degree blocks as operator_blocks first built them: the image of
-    every degree-j monomial through apply_operator, read off degree by
-    degree by graded_coeff_block."""
-    images = [apply_operator(E, p) for p in monomials(j)]
-    return tuple(graded_coeff_block(images, j - d) if d <= j else None for d in range(3))
 
 
 def test_oracle_degree_one(equation):
@@ -262,6 +258,69 @@ def test_ttr_matrices_equal_the_L_products_through_degree_12(oracle12):
         for j in (1, 2):
             tb = ttr_matrices(oracle12, n, j)
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle12, n, j), (n, j)
+
+
+def assert_family_equals_the_reference(family, N: int) -> dict:
+    """Every vector, the block keys, every block and the operator blocks of
+    the family have the forms of the keyed-form reference; its blocks."""
+    vectors, ghat, blocks = reference_oracle(family.equation, N)
+    assert [[(e.nums, e.den) for e in vec] for vec in family.vectors] \
+        == [[(e.nums, e.den) for e in vec] for vec in vectors]
+    assert set(family.ghat) == set(ghat)
+    for key, G in ghat.items():
+        assert family.block(*key) == G, key  # Mat equality: the width and every row form
+    assert [family.operator_blocks[j] for j in range(N + 1)] == blocks
+    return ghat
+
+
+#: the oracle's top degree at each reference point: 6, and 8 at q = 9/10
+#: and 5 at q = 99/100
+REFERENCE_N = [6] * 40 + [8, 5, 6]
+
+
+@pytest.mark.parametrize("p, N", zip(REFERENCE_POINTS, REFERENCE_N), ids=REFERENCE_IDS)
+def test_oracle_and_recurrence_matrices_equal_the_keyed_form_reference(p, N):
+    family = generate_monic_oracle(preset_equation(p), N)
+    ghat = assert_family_equals_the_reference(family, N)
+    reference = types.SimpleNamespace(block=lambda n, j: ghat[n, j])
+    for n in range(N):
+        for j in (1, 2):
+            tb = ttr_matrices(family, n, j)
+            assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(reference, n, j), (n, j)
+
+
+@pytest.mark.parametrize("p", REFERENCE_POINTS, ids=REFERENCE_IDS)
+def test_closed_forms_S_and_T_equal_their_fraction_references(p):
+    E = preset_equation(p)
+    for n in range(1, 7):
+        assert s_matrix_closed_form(E, n) == reference_s_matrix(E, n), n
+    for n in range(2, 7):
+        assert t_matrix_closed_form(E, n) == reference_t_matrix(E, n), n
+
+
+@seed(60)
+@settings(max_examples=30, deadline=None, database=None)
+@given(admissible_equations())
+def test_oracle_and_closed_forms_equal_their_references_on_admissible_equations(E):
+    assert_family_equals_the_reference(generate_monic_oracle(E, 5), 5)
+    for n in range(1, 6):
+        assert s_matrix_closed_form(E, n) == reference_s_matrix(E, n), n
+    for n in range(2, 6):
+        assert t_matrix_closed_form(E, n) == reference_t_matrix(E, n), n
+
+
+def test_ttr_matrices_and_mat_L_refuse_an_axis_other_than_1_or_2(oracle5):
+    for call in (lambda: ttr_matrices(oracle5, 2, -1), lambda: ttr_matrices(oracle5, 1, 0),
+                 lambda: ttr_matrices(oracle5, 1, 3), lambda: mat_L(2, 3), lambda: mat_L(2, 0)):
+        with pytest.raises(ValueError, match="axis must be 1 or 2"):
+            call()
+
+
+def test_ttr_matrices_refuse_a_degree_outside_the_family(equation):
+    family = generate_monic_oracle(equation, 3)
+    for n in (3, 4, -1):
+        with pytest.raises(ValueError, match=r"0 <= n < N = 3"):
+            ttr_matrices(family, n, 1)
 
 
 @seed(27)
