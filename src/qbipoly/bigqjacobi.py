@@ -4,12 +4,11 @@ representation, the orthogonality weight with its Jackson moment engine, and
 the q -> 1 classical targets (Appell-type monic family, Jacobi-product
 family, classical Rodrigues, classical operator)."""
 
-import math
 from fractions import Fraction
 
-from .bipoly import BiPoly, combine, exact_form, from_form, reduced
+from .bipoly import BiPoly, combine, exact_form, from_form, lift_pairs, reduced
 from .equation import EquationCoeffs
-from .jackson import _geometric, _ladder, _power_sums, _products
+from .jackson import _ladder
 from .linalg import Mat
 from .monic import generate_monic_oracle
 from .qcalc import (QParam, QTables, Rows, _terms, gauss_2f1_terminating,
@@ -257,63 +256,87 @@ def check_weight_params(p: BigQJacobiParams) -> None:
                          f"got c={p.c}, q={q}")
 
 
-def _outer_weights(p: BigQJacobiParams, N: int, wp: int) -> list:
-    """[(1 - q) G(y_t)] at y_t = a q^{1+t}, then -(1 - q) G(y_t) at y_t = d
-    q^{1+t}, t = 0..N, as integer pairs within 2^(3 - wp) relative, where
+def _basis_rows(q: Fraction, D: int) -> list:
+    """Rows i = 0..D of the basis change z^i = sum_k C_ik (z; q)_k, row i as
+    integers over u^(i(i+1)/2) (q = u/v): z (z; q)_k = q^-k ((z; q)_k - (z;
+    q)_(k+1)) gives C_(i+1,j) = (C_ij - q C_(i,j-1)) q^-j."""
+    u, v = q.numerator, q.denominator
+    C = [[1]]
+    for k in range(D):
+        C.append([C[-1][0] * u ** (k + 1)]
+                 + [(v * n - u * m) * v ** (j - 1) * u ** (k + 1 - j)
+                    for j, (n, m) in enumerate(zip(C[-1][1:] + [0], C[-1]), 1)])
+    return C
 
-        G(y) = cq (1 - q) (q, bcq^2; q)_inf / (cq, bq; q)_inf
-               * (y/a, y/d; q)_inf / (y, bcqy/d; q)_inf
 
-    is the weight's y part times its inner x-integral (`MomentTable`): one
-    `_ladder` per outer branch and one for the constant."""
-    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
-    bcq2 = b * c * q * q
-    const = _products(_ladder([q, bcq2], [c * q, b * q], q, 0, 0, wp),
-                      _geometric(c * q * (1 - q) ** 2, q, 1, wp))
-    pos = _ladder([q, a * q / d], [a * q, a * bcq2 / d], q, 0, N, wp)
-    neg = _ladder([d * q / a, q], [d * q, bcq2], q, 0, N, wp)
-    return _products(pos + [(-m, e) for m, e in neg], const * (2 * N + 2))
+def _poch_ratios(ups, downs, q: Fraction, D: int) -> list:
+    """[(n_k, d_k)] for k = 0..D, prod_(z in ups) (z; q)_k / prod_(z in
+    downs) (z; q)_k = n_k / d_k, integers: step l multiplies in each factor
+    1 - z q^l as (zd v^l - zn u^l) / (zd v^l), so d_k divides d_D."""
+    u, v = q.numerator, q.denominator
+    out = [(1, 1)]
+    for l in range(D):
+        (n, d), U, V = out[-1], u**l, v**l
+        for z in ups:
+            n, d = n * (z.denominator * V - z.numerator * U), d * z.denominator * V
+        for z in downs:
+            n, d = n * z.denominator * V, d * (z.denominator * V - z.numerator * U)
+        out.append((n, d))
+    return out
 
 
 def _conditional_moments(p: BigQJacobiParams, D: int) -> list:
     """[(nums, den)] for i = 0..D, the reduced form of Q_i(y) = sum_m
     nums[m] y^m / den: the inner x-integral of x^i at y over that of 1
-    (`MomentTable`).  With z = bx/d, z (z; q)_k = q^-k ((z; q)_k - (z;
-    q)_(k+1)) gives z^i = sum_k C_ik (z; q)_k, and the inner integral of
-    (z; q)_k is that of 1 times (bq, bcqy/d; q)_k / (bcq^2; q)_k (the
-    closed form at b q^k), so
+    (`MomentTable`).  With z = bx/d, z^i = sum_k C_ik (z; q)_k
+    (`_basis_rows`), and the inner integral of (z; q)_k is that of 1 times
+    (bq, bcqy/d; q)_k / (bcq^2; q)_k (the closed form at b q^k), so
 
         Q_i(y) = (d/b)^i sum_k C_ik w_k (bcqy/d; q)_k,  w_k = (bq; q)_k / (bcq^2; q)_k.
 
-    Everything is integers over powers and products (q = u/v): row i of
-    C over u^(i(i+1)/2), C_(i+1,j) = (C_ij - q C_(i,j-1)) q^-j; w_k as a
-    numerator and a denominator; the coefficients of (bcqy/d; q)_k over
-    its denominator; and one `combine` per row."""
-    u, v = p.qp.q.numerator, p.qp.q.denominator
-    bn, bd, cn, cd = p.b.numerator, p.b.denominator, p.c.numerator, p.c.denominator
-    e = p.b * p.c * p.qp.q / p.d
+    Everything is integers over powers and products: w_k from
+    `_poch_ratios`, the coefficients of (bcqy/d; q)_k over its denominator,
+    and one `combine` per row."""
+    q, u, v = p.qp.q, p.qp.q.numerator, p.qp.q.denominator
+    e = p.b * p.c * q / p.d
     en, ed = e.numerator, e.denominator
-    C, wn, wd, P = [[1]], [1], [1], [({0: 1}, 1)]
+    w = _poch_ratios([p.b * q], [p.b * p.c * q * q], q, D)
+    P = [({0: 1}, 1)]
     for k in range(D):
-        C.append([C[-1][0] * u ** (k + 1)]
-                 + [(v * n - u * m) * v ** (j - 1) * u ** (k + 1 - j)
-                    for j, (n, m) in enumerate(zip(C[-1][1:] + [0], C[-1]), 1)])
-        wn.append(wn[-1] * (bd * v ** (k + 1) - bn * u ** (k + 1)) * cd * v)
-        wd.append(wd[-1] * (bd * cd * v ** (k + 2) - bn * cn * u ** (k + 2)))
         # times (ed v^k - en u^k y) / (ed v^k)
         nums, den = P[-1]
         c0, c1 = ed * v**k, -en * u**k
         P.append(({m: nums.get(m, 0) * c0 + nums.get(m - 1, 0) * c1 for m in range(k + 2)},
                   den * c0))
-    dn, dd = p.d.numerator, p.d.denominator
-    return [combine(((n * wn[k] * (dn * bd) ** i, P[k][0], wd[k] * P[k][1])
+    dn, dd, bn, bd = p.d.numerator, p.d.denominator, p.b.numerator, p.b.denominator
+    return [combine(((n * w[k][0] * (dn * bd) ** i, P[k][0], w[k][1] * P[k][1])
                      for k, n in enumerate(row)), u ** (i * (i + 1) // 2) * (dd * bn) ** i)
-            for i, row in enumerate(C)]
+            for i, row in enumerate(_basis_rows(q, D))]
+
+
+def _outer_moments(p: BigQJacobiParams, D: int) -> tuple:
+    """(nums, den), the reduced form of nu_s = nums[s] / den for s = 0..D:
+    the y-integral of y^s G(y) over that of G (`MomentTable`).  G is the big
+    q-Jacobi weight in y with parameters (a, bcq, d), under which (y; q)_k
+    integrates to the integral of G times (aq, dq; q)_k / (abcq^3; q)_k
+    (the Andrews-Askey integral at a q^k), so with y^s = sum_k C_sk (y; q)_k
+    (`_basis_rows`)
+
+        nu_s = sum_k C_sk (aq, dq; q)_k / (abcq^3; q)_k,
+
+    on the one denominator u^(D(D+1)/2) d_D of `_poch_ratios`."""
+    q = p.qp.q
+    w = _poch_ratios([p.a * q, p.d * q], [p.a * p.b * p.c * q**3], q, D)
+    top, last = q.numerator ** (D * (D + 1) // 2), w[D][1]
+    return reduced({s: sum(c * n * (last // d) for c, (n, d) in zip(row, w))
+                       * (top // q.numerator ** (s * (s + 1) // 2))
+                    for s, row in enumerate(_basis_rows(q, D))}, top * last)
 
 
 class MomentTable:
     """The Jackson moments M_ij = L(x^i y^j) of the orthogonality functional
-    on the triangle i + j <= max_degree, as exact rationals.
+    on the triangle i + j <= max_degree: M_00 times exact rational ratios,
+    with nothing truncated.
 
     The double q-integral runs y over (dq -> aq) and x over (dq -> c q y).
     At fixed y the weight's x part, (x/(cy), x/d; q)_inf / (x/y, bx/d;
@@ -322,34 +345,38 @@ class MomentTable:
     orthogonality relation at m = n = 0 (Koekoek, Lesky & Swarttouw, 2010,
     14.5.2).  Times the y part of the weight, the factors (dq/y; q)_inf,
     (d/(cy); q)_inf and (cqy/d; q)_inf cancel, so the inner integral of x^i
-    is G(y) Q_i(y) (`_outer_weights`, `_conditional_moments`), with no inner
-    lattice and no tail.  On y = d q^{1+t} the written weight sits at 0/0
-    (the numerator's (dq/y; q)_inf and the denominator's (x/y; q)_inf
-    vanish at x = d q^{1+r}, r <= t); G Q_i is its continuous limit there,
-    dropping the single vanishing factor from both.
+    is G(y) Q_i(y) (`_conditional_moments`), with no inner lattice, where
 
-    Only the outer Jackson sum is truncated, at `truncation` nodes past
-    each end: with mu_p = (1 - q) sum_t (+-) y_t^p G(y_t) (y = a q^{1+t}
-    taken with +, d q^{1+t} with -), M_ij = sum_m R_im mu_(j+1+m) for Q_i(y)
-    = sum_m R_im y^m.  The mu_p are one `_power_sums` call; each moment is
-    one integer sum over R_i's denominator, truncated once onto the table's
-    binary point 2^_low (at or below mu_1's, so M_00 = mu_1 exactly).
-    `moment`, `integrate` and `gram` (each pair's `integrate`, none formed)
-    return exact rationals.
+        G(y) = cq (1 - q) (q, bcq^2; q)_inf / (cq, bq; q)_inf
+               * (y/a, y/d; q)_inf / (y, bcqy/d; q)_inf.
 
-    Error.  Each term of mu_p is within (9 + 2p) 2^-W relative (G(y_t)
-    within 2^(3 - W), y_t within 2^(1 - W), the power sum's truncations
-    within 2^-W of its largest term), and |mu_p| <= Y^(p-1) mu_1, Y =
-    max(aq, |dq|), since each outer node's mass (1 - q) (+-) y_t G(y_t) is
-    positive on the whole parameter domain (below).  With the last truncation
-    (under 2^-W mu_1) each moment is within (2D + 12) B 2^-W mu_1, so with
+    On y = d q^{1+t} the written weight sits at 0/0 (the numerator's (dq/y;
+    q)_inf and the denominator's (x/y; q)_inf vanish at x = d q^{1+r}, r <=
+    t); G Q_i is its continuous limit there, dropping the single vanishing
+    factor from both.
 
-        B = max over i + j <= D of sum_m |R_im| Y^(j+m),  W = prec + g,
-        g = bitlen(ceil((2D + 12) B)),
+    The outer integral is closed too: G's y part is the big q-Jacobi weight
+    with parameters (a, bcq, d), whose Jackson integral over (dq -> aq) is
+    the Andrews-Askey integral (Gasper & Rahman, 2004, section 2.10;
+    Koekoek, Lesky & Swarttouw, 2010, 14.5.2).  So, with (bcq^2; q)_inf cancelling,
 
-    every moment is within 2^-prec M_00 of the outer sum it truncates.
-    The guard g is 5-12 bits at the tests' points (59 at d = -1000, where Y
-    = 500).
+        M_00 = acq^2 (1 - q)^2 (q, q, aq/d, d/a, abcq^3; q)_inf
+               / (cq, bq, aq, dq, abcq^2/d; q)_inf,
+
+    and M_ij / M_00 = sum_m R_im nu_(j+m) for Q_i(y) = sum_m R_im y^m, where
+    nu_s, the y-integral of y^s G over that of G, is exact rational
+    (`_outer_moments`).  The table holds those ratios as integers over one
+    denominator, and M_00 as one `_ladder` at prec bits.  `moment`,
+    `integrate` and `gram` (each pair's `integrate`, none formed) return
+    exact rationals: the rounded M_00 times an exact ratio.
+
+    Error.  Every value is M_00 times the exact functional's value over
+    M_00, and M_00 is within 2^-prec of itself, relative (`_ladder`).  M_00
+    > 0 cancels from every gated comparison (a norm's sign, a pair's G_ij^2
+    < tol^2 G_ii G_jj, and det H_1 against tol (|h00 h11| + |h01 h10|)), so
+    every verdict is the exact functional's, and a pair that the functional
+    separates is exactly 0; a printed value is rounded once more, when
+    printed (`scalars.float_str`).
 
     Positivity.  On the parameter domain (0 < aq, bq, cq < 1, d < 0, c !=
     q^k) every node weight is positive or zero and some is positive, so
@@ -367,42 +394,36 @@ class MomentTable:
     (q^-t; q)_inf (d/(cy) over dq/y, a divisor of the weight) has t + 1 + T
     over t, sign (-1)^(T+1); with 1/y < 0 the weight is positive.  At c =
     q^k (k >= 0), refused by `check_weight_params`, the first ratio vanishes
-    on y < 0 and no weight is negative either.  So the masses are positive:
-    the Jackson measure's (1 - q) x, or -(1 - q) x at the lower end, is
-    positive at every node of nonzero weight, and so is each of G's factors
-    (each z <= 0 or in (0, 1), as `_ladder` requires).
+    on y < 0 and no weight is negative either.  So M_00 > 0, and each z of
+    its ladder is <= 0 or in (0, 1), as `_ladder` requires.
     """
 
     #: every node weight is positive or zero on the parameter domain
     #: (Positivity above)
     weight_positive = True
 
-    def __init__(self, p: BigQJacobiParams, max_degree: int, truncation: int, prec: int):
+    def __init__(self, p: BigQJacobiParams, max_degree: int, prec: int):
         check_weight_params(p)
         if prec < 64:
             raise ValueError("float precision must be at least 64 bits")
-        for name, v in (("max_degree", max_degree), ("truncation", truncation)):
-            if v < 0:
-                raise ValueError(f"{name} must be at least 0, got {v}")
-        self.params, self.max_degree, self.truncation, self.prec = p, max_degree, truncation, prec
-        N, D = truncation, max_degree
-        q, a, d = p.qp.q, p.a, p.d
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be at least 0, got {max_degree}")
+        self.params, self.max_degree, self.prec = p, max_degree, prec
+        D, q, a, b, c, d = max_degree, p.qp.q, p.a, p.b, p.c, p.d
         R = _conditional_moments(p, D)
-        Y = max(a * q, -d * q)
-        B = max(max(1, Y) ** (D - i) * sum(abs(n) * Y**m for m, n in nums.items()) / den
-                for i, (nums, den) in enumerate(R))
-        wp = prec + math.ceil((2 * D + 12) * B).bit_length()
-        sums = _power_sums(_outer_weights(p, N, wp),
-                           _geometric(a * q, q, N + 1, wp) + _geometric(d * q, q, N + 1, wp),
-                           D + 1, wp, D + 1)
-        # mu_p as integers on one binary point 2^_low <= 1
-        self._low = min(0, *(e for _, e in sums))
-        mu = [S << (e - self._low) for S, e in sums]
-        self._fixed = {(i, j): sum(n * mu[j + m] for m, n in nums.items()) // den
-                       for i, (nums, den) in enumerate(R) for j in range(D + 1 - i)}
+        nu, nu_den = _outer_moments(p, D)
+        lifts, lcm = lift_pairs([(1, den) for _, den in R])
+        # M_ij / M_00 = _fixed[i, j] / (lcm nu_den)
+        self._fixed = {(i, j): lift * sum(n * nu.get(j + m, 0) for m, n in nums.items())
+                       for i, ((nums, _), lift) in enumerate(zip(R, lifts))
+                       for j in range(D + 1 - i)}
+        m, e = _ladder([q, q, a * q / d, d / a, a * b * c * q**3],
+                       [c * q, b * q, a * q, d * q, a * b * c * q * q / d], q, prec)
+        unit = a * c * (q * (1 - q)) ** 2 * m * Fraction(2) ** e / (lcm * nu_den)
+        self._num, self._den = unit.numerator, unit.denominator
 
     def moment(self, i: int, j: int):
-        return Fraction(self._fixed[i, j], 1 << -self._low)
+        return Fraction(self._fixed[i, j] * self._num, self._den)
 
     def _dot(self, nums: dict, si: int = 0, sj: int = 0) -> int:
         """sum_m nums[m] F(m + (si, sj)), exact."""
@@ -415,8 +436,8 @@ class MomentTable:
 
     def integrate(self, poly: BiPoly):
         """The moment functional of an exact polynomial: its integer
-        numerators times the moments' exact pairs, over its denominator."""
-        return Fraction(self._dot(poly.nums), poly.den << -self._low)
+        numerators times the exact ratios, times M_00 over its denominator."""
+        return Fraction(self._dot(poly.nums) * self._num, poly.den * self._den)
 
     def gram(self, polys) -> list:
         """G[a][b] = G[b][a] = integrate(polys[a] * polys[b]), no product
@@ -428,7 +449,7 @@ class MomentTable:
         for a, (pa, w) in enumerate(zip(polys, ws)):
             for b, pb in enumerate(polys[a:], a):
                 X = sum(n * w[s] for s, n in pb.nums.items())
-                G[a][b] = G[b][a] = Fraction(X, pa.den * pb.den << -self._low)
+                G[a][b] = G[b][a] = Fraction(X * self._num, pa.den * pb.den * self._den)
         return G
 
 

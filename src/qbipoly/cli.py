@@ -4,11 +4,12 @@ Exit codes: 0 all checks pass, 1 a check or tolerance failed (including an
 equation that fails a hypothesis its request needs: ``pearson.NEEDS`` maps
 each request to them, and the first that fails is the refusal), 2 bad
 configuration or parse error (including parameters that put a pole of the
-weight in the path of the request).  Every failure prints one `error:`
-line.  Outputs are deterministic for a fixed configuration (fixed summation
-orders, sorted keys) and written atomically.  Each command declares only
-the options it reads and checks them itself once the equation source has
-loaded.
+weight in the path of the request, or a q too near 1 for the weight's mass,
+``jackson.MAX_STEPS``).  Every failure prints one `error:` line.  Outputs
+are deterministic for a fixed configuration (fixed summation orders, sorted
+keys) and written atomically.  Each command declares only the options it
+reads, but for `verify --truncation`, which nothing reads, and checks them
+itself once the equation source has loaded.
 """
 
 import argparse
@@ -27,9 +28,9 @@ from .equation import (EquationCoeffs, NotAdmissibleError, ShapeViolation,
 from .monic import generate_monic_oracle, ttr_matrices
 from .pearson import (DegenerateEquationError, LatticePoleError, base_weight, require,
                       verify_pearson_identities, weight_table_rows)
-from .qcalc import QParam, power_exponent, verify_operator_relations
+from .qcalc import QParam, verify_operator_relations
 from .rodrigues import rodrigues_poly
-from .suites import ORTH_PRECISION, ORTH_TOL, ORTH_TRUNCATION, SUITES, run_suite
+from .suites import ORTH_PRECISION, ORTH_TRUNCATION, SUITES, run_suite
 
 MAX_DEGREE_GUARD = 12
 
@@ -173,46 +174,6 @@ def cmd_generate(args, E: EquationCoeffs, p: BigQJacobiParams | None) -> int:
     return 0 if payload.get("residual_zero", True) else 1
 
 
-def _least_truncation(q: Fraction, half: Fraction) -> int:
-    """The least T with 4 q^T < half, no large power of q formed: k + 1
-    where half/4 is exactly q^k, else the least integer above the
-    non-integer r = ln(4/half)/ln(1/q), from an interval enclosure of r at
-    doubling precision."""
-    from mpmath import MPIntervalContext, libmp
-
-    if (k := power_exponent(half / 4, q)) is not None:
-        return k + 1
-    ctx = MPIntervalContext()
-    while True:
-        ctx.prec *= 2
-        slope = ctx.log(ctx.mpf(q.denominator) / q.numerator)
-        if slope > 0:
-            r = ctx.log(ctx.mpf(4 * half.denominator) / half.numerator) / slope
-            lo, hi = (libmp.to_int(end, "f") for end in r._mpi_)
-            if lo == hi:
-                return lo + 1
-
-
-def _check_orthogonality_gate(q: Fraction, precision: int, truncation: int):
-    """Refuse a precision and truncation at which correct polynomials can
-    miss the ORTH_TOL gate: a gated inner product of orthogonal polynomials
-    is bounded by 2^(24 - precision) for rounding plus 4 q^truncation for
-    the outer Jackson tail (the inner integrals are closed forms, with no
-    tail).  Name the smallest values that keep each term under half the
-    gate."""
-    bound = Fraction(2) ** (24 - precision) + 4 * q**truncation
-    if bound < ORTH_TOL:
-        return
-    half = ORTH_TOL / 2
-    prec_min = 64
-    while Fraction(2) ** (24 - prec_min) >= half:
-        prec_min += 1
-    raise ConfigError(f"--precision {precision} --truncation {truncation} cannot gate "
-                      f"orthogonality at {float(ORTH_TOL):g} for q={q} (error bound "
-                      f"{float(bound):.2g}); use --precision {prec_min} --truncation "
-                      f"{max(16, _least_truncation(q, half))} or more")
-
-
 def cmd_verify(args, p: BigQJacobiParams | None) -> int:
     if args.precision < 64:
         raise ConfigError("precision must be at least 64 bits")
@@ -225,8 +186,7 @@ def cmd_verify(args, p: BigQJacobiParams | None) -> int:
         kwargs = {"p": p}
     if suite == "orthogonality":
         check_weight_params(p)
-        _check_orthogonality_gate(p.qp.q, args.precision, args.truncation)
-        kwargs.update(truncation=args.truncation, prec=args.precision)
+        kwargs["prec"] = args.precision
     ok, rows = run_suite(suite, **kwargs)
     header = ("case", "a", "b", "value", "pass")
     doc = qio.document("verify-report", {"suite": suite, "ok": ok,
@@ -260,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     common(sp)
     sp.add_argument("--suite", required=True, choices=SUITES)
-    # read by the orthogonality suite only, checked for every suite
+    # --precision is read by the orthogonality suite only; both are checked
+    # for every suite, and --truncation, kept for the requests that send it,
+    # is read by none: the moments are closed forms
     sp.add_argument("--precision", type=int, default=ORTH_PRECISION)
     sp.add_argument("--truncation", type=int, default=ORTH_TRUNCATION,
-                    help="outer Jackson nodes past each end of the y-interval")
+                    help="accepted and unused: the Jackson moments are closed forms")
     return ap
 
 

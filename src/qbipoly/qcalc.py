@@ -6,9 +6,9 @@ takes their difference quotients of lattice samples in Fractions; no route
 calls it, and it stays because the benchmark's span list names it.  The one
 float-lane routine, the infinite q-Pochhammer of a field value, multiplies
 its factors in ascending index order at the field's working precision, so
-results are reproducible.  The moment engine does not call it: its
-Pochhammer ratios are integer ladders of exact-rational steps that start
-from Euler's series (`jackson._ladder`).
+results are reproducible.  The moment engine does not call it: its one
+Pochhammer ratio, the weight's mass, is a fixed-point integer ladder that
+ends in Euler's series (`jackson._ladder`).
 """
 
 import functools

@@ -2,8 +2,9 @@
 
 Algebraic objects hold exact rationals only (``as_fraction``), so
 identities are decided exactly.  The Jackson moments (``MomentTable``) are
-fixed-point integer sums, returned exactly, so the orthogonality gates are
-exact too; ``float_str`` rounds a reported value once, when printed.
+exact rational ratios times one mass, returned exactly, and the mass cancels
+from every orthogonality gate, so the gates are exact too; ``float_str``
+rounds a reported value once, when printed.
 ``FloatField`` keeps mpf numbers in a private mpmath context at its
 precision (``qcalc.qpochhammer_inf``).  No float depends on mpmath.mp.prec,
 and mpmath loads with the first printed float or ``FloatField``: ``check``

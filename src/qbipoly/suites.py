@@ -6,8 +6,8 @@ column reads "True" or "False"; a row that reads "info" only reports.  A
 suite's ok is that no row reads "False", so a report carries its own
 verdict.  The CLI renders them; the acceptance tests assert on them.  A
 suite takes only what the CLI varies (the preset point; for orthogonality
-the truncation and precision): the degrees, steps and points it covers are
-module constants.
+the precision): the degrees, steps and points it covers are module
+constants.
 """
 
 import itertools
@@ -30,8 +30,9 @@ from .rodrigues import rodrigues_family, rodrigues_poly  # noqa: F401
 from .scalars import float_str
 
 ORTH_TOL = Fraction(1, 10**25)
-#: the float lane's working precision (bits) and Jackson truncation when
-#: `verify` is given no --precision or --truncation
+#: the precision (bits) of the weight's mass and of the printed values, and
+#: the --truncation that `verify` accepts and no suite reads, when `verify`
+#: is given no --precision or --truncation
 ORTH_PRECISION, ORTH_TRUNCATION = 192, 200
 LIMIT_RATIO_LO = Fraction(1, 20)
 LIMIT_RATIO_HI = Fraction(1, 5)
@@ -77,14 +78,16 @@ def _eigenspace_rows(names, label, sol, entries, m):
              "proportional" if proportional else "not proportional", "info")]
 
 
-def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
+def suite_orthogonality(p: BigQJacobiParams, prec: int):
     """Pairwise normalized inner products, positive norms, a nonsingular
-    H_1 = L(x P_1^T) and positive node weights (exact signs), each gate
-    decided on the exact rationals of `MomentTable.gram` (a pair: both
-    norms pass and G_ij^2 < tol^2 G_ii G_jj; H_1: |det| > tol (|h00 h11|
-    + |h01 h10|), which does not scale with the weight's mass, while the
-    printed value is det itself).  A value is rounded once,
-    when printed (`float_str`; nan where G_ii G_jj <= 0).
+    H_1 = L(x P_1^T) and positive node weights (`MomentTable`'s Positivity),
+    each gate decided on the exact rationals of `MomentTable.gram` (a pair:
+    both norms pass and G_ij^2 < tol^2 G_ii G_jj; H_1: |det| > tol (|h00
+    h11| + |h01 h10|), which does not scale with the weight's mass, while
+    the printed value is det itself).  The weight's mass cancels from every
+    gate, so each verdict is the exact functional's, and a pair that it
+    separates prints 0.  A value is rounded once, when printed
+    (`float_str`; nan where G_ii G_jj <= 0).
 
     For the scalar-indexed explicit family every distinct index pair must
     vanish.  The monic and Rodrigues solutions are vector families: the
@@ -93,7 +96,7 @@ def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
     Gram blocks H_n; those pairs are reported as Gram entries, not gated.
     """
     # a product of two polynomials of total degree <= ORTH_TOTAL needs no more
-    moments = MomentTable(p, max_degree=2 * ORTH_TOTAL, truncation=truncation, prec=prec)
+    moments = MomentTable(p, max_degree=2 * ORTH_TOTAL, prec=prec)
     fam = generate_monic_oracle(preset_equation(p), ORTH_TOTAL)
     groups = {}
     for family, total, label, poly in _solution_inventory(p, fam, ORTH_TOTAL):
@@ -122,8 +125,8 @@ def suite_orthogonality(p: BigQJacobiParams, truncation: int, prec: int):
     det = diag - anti
     rows.append(("H1_nonsingular", "det", "", float_str(det, prec),
                  str(abs(det) > ORTH_TOL * (abs(diag) + abs(anti)))))
-    rows.append(("weight_positive", "every node weight", f"truncation={truncation}",
-                 "exact sign", str(moments.weight_positive)))
+    rows.append(("weight_positive", "every node weight", "on the domain",
+                 "proved", str(moments.weight_positive)))
     return _report(rows)
 
 

@@ -49,6 +49,6 @@ def oracle5(equation):
 
 @pytest.fixture(scope="session")
 def moments():
-    """Jackson moment functional at the production tolerances (192-bit,
-    truncation 200); built once per session."""
-    return MomentTable(TEST_PARAMS, max_degree=8, truncation=200, prec=192)
+    """Jackson moment functional at the production precision (192 bits);
+    built once per session."""
+    return MomentTable(TEST_PARAMS, max_degree=8, prec=192)

@@ -40,6 +40,13 @@ def test_package_exports():
 #: wrappers and aliases with no caller in src
 ABSENT = [
     ("jackson", "_signs"),
+    ("jackson", "_power_sums"),
+    ("jackson", "_powers"),
+    ("jackson", "_geometric"),
+    ("jackson", "_products"),
+    ("bigqjacobi", "_outer_weights"),
+    ("cli", "_least_truncation"),
+    ("cli", "_check_orthogonality_gate"),
     ("bigqjacobi", "_node_signs"),
     ("bigqjacobi", "_weight_positive"),
     ("bigqjacobi", "closed_form_weight"),

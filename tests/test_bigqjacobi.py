@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
                                 MomentTable, _conditional_moments,
-                                _outer_weights, _power_sums,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_rodrigues_fraction,
@@ -23,7 +22,7 @@ from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
 import qbipoly.bigqjacobi as bigqjacobi
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, apply_operator
-from qbipoly.jackson import _ladder
+from qbipoly.jackson import MAX_STEPS, _ladder
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generate_monic_oracle, generate_monic_rf, s_matrix_closed_form,
                            ttr_matrices)
@@ -767,16 +766,25 @@ def engine_and_brute(point):
     parameter point; the table's triangle holds the box i, j <= 2."""
     p, N = ENGINE_POINTS[point]
     fld = FloatField(80)
-    return MomentTable(p, max_degree=4, truncation=N, prec=80), fld, brute_nodes(p, N, fld)
+    return MomentTable(p, max_degree=4, prec=80), fld, brute_nodes(p, N, fld)
 
 
 def test_moment_engine_against_slow_reference():
+    """The engine's pieces against the brute double Jackson sum of the
+    written weight, both outer sums cut at the same N: the closed-form
+    inner integrals times G, summed over the outer nodes
+    (`truncated_outer_moments`), within 2^-50; and the table within the
+    tail that cut drops, plus 2^(1 - 80) and the sum's rounding."""
     for point in sorted(ENGINE_POINTS):
         mt, fld, nodes = engine_and_brute(point)
+        outer = truncated_outer_moments(ENGINE_POINTS[point][0], 4, ENGINE_POINTS[point][1], fld)
         for i in range(3):
             for j in range(3):
                 ref = mpf_value(brute_moment(fld, nodes, i, j))
-                assert abs(mt.moment(i, j) - ref) <= F(2) ** (-50) * max(1, abs(ref))
+                M, tail, scale = (mpf_value(v) for v in outer[i, j])
+                assert abs(M - ref) <= F(2) ** (-50) * max(1, abs(ref))
+                assert abs(mt.moment(i, j) - M) <= F(2) ** -79 * abs(M) + tail \
+                    + F(2) ** (24 - 80) * scale
 
 
 def test_weight_min_positive_is_least_brute_node_weight():
@@ -796,8 +804,8 @@ def test_moment_table_error_follows_precision(point):
     measured error is about 2^(9 - prec)), over the box i, j <= 4."""
     p = ENGINE_POINTS[point][0]
     prec = 120
-    got = MomentTable(p, max_degree=8, truncation=96, prec=prec)
-    ref = MomentTable(p, max_degree=8, truncation=96, prec=prec + 64)
+    got = MomentTable(p, max_degree=8, prec=prec)
+    ref = MomentTable(p, max_degree=8, prec=prec + 64)
     m00 = abs(ref.moment(0, 0))
     for i in range(5):
         for j in range(5):
@@ -899,6 +907,65 @@ def reference_moments(p, max_degree, truncation, prec):
     return M, min(least, default=None)
 
 
+def outer_node_weights(p, N, fld) -> tuple:
+    """([(1 - q) G(y_t)] on y_t = a q^(1+t), [-(1 - q) G(y_t)] on y_t = d
+    q^(1+t), t = 0..N) as mpf values of `fld`: G of `MomentTable`, its
+    constant and each branch's four Pochhammer sequences from `_poch_ladder`
+    (one direct infinite product each, then exact steps).  The engine
+    computed these once, to sum the outer integral that it now has in
+    closed form."""
+    q = fld.of(p.qp.q)
+    a, b, c, d = (fld.of(v) for v in (p.a, p.b, p.c, p.d))
+
+    def seq(z):
+        return _poch_ladder(z, 0, N, q, p.qp, fld)
+
+    bcq2 = b * c * q * q
+    const = c * q * (1 - q) ** 2 * seq(q)[0] * seq(bcq2)[0] / (seq(c * q)[0] * seq(b * q)[0])
+    out = []
+    for sign, (u1, u2), (d1, d2) in ((1, (q, a * q / d), (a * q, a * bcq2 / d)),
+                                     (-1, (d * q / a, q), (d * q, bcq2))):
+        U1, U2, D1, D2 = seq(u1), seq(u2), seq(d1), seq(d2)
+        out.append([sign * const * U1[t] * U2[t] / (D1[t] * D2[t]) for t in range(N + 1)])
+    return tuple(out)
+
+
+def truncated_outer_moments(p, D, N, fld) -> dict:
+    """{(i, j): (M_ij, tail, scale)} on i + j <= D, mpf values of `fld`: the
+    truncated outer Jackson sum that the engine summed before the outer
+    integral had a closed form, M_ij = sum_m R_im mu_(j+1+m) for Q_i(y) =
+    sum_m R_im y^m (`_conditional_moments`) and mu_p = (1 - q) sum_(t <= N)
+    (+-) y_t^p G(y_t) (`outer_node_weights`); scale sums the terms' absolute
+    values the same way.  tail bounds what the cut drops: on y = a q^(1+t),
+    G(yq)/G(y) = (1 - y)(1 - bcqy/d) / ((1 - y/a)(1 - y/d)) <= max(1, bcq) /
+    (1 - q^(t+1)), and on y = d q^(1+t) it is at most max(1, a) / (1 -
+    q^(t+1)), so past t = N each branch's terms of mu_p (p >= 1) shrink by
+    at least rho = q max(1, a, bcq) / (1 - q^(N+1)) a step, and |mu_p|
+    loses under its last terms times rho / (1 - rho)."""
+    q = fld.of(p.qp.q)
+    pos, neg = outer_node_weights(p, N, fld)
+    nodes = [(fld.of(p.a) * q ** (1 + t), w) for t, w in enumerate(pos)] \
+        + [(fld.of(p.d) * q ** (1 + t), w) for t, w in enumerate(neg)]
+    mu, scale, last = ([fld.of(0)] * (D + 2) for _ in range(3))
+    for k, (yv, w) in enumerate(nodes):
+        term = w * yv
+        for e in range(1, D + 2):
+            mu[e] += term
+            scale[e] += abs(term)
+            if k in (N, 2 * N + 1):
+                last[e] += abs(term)
+            term *= yv
+    rho = fld.of(p.qp.q * max(1, p.a, p.b * p.c * p.qp.q)) / (1 - q ** (N + 1))
+    assert rho < 1
+    out = {}
+    for i, (nums, den) in enumerate(_conditional_moments(p, D)):
+        for j in range(D + 1 - i):
+            M, cut, size = (fld.ctx.fsum(f(n) * v[j + 1 + m] for m, n in nums.items()) / den
+                            for f, v in ((int, mu), (abs, last), (abs, scale)))
+            out[i, j] = M, cut * rho / (1 - rho), size
+    return out
+
+
 #: a point with |dq| > 1, so that powers of the x < 0 lattice grow past 1
 PBIG = BigQJacobiParams(F(1, 3), F(2, 5), F(3, 7), F(-3), QParam(F(1, 2)))
 #: abc q^2 = 1: the first factor of (abc q^2; q)_k vanishes
@@ -930,43 +997,30 @@ def test_preset_equation_equals_its_product_form(params):
 
 @pytest.mark.parametrize("point", sorted(ENGINE_POINTS) + ["|dq|>1"])
 def test_power_sum_engine_matches_reference_loop(point):
-    """The integer engine against the earlier mpf loop on the same
-    sequences: within 2^(16 - prec) of max(|M_ij|, |M_00|), and the exact
-    verdict is the sign of the loop's least node weight."""
+    """The earlier mpf loop against the power-sum engine that the table
+    replaced (`truncated_outer_moments`: the closed-form inner integrals
+    times G, summed as mu_p = (1 - q) sum_t (+-) y_t^p G(y_t)), both outer
+    sums cut at truncation 40:
+    within 2^(16 - prec) of max(|M_ij|, |M_00|); the table within that
+    cut's tail plus 2^(1 - prec); and the exact verdict is the sign of the
+    loop's least node weight."""
     p = PBIG if point == "|dq|>1" else ENGINE_POINTS[point][0]
-    prec, D = 96, 4
+    prec, D, N = 96, 4, 40
     # the triangle i + j <= 2D holds the loop's box i, j <= D
-    got = MomentTable(p, max_degree=2 * D, truncation=40, prec=prec)
-    ref, ref_least = reference_moments(p, D, 40, prec)
+    got = MomentTable(p, max_degree=2 * D, prec=prec)
+    outer = truncated_outer_moments(p, 2 * D, N, FloatField(prec + 32))
+    ref, ref_least = reference_moments(p, D, N, prec)
     ref = [[mpf_value(v) for v in row] for row in ref]
     tol = F(2) ** (16 - prec)
     assert got.weight_positive is (ref_least > 0)
     for i in range(D + 1):
         for j in range(D + 1):
-            scale = max(abs(ref[i][j]), abs(ref[0][0]))
-            assert abs(got.moment(i, j) - ref[i][j]) <= tol * scale
+            M, tail, scale = (mpf_value(v) for v in outer[i, j])
+            assert abs(M - ref[i][j]) <= tol * max(abs(ref[i][j]), abs(ref[0][0]))
+            assert abs(got.moment(i, j) - M) <= F(2) ** (1 - prec) * abs(M) + tail \
+                + F(2) ** (16 - prec - 32) * scale
     if point == "|dq|>1":
         assert abs(got.moment(D, 0)) > abs(got.moment(0, 0))
-
-
-def test_power_sums_error_below_one_part_in_two_to_prec():
-    """Each sum is within 2^-prec of its largest term, exactly checked,
-    with zero terms, both signs and bases on either side of 1."""
-    rng = random.Random(8)
-    prec = 64
-    for n, degree, spread in ((1, 1, 0), (7, 3, 300), (120, 8, 4), (120, 8, 0)):
-        terms = [(rng.choice((-1, 0, 1, 1)) * rng.getrandbits(2 * prec), rng.randint(-spread, 0))
-                 for _ in range(n)]
-        bases = [(rng.choice((-1, 1)) * (rng.getrandbits(prec) | 1), -prec + rng.randint(-4, 4))
-                 for _ in range(n)]
-        sums = _power_sums(terms, bases, degree, prec, degree)
-        for i, (S, E) in enumerate(sums, 1):
-            exact = [m * F(2) ** e * (b * F(2) ** f) ** i
-                     for (m, e), (b, f) in zip(terms, bases)]
-            assert abs(S * F(2) ** E - sum(exact)) <= F(2) ** -prec * max(map(abs, exact))
-        # fewer sums at the same degree are the same pairs
-        for count in range(degree):
-            assert _power_sums(terms, bases, degree, prec, count) == sums[:count]
 
 
 #: the edges of the benchmark domain at q = 1/2: c = 1/13, where B grows
@@ -1034,55 +1088,138 @@ def ladder_reference(ups, downs, q, lo, hi, slack_bits):
     return vals[::-1], 4 * S * q ** (J + 1) / (1 - q) + F(n, 2 ** (R - 2))
 
 
-#: (ups, downs, q, lo, hi, prec), every factor 1 - z q^j positive (lo = 0,
-#: z < 1): single Pochhammers at q = 1/2 and 2/3, negative z, a ratio, z
-#: near 1 in `ups` and in `downs` (factors near zero); then ratios at q =
-#: 9/10 and 99/100, where Euler's series starts far below the old cut, and
-#: z = -1000 (a weight factor at d = -1000) and -8, whose switch index K
-#: lies far past hi + 1
+#: (ups, downs, q, prec), every z < 1: single Pochhammers at q = 1/2 and
+#: 2/3, negative z, a ratio, z near 1 in `ups` and in `downs` (factors near
+#: zero); then ratios at q = 9/10 and 99/100, where Euler's series starts
+#: far out, and z = -1000 (a mass factor at d = -1000) and -8, whose switch
+#: index K lies far out at q = 1/2 too.  (The ladder once gave every value
+#: up to a top index, and these cases checked each; it now gives the one
+#: value the mass needs.)
 LADDER_CASES = [
-    ([F(1, 2)], [], F(1, 2), 0, 12, 64),
-    ([F(3, 4)], [], F(2, 3), 0, 20, 64),
-    ([F(-5)], [], F(1, 2), 0, 9, 64),
-    ([F(-7, 3)], [], F(2, 3), 0, 10, 80),
-    ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), 0, 12, 72),
-    ([F(12, 13)], [F(1, 13)], F(1, 2), 0, 8, 64),
-    ([F(9, 10), F(-3, 5)], [F(1, 4), F(-9, 40)], F(9, 10), 0, 34, 64),
-    ([F(99, 100), F(-1, 2)], [F(1, 3)], F(99, 100), 0, 8, 24),
-    ([F(-1000)], [F(1, 2000)], F(1, 2), 0, 2, 64),
-    ([F(1, 3)], [F(-8)], F(1, 2), 0, 1, 64),
-    ([F(-4)], [F(999, 1000)], F(1, 2), 0, 8, 64),
+    ([F(1, 2)], [], F(1, 2), 64),
+    ([F(3, 4)], [], F(2, 3), 64),
+    ([F(-5)], [], F(1, 2), 64),
+    ([F(-7, 3)], [], F(2, 3), 80),
+    ([F(-1, 6)], [F(1, 3), F(-2, 5)], F(2, 3), 72),
+    ([F(12, 13)], [F(1, 13)], F(1, 2), 64),
+    ([F(9, 10), F(-3, 5)], [F(1, 4), F(-9, 40)], F(9, 10), 64),
+    ([F(99, 100), F(-1, 2)], [F(1, 3)], F(99, 100), 24),
+    ([F(-1000)], [F(1, 2000)], F(1, 2), 64),
+    ([F(1, 3)], [F(-8)], F(1, 2), 64),
+    ([F(-4)], [F(999, 1000)], F(1, 2), 64),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(LADDER_CASES)))
 def test_ladder_error_below_stated_bound(case):
-    """Each ladder value is within 2^-prec of the infinite product, tail cut
+    """The ladder is within 2^-prec of the infinite product, tail cut
     included: checked exactly against partial products taken so much
     further that their own tail tau cannot hide a miss (|v - P_J| <=
     2^-prec (1 + tau) |P_J| + tau |P_J|)."""
-    ups, downs, q, lo, hi, prec = LADDER_CASES[case]
-    got = _ladder(ups, downs, q, lo, hi, prec)
-    want, tau = ladder_reference(ups, downs, q, lo, hi, prec + 40)
-    assert len(got) == hi - lo + 1
-    for v, w in zip(got, want):
-        assert abs(pair_value(v) - w) <= (F(1, 2**prec) * (1 + tau) + tau) * abs(w)
+    ups, downs, q, prec = LADDER_CASES[case]
+    [want], tau = ladder_reference(ups, downs, q, 0, 0, prec + 40)
+    assert abs(pair_value(_ladder(ups, downs, q, prec)) - want) \
+        <= (F(1, 2**prec) * (1 + tau) + tau) * abs(want)
 
 
-@pytest.mark.parametrize("ups, downs, lo", [([F(1, 4)], [F(-3)], -1), ([F(1, 3)], [F(1)], 0),
-                                            ([F(4)], [F(1, 5)], 2), ([F(1, 5)], [F(3)], 1)],
-                         ids=["lo<0", "zq^0=1", "zq^2=1", "zq^1>1"])
-def test_ladder_refuses_a_factor_that_is_not_positive(ups, downs, lo):
-    """A ladder whose range starts below 0, or has a factor 1 - z q^j (j >=
-    lo) that is zero or negative, is refused, not computed."""
-    with pytest.raises(ValueError, match=re.escape(f"the ladder needs lo >= 0 and z q^lo < 1 "
-                                                   f"for every z, got lo={lo}")):
-        _ladder(ups, downs, F(1, 2), lo, 4, 64)
+def outward(num: int, den: int, bits: int, up: bool) -> tuple:
+    """(m, s), m 2^-s = num / den (num, den > 0) rounded down, or up if up,
+    to bits or bits + 1 significant bits."""
+    s = bits + den.bit_length() - num.bit_length()
+    n, d = (num << s, den) if s >= 0 else (num, den << -s)
+    return (-(-n // d) if up else n // d), s
+
+
+def ladder_enclosure(ups, downs, q, bits) -> tuple:
+    """(lo, hi), lo <= V <= hi for V = prod_(z in ups) (z; q)_inf /
+    prod_(z in downs) (z; q)_inf, every z < 1: the partial products to J
+    with every operation rounded outward at R = bits + 32 bits (q^j held
+    between two fixed-point bounds), times the bounds [1 - 2 s, 1 + 5 s] of
+    the tail (z q^J; q)_inf over all z, s = sum |z| q^J / (1 - q) <=
+    2^-(bits + 4).  Its integers keep R bits whatever J is, so it reaches q =
+    999/1000, where exact partial products would carry q^j exactly."""
+    u, v = q.numerator, q.denominator
+    S, R = sum(abs(z) for z in ups + downs), bits + 32
+    one = 1 << R
+    qlo = qhi = one
+    lo, hi = (one, R), (one, R)     # (m, s): m 2^-s
+
+    def bounds(z):
+        """[floor, ceil] of z q^j in units of 2^-R."""
+        zl, zh = (z.numerator * qlo, z.numerator * qhi) if z > 0 else \
+            (z.numerator * qhi, z.numerator * qlo)
+        return zl // z.denominator, -(-zh // z.denominator)
+
+    while (S.numerator * qhi * v) << (bits + 4) > S.denominator * (v - u) * one:
+        nl = nh = dl = dh = 1
+        for z in ups:
+            zl, zh = bounds(z)
+            nl, nh = nl * (one - zh), nh * (one - zl)
+        for z in downs:
+            zl, zh = bounds(z)
+            dl, dh = dl * (one - zh), dh * (one - zl)
+        shift = R * (len(ups) - len(downs))
+        m, s = outward(lo[0] * nl, dh, R, False)
+        lo = (m, lo[1] + s + shift)
+        m, s = outward(hi[0] * nh, dl, R, True)
+        hi = (m, hi[1] + s + shift)
+        qlo, qhi = qlo * u // v, -(-qhi * u // v)
+    s = F(S.numerator * qhi * v, S.denominator * (v - u) * one)
+    return (F(lo[0], 1) / F(2) ** lo[1] * (1 - 2 * s), F(hi[0], 1) / F(2) ** hi[1] * (1 + 5 * s))
+
+
+@pytest.mark.parametrize("ups, downs, prec", [
+    ([F(99, 100), F(-1, 2)], [F(1, 3)], 48),
+    ([F(1, 2), F(-3)], [F(9, 10), F(-1, 4)], 48),
+], ids=["case-7-ratio", "mass-like"])
+def test_ladder_near_q_one_within_its_bound(ups, downs, prec):
+    """At q = 999/1000, where the ladder takes about 10^4 fixed-point
+    steps, it lies within 2^-prec of an outward-rounded enclosure of the
+    partial products (itself under 2^-(prec + 8) wide), checked exactly."""
+    q = F(999, 1000)
+    lo, hi = ladder_enclosure(ups, downs, q, prec + 8)
+    assert 0 < hi - lo < F(1, 2 ** (prec + 8)) * lo
+    got = pair_value(_ladder(ups, downs, q, prec))
+    assert lo * (1 - F(1, 2**prec)) <= got <= hi * (1 + F(1, 2**prec))
+
+
+@pytest.mark.parametrize("q", [F(99, 100), F(999, 1000), F(9999, 10000)], ids=str)
+def test_ladder_telescopes_exactly_near_q_one(q):
+    """(z; q)_inf / (z q^2; q)_inf is exactly (1 - z)(1 - z q): the ladder
+    takes every factor on its own, rounded, and Euler's series at its own
+    x, so the product telescopes only within the ladder's bound."""
+    for z in (F(1, 3), F(-5, 7), F(-40)):
+        want = (1 - z) * (1 - z * q)
+        got = pair_value(_ladder([z], [z * q * q], q, 64))
+        assert abs(got - want) < F(1, 2**64) * want
+
+
+@pytest.mark.parametrize("ups, downs", [([F(1, 3)], [F(1)]), ([F(4)], [F(1, 5)]),
+                                        ([F(1, 5)], [F(3)])],
+                         ids=["zq^0=1", "zq^0=4", "zq^0=3"])
+def test_ladder_refuses_a_factor_that_is_not_positive(ups, downs):
+    """A ladder with a factor 1 - z (z >= 1), zero or negative, is
+    refused, not computed."""
+    with pytest.raises(ValueError, match=re.escape("the ladder needs z < 1 for every z, got z = ")):
+        _ladder(ups, downs, F(1, 2), 64)
+
+
+def test_ladder_refuses_q_too_near_one_before_any_step(monkeypatch):
+    """Near q = 1 the ladder takes about ln(8 S / (1 - q)) / (1 - q) steps;
+    past MAX_STEPS it is refused at once, from a logarithm, and no power of
+    q is formed: 1 - q = 1e-7 and 1e-400 refuse before `_euler` runs."""
+    import qbipoly.jackson as jackson
+
+    monkeypatch.setattr(jackson, "_euler", lambda *args: pytest.fail("a ladder ran"))
+    for q in (F(10**7 - 1, 10**7), 1 - F(1, 10**400)):
+        with pytest.raises(ValueError, match=re.escape(f"q={q} is too near 1: the ladder "
+                                                       f"would take over {MAX_STEPS} steps")):
+            _ladder([F(1, 2)], [F(-2)], q, 64)
 
 
 #: beside the benchmark's domain edges: q = 2/3, q = 9/10 (where Euler's
-#: series starts far below the old cut) and d = -1000 (where the constant's
-#: and the y < 0 branch's switch index lies far past the top index)
+#: series starts far out) and d = -1000 (where the ladder's switch index
+#: lies far out)
 FACTOR_POINTS = {**EDGE_POINTS, "q=2/3": P23,
                  "q=9/10": BigQJacobiParams(F(1, 2), F(1, 3), F(1, 4), F(-1, 2), QParam(F(9, 10))),
                  "d=-1000": BigQJacobiParams(F(1, 1000), F(1, 1000), F(1, 1000), F(-1000),
@@ -1091,10 +1228,11 @@ FACTOR_POINTS = {**EDGE_POINTS, "q=2/3": P23,
 
 @pytest.mark.parametrize("point", sorted(FACTOR_POINTS))
 def test_node_factors_against_the_infinite_product_formula(point):
-    """The engine's outer node factors (1 - q) (+-) G(y_t) at N = 6 are
-    within 2^(3 - wp) of G's infinite-product formula taken factor by
-    factor (eight Pochhammer sequences as partial products,
-    `ladder_reference`): the ladders reproduce the written closed form."""
+    """The outer node factors (1 - q) (+-) G(y_t) at N = 6 that the
+    truncated-sum reference sums (`outer_node_weights`, on mpmath at 128
+    bits) are within 2^(3 - 64) of G's infinite-product formula taken
+    factor by factor (eight Pochhammer sequences as exact partial products,
+    `ladder_reference`)."""
     p = FACTOR_POINTS[point]
     N, wp = 6, 64
     q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
@@ -1112,10 +1250,38 @@ def test_node_factors_against_the_infinite_product_formula(point):
             + [-const * u * v / (w * z) for u, v, w, z in zip(P(d * q / a), Q, P(d * q), Bcq)])
     # eight partial products per value at most, each off by a relative tau
     slack = 1 + 16 * max(taus) * 2**wp
-    got = _outer_weights(p, N, wp)
-    assert len(got) == len(want) == 2 * N + 2
-    for v, w in zip(got, want):
-        assert abs(pair_value(v) - w) <= F(8, 2**wp) * slack * abs(w)
+    pos, neg = outer_node_weights(p, N, FloatField(2 * wp))
+    assert len(pos) == len(neg) == N + 1
+    for v, w in zip(pos + neg, want):
+        assert abs(mpf_value(v) - w) <= F(8, 2**wp) * slack * abs(w)
+
+
+@pytest.mark.parametrize("point", sorted(FACTOR_POINTS))
+def test_mass_against_the_infinite_product_formula(point):
+    """M_00 of a 64-bit table is within 2^-64 of the Andrews-Askey mass
+    written as G's constant times the outer integral,
+
+        cq (1 - q) (q, bcq^2; q)_inf / (cq, bq; q)_inf
+        * aq (1 - q) (q, aq/d, d/a, abcq^3; q)_inf / (bcq^2, aq, dq, abcq^2/d; q)_inf,
+
+    each Pochhammer from exact partial products (`ladder_reference`, ten
+    sequences, each off by a relative tau)."""
+    p, prec = FACTOR_POINTS[point], 64
+    q, a, b, c, d = p.qp.q, p.a, p.b, p.c, p.d
+    taus = []
+
+    def P(z):
+        [val], tau = ladder_reference([z], [], q, 0, 0, prec + 40)
+        taus.append(tau)
+        return val
+
+    bcq2 = b * c * q * q
+    want = (c * q * (1 - q) * P(q) * P(bcq2) / (P(c * q) * P(b * q))
+            * a * q * (1 - q) * P(q) * P(a * q / d) * P(d / a) * P(a * b * c * q**3)
+            / (P(bcq2) * P(a * q) * P(d * q) * P(a * bcq2 / d)))
+    slack = 1 + 32 * max(taus) * 2**prec
+    got = MomentTable(p, max_degree=0, prec=prec).moment(0, 0)
+    assert abs(got - want) <= F(1, 2**prec) * slack * want
 
 
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
@@ -1126,23 +1292,21 @@ def test_moment_table_refuses_c_a_power_of_q(c):
     p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
     message = f"the orthogonality weight needs c != q^k (k >= 0), got c={c}, q=1/2"
     with pytest.raises(ValueError, match=re.escape(message)):
-        MomentTable(p, max_degree=2, truncation=24, prec=80)
+        MomentTable(p, max_degree=2, prec=80)
 
 
-@pytest.mark.parametrize("name, args", [("max_degree", (-1, 96)), ("truncation", (6, -3))],
-                         ids=["max_degree=-1", "truncation=-3"])
-def test_moment_table_refuses_a_negative_degree_or_truncation(name, args):
-    """A negative truncation once gave all-zero moments, and a negative
-    degree a TypeError from inside the engine: both are refused by name."""
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be at least 0, got {min(args)}")):
-        MomentTable(TEST_PARAMS, *args, 128)
+def test_moment_table_refuses_a_negative_degree():
+    """A negative degree once raised a TypeError from inside the engine: it
+    is refused by name."""
+    with pytest.raises(ValueError, match=re.escape("max_degree must be at least 0, got -1")):
+        MomentTable(TEST_PARAMS, -1, 128)
 
 
 @pytest.mark.parametrize("c", [F(1), F(1, 2), F(1, 4)])
 def test_orthogonality_suite_refuses_c_a_power_of_q(c):
     p = BigQJacobiParams(F(1, 3), F(1, 4), c, F(-1, 2), QParam(F(1, 2)))
     with pytest.raises(ValueError, match=re.escape(f"got c={c}, q=1/2")):
-        run_suite("orthogonality", p=p, truncation=24, prec=80)
+        run_suite("orthogonality", p=p, prec=80)
 
 
 @pytest.mark.parametrize("c", [F(3, 2), F(3, 4), F(1, 3)])
@@ -1229,10 +1393,10 @@ def test_weight_positive_at_q_near_one_and_with_zero_node_weights(point):
     assert (min(brute_node_signs(signs, N)) > 0) is (point == "q=9/10")
     assert signs[1].count(0) == (15 if point == "zero-weights" else 0)
     if point == "q=9/10":
-        assert MomentTable(p, max_degree=2, truncation=N, prec=80).weight_positive is True
+        assert MomentTable(p, max_degree=2, prec=80).weight_positive is True
     else:
-        with pytest.raises(ValueError, match=re.escape("the ladder needs lo >= 0")):
-            MomentTable(p, max_degree=2, truncation=N, prec=80)
+        with pytest.raises(ValueError, match=re.escape("the ladder needs z < 1 for every z")):
+            MomentTable(p, max_degree=2, prec=80)
 
 
 def assert_node_weights_positive(p, N=16):
@@ -1249,7 +1413,7 @@ def test_weight_positive_at_the_sweep_points():
     table reads True."""
     for p in sweep_points(40):
         assert_node_weights_positive(p)
-        assert MomentTable(p, max_degree=1, truncation=16, prec=64).weight_positive is True
+        assert MomentTable(p, max_degree=1, prec=64).weight_positive is True
 
 
 def domain_draws(q, count, seed):
@@ -1284,11 +1448,11 @@ def test_node_weights_at_c_a_power_of_q_are_never_negative(k):
 
 @pytest.mark.parametrize("point", sorted(EDGE_POINTS))
 def test_moment_table_at_the_benchmark_domain_edges(point):
-    """At 120 bits and truncation 96 the table agrees with itself at 64 more
-    bits within 2^(16 - prec) of max(|M_ij|, |M_00|)."""
+    """At 120 bits the table agrees with itself at 64 more bits within
+    2^(16 - prec) of max(|M_ij|, |M_00|)."""
     p, prec = EDGE_POINTS[point], 120
-    got = MomentTable(p, max_degree=8, truncation=96, prec=prec)
-    ref = MomentTable(p, max_degree=8, truncation=96, prec=prec + 64)
+    got = MomentTable(p, max_degree=8, prec=prec)
+    ref = MomentTable(p, max_degree=8, prec=prec + 64)
     m00 = abs(ref.moment(0, 0))
     for i in range(5):
         for j in range(5):
@@ -1296,20 +1460,22 @@ def test_moment_table_at_the_benchmark_domain_edges(point):
             assert abs(ref.moment(i, j) - got.moment(i, j)) <= bound
 
 
-def test_moment_table_keeps_its_precision_at_every_truncation():
-    """At 192 bits every M_ij of a degree-6 table is within 2^(8 - 192) of
-    the same table at 512 more bits, relative to max(|M_ij|, |M_00|): at
-    sweep points 6 and 23 (cq = 12/13) at truncations 100, 200 and 400, and
-    at every fifth sweep point at truncation 200.  There is no inner
-    lattice whose tail grows with the truncation."""
-    points = sweep_points(40)
-    cases = [(points[k], N) for k in (6, 23) for N in (100, 200, 400)]
-    for p, N in cases + [(p, 200) for p in points[::5]]:
-        got, ref = MomentTable(p, 6, N, 192), MomentTable(p, 6, N, 704)
-        m00 = abs(ref.moment(0, 0))
-        for i, j in ref._fixed:
-            bound = F(2) ** (8 - 192) * max(abs(ref.moment(i, j)), m00)
-            assert abs(got.moment(i, j) - ref.moment(i, j)) <= bound
+@pytest.mark.parametrize("p", REFERENCE_POINTS, ids=REFERENCE_IDS)
+def test_moments_equal_the_truncated_outer_sum(p):
+    """Every moment of a degree-6 table at 64 bits equals the truncated
+    outer Jackson sum (on mpmath at 128 bits, cut where rho^N < 2^-72)
+    within 2^(1 - 64) of itself, plus the sum's tail and its rounding: the
+    Andrews-Askey closed form and its exact ratios against the sum they
+    replace, at the 40 sweep points, q = 9/10, q = 99/100 and d = -1000."""
+    prec, D = 64, 6
+    fld = FloatField(2 * prec)
+    rho = p.qp.q * max(1, p.a, p.b * p.c * p.qp.q)
+    N = math.ceil((prec + 8) / -math.log2(rho)) + 1
+    mt = MomentTable(p, D, prec)
+    for (i, j), (M, tail, scale) in truncated_outer_moments(p, D, N, fld).items():
+        got = mt.moment(i, j)
+        bound = F(2) ** (1 - prec) * abs(got) + mpf_value(tail) + F(2) ** (24 - 2 * prec) * mpf_value(scale)
+        assert abs(got - mpf_value(M)) <= bound, (i, j)
 
 
 #: (point, truncation): the inner integrals' closed form is checked at
@@ -1325,19 +1491,19 @@ CLOSED_FORM_POINTS = {
 @pytest.mark.parametrize("point", sorted(CLOSED_FORM_POINTS))
 def test_inner_integrals_have_their_closed_form(point):
     """(1 - q) (+-) G(y_t) Q_i(y_t), the engine's inner integral of x^i (i
-    <= 6) times the weight's y part and the outer Jackson factor over y_t,
-    against a brute inner Jackson sum of the written weight on mpmath at
+    <= 6) times the weight's y part and the outer Jackson factor over y_t
+    (G from `outer_node_weights`), against a brute inner Jackson sum of the written weight on mpmath at
     prec + 64, carried until its tail is under 2^-(prec + 8): within
     2^-prec of the brute sum of the terms' absolute values, at 96 bits."""
     p, N = CLOSED_FORM_POINTS[point]
     prec, D = 96, 6
     fld = FloatField(prec + 64)
     q = fld.of(p.qp.q)
-    weights = _outer_weights(p, N, prec + 8)
+    weights = outer_node_weights(p, N, fld)
     polys = _conditional_moments(p, D)
     for t in (0, N // 2, N):
         for sigma in (1, -1):
-            g = pair_value(weights[t if sigma > 0 else N + 1 + t])
+            g = mpf_value(weights[sigma < 0][t])
             yv, column = brute_column(p, t, sigma, fld, prec + 8, D)
             y_exact = (p.a if sigma > 0 else p.d) * p.qp.q ** (1 + t)
             terms = [sigma * (1 - q) * jx * w for _, jx, w in column]
@@ -1348,19 +1514,21 @@ def test_inner_integrals_have_their_closed_form(point):
                 terms = [v * xv for v, (xv, _, _) in zip(terms, column)]
 
 
-def test_moment_table_sums_powers_only_in_the_outer_stage(monkeypatch):
-    """The inner integrals are closed forms: a degree-6 table calls
-    `_power_sums` once, for the outer sums of y^p, p = 1..7."""
+def test_moment_table_computes_one_ladder(monkeypatch):
+    """Both integrals are closed forms: a degree-6 table sums no Jackson
+    sum and calls `_ladder` once, for M_00's five factors over five, at its
+    own precision."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return power_sums(*args)
+        return ladder(*args)
 
-    power_sums = bigqjacobi._power_sums
-    monkeypatch.setattr(bigqjacobi, "_power_sums", counted)
-    MomentTable(TEST_PARAMS, 6, 96, 128)
-    assert [args[2:] for args in calls] == [(7, 128 + calls[0][3] - 128, 7)]
+    ladder = bigqjacobi._ladder
+    monkeypatch.setattr(bigqjacobi, "_ladder", counted)
+    MomentTable(TEST_PARAMS, 6, 128)
+    assert [(len(ups), len(downs), q, prec) for ups, downs, q, prec in calls] == \
+        [(5, 5, F(1, 2), 128)]
 
 
 def test_moment_table_rounds_nothing(monkeypatch):
@@ -1376,7 +1544,7 @@ def test_moment_table_rounds_nothing(monkeypatch):
                         lambda self: contexts.append(self) or init(self))
     monkeypatch.setattr(qcalc, "qpochhammer_inf",
                         lambda *args: products.append(args) or pochhammer(*args))
-    mt = MomentTable(TEST_PARAMS, 6, 96, 128)
+    mt = MomentTable(TEST_PARAMS, 6, 128)
     assert mt.weight_positive is True
     moments = [mt.moment(i, j) for i in range(7) for j in range(7 - i)]
     assert len(moments) == 28 and moments[0] > 0
@@ -1384,35 +1552,37 @@ def test_moment_table_rounds_nothing(monkeypatch):
     assert contexts == [] and products == []
 
 
-#: the sha256 of repr((_low, sorted(_fixed.items()), weight_positive)) of
-#: the degree-6 table at (point, precision, truncation): the preset at
-#: 128/96, a benchmark candidate at 136/96 and q = 2/3 at the CLI default
-#: 192/200, recorded when the Pochhammer ladders began at Euler's series
-#: (every moment within 2^-(prec+10) M_00 of the tables before)
+#: the sha256 of repr((sorted(_fixed.items()), _num, _den, weight_positive))
+#: of the degree-6 table at (point, precision): the preset at 128 bits, a
+#: benchmark candidate at 136 and q = 2/3 at the CLI default 192, recorded
+#: when the outer integral became its closed form (the exact ratios and the
+#: one ladder of M_00; every moment moved by under 4 q^T + 2^-prec of
+#: max(|M_ij|, M_00) from the truncated tables before, at their
+#: truncations T = 96, 96 and 200)
 TABLE_DIGESTS = {
-    ("test-params", 128, 96): "68f79f65ed4de91bec85965a44d0aedbe04fcf27d9450784a8958071e2135388",
-    ("benchmark", 136, 96): "04c7546ec562f5b56431a1b95cc1d41503aa63df7fee4d458655aa3e138938b1",
-    ("q=2/3", 192, 200): "e327f0124fe4ea0c8ecc79c1f270db4fdc2d8f20fefbed637b9cc2c76ed2acf3",
+    ("test-params", 128): "0e821618e78ad14931d113f55f1a98acb16644a654b15c4cdbfb01677ab9b8e1",
+    ("benchmark", 136): "e08b753cc30cb596a0022cab46d6951dbd7d820bbbfb01e5970a1845a1ba686c",
+    ("q=2/3", 192): "e01a53694ada30d984ad427ca86807c2b8c090eda16b32c029dbfa5bc55dff50",
 }
 
 
 def pinned_table(case) -> MomentTable:
-    point, prec, N = case
+    point, prec = case
     p = {"test-params": TEST_PARAMS, "q=2/3": P23,
          "benchmark": BigQJacobiParams(F(10, 11), F(2, 5), F(23, 13), F(-20, 13),
                                        QParam(F(1, 2)))}[point]
-    return MomentTable(p, max_degree=6, truncation=N, prec=prec)
+    return MomentTable(p, max_degree=6, prec=prec)
 
 
 def table_digest(mt) -> str:
-    state = repr((mt._low, sorted(mt._fixed.items()), mt.weight_positive))
+    state = repr((sorted(mt._fixed.items()), mt._num, mt._den, mt.weight_positive))
     return hashlib.sha256(state.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(TABLE_DIGESTS), ids=lambda c: "%s-%d-%d" % c)
+@pytest.mark.parametrize("case", sorted(TABLE_DIGESTS), ids=lambda c: "%s-%d" % c)
 def test_moment_table_exact_pairs_are_pinned(case):
-    """Every exact moment pair, the binary point and the weight verdict of
-    a degree-6 table, bit for bit; the table keeps the triangle i + j <= 6."""
+    """Every exact ratio, M_00 and the weight verdict of a degree-6 table,
+    bit for bit; the table keeps the triangle i + j <= 6."""
     mt = pinned_table(case)
     assert sorted(mt._fixed) == [(i, j) for i in range(7) for j in range(7 - i)]
     assert table_digest(mt) == TABLE_DIGESTS[case]
@@ -1423,7 +1593,7 @@ def test_moment_table_refusal_names_the_monomial():
     the box: x^2 y^1 integrates at max_degree 3 and x^3 y^3 does not, and a
     monomial past the triangle is named in the refusal, for `integrate` and
     for a `gram` product."""
-    mt = MomentTable(TEST_PARAMS, max_degree=3, truncation=24, prec=80)
+    mt = MomentTable(TEST_PARAMS, max_degree=3, prec=80)
     assert mt.integrate(x**2 * y + y**3) != 0
     triangle = "the moment table covers x^i y^j for i + j <= 3; "
     with pytest.raises(ValueError, match=re.escape(triangle + "x^3 y^3 is outside it")):
@@ -1444,7 +1614,7 @@ def test_gram_is_integrate_of_each_product_bit_for_bit(point):
     from qbipoly.suites import ORTH_TOTAL, _solution_inventory
 
     p = {"test-params": TEST_PARAMS, "q=2/3": P23, "|dq|>1": PBIG}[point]
-    mt = MomentTable(p, max_degree=2 * ORTH_TOTAL, truncation=48, prec=96)
+    mt = MomentTable(p, max_degree=2 * ORTH_TOTAL, prec=96)
     fam = generate_monic_oracle(preset_equation(p), ORTH_TOTAL)
     polys = [poly for *_, poly in _solution_inventory(p, fam, ORTH_TOTAL)]
     polys += [x * 6 + y * 4 - 10, (x * 9 - 3) * F(1, 2), x * y * F(2, 3), (y * 2 + 1) * F(5, 3),
@@ -1461,34 +1631,18 @@ def test_gram_is_integrate_of_each_product_bit_for_bit(point):
         mt.gram([x**4, y**3])
 
 
-def least_gated_settings(q) -> tuple:
-    """The precision that the CLI gate's refusal names for q, and the least
-    truncation that the gate accepts at that precision."""
-    from qbipoly.cli import ConfigError, _check_orthogonality_gate
-
-    with pytest.raises(ConfigError) as refusal:
-        _check_orthogonality_gate(q, 64, 16)
-    prec, N = map(int, re.search(r"use --precision (\d+) --truncation (\d+)",
-                                 str(refusal.value)).groups())
-    while True:
-        try:
-            _check_orthogonality_gate(q, prec, N - 1)
-        except ConfigError:
-            return prec, N
-        N -= 1
-
-
 def test_orthogonality_suite_at_eight_sweep_points():
-    """The suite at every fifth of sweep_points(40), each at the least
-    settings that the CLI gate accepts there: every gated row passes, in
-    under 1 s of CPU time in all.  (Point 23 fails at its least settings:
-    tests/test_io_cli.py pins it.)"""
+    """The suite at every fifth of sweep_points(40), at 109 bits (the
+    precision that the former error-bound gate named at each of them):
+    every gated row passes, every pair that the functional separates prints
+    exactly 0, in under 1 s of CPU time in all."""
     started = time.process_time()
     for p in sweep_points(40)[::5]:
-        prec, N = least_gated_settings(p.qp.q)
-        ok, rows = run_suite("orthogonality", p=p, truncation=N, prec=prec)
+        ok, rows = run_suite("orthogonality", p=p, prec=109)
         assert ok, [row for row in rows if row[4] == "False"]
         assert sum(row[4] == "True" for row in rows) == 147
+        pairs = [row for row in rows if row[0] == "pair"]
+        assert len(pairs) == 115 and {row[3] for row in pairs} == {"0.0"}
     assert time.process_time() - started < 1
 
 
@@ -1503,24 +1657,23 @@ def test_orthogonality_suite_integrates_only_through_gram(monkeypatch):
         return integrate(self, poly)
 
     monkeypatch.setattr(MomentTable, "integrate", counted)
-    ok, rows = run_suite("orthogonality", p=TEST_PARAMS, truncation=96, prec=120)
+    ok, rows = run_suite("orthogonality", p=TEST_PARAMS, prec=120)
     assert ok and calls == []
-    assert ("weight_positive", "every node weight", "truncation=96", "exact sign", "True") in rows
+    assert ("weight_positive", "every node weight", "on the domain", "proved", "True") in rows
 
 
 def exact_functional(mt, poly) -> Fraction:
-    """The functional on the table's exact moment pairs, as a Fraction."""
-    return sum((n * pair_value((mt._fixed[i, j], mt._low))
-                for (i, j), n in poly.nums.items()), F(0)) / poly.den
+    """The functional on the table's exact moments, as a Fraction."""
+    return sum((n * mt.moment(i, j) for (i, j), n in poly.nums.items()), F(0)) / poly.den
 
 
 def test_integrate_is_the_exact_sum():
-    """integrate is the exact rational sum over the kept moment pairs, a
+    """integrate is the exact rational sum over the table's moments, a
     Fraction, whatever mpmath.mp.prec; the zero polynomial gives 0 and a
     degree past the table raises."""
     import mpmath
 
-    mt = MomentTable(TEST_PARAMS, max_degree=6, truncation=48, prec=96)
+    mt = MomentTable(TEST_PARAMS, max_degree=6, prec=96)
     polys = [x * y * F(2, 3) + x * x - F(1, 7), (x - y * F(5, 11)) ** 3 * F(-9, 4),
              BiPoly.const(F(1, 3)), x**3 * y**3 - x * F(10**40, 3) + F(10**40, 3)]
     saved = mpmath.mp.prec
@@ -1539,10 +1692,3 @@ def test_integrate_is_the_exact_sum():
         mt.integrate(x**7)
     with pytest.raises(ValueError):
         mt.integrate(x**4 * y**3 + x)
-
-
-def test_zero_weights_give_field_zeros():
-    """Zero terms give exact zero sums, as many as asked for."""
-    for count in (4, 2):
-        sums = _power_sums([(0, 0), (0, -7)], [(3, 0), (-5, 2)], 4, 80, count)
-        assert sums == [(0, 0)] * count and [pair_value(s) for s in sums] == [0] * count

@@ -48,6 +48,17 @@ steps out to a far cut: 116 of the 167 rows print other last digits (the
 normalized values by at most 6e-38), and the verdicts and labels are
 unchanged.
 
+It was re-recorded once more, with the structure digest below, when the
+outer Jackson integral became its closed form (exact moment ratios times
+one mass, nothing truncated): every one of the 167 rows prints another
+value.  The 115 pair rows print exactly 0, the functional's own value;
+the 30 norms, 20 Gram entries and det H_1 move from about their 29th
+significant digit on (the truncation tail q^96); and the weight_positive
+row, whose columns read "truncation=96" and "exact sign", now reads "on
+the domain" and "proved".  Every verdict and every other label is
+unchanged: the structure digest is the earlier one with that one column
+replaced.
+
 The consistency report's digest was re-recorded when the monic oracle
 stopped applying the operator to its own vectors and the suite took over
 that check: five `oracle_eigen_residual_zero` rows (n = 0..4) now open the
@@ -129,7 +140,7 @@ CASES = {
                       "070f779088c59dc2999389da1d353ce47afee39778046c8bfb0c240c6e84abeb"),
     "verify-orthogonality-120-96": (
         ("verify", *P, "--suite", "orthogonality", "--precision", "120", "--truncation", "96"),
-        "01c6da6ccfe3e53f6bed877a94403962c3f022bc9df7cfa49e7cf579470da238"),
+        "e734208f4fc9b2eaf91765d648d4e1d4a297f7ac87a897101ab1ec1c9884b3b2"),
 }
 
 
@@ -145,15 +156,57 @@ def test_cli_output_matches_golden_digest(capsys, name):
 #: the case, a, b and pass columns of every row, without the float values.
 #: Their last digits move with any reordering of the moment sums; the
 #: verdicts and the row layout must not.
-ORTHOGONALITY_STRUCTURE = "0da15a36733b74b18bec303b21485729c423b631e19167fa72a0f6509b6bc16a"
+ORTHOGONALITY_STRUCTURE = "c27b476a4b2d43d49175d26c30f7420d28125fd097cc6d58affd3dbc389f61c9"
+
+
+def structure_digest(out: str) -> str:
+    doc = json.loads(out)
+    struct = {"ok": doc["ok"], "rows": [[r[0], r[1], r[2], r[4]] for r in doc["rows"]]}
+    text = json.dumps(struct, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_orthogonality_report_structure_is_pinned(capsys):
     assert main(list(CASES["verify-orthogonality-120-96"][0])) == 0
-    doc = json.loads(capsys.readouterr().out)
-    struct = {"ok": doc["ok"], "rows": [[r[0], r[1], r[2], r[4]] for r in doc["rows"]]}
-    text = json.dumps(struct, sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ORTHOGONALITY_STRUCTURE
+    assert structure_digest(capsys.readouterr().out) == ORTHOGONALITY_STRUCTURE
+
+
+#: "a b c d precision" of the 54 points that the benchmark's orthogonality
+#: workload draws at q = 1/2 (perfbench/workloads.py), each sent with
+#: --truncation 96.  Before the outer integral had a closed form every one
+#: exited 0 with the same verdicts and labels as the preset's report.
+BENCHMARK_CANDIDATES = (
+    "1 6/11 5/11 -1 120", "4/3 1 1/3 -10/9 120", "13/7 10/9 17/9 -12/11 120",
+    "15/11 5/13 5/3 -13/11 120", "1 17/9 8/5 -1 120", "17/11 10/7 2/7 -16/9 120",
+    "16/11 4/3 8/11 -1/9 128", "4/9 4/13 5/3 -14/9 128", "20/13 5/11 2/7 -12/7 128",
+    "8/7 1 1/13 -3/13 128", "3/5 1/3 2/3 -1 128", "18/11 2/5 10/9 -2/11 128",
+    "10/11 2/5 23/13 -20/13 136", "1/9 15/13 8/13 -2/9 136", "14/11 9/5 4/3 -4/9 136",
+    "13/7 13/9 17/13 -15/11 136", "6/5 6/5 5/3 -18/11 136", "14/9 4/3 11/7 -14/9 136",
+    "3/11 14/13 4/3 -15/11 120", "19/13 15/13 17/11 -4/9 120", "2/7 4/5 1/3 -5/3 120",
+    "15/11 16/11 11/7 -4/3 120", "1/3 3/13 4/9 -6/13 120", "10/11 2/7 3/5 -4/3 120",
+    "6/5 19/11 5/11 -10/13 128", "2/7 1 9/5 -10/7 128", "5/7 1/5 6/5 -17/13 128",
+    "5/11 17/9 8/13 -3/5 128", "21/11 4/7 1/3 -2/3 128", "3/5 1 4/5 -2/5 128",
+    "4/3 5/7 2/3 -9/5 136", "13/9 23/13 4/7 -7/5 136", "4/9 2/13 18/13 -4/3 136",
+    "1/3 12/7 1/3 -13/7 136", "2/11 4/5 5/3 -3/7 136", "1 8/9 3/7 -2/5 136",
+    "10/7 4/3 2/3 -3/5 120", "4/7 4/5 12/7 -4/13 120", "4/5 1/11 17/11 -2/3 120",
+    "14/9 7/13 1/3 -11/7 120", "5/11 5/9 1/3 -1 120", "1 2/11 8/5 -3/13 120",
+    "2/3 1/3 22/13 -14/9 128", "4/5 1/5 9/5 -16/11 128", "2/5 2/3 14/9 -5/3 128",
+    "10/7 21/11 23/13 -15/11 128", "5/9 1 6/7 -6/7 128", "7/9 12/7 8/13 -19/11 128",
+    "5/13 13/9 11/9 -8/5 136", "2/3 1/3 1/3 -3/11 136", "8/5 25/13 4/7 -2/3 136",
+    "16/11 18/13 16/13 -1 136", "4/3 8/5 8/9 -6/7 136", "1 16/11 4/7 -2/3 136",
+)
+
+
+def test_orthogonality_verdicts_are_pinned_at_the_benchmark_candidates(capsys):
+    """At each candidate the request exits 0 and its verdicts and labels
+    (the ok flag and every row's case, a, b and pass) are the structure
+    pinned above, as they were when each moment was a truncated sum."""
+    for line in BENCHMARK_CANDIDATES:
+        *point, precision = line.split()
+        params = [f"--param={name}={v}" for name, v in zip("abcd", point)]
+        assert main(["verify", "--suite", "orthogonality", *P, *params,
+                     "--precision", precision, "--truncation", "96"]) == 0, line
+        assert structure_digest(capsys.readouterr().out) == ORTHOGONALITY_STRUCTURE, line
 
 
 def _bool_leaves(obj):

@@ -20,7 +20,7 @@ from qbipoly.bipoly import BiPoly
 import qbipoly
 import qbipoly.io as qio
 from qbipoly import cli, suites
-from qbipoly.cli import _check_orthogonality_gate, main
+from qbipoly.cli import main
 from qbipoly.equation import EquationCoeffs
 from qbipoly.io import (_POLY_KEYS, EquationParseError, frac_str,
                         mat_to_json, parse_equation_source, parse_poly_terms, poly_to_json,
@@ -765,35 +765,30 @@ def test_cli_orthogonality_rejects_c_power_of_q(capsys, c):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("precision, truncation, q, floor", [
-    ("64", "96", "1/2", "--precision 109 --truncation 87"),
-    ("192", "200", "17/20", "--precision 109 --truncation 367"),
-])
-def test_cli_orthogonality_refuses_ungateable_precision(capsys, precision, truncation, q, floor):
+@pytest.mark.parametrize("precision, truncation, q", [("64", "96", "1/2"), ("192", "200", "17/20")])
+def test_cli_orthogonality_runs_where_the_error_bound_gate_refused(capsys, precision, truncation, q):
+    """Both requests were refused (exit 2) while the outer Jackson sum was
+    truncated and a gate refused any --precision and --truncation whose
+    error bound 2^(24 - precision) + 4 q^truncation reached 1e-25.  With
+    the moments in closed form every verdict is exact: each exits 0, every
+    gated row reads True and every pair prints exactly 0."""
     code = main(["verify", "--preset", "big-q-jacobi", "--suite", "orthogonality",
                  "--param", f"q={q}", "--precision", precision, "--truncation", truncation])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --precision {precision} --truncation {truncation} cannot gate")
-    assert f"use {floor} or more" in err and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = json.loads(captured.out)["rows"]
+    assert all(row[4] == "True" for row in rows if row[4] != "info")
+    assert {row[3] for row in rows if row[0] == "pair"} == {"0.0"}
 
 
-def test_orthogonality_gate_accepts_sufficient_settings():
-    # the suite itself runs at 120/96 in the golden CLI test
-    _check_orthogonality_gate(F(1, 2), 120, 96)
-    _check_orthogonality_gate(F(1, 2), 109, 87)  # the floor named for q = 1/2
-    _check_orthogonality_gate(F(17, 20), 109, 367)  # and for q = 17/20
-
-
-#: two points where the gate accepts a precision at which the report of
-#: orthogonal polynomials failed while each moment was only within
-#: 2^-precision of max(|M_ij|, |M_00|) and the inner Jackson sums lost bits
-#: with the truncation: at d = -1000 the moments reach 1e41 and 23 pair rows
-#: read 1.3e-25 to 9e-22 at 128/96; at point 23 of tests/test_bigqjacobi.py's
-#: sweep_points(40) (aq = cq = 12/13, q = 2/3) every pair failed at the
-#: 109/147 that the gate accepts.  With closed-form inner integrals and a
-#: guard that keeps every moment within 2^-precision M_00, both pass (pairs
-#: at most 8e-45 and 8e-27)
+#: two points where the report of orthogonal polynomials once failed at
+#: settings that the former error-bound gate accepted, while each moment was
+#: only within 2^-precision of max(|M_ij|, |M_00|) and the inner Jackson
+#: sums lost bits with the truncation: at d = -1000 the moments reach 1e41
+#: and 23 pair rows read 1.3e-25 to 9e-22 at 128/96; at point 23 of
+#: tests/test_bigqjacobi.py's sweep_points(40) (aq = cq = 12/13, q = 2/3)
+#: every pair failed at 109/147.  With closed-form integrals every pair is
+#: exactly 0
 GATE_MISSES = {
     "d=-1000": (("a=1/1000", "b=1/1000", "c=1/1000", "d=-1000", "q=1/2"), 128, 96),
     "sweep-23": (("a=18/13", "b=12/13", "c=18/13", "d=-16/13", "q=2/3"), 109, 147),
@@ -808,7 +803,6 @@ def _verify_argv(params, precision, truncation) -> list:
 @pytest.mark.parametrize("point", sorted(GATE_MISSES))
 def test_orthogonality_passes_where_the_gate_accepts(capsys, point):
     params, precision, truncation = GATE_MISSES[point]
-    _check_orthogonality_gate(Fraction(params[-1][2:]), precision, truncation)
     assert main(_verify_argv(params, precision, truncation)) == 0
 
 
@@ -849,7 +843,7 @@ def test_h1_gate_reads_false_on_a_rank_one_block(monkeypatch):
         return G
 
     monkeypatch.setattr(suites.MomentTable, "gram", rank_one)
-    ok, rows = suites.run_suite("orthogonality", p=TEST_PARAMS, truncation=96, prec=120)
+    ok, rows = suites.run_suite("orthogonality", p=TEST_PARAMS, prec=120)
     assert _h1_row(rows) == [("H1_nonsingular", "det", "", "0.0", "False")] and not ok
 
 
@@ -1318,33 +1312,19 @@ def test_python_m_orthogonality_matches_its_golden_digest(tmp_path):
 NINES_30 = "0." + "9" * 30
 
 
-@pytest.mark.parametrize("q, floor", [
-    ("0.9999999", "--precision 109 --truncation 596440659"),
-    (NINES_30, "--precision 109 --truncation 59644068866530978028701482731454"),
-], ids=["7-nines", "30-nines"])
-def test_cli_orthogonality_near_q_one_refuses_in_time(tmp_path, q, floor):
-    # neither the c = q^k check nor the named truncation walks over powers
-    # of q, which near q = 1 took minutes (7 nines) or divided by zero
+@pytest.mark.parametrize("q, exact", [("0.9999999", "9999999/10000000"),
+                                      (NINES_30, "9" * 30 + "/1" + "0" * 30)],
+                         ids=["7-nines", "30-nines"])
+def test_cli_orthogonality_near_q_one_refuses_in_time(tmp_path, q, exact):
+    # neither the c = q^k check nor the mass's ladder walks over powers of
+    # q before it refuses, which near q = 1 would take hours (7 nines) or
+    # never end (30 nines)
     proc = fresh_python(tmp_path, "-m", "qbipoly", "verify", "--preset", "big-q-jacobi",
                         "--suite", "orthogonality", "--param", f"q={q}", "--precision", "64",
                         timeout=20)
     assert proc.returncode == 2 and proc.stdout == b""
-    err = proc.stderr.decode()
-    assert err.startswith("error: --precision 64 --truncation 200 cannot gate")
-    assert f"use {floor} or more" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("q", [F(1, 2), F(17, 20), F(2, 3), F(9, 10), F(99, 100), F(1, 3),
-                               F(1, 8 * 10**25)], ids=str)
-def test_least_truncation_is_the_least(q):
-    half = suites.ORTH_TOL / 2
-    T = cli._least_truncation(q, half)
-    assert 4 * q**T < half <= 4 * q ** (T - 1)
-
-
-def test_least_truncation_settles_an_exact_power():
-    # 4 q^83 equals this limit at q = 1/2: T = 83 does not pass, 84 does
-    assert cli._least_truncation(F(1, 2), F(1, 2**81)) == 84
+    assert proc.stderr.decode() == (f"error: q={exact} is too near 1: the ladder would take "
+                                    f"over {2**20} steps\n")
 
 
 def test_cli_writes_integers_over_4300_digits(tmp_path):

@@ -353,7 +353,7 @@ def test_jackson_runs_at_field_precision(qp):
 def _float_lane_values(qp):
     """Float-lane results whose bits must not depend on mpmath.mp.prec."""
     fld = FloatField(192)
-    mt = MomentTable(TEST_PARAMS, max_degree=4, truncation=24, prec=128)
+    mt = MomentTable(TEST_PARAMS, max_degree=4, prec=128)
     poly = x * y * F(2, 3) + x * x - F(1, 7)
     return ([qpochhammer_inf(F(1, 2), qp, fld),
              closed_form_weight(TEST_PARAMS, F(2, 9), F(3, 7), fld)]
