@@ -65,7 +65,7 @@ def _ladder(ups, downs, q: Fraction, prec: int) -> tuple:
     bitlen((k + 2)(n c + 2)) the relative errors sum to under 2^-(prec+1)
     and V is within 2^-prec.  A ladder with k > MAX_STEPS is refused, and
     so near q = 1 a ladder takes O(k) steps on integers of O(W) bits."""
-    zs = list(ups) + list(downs)
+    zs = ups + downs
     if any(z >= 1 for z in zs):
         raise ValueError(f"the ladder needs z < 1 for every z, got z = {', '.join(map(str, zs))}")
     u, v = q.numerator, q.denominator
@@ -75,7 +75,7 @@ def _ladder(ups, downs, q: Fraction, prec: int) -> tuple:
     if L > MAX_STEPS * r:
         raise ValueError(f"q={q} is too near 1: the ladder would take over {MAX_STEPS} steps")
     k = int(L / r) + 2
-    c = (S / r + 2) / (r * (1 - max(0, *zs)))
+    c = (S / r + 2) / (r * (1 - max([0, *zs])))
     W = prec + 1 + ((k + 2) * (len(zs) * math.ceil(c) + 2)).bit_length()
     F = W + (len(zs) * (W + 64)).bit_length() + 2
     one = 1 << W

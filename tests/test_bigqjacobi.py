@@ -1092,9 +1092,7 @@ def ladder_reference(ups, downs, q, lo, hi, slack_bits):
 #: 2/3, negative z, a ratio, z near 1 in `ups` and in `downs` (factors near
 #: zero); then ratios at q = 9/10 and 99/100, where Euler's series starts
 #: far out, and z = -1000 (a mass factor at d = -1000) and -8, whose switch
-#: index K lies far out at q = 1/2 too.  (The ladder once gave every value
-#: up to a top index, and these cases checked each; it now gives the one
-#: value the mass needs.)
+#: index K lies far out at q = 1/2 too
 LADDER_CASES = [
     ([F(1, 2)], [], F(1, 2), 64),
     ([F(3, 4)], [], F(2, 3), 64),
