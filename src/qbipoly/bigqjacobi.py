@@ -91,14 +91,20 @@ def _fold(coefs, lower, upper) -> BiPoly:
 
 
 def nonmonic_polys(p: BigQJacobiParams, pairs) -> dict:
-    """{(n, k): the explicit product solution P_{n,k}(x, y)}, each one exact
-    series:
+    """{(n, k): the explicit product solution P_{n,k}(x, y)}, a product of
+    big q-Jacobi polynomials P_m(t; alpha, beta, gamma) = 3phi2(q^-m, alpha
+    beta q^(m+1), t; alpha q, gamma q; q, q) on the parameters of
+    `MomentTable`'s two weights, the outer one's shifted by k:
+
+        P_(n,k) = P_(n-k)(y; a, bc q^(2k+1), d q^k) y^k (dq/y; q)_k P_k(x/y; c, b, d/y).
+
+    Each is one exact series:
 
         3phi2(q^{k-n}, abc q^{n+k+2}, y; aq, d q^{k+1}; q, q)
           * sum_r c_r prod_{i<r} (y - x q^i) prod_{r<=i<k} (y - d q^{1+i}),
 
     c_r = (q^{-k}, bc q^{k+1}; q)_r q^r / (cq, q; q)_r: the 3phi2 in x/y with
-    the bridge prod_{j<k} (y - d q^{1+j}) folded into each term.  One
+    the bridge y^k (dq/y; q)_k folded into each term.  One
     `QTables` serves the call: the 3phi2 is one `combine` of its scalar
     coefficients over the shared rows (y; q)_j (as `hypergeometric_polys`
     sums its series), and the fold factors y - x q^i and y - d q^(1+i) are
@@ -256,81 +262,41 @@ def check_weight_params(p: BigQJacobiParams) -> None:
                          f"got c={p.c}, q={q}")
 
 
-def _basis_rows(q: Fraction, D: int) -> list:
-    """Rows i = 0..D of the basis change z^i = sum_k C_ik (z; q)_k, row i as
-    integers over u^(i(i+1)/2) (q = u/v): z (z; q)_k = q^-k ((z; q)_k - (z;
-    q)_(k+1)) gives C_(i+1,j) = (C_ij - q C_(i,j-1)) q^-j."""
-    u, v = q.numerator, q.denominator
-    C = [[1]]
-    for k in range(D):
-        C.append([C[-1][0] * u ** (k + 1)]
-                 + [(v * n - u * m) * v ** (j - 1) * u ** (k + 1 - j)
-                    for j, (n, m) in enumerate(zip(C[-1][1:] + [0], C[-1]), 1)])
-    return C
-
-
-def _poch_ratios(ups, downs, q: Fraction, D: int) -> list:
-    """[(n_k, d_k)] for k = 0..D, prod_(z in ups) (z; q)_k / prod_(z in
-    downs) (z; q)_k = n_k / d_k, integers: step l multiplies in each factor
-    1 - z q^l as (zd v^l - zn u^l) / (zd v^l), so d_k divides d_D."""
-    u, v = q.numerator, q.denominator
-    out = [(1, 1)]
+def _jacobi_ratios(q: Fraction, D: int, e: Fraction, ups, down: Fraction) -> tuple:
+    """(rows, den): the exact moment ratios s = 0..D of a univariate big
+    q-Jacobi weight (alpha, beta, gamma) in t, the integral of t^s over that
+    of 1, row s its integer coefficients in y over den.  The weight's (t;
+    q)_k integrates to its mass times W_k = (alpha q, gamma q; q)_k / (alpha
+    beta q^2; q)_k (Koekoek, Lesky & Swarttouw, 2010, 14.5.2, at alpha q^k),
+    given as (e y, *ups; q)_k / (down; q)_k: alpha q = e y may carry y.  By
+    t (t; q)_k = q^-k ((t; q)_k - (t; q)_(k+1)), t^s = sum_k C_sk (t; q)_k
+    (row s integers over u^(s(s+1)/2), q = u/v), so ratio s is sum_k C_sk
+    W_k; W_k = P_k(y) / dens[k], each factor 1 - z q^l as (z1 v^l - z0 u^l)
+    / (z1 v^l), z = z0/z1, so dens[k] divides dens[D]."""
+    u, v, e0, e1 = q.numerator, q.denominator, e.numerator, e.denominator
+    C, P, dens = [[1]], [[1]], [1]
     for l in range(D):
-        (n, d), U, V = out[-1], u**l, v**l
+        U, V = u**l, v**l
+        C.append([C[-1][0] * U * u]
+                 + [(v * n - u * m) * v ** (j - 1) * u ** (l + 1 - j)
+                    for j, (n, m) in enumerate(zip(C[-1][1:] + [0], C[-1]), 1)])
+        num, den = down.denominator * V, (down.denominator * V - down.numerator * U) * e1 * V
         for z in ups:
-            n, d = n * (z.denominator * V - z.numerator * U), d * z.denominator * V
-        for z in downs:
-            n, d = n * z.denominator * V, d * (z.denominator * V - z.numerator * U)
-        out.append((n, d))
-    return out
-
-
-def _conditional_moments(p: BigQJacobiParams, D: int) -> list:
-    """[(nums, den)] for i = 0..D, the reduced form of Q_i(y) = sum_m
-    nums[m] y^m / den: the inner x-integral of x^i at y over that of 1
-    (`MomentTable`).  With z = bx/d, z^i = sum_k C_ik (z; q)_k
-    (`_basis_rows`), and the inner integral of (z; q)_k is that of 1 times
-    (bq, bcqy/d; q)_k / (bcq^2; q)_k (the closed form at b q^k), so
-
-        Q_i(y) = (d/b)^i sum_k C_ik w_k (bcqy/d; q)_k,  w_k = (bq; q)_k / (bcq^2; q)_k.
-
-    Everything is integers over powers and products: w_k from
-    `_poch_ratios`, the coefficients of (bcqy/d; q)_k over its denominator,
-    and one `combine` per row."""
-    q, u, v = p.qp.q, p.qp.q.numerator, p.qp.q.denominator
-    e = p.b * p.c * q / p.d
-    en, ed = e.numerator, e.denominator
-    w = _poch_ratios([p.b * q], [p.b * p.c * q * q], q, D)
-    P = [({0: 1}, 1)]
-    for k in range(D):
-        # times (ed v^k - en u^k y) / (ed v^k)
-        nums, den = P[-1]
-        c0, c1 = ed * v**k, -en * u**k
-        P.append(({m: nums.get(m, 0) * c0 + nums.get(m - 1, 0) * c1 for m in range(k + 2)},
-                  den * c0))
-    dn, dd, bn, bd = p.d.numerator, p.d.denominator, p.b.numerator, p.b.denominator
-    return [combine(((n * w[k][0] * (dn * bd) ** i, P[k][0], w[k][1] * P[k][1])
-                     for k, n in enumerate(row)), u ** (i * (i + 1) // 2) * (dd * bn) ** i)
-            for i, row in enumerate(_basis_rows(q, D))]
-
-
-def _outer_moments(p: BigQJacobiParams, D: int) -> tuple:
-    """(nums, den), the reduced form of nu_s = nums[s] / den for s = 0..D:
-    the y-integral of y^s G(y) over that of G (`MomentTable`).  G is the big
-    q-Jacobi weight in y with parameters (a, bcq, d), under which (y; q)_k
-    integrates to the integral of G times (aq, dq; q)_k / (abcq^3; q)_k
-    (the Andrews-Askey integral at a q^k), so with y^s = sum_k C_sk (y; q)_k
-    (`_basis_rows`)
-
-        nu_s = sum_k C_sk (aq, dq; q)_k / (abcq^3; q)_k,
-
-    on the one denominator u^(D(D+1)/2) d_D of `_poch_ratios`."""
-    q = p.qp.q
-    w = _poch_ratios([p.a * q, p.d * q], [p.a * p.b * p.c * q**3], q, D)
-    top, last = q.numerator ** (D * (D + 1) // 2), w[D][1]
-    return reduced({s: sum(c * n * (last // d) for c, (n, d) in zip(row, w))
-                       * (top // q.numerator ** (s * (s + 1) // 2))
-                    for s, row in enumerate(_basis_rows(q, D))}, top * last)
+            num, den = num * (z.denominator * V - z.numerator * U), den * z.denominator * V
+        # times 1 - e q^l y: P_k has degree k in y, or 0 where e = 0
+        c0, c1 = num * e1 * V, -num * e0 * U
+        P.append([n * c0 + m * c1 for n, m in zip(P[-1] + [0] * bool(e0), [0] + P[-1])])
+        dens.append(dens[-1] * den)
+    top, last = u ** (D * (D + 1) // 2), dens[D]
+    lifts, rows = [last // d for d in dens], []
+    for s, row in enumerate(C):
+        lift, acc = top // u ** (s * (s + 1) // 2), [0] * len(P[s])
+        for c, Pk, lk in zip(row, P, lifts):
+            f = c * lift * lk
+            for m, n in enumerate(Pk):
+                acc[m] += f * n
+        rows.append(acc)
+    return rows, top * last
 
 
 class MomentTable:
@@ -345,7 +311,7 @@ class MomentTable:
     orthogonality relation at m = n = 0 (Koekoek, Lesky & Swarttouw, 2010,
     14.5.2).  Times the y part of the weight, the factors (dq/y; q)_inf,
     (d/(cy); q)_inf and (cqy/d; q)_inf cancel, so the inner integral of x^i
-    is G(y) Q_i(y) (`_conditional_moments`), with no inner lattice, where
+    is G(y) Q_i(y), with no inner lattice, where
 
         G(y) = cq (1 - q) (q, bcq^2; q)_inf / (cq, bq; q)_inf
                * (y/a, y/d; q)_inf / (y, bcqy/d; q)_inf.
@@ -355,20 +321,22 @@ class MomentTable:
     t); G Q_i is its continuous limit there, dropping the single vanishing
     factor from both.
 
-    The outer integral is closed too: G's y part is the big q-Jacobi weight
-    with parameters (a, bcq, d), whose Jackson integral over (dq -> aq) is
-    the Andrews-Askey integral (Gasper & Rahman, 2004, section 2.10;
-    Koekoek, Lesky & Swarttouw, 2010, 14.5.2).  So, with (bcq^2; q)_inf cancelling,
+    Both integrals are moments of univariate big q-Jacobi weights, whose
+    exact ratios one kernel gives (`_jacobi_ratios`): in z = bx/d the inner
+    weight has parameters (bcy/d, d/y, b), and Q_i(y) = sum_m R_im y^m is
+    (d/b)^i times its ratio i; G's y part has (a, bcq, d), and nu_s, the
+    y-integral of y^s G over that of G, is its ratio s (the Andrews-Askey
+    integral; Gasper & Rahman, 2004, section 2.10).  So M_ij / M_00 = sum_m
+    R_im nu_(j+m), and M_00 is G's constant (the inner mass) times the outer
+    mass aq (1 - q) (q, aq/d, d/a, abcq^3; q)_inf / (aq, bcq^2, dq,
+    abcq^2/d; q)_inf, with (bcq^2; q)_inf cancelling:
 
         M_00 = acq^2 (1 - q)^2 (q, q, aq/d, d/a, abcq^3; q)_inf
-               / (cq, bq, aq, dq, abcq^2/d; q)_inf,
+               / (cq, bq, aq, dq, abcq^2/d; q)_inf.
 
-    and M_ij / M_00 = sum_m R_im nu_(j+m) for Q_i(y) = sum_m R_im y^m, where
-    nu_s, the y-integral of y^s G over that of G, is exact rational
-    (`_outer_moments`).  The table holds those ratios as integers over one
-    denominator, and M_00 as one `_ladder` at prec bits.  `moment`,
-    `integrate` and `gram` (each pair's `integrate`, none formed) return
-    exact rationals: the rounded M_00 times an exact ratio.
+    The table holds the ratios as integers over one denominator and M_00 as
+    one `_ladder` at prec bits; `moment`, `integrate` and `gram` (each pair's
+    `integrate`, none formed) return the rounded M_00 times an exact ratio.
 
     Error.  Every value is M_00 times the exact functional's value over
     M_00, and M_00 is within 2^-prec of itself, relative (`_ladder`).  M_00
@@ -410,8 +378,13 @@ class MomentTable:
             raise ValueError(f"max_degree must be at least 0, got {max_degree}")
         self.params, self.max_degree, self.prec = p, max_degree, prec
         D, q, a, b, c, d = max_degree, p.qp.q, p.a, p.b, p.c, p.d
-        R = _conditional_moments(p, D)
-        nu, nu_den = _outer_moments(p, D)
+        # the inner weight in z = bx/d, (bcy/d, d/y, b), times (d/b)^i; the outer, (a, bcq, d)
+        rows, den = _jacobi_ratios(q, D, b * c * q / d, [b * q], b * c * q * q)
+        db = d / b
+        R = [reduced({m: n * db.numerator**i for m, n in enumerate(row)}, den * db.denominator**i)
+             for i, row in enumerate(rows)]
+        rows, den = _jacobi_ratios(q, D, 0, [a * q, d * q], a * b * c * q**3)
+        nu, nu_den = reduced({s: row[0] for s, row in enumerate(rows)}, den)
         lifts, lcm = lift_pairs([(1, den) for _, den in R])
         # M_ij / M_00 = _fixed[i, j] / (lcm nu_den)
         self._fixed = {(i, j): lift * sum(n * nu.get(j + m, 0) for m, n in nums.items())

@@ -91,13 +91,12 @@ class Rows:
 
 class QTables(Rows):
     """The tables of base q an evaluator builds once per call and drops with
-    it: pow(k) = q^k (any integer k), num(k) = [k]_q and the rows (a; q)_k
-    of factors 1 - a q^j, unit q, exponent k where a = q^k (``power_exponent``);
-    (z q^s; q)_k is the row of z q^s."""
+    it: pow(k) = q^k (any integer k) and the rows (a; q)_k of factors 1 -
+    a q^j, unit q, exponent k where a = q^k (``power_exponent``); (z q^s;
+    q)_k is the row of z q^s."""
 
     def __init__(self, q):
         self.pow = pw = functools.cache(lambda k: q**k)  # no cycle through self
-        self.num = functools.cache(lambda k: (pw(k) - 1) / (q - 1))
         super().__init__(lambda a, j: 1 - a * pw(j), q, lambda a: power_exponent(a, q))
 
 

@@ -6,13 +6,14 @@ structure matrices E_{n,j} and K_{n,j}) and the classical operator, all in
 Fraction or form arithmetic.  The tests compare the integer kernels' forms
 with these, not just their values."""
 
+import functools
 from fractions import Fraction
 
 from qbipoly.bigqjacobi import BigQJacobiParams
 from qbipoly.bipoly import BiPoly, combine, from_form, reduced
 from qbipoly.equation import EquationCoeffs, apply_operator, form_scalars
 from qbipoly.linalg import Mat
-from qbipoly.qcalc import QTables, step_weights
+from qbipoly.qcalc import QTables, qnum, step_weights
 from test_linalg import graded_coeff_block, monomials
 
 
@@ -132,8 +133,8 @@ def reference_explicit_BC(p: BigQJacobiParams, n: int) -> dict:
 
 def reference_s_matrix(E: EquationCoeffs, n: int) -> Mat:
     """The closed-form S_n, verbatim, in Fractions as a dense table."""
-    tab = QTables(E.qp.q)
-    pw, qn = tab.pow, tab.num
+    pw = QTables(E.qp.q).pow
+    qn = functools.partial(qnum, qp=E.qp)
     (_, b1s, _), (_, b2s, _), (_, b3a, c3a, _), (_, b3d, c3d, _), (_, g1), (_, g2) = form_scalars(E)
     c3, b3 = c3a + c3d * pw(2 - n), b3a + b3d * pw(2 - n)
     S = [[0] * n for _ in range(n + 1)]

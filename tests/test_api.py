@@ -45,6 +45,10 @@ ABSENT = [
     ("jackson", "_geometric"),
     ("jackson", "_products"),
     ("bigqjacobi", "_outer_weights"),
+    ("bigqjacobi", "_basis_rows"),
+    ("bigqjacobi", "_poch_ratios"),
+    ("bigqjacobi", "_conditional_moments"),
+    ("bigqjacobi", "_outer_moments"),
     ("cli", "_least_truncation"),
     ("cli", "_check_orthogonality_gate"),
     ("bigqjacobi", "_node_signs"),

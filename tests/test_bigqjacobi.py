@@ -12,7 +12,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qbipoly.bigqjacobi import (TEST_PARAMS, BigQJacobiParams, ClassicalParams,
-                                MomentTable, _conditional_moments,
+                                MomentTable, _jacobi_ratios,
                                 appell_monic, check_weight_params, preset_equation,
                                 classical_pde_residual, classical_rodrigues,
                                 classical_rodrigues_fraction,
@@ -930,11 +930,22 @@ def outer_node_weights(p, N, fld) -> tuple:
     return tuple(out)
 
 
+def inner_ratios(p, D) -> list:
+    """[(nums, den)] for i = 0..D, Q_i(y) = sum_m nums[m] y^m / den: the
+    inner x-integral of x^i at y over that of 1, the kernel's ratios of the
+    big q-Jacobi weight in z = bx/d with (alpha, beta, gamma) = (bcy/d, d/y,
+    b), times (d/b)^i."""
+    q, b, c, d = p.qp.q, p.b, p.c, p.d
+    rows, den = _jacobi_ratios(q, D, b * c * q / d, [b * q], b * c * q * q)
+    s, t = (d / b).numerator, (d / b).denominator
+    return [({m: n * s**i for m, n in enumerate(row)}, den * t**i) for i, row in enumerate(rows)]
+
+
 def truncated_outer_moments(p, D, N, fld) -> dict:
     """{(i, j): (M_ij, tail, scale)} on i + j <= D, mpf values of `fld`: the
     truncated outer Jackson sum that the engine summed before the outer
     integral had a closed form, M_ij = sum_m R_im mu_(j+1+m) for Q_i(y) =
-    sum_m R_im y^m (`_conditional_moments`) and mu_p = (1 - q) sum_(t <= N)
+    sum_m R_im y^m (`inner_ratios`) and mu_p = (1 - q) sum_(t <= N)
     (+-) y_t^p G(y_t) (`outer_node_weights`); scale sums the terms' absolute
     values the same way.  tail bounds what the cut drops: on y = a q^(1+t),
     G(yq)/G(y) = (1 - y)(1 - bcqy/d) / ((1 - y/a)(1 - y/d)) <= max(1, bcq) /
@@ -958,7 +969,7 @@ def truncated_outer_moments(p, D, N, fld) -> dict:
     rho = fld.of(p.qp.q * max(1, p.a, p.b * p.c * p.qp.q)) / (1 - q ** (N + 1))
     assert rho < 1
     out = {}
-    for i, (nums, den) in enumerate(_conditional_moments(p, D)):
+    for i, (nums, den) in enumerate(inner_ratios(p, D)):
         for j in range(D + 1 - i):
             M, cut, size = (fld.ctx.fsum(f(n) * v[j + 1 + m] for m, n in nums.items()) / den
                             for f, v in ((int, mu), (abs, last), (abs, scale)))
@@ -1498,7 +1509,7 @@ def test_inner_integrals_have_their_closed_form(point):
     fld = FloatField(prec + 64)
     q = fld.of(p.qp.q)
     weights = outer_node_weights(p, N, fld)
-    polys = _conditional_moments(p, D)
+    polys = inner_ratios(p, D)
     for t in (0, N // 2, N):
         for sigma in (1, -1):
             g = mpf_value(weights[sigma < 0][t])
@@ -1584,6 +1595,35 @@ def test_moment_table_exact_pairs_are_pinned(case):
     mt = pinned_table(case)
     assert sorted(mt._fixed) == [(i, j) for i in range(7) for j in range(7 - i)]
     assert table_digest(mt) == TABLE_DIGESTS[case]
+
+
+#: the sha256 of repr([(sorted(_fixed.items()), _num, _den) per table]) of
+#: the degree-6 tables at 128 bits at `REFERENCE_POINTS`, then the preset's
+#: at max_degree 0, 1 and 12: recorded when the inner and the outer ratios
+#: still had a basis change each, before one kernel served both
+DOMAIN_TABLES_DIGEST = "9f81fdba9e4bd997ac4e05aac971ba5bb70777f89693a459f438b0d4b07c7e2f"
+
+
+def test_moment_tables_across_the_domain_are_pinned():
+    """Both ratio sets from the one kernel, bit for bit, at the 40 sweep
+    points, q = 9/10, q = 99/100, d = -1000 and three preset degrees."""
+    tables = [MomentTable(p, 6, 128) for p in REFERENCE_POINTS] \
+        + [MomentTable(TEST_PARAMS, D, 128) for D in (0, 1, 12)]
+    state = repr([(sorted(mt._fixed.items()), mt._num, mt._den) for mt in tables])
+    assert hashlib.sha256(state.encode()).hexdigest() == DOMAIN_TABLES_DIGEST
+
+
+@pytest.mark.parametrize("p", sweep_points(40), ids=[f"sweep-{k}" for k in range(40)])
+def test_nonmonic_family_is_an_orthogonal_basis(p):
+    """The product construction of `nonmonic_polys` is orthogonal under
+    the weight: the Gram matrix of the ten P_(n,k) with n <= 3 has exactly
+    0 at all 45 off-diagonal pairs, equal total degrees included, and a
+    positive norm on the diagonal."""
+    pairs = [(n, k) for n in range(4) for k in range(n + 1)]
+    polys = nonmonic_polys(p, pairs)
+    G = MomentTable(p, 6, 128).gram([polys[nk] for nk in pairs])
+    assert all(G[i][j] == 0 for i in range(10) for j in range(i))
+    assert all(G[i][i] > 0 for i in range(10))
 
 
 def test_moment_table_refusal_names_the_monomial():

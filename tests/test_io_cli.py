@@ -578,6 +578,16 @@ def test_cli_weight_pole_is_one_line_error(capsys):
     assert captured.err == "error: G1 pole at product index 0, lattice point (-1/4, -1/4)\n"
 
 
+def test_cli_verify_orthogonality_refuses_c_a_power_of_q(capsys):
+    # c = q^0: the weight is not defined, one named refusal before any output
+    code = main(["verify", "--suite", "orthogonality", "--preset", "big-q-jacobi",
+                 "--param", "c=1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the orthogonality weight needs c != q^k (k >= 0), got c=1, q=1/2\n"
+
+
 def test_cli_unknown_param_is_named(capsys):
     code = main(["check", "--preset", "big-q-jacobi", "--param", "z=1"])
     assert code == 2

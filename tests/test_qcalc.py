@@ -58,10 +58,9 @@ def test_qpochhammer(qp):
         qpochhammer(F(1), qp, -1)
 
 
-def test_qtables_read_powers_q_numbers_and_running_product_rows(qp):
+def test_qtables_read_powers_and_running_product_rows(qp):
     tab = QTables(qp.q)
     assert [tab.pow(k) for k in (-2, 0, 3)] == [4, 1, F(1, 8)]
-    assert [tab.num(k) for k in (-1, 0, 3)] == [qnum(k, qp) for k in (-1, 0, 3)]
     # 1 - 4 q^2 = 0: the row is zero from index 3 on, as the product form is
     assert tab.row(F(4), 4) == [qpochhammer(F(4), qp, k) for k in range(5)]
     assert tab.row(F(4), 4)[3:] == [0, 0]

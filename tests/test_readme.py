@@ -2,8 +2,9 @@
 (CLI)" exits 0 through `cli.main`, the "Quick start (API)" block runs and
 its own assert holds, the equation-file example is the preset point, and
 each exit-code example stated in prose exits with the code stated, printing
-one `error:` line.  The README and the CI workflow pin one set of test
-dependencies, and CI's oldest Python is the one pyproject.toml admits."""
+one `error:` line.  The README, the CI workflow and pyproject.toml's `test`
+extra pin one set of test dependencies, and CI's oldest Python is the one
+pyproject.toml admits."""
 
 import json
 import pathlib
@@ -152,7 +153,9 @@ def test_ci_and_readme_pin_one_set_of_versions():
     ci = pins(re.search(r"pip install (.*)", workflow).group(1))
     assert set(ci) == {"mpmath", "pytest", "hypothesis"}
     assert pins(fenced("## Install and test", "sh")) == ci
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert pins(re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)) == ci
     matrix = re.search(r"python-version: \[(.*)\]", workflow).group(1)
     lowest = min(tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(","))
-    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
     assert lowest == tuple(map(int, floor.groups())) == (3, 10)
