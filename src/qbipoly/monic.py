@@ -14,13 +14,10 @@ vectors, and the tests check the blocks.  The paper's closed-form S_n (degree dr
 T_n (degree drop 2) have q-integer entries, one integer form per row; S_n is kept verbatim,
 so the recurrence suite reports its subdiagonal erratum instead of patching it.  The
 recurrence layer (A, B, C, the generalized inverse of the stacked embeddings, the
-recursive generator) is built on oracle blocks throughout.
+recursive generator) reads the oracle's blocks as the chain's integer levels.
 """
 
-import functools
-from collections.abc import Mapping
-
-from .bipoly import BiPoly, combine, from_form, lift_pairs, reduced, reduced_rows
+from .bipoly import BiPoly, from_form, lift_pairs, reduced, reduced_rows
 from .equation import EquationCoeffs, add_image, form_scalars, operator_parts
 from .linalg import Mat, stack
 from .pearson import require
@@ -65,24 +62,6 @@ def ghat_oracle(E: EquationCoeffs, n: int) -> list:
     coefficient matching in the eigen-equation, exactly."""
     family = generate_monic_oracle(E, n)
     return [family.block(n, j) for j in range(n + 1)]
-
-
-class _OnRead(Mapping):
-    """A read-only mapping over the given keys whose value at a key is make(key), made on its first read."""
-
-    def __init__(self, keys, make):
-        self._keys, self._make = keys, functools.cache(make)
-
-    def __getitem__(self, key):
-        if key in self._keys:
-            return self._make(key)
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +118,13 @@ def t_matrix_closed_form(E: EquationCoeffs, n: int) -> Mat:
 # ---------------------------------------------------------------------------
 
 class MonicFamily(Record):
+    """The monic family of degrees 0..N as its chain computed it: vectors[n] lists the n + 1 BiPolys
+    of P_n, and levels[(n, j)] = (rows, den) is G_{n,j} in the chain's integer form, n + 1 int rows
+    of j + 1 entries over one den.  ``block`` forms a Mat from a level when asked and keeps none."""
+
     equation: EquationCoeffs
-    vectors: list              # degrees 0..N; vectors[n] lists the n + 1 BiPolys of P_n
-    ghat: Mapping              # (n, j) -> Mat, each formed on its first read
-    operator_blocks: Mapping   # j -> operator_blocks(E, j), each formed on its first read
+    vectors: list
+    levels: dict
 
     @property
     def N(self):
@@ -153,7 +135,8 @@ class MonicFamily(Record):
         return self.vectors[n][k]
 
     def block(self, n: int, j: int) -> Mat:
-        return self.ghat[(n, j)]
+        rows, den = self.levels[n, j]
+        return Mat._of([reduced(dict(enumerate(row)), den) for row in rows], j + 1)
 
 
 def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
@@ -163,16 +146,16 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     row r is zero off the band r - (n - d) <= c <= r, and a zero level G_{n,n+1} (with zero
     stencils of degree N + 1) stands in for the second term of G_{n,n-1}.  Entry r of P_n =
     sum_j G_{n,j} x^j (column c of degree j is x^{j-c} y^c) is row r of every level over their
-    lcm, reduced once.  Blocks and the operator's Mat blocks are formed on first read."""
+    lcm, reduced once.  The family keeps the levels as they are."""
     require(E, "monic")
     parts, D = operator_parts(E, max(N, 1))
     st = [_stencils(parts, j) for j in range(N + 1)] + [[[0] * (N + 2)] * 6]
     lam, levels, vectors = [E.admissibility.eigenvalue(j) for j in range(N + 1)], {}, []
     for n in range(N + 1):
-        chain = [None] * n + [([[int(r == c) for c in range(n + 1)] for r in range(n + 1)], 1),
-                              ([[0] * (n + 2)] * (n + 1), 1)]
+        levels[n, n + 1] = [[0] * (n + 2)] * (n + 1), 1
+        levels[n, n] = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)], 1
         for d in range(n - 1, -1, -1):
-            (one, e1), (two, e2), gap = chain[d + 1], chain[d + 2], lam[n] - lam[d]
+            (one, e1), (two, e2), gap = levels[n, d + 1], levels[n, d + 2], lam[n] - lam[d]
             (_, X, Y, *_), (*_, XX, XY, YY) = st[d + 1], st[d + 2]
             (f1, f2), lcm = lift_pairs([(-gap.denominator, e1), (-gap.denominator, e2)])
             rows = [[0] * (d + 1) for _ in range(n + 1)]
@@ -180,43 +163,45 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
                 for c in range(max(0, r - n + d), min(r, d) + 1):
                     row[c] = (f1 * (X[c] * a[c] + Y[c + 1] * a[c + 1])
                               + f2 * (XX[c] * b[c] + XY[c + 1] * b[c + 1] + YY[c + 2] * b[c + 2]))
-            chain[d] = reduced_rows(rows, lcm * D * gap.numerator)
-        del chain[-1]
-        levels.update(((n, j), level) for j, level in enumerate(chain))
-        fs, L = lift_pairs([(1, e) for _, e in chain])
+            levels[n, d] = reduced_rows(rows, lcm * D * gap.numerator)
+        del levels[n, n + 1]
+        fs, L = lift_pairs([(1, levels[n, j][1]) for j in range(n + 1)])
         vectors.append([from_form(*reduced({(j - c, c): f * w for j, f in enumerate(fs)
-                                            for c, w in enumerate(chain[j][0][r]) if w}, L))
+                                            for c, w in enumerate(levels[n, j][0][r]) if w}, L))
                         for r in range(n + 1)])
-    return MonicFamily(E, vectors, _OnRead(levels, lambda key: Mat._of(
-        [reduced(dict(enumerate(row)), levels[key][1]) for row in levels[key][0]], key[1] + 1)),
-        _OnRead(range(N + 1), lambda j: operator_blocks(E, j)))
+    return MonicFamily(E, vectors, levels)
 
 
 def ttr_matrices(family: MonicFamily, n: int, j: int) -> dict:
     """Recurrence matrices A_{n,j} = L_{n,j}, B_{n,j} = G_{n,n-1} L_{n-1,j} - L_{n,j} G_{n+1,n}
     and C_{n,j} = G_{n,n-2} L_{n-2,j} - L_{n,j} G_{n+1,n-1} - B G_{n,n-1} (no C at n = 0; a
     block of negative index is left out), for 0 <= n < N and axis j = 1 or 2.  L on the left
-    takes rows from j - 1 on, on the right it shifts columns by j - 1, so each row of B and C
-    is one ``combine`` of block rows."""
+    takes rows from j - 1 on, on the right it shifts columns by j - 1.  The blocks are read as
+    the family's integer levels, so each row of B and C is summed on integers over one den and
+    reduced once."""
     A = mat_L(n, j)
     if not 0 <= n < family.N:
         raise ValueError(f"recurrence matrices need 0 <= n < N = {family.N}, got n = {n}")
-    off, G = j - 1, family.ghat
-    g1, g2 = (G[(n, n - s)].forms if n >= s else None for s in (1, 2))
-    h1, h2 = G[(n + 1, n)].forms, G[(n + 1, n - 1)].forms if n else None
+    off, G, empty = j - 1, family.levels, ([()] * (n + 1), 1)
+    g1, e1 = G.get((n, n - 1), empty)
 
-    def l_terms(r: int, below, ahead) -> list:
-        # row r of G_{n,n-s} L_{n-s,j} - L_{n,j} G_{n+1,n+1-s}, from their row forms
-        terms = [(-1, *ahead[r + off])]
-        if below:
-            nums, den = below[r]
-            terms.append((1, {c + off: v for c, v in nums.items()} if off else nums, den))
-        return terms
+    def summed(s: int, bnums: list, bden: int) -> tuple:
+        # G_{n,n-s} L_{n-s,j} - L_{n,j} G_{n+1,n+1-s} - (bnums / bden) G_{n,n-1}: row numerators, den, Mat
+        (ahead, ea), (below, eb) = G[n + 1, n + 1 - s], G.get((n, n - s), empty)
+        (fa, fb, fp), den = lift_pairs([(-1, ea), (1, eb), (-1, bden * e1)])
+        rows = [[fa * v for v in ahead[r + off]] for r in range(n + 1)]
+        for row, b, p in zip(rows, below, bnums):
+            for c, v in enumerate(b, off):
+                row[c] += fb * v
+            for k, w in p.items():
+                w *= fp
+                for c, v in enumerate(g1[k]):
+                    row[c] += w * v
+        nums = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        return nums, den, Mat._of([reduced(row, den) for row in nums], n + 2 - s)
 
-    B = Mat._of([combine(l_terms(r, g1, h1)) for r in range(n + 1)], n + 1)
-    C = Mat._of([combine(l_terms(r, g2, h2) + [(-a, g1[k][0], g1[k][1] * bden) for k, a in bnums.items()])
-                 for r, (bnums, bden) in enumerate(B.forms)], n) if n else None
-    return {"A": A, "B": B, "C": C}
+    bnums, bden, B = summed(1, [{}] * (n + 1), 1)
+    return {"A": A, "B": B, "C": summed(2, bnums, bden)[2] if n else None}
 
 
 def joint_L(n: int) -> Mat:

@@ -23,7 +23,7 @@ from .equation import apply_operator
 from .io import frac_str
 from .linalg import Mat, mat_diff
 from .monic import (generalized_inverse_L, generate_monic_oracle,
-                    generate_monic_rf, joint_L,
+                    generate_monic_rf, joint_L, operator_blocks,
                     s_matrix_closed_form, t_matrix_closed_form, ttr_matrices)
 # rodrigues_poly: perfbench/test_perfbench.py checks the tracer rebinds this name
 from .rodrigues import rodrigues_family, rodrigues_poly  # noqa: F401
@@ -186,11 +186,12 @@ def suite_recurrence(p: BigQJacobiParams):
     # G_{n,n-1} = S_n / (lambda_{n-1} - lambda_n), and G_{n,n-2} differs from
     # the oracle's chain step only in T_n
     lam = E.admissibility.eigenvalue
+    blocks = {n: operator_blocks(E, n) for n in range(1, RECURRENCE_N + 1)}
     for n in range(2, RECURRENCE_N + 1):
-        same = t_matrix_closed_form(E, n) == fam.operator_blocks[n][2]
+        same = t_matrix_closed_form(E, n) == blocks[n][2]
         rows.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "", str(same)))
     for n in range(1, RECURRENCE_N + 1):
-        S = fam.operator_blocks[n][1]
+        S = blocks[n][1]
         diffs = mat_diff(s_matrix_closed_form(E, n), S)
         rows.append(("closed_form_S_agreement", f"n={n}", "",
                      f"{len(diffs)} differing entries", "info"))

@@ -20,7 +20,7 @@ from qbipoly.bipoly import BiPoly
 from qbipoly.equation import apply_operator
 from qbipoly.linalg import Mat
 from qbipoly.monic import (generalized_inverse_L, generate_monic_oracle, generate_monic_rf,
-                           joint_L, t_matrix_closed_form, ttr_matrices)
+                           joint_L, operator_blocks, t_matrix_closed_form, ttr_matrices)
 from qbipoly.pearson import base_weight, build_pearson, verify_pearson_identities
 from qbipoly.qcalc import verify_operator_relations
 from qbipoly.rodrigues import rodrigues_poly
@@ -157,9 +157,9 @@ def test_criterion_7_paper_formula_crosschecks(equation, params, oracle5):
     lam = oracle5.equation.admissibility.eigenvalue
     for n in range(2, 5):
         T = t_matrix_closed_form(equation, n)
-        assert T == oracle5.operator_blocks[n][2]
+        assert T == operator_blocks(equation, n)[2]
         # the resolvent formula for G_{n,n-2}, fed the oracle's G_{n,n-1}
-        inner = T + oracle5.block(n, n - 1) @ oracle5.operator_blocks[n - 1][1]
+        inner = T + oracle5.block(n, n - 1) @ operator_blocks(equation, n - 1)[1]
         assert inner.scaled(1 / (lam(n - 2) - lam(n))) == oracle5.block(n, n - 2)
 
     from qbipoly.bigqjacobi import explicit_BC

@@ -49,6 +49,7 @@ ABSENT = [
     ("bigqjacobi", "_poch_ratios"),
     ("bigqjacobi", "_conditional_moments"),
     ("bigqjacobi", "_outer_moments"),
+    ("monic", "_OnRead"),
     ("cli", "_least_truncation"),
     ("cli", "_check_orthogonality_gate"),
     ("bigqjacobi", "_node_signs"),
@@ -160,8 +161,7 @@ def test_one_signature_per_route():
     assert list(Admissibility.__match_args__) == ["failures", "f1", "a1", "qp"]
     assert isinstance(vars(Admissibility)["admissible"], property)
     assert list(ClassicalParams.__match_args__) == ["alpha", "beta", "gamma"]
-    assert list(MonicFamily.__match_args__) == [
-        "equation", "vectors", "ghat", "operator_blocks"]
+    assert list(MonicFamily.__match_args__) == ["equation", "vectors", "levels"]
     verify = build_parser().parse_args(["verify", "--suite", "orthogonality"])
     assert (verify.precision, verify.truncation) == (suites.ORTH_PRECISION, suites.ORTH_TRUNCATION)
 

@@ -152,6 +152,24 @@ def test_cli_output_matches_golden_digest(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+#: sha256 over the exit code and stdout of the monic N = 12, recurrence and
+#: consistency requests, at q = 99/100 and then at d = -1000: the recurrence
+#: matrices and the recursive generator on the widest integers the preset
+#: reaches.  Recorded before the monic family began keeping its blocks as the
+#: chain's integer levels.
+WIDE_MONIC_DIGEST = "4cd5eef3dc27a1fc34aefc3acff0a78fbeaaffefb22e29f13185e2fb7912122b"
+
+
+def test_monic_layer_at_wide_points_matches_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for param in ("q=99/100", "d=-1000"):
+        for request in (("generate", "--family", "monic", "--degrees", "12"),
+                        ("verify", "--suite", "recurrence"), ("verify", "--suite", "consistency")):
+            code = main([*request, *P, "--param", param])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == WIDE_MONIC_DIGEST
+
+
 #: sha256 of the orthogonality report's verdicts and labels: the `ok` flag and
 #: the case, a, b and pass columns of every row, without the float values.
 #: Their last digits move with any reordering of the moment sums; the

@@ -12,8 +12,8 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, admissibility, apply_operator
 from qbipoly.linalg import Mat, mat_diff, solve_exact
-from qbipoly.monic import (generalized_inverse_L, generate_monic_rf, ghat_oracle, joint_L,
-                           generate_monic_oracle, mat_L,
+from qbipoly.monic import (MonicFamily, generalized_inverse_L, generate_monic_rf, ghat_oracle,
+                           joint_L, generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
@@ -172,7 +172,7 @@ def test_oracle_blocks_match_solved_chain(params):
     N = 6
     fam = generate_monic_oracle(E, N)
     ref = reference_chain_blocks(E, N)
-    assert set(fam.ghat) == set(ref)
+    assert set(fam.levels) == set(ref)
     for key, G in ref.items():
         assert fam.block(*key).rows == G.rows, key
 
@@ -260,16 +260,25 @@ def test_ttr_matrices_equal_the_L_products_through_degree_12(oracle12):
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle12, n, j), (n, j)
 
 
+def test_ttr_matrices_read_the_levels_and_form_no_block(oracle7, monkeypatch):
+    """The recurrence matrices are summed from the family's integer levels;
+    no block Mat is formed for them."""
+    want = [ttr_matrices(oracle7, n, j) for n in range(7) for j in (1, 2)]
+    monkeypatch.setattr(MonicFamily, "block", None)
+    assert [ttr_matrices(oracle7, n, j) for n in range(7) for j in (1, 2)] == want
+
+
 def assert_family_equals_the_reference(family, N: int) -> dict:
-    """Every vector, the block keys, every block and the operator blocks of
-    the family have the forms of the keyed-form reference; its blocks."""
+    """Every vector, the block keys and every block of the family, and the
+    operator blocks of its equation, have the forms of the keyed-form
+    reference; its blocks."""
     vectors, ghat, blocks = reference_oracle(family.equation, N)
     assert [[(e.nums, e.den) for e in vec] for vec in family.vectors] \
         == [[(e.nums, e.den) for e in vec] for vec in vectors]
-    assert set(family.ghat) == set(ghat)
+    assert set(family.levels) == set(ghat)
     for key, G in ghat.items():
         assert family.block(*key) == G, key  # Mat equality: the width and every row form
-    assert [family.operator_blocks[j] for j in range(N + 1)] == blocks
+    assert [operator_blocks(family.equation, j) for j in range(N + 1)] == blocks
     return ghat
 
 
@@ -419,12 +428,12 @@ def resolvent_gn2(family, n, gn1, S_prev):
     return inner.scaled(1 / (lam(n - 2) - lam(n)))
 
 
-def test_resolvent_formula_with_operator_S_matches_oracle(oracle5):
+def test_resolvent_formula_with_operator_S_matches_oracle(equation, oracle5):
     for n in range(1, 5):
-        got = resolvent_gn1(oracle5, n, oracle5.operator_blocks[n][1])
+        got = resolvent_gn1(oracle5, n, operator_blocks(equation, n)[1])
         assert got == oracle5.block(n, n - 1)
     for n in range(2, 5):
-        got = resolvent_gn2(oracle5, n, oracle5.block(n, n - 1), oracle5.operator_blocks[n - 1][1])
+        got = resolvent_gn2(oracle5, n, oracle5.block(n, n - 1), operator_blocks(equation, n - 1)[1])
         assert got == oracle5.block(n, n - 2)
 
 
@@ -435,20 +444,20 @@ def test_closed_form_S_erratum(equation, oracle5):
     is right."""
     closed = {n: s_matrix_closed_form(equation, n) for n in range(1, 4)}
     for n in range(1, 4):
-        diffs = mat_diff(closed[n], oracle5.operator_blocks[n][1])
+        diffs = mat_diff(closed[n], operator_blocks(equation, n)[1])
         assert [d[0] for d in diffs] == [(i + 1, i) for i in range(1, n + 1)]
         gn1 = resolvent_gn1(oracle5, n, closed[n])
         assert len(mat_diff(gn1, oracle5.block(n, n - 1))) == n
         if n >= 2:
-            assert t_matrix_closed_form(equation, n) == oracle5.operator_blocks[n][2]
+            assert t_matrix_closed_form(equation, n) == operator_blocks(equation, n)[2]
             assert resolvent_gn2(oracle5, n, gn1, closed[n - 1]) != oracle5.block(n, n - 2)
 
 
 def test_recurrence_suite_compares_each_closed_form_once(equation, oracle5, monkeypatch):
-    """One T_n build per degree 2..4 and one S_n per degree 1..4, and the
-    closed-form rows equal those of the paper's resolvent formulas checked
-    against the oracle blocks."""
-    calls = {"S": [], "T": []}
+    """One T_n build per degree 2..4, one S_n and one set of operator blocks
+    per degree 1..4, and the closed-form rows equal those of the paper's
+    resolvent formulas checked against the oracle blocks."""
+    calls = {"S": [], "T": [], "operator": []}
 
     def counted(name, real):
         def build(E, n):
@@ -458,15 +467,16 @@ def test_recurrence_suite_compares_each_closed_form_once(equation, oracle5, monk
 
     monkeypatch.setattr(suites, "s_matrix_closed_form", counted("S", s_matrix_closed_form))
     monkeypatch.setattr(suites, "t_matrix_closed_form", counted("T", t_matrix_closed_form))
+    monkeypatch.setattr(suites, "operator_blocks", counted("operator", operator_blocks))
     ok, rows = suites.suite_recurrence(TEST_PARAMS)
     assert ok
     assert sorted(calls["T"]) == [2, 3, 4]
-    assert sorted(calls["S"]) == [1, 2, 3, 4]
+    assert sorted(calls["S"]) == sorted(calls["operator"]) == [1, 2, 3, 4]
 
     want = []
     for n in range(2, 5):
         formula = resolvent_gn2(oracle5, n, oracle5.block(n, n - 1),
-                                oracle5.operator_blocks[n - 1][1])
+                                operator_blocks(equation, n - 1)[1])
         want.append(("second_block_resolvent_matches_oracle", f"n={n}", "", "",
                      str(formula == oracle5.block(n, n - 2))))
     for n in range(1, 5):
@@ -474,7 +484,7 @@ def test_recurrence_suite_compares_each_closed_form_once(equation, oracle5, monk
                          oracle5.block(n, n - 1))
         want.append(("closed_form_S_agreement", f"n={n}", "",
                      f"{len(diffs)} differing entries", "info"))
-        operator = resolvent_gn1(oracle5, n, oracle5.operator_blocks[n][1])
+        operator = resolvent_gn1(oracle5, n, operator_blocks(equation, n)[1])
         want.append(("operator_S_agreement", f"n={n}", "", "",
                      str(operator == oracle5.block(n, n - 1))))
     names = {row[0] for row in want}

@@ -6,6 +6,7 @@ one `error:` line.  The README, the CI workflow and pyproject.toml's `test`
 extra pin one set of test dependencies, and CI's oldest Python is the one
 pyproject.toml admits."""
 
+import argparse
 import json
 import pathlib
 import re
@@ -141,6 +142,18 @@ def test_readme_hypothesis_table_is_the_code_map():
     # the requests whose NEEDS hold it
     assert hypothesis_table() == [(name, {r for r, needs in NEEDS.items() if name in needs})
                                   for name in HYPOTHESES]
+
+
+def test_readme_names_exactly_the_cli_options():
+    """The long options README.md names are those the three subcommands
+    declare, less --help: a removed option still named, or an option never
+    named, fails."""
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {option for parser in sub.choices.values() for action in parser._actions
+                for option in action.option_strings if option.startswith("--")}
+    assert len(sub.choices) == 3
+    assert named == declared - {"--help"}
 
 
 def pins(text: str) -> dict:
