@@ -142,20 +142,20 @@ class MonicFamily(Record):
 def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
     """Oracle family for degrees 0..N; it refuses an equation that fails a hypothesis the oracle
     needs (``pearson.require`` of "monic": the form and admissibility).  Level d of the chain of
-    degree n is the module docstring's sum on dense integer rows over one den, one gcd per level;
-    row r is zero off the band r - (n - d) <= c <= r, and a zero level G_{n,n+1} (with zero
-    stencils of degree N + 1) stands in for the second term of G_{n,n-1}.  Entry r of P_n =
-    sum_j G_{n,j} x^j (column c of degree j is x^{j-c} y^c) is row r of every level over their
-    lcm, reduced once.  The family keeps the levels as they are."""
+    degree n is the module docstring's sum on dense integer rows over one den, one gcd per
+    level; row r is zero off the band r - (n - d) <= c <= r, and one zero level, wide enough for
+    every n and with zero stencils of degree N + 1, is G_{n,n+1} in the second term of
+    G_{n,n-1}.  Entry r of P_n = sum_j G_{n,j} x^j (column c of degree j is x^{j-c} y^c) is row
+    r of every level over their lcm, reduced once.  The family keeps the levels as they are."""
     require(E, "monic")
     parts, D = operator_parts(E, max(N, 1))
     st = [_stencils(parts, j) for j in range(N + 1)] + [[[0] * (N + 2)] * 6]
     lam, levels, vectors = [E.admissibility.eigenvalue(j) for j in range(N + 1)], {}, []
+    zero = [[0] * (N + 2)] * (N + 1), 1
     for n in range(N + 1):
-        levels[n, n + 1] = [[0] * (n + 2)] * (n + 1), 1
         levels[n, n] = [[int(r == c) for c in range(n + 1)] for r in range(n + 1)], 1
         for d in range(n - 1, -1, -1):
-            (one, e1), (two, e2), gap = levels[n, d + 1], levels[n, d + 2], lam[n] - lam[d]
+            (one, e1), (two, e2), gap = levels[n, d + 1], levels.get((n, d + 2), zero), lam[n] - lam[d]
             (_, X, Y, *_), (*_, XX, XY, YY) = st[d + 1], st[d + 2]
             (f1, f2), lcm = lift_pairs([(-gap.denominator, e1), (-gap.denominator, e2)])
             rows = [[0] * (d + 1) for _ in range(n + 1)]
@@ -164,7 +164,6 @@ def generate_monic_oracle(E: EquationCoeffs, N: int) -> MonicFamily:
                     row[c] = (f1 * (X[c] * a[c] + Y[c + 1] * a[c + 1])
                               + f2 * (XX[c] * b[c] + XY[c + 1] * b[c + 1] + YY[c + 2] * b[c + 2]))
             levels[n, d] = reduced_rows(rows, lcm * D * gap.numerator)
-        del levels[n, n + 1]
         fs, L = lift_pairs([(1, levels[n, j][1]) for j in range(n + 1)])
         vectors.append([from_form(*reduced({(j - c, c): f * w for j, f in enumerate(fs)
                                             for c, w in enumerate(levels[n, j][0][r]) if w}, L))

@@ -12,8 +12,8 @@ from qbipoly.bigqjacobi import TEST_PARAMS, BigQJacobiParams, preset_equation
 from qbipoly.bipoly import BiPoly
 from qbipoly.equation import EquationCoeffs, NotAdmissibleError, admissibility, apply_operator
 from qbipoly.linalg import Mat, mat_diff, solve_exact
-from qbipoly.monic import (MonicFamily, generalized_inverse_L, generate_monic_rf, ghat_oracle,
-                           joint_L, generate_monic_oracle, mat_L,
+from qbipoly.monic import (generalized_inverse_L, generate_monic_rf, ghat_oracle, joint_L,
+                           generate_monic_oracle, mat_L,
                            operator_blocks, s_matrix_closed_form,
                            t_matrix_closed_form, ttr_matrices)
 from qbipoly.qcalc import QParam, dq1, dq2, dqm1, dqm2
@@ -260,12 +260,13 @@ def test_ttr_matrices_equal_the_L_products_through_degree_12(oracle12):
             assert (tb["A"], tb["B"], tb["C"]) == reference_ttr(oracle12, n, j), (n, j)
 
 
-def test_ttr_matrices_read_the_levels_and_form_no_block(oracle7, monkeypatch):
-    """The recurrence matrices are summed from the family's integer levels;
-    no block Mat is formed for them."""
-    want = [ttr_matrices(oracle7, n, j) for n in range(7) for j in (1, 2)]
-    monkeypatch.setattr(MonicFamily, "block", None)
-    assert [ttr_matrices(oracle7, n, j) for n in range(7) for j in (1, 2)] == want
+def test_ttr_matrices_read_the_levels_alone(oracle7):
+    """The recurrence matrices are summed from the family's integer levels:
+    given nothing but N and the levels, no block Mat, they are the same."""
+    levels_only = types.SimpleNamespace(N=oracle7.N, levels=oracle7.levels)
+    for n in range(7):
+        for j in (1, 2):
+            assert ttr_matrices(levels_only, n, j) == ttr_matrices(oracle7, n, j), (n, j)
 
 
 def assert_family_equals_the_reference(family, N: int) -> dict:
